@@ -6,26 +6,26 @@
 
 use spice_core::backend::{make_backend_with, BackendChoice, SimBackend};
 use spice_core::baseline::{render_schedule, LoopTimingModel, ScheduleKind};
-use spice_core::pipeline::{predictor_options_with_estimate, run_sequential};
+use spice_core::pipeline::predictor_options_with_estimate;
 use spice_core::predictor::PredictorOptions;
 use spice_core::prepared::PreparedProgram;
 use spice_core::valuepred::{
     evaluate_predictor, LastValuePredictor, SpiceMemoPredictor, StridePredictor,
 };
-use spice_ir::exec::ExecutionBackend;
-use spice_ir::interp::LocalSys;
+use spice_ir::exec::{ExecutionBackend, InterpBackend};
+use spice_ir::interp::{FlatMemory, LocalSys};
 use spice_ir::trace::DEFAULT_TRACE_CAPACITY;
 use spice_ir::{FuncId, TraceEvent};
 use spice_profiler::{
-    analyze_trace, measure_cycle_hotness, measure_hotness, record_workload_trace, AnalyzerConfig,
-    PredictabilityBin,
+    analyze_trace, measure_cycle_hotness, measure_hotness, record_workload_trace, run_instrumented,
+    AnalyzerConfig, PredictabilityBin,
 };
-use spice_sim::{Machine, MachineConfig};
+use spice_sim::{Machine, MachineConfig, SequentialSimBackend};
 use spice_workloads::trace::{FuzzConfig, TraceReplayWorkload, WorkloadTrace};
 use spice_workloads::{
     drive_loaded_workload, fig8_corpus, run_workload_on, workload_load_options, BackendRunSummary,
     KsConfig, KsWorkload, McfConfig, McfWorkload, OtterConfig, OtterWorkload, SjengConfig,
-    SjengWorkload, SpiceWorkload, Suite, SuiteBenchmark,
+    SjengWorkload, SpiceWorkload, Suite, SuiteBenchmark, DEFAULT_WORKLOAD_HEAP_WORDS,
 };
 
 /// Factory for a fresh instance of one of the paper's four benchmark loops.
@@ -162,51 +162,16 @@ pub fn all_workload_factories(small: bool) -> Vec<(&'static str, WorkloadFactory
     v
 }
 
-/// Total sequential cycles over all invocations of a workload.
+/// Total sequential cycles over all invocations of a workload on one core
+/// of the Table 1 machine.
 ///
 /// # Errors
 ///
-/// Returns a description of any simulation failure.
+/// Returns a description of any simulation failure or result mismatch.
 pub fn run_workload_sequential(workload: &mut dyn SpiceWorkload) -> Result<u64, String> {
-    let built = workload.build();
-    let config = MachineConfig::itanium2_cmp().with_cores(1);
-    let mut machine = Machine::new(config, built.program);
-    drive_sequential_workload(workload, &mut machine, built.kernel)
-}
-
-/// Drives every invocation of `workload` on an already-built one-core
-/// machine, checking each return value against the host-computed
-/// expectation. Shared between the direct sequential path and the farm's
-/// prepared-program jobs so both produce the same cycle totals.
-fn drive_sequential_workload(
-    workload: &mut dyn SpiceWorkload,
-    machine: &mut Machine,
-    kernel: FuncId,
-) -> Result<u64, String> {
-    let mut args = workload.init(machine.mem_mut());
-    let mut total = 0u64;
-    let mut inv = 0usize;
-    loop {
-        let expected = workload.expected_result(machine.mem());
-        let (cycles, ret) = run_sequential(machine, kernel, &args).map_err(|e| e.to_string())?;
-        if let Some(e) = expected {
-            if ret != Some(e) {
-                return Err(format!(
-                    "{}: sequential run returned {ret:?}, expected {e}",
-                    workload.name()
-                ));
-            }
-        }
-        total += cycles;
-        match workload.next_invocation(machine.mem_mut(), inv) {
-            Some(a) => {
-                args = a;
-                inv += 1;
-            }
-            None => break,
-        }
-    }
-    Ok(total)
+    let mut backend = SequentialSimBackend::new(MachineConfig::itanium2_cmp());
+    let summary = run_workload_on(workload, &mut backend)?;
+    Ok(u64::try_from(summary.total_cost).unwrap_or(u64::MAX))
 }
 
 /// Result of running a workload under Spice.
@@ -339,7 +304,7 @@ pub fn prepare_sweep(
             } else {
                 MachineConfig::itanium2_cmp().with_cores(1)
             };
-            PreparedProgram::sequential(config, built.program)
+            PreparedProgram::sequential(config, built.program, built.kernel)
         }
         SweepMode::Spice { threads } => {
             let config = if tiny {
@@ -402,114 +367,62 @@ pub struct SweepRun {
     pub misspeculation_rate: f64,
     /// Mean coefficient of variation of per-core work (0 for sequential).
     pub load_imbalance: f64,
-    /// Invocations executed (0 reported for sequential runs).
+    /// Invocations executed.
     pub invocations: usize,
     /// Dependence-violation squashes taken and recovered.
     pub dependence_violations: usize,
-    /// The full backend summary for Spice modes (per-invocation return
-    /// values included), `None` for sequential runs.
+    /// The full backend summary, per-invocation return values included
+    /// (always present; the sequential baseline reports one too).
     pub summary: Option<BackendRunSummary>,
 }
 
-/// Runs one sweep job over a shared preparation: a fresh workload instance
-/// from `factory`, a fresh machine over `prep`'s decoded program, every
-/// invocation driven with result checks.
-///
-/// # Errors
-///
-/// Returns the first simulation failure or result mismatch.
-pub fn run_prepared_sweep(factory: &WorkloadFactory, prep: &SweepPrep) -> Result<SweepRun, String> {
+/// The one sweep-job body, for either kind of preparation: a fresh workload
+/// instance from `factory`, a fresh backend over `prep`'s decoded program
+/// with `arm` applied to it (tracing, snapshots, watches), every invocation
+/// driven with result checks. Returns the backend alongside the outcome so
+/// callers read their observers off it — after a failed run too.
+pub fn drive_prepared_sweep(
+    factory: &WorkloadFactory,
+    prep: &SweepPrep,
+    arm: impl FnOnce(&mut SimBackend),
+) -> (SimBackend, Result<SweepRun, String>) {
     let mut wl = factory();
     // Workloads stash driver-side state (arenas, layouts) during `build`;
     // the program it returns is discarded — `prep` already holds the shared
     // decoded copy, which an identical factory built deterministically.
     let _ = wl.build();
     let started = std::time::Instant::now();
-    if prep.prepared.is_spice() {
-        let mut backend = SimBackend::from_prepared(&prep.prepared);
-        let summary = drive_loaded_workload(wl.as_mut(), &mut backend)?;
-        Ok(SweepRun {
-            cycles: u64::try_from(summary.total_cost).unwrap_or(u64::MAX),
-            sim_nanos: started.elapsed().as_nanos(),
-            misspeculation_rate: summary.misspeculation_rate(),
-            load_imbalance: summary.load_imbalance(),
-            invocations: summary.invocations,
-            dependence_violations: summary.dependence_violations,
-            summary: Some(summary),
-        })
-    } else {
-        let mut machine = prep.prepared.machine();
-        let cycles = drive_sequential_workload(wl.as_mut(), &mut machine, prep.kernel)?;
-        Ok(SweepRun {
-            cycles,
-            sim_nanos: started.elapsed().as_nanos(),
-            misspeculation_rate: 0.0,
-            load_imbalance: 0.0,
-            invocations: 0,
-            dependence_violations: 0,
-            summary: None,
-        })
-    }
+    let mut backend = SimBackend::from_prepared(&prep.prepared);
+    arm(&mut backend);
+    let run = drive_loaded_workload(wl.as_mut(), &mut backend).map(|summary| SweepRun {
+        cycles: u64::try_from(summary.total_cost).unwrap_or(u64::MAX),
+        sim_nanos: started.elapsed().as_nanos(),
+        misspeculation_rate: summary.misspeculation_rate(),
+        load_imbalance: summary.load_imbalance(),
+        invocations: summary.invocations,
+        dependence_violations: summary.dependence_violations,
+        summary: Some(summary),
+    });
+    (backend, run)
 }
 
-/// Like [`run_prepared_sweep`], but with the backend's event trace enabled;
-/// returns the run plus the recorder's ring-buffer contents. Tracing is
-/// observational — the `SweepRun` numbers are identical to an untraced run
-/// of the same preparation — and the simulator is single-threaded, so the
-/// returned events are deterministic: the farm's `--trace-out` artifact is
-/// byte-identical at any worker count.
+/// Everything `backend`'s trace recorder holds (empty when tracing is off).
+#[must_use]
+pub fn recorded_events(backend: &dyn ExecutionBackend) -> Vec<TraceEvent> {
+    backend
+        .trace()
+        .map(|t| t.events().cloned().collect())
+        .unwrap_or_default()
+}
+
+/// Runs one sweep job over a shared preparation
+/// ([`drive_prepared_sweep`] with no observers).
 ///
 /// # Errors
 ///
 /// Returns the first simulation failure or result mismatch.
-pub fn run_prepared_sweep_traced(
-    factory: &WorkloadFactory,
-    prep: &SweepPrep,
-) -> Result<(SweepRun, Vec<TraceEvent>), String> {
-    let mut wl = factory();
-    let _ = wl.build();
-    let started = std::time::Instant::now();
-    if prep.prepared.is_spice() {
-        let mut backend = SimBackend::from_prepared(&prep.prepared);
-        backend.enable_trace(DEFAULT_TRACE_CAPACITY);
-        let summary = drive_loaded_workload(wl.as_mut(), &mut backend)?;
-        let events: Vec<TraceEvent> = backend
-            .trace()
-            .map(|t| t.events().cloned().collect())
-            .unwrap_or_default();
-        Ok((
-            SweepRun {
-                cycles: u64::try_from(summary.total_cost).unwrap_or(u64::MAX),
-                sim_nanos: started.elapsed().as_nanos(),
-                misspeculation_rate: summary.misspeculation_rate(),
-                load_imbalance: summary.load_imbalance(),
-                invocations: summary.invocations,
-                dependence_violations: summary.dependence_violations,
-                summary: Some(summary),
-            },
-            events,
-        ))
-    } else {
-        let mut machine = prep.prepared.machine();
-        machine.enable_trace(DEFAULT_TRACE_CAPACITY);
-        let cycles = drive_sequential_workload(wl.as_mut(), &mut machine, prep.kernel)?;
-        let events: Vec<TraceEvent> = machine
-            .trace()
-            .map(|t| t.events().cloned().collect())
-            .unwrap_or_default();
-        Ok((
-            SweepRun {
-                cycles,
-                sim_nanos: started.elapsed().as_nanos(),
-                misspeculation_rate: 0.0,
-                load_imbalance: 0.0,
-                invocations: 0,
-                dependence_violations: 0,
-                summary: None,
-            },
-            events,
-        ))
-    }
+pub fn run_prepared_sweep(factory: &WorkloadFactory, prep: &SweepPrep) -> Result<SweepRun, String> {
+    drive_prepared_sweep(factory, prep, |_| {}).1
 }
 
 /// Forensics captured from a failed or diverged farm job: what the
@@ -550,53 +463,26 @@ pub fn capture_sweep_failure(
     label: &str,
     error: &str,
 ) -> FailureCapture {
-    let mut wl = factory();
-    let _ = wl.build();
-    let events;
-    let mut state_dump = None;
-    let mut snapshot_cycles = Vec::new();
-    if prep.prepared.is_spice() {
-        let mut backend = SimBackend::from_prepared(&prep.prepared);
-        backend.enable_trace(DEFAULT_TRACE_CAPACITY);
-        if let Some(machine) = backend.machine_mut() {
+    // The re-run's own outcome is dropped: only its observers matter.
+    let (backend, _) = drive_prepared_sweep(factory, prep, |b| {
+        b.enable_trace(DEFAULT_TRACE_CAPACITY);
+        if let Some(machine) = b.machine_mut() {
             machine.enable_snapshots(CAPTURE_SNAPSHOT_INTERVAL);
         }
-        let _ = drive_loaded_workload(wl.as_mut(), &mut backend);
-        events = backend
-            .trace()
-            .map(|t| t.events().cloned().collect())
-            .unwrap_or_default();
-        if let Some(machine) = backend.machine() {
-            state_dump = Some(machine.state_dump());
-            snapshot_cycles = machine
-                .snapshots_taken()
-                .iter()
-                .map(spice_sim::MachineSnapshot::cycle)
-                .collect();
-        }
-    } else {
-        let mut machine = prep.prepared.machine();
-        machine.enable_trace(DEFAULT_TRACE_CAPACITY);
-        machine.enable_snapshots(CAPTURE_SNAPSHOT_INTERVAL);
-        let _ = drive_sequential_workload(wl.as_mut(), &mut machine, prep.kernel);
-        events = machine
-            .trace()
-            .map(|t| t.events().cloned().collect())
-            .unwrap_or_default();
-        state_dump = Some(machine.state_dump());
-        snapshot_cycles = machine
-            .snapshots_taken()
-            .iter()
-            .map(spice_sim::MachineSnapshot::cycle)
-            .collect();
-    }
+    });
+    let machine = backend.machine();
     FailureCapture {
         label: label.to_string(),
         error: error.to_string(),
-        events,
+        events: recorded_events(&backend),
         native_events: Vec::new(),
-        state_dump,
-        snapshot_cycles,
+        state_dump: machine.map(Machine::state_dump),
+        snapshot_cycles: machine.map_or_else(Vec::new, |m| {
+            m.snapshots_taken()
+                .iter()
+                .map(spice_sim::MachineSnapshot::cycle)
+                .collect()
+        }),
     }
 }
 
@@ -623,10 +509,7 @@ pub fn capture_crosscheck_divergence(
         backend.enable_trace(DEFAULT_TRACE_CAPACITY);
         let mut wl = factory();
         let _ = run_workload_on(wl.as_mut(), &mut backend);
-        capture.events = backend
-            .trace()
-            .map(|t| t.events().cloned().collect())
-            .unwrap_or_default();
+        capture.events = recorded_events(&backend);
         if let Some(machine) = backend.machine() {
             capture.state_dump = Some(machine.state_dump());
         }
@@ -637,10 +520,7 @@ pub fn capture_crosscheck_divergence(
         backend.enable_trace(DEFAULT_TRACE_CAPACITY);
         let mut wl = factory();
         let _ = run_workload_on(wl.as_mut(), backend.as_mut());
-        capture.native_events = backend
-            .trace()
-            .map(|t| t.events().cloned().collect())
-            .unwrap_or_default();
+        capture.native_events = recorded_events(backend.as_ref());
     }
     capture
 }
@@ -843,16 +723,11 @@ pub fn crosscheck_json_footer(rows: &[CrosscheckRow]) -> String {
 /// what the farm streams.
 #[must_use]
 pub fn crosscheck_json(rows: &[CrosscheckRow]) -> String {
-    let threads = rows.first().map_or(4, |r| r.threads);
-    let mut s = crosscheck_json_header(threads);
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            s.push_str(",\n");
-        }
-        s.push_str(&crosscheck_json_row(r));
-    }
-    s.push_str(&crosscheck_json_footer(rows));
-    s
+    crate::json::rows_document(
+        &crosscheck_json_header(rows.first().map_or(4, |r| r.threads)),
+        rows.iter().map(crosscheck_json_row),
+        &crosscheck_json_footer(rows),
+    )
 }
 
 /// One row of the Figure 7 reproduction.
@@ -965,15 +840,11 @@ pub fn fig7_json_footer(rows: &[Fig7Row]) -> String {
 /// produces byte-identical output.
 #[must_use]
 pub fn fig7_json(rows: &[Fig7Row], small: bool) -> String {
-    let mut s = fig7_json_header(small);
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            s.push_str(",\n");
-        }
-        s.push_str(&fig7_json_row(r));
-    }
-    s.push_str(&fig7_json_footer(rows));
-    s
+    crate::json::rows_document(
+        &fig7_json_header(small),
+        rows.iter().map(fig7_json_row),
+        &fig7_json_footer(rows),
+    )
 }
 
 /// Renders Figure 7 rows as a text table.
@@ -1159,15 +1030,11 @@ pub fn harnessperf_json_footer(rows: &[HarnessPerfRow]) -> String {
 /// serial composition of the streaming header/row/footer pieces.
 #[must_use]
 pub fn harnessperf_json(rows: &[HarnessPerfRow], small: bool) -> String {
-    let mut s = harnessperf_json_header(small);
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            s.push_str(",\n");
-        }
-        s.push_str(&harnessperf_json_row(r));
-    }
-    s.push_str(&harnessperf_json_footer(rows));
-    s
+    crate::json::rows_document(
+        &harnessperf_json_header(small),
+        rows.iter().map(harnessperf_json_row),
+        &harnessperf_json_footer(rows),
+    )
 }
 
 /// Renders harness-perf rows as a text table.
@@ -1290,7 +1157,7 @@ pub fn table2_probe(
 pub fn table2_hotness_row(factory: &WorkloadFactory, small: bool) -> Result<Table2Row, String> {
     let mut wl = factory();
     let built = wl.build();
-    let mut mem = spice_ir::interp::FlatMemory::for_program(&built.program, 1 << 22);
+    let mut mem = FlatMemory::for_program(&built.program, DEFAULT_WORKLOAD_HEAP_WORDS);
     let args = wl.init(&mut mem);
     let mut sys = LocalSys::new();
     let report = measure_hotness(
@@ -1389,15 +1256,11 @@ pub fn table2_json_footer() -> String {
 /// composition of the streaming header/row/footer pieces.
 #[must_use]
 pub fn table2_json(rows: &[Table2Row], small: bool) -> String {
-    let mut s = table2_json_header(small);
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            s.push_str(",\n");
-        }
-        s.push_str(&table2_json_row(r));
-    }
-    s.push_str(&table2_json_footer());
-    s
+    crate::json::rows_document(
+        &table2_json_header(small),
+        rows.iter().map(table2_json_row),
+        &table2_json_footer(),
+    )
 }
 
 /// Renders Table 2 as the text table the `table2` and `farm` binaries print.
@@ -1635,15 +1498,11 @@ pub fn fig8_json_footer(bars: &[Fig8Bar]) -> String {
 /// streams.
 #[must_use]
 pub fn fig8_json(bars: &[Fig8Bar], small: bool) -> String {
-    let mut s = fig8_json_header(small);
-    for (i, b) in bars.iter().enumerate() {
-        if i > 0 {
-            s.push_str(",\n");
-        }
-        s.push_str(&fig8_json_row(b));
-    }
-    s.push_str(&fig8_json_footer(bars));
-    s
+    crate::json::rows_document(
+        &fig8_json_header(small),
+        bars.iter().map(fig8_json_row),
+        &fig8_json_footer(bars),
+    )
 }
 
 /// Renders the Figure 8 bars as two text panels.
@@ -1705,76 +1564,32 @@ pub struct ScheduleComparison {
     pub schedules: Vec<(ScheduleKind, Vec<String>)>,
 }
 
-/// Builds the per-iteration live-in traces of the otter loop across its
-/// invocations (node addresses visited), used to feed the §2 value
-/// predictors.
-fn otter_livein_traces(small: bool) -> Vec<Vec<Vec<i64>>> {
-    let mut wl = OtterWorkload::new(OtterConfig {
+/// The otter instance the §2 comparison measures, over `invocations`
+/// invocations (the full run when `None`).
+fn schedules_otter(small: bool, invocations: Option<usize>) -> OtterWorkload {
+    OtterWorkload::new(OtterConfig {
         initial_len: if small { 60 } else { 8_000 },
         inserts_per_invocation: 3,
-        invocations: if small { 8 } else { 12 },
+        invocations: invocations.unwrap_or(if small { 8 } else { 12 }),
         seed: 0x07734,
-    });
-    let built = wl.build();
-    let mut program = built.program;
-    let _sites = spice_profiler::instrument_program(&mut program);
-    let mut mem = spice_ir::interp::FlatMemory::for_program(&program, 1 << 20);
-    let mut args = wl.init(&mut mem);
-    let mut traces = Vec::new();
-    let mut inv = 0usize;
-    loop {
-        let mut analyzer = spice_profiler::Analyzer::new(AnalyzerConfig::default());
-        analyzer.new_invocation();
-        let mut trace: Vec<Vec<i64>> = Vec::new();
-        {
-            let mut sys = CollectingSys {
-                inner: spice_profiler::ProfilingSys::new(&mut analyzer),
-                trace: &mut trace,
-            };
-            spice_ir::interp::run_function_with(
-                &program,
-                built.kernel,
-                &args,
-                &mut mem,
-                &mut sys,
-                100_000_000,
-                |_, _, _| {},
-            )
-            .expect("otter trace run");
-        }
-        traces.push(trace);
-        match wl.next_invocation(&mut mem, inv) {
-            Some(a) => {
-                args = a;
-                inv += 1;
-            }
-            None => break,
-        }
-    }
-    traces
+    })
 }
 
-struct CollectingSys<'a, 'b> {
-    inner: spice_profiler::ProfilingSys<'a>,
-    trace: &'b mut Vec<Vec<i64>>,
-}
-
-impl spice_ir::interp::SysPort for CollectingSys<'_, '_> {
-    fn send(&mut self, chan: i64, value: i64) {
-        self.inner.send(chan, value);
-    }
-    fn try_recv(&mut self, chan: i64) -> Option<i64> {
-        self.inner.try_recv(chan)
-    }
-    fn resteer(&mut self, core: i64, target: spice_ir::BlockId) {
-        self.inner.resteer(core, target);
-    }
-    fn profile(&mut self, site: u32, values: &[i64]) {
-        if values.iter().any(|&v| v != 0) {
-            self.trace.push(values.to_vec());
-        }
-        self.inner.profile(site, values);
-    }
+/// Builds the per-iteration live-in traces of the otter loop across its
+/// invocations (node addresses visited), used to feed the §2 value
+/// predictors: the shared recording pass, every site, all-zero tuples (the
+/// loop-exit observation) dropped.
+fn otter_livein_traces(small: bool) -> Result<Vec<Vec<Vec<i64>>>, String> {
+    Ok(run_instrumented(&mut schedules_otter(small, None))?
+        .profile_events()
+        .map(|events| {
+            events
+                .into_iter()
+                .filter(|(_, values)| values.iter().any(|&v| v != 0))
+                .map(|(_, values)| values.to_vec())
+                .collect()
+        })
+        .collect())
 }
 
 /// Reproduces the §2 comparison (Figures 2, 3 and 5).
@@ -1784,21 +1599,15 @@ impl spice_ir::interp::SysPort for CollectingSys<'_, '_> {
 /// Returns the first failure encountered.
 pub fn schedules(small: bool) -> Result<ScheduleComparison, String> {
     // Measure per-iteration timing of the otter loop on one core.
-    let mut wl = OtterWorkload::new(OtterConfig {
-        initial_len: if small { 60 } else { 8_000 },
-        inserts_per_invocation: 3,
-        invocations: 2,
-        seed: 0x07734,
-    });
+    let mut wl = schedules_otter(small, Some(2));
     let built = wl.build();
     let config = MachineConfig::itanium2_cmp().with_cores(1);
     let inter_core = config.inter_core_latency as f64;
     let mut machine = Machine::new(config, built.program);
     let args = wl.init(machine.mem_mut());
-    machine
-        .spawn(0, built.kernel, &args)
+    let summary = machine
+        .run_sequential(built.kernel, &args)
         .map_err(|e| e.to_string())?;
-    let summary = machine.run().map_err(|e| e.to_string())?;
     let iterations = wl.expected_iterations().max(1) as f64;
     let per_iter = summary.cycles as f64 / iterations;
     let mem_share = summary.cores[0].mem_stall_cycles as f64 / iterations;
@@ -1807,7 +1616,7 @@ pub fn schedules(small: bool) -> Result<ScheduleComparison, String> {
     let model = LoopTimingModel::new(t1, t2, inter_core);
 
     // Predictor accuracies on the live-in traces.
-    let traces = otter_livein_traces(small);
+    let traces = otter_livein_traces(small)?;
     let mut stride = StridePredictor::new();
     let stride_stats = evaluate_predictor(&mut stride, &traces);
     let mut last = LastValuePredictor::new();
@@ -1816,19 +1625,8 @@ pub fn schedules(small: bool) -> Result<ScheduleComparison, String> {
 
     // Measured Spice speedup with 2 threads.
     let rows = {
-        let mut seq = OtterWorkload::new(OtterConfig {
-            initial_len: if small { 60 } else { 8_000 },
-            inserts_per_invocation: 3,
-            invocations: if small { 8 } else { 12 },
-            seed: 0x07734,
-        });
-        let seq_cycles = run_workload_sequential(&mut seq)?;
-        let mut par = OtterWorkload::new(OtterConfig {
-            initial_len: if small { 60 } else { 8_000 },
-            inserts_per_invocation: 3,
-            invocations: if small { 8 } else { 12 },
-            seed: 0x07734,
-        });
+        let seq_cycles = run_workload_sequential(&mut schedules_otter(small, None))?;
+        let mut par = schedules_otter(small, None);
         let estimate = par.expected_iterations();
         let result = run_workload_spice(&mut par, 2, predictor_options_with_estimate(estimate))?;
         seq_cycles as f64 / result.cycles as f64
@@ -1968,8 +1766,8 @@ pub struct ReplayRun {
     pub live_out: Vec<i64>,
     /// FNV checksum over `returns` and `live_out` — the bit-identity probe.
     pub checksum: u64,
-    /// Backend summary (absent for the plain sequential interpreter).
-    pub summary: Option<BackendRunSummary>,
+    /// Backend summary of the replay.
+    pub summary: BackendRunSummary,
 }
 
 fn replay_checksum(returns: &[Option<i64>], live_out: &[i64]) -> u64 {
@@ -1991,67 +1789,27 @@ fn replay_checksum(returns: &[Option<i64>], live_out: &[i64]) -> u64 {
     h.finish()
 }
 
-/// Replays a trace on one parallel backend and captures returns, live-out
-/// memory and checksum.
+/// Replays a trace on `backend` through the one invocation loop (every
+/// return checked against the replay workload's host mirror) and captures
+/// returns, live-out memory and checksum.
 ///
 /// # Errors
 ///
 /// Returns the first backend failure or host-mirror mismatch.
 pub fn replay_on_backend(
     trace: &WorkloadTrace,
-    choice: BackendChoice,
-    threads: usize,
+    backend: &mut dyn ExecutionBackend,
 ) -> Result<ReplayRun, String> {
     let mut wl = TraceReplayWorkload::new(trace.clone())
         .map_err(|e| format!("{}: invalid trace: {e}", trace.name))?;
-    let mut backend = make_backend_with(choice, threads, PredictorOptions::default());
-    let summary = run_workload_on(&mut wl, backend.as_mut())?;
+    let summary = run_workload_on(&mut wl, backend)?;
     let live_out = wl.live_out(backend.mem());
     let checksum = replay_checksum(&summary.return_values, &live_out);
     Ok(ReplayRun {
         returns: summary.return_values.clone(),
         live_out,
         checksum,
-        summary: Some(summary),
-    })
-}
-
-/// Replays a trace on the plain sequential interpreter — the ground truth
-/// the speculative backends must match bit-for-bit.
-///
-/// # Errors
-///
-/// Returns the first trap or host-mirror mismatch.
-pub fn replay_sequential(trace: &WorkloadTrace) -> Result<ReplayRun, String> {
-    let mut wl = TraceReplayWorkload::new(trace.clone())
-        .map_err(|e| format!("{}: invalid trace: {e}", trace.name))?;
-    let built = wl.build();
-    let mut mem = spice_ir::interp::FlatMemory::for_program(&built.program, 1 << 20);
-    let mut args = wl.init(&mut mem);
-    let mut returns = Vec::new();
-    for inv in 0.. {
-        let expected = wl.expected_result(&mem);
-        let out = spice_ir::interp::run_function(&built.program, built.kernel, &args, &mut mem)
-            .map_err(|e| format!("{}: sequential trap: {e:?}", trace.name))?;
-        if out.return_value != expected {
-            return Err(format!(
-                "{}: sequential invocation {inv} returned {:?}, host mirror expected {:?}",
-                trace.name, out.return_value, expected
-            ));
-        }
-        returns.push(out.return_value);
-        match wl.next_invocation(&mut mem, inv) {
-            Some(a) => args = a,
-            None => break,
-        }
-    }
-    let live_out = wl.live_out(&mem);
-    let checksum = replay_checksum(&returns, &live_out);
-    Ok(ReplayRun {
-        returns,
-        live_out,
-        checksum,
-        summary: None,
+        summary,
     })
 }
 
@@ -2103,9 +1861,15 @@ pub fn fuzz_differential(
     trace: &WorkloadTrace,
     threads: usize,
 ) -> Result<FuzzRow, String> {
-    let sequential = replay_sequential(trace)?;
-    let sim = replay_on_backend(trace, BackendChoice::SimTiny, threads)?;
-    let native = replay_on_backend(trace, BackendChoice::Native, threads)?;
+    // The plain interpreter is the ground truth the speculative backends
+    // must match bit-for-bit.
+    let sequential = replay_on_backend(trace, &mut InterpBackend::new())?;
+    let parallel = |choice| {
+        let mut backend = make_backend_with(choice, threads, PredictorOptions::default());
+        replay_on_backend(trace, backend.as_mut())
+    };
+    let sim = parallel(BackendChoice::SimTiny)?;
+    let native = parallel(BackendChoice::Native)?;
     let agree = sim.checksum == sequential.checksum
         && native.checksum == sequential.checksum
         && sim.returns == sequential.returns
@@ -2122,11 +1886,8 @@ pub fn fuzz_differential(
         checksum: sequential.checksum,
         sim_checksum: sim.checksum,
         native_checksum: native.checksum,
-        sim_violations: sim.summary.as_ref().map_or(0, |s| s.dependence_violations),
-        native_violations: native
-            .summary
-            .as_ref()
-            .map_or(0, |s| s.dependence_violations),
+        sim_violations: sim.summary.dependence_violations,
+        native_violations: native.summary.dependence_violations,
         agree,
     })
 }

@@ -33,6 +33,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use spice_farm::{CacheStats, FarmStats, Job, PreparedCache};
+use spice_ir::exec::ExecutionBackend;
+use spice_ir::trace::DEFAULT_TRACE_CAPACITY;
 use spice_ir::TraceEvent;
 use spice_workloads::trace::{fuzz_trace, WorkloadTrace};
 use spice_workloads::{fig8_corpus, BackendRunSummary};
@@ -40,14 +42,14 @@ use spice_workloads::{fig8_corpus, BackendRunSummary};
 use crate::experiments::{
     ablation_variants, all_workload_factories, capture_crosscheck_divergence,
     capture_sweep_failure, crosscheck_json_footer, crosscheck_json_header, crosscheck_json_row,
-    crosscheck_workload, failure_capture_json, fig7_json_footer, fig7_json_header, fig7_json_row,
-    fig7_row_from_sweep, fig8_bar, fig8_json_footer, fig8_json_header, fig8_json_row,
-    fuzz_config_for_seed, fuzz_differential, harness_row_from_sweep, harnessperf_json_footer,
-    harnessperf_json_header, harnessperf_json_row, prepare_sweep, record_driver_trace,
-    run_prepared_sweep, run_prepared_sweep_traced, sweep_prep_key, table2_hotness_row,
-    table2_json_footer, table2_json_header, table2_json_row, AblationRow, CrosscheckRow,
-    FailureCapture, Fig7Row, Fig8Bar, FuzzRow, HarnessPerfRow, SweepMode, SweepPrep, SweepRun,
-    Table2Row, WorkloadFactory, LINE_GRANULARITY_LOG2, REPLAY_THREADS,
+    crosscheck_workload, drive_prepared_sweep, failure_capture_json, fig7_json_footer,
+    fig7_json_header, fig7_json_row, fig7_row_from_sweep, fig8_bar, fig8_json_footer,
+    fig8_json_header, fig8_json_row, fuzz_config_for_seed, fuzz_differential,
+    harness_row_from_sweep, harnessperf_json_footer, harnessperf_json_header, harnessperf_json_row,
+    prepare_sweep, record_driver_trace, recorded_events, run_prepared_sweep, sweep_prep_key,
+    table2_hotness_row, table2_json_footer, table2_json_header, table2_json_row, AblationRow,
+    CrosscheckRow, FailureCapture, Fig7Row, Fig8Bar, FuzzRow, HarnessPerfRow, SweepMode, SweepPrep,
+    SweepRun, Table2Row, WorkloadFactory, LINE_GRANULARITY_LOG2, REPLAY_THREADS,
 };
 use crate::trace_json::{trace_job_json, trace_json_footer, trace_json_header};
 use crate::tracefile::trace_to_json;
@@ -212,8 +214,9 @@ pub struct FarmReport {
     /// Present rows always agree — a divergence fails its job after
     /// persisting the offending trace.
     pub fuzz_rows: Vec<FuzzRow>,
-    /// Per-Spice-job backend summaries `(job label, summary)` — the
-    /// determinism test compares these across worker counts.
+    /// Per-sweep-job backend summaries `(job label, summary)`, sequential
+    /// cells included — the determinism test compares these across worker
+    /// counts.
     pub sweep_summaries: Vec<(String, BackendRunSummary)>,
     /// Engine accounting: job count, workers, wall time, per-job compute.
     pub stats: FarmStats,
@@ -433,10 +436,7 @@ impl RowStream {
 
     fn push_row(&mut self, row: &str) -> Result<(), String> {
         let mut chunk = String::new();
-        if self.rows > 0 {
-            chunk.push_str(",\n");
-        }
-        chunk.push_str(row);
+        crate::json::push_row(&mut chunk, self.rows, row);
         self.rows += 1;
         self.mirror.push_str(&chunk);
         self.file
@@ -500,12 +500,15 @@ pub fn run_manifest(manifest: &Manifest, outs: &OutPaths) -> Result<FarmReport, 
                 jobs.push(Job::new(jobs.len() as u64, label.clone(), move || {
                     let prep =
                         cache.try_get_or_build(&key, || prepare_sweep(&factory, mode, small, 0))?;
-                    let traced = if tracing {
-                        run_prepared_sweep_traced(&factory, &prep)
-                    } else {
-                        run_prepared_sweep(&factory, &prep).map(|run| (run, Vec::new()))
-                    };
-                    let (run, trace) = traced.map_err(|e| {
+                    // Tracing is observational (the run's numbers are those
+                    // of an untraced run) and the simulator single-threaded,
+                    // so the recorded events are deterministic.
+                    let (backend, run) = drive_prepared_sweep(&factory, &prep, |b| {
+                        if tracing {
+                            b.enable_trace(DEFAULT_TRACE_CAPACITY);
+                        }
+                    });
+                    let run = run.map_err(|e| {
                         sweep_failed(failures_dir.as_deref(), &factory, &prep, &label, e)
                     })?;
                     Ok(Payload::Sweep {
@@ -513,7 +516,7 @@ pub fn run_manifest(manifest: &Manifest, outs: &OutPaths) -> Result<FarmReport, 
                         mode,
                         build_nanos: prep.build_nanos,
                         run: Box::new(run),
-                        trace,
+                        trace: recorded_events(&backend),
                     })
                 }));
             }

@@ -51,6 +51,29 @@ pub fn float(v: f64) -> String {
     }
 }
 
+/// Appends `row` to a rows array that already holds `rows_so_far` rows —
+/// the one separator rule of every row-structured artifact, shared by the
+/// composed documents ([`rows_document`]) and the farm's streamed files.
+pub(crate) fn push_row(doc: &mut String, rows_so_far: usize, row: &str) {
+    if rows_so_far > 0 {
+        doc.push_str(",\n");
+    }
+    doc.push_str(row);
+}
+
+/// Composes a row-structured artifact: `header` (up to and including the
+/// opening of the rows array), the rows, `footer` (from the array's closing
+/// on). Byte-identical to streaming the same pieces row by row.
+#[must_use]
+pub fn rows_document(header: &str, rows: impl IntoIterator<Item = String>, footer: &str) -> String {
+    let mut doc = header.to_string();
+    for (i, row) in rows.into_iter().enumerate() {
+        push_row(&mut doc, i, &row);
+    }
+    doc.push_str(footer);
+    doc
+}
+
 /// Extracts the numeric value of the first top-level-ish occurrence of
 /// `"key": <number>` in a JSON document emitted by this module. This is the
 /// minimal reader the perf-smoke check needs to compare a fresh measurement
@@ -436,6 +459,23 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn rows_documents_separate_rows_and_only_rows() {
+        let rows = |n: usize| (0..n).map(|i| format!("    {i}"));
+        let (header, footer) = ("{\n  \"rows\": [\n", "\n  ]\n}\n");
+        assert_eq!(
+            rows_document(header, rows(0), footer),
+            "{\n  \"rows\": [\n\n  ]\n}\n"
+        );
+        assert_eq!(
+            rows_document(header, rows(1), footer),
+            "{\n  \"rows\": [\n    0\n  ]\n}\n"
+        );
+        let three = rows_document(header, rows(3), footer);
+        assert_eq!(three, "{\n  \"rows\": [\n    0,\n    1,\n    2\n  ]\n}\n");
+        validate(&three).unwrap();
+    }
 
     #[test]
     fn strings_escape_quotes_backslashes_and_controls() {

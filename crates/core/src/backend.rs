@@ -5,18 +5,21 @@
 //! [`SpiceRunner`] — behind the shared [`ExecutionBackend`] API from
 //! `spice-ir`, so consumers can run a workload on the cycle-accurate Table 1
 //! machine or on real OS threads ([`NativeLoopBackend`]) through one call
-//! site. [`BackendChoice`] / [`make_backend`] are the by-value selector the
+//! site. Instantiated from a *sequential* [`PreparedProgram`] it is the
+//! one-core baseline instead ([`SequentialSimBackend`] underneath), so a
+//! sweep drives both kinds of cell through the same code.
+//! [`BackendChoice`] / [`make_backend`] are the by-value selector the
 //! workload suite and the experiment harness use.
 
 use spice_ir::exec::{BackendError, ExecutionBackend, ExecutionReport, LoadOptions};
 use spice_ir::interp::FlatMemory;
 use spice_ir::{FuncId, Program};
 use spice_runtime::NativeLoopBackend;
-use spice_sim::{Machine, MachineConfig};
+use spice_sim::{Machine, MachineConfig, SequentialSimBackend};
 
 use crate::pipeline::{PipelineError, SpiceRunner};
 use crate::predictor::PredictorOptions;
-use crate::prepared::PreparedProgram;
+use crate::prepared::{PreparedKind, PreparedProgram};
 
 /// The timing-simulator execution backend: analysis + transformation +
 /// cycle-stepped simulation, carrying the centralized predictor across
@@ -30,9 +33,35 @@ pub struct SimBackend {
 }
 
 #[derive(Debug)]
-struct SimLoaded {
-    machine: Machine,
-    runner: SpiceRunner,
+enum SimLoaded {
+    Spice {
+        machine: Machine,
+        runner: SpiceRunner,
+    },
+    Sequential(SequentialSimBackend),
+}
+
+impl SimLoaded {
+    fn machine(&self) -> &Machine {
+        match self {
+            SimLoaded::Spice { machine, .. } => machine,
+            SimLoaded::Sequential(b) => b.machine().expect("built from a machine"),
+        }
+    }
+
+    fn machine_mut(&mut self) -> &mut Machine {
+        match self {
+            SimLoaded::Spice { machine, .. } => machine,
+            SimLoaded::Sequential(b) => b.machine_mut().expect("built from a machine"),
+        }
+    }
+
+    fn runner(&self) -> Option<&SpiceRunner> {
+        match self {
+            SimLoaded::Spice { runner, .. } => Some(runner),
+            SimLoaded::Sequential(_) => None,
+        }
+    }
 }
 
 impl SimBackend {
@@ -83,12 +112,9 @@ impl SimBackend {
 
     /// A backend already loaded from a shared preparation — the sweep path:
     /// the preparation is built once, and every job instantiates its own
-    /// machine and runner over the shared decoded program.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prepared` is not a Spice preparation
-    /// ([`PreparedProgram::spice`]).
+    /// machine (and, for a Spice preparation, runner) over the shared
+    /// decoded program. A sequential preparation yields the one-core
+    /// baseline: same API, no runner, `threads() == 1`.
     #[must_use]
     pub fn from_prepared(prepared: &PreparedProgram) -> Self {
         let mut backend = SimBackend {
@@ -103,62 +129,69 @@ impl SimBackend {
 
     /// Loads this backend from a shared preparation (see
     /// [`SimBackend::from_prepared`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prepared` is not a Spice preparation.
     pub fn load_prepared(&mut self, prepared: &PreparedProgram) {
-        // The runner exempts the predictor-array range from conflict
-        // detection on every invocation (see `SpiceRunner::run_invocation`).
         let machine = prepared.machine();
-        let runner = prepared
-            .runner()
-            .expect("load_prepared needs a Spice preparation");
         self.threads = prepared.threads();
-        self.loaded = Some(SimLoaded { machine, runner });
+        self.loaded = Some(match prepared.kind() {
+            // The runner exempts the predictor-array range from conflict
+            // detection on every invocation (`SpiceRunner::start_invocation`).
+            PreparedKind::Spice(spice) => SimLoaded::Spice {
+                machine,
+                runner: SpiceRunner::new((**spice).clone()),
+            },
+            PreparedKind::Sequential(kernel) => {
+                SimLoaded::Sequential(SequentialSimBackend::from_machine(machine, *kernel))
+            }
+        });
     }
 
-    /// The runner driving the loaded program, for stats inspection.
+    /// The runner driving the loaded Spice program, for stats inspection.
+    /// `None` before `load` and for a sequential preparation.
     #[must_use]
     pub fn runner(&self) -> Option<&SpiceRunner> {
-        self.loaded.as_ref().map(|l| &l.runner)
+        self.loaded.as_ref().and_then(SimLoaded::runner)
     }
 
     /// The threshold assignments the on-core centralized predictor step
     /// wrote for the most recent invocation, reconstructed from simulated
-    /// memory (ordered by `sva` row). `None` before `load`.
+    /// memory (ordered by `sva` row). `None` before `load` and for a
+    /// sequential preparation.
     #[must_use]
     pub fn last_plan(&self) -> Option<&[crate::predictor::Assignment]> {
-        self.loaded.as_ref().map(|l| l.runner.last_plan())
+        self.runner().map(SpiceRunner::last_plan)
     }
 
     /// The loaded machine, for observability drivers (tracing, snapshots,
     /// `run_until`). `None` before `load`.
     #[must_use]
     pub fn machine(&self) -> Option<&Machine> {
-        self.loaded.as_ref().map(|l| &l.machine)
+        self.loaded.as_ref().map(SimLoaded::machine)
     }
 
     /// Mutable access to the loaded machine (enable tracing/snapshots,
     /// watch addresses). `None` before `load`.
     pub fn machine_mut(&mut self) -> Option<&mut Machine> {
-        self.loaded.as_mut().map(|l| &mut l.machine)
+        self.loaded.as_mut().map(SimLoaded::machine_mut)
     }
 
     /// Splits the loaded backend into its runner and machine for manual
     /// invocation driving ([`SpiceRunner::start_invocation`] /
     /// [`Machine::run_until`] / [`SpiceRunner::finish_invocation`]).
-    /// `None` before `load`.
+    /// `None` before `load` and for a sequential preparation.
     pub fn parts_mut(&mut self) -> Option<(&mut SpiceRunner, &mut Machine)> {
-        self.loaded
-            .as_mut()
-            .map(|l| (&mut l.runner, &mut l.machine))
+        match self.loaded.as_mut()? {
+            SimLoaded::Spice { machine, runner } => Some((runner, machine)),
+            SimLoaded::Sequential(_) => None,
+        }
     }
 }
 
 impl ExecutionBackend for SimBackend {
     fn name(&self) -> &'static str {
-        "sim"
+        match &self.loaded {
+            Some(SimLoaded::Sequential(b)) => b.name(),
+            _ => "sim",
+        }
     }
 
     fn threads(&self) -> usize {
@@ -188,45 +221,35 @@ impl ExecutionBackend for SimBackend {
     }
 
     fn mem(&self) -> &FlatMemory {
-        self.loaded.as_ref().expect("load() first").machine.mem()
+        self.machine().expect("load() first").mem()
     }
 
     fn mem_mut(&mut self) -> &mut FlatMemory {
-        self.loaded
-            .as_mut()
-            .expect("load() first")
-            .machine
-            .mem_mut()
+        self.machine_mut().expect("load() first").mem_mut()
     }
 
     fn run_invocation(&mut self, args: &[i64]) -> Result<ExecutionReport, BackendError> {
-        let loaded = self.loaded.as_mut().ok_or(BackendError::NotLoaded)?;
-        let report = loaded
-            .runner
-            .run_invocation(&mut loaded.machine, args)
-            .map_err(|e| match e {
-                PipelineError::Sim(s) => BackendError::Engine(s.to_string()),
-                PipelineError::Memory(t) => BackendError::Memory(t),
-            })?;
+        let (machine, runner) = match self.loaded.as_mut().ok_or(BackendError::NotLoaded)? {
+            SimLoaded::Spice { machine, runner } => (machine, runner),
+            SimLoaded::Sequential(b) => return b.run_invocation(args),
+        };
+        let report = runner.run_invocation(machine, args).map_err(|e| match e {
+            PipelineError::Sim(s) => BackendError::Engine(s.to_string()),
+            PipelineError::Memory(t) => BackendError::Memory(t),
+        })?;
 
-        let worker_cores: Vec<usize> = loaded
-            .runner
-            .spice()
-            .workers
-            .iter()
-            .map(|w| w.core)
-            .collect();
+        let worker_cores: Vec<usize> = runner.spice().workers.iter().map(|w| w.core).collect();
         Ok(report.to_execution_report(&worker_cores))
     }
 
     fn enable_trace(&mut self, capacity: usize) {
-        if let Some(l) = self.loaded.as_mut() {
-            l.machine.enable_trace(capacity);
+        if let Some(m) = self.machine_mut() {
+            m.enable_trace(capacity);
         }
     }
 
     fn trace(&self) -> Option<&spice_ir::TraceRecorder> {
-        self.loaded.as_ref().and_then(|l| l.machine.trace())
+        self.machine().and_then(Machine::trace)
     }
 }
 

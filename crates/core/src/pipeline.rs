@@ -284,10 +284,7 @@ pub fn run_sequential(
     func: FuncId,
     args: &[i64],
 ) -> Result<(u64, Option<i64>), PipelineError> {
-    machine.clear_threads();
-    machine.reset_cycle_counter();
-    machine.spawn(0, func, args)?;
-    let summary = machine.run()?;
+    let summary = machine.run_sequential(func, args)?;
     Ok((summary.cycles, machine.return_value(0)))
 }
 

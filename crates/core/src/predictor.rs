@@ -26,7 +26,7 @@
 //!   program (consumed by the transformation and by the read-only mirrors);
 //! * [`plan`] — the *reference implementation* of the centralized step's
 //!   placement computation. The emitted IR and the native runtime's
-//!   [`chunk_memo_plan`](../../spice_runtime/chunks/fn.chunk_memo_plan.html)
+//!   [`chunk_memo_plan`](spice_runtime::chunk_memo_plan)
 //!   must agree with it assignment-for-assignment; the backend-equivalence
 //!   property tests enforce this;
 //! * [`read_plan`] / [`read_feedback`] — reconstruct, from shared memory,

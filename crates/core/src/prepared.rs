@@ -12,7 +12,9 @@
 //! [`SimBackend::load`](crate::backend::SimBackend) is itself implemented
 //! over [`PreparedProgram::spice`], so a serial run and a sweep job execute
 //! the same preparation logic by construction — which is what keeps farm
-//! artifacts byte-identical to serially produced ones.
+//! artifacts byte-identical to serially produced ones. A preparation of
+//! either kind instantiates through
+//! [`SimBackend::from_prepared`](crate::backend::SimBackend::from_prepared).
 //!
 //! Preparation wall-time is recorded in
 //! [`build_nanos`](PreparedProgram::build_nanos), so harness-performance
@@ -29,16 +31,15 @@ use spice_ir::{DecodedProgram, FuncId, Program};
 use spice_sim::{Machine, MachineConfig};
 
 use crate::analysis::LoopAnalysis;
-use crate::pipeline::SpiceRunner;
 use crate::predictor::PredictorOptions;
 use crate::transform::{SpiceOptions, SpiceParallelLoop, SpiceTransform};
 
 /// What kind of execution a [`PreparedProgram`] was prepared for.
 #[derive(Debug, Clone)]
-enum PreparedKind {
-    /// Untransformed program, run one core at a time through
-    /// [`run_sequential`](crate::pipeline::run_sequential).
-    Sequential,
+pub(crate) enum PreparedKind {
+    /// Untransformed program; each instantiation runs this kernel on core 0
+    /// of a one-core machine.
+    Sequential(FuncId),
     /// Spice-transformed program plus the transform's loop description; each
     /// instantiation gets its own [`SpiceRunner`] over the shared loop.
     Spice(Box<SpiceParallelLoop>),
@@ -60,10 +61,10 @@ pub struct PreparedProgram {
 }
 
 impl PreparedProgram {
-    /// Prepares `program` for sequential execution on `config`: decode plus
-    /// initial image, no transformation.
+    /// Prepares `program` for sequential execution of `kernel` on `config`:
+    /// decode plus initial image, no transformation.
     #[must_use]
-    pub fn sequential(config: MachineConfig, program: Program) -> Self {
+    pub fn sequential(config: MachineConfig, program: Program, kernel: FuncId) -> Self {
         let started = Instant::now();
         let image = FlatMemory::for_program(&program, config.heap_words);
         let decoded = Arc::new(DecodedProgram::new(&program));
@@ -72,7 +73,7 @@ impl PreparedProgram {
             decoded,
             image,
             config,
-            kind: PreparedKind::Sequential,
+            kind: PreparedKind::Sequential(kernel),
             build_nanos: started.elapsed().as_nanos(),
         }
     }
@@ -164,6 +165,11 @@ impl PreparedProgram {
         &self.config
     }
 
+    /// What instantiations of this preparation execute.
+    pub(crate) fn kind(&self) -> &PreparedKind {
+        &self.kind
+    }
+
     /// Whether this preparation carries a Spice transformation.
     #[must_use]
     pub fn is_spice(&self) -> bool {
@@ -175,7 +181,7 @@ impl PreparedProgram {
     #[must_use]
     pub fn threads(&self) -> usize {
         match &self.kind {
-            PreparedKind::Sequential => 1,
+            PreparedKind::Sequential(_) => 1,
             PreparedKind::Spice(spice) => spice.threads,
         }
     }
@@ -192,23 +198,15 @@ impl PreparedProgram {
             self.image.clone(),
         )
     }
-
-    /// A fresh runner for the prepared Spice loop, or `None` for sequential
-    /// preparations. Runner state (predictions, feedback) is per-job.
-    #[must_use]
-    pub fn runner(&self) -> Option<SpiceRunner> {
-        match &self.kind {
-            PreparedKind::Sequential => None,
-            PreparedKind::Spice(spice) => Some(SpiceRunner::new((**spice).clone())),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::SimBackend;
     use crate::pipeline::run_sequential;
     use spice_ir::builder::FunctionBuilder;
+    use spice_ir::exec::ExecutionBackend;
     use spice_ir::{BinOp, Operand};
 
     fn list_sum_program(capacity: i64) -> (Program, FuncId, i64) {
@@ -255,9 +253,8 @@ mod tests {
     #[test]
     fn instantiations_share_decode_but_not_memory() {
         let (program, f, nodes) = list_sum_program(64);
-        let prepared = PreparedProgram::sequential(MachineConfig::test_tiny(1), program);
+        let prepared = PreparedProgram::sequential(MachineConfig::test_tiny(1), program, f);
         assert!(!prepared.is_spice());
-        assert!(prepared.runner().is_none());
         assert_eq!(prepared.threads(), 1);
 
         let mut a = prepared.machine();
@@ -270,6 +267,16 @@ mod tests {
         let (_, rb) = run_sequential(&mut b, f, &[nodes]).unwrap();
         assert_eq!(ra, Some(18));
         assert_eq!(rb, Some(60), "b unaffected by a's memory writes");
+
+        // The same preparation instantiates as a backend — the one-core
+        // baseline, with no runner to split off.
+        let mut backend = SimBackend::from_prepared(&prepared);
+        assert_eq!(backend.threads(), 1);
+        assert!(backend.parts_mut().is_none() && backend.runner().is_none());
+        write_list(backend.mem_mut(), nodes, &[5, 6, 7]);
+        let report = backend.run_invocation(&[nodes]).unwrap();
+        assert_eq!(report.return_value, Some(18));
+        assert_eq!(report.backend, "sim-sequential");
     }
 
     /// A Spice preparation instantiated twice runs both jobs to the correct
@@ -292,11 +299,10 @@ mod tests {
 
         for weights in [vec![1i64, 2, 3, 4], vec![5i64; 8]] {
             let expected: i64 = weights.iter().sum();
-            let mut machine = prepared.machine();
-            let mut runner = prepared.runner().unwrap();
-            write_list(machine.mem_mut(), nodes, &weights);
+            let mut backend = SimBackend::from_prepared(&prepared);
+            write_list(backend.mem_mut(), nodes, &weights);
             for _ in 0..3 {
-                let report = runner.run_invocation(&mut machine, &[nodes]).unwrap();
+                let report = backend.run_invocation(&[nodes]).unwrap();
                 assert_eq!(report.return_value, Some(expected));
             }
         }

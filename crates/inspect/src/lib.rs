@@ -21,15 +21,15 @@
 #![warn(rust_2018_idioms)]
 
 use spice_bench::experiments::{
-    all_workload_factories, prepare_sweep, SweepMode, SweepPrep, WorkloadFactory,
+    all_workload_factories, drive_prepared_sweep, prepare_sweep, recorded_events, SweepMode,
+    SweepPrep, WorkloadFactory,
 };
 use spice_bench::trace_json::{cause_label, trace_event_json};
-use spice_core::SimBackend;
 use spice_ir::exec::ExecutionBackend;
 use spice_ir::trace::DEFAULT_TRACE_CAPACITY;
 use spice_ir::{MisspeculationCause, TraceEvent};
 use spice_sim::{Machine, MachineSnapshot};
-use spice_workloads::{drive_loaded_workload, BackendRunSummary};
+use spice_workloads::BackendRunSummary;
 
 /// What a session observes before running a command.
 #[derive(Debug, Clone, Copy)]
@@ -85,23 +85,19 @@ pub fn prepare(bench: &str, threads: usize) -> Result<(WorkloadFactory, SweepPre
 /// Returns the preparation or simulation failure.
 pub fn run_traced(bench: &str, threads: usize, observers: Observers) -> Result<InspectRun, String> {
     let (factory, prep) = prepare(bench, threads)?;
-    let mut wl = factory();
-    let _ = wl.build();
-    let mut backend = SimBackend::from_prepared(&prep.prepared);
-    backend.enable_trace(DEFAULT_TRACE_CAPACITY);
-    if let Some(machine) = backend.machine_mut() {
-        if let Some(addr) = observers.watch {
-            machine.watch_address(addr);
+    let (backend, run) = drive_prepared_sweep(&factory, &prep, |backend| {
+        backend.enable_trace(DEFAULT_TRACE_CAPACITY);
+        if let Some(machine) = backend.machine_mut() {
+            if let Some(addr) = observers.watch {
+                machine.watch_address(addr);
+            }
+            if let Some(interval) = observers.snapshot_interval {
+                machine.enable_snapshots(interval);
+            }
         }
-        if let Some(interval) = observers.snapshot_interval {
-            machine.enable_snapshots(interval);
-        }
-    }
-    let summary = drive_loaded_workload(wl.as_mut(), &mut backend)?;
-    let events = backend
-        .trace()
-        .map(|t| t.events().cloned().collect())
-        .unwrap_or_default();
+    });
+    let summary = run?.summary.ok_or("sweep run carried no summary")?;
+    let events = recorded_events(&backend);
     let (snapshots, final_state) = backend
         .machine()
         .map(|m| (m.snapshots_taken().to_vec(), m.state_dump()))

@@ -1,12 +1,13 @@
 //! The execution-backend abstraction: one API over every way of running a
 //! Spice-parallelizable loop.
 //!
-//! The reproduction has two execution substrates — the cycle-accurate timing
-//! simulator (`spice-sim`, driven through the transformation pipeline in
-//! `spice-core`) and the native-OS-thread chunk runtime (`spice-runtime`).
-//! Historically they exposed disjoint APIs (`RunSummary`/`InvocationStats`
-//! vs. `ChunkOutcome`), so every workload, bench and test was hard-wired to
-//! exactly one of them. This module defines the shared seam:
+//! The reproduction runs a loop four ways — Spice-transformed on the
+//! cycle-accurate timing simulator (`spice-core`'s `SimBackend`), in Spice
+//! chunks on native OS threads (`spice-runtime`'s `NativeLoopBackend`), and
+//! sequentially, either on one simulated core (`spice-sim`'s
+//! `SequentialSimBackend`) or on the plain interpreter ([`InterpBackend`],
+//! here). The paper's speedups are a ratio of the first and the third over
+//! the *same* invocations, so all four sit behind one seam:
 //!
 //! * [`ExecutionBackend`] — load an IR program once, then run the target
 //!   loop invocation by invocation, with the backend carrying the memoized
@@ -20,9 +21,9 @@
 //!   of the target loop (header, speculated cursor registers, recognised
 //!   reductions, live-outs) that a backend needs to execute it in chunks.
 //!
-//! Consumers hold a `Box<dyn ExecutionBackend>` and never mention a machine
-//! or a thread pool: `spice_workloads::run_workload_on` drives any workload
-//! over any backend from a single call site.
+//! Consumers hold a `&mut dyn ExecutionBackend` and never mention a machine
+//! or a thread pool: `spice_workloads::drive_loaded_workload` is the one
+//! invocation loop, driving any workload over any backend.
 //!
 //! The [`conflict`] submodule adds the memory-dependence speculation layer:
 //! word-granular [`AccessSet`] read/write-set summaries and the
@@ -42,7 +43,7 @@ pub use dense::DenseMap;
 
 use crate::cfg::Cfg;
 use crate::dom::DomTree;
-use crate::interp::FlatMemory;
+use crate::interp::{run_function_with, FlatMemory, LocalSys, DEFAULT_FUEL};
 use crate::liveness::{loop_live_ins, Liveness};
 use crate::loops::{LoopForest, LoopId};
 use crate::reduction::{detect_reductions, Reduction};
@@ -179,7 +180,8 @@ pub fn derive_loop_spec(
 pub enum ExecutionCost {
     /// Simulated cycles (timing-model backends).
     Cycles(u64),
-    /// Wall-clock nanoseconds (native-thread backends).
+    /// Wall-clock nanoseconds (host-speed backends: native threads, the
+    /// plain interpreter).
     WallNanos(u128),
 }
 
@@ -388,9 +390,9 @@ impl LoadOptions {
     }
 }
 
-/// One way of executing a Spice loop: the timing simulator, the
-/// native-thread chunk runtime, or anything future PRs add (sharded,
-/// distributed, …).
+/// One way of executing a loop: Spice-parallelized on the timing simulator
+/// or on native threads, or sequentially on one simulated core or the plain
+/// interpreter.
 ///
 /// Lifecycle: [`load`](ExecutionBackend::load) once per program, mutate the
 /// canonical memory through [`mem_mut`](ExecutionBackend::mem_mut) (workload
@@ -453,6 +455,97 @@ pub trait ExecutionBackend {
     /// The trace recorded so far, if tracing is supported and enabled.
     fn trace(&self) -> Option<&crate::trace::TraceRecorder> {
         None
+    }
+}
+
+/// Sequential execution on the plain interpreter: no timing model, no
+/// speculation — the ground truth every speculative backend must match
+/// bit-for-bit, and the substrate the §6 value profiler records from.
+///
+/// Every invocation runs on a fresh [`LocalSys`], exactly as
+/// [`run_function`](crate::interp::run_function) would; the ports are kept,
+/// so the `profile` hook events of an instrumented program can be read off
+/// the backend after the run ([`InterpBackend::profile_events`]).
+#[derive(Debug, Default)]
+pub struct InterpBackend {
+    loaded: Option<(Program, FuncId, FlatMemory)>,
+    ports: Vec<LocalSys>,
+}
+
+impl InterpBackend {
+    /// Creates an unloaded interpreter backend.
+    #[must_use]
+    pub fn new() -> Self {
+        InterpBackend::default()
+    }
+
+    /// The `(site, values)` profile-hook events of every invocation run
+    /// since `load`, one list per invocation, in order.
+    pub fn profile_events(&self) -> impl Iterator<Item = Vec<(u32, &[i64])>> {
+        self.ports.iter().map(LocalSys::profile_events)
+    }
+}
+
+impl ExecutionBackend for InterpBackend {
+    fn name(&self) -> &'static str {
+        "interp"
+    }
+
+    fn threads(&self) -> usize {
+        1
+    }
+
+    fn load(
+        &mut self,
+        program: Program,
+        kernel: FuncId,
+        options: LoadOptions,
+    ) -> Result<(), BackendError> {
+        let mem = FlatMemory::for_program(&program, options.heap_words);
+        self.loaded = Some((program, kernel, mem));
+        self.ports.clear();
+        Ok(())
+    }
+
+    fn mem(&self) -> &FlatMemory {
+        &self.loaded.as_ref().expect("load() first").2
+    }
+
+    fn mem_mut(&mut self) -> &mut FlatMemory {
+        &mut self.loaded.as_mut().expect("load() first").2
+    }
+
+    fn run_invocation(&mut self, args: &[i64]) -> Result<ExecutionReport, BackendError> {
+        let (program, kernel, mem) = self.loaded.as_mut().ok_or(BackendError::NotLoaded)?;
+        let mut sys = LocalSys::new();
+        let started = std::time::Instant::now();
+        // One fuel for every interpreted run. The largest invocation of the
+        // full-size suite (`mcf_app`) retires 1.6e5 instructions and a fig8
+        // corpus loop (64 nodes) under a thousand, so `DEFAULT_FUEL` (5e8)
+        // leaves three orders of magnitude of headroom while still turning
+        // a runaway loop into `OutOfFuel` within seconds.
+        let out = run_function_with(
+            program,
+            *kernel,
+            args,
+            mem,
+            &mut sys,
+            DEFAULT_FUEL,
+            |_, _, _| {},
+        )
+        .map_err(|t| BackendError::Engine(t.to_string()))?;
+        let elapsed = started.elapsed();
+        self.ports.push(sys);
+        Ok(ExecutionReport {
+            backend: "interp",
+            cost: ExecutionCost::WallNanos(elapsed.as_nanos()),
+            return_value: out.return_value,
+            misspeculated: false,
+            committed_chunks: 0,
+            squashed_chunks: 0,
+            workers: Vec::new(),
+            work_per_thread: vec![out.stats.total],
+        })
     }
 }
 
@@ -538,6 +631,45 @@ mod tests {
         assert_eq!(work_imbalance(&[vec![0, 0, 0]]), 0.0);
         assert_eq!(work_imbalance(&[vec![100]]), 0.0);
         assert_eq!(work_imbalance(&[]), 0.0);
+    }
+
+    /// The interpreter backend runs invocation by invocation over its own
+    /// memory, reports retired instructions as the thread's work, and keeps
+    /// each invocation's profile-hook events separately.
+    #[test]
+    fn interp_backend_runs_invocations_and_keeps_their_profile_events() {
+        let mut b = FunctionBuilder::new("load_and_report");
+        let addr = b.param();
+        let v = b.load(addr, 0);
+        b.profile_hook(7, vec![addr, v]);
+        b.ret(Some(Operand::Reg(v)));
+        let mut p = Program::new();
+        let cell = p.add_global("cell", 1);
+        let f = p.add_func(b.finish());
+
+        let mut backend = InterpBackend::new();
+        assert!(matches!(
+            backend.run_invocation(&[cell]),
+            Err(BackendError::NotLoaded)
+        ));
+        backend.load(p, f, LoadOptions::new(16, None)).unwrap();
+        for value in [41, 42] {
+            backend.mem_mut().write(cell, value).unwrap();
+            let report = backend.run_invocation(&[cell]).unwrap();
+            assert_eq!(report.return_value, Some(value));
+            assert_eq!(report.work_per_thread.len(), 1);
+            assert!(report.work_per_thread[0] >= 2 && !report.misspeculated);
+        }
+        let events: Vec<_> = backend.profile_events().collect();
+        assert_eq!(
+            events,
+            vec![vec![(7, &[cell, 41][..])], vec![(7, &[cell, 42][..])]]
+        );
+        // An out-of-range access is a typed engine error, not a panic.
+        assert!(matches!(
+            backend.run_invocation(&[-5]),
+            Err(BackendError::Engine(_))
+        ));
     }
 
     #[test]

@@ -16,9 +16,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use spice_ir::interp::SysPort;
-use spice_ir::BlockId;
-
 /// Predictability bins of Figure 8.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PredictabilityBin {
@@ -114,7 +111,7 @@ pub struct LoopVerdict {
 }
 
 /// The analyzer: collects per-iteration live-in signatures (via the
-/// [`SysPort`] profile hook) and produces per-loop verdicts.
+/// [`spice_ir::interp::SysPort`] profile hook) and produces per-loop verdicts.
 #[derive(Debug)]
 pub struct Analyzer {
     config: AnalyzerConfig,
@@ -170,7 +167,9 @@ impl Analyzer {
         }
     }
 
-    fn record(&mut self, site: u32, values: &[i64]) {
+    /// Records one iteration's live-in tuple at profile site `site` for the
+    /// current invocation (ignored while the invocation is not sampled).
+    pub fn record(&mut self, site: u32, values: &[i64]) {
         if !self.sampling_current {
             return;
         }
@@ -202,48 +201,6 @@ impl Analyzer {
             .collect();
         out.sort_by_key(|v| v.site);
         out
-    }
-}
-
-/// A [`SysPort`] that feeds profile hooks into an [`Analyzer`] while
-/// supporting ordinary channel traffic locally (single-threaded profiling
-/// runs never block).
-#[derive(Debug)]
-pub struct ProfilingSys<'a> {
-    /// The analyzer receiving the hook events.
-    pub analyzer: &'a mut Analyzer,
-    channels: HashMap<i64, Vec<i64>>,
-}
-
-impl<'a> ProfilingSys<'a> {
-    /// Wraps an analyzer.
-    #[must_use]
-    pub fn new(analyzer: &'a mut Analyzer) -> Self {
-        ProfilingSys {
-            analyzer,
-            channels: HashMap::new(),
-        }
-    }
-}
-
-impl SysPort for ProfilingSys<'_> {
-    fn send(&mut self, chan: i64, value: i64) {
-        self.channels.entry(chan).or_default().push(value);
-    }
-
-    fn try_recv(&mut self, chan: i64) -> Option<i64> {
-        let q = self.channels.get_mut(&chan)?;
-        if q.is_empty() {
-            None
-        } else {
-            Some(q.remove(0))
-        }
-    }
-
-    fn resteer(&mut self, _core: i64, _target: BlockId) {}
-
-    fn profile(&mut self, site: u32, values: &[i64]) {
-        self.analyzer.record(site, values);
     }
 }
 

@@ -31,66 +31,70 @@ pub mod instrument;
 
 use std::collections::{HashMap, HashSet};
 
-use spice_ir::cfg::Cfg;
-use spice_ir::interp::{run_function_with, FlatMemory, LocalSys, MemPort, SysPort};
+use spice_ir::exec::{ExecutionBackend, InterpBackend};
+use spice_ir::interp::{run_function_with, MemPort, SysPort, DEFAULT_FUEL};
 use spice_ir::loops::LoopForest;
-use spice_ir::{BlockId, FuncId, Program, TrapKind};
+use spice_ir::{BlockId, FuncId, Function, Program, TrapKind};
+use spice_sim::SequentialSimBackend;
 use spice_workloads::trace::{TraceInvocation, TraceIteration, WorkloadTrace};
-use spice_workloads::SpiceWorkload;
+use spice_workloads::{drive_loaded_workload, workload_load_options, SpiceWorkload};
 
-pub use analyze::{Analyzer, AnalyzerConfig, LoopVerdict, PredictabilityBin, ProfilingSys};
+pub use analyze::{Analyzer, AnalyzerConfig, LoopVerdict, PredictabilityBin};
 pub use instrument::{instrument_program, Instrumentation, ProfiledLoop};
 
-/// Default per-run instruction budget for profiling runs.
-const PROFILE_FUEL: u64 = 200_000_000;
-
-/// Profiles a workload: builds its program, instruments every candidate
-/// loop, drives the workload's invocations sequentially and returns the
-/// per-loop predictability verdicts.
+/// The shared recording pass: builds `workload`'s program, instruments every
+/// candidate loop and drives every invocation on the plain interpreter
+/// through the one invocation loop (result checks included). The returned
+/// backend holds each invocation's `(site, live-in values)` events
+/// ([`InterpBackend::profile_events`]).
 ///
 /// # Errors
 ///
-/// Propagates traps from the instrumented program (a workload bug).
+/// Returns the first trap or result mismatch of the instrumented run.
+pub fn run_instrumented(workload: &mut dyn SpiceWorkload) -> Result<InterpBackend, String> {
+    let built = workload.build();
+    let options = workload_load_options(workload, &built);
+    let mut program = built.program;
+    let _sites = instrument_program(&mut program);
+    let mut backend = InterpBackend::new();
+    backend
+        .load(program, built.kernel, options)
+        .map_err(|e| format!("{}: load failed: {e}", workload.name()))?;
+    drive_loaded_workload(workload, &mut backend)?;
+    Ok(backend)
+}
+
+/// Profiles a workload: records its profile events ([`run_instrumented`])
+/// and returns the per-loop predictability verdicts over the first
+/// `max_invocations` invocations (all when `None`).
+///
+/// # Errors
+///
+/// Propagates failures of the instrumented run (a workload bug).
 pub fn profile_workload(
     workload: &mut dyn SpiceWorkload,
     config: AnalyzerConfig,
     max_invocations: Option<usize>,
-) -> Result<Vec<LoopVerdict>, TrapKind> {
-    let built = workload.build();
-    let mut program = built.program;
-    let _sites = instrument_program(&mut program);
-    let mut mem = FlatMemory::for_program(&program, 1 << 22);
+) -> Result<Vec<LoopVerdict>, String> {
+    let backend = run_instrumented(workload)?;
     let mut analyzer = Analyzer::new(config);
-    let mut args = workload.init(&mut mem);
-    let limit = max_invocations.unwrap_or(workload.invocations());
-    for inv in 0..limit {
+    for events in backend
+        .profile_events()
+        .take(max_invocations.unwrap_or(usize::MAX))
+    {
         analyzer.new_invocation();
-        {
-            let mut sys = ProfilingSys::new(&mut analyzer);
-            run_function_with(
-                &program,
-                built.kernel,
-                &args,
-                &mut mem,
-                &mut sys,
-                PROFILE_FUEL,
-                |_, _, _| {},
-            )?;
-        }
-        match workload.next_invocation(&mut mem, inv) {
-            Some(a) => args = a,
-            None => break,
+        for (site, values) in events {
+            analyzer.record(site, values);
         }
     }
     analyzer.exit_program();
     Ok(analyzer.verdicts())
 }
 
-/// Records a workload's behaviour trace: builds and instruments its program
-/// exactly like [`profile_workload`], drives every invocation sequentially,
-/// and captures the raw per-iteration live-in tuples of the **hottest
-/// profile site** (the one with the most recorded events over the whole
-/// run — multi-loop programs like `mcf_app` carry several hooks).
+/// Records a workload's behaviour trace: the raw per-iteration live-in
+/// tuples ([`run_instrumented`]) of the **hottest profile site** (the one
+/// with the most recorded events over the first `max_invocations`
+/// invocations — multi-loop programs like `mcf_app` carry several hooks).
 ///
 /// The result is the §6 profiler's input signal made portable: replaying or
 /// re-analyzing the trace offline reproduces the predictability the live
@@ -98,59 +102,35 @@ pub fn profile_workload(
 ///
 /// # Errors
 ///
-/// Propagates traps from the instrumented program (a workload bug).
+/// Propagates failures of the instrumented run (a workload bug).
 pub fn record_workload_trace(
     workload: &mut dyn SpiceWorkload,
     max_invocations: Option<usize>,
-) -> Result<WorkloadTrace, TrapKind> {
-    let built = workload.build();
-    let mut program = built.program;
-    let _sites = instrument_program(&mut program);
-    let mut mem = FlatMemory::for_program(&program, 1 << 22);
-    let mut args = workload.init(&mut mem);
-    let limit = max_invocations.unwrap_or(workload.invocations());
-    // Per invocation, per site: the recorded key sequence.
-    let mut recorded: Vec<HashMap<u32, Vec<Vec<i64>>>> = Vec::new();
-    for inv in 0..limit {
-        let mut sys = LocalSys::new();
-        run_function_with(
-            &program,
-            built.kernel,
-            &args,
-            &mut mem,
-            &mut sys,
-            PROFILE_FUEL,
-            |_, _, _| {},
-        )?;
-        let mut by_site: HashMap<u32, Vec<Vec<i64>>> = HashMap::new();
-        for (site, values) in sys.profile_events() {
-            by_site.entry(site).or_default().push(values.to_vec());
-        }
-        recorded.push(by_site);
-        match workload.next_invocation(&mut mem, inv) {
-            Some(a) => args = a,
-            None => break,
-        }
-    }
+) -> Result<WorkloadTrace, String> {
+    let backend = run_instrumented(workload)?;
+    let recorded: Vec<_> = backend
+        .profile_events()
+        .take(max_invocations.unwrap_or(usize::MAX))
+        .collect();
     // The hot site: most events over the run; lowest id breaks ties so the
     // choice is deterministic.
     let mut tally: HashMap<u32, usize> = HashMap::new();
-    for by_site in &recorded {
-        for (site, keys) in by_site {
-            *tally.entry(*site).or_insert(0) += keys.len();
-        }
+    for (site, _) in recorded.iter().flatten() {
+        *tally.entry(*site).or_insert(0) += 1;
     }
     let mut totals: Vec<(u32, usize)> = tally.into_iter().collect();
     totals.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     let site = totals.first().map_or(0, |(s, _)| *s);
     let invocations = recorded
-        .into_iter()
-        .map(|mut by_site| TraceInvocation {
-            iterations: by_site
-                .remove(&site)
-                .unwrap_or_default()
-                .into_iter()
-                .map(|key| TraceIteration { key, write: None })
+        .iter()
+        .map(|events| TraceInvocation {
+            iterations: events
+                .iter()
+                .filter(|(s, _)| *s == site)
+                .map(|(_, key)| TraceIteration {
+                    key: key.to_vec(),
+                    write: None,
+                })
                 .collect(),
         })
         .collect();
@@ -174,9 +154,8 @@ pub fn analyze_trace(trace: &WorkloadTrace, config: AnalyzerConfig) -> Option<Lo
     let mut analyzer = Analyzer::new(config);
     for inv in &trace.invocations {
         analyzer.new_invocation();
-        let mut sys = ProfilingSys::new(&mut analyzer);
         for it in &inv.iterations {
-            sys.profile(trace.site, &it.key);
+            analyzer.record(trace.site, &it.key);
         }
     }
     analyzer.exit_program();
@@ -212,6 +191,22 @@ impl HotnessReport {
 
 use serde::Serialize;
 
+/// The blocks of the profiled target loop of `f`: the loop headed by
+/// `header`, or the function's largest top-level loop when `None`. Empty
+/// when there is no such loop.
+fn target_loop_blocks(f: &Function, header: Option<BlockId>) -> HashSet<BlockId> {
+    let forest = LoopForest::of(f);
+    let target = match header {
+        Some(h) => forest.loop_with_header(h).map(|id| forest.get(id)),
+        None => forest
+            .top_level()
+            .into_iter()
+            .map(|id| forest.get(id))
+            .max_by_key(|l| l.blocks.len()),
+    };
+    target.map(|l| l.blocks.clone()).unwrap_or_default()
+}
+
 /// Measures the dynamic instruction counts of one run of `func`, attributing
 /// instructions to the loop whose header is `header` (or to the function's
 /// largest top-level loop when `header` is `None`).
@@ -227,23 +222,7 @@ pub fn measure_hotness(
     mem: &mut impl MemPort,
     sys: &mut impl SysPort,
 ) -> Result<HotnessReport, TrapKind> {
-    let f = program.func(func);
-    let forest = LoopForest::of(f);
-    let cfg = Cfg::new(f);
-    let _ = &cfg;
-    let loop_blocks: HashSet<BlockId> = match header {
-        Some(h) => forest
-            .loop_with_header(h)
-            .map(|id| forest.get(id).blocks.clone())
-            .unwrap_or_default(),
-        None => forest
-            .top_level()
-            .into_iter()
-            .map(|id| forest.get(id))
-            .max_by_key(|l| l.blocks.len())
-            .map(|l| l.blocks.clone())
-            .unwrap_or_default(),
-    };
+    let loop_blocks = target_loop_blocks(program.func(func), header);
     let mut loop_insts: u64 = 0;
     let mut total: u64 = 0;
     run_function_with(
@@ -252,7 +231,7 @@ pub fn measure_hotness(
         args,
         mem,
         sys,
-        PROFILE_FUEL,
+        DEFAULT_FUEL,
         |fid, block, _| {
             total += 1;
             if fid == func && loop_blocks.contains(&block) {
@@ -294,11 +273,11 @@ impl CycleHotnessReport {
 
 /// Measures whole-program cycle hotness of `workload`'s target loop: the
 /// workload's full program (kernel function plus whatever serial-phase
-/// functions it calls) runs sequentially on one core of a machine built
-/// from `config`, with [`spice_sim::CycleAttribution`] enabled, over every
-/// invocation the driver produces. Every invocation's return value is
-/// checked against the workload's host-computed expectation, so the profile
-/// cannot silently come from a mis-executing program.
+/// functions it calls) runs on a [`SequentialSimBackend`] built from
+/// `config`, with [`spice_sim::CycleAttribution`] enabled, over every
+/// invocation the driver produces. The one invocation loop checks every
+/// return value against the workload's host-computed expectation, so the
+/// profile cannot silently come from a mis-executing program.
 ///
 /// # Errors
 ///
@@ -312,57 +291,21 @@ pub fn measure_cycle_hotness(
     let kernel = built.kernel;
     // Identify the target loop's blocks before the program moves into the
     // machine (same selection rule as `measure_hotness`).
-    let f = built.program.func(kernel);
-    let forest = LoopForest::of(f);
-    let loop_blocks: HashSet<BlockId> = match built.loop_header_hint {
-        Some(h) => forest
-            .loop_with_header(h)
-            .map(|id| forest.get(id).blocks.clone())
-            .unwrap_or_default(),
-        None => forest
-            .top_level()
-            .into_iter()
-            .map(|id| forest.get(id))
-            .max_by_key(|l| l.blocks.len())
-            .map(|l| l.blocks.clone())
-            .unwrap_or_default(),
-    };
+    let loop_blocks = target_loop_blocks(built.program.func(kernel), built.loop_header_hint);
     if loop_blocks.is_empty() {
         return Err(format!("{}: kernel has no target loop", workload.name()));
     }
 
-    let mut machine = spice_sim::Machine::new(config.with_cores(1), built.program);
+    let options = workload_load_options(workload, &built);
+    let mut backend = SequentialSimBackend::new(config);
+    backend
+        .load(built.program, kernel, options)
+        .map_err(|e| format!("{}: load failed: {e}", workload.name()))?;
+    let machine = backend.machine_mut().expect("just loaded");
     machine.enable_cycle_attribution();
-    let mut args = workload.init(machine.mem_mut());
-    let mut inv = 0usize;
-    loop {
-        let expected = workload.expected_result(machine.mem());
-        machine.clear_threads();
-        machine.reset_cycle_counter();
-        machine
-            .spawn(0, kernel, &args)
-            .map_err(|e| format!("{}: {e}", workload.name()))?;
-        machine
-            .run()
-            .map_err(|e| format!("{}: invocation {inv}: {e}", workload.name()))?;
-        if let Some(e) = expected {
-            let got = machine.return_value(0);
-            if got != Some(e) {
-                return Err(format!(
-                    "{}: invocation {inv} returned {got:?}, expected {e}",
-                    workload.name()
-                ));
-            }
-        }
-        match workload.next_invocation(machine.mem_mut(), inv) {
-            Some(a) => {
-                args = a;
-                inv += 1;
-            }
-            None => break,
-        }
-    }
+    drive_loaded_workload(workload, &mut backend)?;
 
+    let machine = backend.machine().expect("just loaded");
     let attr = machine
         .cycle_attribution()
         .expect("attribution was enabled");
@@ -387,7 +330,7 @@ pub fn measure_cycle_hotness(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spice_ir::interp::LocalSys;
+    use spice_ir::interp::{FlatMemory, LocalSys};
     use spice_workloads::{ChurnListWorkload, OtterConfig, OtterWorkload};
 
     #[test]
@@ -508,6 +451,16 @@ mod tests {
             assert_eq!(offline.total_iterations, verdicts[0].total_iterations);
             assert_eq!(offline.bin, verdicts[0].bin, "{label}");
         }
+    }
+
+    #[test]
+    fn invocation_limit_observes_a_prefix_of_the_run() {
+        let make = || ChurnListWorkload::new("limited", 0.5, 24, 8, 11);
+        let full = record_workload_trace(&mut make(), None).unwrap();
+        let limited = record_workload_trace(&mut make(), Some(3)).unwrap();
+        assert_eq!(limited.invocations[..], full.invocations[..3]);
+        let verdicts = profile_workload(&mut make(), AnalyzerConfig::default(), Some(3)).unwrap();
+        assert_eq!(verdicts[0].sampled_invocations, 3);
     }
 
     #[test]

@@ -274,39 +274,6 @@ impl<'h> SpecView<'h> {
     }
 }
 
-/// How one thread accesses memory during a chunk: directly (the main,
-/// non-speculative thread) or through a speculative buffer (workers).
-#[derive(Debug)]
-pub enum HeapAccess<'h> {
-    /// Non-speculative access: writes go straight to the shared heap.
-    Direct(&'h SharedHeap),
-    /// Speculative access: writes are buffered in a [`SpecView`].
-    Buffered(SpecView<'h>),
-}
-
-impl HeapAccess<'_> {
-    /// Reads a word.
-    #[must_use]
-    pub fn read(&self, addr: i64) -> Option<i64> {
-        match self {
-            HeapAccess::Direct(h) => h.read(addr),
-            HeapAccess::Buffered(v) => v.read(addr),
-        }
-    }
-
-    /// Writes a word (directly or speculatively, depending on the mode).
-    pub fn write(&mut self, addr: i64, value: i64) {
-        match self {
-            HeapAccess::Direct(h) => {
-                // SAFETY: the main thread is the only non-speculative writer
-                // during an invocation (Spice protocol).
-                unsafe { h.write(addr, value) }
-            }
-            HeapAccess::Buffered(v) => v.write(addr, value),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,18 +307,6 @@ mod tests {
             unsafe { h.write(a, val) };
         }
         assert_eq!(h.read(5), Some(44));
-    }
-
-    #[test]
-    fn heap_access_modes_behave_differently() {
-        let h = SharedHeap::new(16);
-        let mut direct = HeapAccess::Direct(&h);
-        direct.write(3, 7);
-        assert_eq!(h.read(3), Some(7));
-        let mut buffered = HeapAccess::Buffered(SpecView::new(&h));
-        buffered.write(3, 99);
-        assert_eq!(buffered.read(3), Some(99));
-        assert_eq!(h.read(3), Some(7));
     }
 
     #[test]

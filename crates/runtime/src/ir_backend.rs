@@ -27,11 +27,10 @@
 //! committed, and the heap is copied back afterwards so workload drivers see
 //! one coherent memory between invocations.
 //!
-//! Chunk boundaries, squash recovery and the load balancer are the same
-//! protocol as [`chunks`](crate::chunks) (immediate hand-off on matching
-//! start, ordered commit, [`chunk_memo_plan`] thresholds); the difference is
-//! that a "chunk" here is a slice of the *source loop's* iteration space
-//! rather than of a hand-written [`ChunkKernel`](crate::chunks::ChunkKernel).
+//! Chunk boundaries, squash recovery and the load balancer follow the
+//! paper's protocol: immediate hand-off when a chunk reaches its successor's
+//! predicted start, ordered commit, [`chunk_memo_plan`] thresholds. A
+//! "chunk" is a slice of the *source loop's* iteration space.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -51,7 +50,6 @@ use spice_ir::{
     TraceRecorder, TraceSink, TrapKind,
 };
 
-use crate::chunks::chunk_memo_plan;
 use crate::heap::{SharedHeap, SpecView};
 
 /// Default per-thread interpreter step budget per invocation. A stale
@@ -244,6 +242,44 @@ impl Drop for PoolWorker {
             let _ = h.join();
         }
     }
+}
+
+/// The centralized half of the load balancer (paper Algorithm 2): given the
+/// per-thread work distribution of the previous invocation, computes for
+/// every thread the list of `(local iteration threshold, prediction row)`
+/// pairs at which it should memoize its live-in values, so the next
+/// invocation's chunk boundaries split the iteration space evenly.
+///
+/// The simulator's generated centralized step implements the same
+/// algorithm in IR; `predictor_plans_identical_across_backends` pins the
+/// two to one another, assignment for assignment.
+#[must_use]
+pub fn chunk_memo_plan(last_work: &[u64], threads: usize) -> Vec<Vec<(u64, usize)>> {
+    let t = threads;
+    let mut plan = vec![Vec::new(); t];
+    let total: u64 = last_work.iter().sum();
+    if total == 0 {
+        return plan;
+    }
+    let mut prefix = vec![0u64; t + 1];
+    for i in 0..t {
+        prefix[i + 1] = prefix[i] + last_work.get(i).copied().unwrap_or(0);
+    }
+    for k in 1..t {
+        let g = (k as u64 * total) / t as u64;
+        let mut tid = t - 1;
+        for i in 0..t {
+            if last_work.get(i).copied().unwrap_or(0) > 0 && g <= prefix[i + 1] {
+                tid = i;
+                break;
+            }
+        }
+        plan[tid].push(((g - prefix[tid]).max(1), k - 1));
+    }
+    for p in &mut plan {
+        p.sort_unstable();
+    }
+    plan
 }
 
 /// The pool's dedicated predictor thread: receives the previous invocation's

@@ -3,52 +3,24 @@
 //! The timing simulator (`spice-sim`) reproduces the paper's *measurements*;
 //! this crate reproduces its *execution model* on real OS threads, for use as
 //! a library runtime: a shared word heap with speculative write buffering
-//! ([`heap::SharedHeap`], [`heap::SpecView`]), a chunked speculative loop
-//! executor ([`chunks::NativeSpiceLoop`]) that carries memoized chunk
-//! boundaries and the load-balancing work model across invocations — the
-//! software equivalent of the paper's §3 architectural support plus
-//! Algorithm 2 — and [`ir_backend::NativeLoopBackend`], which runs
-//! *unmodified* `spice-ir` loops in Spice chunks on OS threads behind the
-//! shared [`spice_ir::exec::ExecutionBackend`] API.
+//! ([`heap::SharedHeap`], [`heap::SpecView`]) — the software equivalent of
+//! the paper's §3 architectural support — and
+//! [`ir_backend::NativeLoopBackend`], which runs *unmodified* `spice-ir`
+//! loops in Spice chunks on a pre-spawned pool of OS threads behind the
+//! shared [`spice_ir::exec::ExecutionBackend`] API, carrying memoized chunk
+//! boundaries and the load-balancing work model (Algorithm 2,
+//! [`chunk_memo_plan`]) across invocations.
 //!
 //! Speculation and rollback fight Rust's ownership model (a squashed thread
 //! must never have published anything); the design confines that tension to
 //! the heap module: speculative threads never write shared memory, they
 //! buffer, and only the main thread commits validated buffers, in order.
-//!
-//! ```
-//! use spice_runtime::{ChunkKernel, HeapAccess, NativeSpiceLoop, SharedHeap};
-//!
-//! // Sum a linked list of (value, next) pairs.
-//! struct ListSum;
-//! impl ChunkKernel for ListSum {
-//!     type Acc = i64;
-//!     fn identity(&self) -> i64 { 0 }
-//!     fn iteration(&self, mem: &mut HeapAccess<'_>, cursor: i64, acc: &mut i64) -> Option<i64> {
-//!         *acc += mem.read(cursor)?;
-//!         mem.read(cursor + 1)
-//!     }
-//!     fn combine(&self, into: &mut i64, from: i64) { *into += from; }
-//! }
-//!
-//! let mut heap = SharedHeap::new(1024);
-//! // Three nodes: values 1, 2, 3.
-//! heap.fill(10, &[1, 12]);
-//! heap.fill(12, &[2, 14]);
-//! heap.fill(14, &[3, 0]);
-//! let mut exec = NativeSpiceLoop::new(2);
-//! exec.set_work_estimate(3);
-//! let out = exec.run_invocation(&heap, &ListSum, 10);
-//! assert_eq!(out.acc, 6);
-//! ```
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod chunks;
 pub mod heap;
 pub mod ir_backend;
 
-pub use chunks::{chunk_memo_plan, ChunkKernel, ChunkOutcome, NativeSpiceLoop};
-pub use heap::{HeapAccess, SharedHeap, SpecView};
-pub use ir_backend::NativeLoopBackend;
+pub use heap::{SharedHeap, SpecView};
+pub use ir_backend::{chunk_memo_plan, NativeLoopBackend};

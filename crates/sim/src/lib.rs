@@ -53,12 +53,14 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod backend;
 pub mod cache;
 pub mod config;
 pub mod machine;
 pub mod specbuf;
 pub mod stats;
 
+pub use backend::SequentialSimBackend;
 pub use config::{CacheConfig, CoreConfig, MachineConfig, WritePolicy};
 pub use machine::{
     ActivityTrace, CoreReport, CycleAttribution, Machine, MachineSnapshot, RunSummary, SimError,

@@ -1594,6 +1594,21 @@ impl Machine {
         Ok(())
     }
 
+    /// Runs one sequential invocation of `func` on core 0 from a clean
+    /// per-invocation state (threads cleared, clock at zero) — the
+    /// single-threaded baseline every speedup in the paper is measured
+    /// against. The return value is [`Machine::return_value`]`(0)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`SimError`] the simulation ended with.
+    pub fn run_sequential(&mut self, func: FuncId, args: &[i64]) -> Result<RunSummary, SimError> {
+        self.clear_threads();
+        self.reset_cycle_counter();
+        self.spawn(0, func, args)?;
+        self.run()
+    }
+
     /// Removes every thread and clears channels, keeping memory and caches.
     /// Used by multi-invocation drivers between loop invocations.
     pub fn clear_threads(&mut self) {

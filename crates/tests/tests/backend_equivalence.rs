@@ -1,9 +1,11 @@
-//! Backend-equivalence properties: the timing-simulator backend and the
-//! native-thread backend, driven through the one shared
+//! Backend-equivalence properties: the timing-simulator backend, the
+//! native-thread backend and the two sequential backends (one simulated
+//! core, plain interpreter), driven through the one shared
 //! `ExecutionBackend`/`run_workload_on` call site, must produce identical
 //! reductions and live-outs on the `linked_list_min` (otter) and
 //! `tree_update` (mcf) example loops — for randomized workload
-//! configurations, thread counts, and inter-invocation mutations.
+//! configurations, thread counts, and inter-invocation mutations — and on
+//! all seven small suite workloads.
 //!
 //! "Identical" is checked two ways per case:
 //! * every invocation's kernel return value (the loop's reduction) matches
@@ -14,10 +16,24 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use spice_bench::experiments::all_workload_factories;
 use spice_core::backend::{make_backend, BackendChoice};
+use spice_ir::exec::{ExecutionBackend, InterpBackend};
+use spice_sim::{MachineConfig, SequentialSimBackend};
 use spice_workloads::{
     run_workload_on, McfConfig, McfWorkload, OtterConfig, OtterWorkload, SpiceWorkload,
 };
+
+/// Every way of executing a loop: Spice on the reduced simulator and on
+/// native threads, sequential on one simulated core and on the interpreter.
+fn every_backend(threads: usize) -> Vec<Box<dyn ExecutionBackend>> {
+    vec![
+        make_backend(BackendChoice::SimTiny, threads),
+        make_backend(BackendChoice::Native, threads),
+        Box::new(SequentialSimBackend::new(MachineConfig::test_tiny(1))),
+        Box::new(InterpBackend::new()),
+    ]
+}
 
 /// Runs one workload instance per backend and asserts equivalence. `probe`
 /// builds a throwaway instance to measure the workload's global data region
@@ -33,11 +49,10 @@ fn assert_backends_equivalent(
     };
 
     let mut reference: Option<(Vec<Option<i64>>, Vec<i64>)> = None;
-    for choice in [BackendChoice::SimTiny, BackendChoice::Native] {
+    for mut backend in every_backend(threads) {
         let mut workload = make_workload();
-        let mut backend = make_backend(choice, threads);
         let summary = run_workload_on(workload.as_mut(), backend.as_mut())
-            .unwrap_or_else(|e| panic!("{label} on {choice}: {e}"));
+            .unwrap_or_else(|e| panic!("{label} on {}: {e}", backend.name()));
         let data: Vec<i64> = backend.mem().words()[..data_end].to_vec();
         match &reference {
             None => reference = Some((summary.return_values, data)),
@@ -94,6 +109,15 @@ fn tree_update_equivalent_across_backends() {
         assert_backends_equivalent("tree_update", threads, || {
             Box::new(McfWorkload::new(config.clone()))
         });
+    }
+}
+
+/// All seven small suite workloads — conflict-carrying loops and the
+/// `mcf_app` miniature application included — agree on every backend.
+#[test]
+fn every_small_workload_equivalent_across_backends() {
+    for (name, factory) in all_workload_factories(true) {
+        assert_backends_equivalent(name, 4, &factory);
     }
 }
 

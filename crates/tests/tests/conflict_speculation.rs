@@ -8,57 +8,54 @@
 //! reported as `DependenceViolation` squashes rather than silently corrupted
 //! results. These tests force conflicts at controlled rates (0, 0.1, 1.0)
 //! through the adversarial `list_splice` workload and through the faithful
-//! `mcf_refresh_potential_true` kernel, and compare both backends against a
-//! plain single-threaded interpreter run of the same driver schedule.
+//! `mcf_refresh_potential_true` kernel, and compare both backends against
+//! the sequential backends (plain interpreter, one simulated core) driving
+//! the same schedule through the same `run_workload_on` call site.
 
 use spice_core::backend::{make_backend, BackendChoice};
-use spice_ir::interp::FlatMemory;
+use spice_ir::exec::{ExecutionBackend, InterpBackend};
+use spice_sim::{MachineConfig, SequentialSimBackend};
 use spice_workloads::{
     run_workload_on, BackendRunSummary, ConflictConfig, ConflictListWorkload, McfConfig,
     McfWorkload, SpiceWorkload,
 };
 
-/// Runs one workload instance sequentially on the plain interpreter and
-/// returns `(per-invocation return values, final data-region memory)`.
-fn sequential_reference(mut workload: Box<dyn SpiceWorkload>) -> (Vec<Option<i64>>, Vec<i64>) {
-    let built = workload.build();
-    let data_end = built.program.data_end() as usize;
-    let mut mem = FlatMemory::for_program(&built.program, 256 * 1024);
-    let mut args = workload.init(&mut mem);
-    let mut returns = Vec::new();
-    let mut inv = 0usize;
-    loop {
-        let out = spice_ir::interp::run_function(&built.program, built.kernel, &args, &mut mem)
-            .unwrap_or_else(|e| panic!("sequential {} trapped: {e}", workload.name()));
-        returns.push(out.return_value);
-        match workload.next_invocation(&mut mem, inv) {
-            Some(a) => {
-                args = a;
-                inv += 1;
-            }
-            None => break,
-        }
-    }
-    (returns, mem.words()[..data_end].to_vec())
-}
-
-/// Runs one workload instance on `choice` and returns the summary plus the
-/// final data-region memory.
+/// Runs one workload instance on `backend` and returns the summary plus the
+/// final data-region memory (the sim backend appends predictor globals past
+/// the workload's own, so only that region is comparable).
 fn backend_run(
     mut workload: Box<dyn SpiceWorkload>,
+    backend: &mut dyn ExecutionBackend,
+) -> (BackendRunSummary, Vec<i64>) {
+    let data_end = workload.build().program.data_end() as usize;
+    let summary = run_workload_on(workload.as_mut(), backend)
+        .unwrap_or_else(|e| panic!("{}: {e}", backend.name()));
+    let data = backend.mem().words()[..data_end].to_vec();
+    (summary, data)
+}
+
+/// The ground truth: the plain interpreter's per-invocation return values
+/// and final data-region memory. The one-core simulator must agree with it
+/// before either is used as a reference.
+fn sequential_reference(make: impl Fn() -> Box<dyn SpiceWorkload>) -> (Vec<Option<i64>>, Vec<i64>) {
+    let (interp, interp_mem) = backend_run(make(), &mut InterpBackend::new());
+    let mut one_core = SequentialSimBackend::new(MachineConfig::test_tiny(1));
+    let (sim, sim_mem) = backend_run(make(), &mut one_core);
+    assert_eq!(
+        (&interp.return_values, &interp_mem),
+        (&sim.return_values, &sim_mem),
+        "the two sequential backends diverged"
+    );
+    (interp.return_values, interp_mem)
+}
+
+/// [`backend_run`] on a Spice backend selected by value.
+fn spice_run(
+    workload: Box<dyn SpiceWorkload>,
     choice: BackendChoice,
     threads: usize,
 ) -> (BackendRunSummary, Vec<i64>) {
-    let data_end = {
-        // A throwaway instance measures the data region (the sim backend
-        // appends predictor globals past it).
-        workload.build().program.data_end() as usize
-    };
-    let mut backend = make_backend(choice, threads);
-    let summary = run_workload_on(workload.as_mut(), backend.as_mut())
-        .unwrap_or_else(|e| panic!("{choice}: {e}"));
-    let data = backend.mem().words()[..data_end].to_vec();
-    (summary, data)
+    backend_run(workload, make_backend(choice, threads).as_mut())
 }
 
 /// Forced-conflict property: at rates 0 / 0.1 / 1.0 the splice loop produces
@@ -76,10 +73,10 @@ fn forced_conflict_rates_stay_bit_identical_to_sequential() {
                 seed: 0xC0_4F11,
             })) as Box<dyn SpiceWorkload>
         };
-        let (seq_returns, seq_mem) = sequential_reference(make());
+        let (seq_returns, seq_mem) = sequential_reference(make);
         for choice in [BackendChoice::SimTiny, BackendChoice::Native] {
             for threads in [2usize, 4] {
-                let (summary, mem) = backend_run(make(), choice, threads);
+                let (summary, mem) = spice_run(make(), choice, threads);
                 assert_eq!(
                     summary.return_values, seq_returns,
                     "rate {rate}, {choice}, {threads} threads: reductions diverged"
@@ -121,9 +118,9 @@ fn mcf_refresh_potential_true_recovers_on_both_backends() {
             seed: 0x7A0E,
         })) as Box<dyn SpiceWorkload>
     };
-    let (seq_returns, seq_mem) = sequential_reference(make());
+    let (seq_returns, seq_mem) = sequential_reference(make);
     for choice in [BackendChoice::SimTiny, BackendChoice::Native] {
-        let (summary, mem) = backend_run(make(), choice, 4);
+        let (summary, mem) = spice_run(make(), choice, 4);
         assert_eq!(
             summary.return_values, seq_returns,
             "{choice}: checksums diverged from sequential"
@@ -158,7 +155,7 @@ fn dependence_free_mcf_control_reports_no_violations() {
         })) as Box<dyn SpiceWorkload>
     };
     for choice in [BackendChoice::SimTiny, BackendChoice::Native] {
-        let (summary, _) = backend_run(make(), choice, 4);
+        let (summary, _) = spice_run(make(), choice, 4);
         assert_eq!(
             summary.dependence_violations, 0,
             "{choice}: false conflict on the dependence-free control"

@@ -4,33 +4,21 @@
 //! mis-speculation.
 
 use spice_core::analysis::LoopAnalysis;
-use spice_core::pipeline::{run_sequential, SpiceRunner};
+use spice_core::pipeline::SpiceRunner;
 use spice_core::transform::{SpiceOptions, SpiceTransform};
-use spice_sim::{Machine, MachineConfig};
-use spice_workloads::{paper_benchmarks_small, SpiceWorkload};
+use spice_core::SimBackend;
+use spice_sim::{Machine, MachineConfig, SequentialSimBackend};
+use spice_workloads::{paper_benchmarks_small, run_workload_on, SpiceWorkload};
 
 /// Drives a workload under Spice with `threads` threads, checking every
 /// invocation's return value against the host-computed expectation and
 /// against a sequential run of an identical workload instance.
 fn check_workload(mut make: impl FnMut() -> Box<dyn SpiceWorkload>, threads: usize) {
-    // Sequential reference.
-    let mut seq = make();
-    let built = seq.build();
-    let mut seq_machine = Machine::new(MachineConfig::test_tiny(1), built.program);
-    let mut seq_args = seq.init(seq_machine.mem_mut());
-    let mut seq_results = Vec::new();
-    let mut inv = 0usize;
-    loop {
-        let (_, ret) = run_sequential(&mut seq_machine, built.kernel, &seq_args).expect("seq run");
-        seq_results.push(ret);
-        match seq.next_invocation(seq_machine.mem_mut(), inv) {
-            Some(a) => {
-                seq_args = a;
-                inv += 1;
-            }
-            None => break,
-        }
-    }
+    // Sequential reference: the same loop on the one-core backend.
+    let mut one_core = SequentialSimBackend::new(MachineConfig::test_tiny(1));
+    let seq_results = run_workload_on(make().as_mut(), &mut one_core)
+        .expect("seq run")
+        .return_values;
 
     // Spice run.
     let mut wl = make();
@@ -143,28 +131,9 @@ fn sjeng_actually_misspeculates_sometimes() {
         let mut v = paper_benchmarks_small();
         v.remove(3)
     };
-    let built = wl.build();
-    let mut program = built.program;
-    let analysis = LoopAnalysis::analyze_outermost(&program, built.kernel).unwrap();
-    let estimate = wl.expected_iterations();
-    let spice = SpiceTransform::new(SpiceOptions::with_threads_and_estimate(4, estimate))
-        .apply(&mut program, &analysis)
-        .unwrap();
-    let mut machine = Machine::new(MachineConfig::test_tiny(4), program);
-    let mut args = wl.init(machine.mem_mut());
-    let mut runner = SpiceRunner::new(spice);
-    let mut inv = 0usize;
-    loop {
-        runner.run_invocation(&mut machine, &args).unwrap();
-        match wl.next_invocation(machine.mem_mut(), inv) {
-            Some(a) => {
-                args = a;
-                inv += 1;
-            }
-            None => break,
-        }
-    }
-    let rate = runner.stats().misspeculation_rate();
+    let rate = run_workload_on(wl.as_mut(), &mut SimBackend::tiny(4))
+        .unwrap()
+        .misspeculation_rate();
     assert!(
         rate > 0.05,
         "sjeng misspeculation rate suspiciously low: {rate}"

@@ -144,6 +144,16 @@ fn farm_artifacts_are_byte_identical_across_worker_counts() {
         !summaries[0].is_empty(),
         "spice sweep jobs must report backend summaries"
     );
+    // Sequential cells go through the same loop, so their per-invocation
+    // return values are pinned across worker counts as well.
+    let sequential: Vec<_> = summaries[0]
+        .iter()
+        .filter(|(label, _)| label.ends_with("/sequential"))
+        .collect();
+    assert_eq!(sequential.len(), 7, "one sequential cell per benchmark");
+    assert!(sequential
+        .iter()
+        .all(|(_, s)| s.invocations > 0 && s.return_values.len() == s.invocations));
 
     // Squash-and-recover paths are exercised: the conflict-carrying
     // workloads must appear with real dependence violations.

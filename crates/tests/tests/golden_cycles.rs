@@ -15,7 +15,9 @@
 //! `sequential_cycles`/`spice_cycles` columns here, and commit the
 //! regenerated full-size `BENCH_fig7.json` alongside.
 
-use spice_bench::experiments::fig7;
+use spice_bench::experiments::{all_workload_factories, fig7};
+use spice_sim::{MachineConfig, SequentialSimBackend};
+use spice_workloads::run_workload_on;
 
 /// `(benchmark, threads, sequential_cycles, spice_cycles)` of the small
 /// suite.
@@ -61,5 +63,27 @@ fn fig7_small_cycle_counts_match_goldens_exactly() {
             "{name}/{threads}t: Spice cycles drifted (simulated time must be bit-identical; \
              see the module docs if the change is intentional)"
         );
+    }
+}
+
+/// The sequential baseline is a backend like any other: driven cold through
+/// `run_workload_on` (build, load, the one invocation loop) it reproduces the
+/// golden sequential totals the prepared-sweep path above is pinned to.
+#[test]
+fn sequential_backend_reproduces_golden_sequential_cycles() {
+    for (name, factory) in all_workload_factories(true) {
+        let mut backend = SequentialSimBackend::new(MachineConfig::itanium2_cmp());
+        let summary = run_workload_on(factory().as_mut(), &mut backend)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let golden = GOLDEN
+            .iter()
+            .find(|g| g.0 == name)
+            .unwrap_or_else(|| panic!("{name}: no golden row"));
+        assert_eq!(
+            summary.total_cost,
+            u128::from(golden.2),
+            "{name}: sequential backend drifted from the golden sequential cycles"
+        );
+        assert_eq!(summary.invocations, factory().invocations(), "{name}");
     }
 }

@@ -2,8 +2,9 @@
 //! record → serialize → parse → replay reproduces the recording exactly,
 //! and corrupted documents fail with typed errors instead of panicking.
 
-use spice_bench::experiments::{all_workload_factories, replay_sequential};
+use spice_bench::experiments::{all_workload_factories, replay_on_backend};
 use spice_bench::tracefile::{trace_from_json, trace_to_json, TraceFileError};
+use spice_ir::exec::InterpBackend;
 use spice_profiler::record_workload_trace;
 use spice_workloads::trace::{fuzz_trace, FuzzConfig, TraceError};
 
@@ -32,7 +33,7 @@ fn recorded_traces_round_trip_and_replay_across_the_suite() {
 
         // The parsed trace replays: the sequential replay checks the host
         // mirror on every invocation internally.
-        let replay = replay_sequential(&parsed)
+        let replay = replay_on_backend(&parsed, &mut InterpBackend::new())
             .unwrap_or_else(|e| panic!("{name}: parsed trace failed to replay: {e}"));
         assert_eq!(
             replay.returns.len(),
@@ -57,7 +58,7 @@ fn recorded_traces_round_trip_and_replay_across_the_suite() {
             let mutant_back = trace_from_json(&mutant_doc)
                 .unwrap_or_else(|e| panic!("{name}/seed{seed}: mutant failed to parse: {e}"));
             assert_eq!(mutant_back, mutant);
-            replay_sequential(&mutant_back)
+            replay_on_backend(&mutant_back, &mut InterpBackend::new())
                 .unwrap_or_else(|e| panic!("{name}/seed{seed}: mutant failed to replay: {e}"));
         }
     }

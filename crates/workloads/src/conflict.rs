@@ -245,7 +245,6 @@ impl SpiceWorkload for ConflictListWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spice_ir::interp::run_function;
 
     fn drive_sequentially(rate: f64) {
         let mut wl = ConflictListWorkload::new(ConflictConfig {
@@ -254,19 +253,7 @@ mod tests {
             conflict_rate: rate,
             seed: 0xadef,
         });
-        let built = wl.build();
-        spice_ir::verify::verify_program(&built.program).expect("kernel verifies");
-        let mut mem = FlatMemory::for_program(&built.program, 32 * 1024);
-        let mut args = wl.init(&mut mem);
-        for inv in 0.. {
-            let expected = wl.expected_result(&mem).unwrap();
-            let out = run_function(&built.program, built.kernel, &args, &mut mem).unwrap();
-            assert_eq!(out.return_value, Some(expected), "rate {rate} inv {inv}");
-            match wl.next_invocation(&mut mem, inv) {
-                Some(a) => args = a,
-                None => break,
-            }
-        }
+        assert_eq!(crate::run_on_interpreter(&mut wl).invocations, 6);
     }
 
     #[test]

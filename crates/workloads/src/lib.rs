@@ -125,7 +125,12 @@ pub trait SpiceWorkload: Send {
 }
 
 /// Default heap words reserved past a workload program's globals when
-/// loading it into a backend.
+/// loading it into a backend — the one heap size of every workload run
+/// ([`workload_load_options`]). Every shipped workload, the fig8 corpus and
+/// the full-size suite included, keeps its data structures in globals
+/// (host-side arenas over global arrays) and never executes `alloc`, so the
+/// heap only has to exist; the simulator backends raise it to their
+/// machine's own reservation.
 pub const DEFAULT_WORKLOAD_HEAP_WORDS: usize = 256 * 1024;
 
 /// Aggregate result of driving one workload over one backend.
@@ -173,10 +178,10 @@ impl BackendRunSummary {
     }
 }
 
-/// Drives `workload` over `backend` from build to the last invocation — the
-/// single call site through which any workload runs on any execution
-/// substrate (the timing simulator, native threads, or whatever a future
-/// backend adds).
+/// Drives `workload` over `backend` from build to the last invocation:
+/// `load`, then [`drive_loaded_workload`] — any workload on any execution
+/// substrate (Spice on the timing simulator or native threads, sequential on
+/// one simulated core or the plain interpreter).
 ///
 /// Every invocation's return value is checked against the workload's
 /// host-computed expectation; a mismatch is an error (speculation must never
@@ -228,8 +233,11 @@ pub fn workload_load_options(workload: &dyn SpiceWorkload, built: &BuiltKernel) 
 }
 
 /// Drives an already-loaded workload over `backend`: `init`, then the
-/// invocation loop with per-invocation expected-result checks — the half of
-/// [`run_workload_on`] after `load`.
+/// invocation loop with per-invocation expected-result checks. This is the
+/// only invocation loop in the workspace's library code: sequential
+/// baselines, Spice runs, profiling, trace recording, cycle attribution,
+/// event tracing and failure capture all arm their observers on the backend
+/// before calling it and read them off the backend afterwards.
 ///
 /// # Errors
 ///
@@ -291,6 +299,18 @@ pub fn drive_loaded_workload(
     Ok(summary)
 }
 
+/// Test helper: verifies `workload`'s program, then drives it to completion
+/// on the plain interpreter through the one invocation loop — every return
+/// value checked against the host mirror.
+#[cfg(test)]
+pub(crate) fn run_on_interpreter(workload: &mut dyn SpiceWorkload) -> BackendRunSummary {
+    let name = workload.name();
+    spice_ir::verify::verify_program(&workload.build().program)
+        .unwrap_or_else(|e| panic!("{name} failed verification: {e:?}"));
+    run_workload_on(workload, &mut spice_ir::exec::InterpBackend::new())
+        .unwrap_or_else(|e| panic!("{e}"))
+}
+
 /// The paper's four evaluation loops (Table 2 / Figure 7) with default
 /// configurations.
 #[must_use]
@@ -338,27 +358,15 @@ pub fn paper_benchmarks_small() -> Vec<Box<dyn SpiceWorkload>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spice_ir::exec::{
-        BackendError, ExecutionCost, ExecutionReport, LoadOptions as BackendLoadOptions,
-    };
+    use spice_ir::exec::{BackendError, ExecutionReport, InterpBackend};
 
-    /// A mock [`ExecutionBackend`] that records the [`LoadOptions`] it was
-    /// handed and executes invocations on the plain interpreter — the probe
-    /// behind `conflict_policy_reaches_load_options_for_every_workload`.
+    /// A probe [`ExecutionBackend`] that records the [`LoadOptions`] it was
+    /// handed and otherwise is the plain interpreter — the probe behind
+    /// `conflict_policy_reaches_load_options_for_every_workload`.
+    #[derive(Default)]
     struct RecordingBackend {
-        program: Option<(Program, FuncId)>,
-        mem: Option<FlatMemory>,
-        seen: Option<BackendLoadOptions>,
-    }
-
-    impl RecordingBackend {
-        fn new() -> Self {
-            RecordingBackend {
-                program: None,
-                mem: None,
-                seen: None,
-            }
-        }
+        inner: InterpBackend,
+        seen: Option<LoadOptions>,
     }
 
     impl ExecutionBackend for RecordingBackend {
@@ -376,38 +384,20 @@ mod tests {
             kernel: FuncId,
             options: LoadOptions,
         ) -> Result<(), BackendError> {
-            self.mem = Some(FlatMemory::for_program(
-                &program,
-                options.heap_words.max(1024),
-            ));
-            self.program = Some((program, kernel));
             self.seen = Some(options);
-            Ok(())
+            self.inner.load(program, kernel, options)
         }
 
         fn mem(&self) -> &FlatMemory {
-            self.mem.as_ref().expect("load() first")
+            self.inner.mem()
         }
 
         fn mem_mut(&mut self) -> &mut FlatMemory {
-            self.mem.as_mut().expect("load() first")
+            self.inner.mem_mut()
         }
 
         fn run_invocation(&mut self, args: &[i64]) -> Result<ExecutionReport, BackendError> {
-            let (program, kernel) = self.program.as_ref().expect("loaded");
-            let mem = self.mem.as_mut().expect("loaded");
-            let out = spice_ir::interp::run_function(program, *kernel, args, mem)
-                .map_err(|t| BackendError::Engine(t.to_string()))?;
-            Ok(ExecutionReport {
-                backend: "recording-mock",
-                cost: ExecutionCost::Cycles(out.stats.total),
-                return_value: out.return_value,
-                misspeculated: false,
-                committed_chunks: 0,
-                squashed_chunks: 0,
-                workers: Vec::new(),
-                work_per_thread: vec![out.stats.total],
-            })
+            self.inner.run_invocation(args)
         }
     }
 
@@ -427,7 +417,7 @@ mod tests {
         for mut w in registries {
             let name = w.name();
             let declared = w.conflict_policy();
-            let mut backend = RecordingBackend::new();
+            let mut backend = RecordingBackend::default();
             run_workload_on(w.as_mut(), &mut backend)
                 .unwrap_or_else(|e| panic!("{name}: mock run failed: {e}"));
             let received = backend.seen.expect("load was called").conflict_policy;
@@ -457,53 +447,22 @@ mod tests {
         }
     }
 
-    #[test]
-    fn conflict_benchmarks_build_and_run_sequentially() {
-        let names: Vec<&str> = conflict_benchmarks().iter().map(|w| w.name()).collect();
-        assert_eq!(names, vec!["mcf_true", "list_splice"]);
-        for mut w in conflict_benchmarks_small() {
-            let built = w.build();
-            spice_ir::verify::verify_program(&built.program)
-                .unwrap_or_else(|e| panic!("{} failed verification: {e:?}", w.name()));
-            let mut mem = FlatMemory::for_program(&built.program, 256 * 1024);
-            let mut args = w.init(&mut mem);
-            for inv in 0..3 {
-                let expected = w.expected_result(&mem);
-                let out =
-                    spice_ir::interp::run_function(&built.program, built.kernel, &args, &mut mem)
-                        .unwrap_or_else(|e| panic!("{} trapped: {e}", w.name()));
-                if let Some(exp) = expected {
-                    assert_eq!(out.return_value, Some(exp), "{} invocation {inv}", w.name());
-                }
-                match w.next_invocation(&mut mem, inv) {
-                    Some(a) => args = a,
-                    None => break,
-                }
-            }
+    fn verify_and_run_sequentially(registry: Vec<Box<dyn SpiceWorkload>>) {
+        for mut w in registry {
+            let summary = run_on_interpreter(w.as_mut());
+            assert_eq!(summary.invocations, w.invocations(), "{}", w.name());
         }
     }
 
     #[test]
+    fn conflict_benchmarks_build_and_run_sequentially() {
+        let names: Vec<&str> = conflict_benchmarks().iter().map(|w| w.name()).collect();
+        assert_eq!(names, vec!["mcf_true", "list_splice"]);
+        verify_and_run_sequentially(conflict_benchmarks_small());
+    }
+
+    #[test]
     fn every_paper_benchmark_builds_and_runs_sequentially() {
-        for mut w in paper_benchmarks_small() {
-            let built = w.build();
-            spice_ir::verify::verify_program(&built.program)
-                .unwrap_or_else(|e| panic!("{} failed verification: {e:?}", w.name()));
-            let mut mem = FlatMemory::for_program(&built.program, 256 * 1024);
-            let mut args = w.init(&mut mem);
-            for inv in 0..3 {
-                let expected = w.expected_result(&mem);
-                let out =
-                    spice_ir::interp::run_function(&built.program, built.kernel, &args, &mut mem)
-                        .unwrap_or_else(|e| panic!("{} trapped: {e}", w.name()));
-                if let Some(exp) = expected {
-                    assert_eq!(out.return_value, Some(exp), "{} invocation {inv}", w.name());
-                }
-                match w.next_invocation(&mut mem, inv) {
-                    Some(a) => args = a,
-                    None => break,
-                }
-            }
-        }
+        verify_and_run_sequentially(paper_benchmarks_small());
     }
 }

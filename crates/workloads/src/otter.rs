@@ -248,18 +248,7 @@ mod tests {
             invocations: 8,
             seed: 7,
         });
-        let built = wl.build();
-        let mut mem = FlatMemory::for_program(&built.program, 64 * 1024);
-        let mut args = wl.init(&mut mem);
-        for inv in 0.. {
-            let expected = wl.expected_result(&mem).unwrap();
-            let out = run_function(&built.program, built.kernel, &args, &mut mem).unwrap();
-            assert_eq!(out.return_value, Some(expected), "invocation {inv}");
-            match wl.next_invocation(&mut mem, inv) {
-                Some(a) => args = a,
-                None => break,
-            }
-        }
+        assert_eq!(crate::run_on_interpreter(&mut wl).invocations, 8);
     }
 
     #[test]

@@ -353,7 +353,6 @@ impl SpiceWorkload for SjengWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spice_ir::interp::run_function;
 
     #[test]
     fn kernel_matches_host_mirror_across_positions() {
@@ -363,18 +362,7 @@ mod tests {
             mutate_probability: 0.5,
             seed: 21,
         });
-        let built = wl.build();
-        let mut mem = FlatMemory::for_program(&built.program, 32 * 1024);
-        let mut args = wl.init(&mut mem);
-        for inv in 0.. {
-            let expected = wl.expected_result(&mem).unwrap();
-            let out = run_function(&built.program, built.kernel, &args, &mut mem).unwrap();
-            assert_eq!(out.return_value, Some(expected), "invocation {inv}");
-            match wl.next_invocation(&mut mem, inv) {
-                Some(a) => args = a,
-                None => break,
-            }
-        }
+        assert_eq!(crate::run_on_interpreter(&mut wl).invocations, 12);
     }
 
     #[test]

@@ -410,18 +410,7 @@ mod tests {
     #[test]
     fn churn_list_kernel_sums_the_list() {
         let mut wl = ChurnListWorkload::new("test", 1.0, 20, 5, 42);
-        let built = wl.build();
-        let mut mem = FlatMemory::for_program(&built.program, 32 * 1024);
-        let mut args = wl.init(&mut mem);
-        for inv in 0.. {
-            let expected = wl.expected_result(&mem).unwrap();
-            let out = run_function(&built.program, built.kernel, &args, &mut mem).unwrap();
-            assert_eq!(out.return_value, Some(expected));
-            match wl.next_invocation(&mut mem, inv) {
-                Some(a) => args = a,
-                None => break,
-            }
-        }
+        assert_eq!(crate::run_on_interpreter(&mut wl).invocations, 5);
     }
 
     #[test]

@@ -600,26 +600,10 @@ pub fn synthetic_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spice_ir::interp::run_function;
 
-    fn replay_sequentially(trace: WorkloadTrace) -> Vec<i64> {
+    fn replay_sequentially(trace: WorkloadTrace) -> Vec<Option<i64>> {
         let mut wl = TraceReplayWorkload::new(trace).expect("valid trace");
-        let built = wl.build();
-        spice_ir::verify::verify_program(&built.program).expect("kernel verifies");
-        let mut mem = FlatMemory::for_program(&built.program, 64 * 1024);
-        let mut args = wl.init(&mut mem);
-        let mut returns = Vec::new();
-        for inv in 0.. {
-            let expected = wl.expected_result(&mem).unwrap();
-            let out = run_function(&built.program, built.kernel, &args, &mut mem).unwrap();
-            assert_eq!(out.return_value, Some(expected), "invocation {inv}");
-            returns.push(expected);
-            match wl.next_invocation(&mut mem, inv) {
-                Some(a) => args = a,
-                None => break,
-            }
-        }
-        returns
+        crate::run_on_interpreter(&mut wl).return_values
     }
 
     #[test]

@@ -6,12 +6,12 @@
 //!
 //! | crate | contents |
 //! |---|---|
-//! | [`ir`] | SSA-lite IR, analyses, interpreter, the [`ir::exec::ExecutionBackend`] abstraction |
+//! | [`ir`] | SSA-lite IR, analyses, interpreter, the [`ir::exec::ExecutionBackend`] abstraction and the sequential [`ir::exec::InterpBackend`] |
 //! | [`core`] | the Spice transformation, value predictor, simulator backend |
-//! | [`sim`] | cycle-stepped multi-core timing simulator (Table 1 machine) |
+//! | [`sim`] | cycle-stepped multi-core timing simulator (Table 1 machine) and its one-core [`sim::SequentialSimBackend`] |
 //! | [`runtime`] | native-thread chunk runtime and the native backend |
 //! | [`profiler`] | loop live-in value profiler (§6 / Figure 8) |
-//! | [`workloads`] | paper benchmark loops and the backend-generic driver |
+//! | [`workloads`] | paper benchmark loops and the one backend-generic invocation loop |
 //! | [`bench`] | experiment harness for every table and figure |
 //! | [`farm`] | work-stealing parallel job engine under the bench sweep |
 //!
