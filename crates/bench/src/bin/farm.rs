@@ -3,13 +3,20 @@
 //! program decoded once and shared, and artifacts streamed row-by-row in
 //! deterministic job order — byte-identical at any `--jobs`.
 //!
+//! This is the one CLI over the figures: `farm --figures fig7` is what a
+//! per-figure binary would be, and a cross-check or fuzz divergence fails
+//! the run (exit 1) with forensics on disk.
+//!
 //! ```text
 //! cargo run --release -p spice-bench --bin farm -- [flags]
-//!   --small           reduced-size inputs
+//!   --small           reduced-size inputs, simulated on the reduced test
+//!                     machine (full size simulates the Table 1 machine)
 //!   --jobs N          worker threads (default 0 = host parallelism)
 //!   --figures LIST    comma-separated subset of
 //!                     fig7,table2,ablation,harness,crosscheck,fig8,fuzz
-//!   --out-dir DIR     where artifacts land (default ".")
+//!                     (default: all)
+//!   --out-dir DIR     where each figure's BENCH_<figure>.json lands
+//!                     (default "."; ablation and fuzz are stdout-only)
 //!   --trace-out PATH  also record simulator traces for every sweep job and
 //!                     stream them to PATH (byte-identical at any --jobs)
 //!   --fuzz-seeds N    width of the fuzz figure's mutation-seed sweep
@@ -18,6 +25,9 @@
 //!                     nothing, compare ns/simulated-cycle against the
 //!                     committed BENCH_farm.json
 //! ```
+//!
+//! A malformed command line (unknown flag or figure, missing or non-numeric
+//! value) prints a one-line usage error and exits 2.
 //!
 //! Failed or diverged jobs persist forensics (trace ring-buffer, snapshot
 //! cycles, final machine state) under `<out-dir>/failures/FAILED_<label>.json`.
@@ -28,111 +38,78 @@
 
 use std::path::PathBuf;
 
-use spice_bench::experiments::{
-    format_ablation, format_crosscheck, format_fig7, format_fig8, format_harnessperf, format_table2,
-};
-use spice_bench::farm_driver::{
-    farm_json, run_manifest, Figure, Manifest, OutPaths, DEFAULT_FUZZ_SEEDS,
-};
+use spice_bench::farm_driver::{farm_json, run_manifest, Figure, Manifest, OutPaths};
 
 /// A fresh run must stay within this factor of the committed
 /// ns-per-simulated-cycle. Generous on purpose: CI machines differ from the
 /// machine that committed the baseline.
 const CHECK_FACTOR: f64 = 4.0;
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
+const USAGE: &str = "usage: farm [--small] [--jobs N] [--figures LIST] [--out-dir DIR] \
+                     [--trace-out PATH] [--fuzz-seeds N] [--check]";
+
+struct Cli {
+    manifest: Manifest,
+    check: bool,
+    out_dir: PathBuf,
+    trace_out: Option<PathBuf>,
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let small = spice_bench::small_requested();
-    let jobs = spice_bench::jobs_requested();
-    let check = args.iter().any(|a| a == "--check");
-    let out_dir = PathBuf::from(arg_value(&args, "--out-dir").unwrap_or_else(|| ".".to_string()));
+fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value.parse().map_err(|e| format!("{flag} {value}: {e}"))
+}
 
-    let figures = if check {
-        vec![Figure::Harness]
-    } else {
-        match arg_value(&args, "--figures") {
-            Some(list) => Figure::parse_list(&list).unwrap_or_else(|e| panic!("{e}")),
-            None => Figure::ALL.to_vec(),
+fn parse_cli(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
+    let mut cli = Cli {
+        manifest: Manifest {
+            figures: Figure::ALL.to_vec(),
+            ..Manifest::default()
+        },
+        check: false,
+        out_dir: PathBuf::from("."),
+        trace_out: None,
+    };
+    while let Some(flag) = args.next() {
+        let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+        match flag.as_str() {
+            "--small" => cli.manifest.small = true,
+            "--check" => cli.check = true,
+            "--jobs" => cli.manifest.jobs = number(&flag, &value()?)?,
+            "--figures" => cli.manifest.figures = Figure::parse_list(&value()?)?,
+            "--out-dir" => cli.out_dir = PathBuf::from(value()?),
+            "--trace-out" => cli.trace_out = Some(PathBuf::from(value()?)),
+            "--fuzz-seeds" => cli.manifest.fuzz_seeds = 0..number(&flag, &value()?)?,
+            _ => return Err(format!("unknown argument {flag:?}")),
         }
-    };
+    }
+    if cli.check {
+        cli.manifest.figures = vec![Figure::Harness];
+    }
+    Ok(cli)
+}
 
-    let fuzz_seeds = arg_value(&args, "--fuzz-seeds")
-        .map(|v| {
-            v.parse()
-                .unwrap_or_else(|e| panic!("--fuzz-seeds {v}: {e}"))
-        })
-        .unwrap_or(DEFAULT_FUZZ_SEEDS);
-    let manifest = Manifest {
-        figures: figures.clone(),
-        small,
-        jobs,
-        fuzz_seeds: 0..fuzz_seeds,
-    };
-    let outs = if check {
-        OutPaths::default()
-    } else {
-        std::fs::create_dir_all(&out_dir)
-            .unwrap_or_else(|e| panic!("create {}: {e}", out_dir.display()));
-        OutPaths {
-            fig7: figures
-                .contains(&Figure::Fig7)
-                .then(|| out_dir.join("BENCH_fig7.json")),
-            table2: figures
-                .contains(&Figure::Table2)
-                .then(|| out_dir.join("BENCH_table2.json")),
-            harness: figures
-                .contains(&Figure::Harness)
-                .then(|| out_dir.join("BENCH_harness.json")),
-            crosscheck: figures
-                .contains(&Figure::Crosscheck)
-                .then(|| out_dir.join("BENCH_crosscheck.json")),
-            fig8: figures
-                .contains(&Figure::Fig8)
-                .then(|| out_dir.join("BENCH_fig8.json")),
-            trace: arg_value(&args, "--trace-out").map(PathBuf::from),
-            failures_dir: Some(out_dir.join("failures")),
+fn run(cli: &Cli) -> Result<(), String> {
+    let figures = &cli.manifest.figures;
+    let mut outs = OutPaths::default();
+    if !cli.check {
+        std::fs::create_dir_all(&cli.out_dir)
+            .map_err(|e| format!("create {}: {e}", cli.out_dir.display()))?;
+        for &figure in figures {
+            outs.set_artifact_dir(figure, &cli.out_dir);
         }
-    };
+        outs.trace = cli.trace_out.clone();
+        outs.failures_dir = Some(cli.out_dir.join("failures"));
+    }
 
-    let report = run_manifest(&manifest, &outs).expect("farm run");
+    let report = run_manifest(&cli.manifest, &outs)?;
 
-    if figures.contains(&Figure::Fig7) {
-        print!("{}", format_fig7(&report.fig7_rows));
-        println!();
-    }
-    if figures.contains(&Figure::Table2) {
-        print!("{}", format_table2(&report.table2_rows));
-        println!();
-    }
-    if figures.contains(&Figure::Ablation) {
-        print!("{}", format_ablation(&report.ablation_rows));
-        println!();
-    }
-    if figures.contains(&Figure::Harness) {
-        print!("{}", format_harnessperf(&report.harness_rows));
-        println!();
-    }
-    if figures.contains(&Figure::Crosscheck) {
-        print!("{}", format_crosscheck(&report.crosscheck_rows));
-    }
-    if figures.contains(&Figure::Fig8) {
-        print!("{}", format_fig8(&report.fig8_bars));
-        println!();
-    }
-    if figures.contains(&Figure::Fuzz) {
-        let with_writes = report.fuzz_rows.iter().filter(|r| r.has_writes).count();
-        println!(
-            "fuzz: {} mutants replayed bit-identically on sim, native and sequential \
-             execution ({} carrying dependence-inducing writes)",
-            report.fuzz_rows.len(),
-            with_writes
-        );
+    for figure in Figure::ALL {
+        if figures.contains(&figure) {
+            println!("{}", report.table(figure));
+        }
     }
     println!(
         "farm: {} jobs on {} workers ({} cores): {:.3} s serial-equivalent in {:.3} s wall \
@@ -148,34 +125,40 @@ fn main() {
         report.cache.hits,
     );
 
-    if check {
-        let committed_path = out_dir.join("BENCH_farm.json");
-        let committed = std::fs::read_to_string(&committed_path).unwrap_or_else(|e| {
-            panic!(
-                "--check needs the committed {}: {e}",
-                committed_path.display()
-            )
-        });
+    let farm_path = cli.out_dir.join("BENCH_farm.json");
+    if cli.check {
+        let committed = std::fs::read_to_string(&farm_path)
+            .map_err(|e| format!("--check needs the committed {}: {e}", farm_path.display()))?;
         let baseline = spice_bench::json::extract_number(&committed, "ns_per_simulated_cycle")
-            .expect("committed artifact has ns_per_simulated_cycle");
+            .ok_or_else(|| format!("{}: no ns_per_simulated_cycle", farm_path.display()))?;
         let measured = report.ns_per_simulated_cycle();
         println!(
             "perf-smoke: measured {measured:.1} ns/cycle vs committed {baseline:.1} \
              (limit {CHECK_FACTOR}x)"
         );
         if !measured.is_finite() || measured > baseline * CHECK_FACTOR {
-            eprintln!(
+            return Err(format!(
                 "farm-speed regression: {measured:.1} ns/cycle exceeds \
                  {CHECK_FACTOR}x the committed {baseline:.1}"
-            );
-            std::process::exit(1);
+            ));
         }
-        return;
+        return Ok(());
     }
 
     let doc = farm_json(&report);
-    spice_bench::json::validate(&doc).expect("emitted artifact must be well-formed JSON");
-    let farm_path = out_dir.join("BENCH_farm.json");
-    std::fs::write(&farm_path, &doc).expect("write BENCH_farm.json");
+    spice_bench::json::validate(&doc).map_err(|e| format!("BENCH_farm.json invalid: {e}"))?;
+    std::fs::write(&farm_path, &doc).map_err(|e| format!("write {}: {e}", farm_path.display()))?;
     eprintln!("wrote {}", farm_path.display());
+    Ok(())
+}
+
+fn main() {
+    let cli = parse_cli(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("farm: {e} ({USAGE})");
+        std::process::exit(2);
+    });
+    if let Err(e) = run(&cli) {
+        eprintln!("farm: {e}");
+        std::process::exit(1);
+    }
 }

@@ -1,7 +1,7 @@
 //! Reproduces the §2 comparison (Figures 2, 3 and 5): execution schedules and
 //! expected speedups of TLS, TLS with value prediction, and Spice.
 fn main() {
-    let small = spice_bench::small_requested();
+    let small = std::env::args().any(|a| a == "--small");
     let cmp = spice_bench::experiments::schedules(small).expect("schedules");
     println!("Section 2 timing model for the otter loop (measured on the simulator):");
     println!(

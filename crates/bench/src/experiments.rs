@@ -1,17 +1,20 @@
 //! Implementations of every table and figure of the paper's evaluation.
 //!
-//! Each function returns plain data structures; the binaries in `src/bin/`
-//! print them. Reduced-size variants (`small = true`) run the same code on
-//! smaller inputs so the whole suite stays test-friendly.
+//! This module holds what a figure *is*: the workload set, the per-cell job
+//! bodies, the row types and — through [`FigureRows`] — how each row type
+//! becomes its JSON artifact and its text table. What it does not hold is a
+//! second way to run a figure: the jobs are enumerated in exactly one place,
+//! [`crate::farm_driver::run_manifest`], and `farm --figures <name>` is the
+//! one CLI over it. Reduced-size variants (`small = true`) run the same code
+//! on smaller inputs — and on the reduced test machine — so the whole suite
+//! stays test-friendly.
 
 use spice_core::backend::{make_backend_with, BackendChoice, SimBackend};
 use spice_core::baseline::{render_schedule, LoopTimingModel, ScheduleKind};
 use spice_core::pipeline::predictor_options_with_estimate;
 use spice_core::predictor::PredictorOptions;
 use spice_core::prepared::PreparedProgram;
-use spice_core::valuepred::{
-    evaluate_predictor, LastValuePredictor, SpiceMemoPredictor, StridePredictor,
-};
+use spice_core::valuepred::{evaluate_predictor, SpiceMemoPredictor, StridePredictor};
 use spice_ir::exec::{ExecutionBackend, InterpBackend};
 use spice_ir::interp::{FlatMemory, LocalSys};
 use spice_ir::trace::DEFAULT_TRACE_CAPACITY;
@@ -23,10 +26,12 @@ use spice_profiler::{
 use spice_sim::{Machine, MachineConfig, SequentialSimBackend};
 use spice_workloads::trace::{FuzzConfig, TraceReplayWorkload, WorkloadTrace};
 use spice_workloads::{
-    drive_loaded_workload, fig8_corpus, run_workload_on, workload_load_options, BackendRunSummary,
-    KsConfig, KsWorkload, McfConfig, McfWorkload, OtterConfig, OtterWorkload, SjengConfig,
-    SjengWorkload, SpiceWorkload, Suite, SuiteBenchmark, DEFAULT_WORKLOAD_HEAP_WORDS,
+    drive_loaded_workload, run_workload_on, workload_load_options, BackendRunSummary, KsConfig,
+    KsWorkload, McfConfig, McfWorkload, OtterConfig, OtterWorkload, SjengConfig, SjengWorkload,
+    SpiceWorkload, Suite, SuiteBenchmark, DEFAULT_WORKLOAD_HEAP_WORDS,
 };
+
+use crate::farm_driver::Figure;
 
 /// Factory for a fresh instance of one of the paper's four benchmark loops.
 /// `Send + Sync` so a sweep engine can construct workloads from any host
@@ -39,8 +44,7 @@ pub type WorkloadFactory = Box<dyn Fn() -> Box<dyn SpiceWorkload> + Send + Sync>
 /// do not fit in the private caches of the Table 1 machine — the regime the
 /// paper's loops run in, where the pointer-chasing load dominates each
 /// iteration — while the `small` configurations keep unit tests fast.
-#[must_use]
-pub fn paper_workload_factories(small: bool) -> Vec<(&'static str, WorkloadFactory)> {
+fn paper_workload_factories(small: bool) -> Vec<(&'static str, WorkloadFactory)> {
     // Working-set sizes (full): ks 6000×3 words ≈ 144 KB, otter 8000×2 ≈
     // 128 KB, mcf 6000×6 ≈ 288 KB — all at or past the 256 KB L2.
     let (ks_modules, otter_len, mcf_nodes, sjeng_pieces) = if small {
@@ -99,24 +103,12 @@ pub fn paper_workload_factories(small: bool) -> Vec<(&'static str, WorkloadFacto
     ]
 }
 
-/// Returns `(name, factory)` pairs for the conflict-carrying workloads the
-/// memory-dependence speculation subsystem unlocks: the faithful
-/// `mcf_refresh_potential_true` kernel and the adversarial `list_splice`
-/// loop. The instances come straight from the suite registry
-/// (`spice_workloads::conflict_benchmarks{,_small}`) so the bench harness and
-/// every other consumer measure one canonical configuration. They run
-/// through the same tables and cross-checks as the paper loops; their value
-/// is correctness under squash-and-recover, not speedup (the faithful mcf
-/// chain violates nearly every chunk boundary).
-#[must_use]
-pub fn conflict_workload_factories(small: bool) -> Vec<(&'static str, WorkloadFactory)> {
-    let registry = move || {
-        if small {
-            spice_workloads::conflict_benchmarks_small()
-        } else {
-            spice_workloads::conflict_benchmarks()
-        }
-    };
+/// `(name, factory)` pairs for one suite registry of `spice-workloads`: the
+/// instances come straight from the registry so the bench harness and every
+/// other consumer measure one canonical configuration.
+fn registry_factories(
+    registry: fn() -> Vec<Box<dyn SpiceWorkload>>,
+) -> Vec<(&'static str, WorkloadFactory)> {
     registry()
         .into_iter()
         .enumerate()
@@ -127,38 +119,33 @@ pub fn conflict_workload_factories(small: bool) -> Vec<(&'static str, WorkloadFa
         .collect()
 }
 
-/// Returns `(name, factory)` pairs for the miniature-application workloads
-/// (`spice_workloads::app_benchmarks{,_small}`): whole programs whose serial
-/// pivot phases execute as measured IR around the Spice target loop, so
-/// Table 2's hotness for them is profiler-measured. Like the conflict pair,
-/// their fig7 rows document recovery cost (the faithful refresh chain plus
-/// the serial phases' write traffic squash most chunks), not speedup.
-#[must_use]
-pub fn app_workload_factories(small: bool) -> Vec<(&'static str, WorkloadFactory)> {
-    let registry = move || {
-        if small {
-            spice_workloads::app_benchmarks_small()
-        } else {
-            spice_workloads::app_benchmarks()
-        }
-    };
-    registry()
-        .into_iter()
-        .enumerate()
-        .map(|(i, wl)| {
-            let factory: WorkloadFactory = Box::new(move || registry().swap_remove(i));
-            (wl.name(), factory)
-        })
-        .collect()
-}
-
-/// The paper's four loops, the conflict-carrying pair and the miniature
-/// applications — the set every table, figure and cross-check now covers.
+/// The set every table, figure and cross-check covers: the paper's four
+/// loops; the conflict-carrying pair the memory-dependence speculation
+/// subsystem unlocks (the faithful `mcf_refresh_potential_true` kernel and
+/// the adversarial `list_splice` loop); and the miniature applications,
+/// whole programs whose serial pivot phases execute as measured IR around
+/// the Spice target loop, so Table 2's hotness for them is
+/// profiler-measured. The conflict pair and the applications run through
+/// the same tables and cross-checks as the paper loops; their value is
+/// correctness under squash-and-recover, not speedup — their fig7 rows
+/// document recovery cost (the faithful refresh chain violates nearly every
+/// chunk boundary, and the applications' serial phases add write traffic).
 #[must_use]
 pub fn all_workload_factories(small: bool) -> Vec<(&'static str, WorkloadFactory)> {
     let mut v = paper_workload_factories(small);
-    v.extend(conflict_workload_factories(small));
-    v.extend(app_workload_factories(small));
+    let (conflict, app): (fn() -> _, fn() -> _) = if small {
+        (
+            spice_workloads::conflict_benchmarks_small,
+            spice_workloads::app_benchmarks_small,
+        )
+    } else {
+        (
+            spice_workloads::conflict_benchmarks,
+            spice_workloads::app_benchmarks,
+        )
+    };
+    v.extend(registry_factories(conflict));
+    v.extend(registry_factories(app));
     v
 }
 
@@ -170,48 +157,13 @@ pub fn all_workload_factories(small: bool) -> Vec<(&'static str, WorkloadFactory
 /// Returns a description of any simulation failure or result mismatch.
 pub fn run_workload_sequential(workload: &mut dyn SpiceWorkload) -> Result<u64, String> {
     let mut backend = SequentialSimBackend::new(MachineConfig::itanium2_cmp());
-    let summary = run_workload_on(workload, &mut backend)?;
-    Ok(u64::try_from(summary.total_cost).unwrap_or(u64::MAX))
+    run_workload_on(workload, &mut backend).map(|summary| total_cycles(&summary))
 }
 
-/// Result of running a workload under Spice.
-#[derive(Debug, Clone)]
-pub struct SpiceRunResult {
-    /// Total simulated cycles over all invocations.
-    pub cycles: u64,
-    /// Fraction of invocations with at least one squashed worker.
-    pub misspeculation_rate: f64,
-    /// Mean coefficient of variation of per-core work.
-    pub load_imbalance: f64,
-    /// Number of invocations executed.
-    pub invocations: usize,
-    /// Chunks squashed by the conflict-detection subsystem (cross-chunk RAW
-    /// violations), summed over invocations.
-    pub dependence_violations: usize,
-}
-
-/// Runs a workload under the Spice transformation with `threads` threads on
-/// the cycle-accurate simulator — the Table 1 instantiation of
-/// [`run_workload_backend`].
-///
-/// # Errors
-///
-/// Returns a description of any analysis, transformation or simulation
-/// failure, including result mismatches against the host-computed expectation.
-pub fn run_workload_spice(
-    workload: &mut dyn SpiceWorkload,
-    threads: usize,
-    predictor: PredictorOptions,
-) -> Result<SpiceRunResult, String> {
-    let mut backend = SimBackend::new(threads).with_predictor(predictor);
-    let summary = run_workload_on(workload, &mut backend)?;
-    Ok(SpiceRunResult {
-        cycles: u64::try_from(summary.total_cost).unwrap_or(u64::MAX),
-        misspeculation_rate: summary.misspeculation_rate(),
-        load_imbalance: summary.load_imbalance(),
-        invocations: summary.invocations,
-        dependence_violations: summary.dependence_violations,
-    })
+/// A run's total cost as simulated cycles (saturating: only wall-nanosecond
+/// costs of other backends could ever exceed `u64`).
+fn total_cycles(summary: &BackendRunSummary) -> u64 {
+    u64::try_from(summary.total_cost).unwrap_or(u64::MAX)
 }
 
 /// Runs a workload on any execution backend, selected by value — the
@@ -265,10 +217,8 @@ impl SweepMode {
 /// id, and the wall time the whole preparation took — workload
 /// construction, IR build, loop analysis, Spice transform, decode and
 /// image. The farm shares one `SweepPrep` across jobs through
-/// `spice_farm::PreparedCache`; a serial run builds it inline and uses it
-/// once. Either way [`run_prepared_sweep`] produces the same simulated
-/// numbers, which is what keeps farm artifacts byte-identical to serial
-/// ones.
+/// `spice_farm::PreparedCache`; a direct caller builds it inline. Either
+/// way [`run_prepared_sweep`] produces the same simulated numbers.
 #[derive(Debug, Clone)]
 pub struct SweepPrep {
     /// The shared immutable program state.
@@ -280,10 +230,12 @@ pub struct SweepPrep {
 }
 
 /// Builds the preparation for one `(benchmark, mode)` cell. `tiny` selects
-/// the reduced test machine (used by the Table 2 conflict probes when
-/// `--small`); the Figure 7 / harness sweep always simulates the Table 1
-/// machine. `granularity_log2` coarsens the conflict sets (0 = exact
-/// words) and is only meaningful for Spice modes.
+/// the reduced test machine instead of the Table 1 machine; the farm passes
+/// its manifest's `small` here for every cell — sweep and Table 2 probes
+/// alike — so a `--small` run shrinks the inputs *and* simulates the tiny
+/// machine, and only a full-size run simulates Table 1.
+/// `granularity_log2` coarsens the conflict sets (0 = exact words) and is
+/// only meaningful for Spice modes.
 ///
 /// # Errors
 ///
@@ -362,17 +314,9 @@ pub struct SweepRun {
     pub cycles: u64,
     /// Host wall nanoseconds spent simulating (init + invocations).
     pub sim_nanos: u128,
-    /// Fraction of invocations with at least one squashed worker (0 for
-    /// sequential runs).
-    pub misspeculation_rate: f64,
-    /// Mean coefficient of variation of per-core work (0 for sequential).
-    pub load_imbalance: f64,
-    /// Invocations executed.
-    pub invocations: usize,
-    /// Dependence-violation squashes taken and recovered.
-    pub dependence_violations: usize,
-    /// The full backend summary, per-invocation return values included
-    /// (always present; the sequential baseline reports one too).
+    /// The full backend summary — misspeculation, imbalance, violations,
+    /// per-invocation return values. Always present (the sequential
+    /// baseline reports one too).
     pub summary: Option<BackendRunSummary>,
 }
 
@@ -395,12 +339,8 @@ pub fn drive_prepared_sweep(
     let mut backend = SimBackend::from_prepared(&prep.prepared);
     arm(&mut backend);
     let run = drive_loaded_workload(wl.as_mut(), &mut backend).map(|summary| SweepRun {
-        cycles: u64::try_from(summary.total_cost).unwrap_or(u64::MAX),
+        cycles: total_cycles(&summary),
         sim_nanos: started.elapsed().as_nanos(),
-        misspeculation_rate: summary.misspeculation_rate(),
-        load_imbalance: summary.load_imbalance(),
-        invocations: summary.invocations,
-        dependence_violations: summary.dependence_violations,
         summary: Some(summary),
     });
     (backend, run)
@@ -496,33 +436,23 @@ pub fn capture_crosscheck_divergence(
     label: &str,
     error: &str,
 ) -> FailureCapture {
-    let mut capture = FailureCapture {
+    // The re-runs' own outcomes are dropped: only their traces matter.
+    let traced_run = |backend: &mut dyn ExecutionBackend| {
+        backend.enable_trace(DEFAULT_TRACE_CAPACITY);
+        let _ = run_workload_on(factory().as_mut(), backend);
+        recorded_events(backend)
+    };
+    let mut sim = SimBackend::tiny(threads);
+    let events = traced_run(&mut sim);
+    let mut native = make_backend_with(BackendChoice::Native, threads, PredictorOptions::default());
+    FailureCapture {
         label: label.to_string(),
         error: error.to_string(),
-        events: Vec::new(),
-        native_events: Vec::new(),
-        state_dump: None,
+        events,
+        native_events: traced_run(native.as_mut()),
+        state_dump: sim.machine().map(Machine::state_dump),
         snapshot_cycles: Vec::new(),
-    };
-    {
-        let mut backend = SimBackend::tiny(threads);
-        backend.enable_trace(DEFAULT_TRACE_CAPACITY);
-        let mut wl = factory();
-        let _ = run_workload_on(wl.as_mut(), &mut backend);
-        capture.events = recorded_events(&backend);
-        if let Some(machine) = backend.machine() {
-            capture.state_dump = Some(machine.state_dump());
-        }
     }
-    {
-        let mut backend =
-            make_backend_with(BackendChoice::Native, threads, PredictorOptions::default());
-        backend.enable_trace(DEFAULT_TRACE_CAPACITY);
-        let mut wl = factory();
-        let _ = run_workload_on(wl.as_mut(), backend.as_mut());
-        capture.native_events = recorded_events(backend.as_ref());
-    }
-    capture
 }
 
 /// Renders a [`FailureCapture`] as a validated JSON artifact.
@@ -545,8 +475,7 @@ pub fn failure_capture_json(c: &FailureCapture) -> String {
 }
 
 /// Assembles a [`Fig7Row`] from a benchmark's sequential cycles and one of
-/// its Spice sweep runs — the one row constructor both the serial `fig7`
-/// path and the farm sink use.
+/// its Spice sweep runs.
 #[must_use]
 pub fn fig7_row_from_sweep(
     benchmark: &str,
@@ -554,20 +483,20 @@ pub fn fig7_row_from_sweep(
     sequential_cycles: u64,
     run: &SweepRun,
 ) -> Fig7Row {
+    let summary = run.summary.as_ref();
     Fig7Row {
         benchmark: benchmark.to_string(),
         threads,
         sequential_cycles,
         spice_cycles: run.cycles,
         speedup: sequential_cycles as f64 / run.cycles as f64,
-        misspeculation_rate: run.misspeculation_rate,
-        load_imbalance: run.load_imbalance,
-        dependence_violations: run.dependence_violations,
+        misspeculation_rate: summary.map_or(0.0, BackendRunSummary::misspeculation_rate),
+        load_imbalance: summary.map_or(0.0, BackendRunSummary::load_imbalance),
+        dependence_violations: summary.map_or(0, |s| s.dependence_violations),
     }
 }
 
-/// Assembles a [`HarnessPerfRow`] from one sweep cell — again shared
-/// between the serial `harnessperf` path and the farm sink.
+/// Assembles a [`HarnessPerfRow`] from one sweep cell.
 #[must_use]
 pub fn harness_row_from_sweep(
     benchmark: &str,
@@ -583,6 +512,78 @@ pub fn harness_row_from_sweep(
         host_nanos: run.sim_nanos,
     }
 }
+
+/// How one figure's rows become its artifact and its text table — the one
+/// description of a figure's output. The farm's streaming sink, the
+/// composed documents ([`rows_json`]) and the `farm` binary's printout are
+/// generic over it, so the header, row, footer and table that belong to a
+/// figure are named here and nowhere else (the artifact's file name lives
+/// on [`Figure`]). Names are escaped and floats finite-checked through
+/// [`crate::json`], so a degenerate run yields `null` metrics instead of an
+/// unparseable artifact.
+pub trait FigureRows: Sized {
+    /// The figure these rows belong to.
+    const FIGURE: Figure;
+
+    /// Opening of the artifact, up to and including the `"rows": [` line —
+    /// what a streaming writer emits before any job has retired.
+    fn header(small: bool) -> String;
+
+    /// One row of the artifact (no separator, no trailing newline): the
+    /// unit a streaming writer appends as the corresponding job retires.
+    fn row(&self) -> String;
+
+    /// Closing of the artifact: ends the rows array and appends the
+    /// aggregates that are only known once every row is in.
+    fn footer(rows: &[Self]) -> String;
+
+    /// The text table the `farm` binary prints.
+    fn table(rows: &[Self]) -> String;
+}
+
+/// Composes rows into their figure's full artifact document —
+/// byte-identical to what the farm streams row by row.
+#[must_use]
+pub fn rows_json<R: FigureRows>(rows: &[R], small: bool) -> String {
+    crate::json::rows_document(&R::header(small), rows.iter().map(R::row), &R::footer(rows))
+}
+
+/// `BENCH_fig7.json` for `rows`: [`rows_json`] under the artifact's name.
+/// These five named composers are the entry points consumers outside the
+/// workspace (`benchmark/`) and the composer-vs-stream determinism test
+/// call; the farm itself goes through the generic.
+#[must_use]
+pub fn fig7_json(rows: &[Fig7Row], small: bool) -> String {
+    rows_json(rows, small)
+}
+
+/// `BENCH_harness.json` for `rows`.
+#[must_use]
+pub fn harnessperf_json(rows: &[HarnessPerfRow], small: bool) -> String {
+    rows_json(rows, small)
+}
+
+/// `BENCH_table2.json` for `rows`.
+#[must_use]
+pub fn table2_json(rows: &[Table2Row], small: bool) -> String {
+    rows_json(rows, small)
+}
+
+/// `BENCH_fig8.json` for `bars`.
+#[must_use]
+pub fn fig8_json(bars: &[Fig8Bar], small: bool) -> String {
+    rows_json(bars, small)
+}
+
+/// `BENCH_crosscheck.json` for `rows` (no `small` field: the cross-check
+/// always runs the small configurations).
+#[must_use]
+pub fn crosscheck_json(rows: &[CrosscheckRow]) -> String {
+    rows_json(rows, true)
+}
+
+/// Thread count of the cross-check jobs, on both backends.
+pub const CROSSCHECK_THREADS: usize = 4;
 
 /// One row of the backend cross-check: the same workload driven over the
 /// timing simulator and the native-thread runtime through the same call
@@ -601,23 +602,6 @@ pub struct CrosscheckRow {
     pub agree: bool,
 }
 
-/// Cross-checks the paper's four benchmark loops *and* the conflict-carrying
-/// pair between the simulator and the native-thread backend: every
-/// invocation of every workload must compute the same result on both
-/// substrates — for the conflict workloads that only holds because both
-/// backends' dependence-violation squashes recover correctly.
-///
-/// # Errors
-///
-/// Returns the first execution failure on either backend.
-pub fn crosscheck(threads: usize) -> Result<Vec<CrosscheckRow>, String> {
-    let mut rows = Vec::new();
-    for (name, factory) in all_workload_factories(true) {
-        rows.push(crosscheck_workload(name, &factory, threads)?);
-    }
-    Ok(rows)
-}
-
 /// Cross-checks one workload between the tiny-machine simulator and the
 /// native-thread backend — the per-benchmark unit the farm schedules as a
 /// first-class job ([`crate::farm_driver::Figure::Crosscheck`]).
@@ -633,20 +617,16 @@ pub fn crosscheck_workload(
     factory: &WorkloadFactory,
     threads: usize,
 ) -> Result<CrosscheckRow, String> {
-    let mut sim_wl = factory();
-    let sim = run_workload_backend(
-        sim_wl.as_mut(),
-        BackendChoice::SimTiny,
-        threads,
-        PredictorOptions::default(),
-    )?;
-    let mut native_wl = factory();
-    let native = run_workload_backend(
-        native_wl.as_mut(),
-        BackendChoice::Native,
-        threads,
-        PredictorOptions::default(),
-    )?;
+    let run = |choice| {
+        run_workload_backend(
+            factory().as_mut(),
+            choice,
+            threads,
+            PredictorOptions::default(),
+        )
+    };
+    let sim = run(BackendChoice::SimTiny)?;
+    let native = run(BackendChoice::Native)?;
     let agree = sim.return_values == native.return_values;
     Ok(CrosscheckRow {
         benchmark: name.to_string(),
@@ -657,77 +637,61 @@ pub fn crosscheck_workload(
     })
 }
 
-/// Renders the cross-check result table (the `crosscheck` binary's stdout
-/// body, shared with the farm's figure printout).
-#[must_use]
-pub fn format_crosscheck(rows: &[CrosscheckRow]) -> String {
-    let mut s = String::new();
-    let threads = rows.first().map_or(4, |r| r.threads);
-    s.push_str(&format!(
-        "sim ↔ native cross-check ({threads} threads, small configs)\n"
-    ));
-    s.push_str("benchmark    invocations  sim raw-squash  native raw-squash  agree\n");
-    for r in rows {
-        s.push_str(&format!(
-            "{:<12} {:>11}  {:>14}  {:>17}  {}\n",
-            r.benchmark,
-            r.sim.invocations,
-            r.sim.dependence_violations,
-            r.native.dependence_violations,
-            if r.agree { "yes" } else { "NO" }
-        ));
+impl FigureRows for CrosscheckRow {
+    const FIGURE: Figure = Figure::Crosscheck;
+
+    /// Cross-check always runs the small configurations, so `small` does
+    /// not appear in its artifact.
+    fn header(_small: bool) -> String {
+        format!(
+            "{{\n  \"figure\": \"crosscheck\",\n  \"threads\": {CROSSCHECK_THREADS},\n  \"rows\": [\n"
+        )
     }
-    s
-}
 
-/// Opening of the `BENCH_crosscheck.json` document, up to `"rows": [`.
-#[must_use]
-pub fn crosscheck_json_header(threads: usize) -> String {
-    format!("{{\n  \"figure\": \"crosscheck\",\n  \"threads\": {threads},\n  \"rows\": [\n")
-}
+    fn row(&self) -> String {
+        format!(
+            "    {{\"benchmark\": {}, \"threads\": {}, \"agree\": {}, \
+             \"invocations_sim\": {}, \"invocations_native\": {}, \
+             \"sim_committed\": {}, \"native_committed\": {}, \
+             \"sim_squashed\": {}, \"native_squashed\": {}, \
+             \"sim_violations\": {}, \"native_violations\": {}}}",
+            crate::json::string(&self.benchmark),
+            self.threads,
+            self.agree,
+            self.sim.invocations,
+            self.native.invocations,
+            self.sim.committed_chunks,
+            self.native.committed_chunks,
+            self.sim.squashed_chunks,
+            self.native.squashed_chunks,
+            self.sim.dependence_violations,
+            self.native.dependence_violations
+        )
+    }
 
-/// One row of the cross-check artifact (no separator, no trailing newline).
-#[must_use]
-pub fn crosscheck_json_row(r: &CrosscheckRow) -> String {
-    format!(
-        "    {{\"benchmark\": {}, \"threads\": {}, \"agree\": {}, \
-         \"invocations_sim\": {}, \"invocations_native\": {}, \
-         \"sim_committed\": {}, \"native_committed\": {}, \
-         \"sim_squashed\": {}, \"native_squashed\": {}, \
-         \"sim_violations\": {}, \"native_violations\": {}}}",
-        crate::json::string(&r.benchmark),
-        r.threads,
-        r.agree,
-        r.sim.invocations,
-        r.native.invocations,
-        r.sim.committed_chunks,
-        r.native.committed_chunks,
-        r.sim.squashed_chunks,
-        r.native.squashed_chunks,
-        r.sim.dependence_violations,
-        r.native.dependence_violations
-    )
-}
+    fn footer(rows: &[Self]) -> String {
+        format!(
+            "\n  ],\n  \"all_agree\": {}\n}}\n",
+            rows.iter().all(|r| r.agree)
+        )
+    }
 
-/// Closing of the cross-check artifact, including the aggregate verdict.
-#[must_use]
-pub fn crosscheck_json_footer(rows: &[CrosscheckRow]) -> String {
-    format!(
-        "\n  ],\n  \"all_agree\": {}\n}}\n",
-        rows.iter().all(|r| r.agree)
-    )
-}
-
-/// Renders cross-check rows as the full `BENCH_crosscheck.json` document —
-/// the serial composition of header, rows and footer, byte-identical to
-/// what the farm streams.
-#[must_use]
-pub fn crosscheck_json(rows: &[CrosscheckRow]) -> String {
-    crate::json::rows_document(
-        &crosscheck_json_header(rows.first().map_or(4, |r| r.threads)),
-        rows.iter().map(crosscheck_json_row),
-        &crosscheck_json_footer(rows),
-    )
+    fn table(rows: &[Self]) -> String {
+        let mut s =
+            format!("sim ↔ native cross-check ({CROSSCHECK_THREADS} threads, small configs)\n");
+        s.push_str("benchmark    invocations  sim raw-squash  native raw-squash  agree\n");
+        for r in rows {
+            s.push_str(&format!(
+                "{:<12} {:>11}  {:>14}  {:>17}  {}\n",
+                r.benchmark,
+                r.sim.invocations,
+                r.sim.dependence_violations,
+                r.native.dependence_violations,
+                if r.agree { "yes" } else { "NO" }
+            ));
+        }
+        s
+    }
 }
 
 /// One row of the Figure 7 reproduction.
@@ -752,28 +716,6 @@ pub struct Fig7Row {
     pub dependence_violations: usize,
 }
 
-/// Reproduces Figure 7: loop speedups of the four benchmarks — plus the
-/// conflict-carrying pair, whose rows document the *cost* of dependence
-/// recovery rather than a speedup — with 2 and 4 threads, and the per-loop
-/// diagnostics discussed in §5.
-///
-/// # Errors
-///
-/// Returns the first failure encountered.
-pub fn fig7(small: bool) -> Result<Vec<Fig7Row>, String> {
-    let mut rows = Vec::new();
-    for (name, factory) in all_workload_factories(small) {
-        let seq_prep = prepare_sweep(&factory, SweepMode::Sequential, false, 0)?;
-        let sequential_cycles = run_prepared_sweep(&factory, &seq_prep)?.cycles;
-        for &threads in &[2usize, 4] {
-            let prep = prepare_sweep(&factory, SweepMode::Spice { threads }, false, 0)?;
-            let run = run_prepared_sweep(&factory, &prep)?;
-            rows.push(fig7_row_from_sweep(name, threads, sequential_cycles, &run));
-        }
-    }
-    Ok(rows)
-}
-
 /// The four benchmarks of the paper's Figure 7 (the conflict-carrying extras
 /// are excluded from the figure's headline geomean, which reproduces the
 /// paper's number).
@@ -791,89 +733,63 @@ pub fn fig7_geomean(rows: &[Fig7Row], threads: usize) -> f64 {
     spice_sim::geomean(&v)
 }
 
-/// Opening of the `BENCH_fig7.json` document, up to and including the
-/// `"rows": [` line. A streaming writer emits this before any job has
-/// retired; the aggregate lines (geomeans) live in the
-/// [footer](fig7_json_footer) because they are only known once every row is
-/// in.
-#[must_use]
-pub fn fig7_json_header(small: bool) -> String {
-    format!("{{\n  \"figure\": \"fig7\",\n  \"small\": {small},\n  \"rows\": [\n")
-}
+impl FigureRows for Fig7Row {
+    const FIGURE: Figure = Figure::Fig7;
 
-/// One row of the Figure 7 artifact (no separator, no trailing newline):
-/// the unit a streaming writer appends as the corresponding job retires.
-/// Workload names are escaped and every float finite-checked through
-/// [`crate::json`], so a degenerate run yields `null` metrics instead of an
-/// unparseable artifact.
-#[must_use]
-pub fn fig7_json_row(r: &Fig7Row) -> String {
-    format!(
-        "    {{\"benchmark\": {}, \"threads\": {}, \"sequential_cycles\": {}, \
-         \"spice_cycles\": {}, \"speedup\": {}, \"misspeculation_rate\": {}, \
-         \"load_imbalance\": {}, \"dependence_violations\": {}}}",
-        crate::json::string(&r.benchmark),
-        r.threads,
-        r.sequential_cycles,
-        r.spice_cycles,
-        crate::json::float(r.speedup),
-        crate::json::float(r.misspeculation_rate),
-        crate::json::float(r.load_imbalance),
-        r.dependence_violations
-    )
-}
-
-/// Closing of the Figure 7 artifact: ends the rows array and appends the
-/// geomean summary computed over all rows.
-#[must_use]
-pub fn fig7_json_footer(rows: &[Fig7Row]) -> String {
-    format!(
-        "\n  ],\n  \"geomean_speedup_2t\": {},\n  \"geomean_speedup_4t\": {}\n}}\n",
-        crate::json::float(fig7_geomean(rows, 2)),
-        crate::json::float(fig7_geomean(rows, 4))
-    )
-}
-
-/// Renders Figure 7 rows as the `BENCH_fig7.json` document — the serial
-/// composition of [`fig7_json_header`], [`fig7_json_row`] and
-/// [`fig7_json_footer`], so a farm run streaming rows one at a time
-/// produces byte-identical output.
-#[must_use]
-pub fn fig7_json(rows: &[Fig7Row], small: bool) -> String {
-    crate::json::rows_document(
-        &fig7_json_header(small),
-        rows.iter().map(fig7_json_row),
-        &fig7_json_footer(rows),
-    )
-}
-
-/// Renders Figure 7 rows as a text table.
-#[must_use]
-pub fn format_fig7(rows: &[Fig7Row]) -> String {
-    let mut s = String::new();
-    s.push_str("Figure 7 — loop speedup over single-threaded execution\n");
-    s.push_str(
-        "benchmark    threads  seq cycles     spice cycles   speedup  misspec  imbalance  raw-squash\n",
-    );
-    for r in rows {
-        s.push_str(&format!(
-            "{:<12} {:>7}  {:>12}  {:>13}  {:>6.2}x  {:>6.1}%  {:>8.3}  {:>9}\n",
-            r.benchmark,
-            r.threads,
-            r.sequential_cycles,
-            r.spice_cycles,
-            r.speedup,
-            r.misspeculation_rate * 100.0,
-            r.load_imbalance,
-            r.dependence_violations
-        ));
+    fn header(small: bool) -> String {
+        format!("{{\n  \"figure\": \"fig7\",\n  \"small\": {small},\n  \"rows\": [\n")
     }
-    s.push_str(&format!(
-        "GeoMean over the paper loops (2 threads): {:.2}x   (4 threads): {:.2}x\n",
-        fig7_geomean(rows, 2),
-        fig7_geomean(rows, 4)
-    ));
-    s
+
+    fn row(&self) -> String {
+        format!(
+            "    {{\"benchmark\": {}, \"threads\": {}, \"sequential_cycles\": {}, \
+             \"spice_cycles\": {}, \"speedup\": {}, \"misspeculation_rate\": {}, \
+             \"load_imbalance\": {}, \"dependence_violations\": {}}}",
+            crate::json::string(&self.benchmark),
+            self.threads,
+            self.sequential_cycles,
+            self.spice_cycles,
+            crate::json::float(self.speedup),
+            crate::json::float(self.misspeculation_rate),
+            crate::json::float(self.load_imbalance),
+            self.dependence_violations
+        )
+    }
+
+    fn footer(rows: &[Self]) -> String {
+        format!(
+            "\n  ],\n  \"geomean_speedup_2t\": {},\n  \"geomean_speedup_4t\": {}\n}}\n",
+            crate::json::float(fig7_geomean(rows, 2)),
+            crate::json::float(fig7_geomean(rows, 4))
+        )
+    }
+
+    fn table(rows: &[Self]) -> String {
+        let mut s = String::new();
+        s.push_str("Figure 7 — loop speedup over single-threaded execution\n");
+        s.push_str(
+            "benchmark    threads  seq cycles     spice cycles   speedup  misspec  imbalance  raw-squash\n",
+        );
+        for r in rows {
+            s.push_str(&format!(
+                "{:<12} {:>7}  {:>12}  {:>13}  {:>6.2}x  {:>6.1}%  {:>8.3}  {:>9}\n",
+                r.benchmark,
+                r.threads,
+                r.sequential_cycles,
+                r.spice_cycles,
+                r.speedup,
+                r.misspeculation_rate * 100.0,
+                r.load_imbalance,
+                r.dependence_violations
+            ));
+        }
+        s.push_str(&format!(
+            "GeoMean over the paper loops (2 threads): {:.2}x   (4 threads): {:.2}x\n",
+            fig7_geomean(rows, 2),
+            fig7_geomean(rows, 4)
+        ));
+        s
+    }
 }
 
 /// Reproduces Table 1: the machine model.
@@ -884,7 +800,10 @@ pub fn table1() -> Vec<(String, String)> {
 
 /// One timed harness run: a workload in one execution mode, with the host
 /// time it took — split into one-time preparation and per-cycle simulation
-/// — and the simulated cycles it covered.
+/// — and the simulated cycles it covered. The harness figure is the
+/// Figure 7 sweep read for host seconds instead of simulated cycles (the
+/// farm derives both from one job set), so harness-speed regressions become
+/// visible trajectory data in `BENCH_harness.json`.
 #[derive(Debug, Clone)]
 pub struct HarnessPerfRow {
     /// Benchmark name.
@@ -918,31 +837,6 @@ impl HarnessPerfRow {
     }
 }
 
-/// Measures harness speed over the Figure 7 suite: every workload runs
-/// sequentially and under Spice (2 and 4 threads) with host wall-clock and
-/// simulated-cycle totals recorded per run. This is the same work `fig7`
-/// performs — the *simulated* numbers are identical by construction — but
-/// the deliverable is host seconds, so harness-speed regressions become
-/// visible trajectory data in `BENCH_harness.json`. Preparation time
-/// (decode, transform) is recorded per row in `build_nanos`, separate from
-/// the simulate time `host_nanos`, so the ns-per-cycle rate tracks
-/// dispatch cost alone.
-///
-/// # Errors
-///
-/// Returns the first failure encountered.
-pub fn harnessperf(small: bool) -> Result<Vec<HarnessPerfRow>, String> {
-    let mut rows = Vec::new();
-    for (name, factory) in all_workload_factories(small) {
-        for mode in SweepMode::ALL {
-            let prep = prepare_sweep(&factory, mode, false, 0)?;
-            let run = run_prepared_sweep(&factory, &prep)?;
-            rows.push(harness_row_from_sweep(name, mode, prep.build_nanos, &run));
-        }
-    }
-    Ok(rows)
-}
-
 /// Total simulate-time host seconds of a harness-perf run.
 #[must_use]
 pub fn harness_total_seconds(rows: &[HarnessPerfRow]) -> f64 {
@@ -968,8 +862,8 @@ pub fn harness_ns_per_cycle(rows: &[HarnessPerfRow]) -> f64 {
     }
 }
 
-/// The pre-PR harness speed, measured with this same `harnessperf` binary
-/// compiled against the tree as of commit `b8fd225` (the last commit before
+/// The pre-PR harness speed, measured with the harness figure compiled
+/// against the tree as of commit `b8fd225` (the last commit before
 /// the event-driven core and pre-decoded dispatch landed), on the same host,
 /// full-size suite. Kept here so the committed `BENCH_harness.json` shows
 /// the before/after pair that motivated the rework; update it only when the
@@ -978,95 +872,77 @@ pub const PRE_PR_TOTAL_HOST_SECONDS: f64 = 1.727;
 /// See [`PRE_PR_TOTAL_HOST_SECONDS`].
 pub const PRE_PR_NS_PER_CYCLE: f64 = 85.3;
 
-/// Opening of the `BENCH_harness.json` document: the run-independent
-/// constants (pre-PR baseline) and the start of the rows array. Aggregates
-/// live in the [footer](harnessperf_json_footer).
-#[must_use]
-pub fn harnessperf_json_header(small: bool) -> String {
-    format!(
-        "{{\n  \"figure\": \"harness\",\n  \"small\": {small},\n  \
-         \"pre_pr_total_host_seconds\": {},\n  \
-         \"pre_pr_ns_per_simulated_cycle\": {},\n  \"rows\": [\n",
-        crate::json::float(PRE_PR_TOTAL_HOST_SECONDS),
-        crate::json::float(PRE_PR_NS_PER_CYCLE)
-    )
-}
+impl FigureRows for HarnessPerfRow {
+    const FIGURE: Figure = Figure::Harness;
 
-/// One row of the harness artifact (no separator, no trailing newline).
-#[must_use]
-pub fn harnessperf_json_row(r: &HarnessPerfRow) -> String {
-    format!(
-        "    {{\"benchmark\": {}, \"mode\": {}, \"simulated_cycles\": {}, \
-         \"build_nanos\": {}, \"host_nanos\": {}, \"ns_per_cycle\": {}}}",
-        crate::json::string(&r.benchmark),
-        crate::json::string(&r.mode),
-        r.simulated_cycles,
-        r.build_nanos,
-        r.host_nanos,
-        crate::json::float(r.ns_per_cycle())
-    )
-}
-
-/// Closing of the harness artifact: ends the rows array and appends the
-/// totals computed over all rows. `ns_per_simulated_cycle` measures
-/// simulation dispatch only; the one-time preparation cost is the separate
-/// `total_build_seconds`.
-#[must_use]
-pub fn harnessperf_json_footer(rows: &[HarnessPerfRow]) -> String {
-    format!(
-        "\n  ],\n  \"speedup_vs_pre_pr\": {},\n  \"total_host_seconds\": {},\n  \
-         \"total_build_seconds\": {},\n  \"total_simulated_cycles\": {},\n  \
-         \"ns_per_simulated_cycle\": {}\n}}\n",
-        crate::json::float(PRE_PR_NS_PER_CYCLE / harness_ns_per_cycle(rows)),
-        crate::json::float(harness_total_seconds(rows)),
-        crate::json::float(harness_build_seconds(rows)),
-        rows.iter().map(|r| r.simulated_cycles).sum::<u64>(),
-        crate::json::float(harness_ns_per_cycle(rows))
-    )
-}
-
-/// Renders harness-perf rows as the `BENCH_harness.json` document through
-/// [`crate::json`] (names escaped, non-finite metrics → `null`) — the
-/// serial composition of the streaming header/row/footer pieces.
-#[must_use]
-pub fn harnessperf_json(rows: &[HarnessPerfRow], small: bool) -> String {
-    crate::json::rows_document(
-        &harnessperf_json_header(small),
-        rows.iter().map(harnessperf_json_row),
-        &harnessperf_json_footer(rows),
-    )
-}
-
-/// Renders harness-perf rows as a text table.
-#[must_use]
-pub fn format_harnessperf(rows: &[HarnessPerfRow]) -> String {
-    let mut s = String::new();
-    s.push_str("Harness performance — host cost per simulated cycle\n");
-    s.push_str("benchmark    mode        sim cycles   build ms    sim ms   ns/cycle\n");
-    for r in rows {
-        s.push_str(&format!(
-            "{:<12} {:<10} {:>12}  {:>9.2} {:>9.2}  {:>9.1}\n",
-            r.benchmark,
-            r.mode,
-            r.simulated_cycles,
-            r.build_nanos as f64 / 1e6,
-            r.host_nanos as f64 / 1e6,
-            r.ns_per_cycle()
-        ));
+    /// Carries the run-independent constants (the pre-PR baseline).
+    fn header(small: bool) -> String {
+        format!(
+            "{{\n  \"figure\": \"harness\",\n  \"small\": {small},\n  \
+             \"pre_pr_total_host_seconds\": {},\n  \
+             \"pre_pr_ns_per_simulated_cycle\": {},\n  \"rows\": [\n",
+            crate::json::float(PRE_PR_TOTAL_HOST_SECONDS),
+            crate::json::float(PRE_PR_NS_PER_CYCLE)
+        )
     }
-    s.push_str(&format!(
-        "TOTAL: {:.3} host seconds simulating (+{:.3} s one-time preparation), \
-         {:.1} ns per simulated cycle\n",
-        harness_total_seconds(rows),
-        harness_build_seconds(rows),
-        harness_ns_per_cycle(rows)
-    ));
-    s.push_str(&format!(
-        "vs pre-PR baseline ({PRE_PR_NS_PER_CYCLE:.1} ns/cycle, \
-         {PRE_PR_TOTAL_HOST_SECONDS:.3} s full-size): {:.2}x\n",
-        PRE_PR_NS_PER_CYCLE / harness_ns_per_cycle(rows)
-    ));
-    s
+
+    fn row(&self) -> String {
+        format!(
+            "    {{\"benchmark\": {}, \"mode\": {}, \"simulated_cycles\": {}, \
+             \"build_nanos\": {}, \"host_nanos\": {}, \"ns_per_cycle\": {}}}",
+            crate::json::string(&self.benchmark),
+            crate::json::string(&self.mode),
+            self.simulated_cycles,
+            self.build_nanos,
+            self.host_nanos,
+            crate::json::float(self.ns_per_cycle())
+        )
+    }
+
+    /// `ns_per_simulated_cycle` measures simulation dispatch only; the
+    /// one-time preparation cost is the separate `total_build_seconds`.
+    fn footer(rows: &[Self]) -> String {
+        format!(
+            "\n  ],\n  \"speedup_vs_pre_pr\": {},\n  \"total_host_seconds\": {},\n  \
+             \"total_build_seconds\": {},\n  \"total_simulated_cycles\": {},\n  \
+             \"ns_per_simulated_cycle\": {}\n}}\n",
+            crate::json::float(PRE_PR_NS_PER_CYCLE / harness_ns_per_cycle(rows)),
+            crate::json::float(harness_total_seconds(rows)),
+            crate::json::float(harness_build_seconds(rows)),
+            rows.iter().map(|r| r.simulated_cycles).sum::<u64>(),
+            crate::json::float(harness_ns_per_cycle(rows))
+        )
+    }
+
+    fn table(rows: &[Self]) -> String {
+        let mut s = String::new();
+        s.push_str("Harness performance — host cost per simulated cycle\n");
+        s.push_str("benchmark    mode        sim cycles   build ms    sim ms   ns/cycle\n");
+        for r in rows {
+            s.push_str(&format!(
+                "{:<12} {:<10} {:>12}  {:>9.2} {:>9.2}  {:>9.1}\n",
+                r.benchmark,
+                r.mode,
+                r.simulated_cycles,
+                r.build_nanos as f64 / 1e6,
+                r.host_nanos as f64 / 1e6,
+                r.ns_per_cycle()
+            ));
+        }
+        s.push_str(&format!(
+            "TOTAL: {:.3} host seconds simulating (+{:.3} s one-time preparation), \
+             {:.1} ns per simulated cycle\n",
+            harness_total_seconds(rows),
+            harness_build_seconds(rows),
+            harness_ns_per_cycle(rows)
+        ));
+        s.push_str(&format!(
+            "vs pre-PR baseline ({PRE_PR_NS_PER_CYCLE:.1} ns/cycle, \
+             {PRE_PR_TOTAL_HOST_SECONDS:.3} s full-size): {:.2}x\n",
+            PRE_PR_NS_PER_CYCLE / harness_ns_per_cycle(rows)
+        ));
+        s
+    }
 }
 
 /// One row of the Table 2 reproduction.
@@ -1121,35 +997,16 @@ impl Table2Row {
 /// 8 words (2^3) per grain.
 pub const LINE_GRANULARITY_LOG2: u8 = 3;
 
-/// Dependence violations of a 4-thread Spice run of a fresh workload
-/// instance at the given conflict-set granularity (the reduced test machine
-/// when `small`) — the Table 2 conflict-precision probe, also dispatched as
-/// a standalone farm job. At word granularity and full size the probe's
-/// preparation is identical to the Figure 7 four-thread run's, so a farm
-/// sweep shares one decode between them.
-///
-/// # Errors
-///
-/// Returns the first simulation failure.
-pub fn table2_probe(
-    factory: &WorkloadFactory,
-    small: bool,
-    granularity_log2: u8,
-) -> Result<usize, String> {
-    let prep = prepare_sweep(
-        factory,
-        SweepMode::Spice { threads: 4 },
-        small,
-        granularity_log2,
-    )?;
-    Ok(run_prepared_sweep(factory, &prep)?.dependence_violations)
-}
-
 /// The profiling portion of one Table 2 row: loop-instruction counts plus
 /// whole-program cycle attribution, with the conflict-probe columns left
 /// `None`. The farm runs this as one job per benchmark and fills the probe
-/// columns from separate probe jobs; the serial [`table2`] does both
-/// inline.
+/// columns from separate probe jobs (4-thread Spice runs at word and at
+/// [`LINE_GRANULARITY_LOG2`] conflict granularity; at full size the
+/// word-granular probe's preparation is the Figure 7 four-thread run's, so
+/// the two share one decode). `paper_hotness` quotes the paper for
+/// comparison; `measured_hotness` comes from
+/// [`spice_profiler::measure_cycle_hotness`] on a one-core machine — the
+/// reduced test machine for `small`, the Table 1 machine otherwise.
 ///
 /// # Errors
 ///
@@ -1189,126 +1046,87 @@ pub fn table2_hotness_row(factory: &WorkloadFactory, small: bool) -> Result<Tabl
     })
 }
 
-/// Reproduces Table 2: benchmark details. The `paper_hotness` column quotes
-/// the paper for comparison; `measured_hotness` comes from profiler cycle
-/// attribution over the whole program
-/// ([`spice_profiler::measure_cycle_hotness`] on a one-core machine — the
-/// reduced test machine for `small`, the Table 1 machine otherwise).
-///
-/// # Errors
-///
-/// Returns the first failure encountered.
-pub fn table2(small: bool) -> Result<Vec<Table2Row>, String> {
-    let mut rows = Vec::new();
-    for (_, factory) in all_workload_factories(small) {
-        let mut row = table2_hotness_row(&factory, small)?;
-        // Conflict-precision probe (the satellite column): the same loop
-        // under 4-thread Spice at word vs 64-byte-line conflict granularity.
-        if factory().conflict_policy().detects() {
-            row.word_violations = Some(table2_probe(&factory, small, 0)?);
-            row.line_violations = Some(table2_probe(&factory, small, LINE_GRANULARITY_LOG2)?);
-        }
-        rows.push(row);
+impl FigureRows for Table2Row {
+    const FIGURE: Figure = Figure::Table2;
+
+    /// Every value in this artifact is a deterministic count or fraction
+    /// (no host timings), so a farm run at any `--jobs` produces the
+    /// identical bytes.
+    fn header(small: bool) -> String {
+        format!(
+            "{{\n  \"figure\": \"table2\",\n  \"small\": {small},\n  \
+             \"line_granularity_log2\": {LINE_GRANULARITY_LOG2},\n  \"rows\": [\n"
+        )
     }
-    Ok(rows)
-}
 
-/// Opening of the `BENCH_table2.json` document. Every value in this
-/// artifact is a deterministic count or fraction (no host timings), so a
-/// farm run at any `--jobs` produces the identical bytes.
-#[must_use]
-pub fn table2_json_header(small: bool) -> String {
-    format!(
-        "{{\n  \"figure\": \"table2\",\n  \"small\": {small},\n  \
-         \"line_granularity_log2\": {LINE_GRANULARITY_LOG2},\n  \"rows\": [\n"
-    )
-}
+    fn row(&self) -> String {
+        format!(
+            "    {{\"benchmark\": {}, \"loop\": {}, \"paper_hotness\": {}, \
+             \"measured_hotness\": {}, \"loop_instructions\": {}, \
+             \"kernel_fraction\": {}, \"word_violations\": {}, \
+             \"line_violations\": {}, \"false_conflict_rate\": {}}}",
+            crate::json::string(&self.benchmark),
+            crate::json::string(&self.loop_name),
+            crate::json::float(self.paper_hotness),
+            crate::json::float(self.measured_hotness),
+            self.measured_loop_instructions,
+            crate::json::float(self.measured_kernel_fraction),
+            crate::json::optional(self.word_violations),
+            crate::json::optional(self.line_violations),
+            self.false_conflict_rate()
+                .map_or_else(|| "null".to_string(), crate::json::float)
+        )
+    }
 
-/// One row of the Table 2 artifact (no separator, no trailing newline).
-#[must_use]
-pub fn table2_json_row(r: &Table2Row) -> String {
-    let opt = |v: Option<usize>| v.map_or_else(|| "null".to_string(), |n| n.to_string());
-    format!(
-        "    {{\"benchmark\": {}, \"loop\": {}, \"paper_hotness\": {}, \
-         \"measured_hotness\": {}, \"loop_instructions\": {}, \
-         \"kernel_fraction\": {}, \"word_violations\": {}, \
-         \"line_violations\": {}, \"false_conflict_rate\": {}}}",
-        crate::json::string(&r.benchmark),
-        crate::json::string(&r.loop_name),
-        crate::json::float(r.paper_hotness),
-        crate::json::float(r.measured_hotness),
-        r.measured_loop_instructions,
-        crate::json::float(r.measured_kernel_fraction),
-        opt(r.word_violations),
-        opt(r.line_violations),
-        r.false_conflict_rate()
-            .map_or_else(|| "null".to_string(), crate::json::float)
-    )
-}
+    fn footer(_rows: &[Self]) -> String {
+        "\n  ]\n}\n".to_string()
+    }
 
-/// Closing of the Table 2 artifact.
-#[must_use]
-pub fn table2_json_footer() -> String {
-    "\n  ]\n}\n".to_string()
-}
-
-/// Renders Table 2 rows as the `BENCH_table2.json` document — the serial
-/// composition of the streaming header/row/footer pieces.
-#[must_use]
-pub fn table2_json(rows: &[Table2Row], small: bool) -> String {
-    crate::json::rows_document(
-        &table2_json_header(small),
-        rows.iter().map(table2_json_row),
-        &table2_json_footer(),
-    )
-}
-
-/// Renders Table 2 as the text table the `table2` and `farm` binaries print.
-#[must_use]
-pub fn format_table2(rows: &[Table2Row]) -> String {
-    let mut s = String::from("Table 2 — benchmark details\n");
-    s.push_str(&format!(
-        "{:<12} {:<38} {:<30} {:>8} {:>9} {:>14} {:>10} {:>11} {:>11} {:>10}\n",
-        "benchmark",
-        "description",
-        "loop",
-        "paper",
-        "measured",
-        "loop insts/inv",
-        "kernel frac",
-        "word viol.",
-        "line viol.",
-        "false conf"
-    ));
-    for r in rows {
-        let opt = |v: Option<usize>| v.map_or("-".to_string(), |n| n.to_string());
-        let rate = r
-            .false_conflict_rate()
-            .map_or("-".to_string(), |f| format!("{:.1}%", f * 100.0));
+    fn table(rows: &[Self]) -> String {
+        let mut s = String::from("Table 2 — benchmark details\n");
         s.push_str(&format!(
-            "{:<12} {:<38} {:<30} {:>7.0}% {:>8.1}% {:>14} {:>9.1}% {:>11} {:>11} {:>10}\n",
-            r.benchmark,
-            r.description,
-            r.loop_name,
-            r.paper_hotness * 100.0,
-            r.measured_hotness * 100.0,
-            r.measured_loop_instructions,
-            r.measured_kernel_fraction * 100.0,
-            opt(r.word_violations),
-            opt(r.line_violations),
-            rate
+            "{:<12} {:<38} {:<30} {:>8} {:>9} {:>14} {:>10} {:>11} {:>11} {:>10}\n",
+            "benchmark",
+            "description",
+            "loop",
+            "paper",
+            "measured",
+            "loop insts/inv",
+            "kernel frac",
+            "word viol.",
+            "line viol.",
+            "false conf"
         ));
+        for r in rows {
+            let opt = |v: Option<usize>| v.map_or("-".to_string(), |n| n.to_string());
+            let rate = r
+                .false_conflict_rate()
+                .map_or("-".to_string(), |f| format!("{:.1}%", f * 100.0));
+            s.push_str(&format!(
+                "{:<12} {:<38} {:<30} {:>7.0}% {:>8.1}% {:>14} {:>9.1}% {:>11} {:>11} {:>10}\n",
+                r.benchmark,
+                r.description,
+                r.loop_name,
+                r.paper_hotness * 100.0,
+                r.measured_hotness * 100.0,
+                r.measured_loop_instructions,
+                r.measured_kernel_fraction * 100.0,
+                opt(r.word_violations),
+                opt(r.line_violations),
+                rate
+            ));
+        }
+        s.push_str(
+            "\n(paper column: whole-application fraction reported by the paper, for comparison;\n \
+             measured column: profiler cycle attribution over the whole program — for the\n \
+             kernel drivers that program is just the kernel, for mcf_app it is a miniature\n \
+             network-simplex application. See DESIGN.md §3.5. The violation columns probe\n \
+             conflict-detection precision: dependence squashes of a 4-thread Spice run with\n \
+             word-granular vs 64-byte-line-granular conflict sets; the false-conflict rate\n \
+             is the share of line-granular squashes the coarsening invented.)\n",
+        );
+        s
     }
-    s.push_str(
-        "\n(paper column: whole-application fraction reported by the paper, for comparison;\n \
-         measured column: profiler cycle attribution over the whole program — for the\n \
-         kernel drivers that program is just the kernel, for mcf_app it is a miniature\n \
-         network-simplex application. See DESIGN.md §3.5. The violation columns probe\n \
-         conflict-detection precision: dependence squashes of a 4-thread Spice run with\n \
-         word-granular vs 64-byte-line-granular conflict sets; the false-conflict rate\n \
-         is the share of line-granular squashes the coarsening invented.)\n",
-    );
-    s
 }
 
 /// One benchmark's bar of the Figure 8 reproduction. Since the trace layer
@@ -1406,18 +1224,6 @@ pub fn fig8_bar(bench: &SuiteBenchmark, small: bool) -> Result<Fig8Bar, String> 
     })
 }
 
-/// Reproduces Figure 8 over the corpus, bins derived from recorded traces.
-///
-/// # Errors
-///
-/// Returns the first recording failure encountered.
-pub fn fig8(small: bool) -> Result<Vec<Fig8Bar>, String> {
-    fig8_corpus()
-        .iter()
-        .map(|bench| fig8_bar(bench, small))
-        .collect()
-}
-
 /// Mean absolute measured-vs-target error over every loop of every bar —
 /// the number the agreement-band test pins.
 #[must_use]
@@ -1446,100 +1252,84 @@ pub fn suite_label(suite: Suite) -> &'static str {
     }
 }
 
-/// Opening of the `BENCH_fig8.json` document, up to `"rows": [`.
-#[must_use]
-pub fn fig8_json_header(small: bool) -> String {
-    format!(
-        "{{\n  \"figure\": \"fig8\",\n  \"small\": {small},\n  \"measured\": true,\n  \
-         \"rows\": [\n"
-    )
-}
+impl FigureRows for Fig8Bar {
+    const FIGURE: Figure = Figure::Fig8;
 
-/// One row of the Figure 8 artifact (no separator, no trailing newline):
-/// the bin percentages plus the per-loop measured fractions next to the
-/// targets the corpus dialed in.
-#[must_use]
-pub fn fig8_json_row(b: &Fig8Bar) -> String {
-    let join = |v: &[f64]| {
-        v.iter()
-            .map(|x| crate::json::float(*x))
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    format!(
-        "    {{\"benchmark\": {}, \"suite\": {}, \"loops\": {}, \
-         \"low\": {}, \"average\": {}, \"good\": {}, \"high\": {}, \
-         \"target\": [{}], \"measured\": [{}]}}",
-        crate::json::string(&b.benchmark),
-        crate::json::string(suite_label(b.suite)),
-        b.loops,
-        crate::json::float(b.percent.0),
-        crate::json::float(b.percent.1),
-        crate::json::float(b.percent.2),
-        crate::json::float(b.percent.3),
-        join(&b.targets),
-        join(&b.measured)
-    )
-}
-
-/// Closing of the Figure 8 artifact: total loops and the aggregate
-/// measured-vs-target error.
-#[must_use]
-pub fn fig8_json_footer(bars: &[Fig8Bar]) -> String {
-    format!(
-        "\n  ],\n  \"total_loops\": {},\n  \"mean_abs_error\": {}\n}}\n",
-        bars.iter().map(|b| b.loops).sum::<usize>(),
-        crate::json::float(fig8_mean_abs_error(bars))
-    )
-}
-
-/// Renders Figure 8 bars as the `BENCH_fig8.json` document — the serial
-/// composition of header, rows and footer, byte-identical to what the farm
-/// streams.
-#[must_use]
-pub fn fig8_json(bars: &[Fig8Bar], small: bool) -> String {
-    crate::json::rows_document(
-        &fig8_json_header(small),
-        bars.iter().map(fig8_json_row),
-        &fig8_json_footer(bars),
-    )
-}
-
-/// Renders the Figure 8 bars as two text panels.
-#[must_use]
-pub fn format_fig8(bars: &[Fig8Bar]) -> String {
-    let mut s = String::new();
-    for (suite, title) in [
-        (Suite::SpecInt, "Figure 8(a) — SPEC integer benchmarks"),
-        (
-            Suite::MediabenchAndOthers,
-            "Figure 8(b) — Mediabench and others",
-        ),
-    ] {
-        s.push_str(title);
-        s.push('\n');
-        s.push_str("benchmark        loops   low%  avg%  good%  high%   |m-t|\n");
-        for b in bars.iter().filter(|b| b.suite == suite) {
-            s.push_str(&format!(
-                "{:<16} {:>5}  {:>5.0} {:>5.0} {:>6.0} {:>6.0}  {:>6.3}\n",
-                b.benchmark,
-                b.loops,
-                b.percent.0,
-                b.percent.1,
-                b.percent.2,
-                b.percent.3,
-                b.mean_abs_error()
-            ));
-        }
-        s.push('\n');
+    fn header(small: bool) -> String {
+        format!(
+            "{{\n  \"figure\": \"fig8\",\n  \"small\": {small},\n  \"measured\": true,\n  \
+             \"rows\": [\n"
+        )
     }
-    s.push_str(&format!(
-        "(bins measured from recorded traces; mean |measured - target| = {:.3} \
-         over {} loops)\n",
-        fig8_mean_abs_error(bars),
-        bars.iter().map(|b| b.loops).sum::<usize>()
-    ));
-    s
+
+    /// The bin percentages plus the per-loop measured fractions next to
+    /// the targets the corpus dialed in.
+    fn row(&self) -> String {
+        let join = |v: &[f64]| {
+            v.iter()
+                .map(|x| crate::json::float(*x))
+                .collect::<Vec<_>>()
+                .join(", ")
+        };
+        format!(
+            "    {{\"benchmark\": {}, \"suite\": {}, \"loops\": {}, \
+             \"low\": {}, \"average\": {}, \"good\": {}, \"high\": {}, \
+             \"target\": [{}], \"measured\": [{}]}}",
+            crate::json::string(&self.benchmark),
+            crate::json::string(suite_label(self.suite)),
+            self.loops,
+            crate::json::float(self.percent.0),
+            crate::json::float(self.percent.1),
+            crate::json::float(self.percent.2),
+            crate::json::float(self.percent.3),
+            join(&self.targets),
+            join(&self.measured)
+        )
+    }
+
+    fn footer(bars: &[Self]) -> String {
+        format!(
+            "\n  ],\n  \"total_loops\": {},\n  \"mean_abs_error\": {}\n}}\n",
+            bars.iter().map(|b| b.loops).sum::<usize>(),
+            crate::json::float(fig8_mean_abs_error(bars))
+        )
+    }
+
+    /// Two text panels, one per suite.
+    fn table(bars: &[Self]) -> String {
+        let mut s = String::new();
+        for (suite, title) in [
+            (Suite::SpecInt, "Figure 8(a) — SPEC integer benchmarks"),
+            (
+                Suite::MediabenchAndOthers,
+                "Figure 8(b) — Mediabench and others",
+            ),
+        ] {
+            s.push_str(title);
+            s.push('\n');
+            s.push_str("benchmark        loops   low%  avg%  good%  high%   |m-t|\n");
+            for b in bars.iter().filter(|b| b.suite == suite) {
+                s.push_str(&format!(
+                    "{:<16} {:>5}  {:>5.0} {:>5.0} {:>6.0} {:>6.0}  {:>6.3}\n",
+                    b.benchmark,
+                    b.loops,
+                    b.percent.0,
+                    b.percent.1,
+                    b.percent.2,
+                    b.percent.3,
+                    b.mean_abs_error()
+                ));
+            }
+            s.push('\n');
+        }
+        s.push_str(&format!(
+            "(bins measured from recorded traces; mean |measured - target| = {:.3} \
+             over {} loops)\n",
+            fig8_mean_abs_error(bars),
+            bars.iter().map(|b| b.loops).sum::<usize>()
+        ));
+        s
+    }
 }
 
 /// The schedules comparison (Figures 2, 3 and 5) plus the §2 analytic
@@ -1619,8 +1409,6 @@ pub fn schedules(small: bool) -> Result<ScheduleComparison, String> {
     let traces = otter_livein_traces(small)?;
     let mut stride = StridePredictor::new();
     let stride_stats = evaluate_predictor(&mut stride, &traces);
-    let mut last = LastValuePredictor::new();
-    let _ = evaluate_predictor(&mut last, &traces);
     let spice_stats = SpiceMemoPredictor::new(1).evaluate(&traces);
 
     // Measured Spice speedup with 2 threads.
@@ -1628,8 +1416,13 @@ pub fn schedules(small: bool) -> Result<ScheduleComparison, String> {
         let seq_cycles = run_workload_sequential(&mut schedules_otter(small, None))?;
         let mut par = schedules_otter(small, None);
         let estimate = par.expected_iterations();
-        let result = run_workload_spice(&mut par, 2, predictor_options_with_estimate(estimate))?;
-        seq_cycles as f64 / result.cycles as f64
+        let spice = run_workload_backend(
+            &mut par,
+            BackendChoice::Sim,
+            2,
+            predictor_options_with_estimate(estimate),
+        )?;
+        seq_cycles as f64 / total_cycles(&spice) as f64
     };
 
     Ok(ScheduleComparison {
@@ -1664,21 +1457,9 @@ pub struct AblationRow {
     pub load_imbalance: f64,
 }
 
-/// Ablation of the predictor design choices the paper discusses in §4:
-/// re-memoization every invocation vs. memoize-once, and dynamic load
-/// balancing on/off.
-///
-/// # Errors
-///
-/// Returns the first failure encountered.
-pub fn ablation(small: bool) -> Result<Vec<AblationRow>, String> {
-    (0..ablation_variants().len())
-        .map(|i| ablation_variant_row(small, i))
-        .collect()
-}
-
 /// The predictor-configuration variants the ablation compares, in row
-/// order.
+/// order: the design choices the paper discusses in §4 — re-memoization
+/// every invocation vs. memoize-once, and dynamic load balancing on/off.
 #[must_use]
 pub fn ablation_variants() -> Vec<(&'static str, PredictorOptions)> {
     vec![
@@ -1703,17 +1484,17 @@ pub fn ablation_variants() -> Vec<(&'static str, PredictorOptions)> {
     ]
 }
 
-/// One ablation variant as a standalone unit of work — the granularity the
-/// farm dispatches.
+/// One ablation variant (an entry of [`ablation_variants`]) as a standalone
+/// unit of work — the granularity the farm dispatches.
 ///
 /// # Errors
 ///
 /// Returns the first simulation failure.
-pub fn ablation_variant_row(small: bool, variant: usize) -> Result<AblationRow, String> {
-    let (name, mut opts) = ablation_variants()
-        .into_iter()
-        .nth(variant)
-        .ok_or_else(|| format!("no ablation variant {variant}"))?;
+pub fn ablation_variant_row(
+    small: bool,
+    name: &str,
+    mut opts: PredictorOptions,
+) -> Result<AblationRow, String> {
     let mut wl = OtterWorkload::new(OtterConfig {
         initial_len: if small { 80 } else { 500 },
         inserts_per_invocation: 5,
@@ -1721,17 +1502,17 @@ pub fn ablation_variant_row(small: bool, variant: usize) -> Result<AblationRow, 
         seed: 0xab1a,
     });
     opts.initial_work_estimate = Some(wl.expected_iterations());
-    let result = run_workload_spice(&mut wl, 4, opts)?;
+    let summary = run_workload_backend(&mut wl, BackendChoice::Sim, 4, opts)?;
     Ok(AblationRow {
         variant: name.to_string(),
-        cycles: result.cycles,
-        misspeculation_rate: result.misspeculation_rate,
-        load_imbalance: result.load_imbalance,
+        cycles: total_cycles(&summary),
+        misspeculation_rate: summary.misspeculation_rate(),
+        load_imbalance: summary.load_imbalance(),
     })
 }
 
-/// Renders the ablation as the text table the `ablation` and `farm`
-/// binaries print.
+/// Renders the ablation as the text table the `farm` binary prints (the
+/// ablation has no JSON artifact, so it is not a [`FigureRows`] figure).
 #[must_use]
 pub fn format_ablation(rows: &[AblationRow]) -> String {
     let mut s = String::from("Predictor ablation — otter, 4 threads\n");
@@ -1892,35 +1673,6 @@ pub fn fuzz_differential(
     })
 }
 
-/// Describes a three-way divergence for forensics (which substrates
-/// disagreed, and on what).
-#[must_use]
-pub fn describe_divergence(sequential: &ReplayRun, sim: &ReplayRun, native: &ReplayRun) -> String {
-    let mut parts = Vec::new();
-    if sim.returns != sequential.returns {
-        parts.push("sim returns != sequential returns".to_string());
-    }
-    if native.returns != sequential.returns {
-        parts.push("native returns != sequential returns".to_string());
-    }
-    if sim.live_out != sequential.live_out {
-        parts.push("sim live-out != sequential live-out".to_string());
-    }
-    if native.live_out != sequential.live_out {
-        parts.push("native live-out != sequential live-out".to_string());
-    }
-    if parts.is_empty() {
-        parts.push("checksums differ".to_string());
-    }
-    format!(
-        "replay divergence (seq {:#x}, sim {:#x}, native {:#x}): {}",
-        sequential.checksum,
-        sim.checksum,
-        native.checksum,
-        parts.join("; ")
-    )
-}
-
 /// The base traces the fuzz sweep mutates: recordings of the real drivers
 /// (the paper's four kernels plus the `mcf_app` miniature application) on
 /// their small configurations — small because a fuzz sweep replays hundreds
@@ -1967,6 +1719,29 @@ pub fn fuzz_config_for_seed(seed: u64) -> FuzzConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::farm_driver::{run_manifest, FarmReport, Manifest, OutPaths};
+
+    /// One small farm run shared by every test below that reads figure
+    /// rows — the farm is the only enumerator, so the rows come off its
+    /// report.
+    fn small_report() -> &'static FarmReport {
+        static REPORT: std::sync::OnceLock<FarmReport> = std::sync::OnceLock::new();
+        REPORT.get_or_init(|| {
+            let manifest = Manifest {
+                figures: vec![
+                    Figure::Fig7,
+                    Figure::Harness,
+                    Figure::Table2,
+                    Figure::Ablation,
+                    Figure::Crosscheck,
+                ],
+                small: true,
+                jobs: 1,
+                ..Manifest::default()
+            };
+            run_manifest(&manifest, &OutPaths::default()).expect("small farm run")
+        })
+    }
 
     #[test]
     fn table1_lists_the_machine() {
@@ -1977,7 +1752,7 @@ mod tests {
 
     #[test]
     fn fig7_small_produces_rows_for_all_benchmarks() {
-        let rows = fig7(true).expect("fig7 small run");
+        let rows = &small_report().fig7_rows;
         // Four paper loops + two conflict loops + the mcf_app miniature
         // application, at 2 and 4 threads each.
         assert_eq!(rows.len(), 14);
@@ -1987,15 +1762,15 @@ mod tests {
         // amortization crossover — speedups above 1.0 are only expected at
         // full size. The small run must still be in a sane band, and the
         // text rendering mentions the geomean.
-        let g4 = fig7_geomean(&rows, 4);
+        let g4 = fig7_geomean(rows, 4);
         assert!(
             g4 > 0.6 && g4 < 2.0,
             "4-thread small geomean out of band: {g4}"
         );
-        for r in &rows {
+        for r in rows {
             assert!(r.spice_cycles > 0 && r.speedup.is_finite());
         }
-        let txt = format_fig7(&rows);
+        let txt = Fig7Row::table(rows);
         assert!(txt.contains("GeoMean"));
         assert!(txt.contains("otter"));
         assert!(txt.contains("mcf_true"));
@@ -2004,7 +1779,7 @@ mod tests {
         // dependence-violation squashes were taken and recovered (results
         // are checked inside run_workload_on), while the dependence-free
         // paper loops must never trip it.
-        for r in &rows {
+        for r in rows {
             if FIG7_PAPER_BENCHMARKS.contains(&r.benchmark.as_str()) {
                 assert_eq!(
                     r.dependence_violations, 0,
@@ -2061,22 +1836,22 @@ mod tests {
 
     #[test]
     fn harnessperf_small_runs_and_emits_valid_json() {
-        let rows = harnessperf(true).expect("harnessperf small");
+        let rows = &small_report().harness_rows;
         // Seven workloads, three modes each.
         assert_eq!(rows.len(), 21);
-        for r in &rows {
+        for r in rows {
             assert!(r.simulated_cycles > 0, "{}/{}", r.benchmark, r.mode);
             assert!(r.host_nanos > 0, "{}/{}", r.benchmark, r.mode);
             assert!(r.ns_per_cycle().is_finite());
         }
-        let doc = harnessperf_json(&rows, true);
+        let doc = harnessperf_json(rows, true);
         crate::json::validate(&doc).unwrap_or_else(|e| panic!("invalid JSON: {e}\n{doc}"));
         let total = crate::json::extract_number(&doc, "ns_per_simulated_cycle");
         assert_eq!(
             total,
-            Some((harness_ns_per_cycle(&rows) * 1e6).round() / 1e6)
+            Some((harness_ns_per_cycle(rows) * 1e6).round() / 1e6)
         );
-        let txt = format_harnessperf(&rows);
+        let txt = HarnessPerfRow::table(rows);
         assert!(txt.contains("TOTAL") && txt.contains("pre-PR"));
     }
 
@@ -2089,9 +1864,9 @@ mod tests {
     /// recorded in DESIGN.md §3.5 next to the paper's 30%.)
     #[test]
     fn mcf_app_measured_hotness_is_in_band() {
-        let rows = table2(true).expect("table2 small");
+        let rows = &small_report().table2_rows;
         assert_eq!(rows.len(), 7);
-        for r in &rows {
+        for r in rows {
             assert!(
                 r.measured_hotness > 0.0 && r.measured_hotness <= 1.0,
                 "{}: hotness out of range: {}",
@@ -2136,16 +1911,16 @@ mod tests {
 
     #[test]
     fn ablation_small_runs_all_variants() {
-        let rows = ablation(true).expect("ablation");
+        let rows = &small_report().ablation_rows;
         assert_eq!(rows.len(), 3);
         assert!(rows.iter().all(|r| r.cycles > 0));
     }
 
     #[test]
     fn crosscheck_backends_agree_on_all_benchmarks() {
-        let rows = crosscheck(4).expect("crosscheck");
+        let rows = &small_report().crosscheck_rows;
         assert_eq!(rows.len(), 7);
-        for r in &rows {
+        for r in rows {
             assert!(
                 r.agree,
                 "{}: sim returned {:?}, native returned {:?}",
@@ -2168,5 +1943,22 @@ mod tests {
                 "{name}: native backend reported no dependence violations"
             );
         }
+    }
+
+    /// A cross-check capture arms tracing on both backends *before* they
+    /// load, so the forensics artifact carries both chunk lifecycles.
+    #[test]
+    fn crosscheck_capture_carries_both_backends_events() {
+        let (name, factory) = all_workload_factories(true).swap_remove(1);
+        let capture = capture_crosscheck_divergence(
+            &factory,
+            CROSSCHECK_THREADS,
+            &format!("crosscheck/{name}"),
+            "synthetic divergence",
+        );
+        assert!(!capture.events.is_empty(), "simulator trace is empty");
+        assert!(!capture.native_events.is_empty(), "native trace is empty");
+        assert!(capture.state_dump.is_some());
+        crate::json::validate(&failure_capture_json(&capture)).expect("valid capture artifact");
     }
 }

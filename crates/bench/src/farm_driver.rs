@@ -1,8 +1,9 @@
 //! The simulation farm: bench experiments as jobs on the `spice-farm`
 //! work-stealing engine.
 //!
-//! [`run_manifest`] turns an [`Manifest`] (which figures, which size, how
-//! many workers) into a deterministic job list:
+//! [`run_manifest`] is the one place a figure's jobs are enumerated (and the
+//! `farm` binary the one CLI over it). It turns a [`Manifest`] (which
+//! figures, which size, how many workers) into a deterministic job list:
 //!
 //! * one **sweep job** per `(benchmark, mode)` cell of the Figure 7 /
 //!   harness matrix — sequential, 2-thread and 4-thread Spice. Figure 7 and
@@ -10,7 +11,8 @@
 //!   both costs no extra simulation;
 //! * one **hotness job** plus (for conflict-detecting workloads) two
 //!   **conflict-probe jobs** per benchmark for Table 2;
-//! * one job per **ablation variant**.
+//! * one job per **ablation variant**, per **cross-check** workload, per
+//!   **Figure 8** corpus benchmark and per **fuzz** seed.
 //!
 //! Each preparation (IR build → analysis → transform → decode → image) is
 //! built once in a [`PreparedCache`] keyed by
@@ -22,10 +24,10 @@
 //! Artifacts stream: each JSON row is appended to the output file the
 //! moment its job retires, and because the engine delivers results in job
 //! id order — never completion order — the bytes are identical at
-//! `--jobs 1` and `--jobs N`, and identical to what the serial emitters in
-//! [`crate::experiments`] produce (the row/header/footer functions are
-//! shared). Aggregates that need every row (geomeans, totals) live in the
-//! footers.
+//! `--jobs 1` and `--jobs N`, and identical to what
+//! [`rows_json`](crate::experiments::rows_json) composes from the returned
+//! rows (one [`FigureRows`] impl per row type feeds both). Aggregates that
+//! need every row (geomeans, totals) live in the footers.
 
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -40,22 +42,16 @@ use spice_workloads::trace::{fuzz_trace, WorkloadTrace};
 use spice_workloads::{fig8_corpus, BackendRunSummary};
 
 use crate::experiments::{
-    ablation_variants, all_workload_factories, capture_crosscheck_divergence,
-    capture_sweep_failure, crosscheck_json_footer, crosscheck_json_header, crosscheck_json_row,
-    crosscheck_workload, drive_prepared_sweep, failure_capture_json, fig7_json_footer,
-    fig7_json_header, fig7_json_row, fig7_row_from_sweep, fig8_bar, fig8_json_footer,
-    fig8_json_header, fig8_json_row, fuzz_config_for_seed, fuzz_differential,
-    harness_row_from_sweep, harnessperf_json_footer, harnessperf_json_header, harnessperf_json_row,
-    prepare_sweep, record_driver_trace, recorded_events, run_prepared_sweep, sweep_prep_key,
-    table2_hotness_row, table2_json_footer, table2_json_header, table2_json_row, AblationRow,
-    CrosscheckRow, FailureCapture, Fig7Row, Fig8Bar, FuzzRow, HarnessPerfRow, SweepMode, SweepPrep,
-    SweepRun, Table2Row, WorkloadFactory, LINE_GRANULARITY_LOG2, REPLAY_THREADS,
+    ablation_variant_row, ablation_variants, all_workload_factories, capture_crosscheck_divergence,
+    capture_sweep_failure, crosscheck_workload, drive_prepared_sweep, failure_capture_json,
+    fig7_row_from_sweep, fig8_bar, format_ablation, fuzz_config_for_seed, fuzz_differential,
+    harness_row_from_sweep, prepare_sweep, record_driver_trace, recorded_events, sweep_prep_key,
+    table2_hotness_row, AblationRow, CrosscheckRow, Fig7Row, Fig8Bar, FigureRows, FuzzRow,
+    HarnessPerfRow, SweepMode, SweepPrep, SweepRun, Table2Row, WorkloadFactory, CROSSCHECK_THREADS,
+    LINE_GRANULARITY_LOG2, REPLAY_THREADS,
 };
 use crate::trace_json::{trace_job_json, trace_json_footer, trace_json_header};
 use crate::tracefile::trace_to_json;
-
-/// Thread count of the cross-check jobs (matches the `crosscheck` binary).
-const CROSSCHECK_THREADS: usize = 4;
 
 /// One figure of the evaluation, as selectable in an experiment manifest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,25 +91,39 @@ impl Figure {
         Figure::Fuzz,
     ];
 
-    /// The manifest name of this figure.
+    /// `(manifest name, artifact file name)` — the one table that names a
+    /// figure on the command line and on disk. Ablation is text-only and
+    /// the fuzz sweep lives in the report, so neither has an artifact.
+    const fn spec(self) -> (&'static str, Option<&'static str>) {
+        match self {
+            Figure::Fig7 => ("fig7", Some("BENCH_fig7.json")),
+            Figure::Table2 => ("table2", Some("BENCH_table2.json")),
+            Figure::Ablation => ("ablation", None),
+            Figure::Harness => ("harness", Some("BENCH_harness.json")),
+            Figure::Crosscheck => ("crosscheck", Some("BENCH_crosscheck.json")),
+            Figure::Fig8 => ("fig8", Some("BENCH_fig8.json")),
+            Figure::Fuzz => ("fuzz", None),
+        }
+    }
+
+    /// The manifest name of this figure (`farm --figures <name>`).
     #[must_use]
     pub fn name(self) -> &'static str {
-        match self {
-            Figure::Fig7 => "fig7",
-            Figure::Table2 => "table2",
-            Figure::Ablation => "ablation",
-            Figure::Harness => "harness",
-            Figure::Crosscheck => "crosscheck",
-            Figure::Fig8 => "fig8",
-            Figure::Fuzz => "fuzz",
-        }
+        self.spec().0
+    }
+
+    /// File name of the JSON artifact this figure streams, if it has one.
+    #[must_use]
+    pub fn artifact(self) -> Option<&'static str> {
+        self.spec().1
     }
 
     /// Parses a comma-separated figure list (e.g. `"fig7,table2"`).
     ///
     /// # Errors
     ///
-    /// Returns a message naming the unknown figure.
+    /// Returns a message naming the unknown figure and listing every known
+    /// one.
     pub fn parse_list(s: &str) -> Result<Vec<Figure>, String> {
         s.split(',')
             .map(str::trim)
@@ -123,11 +133,8 @@ impl Figure {
                     .into_iter()
                     .find(|f| f.name() == p)
                     .ok_or_else(|| {
-                        format!(
-                            "unknown figure {p:?} \
-                             (expected fig7, table2, ablation, harness, crosscheck, \
-                             fig8, fuzz)"
-                        )
+                        let known: Vec<&str> = Figure::ALL.iter().map(|f| f.name()).collect();
+                        format!("unknown figure {p:?} (expected {})", known.join(", "))
                     })
             })
             .collect()
@@ -192,8 +199,23 @@ pub struct OutPaths {
     pub failures_dir: Option<PathBuf>,
 }
 
-/// Everything a farm run produced: the per-figure rows (exactly what the
-/// serial experiment functions would have returned) plus the engine's
+impl OutPaths {
+    /// Points `figure`'s artifact at `<dir>/<its artifact file name>`; a
+    /// no-op for figures without an artifact.
+    pub fn set_artifact_dir(&mut self, figure: Figure, dir: &Path) {
+        let slot = match figure {
+            Figure::Fig7 => &mut self.fig7,
+            Figure::Table2 => &mut self.table2,
+            Figure::Harness => &mut self.harness,
+            Figure::Crosscheck => &mut self.crosscheck,
+            Figure::Fig8 => &mut self.fig8,
+            Figure::Ablation | Figure::Fuzz => return,
+        };
+        *slot = figure.artifact().map(|name| dir.join(name));
+    }
+}
+
+/// Everything a farm run produced: the per-figure rows plus the engine's
 /// accounting.
 #[derive(Debug)]
 pub struct FarmReport {
@@ -235,6 +257,26 @@ pub struct FarmReport {
 }
 
 impl FarmReport {
+    /// The text rendering of `figure`'s rows, as the `farm` binary prints
+    /// it.
+    #[must_use]
+    pub fn table(&self, figure: Figure) -> String {
+        match figure {
+            Figure::Fig7 => Fig7Row::table(&self.fig7_rows),
+            Figure::Table2 => Table2Row::table(&self.table2_rows),
+            Figure::Ablation => format_ablation(&self.ablation_rows),
+            Figure::Harness => HarnessPerfRow::table(&self.harness_rows),
+            Figure::Crosscheck => CrosscheckRow::table(&self.crosscheck_rows),
+            Figure::Fig8 => Fig8Bar::table(&self.fig8_bars),
+            Figure::Fuzz => format!(
+                "fuzz: {} mutants replayed bit-identically on sim, native and sequential \
+                 execution ({} carrying dependence-inducing writes)\n",
+                self.fuzz_rows.len(),
+                self.fuzz_rows.iter().filter(|r| r.has_writes).count()
+            ),
+        }
+    }
+
     /// Host seconds an equivalent serial run would have computed for: the
     /// sum of every job's own compute time (no overlap).
     #[must_use]
@@ -330,7 +372,6 @@ enum Payload {
     },
     Hotness(Box<Table2Row>),
     Probe {
-        bench: String,
         granularity_log2: u8,
         violations: usize,
     },
@@ -355,58 +396,83 @@ fn sanitize_label(label: &str) -> String {
         .collect()
 }
 
-/// Writes a failure-capture artifact as `<dir>/FAILED_<label>.json` and
-/// returns its path. Artifacts are per-job files, so concurrent failing
-/// jobs never interleave writes.
-fn write_failure_artifact(dir: &Path, capture: &FailureCapture) -> Result<PathBuf, String> {
-    std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-    let path = dir.join(format!("FAILED_{}.json", sanitize_label(&capture.label)));
-    let doc = failure_capture_json(capture);
-    crate::json::validate(&doc).map_err(|e| format!("failure artifact invalid: {e}"))?;
-    std::fs::write(&path, doc).map_err(|e| format!("write {}: {e}", path.display()))?;
-    Ok(path)
-}
-
-/// Persists a diverging fuzz mutant as `<dir>/FAILED_<label>.json`: the
-/// divergence description plus the full trace-file document, so the exact
-/// scenario replays offline with no recording step.
-fn write_fuzz_failure_artifact(
-    dir: &Path,
+/// Persists a failed job's forensics as `<dir>/FAILED_<label>.json` and
+/// returns `error` annotated with where they landed (`what` names the
+/// document: `"forensics"`, `"trace"`). `doc` renders the document from
+/// the error and runs only when there is a directory to write to — the
+/// capture behind it is a traced re-run. Artifacts are per-job files, so
+/// concurrent failing jobs never interleave writes.
+fn persist_failure(
+    dir: Option<&Path>,
     label: &str,
-    error: &str,
-    trace: &WorkloadTrace,
-) -> Result<PathBuf, String> {
-    std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-    let path = dir.join(format!("FAILED_{}.json", sanitize_label(label)));
-    let trace_doc = trace_to_json(trace);
-    let doc = format!(
-        "{{\n  \"label\": {},\n  \"error\": {},\n  \"trace\": {}}}\n",
-        crate::json::string(label),
-        crate::json::string(error),
-        // The embedded document ends in "}\n"; trim to nest it cleanly.
-        trace_doc.trim_end()
-    );
-    crate::json::validate(&doc).map_err(|e| format!("fuzz artifact invalid: {e}"))?;
-    std::fs::write(&path, doc).map_err(|e| format!("write {}: {e}", path.display()))?;
-    Ok(path)
-}
-
-/// Annotates a sweep-job error with a forensic re-run: a traced,
-/// snapshotted deterministic replay persisted as a retryable artifact.
-fn sweep_failed(
-    failures_dir: Option<&Path>,
-    factory: &WorkloadFactory,
-    prep: &SweepPrep,
-    label: &str,
+    what: &str,
     error: String,
+    doc: impl FnOnce(&str) -> String,
 ) -> String {
-    let Some(dir) = failures_dir else {
+    let Some(dir) = dir else {
         return error;
     };
-    let capture = capture_sweep_failure(factory, prep, label, &error);
-    match write_failure_artifact(dir, &capture) {
-        Ok(path) => format!("{error} (forensics: {})", path.display()),
-        Err(e) => format!("{error} (forensics capture failed: {e})"),
+    let written = (|| {
+        std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
+        let path = dir.join(format!("FAILED_{}.json", sanitize_label(label)));
+        let doc = doc(&error);
+        crate::json::validate(&doc).map_err(|e| format!("failure artifact invalid: {e}"))?;
+        std::fs::write(&path, doc).map_err(|e| format!("write {}: {e}", path.display()))?;
+        Ok::<PathBuf, String>(path)
+    })();
+    match written {
+        Ok(path) => format!("{error} ({what}: {})", path.display()),
+        Err(e) => format!("{error} ({what} capture failed: {e})"),
+    }
+}
+
+/// One cell of the sweep matrix as a job body: the preparation comes from
+/// the shared cache, a failed run leaves a traced, snapshotted
+/// deterministic re-run behind as a retryable artifact. The Figure 7 /
+/// harness sweep jobs and the Table 2 conflict probes are both this.
+struct Cell {
+    factory: Arc<WorkloadFactory>,
+    cache: Arc<PreparedCache<SweepPrep>>,
+    bench: String,
+    mode: SweepMode,
+    small: bool,
+    granularity_log2: u8,
+    label: String,
+    failures_dir: Option<PathBuf>,
+}
+
+impl Cell {
+    /// Runs the cell. Tracing is observational (the run's numbers are those
+    /// of an untraced run) and the simulator single-threaded, so the
+    /// recorded events are deterministic.
+    fn run(&self, tracing: bool) -> Result<(Arc<SweepPrep>, SweepRun, Vec<TraceEvent>), String> {
+        let (mode, small, granularity_log2) = (self.mode, self.small, self.granularity_log2);
+        let key = sweep_prep_key(&self.bench, mode, small, granularity_log2);
+        let prep = self.cache.try_get_or_build(&key, || {
+            prepare_sweep(&self.factory, mode, small, granularity_log2)
+        })?;
+        let (backend, run) = drive_prepared_sweep(&self.factory, &prep, |b| {
+            if tracing {
+                b.enable_trace(DEFAULT_TRACE_CAPACITY);
+            }
+        });
+        let run = run.map_err(|e| {
+            persist_failure(
+                self.failures_dir.as_deref(),
+                &self.label,
+                "forensics",
+                e,
+                |e| {
+                    failure_capture_json(&capture_sweep_failure(
+                        &self.factory,
+                        &prep,
+                        &self.label,
+                        e,
+                    ))
+                },
+            )
+        })?;
+        Ok((prep, run, recorded_events(&backend)))
     }
 }
 
@@ -459,6 +525,44 @@ impl RowStream {
     }
 }
 
+/// Where one figure's rows go as their jobs retire: appended to the
+/// streamed artifact (when the manifest wants the figure and a destination
+/// is set) and kept for the report.
+struct RowSink<R: FigureRows> {
+    stream: Option<RowStream>,
+    rows: Vec<R>,
+}
+
+impl<R: FigureRows> RowSink<R> {
+    fn open(manifest: &Manifest, path: Option<&Path>) -> Result<Self, String> {
+        let stream = match path {
+            Some(path) if manifest.wants(R::FIGURE) => {
+                Some(RowStream::create(path, &R::header(manifest.small))?)
+            }
+            _ => None,
+        };
+        Ok(RowSink {
+            stream,
+            rows: Vec::new(),
+        })
+    }
+
+    fn push(&mut self, row: R) -> Result<(), String> {
+        if let Some(s) = &mut self.stream {
+            s.push_row(&row.row())?;
+        }
+        self.rows.push(row);
+        Ok(())
+    }
+
+    fn finish(self) -> Result<Vec<R>, String> {
+        if let Some(s) = self.stream {
+            s.finish(&R::footer(&self.rows))?;
+        }
+        Ok(self.rows)
+    }
+}
+
 /// Runs the manifest's figures as one parallel sweep, streaming the
 /// requested artifacts row-by-row, and returns the assembled rows plus the
 /// engine accounting.
@@ -472,10 +576,13 @@ impl RowStream {
 /// Panics only on engine invariant violations (duplicate job ids).
 pub fn run_manifest(manifest: &Manifest, outs: &OutPaths) -> Result<FarmReport, String> {
     let small = manifest.small;
-    let factories: Vec<(&'static str, Arc<WorkloadFactory>)> = all_workload_factories(small)
-        .into_iter()
-        .map(|(name, factory)| (name, Arc::new(factory)))
-        .collect();
+    let shared = |small: bool| -> Vec<(&'static str, Arc<WorkloadFactory>)> {
+        all_workload_factories(small)
+            .into_iter()
+            .map(|(name, factory)| (name, Arc::new(factory)))
+            .collect()
+    };
+    let factories = shared(small);
     let cache: Arc<PreparedCache<SweepPrep>> = Arc::new(PreparedCache::new());
 
     // --- Deterministic job enumeration -----------------------------------
@@ -487,45 +594,37 @@ pub fn run_manifest(manifest: &Manifest, outs: &OutPaths) -> Result<FarmReport, 
     let sweep_wanted = manifest.wants(Figure::Fig7) || manifest.wants(Figure::Harness);
     let tracing = outs.trace.is_some();
     let mut jobs: Vec<Job<Payload>> = Vec::new();
+    let make_cell =
+        |bench: &str, factory: &Arc<WorkloadFactory>, mode, granularity_log2, label| Cell {
+            factory: Arc::clone(factory),
+            cache: Arc::clone(&cache),
+            bench: bench.to_string(),
+            mode,
+            small,
+            granularity_log2,
+            label,
+            failures_dir: outs.failures_dir.clone(),
+        };
 
     if sweep_wanted {
         for (bench, factory) in &factories {
             for mode in SweepMode::ALL {
-                let key = sweep_prep_key(bench, mode, small, 0);
-                let factory = Arc::clone(factory);
-                let cache = Arc::clone(&cache);
-                let bench = (*bench).to_string();
                 let label = format!("sweep/{bench}/{}", mode.label());
-                let failures_dir = outs.failures_dir.clone();
-                jobs.push(Job::new(jobs.len() as u64, label.clone(), move || {
-                    let prep =
-                        cache.try_get_or_build(&key, || prepare_sweep(&factory, mode, small, 0))?;
-                    // Tracing is observational (the run's numbers are those
-                    // of an untraced run) and the simulator single-threaded,
-                    // so the recorded events are deterministic.
-                    let (backend, run) = drive_prepared_sweep(&factory, &prep, |b| {
-                        if tracing {
-                            b.enable_trace(DEFAULT_TRACE_CAPACITY);
-                        }
-                    });
-                    let run = run.map_err(|e| {
-                        sweep_failed(failures_dir.as_deref(), &factory, &prep, &label, e)
-                    })?;
+                let cell = make_cell(bench, factory, mode, 0, label.clone());
+                jobs.push(Job::new(jobs.len() as u64, label, move || {
+                    let (prep, run, trace) = cell.run(tracing)?;
                     Ok(Payload::Sweep {
-                        bench,
+                        bench: cell.bench,
                         mode,
                         build_nanos: prep.build_nanos,
                         run: Box::new(run),
-                        trace: recorded_events(&backend),
+                        trace,
                     })
                 }));
             }
         }
     }
 
-    // Probe counts per benchmark, so the sink knows when a Table 2 row is
-    // complete without consulting the workload again.
-    let mut probes_expected: HashMap<String, usize> = HashMap::new();
     if manifest.wants(Figure::Table2) {
         for (bench, factory) in &factories {
             {
@@ -540,41 +639,20 @@ pub fn run_manifest(manifest: &Manifest, outs: &OutPaths) -> Result<FarmReport, 
                     },
                 ));
             }
-            let detects = factory().conflict_policy().detects();
-            probes_expected.insert((*bench).to_string(), if detects { 2 } else { 0 });
-            if detects {
+            // The conflict-precision probes: the same loop under 4-thread
+            // Spice at word vs 64-byte-line conflict granularity. At full
+            // size the word-granular probe keys the same preparation as the
+            // Figure 7 four-thread run and reuses its decode.
+            if factory().conflict_policy().detects() {
                 for granularity_log2 in [0u8, LINE_GRANULARITY_LOG2] {
-                    let factory = Arc::clone(factory);
-                    let cache = Arc::clone(&cache);
-                    let key = sweep_prep_key(
-                        bench,
-                        SweepMode::Spice { threads: 4 },
-                        small,
-                        granularity_log2,
-                    );
-                    let bench = (*bench).to_string();
                     let label = format!("table2/{bench}/probe-g{granularity_log2}");
-                    let failures_dir = outs.failures_dir.clone();
-                    jobs.push(Job::new(jobs.len() as u64, label.clone(), move || {
-                        // Same computation as `table2_probe`, but the
-                        // preparation comes from the shared cache — at
-                        // full size the g=0 probe reuses the Figure 7
-                        // four-thread decode.
-                        let prep = cache.try_get_or_build(&key, || {
-                            prepare_sweep(
-                                &factory,
-                                SweepMode::Spice { threads: 4 },
-                                small,
-                                granularity_log2,
-                            )
-                        })?;
-                        let run = run_prepared_sweep(&factory, &prep).map_err(|e| {
-                            sweep_failed(failures_dir.as_deref(), &factory, &prep, &label, e)
-                        })?;
+                    let mode = SweepMode::Spice { threads: 4 };
+                    let cell = make_cell(bench, factory, mode, granularity_log2, label.clone());
+                    jobs.push(Job::new(jobs.len() as u64, label, move || {
+                        let (_, run, _) = cell.run(false)?;
                         Ok(Payload::Probe {
-                            bench,
                             granularity_log2,
-                            violations: run.dependence_violations,
+                            violations: run.summary.map_or(0, |s| s.dependence_violations),
                         })
                     }));
                 }
@@ -583,31 +661,24 @@ pub fn run_manifest(manifest: &Manifest, outs: &OutPaths) -> Result<FarmReport, 
     }
 
     if manifest.wants(Figure::Ablation) {
-        for variant in 0..ablation_variants().len() {
-            jobs.push(Job::new(
-                jobs.len() as u64,
-                format!("ablation/{variant}"),
-                move || {
-                    Ok(Payload::Ablation(Box::new(
-                        crate::experiments::ablation_variant_row(small, variant)?,
-                    )))
-                },
-            ));
+        for (variant, (name, opts)) in ablation_variants().into_iter().enumerate() {
+            let label = format!("ablation/{variant}");
+            jobs.push(Job::new(jobs.len() as u64, label, move || {
+                ablation_variant_row(small, name, opts).map(|row| Payload::Ablation(Box::new(row)))
+            }));
         }
     }
 
     if manifest.wants(Figure::Crosscheck) {
         // Cross-check always runs the small/tiny configurations regardless
         // of `manifest.small` — the comparison is about backend agreement,
-        // not workload scale, and this keeps the 7-row pin of the
-        // standalone `crosscheck` binary.
-        for (bench, factory) in all_workload_factories(true) {
-            let factory = Arc::new(factory);
-            let bench = bench.to_string();
+        // not workload scale. A divergence (results or invocation counts
+        // differ) fails the job, with both backends' traces as forensics.
+        for (bench, factory) in shared(true) {
             let label = format!("crosscheck/{bench}");
             let failures_dir = outs.failures_dir.clone();
             jobs.push(Job::new(jobs.len() as u64, label.clone(), move || {
-                let row = crosscheck_workload(&bench, &factory, CROSSCHECK_THREADS)?;
+                let row = crosscheck_workload(bench, &factory, CROSSCHECK_THREADS)?;
                 if row.agree && row.sim.invocations == row.native.invocations {
                     return Ok(Payload::Crosscheck(Box::new(row)));
                 }
@@ -619,15 +690,20 @@ pub fn run_manifest(manifest: &Manifest, outs: &OutPaths) -> Result<FarmReport, 
                     row.native.return_values,
                     row.native.invocations
                 );
-                let Some(dir) = failures_dir else {
-                    return Err(error);
-                };
-                let capture =
-                    capture_crosscheck_divergence(&factory, CROSSCHECK_THREADS, &label, &error);
-                Err(match write_failure_artifact(&dir, &capture) {
-                    Ok(path) => format!("{error} (forensics: {})", path.display()),
-                    Err(e) => format!("{error} (forensics capture failed: {e})"),
-                })
+                Err(persist_failure(
+                    failures_dir.as_deref(),
+                    &label,
+                    "forensics",
+                    error,
+                    |error| {
+                        failure_capture_json(&capture_crosscheck_divergence(
+                            &factory,
+                            CROSSCHECK_THREADS,
+                            &label,
+                            error,
+                        ))
+                    },
+                ))
             }));
         }
     }
@@ -652,11 +728,7 @@ pub fn run_manifest(manifest: &Manifest, outs: &OutPaths) -> Result<FarmReport, 
         // prepared cache; the mutant is derived in-job, replayed on sim,
         // native and sequential substrates, and any divergence persists the
         // offending trace file before failing the job.
-        let fuzz_factories: Vec<(&'static str, Arc<WorkloadFactory>)> =
-            all_workload_factories(true)
-                .into_iter()
-                .map(|(name, factory)| (name, Arc::new(factory)))
-                .collect();
+        let fuzz_factories = shared(true);
         let trace_cache: Arc<PreparedCache<WorkloadTrace>> = Arc::new(PreparedCache::new());
         for seed in manifest.fuzz_seeds.clone() {
             let (base_name, factory) = &fuzz_factories[seed as usize % fuzz_factories.len()];
@@ -678,64 +750,56 @@ pub fn run_manifest(manifest: &Manifest, outs: &OutPaths) -> Result<FarmReport, 
                     "replay divergence on mutant {:#x} (seq {:#x}, sim {:#x}, native {:#x})",
                     row.trace_checksum, row.checksum, row.sim_checksum, row.native_checksum
                 );
-                let Some(dir) = failures_dir else {
-                    return Err(error);
-                };
-                Err(
-                    match write_fuzz_failure_artifact(&dir, &label, &error, &mutant) {
-                        Ok(path) => format!("{error} (trace: {})", path.display()),
-                        Err(e) => format!("{error} (trace capture failed: {e})"),
+                // The divergence description plus the full trace-file
+                // document, so the exact scenario replays offline with no
+                // recording step.
+                Err(persist_failure(
+                    failures_dir.as_deref(),
+                    &label,
+                    "trace",
+                    error,
+                    |error| {
+                        format!(
+                            "{{\n  \"label\": {},\n  \"error\": {},\n  \"trace\": {}}}\n",
+                            crate::json::string(&label),
+                            crate::json::string(error),
+                            // The embedded document ends in "}\n"; trim to
+                            // nest it cleanly.
+                            trace_to_json(&mutant).trim_end()
+                        )
                     },
-                )
+                ))
             }));
         }
     }
 
     // --- Streaming sinks --------------------------------------------------
-    let mut fig7_stream = match (&outs.fig7, manifest.wants(Figure::Fig7)) {
-        (Some(path), true) => Some(RowStream::create(path, &fig7_json_header(small))?),
-        _ => None,
-    };
-    let mut harness_stream = match (&outs.harness, manifest.wants(Figure::Harness)) {
-        (Some(path), true) => Some(RowStream::create(path, &harnessperf_json_header(small))?),
-        _ => None,
-    };
-    let mut table2_stream = match (&outs.table2, manifest.wants(Figure::Table2)) {
-        (Some(path), true) => Some(RowStream::create(path, &table2_json_header(small))?),
-        _ => None,
-    };
-    let mut crosscheck_stream = match (&outs.crosscheck, manifest.wants(Figure::Crosscheck)) {
-        (Some(path), true) => Some(RowStream::create(
-            path,
-            &crosscheck_json_header(CROSSCHECK_THREADS),
-        )?),
-        _ => None,
-    };
-    let mut fig8_stream = match (&outs.fig8, manifest.wants(Figure::Fig8)) {
-        (Some(path), true) => Some(RowStream::create(path, &fig8_json_header(small))?),
-        _ => None,
-    };
+    let mut fig7 = RowSink::<Fig7Row>::open(manifest, outs.fig7.as_deref())?;
+    let mut harness = RowSink::<HarnessPerfRow>::open(manifest, outs.harness.as_deref())?;
+    let mut table2 = RowSink::<Table2Row>::open(manifest, outs.table2.as_deref())?;
+    let mut crosscheck = RowSink::<CrosscheckRow>::open(manifest, outs.crosscheck.as_deref())?;
+    let mut fig8 = RowSink::<Fig8Bar>::open(manifest, outs.fig8.as_deref())?;
     // Only sweep jobs contribute trace rows: the simulator is
     // single-threaded and deterministic, so the artifact byte-diffs across
     // `--jobs` widths. Native (cross-check) traces are deterministic in
     // validate/commit order but not in content for racy workloads, so they
     // stay out of this artifact and are only persisted by failure capture.
+    // Trace rows are streamed and dropped, never kept: they are the bulk of
+    // a run's output.
     let mut trace_stream = match (&outs.trace, sweep_wanted) {
         (Some(path), true) => Some(RowStream::create(path, &trace_json_header(small))?),
         _ => None,
     };
 
-    let mut fig7_rows: Vec<Fig7Row> = Vec::new();
-    let mut harness_rows: Vec<HarnessPerfRow> = Vec::new();
-    let mut table2_rows: Vec<Table2Row> = Vec::new();
     let mut ablation_rows: Vec<AblationRow> = Vec::new();
-    let mut crosscheck_rows: Vec<CrosscheckRow> = Vec::new();
-    let mut fig8_bars: Vec<Fig8Bar> = Vec::new();
     let mut fuzz_rows: Vec<FuzzRow> = Vec::new();
     let mut sweep_summaries: Vec<(String, BackendRunSummary)> = Vec::new();
     let mut job_observability: HashMap<u64, (u64, u64)> = HashMap::new();
-    let mut seq_cycles: HashMap<String, u64> = HashMap::new();
-    let mut pending_table2: HashMap<String, (Table2Row, usize)> = HashMap::new();
+    // Results arrive strictly in id order, so "the benchmark whose Spice
+    // cells / probes are arriving" is simply the latest sequential cell /
+    // hotness row.
+    let mut sequential_cycles = 0u64;
+    let mut pending_table2: Option<Table2Row> = None;
     let mut simulated_cycles = 0u64;
     let mut sim_nanos = 0u128;
     let mut first_error: Option<String> = None;
@@ -774,79 +838,49 @@ pub fn run_manifest(manifest: &Manifest, outs: &OutPaths) -> Result<FarmReport, 
                         sweep_summaries.push((result.label.clone(), summary.clone()));
                     }
                     if harness_wanted {
-                        let row = harness_row_from_sweep(&bench, mode, build_nanos, &run);
-                        if let Some(s) = &mut harness_stream {
-                            s.push_row(&harnessperf_json_row(&row))?;
-                        }
-                        harness_rows.push(row);
+                        harness.push(harness_row_from_sweep(&bench, mode, build_nanos, &run))?;
                     }
                     match mode {
-                        SweepMode::Sequential => {
-                            seq_cycles.insert(bench, run.cycles);
-                        }
+                        SweepMode::Sequential => sequential_cycles = run.cycles,
                         SweepMode::Spice { threads } => {
                             if fig7_wanted {
-                                let seq = *seq_cycles
-                                    .get(&bench)
-                                    .expect("sequential job precedes spice jobs in id order");
-                                let row = fig7_row_from_sweep(&bench, threads, seq, &run);
-                                if let Some(s) = &mut fig7_stream {
-                                    s.push_row(&fig7_json_row(&row))?;
-                                }
-                                fig7_rows.push(row);
+                                fig7.push(fig7_row_from_sweep(
+                                    &bench,
+                                    threads,
+                                    sequential_cycles,
+                                    &run,
+                                ))?;
                             }
                         }
                     }
                 }
+                // A Table 2 row is complete once the next one starts (or
+                // the run ends): its probes, if any, have filled it in.
                 Payload::Hotness(row) => {
-                    let bench = row.benchmark.clone();
-                    let expected = probes_expected.get(&bench).copied().unwrap_or(0);
-                    pending_table2.insert(bench.clone(), (*row, expected));
-                    if expected == 0 {
-                        let (row, _) = pending_table2.remove(&bench).expect("just inserted");
-                        if let Some(s) = &mut table2_stream {
-                            s.push_row(&table2_json_row(&row))?;
-                        }
-                        table2_rows.push(row);
+                    if let Some(complete) = pending_table2.replace(*row) {
+                        table2.push(complete)?;
                     }
                 }
                 Payload::Probe {
-                    bench,
                     granularity_log2,
                     violations,
                 } => {
-                    let (row, remaining) = pending_table2
-                        .get_mut(&bench)
-                        .expect("hotness job precedes probes in id order");
+                    let row = pending_table2
+                        .as_mut()
+                        .expect("hotness job precedes its probes in id order");
                     if granularity_log2 == 0 {
                         row.word_violations = Some(violations);
                     } else {
                         row.line_violations = Some(violations);
-                    }
-                    *remaining -= 1;
-                    if *remaining == 0 {
-                        let (row, _) = pending_table2.remove(&bench).expect("present");
-                        if let Some(s) = &mut table2_stream {
-                            s.push_row(&table2_json_row(&row))?;
-                        }
-                        table2_rows.push(row);
                     }
                 }
                 Payload::Ablation(row) => ablation_rows.push(*row),
                 Payload::Crosscheck(row) => {
                     let squashes = (row.sim.squashed_chunks + row.native.squashed_chunks) as u64;
                     job_observability.insert(result.id, (0, squashes));
-                    if let Some(s) = &mut crosscheck_stream {
-                        s.push_row(&crosscheck_json_row(&row))?;
-                    }
-                    crosscheck_rows.push(*row);
+                    crosscheck.push(*row)?;
                 }
-                Payload::Fig8(bar) => {
-                    if let Some(s) = &mut fig8_stream {
-                        s.push_row(&fig8_json_row(&bar))?;
-                    }
-                    fig8_bars.push(*bar);
-                }
+                Payload::Fig8(bar) => fig8.push(*bar)?,
                 Payload::Fuzz(row) => {
                     job_observability
                         .insert(result.id, (row.iterations, row.sim_violations as u64));
@@ -867,21 +901,14 @@ pub fn run_manifest(manifest: &Manifest, outs: &OutPaths) -> Result<FarmReport, 
     if let Some(e) = first_error {
         return Err(e);
     }
-    if let Some(s) = fig7_stream {
-        s.finish(&fig7_json_footer(&fig7_rows))?;
+    if let Some(complete) = pending_table2 {
+        table2.push(complete)?;
     }
-    if let Some(s) = harness_stream {
-        s.finish(&harnessperf_json_footer(&harness_rows))?;
-    }
-    if let Some(s) = table2_stream {
-        s.finish(&table2_json_footer())?;
-    }
-    if let Some(s) = crosscheck_stream {
-        s.finish(&crosscheck_json_footer(&crosscheck_rows))?;
-    }
-    if let Some(s) = fig8_stream {
-        s.finish(&fig8_json_footer(&fig8_bars))?;
-    }
+    let fig7_rows = fig7.finish()?;
+    let harness_rows = harness.finish()?;
+    let table2_rows = table2.finish()?;
+    let crosscheck_rows = crosscheck.finish()?;
+    let fig8_bars = fig8.finish()?;
     if let Some(s) = trace_stream {
         s.finish(&trace_json_footer())?;
     }
@@ -925,6 +952,29 @@ mod tests {
         );
         assert_eq!(Figure::parse_list("").unwrap(), Vec::<Figure>::new());
         assert!(Figure::parse_list("fig9").is_err());
+    }
+
+    /// A figure is named once: every figure has its own manifest name and
+    /// (where it has one) its own artifact file, and the parse error lists
+    /// exactly the names `Figure::ALL` defines.
+    #[test]
+    fn figures_have_distinct_names_and_artifacts() {
+        let names: Vec<&str> = Figure::ALL.iter().map(|f| f.name()).collect();
+        let artifacts: Vec<&str> = Figure::ALL.iter().filter_map(|f| f.artifact()).collect();
+        for list in [&names, &artifacts] {
+            let unique: std::collections::HashSet<_> = list.iter().collect();
+            assert_eq!(unique.len(), list.len(), "duplicate in {list:?}");
+        }
+        assert_eq!(
+            artifacts.len(),
+            5,
+            "fig7, table2, harness, crosscheck, fig8"
+        );
+        let error = Figure::parse_list("fig7,fig9").unwrap_err();
+        assert!(error.contains("\"fig9\""), "{error}");
+        for name in names {
+            assert!(error.contains(name), "{error} does not name {name}");
+        }
     }
 
     #[test]

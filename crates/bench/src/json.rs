@@ -51,6 +51,12 @@ pub fn float(v: f64) -> String {
     }
 }
 
+/// Renders an optional integer as a JSON number, or `null` when absent.
+#[must_use]
+pub fn optional(v: Option<impl std::fmt::Display>) -> String {
+    v.map_or_else(|| "null".to_string(), |n| n.to_string())
+}
+
 /// Appends `row` to a rows array that already holds `rows_so_far` rows —
 /// the one separator rule of every row-structured artifact, shared by the
 /// composed documents ([`rows_document`]) and the farm's streamed files.

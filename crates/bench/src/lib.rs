@@ -1,22 +1,18 @@
 //! # spice-bench — experiment harness for the Spice reproduction
 //!
-//! One entry point per table and figure of the paper's evaluation:
-//!
-//! | paper artifact | binary | function |
-//! |---|---|---|
-//! | Table 1 (machine) | `cargo run -p spice-bench --bin table1` | [`experiments::table1`] |
-//! | Table 2 (benchmarks) | `cargo run -p spice-bench --bin table2` | [`experiments::table2`] |
-//! | Figures 2/3/5 (schedules) | `cargo run -p spice-bench --bin schedules` | [`experiments::schedules`] |
-//! | Figure 7 (loop speedups) | `cargo run -p spice-bench --bin fig7` | [`experiments::fig7`] |
-//! | Figure 8 (predictability) | `cargo run -p spice-bench --bin fig8` | [`experiments::fig8`] |
-//! | Ablations (§4/§5 discussion) | `cargo run -p spice-bench --bin ablation` | [`experiments::ablation`] |
-//! | Whole evaluation, in parallel | `cargo run -p spice-bench --bin farm` | [`farm_driver::run_manifest`] |
-//!
-//! Pass `--small` to any binary for a fast, reduced-size run (used by CI and
-//! the crate's own tests). The figure binaries are thin wrappers over the
-//! simulation farm ([`farm_driver`]): the same jobs, run on a work-stealing
-//! pool sized by `--jobs` (default: host parallelism), with artifacts
-//! streamed in deterministic job order so bytes never depend on scheduling.
+//! Every figure of the paper's evaluation is a set of jobs enumerated in one
+//! place, [`farm_driver::run_manifest`], behind one CLI, the `farm` binary:
+//! `cargo run --release -p spice-bench --bin farm -- --figures fig7 --small`
+//! runs one figure on the reduced-size inputs (and the reduced test
+//! machine); without `--figures` the whole evaluation runs as one sweep on a
+//! work-stealing pool sized by `--jobs` (default: host parallelism), with
+//! artifacts streamed in deterministic job order so bytes never depend on
+//! scheduling. [`farm_driver::Figure`] lists the figures with their
+//! artifacts; [`experiments::FigureRows`] is how a figure's rows become its
+//! JSON and its text table. Two paper artifacts are not sweeps and keep
+//! their own binaries: Table 1 (`--bin table1`, [`experiments::table1`]) and
+//! the §2 schedules of Figures 2/3/5 (`--bin schedules`,
+//! [`experiments::schedules`]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -26,21 +22,3 @@ pub mod farm_driver;
 pub mod json;
 pub mod trace_json;
 pub mod tracefile;
-
-/// Returns the `--jobs N` argument (worker threads), or 0 meaning "size to
-/// the host's parallelism".
-#[must_use]
-pub fn jobs_requested() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-}
-
-/// Returns `true` when the process arguments request a reduced-size run.
-#[must_use]
-pub fn small_requested() -> bool {
-    std::env::args().any(|a| a == "--small")
-}

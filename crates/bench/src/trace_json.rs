@@ -16,17 +16,7 @@
 
 use spice_ir::{MisspeculationCause, SquashForensics, TraceEvent};
 
-fn opt_u64(v: Option<u64>) -> String {
-    v.map_or_else(|| "null".to_string(), |n| n.to_string())
-}
-
-fn opt_i64(v: Option<i64>) -> String {
-    v.map_or_else(|| "null".to_string(), |n| n.to_string())
-}
-
-fn opt_u32(v: Option<u32>) -> String {
-    v.map_or_else(|| "null".to_string(), |n| n.to_string())
-}
+use crate::json::optional;
 
 /// The artifact label of a squash cause (stable, snake_case).
 #[must_use]
@@ -47,16 +37,16 @@ fn forensics_json(f: &SquashForensics) -> String {
          \"writer_func\": {}, \"writer_block\": {}, \"writer_at\": {}, \
          \"reader_func\": {}, \"reader_block\": {}}}",
         f.addr,
-        opt_i64(f.word_addr),
+        optional(f.word_addr),
         f.false_conflicts,
         f.granularity_log2,
-        opt_u32(f.writer_core),
-        opt_u64(f.writer_chunk),
-        opt_u32(f.writer_site.map(|(func, _)| func.0)),
-        opt_u32(f.writer_site.map(|(_, block)| block.0)),
-        opt_u64(f.writer_at),
-        opt_u32(f.reader_site.map(|(func, _)| func.0)),
-        opt_u32(f.reader_site.map(|(_, block)| block.0)),
+        optional(f.writer_core),
+        optional(f.writer_chunk),
+        optional(f.writer_site.map(|(func, _)| func.0)),
+        optional(f.writer_site.map(|(_, block)| block.0)),
+        optional(f.writer_at),
+        optional(f.reader_site.map(|(func, _)| func.0)),
+        optional(f.reader_site.map(|(_, block)| block.0)),
     )
 }
 
@@ -105,8 +95,8 @@ pub fn trace_event_json(e: &TraceEvent) -> String {
         } => format!(
             "{{\"kind\": {kind}, \"at\": {at}, \"core\": {core}, \"chunk\": {}, \
              \"conflict\": {}}}",
-            opt_u64(*chunk),
-            opt_i64(*conflict)
+            optional(*chunk),
+            optional(*conflict)
         ),
         TraceEvent::ChunkCommit {
             at,
@@ -116,7 +106,7 @@ pub fn trace_event_json(e: &TraceEvent) -> String {
         } => format!(
             "{{\"kind\": {kind}, \"at\": {at}, \"core\": {core}, \"chunk\": {}, \
              \"writes\": {writes}}}",
-            opt_u64(*chunk)
+            optional(*chunk)
         ),
         TraceEvent::ChunkSquash {
             at,
@@ -132,9 +122,9 @@ pub fn trace_event_json(e: &TraceEvent) -> String {
             format!(
                 "{{\"kind\": {kind}, \"at\": {at}, \"core\": {core}, \"chunk\": {}, \
                  \"cause\": {}, \"cause_addr\": {}, \"forensics\": {}}}",
-                opt_u64(*chunk),
+                optional(*chunk),
                 crate::json::string(cause_label(cause)),
-                opt_i64(cause_addr),
+                optional(cause_addr),
                 forensics
                     .as_ref()
                     .map_or_else(|| "null".to_string(), forensics_json)

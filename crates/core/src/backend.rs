@@ -29,6 +29,9 @@ pub struct SimBackend {
     config: MachineConfig,
     threads: usize,
     predictor: PredictorOptions,
+    /// Trace capacity requested through `enable_trace`, armed on every
+    /// machine this backend loads (tracing may be requested before `load`).
+    trace_capacity: Option<usize>,
     loaded: Option<SimLoaded>,
 }
 
@@ -99,6 +102,7 @@ impl SimBackend {
             config,
             threads,
             predictor: PredictorOptions::default(),
+            trace_capacity: None,
             loaded: None,
         }
     }
@@ -121,6 +125,7 @@ impl SimBackend {
             config: prepared.config().clone(),
             threads: prepared.threads(),
             predictor: PredictorOptions::default(),
+            trace_capacity: None,
             loaded: None,
         };
         backend.load_prepared(prepared);
@@ -130,7 +135,10 @@ impl SimBackend {
     /// Loads this backend from a shared preparation (see
     /// [`SimBackend::from_prepared`]).
     pub fn load_prepared(&mut self, prepared: &PreparedProgram) {
-        let machine = prepared.machine();
+        let mut machine = prepared.machine();
+        if let Some(capacity) = self.trace_capacity {
+            machine.enable_trace(capacity);
+        }
         self.threads = prepared.threads();
         self.loaded = Some(match prepared.kind() {
             // The runner exempts the predictor-array range from conflict
@@ -243,6 +251,7 @@ impl ExecutionBackend for SimBackend {
     }
 
     fn enable_trace(&mut self, capacity: usize) {
+        self.trace_capacity = Some(capacity);
         if let Some(m) = self.machine_mut() {
             m.enable_trace(capacity);
         }
@@ -294,11 +303,7 @@ impl std::fmt::Display for BackendChoice {
 /// Panics if `threads < 2`.
 #[must_use]
 pub fn make_backend(choice: BackendChoice, threads: usize) -> Box<dyn ExecutionBackend> {
-    match choice {
-        BackendChoice::Sim => Box::new(SimBackend::new(threads)),
-        BackendChoice::SimTiny => Box::new(SimBackend::tiny(threads)),
-        BackendChoice::Native => Box::new(NativeLoopBackend::new(threads)),
-    }
+    make_backend_with(choice, threads, PredictorOptions::default())
 }
 
 /// Instantiates the chosen backend with explicit predictor options (the
@@ -423,6 +428,23 @@ mod tests {
             backend.run_invocation(&[0]),
             Err(BackendError::NotLoaded)
         ));
+    }
+
+    /// Tracing requested before `load` is remembered and armed on the machine
+    /// `load` builds, so enable → load → run records events.
+    #[test]
+    fn tracing_enabled_before_load_records_events() {
+        let weights: Vec<i64> = (0..60).map(|i| i + 3).collect();
+        let (program, f, nodes) = list_min_program(weights.len() as i64 + 4);
+        let mut backend = SimBackend::tiny(2);
+        backend.enable_trace(1 << 10);
+        assert!(backend.trace().is_none(), "no machine to record on yet");
+        backend
+            .load(program, f, LoadOptions::new(4096, Some(60)))
+            .unwrap();
+        let head = write_list(backend.mem_mut(), nodes, &weights);
+        backend.run_invocation(&[head]).unwrap();
+        assert!(backend.trace().is_some_and(|t| t.events().count() > 0));
     }
 
     /// A loop with a genuine cross-chunk RAW dependence: node `i` stores

@@ -24,10 +24,10 @@
 //!
 //! * [`PredictorLayout`] — where the arrays live inside a transformed
 //!   program (consumed by the transformation and by the read-only mirrors);
-//! * [`plan`] — the *reference implementation* of the centralized step's
-//!   placement computation. The emitted IR and the native runtime's
-//!   [`chunk_memo_plan`](spice_runtime::chunk_memo_plan)
-//!   must agree with it assignment-for-assignment; the backend-equivalence
+//! * [`plan`] — the centralized step's placement computation as
+//!   [`Assignment`]s: a thin adapter over the one planner,
+//!   [`chunk_memo_plan`](spice_runtime::chunk_memo_plan), which the emitted
+//!   IR must agree with assignment-for-assignment; the backend-equivalence
 //!   property tests enforce this;
 //! * [`read_plan`] / [`read_feedback`] — reconstruct, from shared memory,
 //!   the plan the simulated centralized step wrote and the per-thread
@@ -248,59 +248,40 @@ pub struct InvocationFeedback {
     pub misspeculated: bool,
 }
 
-/// Reference implementation of the centralized step's placement computation
-/// (Algorithm 2): given the per-thread work of the previous invocation,
-/// decide which thread memoizes which chunk boundary so the next
-/// invocation's chunks come out balanced.
+/// The centralized step's placement computation (Algorithm 2) in
+/// [`Assignment`] form: given the per-thread work of the previous
+/// invocation, decide which thread memoizes which chunk boundary so the
+/// next invocation's chunks come out balanced.
 ///
-/// This is the semantic contract that the IR generated by
-/// [`crate::transform::SpiceTransform`] (simulator backend) and
-/// `spice_runtime::chunk_memo_plan` (native backend) both implement; the
-/// backend-equivalence tests compare all three.
+/// The algorithm itself is `spice_runtime::chunk_memo_plan` — the native
+/// backend's planner, and the semantic contract the IR generated by
+/// [`crate::transform::SpiceTransform`] implements; the backend-equivalence
+/// tests pin the generated IR to it. This adapter only chooses the work
+/// distribution the options ask for and flattens the per-thread lists,
+/// ordered by `sva` row.
 #[must_use]
 pub fn plan(threads: usize, options: &PredictorOptions, work: &[u64]) -> Vec<Assignment> {
-    let t = threads;
-    let total: u64 = work.iter().sum();
-    if total == 0 {
-        return Vec::new();
-    }
-    // Global chunk boundaries in "sequential work" units.
-    let boundaries: Vec<u64> = (1..t).map(|k| (k as u64 * total) / t as u64).collect();
-
-    // Where each thread's work sits in the sequential order. Without load
-    // balancing, pretend the main thread will execute everything.
-    let dist: Vec<u64> = if options.load_balance {
-        let mut d = work.to_vec();
-        d.resize(t, 0);
-        d
+    // Without load balancing, pretend the main thread will execute
+    // everything.
+    let pinned;
+    let dist = if options.load_balance {
+        work
     } else {
-        let mut d = vec![0; t];
-        d[0] = total;
-        d
+        pinned = [work.iter().sum()];
+        &pinned[..]
     };
-    let mut prefix = vec![0u64; t + 1];
-    for i in 0..t {
-        prefix[i + 1] = prefix[i] + dist[i];
-    }
-
-    let mut out = Vec::new();
-    for (k, &g) in boundaries.iter().enumerate() {
-        // Find the first thread whose range (prefix[i], prefix[i+1]]
-        // contains g, skipping threads that did no work.
-        let mut tid = t - 1;
-        for i in 0..t {
-            if dist[i] > 0 && g <= prefix[i + 1] {
-                tid = i;
-                break;
-            }
-        }
-        let threshold = (g.saturating_sub(prefix[tid])) as i64;
-        out.push(Assignment {
-            tid,
-            threshold: threshold.max(1),
-            row: k,
-        });
-    }
+    let mut out: Vec<Assignment> = spice_runtime::chunk_memo_plan(dist, threads)
+        .into_iter()
+        .enumerate()
+        .flat_map(|(tid, list)| {
+            list.into_iter().map(move |(threshold, row)| Assignment {
+                tid,
+                threshold: i64::try_from(threshold).unwrap_or(i64::MAX),
+                row,
+            })
+        })
+        .collect();
+    out.sort_by_key(|a| a.row);
     out
 }
 

@@ -117,23 +117,6 @@ impl FunctionBuilder {
         dst
     }
 
-    /// Emits `dst = op(lhs, rhs)` into an existing register.
-    pub fn binop_into(
-        &mut self,
-        dst: Reg,
-        op: BinOp,
-        lhs: impl Into<Operand>,
-        rhs: impl Into<Operand>,
-    ) {
-        let inst = Inst::Binary {
-            op,
-            dst,
-            lhs: lhs.into(),
-            rhs: rhs.into(),
-        };
-        self.push(inst);
-    }
-
     /// Emits a copy into a fresh register.
     pub fn copy(&mut self, src: impl Into<Operand>) -> Reg {
         let dst = self.func.fresh_reg();

@@ -458,23 +458,6 @@ impl BaseExprs {
         }
     }
 
-    /// The symbolic value of `op` just before instruction `ip` of `block`,
-    /// obtained by replaying the block prefix over the block-entry fact.
-    #[must_use]
-    pub fn eval_before(
-        &self,
-        func: &Function,
-        block: BlockId,
-        ip: usize,
-        op: &Operand,
-    ) -> AddrExpr {
-        let mut map = self.solution.block_in[block.index()].clone();
-        for (i, inst) in func.block(block).insts.iter().enumerate().take(ip) {
-            transfer_inst(&mut map, block, i, inst);
-        }
-        eval_operand(&map, op)
-    }
-
     /// Every load and store in `blocks` with its resolved address
     /// expression, in block order.
     #[must_use]

@@ -79,12 +79,6 @@ impl Function {
         self.next_reg as usize
     }
 
-    /// Declares that registers up to `n` (exclusive) are in use. Used when a
-    /// function is assembled by cloning blocks from another function.
-    pub fn reserve_regs(&mut self, n: u32) {
-        self.next_reg = self.next_reg.max(n);
-    }
-
     /// Appends a new empty block and returns its id.
     pub fn add_block(&mut self) -> BlockId {
         self.blocks.push(Block::new());
@@ -129,12 +123,6 @@ impl Function {
     #[must_use]
     pub fn block_ids(&self) -> Vec<BlockId> {
         (0..self.blocks.len()).map(|i| BlockId(i as u32)).collect()
-    }
-
-    /// Total number of instructions (terminators excluded).
-    #[must_use]
-    pub fn inst_count(&self) -> usize {
-        self.blocks.iter().map(|b| b.insts.len()).sum()
     }
 
     /// Copies the blocks `src_blocks` of `src` into `self`, remapping block

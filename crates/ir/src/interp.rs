@@ -600,12 +600,6 @@ impl ThreadState {
         self.status = ThreadStatus::Runnable;
     }
 
-    /// Forces the thread into the trapped state (used by an enclosing
-    /// machine when an external condition kills it).
-    pub fn force_trap(&mut self, kind: TrapKind) {
-        self.status = ThreadStatus::Trapped(kind);
-    }
-
     #[inline]
     fn operand(&self, op: Operand) -> i64 {
         match op {

@@ -101,16 +101,6 @@ impl SharedHeap {
         slice[idx..idx + values.len()].copy_from_slice(values);
     }
 
-    /// Creates a heap holding a copy of `words` — used by backends that
-    /// mirror a flat memory image into the shared heap for one invocation.
-    #[must_use]
-    pub fn from_words(words: &[i64]) -> Self {
-        SharedHeap {
-            words: UnsafeCell::new(words.to_vec().into_boxed_slice()),
-            len: words.len(),
-        }
-    }
-
     /// Exclusive view of every word (single-threaded phases only — the
     /// `&mut` receiver guarantees no worker holds a reference).
     #[must_use]

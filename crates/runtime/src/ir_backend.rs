@@ -250,9 +250,11 @@ impl Drop for PoolWorker {
 /// pairs at which it should memoize its live-in values, so the next
 /// invocation's chunk boundaries split the iteration space evenly.
 ///
-/// The simulator's generated centralized step implements the same
-/// algorithm in IR; `predictor_plans_identical_across_backends` pins the
-/// two to one another, assignment for assignment.
+/// This is the repository's one host-side planner
+/// (`spice_core::predictor::plan` is an adapter over it). The simulator's
+/// generated centralized step implements the same algorithm in IR;
+/// `predictor_plans_identical_across_backends` pins the two to one another,
+/// assignment for assignment.
 #[must_use]
 pub fn chunk_memo_plan(last_work: &[u64], threads: usize) -> Vec<Vec<(u64, usize)>> {
     let t = threads;

@@ -18,6 +18,9 @@ use crate::{Machine, MachineConfig};
 #[derive(Debug)]
 pub struct SequentialSimBackend {
     config: MachineConfig,
+    /// Trace capacity requested through `enable_trace`, armed on the machine
+    /// `load` builds (tracing may be requested before `load`).
+    trace_capacity: Option<usize>,
     loaded: Option<(Machine, FuncId)>,
 }
 
@@ -27,6 +30,7 @@ impl SequentialSimBackend {
     pub fn new(config: MachineConfig) -> Self {
         SequentialSimBackend {
             config: config.with_cores(1),
+            trace_capacity: None,
             loaded: None,
         }
     }
@@ -38,6 +42,7 @@ impl SequentialSimBackend {
     pub fn from_machine(machine: Machine, kernel: FuncId) -> Self {
         SequentialSimBackend {
             config: machine.config().clone(),
+            trace_capacity: None,
             loaded: Some((machine, kernel)),
         }
     }
@@ -74,7 +79,11 @@ impl ExecutionBackend for SequentialSimBackend {
         // machine's own reservation and the caller's request.
         let mut config = self.config.clone();
         config.heap_words = config.heap_words.max(options.heap_words);
-        self.loaded = Some((Machine::new(config, program), kernel));
+        let mut machine = Machine::new(config, program);
+        if let Some(capacity) = self.trace_capacity {
+            machine.enable_trace(capacity);
+        }
+        self.loaded = Some((machine, kernel));
         Ok(())
     }
 
@@ -104,6 +113,7 @@ impl ExecutionBackend for SequentialSimBackend {
     }
 
     fn enable_trace(&mut self, capacity: usize) {
+        self.trace_capacity = Some(capacity);
         if let Some(m) = self.machine_mut() {
             m.enable_trace(capacity);
         }
@@ -167,15 +177,16 @@ mod tests {
         assert_eq!(report.cost, ExecutionCost::Cycles(warm));
     }
 
-    /// Observers arm on the machine before the run and read off it after.
+    /// Observers arm on the backend before the run — before `load` too: the
+    /// request is remembered and armed on the machine `load` builds — and
+    /// read off it after.
     #[test]
     fn tracing_is_armed_on_and_read_off_the_backend() {
         let (p, f, cell) = load_cell_program();
         let mut backend = SequentialSimBackend::new(MachineConfig::test_tiny(1));
-        backend.enable_trace(64); // before load: ignored, like every backend
-        assert!(backend.trace().is_none());
-        backend.load(p, f, LoadOptions::default()).unwrap();
         backend.enable_trace(64);
+        assert!(backend.trace().is_none(), "no machine to record on yet");
+        backend.load(p, f, LoadOptions::default()).unwrap();
         backend.run_invocation(&[cell]).unwrap();
         assert!(backend.trace().is_some_and(|t| t.events().count() > 0));
     }

@@ -1262,12 +1262,6 @@ impl MachineSnapshot {
     pub fn cycle(&self) -> u64 {
         self.cycle
     }
-
-    /// Number of memory words that differ from the baseline image.
-    #[must_use]
-    pub fn delta_words(&self) -> usize {
-        self.delta.len()
-    }
 }
 
 impl Machine {

@@ -8,15 +8,24 @@
 //! measurement is present for every loop, within a bounded mean error, and
 //! directionally right at the extremes.
 
-use spice_bench::experiments::{fig8, fig8_mean_abs_error};
+use spice_bench::experiments::fig8_mean_abs_error;
+use spice_bench::farm_driver::{run_manifest, Figure, Manifest, OutPaths};
 
 #[test]
 fn measured_predictability_tracks_the_corpus_targets() {
-    let bars = fig8(true).expect("fig8");
+    let manifest = Manifest {
+        figures: vec![Figure::Fig8],
+        small: true,
+        jobs: 1,
+        ..Manifest::default()
+    };
+    let bars = &run_manifest(&manifest, &OutPaths::default())
+        .expect("fig8")
+        .fig8_bars;
     assert_eq!(bars.len(), 38, "corpus size");
 
     let mut loops = 0usize;
-    for bar in &bars {
+    for bar in bars {
         assert_eq!(
             bar.loops,
             bar.targets.len(),
@@ -52,7 +61,7 @@ fn measured_predictability_tracks_the_corpus_targets() {
     assert!(loops > 50, "corpus must span many loops, got {loops}");
 
     // Aggregate agreement band: mean |measured - target| over every loop.
-    let err = fig8_mean_abs_error(&bars);
+    let err = fig8_mean_abs_error(bars);
     assert!(
         err <= 0.30,
         "mean measured-vs-target error {err:.3} exceeds the agreement band"

@@ -244,30 +244,6 @@ impl SuiteBenchmark {
             })
             .collect()
     }
-
-    /// Runs every loop of this benchmark on a freshly made backend — the
-    /// corpus-side consumer of the shared execution layer. The caller picks
-    /// the substrate by value (e.g. `|| spice_core::make_backend(choice,
-    /// threads)`); each loop gets its own backend instance so predictor
-    /// state never leaks between loops.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first execution failure or result mismatch.
-    pub fn run_on_backend(
-        &self,
-        make_backend: &mut dyn FnMut() -> Box<dyn crate::ExecutionBackend>,
-        invocations: usize,
-        list_len: usize,
-    ) -> Result<Vec<crate::BackendRunSummary>, String> {
-        self.workloads(invocations, list_len)
-            .into_iter()
-            .map(|mut wl| {
-                let mut backend = make_backend();
-                crate::run_workload_on(&mut wl, backend.as_mut())
-            })
-            .collect()
-    }
 }
 
 /// The conflict-carrying workloads unlocked by the memory-dependence

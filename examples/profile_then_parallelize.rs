@@ -4,7 +4,8 @@
 //!
 //! Run with: `cargo run --example profile_then_parallelize`
 
-use spice_bench::experiments::{run_workload_sequential, run_workload_spice};
+use spice_bench::experiments::{run_workload_backend, run_workload_sequential};
+use spice_core::backend::BackendChoice;
 use spice_core::pipeline::predictor_options_with_estimate;
 use spice_profiler::{profile_workload, AnalyzerConfig, PredictabilityBin};
 use spice_workloads::{ChurnListWorkload, SpiceWorkload};
@@ -33,12 +34,17 @@ fn consider(name: &'static str, predictability: f64) {
     let seq_cycles = run_workload_sequential(&mut seq).expect("sequential");
     let mut par = ChurnListWorkload::new(name, predictability, 250, 16, 99);
     let estimate = par.expected_iterations();
-    let result =
-        run_workload_spice(&mut par, 4, predictor_options_with_estimate(estimate)).expect("spice");
+    let result = run_workload_backend(
+        &mut par,
+        BackendChoice::Sim,
+        4,
+        predictor_options_with_estimate(estimate),
+    )
+    .expect("spice");
     println!(
         "  Spice (4 threads): {:.2}x speedup, mis-speculation {:.1}%\n",
-        seq_cycles as f64 / result.cycles as f64,
-        result.misspeculation_rate * 100.0
+        seq_cycles as f64 / result.total_cost as f64,
+        result.misspeculation_rate() * 100.0
     );
 }
 
