@@ -187,13 +187,14 @@ impl LoopAnalysis {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use spice_ir::builder::FunctionBuilder;
     use spice_ir::{BinOp, Operand};
 
-    /// The paper's Figure 1(a) loop with an extra min-with-payload reduction.
-    fn otter_program() -> (Program, FuncId) {
+    /// The paper's Figure 1(a) loop (`find_lightest_cl` from otter) with its
+    /// min-with-payload reduction; the transform's tests build on it too.
+    pub(crate) fn otter_program() -> (Program, FuncId) {
         let mut b = FunctionBuilder::new("find_lightest");
         let c = b.param();
         let wm = b.param();

@@ -325,50 +325,8 @@ pub fn make_backend_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spice_ir::builder::FunctionBuilder;
     use spice_ir::exec::ExecutionCost;
-    use spice_ir::{BinOp, Operand};
-
-    fn list_min_program(capacity: i64) -> (Program, FuncId, i64) {
-        let mut program = Program::new();
-        let nodes = program.add_global("nodes", capacity * 2);
-        let mut b = FunctionBuilder::new("list_min");
-        let head = b.param();
-        let pre = b.new_block();
-        let header = b.new_block();
-        let body = b.new_block();
-        let exit = b.new_block();
-        let c = b.copy(head);
-        let wm = b.copy(i64::MAX);
-        b.br(pre);
-        b.switch_to(pre);
-        b.br(header);
-        b.switch_to(header);
-        let done = b.binop(BinOp::Eq, c, 0i64);
-        b.cond_br(done, exit, body);
-        b.switch_to(body);
-        let w = b.load(c, 0);
-        let better = b.binop(BinOp::Lt, w, wm);
-        let nw = b.select(better, w, wm);
-        b.copy_into(wm, nw);
-        let nx = b.load(c, 1);
-        b.copy_into(c, nx);
-        b.br(header);
-        b.switch_to(exit);
-        b.ret(Some(Operand::Reg(wm)));
-        let f = program.add_func(b.finish());
-        (program, f, nodes)
-    }
-
-    fn write_list(mem: &mut FlatMemory, base: i64, weights: &[i64]) -> i64 {
-        for (i, w) in weights.iter().enumerate() {
-            let addr = base + 2 * i as i64;
-            let next = if i + 1 < weights.len() { addr + 2 } else { 0 };
-            mem.write(addr, *w).unwrap();
-            mem.write(addr + 1, next).unwrap();
-        }
-        base
-    }
+    use spice_ir::fixtures::{chained_increment_program, list_min_program, write_list};
 
     /// The acceptance demonstration: the same loop, the same driver code,
     /// two backends, identical results.
@@ -378,7 +336,7 @@ mod tests {
         let expected = *weights.iter().min().unwrap();
 
         for choice in [BackendChoice::SimTiny, BackendChoice::Native] {
-            let (program, f, nodes) = list_min_program(weights.len() as i64 + 4);
+            let (program, f, nodes, _) = list_min_program(weights.len() as i64 + 4);
             let mut backend = make_backend(choice, 4);
             backend
                 .load(
@@ -402,7 +360,7 @@ mod tests {
     #[test]
     fn sim_backend_reports_cycles_and_workers() {
         let weights: Vec<i64> = (0..120).map(|i| i + 3).collect();
-        let (program, f, nodes) = list_min_program(weights.len() as i64 + 4);
+        let (program, f, nodes, _) = list_min_program(weights.len() as i64 + 4);
         let mut backend = SimBackend::tiny(2);
         backend
             .load(
@@ -435,7 +393,7 @@ mod tests {
     #[test]
     fn tracing_enabled_before_load_records_events() {
         let weights: Vec<i64> = (0..60).map(|i| i + 3).collect();
-        let (program, f, nodes) = list_min_program(weights.len() as i64 + 4);
+        let (program, f, nodes, _) = list_min_program(weights.len() as i64 + 4);
         let mut backend = SimBackend::tiny(2);
         backend.enable_trace(1 << 10);
         assert!(backend.trace().is_none(), "no machine to record on yet");
@@ -445,50 +403,6 @@ mod tests {
         let head = write_list(backend.mem_mut(), nodes, &weights);
         backend.run_invocation(&[head]).unwrap();
         assert!(backend.trace().is_some_and(|t| t.events().count() > 0));
-    }
-
-    /// A loop with a genuine cross-chunk RAW dependence: node `i` stores
-    /// `value(i) + 1` into node `i+1`'s value word before the next iteration
-    /// loads it. Both backends must detect the violation at commit, squash,
-    /// recover by re-executing on the main thread, and still return the
-    /// sequential result.
-    fn chained_increment_program(capacity: i64) -> (Program, FuncId, i64) {
-        let mut program = Program::new();
-        let nodes = program.add_global("nodes", capacity * 2);
-        let mut b = FunctionBuilder::new("chained_increment");
-        let head = b.param();
-        let pre = b.new_block();
-        let header = b.new_block();
-        let body = b.new_block();
-        let poke = b.new_block();
-        let advance = b.new_block();
-        let exit = b.new_block();
-        let c = b.copy(head);
-        let sum = b.copy(0i64);
-        b.br(pre);
-        b.switch_to(pre);
-        b.br(header);
-        b.switch_to(header);
-        let done = b.binop(BinOp::Eq, c, 0i64);
-        b.cond_br(done, exit, body);
-        b.switch_to(body);
-        let w = b.load(c, 0);
-        let s = b.binop(BinOp::Add, sum, w);
-        b.copy_into(sum, s);
-        let nx = b.load(c, 1);
-        let has_next = b.binop(BinOp::Ne, nx, 0i64);
-        b.cond_br(has_next, poke, advance);
-        b.switch_to(poke);
-        let bumped = b.binop(BinOp::Add, w, 1i64);
-        b.store(bumped, nx, 0);
-        b.br(advance);
-        b.switch_to(advance);
-        b.copy_into(c, nx);
-        b.br(header);
-        b.switch_to(exit);
-        b.ret(Some(Operand::Reg(sum)));
-        let f = program.add_func(b.finish());
-        (program, f, nodes)
     }
 
     #[test]
@@ -503,15 +417,9 @@ mod tests {
             backend
                 .load(program, f, LoadOptions::new(4096, Some(n as u64)))
                 .unwrap();
-            {
-                let mem = backend.mem_mut();
-                for i in 0..n {
-                    let addr = nodes + 2 * i;
-                    let next = if i + 1 < n { addr + 2 } else { 0 };
-                    mem.write(addr, if i == 0 { v0 } else { 0 }).unwrap();
-                    mem.write(addr + 1, next).unwrap();
-                }
-            }
+            let mut values = vec![0; n as usize];
+            values[0] = v0;
+            write_list(backend.mem_mut(), nodes, &values);
             let mut saw_violation = false;
             for inv in 0..5 {
                 let report = backend.run_invocation(&[nodes]).unwrap();

@@ -305,6 +305,7 @@ mod tests {
     use crate::analysis::LoopAnalysis;
     use crate::transform::{SpiceOptions, SpiceTransform};
     use spice_ir::builder::FunctionBuilder;
+    use spice_ir::fixtures::write_list;
     use spice_ir::{BinOp, Operand, Program};
     use spice_sim::MachineConfig;
 
@@ -347,26 +348,6 @@ mod tests {
         (p, f, nodes_base)
     }
 
-    /// Writes a singly linked list of `weights` into the nodes array and
-    /// returns the head address.
-    fn build_list(mem: &mut spice_ir::interp::FlatMemory, base: i64, weights: &[i64]) -> i64 {
-        for (i, w) in weights.iter().enumerate() {
-            let addr = base + (i as i64) * 2;
-            let next = if i + 1 < weights.len() {
-                base + (i as i64 + 1) * 2
-            } else {
-                0
-            };
-            mem.write(addr, *w).unwrap();
-            mem.write(addr + 1, next).unwrap();
-        }
-        if weights.is_empty() {
-            0
-        } else {
-            base
-        }
-    }
-
     fn sequential_min(weights: &[i64]) -> i64 {
         weights.iter().copied().min().unwrap_or(i64::MAX)
     }
@@ -385,7 +366,7 @@ mod tests {
         .unwrap();
 
         let mut machine = Machine::new(MachineConfig::test_tiny(2), p);
-        let head = build_list(machine.mem_mut(), base, &weights);
+        let head = write_list(machine.mem_mut(), base, &weights);
         let mut runner = SpiceRunner::new(spice);
 
         // Several invocations over the same (unchanged) list: after the first
@@ -426,7 +407,7 @@ mod tests {
 
         // Sequential baseline.
         let mut m_seq = Machine::new(MachineConfig::test_tiny(1), p_seq);
-        let head_seq = build_list(m_seq.mem_mut(), base_seq, &weights);
+        let head_seq = write_list(m_seq.mem_mut(), base_seq, &weights);
         let (seq_cycles, seq_val) =
             run_sequential(&mut m_seq, f_seq, &[head_seq, out_seq]).unwrap();
         assert_eq!(seq_val, Some(sequential_min(&weights)));
@@ -440,7 +421,7 @@ mod tests {
         .apply(&mut p, &analysis)
         .unwrap();
         let mut machine = Machine::new(MachineConfig::test_tiny(4), p);
-        let head = build_list(machine.mem_mut(), base, &weights);
+        let head = write_list(machine.mem_mut(), base, &weights);
         let mut runner = SpiceRunner::new(spice);
 
         let mut best_cycles = u64::MAX;
@@ -484,7 +465,7 @@ mod tests {
         let sva_base = spice.layout.sva_base;
 
         let mut machine = Machine::new(MachineConfig::test_tiny(2), p);
-        let head = build_list(machine.mem_mut(), base, &weights);
+        let head = write_list(machine.mem_mut(), base, &weights);
         let mut runner = SpiceRunner::new(spice);
 
         // Warm up so the sva holds a real node address.

@@ -207,6 +207,7 @@ mod tests {
     use crate::pipeline::run_sequential;
     use spice_ir::builder::FunctionBuilder;
     use spice_ir::exec::ExecutionBackend;
+    use spice_ir::fixtures::write_list;
     use spice_ir::{BinOp, Operand};
 
     fn list_sum_program(capacity: i64) -> (Program, FuncId, i64) {
@@ -237,15 +238,6 @@ mod tests {
         b.ret(Some(Operand::Reg(sum)));
         let f = program.add_func(b.finish());
         (program, f, nodes)
-    }
-
-    fn write_list(mem: &mut FlatMemory, base: i64, weights: &[i64]) {
-        for (i, w) in weights.iter().enumerate() {
-            let addr = base + 2 * i as i64;
-            let next = if i + 1 < weights.len() { addr + 2 } else { 0 };
-            mem.write(addr, *w).unwrap();
-            mem.write(addr + 1, next).unwrap();
-        }
     }
 
     /// Two machines instantiated from one preparation share the decoded

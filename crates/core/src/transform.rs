@@ -1096,43 +1096,9 @@ fn rewrite_main(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::tests::otter_program;
     use crate::analysis::LoopAnalysis;
     use spice_ir::verify::verify_program;
-
-    /// Builds the paper's Figure 1(a) loop (`find_lightest_cl` from otter).
-    fn otter_program() -> (Program, FuncId) {
-        let mut b = FunctionBuilder::new("find_lightest");
-        let c = b.param();
-        let wm = b.param();
-        let cm = b.param();
-        let out_addr = b.param();
-        let pre = b.new_labeled_block("preheader");
-        let header = b.new_labeled_block("header");
-        let body = b.new_labeled_block("body");
-        let exit = b.new_labeled_block("exit");
-        b.br(pre);
-        b.switch_to(pre);
-        b.br(header);
-        b.switch_to(header);
-        let done = b.binop(BinOp::Eq, c, 0i64);
-        b.cond_br(done, exit, body);
-        b.switch_to(body);
-        let w = b.load(c, 0);
-        let better = b.binop(BinOp::Lt, w, wm);
-        let new_wm = b.select(better, w, wm);
-        b.copy_into(wm, new_wm);
-        let new_cm = b.select(better, c, cm);
-        b.copy_into(cm, new_cm);
-        let next = b.load(c, 1);
-        b.copy_into(c, next);
-        b.br(header);
-        b.switch_to(exit);
-        b.store(cm, out_addr, 0);
-        b.ret(Some(Operand::Reg(wm)));
-        let mut p = Program::new();
-        let f = p.add_func(b.finish());
-        (p, f)
-    }
 
     #[test]
     fn transform_produces_verified_program_for_two_threads() {

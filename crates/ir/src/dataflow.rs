@@ -109,12 +109,10 @@ pub fn solve<A: Analysis>(analysis: &A, func: &Function, cfg: &Cfg) -> Solution<
             continue;
         }
         block_out[b.index()] = out;
-        let next: Vec<BlockId> = if forward {
-            cfg.succs(b).to_vec()
-        } else {
-            cfg.preds(b).to_vec()
-        };
-        for s in next {
+        let next: &[BlockId] = if forward { cfg.succs(b) } else { cfg.preds(b) };
+        // Unreachable blocks (only a backward edge can name one) keep the
+        // empty fact, as they do in the forward direction.
+        for &s in next.iter().filter(|&&s| cfg.is_reachable(s)) {
             let changed = {
                 let from = block_out[b.index()].clone();
                 analysis.join(&mut block_in[s.index()], &from)

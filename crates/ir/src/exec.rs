@@ -553,42 +553,11 @@ impl ExecutionBackend for InterpBackend {
 mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
-    use crate::{BinOp, Operand};
-
-    fn list_min_program() -> (Program, FuncId) {
-        let mut program = Program::new();
-        let _nodes = program.add_global("nodes", 64);
-        let mut b = FunctionBuilder::new("list_min");
-        let head = b.param();
-        let pre = b.new_block();
-        let header = b.new_block();
-        let body = b.new_block();
-        let exit = b.new_block();
-        let c = b.copy(head);
-        let wm = b.copy(i64::MAX);
-        b.br(pre);
-        b.switch_to(pre);
-        b.br(header);
-        b.switch_to(header);
-        let done = b.binop(BinOp::Eq, c, 0i64);
-        b.cond_br(done, exit, body);
-        b.switch_to(body);
-        let w = b.load(c, 0);
-        let better = b.binop(BinOp::Lt, w, wm);
-        let nw = b.select(better, w, wm);
-        b.copy_into(wm, nw);
-        let nx = b.load(c, 1);
-        b.copy_into(c, nx);
-        b.br(header);
-        b.switch_to(exit);
-        b.ret(Some(Operand::Reg(wm)));
-        let f = program.add_func(b.finish());
-        (program, f)
-    }
+    use crate::Operand;
 
     #[test]
     fn derive_finds_cursor_and_reduction() {
-        let (p, f) = list_min_program();
+        let (p, f, ..) = crate::fixtures::list_min_program(32);
         let spec = derive_loop_spec(&p, f, None).unwrap();
         assert_eq!(spec.cursors.len(), 1, "one speculated cursor");
         assert_eq!(spec.reductions.len(), 1, "the min reduction");

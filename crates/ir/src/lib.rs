@@ -30,6 +30,8 @@
 //!   with the backend-neutral [`exec::ExecutionReport`] and
 //!   [`exec::SpiceLoopSpec`].
 //! * [`verify`] — structural verification, run after every transformation.
+//! * [`fixtures`] — the small list-walking programs several crates' tests
+//!   share.
 //! * [`dataflow`] — a reusable forward/backward dataflow framework over
 //!   [`cfg::Cfg`] (reaching definitions, available memory-base expressions,
 //!   loop-carried definition chains) and the static dependence pre-screen.
@@ -80,6 +82,7 @@ pub mod dataflow;
 pub mod decoded;
 pub mod dom;
 pub mod exec;
+pub mod fixtures;
 mod function;
 mod inst;
 pub mod interp;

@@ -15,70 +15,67 @@
 use std::collections::{HashMap, HashSet};
 
 use crate::cfg::Cfg;
+use crate::dataflow::{solve, Analysis, Direction};
 use crate::function::Function;
 use crate::loops::Loop;
 use crate::types::{BlockId, Reg};
 
-/// Per-block liveness sets, computed with the standard backward fixed point.
+/// Per-block liveness sets: the backward instance of the [`dataflow`]
+/// framework (fact = the live register set).
+///
+/// [`dataflow`]: crate::dataflow
 #[derive(Debug, Clone)]
 pub struct Liveness {
     live_in: Vec<HashSet<Reg>>,
     live_out: Vec<HashSet<Reg>>,
 }
 
+struct LiveRegs;
+
+impl Analysis for LiveRegs {
+    type Fact = HashSet<Reg>;
+
+    fn direction(&self) -> Direction {
+        Direction::Backward
+    }
+
+    fn boundary_fact(&self, _func: &Function) -> HashSet<Reg> {
+        HashSet::new()
+    }
+
+    fn empty_fact(&self) -> HashSet<Reg> {
+        HashSet::new()
+    }
+
+    fn join(&self, into: &mut HashSet<Reg>, from: &HashSet<Reg>) -> bool {
+        let before = into.len();
+        into.extend(from);
+        into.len() != before
+    }
+
+    fn transfer(&self, func: &Function, block: BlockId, mut live: HashSet<Reg>) -> HashSet<Reg> {
+        let block = func.block(block);
+        live.extend(block.terminator.uses());
+        for inst in block.insts.iter().rev() {
+            if let Some(def) = inst.def() {
+                live.remove(&def);
+            }
+            live.extend(inst.uses());
+        }
+        live
+    }
+}
+
 impl Liveness {
     /// Computes liveness for `func`.
     #[must_use]
     pub fn new(func: &Function, cfg: &Cfg) -> Self {
-        let n = func.blocks.len();
-        // Per-block use/def.
-        let mut uses: Vec<HashSet<Reg>> = vec![HashSet::new(); n];
-        let mut defs: Vec<HashSet<Reg>> = vec![HashSet::new(); n];
-        for (id, block) in func.iter_blocks() {
-            let (u, d) = (&mut uses[id.index()], &mut defs[id.index()]);
-            for inst in &block.insts {
-                for r in inst.uses() {
-                    if !d.contains(&r) {
-                        u.insert(r);
-                    }
-                }
-                if let Some(r) = inst.def() {
-                    d.insert(r);
-                }
-            }
-            for r in block.terminator.uses() {
-                if !d.contains(&r) {
-                    u.insert(r);
-                }
-            }
+        // Backward: a block's "input" is the fact at its end.
+        let solution = solve(&LiveRegs, func, cfg);
+        Liveness {
+            live_in: solution.block_out,
+            live_out: solution.block_in,
         }
-
-        let mut live_in: Vec<HashSet<Reg>> = vec![HashSet::new(); n];
-        let mut live_out: Vec<HashSet<Reg>> = vec![HashSet::new(); n];
-        let mut changed = true;
-        while changed {
-            changed = false;
-            // Iterate in reverse RPO for fast convergence.
-            for &b in cfg.rpo().iter().rev() {
-                let bi = b.index();
-                let mut out: HashSet<Reg> = HashSet::new();
-                for &s in cfg.succs(b) {
-                    out.extend(live_in[s.index()].iter().copied());
-                }
-                let mut inn: HashSet<Reg> = uses[bi].clone();
-                for r in &out {
-                    if !defs[bi].contains(r) {
-                        inn.insert(*r);
-                    }
-                }
-                if out != live_out[bi] || inn != live_in[bi] {
-                    live_out[bi] = out;
-                    live_in[bi] = inn;
-                    changed = true;
-                }
-            }
-        }
-        Liveness { live_in, live_out }
     }
 
     /// Registers live on entry to `b`.
@@ -308,6 +305,61 @@ mod tests {
         assert_eq!(defs.get(&c), Some(&1));
         // Temporaries defined once.
         assert!(defs.values().all(|&count| count >= 1));
+    }
+
+    /// The backward solve on a loop whose body returns mid-function: both
+    /// `ret` blocks seed the boundary, and the result satisfies the liveness
+    /// equations at every block — a fixpoint, not just a plausible answer.
+    #[test]
+    fn backward_solve_reaches_a_fixpoint_with_a_mid_function_ret() {
+        let mut b = FunctionBuilder::new("find");
+        let c = b.param();
+        let key = b.param();
+        let miss = b.param();
+        let header = b.new_block();
+        let body = b.new_block();
+        let found = b.new_block();
+        let latch = b.new_block();
+        let exit = b.new_block();
+        b.br(header);
+        b.switch_to(header);
+        let done = b.binop(BinOp::Eq, c, 0i64);
+        b.cond_br(done, exit, body);
+        b.switch_to(body);
+        let w = b.load(c, 0);
+        let hit = b.binop(BinOp::Eq, w, key);
+        b.cond_br(hit, found, latch);
+        b.switch_to(found);
+        b.ret(Some(Operand::Reg(c)));
+        b.switch_to(latch);
+        let next = b.load(c, 1);
+        b.copy_into(c, next);
+        b.br(header);
+        b.switch_to(exit);
+        b.ret(Some(Operand::Reg(miss)));
+        let f = b.finish();
+        let cfg = Cfg::new(&f);
+        let live = Liveness::new(&f, &cfg);
+
+        let set = |regs: &[Reg]| regs.iter().copied().collect::<HashSet<Reg>>();
+        assert_eq!(live.live_in(header), &set(&[c, key, miss]));
+        assert_eq!(live.live_in(found), &set(&[c]), "the early ret's use");
+        assert_eq!(live.live_in(exit), &set(&[miss]));
+        assert_eq!(live.live_out(latch), &set(&[c, key, miss]));
+        assert!(live.live_out(found).is_empty() && live.live_out(exit).is_empty());
+        for (id, _) in f.iter_blocks() {
+            let out: HashSet<Reg> = cfg
+                .succs(id)
+                .iter()
+                .flat_map(|&s| live.live_in(s).iter().copied())
+                .collect();
+            assert_eq!(live.live_out(id), &out, "live_out({id:?})");
+            assert_eq!(
+                live.live_in(id),
+                &LiveRegs.transfer(&f, id, out),
+                "live_in({id:?})"
+            );
+        }
     }
 
     #[test]

@@ -7,52 +7,60 @@
 //! buffer their writes privately until the Spice protocol decides to commit
 //! or squash them.
 //!
-//! The shared storage uses interior mutability (`UnsafeCell`) because the
-//! ownership structure — "exactly one thread may write any given word
-//! non-speculatively during an invocation, everyone may read" — is a dynamic
-//! protocol property the borrow checker cannot see. All unsafety is confined
-//! to [`SharedHeap`]; the public surface is safe except for
-//! [`SharedHeap::write`], whose contract documents the protocol requirement.
+//! The storage is a slice of [`AtomicI64`] accessed with
+//! [`Ordering::Relaxed`] — a plain word `mov` on x86-64 — so sharing it
+//! needs no `unsafe`, and every interleaving of reads and writes is defined
+//! behaviour: a read returns some value that was written to that word,
+//! never a torn one. That the *results* are right is a property of the
+//! protocol, not of the memory ordering:
+//!
+//! * During an invocation the main thread is the only writer. A worker may
+//!   read a word while the main thread is writing it and see either the old
+//!   or the new value. That read fell through to the shared heap, so the
+//!   address is in the chunk's load set, and the main thread's store put it
+//!   in the main chunk's write log; the ordered validation intersects the
+//!   two and squashes the chunk. A possibly-stale value is never committed.
+//! * Every other hand-over is ordered by a channel, which is a
+//!   happens-before edge: the mirror ([`SharedHeap::overwrite`]) precedes
+//!   the task sends, a worker's result send precedes the commit of its
+//!   buffer, and the snapshot ([`SharedHeap::snapshot_into`]) follows the
+//!   last result receive.
 
-use std::cell::UnsafeCell;
+use std::sync::atomic::{AtomicI64, Ordering};
 
 use spice_ir::exec::{AccessSet, DenseMap};
+use spice_ir::interp::MemPort;
+use spice_ir::TrapKind;
 
 /// A flat, word-addressable heap shared by the Spice threads of one loop.
 #[derive(Debug)]
 pub struct SharedHeap {
-    words: UnsafeCell<Box<[i64]>>,
-    len: usize,
+    words: Box<[AtomicI64]>,
 }
-
-// SAFETY: concurrent access is governed by the Spice execution protocol (see
-// the module documentation): reads may race only with the single
-// non-speculative writer of a word, and the values involved are plain `i64`s
-// written and read with volatile-free, word-sized accesses. The protocol
-// guarantees that any word a thread reads for a *correctness-critical*
-// decision is either thread-private or stable for the duration of the read.
-unsafe impl Sync for SharedHeap {}
 
 impl SharedHeap {
     /// Creates a zeroed heap of `len` words.
     #[must_use]
     pub fn new(len: usize) -> Self {
         SharedHeap {
-            words: UnsafeCell::new(vec![0i64; len].into_boxed_slice()),
-            len,
+            words: (0..len).map(|_| AtomicI64::new(0)).collect(),
         }
     }
 
     /// Number of words.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.words.len()
     }
 
     /// Whether the heap has zero words.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.words.is_empty()
+    }
+
+    fn word(&self, addr: i64) -> Option<&AtomicI64> {
+        self.words.get(usize::try_from(addr).ok()?)
     }
 
     /// Reads word `addr`, or `None` if out of bounds (a speculative thread
@@ -60,100 +68,57 @@ impl SharedHeap {
     /// process).
     #[must_use]
     pub fn read(&self, addr: i64) -> Option<i64> {
-        let idx = usize::try_from(addr).ok()?;
-        if idx >= self.len {
-            return None;
-        }
-        // SAFETY: idx is in bounds; see the `Sync` justification above for
-        // why a concurrent read is acceptable under the execution protocol.
-        unsafe { Some((*self.words.get())[idx]) }
+        Some(self.word(addr)?.load(Ordering::Relaxed))
     }
 
-    /// Writes word `addr`.
-    ///
-    /// # Safety
-    ///
-    /// The caller must be the only thread writing `addr` at this moment and
-    /// no other thread may be relying on reading a stable value from `addr`
-    /// concurrently — in the Spice protocol this holds for the
-    /// non-speculative main thread and for ordered commits of validated
-    /// speculative buffers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is out of bounds (non-speculative writes to invalid
-    /// addresses are always a harness bug).
-    pub unsafe fn write(&self, addr: i64, value: i64) {
-        let idx = usize::try_from(addr).expect("non-speculative write out of bounds");
-        assert!(idx < self.len, "non-speculative write out of bounds");
-        (*self.words.get())[idx] = value;
-    }
-
-    /// Fills `[base, base + values.len())` with `values` (single-threaded
-    /// setup helper).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    pub fn fill(&mut self, base: i64, values: &[i64]) {
-        let idx = usize::try_from(base).expect("base in bounds");
-        let slice = self.words.get_mut();
-        slice[idx..idx + values.len()].copy_from_slice(values);
-    }
-
-    /// Exclusive view of every word (single-threaded phases only — the
-    /// `&mut` receiver guarantees no worker holds a reference).
+    /// Writes word `addr`; `None` (and no write) if out of bounds. In the
+    /// Spice protocol only the main thread calls this: for its own
+    /// non-speculative stores and for ordered commits of validated buffers.
     #[must_use]
-    pub fn words_mut(&mut self) -> &mut [i64] {
-        self.words.get_mut()
+    pub fn write(&self, addr: i64, value: i64) -> Option<()> {
+        self.word(addr)?.store(value, Ordering::Relaxed);
+        Some(())
     }
 
     /// Overwrites the whole heap from `src` — the between-invocations mirror
     /// of a mutated canonical memory image into a *persistent* shared heap.
     ///
-    /// # Safety
-    ///
-    /// The caller must be in a single-threaded phase: no worker may be
-    /// reading or writing any word concurrently (in the Spice runtime this
-    /// holds between invocations, after every worker has reported its chunk).
-    ///
     /// # Panics
     ///
     /// Panics if `src.len()` differs from the heap length.
-    pub unsafe fn overwrite(&self, src: &[i64]) {
-        let words = &mut *self.words.get();
-        assert_eq!(src.len(), words.len(), "heap image length changed");
-        words.copy_from_slice(src);
+    pub fn overwrite(&self, src: &[i64]) {
+        assert_eq!(src.len(), self.words.len(), "heap image length changed");
+        for (word, &value) in self.words.iter().zip(src) {
+            word.store(value, Ordering::Relaxed);
+        }
     }
 
     /// Copies the whole heap into `dst` — the post-invocation commit of the
     /// shared heap back into the canonical memory image.
     ///
-    /// # Safety
-    ///
-    /// Same single-threaded-phase contract as [`SharedHeap::overwrite`].
-    ///
     /// # Panics
     ///
     /// Panics if `dst.len()` differs from the heap length.
-    pub unsafe fn snapshot_into(&self, dst: &mut [i64]) {
-        let words = &*self.words.get();
-        assert_eq!(dst.len(), words.len(), "heap image length changed");
-        dst.copy_from_slice(words);
+    pub fn snapshot_into(&self, dst: &mut [i64]) {
+        assert_eq!(dst.len(), self.words.len(), "heap image length changed");
+        for (slot, word) in dst.iter_mut().zip(self.words.iter()) {
+            *slot = word.load(Ordering::Relaxed);
+        }
     }
 }
 
-/// A speculative view of a [`SharedHeap`]: reads see the thread's own
-/// buffered writes first, writes are buffered and never touch shared memory
-/// until [`SpecView::into_writes`] hands them to the committer.
+/// A speculative view of a [`SharedHeap`], and the [`MemPort`] a worker
+/// chunk executes against: loads see the thread's own buffered stores first,
+/// stores are buffered (bounds-checked now, so the later commit cannot
+/// fault) and never touch shared memory until [`SpecView::into_parts`] hands
+/// them to the committer.
 ///
-/// With read tracking enabled ([`SpecView::with_read_tracking`]), the view
-/// additionally records its *load set* — every address read through
-/// [`SpecView::read_tracked`] that was **not** satisfied by the thread's own
-/// store buffer — as an [`AccessSet`]. This is the per-chunk half of the
+/// With read tracking on, the view additionally records its *load set* —
+/// every address loaded that was **not** satisfied by the thread's own store
+/// buffer — as an [`AccessSet`]. This is the per-chunk half of the
 /// memory-dependence speculation subsystem: at commit time the runtime
 /// intersects a chunk's load set against the write sets of logically earlier
-/// chunks and squashes on overlap (a RAW violation). Store-forwarded reads
+/// chunks and squashes on overlap (a RAW violation). Store-forwarded loads
 /// are excluded because they can never observe a stale value.
 #[derive(Debug)]
 pub struct SpecView<'h> {
@@ -167,24 +132,15 @@ pub struct SpecView<'h> {
 }
 
 impl<'h> SpecView<'h> {
-    /// Creates an empty speculative view without read tracking.
-    #[must_use]
-    pub fn new(heap: &'h SharedHeap) -> Self {
-        SpecView {
-            heap,
-            writes: DenseMap::new(),
-            reads: AccessSet::new(),
-            track_reads: false,
-        }
-    }
-
     /// Creates an empty speculative view, recording the load set when
     /// `track` is set (the [`spice_ir::exec::ConflictPolicy::Detect`] mode).
     #[must_use]
     pub fn with_read_tracking(heap: &'h SharedHeap, track: bool) -> Self {
         SpecView {
+            heap,
+            writes: DenseMap::new(),
+            reads: AccessSet::new(),
             track_reads: track,
-            ..SpecView::new(heap)
         }
     }
 
@@ -199,46 +155,6 @@ impl<'h> SpecView<'h> {
         self
     }
 
-    /// Reads a word, preferring this thread's own speculative writes.
-    #[must_use]
-    pub fn read(&self, addr: i64) -> Option<i64> {
-        if let Some(v) = self.writes.get(addr) {
-            return Some(v);
-        }
-        self.heap.read(addr)
-    }
-
-    /// Reads a word like [`read`](Self::read), recording `addr` in the load
-    /// set when read tracking is on and the read fell through to the shared
-    /// heap (i.e. was not store-forwarded from this thread's own buffer).
-    #[must_use]
-    pub fn read_tracked(&mut self, addr: i64) -> Option<i64> {
-        if let Some(v) = self.writes.get(addr) {
-            return Some(v);
-        }
-        if self.track_reads {
-            self.reads.insert(addr);
-        }
-        self.heap.read(addr)
-    }
-
-    /// The load set recorded so far (empty unless read tracking is on).
-    #[must_use]
-    pub fn reads(&self) -> &AccessSet {
-        &self.reads
-    }
-
-    /// Buffers a speculative write.
-    pub fn write(&mut self, addr: i64, value: i64) {
-        self.writes.insert(addr, value);
-    }
-
-    /// Number of distinct words written.
-    #[must_use]
-    pub fn write_count(&self) -> usize {
-        self.writes.len()
-    }
-
     /// Discards the buffered writes while keeping the recorded load set
     /// (and the tracking mode). Used when a worker finishes replaying the
     /// loop's entry code: the replayed stores must not be committed twice,
@@ -249,13 +165,6 @@ impl<'h> SpecView<'h> {
         self.writes.clear();
     }
 
-    /// Consumes the view and returns the buffered writes in first-write
-    /// order, for an ordered commit.
-    #[must_use]
-    pub fn into_writes(self) -> Vec<(i64, i64)> {
-        self.into_parts().0
-    }
-
     /// Consumes the view and returns the buffered writes (first-write order)
     /// together with the recorded load set.
     #[must_use]
@@ -264,19 +173,54 @@ impl<'h> SpecView<'h> {
     }
 }
 
+impl MemPort for SpecView<'_> {
+    fn load(&mut self, addr: i64) -> Result<i64, TrapKind> {
+        if let Some(v) = self.writes.get(addr) {
+            return Ok(v);
+        }
+        // Recorded even when out of bounds: the chunk faults, but the set
+        // must not lie about what it tried to read.
+        if self.track_reads {
+            self.reads.insert(addr);
+        }
+        self.heap
+            .read(addr)
+            .ok_or(TrapKind::OutOfBoundsAccess { addr })
+    }
+
+    fn store(&mut self, addr: i64, value: i64) -> Result<(), TrapKind> {
+        if self.heap.word(addr).is_none() {
+            return Err(TrapKind::OutOfBoundsAccess { addr });
+        }
+        self.writes.insert(addr, value);
+        Ok(())
+    }
+
+    fn alloc(&mut self, _words: i64) -> Result<i64, TrapKind> {
+        // Speculative allocation is unsupported; the chunk squashes.
+        Err(TrapKind::OutOfMemory)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
 
     #[test]
     fn read_write_round_trip() {
-        let mut h = SharedHeap::new(64);
-        h.fill(10, &[1, 2, 3]);
-        assert_eq!(h.read(11), Some(2));
+        let h = SharedHeap::new(64);
+        h.overwrite(&(100..164).collect::<Vec<i64>>());
+        assert_eq!(h.read(11), Some(111));
         assert_eq!(h.read(1000), None);
         assert_eq!(h.read(-1), None);
-        unsafe { h.write(11, 9) };
+        assert_eq!(h.write(11, 9), Some(()));
+        assert_eq!(h.write(64, 9), None);
+        assert_eq!(h.write(-1, 9), None);
         assert_eq!(h.read(11), Some(9));
+        let mut image = vec![0; 64];
+        h.snapshot_into(&mut image);
+        assert_eq!((image[10], image[11], image[12]), (110, 9, 112));
         assert_eq!(h.len(), 64);
         assert!(!h.is_empty());
     }
@@ -284,17 +228,22 @@ mod tests {
     #[test]
     fn spec_view_buffers_writes_until_commit() {
         let h = SharedHeap::new(32);
-        let mut v = SpecView::new(&h);
-        v.write(5, 42);
-        v.write(6, 43);
-        v.write(5, 44);
-        assert_eq!(v.read(5), Some(44));
+        let mut v = SpecView::with_read_tracking(&h, false);
+        v.store(5, 42).unwrap();
+        v.store(6, 43).unwrap();
+        v.store(5, 44).unwrap();
+        assert_eq!(v.load(5), Ok(44));
         assert_eq!(h.read(5), Some(0), "shared heap untouched before commit");
-        assert_eq!(v.write_count(), 2);
-        let writes = v.into_writes();
+        assert_eq!(
+            v.store(32, 1),
+            Err(TrapKind::OutOfBoundsAccess { addr: 32 }),
+            "a store the commit could not apply faults when it is buffered"
+        );
+        assert_eq!(v.alloc(1), Err(TrapKind::OutOfMemory));
+        let (writes, _) = v.into_parts();
         assert_eq!(writes, vec![(5, 44), (6, 43)]);
         for (a, val) in writes {
-            unsafe { h.write(a, val) };
+            h.write(a, val).unwrap();
         }
         assert_eq!(h.read(5), Some(44));
     }
@@ -303,28 +252,29 @@ mod tests {
     fn read_tracking_records_only_heap_fallthrough_reads() {
         let h = SharedHeap::new(64);
         let mut v = SpecView::with_read_tracking(&h, true);
-        v.write(10, 7);
-        assert_eq!(v.read_tracked(10), Some(7), "store-forwarded");
-        assert_eq!(v.read_tracked(20), Some(0), "fell through to heap");
-        let _ = v.read_tracked(999); // out of bounds still recorded: the
-                                     // chunk faults, but the set must not lie
-        assert!(!v.reads().contains(10), "forwarded reads are not stale");
-        assert!(v.reads().contains(20));
-        assert!(v.reads().contains(999));
+        v.store(10, 7).unwrap();
+        assert_eq!(v.load(10), Ok(7), "store-forwarded");
+        assert_eq!(v.load(20), Ok(0), "fell through to heap");
+        assert!(v.load(999).is_err());
+        v.drop_writes();
+        assert_eq!(v.load(10), Ok(0), "dropped writes no longer forward");
         let (writes, reads) = v.into_parts();
-        assert_eq!(writes, vec![(10, 7)]);
-        assert_eq!(reads.len(), 2);
+        assert!(writes.is_empty());
+        assert!(reads.contains(20));
+        assert!(reads.contains(999), "a faulting read is still recorded");
+        assert!(reads.contains(10), "only the post-drop read of 10 counts");
+        assert_eq!(reads.len(), 3);
 
         // Tracking off: the load set stays empty.
         let mut quiet = SpecView::with_read_tracking(&h, false);
-        assert_eq!(quiet.read_tracked(20), Some(0));
-        assert!(quiet.reads().is_empty());
+        assert_eq!(quiet.load(20), Ok(0));
+        assert!(quiet.into_parts().1.is_empty());
     }
 
     #[test]
     fn concurrent_readers_are_allowed() {
-        let mut h = SharedHeap::new(1024);
-        h.fill(0, &(0..1024).collect::<Vec<i64>>());
+        let h = SharedHeap::new(1024);
+        h.overwrite(&(0..1024).collect::<Vec<i64>>());
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
@@ -335,6 +285,46 @@ mod tests {
                     assert_eq!(sum, 1023 * 1024 / 2);
                 });
             }
+        });
+    }
+
+    /// The protocol's one race, forced with a barrier: two readers spin on
+    /// the words while the single direct writer flips each from its old to
+    /// its new value. Every observation is one of those two values — never
+    /// torn, never a third — and a reader that saw the new value never sees
+    /// the old one of that word again.
+    #[test]
+    fn readers_racing_the_direct_writer_see_old_or_new() {
+        const WORDS: i64 = 256;
+        const OLD: i64 = 0x0123_4567_89ab_cdef;
+        const NEW: i64 = !OLD;
+        let h = SharedHeap::new(WORDS as usize);
+        h.overwrite(&vec![OLD; WORDS as usize]);
+        let start = Barrier::new(3);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    start.wait();
+                    let mut flipped = vec![false; WORDS as usize];
+                    while !flipped.iter().all(|&f| f) {
+                        for a in 0..WORDS {
+                            let v = h.read(a).unwrap();
+                            assert!(v == OLD || v == NEW, "word {a} read {v:#x}");
+                            assert!(
+                                v == NEW || !flipped[a as usize],
+                                "word {a} went back to its old value"
+                            );
+                            flipped[a as usize] = v == NEW;
+                        }
+                    }
+                });
+            }
+            s.spawn(|| {
+                start.wait();
+                for a in 0..WORDS {
+                    h.write(a, NEW).unwrap();
+                }
+            });
         });
     }
 }

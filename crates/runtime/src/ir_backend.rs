@@ -11,14 +11,20 @@
 //! the paper's Figures 4/5 with the interpreter standing in for hardware.
 //!
 //! The execution model matches the paper's pre-spawned runtime: the worker
-//! threads (plus a dedicated predictor thread) are spawned **once**, at the
-//! first invocation, and persist across the whole run. Each invocation sends
-//! every predicted worker a `new_invocation` token — a [`WorkerTask`]
-//! carrying that invocation's start/successor predictions and memoization
-//! plan — over its channel; workers block on the channel between
-//! invocations. The centralized half of Algorithm 2 ([`chunk_memo_plan`])
-//! runs on the pool's dedicated predictor thread *inside* the timed window,
-//! so its wall-time is part of the invocation's cost, not the driver's.
+//! threads are spawned **once**, at the first invocation, and persist across
+//! the whole run, blocked on their task channels between invocations. Each
+//! invocation sends every predicted worker a `new_invocation` token — a
+//! [`WorkerTask`] carrying that invocation's arguments, start/successor
+//! predictions and memoization plan; everything that is invariant across a
+//! `load` rides along as one shared [`LoopContext`]. The centralized half of
+//! Algorithm 2 ([`chunk_memo_plan`]) runs on the main thread *inside* the
+//! timed window — where the simulator runs the same step, as core 0's
+//! generated preheader code — so its wall-time is part of the invocation's
+//! cost, not the driver's.
+//!
+//! Every chunk — the main thread's, a worker's, the main thread's resume
+//! after the commit chain ends — is one call of [`run_chunk`], the only
+//! place that knows what a header arrival, an iteration and a stop are.
 //!
 //! Memory follows the `spice-runtime` speculation contract: a *persistent*
 //! [`SharedHeap`] mirrors the canonical [`FlatMemory`] image — re-mirrored
@@ -40,8 +46,8 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use spice_ir::exec::{
-    derive_loop_spec, AccessSet, BackendError, ConflictPolicy, ExecutionBackend, ExecutionCost,
-    ExecutionReport, LoadOptions, MisspeculationCause, SpiceLoopSpec, WorkerReport,
+    derive_loop_spec, AccessSet, BackendError, ExecutionBackend, ExecutionCost, ExecutionReport,
+    LoadOptions, MisspeculationCause, SpiceLoopSpec, WorkerReport,
 };
 use spice_ir::interp::{FlatMemory, MemPort, StepEvent, SysPort, ThreadState};
 use spice_ir::reduction::ReductionKind;
@@ -52,12 +58,12 @@ use spice_ir::{
 
 use crate::heap::{SharedHeap, SpecView};
 
-/// Default per-thread interpreter step budget per invocation. A stale
-/// prediction can send a speculative chunk on an unbounded walk (the paper's
-/// "loop forever" case); the budget bounds it when the squash flag cannot.
+/// Default per-thread interpreter step budget per chunk. A stale prediction
+/// can send a speculative chunk on an unbounded walk (the paper's "loop
+/// forever" case); the budget bounds it when the squash flag cannot.
 const DEFAULT_STEP_BUDGET: u64 = 200_000_000;
 
-/// How often (in steps) a worker polls its squash flag between header
+/// How often (in steps) a chunk polls its squash flag between header
 /// arrivals — inner loops (e.g. mcf's climb) may not pass the header for a
 /// while.
 const SQUASH_POLL_INTERVAL: u64 = 1024;
@@ -71,7 +77,9 @@ pub struct NativeLoopBackend {
     threads: usize,
     step_budget: u64,
     loaded: Option<Loaded>,
-    pool: Option<WorkerPool>,
+    /// The `threads - 1` pre-spawned workers; empty until the first
+    /// invocation.
+    pool: Vec<PoolWorker>,
     tracing: NativeTracing,
 }
 
@@ -112,19 +120,33 @@ impl NativeTracing {
     }
 }
 
+/// What is invariant across a `load`, shared by the main thread and every
+/// pool worker.
+#[derive(Debug)]
+struct LoopContext {
+    /// The pre-decoded execution form every thread steps over (the
+    /// structured [`Program`] is consumed by the loop analysis and the
+    /// decode; nothing at run time walks it).
+    program: DecodedProgram,
+    kernel: FuncId,
+    spec: SpiceLoopSpec,
+    /// Persistent shared heap the threads execute against. Mirrors
+    /// `Loaded::mem`; re-synced from it only when `heap_dirty` says a driver
+    /// mutated the canonical image since the last post-invocation commit.
+    heap: SharedHeap,
+    step_budget: u64,
+    /// Whether cross-chunk memory dependences are detected
+    /// ([`spice_ir::exec::ConflictPolicy::Detect`]): every chunk records its
+    /// load set and the ordered validation squashes RAW violations.
+    detect: bool,
+    /// Conflict-set coarsening (power-of-two words per grain; 0 = exact).
+    granularity_log2: u8,
+}
+
 #[derive(Debug)]
 struct Loaded {
-    /// The pre-decoded execution form every thread steps over, built once at
-    /// `load` (the structured [`Program`] is consumed by the loop analysis
-    /// and the decode; nothing at run time walks it).
-    decoded: Arc<DecodedProgram>,
-    kernel: FuncId,
-    spec: Arc<SpiceLoopSpec>,
+    ctx: Arc<LoopContext>,
     mem: FlatMemory,
-    /// Persistent shared heap the threads execute against. Mirrors `mem`;
-    /// re-synced from it only when `heap_dirty` says a driver mutated the
-    /// canonical image since the last post-invocation commit.
-    heap: Arc<SharedHeap>,
     /// Set by [`NativeLoopBackend::mem_mut`]; cleared whenever heap and
     /// canonical image are known identical.
     heap_dirty: bool,
@@ -134,32 +156,22 @@ struct Loaded {
     /// Per-thread iteration counts of the previous invocation (main first),
     /// feeding the load balancer.
     last_work: Vec<u64>,
-    /// How cross-chunk memory dependences are treated: under
-    /// [`ConflictPolicy::Detect`] every chunk records its load set and the
-    /// ordered validation squashes RAW violations.
-    policy: ConflictPolicy,
-    /// Conflict-set coarsening (power-of-two words per grain; 0 = exact).
-    granularity_log2: u8,
     /// The memoization plan of the most recent invocation (the centralized
     /// step's output), per thread.
     last_plan: Vec<Vec<(u64, usize)>>,
 }
 
-/// One `new_invocation` token: everything a pre-spawned worker needs to run
-/// its speculative chunk for the current invocation.
+/// One `new_invocation` token: what a pre-spawned worker needs, beyond the
+/// shared context, to run its speculative chunk for the current invocation.
 struct WorkerTask {
-    program: Arc<DecodedProgram>,
-    kernel: FuncId,
-    spec: Arc<SpiceLoopSpec>,
+    ctx: Arc<LoopContext>,
     args: Vec<i64>,
-    heap: Arc<SharedHeap>,
+    /// Predicted cursor values the chunk starts from.
     start: Vec<i64>,
+    /// The next worker's predicted start, when it has one: this chunk's
+    /// hand-off boundary.
     successor: Option<Vec<i64>>,
-    squash: Arc<AtomicBool>,
     plan: Vec<(u64, usize)>,
-    budget: u64,
-    detect: bool,
-    granularity_log2: u8,
 }
 
 /// A pre-spawned worker thread: tasks go down `task_tx`, one
@@ -171,43 +183,19 @@ struct PoolWorker {
     task_tx: Option<Sender<WorkerTask>>,
     result_rx: Receiver<WorkerChunk>,
     handle: Option<JoinHandle<()>>,
+    /// Raised by the main thread to stop the worker's current chunk early.
+    squash: Arc<AtomicBool>,
 }
 
 impl PoolWorker {
     fn spawn() -> Self {
         let (task_tx, task_rx) = std::sync::mpsc::channel::<WorkerTask>();
         let (result_tx, result_rx) = std::sync::mpsc::channel();
+        let squash = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&squash);
         let handle = std::thread::spawn(move || {
             while let Ok(task) = task_rx.recv() {
-                let WorkerTask {
-                    program,
-                    kernel,
-                    spec,
-                    args,
-                    heap,
-                    start,
-                    successor,
-                    squash,
-                    plan,
-                    budget,
-                    detect,
-                    granularity_log2,
-                } = task;
-                let chunk = run_worker_chunk(
-                    &program,
-                    kernel,
-                    &spec,
-                    &args,
-                    &heap,
-                    &start,
-                    successor,
-                    &squash,
-                    &plan,
-                    budget,
-                    detect,
-                    granularity_log2,
-                );
-                if result_tx.send(chunk).is_err() {
+                if result_tx.send(run_worker_chunk(&task, &flag)).is_err() {
                     break;
                 }
             }
@@ -216,6 +204,7 @@ impl PoolWorker {
             task_tx: Some(task_tx),
             result_rx,
             handle: Some(handle),
+            squash,
         }
     }
 
@@ -241,6 +230,18 @@ impl Drop for PoolWorker {
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
+    }
+}
+
+/// Error-path cleanup: squash and drain every worker still marked
+/// outstanding in `tasked`, so a failed invocation leaves no stale results
+/// in the channels.
+fn abort_pool(pool: &[PoolWorker], tasked: &[bool]) {
+    for (worker, _) in pool.iter().zip(tasked).filter(|(_, t)| **t) {
+        worker.squash.store(true, Ordering::Release);
+    }
+    for (worker, _) in pool.iter().zip(tasked).filter(|(_, t)| **t) {
+        let _ = worker.recv();
     }
 }
 
@@ -284,100 +285,6 @@ pub fn chunk_memo_plan(last_work: &[u64], threads: usize) -> Vec<Vec<(u64, usize
     plan
 }
 
-/// The pool's dedicated predictor thread: receives the previous invocation's
-/// work distribution, answers with the memoization plan
-/// ([`chunk_memo_plan`] — the centralized half of Algorithm 2). The caller
-/// blocks for the round trip inside the timed window, so the centralized
-/// step's wall-time is measured as part of the invocation.
-#[derive(Debug)]
-struct Planner {
-    req_tx: Option<Sender<(Vec<u64>, usize)>>,
-    plan_rx: Receiver<Vec<Vec<(u64, usize)>>>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl Planner {
-    fn spawn() -> Self {
-        let (req_tx, req_rx) = std::sync::mpsc::channel::<(Vec<u64>, usize)>();
-        let (plan_tx, plan_rx) = std::sync::mpsc::channel();
-        let handle = std::thread::spawn(move || {
-            while let Ok((last_work, threads)) = req_rx.recv() {
-                if plan_tx.send(chunk_memo_plan(&last_work, threads)).is_err() {
-                    break;
-                }
-            }
-        });
-        Planner {
-            req_tx: Some(req_tx),
-            plan_rx,
-            handle: Some(handle),
-        }
-    }
-
-    fn plan(
-        &self,
-        last_work: Vec<u64>,
-        threads: usize,
-    ) -> Result<Vec<Vec<(u64, usize)>>, BackendError> {
-        self.req_tx
-            .as_ref()
-            .expect("planner alive")
-            .send((last_work, threads))
-            .map_err(|_| BackendError::Engine("predictor thread died".to_string()))?;
-        self.plan_rx
-            .recv()
-            .map_err(|_| BackendError::Engine("predictor thread died".to_string()))
-    }
-}
-
-impl Drop for Planner {
-    fn drop(&mut self) {
-        self.req_tx.take();
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-/// The persistent native runtime: `threads - 1` pre-spawned workers, their
-/// reusable squash flags, and the dedicated predictor thread.
-#[derive(Debug)]
-struct WorkerPool {
-    workers: Vec<PoolWorker>,
-    squash: Vec<Arc<AtomicBool>>,
-    planner: Planner,
-}
-
-impl WorkerPool {
-    fn spawn(threads: usize) -> Self {
-        let workers = (0..threads - 1).map(|_| PoolWorker::spawn()).collect();
-        let squash = (0..threads - 1)
-            .map(|_| Arc::new(AtomicBool::new(false)))
-            .collect();
-        WorkerPool {
-            workers,
-            squash,
-            planner: Planner::spawn(),
-        }
-    }
-
-    /// Error-path cleanup: squash and drain every worker still marked
-    /// outstanding in `tasked`, so a failed invocation leaves no stale
-    /// results in the channels.
-    fn abort(&self, tasked: &[bool]) {
-        for (wi, &t) in tasked.iter().enumerate() {
-            if t {
-                self.squash[wi].store(true, Ordering::Release);
-            }
-        }
-        for (wi, &t) in tasked.iter().enumerate() {
-            if t {
-                let _ = self.workers[wi].recv();
-            }
-        }
-    }
-}
-
 impl NativeLoopBackend {
     /// Creates a backend running `threads` OS threads (one non-speculative
     /// main + `threads - 1` speculative workers).
@@ -392,12 +299,13 @@ impl NativeLoopBackend {
             threads,
             step_budget: DEFAULT_STEP_BUDGET,
             loaded: None,
-            pool: None,
+            pool: Vec::new(),
             tracing: NativeTracing::default(),
         }
     }
 
-    /// Overrides the per-thread interpreter step budget.
+    /// Overrides the per-thread interpreter step budget of every loop
+    /// loaded from now on.
     #[must_use]
     pub fn with_step_budget(mut self, steps: u64) -> Self {
         self.step_budget = steps;
@@ -438,9 +346,11 @@ impl NativeLoopBackend {
     /// persistent. `None` until the first invocation spawns the pool.
     #[must_use]
     pub fn worker_thread_ids(&self) -> Option<Vec<std::thread::ThreadId>> {
-        let pool = self.pool.as_ref()?;
+        if self.pool.is_empty() {
+            return None;
+        }
         Some(
-            pool.workers
+            self.pool
                 .iter()
                 .map(|w| w.handle.as_ref().expect("pool worker alive").thread().id())
                 .collect(),
@@ -481,19 +391,21 @@ impl ExecutionBackend for NativeLoopBackend {
             last_work = vec![0; self.threads];
             last_work[0] = estimate;
         }
-        let heap = Arc::new(SharedHeap::new(mem.words().len()));
-        let decoded = Arc::new(DecodedProgram::new(&program));
-        self.loaded = Some(Loaded {
-            decoded,
+        let ctx = LoopContext {
+            program: DecodedProgram::new(&program),
             kernel,
-            spec: Arc::new(spec),
+            spec,
+            heap: SharedHeap::new(mem.words().len()),
+            step_budget: self.step_budget,
+            detect: options.conflict_policy.detects(),
+            granularity_log2: options.conflict_granularity_log2,
+        };
+        self.loaded = Some(Loaded {
+            ctx: Arc::new(ctx),
             mem,
-            heap,
             heap_dirty: true,
             predictions: vec![vec![0; width]; self.threads - 1],
             last_work,
-            policy: options.conflict_policy,
-            granularity_log2: options.conflict_granularity_log2,
             last_plan: Vec::new(),
         });
         Ok(())
@@ -512,23 +424,27 @@ impl ExecutionBackend for NativeLoopBackend {
     }
 
     fn run_invocation(&mut self, args: &[i64]) -> Result<ExecutionReport, BackendError> {
-        let budget = self.step_budget;
         let threads = self.threads;
         let workers = threads - 1;
         let loaded = self.loaded.as_mut().ok_or(BackendError::NotLoaded)?;
-        let pool = self.pool.get_or_insert_with(|| WorkerPool::spawn(threads));
+        if self.pool.is_empty() {
+            self.pool = (0..workers).map(|_| PoolWorker::spawn()).collect();
+        }
+        let pool = self.pool.as_slice();
         let tracing = &mut self.tracing;
         let invocation = tracing.invocations;
         tracing.invocations += 1;
         tracing.emit(TraceEvent::InvocationBegin { index: invocation });
 
+        let ctx = Arc::clone(&loaded.ctx);
+        let (spec, heap) = (&ctx.spec, &ctx.heap);
+        let (detect, granularity_log2) = (ctx.detect, ctx.granularity_log2);
         // Mirror the canonical memory into the persistent shared heap only
         // when a driver actually touched the image since the last commit —
-        // an unchanged image is reused as-is.
+        // an unchanged image is reused as-is. Every pool worker is blocked
+        // on its task channel here; the task sends below publish the mirror.
         if loaded.heap_dirty {
-            // SAFETY: between invocations every pool worker is blocked on
-            // its task channel; nothing touches the heap concurrently.
-            unsafe { loaded.heap.overwrite(loaded.mem.words()) };
+            heap.overwrite(loaded.mem.words());
         }
         // The invocation is about to write the heap; until the
         // post-invocation commit copies it back, the canonical image is
@@ -536,54 +452,41 @@ impl ExecutionBackend for NativeLoopBackend {
         // commit) means every early error return leaves it set, so the next
         // invocation re-mirrors instead of executing on a half-written heap.
         loaded.heap_dirty = true;
-
-        let detect = loaded.policy.detects();
-        let granularity_log2 = loaded.granularity_log2;
-        let predictions = loaded.predictions.clone();
-        let program = Arc::clone(&loaded.decoded);
-        let kernel = loaded.kernel;
-        let spec = Arc::clone(&loaded.spec);
-        let heap = Arc::clone(&loaded.heap);
-        let alloc_base = loaded.mem.heap_next();
-        for flag in &pool.squash {
-            flag.store(false, Ordering::Release);
+        for worker in pool {
+            worker.squash.store(false, Ordering::Release);
         }
 
         // The invocation's cost starts here and includes the centralized
-        // predictor step, which runs on the pool's dedicated thread — its
-        // wall-time is part of the measured runtime, not the driver's.
+        // predictor step: its wall-time is part of the measured runtime,
+        // not the driver's.
         let started = Instant::now();
-        let memo_plan = pool.planner.plan(loaded.last_work.clone(), threads)?;
-        loaded.last_plan = memo_plan.clone();
+        loaded.last_plan = chunk_memo_plan(&loaded.last_work, threads);
+        let memo_plan = &loaded.last_plan;
+        let predictions = &loaded.predictions;
 
         // new_invocation: hand every predicted worker its task token; the
         // pre-spawned threads wake from their channel recv.
         let mut tasked = vec![false; workers];
         let mut chunk_ids: Vec<Option<u64>> = vec![None; workers];
         for wi in 0..workers {
-            let start = predictions[wi].clone();
-            if start.iter().all(|&v| v == 0) {
+            if !is_prediction(&predictions[wi]) {
                 continue;
             }
             let task = WorkerTask {
-                program: Arc::clone(&program),
-                kernel,
-                spec: Arc::clone(&spec),
+                ctx: Arc::clone(&ctx),
                 args: args.to_vec(),
-                heap: Arc::clone(&heap),
-                start,
-                successor: predictions.get(wi + 1).cloned(),
-                squash: Arc::clone(&pool.squash[wi]),
+                start: predictions[wi].clone(),
+                successor: predictions
+                    .get(wi + 1)
+                    .filter(|s| is_prediction(s))
+                    .cloned(),
                 plan: memo_plan[wi + 1].clone(),
-                budget,
-                detect,
-                granularity_log2,
             };
-            if let Err(e) = pool.workers[wi].send(task) {
+            if let Err(e) = pool[wi].send(task) {
                 // A worker already tasked this invocation must be squashed
                 // and drained, or its stale result would desynchronize the
                 // next invocation's commit loop.
-                pool.abort(&tasked);
+                abort_pool(pool, &tasked);
                 return Err(e);
             }
             tasked[wi] = true;
@@ -607,31 +510,31 @@ impl ExecutionBackend for NativeLoopBackend {
 
         // Main (non-speculative) chunk on the calling thread, stopping at
         // the first worker's predicted boundary.
-        let boundary = predictions
-            .first()
-            .filter(|p| workers > 0 && p.iter().any(|&v| v != 0))
-            .cloned();
         let mut port = DirectPort {
-            heap: &heap,
-            alloc_next: alloc_base,
+            heap,
+            alloc_next: loaded.mem.heap_next(),
             write_log: detect.then(|| AccessSet::with_granularity(granularity_log2)),
         };
-        let mut main = match run_main_chunk(
-            &program,
-            kernel,
-            &spec,
-            args,
-            &mut port,
-            boundary,
-            &memo_plan[0],
-            budget,
-        ) {
-            Ok(m) => m,
-            Err(e) => {
-                pool.abort(&tasked);
-                return Err(e);
+        let mut steps = ctx.step_budget;
+        let (mut main, early) = enter_loop(&ctx, args, &mut port, &mut steps, None);
+        let main_run = match early {
+            Some(stop) => ChunkRun::stopped(stop),
+            None => {
+                let limits = ChunkLimits {
+                    boundary: predictions
+                        .first()
+                        .filter(|b| is_prediction(b))
+                        .map(Vec::as_slice),
+                    plan: &memo_plan[0],
+                    squash: None,
+                };
+                run_chunk(&ctx, &mut main, &mut port, &mut steps, &limits)
             }
         };
+        if let Stop::Trap(trap) = main_run.stop {
+            abort_pool(pool, &tasked);
+            return Err(engine_trap(trap));
+        }
 
         // Ordered validation and commit (paper §3: the main thread is the
         // only committer, one chunk at a time, in thread order). Under
@@ -652,12 +555,12 @@ impl ExecutionBackend for NativeLoopBackend {
         let mut writer_by_word: Option<HashMap<i64, (u32, Option<u64>)>> =
             (detect && tracing.on()).then(HashMap::new);
         let mut committed = 0usize;
-        let mut still_valid = main.matched;
+        let mut still_valid = main_run.stop == Stop::Boundary;
         let mut end_reached = false;
         let mut resume_finals: Option<Vec<(Reg, i64)>> = None;
         let mut reports = Vec::with_capacity(workers);
-        let mut work = vec![main.iterations];
-        let mut memos = std::mem::take(&mut main.memos);
+        let mut work = vec![main_run.iterations];
+        let mut memos = main_run.memos;
         // Registers whose resume values come from reduction combining,
         // not from copying the last committed chunk's state.
         let combined_regs: Vec<Reg> = spec
@@ -681,17 +584,17 @@ impl ExecutionBackend for NativeLoopBackend {
                 // The chain is broken: flag every not-yet-joined worker at
                 // once, so they all stop at their next poll instead of
                 // winding down serially as the join loop reaches them.
-                for (later, flag) in pool.squash.iter().enumerate().skip(wi) {
+                for (later, worker) in pool.iter().enumerate().skip(wi) {
                     if tasked[later] {
-                        flag.store(true, Ordering::Release);
+                        worker.squash.store(true, Ordering::Release);
                     }
                 }
             }
-            let result = match pool.workers[wi].recv() {
+            let result = match pool[wi].recv() {
                 Ok(r) => r,
                 Err(e) => {
                     tasked[wi] = false;
-                    pool.abort(&tasked);
+                    abort_pool(pool, &tasked);
                     return Err(e);
                 }
             };
@@ -713,17 +616,13 @@ impl ExecutionBackend for NativeLoopBackend {
                     conflict,
                 });
             }
-            let valid = still_valid
-                && !end_reached
-                && result.fault.is_none()
-                && conflict.is_none()
-                && (result.matched || result.reached_exit);
-            if valid {
-                for (addr, value) in &result.writes {
-                    // SAFETY: ordered commit — one worker at a time, by
-                    // the main thread, after every worker stopped writing
-                    // (`SpecPort` bounds-checks each buffered address).
-                    unsafe { heap.write(*addr, *value) };
+            let fault = result.run.stop.fault();
+            if still_valid && !end_reached && fault.is_none() && conflict.is_none() {
+                for &(addr, value) in &result.writes {
+                    // Ordered commit — one worker at a time, by the main
+                    // thread, after the worker's result send.
+                    heap.write(addr, value)
+                        .expect("SpecView bounds-checks every buffered store");
                 }
                 if detect {
                     earlier_writes.extend(result.writes.iter().map(|(a, _)| *a));
@@ -742,22 +641,21 @@ impl ExecutionBackend for NativeLoopBackend {
                         writes: result.writes.len() as u64,
                     });
                 }
-                combine_reductions(&spec, &mut main.state, &result.finals);
-                memos.extend(result.memos.iter().cloned());
-                work.push(result.iterations);
+                combine_reductions(spec, &mut main, &result.finals);
+                memos.extend(result.run.memos);
+                work.push(result.run.iterations);
                 committed += 1;
-                end_reached = result.reached_exit;
-                still_valid = result.matched || result.reached_exit;
+                end_reached = result.run.stop == Stop::Exit;
                 resume_finals = Some(result.finals);
                 reports.push(WorkerReport {
                     committed: true,
                     cause: None,
-                    work: result.iterations,
+                    work: result.run.iterations,
                 });
             } else {
                 let cause = if !still_valid || end_reached {
                     MisspeculationCause::SquashCascade
-                } else if let Some(f) = result.fault {
+                } else if let Some(f) = fault {
                     f
                 } else if let Some(addr) = conflict {
                     MisspeculationCause::DependenceViolation { addr }
@@ -810,44 +708,52 @@ impl ExecutionBackend for NativeLoopBackend {
                 reports.push(WorkerReport {
                     committed: false,
                     cause: Some(cause),
-                    work: result.iterations,
+                    work: result.run.iterations,
                 });
             }
         }
 
-        // Resume the main thread: on success from the terminal state of
-        // the last committed chunk; after a squash from the first
-        // non-validated boundary (which the last valid chunk reached
-        // itself, so it is a genuine traversal point).
-        let return_value = if let Some(v) = main.finished {
-            v
-        } else {
-            if let Some(finals) = &resume_finals {
-                for (reg, value) in finals {
+        // Resume the main thread to the end of the kernel: on success from
+        // the terminal state of the last committed chunk; after a squash
+        // from the first non-validated boundary (which the last valid chunk
+        // reached itself, so it is a genuine traversal point). Through the
+        // same port, so allocations made during the main chunk are not
+        // handed out a second time.
+        let return_value = match main_run.stop {
+            Stop::Finished(value) => value,
+            _ => {
+                for (reg, value) in resume_finals.iter().flatten() {
                     if !combined_regs.contains(reg) {
-                        main.state.set_reg(*reg, *value);
+                        main.set_reg(*reg, *value);
+                    }
+                }
+                let mut steps = ctx.step_budget;
+                loop {
+                    let resume = ChunkLimits::default();
+                    let run = run_chunk(&ctx, &mut main, &mut port, &mut steps, &resume);
+                    work[0] += run.iterations;
+                    match run.stop {
+                        Stop::Finished(value) => break value,
+                        Stop::Trap(trap) => return Err(engine_trap(trap)),
+                        // The exit code is the main thread's own to run.
+                        Stop::Exit => {}
+                        Stop::Boundary | Stop::Squashed => {
+                            unreachable!("the resume has no boundary and no squash flag")
+                        }
                     }
                 }
             }
-            // Resume through the same port, so allocations made during
-            // the main chunk are not handed out a second time.
-            let (value, extra_iterations) =
-                finish_main(&program, &spec, &mut main.state, &mut port, budget)?;
-            work[0] += extra_iterations;
-            value
         };
         let elapsed = started.elapsed();
 
         // Commit: publish the invocation's memory effects and predictor
-        // feedback into the canonical image. The heap and the image are
+        // feedback into the canonical image (every worker has reported, so
+        // nothing else touches the heap). The heap and the image are
         // identical afterwards, so the next invocation skips the mirror
         // unless a driver mutates the image in between.
-        let alloc_next = port.alloc_next;
-        drop(port);
-        // SAFETY: every worker has reported; single-threaded phase.
-        unsafe { heap.snapshot_into(loaded.mem.words_mut()) };
+        heap.snapshot_into(loaded.mem.words_mut());
         loaded.heap_dirty = false;
-        loaded.mem.set_heap_next(alloc_next);
+        loaded.mem.set_heap_next(port.alloc_next);
         for (row, cursors) in memos {
             if row < loaded.predictions.len() {
                 loaded.predictions[row] = cursors;
@@ -877,16 +783,178 @@ impl ExecutionBackend for NativeLoopBackend {
     }
 }
 
-/// A worker's view of its chunk after it stopped.
-struct WorkerChunk {
-    /// The chunk ended on its successor's predicted boundary.
-    matched: bool,
-    /// The chunk ran the loop to its natural exit.
-    reached_exit: bool,
-    /// Why the chunk is invalid, if it faulted.
-    fault: Option<MisspeculationCause>,
+/// An all-zero cursor row is the no-prediction marker, and also what the
+/// cursors hold once the loop is done — a chunk cannot start from "done".
+/// So such a row is never a chunk start, never a boundary, and never
+/// memoized (the row keeps its previous value instead).
+fn is_prediction(row: &[i64]) -> bool {
+    row.iter().any(|&v| v != 0)
+}
+
+/// Why a chunk stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stop {
+    /// The cursors equal the successor's predicted start: the hand-off
+    /// point. The thread is paused on a header arrival.
+    Boundary,
+    /// Control arrived at the loop's exit block: the loop genuinely ended
+    /// inside this chunk (the exit code itself is the main thread's to run).
+    Exit,
+    /// The kernel returned (or halted) without passing either.
+    Finished(Option<i64>),
+    /// A trap, a blocking receive, or the step budget ran out.
+    Trap(TrapKind),
+    /// The squash flag was seen raised.
+    Squashed,
+}
+
+impl Stop {
+    /// Why a *speculative* chunk that stopped this way cannot be committed;
+    /// `None` for the two stops a valid chunk ends on.
+    fn fault(self) -> Option<MisspeculationCause> {
+        match self {
+            Stop::Boundary | Stop::Exit => None,
+            Stop::Finished(_) => Some(MisspeculationCause::Fault(TrapKind::UnsupportedIntrinsic)),
+            Stop::Trap(trap) => Some(MisspeculationCause::Fault(trap)),
+            Stop::Squashed => Some(MisspeculationCause::SquashCascade),
+        }
+    }
+}
+
+/// Where a chunk must stop (besides the loop's exit) and what it memoizes.
+#[derive(Default)]
+struct ChunkLimits<'a> {
+    /// The successor's predicted start, if it has one.
+    boundary: Option<&'a [i64]>,
+    /// `(local iteration threshold, prediction row)` pairs, ascending.
+    plan: &'a [(u64, usize)],
+    squash: Option<&'a AtomicBool>,
+}
+
+/// What one [`run_chunk`] call did.
+struct ChunkRun {
+    stop: Stop,
+    /// Completed iterations: header re-arrivals. The final header
+    /// evaluation that takes the exit edge is not one (the sim backend's
+    /// latch-side work bump makes the same call; the counters must agree).
     iterations: u64,
     memos: Vec<(usize, Vec<i64>)>,
+}
+
+impl ChunkRun {
+    /// A chunk that stopped before its first header arrival.
+    fn stopped(stop: Stop) -> Self {
+        ChunkRun {
+            stop,
+            iterations: 0,
+            memos: Vec::new(),
+        }
+    }
+}
+
+/// The one chunk loop. Steps `state`, paused on a header arrival, through
+/// whole iterations until the first of: the cursors equal `limits.boundary`,
+/// control arrives at the exit block, the kernel finishes, a trap or the end
+/// of the `steps` budget, the squash flag. On every header arrival, in this
+/// order: boundary, squash flag, memoization plan.
+fn run_chunk<M: MemPort>(
+    ctx: &LoopContext,
+    state: &mut ThreadState,
+    port: &mut M,
+    steps: &mut u64,
+    limits: &ChunkLimits<'_>,
+) -> ChunkRun {
+    let mut plan = limits.plan.iter().peekable();
+    let mut iterations = 0u64;
+    let mut memos = Vec::new();
+    let stop = loop {
+        let cursors: Vec<i64> = ctx.spec.cursors.iter().map(|&r| state.reg(r)).collect();
+        if limits.boundary == Some(cursors.as_slice()) {
+            break Stop::Boundary;
+        }
+        if limits.squash.is_some_and(|s| s.load(Ordering::Acquire)) {
+            break Stop::Squashed;
+        }
+        if let Some(&(_, row)) = plan.next_if(|&&(threshold, _)| iterations >= threshold) {
+            if is_prediction(&cursors) {
+                memos.push((row, cursors));
+            }
+        }
+        match step_to_header(ctx, state, port, steps, limits.squash) {
+            None => iterations += 1,
+            Some(stop) => break stop,
+        }
+    };
+    ChunkRun {
+        stop,
+        iterations,
+        memos,
+    }
+}
+
+/// The one step loop. Steps `state` until it next *arrives* at (enters
+/// through a branch) the loop header — `None` — or something else ends the
+/// chunk first. Arrivals are qualified by function: block ids are
+/// function-local, so a kernel whose entry phase or body calls helper
+/// functions (e.g. `mcf_app`'s arc scan and relink) would otherwise
+/// "arrive" at a callee block that merely shares the header's numeric id.
+fn step_to_header<M: MemPort>(
+    ctx: &LoopContext,
+    state: &mut ThreadState,
+    port: &mut M,
+    steps: &mut u64,
+    squash: Option<&AtomicBool>,
+) -> Option<Stop> {
+    let spec = &ctx.spec;
+    loop {
+        if *steps == 0 {
+            return Some(Stop::Trap(TrapKind::OutOfFuel));
+        }
+        *steps -= 1;
+        if steps.is_multiple_of(SQUASH_POLL_INTERVAL)
+            && squash.is_some_and(|s| s.load(Ordering::Acquire))
+        {
+            return Some(Stop::Squashed);
+        }
+        match state.step(&ctx.program, port, &mut NopSys) {
+            Ok(StepEvent::Executed(info)) => {
+                if info.class() == InstClass::Branch && state.current_func() == spec.func {
+                    if state.current_block() == spec.header {
+                        return None;
+                    }
+                    if state.current_block() == spec.exit_block {
+                        return Some(Stop::Exit);
+                    }
+                }
+            }
+            Ok(StepEvent::Finished(value)) => return Some(Stop::Finished(value)),
+            Ok(StepEvent::Halted) => return Some(Stop::Finished(None)),
+            // Untransformed kernels have no channels: a `Recv` would block
+            // forever.
+            Ok(StepEvent::Blocked) => return Some(Stop::Trap(TrapKind::UnsupportedIntrinsic)),
+            Err(trap) => return Some(Stop::Trap(trap)),
+        }
+    }
+}
+
+/// Starts a thread on the kernel and runs the function's own entry code up
+/// to the first header arrival (binding the invariant live-ins). The stop
+/// is `None` when the thread is paused there.
+fn enter_loop<M: MemPort>(
+    ctx: &LoopContext,
+    args: &[i64],
+    port: &mut M,
+    steps: &mut u64,
+    squash: Option<&AtomicBool>,
+) -> (ThreadState, Option<Stop>) {
+    let mut state = ThreadState::new(&ctx.program, ctx.kernel, args);
+    let early = step_to_header(ctx, &mut state, port, steps, squash);
+    (state, early)
+}
+
+/// A worker's view of its chunk after it stopped.
+struct WorkerChunk {
+    run: ChunkRun,
     writes: Vec<(i64, i64)>,
     /// Load set of the chunk (addresses read from the shared heap, not
     /// store-forwarded) — empty under `ConflictPolicy::AssumeIndependent`.
@@ -896,14 +964,49 @@ struct WorkerChunk {
     finals: Vec<(Reg, i64)>,
 }
 
-/// The main thread's chunk: its paused (or finished) interpreter state.
-struct MainChunk {
-    state: ThreadState,
-    /// Set when the function returned before reaching the boundary.
-    finished: Option<Option<i64>>,
-    matched: bool,
-    iterations: u64,
-    memos: Vec<(usize, Vec<i64>)>,
+/// Runs one speculative worker chunk: replay the entry code, teleport to
+/// the header with the predicted cursors, iterate until the successor's
+/// boundary, the loop's natural exit, a fault, or a squash.
+fn run_worker_chunk(task: &WorkerTask, squash: &AtomicBool) -> WorkerChunk {
+    let ctx = &*task.ctx;
+    let mut view = SpecView::with_read_tracking(&ctx.heap, ctx.detect)
+        .with_conflict_granularity(ctx.granularity_log2);
+    let mut steps = ctx.step_budget;
+    let (mut state, early) = enter_loop(ctx, &task.args, &mut view, &mut steps, Some(squash));
+    let run = if early.is_some() {
+        // Whatever kept the replay from the header, the chunk cannot run.
+        ChunkRun::stopped(Stop::Trap(TrapKind::UnsupportedIntrinsic))
+    } else {
+        for (reg, value) in ctx.spec.cursors.iter().zip(&task.start) {
+            state.set_reg(*reg, *value);
+        }
+        for r in &ctx.spec.reductions {
+            state.set_reg(r.reg, r.kind.identity());
+        }
+        // Entry/preheader code belongs to the main thread's execution; any
+        // stores it made were buffered above only to keep this thread's
+        // reads coherent. Drop them so a validated chunk commits loop-body
+        // stores exclusively — otherwise every worker would replay pre-loop
+        // stores over values the main thread wrote later in the invocation.
+        // The *reads* stay: the entry replay raced the main chunk, so an
+        // entry load of a word the loop writes (e.g. an invariant register
+        // bound from a global the body stores to) is a dependence the
+        // conflict validation must observe.
+        view.drop_writes();
+        let limits = ChunkLimits {
+            boundary: task.successor.as_deref(),
+            plan: &task.plan,
+            squash: Some(squash),
+        };
+        run_chunk(ctx, &mut state, &mut view, &mut steps, &limits)
+    };
+    let (writes, reads) = view.into_parts();
+    WorkerChunk {
+        run,
+        writes,
+        reads,
+        finals: snapshot_finals(&ctx.spec, &state),
+    }
 }
 
 /// Non-speculative port: reads and writes go straight to the shared heap
@@ -925,15 +1028,12 @@ impl MemPort for DirectPort<'_> {
     }
 
     fn store(&mut self, addr: i64, value: i64) -> Result<(), TrapKind> {
-        if addr < 0 || addr as usize >= self.heap.len() {
-            return Err(TrapKind::OutOfBoundsAccess { addr });
-        }
+        self.heap
+            .write(addr, value)
+            .ok_or(TrapKind::OutOfBoundsAccess { addr })?;
         if let Some(log) = &mut self.write_log {
             log.insert(addr);
         }
-        // SAFETY: Spice protocol — the main thread is the single
-        // non-speculative writer while workers only read or buffer.
-        unsafe { self.heap.write(addr, value) };
         Ok(())
     }
 
@@ -951,38 +1051,9 @@ impl MemPort for DirectPort<'_> {
     }
 }
 
-/// Speculative port: reads prefer the thread's own buffered writes, writes
-/// are buffered (bounds-checked now so the later commit cannot fault).
-struct SpecPort<'h> {
-    view: SpecView<'h>,
-    heap_len: usize,
-}
-
-impl MemPort for SpecPort<'_> {
-    fn load(&mut self, addr: i64) -> Result<i64, TrapKind> {
-        self.view
-            .read_tracked(addr)
-            .ok_or(TrapKind::OutOfBoundsAccess { addr })
-    }
-
-    fn store(&mut self, addr: i64, value: i64) -> Result<(), TrapKind> {
-        if addr < 0 || addr as usize >= self.heap_len {
-            return Err(TrapKind::OutOfBoundsAccess { addr });
-        }
-        self.view.write(addr, value);
-        Ok(())
-    }
-
-    fn alloc(&mut self, _words: i64) -> Result<i64, TrapKind> {
-        // Speculative allocation is unsupported; the chunk squashes.
-        Err(TrapKind::OutOfMemory)
-    }
-}
-
 /// System port for untransformed kernels: they contain no channel or
 /// speculation intrinsics, so everything is inert. A `Recv` (which would
-/// block forever) surfaces as [`StepEvent::Blocked`] and the caller treats
-/// it as a fault.
+/// block forever) surfaces as [`StepEvent::Blocked`] and the chunk stops.
 struct NopSys;
 
 impl SysPort for NopSys {
@@ -991,43 +1062,6 @@ impl SysPort for NopSys {
         None
     }
     fn resteer(&mut self, _core: i64, _target: BlockId) {}
-}
-
-/// Steps `state` until it next *arrives* at block `block` **of function
-/// `func`** (enters it through a branch). The function qualification
-/// matters: block ids are function-local, so a kernel whose entry phase
-/// calls helper functions (e.g. `mcf_app`'s arc scan and relink) would
-/// otherwise "arrive" at a callee block that merely shares the header's
-/// numeric id. Returns `Ok(None)` on arrival, `Ok(Some(v))` if the function
-/// finished first, `Err` on trap/block/budget-exhaustion.
-fn step_to_block_arrival(
-    program: &DecodedProgram,
-    state: &mut ThreadState,
-    mem: &mut dyn MemPort,
-    sys: &mut dyn SysPort,
-    func: FuncId,
-    block: BlockId,
-    steps_left: &mut u64,
-) -> Result<Option<Option<i64>>, TrapKind> {
-    loop {
-        if *steps_left == 0 {
-            return Err(TrapKind::OutOfFuel);
-        }
-        *steps_left -= 1;
-        match state.step(program, mem, sys)? {
-            StepEvent::Executed(info) => {
-                if info.class() == InstClass::Branch
-                    && state.current_block() == block
-                    && state.current_func() == func
-                {
-                    return Ok(None);
-                }
-            }
-            StepEvent::Finished(v) => return Ok(Some(v)),
-            StepEvent::Halted => return Ok(Some(None)),
-            StepEvent::Blocked => return Err(TrapKind::UnsupportedIntrinsic),
-        }
-    }
 }
 
 /// Snapshot of the spec-relevant registers of a stopped chunk. Meaningless
@@ -1047,346 +1081,6 @@ fn snapshot_finals(spec: &SpiceLoopSpec, state: &ThreadState) -> Vec<(Reg, i64)>
     regs.sort_unstable();
     regs.dedup();
     regs.into_iter().map(|r| (r, state.reg(r))).collect()
-}
-
-fn cursor_values(spec: &SpiceLoopSpec, state: &ThreadState) -> Vec<i64> {
-    spec.cursors.iter().map(|&r| state.reg(r)).collect()
-}
-
-/// Runs one speculative worker chunk: teleport to the header with the
-/// predicted cursors, iterate until the successor's boundary, the loop's
-/// natural exit, a fault, or a squash.
-#[allow(clippy::too_many_arguments)]
-fn run_worker_chunk(
-    program: &DecodedProgram,
-    kernel: FuncId,
-    spec: &SpiceLoopSpec,
-    args: &[i64],
-    heap: &SharedHeap,
-    start: &[i64],
-    successor: Option<Vec<i64>>,
-    squash: &AtomicBool,
-    memo_plan: &[(u64, usize)],
-    budget: u64,
-    track_reads: bool,
-    granularity_log2: u8,
-) -> WorkerChunk {
-    let mut state = ThreadState::new(program, kernel, args);
-    let mut port = SpecPort {
-        view: SpecView::with_read_tracking(heap, track_reads)
-            .with_conflict_granularity(granularity_log2),
-        heap_len: heap.len(),
-    };
-    let mut sys = NopSys;
-    let mut steps = budget;
-    let fault =
-        |cause: MisspeculationCause, iterations, memos, port: SpecPort<'_>, state: &ThreadState| {
-            let (writes, reads) = port.view.into_parts();
-            WorkerChunk {
-                matched: false,
-                reached_exit: false,
-                fault: Some(cause),
-                iterations,
-                memos,
-                writes,
-                reads,
-                finals: snapshot_finals(spec, state),
-            }
-        };
-
-    // Reach the loop header once through the function's own entry code
-    // (binds invariant live-ins), then teleport into the chunk.
-    match step_to_block_arrival(
-        program,
-        &mut state,
-        &mut port,
-        &mut sys,
-        spec.func,
-        spec.header,
-        &mut steps,
-    ) {
-        Ok(None) => {}
-        Ok(Some(_)) | Err(_) => {
-            return fault(
-                MisspeculationCause::Fault(TrapKind::UnsupportedIntrinsic),
-                0,
-                Vec::new(),
-                port,
-                &state,
-            );
-        }
-    }
-    for (reg, value) in spec.cursors.iter().zip(start) {
-        state.set_reg(*reg, *value);
-    }
-    for r in &spec.reductions {
-        state.set_reg(r.reg, r.kind.identity());
-    }
-    // Entry/preheader code belongs to the main thread's execution; any stores
-    // it made were buffered above only to keep this thread's reads coherent.
-    // Drop them so a validated chunk commits loop-body stores exclusively —
-    // otherwise every worker would replay pre-loop stores over values the
-    // main thread wrote later in the invocation. The *reads* stay: the entry
-    // replay raced the main chunk, so an entry load of a word the loop
-    // writes (e.g. an invariant register bound from a global the body
-    // stores to) is a dependence the conflict validation must observe.
-    port.view.drop_writes();
-
-    let successor_active = successor
-        .as_ref()
-        .is_some_and(|s| s.iter().any(|&v| v != 0));
-    let mut iterations: u64 = 0;
-    let mut memo_idx = 0usize;
-    let mut memos = Vec::new();
-    let mut since_poll: u64 = 0;
-    loop {
-        // Boundary checks, on every header arrival.
-        let cur = cursor_values(spec, &state);
-        if successor_active {
-            let succ = successor.as_ref().expect("active successor");
-            if cur == *succ && (iterations > 0 || start == succ.as_slice()) {
-                let (writes, reads) = port.view.into_parts();
-                return WorkerChunk {
-                    matched: true,
-                    reached_exit: false,
-                    fault: None,
-                    iterations,
-                    memos,
-                    writes,
-                    reads,
-                    finals: snapshot_finals(spec, &state),
-                };
-            }
-        }
-        if squash.load(Ordering::Acquire) {
-            return fault(
-                MisspeculationCause::SquashCascade,
-                iterations,
-                memos,
-                port,
-                &state,
-            );
-        }
-        if memo_idx < memo_plan.len() && iterations >= memo_plan[memo_idx].0 {
-            // Never memoize the exit sentinel (all-zero cursors): a chunk
-            // cannot start from "done", and an all-zero row doubles as the
-            // no-prediction marker. Skipping keeps the row's previous value,
-            // like the kernel-based runtime, which stops before memoizing 0.
-            if cur.iter().any(|&v| v != 0) {
-                memos.push((memo_plan[memo_idx].1, cur));
-            }
-            memo_idx += 1;
-        }
-
-        // One iteration: step until the next header arrival (or the exit).
-        loop {
-            if steps == 0 {
-                return fault(
-                    MisspeculationCause::Fault(TrapKind::OutOfFuel),
-                    iterations,
-                    memos,
-                    port,
-                    &state,
-                );
-            }
-            steps -= 1;
-            since_poll += 1;
-            if since_poll >= SQUASH_POLL_INTERVAL {
-                since_poll = 0;
-                if squash.load(Ordering::Acquire) {
-                    return fault(
-                        MisspeculationCause::SquashCascade,
-                        iterations,
-                        memos,
-                        port,
-                        &state,
-                    );
-                }
-            }
-            match state.step(program, &mut port, &mut sys) {
-                Ok(StepEvent::Executed(info)) => {
-                    if info.class() == InstClass::Branch && state.current_func() == spec.func {
-                        if state.current_block() == spec.exit_block {
-                            // The loop genuinely ended inside this chunk; the
-                            // main thread executes the exit code itself.
-                            // `iterations` already counts every completed
-                            // (header-re-arriving) iteration — the final
-                            // header evaluation that took the exit edge is
-                            // not an iteration, so it is not counted (the
-                            // sim backend's latch-side work bump makes the
-                            // same call; the counters must agree).
-                            let (writes, reads) = port.view.into_parts();
-                            return WorkerChunk {
-                                matched: false,
-                                reached_exit: true,
-                                fault: None,
-                                iterations,
-                                memos,
-                                writes,
-                                reads,
-                                finals: snapshot_finals(spec, &state),
-                            };
-                        }
-                        if state.current_block() == spec.header {
-                            iterations += 1;
-                            break;
-                        }
-                    }
-                }
-                Ok(StepEvent::Finished(_)) | Ok(StepEvent::Halted) => {
-                    return fault(
-                        MisspeculationCause::Fault(TrapKind::UnsupportedIntrinsic),
-                        iterations,
-                        memos,
-                        port,
-                        &state,
-                    );
-                }
-                Ok(StepEvent::Blocked) => {
-                    return fault(
-                        MisspeculationCause::Fault(TrapKind::UnsupportedIntrinsic),
-                        iterations,
-                        memos,
-                        port,
-                        &state,
-                    );
-                }
-                Err(trap) => {
-                    return fault(
-                        MisspeculationCause::Fault(trap),
-                        iterations,
-                        memos,
-                        port,
-                        &state,
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Runs the main thread's chunk up to the first worker's predicted boundary
-/// (or to completion when there is none / it is never reached).
-#[allow(clippy::too_many_arguments)]
-fn run_main_chunk(
-    program: &DecodedProgram,
-    kernel: FuncId,
-    spec: &SpiceLoopSpec,
-    args: &[i64],
-    port: &mut DirectPort<'_>,
-    boundary: Option<Vec<i64>>,
-    memo_plan: &[(u64, usize)],
-    budget: u64,
-) -> Result<MainChunk, BackendError> {
-    let mut state = ThreadState::new(program, kernel, args);
-    let mut sys = NopSys;
-    let mut steps = budget;
-
-    match step_to_block_arrival(
-        program,
-        &mut state,
-        port,
-        &mut sys,
-        spec.func,
-        spec.header,
-        &mut steps,
-    ) {
-        Ok(None) => {}
-        Ok(Some(v)) => {
-            return Ok(MainChunk {
-                state,
-                finished: Some(v),
-                matched: false,
-                iterations: 0,
-                memos: Vec::new(),
-            })
-        }
-        Err(trap) => return Err(engine_trap(trap)),
-    }
-
-    let start = cursor_values(spec, &state);
-    let boundary_active = boundary.as_ref().is_some_and(|b| b.iter().any(|&v| v != 0));
-    let mut iterations: u64 = 0;
-    let mut memo_idx = 0usize;
-    let mut memos = Vec::new();
-    loop {
-        let cur = cursor_values(spec, &state);
-        if boundary_active {
-            let b = boundary.as_ref().expect("active boundary");
-            if cur == *b && (iterations > 0 || start == *b) {
-                return Ok(MainChunk {
-                    state,
-                    finished: None,
-                    matched: true,
-                    iterations,
-                    memos,
-                });
-            }
-        }
-        if memo_idx < memo_plan.len() && iterations >= memo_plan[memo_idx].0 {
-            // See run_worker_chunk: the all-zero exit sentinel is never a
-            // valid chunk start, so it is never memoized.
-            if cur.iter().any(|&v| v != 0) {
-                memos.push((memo_plan[memo_idx].1, cur));
-            }
-            memo_idx += 1;
-        }
-        match step_to_block_arrival(
-            program,
-            &mut state,
-            port,
-            &mut sys,
-            spec.func,
-            spec.header,
-            &mut steps,
-        ) {
-            Ok(None) => iterations += 1,
-            Ok(Some(v)) => {
-                return Ok(MainChunk {
-                    state,
-                    finished: Some(v),
-                    matched: false,
-                    iterations,
-                    memos,
-                })
-            }
-            Err(trap) => return Err(engine_trap(trap)),
-        }
-    }
-}
-
-/// Runs the (already repositioned) main thread to completion, counting the
-/// additional loop iterations it executes.
-fn finish_main(
-    program: &DecodedProgram,
-    spec: &SpiceLoopSpec,
-    state: &mut ThreadState,
-    port: &mut DirectPort<'_>,
-    budget: u64,
-) -> Result<(Option<i64>, u64), BackendError> {
-    let mut sys = NopSys;
-    let mut steps = budget;
-    let mut iterations: u64 = 0;
-    loop {
-        if steps == 0 {
-            return Err(engine_trap(TrapKind::OutOfFuel));
-        }
-        steps -= 1;
-        match state.step(program, port, &mut sys) {
-            Ok(StepEvent::Executed(info)) => {
-                if info.class() == InstClass::Branch
-                    && state.current_block() == spec.header
-                    && state.current_func() == spec.func
-                {
-                    iterations += 1;
-                }
-            }
-            Ok(StepEvent::Finished(v)) => return Ok((v, iterations)),
-            Ok(StepEvent::Halted) => return Ok((None, iterations)),
-            Ok(StepEvent::Blocked) => return Err(engine_trap(TrapKind::UnsupportedIntrinsic)),
-            Err(trap) => return Err(engine_trap(trap)),
-        }
-    }
 }
 
 fn engine_trap(trap: TrapKind) -> BackendError {
@@ -1438,55 +1132,8 @@ fn combine_reductions(spec: &SpiceLoopSpec, main: &mut ThreadState, finals: &[(R
 mod tests {
     use super::*;
     use spice_ir::builder::FunctionBuilder;
+    use spice_ir::fixtures::{chained_increment_program, list_min_program, write_list};
     use spice_ir::{BinOp, Operand};
-
-    /// The canonical list-minimum loop with an argmin payload and a store in
-    /// the exit block, over `(weight, next)` node pairs.
-    fn list_min_program(capacity: i64) -> (Program, FuncId, i64, i64) {
-        let mut program = Program::new();
-        let nodes = program.add_global("nodes", capacity * 2);
-        let out = program.add_global("out", 1);
-        let mut b = FunctionBuilder::new("list_min");
-        let head = b.param();
-        let pre = b.new_block();
-        let header = b.new_block();
-        let body = b.new_block();
-        let exit = b.new_block();
-        let c = b.copy(head);
-        let wm = b.copy(i64::MAX);
-        let cm = b.copy(0i64);
-        b.br(pre);
-        b.switch_to(pre);
-        b.br(header);
-        b.switch_to(header);
-        let done = b.binop(BinOp::Eq, c, 0i64);
-        b.cond_br(done, exit, body);
-        b.switch_to(body);
-        let w = b.load(c, 0);
-        let better = b.binop(BinOp::Lt, w, wm);
-        let nw = b.select(better, w, wm);
-        b.copy_into(wm, nw);
-        let nc = b.select(better, c, cm);
-        b.copy_into(cm, nc);
-        let nx = b.load(c, 1);
-        b.copy_into(c, nx);
-        b.br(header);
-        b.switch_to(exit);
-        b.store(cm, out, 0);
-        b.ret(Some(Operand::Reg(wm)));
-        let f = program.add_func(b.finish());
-        (program, f, nodes, out)
-    }
-
-    fn write_list(mem: &mut FlatMemory, base: i64, weights: &[i64]) -> i64 {
-        for (i, w) in weights.iter().enumerate() {
-            let addr = base + 2 * i as i64;
-            let next = if i + 1 < weights.len() { addr + 2 } else { 0 };
-            mem.write(addr, *w).unwrap();
-            mem.write(addr + 1, next).unwrap();
-        }
-        base
-    }
 
     #[test]
     fn native_backend_runs_list_min_and_learns_boundaries() {
@@ -1560,50 +1207,6 @@ mod tests {
         assert_eq!(out2.return_value, Some(*shorter.iter().min().unwrap()));
     }
 
-    /// A list walk carrying a genuine cross-chunk RAW dependence: visiting
-    /// node `i` stores `value(i) + 1` into node `i+1`'s value word, which the
-    /// next iteration then loads. Chunked execution reads stale values unless
-    /// the conflict subsystem squashes, so correctness of the result proves
-    /// detection and recovery work.
-    fn chained_increment_program(capacity: i64) -> (Program, FuncId, i64) {
-        let mut program = Program::new();
-        let nodes = program.add_global("nodes", capacity * 2);
-        let mut b = FunctionBuilder::new("chained_increment");
-        let head = b.param();
-        let pre = b.new_block();
-        let header = b.new_block();
-        let body = b.new_block();
-        let poke = b.new_block();
-        let advance = b.new_block();
-        let exit = b.new_block();
-        let c = b.copy(head);
-        let sum = b.copy(0i64);
-        b.br(pre);
-        b.switch_to(pre);
-        b.br(header);
-        b.switch_to(header);
-        let done = b.binop(BinOp::Eq, c, 0i64);
-        b.cond_br(done, exit, body);
-        b.switch_to(body);
-        let v = b.load(c, 0);
-        let s = b.binop(BinOp::Add, sum, v);
-        b.copy_into(sum, s);
-        let n = b.load(c, 1);
-        let has_next = b.binop(BinOp::Ne, n, 0i64);
-        b.cond_br(has_next, poke, advance);
-        b.switch_to(poke);
-        let bumped = b.binop(BinOp::Add, v, 1i64);
-        b.store(bumped, n, 0);
-        b.br(advance);
-        b.switch_to(advance);
-        b.copy_into(c, n);
-        b.br(header);
-        b.switch_to(exit);
-        b.ret(Some(Operand::Reg(sum)));
-        let f = program.add_func(b.finish());
-        (program, f, nodes)
-    }
-
     #[test]
     fn cross_chunk_raw_dependence_is_squashed_and_recovered() {
         let n: i64 = 200;
@@ -1613,15 +1216,9 @@ mod tests {
         backend
             .load(program, f, LoadOptions::new(4096, Some(n as u64)))
             .unwrap();
-        {
-            let mem = backend.mem_mut();
-            for i in 0..n {
-                let addr = nodes + 2 * i;
-                let next = if i + 1 < n { addr + 2 } else { 0 };
-                mem.write(addr, if i == 0 { v0 } else { 0 }).unwrap();
-                mem.write(addr + 1, next).unwrap();
-            }
-        }
+        let mut values = vec![0; n as usize];
+        values[0] = v0;
+        write_list(backend.mem_mut(), nodes, &values);
         // Sequentially: value(i) becomes v0 + i before it is read.
         let expected = n * v0 + n * (n - 1) / 2;
 
@@ -1845,15 +1442,7 @@ mod tests {
         let options = LoadOptions::new(4096, Some(n as u64))
             .with_conflict_policy(spice_ir::exec::ConflictPolicy::AssumeIndependent);
         backend.load(program, f, options).unwrap();
-        {
-            let mem = backend.mem_mut();
-            for i in 0..n {
-                let addr = nodes + 2 * i;
-                let next = if i + 1 < n { addr + 2 } else { 0 };
-                mem.write(addr, 1).unwrap();
-                mem.write(addr + 1, next).unwrap();
-            }
-        }
+        write_list(backend.mem_mut(), nodes, &vec![1; n as usize]);
         for _ in 0..4 {
             let report = backend.run_invocation(&[nodes]).unwrap();
             assert!(report
@@ -1960,6 +1549,105 @@ mod tests {
             backend.loaded.as_ref().unwrap().heap_dirty,
             "error path must leave the mirror armed"
         );
+    }
+
+    /// The one chunk loop driven by hand on the calling thread — no pool —
+    /// over a ten-node list: every stop reason, with the iteration and memo
+    /// counts the validation relies on.
+    #[test]
+    fn chunk_loop_reports_every_stop_reason() {
+        let (program, f, nodes, _) = list_min_program(16);
+        let mut backend = NativeLoopBackend::new(2);
+        backend
+            .load(program, f, LoadOptions::new(4096, None))
+            .unwrap();
+        let weights: Vec<i64> = (0..10).map(|i| 50 - i).collect();
+        let head = write_list(backend.mem_mut(), nodes, &weights);
+        let loaded = backend.loaded.unwrap();
+        let ctx = &*loaded.ctx;
+        ctx.heap.overwrite(loaded.mem.words());
+        let node = |i: i64| head + 2 * i;
+        let direct = || DirectPort {
+            heap: &ctx.heap,
+            alloc_next: 0,
+            write_log: None,
+        };
+        let chunk = |limits: &ChunkLimits<'_>, budget: u64| {
+            let (mut port, mut steps) = (direct(), budget);
+            let (mut state, early) = enter_loop(ctx, &[head], &mut port, &mut steps, None);
+            assert_eq!(early, None, "the entry code reaches the header");
+            let run = run_chunk(ctx, &mut state, &mut port, &mut steps, limits);
+            (run, state)
+        };
+
+        // Boundary: the cursor equals the successor's start after four
+        // iterations; the plan's threshold-2 entry memoized node 2 on the way.
+        let boundary = [node(4)];
+        let limits = ChunkLimits {
+            boundary: Some(&boundary),
+            plan: &[(2, 0)],
+            squash: None,
+        };
+        let (run, _) = chunk(&limits, 1000);
+        assert_eq!((run.stop, run.iterations), (Stop::Boundary, 4));
+        assert_eq!(run.memos, vec![(0, vec![node(2)])]);
+
+        // Exit: ten iterations — the header evaluation that takes the exit
+        // edge is not an eleventh — and the all-zero cursor row the tenth
+        // arrival holds is not memoized.
+        let limits = ChunkLimits {
+            plan: &[(3, 1), (10, 0)],
+            ..ChunkLimits::default()
+        };
+        let (run, mut state) = chunk(&limits, 1000);
+        assert_eq!((run.stop, run.iterations), (Stop::Exit, 10));
+        assert_eq!(run.memos, vec![(1, vec![node(3)])]);
+
+        // Finished: the resume call, here from the exit block.
+        let resume = ChunkLimits::default();
+        let run = run_chunk(ctx, &mut state, &mut direct(), &mut 1000, &resume);
+        assert_eq!((run.stop, run.iterations), (Stop::Finished(Some(41)), 0));
+        assert!(run.memos.is_empty());
+
+        // Budget exhausted mid-loop.
+        let (run, _) = chunk(&resume, 60);
+        assert_eq!(run.stop, Stop::Trap(TrapKind::OutOfFuel));
+        assert_eq!(run.iterations, 5);
+
+        // Squash flag: polled on the very first arrival.
+        let flag = AtomicBool::new(true);
+        let limits = ChunkLimits {
+            squash: Some(&flag),
+            ..ChunkLimits::default()
+        };
+        let (run, _) = chunk(&limits, 1000);
+        assert_eq!((run.stop, run.iterations), (Stop::Squashed, 0));
+    }
+
+    /// The chunks of an invocation partition the iteration space: however
+    /// the work was split, and whether or not anything squashed, the
+    /// per-thread counters add up to the sequential iteration count.
+    #[test]
+    fn work_per_thread_sums_to_the_sequential_iteration_count() {
+        let weights: Vec<i64> = (0..400).map(|i| ((i * 37) % 211) + 5).collect();
+        let (program, f, nodes, _) = list_min_program(weights.len() as i64 + 4);
+        let mut backend = NativeLoopBackend::new(4);
+        backend
+            .load(
+                program,
+                f,
+                LoadOptions::new(4096, Some(weights.len() as u64)),
+            )
+            .unwrap();
+        let head = write_list(backend.mem_mut(), nodes, &weights);
+        let mut clean_runs = 0;
+        for inv in 0..6 {
+            let report = backend.run_invocation(&[head]).unwrap();
+            let total: u64 = report.work_per_thread.iter().sum();
+            assert_eq!(total, 400, "invocation {inv}: {:?}", report.work_per_thread);
+            clean_runs += usize::from(!report.misspeculated);
+        }
+        assert!(clean_runs > 0, "chunk predictions never converged");
     }
 
     #[test]

@@ -11,10 +11,13 @@
 //! boundaries and the load-balancing work model (Algorithm 2,
 //! [`chunk_memo_plan`]) across invocations.
 //!
-//! Speculation and rollback fight Rust's ownership model (a squashed thread
-//! must never have published anything); the design confines that tension to
-//! the heap module: speculative threads never write shared memory, they
-//! buffer, and only the main thread commits validated buffers, in order.
+//! A squashed thread must never have published anything, so speculative
+//! threads never write shared memory: they buffer, and only the main thread
+//! commits validated buffers, in order. The heap itself is atomic words, so
+//! the one race the protocol allows — a worker reading a word the main
+//! thread is storing — is defined behaviour that validation then squashes
+//! (see the [`heap`] module); the crate, like the whole workspace, contains
+//! no `unsafe`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -10,9 +10,10 @@
 //!   [`cache::MemoryHierarchy`]),
 //! * inter-core scalar channels with a configurable communication latency
 //!   ([`machine::ChannelNet`]),
-//! * per-core speculative store buffers with commit/abort and read/write-set
-//!   conflict checks ([`specbuf::SpecBuffer`]) — the paper's §3 architectural
-//!   support for speculative state,
+//! * per-core speculative store buffers with commit/abort
+//!   ([`specbuf::SpecBuffer`]) and the read-set/committed-write conflict
+//!   check behind `spec.check` — the paper's §3 architectural support for
+//!   speculative state,
 //! * the remote `resteer` mechanism used to squash mis-speculated threads,
 //! * per-core statistics (stall breakdowns, cache hit levels, retired
 //!   instruction mixes) and an optional activity trace from which the

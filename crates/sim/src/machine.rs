@@ -109,25 +109,6 @@ impl ChannelNet {
     }
 }
 
-/// The memory system's cross-chunk conflict detection (paper §3, "Conflict
-/// Detection"): per-core speculative read sets mirrored at word granularity
-/// into [`AccessSet`]s, plus the union of every write committed during the
-/// current loop invocation ("epoch") — the main thread's direct stores and
-/// the buffers of committed speculative chunks. A `spec.check` instruction
-/// asks whether a core's read set intersects the epoch's committed writes;
-/// a positive verdict is sticky for the epoch so it can be attributed in the
-/// per-core report. Interior mutability because the query runs inside
-/// another core's instruction step (the machine is single-threaded; every
-/// borrow is short-lived).
-///
-/// The tracker mirrors the read stream instead of consuming
-/// [`SpecBuffer::read_set`] because a `spec.check` executed by core 0 needs
-/// core *k*'s read set while core 0's own `SpecBuffer` is mutably borrowed
-/// by its memory port — the per-core buffers are unreachable from there.
-/// Both recorders share one semantics (store-forwarded loads are excluded);
-/// see [`SpecBuffer::load`] for the rule and keep the two in sync. (The
-/// machine turns the buffer-local recording *off* — this tracker is the one
-/// copy it consults.)
 /// Origin of the most recent architectural write to one word this epoch —
 /// forensic metadata only, consulted when a squash needs explaining.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,6 +158,19 @@ impl Forensics {
     }
 }
 
+/// The memory system's cross-chunk conflict detection (paper §3, "Conflict
+/// Detection"): per-core speculative read sets kept as [`AccessSet`]s, plus the union of every write committed during the
+/// current loop invocation ("epoch") — the main thread's direct stores and
+/// the buffers of committed speculative chunks. A `spec.check` instruction
+/// asks whether a core's read set intersects the epoch's committed writes;
+/// a positive verdict is sticky for the epoch so it can be attributed in the
+/// per-core report. Interior mutability because the query runs inside
+/// another core's instruction step (the machine is single-threaded; every
+/// borrow is short-lived).
+///
+/// Only loads that missed the core's own store buffer are recorded
+/// (`CoreMemPort::load`): a store-forwarded load returns the core's own,
+/// logically newer value and can never observe a stale word.
 #[derive(Debug, Clone)]
 struct ConflictTracker {
     enabled: bool,
@@ -1289,16 +1283,7 @@ impl Machine {
         mem: FlatMemory,
     ) -> Self {
         let hier = MemoryHierarchy::new(&config);
-        let cores: Vec<CoreState> = (0..config.cores)
-            .map(|_| {
-                let mut c = CoreState::new();
-                // The ConflictTracker mirrors every speculative read this
-                // machine cares about; the buffer-local read set would be a
-                // second copy nobody consults.
-                c.spec.set_read_tracking(false);
-                c
-            })
-            .collect();
+        let cores: Vec<CoreState> = (0..config.cores).map(|_| CoreState::new()).collect();
         let conflicts = ConflictTracker::new(
             config.cores,
             config.conflict_detection,
@@ -2166,6 +2151,50 @@ mod tests {
         // A fresh invocation epoch forgets the verdict and the sets.
         m.clear_threads();
         assert_eq!(m.summary().cores[1].spec_conflicts, 0);
+    }
+
+    /// The reader's own store to `g` decides nothing by itself — what counts
+    /// is whether a load of `g` reached shared memory. A load *before* the
+    /// store did, and stays visible to `spec.check` after the word joins the
+    /// store buffer; a load *after* it is store-forwarded and never recorded.
+    #[test]
+    fn read_before_own_write_stays_visible_to_spec_check() {
+        for (read_first, conflict) in [(true, 1), (false, 0)] {
+            let mut p = Program::new();
+            let g = p.add_global("g", 1);
+            let verdict = p.add_global("verdict", 1);
+
+            let mut reader = FunctionBuilder::new("reader");
+            reader.push(Inst::SpecBegin);
+            if read_first {
+                let _ = reader.load(g, 0);
+            }
+            reader.store(5i64, g, 0);
+            let v = reader.load(g, 0);
+            reader.send(0i64, v);
+            let _ = reader.recv(1i64);
+            reader.push(Inst::SpecAbort);
+            reader.ret(None);
+            let rf = p.add_func(reader.finish());
+
+            let mut checker = FunctionBuilder::new("checker");
+            let forwarded = checker.recv(0i64);
+            checker.store(7i64, g, 0);
+            let c = checker.spec_check(1i64);
+            checker.store(c, verdict, 0);
+            checker.send(1i64, 1i64);
+            checker.ret(Some(Operand::Reg(forwarded)));
+            let cf = p.add_func(checker.finish());
+
+            let mut m = Machine::new(tiny(2), p);
+            m.spawn(0, cf, &[]).unwrap();
+            m.spawn(1, rf, &[]).unwrap();
+            let summary = m.run().unwrap();
+            assert_eq!(m.return_value(0), Some(5), "own store forwards");
+            assert_eq!(m.mem().read(verdict).unwrap(), conflict);
+            assert_eq!(summary.cores[1].spec_conflicts, conflict as u64);
+            assert_eq!(m.mem().read(g).unwrap(), 7, "aborted store discarded");
+        }
     }
 
     #[test]

@@ -1,47 +1,27 @@
-//! Per-core speculative store buffer with read/write-set tracking.
+//! Per-core speculative store buffer.
 //!
 //! This models the hardware support the paper assumes in §3 ("Speculative
 //! State"): while a core executes speculatively, its stores are buffered and
 //! can either be committed to shared memory (speculation succeeded) or
 //! discarded (squash). Loads by the speculative core see its own buffered
-//! stores; other cores do not. Read and write sets are tracked so that a
-//! conflict check between two threads' speculative accesses is available
-//! ("Conflict Detection" in §3).
+//! stores; other cores do not. The other half of §3, "Conflict Detection",
+//! is the machine's `ConflictTracker`: it records exactly the speculative
+//! loads this buffer does *not* forward.
 //!
-//! The buffer is on the simulator's per-access hot path, so its containers
-//! are the reusable dense structures from `spice_ir::exec`: the write buffer
-//! is an insertion-ordered open-addressed [`DenseMap`] (its entry order *is*
-//! the first-write commit order), the read set a page-bitmap [`AccessSet`].
-//! Commit and abort clear them without releasing storage, so one buffer
-//! serves every chunk a core runs.
+//! The buffer is on the simulator's per-access hot path, so its container is
+//! the reusable dense structure from `spice_ir::exec`: an insertion-ordered
+//! open-addressed [`DenseMap`] (its entry order *is* the first-write commit
+//! order). Commit and abort clear it without releasing storage, so one
+//! buffer serves every chunk a core runs.
 
-use spice_ir::exec::{AccessSet, DenseMap};
+use spice_ir::exec::DenseMap;
 
 /// A speculative store buffer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SpecBuffer {
     active: bool,
     writes: DenseMap<i64>,
-    read_set: AccessSet,
-    /// Whether [`SpecBuffer::load`] records missed loads into the read set.
-    /// On by default; the machine turns it off for its per-core buffers
-    /// because its `ConflictTracker` mirrors the same read stream (recording
-    /// twice would only burn host time, and the buffer-local set feeds
-    /// nothing there).
-    track_reads: bool,
     stores_buffered: u64,
-}
-
-impl Default for SpecBuffer {
-    fn default() -> Self {
-        SpecBuffer {
-            active: false,
-            writes: DenseMap::new(),
-            read_set: AccessSet::new(),
-            track_reads: true,
-            stores_buffered: 0,
-        }
-    }
 }
 
 impl SpecBuffer {
@@ -77,30 +57,15 @@ impl SpecBuffer {
     }
 
     /// Observes a speculative load: returns the buffered value if this core
-    /// wrote `addr` speculatively. Loads that miss the store buffer are
-    /// recorded in the read set; store-forwarded loads are **not** — they
-    /// return this core's own (logically newer) value and can never observe
-    /// a stale word, so including them would only create false conflicts
-    /// with logically earlier writers of the same address. The machine's
-    /// `ConflictTracker` mirrors this exact rule for its cross-core
-    /// `spec.check` queries; change them together.
-    pub fn load(&mut self, addr: i64) -> Option<i64> {
+    /// wrote `addr` speculatively. Such a store-forwarded load returns this
+    /// core's own (logically newer) value and can never observe a stale
+    /// word; a `None` sends the caller to shared memory, and — while the
+    /// buffer is active — into the conflict detector's read set.
+    pub fn load(&self, addr: i64) -> Option<i64> {
         if !self.active {
             return None;
         }
-        if let Some(v) = self.writes.get(addr) {
-            return Some(v);
-        }
-        if self.track_reads {
-            self.read_set.insert(addr);
-        }
-        None
-    }
-
-    /// Enables or disables read-set recording (see the field documentation;
-    /// the flag survives commits, aborts and resets).
-    pub fn set_read_tracking(&mut self, on: bool) {
-        self.track_reads = on;
+        self.writes.get(addr)
     }
 
     /// Leaves speculative execution, returning the buffered writes in first
@@ -127,20 +92,6 @@ impl SpecBuffer {
     fn clear(&mut self) {
         self.active = false;
         self.writes.clear();
-        self.read_set.clear();
-    }
-
-    /// Addresses written speculatively, in first-write order.
-    #[must_use]
-    pub fn write_set(&self) -> Vec<i64> {
-        self.writes.entries().iter().map(|&(a, _)| a).collect()
-    }
-
-    /// Addresses read while speculative (loads not satisfied by this
-    /// buffer's own stores).
-    #[must_use]
-    pub fn read_set(&self) -> &AccessSet {
-        &self.read_set
     }
 
     /// Number of stores buffered over the lifetime of the buffer (not reset
@@ -148,18 +99,6 @@ impl SpecBuffer {
     #[must_use]
     pub fn stores_buffered(&self) -> u64 {
         self.stores_buffered
-    }
-
-    /// Returns `true` if this buffer's speculative reads conflict with the
-    /// other buffer's speculative writes — the RAW check a TLS memory system
-    /// performs between a logically-later and a logically-earlier thread.
-    #[must_use]
-    pub fn conflicts_with(&self, earlier: &SpecBuffer) -> bool {
-        earlier
-            .writes
-            .entries()
-            .iter()
-            .any(|&(addr, _)| self.read_set.contains(addr))
     }
 }
 
@@ -183,35 +122,6 @@ mod tests {
         assert!(b.store(11, 2));
         assert_eq!(b.load(10), Some(1));
         assert_eq!(b.load(99), None); // not written here -> caller reads memory
-        assert!(
-            !b.read_set().contains(10),
-            "store-forwarded loads never observe stale data"
-        );
-        assert!(b.read_set().contains(99));
-    }
-
-    #[test]
-    fn read_before_own_write_stays_in_read_set() {
-        // Word granularity and ordering: a load that *preceded* this core's
-        // own store to the same word went to shared memory and may have been
-        // stale — it must stay visible to the conflict check even after the
-        // word joins the write set.
-        let mut b = SpecBuffer::new();
-        b.begin();
-        assert_eq!(b.load(40), None);
-        assert!(b.store(40, 5));
-        assert_eq!(b.load(40), Some(5));
-        assert!(b.read_set().contains(40));
-
-        let mut earlier = SpecBuffer::new();
-        earlier.begin();
-        earlier.store(40, 9);
-        assert!(b.conflicts_with(&earlier));
-        // The adjacent word does not alias.
-        let mut neighbor = SpecBuffer::new();
-        neighbor.begin();
-        neighbor.store(41, 9);
-        assert!(!b.conflicts_with(&neighbor));
     }
 
     #[test]
@@ -224,7 +134,10 @@ mod tests {
         let commit = b.take_commit();
         assert_eq!(commit, vec![(20, 3), (10, 2)]);
         assert!(!b.is_active());
-        assert!(b.write_set().is_empty());
+        // Commit ends the chunk's epoch: the next one starts empty.
+        b.begin();
+        assert_eq!(b.load(20), None);
+        assert!(b.take_commit().is_empty());
     }
 
     #[test]
@@ -232,74 +145,14 @@ mod tests {
         let mut b = SpecBuffer::new();
         b.begin();
         b.store(10, 1);
-        b.load(11);
         b.abort();
         assert!(!b.is_active());
-        assert!(b.write_set().is_empty());
-        assert!(b.read_set().is_empty());
+        assert!(b.take_commit().is_empty());
         // Statistics survive for reporting.
         assert_eq!(b.stores_buffered(), 1);
         // A full invocation reset zeroes them too, reusing the buffers.
         b.reset();
         assert_eq!(b.stores_buffered(), 0);
-    }
-
-    #[test]
-    fn conflict_detection_is_raw_only() {
-        let mut earlier = SpecBuffer::new();
-        earlier.begin();
-        earlier.store(100, 5);
-
-        let mut later = SpecBuffer::new();
-        later.begin();
-        later.load(100);
-        assert!(later.conflicts_with(&earlier));
-
-        let mut independent = SpecBuffer::new();
-        independent.begin();
-        independent.load(200);
-        assert!(!independent.conflicts_with(&earlier));
-        // Writes alone (WAW) are not flagged by this check.
-        let mut writer = SpecBuffer::new();
-        writer.begin();
-        writer.store(100, 9);
-        assert!(!writer.conflicts_with(&earlier));
-    }
-
-    #[test]
-    fn commit_clears_read_and_write_sets_for_the_next_chunk() {
-        let mut b = SpecBuffer::new();
-        b.begin();
-        b.store(7, 1);
-        b.load(8);
-        let _ = b.take_commit();
-        assert!(b.write_set().is_empty());
-        assert!(b.read_set().is_empty(), "commit ends the chunk's epoch");
-
-        let mut writer = SpecBuffer::new();
-        writer.begin();
-        writer.store(8, 3);
-        assert!(
-            !b.conflicts_with(&writer),
-            "a committed chunk's old reads must not poison the next check"
-        );
-    }
-
-    #[test]
-    fn overlapping_read_and_write_sets_intersect_per_word() {
-        let mut earlier = SpecBuffer::new();
-        earlier.begin();
-        for a in [64, 65, 66] {
-            earlier.store(a, a);
-        }
-        let mut later = SpecBuffer::new();
-        later.begin();
-        later.load(63); // same page, different word: no conflict
-        assert!(!later.conflicts_with(&earlier));
-        later.load(66); // exact word overlap
-        assert!(later.conflicts_with(&earlier));
-        later.abort();
-        assert!(!later.conflicts_with(&earlier), "abort clears the read set");
     }
 
     #[test]

@@ -13,48 +13,9 @@ use rand::{Rng, SeedableRng};
 use spice_core::analysis::LoopAnalysis;
 use spice_core::pipeline::{run_sequential, SpiceRunner};
 use spice_core::transform::{SpiceOptions, SpiceTransform};
-use spice_ir::builder::FunctionBuilder;
+use spice_ir::fixtures::list_min_program;
 use spice_ir::verify::verify_program;
-use spice_ir::{BinOp, FuncId, Operand, Program};
 use spice_sim::{Machine, MachineConfig};
-
-/// Builds the canonical list-minimum loop over `(weight, next)` nodes stored
-/// in a global sized for `capacity` nodes.
-fn list_min_program(capacity: i64) -> (Program, FuncId, i64) {
-    let mut program = Program::new();
-    let nodes = program.add_global("nodes", capacity * 2);
-    let out = program.add_global("out", 1);
-    let mut b = FunctionBuilder::new("list_min");
-    let head = b.param();
-    let pre = b.new_block();
-    let header = b.new_block();
-    let body = b.new_block();
-    let exit = b.new_block();
-    let c = b.copy(head);
-    let wm = b.copy(i64::MAX);
-    let cm = b.copy(0i64);
-    b.br(pre);
-    b.switch_to(pre);
-    b.br(header);
-    b.switch_to(header);
-    let done = b.binop(BinOp::Eq, c, 0i64);
-    b.cond_br(done, exit, body);
-    b.switch_to(body);
-    let w = b.load(c, 0);
-    let better = b.binop(BinOp::Lt, w, wm);
-    let nw = b.select(better, w, wm);
-    b.copy_into(wm, nw);
-    let nc = b.select(better, c, cm);
-    b.copy_into(cm, nc);
-    let nx = b.load(c, 1);
-    b.copy_into(c, nx);
-    b.br(header);
-    b.switch_to(exit);
-    b.store(cm, out, 0);
-    b.ret(Some(Operand::Reg(wm)));
-    let f = program.add_func(b.finish());
-    (program, f, nodes)
-}
 
 fn write_list(machine: &mut Machine, base: i64, order: &[usize], weights: &[i64]) -> i64 {
     for (pos, &slot) in order.iter().enumerate() {
@@ -95,7 +56,7 @@ fn spice_equals_sequential_on_random_lists() {
         }
 
         // Sequential reference over all invocations.
-        let (seq_p, seq_f, seq_nodes) = list_min_program(capacity);
+        let (seq_p, seq_f, seq_nodes, _) = list_min_program(capacity);
         let mut seq_m = Machine::new(MachineConfig::test_tiny(1), seq_p);
         let mut seq_results = Vec::new();
         for ord in &orders {
@@ -105,7 +66,7 @@ fn spice_equals_sequential_on_random_lists() {
         }
 
         // Spice over the same sequence of lists.
-        let (mut p, f, nodes) = list_min_program(capacity);
+        let (mut p, f, nodes, _) = list_min_program(capacity);
         let analysis = LoopAnalysis::analyze_outermost(&p, f).unwrap();
         let spice = SpiceTransform::new(SpiceOptions::with_threads_and_estimate(threads, n as u64))
             .apply(&mut p, &analysis)
@@ -128,7 +89,7 @@ fn spice_equals_sequential_on_random_lists() {
 #[test]
 fn transformation_structurally_sound() {
     for threads in 2usize..9 {
-        let (mut p, f, _) = list_min_program(16);
+        let (mut p, f, ..) = list_min_program(16);
         let analysis = LoopAnalysis::analyze_outermost(&p, f).unwrap();
         let spice = SpiceTransform::new(SpiceOptions::with_threads(threads))
             .apply(&mut p, &analysis)

@@ -17,7 +17,7 @@
 //!
 //! To reproduce the whole evaluation in one parallel run (decoded programs
 //! shared across jobs, artifacts streamed in deterministic order — see
-//! DESIGN.md §3¾):
+//! DESIGN.md §5):
 //!
 //! ```text
 //! cargo run --release -p spice-bench --bin farm        # all figures
