@@ -3,11 +3,16 @@
 //! A parallel sweep (the `spice-farm` engine) runs the same workload program
 //! under many jobs — sequential and Spice, different thread counts,
 //! different seeds. Everything immutable about such a run can be built
-//! exactly once and shared: the (possibly transformed) [`Program`], its
-//! [`DecodedProgram`] execution form, and the initial memory image with the
-//! globals materialized. [`PreparedProgram`] is that bundle, with the
-//! shared pieces behind [`Arc`] so instantiating a machine for one more job
-//! is an image clone plus two reference-count bumps — no re-decode.
+//! exactly once and shared: the (possibly transformed) [`Program`] and its
+//! [`DecodedProgram`] execution form. [`PreparedProgram`] is that bundle,
+//! with both behind [`Arc`] so instantiating a machine for one more job is
+//! two reference-count bumps plus a fresh [`FlatMemory::for_program`]
+//! ([`Machine::from_shared`]) — a lazily-zeroed allocation and a copy of the
+//! global initializers, no re-decode and (the extent rule in
+//! [`FlatMemory`]'s doc) no work proportional to the heap reservation.
+//!
+//! [`FlatMemory`]: spice_ir::interp::FlatMemory
+//! [`FlatMemory::for_program`]: spice_ir::interp::FlatMemory::for_program
 //!
 //! [`SimBackend::load`](crate::backend::SimBackend) is itself implemented
 //! over [`PreparedProgram::spice`], so a serial run and a sweep job execute
@@ -25,7 +30,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use spice_ir::exec::{BackendError, LoadOptions};
-use spice_ir::interp::FlatMemory;
 use spice_ir::lint::lint_spice;
 use spice_ir::{DecodedProgram, FuncId, Program};
 use spice_sim::{Machine, MachineConfig};
@@ -46,15 +50,12 @@ pub(crate) enum PreparedKind {
 }
 
 /// An immutable, shareable preparation of one program for one machine
-/// configuration: decoded form, initial memory image, and (for Spice runs)
-/// the transformed loop. Build once, instantiate per job.
+/// configuration: decoded form and (for Spice runs) the transformed loop.
+/// Build once, instantiate per job.
 #[derive(Debug, Clone)]
 pub struct PreparedProgram {
     program: Arc<Program>,
     decoded: Arc<DecodedProgram>,
-    /// Memory image with globals materialized and the heap zeroed — the
-    /// state every job's `init` starts from.
-    image: FlatMemory,
     config: MachineConfig,
     kind: PreparedKind,
     build_nanos: u128,
@@ -62,16 +63,14 @@ pub struct PreparedProgram {
 
 impl PreparedProgram {
     /// Prepares `program` for sequential execution of `kernel` on `config`:
-    /// decode plus initial image, no transformation.
+    /// decode, no transformation.
     #[must_use]
     pub fn sequential(config: MachineConfig, program: Program, kernel: FuncId) -> Self {
         let started = Instant::now();
-        let image = FlatMemory::for_program(&program, config.heap_words);
         let decoded = Arc::new(DecodedProgram::new(&program));
         PreparedProgram {
             program: Arc::new(program),
             decoded,
-            image,
             config,
             kind: PreparedKind::Sequential(kernel),
             build_nanos: started.elapsed().as_nanos(),
@@ -139,12 +138,10 @@ impl PreparedProgram {
                 );
             }
         }
-        let image = FlatMemory::for_program(&program, config.heap_words);
         let decoded = Arc::new(DecodedProgram::new(&program));
         Ok(PreparedProgram {
             program: Arc::new(program),
             decoded,
-            image,
             config,
             kind: PreparedKind::Spice(Box::new(spice)),
             build_nanos: started.elapsed().as_nanos(),
@@ -152,7 +149,7 @@ impl PreparedProgram {
     }
 
     /// Wall-clock nanoseconds the preparation took (analysis + transform +
-    /// image + decode). This is the one-time cost a sweep amortizes and a
+    /// decode). This is the one-time cost a sweep amortizes and a
     /// harness-performance report must not charge to simulation.
     #[must_use]
     pub fn build_nanos(&self) -> u128 {
@@ -186,16 +183,16 @@ impl PreparedProgram {
         }
     }
 
-    /// Instantiates a fresh machine over the shared program state: a clone
-    /// of the initial image, shared `Arc`s for the program and its decoded
-    /// form. Mutations of one instantiation never touch another.
+    /// Instantiates a fresh machine over the shared program state: its own
+    /// memory with the globals materialized and the heap zeroed (the state
+    /// every job's `init` starts from), shared `Arc`s for the program and
+    /// its decoded form. Mutations of one instantiation never touch another.
     #[must_use]
     pub fn machine(&self) -> Machine {
         Machine::from_shared(
             self.config.clone(),
             Arc::clone(&self.program),
             Arc::clone(&self.decoded),
-            self.image.clone(),
         )
     }
 }
@@ -269,6 +266,40 @@ mod tests {
         let report = backend.run_invocation(&[nodes]).unwrap();
         assert_eq!(report.return_value, Some(18));
         assert_eq!(report.backend, "sim-sequential");
+    }
+
+    /// Instantiating a job touches no heap word, however large the machine's
+    /// reservation (4 Mi words on the Table 1 machine): a fresh machine's
+    /// memory extent stops at the program's globals. The timing-free pin of
+    /// "no O(image) work per job".
+    #[test]
+    fn instantiation_touches_no_heap_word() {
+        let config = MachineConfig::itanium2_cmp();
+        let (program, f, _) = list_sum_program(64);
+        let sequential = PreparedProgram::sequential(config.clone(), program, f);
+        let (program, f, _) = list_sum_program(64);
+        let spice = PreparedProgram::spice(
+            config,
+            4,
+            PredictorOptions::default(),
+            program,
+            f,
+            LoadOptions::new(4096, Some(16)),
+        )
+        .unwrap();
+        for prepared in [&sequential, &spice] {
+            let machine = prepared.machine();
+            let data_end = machine.program().data_end() as usize;
+            let mem = machine.mem();
+            assert!(mem.size() >= data_end + prepared.config().heap_words);
+            assert!(
+                mem.extent() <= data_end,
+                "extent {} past the globals ({data_end})",
+                mem.extent()
+            );
+            let backend = SimBackend::from_prepared(prepared);
+            assert!(backend.mem().extent() <= data_end);
+        }
     }
 
     /// A Spice preparation instantiated twice runs both jobs to the correct

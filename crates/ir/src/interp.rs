@@ -92,11 +92,56 @@ pub trait SysPort {
 /// Word addresses run from 0 to `size - 1`. Globals of a [`Program`] are
 /// materialized by [`FlatMemory::for_program`]; the bump-allocator used by
 /// `alloc` starts right after the globals.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// # The extent rule
+///
+/// Besides its words the memory keeps one more word of state, the *extent*:
+/// **every word at or past [`FlatMemory::extent`] is zero.** A new memory is
+/// one lazily-zeroed allocation with the extent just past the last global
+/// initializer; [`FlatMemory::write`] and [`FlatMemory::prefix_mut`] — the
+/// only ways to change a word — raise it, nothing lowers it, and it is never
+/// a setting. Whatever has to visit "the whole image" (`clone`, `==`, the
+/// simulator's snapshot diff, the native runtime's heap mirror) visits
+/// `[..extent]` instead, so a memory costs what was touched, not what was
+/// reserved: the pages past the extent are never read or written by the
+/// harness and stay unbacked.
+///
+/// The extent is bookkeeping, not content: two memories with equal words and
+/// equal allocation cursors are `==` whatever their write histories, and a
+/// clone may carry a different (never smaller than necessary) extent.
+#[derive(Debug)]
 pub struct FlatMemory {
     words: Vec<i64>,
     heap_next: i64,
+    /// Every word at or past this index is zero (see the type's doc).
+    extent: usize,
 }
+
+impl Clone for FlatMemory {
+    /// A fresh zeroed allocation plus a copy of `[..extent]`.
+    fn clone(&self) -> Self {
+        let mut words = vec![0; self.words.len()];
+        words[..self.extent].copy_from_slice(&self.words[..self.extent]);
+        FlatMemory {
+            words,
+            heap_next: self.heap_next,
+            extent: self.extent,
+        }
+    }
+}
+
+impl PartialEq for FlatMemory {
+    /// Equal size, contents and allocation cursor. The extents are not
+    /// compared, only used: past the larger one both sides are zero.
+    fn eq(&self, other: &Self) -> bool {
+        let n = self.extent.max(other.extent);
+        self.words.len() == other.words.len()
+            && self.heap_next == other.heap_next
+            && self.words[..n] == other.words[..n]
+    }
+}
+
+impl Eq for FlatMemory {}
 
 impl FlatMemory {
     /// Creates a zeroed memory of `size` words with the heap starting at
@@ -106,23 +151,24 @@ impl FlatMemory {
         FlatMemory {
             words: vec![0; size],
             heap_next: 1024,
+            extent: 0,
         }
     }
 
     /// Creates a memory sized `program.data_end() + heap_words`, copies every
     /// global initializer into place and points the allocator at the first
-    /// word past the globals.
+    /// word past the globals. Touches nothing past the last initializer.
     #[must_use]
     pub fn for_program(program: &Program, heap_words: usize) -> Self {
         let size = program.data_end() as usize + heap_words;
         let mut mem = FlatMemory {
             words: vec![0; size],
             heap_next: program.data_end(),
+            extent: 0,
         };
-        for g in &program.globals {
-            for (i, v) in g.init.iter().enumerate() {
-                mem.words[g.base as usize + i] = *v;
-            }
+        for g in program.globals.iter().filter(|g| !g.init.is_empty()) {
+            let base = g.base as usize;
+            mem.prefix_mut(base + g.init.len())[base..].copy_from_slice(&g.init);
         }
         mem
     }
@@ -131,6 +177,13 @@ impl FlatMemory {
     #[must_use]
     pub fn size(&self) -> usize {
         self.words.len()
+    }
+
+    /// The bound of the extent rule (see the type's doc): every word at or
+    /// past this index is zero.
+    #[must_use]
+    pub fn extent(&self) -> usize {
+        self.extent
     }
 
     /// Address that the next `alloc` will return.
@@ -178,24 +231,35 @@ impl FlatMemory {
         match self.words.get_mut(idx) {
             Some(slot) => {
                 *slot = value;
+                if idx >= self.extent {
+                    self.extent = idx + 1;
+                }
                 Ok(())
             }
             None => Err(TrapKind::OutOfBoundsAccess { addr }),
         }
     }
 
-    /// Returns a snapshot of all words (used by equivalence tests).
+    /// All words, the untouched tail past the extent included (used by
+    /// equivalence tests).
     #[must_use]
     pub fn words(&self) -> &[i64] {
         &self.words
     }
 
-    /// Mutable view of all words — used by backends that mirror this memory
-    /// into a different substrate (e.g. the native runtime's shared heap)
-    /// and copy the result back after an invocation.
+    /// Mutable view of the first `len` words, raising the extent to cover
+    /// them — for backends that mirror this memory into another substrate
+    /// (the native runtime's shared heap) and copy the touched prefix back
+    /// after an invocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds the memory size.
     #[must_use]
-    pub fn words_mut(&mut self) -> &mut [i64] {
-        &mut self.words
+    pub fn prefix_mut(&mut self, len: usize) -> &mut [i64] {
+        let prefix = &mut self.words[..len];
+        self.extent = self.extent.max(len);
+        prefix
     }
 }
 
@@ -1212,6 +1276,62 @@ mod tests {
         assert_eq!(mem.read(base + 1).unwrap(), 8);
         assert_eq!(mem.read(base + 2).unwrap(), 0);
         assert_eq!(mem.heap_next(), p.data_end());
+        assert_eq!(mem.extent(), base as usize + 2, "just past the initializer");
+    }
+
+    /// The extent rule: writes raise the extent, nothing lowers it, a clone
+    /// copies exactly the touched prefix, and equality is about contents —
+    /// two memories that reached the same words by different write histories
+    /// (so with different extents) are equal.
+    #[test]
+    fn extent_bounds_the_nonzero_words_and_stays_out_of_equality() {
+        use crate::fixtures::assert_extent_rule;
+        let mut a = FlatMemory::new(4096);
+        assert_eq!(a.extent(), 0);
+        a.write(10, 7).unwrap();
+        assert_eq!(a.extent(), 11);
+        a.write(3000, 5).unwrap();
+        a.write(3000, 0).unwrap();
+        assert_eq!(a.extent(), 3001, "zeroing a word does not lower the extent");
+        assert!(a.write(4096, 1).is_err());
+        assert_eq!(a.extent(), 3001, "a faulting write changes nothing");
+        assert_extent_rule(&a, "after writes");
+
+        let mut b = FlatMemory::new(4096);
+        b.write(10, 7).unwrap();
+        assert_eq!(b.extent(), 11);
+        assert_eq!(a, b, "same contents, different write histories");
+        assert_eq!(b, a);
+        b.write(20, 1).unwrap();
+        assert_ne!(a, b);
+        assert_ne!(b, a);
+
+        let c = a.clone();
+        assert_eq!(c, a);
+        assert_eq!(c.words(), a.words());
+        assert_extent_rule(&c, "a clone");
+
+        a.prefix_mut(3500)[3499] = 4;
+        assert_eq!(a.extent(), 3500);
+        assert_eq!(a.read(3499), Ok(4));
+        assert_ne!(a, c, "a difference past the other side's extent is seen");
+        assert_ne!(c, a);
+        assert_eq!(a.prefix_mut(8).len(), 8);
+        assert_eq!(a.extent(), 3500, "a shorter prefix does not lower it");
+        assert_extent_rule(&a, "after prefix_mut");
+
+        let mut d = FlatMemory::new(4096);
+        d.set_heap_next(2000);
+        assert_ne!(
+            d,
+            FlatMemory::new(4096),
+            "the allocation cursor is compared"
+        );
+        assert_ne!(
+            FlatMemory::new(64),
+            FlatMemory::new(65),
+            "and so is the size"
+        );
     }
 
     #[test]

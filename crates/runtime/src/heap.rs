@@ -25,17 +25,28 @@
 //!   the task sends, a worker's result send precedes the commit of its
 //!   buffer, and the snapshot ([`SharedHeap::snapshot_into`]) follows the
 //!   last result receive.
+//!
+//! The heap keeps the extent rule of the [`FlatMemory`] it mirrors (stated
+//! in that type's doc): every word at or past its extent is zero, so the
+//! mirror and the snapshot copy `[..max(image extent, heap extent)]` rather
+//! than the whole reservation and still leave heap and image identical.
 
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 
 use spice_ir::exec::{AccessSet, DenseMap};
-use spice_ir::interp::MemPort;
+use spice_ir::interp::{FlatMemory, MemPort};
 use spice_ir::TrapKind;
 
 /// A flat, word-addressable heap shared by the Spice threads of one loop.
 #[derive(Debug)]
 pub struct SharedHeap {
     words: Box<[AtomicI64]>,
+    /// Every word at or past this index is zero. Read and written only by
+    /// the main thread ([`SharedHeap::write`], [`SharedHeap::overwrite`],
+    /// [`SharedHeap::snapshot_into`]) — workers never consult it and it
+    /// publishes nothing to them, so it is an atomic only because the heap is
+    /// shared by reference, and a relaxed load + store (no RMW) maintains it.
+    extent: AtomicUsize,
 }
 
 impl SharedHeap {
@@ -44,6 +55,7 @@ impl SharedHeap {
     pub fn new(len: usize) -> Self {
         SharedHeap {
             words: (0..len).map(|_| AtomicI64::new(0)).collect(),
+            extent: AtomicUsize::new(0),
         }
     }
 
@@ -76,32 +88,51 @@ impl SharedHeap {
     /// non-speculative stores and for ordered commits of validated buffers.
     #[must_use]
     pub fn write(&self, addr: i64, value: i64) -> Option<()> {
-        self.word(addr)?.store(value, Ordering::Relaxed);
+        let idx = usize::try_from(addr).ok()?;
+        self.words.get(idx)?.store(value, Ordering::Relaxed);
+        if idx >= self.extent.load(Ordering::Relaxed) {
+            self.extent.store(idx + 1, Ordering::Relaxed);
+        }
         Some(())
     }
 
-    /// Overwrites the whole heap from `src` — the between-invocations mirror
-    /// of a mutated canonical memory image into a *persistent* shared heap.
+    /// How many leading words a copy between the heap and `image` has to
+    /// visit: past the larger of the two extents both are zero.
     ///
     /// # Panics
     ///
-    /// Panics if `src.len()` differs from the heap length.
-    pub fn overwrite(&self, src: &[i64]) {
-        assert_eq!(src.len(), self.words.len(), "heap image length changed");
-        for (word, &value) in self.words.iter().zip(src) {
-            word.store(value, Ordering::Relaxed);
-        }
+    /// Panics if the image's size differs from the heap length.
+    fn touched(&self, image: &FlatMemory) -> usize {
+        assert_eq!(image.size(), self.words.len(), "heap image length changed");
+        image.extent().max(self.extent.load(Ordering::Relaxed))
     }
 
-    /// Copies the whole heap into `dst` — the post-invocation commit of the
-    /// shared heap back into the canonical memory image.
+    /// Makes the heap identical to `image` — the between-invocations mirror
+    /// of a mutated canonical memory image into a *persistent* shared heap.
+    /// Copies up to the larger of the two extents, which also clears what
+    /// the heap holds past the image's extent.
     ///
     /// # Panics
     ///
-    /// Panics if `dst.len()` differs from the heap length.
-    pub fn snapshot_into(&self, dst: &mut [i64]) {
-        assert_eq!(dst.len(), self.words.len(), "heap image length changed");
-        for (slot, word) in dst.iter_mut().zip(self.words.iter()) {
+    /// Panics if the image's size differs from the heap length.
+    pub fn overwrite(&self, image: &FlatMemory) {
+        let touched = self.touched(image);
+        for (word, &value) in self.words[..touched].iter().zip(image.words()) {
+            word.store(value, Ordering::Relaxed);
+        }
+        self.extent.store(image.extent(), Ordering::Relaxed);
+    }
+
+    /// Makes `image` identical to the heap — the post-invocation commit of
+    /// the shared heap back into the canonical memory image. Copies up to
+    /// the larger of the two extents.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the image's size differs from the heap length.
+    pub fn snapshot_into(&self, image: &mut FlatMemory) {
+        let touched = self.touched(image);
+        for (slot, word) in image.prefix_mut(touched).iter_mut().zip(self.words.iter()) {
             *slot = word.load(Ordering::Relaxed);
         }
     }
@@ -207,10 +238,20 @@ mod tests {
     use super::*;
     use std::sync::Barrier;
 
+    /// A `len`-word image holding `value(i)` in each of its first `filled`
+    /// words.
+    fn image(len: usize, filled: usize, value: impl Fn(i64) -> i64) -> FlatMemory {
+        let mut mem = FlatMemory::new(len);
+        for a in 0..filled as i64 {
+            mem.write(a, value(a)).unwrap();
+        }
+        mem
+    }
+
     #[test]
     fn read_write_round_trip() {
         let h = SharedHeap::new(64);
-        h.overwrite(&(100..164).collect::<Vec<i64>>());
+        h.overwrite(&image(64, 64, |a| 100 + a));
         assert_eq!(h.read(11), Some(111));
         assert_eq!(h.read(1000), None);
         assert_eq!(h.read(-1), None);
@@ -218,11 +259,54 @@ mod tests {
         assert_eq!(h.write(64, 9), None);
         assert_eq!(h.write(-1, 9), None);
         assert_eq!(h.read(11), Some(9));
-        let mut image = vec![0; 64];
+        let mut image = FlatMemory::new(64);
         h.snapshot_into(&mut image);
-        assert_eq!((image[10], image[11], image[12]), (110, 9, 112));
+        assert_eq!(
+            (image.read(10), image.read(11), image.read(12)),
+            (Ok(110), Ok(9), Ok(112))
+        );
         assert_eq!(h.len(), 64);
         assert!(!h.is_empty());
+    }
+
+    /// The mirror and the snapshot copy only the touched prefix, and still
+    /// leave heap and image identical word for word — in particular a word
+    /// the heap holds past the image's extent is cleared by the mirror, and
+    /// one the image holds past the heap's extent reaches the heap.
+    #[test]
+    fn mirror_and_snapshot_cover_the_larger_extent() {
+        let same = |h: &SharedHeap, m: &FlatMemory| {
+            let heap: Vec<i64> = (0..h.len() as i64).map(|a| h.read(a).unwrap()).collect();
+            heap == m.words()
+        };
+        let h = SharedHeap::new(4096);
+        let low = image(4096, 8, |a| a + 1);
+        h.overwrite(&low);
+        assert!(same(&h, &low));
+
+        // The heap runs ahead of the image: the snapshot picks the word up …
+        h.write(4000, 7).unwrap();
+        let mut snap = low.clone();
+        h.snapshot_into(&mut snap);
+        assert_eq!(snap.read(4000), Ok(7));
+        assert!(snap.extent() > 4000);
+        assert!(same(&h, &snap));
+        // … and mirroring the low image again clears it.
+        h.overwrite(&low);
+        assert_eq!(h.read(4000), Some(0));
+        assert!(same(&h, &low));
+
+        // The image runs ahead of the heap.
+        let mut high = low.clone();
+        high.write(3000, 9).unwrap();
+        h.overwrite(&high);
+        assert_eq!(h.read(3000), Some(9));
+        assert!(same(&h, &high));
+        // A snapshot into an image that holds more than the heap clears it.
+        h.overwrite(&low);
+        h.snapshot_into(&mut high);
+        assert_eq!(high.read(3000), Ok(0));
+        assert_eq!(high, low);
     }
 
     #[test]
@@ -274,7 +358,7 @@ mod tests {
     #[test]
     fn concurrent_readers_are_allowed() {
         let h = SharedHeap::new(1024);
-        h.overwrite(&(0..1024).collect::<Vec<i64>>());
+        h.overwrite(&image(1024, 1024, |a| a));
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
@@ -299,7 +383,7 @@ mod tests {
         const OLD: i64 = 0x0123_4567_89ab_cdef;
         const NEW: i64 = !OLD;
         let h = SharedHeap::new(WORDS as usize);
-        h.overwrite(&vec![OLD; WORDS as usize]);
+        h.overwrite(&image(WORDS as usize, WORDS as usize, |_| OLD));
         let start = Barrier::new(3);
         std::thread::scope(|s| {
             for _ in 0..2 {

@@ -31,7 +31,9 @@
 //! only when a driver actually mutated the image since the last commit —
 //! workers buffer writes in [`SpecView`]s, only validated buffers are
 //! committed, and the heap is copied back afterwards so workload drivers see
-//! one coherent memory between invocations.
+//! one coherent memory between invocations. Both copies cover the touched
+//! prefix only (the extent rule in [`FlatMemory`]'s doc), not the heap
+//! reservation.
 //!
 //! Chunk boundaries, squash recovery and the load balancer follow the
 //! paper's protocol: immediate hand-off when a chunk reaches its successor's
@@ -395,7 +397,7 @@ impl ExecutionBackend for NativeLoopBackend {
             program: DecodedProgram::new(&program),
             kernel,
             spec,
-            heap: SharedHeap::new(mem.words().len()),
+            heap: SharedHeap::new(mem.size()),
             step_budget: self.step_budget,
             detect: options.conflict_policy.detects(),
             granularity_log2: options.conflict_granularity_log2,
@@ -444,7 +446,7 @@ impl ExecutionBackend for NativeLoopBackend {
         // an unchanged image is reused as-is. Every pool worker is blocked
         // on its task channel here; the task sends below publish the mirror.
         if loaded.heap_dirty {
-            heap.overwrite(loaded.mem.words());
+            heap.overwrite(&loaded.mem);
         }
         // The invocation is about to write the heap; until the
         // post-invocation commit copies it back, the canonical image is
@@ -751,7 +753,7 @@ impl ExecutionBackend for NativeLoopBackend {
         // nothing else touches the heap). The heap and the image are
         // identical afterwards, so the next invocation skips the mirror
         // unless a driver mutates the image in between.
-        heap.snapshot_into(loaded.mem.words_mut());
+        heap.snapshot_into(&mut loaded.mem);
         loaded.heap_dirty = false;
         loaded.mem.set_heap_next(port.alloc_next);
         for (row, cursors) in memos {
@@ -1187,11 +1189,11 @@ mod tests {
         // Rebuild a shorter list skipping every other node: many memoized
         // cursors no longer appear in the traversal.
         let shorter: Vec<i64> = weights.iter().copied().step_by(2).collect();
-        for w in backend.mem_mut().words_mut().iter_mut() {
-            *w = 0;
-        }
         let head2 = {
             let mem = backend.mem_mut();
+            for addr in 0..mem.extent() as i64 {
+                mem.write(addr, 0).unwrap();
+            }
             for (i, w) in shorter.iter().enumerate() {
                 let addr = nodes + 4 * i as i64;
                 let next = if i + 1 < shorter.len() { addr + 4 } else { 0 };
@@ -1524,6 +1526,72 @@ mod tests {
         assert_eq!(report.return_value, Some(new_min));
     }
 
+    /// Stale-tail hazard of the O(extent) mirror: invocation *k* stores to a
+    /// word far above everything the image ever held, so the persistent heap
+    /// is non-zero up there. When the driver then clears that word — by
+    /// writing 0, or by swapping in a fresh image whose extent ends at the
+    /// globals — the mirror must clear `[image extent .. heap extent)` too,
+    /// or invocation *k+1* reads invocation *k*'s value.
+    #[test]
+    fn mirror_clears_what_the_heap_holds_past_the_image_extent() {
+        let (program, f, nodes) = chained_increment_program(8);
+        let fresh = FlatMemory::for_program(&program, 1 << 16);
+        let mut backend = NativeLoopBackend::new(2);
+        backend
+            .load(program, f, LoadOptions::new(1 << 16, Some(2)))
+            .unwrap();
+        let high = backend.mem().size() as i64 - 64;
+        // Node A (in the globals) links to node B at `high`, which the
+        // driver never writes: visiting A stores A's value + 1 into B.
+        let link = |mem: &mut FlatMemory| {
+            mem.write(nodes, 5).unwrap();
+            mem.write(nodes + 1, high).unwrap();
+        };
+        link(backend.mem_mut());
+        assert!(backend.mem().extent() < high as usize);
+        let report = backend.run_invocation(&[nodes]).unwrap();
+        assert_eq!(report.return_value, Some(5 + 6));
+        assert_eq!(backend.mem().read(high), Ok(6), "committed to the image");
+
+        // The driver zeroes the word; a walk starting at B must see 0.
+        backend.mem_mut().write(high, 0).unwrap();
+        let report = backend.run_invocation(&[high]).unwrap();
+        assert_eq!(report.return_value, Some(0));
+
+        // Same through a fresh image: its extent is below `high`, the
+        // heap's is not.
+        link(backend.mem_mut());
+        backend.run_invocation(&[nodes]).unwrap();
+        assert_eq!(backend.mem().read(high), Ok(6));
+        *backend.mem_mut() = fresh;
+        assert!(backend.mem().extent() < high as usize);
+        let report = backend.run_invocation(&[high]).unwrap();
+        assert_eq!(report.return_value, Some(0), "stale heap word survived");
+        assert_eq!(backend.mem().read(high), Ok(0));
+    }
+
+    /// The reverse: the driver writes a word far above anything the heap has
+    /// seen, so the mirror must reach past the heap's own extent.
+    #[test]
+    fn mirror_reaches_a_driver_write_past_the_heap_extent() {
+        let (program, f, nodes) = chained_increment_program(8);
+        let mut backend = NativeLoopBackend::new(2);
+        backend
+            .load(program, f, LoadOptions::new(1 << 16, Some(2)))
+            .unwrap();
+        let head = write_list(backend.mem_mut(), nodes, &[1, 2]);
+        assert_eq!(
+            backend.run_invocation(&[head]).unwrap().return_value,
+            Some(1 + 2)
+        );
+        // A one-node list at the top of the heap, written between
+        // invocations.
+        let high = backend.mem().size() as i64 - 64;
+        backend.mem_mut().write(high, 9).unwrap();
+        let report = backend.run_invocation(&[high]).unwrap();
+        assert_eq!(report.return_value, Some(9));
+    }
+
     /// Regression: an invocation that errors out mid-run may have written
     /// the persistent heap already (the main chunk's direct stores land
     /// immediately), so the mirror flag must stay armed — otherwise the
@@ -1565,7 +1633,7 @@ mod tests {
         let head = write_list(backend.mem_mut(), nodes, &weights);
         let loaded = backend.loaded.unwrap();
         let ctx = &*loaded.ctx;
-        ctx.heap.overwrite(loaded.mem.words());
+        ctx.heap.overwrite(&loaded.mem);
         let node = |i: i64| head + 2 * i;
         let direct = || DirectPort {
             heap: &ctx.heap,

@@ -1227,9 +1227,11 @@ struct SnapshotRecorder {
 /// A complete machine checkpoint: every piece of mutable simulation state —
 /// cores (threads, spec buffers, reports), channels, resteer queue, conflict
 /// tracker, cache hierarchy, cycle — plus the memory image as a delta
-/// against a shared baseline. [`Machine::resume_from`] reconstructs a
-/// machine whose continuation is bit-identical to the run the snapshot was
-/// taken from: same future [`RunSummary`]s, same memory, same trace tail.
+/// against a shared baseline (taken, diffed and restored over the touched
+/// prefix only: the extent rule in [`FlatMemory`]'s doc).
+/// [`Machine::resume_from`] reconstructs a machine whose continuation is
+/// bit-identical to the run the snapshot was taken from: same future
+/// [`RunSummary`]s, same memory, same trace tail.
 /// (The replay observers `ActivityTrace`/`CycleAttribution` are *not*
 /// captured; the [`TraceRecorder`] is, so a resumed trace continues exactly.)
 #[derive(Debug, Clone)]
@@ -1264,24 +1266,23 @@ impl Machine {
     /// into its dense execution form.
     #[must_use]
     pub fn new(config: MachineConfig, program: Program) -> Self {
-        let mem = FlatMemory::for_program(&program, config.heap_words);
         let decoded = Arc::new(DecodedProgram::new(&program));
-        Machine::from_shared(config, Arc::new(program), decoded, mem)
+        Machine::from_shared(config, Arc::new(program), decoded)
     }
 
-    /// Creates a machine from already-shared immutable state: the program,
-    /// its decoded form, and an initial memory image (typically a clone of a
-    /// prepared snapshot). This is the decode-once path a parallel sweep
+    /// Creates a machine from already-shared immutable state: the program
+    /// and its decoded form. This is the decode-once path a parallel sweep
     /// uses — N machines over one `Arc<DecodedProgram>` instead of N
-    /// decodes. `mem` must have been built for `program` with at least
-    /// `config.heap_words` of heap (as [`FlatMemory::for_program`] does).
+    /// decodes. Only the memory is built per machine, and that costs the
+    /// global initializers, not `config.heap_words` (the extent rule in
+    /// [`FlatMemory`]'s doc).
     #[must_use]
     pub fn from_shared(
         config: MachineConfig,
         program: Arc<Program>,
         decoded: Arc<DecodedProgram>,
-        mem: FlatMemory,
     ) -> Self {
+        let mem = FlatMemory::for_program(&program, config.heap_words);
         let hier = MemoryHierarchy::new(&config);
         let cores: Vec<CoreState> = (0..config.cores).map(|_| CoreState::new()).collect();
         let conflicts = ConflictTracker::new(
@@ -1435,12 +1436,12 @@ impl Machine {
     }
 
     fn snapshot_against(&self, baseline: Arc<FlatMemory>) -> MachineSnapshot {
-        debug_assert_eq!(baseline.words().len(), self.mem.words().len());
-        let delta: Vec<(usize, i64)> = self
-            .mem
-            .words()
+        debug_assert_eq!(baseline.size(), self.mem.size());
+        // Past the larger extent both images are zero: nothing to diff.
+        let touched = self.mem.extent().max(baseline.extent());
+        let delta: Vec<(usize, i64)> = self.mem.words()[..touched]
             .iter()
-            .zip(baseline.words())
+            .zip(&baseline.words()[..touched])
             .enumerate()
             .filter(|(_, (cur, base))| cur != base)
             .map(|(i, (cur, _))| (i, *cur))
@@ -1476,7 +1477,8 @@ impl Machine {
     pub fn resume_from(snapshot: &MachineSnapshot) -> Machine {
         let mut mem = (*snapshot.baseline).clone();
         for &(i, v) in &snapshot.delta {
-            mem.words_mut()[i] = v;
+            mem.write(i as i64, v)
+                .expect("a delta index is a word of the baseline-sized image");
         }
         mem.set_heap_next(snapshot.heap_next);
         Machine {

@@ -12,6 +12,9 @@
 //!   between backends, and
 //! * the workload's global data region (node payloads, live-out stores like
 //!   mcf's potentials and otter's argmin cell) is bit-identical afterwards.
+//!
+//! Every backend's memory must also come out of the run with `FlatMemory`'s
+//! extent rule intact (all zero past the extent, a clone equal to it).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -19,6 +22,7 @@ use rand::{Rng, SeedableRng};
 use spice_bench::experiments::all_workload_factories;
 use spice_core::backend::{make_backend, BackendChoice};
 use spice_ir::exec::{ExecutionBackend, InterpBackend};
+use spice_ir::fixtures::assert_extent_rule;
 use spice_sim::{MachineConfig, SequentialSimBackend};
 use spice_workloads::{
     run_workload_on, McfConfig, McfWorkload, OtterConfig, OtterWorkload, SpiceWorkload,
@@ -53,6 +57,7 @@ fn assert_backends_equivalent(
         let mut workload = make_workload();
         let summary = run_workload_on(workload.as_mut(), backend.as_mut())
             .unwrap_or_else(|e| panic!("{label} on {}: {e}", backend.name()));
+        assert_extent_rule(backend.mem(), &format!("{label} on {}", backend.name()));
         let data: Vec<i64> = backend.mem().words()[..data_end].to_vec();
         match &reference {
             None => reference = Some((summary.return_values, data)),

@@ -9,6 +9,7 @@
 use spice_bench::experiments::{all_workload_factories, prepare_sweep, SweepMode};
 use spice_core::{run_sequential, SimBackend};
 use spice_ir::exec::ExecutionBackend;
+use spice_ir::fixtures::assert_extent_rule;
 use spice_ir::TraceEvent;
 use spice_sim::Machine;
 use spice_workloads::drive_loaded_workload;
@@ -67,6 +68,12 @@ fn sequential_snapshots_resume_bit_identically() {
                 snap.cycle()
             );
             assert_eq!(
+                resumed.mem(),
+                full.mem(),
+                "{bench}: == disagrees with words()"
+            );
+            assert_extent_rule(resumed.mem(), &format!("{bench} resumed"));
+            assert_eq!(
                 resumed.trace(),
                 full.trace(),
                 "{bench}: trace tail diverged resuming from {}",
@@ -118,9 +125,11 @@ fn spice_snapshots_resume_bit_identically_mid_invocation() {
         for i in [0, snaps.len() / 2, snaps.len() - 1] {
             let snap = &snaps[i];
             let mut resumed = Machine::resume_from(snap);
+            assert_extent_rule(resumed.mem(), &format!("{bench} snapshot {i} restored"));
             resumed
                 .run()
                 .unwrap_or_else(|e| panic!("{bench}: resume from {}: {e:?}", snap.cycle()));
+            assert_extent_rule(resumed.mem(), &format!("{bench} snapshot {i} resumed"));
             let resumed_events: Vec<TraceEvent> = resumed
                 .trace()
                 .expect("trace restored from snapshot")
