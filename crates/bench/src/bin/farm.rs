@@ -21,9 +21,10 @@
 //!                     stream them to PATH (byte-identical at any --jobs)
 //!   --fuzz-seeds N    width of the fuzz figure's mutation-seed sweep
 //!                     (default 8; one differential-replay job per seed)
-//!   --check           CI perf smoke: run the harness figure only, write
-//!                     nothing, compare ns/simulated-cycle against the
-//!                     committed BENCH_farm.json
+//!   --check           CI perf gate: run the harness figure only (one
+//!                     worker, best of three), write nothing, and compare
+//!                     each benchmark's spice4 / sequential ns-per-cycle
+//!                     ratio against the committed BENCH_harness.json
 //! ```
 //!
 //! A malformed command line (unknown flag or figure, missing or non-numeric
@@ -38,12 +39,26 @@
 
 use std::path::PathBuf;
 
+use spice_bench::experiments::{
+    parse_harness_rows, spice4_cost_ratios, FigureRows, HarnessPerfRow,
+};
 use spice_bench::farm_driver::{farm_json, run_manifest, Figure, Manifest, OutPaths};
 
-/// A fresh run must stay within this factor of the committed
-/// ns-per-simulated-cycle. Generous on purpose: CI machines differ from the
-/// machine that committed the baseline.
-const CHECK_FACTOR: f64 = 4.0;
+/// `--check` keeps, per benchmark, the best (lowest) spice4 ÷ sequential
+/// ratio of this many in-process harness sweeps. Each ratio is taken within
+/// one sweep, where the two jobs run a few milliseconds apart, so a slow
+/// phase of the host slows both and cancels.
+const CHECK_REPETITIONS: usize = 3;
+
+/// `--check` fails when a benchmark's measured spice4 ÷ sequential
+/// ns-per-cycle ratio exceeds the committed one by more than this factor.
+/// Chosen from 22 gate evaluations recorded on the 2-vCPU reference VM
+/// while its neighbours made a single row's ns-per-cycle vary 6× between
+/// sweeps (ks sequential 7.5–44.9): measured ÷ committed never exceeded 1.15
+/// (ratios taken across sweeps instead reached 1.39, which is why they are
+/// not). 1.2 clears that band and still fails the parent of the commit that
+/// introduced this gate on ks and 181.mcf (1.22×, 1.24×).
+const CHECK_TOLERANCE: f64 = 1.2;
 
 const USAGE: &str = "usage: farm [--small] [--jobs N] [--figures LIST] [--out-dir DIR] \
                      [--trace-out PATH] [--fuzz-seeds N] [--check]";
@@ -86,23 +101,83 @@ fn parse_cli(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
         }
     }
     if cli.check {
+        // What the committed artifact was captured with.
         cli.manifest.figures = vec![Figure::Harness];
+        cli.manifest.jobs = 1;
     }
     Ok(cli)
 }
 
+/// The perf gate: same-run relative cost of the multi-core event loop, per
+/// benchmark, against the committed artifact.
+fn check(cli: &Cli) -> Result<(), String> {
+    let path = cli.out_dir.join("BENCH_harness.json");
+    let committed = std::fs::read_to_string(&path)
+        .map_err(|e| format!("--check needs the committed {}: {e}", path.display()))?;
+    let committed =
+        parse_harness_rows(&committed).map_err(|e| format!("{}: {e}", path.display()))?;
+
+    let mut best: Vec<(String, f64)> = Vec::new();
+    for _ in 0..CHECK_REPETITIONS {
+        let rows = run_manifest(&cli.manifest, &OutPaths::default())?.harness_rows;
+        println!("{}", HarnessPerfRow::table(&rows));
+        // Like for like: a host-only change leaves every simulated cycle
+        // where the committed capture has it (this also rejects a --small
+        // run against the full-size artifact).
+        fn cell(r: &HarnessPerfRow) -> (&str, &str, u64) {
+            (&r.benchmark, &r.mode, r.simulated_cycles)
+        }
+        if !rows.iter().map(cell).eq(committed.iter().map(cell)) {
+            return Err(format!(
+                "simulated cycles differ from {}: re-capture it (same size, --jobs 1)",
+                path.display()
+            ));
+        }
+        let ratios = spice4_cost_ratios(&rows);
+        if best.is_empty() {
+            best = ratios;
+        } else {
+            for (b, r) in best.iter_mut().zip(ratios) {
+                b.1 = b.1.min(r.1);
+            }
+        }
+    }
+
+    let mut regressed = Vec::new();
+    for ((bench, measured), (_, baseline)) in best.into_iter().zip(spice4_cost_ratios(&committed)) {
+        let limit = baseline * CHECK_TOLERANCE;
+        println!(
+            "perf-gate: {bench:<12} spice4/sequential ns-per-cycle {measured:.2}x \
+             (committed {baseline:.2}x, limit {limit:.2}x)"
+        );
+        if !measured.is_finite() || measured > limit {
+            regressed.push(bench);
+        }
+    }
+    if regressed.is_empty() {
+        Ok(())
+    } else {
+        Err(format!(
+            "multi-core host-cost regression on {}: spice4/sequential ns-per-cycle exceeds \
+             {CHECK_TOLERANCE}x the committed ratio",
+            regressed.join(", ")
+        ))
+    }
+}
+
 fn run(cli: &Cli) -> Result<(), String> {
+    if cli.check {
+        return check(cli);
+    }
     let figures = &cli.manifest.figures;
     let mut outs = OutPaths::default();
-    if !cli.check {
-        std::fs::create_dir_all(&cli.out_dir)
-            .map_err(|e| format!("create {}: {e}", cli.out_dir.display()))?;
-        for &figure in figures {
-            outs.set_artifact_dir(figure, &cli.out_dir);
-        }
-        outs.trace = cli.trace_out.clone();
-        outs.failures_dir = Some(cli.out_dir.join("failures"));
+    std::fs::create_dir_all(&cli.out_dir)
+        .map_err(|e| format!("create {}: {e}", cli.out_dir.display()))?;
+    for &figure in figures {
+        outs.set_artifact_dir(figure, &cli.out_dir);
     }
+    outs.trace = cli.trace_out.clone();
+    outs.failures_dir = Some(cli.out_dir.join("failures"));
 
     let report = run_manifest(&cli.manifest, &outs)?;
 
@@ -126,25 +201,6 @@ fn run(cli: &Cli) -> Result<(), String> {
     );
 
     let farm_path = cli.out_dir.join("BENCH_farm.json");
-    if cli.check {
-        let committed = std::fs::read_to_string(&farm_path)
-            .map_err(|e| format!("--check needs the committed {}: {e}", farm_path.display()))?;
-        let baseline = spice_bench::json::extract_number(&committed, "ns_per_simulated_cycle")
-            .ok_or_else(|| format!("{}: no ns_per_simulated_cycle", farm_path.display()))?;
-        let measured = report.ns_per_simulated_cycle();
-        println!(
-            "perf-smoke: measured {measured:.1} ns/cycle vs committed {baseline:.1} \
-             (limit {CHECK_FACTOR}x)"
-        );
-        if !measured.is_finite() || measured > baseline * CHECK_FACTOR {
-            return Err(format!(
-                "farm-speed regression: {measured:.1} ns/cycle exceeds \
-                 {CHECK_FACTOR}x the committed {baseline:.1}"
-            ));
-        }
-        return Ok(());
-    }
-
     let doc = farm_json(&report);
     spice_bench::json::validate(&doc).map_err(|e| format!("BENCH_farm.json invalid: {e}"))?;
     std::fs::write(&farm_path, &doc).map_err(|e| format!("write {}: {e}", farm_path.display()))?;

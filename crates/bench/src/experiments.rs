@@ -804,7 +804,7 @@ pub fn table1() -> Vec<(String, String)> {
 /// Figure 7 sweep read for host seconds instead of simulated cycles (the
 /// farm derives both from one job set), so harness-speed regressions become
 /// visible trajectory data in `BENCH_harness.json`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HarnessPerfRow {
     /// Benchmark name.
     pub benchmark: String,
@@ -860,6 +860,56 @@ pub fn harness_ns_per_cycle(rows: &[HarnessPerfRow]) -> f64 {
     } else {
         nanos as f64 / cycles as f64
     }
+}
+
+/// Reads the rows back out of a `BENCH_harness.json` document (the reading
+/// half of [`HarnessPerfRow`]'s [`FigureRows::row`]).
+///
+/// # Errors
+///
+/// Returns a description of the first syntax error or missing field.
+pub fn parse_harness_rows(doc: &str) -> Result<Vec<HarnessPerfRow>, String> {
+    let doc = crate::json::parse(doc)?;
+    let rows = doc.get("rows").and_then(|r| r.as_array());
+    rows.ok_or("no \"rows\" array")?
+        .iter()
+        .map(|row| {
+            let text = |key: &str| row.get(key).and_then(|v| v.as_str()).map(str::to_string);
+            let count = |key: &str| {
+                let n = row.get(key).and_then(crate::json::Value::as_i64);
+                n.and_then(|n| u64::try_from(n).ok())
+            };
+            Some(HarnessPerfRow {
+                benchmark: text("benchmark")?,
+                mode: text("mode")?,
+                simulated_cycles: count("simulated_cycles")?,
+                build_nanos: count("build_nanos")?.into(),
+                host_nanos: count("host_nanos")?.into(),
+            })
+        })
+        .collect::<Option<Vec<_>>>()
+        .ok_or_else(|| "malformed harness row".to_string())
+}
+
+/// Per benchmark, what a simulated cycle costs the host at 4 threads
+/// relative to the same run's sequential row: `(benchmark, spice4 ÷
+/// sequential ns-per-cycle)`. Both rows come from one run on one host, so
+/// host speed cancels to first order — the figure `farm --check` gates on.
+#[must_use]
+pub fn spice4_cost_ratios(rows: &[HarnessPerfRow]) -> Vec<(String, f64)> {
+    let cost = |benchmark: &str, mode: &str| {
+        let row = rows
+            .iter()
+            .find(|r| r.benchmark == benchmark && r.mode == mode)?;
+        Some(row.ns_per_cycle())
+    };
+    rows.iter()
+        .filter(|r| r.mode == "sequential")
+        .filter_map(|r| {
+            let ratio = cost(&r.benchmark, "spice4")? / r.ns_per_cycle();
+            Some((r.benchmark.clone(), ratio))
+        })
+        .collect()
 }
 
 /// The pre-PR harness speed, measured with the harness figure compiled
@@ -1853,6 +1903,21 @@ mod tests {
         );
         let txt = HarnessPerfRow::table(rows);
         assert!(txt.contains("TOTAL") && txt.contains("pre-PR"));
+
+        // What `farm --check` reads back out of the artifact: the same rows,
+        // and one spice4 / sequential cost ratio per benchmark.
+        assert_eq!(parse_harness_rows(&doc).as_deref(), Ok(&rows[..]));
+        assert_eq!(parse_harness_rows("{}"), Err("no \"rows\" array".into()));
+        let ratios = spice4_cost_ratios(rows);
+        assert_eq!(ratios.len(), 7);
+        let (bench, ratio) = &ratios[0];
+        let ns = |mode: &str| {
+            let row = rows
+                .iter()
+                .find(|r| r.benchmark == *bench && r.mode == mode);
+            row.expect("every mode ran").ns_per_cycle()
+        };
+        assert_eq!(*ratio, ns("spice4") / ns("sequential"));
     }
 
     /// Measured-hotness regression (small suite, one-core test machine):

@@ -297,8 +297,8 @@ impl FarmReport {
     }
 
     /// Host nanoseconds per simulated cycle over the sweep jobs (dispatch
-    /// only — preparation time is cached and excluded). The size-independent
-    /// rate `farm --check` gates on.
+    /// only — preparation time is cached and excluded): the size-independent
+    /// rate `BENCH_farm.json` records.
     #[must_use]
     pub fn ns_per_simulated_cycle(&self) -> f64 {
         if self.simulated_cycles == 0 {
@@ -311,7 +311,7 @@ impl FarmReport {
 
 /// Renders the farm's own artifact (`BENCH_farm.json`): serial vs farm
 /// seconds, job and worker counts, host cores, cache accounting, and the
-/// dispatch rate the perf smoke gates on.
+/// overall dispatch rate.
 #[must_use]
 pub fn farm_json(report: &FarmReport) -> String {
     let metric_rows: Vec<String> = report

@@ -43,12 +43,12 @@ pub use dense::DenseMap;
 
 use crate::cfg::Cfg;
 use crate::dom::DomTree;
-use crate::interp::{run_function_with, FlatMemory, LocalSys, DEFAULT_FUEL};
+use crate::interp::{run_decoded_with, FlatMemory, LocalSys, DEFAULT_FUEL};
 use crate::liveness::{loop_live_ins, Liveness};
 use crate::loops::{LoopForest, LoopId};
 use crate::reduction::{detect_reductions, Reduction};
 use crate::types::{BlockId, FuncId, Reg, TrapKind};
-use crate::Program;
+use crate::{DecodedProgram, Program};
 
 /// Backend-neutral description of a Spice-parallelizable loop: everything an
 /// execution backend needs to chunk the iteration space, start speculative
@@ -468,7 +468,9 @@ pub trait ExecutionBackend {
 /// the backend after the run ([`InterpBackend::profile_events`]).
 #[derive(Debug, Default)]
 pub struct InterpBackend {
-    loaded: Option<(Program, FuncId, FlatMemory)>,
+    /// The program with its decoded form (built once per `load`), the
+    /// kernel, and the memory image.
+    loaded: Option<(Program, DecodedProgram, FuncId, FlatMemory)>,
     ports: Vec<LocalSys>,
 }
 
@@ -502,21 +504,23 @@ impl ExecutionBackend for InterpBackend {
         options: LoadOptions,
     ) -> Result<(), BackendError> {
         let mem = FlatMemory::for_program(&program, options.heap_words);
-        self.loaded = Some((program, kernel, mem));
+        let decoded = DecodedProgram::new(&program);
+        self.loaded = Some((program, decoded, kernel, mem));
         self.ports.clear();
         Ok(())
     }
 
     fn mem(&self) -> &FlatMemory {
-        &self.loaded.as_ref().expect("load() first").2
+        &self.loaded.as_ref().expect("load() first").3
     }
 
     fn mem_mut(&mut self) -> &mut FlatMemory {
-        &mut self.loaded.as_mut().expect("load() first").2
+        &mut self.loaded.as_mut().expect("load() first").3
     }
 
     fn run_invocation(&mut self, args: &[i64]) -> Result<ExecutionReport, BackendError> {
-        let (program, kernel, mem) = self.loaded.as_mut().ok_or(BackendError::NotLoaded)?;
+        let (program, decoded, kernel, mem) =
+            self.loaded.as_mut().ok_or(BackendError::NotLoaded)?;
         let mut sys = LocalSys::new();
         let started = std::time::Instant::now();
         // One fuel for every interpreted run. The largest invocation of the
@@ -524,8 +528,8 @@ impl ExecutionBackend for InterpBackend {
         // corpus loop (64 nodes) under a thousand, so `DEFAULT_FUEL` (5e8)
         // leaves three orders of magnitude of headroom while still turning
         // a runaway loop into `OutOfFuel` within seconds.
-        let out = run_function_with(
-            program,
+        let out = run_decoded_with(
+            (program, decoded),
             *kernel,
             args,
             mem,

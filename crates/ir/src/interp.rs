@@ -979,7 +979,9 @@ pub fn run_function(
 
 /// Runs `func` to completion with full control over the system port, fuel
 /// budget and a per-instruction observer. The program is decoded once at
-/// entry; the per-step cost is the decoded dispatch.
+/// entry (a caller running many invocations of one program decodes once
+/// itself and calls [`run_decoded_with`]); the per-step cost is the decoded
+/// dispatch.
 ///
 /// The observer is called before each instruction (not terminators) with the
 /// current function, block and instruction; the value profiler and the
@@ -997,10 +999,28 @@ pub fn run_function_with(
     mem: &mut impl MemPort,
     sys: &mut impl SysPort,
     fuel: u64,
-    mut observer: impl FnMut(FuncId, BlockId, &Inst),
+    observer: impl FnMut(FuncId, BlockId, &Inst),
 ) -> Result<RunOutcome, TrapKind> {
     let decoded = DecodedProgram::new(program);
-    let mut thread = ThreadState::new(&decoded, func, args);
+    run_decoded_with((program, &decoded), func, args, mem, sys, fuel, observer)
+}
+
+/// [`run_function_with`] over a program and its already built decoded form
+/// (`decoded` must be `DecodedProgram::new(program)`).
+///
+/// # Errors
+///
+/// As [`run_function_with`].
+pub fn run_decoded_with(
+    (program, decoded): (&Program, &DecodedProgram),
+    func: FuncId,
+    args: &[i64],
+    mem: &mut impl MemPort,
+    sys: &mut impl SysPort,
+    fuel: u64,
+    mut observer: impl FnMut(FuncId, BlockId, &Inst),
+) -> Result<RunOutcome, TrapKind> {
+    let mut thread = ThreadState::new(decoded, func, args);
     let mut stats = ExecStats::default();
     let mut steps: u64 = 0;
     loop {
@@ -1017,7 +1037,7 @@ pub fn run_function_with(
                 observer(thread.func, block, &blk.insts[ip]);
             }
         }
-        match thread.step(&decoded, mem, sys)? {
+        match thread.step(decoded, mem, sys)? {
             StepEvent::Executed(info) => stats.record(info.class()),
             StepEvent::Blocked => {
                 // Single-threaded: nobody will ever fill the channel.

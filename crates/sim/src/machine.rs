@@ -10,20 +10,35 @@
 //! is squashed. This is the substrate on which both the Spice-transformed
 //! code and the baseline TLS schemes are timed (paper §5).
 //!
-//! **Simulated time advances by events, not by ticks.** Each core advertises
-//! when it can next do something — its `busy_until` horizon, or, when
-//! blocked on a receive, the arrival time of the next message on the channel
-//! it is waiting for — and [`Machine::run`] jumps the clock straight to the
-//! minimum of those times, crediting the skipped interval's stall and idle
-//! cycles arithmetically. A skipped cycle is, by construction, one in which
-//! the cycle-stepped machine would only have incremented those same
-//! counters, so the event-driven run retires the identical instruction
-//! sequence at the identical cycles and produces **bit-identical**
-//! [`RunSummary`]s — it only spends less host time doing so. When exactly
-//! one core is runnable (every sequential baseline; the serial phases of a
-//! Spice invocation) the scheduler drops into a scan-free single-core loop
-//! with the same guarantee. See `DESIGN.md`, "harness performance
-//! architecture", for the invariant and its boundary conditions.
+//! **Simulated time advances by events, in `(cycle, core index)` order.** An
+//! event is one core's issue group. Each core has a *wake key* — the first
+//! cycle its own state lets it step: its `busy_until` horizon, the arrival
+//! of the front message on the channel its blocked receive recorded, or
+//! never (finished, trapped, no thread, or nothing in flight for it; only
+//! another core's event can rouse it). [`Machine::run`] keeps the keys in a
+//! small array, steps the core with the smallest `(key, index)`, lets it
+//! issue group after group while its key stays the smallest — a sequential
+//! run is the degenerate case where every other key is never — and then
+//! updates that key alone. A send re-derives the keys of parked receivers,
+//! and resteers queued during cycle `t` are delivered once the minimum has
+//! moved past `t`: after every core's step at `t`, exactly where the
+//! cycle-stepped machine delivers them. Every step, message, store and
+//! conflict check therefore happens in the order [`Machine::step_cycle`]
+//! would produce, and the run is **bit-identical** to it — same
+//! [`RunSummary`], memory and trace.
+//!
+//! **Stall, idle and receive-stall counters are settled, never ticked.**
+//! Between its own steps a core's state is constant, so what each elapsed
+//! cycle would have added to its report is a function of that state;
+//! `CoreState::settle` credits the whole interval at the moments the state
+//! can change (the core's own step, a resteer delivered to it) and whenever
+//! the machine is observed (return, pause, checkpoint). What may never be
+//! skipped is a step itself: a key is never later than the first cycle at
+//! which the cycle-stepped core would do anything but bump a counter.
+//! Every piece of scheduler state is derived from [`Machine`] and its cores
+//! — the keys, and the cycle pending resteers were queued at — so a snapshot
+//! taken between any two events resumes bit-identically. See `DESIGN.md`,
+//! "harness performance architecture".
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
@@ -57,9 +72,6 @@ struct Message {
 #[derive(Debug, Clone, Default)]
 pub struct ChannelNet {
     queues: ChannelTable<Message>,
-    /// Running message count, so [`ChannelNet::pending`] — consulted every
-    /// scheduling round — is O(1) instead of a walk over every queue.
-    in_flight: usize,
 }
 
 impl ChannelNet {
@@ -68,17 +80,13 @@ impl ChannelNet {
         self.queues
             .queue_mut(chan)
             .push_back(Message { ready_at, value });
-        self.in_flight += 1;
     }
 
     /// Dequeues the oldest message on `chan` if it has arrived by `now`.
     pub fn try_recv(&mut self, chan: i64, now: u64) -> Option<i64> {
         let q = self.queues.existing_mut(chan)?;
         match q.front() {
-            Some(m) if m.ready_at <= now => {
-                self.in_flight -= 1;
-                Some(q.pop_front().expect("front exists").value)
-            }
+            Some(m) if m.ready_at <= now => q.pop_front().map(|m| m.value),
             _ => None,
         }
     }
@@ -91,21 +99,17 @@ impl ChannelNet {
         self.queues.queue(chan)?.front().map(|m| m.ready_at)
     }
 
-    /// Total messages currently queued (arrived or still in flight).
+    /// Total messages currently queued (arrived or still in flight). A walk
+    /// over every queue: the event loop asks only once nothing is scheduled.
     #[must_use]
     pub fn pending(&self) -> usize {
-        debug_assert_eq!(
-            self.in_flight,
-            self.queues.queues().map(VecDeque::len).sum::<usize>()
-        );
-        self.in_flight
+        self.queues.queues().map(VecDeque::len).sum()
     }
 
     /// Empties every queue while keeping their allocations for the next
     /// invocation.
     pub fn clear(&mut self) {
         self.queues.clear_queues();
-        self.in_flight = 0;
     }
 }
 
@@ -519,6 +523,9 @@ enum SpecAction {
 enum CoreCycleEnd {
     /// Instructions retired; the core is busy until its new horizon.
     Ran,
+    /// As [`CoreCycleEnd::Ran`], and the group ended in a send or a resteer:
+    /// the one way a step changes when *another* core can next do something.
+    Signalled,
     /// The core blocked on an empty channel.
     Blocked,
     /// The thread finished or halted.
@@ -554,6 +561,7 @@ struct CoreMemPort<'a> {
 }
 
 impl MemPort for CoreMemPort<'_> {
+    #[inline]
     fn load(&mut self, addr: i64) -> Result<i64, TrapKind> {
         let (lat, level) = self.hier.load(self.core, addr);
         self.latency += lat;
@@ -582,6 +590,7 @@ impl MemPort for CoreMemPort<'_> {
         Ok(value)
     }
 
+    #[inline]
     fn store(&mut self, addr: i64, value: i64) -> Result<(), TrapKind> {
         let (lat, level) = self.hier.store(self.core, addr);
         self.latency += lat;
@@ -614,6 +623,7 @@ impl MemPort for CoreMemPort<'_> {
         }
     }
 
+    #[inline]
     fn alloc(&mut self, words: i64) -> Result<i64, TrapKind> {
         self.mem.alloc(words)
     }
@@ -628,7 +638,7 @@ struct CoreSysPort<'a> {
     spec_action: Option<SpecAction>,
     /// The channel of the last `try_recv` that came back empty — recorded so
     /// a blocking receive advertises which arrival would wake it (the
-    /// event-driven scheduler's wake-up condition for blocked cores).
+    /// event loop's wake key for a blocked core).
     recv_failed_chan: Option<i64>,
     /// Tracing support, inert unless `record` is set: what the current step
     /// sent, received, or conflict-checked.
@@ -639,7 +649,19 @@ struct CoreSysPort<'a> {
     checked: Option<(i64, i64)>,
 }
 
+/// What one step sent, received and conflict-checked (`(chan, value)` twice,
+/// then `(queried core, verdict)`), as [`CoreSysPort`] records them.
+type SysRecording = (Option<(i64, i64)>, Option<(i64, i64)>, Option<(i64, i64)>);
+
+impl CoreSysPort<'_> {
+    #[inline]
+    fn recorded(&mut self) -> SysRecording {
+        (self.sent.take(), self.received.take(), self.checked.take())
+    }
+}
+
 impl SysPort for CoreSysPort<'_> {
+    #[inline]
     fn send(&mut self, chan: i64, value: i64) {
         if self.record {
             self.sent = Some((chan, value));
@@ -648,6 +670,7 @@ impl SysPort for CoreSysPort<'_> {
             .send(chan, value, self.now + self.comm_latency);
     }
 
+    #[inline]
     fn try_recv(&mut self, chan: i64) -> Option<i64> {
         let got = self.channels.try_recv(chan, self.now);
         match got {
@@ -658,18 +681,22 @@ impl SysPort for CoreSysPort<'_> {
         got
     }
 
+    #[inline]
     fn spec_begin(&mut self) {
         self.spec_action = Some(SpecAction::Begin);
     }
 
+    #[inline]
     fn spec_commit(&mut self) {
         self.spec_action = Some(SpecAction::Commit);
     }
 
+    #[inline]
     fn spec_abort(&mut self) {
         self.spec_action = Some(SpecAction::Abort);
     }
 
+    #[inline]
     fn spec_conflict(&mut self, core: i64) -> i64 {
         let verdict = self.conflicts.query(core);
         if self.record {
@@ -678,10 +705,15 @@ impl SysPort for CoreSysPort<'_> {
         verdict
     }
 
+    #[inline]
     fn resteer(&mut self, core: i64, target: BlockId) {
         self.resteers.push((core, target));
     }
 }
+
+/// A wake key no core ever reaches: finished, trapped and threadless cores,
+/// and receives nothing is in flight for, wait on another core's event.
+const NEVER: u64 = u64::MAX;
 
 #[derive(Debug, Clone)]
 struct CoreState {
@@ -693,6 +725,10 @@ struct CoreState {
     /// The channel the thread's pending `Recv` found empty, while `blocked`:
     /// the core's wake-up event is the next arrival on this channel.
     waiting_chan: Option<i64>,
+    /// First cycle whose stall / idle tick is not yet in `report`: one past
+    /// the core's last own step, or as far as [`CoreState::settle`] has
+    /// since credited. Never later than the core's next step.
+    accounted: u64,
     report: CoreReport,
     /// Retired-instruction counts, dense by [`InstClass::index`].
     class_counts: [u64; InstClass::COUNT],
@@ -708,210 +744,221 @@ impl CoreState {
             stall: StallKind::None,
             blocked: false,
             waiting_chan: None,
+            accounted: 0,
             report: CoreReport::default(),
             class_counts: [0; InstClass::COUNT],
             done: false,
         }
     }
-}
 
-/// One core's execution context, split-borrowed out of the [`Machine`]: the
-/// thread, its memory/system ports, and the core's bookkeeping fields. Built
-/// once per scheduling episode — the lockstep path constructs it per core
-/// per cycle, the single-active fast loop holds one across its whole run so
-/// the ports are not reconstructed on every cycle.
-struct CoreRun<'a> {
-    i: usize,
-    issue_width: u64,
-    config: &'a MachineConfig,
-    decoded: &'a DecodedProgram,
-    activity: &'a mut Option<ActivityTrace>,
-    attribution: &'a mut Option<CycleAttribution>,
-    trace: &'a mut Option<TraceRecorder>,
-    conflicts: &'a ConflictTracker,
-    cycle: &'a mut u64,
-    thread: &'a mut ThreadState,
-    mem_port: CoreMemPort<'a>,
-    sys_port: CoreSysPort<'a>,
-    busy_until: &'a mut u64,
-    stall: &'a mut StallKind,
-    blocked: &'a mut bool,
-    waiting_chan: &'a mut Option<i64>,
-    report: &'a mut CoreReport,
-    class_counts: &'a mut [u64; InstClass::COUNT],
-    done: &'a mut bool,
-}
-
-impl<'a> CoreRun<'a> {
-    fn new(m: &'a mut Machine, i: usize) -> Self {
-        let Machine {
-            config,
-            mem,
-            hier,
-            cores,
-            channels,
-            resteer_requests,
-            conflicts,
-            decoded,
-            cycle,
-            activity,
-            attribution,
-            trace,
-            ..
-        } = m;
-        let CoreState {
-            thread,
-            spec,
-            busy_until,
-            stall,
-            blocked,
-            waiting_chan,
-            report,
-            class_counts,
-            done,
-        } = &mut cores[i];
-        let thread = thread.as_mut().expect("core has a runnable thread");
-        let record = trace.is_some();
-        CoreRun {
-            i,
-            issue_width: config.core.issue_width.max(1),
-            config,
-            decoded,
-            activity,
-            attribution,
-            trace,
-            conflicts,
-            cycle,
-            thread,
-            mem_port: CoreMemPort {
-                mem,
-                hier,
-                spec,
-                conflicts,
-                core: i,
-                latency: 0,
-                record,
-                site: (FuncId(0), BlockId(0)),
-                now: 0,
-                accessed: None,
-            },
-            sys_port: CoreSysPort {
-                channels,
-                resteers: resteer_requests,
-                conflicts,
-                now: 0,
-                comm_latency: config.inter_core_latency,
-                spec_action: None,
-                recv_failed_chan: None,
-                record,
-                sent: None,
-                received: None,
-                checked: None,
-            },
-            busy_until,
-            stall,
-            blocked,
-            waiting_chan,
-            report,
-            class_counts,
-            done,
+    /// Credits the cycles `[accounted, upto)` to the report. The core did
+    /// not step in any of them, so each would have ticked the one counter
+    /// its state names: idle without a live thread, else the kind of its
+    /// last stall — `Recv` while blocked (every cycle a failed retry),
+    /// `None` once trapped, the access's kind while busy. That state only
+    /// changes at the core's own step or at a resteer delivered to it; both
+    /// settle first. Crediting is linear, so settling early (a pause, a
+    /// snapshot) never changes a total.
+    fn settle(&mut self, upto: u64) {
+        let dt = upto.saturating_sub(self.accounted);
+        if dt == 0 {
+            return;
+        }
+        self.accounted = upto;
+        if self.thread.is_none() || self.done {
+            self.report.idle_cycles += dt;
+        } else {
+            match self.stall {
+                StallKind::Memory => self.report.mem_stall_cycles += dt,
+                StallKind::Recv => self.report.recv_stall_cycles += dt,
+                StallKind::None => {}
+            }
         }
     }
 
-    /// One cycle's issue group at `now` (see [`Machine::step_core`]).
-    fn issue_group(&mut self, now: u64) -> CoreCycleEnd {
-        self.sys_port.now = now;
-        let mut issued_this_cycle = 0u64;
+    /// The first cycle this core's own state lets it step: its horizon, or
+    /// for a blocked receive the arrival of the front message on its channel
+    /// (send times are monotone per channel, and a retry earlier than the
+    /// true wake-up is only a failed retry the settlement already counts).
+    /// [`NEVER`] when only another core's event can rouse it.
+    fn wake(&self, channels: &ChannelNet) -> u64 {
+        let live = self
+            .thread
+            .as_ref()
+            .is_some_and(|t| !self.done && !matches!(t.status(), ThreadStatus::Trapped(_)));
+        let ready = if !live {
+            None
+        } else if self.blocked {
+            self.waiting_chan.and_then(|ch| channels.earliest_on(ch))
+        } else {
+            Some(self.busy_until)
+        };
+        ready.map_or(NEVER, |at| at.max(self.accounted))
+    }
+}
+
+/// Everything the cores share — one pointer next to the stepping core's
+/// [`CoreState`], so switching cores re-borrows nothing.
+#[derive(Debug)]
+struct Shared {
+    config: MachineConfig,
+    /// The pre-decoded execution form of the program, built once at load.
+    decoded: Arc<DecodedProgram>,
+    mem: FlatMemory,
+    hier: MemoryHierarchy,
+    channels: ChannelNet,
+    /// Resteers queued during cycle [`Machine::cycle`], delivered once every
+    /// core's step of that cycle has run.
+    resteer_requests: Vec<(i64, BlockId)>,
+    conflicts: ConflictTracker,
+    activity: Option<ActivityTrace>,
+    attribution: Option<CycleAttribution>,
+    trace: Option<TraceRecorder>,
+}
+
+impl Shared {
+    /// Steps core `i` at `at`, its wake key, and keeps issuing group after
+    /// group while its new horizon stays below `stop` — the event loop's
+    /// inner loop, kept out of line so the scheduler around it stays in
+    /// registers. Returns the cycle of the last group and what ended it.
+    #[inline(never)]
+    fn issue_groups(
+        &mut self,
+        core: &mut CoreState,
+        i: usize,
+        at: u64,
+        stop: u64,
+    ) -> (u64, CoreCycleEnd) {
+        let mut now = at;
+        loop {
+            let end = self.issue_group(core, i, now);
+            if end != CoreCycleEnd::Ran || core.busy_until >= stop {
+                return (now, end);
+            }
+            now = core.busy_until;
+        }
+    }
+
+    /// Executes one cycle's issue group on core `i` at `now`: up to
+    /// `issue_width` co-issuable ALU operations (Table 1: 6-issue), ended by
+    /// any memory access, long-latency operation, communication or control
+    /// transfer. Returns what ended the group, which is all the event loop
+    /// needs to re-key the core.
+    #[inline]
+    fn issue_group(&mut self, core: &mut CoreState, i: usize, now: u64) -> CoreCycleEnd {
+        core.settle(now);
+        core.accounted = now + 1;
+        let Shared {
+            config,
+            decoded,
+            mem,
+            hier,
+            channels,
+            resteer_requests,
+            conflicts,
+            activity,
+            attribution,
+            trace,
+        } = self;
+        let (conflicts, decoded): (&ConflictTracker, &DecodedProgram) = (conflicts, decoded);
+        let issue_width = config.core.issue_width.max(1);
+        let thread = core.thread.as_mut().expect("core has a runnable thread");
         // Source location of the instruction about to retire, captured only
         // when an observer (attribution or tracing) is on: the group's whole
         // busy interval is charged to the location of the instruction that
         // *ends* the group.
-        let attributing = self.attribution.is_some();
-        let tracing = self.trace.is_some();
-        let observing = attributing || tracing;
+        let tracing = trace.is_some();
+        let observing = tracing || attribution.is_some();
+        let mut mem_port = CoreMemPort {
+            mem,
+            hier,
+            spec: &mut core.spec,
+            conflicts,
+            core: i,
+            latency: 0,
+            record: tracing,
+            site: (FuncId(0), BlockId(0)),
+            now,
+            accessed: None,
+        };
+        let mut sys_port = CoreSysPort {
+            channels,
+            resteers: resteer_requests,
+            conflicts,
+            now,
+            comm_latency: config.inter_core_latency,
+            spec_action: None,
+            recv_failed_chan: None,
+            record: tracing,
+            sent: None,
+            received: None,
+            checked: None,
+        };
+        let mut issued_this_cycle = 0u64;
         let mut src = (FuncId(0), BlockId(0));
         let mut group_retired = 0u32;
         loop {
-            self.mem_port.latency = 0;
-            self.sys_port.spec_action = None;
-            self.sys_port.recv_failed_chan = None;
-            if tracing {
-                self.mem_port.accessed = None;
-                self.sys_port.sent = None;
-                self.sys_port.received = None;
-                self.sys_port.checked = None;
-            }
+            mem_port.latency = 0;
             if observing {
-                src = (self.thread.current_func(), self.thread.current_block());
-                self.mem_port.site = src;
-                self.mem_port.now = now;
+                src = (thread.current_func(), thread.current_block());
+                mem_port.site = src;
             }
-            let result = self
-                .thread
-                .step(self.decoded, &mut self.mem_port, &mut self.sys_port);
+            let result = thread.step(decoded, &mut mem_port, &mut sys_port);
 
             match result {
                 Ok(StepEvent::Executed(info)) => {
-                    self.report.retired += 1;
+                    let class = info.class();
+                    core.report.retired += 1;
                     group_retired += 1;
-                    self.class_counts[info.class().index()] += 1;
-                    if let Some(a) = self.activity {
-                        a.record(self.i, now);
+                    core.class_counts[class.index()] += 1;
+                    if let Some(a) = activity.as_mut() {
+                        a.record(i, now);
                     }
-                    let co_issuable = matches!(info.class(), InstClass::IntAlu | InstClass::Other)
-                        && self.mem_port.latency == 0;
+                    if let Some(t) = trace.as_mut() {
+                        // (Never a chunk event's instruction: speculation
+                        // control touches neither memory nor channels.)
+                        let recorded = (sys_port.recorded(), mem_port.accessed.take());
+                        emit_port_events(t, conflicts, (now, i, src), recorded);
+                    }
+                    let co_issuable = matches!(class, InstClass::IntAlu | InstClass::Other)
+                        && mem_port.latency == 0;
                     if co_issuable {
                         issued_this_cycle += 1;
-                        if issued_this_cycle < self.issue_width {
+                        if issued_this_cycle < issue_width {
                             // Keep filling this cycle's issue group. (ALU
                             // operations never carry a spec action, so the
                             // horizon/stall writes are deferred to the
                             // instruction that ends the group — they would
                             // only be overwritten.)
-                            if tracing {
-                                self.emit_port_events(now, src);
-                            }
                             continue;
                         }
-                        *self.busy_until = now + 1;
-                        *self.stall = StallKind::None;
-                        *self.blocked = false;
-                        *self.waiting_chan = None;
-                        if let Some(a) = self.attribution.as_mut() {
-                            a.add(src.0, src.1, 1);
-                        }
-                        if tracing {
-                            self.emit_port_events(now, src);
-                            self.emit_retire(now, src, group_retired);
-                        }
-                        return CoreCycleEnd::Ran;
                     }
-                    let mem_latency = self.mem_port.latency;
-                    let cost = self.config.core.latency_of(info.class()).max(1) + mem_latency;
-                    *self.busy_until = now + cost;
-                    *self.stall = if mem_latency > 0 {
+                    let mem_latency = mem_port.latency;
+                    let cost = config.core.latency_of(class).max(1) + mem_latency;
+                    core.busy_until = now + cost;
+                    core.stall = if mem_latency > 0 {
                         StallKind::Memory
                     } else {
                         StallKind::None
                     };
-                    *self.blocked = false;
-                    *self.waiting_chan = None;
-                    match self.sys_port.spec_action {
+                    core.blocked = false;
+                    core.waiting_chan = None;
+                    match sys_port.spec_action.take() {
                         Some(SpecAction::Begin) => {
-                            self.mem_port.spec.begin();
-                            let chunk = self.conflicts.start_chunk(self.i);
-                            if let (Some(t), Some(chunk)) = (self.trace.as_mut(), chunk) {
+                            mem_port.spec.begin();
+                            let chunk = conflicts.start_chunk(i);
+                            if let (Some(t), Some(chunk)) = (trace.as_mut(), chunk) {
                                 t.emit(TraceEvent::ChunkBegin {
                                     at: now,
-                                    core: self.i as u32,
+                                    core: i as u32,
                                     chunk,
                                 });
                             }
                         }
                         Some(SpecAction::Commit) => {
-                            let writes = self.mem_port.spec.take_commit();
-                            self.report.spec_commits += 1;
-                            let chunk = self.conflicts.current_chunk(self.i);
+                            let writes = mem_port.spec.take_commit();
+                            core.report.spec_commits += 1;
+                            let chunk = conflicts.current_chunk(i);
                             let drained = writes.len() as u64;
                             let mut extra = 0;
                             for (addr, value) in writes {
@@ -919,20 +966,20 @@ impl<'a> CoreRun<'a> {
                                 // hierarchy like ordinary stores, and join
                                 // the epoch's committed-write set for later
                                 // chunks' conflict checks.
-                                let (lat, _) = self.mem_port.hier.store(self.i, addr);
-                                extra += lat.min(self.config.l2.hit_latency);
-                                self.conflicts.record_write(addr);
-                                if self.mem_port.record {
-                                    self.conflicts.note_write(self.i, addr, src.0, src.1, now);
+                                let (lat, _) = mem_port.hier.store(i, addr);
+                                extra += lat.min(config.l2.hit_latency);
+                                conflicts.record_write(addr);
+                                if tracing {
+                                    conflicts.note_write(i, addr, src.0, src.1, now);
                                 }
-                                let _ = self.mem_port.mem.write(addr, value);
+                                let _ = mem_port.mem.write(addr, value);
                             }
-                            self.conflicts.end_chunk(self.i);
-                            *self.busy_until += extra;
-                            if let Some(t) = self.trace.as_mut() {
+                            conflicts.end_chunk(i);
+                            core.busy_until += extra;
+                            if let Some(t) = trace.as_mut() {
                                 t.emit(TraceEvent::ChunkCommit {
                                     at: now,
-                                    core: self.i as u32,
+                                    core: i as u32,
                                     chunk,
                                     writes: drained,
                                 });
@@ -941,23 +988,23 @@ impl<'a> CoreRun<'a> {
                         Some(SpecAction::Abort) => {
                             // Forensics must be read out before `end_chunk`
                             // consumes the read set they explain.
-                            let chunk = self.conflicts.current_chunk(self.i);
+                            let chunk = conflicts.current_chunk(i);
                             let forensics = if tracing {
-                                self.conflicts.squash_forensics(self.i)
+                                conflicts.squash_forensics(i)
                             } else {
                                 None
                             };
-                            self.mem_port.spec.abort();
-                            self.report.spec_aborts += 1;
-                            self.conflicts.end_chunk(self.i);
-                            if let Some(t) = self.trace.as_mut() {
-                                let cause = match self.conflicts.verdict(self.i) {
+                            mem_port.spec.abort();
+                            core.report.spec_aborts += 1;
+                            conflicts.end_chunk(i);
+                            if let Some(t) = trace.as_mut() {
+                                let cause = match conflicts.verdict(i) {
                                     Some(addr) => MisspeculationCause::DependenceViolation { addr },
                                     None => MisspeculationCause::StalePrediction,
                                 };
                                 t.emit(TraceEvent::ChunkSquash {
                                     at: now,
-                                    core: self.i as u32,
+                                    core: i as u32,
                                     chunk,
                                     cause,
                                     forensics,
@@ -966,120 +1013,113 @@ impl<'a> CoreRun<'a> {
                         }
                         None => {}
                     }
-                    if let Some(a) = self.attribution.as_mut() {
-                        a.add(src.0, src.1, *self.busy_until - now);
+                    if let Some(a) = attribution.as_mut() {
+                        a.add(src.0, src.1, core.busy_until - now);
                     }
-                    if tracing {
-                        self.emit_port_events(now, src);
-                        self.emit_retire(now, src, group_retired);
+                    if let Some(t) = trace.as_mut() {
+                        t.emit(TraceEvent::Retire {
+                            at: now,
+                            core: i as u32,
+                            func: src.0,
+                            block: src.1,
+                            retired: group_retired,
+                        });
                     }
-                    return CoreCycleEnd::Ran;
+                    return if matches!(class, InstClass::Send | InstClass::Resteer) {
+                        CoreCycleEnd::Signalled
+                    } else {
+                        CoreCycleEnd::Ran
+                    };
                 }
                 Ok(StepEvent::Blocked) => {
-                    *self.busy_until = now + 1;
-                    *self.stall = StallKind::Recv;
-                    *self.blocked = true;
-                    *self.waiting_chan = self.sys_port.recv_failed_chan;
-                    self.report.recv_stall_cycles += 1;
+                    core.busy_until = now + 1;
+                    core.stall = StallKind::Recv;
+                    core.blocked = true;
+                    core.waiting_chan = sys_port.recv_failed_chan;
+                    core.report.recv_stall_cycles += 1;
                     return CoreCycleEnd::Blocked;
                 }
                 Ok(StepEvent::Halted) | Ok(StepEvent::Finished(_)) => {
-                    *self.done = true;
-                    *self.blocked = false;
-                    self.report.finished_at = Some(now);
+                    core.done = true;
+                    core.blocked = false;
+                    core.report.finished_at = Some(now);
                     if let Ok(StepEvent::Finished(v)) = result {
-                        self.report.return_value = v;
+                        core.report.return_value = v;
                     }
                     return CoreCycleEnd::Done;
                 }
                 Err(_trap) => {
-                    // The thread stays trapped until (possibly) resteered
-                    // by another thread. It re-checks every cycle so that
-                    // an incoming resteer takes effect promptly.
-                    *self.busy_until = now + 1;
-                    *self.stall = StallKind::None;
-                    *self.blocked = false;
+                    // The thread stays trapped until (possibly) resteered by
+                    // another thread; with no stall kind recorded, the wait
+                    // settles to nothing.
+                    core.busy_until = now + 1;
+                    core.stall = StallKind::None;
+                    core.blocked = false;
                     return CoreCycleEnd::Trapped;
                 }
             }
         }
     }
+}
 
-    /// Drains the ports' per-step recordings into trace events. Only called
-    /// while tracing; purely observational.
-    fn emit_port_events(&mut self, now: u64, src: (FuncId, BlockId)) {
-        let core = self.i as u32;
-        if let Some((chan, value)) = self.sys_port.sent.take() {
-            if let Some(t) = self.trace.as_mut() {
-                t.emit(TraceEvent::ChannelSend {
-                    at: now,
-                    core,
-                    chan,
-                    value,
-                });
-            }
-        }
-        if let Some((chan, value)) = self.sys_port.received.take() {
-            if let Some(t) = self.trace.as_mut() {
-                t.emit(TraceEvent::ChannelRecv {
-                    at: now,
-                    core,
-                    chan,
-                    value,
-                });
-            }
-        }
-        if let Some((queried, verdict)) = self.sys_port.checked.take() {
-            let idx = usize::try_from(queried).ok();
-            let chunk = idx.and_then(|q| self.conflicts.current_chunk(q));
-            let conflict = if verdict != 0 {
-                idx.and_then(|q| self.conflicts.verdict(q))
-            } else {
-                None
-            };
-            if let Some(t) = self.trace.as_mut() {
-                t.emit(TraceEvent::ChunkValidate {
-                    at: now,
-                    core: u32::try_from(queried).unwrap_or(u32::MAX),
-                    chunk,
-                    conflict,
-                });
-            }
-        }
-        if let Some(a) = self.mem_port.accessed.take() {
-            let Some(t) = self.trace.as_mut() else { return };
-            if a.missed {
-                t.emit(TraceEvent::CacheMiss {
-                    at: now,
-                    core,
-                    addr: a.addr,
-                    is_store: a.is_store,
-                });
-            }
-            if t.is_watched(a.addr) {
-                t.emit(TraceEvent::Watch {
-                    at: now,
-                    core,
-                    func: src.0,
-                    block: src.1,
-                    addr: a.addr,
-                    value: a.value,
-                    is_store: a.is_store,
-                });
-            }
-        }
+/// Turns the ports' per-step recordings (taken by value, so the ports
+/// themselves never leave registers) into trace events. Only called while
+/// tracing; purely observational.
+fn emit_port_events(
+    t: &mut TraceRecorder,
+    conflicts: &ConflictTracker,
+    (at, core, src): (u64, usize, (FuncId, BlockId)),
+    ((sent, received, checked), accessed): (SysRecording, Option<MemAccess>),
+) {
+    let core = core as u32;
+    if let Some((chan, value)) = sent {
+        t.emit(TraceEvent::ChannelSend {
+            at,
+            core,
+            chan,
+            value,
+        });
     }
-
-    /// Emits the group-end retire marker. Only called while tracing.
-    fn emit_retire(&mut self, now: u64, src: (FuncId, BlockId), retired: u32) {
-        let core = self.i as u32;
-        if let Some(t) = self.trace.as_mut() {
-            t.emit(TraceEvent::Retire {
-                at: now,
+    if let Some((chan, value)) = received {
+        t.emit(TraceEvent::ChannelRecv {
+            at,
+            core,
+            chan,
+            value,
+        });
+    }
+    if let Some((queried, verdict)) = checked {
+        let idx = usize::try_from(queried).ok();
+        let conflict = if verdict != 0 {
+            idx.and_then(|q| conflicts.verdict(q))
+        } else {
+            None
+        };
+        t.emit(TraceEvent::ChunkValidate {
+            at,
+            core: u32::try_from(queried).unwrap_or(u32::MAX),
+            chunk: idx.and_then(|q| conflicts.current_chunk(q)),
+            conflict,
+        });
+    }
+    if let Some(a) = accessed {
+        if a.missed {
+            t.emit(TraceEvent::CacheMiss {
+                at,
+                core,
+                addr: a.addr,
+                is_store: a.is_store,
+            });
+        }
+        if t.is_watched(a.addr) {
+            t.emit(TraceEvent::Watch {
+                at,
                 core,
                 func: src.0,
                 block: src.1,
-                retired,
+                addr: a.addr,
+                value: a.value,
+                is_store: a.is_store,
             });
         }
     }
@@ -1197,20 +1237,13 @@ impl ActivityTrace {
 /// conflict sets — stays owned and private.
 #[derive(Debug)]
 pub struct Machine {
-    config: MachineConfig,
     program: Arc<Program>,
-    /// The pre-decoded execution form of `program`, built once at load.
-    decoded: Arc<DecodedProgram>,
-    mem: FlatMemory,
-    hier: MemoryHierarchy,
+    shared: Shared,
     cores: Vec<CoreState>,
-    channels: ChannelNet,
-    resteer_requests: Vec<(i64, BlockId)>,
-    conflicts: ConflictTracker,
+    /// The cycle of the most recent event, or the first unprocessed cycle
+    /// when none has run yet. Outside [`Machine::run`] every core is
+    /// settled up to it.
     cycle: u64,
-    activity: Option<ActivityTrace>,
-    attribution: Option<CycleAttribution>,
-    trace: Option<TraceRecorder>,
     snapshots: Option<SnapshotRecorder>,
 }
 
@@ -1291,19 +1324,21 @@ impl Machine {
             config.conflict_granularity_log2,
         );
         Machine {
-            config,
             program,
-            decoded,
-            mem,
-            hier,
+            shared: Shared {
+                config,
+                decoded,
+                mem,
+                hier,
+                channels: ChannelNet::default(),
+                resteer_requests: Vec::new(),
+                conflicts,
+                activity: None,
+                attribution: None,
+                trace: None,
+            },
             cores,
-            channels: ChannelNet::default(),
-            resteer_requests: Vec::new(),
-            conflicts,
             cycle: 0,
-            activity: None,
-            attribution: None,
-            trace: None,
             snapshots: None,
         }
     }
@@ -1311,7 +1346,7 @@ impl Machine {
     /// The machine configuration.
     #[must_use]
     pub fn config(&self) -> &MachineConfig {
-        &self.config
+        &self.shared.config
     }
 
     /// The loaded program.
@@ -1323,13 +1358,13 @@ impl Machine {
     /// Shared memory (read access, e.g. for checking results).
     #[must_use]
     pub fn mem(&self) -> &FlatMemory {
-        &self.mem
+        &self.shared.mem
     }
 
     /// Shared memory (write access, e.g. for building data structures before
     /// a run or mutating them between loop invocations).
     pub fn mem_mut(&mut self) -> &mut FlatMemory {
-        &mut self.mem
+        &mut self.shared.mem
     }
 
     /// Current simulated cycle.
@@ -1344,31 +1379,31 @@ impl Machine {
     /// conflict on them is a false positive by construction (the paper's
     /// hardware watches program data, not the software predictor's state).
     pub fn set_conflict_exempt(&mut self, lo: i64, hi: i64) {
-        self.conflicts.exempt = Some((lo, hi));
+        self.shared.conflicts.exempt = Some((lo, hi));
     }
 
     /// Enables activity tracing with the given window (in cycles).
     pub fn enable_activity_trace(&mut self, window: u64) {
-        self.activity = Some(ActivityTrace::new(self.config.cores, window.max(1)));
+        self.shared.activity = Some(ActivityTrace::new(self.shared.config.cores, window.max(1)));
     }
 
     /// Enables per-`(function, block)` cycle attribution (see
     /// [`CycleAttribution`]). Purely observational; accumulates across
     /// invocations (`clear_threads`/`reset_cycle_counter` do not reset it).
     pub fn enable_cycle_attribution(&mut self) {
-        self.attribution = Some(CycleAttribution::default());
+        self.shared.attribution = Some(CycleAttribution::default());
     }
 
     /// The accumulated cycle attribution, if enabled.
     #[must_use]
     pub fn cycle_attribution(&self) -> Option<&CycleAttribution> {
-        self.attribution.as_ref()
+        self.shared.attribution.as_ref()
     }
 
     /// Returns the recorded activity trace, if tracing was enabled.
     #[must_use]
     pub fn activity_trace(&self) -> Option<&ActivityTrace> {
-        self.activity.as_ref()
+        self.shared.activity.as_ref()
     }
 
     /// Enables structured event tracing into a ring buffer of `capacity`
@@ -1376,17 +1411,17 @@ impl Machine {
     /// Observational only: an enabled trace never changes simulated time or
     /// any architectural outcome, and it accumulates across invocations.
     pub fn enable_trace(&mut self, capacity: usize) {
-        if self.trace.is_none() {
-            self.trace = Some(TraceRecorder::new(capacity));
+        if self.shared.trace.is_none() {
+            self.shared.trace = Some(TraceRecorder::new(capacity));
         }
-        self.conflicts.enable_forensics();
+        self.shared.conflicts.enable_forensics();
     }
 
     /// Adds `addr` to the watch list: every load/store of it becomes a
     /// [`TraceEvent::Watch`]. Requires [`Machine::enable_trace`] first
     /// (no-op otherwise).
     pub fn watch_address(&mut self, addr: i64) {
-        if let Some(t) = self.trace.as_mut() {
+        if let Some(t) = self.shared.trace.as_mut() {
             t.watch(addr);
         }
     }
@@ -1394,28 +1429,28 @@ impl Machine {
     /// The recorded event trace, if tracing is enabled.
     #[must_use]
     pub fn trace(&self) -> Option<&TraceRecorder> {
-        self.trace.as_ref()
+        self.shared.trace.as_ref()
     }
 
     /// Emits one event into the machine's trace (used by drivers to mark
     /// invocation boundaries and predictor decisions). No-op when tracing is
     /// off.
     pub fn trace_emit(&mut self, event: TraceEvent) {
-        if let Some(t) = self.trace.as_mut() {
+        if let Some(t) = self.shared.trace.as_mut() {
             t.emit(event);
         }
     }
 
     /// Enables periodic checkpointing: [`Machine::run`] takes a
-    /// [`MachineSnapshot`] at the first scheduling round at or after every
-    /// multiple of `interval` cycles. The current memory image becomes the
-    /// baseline that snapshots are diffed against.
+    /// [`MachineSnapshot`] before the first event at or after each mark,
+    /// `interval` cycles past the previous checkpoint. The current memory
+    /// image becomes the baseline that snapshots are diffed against.
     pub fn enable_snapshots(&mut self, interval: u64) {
         let interval = interval.max(1);
         self.snapshots = Some(SnapshotRecorder {
             interval,
             next_at: self.cycle + interval,
-            baseline: Arc::new(self.mem.clone()),
+            baseline: Arc::new(self.shared.mem.clone()),
             taken: Vec::new(),
         });
     }
@@ -1428,7 +1463,7 @@ impl Machine {
         match self.snapshots.as_ref() {
             Some(s) => self.snapshot_against(Arc::clone(&s.baseline)),
             None => {
-                let mut snap = self.snapshot_against(Arc::new(self.mem.clone()));
+                let mut snap = self.snapshot_against(Arc::new(self.shared.mem.clone()));
                 snap.delta.clear();
                 snap
             }
@@ -1436,10 +1471,10 @@ impl Machine {
     }
 
     fn snapshot_against(&self, baseline: Arc<FlatMemory>) -> MachineSnapshot {
-        debug_assert_eq!(baseline.size(), self.mem.size());
+        debug_assert_eq!(baseline.size(), self.shared.mem.size());
         // Past the larger extent both images are zero: nothing to diff.
-        let touched = self.mem.extent().max(baseline.extent());
-        let delta: Vec<(usize, i64)> = self.mem.words()[..touched]
+        let touched = self.shared.mem.extent().max(baseline.extent());
+        let delta: Vec<(usize, i64)> = self.shared.mem.words()[..touched]
             .iter()
             .zip(&baseline.words()[..touched])
             .enumerate()
@@ -1447,19 +1482,19 @@ impl Machine {
             .map(|(i, (cur, _))| (i, *cur))
             .collect();
         MachineSnapshot {
-            config: self.config.clone(),
+            config: self.shared.config.clone(),
             program: Arc::clone(&self.program),
-            decoded: Arc::clone(&self.decoded),
+            decoded: Arc::clone(&self.shared.decoded),
             cycle: self.cycle,
             cores: self.cores.clone(),
-            channels: self.channels.clone(),
-            resteer_requests: self.resteer_requests.clone(),
-            conflicts: self.conflicts.clone(),
-            hier: self.hier.clone(),
-            trace: self.trace.clone(),
+            channels: self.shared.channels.clone(),
+            resteer_requests: self.shared.resteer_requests.clone(),
+            conflicts: self.shared.conflicts.clone(),
+            hier: self.shared.hier.clone(),
+            trace: self.shared.trace.clone(),
             baseline,
             delta,
-            heap_next: self.mem.heap_next(),
+            heap_next: self.shared.mem.heap_next(),
         }
     }
 
@@ -1482,19 +1517,21 @@ impl Machine {
         }
         mem.set_heap_next(snapshot.heap_next);
         Machine {
-            config: snapshot.config.clone(),
             program: Arc::clone(&snapshot.program),
-            decoded: Arc::clone(&snapshot.decoded),
-            mem,
-            hier: snapshot.hier.clone(),
+            shared: Shared {
+                config: snapshot.config.clone(),
+                decoded: Arc::clone(&snapshot.decoded),
+                mem,
+                hier: snapshot.hier.clone(),
+                channels: snapshot.channels.clone(),
+                resteer_requests: snapshot.resteer_requests.clone(),
+                conflicts: snapshot.conflicts.clone(),
+                activity: None,
+                attribution: None,
+                trace: snapshot.trace.clone(),
+            },
             cores: snapshot.cores.clone(),
-            channels: snapshot.channels.clone(),
-            resteer_requests: snapshot.resteer_requests.clone(),
-            conflicts: snapshot.conflicts.clone(),
             cycle: snapshot.cycle,
-            activity: None,
-            attribution: None,
-            trace: snapshot.trace.clone(),
             snapshots: None,
         }
     }
@@ -1503,8 +1540,8 @@ impl Machine {
     /// comes first. `Ok(Some(summary))` means the run finished before
     /// `target`; `Ok(None)` means it paused at `target` with all state
     /// intact — calling [`Machine::run`] (or `run_until` again) continues
-    /// bit-identically, because the scheduler only ever pauses on cycle
-    /// boundaries where stall/idle credit is linear in elapsed time.
+    /// bit-identically: every event before `target` has run, none at or
+    /// after it has, and settling the counters up to `target` is linear.
     ///
     /// # Errors
     ///
@@ -1512,11 +1549,11 @@ impl Machine {
     /// configured `max_cycles` budget still applies and still reports
     /// [`SimError::MaxCyclesExceeded`]).
     pub fn run_until(&mut self, target: u64) -> Result<Option<RunSummary>, SimError> {
-        let saved = self.config.max_cycles;
+        let saved = self.shared.config.max_cycles;
         let effective = target.min(saved);
-        self.config.max_cycles = effective;
+        self.shared.config.max_cycles = effective;
         let out = self.run();
-        self.config.max_cycles = saved;
+        self.shared.config.max_cycles = saved;
         match out {
             Ok(summary) => Ok(Some(summary)),
             Err(SimError::MaxCyclesExceeded { limit })
@@ -1565,8 +1602,9 @@ impl Machine {
             return Err(SimError::NoSuchCore { core });
         }
         let state = &mut self.cores[core];
-        state.thread = Some(ThreadState::new(&self.decoded, func, args));
+        state.thread = Some(ThreadState::new(&self.shared.decoded, func, args));
         state.busy_until = self.cycle;
+        state.accounted = self.cycle;
         state.done = false;
         state.blocked = false;
         state.waiting_chan = None;
@@ -1601,11 +1639,11 @@ impl Machine {
             c.blocked = false;
             c.waiting_chan = None;
         }
-        self.channels.clear();
-        self.resteer_requests.clear();
+        self.shared.channels.clear();
+        self.shared.resteer_requests.clear();
         // A fresh set of threads is a fresh loop invocation: the conflict
         // epoch (committed writes, read sets, verdicts) starts over.
-        self.conflicts.clear_epoch();
+        self.shared.conflicts.clear_epoch();
     }
 
     /// Resets the cycle counter to zero (per-invocation timing).
@@ -1613,10 +1651,11 @@ impl Machine {
         self.cycle = 0;
         for c in &mut self.cores {
             c.busy_until = 0;
+            c.accounted = 0;
         }
         // Re-arm the periodic snapshot recorder onto the new clock: one
-        // checkpoint at the invocation's first scheduling round (cycle 0),
-        // then every `interval` cycles. Without this the mark would drift
+        // checkpoint before the invocation's first event (cycle 0), then
+        // every `interval` cycles. Without this the mark would drift
         // past every later invocation's per-invocation clock and recording
         // would stop after the first invocation.
         if let Some(s) = self.snapshots.as_mut() {
@@ -1624,186 +1663,103 @@ impl Machine {
         }
     }
 
-    /// Advances the machine by one cycle.
+    /// Advances the machine by one cycle: the cycle-stepped oracle the event
+    /// loop in [`Machine::run`] is pinned against. Every core is visited in
+    /// index order and either steps or has this one cycle settled.
     pub fn step_cycle(&mut self) {
         let now = self.cycle;
-        for i in 0..self.cores.len() {
-            // Skip cores that are stalled, idle or done.
-            {
-                let c = &mut self.cores[i];
-                if c.done || c.thread.is_none() {
-                    c.report.idle_cycles += 1;
-                    continue;
-                }
-                if c.busy_until > now {
-                    match c.stall {
-                        StallKind::Memory => c.report.mem_stall_cycles += 1,
-                        StallKind::Recv => c.report.recv_stall_cycles += 1,
-                        StallKind::None => {}
-                    }
-                    continue;
-                }
+        for (i, c) in self.cores.iter_mut().enumerate() {
+            if c.thread.is_some() && !c.done && c.busy_until <= now {
+                let _ = self.shared.issue_group(c, i, now);
+            } else {
+                c.settle(now + 1);
             }
-            let _ = self.step_core(i, now);
         }
-
-        // Deliver resteer requests at end of cycle.
-        if !self.resteer_requests.is_empty() {
-            self.deliver_resteers(now);
-        }
-
+        self.deliver_resteers();
         self.cycle += 1;
     }
 
-    /// Executes one cycle's issue group on a single (ready) core: up to
-    /// `issue_width` co-issuable ALU operations (Table 1: 6-issue), ended by
-    /// any memory access, long-latency operation, communication or control
-    /// transfer. Returns what ended the group, so a caller driving one core
-    /// alone knows whether the schedule could have changed.
-    fn step_core(&mut self, i: usize, now: u64) -> CoreCycleEnd {
-        CoreRun::new(self, i).issue_group(now)
-    }
-
-    /// Applies queued remote resteers (end-of-cycle semantics).
-    fn deliver_resteers(&mut self, now: u64) {
-        let requests = std::mem::take(&mut self.resteer_requests);
-        for (core, target) in requests {
-            let idx = core as usize;
-            if idx < self.cores.len() {
-                if let Some(t) = self.cores[idx].thread.as_mut() {
-                    t.resteer_to(target);
-                    self.cores[idx].done = false;
-                    self.cores[idx].blocked = false;
-                    self.cores[idx].waiting_chan = None;
-                    self.cores[idx].busy_until = now + self.config.inter_core_latency;
-                }
+    /// Applies the resteers queued during cycle `self.cycle`, after every
+    /// core's step of that cycle (end-of-cycle semantics). The target earns
+    /// its tick for the delivery cycle under its old state first.
+    #[cold]
+    fn deliver_resteers(&mut self) {
+        let ready = self.cycle + self.shared.config.inter_core_latency;
+        for (core, target) in self.shared.resteer_requests.drain(..) {
+            let target_core = usize::try_from(core).ok();
+            let Some(c) = target_core.and_then(|i| self.cores.get_mut(i)) else {
+                continue;
+            };
+            c.settle(self.cycle + 1);
+            if let Some(t) = c.thread.as_mut() {
+                t.resteer_to(target);
+                c.done = false;
+                c.blocked = false;
+                c.waiting_chan = None;
+                c.busy_until = ready;
             }
         }
     }
 
-    /// Jumps the clock from `self.cycle` to `target`, crediting each core
-    /// with exactly the stall/idle cycles the cycle-stepped machine would
-    /// have accumulated over the skipped interval — by the event invariant,
-    /// those counter bumps are the *only* effect the skipped cycles could
-    /// have had.
-    fn skip_to(&mut self, target: u64) {
-        let dt = target.saturating_sub(self.cycle);
-        if dt == 0 {
-            return;
+    /// Re-derives every core's wake key from machine state alone — at entry
+    /// to the event loop and after a resteer delivery; in between, a step
+    /// re-keys only what it touched.
+    fn wake_keys(&self, keys: &mut [u64]) {
+        for (key, c) in keys.iter_mut().zip(&self.cores) {
+            *key = c.wake(&self.shared.channels);
         }
+    }
+
+    /// Nothing is left that the cores' own state schedules. Each core is
+    /// accounted one past its last event, so the run ends the cycle after
+    /// the latest of them: `Ok` when every thread finished, the final wedge
+    /// when nothing is in flight either (a trap, or a pure deadlock), and
+    /// `None` when messages nobody is positioned to receive only let the
+    /// machine idle forward to its budget.
+    #[cold]
+    fn quiesce(&mut self, limit: u64) -> Option<Result<(), SimError>> {
+        let last = self.cores.iter().map(|c| c.accounted).max();
+        self.cycle = self.cycle.max(last.unwrap_or(0));
+        if self.cores.iter().all(|c| c.thread.is_none() || c.done) {
+            return Some(Ok(()));
+        }
+        if self.cycle >= limit || self.shared.channels.pending() > 0 {
+            return None;
+        }
+        let trapped =
+            self.cores
+                .iter()
+                .enumerate()
+                .find_map(|(core, c)| match c.thread.as_ref()?.status() {
+                    ThreadStatus::Trapped(trap) if !c.done => Some((core, trap)),
+                    _ => None,
+                });
+        Some(Err(match trapped {
+            Some((core, trap)) => SimError::UnrecoveredTrap { core, trap },
+            None => SimError::Deadlock { cycle: self.cycle },
+        }))
+    }
+
+    /// Takes the periodic checkpoint that is due and returns the next mark.
+    /// Observational — snapshotting reads state but never perturbs it
+    /// (settling early is linear).
+    #[cold]
+    fn checkpoint(&mut self) -> u64 {
         for c in &mut self.cores {
-            if c.done || c.thread.is_none() {
-                // Idle cores tick their idle counter every scanned cycle.
-                c.report.idle_cycles += dt;
-                continue;
-            }
-            let status = c.thread.as_ref().expect("checked above").status();
-            if matches!(status, ThreadStatus::Trapped(_)) {
-                // A trapped thread re-checks every cycle without touching
-                // any counter; skipping is free.
-                continue;
-            }
-            if c.blocked {
-                // A blocked thread retries its receive every cycle; each
-                // empty retry is one recv-stall cycle.
-                c.report.recv_stall_cycles += dt;
-                continue;
-            }
-            // Busy core: `target` never exceeds any busy core's horizon, so
-            // every skipped cycle is a stall cycle of the recorded kind.
-            debug_assert!(c.busy_until >= target, "skipped past a ready core");
-            match c.stall {
-                StallKind::Memory => c.report.mem_stall_cycles += dt,
-                StallKind::Recv => c.report.recv_stall_cycles += dt,
-                StallKind::None => {}
-            }
+            c.settle(self.cycle);
         }
-        self.cycle = target;
+        let due = "a due mark implies a recorder";
+        let baseline = Arc::clone(&self.snapshots.as_ref().expect(due).baseline);
+        let snap = self.snapshot_against(baseline);
+        let s = self.snapshots.as_mut().expect(due);
+        s.taken.push(snap);
+        s.next_at = self.cycle + s.interval;
+        s.next_at
     }
 
-    /// Drives a lone runnable core without the per-cycle scheduling scans —
-    /// the common regime of every sequential baseline and of a Spice run's
-    /// serial phases (workers parked on their channels). The loop stays
-    /// cycle-exact: the core's own stall intervals are credited
-    /// arithmetically, and control returns to the general scheduler the
-    /// moment anything could change another core's schedule (a send, a
-    /// resteer, this core blocking, finishing or trapping, or the cycle
-    /// budget). The parked cores' idle/stall counters are settled in bulk on
-    /// exit for the whole interval — exactly what per-cycle ticking would
-    /// have accumulated.
-    fn run_single_active(&mut self, i: usize, limit: u64) {
-        let entry = self.cycle;
-        let mut deliver_at = None;
-        {
-            // One CoreRun for the whole episode: the ports and split borrows
-            // are built once, not once per cycle.
-            let mut run = CoreRun::new(self, i);
-            loop {
-                // Jump this core's own stall interval.
-                let bu = *run.busy_until;
-                if bu > *run.cycle {
-                    let target = bu.min(limit);
-                    let dt = target - *run.cycle;
-                    match *run.stall {
-                        StallKind::Memory => run.report.mem_stall_cycles += dt,
-                        StallKind::Recv => run.report.recv_stall_cycles += dt,
-                        StallKind::None => {}
-                    }
-                    *run.cycle = target;
-                }
-                if *run.cycle >= limit {
-                    break;
-                }
-                let now = *run.cycle;
-                let pending_before = run.sys_port.channels.pending();
-                let end = run.issue_group(now);
-                let sent = run.sys_port.channels.pending() > pending_before;
-                let resteered = !run.sys_port.resteers.is_empty();
-                *run.cycle = now + 1;
-                if sent || resteered || !matches!(end, CoreCycleEnd::Ran) {
-                    if resteered {
-                        // Delivery happens outside, once the split borrows
-                        // are released — at the same point in simulated
-                        // time (end of cycle `now`, before anything else
-                        // steps), so the semantics are unchanged.
-                        deliver_at = Some(now);
-                    }
-                    break;
-                }
-            }
-        }
-        // Settle the parked cores' counters for the elapsed interval: every
-        // cycle of it, a done/idle core would have ticked `idle_cycles` and
-        // a blocked core would have retried its receive into one more
-        // recv-stall cycle (their channels stayed empty by construction —
-        // the loop exits on the first send). This must happen BEFORE any
-        // pending resteer is delivered: delivery clears the target's
-        // blocked/done flags, but in the cycle-stepped machine the target
-        // still earned its stall/idle tick for the delivery cycle itself
-        // (cores are scanned before end-of-cycle delivery).
-        let dt = self.cycle - entry;
-        if dt > 0 {
-            for (k, c) in self.cores.iter_mut().enumerate() {
-                if k == i {
-                    continue;
-                }
-                if c.done || c.thread.is_none() {
-                    c.report.idle_cycles += dt;
-                } else if c.blocked {
-                    c.report.recv_stall_cycles += dt;
-                }
-                // Trapped cores tick nothing; other states cannot occur
-                // while this core is the only active one.
-            }
-        }
-        if let Some(now) = deliver_at {
-            self.deliver_resteers(now);
-        }
-    }
-
-    /// Runs until every spawned thread has finished or halted, advancing the
-    /// clock event-to-event (see the module documentation; the result is
-    /// bit-identical to stepping every cycle).
+    /// Runs until every spawned thread has finished or halted, processing
+    /// core steps in `(wake cycle, core index)` order (see the module
+    /// documentation; the result is bit-identical to stepping every cycle).
     ///
     /// # Errors
     ///
@@ -1814,114 +1770,78 @@ impl Machine {
     /// * [`SimError::MaxCyclesExceeded`] if the configured cycle budget runs
     ///   out.
     pub fn run(&mut self) -> Result<RunSummary, SimError> {
-        let limit = self.config.max_cycles;
-        loop {
-            // Periodic checkpoint: taken at the first scheduling round at or
-            // after the recorder's next mark. Observational — snapshotting
-            // reads state but never advances or perturbs it.
-            let snapshot_due = self
-                .snapshots
-                .as_ref()
-                .is_some_and(|s| self.cycle >= s.next_at);
-            if snapshot_due {
-                let baseline = {
-                    let s = self.snapshots.as_ref().expect("checked above");
-                    Arc::clone(&s.baseline)
-                };
-                let snap = self.snapshot_against(baseline);
-                let s = self.snapshots.as_mut().expect("checked above");
-                s.taken.push(snap);
-                s.next_at = self.cycle + s.interval;
+        let limit = self.shared.config.max_cycles;
+        let mut inline = [NEVER; 8];
+        let mut spilled = Vec::new();
+        let keys: &mut [u64] = match inline.get_mut(..self.cores.len()) {
+            Some(keys) => keys,
+            None => {
+                spilled.resize(self.cores.len(), NEVER);
+                &mut spilled
             }
-            // One pass over the cores gives the scheduler everything it
-            // needs: completion, runnability, and the earliest wake-up. A
-            // busy core wakes at `busy_until`; a core blocked on a receive
-            // wakes when the next message on its channel arrives (none in
-            // flight → no bounded wake-up: only another core's future send,
-            // itself an event, can rouse it); trapped cores wake only via a
-            // resteer delivered by another core's event.
-            let have_msgs = self.channels.pending() > 0;
-            let mut all_done = true;
-            let mut active = 0usize;
-            let mut active_idx = 0usize;
-            let mut blocked_wake_bounded = false;
-            let mut next: Option<u64> = None;
-            for (i, c) in self.cores.iter().enumerate() {
-                let Some(t) = &c.thread else { continue };
-                if c.done {
-                    continue;
-                }
-                all_done = false;
-                if matches!(t.status(), ThreadStatus::Trapped(_)) {
-                    continue;
-                }
-                let wake = if c.blocked {
-                    if !have_msgs {
-                        // Nothing in flight anywhere: this receive cannot
-                        // complete until someone sends, which is itself an
-                        // event.
-                        continue;
-                    }
-                    match c.waiting_chan.and_then(|ch| self.channels.earliest_on(ch)) {
-                        Some(arrival) => {
-                            blocked_wake_bounded = true;
-                            arrival.max(c.busy_until)
-                        }
-                        None => continue,
-                    }
+        };
+        self.wake_keys(keys);
+        let mut mark = self.snapshots.as_ref().map_or(NEVER, |s| s.next_at);
+        let outcome = loop {
+            // The next event is the smallest key, lowest core index on a
+            // tie; that core may then run ahead of the runner-up's key. (On
+            // a tie with the runner-up the scan decides again.)
+            let horizon = limit.min(mark);
+            let (mut at, mut i, mut stop) = (NEVER, 0, horizon);
+            for (k, &key) in keys.iter().enumerate() {
+                if key < at {
+                    (stop, at, i) = (stop.min(at), key, k);
                 } else {
-                    active += 1;
-                    active_idx = i;
-                    c.busy_until
-                };
-                next = Some(next.map_or(wake, |n| n.min(wake)));
+                    stop = stop.min(key);
+                }
             }
-            if all_done {
-                return Ok(self.summary());
-            }
-            if self.cycle >= limit {
-                return Err(SimError::MaxCyclesExceeded { limit });
-            }
-            if active == 1 && !blocked_wake_bounded {
-                // The whole schedule hinges on one core: run it in the
-                // scan-free fast loop until anything could change that.
-                self.run_single_active(active_idx, limit);
+            if at > self.cycle && !self.shared.resteer_requests.is_empty() {
+                // Every step of the cycle that queued them has run.
+                self.deliver_resteers();
+                self.wake_keys(keys);
                 continue;
             }
-            // Progress is possible if some core is runnable or busy, or a
-            // blocked core's message will eventually arrive.
-            if active == 0 && !have_msgs {
-                // Distinguish trap-wedges from pure deadlocks.
-                for (i, c) in self.cores.iter().enumerate() {
-                    if let Some(t) = &c.thread {
-                        if let ThreadStatus::Trapped(k) = t.status() {
-                            if !c.done {
-                                return Err(SimError::UnrecoveredTrap { core: i, trap: k });
-                            }
-                        }
+            if at >= horizon {
+                // Off the hot path: quiescence, the budget, or a checkpoint.
+                if at == NEVER {
+                    if let Some(outcome) = self.quiesce(limit) {
+                        break outcome;
                     }
                 }
-                return Err(SimError::Deadlock { cycle: self.cycle });
-            }
-            match next.map(|n| n.max(self.cycle)) {
-                Some(target) if target > self.cycle => {
-                    // Nothing can happen before `target`: account the
-                    // skipped interval and land on the event (or on the
-                    // cycle budget, whichever is nearer).
-                    self.skip_to(target.min(limit));
+                if at >= limit {
+                    self.cycle = self.cycle.max(limit);
+                    break Err(SimError::MaxCyclesExceeded { limit });
                 }
-                Some(_) => self.step_cycle(),
-                None => {
-                    // Progress is "possible" only through messages nobody is
-                    // positioned to receive: the cycle-stepped machine would
-                    // idle forward to its budget, so jump straight there.
-                    self.skip_to(limit);
+                self.cycle = at;
+                mark = self.checkpoint();
+                continue;
+            }
+            let core = &mut self.cores[i];
+            let (now, end) = self.shared.issue_groups(core, i, at, stop);
+            self.cycle = now;
+            keys[i] = match end {
+                CoreCycleEnd::Ran | CoreCycleEnd::Signalled => core.busy_until,
+                _ => core.wake(&self.shared.channels),
+            };
+            if end == CoreCycleEnd::Signalled {
+                // A send may have given a parked receive its arrival. Cores
+                // below `i` already retried (and failed) this cycle.
+                for (j, c) in self.cores.iter_mut().enumerate() {
+                    if keys[j] == NEVER && c.blocked {
+                        c.settle(now + u64::from(j < i));
+                        keys[j] = c.wake(&self.shared.channels);
+                    }
                 }
             }
+        };
+        for c in &mut self.cores {
+            c.settle(self.cycle);
         }
+        outcome.map(|()| self.summary())
     }
 
-    /// Builds the per-core report without running.
+    /// Builds the per-core report without running (every core is settled up
+    /// to the current cycle whenever the machine is not inside `run`).
     #[must_use]
     pub fn summary(&self) -> RunSummary {
         let cores = self
@@ -1930,8 +1850,8 @@ impl Machine {
             .enumerate()
             .map(|(i, c)| {
                 let mut report = c.report.clone();
-                report.mem = self.hier.stats(i);
-                report.spec_conflict_addr = self.conflicts.verdict(i);
+                report.mem = self.shared.hier.stats(i);
+                report.spec_conflict_addr = self.shared.conflicts.verdict(i);
                 report.spec_conflicts = u64::from(report.spec_conflict_addr.is_some());
                 report.trapped = c.thread.as_ref().and_then(|t| match t.status() {
                     ThreadStatus::Trapped(k) => Some(k),
@@ -2404,11 +2324,11 @@ mod tests {
         assert_eq!(event_m.mem().words(), tick_m.mem().words());
     }
 
-    /// Regression: a resteer issued from the single-active fast loop toward
-    /// a parked (blocked) core must not cost that core its stall credit for
-    /// the episode — the cycle-stepped machine ticks the blocked core every
-    /// cycle up to and including the delivery cycle, so the event-driven
-    /// settle must run before delivery clears the blocked flag.
+    /// Regression: a resteer issued by a core running far ahead, toward a
+    /// parked (blocked) core, must not cost that core its stall credit for
+    /// the interval — the cycle-stepped machine ticks the blocked core every
+    /// cycle up to and including the delivery cycle, so the target must be
+    /// settled before delivery clears the blocked flag.
     #[test]
     fn resteer_from_single_active_loop_matches_cycle_stepping() {
         let build = || {
@@ -2422,7 +2342,7 @@ mod tests {
             w.switch_to(exit_bb);
             w.ret(Some(Operand::Imm(-1)));
             let wf = p.add_func(w.finish());
-            // Core 0 computes alone for a while (single-active fast loop),
+            // Core 0 computes alone for a while (one long run-ahead burst),
             // then resteers core 1 to its exit block.
             let mut boss = FunctionBuilder::new("boss");
             let mut acc = boss.copy(0i64);
@@ -2456,6 +2376,104 @@ mod tests {
             assert!(guard < 100_000, "tick twin diverged");
         }
         assert_eq!(event_summary, tick_m.summary());
+    }
+
+    /// Same-cycle order is core-index order. A store by the lower-indexed
+    /// core at cycle `t` is seen by the higher-indexed core's load at `t`
+    /// and not the reverse — also when the storing core reached `t` by
+    /// running ahead of a stalled peer — and a resteer queued at `t` lands
+    /// only after every core's step at `t`.
+    #[test]
+    fn same_cycle_steps_run_in_core_index_order() {
+        let cfg = tiny(2);
+        // What a cold load at cycle 0 costs (issue + a miss at every level):
+        // the cycle both cores' accesses to `g` are aimed at.
+        let miss = cfg.l1d.hit_latency + cfg.l2.hit_latency + cfg.l3.hit_latency;
+        let t = 1 + miss + cfg.memory_latency;
+        let mut p = Program::new();
+        let g = p.add_global("g", 1);
+        let cold = p.add_global("cold", 64) + 32;
+        // The loader stalls on `cold` until `t`, then loads `g`.
+        let mut l = FunctionBuilder::new("loader");
+        let _ = l.load(cold, 0);
+        let seen = l.load(g, 0);
+        l.ret(Some(Operand::Reg(seen)));
+        let loader = p.add_func(l.finish());
+        // The storer issues one ALU operation per cycle (the tiny machine is
+        // single-issue) and stores to `g` in its group at `t`.
+        let mut s = FunctionBuilder::new("storer");
+        let mut acc = s.copy(0i64);
+        for _ in 1..t {
+            acc = s.binop(BinOp::Add, acc, 1i64);
+        }
+        s.store(7i64, g, 0);
+        s.ret(Some(Operand::Reg(acc)));
+        let storer = p.add_func(s.finish());
+
+        for (funcs, expected) in [([storer, loader], 7), ([loader, storer], 0)] {
+            let mut m = Machine::new(cfg.clone(), p.clone());
+            m.enable_trace(1024);
+            m.watch_address(g);
+            m.spawn(0, funcs[0], &[]).unwrap();
+            m.spawn(1, funcs[1], &[]).unwrap();
+            m.run().unwrap();
+            let touched: Vec<(u64, u32, bool)> = m
+                .trace()
+                .unwrap()
+                .events()
+                .filter_map(|e| match e {
+                    TraceEvent::Watch {
+                        at, core, is_store, ..
+                    } => Some((*at, *core, *is_store)),
+                    _ => None,
+                })
+                .collect();
+            let loader_core = u32::from(funcs[1] == loader);
+            assert_eq!(
+                touched,
+                [(t, 0, loader_core != 0), (t, 1, loader_core != 1)],
+                "both accesses at cycle {t}, core 0 first"
+            );
+            assert_eq!(m.return_value(loader_core as usize), Some(expected));
+        }
+
+        // Core 0 resteers core 1 in its group at cycle `n`; core 1 still
+        // retires its own group at `n` and is redirected from `n + 1`.
+        let n = 5;
+        let mut p = Program::new();
+        let mut w = FunctionBuilder::new("worker");
+        let exit_bb = w.new_block();
+        let mut acc = w.copy(0i64);
+        for _ in 0..n + 2 {
+            acc = w.binop(BinOp::Add, acc, 1i64);
+        }
+        w.ret(Some(Operand::Reg(acc)));
+        w.switch_to(exit_bb);
+        w.ret(Some(Operand::Imm(-1)));
+        let worker = p.add_func(w.finish());
+        let mut boss = FunctionBuilder::new("boss");
+        for _ in 0..n {
+            let _ = boss.copy(0i64);
+        }
+        boss.push(Inst::Resteer {
+            core: Operand::Imm(1),
+            target: exit_bb,
+        });
+        boss.ret(None);
+        let boss = p.add_func(boss.finish());
+        let mut cfg = tiny(2);
+        cfg.inter_core_latency = 0;
+        let mut m = Machine::new(cfg, p);
+        m.spawn(0, boss, &[]).unwrap();
+        m.spawn(1, worker, &[]).unwrap();
+        let summary = m.run().unwrap();
+        assert_eq!(summary.cores[1].retired, n + 1, "the step at {n} ran");
+        assert_eq!(summary.cores[1].finished_at, Some(n + 1));
+        assert_eq!(
+            m.return_value(1),
+            Some(-1),
+            "and the next one was redirected"
+        );
     }
 
     /// Tracing is an observer: a traced run must produce exactly the same
@@ -2622,8 +2640,8 @@ mod tests {
         }
     }
 
-    /// Same bit-identity through the single-active-core fast path, and via
-    /// the periodic recorder instead of a manual snapshot.
+    /// Same bit-identity with a single core running ahead unbounded, and
+    /// via the periodic recorder instead of a manual snapshot.
     #[test]
     fn periodic_snapshots_resume_single_core_runs() {
         let mut b = FunctionBuilder::new("chase");
@@ -2655,13 +2673,13 @@ mod tests {
             assert_eq!(resumed_summary, full_summary, "from cycle {}", snap.cycle());
         }
 
-        // And a pause landing *inside* the single-active fast loop: the
-        // break-at-limit path must leave resumable state mid-stall.
+        // And a pause landing *inside* the run-ahead burst: stopping at the
+        // budget must leave resumable state mid-stall.
         assert!(full_summary.cycles > 30);
         let mut m = Machine::new(tiny(1), p);
         m.spawn(0, f, &[]).unwrap();
         let paused = m.run_until(30).unwrap();
-        assert!(paused.is_none(), "paused mid single-active episode");
+        assert!(paused.is_none(), "paused mid burst");
         let mut resumed = Machine::resume_from(&m.snapshot());
         assert_eq!(resumed.run().unwrap(), full_summary);
     }

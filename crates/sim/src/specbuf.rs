@@ -62,7 +62,9 @@ impl SpecBuffer {
     /// word; a `None` sends the caller to shared memory, and — while the
     /// buffer is active — into the conflict detector's read set.
     pub fn load(&self, addr: i64) -> Option<i64> {
-        if !self.active {
+        // Most speculative loads run before the chunk's first store: with
+        // nothing buffered there is nothing to hash for.
+        if !self.active || self.writes.is_empty() {
             return None;
         }
         self.writes.get(addr)

@@ -2,9 +2,10 @@
 //! workloads included: a machine resumed from any periodic checkpoint
 //! continues bit-identically — same cycles, same memory, same trace tail —
 //! and enabling the observers (trace ring, snapshot recorder) never changes
-//! what the run computes. Covers both scheduler paths: the sequential
-//! one-core machine (single-active-core fast loop) and the 4-thread Spice
-//! configuration (event-driven, multi-core).
+//! what the run computes. Covers both ends of the one event loop: the
+//! sequential one-core machine (one core runs ahead unbounded) and the
+//! 4-thread Spice configuration (fine-grained interleaving), where a pause
+//! at an arbitrary cycle must also leave exactly settled counters behind.
 
 use spice_bench::experiments::{all_workload_factories, prepare_sweep, SweepMode};
 use spice_core::{run_sequential, SimBackend};
@@ -153,5 +154,66 @@ fn spice_snapshots_resume_bit_identically_mid_invocation() {
         if bench == "list_splice" {
             assert!(summary.dependence_violations > 0, "{bench}");
         }
+    }
+}
+
+/// A pause is not a checkpoint the scheduler chose: `run_until` stops the
+/// 4-thread machine wherever the target cycle falls, cores mid-stall and
+/// mid-receive included, and the lazily settled stall / idle counters must
+/// be exact there. Pausing inside a multi-core region, snapshotting the
+/// paused machine, and finishing on the resumed copy has to reproduce the
+/// uninterrupted continuation's full `RunSummary` (every per-core counter),
+/// memory and trace.
+#[test]
+fn spice_runs_pause_and_resume_bit_identically_inside_multi_core_regions() {
+    for (bench, factory) in all_workload_factories(true) {
+        let prep = prepare_sweep(&factory, SweepMode::Spice { threads: 4 }, true, 0).expect(bench);
+        let mut wl = factory();
+        let _ = wl.build();
+        let mut backend = SimBackend::from_prepared(&prep.prepared);
+        backend.enable_trace(TRACE_CAP);
+        backend
+            .machine_mut()
+            .expect("loaded")
+            .enable_snapshots(4_000);
+        drive_loaded_workload(wl.as_mut(), &mut backend).unwrap_or_else(|e| panic!("{bench}: {e}"));
+        let snaps = backend.machine().expect("loaded").snapshots_taken();
+        assert!(!snaps.is_empty(), "{bench}: no snapshots taken");
+
+        let mut multi_core_pauses = 0;
+        for snap in [&snaps[0], &snaps[snaps.len() / 2], &snaps[snaps.len() - 1]] {
+            let mut straight = Machine::resume_from(snap);
+            let full = straight
+                .run()
+                .unwrap_or_else(|e| panic!("{bench}: resume from {}: {e:?}", snap.cycle()));
+            let span = full.cycles - snap.cycle();
+            for quarter in 1..4 {
+                let pause_at = snap.cycle() + span * quarter / 4;
+                let mut paused = Machine::resume_from(snap);
+                if paused.run_until(pause_at).expect(bench).is_some() {
+                    continue; // nothing left to pause in
+                }
+                assert_eq!(paused.cycle(), pause_at, "{bench}");
+                let at_pause = paused.summary();
+                let mut resumed = Machine::resume_from(&paused.snapshot());
+                let summary = resumed
+                    .run()
+                    .unwrap_or_else(|e| panic!("{bench}: resume from pause {pause_at}: {e:?}"));
+                assert_eq!(summary, full, "{bench}: paused at {pause_at}");
+                assert_eq!(resumed.mem(), straight.mem(), "{bench}: {pause_at}");
+                assert_eq!(resumed.trace(), straight.trace(), "{bench}: {pause_at}");
+                let still_running = summary
+                    .cores
+                    .iter()
+                    .zip(&at_pause.cores)
+                    .filter(|(end, pause)| end.retired > pause.retired)
+                    .count();
+                multi_core_pauses += usize::from(still_running >= 2);
+            }
+        }
+        assert!(
+            multi_core_pauses > 0,
+            "{bench}: no pause landed inside a multi-core region"
+        );
     }
 }
