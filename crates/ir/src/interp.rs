@@ -12,20 +12,21 @@
 //!   Table 2).
 //!
 //! Execution runs over the pre-decoded form ([`DecodedProgram`], see
-//! [`crate::decoded`]): the structured IR is flattened once into dense,
-//! index-addressed instruction arrays, and the per-step hot loop is a single
-//! array index with no terminator clones, no per-call argument `Vec`s and no
-//! per-event profile-value `Vec`s. The decode is semantically invisible —
-//! the retired [`ExecInfo`] stream is identical to what the structured
-//! walker produced (the cross-representation equivalence tests in
-//! `crates/tests` step both forms in lockstep).
+//! [`crate::decoded`]): the structured IR is flattened once into one dense
+//! program-wide instruction array whose operands are frame slots, and the
+//! per-step hot loop is a single array index with no function lookup, no
+//! register-or-immediate match, no terminator clones, no per-call argument
+//! `Vec`s and no per-event profile-value `Vec`s. The decode is semantically
+//! invisible — the retired [`ExecInfo`] stream is identical to what a
+//! structured walker produces (the cross-representation equivalence tests
+//! in `crates/tests` step both forms in lockstep).
 
 use std::collections::VecDeque;
 
 use crate::decoded::{DInst, DecodedProgram};
 use crate::function::Program;
 use crate::inst::{Inst, InstClass};
-use crate::types::{BlockId, FuncId, Operand, Reg, TrapKind};
+use crate::types::{BlockId, FuncId, Reg, TrapKind};
 
 /// Memory back-end used by [`ThreadState::step`].
 pub trait MemPort {
@@ -544,19 +545,22 @@ pub enum ThreadStatus {
     Trapped(TrapKind),
 }
 
+/// A suspended caller: where it resumes (a program-wide pc) and its frame
+/// (registers, then its function's constant pool).
 #[derive(Debug, Clone)]
 struct Frame {
     func: FuncId,
     pc: usize,
     block: BlockId,
     regs: Vec<i64>,
-    ret_dst: Option<Reg>,
+    ret_dst: Option<u32>,
 }
 
 /// Sentinel pc meaning "re-enter [`ThreadState::current_block`] at its first
 /// instruction" — set by [`ThreadState::resteer_to`], which has no decoded
 /// function at hand to resolve the block's entry pc; the next step resolves
-/// it.
+/// it. Past the end of every program, so the step's one instruction-array
+/// bounds check is also the test for it.
 const RESTEER_PENDING: usize = usize::MAX;
 
 /// A single thread of IR execution over the pre-decoded program form.
@@ -567,9 +571,16 @@ const RESTEER_PENDING: usize = usize::MAX;
 #[derive(Debug, Clone)]
 pub struct ThreadState {
     func: FuncId,
+    /// Program-wide pc of the next instruction, or [`RESTEER_PENDING`].
     pc: usize,
     block: BlockId,
+    /// The innermost frame: `reg_count` registers, then the current
+    /// function's constant pool (see [`crate::decoded`]).
     regs: Vec<i64>,
+    /// Architectural registers of the current function — the bound
+    /// [`ThreadState::reg`] and [`ThreadState::set_reg`] enforce, updated on
+    /// call and return.
+    reg_count: usize,
     frames: Vec<Frame>,
     status: ThreadStatus,
     retired: u64,
@@ -594,15 +605,12 @@ impl ThreadState {
             "wrong number of arguments for {}",
             f.name
         );
-        let mut regs = vec![0i64; f.reg_count];
-        for (p, a) in f.params.iter().zip(args) {
-            regs[p.index()] = *a;
-        }
         ThreadState {
             func,
             pc: f.entry_pc(),
             block: f.entry_block(),
-            regs,
+            regs: f.new_frame(args.iter().copied()),
+            reg_count: f.reg_count,
             frames: Vec::new(),
             status: ThreadStatus::Runnable,
             retired: 0,
@@ -634,23 +642,33 @@ impl ThreadState {
         self.retired
     }
 
+    /// The program-wide pc of the next instruction; `None` between a
+    /// [`ThreadState::resteer_to`] and the step that resolves its target
+    /// block's entry.
+    #[must_use]
+    pub fn pc(&self) -> Option<usize> {
+        (self.pc != RESTEER_PENDING).then_some(self.pc)
+    }
+
     /// Reads a register of the innermost frame.
     ///
     /// # Panics
     ///
-    /// Panics if the register is out of range for the current function.
+    /// Panics if the register is out of range for the current function (the
+    /// frame's constant-pool slots past its registers included).
     #[must_use]
     pub fn reg(&self, r: Reg) -> i64 {
-        self.regs[r.index()]
+        self.regs[..self.reg_count][r.index()]
     }
 
     /// Writes a register of the innermost frame.
     ///
     /// # Panics
     ///
-    /// Panics if the register is out of range for the current function.
+    /// Panics if the register is out of range for the current function (the
+    /// frame's constant-pool slots past its registers included).
     pub fn set_reg(&mut self, r: Reg, value: i64) {
-        self.regs[r.index()] = value;
+        self.regs[..self.reg_count][r.index()] = value;
     }
 
     /// Redirects the thread to `target` in its current function, clearing the
@@ -664,12 +682,30 @@ impl ThreadState {
         self.status = ThreadStatus::Runnable;
     }
 
+    /// The value in frame slot `slot`: a register or a pool constant.
     #[inline]
-    fn operand(&self, op: Operand) -> i64 {
-        match op {
-            Operand::Reg(r) => self.regs[r.index()],
-            Operand::Imm(v) => v,
+    fn operand(&self, slot: u32) -> i64 {
+        self.regs[slot as usize]
+    }
+
+    /// What stepping a thread that is not runnable reports. Out of line so
+    /// the step's own test is one compare, not a dispatch on the status.
+    #[cold]
+    fn step_stopped(&self) -> Result<StepEvent, TrapKind> {
+        match self.status {
+            ThreadStatus::Runnable => unreachable!("a runnable thread steps"),
+            ThreadStatus::Halted => Ok(StepEvent::Halted),
+            ThreadStatus::Finished => Ok(StepEvent::Finished(None)),
+            ThreadStatus::Trapped(k) => Err(k),
         }
+    }
+
+    /// Resolves the pc a [`ThreadState::resteer_to`] left pending.
+    #[cold]
+    fn resolve_resteer(&mut self, program: &DecodedProgram) -> usize {
+        assert_eq!(self.pc, RESTEER_PENDING, "pc outside the program");
+        self.pc = program.func(self.func).block_entry(self.block);
+        self.pc
     }
 
     #[cold]
@@ -696,19 +732,25 @@ impl ThreadState {
         mem: &mut M,
         sys: &mut S,
     ) -> Result<StepEvent, TrapKind> {
-        match self.status {
-            ThreadStatus::Runnable => {}
-            ThreadStatus::Halted => return Ok(StepEvent::Halted),
-            ThreadStatus::Finished => return Ok(StepEvent::Finished(None)),
-            ThreadStatus::Trapped(k) => return Err(k),
+        if self.status != ThreadStatus::Runnable {
+            return self.step_stopped();
         }
-        let df = program.func(self.func);
-        if self.pc == RESTEER_PENDING {
-            self.pc = df.block_entry(self.block);
-        }
-        let pc = self.pc;
-        match &df.insts[pc] {
-            DInst::Binary { op, dst, lhs, rhs } => {
+        let mut pc = self.pc;
+        let inst = match program.insts.get(pc) {
+            Some(inst) => inst,
+            None => {
+                pc = self.resolve_resteer(program);
+                &program.insts[pc]
+            }
+        };
+        match inst {
+            DInst::Binary {
+                op,
+                class,
+                dst,
+                lhs,
+                rhs,
+            } => {
                 let v = match op.eval(self.operand(*lhs), self.operand(*rhs)) {
                     Ok(v) => v,
                     Err(t) => return self.trap(t),
@@ -716,7 +758,7 @@ impl ThreadState {
                 self.regs[*dst as usize] = v;
                 self.pc = pc + 1;
                 self.retired += 1;
-                Ok(StepEvent::Executed(ExecInfo::plain(df.classes[pc])))
+                Ok(StepEvent::Executed(ExecInfo::plain(*class)))
             }
             DInst::Copy { dst, src } => {
                 self.regs[*dst as usize] = self.operand(*src);
@@ -781,10 +823,7 @@ impl ThreadState {
                 if callee.params.len() != args.len() {
                     return self.trap(TrapKind::UnknownFunction);
                 }
-                let mut new_regs = vec![0i64; callee.reg_count];
-                for (p, a) in callee.params.iter().zip(args.iter()) {
-                    new_regs[p.index()] = self.operand(*a);
-                }
+                let new_regs = callee.new_frame(args.iter().map(|a| self.operand(*a)));
                 let frame = Frame {
                     func: self.func,
                     pc: pc + 1,
@@ -794,6 +833,7 @@ impl ThreadState {
                 };
                 self.frames.push(frame);
                 self.func = *func;
+                self.reg_count = callee.reg_count;
                 self.block = callee.entry_block();
                 self.pc = callee.entry_pc();
                 self.retired += 1;
@@ -858,7 +898,7 @@ impl ThreadState {
             DInst::ProfileHook { site, regs } => {
                 let mut scratch = std::mem::take(&mut self.profile_scratch);
                 scratch.clear();
-                scratch.extend(regs.iter().map(|r| self.regs[r.index()]));
+                scratch.extend(regs.iter().map(|r| self.operand(*r)));
                 sys.profile(*site, &scratch);
                 self.profile_scratch = scratch;
                 self.pc = pc + 1;
@@ -900,8 +940,9 @@ impl ThreadState {
                     self.pc = frame.pc;
                     self.block = frame.block;
                     self.regs = frame.regs;
+                    self.reg_count = program.func(frame.func).reg_count;
                     if let (Some(dst), Some(v)) = (frame.ret_dst, v) {
-                        self.regs[dst.index()] = v;
+                        self.regs[dst as usize] = v;
                     }
                     Ok(StepEvent::Executed(ExecInfo::branch(true)))
                 } else {
@@ -1029,9 +1070,8 @@ pub fn run_decoded_with(
         }
         steps += 1;
         // Observe the instruction about to execute.
-        let df = decoded.func(thread.func);
-        if thread.pc != RESTEER_PENDING {
-            let (block, ip) = df.source_of(thread.pc);
+        if let Some(pc) = thread.pc() {
+            let (block, ip) = decoded.func(thread.func).source_of(pc);
             let blk = program.func(thread.func).block(block);
             if ip < blk.insts.len() {
                 observer(thread.func, block, &blk.insts[ip]);
@@ -1063,7 +1103,7 @@ pub fn run_decoded_with(
 mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
-    use crate::types::BinOp;
+    use crate::types::{BinOp, Operand};
 
     fn simple_add_program() -> (Program, FuncId) {
         let mut b = FunctionBuilder::new("add");
@@ -1116,6 +1156,58 @@ mod tests {
         let mut mem = FlatMemory::new(2048);
         let out = run_function(&p, main, &[], &mut mem).unwrap();
         assert_eq!(out.return_value, Some(42));
+    }
+
+    /// `reg` / `set_reg` stop at the current function's registers: the
+    /// frame's constant-pool tail is out of their reach, and the bound
+    /// follows calls and returns.
+    #[test]
+    fn register_access_stops_at_the_constant_pool() {
+        // callee(x): three registers; main(): two, and two pool constants.
+        let mut cb = FunctionBuilder::new("callee");
+        let x = cb.param();
+        let d = cb.binop(BinOp::Mul, x, 2i64);
+        let e = cb.binop(BinOp::Add, d, 0i64);
+        cb.ret(Some(Operand::Reg(e)));
+        let mut p = Program::new();
+        let callee = p.add_func(cb.finish());
+        let mut mb = FunctionBuilder::new("main");
+        let r = mb.call(callee, vec![Operand::Imm(21)]);
+        let r2 = mb.binop(BinOp::Add, r, 5i64);
+        mb.ret(Some(Operand::Reg(r2)));
+        let main = p.add_func(mb.finish());
+        let dp = DecodedProgram::new(&p);
+        assert_eq!(dp.func(main).reg_count(), 2);
+        assert_eq!(dp.func(main).constants(), [21, 5]);
+
+        let refused = |t: &ThreadState, r: Reg| {
+            let mut t = t.clone();
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| t.set_reg(r, 1))).is_err()
+                && std::panic::catch_unwind(|| t.reg(r)).is_err()
+        };
+        let mut mem = FlatMemory::new(64);
+        let mut sys = LocalSys::new();
+        let mut t = ThreadState::new(&dp, main, &[]);
+        assert_eq!(t.reg(r2), 0);
+        assert!(refused(&t, Reg(2)), "first pool slot of main");
+        assert!(refused(&t, Reg(3)));
+        t.step(&dp, &mut mem, &mut sys).unwrap(); // call
+        assert_eq!(t.current_func(), callee);
+        assert_eq!(t.reg(x), 21);
+        t.set_reg(e, 9); // r2 exists in the callee
+        assert!(refused(&t, Reg(3)), "first pool slot of callee");
+        for _ in 0..3 {
+            t.step(&dp, &mut mem, &mut sys).unwrap(); // mul, add, ret
+        }
+        assert_eq!(t.current_func(), main);
+        assert_eq!(t.reg(r), 42);
+        assert!(refused(&t, Reg(2)), "the bound came back with the frame");
+        // The pool survived the round trip: `r + 5` still reads 5.
+        t.step(&dp, &mut mem, &mut sys).unwrap();
+        assert_eq!(
+            t.step(&dp, &mut mem, &mut sys).unwrap(),
+            StepEvent::Finished(Some(47))
+        );
     }
 
     #[test]

@@ -32,6 +32,12 @@ pub struct Cache {
     /// (most-recently-used last), padded with [`EMPTY_TAG`]. One allocation,
     /// no per-set vector indirection on the access path.
     tags: Vec<i64>,
+    /// The line of the previous [`Cache::access`], or [`EMPTY_TAG`] once
+    /// that line has been invalidated or flushed. An access leaves its line
+    /// MRU of its set and nothing but another access reorders a set, so
+    /// while this is a line it is resident and already where a hit would
+    /// move it.
+    last_line: i64,
     hits: u64,
     misses: u64,
 }
@@ -54,6 +60,7 @@ impl Cache {
                 .then(|| line_words.trailing_zeros()),
             set_mask: (sets > 0 && sets.count_ones() == 1).then_some(sets as i64 - 1),
             tags: vec![EMPTY_TAG; sets * config.assoc],
+            last_line: EMPTY_TAG,
             hits: 0,
             misses: 0,
         }
@@ -80,47 +87,48 @@ impl Cache {
     /// Accesses `word_addr`, updating LRU state, and returns `true` on a hit.
     /// On a miss the line is filled (allocate-on-miss for both reads and
     /// writes).
+    #[inline]
     pub fn access(&mut self, word_addr: i64) -> bool {
         let line = self.line_of(word_addr);
-        let set = self.set_of(line);
         debug_assert_ne!(line, EMPTY_TAG);
+        // Hits that move nothing: the previous access's line, else the last
+        // way of a full set, is already MRU.
+        if line == self.last_line {
+            self.hits += 1;
+            return true;
+        }
+        self.last_line = line;
+        let set = self.set_of(line);
         let ways = &mut self.tags[set * self.assoc..(set + 1) * self.assoc];
-        // Occupied prefix scan: find the line or the end of the prefix.
-        let mut len = ways.len();
-        let mut found = None;
-        for (k, &t) in ways.iter().enumerate() {
-            if t == line {
-                found = Some(k);
-                break;
-            }
-            if t == EMPTY_TAG {
-                len = k;
-                break;
-            }
+        let last = ways.len() - 1;
+        if ways[last] == line {
+            self.hits += 1;
+            return true;
         }
-        match found {
-            Some(k) => {
-                // Hit: rotate the line to the MRU end of the occupied
-                // prefix (same order the remove+push of a Vec produced).
-                let prefix_end = ways[k..].iter().position(|&t| t == EMPTY_TAG);
-                let end = k + prefix_end.unwrap_or(ways.len() - k);
-                ways[k..end].rotate_left(1);
-                self.hits += 1;
-                true
-            }
-            None => {
-                if len == ways.len() {
-                    // Full set: evict LRU (front), shift, fill at MRU end.
-                    ways.rotate_left(1);
-                    let last = ways.len() - 1;
-                    ways[last] = line;
-                } else {
-                    ways[len] = line;
-                }
-                self.misses += 1;
-                false
-            }
+        // One pass over the occupied prefix: find the line or the first free
+        // way.
+        let Some(k) = ways.iter().position(|&t| t == line || t == EMPTY_TAG) else {
+            // Full set: evict LRU (front), shift, fill at the MRU end.
+            ways.copy_within(1.., 0);
+            ways[last] = line;
+            self.misses += 1;
+            return false;
+        };
+        if ways[k] == EMPTY_TAG {
+            ways[k] = line;
+            self.misses += 1;
+            return false;
         }
+        // Hit below MRU: close the gap and put the line at the end of the
+        // occupied prefix (the order a `Vec`'s remove + push produces).
+        let mut j = k;
+        while j < last && ways[j + 1] != EMPTY_TAG {
+            ways[j] = ways[j + 1];
+            j += 1;
+        }
+        ways[j] = line;
+        self.hits += 1;
+        true
     }
 
     /// Probes for `word_addr` without updating LRU or fill state.
@@ -138,9 +146,12 @@ impl Cache {
         let ways = &mut self.tags[set * self.assoc..(set + 1) * self.assoc];
         if let Some(k) = ways.iter().position(|&t| t == line) {
             // Preserve the order of the remaining occupied prefix.
-            ways[k..].rotate_left(1);
+            ways.copy_within(k + 1.., k);
             let last = ways.len() - 1;
             ways[last] = EMPTY_TAG;
+            if line == self.last_line {
+                self.last_line = EMPTY_TAG;
+            }
         }
     }
 
@@ -148,6 +159,7 @@ impl Cache {
     /// caller wants cold caches).
     pub fn flush(&mut self) {
         self.tags.fill(EMPTY_TAG);
+        self.last_line = EMPTY_TAG;
     }
 
     /// Number of hits recorded so far.
@@ -197,14 +209,21 @@ pub struct MemAccessStats {
 /// memory, write-invalidate coherence between the private levels.
 #[derive(Debug, Clone)]
 pub struct MemoryHierarchy {
-    l1: Vec<Cache>,
-    l2: Vec<Cache>,
+    cores: Vec<PrivateLevels>,
     l3: Cache,
     l1_latency: u64,
     l2_latency: u64,
     l3_latency: u64,
     memory_latency: u64,
-    stats: Vec<MemAccessStats>,
+}
+
+/// What one core owns of the hierarchy, side by side so an access indexes
+/// the core once.
+#[derive(Debug, Clone)]
+struct PrivateLevels {
+    l1: Cache,
+    l2: Cache,
+    stats: MemAccessStats,
 }
 
 impl MemoryHierarchy {
@@ -212,56 +231,64 @@ impl MemoryHierarchy {
     #[must_use]
     pub fn new(config: &MachineConfig) -> Self {
         MemoryHierarchy {
-            l1: (0..config.cores).map(|_| Cache::new(&config.l1d)).collect(),
-            l2: (0..config.cores).map(|_| Cache::new(&config.l2)).collect(),
+            cores: (0..config.cores)
+                .map(|_| PrivateLevels {
+                    l1: Cache::new(&config.l1d),
+                    l2: Cache::new(&config.l2),
+                    stats: MemAccessStats::default(),
+                })
+                .collect(),
             l3: Cache::new(&config.l3),
             l1_latency: config.l1d.hit_latency,
             l2_latency: config.l2.hit_latency,
             l3_latency: config.l3.hit_latency,
             memory_latency: config.memory_latency,
-            stats: vec![MemAccessStats::default(); config.cores],
         }
     }
 
     /// Simulates a load by `core` from `word_addr`; returns the latency in
     /// cycles and the level that satisfied it.
+    #[inline]
     pub fn load(&mut self, core: usize, word_addr: i64) -> (u64, HitLevel) {
-        self.stats[core].loads += 1;
+        self.cores[core].stats.loads += 1;
         self.access(core, word_addr)
     }
 
     /// Simulates a store by `core` to `word_addr`; returns the latency in
     /// cycles charged to the core. Stores invalidate the line in every other
     /// core's private caches (write-invalidate coherence).
+    #[inline]
     pub fn store(&mut self, core: usize, word_addr: i64) -> (u64, HitLevel) {
-        self.stats[core].stores += 1;
+        self.cores[core].stats.stores += 1;
         let result = self.access(core, word_addr);
-        for other in 0..self.l1.len() {
+        for (other, levels) in self.cores.iter_mut().enumerate() {
             if other != core {
-                self.l1[other].invalidate(word_addr);
-                self.l2[other].invalidate(word_addr);
+                levels.l1.invalidate(word_addr);
+                levels.l2.invalidate(word_addr);
             }
         }
         result
     }
 
+    #[inline]
     fn access(&mut self, core: usize, word_addr: i64) -> (u64, HitLevel) {
-        if self.l1[core].access(word_addr) {
-            self.stats[core].l1_hits += 1;
+        let PrivateLevels { l1, l2, stats } = &mut self.cores[core];
+        if l1.access(word_addr) {
+            stats.l1_hits += 1;
             return (self.l1_latency, HitLevel::L1);
         }
-        if self.l2[core].access(word_addr) {
-            self.stats[core].l2_hits += 1;
+        if l2.access(word_addr) {
+            stats.l2_hits += 1;
             return (self.l1_latency + self.l2_latency, HitLevel::L2);
         }
         if self.l3.access(word_addr) {
-            self.stats[core].l3_hits += 1;
+            stats.l3_hits += 1;
             return (
                 self.l1_latency + self.l2_latency + self.l3_latency,
                 HitLevel::L3,
             );
         }
-        self.stats[core].memory_accesses += 1;
+        stats.memory_accesses += 1;
         (
             self.l1_latency + self.l2_latency + self.l3_latency + self.memory_latency,
             HitLevel::Memory,
@@ -271,17 +298,15 @@ impl MemoryHierarchy {
     /// Per-core access statistics.
     #[must_use]
     pub fn stats(&self, core: usize) -> MemAccessStats {
-        self.stats[core]
+        self.cores[core].stats
     }
 
     /// Clears cache contents but keeps statistics (used between invocations
     /// if cold caches are wanted).
     pub fn flush(&mut self) {
-        for c in &mut self.l1 {
-            c.flush();
-        }
-        for c in &mut self.l2 {
-            c.flush();
+        for levels in &mut self.cores {
+            levels.l1.flush();
+            levels.l2.flush();
         }
         self.l3.flush();
     }

@@ -305,6 +305,15 @@ fn decoded_execution_matches_reference_walker_on_full_suite() {
         let mut wl = factory();
         let built = wl.build();
         let decoded = DecodedProgram::new(&built.program);
+        for f in 0..decoded.func_count() {
+            let pool = decoded.func(FuncId(f as u32)).constants();
+            let distinct: std::collections::HashSet<_> = pool.iter().collect();
+            assert_eq!(
+                distinct.len(),
+                pool.len(),
+                "{name}: @f{f} pools a value twice"
+            );
+        }
         let mut mem_a = FlatMemory::for_program(&built.program, 1 << 20);
         let mut args = wl.init(&mut mem_a);
         let mut mem_b = mem_a.clone();
@@ -372,6 +381,142 @@ fn decoded_execution_matches_reference_walker_on_traps() {
     let f = p.add_func(b.finish());
     let decoded = DecodedProgram::new(&p);
     lockstep_run("oob", &p, &decoded, f, &[], &mut mem_a, &mut mem_b, 100);
+}
+
+/// Program-wide pcs across calls, returns, traps and resteers: a
+/// three-function program (`main` = function 0 calls `mid`, which calls
+/// `leaf` with one register and one immediate argument from the middle of a
+/// block) stepped in lockstep with the reference walker, checking at every
+/// step that the pc the decoded thread holds maps back — through its current
+/// function's `source_of` and `block_entry` — to exactly the structured
+/// position the walker is at.
+#[test]
+fn program_wide_pcs_track_the_structured_position_across_functions() {
+    use spice_ir::builder::FunctionBuilder;
+    use spice_ir::BinOp;
+
+    let (main_id, mid_id, leaf_id) = (FuncId(0), FuncId(1), FuncId(2));
+    let mut p = Program::new();
+
+    let mut b = FunctionBuilder::new("main");
+    let n = b.param();
+    let v = b.call(mid_id, vec![Operand::Reg(n)]);
+    let w = b.binop(BinOp::Add, v, 1i64);
+    b.ret(Some(Operand::Reg(w)));
+    assert_eq!(p.add_func(b.finish()), main_id);
+
+    let mut b = FunctionBuilder::new("mid");
+    let n = b.param();
+    let positive = b.new_block();
+    let negative = b.new_block();
+    let s = b.binop(BinOp::Mul, n, 3i64);
+    let c = b.call(leaf_id, vec![Operand::Reg(n), Operand::Imm(84)]);
+    let u = b.binop(BinOp::Add, c, s); // the return lands mid-block
+    let is_pos = b.binop(BinOp::Gt, u, 0i64);
+    b.cond_br(is_pos, positive, negative);
+    b.switch_to(positive);
+    b.ret(Some(Operand::Reg(u)));
+    b.switch_to(negative);
+    let m = b.binop(BinOp::Sub, 0i64, u);
+    b.ret(Some(Operand::Reg(m)));
+    assert_eq!(p.add_func(b.finish()), mid_id);
+
+    let mut b = FunctionBuilder::new("leaf");
+    let a = b.param();
+    let d = b.param();
+    let tail = b.new_block();
+    let recover = b.new_labeled_block("recover");
+    let q = b.binop(BinOp::Div, d, a); // traps when a == 0
+    b.br(tail);
+    b.switch_to(tail);
+    let r = b.binop(BinOp::Add, q, -7i64);
+    b.ret(Some(Operand::Reg(r)));
+    b.switch_to(recover);
+    b.push(Inst::Nop);
+    b.ret(Some(Operand::Imm(i64::MIN)));
+    assert_eq!(p.add_func(b.finish()), leaf_id);
+
+    let decoded = DecodedProgram::new(&p);
+    let mut mem = FlatMemory::new(64);
+    let mut sys = LocalSys::new();
+
+    let check = |dec: &ThreadState, refr: &RefThread, what: &str| {
+        assert_eq!(dec.current_func(), refr.func, "{what}: function");
+        assert_eq!(dec.current_block(), refr.block, "{what}: block");
+        let df = decoded.func(refr.func);
+        let pc = dec.pc().unwrap_or_else(|| df.block_entry(refr.block));
+        assert_eq!(df.source_of(pc), (refr.block, refr.ip), "{what}: source");
+        let block = p.func(refr.func).block(refr.block);
+        assert!(
+            refr.ip <= block.insts.len(),
+            "{what}: cursor past terminator"
+        );
+        assert_eq!(df.block_entry(refr.block) + refr.ip, pc, "{what}: entry");
+    };
+
+    // n = 4: main -> mid -> leaf and back, taking the positive arm.
+    // n = -4: the negative arm.
+    for (n, expected) in [(4i64, 84 / 4 - 7 + 12 + 1), (-4, 84 / 4 + 7 + 12 + 1)] {
+        let mut dec = ThreadState::new(&decoded, main_id, &[n]);
+        let mut refr = RefThread::new(&p, main_id, &[n]);
+        let mut seen = std::collections::HashSet::new();
+        loop {
+            check(&dec, &refr, &format!("n = {n}"));
+            seen.insert(refr.func);
+            let a = dec.step(&decoded, &mut mem, &mut sys);
+            assert_eq!(a, refr.step(&p, &mut mem, &mut sys), "n = {n}");
+            if let Ok(StepEvent::Finished(v)) = a {
+                assert_eq!(v, Some(expected));
+                break;
+            }
+        }
+        assert_eq!(seen.len(), 3, "every function was entered");
+    }
+
+    // n = 0: the division traps inside `leaf` (two calls deep, function 2).
+    // Both threads are then resteered into `recover`, a non-entry block of
+    // that function, and return through both suspended frames.
+    let mut dec = ThreadState::new(&decoded, main_id, &[0]);
+    let mut refr = RefThread::new(&p, main_id, &[0]);
+    let trap = loop {
+        check(&dec, &refr, "n = 0");
+        let a = dec.step(&decoded, &mut mem, &mut sys);
+        assert_eq!(a, refr.step(&p, &mut mem, &mut sys));
+        if let Err(t) = a {
+            break t;
+        }
+    };
+    assert_eq!(trap, TrapKind::DivideByZero);
+    assert_eq!(dec.current_func(), leaf_id);
+    check(&dec, &refr, "trapped");
+    assert_eq!(dec.step(&decoded, &mut mem, &mut sys), Err(trap));
+
+    dec.resteer_to(recover);
+    (refr.block, refr.ip, refr.status) = (recover, 0, ThreadStatus::Runnable);
+    assert_eq!(dec.pc(), None, "resolved by the next step");
+    let mut steps = 0;
+    let result = loop {
+        check(&dec, &refr, "resteered");
+        let a = dec.step(&decoded, &mut mem, &mut sys);
+        assert_eq!(a, refr.step(&p, &mut mem, &mut sys));
+        steps += 1;
+        if let Ok(StepEvent::Finished(v)) = a {
+            break v;
+        }
+        assert!(dec.pc().is_some());
+    };
+    // nop, ret (leaf); add, gt, condbr, sub, ret (mid); add, ret (main).
+    assert_eq!(steps, 9);
+    // u = i64::MIN + 0 is negative: mid returns 0 - u, which wraps back.
+    assert_eq!(result, Some(i64::MIN.wrapping_add(1)));
+}
+
+/// The dispatch loop indexes one array of decoded instructions; pin its
+/// stride so an operand that regrows past a frame slot shows up here.
+#[test]
+fn decoded_instruction_stays_within_32_bytes() {
+    let bytes = std::hint::black_box(DecodedProgram::INST_BYTES);
+    assert!(bytes <= 32, "{bytes} bytes");
 }
 
 /// `ExecInfo` is the per-step return value of the dispatch hot path; pin its

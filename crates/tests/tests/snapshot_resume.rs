@@ -217,3 +217,55 @@ fn spice_runs_pause_and_resume_bit_identically_inside_multi_core_regions() {
         );
     }
 }
+
+/// Calls are the one place a thread changes frames, and a frame carries its
+/// function's constant pool next to its registers. `mcf_app` — the one
+/// workload with calls — is paused before its first call and at points
+/// inside both callees (the caller's frame suspended on the call stack);
+/// each snapshot, resumed, must return into the caller and finish exactly
+/// like the uninterrupted run, which it can only do if every frame, live or
+/// suspended, still holds its constants.
+#[test]
+fn snapshots_across_calls_keep_every_frames_constants() {
+    let (bench, factory) = all_workload_factories(true)
+        .into_iter()
+        .find(|(name, _)| *name == "mcf_app")
+        .expect("mcf_app is in the suite");
+    let prep = prepare_sweep(&factory, SweepMode::Sequential, true, 0).expect(bench);
+    let start = |wl: &mut dyn spice_workloads::SpiceWorkload| {
+        let _ = wl.build();
+        let mut machine = prep.prepared.machine();
+        let args = wl.init(machine.mem_mut());
+        machine.spawn(0, prep.kernel, &args).expect("core 0 exists");
+        machine
+    };
+    let mut straight = start(factory().as_mut());
+    let full = straight.run().expect(bench);
+
+    let in_kernel = format!("runnable at {:?}:", prep.kernel);
+    let mut pauses_in_callee = 0;
+    for pause_at in (0..12).map(|i| (1u64 << i) - 1) {
+        let mut paused = start(factory().as_mut());
+        if paused.run_until(pause_at).expect(bench).is_some() {
+            break;
+        }
+        let dump = paused.state_dump();
+        assert!(dump.contains("runnable at"), "{bench}: {dump}");
+        if pause_at == 0 {
+            assert!(dump.contains(&in_kernel), "before the first call: {dump}");
+        }
+        pauses_in_callee += usize::from(!dump.contains(&in_kernel));
+
+        let mut resumed = Machine::resume_from(&paused.snapshot());
+        let summary = resumed
+            .run()
+            .unwrap_or_else(|e| panic!("{bench}: resume from pause {pause_at}: {e:?}"));
+        assert_eq!(summary, full, "{bench}: paused at {pause_at}");
+        assert_eq!(resumed.return_value(0), straight.return_value(0));
+        assert_eq!(resumed.mem(), straight.mem(), "{bench}: {pause_at}");
+    }
+    assert!(
+        pauses_in_callee >= 2,
+        "{bench}: no pause landed in a callee"
+    );
+}
