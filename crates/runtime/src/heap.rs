@@ -14,17 +14,20 @@
 //! never a torn one. That the *results* are right is a property of the
 //! protocol, not of the memory ordering:
 //!
-//! * During an invocation the main thread is the only writer. A worker may
+//! * While chunks run, the main thread is the only writer. A worker may
 //!   read a word while the main thread is writing it and see either the old
 //!   or the new value. That read fell through to the shared heap, so the
 //!   address is in the chunk's load set, and the main thread's store put it
 //!   in the main chunk's write log; the ordered validation intersects the
 //!   two and squashes the chunk. A possibly-stale value is never committed.
 //! * Every other hand-over is ordered by a channel, which is a
-//!   happens-before edge: the mirror ([`SharedHeap::overwrite`]) precedes
-//!   the task sends, a worker's result send precedes the commit of its
-//!   buffer, and the snapshot ([`SharedHeap::snapshot_into`]) follows the
-//!   last result receive.
+//!   happens-before edge, and there are only two kinds: the **task send**
+//!   (the mirror, [`SharedHeap::overwrite`], and every store of the kernel's
+//!   entry code precede it, so a worker — which starts from the main
+//!   thread's registers at the loop header and reads memory only inside the
+//!   loop — sees them all) and the **result send** (it precedes the commit
+//!   of the worker's buffer, and the last one precedes the snapshot,
+//!   [`SharedHeap::snapshot_into`]).
 //!
 //! The heap keeps the extent rule of the [`FlatMemory`] it mirrors (stated
 //! in that type's doc): every word at or past its extent is zero, so the
@@ -144,6 +147,14 @@ impl SharedHeap {
 /// fault) and never touch shared memory until [`SpecView::into_parts`] hands
 /// them to the committer.
 ///
+/// A view lives for exactly one chunk. The worker's registers are the main
+/// thread's at its first arrival at the loop header (cursors and reductions
+/// apart), so everything the view loads or buffers is an access of the loop
+/// itself — the kernel's entry code never runs against a view. Between the
+/// task send that starts the chunk and the result send that ends it the
+/// worker synchronizes with nothing, which is why every load that reaches
+/// the shared heap has to be accounted for.
+///
 /// With read tracking on, the view additionally records its *load set* —
 /// every address loaded that was **not** satisfied by the thread's own store
 /// buffer — as an [`AccessSet`]. This is the per-chunk half of the
@@ -184,16 +195,6 @@ impl<'h> SpecView<'h> {
         debug_assert!(self.reads.is_empty(), "set the granularity before reads");
         self.reads = AccessSet::with_granularity(granularity_log2);
         self
-    }
-
-    /// Discards the buffered writes while keeping the recorded load set
-    /// (and the tracking mode). Used when a worker finishes replaying the
-    /// loop's entry code: the replayed stores must not be committed twice,
-    /// but the replay's reads ran concurrently with the main chunk, so a
-    /// load of a word the loop later writes is a genuine dependence the
-    /// validation must still see.
-    pub fn drop_writes(&mut self) {
-        self.writes.clear();
     }
 
     /// Consumes the view and returns the buffered writes (first-write order)
@@ -340,14 +341,12 @@ mod tests {
         assert_eq!(v.load(10), Ok(7), "store-forwarded");
         assert_eq!(v.load(20), Ok(0), "fell through to heap");
         assert!(v.load(999).is_err());
-        v.drop_writes();
-        assert_eq!(v.load(10), Ok(0), "dropped writes no longer forward");
         let (writes, reads) = v.into_parts();
-        assert!(writes.is_empty());
+        assert_eq!(writes, vec![(10, 7)]);
         assert!(reads.contains(20));
         assert!(reads.contains(999), "a faulting read is still recorded");
-        assert!(reads.contains(10), "only the post-drop read of 10 counts");
-        assert_eq!(reads.len(), 3);
+        assert!(!reads.contains(10), "a forwarded load is not a heap read");
+        assert_eq!(reads.len(), 2);
 
         // Tracking off: the load set stays empty.
         let mut quiet = SpecView::with_read_tracking(&h, false);

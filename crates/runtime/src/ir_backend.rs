@@ -4,23 +4,41 @@
 //! Where the simulator backend runs the code-generated transformation
 //! (worker functions, channels, resteers) on simulated cores, this backend
 //! realizes the same execution model interpretively: every thread steps a
-//! [`ThreadState`] over the **original** kernel function, the speculative
-//! workers are teleported to the loop header with their cursor registers set
-//! to the live-in values memoized during the previous invocation, and the
-//! main thread validates and commits their buffered stores in thread order —
-//! the paper's Figures 4/5 with the interpreter standing in for hardware.
+//! [`ThreadState`] over the **original** kernel function. The main thread
+//! runs the kernel's entry code to its first arrival at the loop header and
+//! hands every predicted worker a copy of its state there; the worker sets
+//! the cursor registers to the live-in values memoized during the previous
+//! invocation and the reductions to their identity, and iterates; the main
+//! thread validates and commits the workers' buffered stores in thread order
+//! — the paper's Figures 4/5 with the interpreter standing in for hardware.
 //!
 //! The execution model matches the paper's pre-spawned runtime: the worker
 //! threads are spawned **once**, at the first invocation, and persist across
-//! the whole run, blocked on their task channels between invocations. Each
+//! the whole run, waiting on their task channels between invocations. Each
 //! invocation sends every predicted worker a `new_invocation` token — a
-//! [`WorkerTask`] carrying that invocation's arguments, start/successor
-//! predictions and memoization plan; everything that is invariant across a
-//! `load` rides along as one shared [`LoopContext`]. The centralized half of
-//! Algorithm 2 ([`chunk_memo_plan`]) runs on the main thread *inside* the
-//! timed window — where the simulator runs the same step, as core 0's
-//! generated preheader code — so its wall-time is part of the invocation's
-//! cost, not the driver's.
+//! [`WorkerTask`] carrying what the paper's token carries: the live-ins (the
+//! main thread's header frame), the start/successor predictions and the
+//! memoization plan; everything that is invariant across a `load` rides
+//! along as one shared [`LoopContext`]. A worker therefore never executes
+//! entry code: its registers are the main thread's at the header, every
+//! memory access it makes is an access of the loop, and the only
+//! happens-before edges it takes part in are the task send (which the
+//! mirror and every entry-code store precede) and its result send (which
+//! precedes the commit of its buffer). The main chunk's write log starts at
+//! the header for the same reason — a store that precedes every speculative
+//! read cannot be the earlier half of a RAW violation, which is the
+//! simulator's `ConflictTracker::active_chunks` rule, so the two backends
+//! squash for the same reasons.
+//!
+//! A hand-off in either direction (a worker waiting for its task, the main
+//! thread waiting for a [`WorkerChunk`]) polls its channel for
+//! [`HANDOFF_SPIN`] before it parks in a blocking `recv` — when the pool
+//! was spawned on a host with a core per thread; see [`recv_handoff`].
+//!
+//! The centralized half of Algorithm 2 ([`chunk_memo_plan`]) runs on the
+//! main thread *inside* the timed window — where the simulator runs the same
+//! step, as core 0's generated preheader code — so its wall-time is part of
+//! the invocation's cost, not the driver's.
 //!
 //! Every chunk — the main thread's, a worker's, the main thread's resume
 //! after the commit chain ends — is one call of [`run_chunk`], the only
@@ -41,11 +59,12 @@
 //! "chunk" is a slice of the *source loop's* iteration space.
 
 use std::collections::HashMap;
+use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::{Receiver, RecvError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use spice_ir::exec::{
     derive_loop_spec, AccessSet, BackendError, ExecutionBackend, ExecutionCost, ExecutionReport,
@@ -69,6 +88,14 @@ const DEFAULT_STEP_BUDGET: u64 = 200_000_000;
 /// arrivals — inner loops (e.g. mcf's climb) may not pass the header for a
 /// while.
 const SQUASH_POLL_INTERVAL: u64 = 1024;
+
+/// How long a hand-off polls its channel before it parks (see
+/// [`recv_handoff`]). Sized from the gap a worker actually waits out between
+/// its result send and its next task — the rest of the commit loop, the
+/// snapshot, the workload driver's host-side bookkeeping and the next
+/// invocation's entry code: 50–500 µs on the suite's loops, against the
+/// 30–170 µs a futex wake of a halted vCPU costs on its own.
+const HANDOFF_SPIN: Duration = Duration::from_micros(500);
 
 /// Spice execution of IR loops on native OS threads, behind the shared
 /// [`ExecutionBackend`] API. The worker pool is pre-spawned at the first
@@ -167,7 +194,9 @@ struct Loaded {
 /// shared context, to run its speculative chunk for the current invocation.
 struct WorkerTask {
     ctx: Arc<LoopContext>,
-    args: Vec<i64>,
+    /// The main thread's state paused on its first header arrival: the
+    /// chunk's live-ins, bound by the entry code the main thread ran.
+    state: ThreadState,
     /// Predicted cursor values the chunk starts from.
     start: Vec<i64>,
     /// The next worker's predicted start, when it has one: this chunk's
@@ -177,7 +206,7 @@ struct WorkerTask {
 }
 
 /// A pre-spawned worker thread: tasks go down `task_tx`, one
-/// [`WorkerChunk`] comes back per task. The thread blocks on its channel
+/// [`WorkerChunk`] comes back per task. The thread waits on its channel
 /// between invocations — the software form of the paper's workers waiting
 /// for the `new_invocation` token.
 #[derive(Debug)]
@@ -187,17 +216,20 @@ struct PoolWorker {
     handle: Option<JoinHandle<()>>,
     /// Raised by the main thread to stop the worker's current chunk early.
     squash: Arc<AtomicBool>,
+    /// Whether the hand-offs of this worker poll before they park — decided
+    /// once, by whoever spawns the pool.
+    spin: bool,
 }
 
 impl PoolWorker {
-    fn spawn() -> Self {
+    fn spawn(spin: bool) -> Self {
         let (task_tx, task_rx) = std::sync::mpsc::channel::<WorkerTask>();
         let (result_tx, result_rx) = std::sync::mpsc::channel();
         let squash = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&squash);
         let handle = std::thread::spawn(move || {
-            while let Ok(task) = task_rx.recv() {
-                if result_tx.send(run_worker_chunk(&task, &flag)).is_err() {
+            while let Ok(task) = recv_handoff(&task_rx, spin) {
+                if result_tx.send(run_worker_chunk(task, &flag)).is_err() {
                     break;
                 }
             }
@@ -207,6 +239,7 @@ impl PoolWorker {
             result_rx,
             handle: Some(handle),
             squash,
+            spin,
         }
     }
 
@@ -219,10 +252,40 @@ impl PoolWorker {
     }
 
     fn recv(&self) -> Result<WorkerChunk, BackendError> {
-        self.result_rx
-            .recv()
+        recv_handoff(&self.result_rx, self.spin)
             .map_err(|_| BackendError::Engine("pool worker thread died".to_string()))
     }
+}
+
+/// The one receive of the hand-off protocol, used in both directions. With
+/// `spin`, polls `rx` for up to [`HANDOFF_SPIN`] — an `mpsc` send to a
+/// polling receiver makes no system call, and the receiver sees the message
+/// without a futex wake — and only then parks in the blocking `recv`, which
+/// is all it does without `spin`. A closed channel ends either phase at
+/// once, so dropping the pool never waits out a spin window.
+///
+/// `spin` must be false on a host with fewer cores than pool threads: a
+/// poller that holds a core the sender needs delays the very message it
+/// polls for (measured, DESIGN.md §2).
+fn recv_handoff<T>(rx: &Receiver<T>, spin: bool) -> Result<T, RecvError> {
+    if spin {
+        let deadline = Instant::now() + HANDOFF_SPIN;
+        while Instant::now() < deadline {
+            match rx.try_recv() {
+                Ok(message) => return Ok(message),
+                Err(TryRecvError::Disconnected) => return Err(RecvError),
+                Err(TryRecvError::Empty) => std::hint::spin_loop(),
+            }
+        }
+    }
+    rx.recv()
+}
+
+/// Whether this host has a core for each of `threads` pool threads — the
+/// condition under which a waiting thread may poll instead of parking.
+/// Affinity masks and cgroup quotas count: `available_parallelism` sees both.
+fn host_has_a_core_per_thread(threads: usize) -> bool {
+    threads <= std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
 }
 
 impl Drop for PoolWorker {
@@ -430,7 +493,8 @@ impl ExecutionBackend for NativeLoopBackend {
         let workers = threads - 1;
         let loaded = self.loaded.as_mut().ok_or(BackendError::NotLoaded)?;
         if self.pool.is_empty() {
-            self.pool = (0..workers).map(|_| PoolWorker::spawn()).collect();
+            let spin = host_has_a_core_per_thread(threads);
+            self.pool = (0..workers).map(|_| PoolWorker::spawn(spin)).collect();
         }
         let pool = self.pool.as_slice();
         let tracing = &mut self.tracing;
@@ -443,7 +507,7 @@ impl ExecutionBackend for NativeLoopBackend {
         let (detect, granularity_log2) = (ctx.detect, ctx.granularity_log2);
         // Mirror the canonical memory into the persistent shared heap only
         // when a driver actually touched the image since the last commit —
-        // an unchanged image is reused as-is. Every pool worker is blocked
+        // an unchanged image is reused as-is. Every pool worker is waiting
         // on its task channel here; the task sends below publish the mirror.
         if loaded.heap_dirty {
             heap.overwrite(&loaded.mem);
@@ -466,17 +530,30 @@ impl ExecutionBackend for NativeLoopBackend {
         let memo_plan = &loaded.last_plan;
         let predictions = &loaded.predictions;
 
-        // new_invocation: hand every predicted worker its task token; the
-        // pre-spawned threads wake from their channel recv.
+        // The main thread runs the kernel's entry code first, straight on
+        // the heap and unlogged: every store it makes happens-before every
+        // worker read through the task sends below, so none of them can be
+        // the earlier half of a RAW violation.
+        let mut port = DirectPort {
+            heap,
+            alloc_next: loaded.mem.heap_next(),
+            write_log: None,
+        };
+        let mut steps = ctx.step_budget;
+        let (mut main, early) = enter_loop(&ctx, args, &mut port, &mut steps);
+
+        // new_invocation: hand every predicted worker its task token — the
+        // main thread's header frame plus this invocation's predictions. A
+        // kernel that never reached the header (`early`) tasks nobody.
         let mut tasked = vec![false; workers];
         let mut chunk_ids: Vec<Option<u64>> = vec![None; workers];
         for wi in 0..workers {
-            if !is_prediction(&predictions[wi]) {
+            if early.is_some() || !is_prediction(&predictions[wi]) {
                 continue;
             }
             let task = WorkerTask {
                 ctx: Arc::clone(&ctx),
-                args: args.to_vec(),
+                state: main.clone(),
                 start: predictions[wi].clone(),
                 successor: predictions
                     .get(wi + 1)
@@ -510,15 +587,10 @@ impl ExecutionBackend for NativeLoopBackend {
             tracing.emit(TraceEvent::PredictorPlan { at, chunks });
         }
 
-        // Main (non-speculative) chunk on the calling thread, stopping at
-        // the first worker's predicted boundary.
-        let mut port = DirectPort {
-            heap,
-            alloc_next: loaded.mem.heap_next(),
-            write_log: detect.then(|| AccessSet::with_granularity(granularity_log2)),
-        };
-        let mut steps = ctx.step_budget;
-        let (mut main, early) = enter_loop(&ctx, args, &mut port, &mut steps, None);
+        // Main (non-speculative) chunk on the calling thread, from the
+        // header to the first worker's predicted boundary. Its stores race
+        // the workers' reads, so from here on they are logged.
+        port.write_log = detect.then(|| AccessSet::with_granularity(granularity_log2));
         let main_run = match early {
             Some(stop) => ChunkRun::stopped(stop),
             None => {
@@ -533,6 +605,8 @@ impl ExecutionBackend for NativeLoopBackend {
                 run_chunk(&ctx, &mut main, &mut port, &mut steps, &limits)
             }
         };
+        // A trap in the entry code finds `tasked` all false: nothing to
+        // squash, nothing to drain.
         if let Stop::Trap(trap) = main_run.stop {
             abort_pool(pool, &tasked);
             return Err(engine_trap(trap));
@@ -626,7 +700,8 @@ impl ExecutionBackend for NativeLoopBackend {
                     heap.write(addr, value)
                         .expect("SpecView bounds-checks every buffered store");
                 }
-                if detect {
+                // Only a later tasked chunk is ever validated against these.
+                if detect && tasked[wi + 1..].contains(&true) {
                     earlier_writes.extend(result.writes.iter().map(|(a, _)| *a));
                 }
                 if let Some(map) = writer_by_word.as_mut() {
@@ -869,8 +944,12 @@ fn run_chunk<M: MemPort>(
     let mut plan = limits.plan.iter().peekable();
     let mut iterations = 0u64;
     let mut memos = Vec::new();
+    // One buffer for the whole chunk, refilled on every arrival and cloned
+    // only when a memo is actually taken.
+    let mut cursors = Vec::with_capacity(ctx.spec.cursors.len());
     let stop = loop {
-        let cursors: Vec<i64> = ctx.spec.cursors.iter().map(|&r| state.reg(r)).collect();
+        cursors.clear();
+        cursors.extend(ctx.spec.cursors.iter().map(|&r| state.reg(r)));
         if limits.boundary == Some(cursors.as_slice()) {
             break Stop::Boundary;
         }
@@ -879,7 +958,7 @@ fn run_chunk<M: MemPort>(
         }
         if let Some(&(_, row)) = plan.next_if(|&&(threshold, _)| iterations >= threshold) {
             if is_prediction(&cursors) {
-                memos.push((row, cursors));
+                memos.push((row, cursors.clone()));
             }
         }
         match step_to_header(ctx, state, port, steps, limits.squash) {
@@ -939,18 +1018,17 @@ fn step_to_header<M: MemPort>(
     }
 }
 
-/// Starts a thread on the kernel and runs the function's own entry code up
-/// to the first header arrival (binding the invariant live-ins). The stop
-/// is `None` when the thread is paused there.
+/// Starts the main thread on the kernel and runs the function's own entry
+/// code up to the first header arrival (binding the invariant live-ins). The
+/// stop is `None` when the thread is paused there.
 fn enter_loop<M: MemPort>(
     ctx: &LoopContext,
     args: &[i64],
     port: &mut M,
     steps: &mut u64,
-    squash: Option<&AtomicBool>,
 ) -> (ThreadState, Option<Stop>) {
     let mut state = ThreadState::new(&ctx.program, ctx.kernel, args);
-    let early = step_to_header(ctx, &mut state, port, steps, squash);
+    let early = step_to_header(ctx, &mut state, port, steps, None);
     (state, early)
 }
 
@@ -966,42 +1044,28 @@ struct WorkerChunk {
     finals: Vec<(Reg, i64)>,
 }
 
-/// Runs one speculative worker chunk: replay the entry code, teleport to
-/// the header with the predicted cursors, iterate until the successor's
-/// boundary, the loop's natural exit, a fault, or a squash.
-fn run_worker_chunk(task: &WorkerTask, squash: &AtomicBool) -> WorkerChunk {
+/// Runs one speculative worker chunk: from the main thread's header frame,
+/// with the cursors at the predicted start and the reductions at their
+/// identity, iterate until the successor's boundary, the loop's natural
+/// exit, a fault, or a squash.
+fn run_worker_chunk(task: WorkerTask, squash: &AtomicBool) -> WorkerChunk {
     let ctx = &*task.ctx;
+    let mut state = task.state;
+    for (reg, value) in ctx.spec.cursors.iter().zip(&task.start) {
+        state.set_reg(*reg, *value);
+    }
+    for r in &ctx.spec.reductions {
+        state.set_reg(r.reg, r.kind.identity());
+    }
     let mut view = SpecView::with_read_tracking(&ctx.heap, ctx.detect)
         .with_conflict_granularity(ctx.granularity_log2);
     let mut steps = ctx.step_budget;
-    let (mut state, early) = enter_loop(ctx, &task.args, &mut view, &mut steps, Some(squash));
-    let run = if early.is_some() {
-        // Whatever kept the replay from the header, the chunk cannot run.
-        ChunkRun::stopped(Stop::Trap(TrapKind::UnsupportedIntrinsic))
-    } else {
-        for (reg, value) in ctx.spec.cursors.iter().zip(&task.start) {
-            state.set_reg(*reg, *value);
-        }
-        for r in &ctx.spec.reductions {
-            state.set_reg(r.reg, r.kind.identity());
-        }
-        // Entry/preheader code belongs to the main thread's execution; any
-        // stores it made were buffered above only to keep this thread's
-        // reads coherent. Drop them so a validated chunk commits loop-body
-        // stores exclusively — otherwise every worker would replay pre-loop
-        // stores over values the main thread wrote later in the invocation.
-        // The *reads* stay: the entry replay raced the main chunk, so an
-        // entry load of a word the loop writes (e.g. an invariant register
-        // bound from a global the body stores to) is a dependence the
-        // conflict validation must observe.
-        view.drop_writes();
-        let limits = ChunkLimits {
-            boundary: task.successor.as_deref(),
-            plan: &task.plan,
-            squash: Some(squash),
-        };
-        run_chunk(ctx, &mut state, &mut view, &mut steps, &limits)
+    let limits = ChunkLimits {
+        boundary: task.successor.as_deref(),
+        plan: &task.plan,
+        squash: Some(squash),
     };
+    let run = run_chunk(ctx, &mut state, &mut view, &mut steps, &limits);
     let (writes, reads) = view.into_parts();
     WorkerChunk {
         run,
@@ -1137,6 +1201,17 @@ mod tests {
     use spice_ir::fixtures::{chained_increment_program, list_min_program, write_list};
     use spice_ir::{BinOp, Operand};
 
+    /// Both hand-off paths, whichever of them this host's core count would
+    /// select: `spin` false parks in `recv`, true polls first.
+    const HANDOFF_PATHS: [bool; 2] = [false, true];
+
+    /// A backend whose pool is already spawned on the given hand-off path.
+    fn backend_on_path(threads: usize, spin: bool) -> NativeLoopBackend {
+        let mut backend = NativeLoopBackend::new(threads);
+        backend.pool = (1..threads).map(|_| PoolWorker::spawn(spin)).collect();
+        backend
+    }
+
     #[test]
     fn native_backend_runs_list_min_and_learns_boundaries() {
         let weights: Vec<i64> = (0..400).map(|i| ((i * 37) % 211) + 5).collect();
@@ -1211,10 +1286,15 @@ mod tests {
 
     #[test]
     fn cross_chunk_raw_dependence_is_squashed_and_recovered() {
+        for spin in HANDOFF_PATHS {
+            cross_chunk_raw_dependence_on(backend_on_path(4, spin));
+        }
+    }
+
+    fn cross_chunk_raw_dependence_on(mut backend: NativeLoopBackend) {
         let n: i64 = 200;
         let v0: i64 = 50;
         let (program, f, nodes) = chained_increment_program(n + 4);
-        let mut backend = NativeLoopBackend::new(4);
         backend
             .load(program, f, LoadOptions::new(4096, Some(n as u64)))
             .unwrap();
@@ -1370,11 +1450,11 @@ mod tests {
         assert_eq!(trace.squashes(), squashes);
     }
 
-    /// Regression: the loop's *entry code* loads a global that the loop body
-    /// stores to. The invariant register bound by a worker's entry replay
-    /// races the main chunk's stores, so the replay's reads must stay in the
-    /// chunk's load set — dropping them with the replayed writes would let a
-    /// chunk computed from a mid-loop value of `g` commit.
+    /// The loop's *entry code* loads a global that the loop body stores to:
+    /// a chunk computed from a mid-loop value of `g` must never commit. The
+    /// invariant this protects — a worker's `base` is the value the main
+    /// thread bound — holds by construction: the worker starts from the main
+    /// thread's header frame and runs no entry code of its own.
     #[test]
     fn entry_code_reads_participate_in_conflict_detection() {
         let n: i64 = 160;
@@ -1433,6 +1513,126 @@ mod tests {
         }
     }
 
+    /// `kernel(head, scale, slot)`: the entry code publishes `scale` in the
+    /// word at `slot` — a fresh `alloc` with `allocate_slot`, else the
+    /// caller's address — and every iteration of the list walk loads it
+    /// back: Σ weight × scale. Returns `(program, kernel, nodes, g)`, `g`
+    /// being a global word to pass as `slot`.
+    fn scaled_sum_program(capacity: i64, allocate_slot: bool) -> (Program, FuncId, i64, i64) {
+        let mut program = Program::new();
+        let nodes = program.add_global("nodes", capacity * 2);
+        let g = program.add_global("g", 1);
+        let mut b = FunctionBuilder::new("scaled_sum");
+        let (head, scale, slot) = (b.param(), b.param(), b.param());
+        let pre = b.new_block();
+        let header = b.new_block();
+        let body = b.new_block();
+        let exit = b.new_block();
+        if allocate_slot {
+            let fresh = b.alloc(1i64);
+            b.copy_into(slot, fresh);
+        }
+        b.store(scale, slot, 0);
+        let c = b.copy(head);
+        let sum = b.copy(0i64);
+        b.br(pre);
+        b.switch_to(pre);
+        b.br(header);
+        b.switch_to(header);
+        let done = b.binop(BinOp::Eq, c, 0i64);
+        b.cond_br(done, exit, body);
+        b.switch_to(body);
+        let v = b.load(c, 0);
+        let k = b.load(slot, 0); // the body reads what the entry stored
+        let scaled = b.binop(BinOp::Mul, v, k);
+        let s = b.binop(BinOp::Add, sum, scaled);
+        b.copy_into(sum, s);
+        let nx = b.load(c, 1);
+        b.copy_into(c, nx);
+        b.br(header);
+        b.switch_to(exit);
+        b.ret(Some(Operand::Reg(sum)));
+        let f = program.add_func(b.finish());
+        (program, f, nodes, g)
+    }
+
+    const SCALED_SUM_NODES: i64 = 160;
+
+    /// Loads [`scaled_sum_program`] on four threads over the list 1..=160.
+    /// Returns the backend, the list head and `g`.
+    fn scaled_sum_backend(allocate_slot: bool) -> (NativeLoopBackend, i64, i64) {
+        let n = SCALED_SUM_NODES;
+        let (program, f, nodes, g) = scaled_sum_program(n + 4, allocate_slot);
+        let mut backend = NativeLoopBackend::new(4);
+        backend
+            .load(program, f, LoadOptions::new(4096, Some(n as u64)))
+            .unwrap();
+        let weights: Vec<i64> = (1..=n).collect();
+        let head = write_list(backend.mem_mut(), nodes, &weights);
+        (backend, head, g)
+    }
+
+    /// One invocation that must succeed with the host mirror's result;
+    /// returns its committed-chunk count.
+    fn scaled_sum_invocation(backend: &mut NativeLoopBackend, args: [i64; 3]) -> usize {
+        let n = SCALED_SUM_NODES;
+        let report = backend.run_invocation(&args).unwrap();
+        assert_eq!(report.return_value, Some(args[1] * n * (n + 1) / 2));
+        report.committed_chunks
+    }
+
+    /// An entry-code store to a word the loop body reads happens-before
+    /// every worker read (the task is sent after the entry code ran), so it
+    /// is not in the main chunk's write log and squashes nothing — and the
+    /// workers do read this invocation's value, not the previous one's.
+    #[test]
+    fn entry_code_store_read_by_the_body_squashes_nothing() {
+        let (mut backend, head, g) = scaled_sum_backend(false);
+        for inv in 0..5 {
+            let committed = scaled_sum_invocation(&mut backend, [head, 3 + inv, g]);
+            assert_eq!(committed, if inv == 0 { 0 } else { 3 }, "invocation {inv}");
+        }
+    }
+
+    /// A kernel whose entry code allocates: only the main thread runs it,
+    /// and the workers find the allocation's address in the header frame.
+    #[test]
+    fn entry_code_alloc_does_not_fault_the_workers() {
+        let (mut backend, head, _) = scaled_sum_backend(true);
+        for inv in 0..5 {
+            let committed = scaled_sum_invocation(&mut backend, [head, 3 + inv, 0]);
+            assert_eq!(committed, if inv == 0 { 0 } else { 3 }, "invocation {inv}");
+        }
+    }
+
+    /// Neither kind of failed invocation leaves a `WorkerChunk` behind in a
+    /// channel: a trap in the entry code returns before any task exists, a
+    /// trap in the main chunk squashes and drains the tasked workers. The
+    /// invocation after each is an exact repeat of the one before it — a
+    /// stale result would carry the failed invocation's `scale`.
+    #[test]
+    fn failed_invocations_leave_no_stale_worker_result() {
+        let (mut backend, head, g) = scaled_sum_backend(false);
+        scaled_sum_invocation(&mut backend, [head, 2, g]);
+        assert_eq!(scaled_sum_invocation(&mut backend, [head, 3, g]), 3);
+        let ids = backend.worker_thread_ids();
+
+        // The entry code's store faults.
+        assert!(backend.run_invocation(&[head, 4, -1]).is_err());
+        assert!(backend.loaded.as_ref().unwrap().heap_dirty);
+        assert_eq!(scaled_sum_invocation(&mut backend, [head, 5, g]), 3);
+
+        // The main chunk walks into a dangling `next`; all three workers
+        // were tasked and their lists are intact.
+        let link = head + 2 * 5 + 1;
+        let next = backend.mem().read(link).unwrap();
+        backend.mem_mut().write(link, -7).unwrap();
+        assert!(backend.run_invocation(&[head, 6, g]).is_err());
+        backend.mem_mut().write(link, next).unwrap();
+        assert_eq!(scaled_sum_invocation(&mut backend, [head, 7, g]), 3);
+        assert_eq!(backend.worker_thread_ids(), ids);
+    }
+
     #[test]
     fn assume_independent_policy_skips_detection() {
         // Same conflict-carrying loop, detection off: results may be stale,
@@ -1456,12 +1656,36 @@ mod tests {
 
     /// The acceptance property of the pre-spawned pool: across a
     /// 100-invocation run the same OS threads serve every invocation — no
-    /// per-invocation spawning.
+    /// per-invocation spawning — on either hand-off path.
     #[test]
     fn worker_pool_threads_are_constant_across_100_invocations() {
+        for spin in HANDOFF_PATHS {
+            let backend = hundred_list_min_invocations(backend_on_path(4, spin));
+            // The centralized step's output is observable after each
+            // invocation.
+            let plan = backend.last_plan().expect("loaded");
+            assert!(!plan.is_empty(), "no plan after a converged run");
+            for &(tid, threshold, row) in &plan {
+                assert!(tid < 4 && row < 3 && threshold >= 1);
+            }
+        }
+    }
+
+    /// More threads than any CI host has cores: the pool is spawned by the
+    /// first invocation, on the path the host's core count selects, and
+    /// stays the same seven threads.
+    #[test]
+    fn oversubscribed_pool_is_constant_across_100_invocations() {
+        let backend = NativeLoopBackend::new(8);
+        assert!(backend.worker_thread_ids().is_none(), "pool is lazy");
+        hundred_list_min_invocations(backend);
+    }
+
+    /// Runs the list-min fixture a hundred times on `backend`, checking
+    /// every result and that the pool's threads never change.
+    fn hundred_list_min_invocations(mut backend: NativeLoopBackend) -> NativeLoopBackend {
         let weights: Vec<i64> = (0..200).map(|i| ((i * 31) % 509) + 1).collect();
         let (program, f, nodes, _) = list_min_program(weights.len() as i64 + 4);
-        let mut backend = NativeLoopBackend::new(4);
         backend
             .load(
                 program,
@@ -1472,10 +1696,9 @@ mod tests {
         let head = write_list(backend.mem_mut(), nodes, &weights);
         let expected = *weights.iter().min().unwrap();
 
-        assert!(backend.worker_thread_ids().is_none(), "pool is lazy");
         backend.run_invocation(&[head]).unwrap();
         let ids = backend.worker_thread_ids().expect("pool spawned");
-        assert_eq!(ids.len(), 3);
+        assert_eq!(ids.len(), backend.threads() - 1);
         for inv in 1..100 {
             let report = backend.run_invocation(&[head]).unwrap();
             assert_eq!(report.return_value, Some(expected), "invocation {inv}");
@@ -1485,12 +1708,40 @@ mod tests {
             ids,
             "workers were re-spawned during the run"
         );
-        // The centralized step's output is observable after each invocation.
-        let plan = backend.last_plan().expect("loaded");
-        assert!(!plan.is_empty(), "no plan after a converged run");
-        for &(tid, threshold, row) in &plan {
-            assert!(tid < 4 && row < 3 && threshold >= 1);
-        }
+        backend
+    }
+
+    /// Dropping the pool while a worker polls for its next task must not
+    /// wait the spin window out: the polling receive sees the closed
+    /// channel. A worker that has just sent its result is inside its
+    /// window; the best of twenty drops is taken so that one preempted
+    /// thread cannot fail the test, while a receive that ignored
+    /// `Disconnected` would hold every drop for the rest of the window.
+    #[test]
+    fn dropping_the_backend_ends_a_spinning_worker_at_once() {
+        let weights: Vec<i64> = (1..=60).collect();
+        let best = (0..20)
+            .map(|_| {
+                let (program, f, nodes, _) = list_min_program(weights.len() as i64 + 4);
+                let mut backend = backend_on_path(2, true);
+                backend
+                    .load(
+                        program,
+                        f,
+                        LoadOptions::new(4096, Some(weights.len() as u64)),
+                    )
+                    .unwrap();
+                let head = write_list(backend.mem_mut(), nodes, &weights);
+                backend.run_invocation(&[head]).unwrap();
+                let report = backend.run_invocation(&[head]).unwrap();
+                assert_eq!(report.committed_chunks, 1, "the worker was tasked");
+                let dropped = Instant::now();
+                drop(backend);
+                dropped.elapsed()
+            })
+            .min()
+            .unwrap();
+        assert!(best < HANDOFF_SPIN / 2, "fastest drop took {best:?}");
     }
 
     /// Invocations over an untouched memory image skip the FlatMemory →
@@ -1642,7 +1893,7 @@ mod tests {
         };
         let chunk = |limits: &ChunkLimits<'_>, budget: u64| {
             let (mut port, mut steps) = (direct(), budget);
-            let (mut state, early) = enter_loop(ctx, &[head], &mut port, &mut steps, None);
+            let (mut state, early) = enter_loop(ctx, &[head], &mut port, &mut steps);
             assert_eq!(early, None, "the entry code reaches the header");
             let run = run_chunk(ctx, &mut state, &mut port, &mut steps, limits);
             (run, state)
@@ -1697,9 +1948,14 @@ mod tests {
     /// per-thread counters add up to the sequential iteration count.
     #[test]
     fn work_per_thread_sums_to_the_sequential_iteration_count() {
+        for spin in HANDOFF_PATHS {
+            work_per_thread_sums_on(backend_on_path(4, spin));
+        }
+    }
+
+    fn work_per_thread_sums_on(mut backend: NativeLoopBackend) {
         let weights: Vec<i64> = (0..400).map(|i| ((i * 37) % 211) + 5).collect();
         let (program, f, nodes, _) = list_min_program(weights.len() as i64 + 4);
-        let mut backend = NativeLoopBackend::new(4);
         backend
             .load(
                 program,

@@ -12,12 +12,17 @@
 //! the sequential backends (plain interpreter, one simulated core) driving
 //! the same schedule through the same `run_workload_on` call site.
 
+use std::cell::Cell;
+use std::collections::BTreeSet;
+
 use spice_core::backend::{make_backend, BackendChoice};
-use spice_ir::exec::{ExecutionBackend, InterpBackend};
+use spice_ir::exec::{ExecutionBackend, ExecutionReport, InterpBackend, MisspeculationCause};
+use spice_ir::interp::{run_function_with, FlatMemory, LocalSys, MemPort};
+use spice_ir::TrapKind;
 use spice_sim::{MachineConfig, SequentialSimBackend};
 use spice_workloads::{
-    run_workload_on, BackendRunSummary, ConflictConfig, ConflictListWorkload, McfConfig,
-    McfWorkload, SpiceWorkload,
+    app_benchmarks_small, run_workload_on, workload_load_options, BackendRunSummary,
+    ConflictConfig, ConflictListWorkload, McfConfig, McfWorkload, SpiceWorkload,
 };
 
 /// Runs one workload instance on `backend` and returns the summary plus the
@@ -161,4 +166,128 @@ fn dependence_free_mcf_control_reports_no_violations() {
             "{choice}: false conflict on the dependence-free control"
         );
     }
+}
+
+/// A sequential memory port that logs the addresses stored to once the
+/// target loop has been entered — the words the loop *body* writes, as
+/// opposed to the kernel's entry code.
+struct BodyWriteLog<'a> {
+    mem: FlatMemory,
+    in_loop: &'a Cell<bool>,
+    writes: BTreeSet<i64>,
+}
+
+impl MemPort for BodyWriteLog<'_> {
+    fn load(&mut self, addr: i64) -> Result<i64, TrapKind> {
+        self.mem.load(addr)
+    }
+
+    fn store(&mut self, addr: i64, value: i64) -> Result<(), TrapKind> {
+        if self.in_loop.get() {
+            self.writes.insert(addr);
+        }
+        self.mem.store(addr, value)
+    }
+
+    fn alloc(&mut self, words: i64) -> Result<i64, TrapKind> {
+        self.mem.alloc(words)
+    }
+}
+
+/// The write-log boundary, against the simulator: on `mcf_app` — whose entry
+/// code relinks the very tree the speculative walk traverses — every address
+/// the native backend names in a `DependenceViolation` is a word the loop
+/// body wrote in that invocation, none a word only the entry-phase relink
+/// touched. That is the simulator's rule (`ConflictTracker::active_chunks`:
+/// a store that precedes every speculative read is not recorded), so at
+/// equal thread count the two backends squash for the same reasons; their
+/// per-invocation chunk counts go side by side into the failure message.
+#[test]
+fn native_violations_on_mcf_app_name_only_words_the_loop_body_wrote() {
+    const THREADS: usize = 4;
+    let workload = || app_benchmarks_small().remove(0);
+
+    // Drives one backend by hand (the reports are needed one by one),
+    // calling `before` with the pre-invocation image and the arguments.
+    let drive = |backend: &mut dyn ExecutionBackend,
+                 before: &mut dyn FnMut(&FlatMemory, &[i64])| {
+        let mut wl = workload();
+        let built = wl.build();
+        let options = workload_load_options(wl.as_ref(), &built);
+        backend.load(built.program, built.kernel, options).unwrap();
+        let mut args = wl.init(backend.mem_mut());
+        let mut reports: Vec<ExecutionReport> = Vec::new();
+        loop {
+            before(backend.mem(), &args);
+            let expected = wl.expected_result(backend.mem());
+            let report = backend.run_invocation(&args).unwrap();
+            assert_eq!(report.return_value, expected, "{}", backend.name());
+            reports.push(report);
+            match wl.next_invocation(backend.mem_mut(), reports.len() - 1) {
+                Some(next) => args = next,
+                None => return reports,
+            }
+        }
+    };
+
+    // Per invocation: what a sequential run of the kernel over the same
+    // image stores to after its first arrival in the loop header.
+    let built = workload().build();
+    let header = built.loop_header_hint.expect("mcf_app names its loop");
+    let mut body_writes: Vec<BTreeSet<i64>> = Vec::new();
+    let mut native = make_backend(BackendChoice::Native, THREADS);
+    let native_reports = drive(native.as_mut(), &mut |mem, args| {
+        let in_loop = Cell::new(false);
+        let mut port = BodyWriteLog {
+            mem: mem.clone(),
+            in_loop: &in_loop,
+            writes: BTreeSet::new(),
+        };
+        run_function_with(
+            &built.program,
+            built.kernel,
+            args,
+            &mut port,
+            &mut LocalSys::new(),
+            u64::MAX,
+            |func, block, _| {
+                if func == built.kernel && block == header {
+                    in_loop.set(true);
+                }
+            },
+        )
+        .unwrap();
+        body_writes.push(port.writes);
+    });
+    let mut sim = make_backend(BackendChoice::SimTiny, THREADS);
+    let sim_reports = drive(sim.as_mut(), &mut |_, _| {});
+
+    let side_by_side: String = native_reports
+        .iter()
+        .zip(&sim_reports)
+        .enumerate()
+        .map(|(inv, (n, s))| {
+            format!(
+                "\n  invocation {inv}: native {} committed / {} squashed, sim {} / {}",
+                n.committed_chunks, n.squashed_chunks, s.committed_chunks, s.squashed_chunks
+            )
+        })
+        .collect();
+    let mut violations = 0;
+    for (inv, report) in native_reports.iter().enumerate() {
+        for cause in report.misspeculation_causes() {
+            if let MisspeculationCause::DependenceViolation { addr } = cause {
+                violations += 1;
+                assert!(
+                    body_writes[inv].contains(&addr),
+                    "invocation {inv}: native squashed on word {addr}, which the loop \
+                     body never wrote{side_by_side}"
+                );
+            }
+        }
+    }
+    assert!(
+        violations > 0,
+        "no native dependence violation to attribute{side_by_side}"
+    );
 }
