@@ -14,9 +14,11 @@
 //!   unparseable token.
 //!
 //! [`validate`] is a strict recursive-descent checker for the full JSON
-//! grammar; every emitted artifact is validated in tests (and cheaply at
-//! emit time by the binaries) so a malformed `BENCH_*.json` fails the build
-//! that produced it, not the consumer that reads it.
+//! grammar, and [`parse`] the same walk building a [`Value`] (one function
+//! per production, generic over whether it builds); every emitted artifact
+//! is validated in tests (and cheaply at emit time by the binaries) so a
+//! malformed `BENCH_*.json` fails the build that produced it, not the
+//! consumer that reads it.
 
 /// Renders `s` as a JSON string literal, quotes included.
 #[must_use]
@@ -96,175 +98,6 @@ pub fn extract_number(doc: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// Validates that `s` is exactly one well-formed JSON value (full grammar:
-/// objects, arrays, strings with escapes, numbers, `true`/`false`/`null`).
-///
-/// # Errors
-///
-/// Returns a description of the first syntax error, with its byte offset.
-pub fn validate(s: &str) -> Result<(), String> {
-    let bytes = s.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing content at byte {pos}"));
-    }
-    Ok(())
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    if *pos < b.len() && b[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected `{}` at byte {}", c as char, *pos))
-    }
-}
-
-fn value(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => object(b, pos),
-        Some(b'[') => array(b, pos),
-        Some(b'"') => jstring(b, pos),
-        Some(b't') => literal(b, pos, b"true"),
-        Some(b'f') => literal(b, pos, b"false"),
-        Some(b'n') => literal(b, pos, b"null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => number(b, pos),
-        Some(c) => Err(format!("unexpected `{}` at byte {}", *c as char, *pos)),
-        None => Err("unexpected end of input".to_string()),
-    }
-}
-
-fn literal(b: &[u8], pos: &mut usize, lit: &[u8]) -> Result<(), String> {
-    if b[*pos..].starts_with(lit) {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at byte {}", *pos))
-    }
-}
-
-fn object(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    expect(b, pos, b'{')?;
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        jstring(b, pos)?;
-        skip_ws(b, pos);
-        expect(b, pos, b':')?;
-        value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected `,` or `}}` at byte {}", *pos)),
-        }
-    }
-}
-
-fn array(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    expect(b, pos, b'[')?;
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected `,` or `]` at byte {}", *pos)),
-        }
-    }
-}
-
-fn jstring(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    expect(b, pos, b'"')?;
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
-                    Some(b'u') => {
-                        *pos += 1;
-                        for _ in 0..4 {
-                            match b.get(*pos) {
-                                Some(h) if h.is_ascii_hexdigit() => *pos += 1,
-                                _ => return Err(format!("bad \\u escape at byte {}", *pos)),
-                            }
-                        }
-                    }
-                    _ => return Err(format!("bad escape at byte {}", *pos)),
-                }
-            }
-            c if c < 0x20 => {
-                return Err(format!("unescaped control character at byte {}", *pos));
-            }
-            _ => *pos += 1,
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
-fn number(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let digits = |b: &[u8], pos: &mut usize| -> usize {
-        let from = *pos;
-        while matches!(b.get(*pos), Some(c) if c.is_ascii_digit()) {
-            *pos += 1;
-        }
-        *pos - from
-    };
-    if digits(b, pos) == 0 {
-        return Err(format!("bad number at byte {start}"));
-    }
-    if b.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        if digits(b, pos) == 0 {
-            return Err(format!("bad fraction at byte {}", *pos));
-        }
-    }
-    if matches!(b.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(b.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        if digits(b, pos) == 0 {
-            return Err(format!("bad exponent at byte {}", *pos));
-        }
-    }
-    Ok(())
-}
-
 /// A parsed JSON value — the reading half of this module, added for the
 /// trace-file format. Object member order is preserved (emitted artifacts
 /// are deterministic, so parse → re-emit stays deterministic too).
@@ -324,18 +157,35 @@ impl Value {
     }
 }
 
-/// Parses exactly one well-formed JSON value. Same grammar as [`validate`],
-/// but produces the value instead of merely checking it.
+/// Validates that `s` is exactly one well-formed JSON value (full grammar:
+/// objects, arrays, strings with escapes, numbers, `true`/`false`/`null`).
+/// Builds nothing, whatever the document's size.
+///
+/// # Errors
+///
+/// Returns a description of the first syntax error, with its byte offset.
+pub fn validate(s: &str) -> Result<(), String> {
+    document::<false>(s).map(|_| ())
+}
+
+/// Parses exactly one well-formed JSON value: the grammar walk of
+/// [`validate`], building the value it recognizes.
 ///
 /// # Errors
 ///
 /// Returns a description of the first syntax error, with its byte offset —
 /// never panics, whatever the input.
 pub fn parse(s: &str) -> Result<Value, String> {
+    document::<true>(s)
+}
+
+/// The one grammar walk, a function per production. With `BUILD` it returns
+/// the value it recognized; without, every production returns an empty
+/// placeholder and nothing is decoded, pushed or allocated.
+fn document<const BUILD: bool>(s: &str) -> Result<Value, String> {
     let bytes = s.as_bytes();
     let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    let v = parse_value(bytes, &mut pos)?;
+    let v = value::<BUILD>(bytes, &mut pos)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing content at byte {pos}"));
@@ -343,22 +193,46 @@ pub fn parse(s: &str) -> Result<Value, String> {
     Ok(v)
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn skip_ws(b: &[u8], pos: &mut usize) {
+    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
+        *pos += 1;
+    }
+}
+
+fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
+    if *pos < b.len() && b[*pos] == c {
+        *pos += 1;
+        Ok(())
+    } else {
+        Err(format!("expected `{}` at byte {}", c as char, *pos))
+    }
+}
+
+fn value<const BUILD: bool>(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => parse_string(b, pos).map(Value::Str),
+        Some(b'{') => object::<BUILD>(b, pos),
+        Some(b'[') => array::<BUILD>(b, pos),
+        Some(b'"') => jstring::<BUILD>(b, pos).map(Value::Str),
         Some(b't') => literal(b, pos, b"true").map(|()| Value::Bool(true)),
         Some(b'f') => literal(b, pos, b"false").map(|()| Value::Bool(false)),
         Some(b'n') => literal(b, pos, b"null").map(|()| Value::Null),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
+        Some(c) if c.is_ascii_digit() || *c == b'-' => number::<BUILD>(b, pos),
         Some(c) => Err(format!("unexpected `{}` at byte {}", *c as char, *pos)),
         None => Err("unexpected end of input".to_string()),
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn literal(b: &[u8], pos: &mut usize, lit: &[u8]) -> Result<(), String> {
+    if b[*pos..].starts_with(lit) {
+        *pos += lit.len();
+        Ok(())
+    } else {
+        Err(format!("bad literal at byte {}", *pos))
+    }
+}
+
+fn object<const BUILD: bool>(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     expect(b, pos, b'{')?;
     skip_ws(b, pos);
     let mut members = Vec::new();
@@ -368,11 +242,13 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
     loop {
         skip_ws(b, pos);
-        let key = parse_string(b, pos)?;
+        let key = jstring::<BUILD>(b, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        let v = parse_value(b, pos)?;
-        members.push((key, v));
+        let v = value::<BUILD>(b, pos)?;
+        if BUILD {
+            members.push((key, v));
+        }
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -385,7 +261,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn array<const BUILD: bool>(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     expect(b, pos, b'[')?;
     skip_ws(b, pos);
     let mut items = Vec::new();
@@ -394,7 +270,10 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Array(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        let v = value::<BUILD>(b, pos)?;
+        if BUILD {
+            items.push(v);
+        }
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -407,59 +286,105 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    let start = *pos;
-    jstring(b, pos)?;
-    // The span validated; decode escapes in a second pass.
-    let raw = &b[start + 1..*pos - 1];
-    let mut out = String::with_capacity(raw.len());
-    let mut i = 0usize;
-    while i < raw.len() {
-        if raw[i] != b'\\' {
-            // Multi-byte UTF-8 sequences pass through untouched; the input
-            // is a &str so the bytes are valid UTF-8.
-            let s = std::str::from_utf8(&raw[i..])
-                .map_err(|_| format!("invalid utf-8 at byte {}", start + 1 + i))?;
-            let c = s.chars().next().expect("non-empty");
-            out.push(c);
-            i += c.len_utf8();
-            continue;
+/// A string literal, escapes decoded. Unescaped text is copied in runs: a
+/// run starts and ends at an ASCII byte of what was a `&str`, so it is
+/// UTF-8 and multi-byte sequences pass through untouched.
+fn jstring<const BUILD: bool>(b: &[u8], pos: &mut usize) -> Result<String, String> {
+    expect(b, pos, b'"')?;
+    let mut out = String::new();
+    let mut run = *pos;
+    let mut flush = |out: &mut String, upto: usize, next: usize| {
+        if BUILD {
+            out.push_str(std::str::from_utf8(&b[run..upto]).expect("a run between ASCII bytes"));
         }
-        i += 1;
-        match raw[i] {
-            b'"' => out.push('"'),
-            b'\\' => out.push('\\'),
-            b'/' => out.push('/'),
-            b'b' => out.push('\u{8}'),
-            b'f' => out.push('\u{c}'),
-            b'n' => out.push('\n'),
-            b'r' => out.push('\r'),
-            b't' => out.push('\t'),
-            b'u' => {
-                let hex = std::str::from_utf8(&raw[i + 1..i + 5]).expect("validated hex");
-                let code = u32::from_str_radix(hex, 16).expect("validated hex");
-                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                i += 4;
+        run = next;
+    };
+    while let Some(&c) = b.get(*pos) {
+        match c {
+            b'"' => {
+                flush(&mut out, *pos, *pos);
+                *pos += 1;
+                return Ok(out);
             }
-            _ => unreachable!("escape validated by jstring"),
+            b'\\' => {
+                let (decoded, len) = match b.get(*pos + 1) {
+                    Some(&c @ (b'"' | b'\\' | b'/')) => (c as char, 2),
+                    Some(b'b') => ('\u{8}', 2),
+                    Some(b'f') => ('\u{c}', 2),
+                    Some(b'n') => ('\n', 2),
+                    Some(b'r') => ('\r', 2),
+                    Some(b't') => ('\t', 2),
+                    Some(b'u') => {
+                        let hex = &b[*pos + 2..b.len().min(*pos + 6)];
+                        let digits = hex.iter().take_while(|h| h.is_ascii_hexdigit()).count();
+                        if digits < 4 {
+                            return Err(format!("bad \\u escape at byte {}", *pos + 2 + digits));
+                        }
+                        let code = hex.iter().fold(0, |n, &h| {
+                            n * 16 + (h as char).to_digit(16).expect("checked hex")
+                        });
+                        // An unpaired surrogate has no `char`.
+                        (char::from_u32(code).unwrap_or('\u{fffd}'), 6)
+                    }
+                    _ => return Err(format!("bad escape at byte {}", *pos + 1)),
+                };
+                flush(&mut out, *pos, *pos + len);
+                if BUILD {
+                    out.push(decoded);
+                }
+                *pos += len;
+            }
+            c if c < 0x20 => {
+                return Err(format!("unescaped control character at byte {}", *pos));
+            }
+            _ => *pos += 1,
         }
-        i += 1;
     }
-    Ok(out)
+    Err("unterminated string".to_string())
 }
 
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn number<const BUILD: bool>(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     let start = *pos;
-    number(b, pos)?;
-    let text = std::str::from_utf8(&b[start..*pos]).expect("ascii");
-    if !text.contains(['.', 'e', 'E']) {
-        if let Ok(n) = text.parse::<i64>() {
-            return Ok(Value::Int(n));
+    if b.get(*pos) == Some(&b'-') {
+        *pos += 1;
+    }
+    let digits = |b: &[u8], pos: &mut usize| -> usize {
+        let from = *pos;
+        while matches!(b.get(*pos), Some(c) if c.is_ascii_digit()) {
+            *pos += 1;
+        }
+        *pos - from
+    };
+    if digits(b, pos) == 0 {
+        return Err(format!("bad number at byte {start}"));
+    }
+    let mut integral = true;
+    if b.get(*pos) == Some(&b'.') {
+        integral = false;
+        *pos += 1;
+        if digits(b, pos) == 0 {
+            return Err(format!("bad fraction at byte {}", *pos));
         }
     }
-    text.parse::<f64>()
-        .map(Value::Float)
-        .map_err(|_| format!("unrepresentable number at byte {start}"))
+    if matches!(b.get(*pos), Some(b'e' | b'E')) {
+        integral = false;
+        *pos += 1;
+        if matches!(b.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        if digits(b, pos) == 0 {
+            return Err(format!("bad exponent at byte {}", *pos));
+        }
+    }
+    if !BUILD {
+        return Ok(Value::Null);
+    }
+    let text = std::str::from_utf8(&b[start..*pos]).expect("ascii");
+    // Out-of-range integers degrade to floats rather than erroring.
+    let int = if integral { text.parse().ok() } else { None };
+    int.map(Value::Int)
+        .or_else(|| text.parse().ok().map(Value::Float))
+        .ok_or_else(|| format!("unrepresentable number at byte {start}"))
 }
 
 #[cfg(test)]
@@ -534,25 +459,43 @@ mod tests {
         }
     }
 
+    /// Fed to both entry points: one grammar, one verdict.
+    const MALFORMED: [&str; 16] = [
+        "",
+        "nul",
+        "NaN",
+        "inf",
+        "01x",
+        "1.",
+        "1e",
+        "--1",
+        "[1,]",
+        "{\"a\" 1}",
+        "{\"a\": }",
+        "\"unterminated",
+        "\"bad \\q escape\"",
+        "\"bad \\u12 escape\"",
+        "\"raw \n newline\"",
+        "{} trailing",
+    ];
+
     #[test]
     fn validator_rejects_malformed_documents() {
-        for bad in [
-            "",
-            "nul",
-            "NaN",
-            "inf",
-            "01x",
-            "1.",
-            "[1,]",
-            "{\"a\" 1}",
-            "{\"a\": }",
-            "\"unterminated",
-            "\"bad \\q escape\"",
-            "\"raw \n newline\"",
-            "{} trailing",
-        ] {
+        for bad in MALFORMED {
             assert!(validate(bad).is_err(), "accepted malformed input: {bad}");
         }
+    }
+
+    /// One grammar walk, two entry points: on every malformed input of the
+    /// two tests around this one, and on well-formed ones, `validate` and
+    /// `parse` reach the same verdict, with the same error at the same byte.
+    #[test]
+    fn validator_and_parser_agree_on_every_input() {
+        let well_formed = ["null", "[1, {\"k\": \"\\u0041\"}]", " -0.5e+3 "];
+        for doc in MALFORMED.iter().chain(&well_formed) {
+            assert_eq!(validate(doc), parse(doc).map(|_| ()), "input: {doc}");
+        }
+        assert!(well_formed.iter().all(|doc| validate(doc).is_ok()));
     }
 
     #[test]
@@ -584,16 +527,7 @@ mod tests {
 
     #[test]
     fn parser_rejects_malformed_input_without_panicking() {
-        for bad in [
-            "",
-            "{\"a\": }",
-            "[1,]",
-            "\"unterminated",
-            "\"bad \\q\"",
-            "{} trailing",
-            "1e",
-            "--1",
-        ] {
+        for bad in MALFORMED {
             assert!(parse(bad).is_err(), "accepted: {bad}");
         }
         // Unpaired surrogate escapes decode to the replacement character

@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 use spice_ir::exec::{ExecutionCost, ExecutionReport, MisspeculationCause, WorkerReport};
 use spice_ir::{FuncId, TraceEvent, TrapKind};
 use spice_sim::machine::RunSummary;
-use spice_sim::{InvocationStats, Machine, SimError};
+use spice_sim::{Machine, SimError};
 
 use crate::predictor::{read_feedback, read_plan, Assignment, PredictorOptions};
 use crate::transform::SpiceParallelLoop;
@@ -126,7 +126,6 @@ impl InvocationReport {
 #[derive(Debug)]
 pub struct SpiceRunner {
     spice: SpiceParallelLoop,
-    stats: InvocationStats,
     last_plan: Vec<Assignment>,
     invocations: u64,
 }
@@ -153,7 +152,6 @@ impl SpiceRunner {
         }
         SpiceRunner {
             spice,
-            stats: InvocationStats::new(),
             last_plan: Vec::new(),
             invocations: 0,
         }
@@ -163,12 +161,6 @@ impl SpiceRunner {
     #[must_use]
     pub fn spice(&self) -> &SpiceParallelLoop {
         &self.spice
-    }
-
-    /// Accumulated per-invocation statistics.
-    #[must_use]
-    pub fn stats(&self) -> &InvocationStats {
-        &self.stats
     }
 
     /// The threshold assignments the on-core centralized step wrote for the
@@ -249,7 +241,6 @@ impl SpiceRunner {
         let summary = machine.run()?;
         self.last_plan = read_plan(&self.spice.layout, machine.mem())?;
         let feedback = read_feedback(&self.spice.layout, machine.mem())?;
-        self.stats.record(&summary, feedback.misspeculated);
         let workers = self.spice.workers.len() as u64;
         machine.trace_emit(TraceEvent::PredictorPlan {
             at: summary.cycles,
@@ -371,20 +362,17 @@ mod tests {
 
         // Several invocations over the same (unchanged) list: after the first
         // one the predictions must hit and the result stays correct.
-        let mut saw_success = false;
+        let mut misspeculated = Vec::new();
         for _ in 0..4 {
             let report = runner
                 .run_invocation(&mut machine, &[head, out_global])
                 .unwrap();
             assert_eq!(report.return_value, Some(sequential_min(&weights)));
-            if !report.misspeculated {
-                saw_success = true;
-            }
+            misspeculated.push(report.misspeculated);
         }
         assert!(
-            saw_success,
-            "speculation never succeeded on a stable list: {:?}",
-            runner.stats().misspeculated
+            misspeculated.contains(&false),
+            "speculation never succeeded on a stable list: {misspeculated:?}"
         );
     }
 
@@ -425,12 +413,15 @@ mod tests {
         let mut runner = SpiceRunner::new(spice);
 
         let mut best_cycles = u64::MAX;
+        let mut retired_per_core = Vec::new();
         for _ in 0..5 {
             let report = runner
                 .run_invocation(&mut machine, &[head, out_global])
                 .unwrap();
             assert_eq!(report.return_value, Some(sequential_min(&weights)));
             best_cycles = best_cycles.min(report.cycles);
+            let retired: Vec<u64> = report.summary.cores.iter().map(|c| c.retired).collect();
+            retired_per_core.push(retired);
         }
         assert!(
             best_cycles < seq_cycles,
@@ -438,15 +429,12 @@ mod tests {
         );
         // With 4 threads and a stable list, at least one invocation should
         // split work across several cores.
-        let spread = runner
-            .stats()
-            .work_per_core
+        let spread = retired_per_core
             .iter()
             .any(|w| w.iter().filter(|&&x| x > 0).count() >= 3);
         assert!(
             spread,
-            "work never spread across cores: {:?}",
-            runner.stats().work_per_core
+            "work never spread across cores: {retired_per_core:?}"
         );
     }
 

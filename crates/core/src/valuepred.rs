@@ -1,19 +1,15 @@
-//! Conventional value predictors and the Spice memoization predictor,
+//! A conventional value predictor and the Spice memoization predictor,
 //! evaluated over recorded live-in traces.
 //!
 //! Section 2.2 of the paper argues that the predictors used by prior TLS
-//! work — last-value, stride, and trace-based (increment) predictors —
-//! cannot predict the live-ins of pointer-chasing loops, while Spice's
-//! "remember a few values from the previous invocation" strategy can. This
-//! module implements all four so that claim can be measured: each predictor
-//! consumes the per-iteration loop-carried live-in values of consecutive
-//! loop invocations and reports its prediction accuracy.
-//!
-//! These predictors are also what the baseline *TLS with value prediction*
-//! scheme (paper Figure 3) uses to decide how often an iteration's input can
-//! be guessed.
-
-use std::collections::HashMap;
+//! work (last-value, stride, trace-based increment) cannot predict the
+//! live-ins of pointer-chasing loops, while Spice's "remember a few values
+//! from the previous invocation" strategy can. This module implements the
+//! stride predictor and the Spice criterion so that claim can be measured:
+//! each consumes the per-iteration loop-carried live-in values of
+//! consecutive loop invocations and reports its prediction accuracy (the
+//! `schedules` experiment's *TLS with value prediction* baseline, paper
+//! Figure 3).
 
 /// A trace of one loop invocation: the loop-carried live-in tuple observed at
 /// the start of every iteration.
@@ -21,18 +17,12 @@ pub type InvocationTrace = Vec<Vec<i64>>;
 
 /// A value predictor evaluated against per-iteration live-in tuples.
 pub trait ValuePredictor {
-    /// Human-readable predictor name.
-    fn name(&self) -> &'static str;
-
     /// Predicts the live-in tuple of the next iteration, or `None` when the
     /// predictor has no prediction yet (cold start).
     fn predict(&self) -> Option<Vec<i64>>;
 
     /// Informs the predictor of the live-in tuple actually observed.
     fn observe(&mut self, actual: &[i64]);
-
-    /// Informs the predictor that a new loop invocation begins.
-    fn new_invocation(&mut self) {}
 }
 
 /// Accuracy statistics of one predictor over a workload.
@@ -64,7 +54,6 @@ pub fn evaluate_predictor<P: ValuePredictor + ?Sized>(
 ) -> PredictorStats {
     let mut stats = PredictorStats::default();
     for inv in invocations {
-        predictor.new_invocation();
         for tuple in inv {
             if let Some(guess) = predictor.predict() {
                 stats.predictions += 1;
@@ -76,35 +65,6 @@ pub fn evaluate_predictor<P: ValuePredictor + ?Sized>(
         }
     }
     stats
-}
-
-/// Predicts that the next value equals the previous value (Lipasti-style
-/// last-value prediction).
-#[derive(Debug, Clone, Default)]
-pub struct LastValuePredictor {
-    last: Option<Vec<i64>>,
-}
-
-impl LastValuePredictor {
-    /// Creates an empty predictor.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl ValuePredictor for LastValuePredictor {
-    fn name(&self) -> &'static str {
-        "last-value"
-    }
-
-    fn predict(&self) -> Option<Vec<i64>> {
-        self.last.clone()
-    }
-
-    fn observe(&mut self, actual: &[i64]) {
-        self.last = Some(actual.to_vec());
-    }
 }
 
 /// Predicts `last + stride` per live-in component, with the stride learned
@@ -124,10 +84,6 @@ impl StridePredictor {
 }
 
 impl ValuePredictor for StridePredictor {
-    fn name(&self) -> &'static str {
-        "stride"
-    }
-
     fn predict(&self) -> Option<Vec<i64>> {
         match (&self.last, &self.stride) {
             (Some(last), Some(stride)) => Some(
@@ -154,64 +110,6 @@ impl ValuePredictor for StridePredictor {
     }
 }
 
-/// Trace-based increment predictor in the style of Marcuello et al.: the
-/// stride is learned *per control-flow path through the iteration* (the
-/// "loop iteration trace"), so different paths can carry different
-/// increments.
-#[derive(Debug, Clone, Default)]
-pub struct IncrementTracePredictor {
-    last: Option<Vec<i64>>,
-    strides: HashMap<u64, Vec<i64>>,
-    current_path: u64,
-}
-
-impl IncrementTracePredictor {
-    /// Creates an empty predictor.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the identifier of the control-flow path taken by the most
-    /// recently completed iteration — the prediction context. Callers that
-    /// do not track paths can leave it at 0, which makes this predictor
-    /// equivalent to [`StridePredictor`] with one context.
-    pub fn set_path(&mut self, path: u64) {
-        self.current_path = path;
-    }
-}
-
-impl ValuePredictor for IncrementTracePredictor {
-    fn name(&self) -> &'static str {
-        "increment-trace"
-    }
-
-    fn predict(&self) -> Option<Vec<i64>> {
-        let last = self.last.as_ref()?;
-        let stride = self.strides.get(&self.current_path)?;
-        Some(
-            last.iter()
-                .zip(stride)
-                .map(|(l, s)| l.wrapping_add(*s))
-                .collect(),
-        )
-    }
-
-    fn observe(&mut self, actual: &[i64]) {
-        if let Some(last) = &self.last {
-            let stride: Vec<i64> = actual
-                .iter()
-                .zip(last)
-                .map(|(a, l)| a.wrapping_sub(*l))
-                .collect();
-            // The increment is attributed to the path of the iteration that
-            // produced it (the current prediction context).
-            self.strides.insert(self.current_path, stride);
-        }
-        self.last = Some(actual.to_vec());
-    }
-}
-
 /// The Spice predictor evaluated at the same granularity as the others, but
 /// with its own success criterion (paper §1, second insight): it predicts
 /// that a live-in tuple memoized from the *previous* invocation will appear
@@ -224,7 +122,6 @@ impl ValuePredictor for IncrementTracePredictor {
 pub struct SpiceMemoPredictor {
     chunks: usize,
     memoized: Vec<Vec<i64>>,
-    current: Vec<Vec<i64>>,
 }
 
 impl SpiceMemoPredictor {
@@ -239,7 +136,6 @@ impl SpiceMemoPredictor {
         SpiceMemoPredictor {
             chunks,
             memoized: Vec::new(),
-            current: Vec::new(),
         }
     }
 
@@ -261,8 +157,7 @@ impl SpiceMemoPredictor {
                 }
             }
             // Memoize evenly spaced tuples from this invocation.
-            self.current = inv.clone();
-            self.memoized = memoize_evenly(&self.current, self.chunks);
+            self.memoized = memoize_evenly(inv, self.chunks);
         }
         stats
     }
@@ -297,25 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn last_value_predicts_constant_stream() {
-        let invs = vec![tuples(&[5, 5, 5, 5])];
-        let mut p = LastValuePredictor::new();
-        let s = evaluate_predictor(&mut p, &invs);
-        assert_eq!(s.predictions, 3);
-        assert_eq!(s.correct, 3);
-        assert!((s.accuracy() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn last_value_fails_on_pointer_chase() {
-        // Distinct node addresses every iteration.
-        let invs = vec![tuples(&[100, 116, 132, 148, 164])];
-        let mut p = LastValuePredictor::new();
-        let s = evaluate_predictor(&mut p, &invs);
-        assert_eq!(s.correct, 0);
-    }
-
-    #[test]
     fn stride_predicts_contiguous_nodes_but_not_reordered_lists() {
         // Contiguously allocated list: stride 16 -> perfect after warmup.
         let invs = vec![tuples(&[100, 116, 132, 148, 164])];
@@ -329,40 +205,6 @@ mod tests {
         let mut p = StridePredictor::new();
         let s = evaluate_predictor(&mut p, &invs);
         assert!(s.accuracy() < 0.5);
-    }
-
-    #[test]
-    fn increment_trace_uses_per_path_strides() {
-        let mut p = IncrementTracePredictor::new();
-        // Iterations alternate between two control-flow paths: path 0 bumps
-        // the live-in by 1, path 1 bumps it by 10. A plain stride predictor
-        // cannot track this; the trace-based predictor can once both strides
-        // are learned. Each tuple is (path of the iteration that produced
-        // this value, value).
-        let seq: Vec<(u64, i64)> = vec![(0, 0), (0, 1), (1, 11), (0, 12), (1, 22), (0, 23)];
-        let mut correct = 0;
-        let mut total = 0;
-        for (path, v) in seq {
-            p.set_path(path);
-            if let Some(g) = p.predict() {
-                total += 1;
-                if g == vec![v] {
-                    correct += 1;
-                }
-            }
-            p.observe(&[v]);
-        }
-        // Predictions start once the relevant path's stride is known (the
-        // fourth observation onwards); from then on every guess is right.
-        assert_eq!(total, 3);
-        assert_eq!(correct, 3);
-        assert_eq!(p.name(), "increment-trace");
-
-        // The plain stride predictor gets at most one of these right.
-        let inv: InvocationTrace = vec![vec![0], vec![1], vec![11], vec![12], vec![22], vec![23]];
-        let mut sp = StridePredictor::new();
-        let st = evaluate_predictor(&mut sp, &[inv]);
-        assert!(st.correct <= 1);
     }
 
     #[test]

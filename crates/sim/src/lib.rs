@@ -16,8 +16,16 @@
 //!   speculative state,
 //! * the remote `resteer` mechanism used to squash mis-speculated threads,
 //! * per-core statistics (stall breakdowns, cache hit levels, retired
-//!   instruction mixes) and an optional activity trace from which the
-//!   paper's execution-schedule figures can be redrawn.
+//!   instruction mixes), and one optional observer — event tracing with
+//!   squash forensics, and per-block cycle attribution — that never changes
+//!   simulated time.
+//!
+//! The machine is five files: [`machine`] (cores, memory and system ports,
+//! the issue group, the event loop and its cycle-stepped oracle),
+//! `channel` ([`machine::ChannelNet`]), `conflict` (the `spec.check`
+//! detection sets), `observe` (the observer) and `snapshot`
+//! ([`MachineSnapshot`]: checkpoint, resume, pause). Their public items are
+//! reachable through [`machine`] and the crate root.
 //!
 //! Absolute cycle counts are not expected to match the authors' Itanium
 //! testbed; the structural effects the paper's argument rests on (pointer
@@ -56,15 +64,17 @@
 
 pub mod backend;
 pub mod cache;
+mod channel;
 pub mod config;
+mod conflict;
 pub mod machine;
+mod observe;
+mod snapshot;
 pub mod specbuf;
 pub mod stats;
 
 pub use backend::SequentialSimBackend;
 pub use config::{CacheConfig, CoreConfig, MachineConfig, WritePolicy};
-pub use machine::{
-    ActivityTrace, CoreReport, CycleAttribution, Machine, MachineSnapshot, RunSummary, SimError,
-};
+pub use machine::{CoreReport, CycleAttribution, Machine, MachineSnapshot, RunSummary, SimError};
 pub use specbuf::SpecBuffer;
-pub use stats::{geomean, speedup, InvocationStats};
+pub use stats::{geomean, speedup};

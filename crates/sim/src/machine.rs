@@ -39,372 +39,31 @@
 //! — the keys, and the cycle pending resteers were queued at — so a snapshot
 //! taken between any two events resumes bit-identically. See `DESIGN.md`,
 //! "harness performance architecture".
+//!
+//! This file is the cores, the two ports a step runs against, the issue
+//! group and the event loop. The rest of the machine sits beside it:
+//! `channel.rs` ([`ChannelNet`]), `conflict.rs` (the `spec.check` detection
+//! sets), `observe.rs` (the one observer the issue group reports to: tracing
+//! with squash forensics, and [`CycleAttribution`]) and `snapshot.rs`
+//! ([`MachineSnapshot`], [`Machine::resume_from`], [`Machine::run_until`]).
 
-use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use spice_ir::exec::AccessSet;
-use spice_ir::interp::{
-    ChannelTable, FlatMemory, MemPort, StepEvent, SysPort, ThreadState, ThreadStatus,
-};
-use spice_ir::{
-    BlockId, DecodedProgram, FuncId, InstClass, MisspeculationCause, Program, SquashForensics,
-    TraceEvent, TraceRecorder, TraceSink, TrapKind,
-};
+use spice_ir::interp::{FlatMemory, MemPort, StepEvent, SysPort, ThreadState, ThreadStatus};
+use spice_ir::{BlockId, DecodedProgram, FuncId, InstClass, Program, TrapKind};
 
 use crate::cache::{HitLevel, MemAccessStats, MemoryHierarchy};
 use crate::config::MachineConfig;
+use crate::conflict::ConflictTracker;
+use crate::observe::{MemAccess, Observer, SysOp};
+use crate::snapshot::SnapshotRecorder;
 use crate::specbuf::SpecBuffer;
 
-/// A message travelling between cores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Message {
-    ready_at: u64,
-    value: i64,
-}
-
-/// The set of inter-core scalar channels, kept in a dense table indexed by
-/// the small integer channel ids the transformation allocates (no hashing on
-/// the send/receive path).
-#[derive(Debug, Clone, Default)]
-pub struct ChannelNet {
-    queues: ChannelTable<Message>,
-}
-
-impl ChannelNet {
-    /// Enqueues `value` on `chan`, visible to receivers at `ready_at`.
-    pub fn send(&mut self, chan: i64, value: i64, ready_at: u64) {
-        self.queues
-            .queue_mut(chan)
-            .push_back(Message { ready_at, value });
-    }
-
-    /// Dequeues the oldest message on `chan` if it has arrived by `now`.
-    pub fn try_recv(&mut self, chan: i64, now: u64) -> Option<i64> {
-        let q = self.queues.existing_mut(chan)?;
-        match q.front() {
-            Some(m) if m.ready_at <= now => q.pop_front().map(|m| m.value),
-            _ => None,
-        }
-    }
-
-    /// Arrival time of the oldest message queued on `chan`, if any — the
-    /// wake-up event for a core blocked receiving on it. (Send times are
-    /// monotone, so the queue front is the earliest arrival.)
-    #[must_use]
-    pub fn earliest_on(&self, chan: i64) -> Option<u64> {
-        self.queues.queue(chan)?.front().map(|m| m.ready_at)
-    }
-
-    /// Total messages currently queued (arrived or still in flight). A walk
-    /// over every queue: the event loop asks only once nothing is scheduled.
-    #[must_use]
-    pub fn pending(&self) -> usize {
-        self.queues.queues().map(VecDeque::len).sum()
-    }
-
-    /// Empties every queue while keeping their allocations for the next
-    /// invocation.
-    pub fn clear(&mut self) {
-        self.queues.clear_queues();
-    }
-}
-
-/// Origin of the most recent architectural write to one word this epoch —
-/// forensic metadata only, consulted when a squash needs explaining.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct WriteOrigin {
-    core: u32,
-    /// Chunk id the writer was inside when the word became architectural
-    /// (`None` for the non-speculative main chunk).
-    chunk: Option<u64>,
-    func: FuncId,
-    block: BlockId,
-    at: u64,
-}
-
-/// Optional per-address attribution kept alongside the conflict sets while
-/// tracing is on: which site last wrote each word this epoch, where each
-/// core's speculative reads came from, and *word-granular* shadows of the
-/// (possibly coarser-grained) detection sets so a squash can be classified
-/// as a true RAW or a false conflict the coarsening invented. Forensics are
-/// an observer — they never feed back into verdicts.
-#[derive(Debug, Clone)]
-struct Forensics {
-    /// Monotone chunk-id allocator (never reset, so ids are unique within a
-    /// traced machine's lifetime).
-    next_chunk: u64,
-    /// Chunk id currently active per core, if any.
-    cur_chunk: Vec<Option<u64>>,
-    /// Last architectural writer per word address this epoch.
-    writers: HashMap<i64, WriteOrigin>,
-    /// Per core: site and cycle of the first speculative read of each word.
-    read_sites: Vec<HashMap<i64, (FuncId, BlockId, u64)>>,
-    /// Word-granular shadow of `epoch_writes`.
-    epoch_writes_words: AccessSet,
-    /// Word-granular shadows of `read_sets`.
-    read_sets_words: Vec<AccessSet>,
-}
-
-impl Forensics {
-    fn new(cores: usize) -> Self {
-        Forensics {
-            next_chunk: 0,
-            cur_chunk: vec![None; cores],
-            writers: HashMap::new(),
-            read_sites: vec![HashMap::new(); cores],
-            epoch_writes_words: AccessSet::new(),
-            read_sets_words: vec![AccessSet::new(); cores],
-        }
-    }
-}
-
-/// The memory system's cross-chunk conflict detection (paper §3, "Conflict
-/// Detection"): per-core speculative read sets kept as [`AccessSet`]s, plus the union of every write committed during the
-/// current loop invocation ("epoch") — the main thread's direct stores and
-/// the buffers of committed speculative chunks. A `spec.check` instruction
-/// asks whether a core's read set intersects the epoch's committed writes;
-/// a positive verdict is sticky for the epoch so it can be attributed in the
-/// per-core report. Interior mutability because the query runs inside
-/// another core's instruction step (the machine is single-threaded; every
-/// borrow is short-lived).
-///
-/// Only loads that missed the core's own store buffer are recorded
-/// (`CoreMemPort::load`): a store-forwarded load returns the core's own,
-/// logically newer value and can never observe a stale word.
-#[derive(Debug, Clone)]
-struct ConflictTracker {
-    enabled: bool,
-    granularity_log2: u8,
-    /// Half-open address range `[lo, hi)` excluded from tracking: the value
-    /// predictor's shared arrays (`sva`/`svat`/`svai`/`work`/…). They are
-    /// runtime metadata whose accesses are ordered by the `new_invocation`
-    /// token protocol, not program data — the centralized step rewrites them
-    /// on core 0 at the start of every invocation, and without the exemption
-    /// each worker's in-loop threshold loads would read as RAW violations.
-    exempt: Option<(i64, i64)>,
-    /// Number of cores currently inside a speculative chunk (between
-    /// `spec.begin` and its commit/abort). While this is zero, architectural
-    /// writes are *not* recorded into the epoch's committed-write set: a
-    /// write that precedes every active (and therefore every future)
-    /// speculative read of the epoch cannot be the earlier half of a RAW
-    /// violation — the reader observes the post-write value. This is what
-    /// lets a miniature application's serial phases (e.g. `mcf_app`'s arc
-    /// scan and tree relink, which store to the very links the speculative
-    /// walk later traverses) run before the workers are released without
-    /// poisoning every chunk.
-    active_chunks: Cell<usize>,
-    epoch_writes: RefCell<AccessSet>,
-    read_sets: RefCell<Vec<AccessSet>>,
-    /// First conflicting word address found per core this epoch, if any.
-    verdicts: RefCell<Vec<Option<i64>>>,
-    /// Squash-forensics attribution, present only while tracing is on.
-    forensics: RefCell<Option<Box<Forensics>>>,
-}
-
-impl ConflictTracker {
-    fn new(cores: usize, enabled: bool, granularity_log2: u8) -> Self {
-        ConflictTracker {
-            enabled,
-            granularity_log2,
-            exempt: None,
-            active_chunks: Cell::new(0),
-            epoch_writes: RefCell::new(AccessSet::with_granularity(granularity_log2)),
-            read_sets: RefCell::new(vec![AccessSet::with_granularity(granularity_log2); cores]),
-            verdicts: RefCell::new(vec![None; cores]),
-            forensics: RefCell::new(None),
-        }
-    }
-
-    /// Turns on squash forensics (idempotent; chunk ids keep counting).
-    fn enable_forensics(&self) {
-        let mut guard = self.forensics.borrow_mut();
-        if guard.is_none() {
-            let cores = self.read_sets.borrow().len();
-            *guard = Some(Box::new(Forensics::new(cores)));
-        }
-    }
-
-    fn is_exempt(&self, addr: i64) -> bool {
-        self.exempt.is_some_and(|(lo, hi)| addr >= lo && addr < hi)
-    }
-
-    /// Records a speculative load that missed the core's own store buffer.
-    fn record_read(&self, core: usize, addr: i64) {
-        if self.enabled && !self.is_exempt(addr) {
-            self.read_sets.borrow_mut()[core].insert(addr);
-        }
-    }
-
-    /// Records a write that became architectural (a non-speculative store or
-    /// one address of a committed speculative buffer). Skipped while no core
-    /// is speculating — see [`ConflictTracker::active_chunks`]; the skip is
-    /// exact, not merely safe.
-    fn record_write(&self, addr: i64) {
-        if self.enabled && self.active_chunks.get() > 0 && !self.is_exempt(addr) {
-            self.epoch_writes.borrow_mut().insert(addr);
-        }
-    }
-
-    /// Forensic twin of [`ConflictTracker::record_read`], called by the port
-    /// on the same gating path when tracing is on: remembers the word-exact
-    /// read and its first site.
-    fn note_read(&self, core: usize, addr: i64, func: FuncId, block: BlockId, at: u64) {
-        if !self.enabled || self.is_exempt(addr) {
-            return;
-        }
-        if let Some(f) = self.forensics.borrow_mut().as_mut() {
-            f.read_sets_words[core].insert(addr);
-            f.read_sites[core].entry(addr).or_insert((func, block, at));
-        }
-    }
-
-    /// Forensic twin of [`ConflictTracker::record_write`]: remembers the
-    /// word-exact write and its origin (core, active chunk, site, cycle).
-    fn note_write(&self, core: usize, addr: i64, func: FuncId, block: BlockId, at: u64) {
-        if !self.enabled || self.active_chunks.get() == 0 || self.is_exempt(addr) {
-            return;
-        }
-        if let Some(f) = self.forensics.borrow_mut().as_mut() {
-            f.epoch_writes_words.insert(addr);
-            let chunk = f.cur_chunk[core];
-            f.writers.insert(
-                addr,
-                WriteOrigin {
-                    core: core as u32,
-                    chunk,
-                    func,
-                    block,
-                    at,
-                },
-            );
-        }
-    }
-
-    /// Starts a core's speculative chunk (`spec.begin` retired). Returns the
-    /// forensic chunk id, if forensics are on.
-    fn start_chunk(&self, core: usize) -> Option<u64> {
-        if self.enabled {
-            self.active_chunks.set(self.active_chunks.get() + 1);
-        }
-        self.forensics.borrow_mut().as_mut().map(|f| {
-            let id = f.next_chunk;
-            f.next_chunk += 1;
-            f.cur_chunk[core] = Some(id);
-            id
-        })
-    }
-
-    /// The forensic chunk id currently active on `core`, if any.
-    fn current_chunk(&self, core: usize) -> Option<u64> {
-        self.forensics
-            .borrow()
-            .as_ref()
-            .and_then(|f| f.cur_chunk[core])
-    }
-
-    /// Reconstructs the RAW chain behind `core`'s pending conflict verdict.
-    /// Must run *before* [`ConflictTracker::end_chunk`] consumes the read
-    /// set. Returns `None` when forensics are off or no overlap exists.
-    fn squash_forensics(&self, core: usize) -> Option<SquashForensics> {
-        let guard = self.forensics.borrow();
-        let f = guard.as_ref()?;
-        let grain_reads = self.read_sets.borrow();
-        let grain_writes = self.epoch_writes.borrow();
-        let addr = grain_reads.get(core)?.first_overlap(&grain_writes)?;
-        let word_addr = f.read_sets_words[core].first_overlap(&f.epoch_writes_words);
-        let grain_overlaps = grain_reads[core].overlap_count(&grain_writes) as u64;
-        let word_overlaps = f.read_sets_words[core].overlap_count(&f.epoch_writes_words) as u64;
-        let span = 1i64 << self.granularity_log2;
-        // Word-exact overlap first; for a pure false conflict, fall back to
-        // whichever word of the guilty grain each side actually touched.
-        let writer = word_addr
-            .and_then(|w| f.writers.get(&w))
-            .or_else(|| (addr..addr + span).find_map(|w| f.writers.get(&w)));
-        let reader = word_addr
-            .and_then(|w| f.read_sites[core].get(&w))
-            .or_else(|| (addr..addr + span).find_map(|w| f.read_sites[core].get(&w)));
-        Some(SquashForensics {
-            addr,
-            word_addr,
-            writer_core: writer.map(|w| w.core),
-            writer_chunk: writer.and_then(|w| w.chunk),
-            writer_site: writer.map(|w| (w.func, w.block)),
-            writer_at: writer.map(|w| w.at),
-            reader_site: reader.map(|&(func, block, _)| (func, block)),
-            false_conflicts: grain_overlaps.saturating_sub(word_overlaps),
-            granularity_log2: self.granularity_log2,
-        })
-    }
-
-    /// Ends a core's speculative chunk (commit or abort): its read set is
-    /// consumed; the verdict, if any, stays for reporting.
-    fn end_chunk(&self, core: usize) {
-        if self.enabled {
-            self.read_sets.borrow_mut()[core].clear();
-            self.active_chunks
-                .set(self.active_chunks.get().saturating_sub(1));
-        }
-        if let Some(f) = self.forensics.borrow_mut().as_mut() {
-            f.read_sets_words[core].clear();
-            f.read_sites[core].clear();
-            f.cur_chunk[core] = None;
-        }
-    }
-
-    /// Answers a `spec.check`: 1 if `core`'s read set intersects the writes
-    /// committed so far this epoch.
-    fn query(&self, core: i64) -> i64 {
-        if !self.enabled {
-            return 0;
-        }
-        let Ok(idx) = usize::try_from(core) else {
-            return 0;
-        };
-        let reads = self.read_sets.borrow();
-        let Some(set) = reads.get(idx) else { return 0 };
-        match set.first_overlap(&self.epoch_writes.borrow()) {
-            Some(addr) => {
-                self.verdicts.borrow_mut()[idx].get_or_insert(addr);
-                1
-            }
-            None => 0,
-        }
-    }
-
-    fn verdict(&self, core: usize) -> Option<i64> {
-        self.verdicts.borrow().get(core).copied().flatten()
-    }
-
-    /// Starts a new epoch (loop invocation): all sets and verdicts reset.
-    /// Forensic chunk ids stay monotone across epochs.
-    fn clear_epoch(&self) {
-        self.active_chunks.set(0);
-        self.epoch_writes.borrow_mut().clear();
-        for s in self.read_sets.borrow_mut().iter_mut() {
-            s.clear();
-        }
-        for v in self.verdicts.borrow_mut().iter_mut() {
-            *v = None;
-        }
-        if let Some(f) = self.forensics.borrow_mut().as_mut() {
-            f.writers.clear();
-            f.epoch_writes_words.clear();
-            for s in f.read_sets_words.iter_mut() {
-                s.clear();
-            }
-            for m in f.read_sites.iter_mut() {
-                m.clear();
-            }
-            for c in f.cur_chunk.iter_mut() {
-                *c = None;
-            }
-        }
-    }
-}
+pub use crate::channel::ChannelNet;
+pub use crate::observe::CycleAttribution;
+pub use crate::snapshot::MachineSnapshot;
 
 /// Why a core spent a cycle without retiring an instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -512,7 +171,7 @@ impl std::fmt::Display for SimError {
 impl std::error::Error for SimError {}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SpecAction {
+pub(crate) enum SpecAction {
     Begin,
     Commit,
     Abort,
@@ -534,17 +193,6 @@ enum CoreCycleEnd {
     Trapped,
 }
 
-/// One memory access observed by the tracing layer (recorded, not replayed:
-/// purely an event payload).
-#[derive(Debug, Clone, Copy)]
-struct MemAccess {
-    addr: i64,
-    value: i64,
-    is_store: bool,
-    /// Whether the access missed every cache level.
-    missed: bool,
-}
-
 struct CoreMemPort<'a> {
     mem: &'a mut FlatMemory,
     hier: &'a mut MemoryHierarchy,
@@ -552,11 +200,7 @@ struct CoreMemPort<'a> {
     conflicts: &'a ConflictTracker,
     core: usize,
     latency: u64,
-    /// Tracing support, all inert unless `record` is set: the issuing
-    /// instruction's site and cycle, and the access the current step made.
-    record: bool,
-    site: (FuncId, BlockId),
-    now: u64,
+    /// The access the current step made, for whoever observes the step.
     accessed: Option<MemAccess>,
 }
 
@@ -565,44 +209,43 @@ impl MemPort for CoreMemPort<'_> {
     fn load(&mut self, addr: i64) -> Result<i64, TrapKind> {
         let (lat, level) = self.hier.load(self.core, addr);
         self.latency += lat;
-        let value = if let Some(v) = self.spec.load(addr) {
-            v
-        } else {
-            if self.spec.is_active() {
+        let mut tracked = false;
+        let read = match self.spec.load(addr) {
+            Some(v) => Ok(v),
+            None => {
                 // A speculative load that missed the store buffer may observe
                 // a stale word: it joins the conflict detector's read set.
-                self.conflicts.record_read(self.core, addr);
-                if self.record {
-                    self.conflicts
-                        .note_read(self.core, addr, self.site.0, self.site.1, self.now);
-                }
+                tracked = self.spec.is_active() && self.conflicts.record_read(self.core, addr);
+                self.mem.read(addr)
             }
-            self.mem.read(addr)?
         };
-        if self.record {
-            self.accessed = Some(MemAccess {
-                addr,
-                value,
-                is_store: false,
-                missed: level == HitLevel::Memory,
-            });
-        }
-        Ok(value)
+        self.accessed = Some(MemAccess {
+            addr,
+            value: read.unwrap_or(0),
+            is_store: false,
+            missed: level == HitLevel::Memory,
+            tracked,
+        });
+        read
     }
 
     #[inline]
     fn store(&mut self, addr: i64, value: i64) -> Result<(), TrapKind> {
         let (lat, level) = self.hier.store(self.core, addr);
         self.latency += lat;
-        if self.record {
-            self.accessed = Some(MemAccess {
-                addr,
-                value,
-                is_store: true,
-                missed: level == HitLevel::Memory,
-            });
-        }
-        if self.spec.is_active() {
+        let speculative = self.spec.is_active();
+        // Non-speculative stores are architectural immediately; they are the
+        // epoch's committed-write set as far as later chunks are concerned
+        // (the main thread's chunk 0 in a Spice loop).
+        let tracked = !speculative && self.conflicts.record_write(addr);
+        self.accessed = Some(MemAccess {
+            addr,
+            value,
+            is_store: true,
+            missed: level == HitLevel::Memory,
+            tracked,
+        });
+        if speculative {
             // Validate the address eagerly so that wild speculative stores
             // trap like real ones would (the squash path recovers them).
             if addr < 0 || addr as usize >= self.mem.size() {
@@ -611,14 +254,6 @@ impl MemPort for CoreMemPort<'_> {
             self.spec.store(addr, value);
             Ok(())
         } else {
-            // Non-speculative stores are architectural immediately; they are
-            // the epoch's committed-write set as far as later chunks are
-            // concerned (the main thread's chunk 0 in a Spice loop).
-            self.conflicts.record_write(addr);
-            if self.record {
-                self.conflicts
-                    .note_write(self.core, addr, self.site.0, self.site.1, self.now);
-            }
             self.mem.write(addr, value)
         }
     }
@@ -633,50 +268,33 @@ struct CoreSysPort<'a> {
     channels: &'a mut ChannelNet,
     resteers: &'a mut Vec<(i64, BlockId)>,
     conflicts: &'a ConflictTracker,
-    now: u64,
-    comm_latency: u64,
+    /// When a message sent this cycle becomes visible to its receiver.
+    arrival: u64,
+    /// The cycle being stepped.
+    cycle: u64,
     spec_action: Option<SpecAction>,
     /// The channel of the last `try_recv` that came back empty — recorded so
     /// a blocking receive advertises which arrival would wake it (the
     /// event loop's wake key for a blocked core).
     recv_failed_chan: Option<i64>,
-    /// Tracing support, inert unless `record` is set: what the current step
-    /// sent, received, or conflict-checked.
-    record: bool,
-    sent: Option<(i64, i64)>,
-    received: Option<(i64, i64)>,
-    /// `(queried core, verdict)` of a `spec.check` this step.
-    checked: Option<(i64, i64)>,
-}
-
-/// What one step sent, received and conflict-checked (`(chan, value)` twice,
-/// then `(queried core, verdict)`), as [`CoreSysPort`] records them.
-type SysRecording = (Option<(i64, i64)>, Option<(i64, i64)>, Option<(i64, i64)>);
-
-impl CoreSysPort<'_> {
-    #[inline]
-    fn recorded(&mut self) -> SysRecording {
-        (self.sent.take(), self.received.take(), self.checked.take())
-    }
+    /// What the current step sent, received or conflict-checked, for whoever
+    /// observes the step.
+    op: Option<SysOp>,
 }
 
 impl SysPort for CoreSysPort<'_> {
     #[inline]
     fn send(&mut self, chan: i64, value: i64) {
-        if self.record {
-            self.sent = Some((chan, value));
-        }
-        self.channels
-            .send(chan, value, self.now + self.comm_latency);
+        self.op = Some(SysOp::Sent { chan, value });
+        self.channels.send(chan, value, self.arrival);
     }
 
     #[inline]
     fn try_recv(&mut self, chan: i64) -> Option<i64> {
-        let got = self.channels.try_recv(chan, self.now);
+        let got = self.channels.try_recv(chan, self.cycle);
         match got {
             None => self.recv_failed_chan = Some(chan),
-            Some(v) if self.record => self.received = Some((chan, v)),
-            Some(_) => {}
+            Some(value) => self.op = Some(SysOp::Received { chan, value }),
         }
         got
     }
@@ -697,11 +315,9 @@ impl SysPort for CoreSysPort<'_> {
     }
 
     #[inline]
-    fn spec_conflict(&mut self, core: i64) -> i64 {
-        let verdict = self.conflicts.query(core);
-        if self.record {
-            self.checked = Some((core, verdict));
-        }
+    fn spec_conflict(&mut self, queried: i64) -> i64 {
+        let verdict = self.conflicts.query(queried);
+        self.op = Some(SysOp::Checked { queried, verdict });
         verdict
     }
 
@@ -716,7 +332,7 @@ impl SysPort for CoreSysPort<'_> {
 const NEVER: u64 = u64::MAX;
 
 #[derive(Debug, Clone)]
-struct CoreState {
+pub(crate) struct CoreState {
     thread: Option<ThreadState>,
     spec: SpecBuffer,
     busy_until: u64,
@@ -759,7 +375,7 @@ impl CoreState {
     /// changes at the core's own step or at a resteer delivered to it; both
     /// settle first. Crediting is linear, so settling early (a pause, a
     /// snapshot) never changes a total.
-    fn settle(&mut self, upto: u64) {
+    pub(crate) fn settle(&mut self, upto: u64) {
         let dt = upto.saturating_sub(self.accounted);
         if dt == 0 {
             return;
@@ -800,20 +416,20 @@ impl CoreState {
 /// Everything the cores share — one pointer next to the stepping core's
 /// [`CoreState`], so switching cores re-borrows nothing.
 #[derive(Debug)]
-struct Shared {
-    config: MachineConfig,
+pub(crate) struct Shared {
+    pub(crate) config: MachineConfig,
     /// The pre-decoded execution form of the program, built once at load.
-    decoded: Arc<DecodedProgram>,
-    mem: FlatMemory,
-    hier: MemoryHierarchy,
-    channels: ChannelNet,
+    pub(crate) decoded: Arc<DecodedProgram>,
+    pub(crate) mem: FlatMemory,
+    pub(crate) hier: MemoryHierarchy,
+    pub(crate) channels: ChannelNet,
     /// Resteers queued during cycle [`Machine::cycle`], delivered once every
     /// core's step of that cycle has run.
-    resteer_requests: Vec<(i64, BlockId)>,
-    conflicts: ConflictTracker,
-    activity: Option<ActivityTrace>,
-    attribution: Option<CycleAttribution>,
-    trace: Option<TraceRecorder>,
+    pub(crate) resteer_requests: Vec<(i64, BlockId)>,
+    pub(crate) conflicts: ConflictTracker,
+    /// Tracing, squash forensics and cycle attribution, when any is on —
+    /// the one thing `issue_group` asks about who is watching.
+    pub(crate) observer: Option<Box<Observer>>,
 }
 
 impl Shared {
@@ -856,19 +472,12 @@ impl Shared {
             channels,
             resteer_requests,
             conflicts,
-            activity,
-            attribution,
-            trace,
+            observer,
         } = self;
         let (conflicts, decoded): (&ConflictTracker, &DecodedProgram) = (conflicts, decoded);
+        let mut observer = observer.as_deref_mut();
         let issue_width = config.core.issue_width.max(1);
         let thread = core.thread.as_mut().expect("core has a runnable thread");
-        // Source location of the instruction about to retire, captured only
-        // when an observer (attribution or tracing) is on: the group's whole
-        // busy interval is charged to the location of the instruction that
-        // *ends* the group.
-        let tracing = trace.is_some();
-        let observing = tracing || attribution.is_some();
         let mut mem_port = CoreMemPort {
             mem,
             hier,
@@ -876,34 +485,35 @@ impl Shared {
             conflicts,
             core: i,
             latency: 0,
-            record: tracing,
-            site: (FuncId(0), BlockId(0)),
-            now,
             accessed: None,
         };
         let mut sys_port = CoreSysPort {
             channels,
             resteers: resteer_requests,
             conflicts,
-            now,
-            comm_latency: config.inter_core_latency,
+            arrival: now + config.inter_core_latency,
+            cycle: now,
             spec_action: None,
             recv_failed_chan: None,
-            record: tracing,
-            sent: None,
-            received: None,
-            checked: None,
+            op: None,
         };
         let mut issued_this_cycle = 0u64;
+        // Source location of the instruction about to retire, captured only
+        // when someone observes: the group's whole busy interval is charged
+        // to the location of the instruction that *ends* the group.
         let mut src = (FuncId(0), BlockId(0));
         let mut group_retired = 0u32;
         loop {
             mem_port.latency = 0;
-            if observing {
+            if observer.is_some() {
                 src = (thread.current_func(), thread.current_block());
-                mem_port.site = src;
             }
             let result = thread.step(decoded, &mut mem_port, &mut sys_port);
+            if let Some(o) = observer.as_deref_mut() {
+                let seen = (sys_port.op.take(), mem_port.accessed.take());
+                let retired = matches!(result, Ok(StepEvent::Executed(_)));
+                o.step(conflicts, (now, i, src), seen, retired);
+            }
 
             match result {
                 Ok(StepEvent::Executed(info)) => {
@@ -911,15 +521,6 @@ impl Shared {
                     core.report.retired += 1;
                     group_retired += 1;
                     core.class_counts[class.index()] += 1;
-                    if let Some(a) = activity.as_mut() {
-                        a.record(i, now);
-                    }
-                    if let Some(t) = trace.as_mut() {
-                        // (Never a chunk event's instruction: speculation
-                        // control touches neither memory nor channels.)
-                        let recorded = (sys_port.recorded(), mem_port.accessed.take());
-                        emit_port_events(t, conflicts, (now, i, src), recorded);
-                    }
                     let co_issuable = matches!(class, InstClass::IntAlu | InstClass::Other)
                         && mem_port.latency == 0;
                     if co_issuable {
@@ -943,87 +544,44 @@ impl Shared {
                     };
                     core.blocked = false;
                     core.waiting_chan = None;
-                    match sys_port.spec_action.take() {
+                    let action = sys_port.spec_action.take();
+                    let (mut drained, mut writes) = (0, Vec::new());
+                    match action {
                         Some(SpecAction::Begin) => {
                             mem_port.spec.begin();
-                            let chunk = conflicts.start_chunk(i);
-                            if let (Some(t), Some(chunk)) = (trace.as_mut(), chunk) {
-                                t.emit(TraceEvent::ChunkBegin {
-                                    at: now,
-                                    core: i as u32,
-                                    chunk,
-                                });
-                            }
+                            conflicts.start_chunk();
                         }
                         Some(SpecAction::Commit) => {
-                            let writes = mem_port.spec.take_commit();
+                            writes = mem_port.spec.take_commit();
                             core.report.spec_commits += 1;
-                            let chunk = conflicts.current_chunk(i);
-                            let drained = writes.len() as u64;
+                            drained = writes.len() as u64;
                             let mut extra = 0;
-                            for (addr, value) in writes {
-                                // Committed writes drain through the
-                                // hierarchy like ordinary stores, and join
-                                // the epoch's committed-write set for later
-                                // chunks' conflict checks.
+                            // Committed writes drain through the hierarchy
+                            // like ordinary stores, and join the epoch's
+                            // committed-write set for later chunks' conflict
+                            // checks; `writes` keeps the ones the set took.
+                            writes.retain(|&(addr, value)| {
                                 let (lat, _) = mem_port.hier.store(i, addr);
                                 extra += lat.min(config.l2.hit_latency);
-                                conflicts.record_write(addr);
-                                if tracing {
-                                    conflicts.note_write(i, addr, src.0, src.1, now);
-                                }
                                 let _ = mem_port.mem.write(addr, value);
-                            }
-                            conflicts.end_chunk(i);
+                                conflicts.record_write(addr)
+                            });
                             core.busy_until += extra;
-                            if let Some(t) = trace.as_mut() {
-                                t.emit(TraceEvent::ChunkCommit {
-                                    at: now,
-                                    core: i as u32,
-                                    chunk,
-                                    writes: drained,
-                                });
-                            }
                         }
                         Some(SpecAction::Abort) => {
-                            // Forensics must be read out before `end_chunk`
-                            // consumes the read set they explain.
-                            let chunk = conflicts.current_chunk(i);
-                            let forensics = if tracing {
-                                conflicts.squash_forensics(i)
-                            } else {
-                                None
-                            };
                             mem_port.spec.abort();
                             core.report.spec_aborts += 1;
-                            conflicts.end_chunk(i);
-                            if let Some(t) = trace.as_mut() {
-                                let cause = match conflicts.verdict(i) {
-                                    Some(addr) => MisspeculationCause::DependenceViolation { addr },
-                                    None => MisspeculationCause::StalePrediction,
-                                };
-                                t.emit(TraceEvent::ChunkSquash {
-                                    at: now,
-                                    core: i as u32,
-                                    chunk,
-                                    cause,
-                                    forensics,
-                                });
-                            }
                         }
                         None => {}
                     }
-                    if let Some(a) = attribution.as_mut() {
-                        a.add(src.0, src.1, core.busy_until - now);
+                    if let Some(o) = observer {
+                        let group = (group_retired, core.busy_until - now);
+                        o.group_end(conflicts, (now, i, src), group, action, (drained, &writes));
                     }
-                    if let Some(t) = trace.as_mut() {
-                        t.emit(TraceEvent::Retire {
-                            at: now,
-                            core: i as u32,
-                            func: src.0,
-                            block: src.1,
-                            retired: group_retired,
-                        });
+                    // After the observer: a squash is explained from the
+                    // read set this consumes.
+                    if matches!(action, Some(SpecAction::Commit | SpecAction::Abort)) {
+                        conflicts.end_chunk(i);
                     }
                     return if matches!(class, InstClass::Send | InstClass::Resteer) {
                         CoreCycleEnd::Signalled
@@ -1062,172 +620,6 @@ impl Shared {
     }
 }
 
-/// Turns the ports' per-step recordings (taken by value, so the ports
-/// themselves never leave registers) into trace events. Only called while
-/// tracing; purely observational.
-fn emit_port_events(
-    t: &mut TraceRecorder,
-    conflicts: &ConflictTracker,
-    (at, core, src): (u64, usize, (FuncId, BlockId)),
-    ((sent, received, checked), accessed): (SysRecording, Option<MemAccess>),
-) {
-    let core = core as u32;
-    if let Some((chan, value)) = sent {
-        t.emit(TraceEvent::ChannelSend {
-            at,
-            core,
-            chan,
-            value,
-        });
-    }
-    if let Some((chan, value)) = received {
-        t.emit(TraceEvent::ChannelRecv {
-            at,
-            core,
-            chan,
-            value,
-        });
-    }
-    if let Some((queried, verdict)) = checked {
-        let idx = usize::try_from(queried).ok();
-        let conflict = if verdict != 0 {
-            idx.and_then(|q| conflicts.verdict(q))
-        } else {
-            None
-        };
-        t.emit(TraceEvent::ChunkValidate {
-            at,
-            core: u32::try_from(queried).unwrap_or(u32::MAX),
-            chunk: idx.and_then(|q| conflicts.current_chunk(q)),
-            conflict,
-        });
-    }
-    if let Some(a) = accessed {
-        if a.missed {
-            t.emit(TraceEvent::CacheMiss {
-                at,
-                core,
-                addr: a.addr,
-                is_store: a.is_store,
-            });
-        }
-        if t.is_watched(a.addr) {
-            t.emit(TraceEvent::Watch {
-                at,
-                core,
-                func: src.0,
-                block: src.1,
-                addr: a.addr,
-                value: a.value,
-                is_store: a.is_store,
-            });
-        }
-    }
-}
-
-/// Cycle attribution by source location: every busy interval a retired
-/// issue group causes (functional-unit latency, memory stalls, commit
-/// drains) is charged to the `(function, block)` of the instruction that
-/// ended the group. Summed per function this is whole-program profile data —
-/// the measured analogue of Table 2's "fraction of execution time" column —
-/// and summed over a loop's blocks it is the loop's measured hotness.
-/// Attribution is an *observer*: enabling it never changes simulated time,
-/// and it accumulates across invocations until the machine is dropped.
-#[derive(Debug, Clone, Default, Serialize, Deserialize, PartialEq, Eq)]
-pub struct CycleAttribution {
-    /// `cycles[func][block]` — busy cycles charged to that block.
-    cycles: Vec<Vec<u64>>,
-}
-
-impl CycleAttribution {
-    fn add(&mut self, func: FuncId, block: BlockId, dt: u64) {
-        if dt == 0 {
-            return;
-        }
-        let f = func.index();
-        if self.cycles.len() <= f {
-            self.cycles.resize_with(f + 1, Vec::new);
-        }
-        let row = &mut self.cycles[f];
-        let b = block.index();
-        if row.len() <= b {
-            row.resize(b + 1, 0);
-        }
-        row[b] += dt;
-    }
-
-    /// Cycles attributed to one block of `func`.
-    #[must_use]
-    pub fn block_cycles(&self, func: FuncId, block: BlockId) -> u64 {
-        self.cycles
-            .get(func.index())
-            .and_then(|row| row.get(block.index()))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Cycles attributed to `func` as a whole.
-    #[must_use]
-    pub fn func_cycles(&self, func: FuncId) -> u64 {
-        self.cycles
-            .get(func.index())
-            .map(|row| row.iter().sum())
-            .unwrap_or(0)
-    }
-
-    /// All attributed cycles.
-    #[must_use]
-    pub fn total_cycles(&self) -> u64 {
-        self.cycles.iter().flatten().sum()
-    }
-}
-
-/// Records, per core, how many instructions retired in each window of
-/// `window` cycles — enough to reconstruct the execution-schedule figures
-/// (paper Figures 2, 3 and 5) as a timeline.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq, Eq)]
-pub struct ActivityTrace {
-    /// Window size in cycles.
-    pub window: u64,
-    /// `samples[core][w]` = instructions retired by `core` in window `w`.
-    pub samples: Vec<Vec<u64>>,
-}
-
-impl ActivityTrace {
-    fn new(cores: usize, window: u64) -> Self {
-        ActivityTrace {
-            window,
-            samples: vec![Vec::new(); cores],
-        }
-    }
-
-    fn record(&mut self, core: usize, cycle: u64) {
-        let w = (cycle / self.window) as usize;
-        let v = &mut self.samples[core];
-        if v.len() <= w {
-            v.resize(w + 1, 0);
-        }
-        v[w] += 1;
-    }
-
-    /// Renders one line per core, one character per window: `#` busy,
-    /// `.` idle.
-    #[must_use]
-    pub fn ascii(&self) -> String {
-        let width = self.samples.iter().map(Vec::len).max().unwrap_or(0);
-        let mut out = String::new();
-        for (i, row) in self.samples.iter().enumerate() {
-            out.push_str(&format!("core {i}: "));
-            for w in 0..width {
-                let busy = row.get(w).copied().unwrap_or(0);
-                out.push(if busy > 0 { '#' } else { '.' });
-            }
-            out.push('\n');
-        }
-        out
-    }
-}
-
 /// The multi-core machine.
 ///
 /// The program and its decoded execution form live behind [`Arc`]s: they are
@@ -1237,60 +629,14 @@ impl ActivityTrace {
 /// conflict sets — stays owned and private.
 #[derive(Debug)]
 pub struct Machine {
-    program: Arc<Program>,
-    shared: Shared,
-    cores: Vec<CoreState>,
+    pub(crate) program: Arc<Program>,
+    pub(crate) shared: Shared,
+    pub(crate) cores: Vec<CoreState>,
     /// The cycle of the most recent event, or the first unprocessed cycle
     /// when none has run yet. Outside [`Machine::run`] every core is
     /// settled up to it.
-    cycle: u64,
-    snapshots: Option<SnapshotRecorder>,
-}
-
-/// Periodic checkpointing state: the baseline memory image snapshots are
-/// diffed against, the configured interval, and every snapshot taken so far.
-#[derive(Debug, Clone)]
-struct SnapshotRecorder {
-    interval: u64,
-    next_at: u64,
-    baseline: Arc<FlatMemory>,
-    taken: Vec<MachineSnapshot>,
-}
-
-/// A complete machine checkpoint: every piece of mutable simulation state —
-/// cores (threads, spec buffers, reports), channels, resteer queue, conflict
-/// tracker, cache hierarchy, cycle — plus the memory image as a delta
-/// against a shared baseline (taken, diffed and restored over the touched
-/// prefix only: the extent rule in [`FlatMemory`]'s doc).
-/// [`Machine::resume_from`] reconstructs a machine whose continuation is
-/// bit-identical to the run the snapshot was taken from: same future
-/// [`RunSummary`]s, same memory, same trace tail.
-/// (The replay observers `ActivityTrace`/`CycleAttribution` are *not*
-/// captured; the [`TraceRecorder`] is, so a resumed trace continues exactly.)
-#[derive(Debug, Clone)]
-pub struct MachineSnapshot {
-    config: MachineConfig,
-    program: Arc<Program>,
-    decoded: Arc<DecodedProgram>,
-    cycle: u64,
-    cores: Vec<CoreState>,
-    channels: ChannelNet,
-    resteer_requests: Vec<(i64, BlockId)>,
-    conflicts: ConflictTracker,
-    hier: MemoryHierarchy,
-    trace: Option<TraceRecorder>,
-    baseline: Arc<FlatMemory>,
-    /// `(word index, value)` for every word differing from the baseline.
-    delta: Vec<(usize, i64)>,
-    heap_next: i64,
-}
-
-impl MachineSnapshot {
-    /// Simulated cycle the snapshot was taken at.
-    #[must_use]
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
+    pub(crate) cycle: u64,
+    pub(crate) snapshots: Option<SnapshotRecorder>,
 }
 
 impl Machine {
@@ -1333,9 +679,7 @@ impl Machine {
                 channels: ChannelNet::default(),
                 resteer_requests: Vec::new(),
                 conflicts,
-                activity: None,
-                attribution: None,
-                trace: None,
+                observer: None,
             },
             cores,
             cycle: 0,
@@ -1379,190 +723,7 @@ impl Machine {
     /// conflict on them is a false positive by construction (the paper's
     /// hardware watches program data, not the software predictor's state).
     pub fn set_conflict_exempt(&mut self, lo: i64, hi: i64) {
-        self.shared.conflicts.exempt = Some((lo, hi));
-    }
-
-    /// Enables activity tracing with the given window (in cycles).
-    pub fn enable_activity_trace(&mut self, window: u64) {
-        self.shared.activity = Some(ActivityTrace::new(self.shared.config.cores, window.max(1)));
-    }
-
-    /// Enables per-`(function, block)` cycle attribution (see
-    /// [`CycleAttribution`]). Purely observational; accumulates across
-    /// invocations (`clear_threads`/`reset_cycle_counter` do not reset it).
-    pub fn enable_cycle_attribution(&mut self) {
-        self.shared.attribution = Some(CycleAttribution::default());
-    }
-
-    /// The accumulated cycle attribution, if enabled.
-    #[must_use]
-    pub fn cycle_attribution(&self) -> Option<&CycleAttribution> {
-        self.shared.attribution.as_ref()
-    }
-
-    /// Returns the recorded activity trace, if tracing was enabled.
-    #[must_use]
-    pub fn activity_trace(&self) -> Option<&ActivityTrace> {
-        self.shared.activity.as_ref()
-    }
-
-    /// Enables structured event tracing into a ring buffer of `capacity`
-    /// events, and turns on squash forensics in the conflict tracker.
-    /// Observational only: an enabled trace never changes simulated time or
-    /// any architectural outcome, and it accumulates across invocations.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        if self.shared.trace.is_none() {
-            self.shared.trace = Some(TraceRecorder::new(capacity));
-        }
-        self.shared.conflicts.enable_forensics();
-    }
-
-    /// Adds `addr` to the watch list: every load/store of it becomes a
-    /// [`TraceEvent::Watch`]. Requires [`Machine::enable_trace`] first
-    /// (no-op otherwise).
-    pub fn watch_address(&mut self, addr: i64) {
-        if let Some(t) = self.shared.trace.as_mut() {
-            t.watch(addr);
-        }
-    }
-
-    /// The recorded event trace, if tracing is enabled.
-    #[must_use]
-    pub fn trace(&self) -> Option<&TraceRecorder> {
-        self.shared.trace.as_ref()
-    }
-
-    /// Emits one event into the machine's trace (used by drivers to mark
-    /// invocation boundaries and predictor decisions). No-op when tracing is
-    /// off.
-    pub fn trace_emit(&mut self, event: TraceEvent) {
-        if let Some(t) = self.shared.trace.as_mut() {
-            t.emit(event);
-        }
-    }
-
-    /// Enables periodic checkpointing: [`Machine::run`] takes a
-    /// [`MachineSnapshot`] before the first event at or after each mark,
-    /// `interval` cycles past the previous checkpoint. The current memory
-    /// image becomes the baseline that snapshots are diffed against.
-    pub fn enable_snapshots(&mut self, interval: u64) {
-        let interval = interval.max(1);
-        self.snapshots = Some(SnapshotRecorder {
-            interval,
-            next_at: self.cycle + interval,
-            baseline: Arc::new(self.shared.mem.clone()),
-            taken: Vec::new(),
-        });
-    }
-
-    /// Takes a snapshot of the machine right now. Uses the periodic
-    /// recorder's baseline when one exists; otherwise the snapshot carries a
-    /// full copy of memory as its own baseline (empty delta).
-    #[must_use]
-    pub fn snapshot(&self) -> MachineSnapshot {
-        match self.snapshots.as_ref() {
-            Some(s) => self.snapshot_against(Arc::clone(&s.baseline)),
-            None => {
-                let mut snap = self.snapshot_against(Arc::new(self.shared.mem.clone()));
-                snap.delta.clear();
-                snap
-            }
-        }
-    }
-
-    fn snapshot_against(&self, baseline: Arc<FlatMemory>) -> MachineSnapshot {
-        debug_assert_eq!(baseline.size(), self.shared.mem.size());
-        // Past the larger extent both images are zero: nothing to diff.
-        let touched = self.shared.mem.extent().max(baseline.extent());
-        let delta: Vec<(usize, i64)> = self.shared.mem.words()[..touched]
-            .iter()
-            .zip(&baseline.words()[..touched])
-            .enumerate()
-            .filter(|(_, (cur, base))| cur != base)
-            .map(|(i, (cur, _))| (i, *cur))
-            .collect();
-        MachineSnapshot {
-            config: self.shared.config.clone(),
-            program: Arc::clone(&self.program),
-            decoded: Arc::clone(&self.shared.decoded),
-            cycle: self.cycle,
-            cores: self.cores.clone(),
-            channels: self.shared.channels.clone(),
-            resteer_requests: self.shared.resteer_requests.clone(),
-            conflicts: self.shared.conflicts.clone(),
-            hier: self.shared.hier.clone(),
-            trace: self.shared.trace.clone(),
-            baseline,
-            delta,
-            heap_next: self.shared.mem.heap_next(),
-        }
-    }
-
-    /// Snapshots taken by the periodic recorder so far, oldest first.
-    #[must_use]
-    pub fn snapshots_taken(&self) -> &[MachineSnapshot] {
-        self.snapshots.as_ref().map_or(&[], |s| &s.taken)
-    }
-
-    /// Reconstructs a machine from a snapshot. The continuation is
-    /// bit-identical to the original run from the snapshot point: identical
-    /// future summaries, memory words, and trace tail (the snapshot's trace
-    /// state is restored; activity/attribution observers start disabled).
-    #[must_use]
-    pub fn resume_from(snapshot: &MachineSnapshot) -> Machine {
-        let mut mem = (*snapshot.baseline).clone();
-        for &(i, v) in &snapshot.delta {
-            mem.write(i as i64, v)
-                .expect("a delta index is a word of the baseline-sized image");
-        }
-        mem.set_heap_next(snapshot.heap_next);
-        Machine {
-            program: Arc::clone(&snapshot.program),
-            shared: Shared {
-                config: snapshot.config.clone(),
-                decoded: Arc::clone(&snapshot.decoded),
-                mem,
-                hier: snapshot.hier.clone(),
-                channels: snapshot.channels.clone(),
-                resteer_requests: snapshot.resteer_requests.clone(),
-                conflicts: snapshot.conflicts.clone(),
-                activity: None,
-                attribution: None,
-                trace: snapshot.trace.clone(),
-            },
-            cores: snapshot.cores.clone(),
-            cycle: snapshot.cycle,
-            snapshots: None,
-        }
-    }
-
-    /// Runs until completion or until the clock reaches `target`, whichever
-    /// comes first. `Ok(Some(summary))` means the run finished before
-    /// `target`; `Ok(None)` means it paused at `target` with all state
-    /// intact — calling [`Machine::run`] (or `run_until` again) continues
-    /// bit-identically: every event before `target` has run, none at or
-    /// after it has, and settling the counters up to `target` is linear.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`SimError`] other than the pause itself (the
-    /// configured `max_cycles` budget still applies and still reports
-    /// [`SimError::MaxCyclesExceeded`]).
-    pub fn run_until(&mut self, target: u64) -> Result<Option<RunSummary>, SimError> {
-        let saved = self.shared.config.max_cycles;
-        let effective = target.min(saved);
-        self.shared.config.max_cycles = effective;
-        let out = self.run();
-        self.shared.config.max_cycles = saved;
-        match out {
-            Ok(summary) => Ok(Some(summary)),
-            Err(SimError::MaxCyclesExceeded { limit })
-                if limit == effective && effective < saved =>
-            {
-                Ok(None)
-            }
-            Err(e) => Err(e),
-        }
+        self.shared.conflicts.set_exempt(lo, hi);
     }
 
     /// Human-readable dump of per-core scheduler state at the current cycle
@@ -1644,6 +805,9 @@ impl Machine {
         // A fresh set of threads is a fresh loop invocation: the conflict
         // epoch (committed writes, read sets, verdicts) starts over.
         self.shared.conflicts.clear_epoch();
+        if let Some(o) = self.shared.observer.as_deref_mut() {
+            o.clear_epoch();
+        }
     }
 
     /// Resets the cycle counter to zero (per-invocation timing).
@@ -1738,23 +902,6 @@ impl Machine {
             Some((core, trap)) => SimError::UnrecoveredTrap { core, trap },
             None => SimError::Deadlock { cycle: self.cycle },
         }))
-    }
-
-    /// Takes the periodic checkpoint that is due and returns the next mark.
-    /// Observational — snapshotting reads state but never perturbs it
-    /// (settling early is linear).
-    #[cold]
-    fn checkpoint(&mut self) -> u64 {
-        for c in &mut self.cores {
-            c.settle(self.cycle);
-        }
-        let due = "a due mark implies a recorder";
-        let baseline = Arc::clone(&self.snapshots.as_ref().expect(due).baseline);
-        let snap = self.snapshot_against(baseline);
-        let s = self.snapshots.as_mut().expect(due);
-        s.taken.push(snap);
-        s.next_at = self.cycle + s.interval;
-        s.next_at
     }
 
     /// Runs until every spawned thread has finished or halted, processing
@@ -1884,7 +1031,7 @@ impl Machine {
 mod tests {
     use super::*;
     use spice_ir::builder::FunctionBuilder;
-    use spice_ir::{BinOp, Inst, Operand};
+    use spice_ir::{BinOp, Inst, MisspeculationCause, Operand, TraceEvent};
 
     fn tiny(cores: usize) -> MachineConfig {
         MachineConfig::test_tiny(cores)
@@ -2034,13 +1181,22 @@ mod tests {
     /// and then asks the conflict detector about core 1 — the RAW violation
     /// must be reported, attributed to core 1 with the conflicting address.
     fn conflict_check_program() -> (Program, i64, i64, FuncId, FuncId) {
+        conflict_check_program_reading(1, 0)
+    }
+
+    /// [`conflict_check_program`] with `g` `words` long and the reader
+    /// loading `g + offset` (the checker still stores `g`).
+    fn conflict_check_program_reading(
+        words: i64,
+        offset: i64,
+    ) -> (Program, i64, i64, FuncId, FuncId) {
         let mut p = Program::new();
-        let g = p.add_global("g", 1);
+        let g = p.add_global("g", words);
         let verdict = p.add_global("verdict", 1);
 
         let mut reader = FunctionBuilder::new("reader");
         reader.push(Inst::SpecBegin);
-        let v = reader.load(g, 0);
+        let v = reader.load(g + offset, 0);
         reader.send(0i64, v);
         let _ = reader.recv(1i64);
         reader.push(Inst::SpecAbort);
@@ -2217,25 +1373,6 @@ mod tests {
     }
 
     #[test]
-    fn activity_trace_shows_busy_windows() {
-        let mut b = FunctionBuilder::new("busy");
-        let mut acc = b.copy(0i64);
-        for _ in 0..20 {
-            acc = b.binop(BinOp::Add, acc, 1i64);
-        }
-        b.ret(Some(Operand::Reg(acc)));
-        let mut p = Program::new();
-        let f = p.add_func(b.finish());
-        let mut m = Machine::new(tiny(1), p);
-        m.enable_activity_trace(5);
-        m.spawn(0, f, &[]).unwrap();
-        m.run().unwrap();
-        let trace = m.activity_trace().unwrap();
-        assert!(trace.ascii().contains('#'));
-        assert!(trace.samples[0].iter().sum::<u64>() >= 20);
-    }
-
-    #[test]
     fn clear_threads_keeps_memory() {
         let mut p = Program::new();
         let g = p.add_global("g", 1);
@@ -2266,6 +1403,16 @@ mod tests {
         let mut m = Machine::new(cfg, p);
         m.spawn(0, f, &[]).unwrap();
         assert_eq!(m.run(), Err(SimError::MaxCyclesExceeded { limit: 500 }));
+    }
+
+    /// Drives `m` with the cycle-stepped oracle until every thread is done.
+    fn tick_to_completion(m: &mut Machine) {
+        let mut guard = 0;
+        while !m.cores.iter().all(|c| c.thread.is_none() || c.done) {
+            m.step_cycle();
+            guard += 1;
+            assert!(guard < 100_000, "tick twin diverged");
+        }
     }
 
     /// The event scheduler must be observationally identical to stepping
@@ -2312,12 +1459,7 @@ mod tests {
         let mut tick_m = Machine::new(tiny(2), p);
         tick_m.spawn(0, pf, &[]).unwrap();
         tick_m.spawn(1, rf, &[]).unwrap();
-        let mut guard = 0;
-        while !tick_m.cores.iter().all(|c| c.thread.is_none() || c.done) {
-            tick_m.step_cycle();
-            guard += 1;
-            assert!(guard < 100_000, "tick twin diverged");
-        }
+        tick_to_completion(&mut tick_m);
         let tick_summary = tick_m.summary();
 
         assert_eq!(event_summary, tick_summary);
@@ -2369,12 +1511,7 @@ mod tests {
         let mut tick_m = Machine::new(tiny(2), p);
         tick_m.spawn(0, bf, &[]).unwrap();
         tick_m.spawn(1, wf, &[]).unwrap();
-        let mut guard = 0;
-        while !tick_m.cores.iter().all(|c| c.thread.is_none() || c.done) {
-            tick_m.step_cycle();
-            guard += 1;
-            assert!(guard < 100_000, "tick twin diverged");
-        }
+        tick_to_completion(&mut tick_m);
         assert_eq!(event_summary, tick_m.summary());
     }
 
@@ -2476,28 +1613,42 @@ mod tests {
         );
     }
 
-    /// Tracing is an observer: a traced run must produce exactly the same
-    /// summary and memory as an untraced twin, while actually recording
-    /// events.
+    /// The observer's halves are independent and never change simulated
+    /// time: bare, trace only, attribution only and both on compute the same
+    /// summary and memory, the two traces are equal event for event (the
+    /// squash and its forensics included) and so are the two attributions.
+    /// (`tests/observer_door.rs` repeats this on `list_splice` at four
+    /// threads.)
     #[test]
     fn tracing_never_changes_simulated_time() {
         let (p, g, _, rf, cf) = conflict_check_program();
-        let mut plain = Machine::new(tiny(2), p.clone());
-        plain.spawn(0, cf, &[]).unwrap();
-        plain.spawn(1, rf, &[]).unwrap();
-        let plain_summary = plain.run().unwrap();
+        let run = |trace: bool, attribution: bool| {
+            let mut m = Machine::new(tiny(2), p.clone());
+            if trace {
+                m.enable_trace(1024);
+                m.watch_address(g);
+            }
+            if attribution {
+                m.enable_cycle_attribution();
+            }
+            m.spawn(0, cf, &[]).unwrap();
+            m.spawn(1, rf, &[]).unwrap();
+            m.run().unwrap();
+            m
+        };
+        let [bare, traced, attributed, both] =
+            [(false, false), (true, false), (false, true), (true, true)].map(|(t, a)| run(t, a));
+        for watched in [&traced, &attributed, &both] {
+            assert_eq!(watched.summary(), bare.summary());
+            assert_eq!(watched.mem().words(), bare.mem().words());
+        }
+        assert!(bare.trace().is_none() && attributed.trace().is_none());
+        assert_eq!(traced.trace(), both.trace());
+        assert!(bare.cycle_attribution().is_none() && traced.cycle_attribution().is_none());
+        assert!(attributed.cycle_attribution().expect("on").total_cycles() > 0);
+        assert_eq!(attributed.cycle_attribution(), both.cycle_attribution());
 
-        let mut traced = Machine::new(tiny(2), p);
-        traced.enable_trace(1024);
-        traced.watch_address(g);
-        traced.spawn(0, cf, &[]).unwrap();
-        traced.spawn(1, rf, &[]).unwrap();
-        let traced_summary = traced.run().unwrap();
-
-        assert_eq!(plain_summary, traced_summary);
-        assert_eq!(plain.mem().words(), traced.mem().words());
-        let t = traced.trace().unwrap();
-        assert!(t.total() > 0, "events were recorded");
+        let t = traced.trace().expect("on");
         assert_eq!(t.squashes(), 1, "the abort became a squash event");
         let kinds: Vec<&str> = t.events().map(TraceEvent::kind).collect();
         for needed in [
@@ -2561,25 +1712,9 @@ mod tests {
     /// classification.
     #[test]
     fn squash_forensics_classify_false_conflicts() {
-        // Like conflict_check_program, but reader loads g+1 while the
-        // checker stores g — same 8-word grain, different words.
-        let mut p = Program::new();
-        let g = p.add_global("g", 8);
-        let mut reader = FunctionBuilder::new("reader");
-        reader.push(Inst::SpecBegin);
-        let v = reader.load(g + 1, 0);
-        reader.send(0i64, v);
-        let _ = reader.recv(1i64);
-        reader.push(Inst::SpecAbort);
-        reader.ret(None);
-        let rf = p.add_func(reader.finish());
-        let mut checker = FunctionBuilder::new("checker");
-        let _ = checker.recv(0i64);
-        checker.store(7i64, g, 0);
-        let c = checker.spec_check(1i64);
-        checker.send(1i64, c);
-        checker.ret(None);
-        let cf = p.add_func(checker.finish());
+        // The reader loads g+1 while the checker stores g — same 8-word
+        // grain, different words.
+        let (p, _, _, rf, cf) = conflict_check_program_reading(8, 1);
 
         let mut cfg = tiny(2);
         cfg.conflict_granularity_log2 = 3;

@@ -1,69 +1,5 @@
-//! Helpers for aggregating run summaries across invocations and computing
-//! the derived quantities the paper reports (loop speedup, mis-speculation
-//! rate, load-imbalance measures).
-
-use serde::{Deserialize, Serialize};
-
-use crate::machine::RunSummary;
-
-/// Accumulates per-invocation run summaries into whole-loop statistics.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct InvocationStats {
-    /// Simulated cycles of every invocation.
-    pub cycles_per_invocation: Vec<u64>,
-    /// Whether each invocation mis-speculated (any thread squashed).
-    pub misspeculated: Vec<bool>,
-    /// Per-invocation, per-core retired instruction counts (a proxy for the
-    /// work distribution the paper's load balancer equalizes).
-    pub work_per_core: Vec<Vec<u64>>,
-}
-
-impl InvocationStats {
-    /// Creates an empty accumulator.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one invocation.
-    pub fn record(&mut self, summary: &RunSummary, misspeculated: bool) {
-        self.cycles_per_invocation.push(summary.cycles);
-        self.misspeculated.push(misspeculated);
-        self.work_per_core
-            .push(summary.cores.iter().map(|c| c.retired).collect());
-    }
-
-    /// Total simulated cycles across all invocations.
-    #[must_use]
-    pub fn total_cycles(&self) -> u64 {
-        self.cycles_per_invocation.iter().sum()
-    }
-
-    /// Number of invocations recorded.
-    #[must_use]
-    pub fn invocations(&self) -> usize {
-        self.cycles_per_invocation.len()
-    }
-
-    /// Fraction of invocations that mis-speculated (paper §5 reports ~25%
-    /// for 458.sjeng and <1% for the other three loops).
-    #[must_use]
-    pub fn misspeculation_rate(&self) -> f64 {
-        if self.misspeculated.is_empty() {
-            return 0.0;
-        }
-        let bad = self.misspeculated.iter().filter(|&&b| b).count();
-        bad as f64 / self.misspeculated.len() as f64
-    }
-
-    /// Mean, over invocations, of the coefficient of variation of per-core
-    /// work — 0 means perfectly balanced chunks (shared definition:
-    /// [`spice_ir::exec::work_imbalance`]).
-    #[must_use]
-    pub fn load_imbalance(&self) -> f64 {
-        spice_ir::exec::work_imbalance(&self.work_per_core)
-    }
-}
+//! The derived quantities the paper reports across runs: loop speedup and
+//! its geometric mean (Figure 7's summary statistic).
 
 /// Speedup of `parallel` cycles relative to `sequential` cycles.
 #[must_use]
@@ -88,40 +24,6 @@ pub fn geomean(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::{CoreReport, RunSummary};
-
-    fn summary(cycles: u64, work: &[u64]) -> RunSummary {
-        RunSummary {
-            cycles,
-            cores: work
-                .iter()
-                .map(|&w| CoreReport {
-                    retired: w,
-                    ..CoreReport::default()
-                })
-                .collect(),
-        }
-    }
-
-    #[test]
-    fn totals_and_rates() {
-        let mut s = InvocationStats::new();
-        s.record(&summary(100, &[50, 50]), false);
-        s.record(&summary(300, &[10, 90]), true);
-        assert_eq!(s.total_cycles(), 400);
-        assert_eq!(s.invocations(), 2);
-        assert!((s.misspeculation_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn imbalance_zero_when_equal() {
-        let mut s = InvocationStats::new();
-        s.record(&summary(10, &[40, 40, 40, 40]), false);
-        assert!(s.load_imbalance() < 1e-12);
-        let mut s2 = InvocationStats::new();
-        s2.record(&summary(10, &[10, 70]), false);
-        assert!(s2.load_imbalance() > 0.5);
-    }
 
     #[test]
     fn speedup_and_geomean() {
@@ -130,12 +32,5 @@ mod tests {
         let g = geomean(&[1.0, 4.0]);
         assert!((g - 2.0).abs() < 1e-12);
         assert_eq!(geomean(&[]), 0.0);
-    }
-
-    #[test]
-    fn single_core_invocations_do_not_affect_imbalance() {
-        let mut s = InvocationStats::new();
-        s.record(&summary(10, &[100]), false);
-        assert_eq!(s.load_imbalance(), 0.0);
     }
 }
