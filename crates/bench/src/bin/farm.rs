@@ -1,7 +1,8 @@
 //! The simulation farm: runs the whole evaluation (or a chosen subset of
-//! figures) as one parallel sweep on a work-stealing pool, with every
-//! program decoded once and shared, and artifacts streamed row-by-row in
-//! deterministic job order — byte-identical at any `--jobs`.
+//! figures) as one parallel sweep on a pool of workers claiming jobs in id
+//! order from one queue, with every program decoded once and shared, and
+//! artifacts streamed row-by-row in that same deterministic order —
+//! byte-identical at any `--jobs`.
 //!
 //! This is the one CLI over the figures: `farm --figures fig7` is what a
 //! per-figure binary would be, and a cross-check or fuzz divergence fails

@@ -11,7 +11,6 @@
 
 use spice_core::backend::{make_backend_with, BackendChoice, SimBackend};
 use spice_core::baseline::{render_schedule, LoopTimingModel, ScheduleKind};
-use spice_core::pipeline::predictor_options_with_estimate;
 use spice_core::predictor::PredictorOptions;
 use spice_core::prepared::PreparedProgram;
 use spice_core::valuepred::{evaluate_predictor, SpiceMemoPredictor, StridePredictor};
@@ -264,13 +263,12 @@ pub fn prepare_sweep(
             } else {
                 MachineConfig::itanium2_cmp()
             };
-            let estimate = wl.expected_iterations();
             let options = workload_load_options(wl.as_ref(), &built)
                 .with_conflict_granularity_log2(granularity_log2);
             PreparedProgram::spice(
                 config,
                 threads,
-                predictor_options_with_estimate(estimate),
+                PredictorOptions::default(),
                 built.program,
                 built.kernel,
                 options,
@@ -1465,13 +1463,8 @@ pub fn schedules(small: bool) -> Result<ScheduleComparison, String> {
     let rows = {
         let seq_cycles = run_workload_sequential(&mut schedules_otter(small, None))?;
         let mut par = schedules_otter(small, None);
-        let estimate = par.expected_iterations();
-        let spice = run_workload_backend(
-            &mut par,
-            BackendChoice::Sim,
-            2,
-            predictor_options_with_estimate(estimate),
-        )?;
+        let spice =
+            run_workload_backend(&mut par, BackendChoice::Sim, 2, PredictorOptions::default())?;
         seq_cycles as f64 / total_cycles(&spice) as f64
     };
 

@@ -1,5 +1,5 @@
 //! The simulation farm: bench experiments as jobs on the `spice-farm`
-//! work-stealing engine.
+//! engine (one queue, claimed and delivered in job-id order).
 //!
 //! [`run_manifest`] is the one place a figure's jobs are enumerated (and the
 //! `farm` binary the one CLI over it). It turns a [`Manifest`] (which

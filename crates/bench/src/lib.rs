@@ -5,9 +5,9 @@
 //! `cargo run --release -p spice-bench --bin farm -- --figures fig7 --small`
 //! runs one figure on the reduced-size inputs (and the reduced test
 //! machine); without `--figures` the whole evaluation runs as one sweep on a
-//! work-stealing pool sized by `--jobs` (default: host parallelism), with
-//! artifacts streamed in deterministic job order so bytes never depend on
-//! scheduling. [`farm_driver::Figure`] lists the figures with their
+//! worker pool sized by `--jobs` (default: host parallelism) that claims
+//! jobs in id order from one queue, with artifacts streamed in that same
+//! deterministic order so bytes never depend on scheduling. [`farm_driver::Figure`] lists the figures with their
 //! artifacts; [`experiments::FigureRows`] is how a figure's rows become its
 //! JSON and its text table. Two paper artifacts are not sweeps and keep
 //! their own binaries: Table 1 (`--bin table1`, [`experiments::table1`]) and

@@ -12,7 +12,7 @@
 //!
 //! | module | paper section | contents |
 //! |---|---|---|
-//! | [`analysis`] | §4, Algorithm 1 steps 2–4 | loop live-in classification, reduction removal, the speculated set `S` |
+//! | [`analysis`] | §4, Algorithm 1 steps 2–4 | `spice_ir::analysis`, re-exported: the one loop front end ([`analysis::derive_loop_spec`]) the transformation generates code from and the native runtime interprets |
 //! | [`transform`] | §4, Algorithm 1 | the code-generating transformation: worker creation, live-in/out communication, detection, recovery, memoization |
 //! | [`predictor`] | §4, Algorithm 2 | the speculated-values array layout, the reference planner, and read-only host mirrors of what the on-core centralized step wrote |
 //! | [`valuepred`] | §2.2, §7 | the stride predictor and the Spice memoization criterion, for accuracy comparisons |
@@ -23,7 +23,7 @@
 //! ## Quick example
 //!
 //! ```
-//! use spice_core::analysis::LoopAnalysis;
+//! use spice_core::analysis::derive_loop_spec;
 //! use spice_core::pipeline::SpiceRunner;
 //! use spice_core::transform::{SpiceOptions, SpiceTransform};
 //! use spice_ir::builder::FunctionBuilder;
@@ -60,7 +60,7 @@
 //! b.ret(Some(Operand::Reg(wm)));
 //! let func = program.add_func(b.finish());
 //!
-//! let analysis = LoopAnalysis::analyze_outermost(&program, func).unwrap();
+//! let analysis = derive_loop_spec(&program, func, None).unwrap();
 //! let spice = SpiceTransform::new(SpiceOptions::with_threads_and_estimate(2, 3))
 //!     .apply(&mut program, &analysis)
 //!     .unwrap();
@@ -81,7 +81,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod analysis;
 pub mod backend;
 pub mod baseline;
 pub mod pipeline;
@@ -90,9 +89,9 @@ pub mod prepared;
 pub mod transform;
 pub mod valuepred;
 
-pub use analysis::{Applicability, LoopAnalysis};
 pub use backend::{make_backend, make_backend_with, BackendChoice, SimBackend};
 pub use pipeline::{run_sequential, InvocationReport, PipelineError, SpiceRunner};
 pub use predictor::{Assignment, PredictorLayout, PredictorOptions};
 pub use prepared::PreparedProgram;
+pub use spice_ir::analysis;
 pub use transform::{SpiceOptions, SpiceParallelLoop, SpiceTransform, TransformError};

@@ -16,7 +16,7 @@ use spice_ir::{FuncId, TraceEvent, TrapKind};
 use spice_sim::machine::RunSummary;
 use spice_sim::{Machine, SimError};
 
-use crate::predictor::{read_feedback, read_plan, Assignment, PredictorOptions};
+use crate::predictor::{read_feedback, read_plan, Assignment};
 use crate::transform::SpiceParallelLoop;
 
 /// Errors surfaced while running a transformed loop.
@@ -279,22 +279,11 @@ pub fn run_sequential(
     Ok((summary.cycles, machine.return_value(0)))
 }
 
-/// Convenience default predictor options for a workload where the caller
-/// knows roughly how many iterations the first invocation will run — this
-/// seeds the load balancer so the very first invocation already memoizes.
-#[must_use]
-pub fn predictor_options_with_estimate(iterations: u64) -> PredictorOptions {
-    PredictorOptions {
-        initial_work_estimate: Some(iterations),
-        ..PredictorOptions::default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::LoopAnalysis;
     use crate::transform::{SpiceOptions, SpiceTransform};
+    use spice_ir::analysis::derive_loop_spec;
     use spice_ir::builder::FunctionBuilder;
     use spice_ir::fixtures::write_list;
     use spice_ir::{BinOp, Operand, Program};
@@ -348,7 +337,7 @@ mod tests {
         let weights: Vec<i64> = (0..200).map(|i| ((i * 37) % 211) + 5).collect();
         let (mut p, f, base) = otter_program(weights.len() as i64 + 8);
         let out_global = p.add_global("out", 1);
-        let analysis = LoopAnalysis::analyze_outermost(&p, f).unwrap();
+        let analysis = derive_loop_spec(&p, f, None).unwrap();
         let spice = SpiceTransform::new(SpiceOptions::with_threads_and_estimate(
             2,
             weights.len() as u64,
@@ -401,7 +390,7 @@ mod tests {
         assert_eq!(seq_val, Some(sequential_min(&weights)));
 
         // Spice with 4 threads.
-        let analysis = LoopAnalysis::analyze_outermost(&p, f).unwrap();
+        let analysis = derive_loop_spec(&p, f, None).unwrap();
         let spice = SpiceTransform::new(SpiceOptions::with_threads_and_estimate(
             4,
             weights.len() as u64,
@@ -443,7 +432,7 @@ mod tests {
         let weights: Vec<i64> = (0..120).map(|i| 1000 - i).collect();
         let (mut p, f, base) = otter_program(weights.len() as i64 + 8);
         let out_global = p.add_global("out", 1);
-        let analysis = LoopAnalysis::analyze_outermost(&p, f).unwrap();
+        let analysis = derive_loop_spec(&p, f, None).unwrap();
         let spice = SpiceTransform::new(SpiceOptions::with_threads_and_estimate(
             2,
             weights.len() as u64,

@@ -29,12 +29,11 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use spice_ir::exec::{BackendError, LoadOptions};
+use spice_ir::exec::{derive_loop_spec, BackendError, LoadOptions};
 use spice_ir::lint::lint_spice;
 use spice_ir::{DecodedProgram, FuncId, Program};
 use spice_sim::{Machine, MachineConfig};
 
-use crate::analysis::LoopAnalysis;
 use crate::predictor::PredictorOptions;
 use crate::transform::{SpiceOptions, SpiceParallelLoop, SpiceTransform};
 
@@ -86,8 +85,9 @@ impl PreparedProgram {
     ///
     /// # Errors
     ///
-    /// Returns a [`BackendError`] if the loop cannot be analysed or
-    /// transformed.
+    /// Returns [`BackendError::Spec`] if the loop is not Spice-parallelizable
+    /// (the same error `NativeLoopBackend::load` returns for it) and
+    /// [`BackendError::Analysis`] if the transformation fails.
     pub fn spice(
         base_config: MachineConfig,
         threads: usize,
@@ -97,11 +97,7 @@ impl PreparedProgram {
         options: LoadOptions,
     ) -> Result<Self, BackendError> {
         let started = Instant::now();
-        let analysis = match options.loop_header {
-            Some(h) => LoopAnalysis::analyze(&program, kernel, h),
-            None => LoopAnalysis::analyze_outermost(&program, kernel),
-        }
-        .map_err(|e| BackendError::Analysis(e.to_string()))?;
+        let analysis = derive_loop_spec(&program, kernel, options.loop_header)?;
         let mut predictor = predictor;
         if predictor.initial_work_estimate.is_none() {
             predictor.initial_work_estimate = options.work_estimate;

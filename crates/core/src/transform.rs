@@ -26,6 +26,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use spice_ir::analysis::{CombineKind, LiveOutGroup, SpiceLoopSpec};
 use spice_ir::builder::FunctionBuilder;
 use spice_ir::exec::ConflictPolicy;
 use spice_ir::lint::{lint_spice, LintError, MainShape, SpiceProtocol, WorkerProtocol};
@@ -33,7 +34,6 @@ use spice_ir::reduction::ReductionKind;
 use spice_ir::verify::{verify_program, VerifyError};
 use spice_ir::{BinOp, BlockId, FuncId, Inst, Operand, Program, Reg};
 
-use crate::analysis::{Applicability, LoopAnalysis};
 use crate::predictor::{PredictorLayout, PredictorOptions, NEVER};
 
 /// Options controlling the transformation.
@@ -89,8 +89,9 @@ impl Default for SpiceOptions {
 /// Errors produced by the transformation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TransformError {
-    /// The loop cannot be Spice-parallelized.
-    NotApplicable(Applicability),
+    /// Fewer than two threads were requested — a property of the options,
+    /// not of the loop.
+    TooFewThreads,
     /// The transformed program failed structural verification — a bug in the
     /// transformation, reported rather than silently mis-executed.
     Verification(Vec<VerifyError>),
@@ -103,7 +104,7 @@ pub enum TransformError {
 impl std::fmt::Display for TransformError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            TransformError::NotApplicable(a) => write!(f, "loop not applicable: {a}"),
+            TransformError::TooFewThreads => f.write_str("at least two threads are required"),
             TransformError::Verification(errs) => {
                 write!(
                     f,
@@ -123,51 +124,6 @@ impl std::fmt::Display for TransformError {
 }
 
 impl std::error::Error for TransformError {}
-
-/// How the main thread combines one group of live-out values received from a
-/// worker.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CombineKind {
-    /// Accumulate with a reduction operation; the first register of the group
-    /// is the accumulator, the rest are payloads selected under the same
-    /// condition (argmin/argmax).
-    Reduction(ReductionKindSpec),
-    /// Overwrite the main thread's value (later workers overwrite earlier
-    /// ones, so the last valid worker — the one that reached the real loop
-    /// exit — wins).
-    Overwrite,
-}
-
-/// Serializable mirror of [`ReductionKind`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ReductionKindSpec {
-    /// Associative/commutative binop accumulation.
-    Binop(BinOp),
-    /// Select-based minimum.
-    Min,
-    /// Select-based maximum.
-    Max,
-}
-
-impl From<ReductionKind> for ReductionKindSpec {
-    fn from(k: ReductionKind) -> Self {
-        match k {
-            ReductionKind::Binop(op) => ReductionKindSpec::Binop(op),
-            ReductionKind::Min => ReductionKindSpec::Min,
-            ReductionKind::Max => ReductionKindSpec::Max,
-        }
-    }
-}
-
-/// One group of live-out registers communicated from workers to the main
-/// thread, in main-function register numbering.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LiveOutGroup {
-    /// Registers of the group (accumulator first for reductions).
-    pub regs: Vec<Reg>,
-    /// How the group combines.
-    pub kind: CombineKind,
-}
 
 /// Channels connecting the main thread with one worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -293,23 +249,23 @@ impl SpiceTransform {
     ///
     /// # Errors
     ///
-    /// Returns [`TransformError::NotApplicable`] when fewer than two threads
+    /// Returns [`TransformError::TooFewThreads`] when fewer than two threads
     /// are requested and [`TransformError::Verification`] if the generated
     /// program is structurally broken (a transformation bug).
     pub fn apply(
         &self,
         program: &mut Program,
-        analysis: &LoopAnalysis,
+        analysis: &SpiceLoopSpec,
     ) -> Result<SpiceParallelLoop, TransformError> {
         let t = self.options.threads;
         if t < 2 {
-            return Err(TransformError::NotApplicable(Applicability::TooFewThreads));
+            return Err(TransformError::TooFewThreads);
         }
 
         let layout = PredictorLayout::allocate_seeded(
             program,
             t,
-            analysis.speculated.len(),
+            analysis.cursors.len(),
             self.options.predictor.initial_work_estimate,
         );
 
@@ -328,14 +284,11 @@ impl SpiceTransform {
             loop_regs.extend(blk.terminator.uses());
         }
         let invariants_sent: Vec<Reg> = analysis
-            .live
             .invariant
             .iter()
             .copied()
             .filter(|r| loop_regs.contains(r))
             .collect();
-
-        let liveouts = build_liveout_groups(analysis);
 
         // Per-worker channels.
         let mut channels = Vec::new();
@@ -358,7 +311,6 @@ impl SpiceTransform {
                 &src,
                 analysis,
                 &layout,
-                &liveouts,
                 &invariants_sent,
                 wi,
                 t,
@@ -380,7 +332,6 @@ impl SpiceTransform {
             program,
             analysis,
             &layout,
-            &liveouts,
             &invariants_sent,
             &workers,
             self.options.conflict_policy,
@@ -396,9 +347,9 @@ impl SpiceTransform {
             workers,
             layout,
             threads: t,
-            speculated: analysis.speculated.clone(),
+            speculated: analysis.cursors.clone(),
             invariants_sent,
-            liveouts,
+            liveouts: analysis.liveouts.clone(),
             shape,
             main_program_blocks,
             worker_body_blocks: analysis.blocks.len(),
@@ -413,40 +364,6 @@ impl SpiceTransform {
 
         Ok(spice)
     }
-}
-
-/// Builds the canonical live-out communication order.
-fn build_liveout_groups(analysis: &LoopAnalysis) -> Vec<LiveOutGroup> {
-    let mut groups = Vec::new();
-    let mut covered: std::collections::HashSet<Reg> = std::collections::HashSet::new();
-    let mut reductions = analysis.reductions.reductions.clone();
-    reductions.sort_by_key(|r| r.reg);
-    for red in &reductions {
-        let mut regs = vec![red.reg];
-        regs.extend(red.payloads.iter().copied());
-        covered.extend(regs.iter().copied());
-        groups.push(LiveOutGroup {
-            regs,
-            kind: CombineKind::Reduction(red.kind.into()),
-        });
-    }
-    let mut rest: Vec<Reg> = analysis
-        .live
-        .live_outs
-        .iter()
-        .chain(analysis.speculated.iter())
-        .copied()
-        .filter(|r| !covered.contains(r))
-        .collect();
-    rest.sort();
-    rest.dedup();
-    for r in rest {
-        groups.push(LiveOutGroup {
-            regs: vec![r],
-            kind: CombineKind::Overwrite,
-        });
-    }
-    groups
 }
 
 /// Emits the Algorithm 2 memoization blocks into `b`. The caller must have
@@ -650,9 +567,8 @@ fn emit_compare_all(b: &mut FunctionBuilder, current: &[Reg], predicted: &[Reg])
 fn build_worker(
     program: &mut Program,
     src: &spice_ir::Function,
-    analysis: &LoopAnalysis,
+    analysis: &SpiceLoopSpec,
     layout: &PredictorLayout,
-    liveouts: &[LiveOutGroup],
     invariants_sent: &[Reg],
     wi: usize,
     threads: usize,
@@ -704,11 +620,11 @@ fn build_worker(
             let _ = b.recv(chans.invariant);
         }
     }
-    for (j, r) in analysis.speculated.iter().enumerate() {
+    for (j, r) in analysis.cursors.iter().enumerate() {
         let lr = local(*r).expect("speculated live-ins are used in the loop");
         b.load_into(lr, layout.sva_addr(wi, j), 0);
     }
-    for red in &analysis.reductions.reductions {
+    for red in &analysis.reductions {
         if let Some(acc) = local(red.reg) {
             b.copy_into(acc, red.kind.identity());
         }
@@ -724,7 +640,7 @@ fn build_worker(
     // Successor's predicted live-ins (for all but the last worker).
     let mut pred_regs = Vec::new();
     if !is_last {
-        for (j, _) in analysis.speculated.iter().enumerate() {
+        for (j, _) in analysis.cursors.iter().enumerate() {
             pred_regs.push(b.load(layout.sva_addr(wi + 1, j), 0));
         }
     }
@@ -733,7 +649,7 @@ fn build_worker(
 
     // Detection (check) block.
     let spec_locals: Vec<Reg> = analysis
-        .speculated
+        .cursors
         .iter()
         .map(|r| local(*r).expect("speculated live-ins are used in the loop"))
         .collect();
@@ -769,7 +685,7 @@ fn build_worker(
     let _cmd = b.recv(chans.command);
     b.push(Inst::SpecCommit);
     b.store(my_work, layout.work_addr(tid), 0);
-    for group in liveouts {
+    for group in &analysis.liveouts {
         for r in &group.regs {
             match local(*r) {
                 Some(lr) => b.send(chans.liveout, lr),
@@ -830,9 +746,8 @@ fn build_worker(
 #[allow(clippy::too_many_arguments)]
 fn rewrite_main(
     program: &mut Program,
-    analysis: &LoopAnalysis,
+    analysis: &SpiceLoopSpec,
     layout: &PredictorLayout,
-    liveouts: &[LiveOutGroup],
     invariants_sent: &[Reg],
     workers: &[WorkerInfo],
     conflict_policy: ConflictPolicy,
@@ -865,7 +780,7 @@ fn rewrite_main(
     // detection is off (the old boundaries are behind it) and the loop exit
     // bypasses the already-run merge chain.
     let resumed = b.fresh();
-    let pred_regs: Vec<Reg> = analysis.speculated.iter().map(|_| b.fresh()).collect();
+    let pred_regs: Vec<Reg> = analysis.cursors.iter().map(|_| b.fresh()).collect();
 
     let central_bb = b.new_labeled_block("spice.central");
     let dispatch_bb = b.new_labeled_block("spice.dispatch");
@@ -915,7 +830,7 @@ fn rewrite_main(
     b.cond_br(resumed, memo_bb, compare_bb);
 
     b.switch_to(compare_bb);
-    let all_eq = emit_compare_all(&mut b, &analysis.speculated, &pred_regs);
+    let all_eq = emit_compare_all(&mut b, &analysis.cursors, &pred_regs);
     b.cond_br(all_eq, hit_bb, memo_bb);
 
     // --- Memoization (thread 0).
@@ -925,7 +840,7 @@ fn rewrite_main(
         0,
         my_work,
         memo_idx,
-        &analysis.speculated,
+        &analysis.cursors,
         memo_bb,
         header,
     );
@@ -989,7 +904,7 @@ fn rewrite_main(
             b.switch_to(commit_bb);
         }
         b.send(w.channels.command, 1i64);
-        for group in liveouts {
+        for group in &analysis.liveouts {
             let tmps: Vec<Reg> = group
                 .regs
                 .iter()
@@ -999,12 +914,12 @@ fn rewrite_main(
                 CombineKind::Reduction(kind) => {
                     let acc = group.regs[0];
                     match kind {
-                        ReductionKindSpec::Binop(op) => {
+                        ReductionKind::Binop(op) => {
                             let combined = b.binop(*op, acc, tmps[0]);
                             b.copy_into(acc, combined);
                         }
-                        ReductionKindSpec::Min | ReductionKindSpec::Max => {
-                            let cmp = if matches!(kind, ReductionKindSpec::Min) {
+                        ReductionKind::Min | ReductionKind::Max => {
+                            let cmp = if matches!(kind, ReductionKind::Min) {
                                 BinOp::Lt
                             } else {
                                 BinOp::Gt
@@ -1096,14 +1011,13 @@ fn rewrite_main(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::tests::otter_program;
-    use crate::analysis::LoopAnalysis;
-    use spice_ir::verify::verify_program;
+    use spice_ir::analysis::derive_loop_spec;
+    use spice_ir::fixtures::list_min_program;
 
     #[test]
     fn transform_produces_verified_program_for_two_threads() {
-        let (mut p, f) = otter_program();
-        let analysis = LoopAnalysis::analyze_outermost(&p, f).unwrap();
+        let (mut p, f, ..) = list_min_program(8);
+        let analysis = derive_loop_spec(&p, f, None).unwrap();
         let spice = SpiceTransform::new(SpiceOptions::with_threads(2))
             .apply(&mut p, &analysis)
             .unwrap();
@@ -1112,13 +1026,13 @@ mod tests {
         assert!(verify_program(&p).is_ok());
         // The worker function exists and is distinct from main.
         assert_ne!(spice.workers[0].func, spice.main);
-        assert_eq!(p.func(spice.workers[0].func).name, "find_lightest.spice.w1");
+        assert_eq!(p.func(spice.workers[0].func).name, "list_min.spice.w1");
     }
 
     #[test]
     fn transform_scales_to_four_threads() {
-        let (mut p, f) = otter_program();
-        let analysis = LoopAnalysis::analyze_outermost(&p, f).unwrap();
+        let (mut p, f, ..) = list_min_program(8);
+        let analysis = derive_loop_spec(&p, f, None).unwrap();
         let spice = SpiceTransform::new(SpiceOptions::with_threads(4))
             .apply(&mut p, &analysis)
             .unwrap();
@@ -1134,15 +1048,15 @@ mod tests {
 
     #[test]
     fn liveout_order_contains_min_reduction_and_pointer() {
-        let (mut p, f) = otter_program();
-        let analysis = LoopAnalysis::analyze_outermost(&p, f).unwrap();
+        let (mut p, f, ..) = list_min_program(8);
+        let analysis = derive_loop_spec(&p, f, None).unwrap();
         let spice = SpiceTransform::new(SpiceOptions::with_threads(2))
             .apply(&mut p, &analysis)
             .unwrap();
         assert_eq!(spice.liveouts.len(), 2);
         assert!(matches!(
             spice.liveouts[0].kind,
-            CombineKind::Reduction(ReductionKindSpec::Min)
+            CombineKind::Reduction(ReductionKind::Min)
         ));
         assert_eq!(spice.liveouts[0].regs.len(), 2); // wm + cm payload
         assert!(matches!(spice.liveouts[1].kind, CombineKind::Overwrite));
@@ -1151,21 +1065,18 @@ mod tests {
 
     #[test]
     fn single_thread_request_is_rejected() {
-        let (mut p, f) = otter_program();
-        let analysis = LoopAnalysis::analyze_outermost(&p, f).unwrap();
+        let (mut p, f, ..) = list_min_program(8);
+        let analysis = derive_loop_spec(&p, f, None).unwrap();
         let err = SpiceTransform::new(SpiceOptions::with_threads(1))
             .apply(&mut p, &analysis)
             .unwrap_err();
-        assert_eq!(
-            err,
-            TransformError::NotApplicable(Applicability::TooFewThreads)
-        );
+        assert_eq!(err, TransformError::TooFewThreads);
     }
 
     #[test]
     fn channels_are_distinct_across_workers() {
-        let (mut p, f) = otter_program();
-        let analysis = LoopAnalysis::analyze_outermost(&p, f).unwrap();
+        let (mut p, f, ..) = list_min_program(8);
+        let analysis = derive_loop_spec(&p, f, None).unwrap();
         let spice = SpiceTransform::new(SpiceOptions::with_threads(4))
             .apply(&mut p, &analysis)
             .unwrap();

@@ -1,10 +1,10 @@
-//! `spice-farm`: a work-stealing parallel job engine for simulation sweeps.
+//! `spice-farm`: a parallel job engine for simulation sweeps.
 //!
 //! The bench binaries run hundreds of independent simulations (one per
 //! workload × size × thread count × seed). This crate turns that sweep into
-//! jobs on a work-stealing pool of `std::thread` workers while keeping the
-//! one property a benchmark artifact cannot lose: **output is a pure
-//! function of the job list, never of completion order**.
+//! jobs on a pool of `std::thread` workers while keeping the one property a
+//! benchmark artifact cannot lose: **output is a pure function of the job
+//! list, never of completion order**.
 //!
 //! Three pieces provide that:
 //!
@@ -13,9 +13,12 @@
 //!   in ascending id order, whatever order workers finish in, so a
 //!   streaming writer produces byte-identical artifacts at `--jobs 1` and
 //!   `--jobs N`.
-//! * a work-stealing scheduler ([`steal::TaskPool`]) — per-worker deques
-//!   seeded round-robin plus a global injector; idle workers steal the
-//!   oldest task of the most loaded peer. No external crates.
+//! * one shared queue, claimed in ascending id order — the job set is closed
+//!   before the first worker starts and a job runs for milliseconds to
+//!   seconds, so a worker that finishes simply takes the smallest id not yet
+//!   started: load balances itself, and jobs *start* in the order the sink
+//!   delivers them, so no result waits on a job that has not begun (at one
+//!   worker, on no job at all). No external crates.
 //! * [`PreparedCache`] — a build-once, string-keyed cache so expensive
 //!   immutable state (decoded programs, initial memory images) is built
 //!   exactly once and shared by `Arc` across all jobs, with build time
@@ -26,16 +29,13 @@
 //! artifact writers) on top.
 
 mod cache;
-pub mod steal;
 
 pub use cache::{CacheStats, PreparedCache};
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex};
 use std::time::Instant;
-
-use steal::{Task, TaskPool};
 
 /// One schedulable unit of a sweep.
 ///
@@ -143,7 +143,8 @@ pub fn resolve_workers(requested: usize) -> usize {
 
 /// Runs `jobs` on `workers` threads (0 = host parallelism), streaming each
 /// [`JobResult`] into `sink` **strictly in ascending job id order** as jobs
-/// retire. The sink runs on the calling thread; a result that finishes out
+/// retire. Workers claim jobs in the same ascending id order from one shared
+/// queue. The sink runs on the calling thread; a result that finishes out
 /// of order is buffered until every smaller id has been delivered.
 ///
 /// Worker panics inside a job are caught and surfaced as `Err` outcomes;
@@ -153,7 +154,7 @@ pub fn resolve_workers(requested: usize) -> usize {
 ///
 /// Panics if two jobs share an id — delivery order would be ambiguous.
 pub fn run_jobs<T: Send + 'static>(
-    jobs: Vec<Job<T>>,
+    mut jobs: Vec<Job<T>>,
     workers: usize,
     mut sink: impl FnMut(JobResult<T>),
 ) -> FarmStats {
@@ -161,21 +162,31 @@ pub fn run_jobs<T: Send + 'static>(
     let total = jobs.len();
     let workers = resolve_workers(workers).min(total.max(1));
 
-    // The delivery schedule: ascending ids, fixed before anything runs.
-    let mut order: Vec<u64> = jobs.iter().map(|j| j.id).collect();
-    order.sort_unstable();
+    // The claim and delivery schedule: ascending ids, fixed before anything
+    // runs.
+    jobs.sort_by_key(|j| j.id);
+    let order: Vec<u64> = jobs.iter().map(|j| j.id).collect();
     assert!(
         order.windows(2).all(|w| w[0] != w[1]),
         "duplicate job id in farm submission"
     );
+    let queue = Mutex::new(jobs.into_iter());
 
     let (tx, rx) = mpsc::channel::<JobResult<T>>();
-    let tasks: Vec<Task> = jobs
-        .into_iter()
-        .map(|job| {
-            let tx = tx.clone();
-            let Job { id, label, work } = job;
-            Box::new(move || {
+    let mut failures = 0usize;
+    let mut total_job_nanos = 0u128;
+    let mut details: Vec<JobMetric> = Vec::with_capacity(total);
+
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            let (queue, tx) = (&queue, tx.clone());
+            scope.spawn(move || loop {
+                // Jobs run outside the lock and their panics are caught, so
+                // nothing can poison it.
+                let claimed = queue.lock().expect("farm queue poisoned").next();
+                let Some(Job { id, label, work }) = claimed else {
+                    break;
+                };
                 let job_started = Instant::now();
                 let outcome = match catch_unwind(AssertUnwindSafe(work)) {
                     Ok(result) => result,
@@ -190,25 +201,9 @@ pub fn run_jobs<T: Send + 'static>(
                 // The receiver outlives the pool; a send failure means the
                 // caller thread died, and unwinding here is the right answer.
                 tx.send(result).expect("farm result channel closed");
-            }) as Task
-        })
-        .collect();
-    drop(tx);
-
-    let pool = TaskPool::seeded(workers, tasks);
-    let mut failures = 0usize;
-    let mut total_job_nanos = 0u128;
-    let mut details: Vec<JobMetric> = Vec::with_capacity(total);
-
-    std::thread::scope(|scope| {
-        for w in 0..pool.workers() {
-            let pool = &pool;
-            scope.spawn(move || {
-                while let Some(task) = pool.claim(w) {
-                    task();
-                }
             });
         }
+        drop(tx);
 
         // Reorder on the caller thread: buffer out-of-order arrivals, flush
         // the sink whenever the next expected id is available.
@@ -262,7 +257,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Arc, Mutex};
+    use std::sync::Arc;
 
     fn sweep(n: u64) -> Vec<Job<u64>> {
         (0..n)
@@ -283,6 +278,26 @@ mod tests {
             assert_eq!(stats.failures, 0);
             assert!(stats.workers <= 23);
         }
+    }
+
+    #[test]
+    fn one_worker_executes_in_ascending_id_order() {
+        // Submitted shuffled: at one worker the jobs must *run* — not merely
+        // be delivered — smallest id first, so no result waits in the
+        // reorder buffer and an early failure surfaces early.
+        let executed = Arc::new(Mutex::new(Vec::new()));
+        let jobs: Vec<Job<()>> = [3u64, 0, 5, 1, 4, 2]
+            .into_iter()
+            .map(|id| {
+                let executed = Arc::clone(&executed);
+                Job::new(id, id.to_string(), move || {
+                    executed.lock().unwrap().push(id);
+                    Ok(())
+                })
+            })
+            .collect();
+        run_jobs(jobs, 1, |_| {});
+        assert_eq!(*executed.lock().unwrap(), [0, 1, 2, 3, 4, 5]);
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //!   work counters;
 //! * [`SpiceLoopSpec`] / [`derive_loop_spec`] — the backend-neutral summary
 //!   of the target loop (header, speculated cursor registers, recognised
-//!   reductions, live-outs) that a backend needs to execute it in chunks.
+//!   reductions, live-out fold contract) every backend chunks it by,
+//!   re-exported from [`crate::analysis`].
 //!
 //! Consumers hold a `&mut dyn ExecutionBackend` and never mention a machine
 //! or a thread pool: `spice_workloads::drive_loaded_workload` is the one
@@ -38,142 +39,13 @@
 pub mod conflict;
 pub mod dense;
 
+pub use crate::analysis::{derive_loop_spec, CombineKind, LiveOutGroup, SpecError, SpiceLoopSpec};
 pub use conflict::{AccessSet, ConflictPolicy};
 pub use dense::DenseMap;
 
-use crate::cfg::Cfg;
-use crate::dom::DomTree;
 use crate::interp::{run_decoded_with, FlatMemory, LocalSys, DEFAULT_FUEL};
-use crate::liveness::{loop_live_ins, Liveness};
-use crate::loops::{LoopForest, LoopId};
-use crate::reduction::{detect_reductions, Reduction};
-use crate::types::{BlockId, FuncId, Reg, TrapKind};
+use crate::types::{BlockId, FuncId, TrapKind};
 use crate::{DecodedProgram, Program};
-
-/// Backend-neutral description of a Spice-parallelizable loop: everything an
-/// execution backend needs to chunk the iteration space, start speculative
-/// chunks from predicted live-ins, and recombine partial results.
-#[derive(Debug, Clone)]
-pub struct SpiceLoopSpec {
-    /// Function containing the loop.
-    pub func: FuncId,
-    /// The loop's header block — the per-iteration chunk boundary.
-    pub header: BlockId,
-    /// The unique preheader block.
-    pub preheader: BlockId,
-    /// The loop's single exit target block.
-    pub exit_block: BlockId,
-    /// All blocks of the loop, sorted.
-    pub blocks: Vec<BlockId>,
-    /// Loop-carried live-ins that must be value-speculated — the set `S` of
-    /// Algorithm 1 (the "cursor" registers a chunk starts from).
-    pub cursors: Vec<Reg>,
-    /// Recognised reductions (removed from `S` by the reduction
-    /// transformation; combined across chunks at commit time).
-    pub reductions: Vec<Reduction>,
-    /// Invariant live-ins (safe to read from the sequential entry state).
-    pub invariant: Vec<Reg>,
-    /// Registers defined inside the loop that are live after it.
-    pub live_outs: Vec<Reg>,
-}
-
-/// Why a loop cannot be described by a [`SpiceLoopSpec`]. Mirrors the
-/// applicability conditions of the transformation (paper §4).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SpecError {
-    /// The function has no loop (with the requested header).
-    NoSuchLoop,
-    /// The loop has no unique preheader block.
-    NoPreheader,
-    /// The loop exits through more than one edge.
-    MultipleExits,
-    /// Every loop-carried live-in is a reduction; nothing to speculate.
-    NothingToSpeculate,
-}
-
-impl std::fmt::Display for SpecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SpecError::NoSuchLoop => f.write_str("no loop with the requested header"),
-            SpecError::NoPreheader => f.write_str("loop has no unique preheader"),
-            SpecError::MultipleExits => f.write_str("loop has more than one exit edge"),
-            SpecError::NothingToSpeculate => {
-                f.write_str("all loop-carried live-ins are reductions; nothing to speculate")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SpecError {}
-
-/// Derives the [`SpiceLoopSpec`] of the loop of `func` whose header is
-/// `header`, or of the largest top-level loop when `header` is `None`.
-///
-/// This bundles the same IR analyses the transformation front-end uses
-/// (natural loops, liveness, reduction detection) so that backends with no
-/// access to the `spice-core` analysis stack — notably the native-thread
-/// runtime — can chunk a loop on their own.
-///
-/// # Errors
-///
-/// Returns the applicability condition that failed.
-pub fn derive_loop_spec(
-    program: &Program,
-    func: FuncId,
-    header: Option<BlockId>,
-) -> Result<SpiceLoopSpec, SpecError> {
-    let f = program.func(func);
-    let cfg = Cfg::new(f);
-    let dom = DomTree::new(&cfg);
-    let forest = LoopForest::new(f, &cfg, &dom);
-    let loop_id: LoopId = match header {
-        Some(h) => forest.loop_with_header(h).ok_or(SpecError::NoSuchLoop)?,
-        None => {
-            let mut best: Option<(usize, LoopId)> = None;
-            for id in forest.top_level() {
-                let size = forest.get(id).blocks.len();
-                if best.is_none_or(|(s, _)| size > s) {
-                    best = Some((size, id));
-                }
-            }
-            best.ok_or(SpecError::NoSuchLoop)?.1
-        }
-    };
-    let l = forest.get(loop_id);
-    let preheader = forest
-        .preheader(loop_id, f, &cfg)
-        .ok_or(SpecError::NoPreheader)?;
-    if l.exits.len() != 1 {
-        return Err(SpecError::MultipleExits);
-    }
-    let exit_block = l.exits[0].1;
-
-    let liveness = Liveness::new(f, &cfg);
-    let live = loop_live_ins(f, &cfg, &liveness, l);
-    let reductions = detect_reductions(f, l, &live);
-    let covered = reductions.covered_regs();
-    let cursors: Vec<Reg> = live
-        .carried
-        .iter()
-        .copied()
-        .filter(|r| !covered.contains(r))
-        .collect();
-    if cursors.is_empty() {
-        return Err(SpecError::NothingToSpeculate);
-    }
-
-    Ok(SpiceLoopSpec {
-        func,
-        header: l.header,
-        preheader,
-        exit_block,
-        blocks: l.blocks_sorted(),
-        cursors,
-        reductions: reductions.reductions,
-        invariant: live.invariant,
-        live_outs: live.live_outs,
-    })
-}
 
 /// What one invocation cost, in the backend's native unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -301,7 +173,7 @@ pub enum BackendError {
     NotLoaded,
     /// The target loop cannot be executed by this backend.
     Spec(SpecError),
-    /// The loop analysis or transformation failed (message from the
+    /// The transformation of an applicable loop failed (message from the
     /// backend's front-end).
     Analysis(String),
     /// The underlying engine failed (simulator error, deadlocked thread…).
@@ -315,7 +187,7 @@ impl std::fmt::Display for BackendError {
         match self {
             BackendError::NotLoaded => f.write_str("backend has no loaded program"),
             BackendError::Spec(e) => write!(f, "loop not chunkable: {e}"),
-            BackendError::Analysis(m) => write!(f, "analysis failed: {m}"),
+            BackendError::Analysis(m) => write!(f, "transformation failed: {m}"),
             BackendError::Engine(m) => write!(f, "execution failed: {m}"),
             BackendError::Memory(t) => write!(f, "non-speculative memory access failed: {t}"),
         }
@@ -566,7 +438,7 @@ mod tests {
         assert_eq!(spec.cursors.len(), 1, "one speculated cursor");
         assert_eq!(spec.reductions.len(), 1, "the min reduction");
         assert!(!spec.blocks.is_empty());
-        assert_ne!(spec.header, spec.exit_block);
+        assert_ne!(spec.header, spec.exit_edge.1);
     }
 
     #[test]

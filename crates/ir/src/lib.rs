@@ -19,6 +19,10 @@
 //!   invariant live-ins and live-outs (paper §4, Algorithm 1).
 //! * [`reduction::detect_reductions`] — sum/MIN/MAX reduction candidates,
 //!   which Spice removes from the set of values to speculate.
+//! * [`analysis`] — the loop front end both Spice backends start from:
+//!   [`analysis::derive_loop_spec`] bundles the analyses above into the one
+//!   [`analysis::SpiceLoopSpec`] (applicability, the speculated set `S`, the
+//!   live-out fold contract; the dependence pre-screen is a query on it).
 //! * [`interp`] — functional execution: a steppable [`interp::ThreadState`]
 //!   used by the multi-core timing simulator, and single-threaded
 //!   convenience runners used by tests and the value profiler.
@@ -27,8 +31,7 @@
 //!   inlined and branch targets resolved.
 //! * [`exec`] — the [`exec::ExecutionBackend`] abstraction: one API over
 //!   every way of running a Spice loop (timing simulator, native threads),
-//!   with the backend-neutral [`exec::ExecutionReport`] and
-//!   [`exec::SpiceLoopSpec`].
+//!   with the backend-neutral [`exec::ExecutionReport`].
 //! * [`verify`] — structural verification, run after every transformation.
 //! * [`fixtures`] — the small list-walking programs several crates' tests
 //!   share.
@@ -76,6 +79,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod analysis;
 pub mod builder;
 pub mod cfg;
 pub mod dataflow;

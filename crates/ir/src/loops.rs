@@ -193,6 +193,22 @@ impl LoopForest {
             .map(LoopId)
     }
 
+    /// The loop a Spice backend or profiler targets: the one whose header is
+    /// `header`, or — when `None` — the largest top-level loop (the first
+    /// of them, in header order, on a tie).
+    #[must_use]
+    pub fn target_loop(&self, header: Option<BlockId>) -> Option<LoopId> {
+        match header {
+            Some(h) => self.loop_with_header(h),
+            // `max_by_key` keeps the last maximum; reversed, the first.
+            None => self
+                .top_level()
+                .into_iter()
+                .rev()
+                .max_by_key(|&id| self.get(id).blocks.len()),
+        }
+    }
+
     /// Returns the innermost loop containing block `b`, if any.
     #[must_use]
     pub fn innermost_containing(&self, b: BlockId) -> Option<LoopId> {

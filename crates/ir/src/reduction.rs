@@ -44,16 +44,6 @@ impl ReductionKind {
             ReductionKind::Max => i64::MIN,
         }
     }
-
-    /// The binary operation used when combining two partial accumulators.
-    #[must_use]
-    pub fn combine_op(self) -> BinOp {
-        match self {
-            ReductionKind::Binop(op) => op,
-            ReductionKind::Min => BinOp::Min,
-            ReductionKind::Max => BinOp::Max,
-        }
-    }
 }
 
 /// A recognised reduction over one loop-carried register.
@@ -443,7 +433,5 @@ mod tests {
         assert_eq!(ReductionKind::Binop(BinOp::Mul).identity(), 1);
         assert_eq!(ReductionKind::Min.identity(), i64::MAX);
         assert_eq!(ReductionKind::Max.identity(), i64::MIN);
-        assert_eq!(ReductionKind::Min.combine_op(), BinOp::Min);
-        assert_eq!(ReductionKind::Binop(BinOp::Xor).combine_op(), BinOp::Xor);
     }
 }

@@ -15,10 +15,9 @@
 //! fails, 2 on a usage error.
 
 use spice_bench::experiments::all_workload_factories;
-use spice_core::analysis::LoopAnalysis;
 use spice_core::predictor::PredictorOptions;
 use spice_core::transform::{SpiceOptions, SpiceTransform, TransformError};
-use spice_ir::exec::ConflictPolicy;
+use spice_ir::exec::{derive_loop_spec, ConflictPolicy};
 use spice_ir::lint::lint_spice;
 use spice_ir::verify::verify_program;
 use spice_workloads::workload_load_options;
@@ -65,18 +64,14 @@ fn lint_workload(
         return errs.len();
     }
 
-    let analysis = match options.loop_header {
-        Some(h) => LoopAnalysis::analyze(&built.program, built.kernel, h),
-        None => LoopAnalysis::analyze_outermost(&built.program, built.kernel),
-    };
-    let analysis = match analysis {
+    let analysis = match derive_loop_spec(&built.program, built.kernel, options.loop_header) {
         Ok(a) => a,
         Err(e) => {
             println!("{name}: loop analysis failed: {e}");
             return 1;
         }
     };
-    let dep = &analysis.dependence;
+    let dep = analysis.dependence(&built.program);
     println!(
         "{name}: threads={threads} policy={} dependence={} \
          (stores={} loads={} pairs: {} disjoint / {} unknown / {} dependent{}) \
@@ -89,17 +84,16 @@ fn lint_workload(
         dep.unknown_pairs,
         dep.dependent_pairs,
         if dep.has_calls { ", has calls" } else { "" },
-        policy_name(analysis.recommended_policy()),
+        policy_name(analysis.recommended_policy(&built.program)),
     );
 
-    let mut predictor = PredictorOptions::default();
-    if predictor.initial_work_estimate.is_none() {
-        predictor.initial_work_estimate = options.work_estimate;
-    }
     let mut program = built.program.clone();
     let spice = SpiceTransform::new(SpiceOptions {
         threads,
-        predictor,
+        predictor: PredictorOptions {
+            initial_work_estimate: options.work_estimate,
+            ..PredictorOptions::default()
+        },
         conflict_policy: options.conflict_policy,
     })
     .apply(&mut program, &analysis);

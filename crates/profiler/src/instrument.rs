@@ -8,11 +8,11 @@
 
 use serde::{Deserialize, Serialize};
 
+use spice_ir::analysis::speculated_set;
 use spice_ir::cfg::Cfg;
 use spice_ir::dom::DomTree;
-use spice_ir::liveness::{loop_live_ins, Liveness};
+use spice_ir::liveness::Liveness;
 use spice_ir::loops::LoopForest;
-use spice_ir::reduction::detect_reductions;
 use spice_ir::{BlockId, FuncId, Inst, Program, Reg};
 
 /// One instrumented loop.
@@ -69,15 +69,7 @@ pub fn instrument_program(program: &mut Program) -> Instrumentation {
             let live = Liveness::new(f, &cfg);
             let mut plan = Vec::new();
             for (_, l) in forest.iter() {
-                let lli = loop_live_ins(f, &cfg, &live, l);
-                let reds = detect_reductions(f, l, &lli);
-                let covered = reds.covered_regs();
-                let recorded: Vec<Reg> = lli
-                    .carried
-                    .iter()
-                    .copied()
-                    .filter(|r| !covered.contains(r))
-                    .collect();
+                let (_, _, recorded) = speculated_set(f, &cfg, &live, l);
                 if !recorded.is_empty() {
                     plan.push((l.header, l.depth, recorded));
                 }

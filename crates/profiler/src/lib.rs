@@ -196,15 +196,10 @@ use serde::Serialize;
 /// when there is no such loop.
 fn target_loop_blocks(f: &Function, header: Option<BlockId>) -> HashSet<BlockId> {
     let forest = LoopForest::of(f);
-    let target = match header {
-        Some(h) => forest.loop_with_header(h).map(|id| forest.get(id)),
-        None => forest
-            .top_level()
-            .into_iter()
-            .map(|id| forest.get(id))
-            .max_by_key(|l| l.blocks.len()),
-    };
-    target.map(|l| l.blocks.clone()).unwrap_or_default()
+    forest
+        .target_loop(header)
+        .map(|id| forest.get(id).blocks.clone())
+        .unwrap_or_default()
 }
 
 /// Measures the dynamic instruction counts of one run of `func`, attributing

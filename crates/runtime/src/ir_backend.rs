@@ -62,18 +62,18 @@ use std::collections::HashMap;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvError, Sender, TryRecvError};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use spice_ir::exec::{
-    derive_loop_spec, AccessSet, BackendError, ExecutionBackend, ExecutionCost, ExecutionReport,
-    LoadOptions, MisspeculationCause, SpiceLoopSpec, WorkerReport,
+    derive_loop_spec, AccessSet, BackendError, CombineKind, ExecutionBackend, ExecutionCost,
+    ExecutionReport, LoadOptions, MisspeculationCause, SpiceLoopSpec, WorkerReport,
 };
 use spice_ir::interp::{FlatMemory, MemPort, StepEvent, SysPort, ThreadState};
 use spice_ir::reduction::ReductionKind;
 use spice_ir::{
-    BlockId, DecodedProgram, FuncId, InstClass, Program, Reg, SquashForensics, TraceEvent,
+    BlockId, DecodedProgram, FuncId, InstClass, Program, SquashForensics, TraceEvent,
     TraceRecorder, TraceSink, TrapKind,
 };
 
@@ -157,12 +157,18 @@ struct LoopContext {
     /// structured [`Program`] is consumed by the loop analysis and the
     /// decode; nothing at run time walks it).
     program: DecodedProgram,
-    kernel: FuncId,
+    /// The target loop; `spec.func` is the kernel.
     spec: SpiceLoopSpec,
-    /// Persistent shared heap the threads execute against. Mirrors
-    /// `Loaded::mem`; re-synced from it only when `heap_dirty` says a driver
-    /// mutated the canonical image since the last post-invocation commit.
-    heap: SharedHeap,
+    /// Persistent shared heap the threads execute against, `heap_words`
+    /// long. Mirrors `Loaded::mem`; re-synced from it only when `heap_dirty`
+    /// says a driver mutated the canonical image since the last
+    /// post-invocation commit. Built by the first invocation, not by `load`,
+    /// so a load holds one image-sized buffer, not two: glibc trims its heap
+    /// top at twice the largest buffer it has seen freed, and two equal
+    /// buffers per load kept repeated loads within 2 % of that — a process
+    /// that fell on the wrong side re-faulted 4 MB per round of loads.
+    heap: OnceLock<SharedHeap>,
+    heap_words: usize,
     step_budget: u64,
     /// Whether cross-chunk memory dependences are detected
     /// ([`spice_ir::exec::ConflictPolicy::Detect`]): every chunk records its
@@ -170,6 +176,12 @@ struct LoopContext {
     detect: bool,
     /// Conflict-set coarsening (power-of-two words per grain; 0 = exact).
     granularity_log2: u8,
+}
+
+impl LoopContext {
+    fn heap(&self) -> &SharedHeap {
+        self.heap.get_or_init(|| SharedHeap::new(self.heap_words))
+    }
 }
 
 #[derive(Debug)]
@@ -458,9 +470,9 @@ impl ExecutionBackend for NativeLoopBackend {
         }
         let ctx = LoopContext {
             program: DecodedProgram::new(&program),
-            kernel,
             spec,
-            heap: SharedHeap::new(mem.size()),
+            heap: OnceLock::new(),
+            heap_words: mem.size(),
             step_budget: self.step_budget,
             detect: options.conflict_policy.detects(),
             granularity_log2: options.conflict_granularity_log2,
@@ -503,7 +515,7 @@ impl ExecutionBackend for NativeLoopBackend {
         tracing.emit(TraceEvent::InvocationBegin { index: invocation });
 
         let ctx = Arc::clone(&loaded.ctx);
-        let (spec, heap) = (&ctx.spec, &ctx.heap);
+        let (spec, heap) = (&ctx.spec, ctx.heap());
         let (detect, granularity_log2) = (ctx.detect, ctx.granularity_log2);
         // Mirror the canonical memory into the persistent shared heap only
         // when a driver actually touched the image since the last commit —
@@ -633,17 +645,9 @@ impl ExecutionBackend for NativeLoopBackend {
         let mut committed = 0usize;
         let mut still_valid = main_run.stop == Stop::Boundary;
         let mut end_reached = false;
-        let mut resume_finals: Option<Vec<(Reg, i64)>> = None;
         let mut reports = Vec::with_capacity(workers);
         let mut work = vec![main_run.iterations];
         let mut memos = main_run.memos;
-        // Registers whose resume values come from reduction combining,
-        // not from copying the last committed chunk's state.
-        let combined_regs: Vec<Reg> = spec
-            .reductions
-            .iter()
-            .flat_map(|r| std::iter::once(r.reg).chain(r.payloads.iter().copied()))
-            .collect();
 
         for wi in 0..workers {
             if !tasked[wi] {
@@ -718,12 +722,11 @@ impl ExecutionBackend for NativeLoopBackend {
                         writes: result.writes.len() as u64,
                     });
                 }
-                combine_reductions(spec, &mut main, &result.finals);
+                fold_liveouts(spec, &mut main, &result.finals);
                 memos.extend(result.run.memos);
                 work.push(result.run.iterations);
                 committed += 1;
                 end_reached = result.run.stop == Stop::Exit;
-                resume_finals = Some(result.finals);
                 reports.push(WorkerReport {
                     committed: true,
                     cause: None,
@@ -793,17 +796,14 @@ impl ExecutionBackend for NativeLoopBackend {
         // Resume the main thread to the end of the kernel: on success from
         // the terminal state of the last committed chunk; after a squash
         // from the first non-validated boundary (which the last valid chunk
-        // reached itself, so it is a genuine traversal point). Through the
+        // reached itself, so it is a genuine traversal point) — the commit
+        // fold left exactly that state in the main thread's registers,
+        // reductions carrying the committed prefix. Through the
         // same port, so allocations made during the main chunk are not
         // handed out a second time.
         let return_value = match main_run.stop {
             Stop::Finished(value) => value,
             _ => {
-                for (reg, value) in resume_finals.iter().flatten() {
-                    if !combined_regs.contains(reg) {
-                        main.set_reg(*reg, *value);
-                    }
-                }
                 let mut steps = ctx.step_budget;
                 loop {
                     let resume = ChunkLimits::default();
@@ -1003,7 +1003,7 @@ fn step_to_header<M: MemPort>(
                     if state.current_block() == spec.header {
                         return None;
                     }
-                    if state.current_block() == spec.exit_block {
+                    if state.current_block() == spec.exit_edge.1 {
                         return Some(Stop::Exit);
                     }
                 }
@@ -1027,7 +1027,7 @@ fn enter_loop<M: MemPort>(
     port: &mut M,
     steps: &mut u64,
 ) -> (ThreadState, Option<Stop>) {
-    let mut state = ThreadState::new(&ctx.program, ctx.kernel, args);
+    let mut state = ThreadState::new(&ctx.program, ctx.spec.func, args);
     let early = step_to_header(ctx, &mut state, port, steps, None);
     (state, early)
 }
@@ -1039,9 +1039,9 @@ struct WorkerChunk {
     /// Load set of the chunk (addresses read from the shared heap, not
     /// store-forwarded) — empty under `ConflictPolicy::AssumeIndependent`.
     reads: AccessSet,
-    /// Final values of the spec-relevant registers (cursors, reductions,
-    /// payloads, live-outs) at the stop point.
-    finals: Vec<(Reg, i64)>,
+    /// Values, at the stop point, of the registers of the spec's live-out
+    /// groups, in group order — what a committed chunk hands back.
+    finals: Vec<i64>,
 }
 
 /// Runs one speculative worker chunk: from the main thread's header frame,
@@ -1057,7 +1057,7 @@ fn run_worker_chunk(task: WorkerTask, squash: &AtomicBool) -> WorkerChunk {
     for r in &ctx.spec.reductions {
         state.set_reg(r.reg, r.kind.identity());
     }
-    let mut view = SpecView::with_read_tracking(&ctx.heap, ctx.detect)
+    let mut view = SpecView::with_read_tracking(ctx.heap(), ctx.detect)
         .with_conflict_granularity(ctx.granularity_log2);
     let mut steps = ctx.step_budget;
     let limits = ChunkLimits {
@@ -1130,65 +1130,48 @@ impl SysPort for NopSys {
     fn resteer(&mut self, _core: i64, _target: BlockId) {}
 }
 
-/// Snapshot of the spec-relevant registers of a stopped chunk. Meaningless
-/// (and not even addressable — register files are function-local) unless the
-/// thread's innermost frame is the kernel function, as it is at every
-/// boundary; a chunk that faulted inside a callee reports no finals.
-fn snapshot_finals(spec: &SpiceLoopSpec, state: &ThreadState) -> Vec<(Reg, i64)> {
+/// Snapshot of a stopped chunk's live-out registers, in the order of the
+/// spec's groups. Meaningless (and not even addressable — register files are
+/// function-local) unless the thread's innermost frame is the kernel
+/// function, as it is at every boundary; a chunk that faulted inside a
+/// callee reports no finals.
+fn snapshot_finals(spec: &SpiceLoopSpec, state: &ThreadState) -> Vec<i64> {
     if state.current_func() != spec.func {
         return Vec::new();
     }
-    let mut regs: Vec<Reg> = spec.cursors.clone();
-    regs.extend(spec.live_outs.iter().copied());
-    for r in &spec.reductions {
-        regs.push(r.reg);
-        regs.extend(r.payloads.iter().copied());
-    }
-    regs.sort_unstable();
-    regs.dedup();
-    regs.into_iter().map(|r| (r, state.reg(r))).collect()
+    let regs = spec.liveouts.iter().flat_map(|g| &g.regs);
+    regs.map(|&r| state.reg(r)).collect()
 }
 
 fn engine_trap(trap: TrapKind) -> BackendError {
     BackendError::Engine(format!("main thread trapped: {trap}"))
 }
 
-/// Folds a committed chunk's reduction accumulators (and payloads) into the
-/// main thread's registers, in thread order.
-fn combine_reductions(spec: &SpiceLoopSpec, main: &mut ThreadState, finals: &[(Reg, i64)]) {
-    let lookup = |reg: Reg| finals.iter().find(|(r, _)| *r == reg).map(|(_, v)| *v);
-    for red in &spec.reductions {
-        let Some(theirs) = lookup(red.reg) else {
-            continue;
+/// Folds a committed chunk's finals into the main thread's registers, group
+/// by group, in thread order — the merge the transformation generates for
+/// core 0, interpreted.
+fn fold_liveouts(spec: &SpiceLoopSpec, main: &mut ThreadState, mut finals: &[i64]) {
+    for group in &spec.liveouts {
+        let (theirs, rest) = finals.split_at(group.regs.len());
+        finals = rest;
+        let acc = group.regs[0];
+        let ours = main.reg(acc);
+        // Strict comparisons keep the earliest chunk's value on ties,
+        // matching the sequential first-minimum semantics.
+        let take_theirs = match group.kind {
+            CombineKind::Overwrite => true,
+            CombineKind::Reduction(ReductionKind::Min) => theirs[0] < ours,
+            CombineKind::Reduction(ReductionKind::Max) => theirs[0] > ours,
+            CombineKind::Reduction(ReductionKind::Binop(op)) => {
+                if let Ok(v) = op.eval(ours, theirs[0]) {
+                    main.set_reg(acc, v);
+                }
+                false
+            }
         };
-        let ours = main.reg(red.reg);
-        match red.kind {
-            ReductionKind::Min => {
-                // Strict comparison keeps the earliest chunk's value on ties,
-                // matching the sequential first-minimum semantics.
-                if theirs < ours {
-                    main.set_reg(red.reg, theirs);
-                    for &p in &red.payloads {
-                        if let Some(v) = lookup(p) {
-                            main.set_reg(p, v);
-                        }
-                    }
-                }
-            }
-            ReductionKind::Max => {
-                if theirs > ours {
-                    main.set_reg(red.reg, theirs);
-                    for &p in &red.payloads {
-                        if let Some(v) = lookup(p) {
-                            main.set_reg(p, v);
-                        }
-                    }
-                }
-            }
-            ReductionKind::Binop(op) => {
-                if let Ok(v) = op.eval(ours, theirs) {
-                    main.set_reg(red.reg, v);
-                }
+        if take_theirs {
+            for (&reg, &value) in group.regs.iter().zip(theirs) {
+                main.set_reg(reg, value);
             }
         }
     }
@@ -1884,10 +1867,10 @@ mod tests {
         let head = write_list(backend.mem_mut(), nodes, &weights);
         let loaded = backend.loaded.unwrap();
         let ctx = &*loaded.ctx;
-        ctx.heap.overwrite(&loaded.mem);
+        ctx.heap().overwrite(&loaded.mem);
         let node = |i: i64| head + 2 * i;
         let direct = || DirectPort {
-            heap: &ctx.heap,
+            heap: ctx.heap(),
             alloc_next: 0,
             write_log: None,
         };

@@ -3,7 +3,7 @@
 //! sequential execution, across thread counts and in the presence of
 //! mis-speculation.
 
-use spice_core::analysis::LoopAnalysis;
+use spice_core::analysis::derive_loop_spec;
 use spice_core::pipeline::SpiceRunner;
 use spice_core::transform::{SpiceOptions, SpiceTransform};
 use spice_core::SimBackend;
@@ -24,8 +24,7 @@ fn check_workload(mut make: impl FnMut() -> Box<dyn SpiceWorkload>, threads: usi
     let mut wl = make();
     let built = wl.build();
     let mut program = built.program;
-    let analysis =
-        LoopAnalysis::analyze_outermost(&program, built.kernel).expect("loop analyzable");
+    let analysis = derive_loop_spec(&program, built.kernel, None).expect("loop analyzable");
     let estimate = wl.expected_iterations();
     let spice = SpiceTransform::new(SpiceOptions::with_threads_and_estimate(threads, estimate))
         .apply(&mut program, &analysis)

@@ -1,6 +1,6 @@
 //! The farm's one non-negotiable property: artifacts and results are a pure
 //! function of the manifest, never of scheduling. A sweep at `--jobs 1`
-//! and the same sweep on a full work-stealing pool must produce
+//! and the same sweep on a full worker pool must produce
 //! byte-identical streamed artifacts and identical per-job simulation
 //! summaries — conflict-carrying (squash-and-recover) workloads included.
 

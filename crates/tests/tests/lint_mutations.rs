@@ -7,7 +7,7 @@
 //! regression that silently disables a lint is caught here rather than by a
 //! production miscompile.
 
-use spice_core::analysis::LoopAnalysis;
+use spice_core::analysis::derive_loop_spec;
 use spice_core::predictor::PredictorOptions;
 use spice_core::transform::{SpiceOptions, SpiceParallelLoop, SpiceTransform};
 use spice_ir::builder::FunctionBuilder;
@@ -52,7 +52,7 @@ fn list_sum_program() -> (Program, FuncId) {
 /// transformed program, the loop description, and its protocol.
 fn transformed(policy: ConflictPolicy) -> (Program, SpiceParallelLoop, SpiceProtocol) {
     let (mut program, f) = list_sum_program();
-    let analysis = LoopAnalysis::analyze_outermost(&program, f).unwrap();
+    let analysis = derive_loop_spec(&program, f, None).unwrap();
     let spice = SpiceTransform::new(SpiceOptions {
         threads: 3,
         predictor: PredictorOptions {

@@ -7,16 +7,13 @@
 //!    conflict granularity in the farm manifest's sweep matrix.
 //! 2. The static dependence pre-screen never contradicts dynamic truth: a
 //!    workload whose Spice run *measures* cross-chunk dependence violations
-//!    is never classified provably-disjoint, and every workload that
-//!    declares `AssumeIndependent` is one the pre-screen can actually prove
-//!    disjoint.
+//!    is never classified provably-disjoint, and every workload declares
+//!    exactly the policy the pre-screen recommends.
 
 use spice_bench::experiments::{all_workload_factories, LINE_GRANULARITY_LOG2};
-use spice_core::analysis::LoopAnalysis;
 use spice_core::backend::SimBackend;
-use spice_core::pipeline::predictor_options_with_estimate;
 use spice_core::transform::{SpiceOptions, SpiceTransform};
-use spice_ir::exec::ConflictPolicy;
+use spice_ir::exec::{derive_loop_spec, ConflictPolicy};
 use spice_ir::lint::lint_spice;
 use spice_ir::verify::verify_program;
 use spice_ir::DependenceClass;
@@ -41,16 +38,12 @@ fn every_workload_passes_verify_and_lints_across_the_farm_matrix() {
                 );
                 let options = workload_load_options(wl.as_ref(), &built)
                     .with_conflict_granularity_log2(granularity);
-                let analysis = match options.loop_header {
-                    Some(h) => LoopAnalysis::analyze(&built.program, built.kernel, h),
-                    None => LoopAnalysis::analyze_outermost(&built.program, built.kernel),
-                }
-                .unwrap_or_else(|e| panic!("{name}: analysis failed: {e}"));
+                let analysis = derive_loop_spec(&built.program, built.kernel, options.loop_header)
+                    .unwrap_or_else(|e| panic!("{name}: analysis failed: {e}"));
                 let mut program = built.program;
                 let spice = SpiceTransform::new(SpiceOptions {
-                    threads,
-                    predictor: predictor_options_with_estimate(wl.expected_iterations()),
                     conflict_policy: options.conflict_policy,
+                    ..SpiceOptions::with_threads_and_estimate(threads, wl.expected_iterations())
                 })
                 .apply(&mut program, &analysis)
                 .unwrap_or_else(|e| panic!("{name}: transform failed at {threads} threads: {e}"));
@@ -79,20 +72,15 @@ fn measured_violations_never_contradict_the_prescreen() {
         let mut wl = factory();
         let built = wl.build();
         let options = workload_load_options(wl.as_ref(), &built);
-        let analysis = match options.loop_header {
-            Some(h) => LoopAnalysis::analyze(&built.program, built.kernel, h),
-            None => LoopAnalysis::analyze_outermost(&built.program, built.kernel),
-        }
-        .unwrap_or_else(|e| panic!("{name}: analysis failed: {e}"));
-        let class = analysis.dependence.class;
+        let analysis = derive_loop_spec(&built.program, built.kernel, options.loop_header)
+            .unwrap_or_else(|e| panic!("{name}: analysis failed: {e}"));
+        let class = analysis.dependence(&built.program).class;
         saw_disjoint |= class == DependenceClass::ProvablyDisjoint;
 
         // Dynamic side: run a fresh instance with detection forced on (word
         // granularity — the honest violation count) and compare.
         let mut run_wl = factory();
-        let mut backend = SimBackend::new(4).with_predictor(predictor_options_with_estimate(
-            run_wl.expected_iterations(),
-        ));
+        let mut backend = SimBackend::new(4);
         let summary = run_workload_on_with(run_wl.as_mut(), &mut backend, |o| {
             o.with_conflict_policy(ConflictPolicy::Detect)
         })
@@ -118,30 +106,20 @@ fn measured_violations_never_contradict_the_prescreen() {
 fn declared_independence_is_always_provable() {
     // `AssumeIndependent` disables the conflict-detection safety net, so a
     // declaration the pre-screen cannot prove is a red flag: either the
-    // declaration is wrong or the pre-screen lost precision. Workloads that
-    // carry (or may carry) dependences must declare `Detect`.
+    // declaration is wrong or the pre-screen lost precision. The converse
+    // holds too — a provably disjoint loop that declares `Detect` pays for
+    // tracking it cannot need — so the two must be equal, which also makes
+    // the declaration derivable.
     for (name, factory) in all_workload_factories(true) {
         let mut wl = factory();
-        let declared = wl.conflict_policy();
         let built = wl.build();
-        let options = workload_load_options(wl.as_ref(), &built);
-        let analysis = match options.loop_header {
-            Some(h) => LoopAnalysis::analyze(&built.program, built.kernel, h),
-            None => LoopAnalysis::analyze_outermost(&built.program, built.kernel),
-        }
-        .unwrap_or_else(|e| panic!("{name}: analysis failed: {e}"));
-        if declared == ConflictPolicy::AssumeIndependent {
-            assert_eq!(
-                analysis.dependence.class,
-                DependenceClass::ProvablyDisjoint,
-                "{name} declares AssumeIndependent but the pre-screen cannot prove \
-                 the loop disjoint ({:?})",
-                analysis.dependence
-            );
-            assert_eq!(
-                analysis.recommended_policy(),
-                ConflictPolicy::AssumeIndependent
-            );
-        }
+        let analysis = derive_loop_spec(&built.program, built.kernel, built.loop_header_hint)
+            .unwrap_or_else(|e| panic!("{name}: analysis failed: {e}"));
+        assert_eq!(
+            wl.conflict_policy(),
+            analysis.recommended_policy(&built.program),
+            "{name}: the declared policy is not the one the pre-screen recommends ({:?})",
+            analysis.dependence(&built.program)
+        );
     }
 }

@@ -10,7 +10,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use spice_core::analysis::LoopAnalysis;
+use spice_core::analysis::derive_loop_spec;
 use spice_core::pipeline::{run_sequential, SpiceRunner};
 use spice_core::transform::{SpiceOptions, SpiceTransform};
 use spice_ir::fixtures::list_min_program;
@@ -67,7 +67,7 @@ fn spice_equals_sequential_on_random_lists() {
 
         // Spice over the same sequence of lists.
         let (mut p, f, nodes, _) = list_min_program(capacity);
-        let analysis = LoopAnalysis::analyze_outermost(&p, f).unwrap();
+        let analysis = derive_loop_spec(&p, f, None).unwrap();
         let spice = SpiceTransform::new(SpiceOptions::with_threads_and_estimate(threads, n as u64))
             .apply(&mut p, &analysis)
             .unwrap();
@@ -90,7 +90,7 @@ fn spice_equals_sequential_on_random_lists() {
 fn transformation_structurally_sound() {
     for threads in 2usize..9 {
         let (mut p, f, ..) = list_min_program(16);
-        let analysis = LoopAnalysis::analyze_outermost(&p, f).unwrap();
+        let analysis = derive_loop_spec(&p, f, None).unwrap();
         let spice = SpiceTransform::new(SpiceOptions::with_threads(threads))
             .apply(&mut p, &analysis)
             .unwrap();

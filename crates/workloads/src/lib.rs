@@ -311,19 +311,8 @@ pub(crate) fn run_on_interpreter(workload: &mut dyn SpiceWorkload) -> BackendRun
         .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// The paper's four evaluation loops (Table 2 / Figure 7) with default
-/// configurations.
-#[must_use]
-pub fn paper_benchmarks() -> Vec<Box<dyn SpiceWorkload>> {
-    vec![
-        Box::new(KsWorkload::new(KsConfig::default())),
-        Box::new(OtterWorkload::new(OtterConfig::default())),
-        Box::new(McfWorkload::new(McfConfig::default())),
-        Box::new(SjengWorkload::new(SjengConfig::default())),
-    ]
-}
-
-/// Smaller configurations of the same four loops, for quick test runs.
+/// The paper's four evaluation loops (Table 2 / Figure 7) in small
+/// configurations, for quick test runs.
 #[must_use]
 pub fn paper_benchmarks_small() -> Vec<Box<dyn SpiceWorkload>> {
     vec![
@@ -437,9 +426,9 @@ mod tests {
 
     #[test]
     fn paper_benchmark_set_matches_table2() {
-        let names: Vec<&str> = paper_benchmarks().iter().map(|w| w.name()).collect();
+        let names: Vec<&str> = paper_benchmarks_small().iter().map(|w| w.name()).collect();
         assert_eq!(names, vec!["ks", "otter", "181.mcf", "458.sjeng"]);
-        for w in paper_benchmarks() {
+        for w in paper_benchmarks_small() {
             assert!(w.paper_hotness() > 0.0 && w.paper_hotness() <= 1.0);
             assert!(!w.description().is_empty());
             assert!(!w.loop_name().is_empty());

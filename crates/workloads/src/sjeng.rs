@@ -367,34 +367,19 @@ mod tests {
 
     #[test]
     fn loop_exposes_eight_speculated_live_ins() {
-        // The full analysis lives in spice-core, which this crate must not
-        // depend on; check the structural property with the IR analyses
-        // directly: the loop carries the pointer plus seven rolling states,
-        // and score/material are reductions.
+        // The loop carries the pointer plus seven rolling states, and
+        // score/material are reductions.
         let mut wl = SjengWorkload::new(SjengConfig::default());
         let built = wl.build();
-        let f = built.program.func(built.kernel);
-        let cfg = spice_ir::cfg::Cfg::new(f);
-        let live = spice_ir::liveness::Liveness::new(f, &cfg);
-        let forest = spice_ir::loops::LoopForest::of(f);
-        let (_, l) = forest
-            .iter()
-            .find(|(_, l)| l.depth == 1)
-            .expect("std_eval has a loop");
-        let lli = spice_ir::liveness::loop_live_ins(f, &cfg, &live, l);
-        let reds = spice_ir::reduction::detect_reductions(f, l, &lli);
-        let speculated: Vec<_> = lli
-            .carried
-            .iter()
-            .filter(|r| !reds.covered_regs().contains(r))
-            .collect();
+        let spec = spice_ir::exec::derive_loop_spec(&built.program, built.kernel, None).unwrap();
         assert_eq!(
-            speculated.len(),
+            spec.cursors.len(),
             8,
-            "sjeng must speculate 8 live-ins (pointer + 7 states), got {speculated:?}"
+            "sjeng must speculate 8 live-ins (pointer + 7 states), got {:?}",
+            spec.cursors
         );
         assert!(
-            reds.reductions.len() >= 2,
+            spec.reductions.len() >= 2,
             "score and material are reductions"
         );
     }

@@ -6,9 +6,9 @@
 
 use spice_bench::experiments::{run_workload_backend, run_workload_sequential};
 use spice_core::backend::BackendChoice;
-use spice_core::pipeline::predictor_options_with_estimate;
+use spice_core::predictor::PredictorOptions;
 use spice_profiler::{profile_workload, AnalyzerConfig, PredictabilityBin};
-use spice_workloads::{ChurnListWorkload, SpiceWorkload};
+use spice_workloads::ChurnListWorkload;
 
 fn consider(name: &'static str, predictability: f64) {
     let mut probe = ChurnListWorkload::new(name, predictability, 250, 16, 99);
@@ -33,14 +33,8 @@ fn consider(name: &'static str, predictability: f64) {
     let mut seq = ChurnListWorkload::new(name, predictability, 250, 16, 99);
     let seq_cycles = run_workload_sequential(&mut seq).expect("sequential");
     let mut par = ChurnListWorkload::new(name, predictability, 250, 16, 99);
-    let estimate = par.expected_iterations();
-    let result = run_workload_backend(
-        &mut par,
-        BackendChoice::Sim,
-        4,
-        predictor_options_with_estimate(estimate),
-    )
-    .expect("spice");
+    let result = run_workload_backend(&mut par, BackendChoice::Sim, 4, PredictorOptions::default())
+        .expect("spice");
     println!(
         "  Spice (4 threads): {:.2}x speedup, mis-speculation {:.1}%\n",
         seq_cycles as f64 / result.total_cost as f64,

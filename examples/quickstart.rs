@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use spice_core::analysis::LoopAnalysis;
+use spice_core::analysis::derive_loop_spec;
 use spice_core::pipeline::{run_sequential, SpiceRunner};
 use spice_core::transform::{SpiceOptions, SpiceTransform};
 use spice_ir::builder::FunctionBuilder;
@@ -66,12 +66,12 @@ fn main() {
 
     // Spice with two threads on the same loop.
     let (mut program, func, nodes) = build_program(n + 4);
-    let analysis = LoopAnalysis::analyze_outermost(&program, func).expect("analyzable loop");
+    let analysis = derive_loop_spec(&program, func, None).expect("analyzable loop");
     println!(
         "analysis: {} speculated live-in(s), {} reduction(s), {} invariant live-in(s)",
-        analysis.speculated.len(),
-        analysis.reductions.reductions.len(),
-        analysis.live.invariant.len()
+        analysis.cursors.len(),
+        analysis.reductions.len(),
+        analysis.invariant.len()
     );
     let spice = SpiceTransform::new(SpiceOptions::with_threads_and_estimate(
         2,

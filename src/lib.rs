@@ -13,7 +13,7 @@
 //! | [`profiler`] | loop live-in value profiler (§6 / Figure 8) |
 //! | [`workloads`] | paper benchmark loops and the one backend-generic invocation loop |
 //! | [`bench`] | experiment harness for every table and figure |
-//! | [`farm`] | work-stealing parallel job engine under the bench sweep |
+//! | [`farm`] | parallel job engine (id-ordered queue, ordered delivery) under the bench sweep |
 //!
 //! To reproduce the whole evaluation in one parallel run (decoded programs
 //! shared across jobs, artifacts streamed in deterministic order — see
