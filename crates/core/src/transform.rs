@@ -171,10 +171,6 @@ pub struct SpiceParallelLoop {
     pub layout: PredictorLayout,
     /// Total thread count.
     pub threads: usize,
-    /// The speculated live-in registers (set `S` of Algorithm 1), in the
-    /// main function's register numbering; their order defines the layout of
-    /// one `sva` row.
-    pub speculated: Vec<Reg>,
     /// Invariant live-ins actually read inside the loop, in the order they
     /// are sent to each worker.
     pub invariants_sent: Vec<Reg>,
@@ -347,7 +343,6 @@ impl SpiceTransform {
             workers,
             layout,
             threads: t,
-            speculated: analysis.cursors.clone(),
             invariants_sent,
             liveouts: analysis.liveouts.clone(),
             shape,
@@ -1043,7 +1038,7 @@ mod tests {
         assert_eq!(tids, vec![1, 2, 3]);
         // The sva has (t-1) rows of one word (only `c` is speculated).
         assert_eq!(spice.layout.spec_width, 1);
-        assert_eq!(spice.speculated.len(), 1);
+        assert_eq!(analysis.cursors.len(), 1);
     }
 
     #[test]

@@ -99,12 +99,11 @@ pub trait SysPort {
 /// Besides its words the memory keeps one more word of state, the *extent*:
 /// **every word at or past [`FlatMemory::extent`] is zero.** A new memory is
 /// one lazily-zeroed allocation with the extent just past the last global
-/// initializer; [`FlatMemory::write`] and [`FlatMemory::prefix_mut`] — the
-/// only ways to change a word — raise it, nothing lowers it, and it is never
-/// a setting. Whatever has to visit "the whole image" (`clone`, `==`, the
-/// simulator's snapshot diff, the native runtime's heap mirror) visits
-/// `[..extent]` instead, so a memory costs what was touched, not what was
-/// reserved: the pages past the extent are never read or written by the
+/// initializer; [`FlatMemory::write`] — the only way to change a word —
+/// raises it, nothing lowers it, and it is never a setting. Whatever has to
+/// visit "the whole image" (`clone`, `==`, the simulator's snapshot diff)
+/// visits `[..extent]` instead, so a memory costs what was touched, not what
+/// was reserved: the pages past the extent are never read or written by the
 /// harness and stay unbacked.
 ///
 /// The extent is bookkeeping, not content: two memories with equal words and
@@ -193,9 +192,10 @@ impl FlatMemory {
         self.heap_next
     }
 
-    /// Moves the allocation cursor — used by backends that mirror this
-    /// memory into another substrate and perform allocations there, so the
-    /// cursor stays consistent across invocations.
+    /// Moves the allocation cursor — used by backends that hand out
+    /// allocations elsewhere (a restored snapshot, the native runtime's main
+    /// chunk, which allocates while the image is frozen), so the cursor stays
+    /// consistent across invocations.
     ///
     /// # Panics
     ///
@@ -249,15 +249,8 @@ impl FlatMemory {
     }
 
     /// Mutable view of the first `len` words, raising the extent to cover
-    /// them — for backends that mirror this memory into another substrate
-    /// (the native runtime's shared heap) and copy the touched prefix back
-    /// after an invocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len` exceeds the memory size.
-    #[must_use]
-    pub fn prefix_mut(&mut self, len: usize) -> &mut [i64] {
+    /// them.
+    fn prefix_mut(&mut self, len: usize) -> &mut [i64] {
         let prefix = &mut self.words[..len];
         self.extent = self.extent.max(len);
         prefix

@@ -22,13 +22,13 @@
 //! along as one shared [`LoopContext`]. A worker therefore never executes
 //! entry code: its registers are the main thread's at the header, every
 //! memory access it makes is an access of the loop, and the only
-//! happens-before edges it takes part in are the task send (which the
-//! mirror and every entry-code store precede) and its result send (which
-//! precedes the commit of its buffer). The main chunk's write log starts at
-//! the header for the same reason — a store that precedes every speculative
-//! read cannot be the earlier half of a RAW violation, which is the
-//! simulator's `ConflictTracker::active_chunks` rule, so the two backends
-//! squash for the same reasons.
+//! happens-before edges it takes part in are the task send (which every
+//! entry-code store precedes) and its result send (which precedes every
+//! write of the apply step). The main chunk's write set starts at the header
+//! for the same reason — a store that precedes every speculative read cannot
+//! be the earlier half of a RAW violation, which is the simulator's
+//! `ConflictTracker::active_chunks` rule, so the two backends squash for the
+//! same reasons.
 //!
 //! A hand-off in either direction (a worker waiting for its task, the main
 //! thread waiting for a [`WorkerChunk`]) polls its channel for
@@ -44,14 +44,15 @@
 //! after the commit chain ends — is one call of [`run_chunk`], the only
 //! place that knows what a header arrival, an iteration and a stop are.
 //!
-//! Memory follows the `spice-runtime` speculation contract: a *persistent*
-//! [`SharedHeap`] mirrors the canonical [`FlatMemory`] image — re-mirrored
-//! only when a driver actually mutated the image since the last commit —
-//! workers buffer writes in [`SpecView`]s, only validated buffers are
-//! committed, and the heap is copied back afterwards so workload drivers see
-//! one coherent memory between invocations. Both copies cover the touched
-//! prefix only (the extent rule in [`FlatMemory`]'s doc), not the heap
-//! reservation.
+//! Memory follows the `spice-runtime` speculation contract (the
+//! [`crate::heap`] module): there is one memory, the [`FlatMemory`] image the
+//! driver reads and writes between invocations. The entry code and the
+//! resume step it directly, the one thread running; in between, the image is
+//! frozen — the main chunk and every worker chunk read it through a
+//! [`SpecView`] and buffer their stores — and after the last join the main
+//! thread applies the main chunk's buffer and each committed worker's, in
+//! thread order. The commit loop therefore only *decides*; what it decided
+//! is applied, and narrated to the trace, afterwards.
 //!
 //! Chunk boundaries, squash recovery and the load balancer follow the
 //! paper's protocol: immediate hand-off when a chunk reaches its successor's
@@ -62,7 +63,7 @@ use std::collections::HashMap;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvError, Sender, TryRecvError};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -77,7 +78,7 @@ use spice_ir::{
     TraceRecorder, TraceSink, TrapKind,
 };
 
-use crate::heap::{SharedHeap, SpecView};
+use crate::heap::SpecView;
 
 /// Default per-thread interpreter step budget per chunk. A stale prediction
 /// can send a speculative chunk on an unbounded walk (the paper's "loop
@@ -92,7 +93,7 @@ const SQUASH_POLL_INTERVAL: u64 = 1024;
 /// How long a hand-off polls its channel before it parks (see
 /// [`recv_handoff`]). Sized from the gap a worker actually waits out between
 /// its result send and its next task — the rest of the commit loop, the
-/// snapshot, the workload driver's host-side bookkeeping and the next
+/// apply step, the workload driver's host-side bookkeeping and the next
 /// invocation's entry code: 50–500 µs on the suite's loops, against the
 /// 30–170 µs a futex wake of a halted vCPU costs on its own.
 const HANDOFF_SPIN: Duration = Duration::from_micros(500);
@@ -104,7 +105,6 @@ const HANDOFF_SPIN: Duration = Duration::from_micros(500);
 #[derive(Debug)]
 pub struct NativeLoopBackend {
     threads: usize,
-    step_budget: u64,
     loaded: Option<Loaded>,
     /// The `threads - 1` pre-spawned workers; empty until the first
     /// invocation.
@@ -115,9 +115,9 @@ pub struct NativeLoopBackend {
 /// Trace mirror state for the native backend. The simulator's chunk
 /// lifecycle subset (`ChunkBegin`/`ChunkValidate`/`ChunkCommit`/
 /// `ChunkSquash`, plus invocation and predictor markers) is re-emitted
-/// here — exclusively from the ordered main-thread sections of
-/// `run_invocation`, so the trace is deterministic regardless of how the
-/// host schedules the worker threads. `at` carries a monotone sequence
+/// here — by [`NativeTracing::narrate`], from the verdicts the commit loop
+/// recorded in thread order, so the trace is deterministic regardless of how
+/// the host schedules the worker threads. `at` carries a monotone sequence
 /// number in place of a simulated cycle.
 #[derive(Debug, Default)]
 struct NativeTracing {
@@ -159,17 +159,6 @@ struct LoopContext {
     program: DecodedProgram,
     /// The target loop; `spec.func` is the kernel.
     spec: SpiceLoopSpec,
-    /// Persistent shared heap the threads execute against, `heap_words`
-    /// long. Mirrors `Loaded::mem`; re-synced from it only when `heap_dirty`
-    /// says a driver mutated the canonical image since the last
-    /// post-invocation commit. Built by the first invocation, not by `load`,
-    /// so a load holds one image-sized buffer, not two: glibc trims its heap
-    /// top at twice the largest buffer it has seen freed, and two equal
-    /// buffers per load kept repeated loads within 2 % of that — a process
-    /// that fell on the wrong side re-faulted 4 MB per round of loads.
-    heap: OnceLock<SharedHeap>,
-    heap_words: usize,
-    step_budget: u64,
     /// Whether cross-chunk memory dependences are detected
     /// ([`spice_ir::exec::ConflictPolicy::Detect`]): every chunk records its
     /// load set and the ordered validation squashes RAW violations.
@@ -178,19 +167,13 @@ struct LoopContext {
     granularity_log2: u8,
 }
 
-impl LoopContext {
-    fn heap(&self) -> &SharedHeap {
-        self.heap.get_or_init(|| SharedHeap::new(self.heap_words))
-    }
-}
-
 #[derive(Debug)]
 struct Loaded {
     ctx: Arc<LoopContext>,
-    mem: FlatMemory,
-    /// Set by [`NativeLoopBackend::mem_mut`]; cleared whenever heap and
-    /// canonical image are known identical.
-    heap_dirty: bool,
+    /// The loop's one memory. Uniquely held between invocations and
+    /// whenever it is written; cloned into the [`WorkerTask`]s while the
+    /// chunks run, which freezes it.
+    mem: Arc<FlatMemory>,
     /// Memoized chunk-start live-ins, one row per speculative worker, one
     /// value per cursor register.
     predictions: Vec<Vec<i64>>,
@@ -206,6 +189,9 @@ struct Loaded {
 /// shared context, to run its speculative chunk for the current invocation.
 struct WorkerTask {
     ctx: Arc<LoopContext>,
+    /// The frozen image the chunk reads; dropped with the task, before the
+    /// result send.
+    mem: Arc<FlatMemory>,
     /// The main thread's state paused on its first header arrival: the
     /// chunk's live-ins, bound by the entry code the main thread ran.
     state: ThreadState,
@@ -374,19 +360,10 @@ impl NativeLoopBackend {
         assert!(threads >= 2, "Spice needs at least two threads");
         NativeLoopBackend {
             threads,
-            step_budget: DEFAULT_STEP_BUDGET,
             loaded: None,
             pool: Vec::new(),
             tracing: NativeTracing::default(),
         }
-    }
-
-    /// Overrides the per-thread interpreter step budget of every loop
-    /// loaded from now on.
-    #[must_use]
-    pub fn with_step_budget(mut self, steps: u64) -> Self {
-        self.step_budget = steps;
-        self
     }
 
     /// Current chunk-boundary predictions (one row per worker), for tests
@@ -471,16 +448,12 @@ impl ExecutionBackend for NativeLoopBackend {
         let ctx = LoopContext {
             program: DecodedProgram::new(&program),
             spec,
-            heap: OnceLock::new(),
-            heap_words: mem.size(),
-            step_budget: self.step_budget,
             detect: options.conflict_policy.detects(),
             granularity_log2: options.conflict_granularity_log2,
         };
         self.loaded = Some(Loaded {
             ctx: Arc::new(ctx),
-            mem,
-            heap_dirty: true,
+            mem: Arc::new(mem),
             predictions: vec![vec![0; width]; self.threads - 1],
             last_work,
             last_plan: Vec::new(),
@@ -493,11 +466,7 @@ impl ExecutionBackend for NativeLoopBackend {
     }
 
     fn mem_mut(&mut self) -> &mut FlatMemory {
-        let loaded = self.loaded.as_mut().expect("load() first");
-        // A driver may mutate the canonical image through this borrow, so
-        // the persistent heap must be re-synced before the next invocation.
-        loaded.heap_dirty = true;
-        &mut loaded.mem
+        Arc::make_mut(&mut self.loaded.as_mut().expect("load() first").mem)
     }
 
     fn run_invocation(&mut self, args: &[i64]) -> Result<ExecutionReport, BackendError> {
@@ -515,21 +484,8 @@ impl ExecutionBackend for NativeLoopBackend {
         tracing.emit(TraceEvent::InvocationBegin { index: invocation });
 
         let ctx = Arc::clone(&loaded.ctx);
-        let (spec, heap) = (&ctx.spec, ctx.heap());
+        let spec = &ctx.spec;
         let (detect, granularity_log2) = (ctx.detect, ctx.granularity_log2);
-        // Mirror the canonical memory into the persistent shared heap only
-        // when a driver actually touched the image since the last commit —
-        // an unchanged image is reused as-is. Every pool worker is waiting
-        // on its task channel here; the task sends below publish the mirror.
-        if loaded.heap_dirty {
-            heap.overwrite(&loaded.mem);
-        }
-        // The invocation is about to write the heap; until the
-        // post-invocation commit copies it back, the canonical image is
-        // stale. Arming the flag here (cleared only after a successful
-        // commit) means every early error return leaves it set, so the next
-        // invocation re-mirrors instead of executing on a half-written heap.
-        loaded.heap_dirty = true;
         for worker in pool {
             worker.squash.store(false, Ordering::Release);
         }
@@ -543,28 +499,25 @@ impl ExecutionBackend for NativeLoopBackend {
         let predictions = &loaded.predictions;
 
         // The main thread runs the kernel's entry code first, straight on
-        // the heap and unlogged: every store it makes happens-before every
+        // the image — every pool worker is waiting on its task channel — and
+        // outside any write set: every store it makes happens-before every
         // worker read through the task sends below, so none of them can be
         // the earlier half of a RAW violation.
-        let mut port = DirectPort {
-            heap,
-            alloc_next: loaded.mem.heap_next(),
-            write_log: None,
-        };
-        let mut steps = ctx.step_budget;
-        let (mut main, early) = enter_loop(&ctx, args, &mut port, &mut steps);
+        let mut steps = DEFAULT_STEP_BUDGET;
+        let (mut main, early) = enter_loop(&ctx, args, exclusive(&mut loaded.mem)?, &mut steps);
 
         // new_invocation: hand every predicted worker its task token — the
-        // main thread's header frame plus this invocation's predictions. A
-        // kernel that never reached the header (`early`) tasks nobody.
+        // main thread's header frame, the image (frozen from here to the
+        // last join) and this invocation's predictions. A kernel that never
+        // reached the header (`early`) tasks nobody.
         let mut tasked = vec![false; workers];
-        let mut chunk_ids: Vec<Option<u64>> = vec![None; workers];
         for wi in 0..workers {
             if early.is_some() || !is_prediction(&predictions[wi]) {
                 continue;
             }
             let task = WorkerTask {
                 ctx: Arc::clone(&ctx),
+                mem: Arc::clone(&loaded.mem),
                 state: main.clone(),
                 start: predictions[wi].clone(),
                 successor: predictions
@@ -581,28 +534,13 @@ impl ExecutionBackend for NativeLoopBackend {
                 return Err(e);
             }
             tasked[wi] = true;
-            if tracing.on() {
-                let id = tracing.chunk_next;
-                tracing.chunk_next += 1;
-                chunk_ids[wi] = Some(id);
-                let at = tracing.next_at();
-                tracing.emit(TraceEvent::ChunkBegin {
-                    at,
-                    core: (wi + 1) as u32,
-                    chunk: id,
-                });
-            }
-        }
-        if tracing.on() {
-            let chunks = tasked.iter().filter(|&&t| t).count() as u64;
-            let at = tracing.next_at();
-            tracing.emit(TraceEvent::PredictorPlan { at, chunks });
         }
 
         // Main (non-speculative) chunk on the calling thread, from the
-        // header to the first worker's predicted boundary. Its stores race
-        // the workers' reads, so from here on they are logged.
-        port.write_log = detect.then(|| AccessSet::with_granularity(granularity_log2));
+        // header to the first worker's predicted boundary — like a worker's,
+        // through a view: the workers are reading the image, so its stores
+        // wait in the view's buffer for the apply step.
+        let mut view = SpecView::for_main_chunk(&loaded.mem);
         let main_run = match early {
             Some(stop) => ChunkRun::stopped(stop),
             None => {
@@ -614,9 +552,11 @@ impl ExecutionBackend for NativeLoopBackend {
                     plan: &memo_plan[0],
                     squash: None,
                 };
-                run_chunk(&ctx, &mut main, &mut port, &mut steps, &limits)
+                run_chunk(&ctx, &mut main, &mut view, &mut steps, &limits)
             }
         };
+        let alloc_next = view.alloc_next();
+        let (main_writes, _) = view.into_parts();
         // A trap in the entry code finds `tasked` all false: nothing to
         // squash, nothing to drain.
         if let Stop::Trap(trap) = main_run.stop {
@@ -624,24 +564,18 @@ impl ExecutionBackend for NativeLoopBackend {
             return Err(engine_trap(trap));
         }
 
-        // Ordered validation and commit (paper §3: the main thread is the
-        // only committer, one chunk at a time, in thread order). Under
+        // Ordered validation (paper §3: the main thread is the only
+        // committer, one chunk at a time, in thread order). Under
         // ConflictPolicy::Detect the union of the main chunk's and every
         // committed chunk's write addresses is carried along, and each
         // chunk's load set is intersected against it before acceptance —
         // the software form of the paper's hardware conflict detection.
-        // After the main chunk, validation needs no further port access,
-        // so recording stops here (the post-squash resume writes are
-        // never checked against anything).
-        let mut earlier_writes = port.write_log.take().unwrap_or_default();
-        // Word-exact writer attribution for squash forensics: committed
-        // worker chunks publish exact (addr, value) write lists, so a
-        // violating address can be traced back to the chunk that wrote it.
-        // The main chunk's stores are only logged at grain granularity; an
-        // address with no recorded worker writer is therefore attributed to
-        // the main chunk (core 0, no speculative chunk id).
-        let mut writer_by_word: Option<HashMap<i64, (u32, Option<u64>)>> =
-            (detect && tracing.on()).then(HashMap::new);
+        // The loop only decides: a chunk's stores stay in its verdict.
+        let mut earlier_writes = AccessSet::with_granularity(granularity_log2);
+        if detect {
+            earlier_writes.extend(main_writes.iter().map(|&(addr, _)| addr));
+        }
+        let mut verdicts: Vec<Verdict> = Vec::with_capacity(workers);
         let mut committed = 0usize;
         let mut still_valid = main_run.stop == Stop::Boundary;
         let mut end_reached = false;
@@ -687,127 +621,70 @@ impl ExecutionBackend for NativeLoopBackend {
             } else {
                 None
             };
-            if tracing.on() {
-                let at = tracing.next_at();
-                tracing.emit(TraceEvent::ChunkValidate {
-                    at,
-                    core: (wi + 1) as u32,
-                    chunk: chunk_ids[wi],
-                    conflict,
-                });
-            }
-            let fault = result.run.stop.fault();
-            if still_valid && !end_reached && fault.is_none() && conflict.is_none() {
-                for &(addr, value) in &result.writes {
-                    // Ordered commit — one worker at a time, by the main
-                    // thread, after the worker's result send.
-                    heap.write(addr, value)
-                        .expect("SpecView bounds-checks every buffered store");
-                }
+            let cause = if !still_valid || end_reached {
+                Some(MisspeculationCause::SquashCascade)
+            } else {
+                let violation =
+                    conflict.map(|addr| MisspeculationCause::DependenceViolation { addr });
+                result.run.stop.fault().or(violation)
+            };
+            if cause.is_none() {
                 // Only a later tasked chunk is ever validated against these.
                 if detect && tasked[wi + 1..].contains(&true) {
-                    earlier_writes.extend(result.writes.iter().map(|(a, _)| *a));
-                }
-                if let Some(map) = writer_by_word.as_mut() {
-                    for &(addr, _) in &result.writes {
-                        map.insert(addr, ((wi + 1) as u32, chunk_ids[wi]));
-                    }
-                }
-                if tracing.on() {
-                    let at = tracing.next_at();
-                    tracing.emit(TraceEvent::ChunkCommit {
-                        at,
-                        core: (wi + 1) as u32,
-                        chunk: chunk_ids[wi],
-                        writes: result.writes.len() as u64,
-                    });
+                    earlier_writes.extend(result.writes.iter().map(|&(addr, _)| addr));
                 }
                 fold_liveouts(spec, &mut main, &result.finals);
                 memos.extend(result.run.memos);
                 work.push(result.run.iterations);
                 committed += 1;
                 end_reached = result.run.stop == Stop::Exit;
-                reports.push(WorkerReport {
-                    committed: true,
-                    cause: None,
-                    work: result.run.iterations,
-                });
             } else {
-                let cause = if !still_valid || end_reached {
-                    MisspeculationCause::SquashCascade
-                } else if let Some(f) = fault {
-                    f
-                } else if let Some(addr) = conflict {
-                    MisspeculationCause::DependenceViolation { addr }
-                } else {
-                    MisspeculationCause::StalePrediction
-                };
-                if tracing.on() {
-                    // RAW-chain forensics: the violating grain base address,
-                    // plus writer attribution from the word-exact commit
-                    // log. Native read sets are only kept at the configured
-                    // granularity, so the shared word is certain only with
-                    // exact (word) grains, and the word-vs-grain
-                    // false-conflict count is not measurable here — the
-                    // simulator's word shadow sets cover that side.
-                    let forensics = match cause {
-                        MisspeculationCause::DependenceViolation { addr } => {
-                            let span = 1i64 << granularity_log2;
-                            let writer = writer_by_word.as_ref().and_then(|map| {
-                                (addr..addr + span).find_map(|w| map.get(&w).copied())
-                            });
-                            let (writer_core, writer_chunk) = match writer {
-                                Some((core, chunk)) => (Some(core), chunk),
-                                None => (Some(0), None),
-                            };
-                            Some(SquashForensics {
-                                addr,
-                                word_addr: (granularity_log2 == 0).then_some(addr),
-                                writer_core,
-                                writer_chunk,
-                                writer_site: None,
-                                writer_at: None,
-                                reader_site: None,
-                                false_conflicts: 0,
-                                granularity_log2,
-                            })
-                        }
-                        _ => None,
-                    };
-                    let at = tracing.next_at();
-                    tracing.emit(TraceEvent::ChunkSquash {
-                        at,
-                        core: (wi + 1) as u32,
-                        chunk: chunk_ids[wi],
-                        cause,
-                        forensics,
-                    });
-                }
                 still_valid = false;
                 work.push(0);
-                reports.push(WorkerReport {
-                    committed: false,
-                    cause: Some(cause),
-                    work: result.run.iterations,
-                });
             }
+            reports.push(WorkerReport {
+                committed: cause.is_none(),
+                cause,
+                work: result.run.iterations,
+            });
+            verdicts.push(Verdict {
+                core: (wi + 1) as u32,
+                conflict,
+                cause,
+                writes: result.writes,
+            });
         }
 
-        // Resume the main thread to the end of the kernel: on success from
-        // the terminal state of the last committed chunk; after a squash
-        // from the first non-validated boundary (which the last valid chunk
-        // reached itself, so it is a genuine traversal point) — the commit
-        // fold left exactly that state in the main thread's registers,
-        // reductions carrying the committed prefix. Through the
-        // same port, so allocations made during the main chunk are not
-        // handed out a second time.
+        // Apply: every tasked worker has reported, and dropped its clone of
+        // the image before it did, so the image is the main thread's alone
+        // again. The main chunk's stores land first, then each committed
+        // chunk's, in thread order; a squashed chunk's are dropped.
+        let mem = exclusive(&mut loaded.mem)?;
+        let committed_writes = verdicts.iter().filter(|v| v.cause.is_none());
+        for &(addr, value) in main_writes
+            .iter()
+            .chain(committed_writes.flat_map(|v| &v.writes))
+        {
+            mem.write(addr, value)
+                .expect("SpecView bounds-checks every buffered store");
+        }
+        if let Some(next) = alloc_next {
+            mem.set_heap_next(next);
+        }
+
+        // Resume the main thread to the end of the kernel, straight on the
+        // image: on success from the terminal state of the last committed
+        // chunk; after a squash from the first non-validated boundary
+        // (which the last valid chunk reached itself, so it is a genuine
+        // traversal point) — the commit fold left exactly that state in the
+        // main thread's registers, reductions carrying the committed prefix.
         let return_value = match main_run.stop {
             Stop::Finished(value) => value,
             _ => {
-                let mut steps = ctx.step_budget;
+                let mut steps = DEFAULT_STEP_BUDGET;
                 loop {
                     let resume = ChunkLimits::default();
-                    let run = run_chunk(&ctx, &mut main, &mut port, &mut steps, &resume);
+                    let run = run_chunk(&ctx, &mut main, &mut *mem, &mut steps, &resume);
                     work[0] += run.iterations;
                     match run.stop {
                         Stop::Finished(value) => break value,
@@ -823,29 +700,14 @@ impl ExecutionBackend for NativeLoopBackend {
         };
         let elapsed = started.elapsed();
 
-        // Commit: publish the invocation's memory effects and predictor
-        // feedback into the canonical image (every worker has reported, so
-        // nothing else touches the heap). The heap and the image are
-        // identical afterwards, so the next invocation skips the mirror
-        // unless a driver mutates the image in between.
-        heap.snapshot_into(&mut loaded.mem);
-        loaded.heap_dirty = false;
-        loaded.mem.set_heap_next(port.alloc_next);
+        // Predictor feedback for the next invocation.
         for (row, cursors) in memos {
             if row < loaded.predictions.len() {
                 loaded.predictions[row] = cursors;
             }
         }
         loaded.last_work = work.clone();
-
-        if tracing.on() {
-            let at = tracing.next_at();
-            tracing.emit(TraceEvent::PredictorFeedback {
-                at,
-                committed: committed as u64,
-                squashed: (workers - committed) as u64,
-            });
-        }
+        tracing.narrate(&verdicts, workers, granularity_log2);
 
         Ok(ExecutionReport {
             backend: "native",
@@ -857,6 +719,117 @@ impl ExecutionBackend for NativeLoopBackend {
             workers: reports,
             work_per_thread: work,
         })
+    }
+}
+
+/// The image, for writing. Between the last join of one invocation and the
+/// first task send of the next the main thread holds the only reference, so
+/// this fails only if that protocol is broken.
+fn exclusive(mem: &mut Arc<FlatMemory>) -> Result<&mut FlatMemory, BackendError> {
+    Arc::get_mut(mem)
+        .ok_or_else(|| BackendError::Engine("a worker still holds the memory image".to_string()))
+}
+
+/// What the commit loop decided about one tasked worker's chunk: all the
+/// apply step and the narration need.
+struct Verdict {
+    /// The core the chunk ran as: pool index + 1, the main thread being 0.
+    core: u32,
+    /// The RAW witness, when the validation found one.
+    conflict: Option<i64>,
+    /// Why the chunk was squashed; `None` if it committed.
+    cause: Option<MisspeculationCause>,
+    /// The chunk's buffered stores, first-write order.
+    writes: Vec<(i64, i64)>,
+}
+
+impl NativeTracing {
+    /// Narrates a completed invocation from its verdicts, which are in
+    /// thread order: a `ChunkBegin` per tasked chunk and the
+    /// `PredictorPlan`, then each chunk's `ChunkValidate` and `ChunkCommit`
+    /// or `ChunkSquash`, then the `PredictorFeedback`.
+    fn narrate(&mut self, verdicts: &[Verdict], workers: usize, granularity_log2: u8) {
+        if !self.on() {
+            return;
+        }
+        let first_chunk = self.chunk_next;
+        self.chunk_next += verdicts.len() as u64;
+        for (v, chunk) in verdicts.iter().zip(first_chunk..) {
+            let at = self.next_at();
+            let core = v.core;
+            self.emit(TraceEvent::ChunkBegin { at, core, chunk });
+        }
+        let at = self.next_at();
+        let chunks = verdicts.len() as u64;
+        self.emit(TraceEvent::PredictorPlan { at, chunks });
+
+        // Word-exact writer attribution for squash forensics: a violating
+        // address is traced back to the committed chunk that wrote it. One
+        // that no committed worker wrote is the main chunk's (core 0, no
+        // speculative chunk id) — nothing else is in the earlier-write set.
+        let mut writer_by_word: HashMap<i64, (u32, Option<u64>)> = HashMap::new();
+        for (v, chunk) in verdicts.iter().zip(first_chunk..) {
+            let (core, chunk) = (v.core, Some(chunk));
+            let at = self.next_at();
+            self.emit(TraceEvent::ChunkValidate {
+                at,
+                core,
+                chunk,
+                conflict: v.conflict,
+            });
+            let at = self.next_at();
+            let Some(cause) = v.cause else {
+                writer_by_word.extend(v.writes.iter().map(|&(addr, _)| (addr, (core, chunk))));
+                self.emit(TraceEvent::ChunkCommit {
+                    at,
+                    core,
+                    chunk,
+                    writes: v.writes.len() as u64,
+                });
+                continue;
+            };
+            // RAW-chain forensics: the violating grain base address, plus
+            // the writer. Native read sets are only kept at the configured
+            // granularity, so the shared word is certain only with exact
+            // (word) grains, and the word-vs-grain false-conflict count is
+            // not measurable here — the simulator's word shadow sets cover
+            // that side.
+            let forensics = match cause {
+                MisspeculationCause::DependenceViolation { addr } => {
+                    let span = 1i64 << granularity_log2;
+                    let (writer_core, writer_chunk) = (addr..addr + span)
+                        .find_map(|w| writer_by_word.get(&w).copied())
+                        .unwrap_or((0, None));
+                    Some(SquashForensics {
+                        addr,
+                        word_addr: (granularity_log2 == 0).then_some(addr),
+                        writer_core: Some(writer_core),
+                        writer_chunk,
+                        writer_site: None,
+                        writer_at: None,
+                        reader_site: None,
+                        false_conflicts: 0,
+                        granularity_log2,
+                    })
+                }
+                _ => None,
+            };
+            self.emit(TraceEvent::ChunkSquash {
+                at,
+                core,
+                chunk,
+                cause,
+                forensics,
+            });
+        }
+
+        let at = self.next_at();
+        let committed = verdicts.iter().filter(|v| v.cause.is_none()).count();
+        self.emit(TraceEvent::PredictorFeedback {
+            at,
+            committed: committed as u64,
+            squashed: (workers - committed) as u64,
+        });
     }
 }
 
@@ -1036,7 +1009,7 @@ fn enter_loop<M: MemPort>(
 struct WorkerChunk {
     run: ChunkRun,
     writes: Vec<(i64, i64)>,
-    /// Load set of the chunk (addresses read from the shared heap, not
+    /// Load set of the chunk (addresses read from the image, not
     /// store-forwarded) — empty under `ConflictPolicy::AssumeIndependent`.
     reads: AccessSet,
     /// Values, at the stop point, of the registers of the spec's live-out
@@ -1057,9 +1030,9 @@ fn run_worker_chunk(task: WorkerTask, squash: &AtomicBool) -> WorkerChunk {
     for r in &ctx.spec.reductions {
         state.set_reg(r.reg, r.kind.identity());
     }
-    let mut view = SpecView::with_read_tracking(ctx.heap(), ctx.detect)
+    let mut view = SpecView::with_read_tracking(&task.mem, ctx.detect)
         .with_conflict_granularity(ctx.granularity_log2);
-    let mut steps = ctx.step_budget;
+    let mut steps = DEFAULT_STEP_BUDGET;
     let limits = ChunkLimits {
         boundary: task.successor.as_deref(),
         plan: &task.plan,
@@ -1072,48 +1045,6 @@ fn run_worker_chunk(task: WorkerTask, squash: &AtomicBool) -> WorkerChunk {
         writes,
         reads,
         finals: snapshot_finals(&ctx.spec, &state),
-    }
-}
-
-/// Non-speculative port: reads and writes go straight to the shared heap
-/// (the main thread is the only direct writer during an invocation). While
-/// `write_log` is set, every store address is recorded — the main chunk's
-/// write set, the base the conflict validation intersects worker load sets
-/// against.
-struct DirectPort<'h> {
-    heap: &'h SharedHeap,
-    alloc_next: i64,
-    write_log: Option<AccessSet>,
-}
-
-impl MemPort for DirectPort<'_> {
-    fn load(&mut self, addr: i64) -> Result<i64, TrapKind> {
-        self.heap
-            .read(addr)
-            .ok_or(TrapKind::OutOfBoundsAccess { addr })
-    }
-
-    fn store(&mut self, addr: i64, value: i64) -> Result<(), TrapKind> {
-        self.heap
-            .write(addr, value)
-            .ok_or(TrapKind::OutOfBoundsAccess { addr })?;
-        if let Some(log) = &mut self.write_log {
-            log.insert(addr);
-        }
-        Ok(())
-    }
-
-    fn alloc(&mut self, words: i64) -> Result<i64, TrapKind> {
-        if words < 0 {
-            return Err(TrapKind::OutOfMemory);
-        }
-        let base = self.alloc_next;
-        let end = base.checked_add(words).ok_or(TrapKind::OutOfMemory)?;
-        if end as usize > self.heap.len() {
-            return Err(TrapKind::OutOfMemory);
-        }
-        self.alloc_next = end;
-        Ok(base)
     }
 }
 
@@ -1181,7 +1112,9 @@ fn fold_liveouts(spec: &SpiceLoopSpec, main: &mut ThreadState, mut finals: &[i64
 mod tests {
     use super::*;
     use spice_ir::builder::FunctionBuilder;
-    use spice_ir::fixtures::{chained_increment_program, list_min_program, write_list};
+    use spice_ir::fixtures::{
+        assert_extent_rule, chained_increment_program, list_min_program, write_list,
+    };
     use spice_ir::{BinOp, Operand};
 
     /// Both hand-off paths, whichever of them this host's core count would
@@ -1215,7 +1148,7 @@ mod tests {
             let report = backend.run_invocation(&[head]).unwrap();
             assert_eq!(report.return_value, Some(expected), "invocation {inv}");
             assert_eq!(report.backend, "native");
-            // The exit-block store committed through the direct port.
+            // The exit-block store, made by the resume straight on the image.
             let argmin = backend.mem().read(out).unwrap();
             assert_eq!(backend.mem().read(argmin).unwrap(), expected);
             if report.committed_chunks == 3 {
@@ -1566,7 +1499,7 @@ mod tests {
 
     /// An entry-code store to a word the loop body reads happens-before
     /// every worker read (the task is sent after the entry code ran), so it
-    /// is not in the main chunk's write log and squashes nothing — and the
+    /// is not in the main chunk's write set and squashes nothing — and the
     /// workers do read this invocation's value, not the previous one's.
     #[test]
     fn entry_code_store_read_by_the_body_squashes_nothing() {
@@ -1592,7 +1525,8 @@ mod tests {
     /// channel: a trap in the entry code returns before any task exists, a
     /// trap in the main chunk squashes and drains the tasked workers. The
     /// invocation after each is an exact repeat of the one before it — a
-    /// stale result would carry the failed invocation's `scale`.
+    /// stale result would carry the failed invocation's `scale` — and the
+    /// image a failed invocation leaves behind is a well-formed one.
     #[test]
     fn failed_invocations_leave_no_stale_worker_result() {
         let (mut backend, head, g) = scaled_sum_backend(false);
@@ -1602,7 +1536,7 @@ mod tests {
 
         // The entry code's store faults.
         assert!(backend.run_invocation(&[head, 4, -1]).is_err());
-        assert!(backend.loaded.as_ref().unwrap().heap_dirty);
+        assert_extent_rule(backend.mem(), "after a trap in the entry code");
         assert_eq!(scaled_sum_invocation(&mut backend, [head, 5, g]), 3);
 
         // The main chunk walks into a dangling `next`; all three workers
@@ -1611,6 +1545,7 @@ mod tests {
         let next = backend.mem().read(link).unwrap();
         backend.mem_mut().write(link, -7).unwrap();
         assert!(backend.run_invocation(&[head, 6, g]).is_err());
+        assert_extent_rule(backend.mem(), "after a trap in the main chunk");
         backend.mem_mut().write(link, next).unwrap();
         assert_eq!(scaled_sum_invocation(&mut backend, [head, 7, g]), 3);
         assert_eq!(backend.worker_thread_ids(), ids);
@@ -1727,49 +1662,16 @@ mod tests {
         assert!(best < HANDOFF_SPIN / 2, "fastest drop took {best:?}");
     }
 
-    /// Invocations over an untouched memory image skip the FlatMemory →
-    /// SharedHeap mirror entirely (and still compute the right thing);
-    /// mutating through `mem_mut` re-arms it.
+    /// What a driver does to the image between invocations — zeroing a
+    /// word far above everything it ever wrote, or swapping in a fresh image
+    /// (of the same size, or a smaller one) — is what the next invocation
+    /// sees: there is no second copy for invocation *k*'s value to survive
+    /// in, and none whose size could disagree.
     #[test]
-    fn unchanged_memory_image_is_not_remirrored() {
-        let weights: Vec<i64> = (0..150).map(|i| ((i * 13) % 271) + 2).collect();
-        let (program, f, nodes, _) = list_min_program(weights.len() as i64 + 4);
-        let mut backend = NativeLoopBackend::new(3);
-        backend
-            .load(
-                program,
-                f,
-                LoadOptions::new(4096, Some(weights.len() as u64)),
-            )
-            .unwrap();
-        let head = write_list(backend.mem_mut(), nodes, &weights);
-        let expected = *weights.iter().min().unwrap();
-        assert!(backend.loaded.as_ref().unwrap().heap_dirty);
-        backend.run_invocation(&[head]).unwrap();
-        // No driver mutation: the image stays clean across invocations.
-        for _ in 0..3 {
-            assert!(!backend.loaded.as_ref().unwrap().heap_dirty);
-            let report = backend.run_invocation(&[head]).unwrap();
-            assert_eq!(report.return_value, Some(expected));
-        }
-        // A driver mutation re-arms the mirror and is observed by the run.
-        let new_min = -5;
-        backend.mem_mut().write(nodes, new_min).unwrap();
-        assert!(backend.loaded.as_ref().unwrap().heap_dirty);
-        let report = backend.run_invocation(&[head]).unwrap();
-        assert_eq!(report.return_value, Some(new_min));
-    }
-
-    /// Stale-tail hazard of the O(extent) mirror: invocation *k* stores to a
-    /// word far above everything the image ever held, so the persistent heap
-    /// is non-zero up there. When the driver then clears that word — by
-    /// writing 0, or by swapping in a fresh image whose extent ends at the
-    /// globals — the mirror must clear `[image extent .. heap extent)` too,
-    /// or invocation *k+1* reads invocation *k*'s value.
-    #[test]
-    fn mirror_clears_what_the_heap_holds_past_the_image_extent() {
+    fn driver_zeroing_or_image_swap_is_what_the_next_invocation_sees() {
         let (program, f, nodes) = chained_increment_program(8);
         let fresh = FlatMemory::for_program(&program, 1 << 16);
+        let smaller = FlatMemory::for_program(&program, 1 << 10);
         let mut backend = NativeLoopBackend::new(2);
         backend
             .load(program, f, LoadOptions::new(1 << 16, Some(2)))
@@ -1792,22 +1694,38 @@ mod tests {
         let report = backend.run_invocation(&[high]).unwrap();
         assert_eq!(report.return_value, Some(0));
 
-        // Same through a fresh image: its extent is below `high`, the
-        // heap's is not.
+        // Same through a fresh image, whose extent is below `high`.
         link(backend.mem_mut());
         backend.run_invocation(&[nodes]).unwrap();
         assert_eq!(backend.mem().read(high), Ok(6));
         *backend.mem_mut() = fresh;
         assert!(backend.mem().extent() < high as usize);
         let report = backend.run_invocation(&[high]).unwrap();
-        assert_eq!(report.return_value, Some(0), "stale heap word survived");
+        assert_eq!(report.return_value, Some(0), "stale word survived");
         assert_eq!(backend.mem().read(high), Ok(0));
+
+        // A smaller image: a list inside it is walked, and `high`, now past
+        // its end, is a typed out-of-bounds error — for the entry walk and
+        // for a chunk that follows a link there — never a panic.
+        *backend.mem_mut() = smaller;
+        assert!((backend.mem().size() as i64) < high);
+        let head = write_list(backend.mem_mut(), nodes, &[3, 0]);
+        let report = backend.run_invocation(&[head]).unwrap();
+        assert_eq!(report.return_value, Some(3 + 4));
+        for start in [high, nodes] {
+            link(backend.mem_mut());
+            let err = backend.run_invocation(&[start]).unwrap_err();
+            assert!(
+                matches!(&err, BackendError::Engine(m) if m.contains("out-of-bounds")),
+                "{err}"
+            );
+        }
     }
 
-    /// The reverse: the driver writes a word far above anything the heap has
-    /// seen, so the mirror must reach past the heap's own extent.
+    /// The reverse: the driver writes a word far above anything an
+    /// invocation has touched, at the top of the reservation.
     #[test]
-    fn mirror_reaches_a_driver_write_past_the_heap_extent() {
+    fn driver_write_at_the_top_of_the_reservation_is_seen() {
         let (program, f, nodes) = chained_increment_program(8);
         let mut backend = NativeLoopBackend::new(2);
         backend
@@ -1818,7 +1736,7 @@ mod tests {
             backend.run_invocation(&[head]).unwrap().return_value,
             Some(1 + 2)
         );
-        // A one-node list at the top of the heap, written between
+        // A one-node list at the top of the reservation, written between
         // invocations.
         let high = backend.mem().size() as i64 - 64;
         backend.mem_mut().write(high, 9).unwrap();
@@ -1826,31 +1744,30 @@ mod tests {
         assert_eq!(report.return_value, Some(9));
     }
 
-    /// Regression: an invocation that errors out mid-run may have written
-    /// the persistent heap already (the main chunk's direct stores land
-    /// immediately), so the mirror flag must stay armed — otherwise the
-    /// next invocation would skip the re-mirror and execute on a
-    /// half-written heap.
+    /// One memory: the image `load` built is the one every invocation reads
+    /// and writes and the one the driver sees — never mirrored, snapshotted
+    /// or cloned, whether an invocation commits or squashes.
     #[test]
-    fn errored_invocation_rearms_the_heap_mirror() {
-        let weights: Vec<i64> = (0..100).map(|i| i + 1).collect();
-        let (program, f, nodes, _) = list_min_program(weights.len() as i64 + 4);
-        // A budget far too small to finish the loop: the main chunk traps
-        // with OutOfFuel and run_invocation returns an error.
-        let mut backend = NativeLoopBackend::new(2).with_step_budget(50);
+    fn the_image_is_never_copied() {
+        let n: i64 = 120;
+        let (program, f, nodes) = chained_increment_program(n + 4);
+        let mut backend = NativeLoopBackend::new(4);
         backend
-            .load(
-                program,
-                f,
-                LoadOptions::new(4096, Some(weights.len() as u64)),
-            )
+            .load(program, f, LoadOptions::new(4096, Some(n as u64)))
             .unwrap();
-        let head = write_list(backend.mem_mut(), nodes, &weights);
-        assert!(backend.run_invocation(&[head]).is_err());
-        assert!(
-            backend.loaded.as_ref().unwrap().heap_dirty,
-            "error path must leave the mirror armed"
-        );
+        let image = backend.mem().words().as_ptr();
+        let mut squashed = 0;
+        for inv in 0..10 {
+            let mut values = vec![0; n as usize];
+            values[0] = inv;
+            write_list(backend.mem_mut(), nodes, &values);
+            assert_eq!(backend.mem().words().as_ptr(), image, "mem_mut {inv}");
+            let report = backend.run_invocation(&[nodes]).unwrap();
+            assert_eq!(report.return_value, Some(n * inv + n * (n - 1) / 2));
+            assert_eq!(backend.mem().words().as_ptr(), image, "invocation {inv}");
+            squashed += report.squashed_chunks;
+        }
+        assert!(squashed > 0, "the loop's RAW chain never squashed a chunk");
     }
 
     /// The one chunk loop driven by hand on the calling thread — no pool —
@@ -1867,13 +1784,8 @@ mod tests {
         let head = write_list(backend.mem_mut(), nodes, &weights);
         let loaded = backend.loaded.unwrap();
         let ctx = &*loaded.ctx;
-        ctx.heap().overwrite(&loaded.mem);
         let node = |i: i64| head + 2 * i;
-        let direct = || DirectPort {
-            heap: ctx.heap(),
-            alloc_next: 0,
-            write_log: None,
-        };
+        let direct = || FlatMemory::clone(&loaded.mem);
         let chunk = |limits: &ChunkLimits<'_>, budget: u64| {
             let (mut port, mut steps) = (direct(), budget);
             let (mut state, early) = enter_loop(ctx, &[head], &mut port, &mut steps);

@@ -21,8 +21,8 @@ use spice_ir::interp::{run_function_with, FlatMemory, LocalSys, MemPort};
 use spice_ir::TrapKind;
 use spice_sim::{MachineConfig, SequentialSimBackend};
 use spice_workloads::{
-    app_benchmarks_small, run_workload_on, workload_load_options, BackendRunSummary,
-    ConflictConfig, ConflictListWorkload, McfConfig, McfWorkload, SpiceWorkload,
+    app_benchmarks_small, conflict_benchmarks_small, run_workload_on, workload_load_options,
+    BackendRunSummary, ConflictConfig, ConflictListWorkload, McfConfig, McfWorkload, SpiceWorkload,
 };
 
 /// Runs one workload instance on `backend` and returns the summary plus the
@@ -165,6 +165,41 @@ fn dependence_free_mcf_control_reports_no_violations() {
             summary.dependence_violations, 0,
             "{choice}: false conflict on the dependence-free control"
         );
+    }
+}
+
+/// A native run does not depend on the host's thread schedule: a chunk is a
+/// function of the image frozen at the loop header and of its start
+/// prediction, and everything else is decided on the main thread in thread
+/// order. So ten 4-thread runs of each squash-heavy loop report the same
+/// summary (wall-clock cost apart) and narrate the same trace, event for
+/// event.
+#[test]
+fn native_runs_are_reproducible_across_schedules() {
+    let workloads = || {
+        conflict_benchmarks_small()
+            .into_iter()
+            .chain(app_benchmarks_small())
+    };
+    let run = |mut workload: Box<dyn SpiceWorkload>| {
+        let mut backend = make_backend(BackendChoice::Native, 4);
+        backend.enable_trace(1 << 16);
+        let mut summary = run_workload_on(workload.as_mut(), backend.as_mut()).unwrap();
+        summary.total_cost = 0;
+        let trace = backend.trace().expect("trace enabled");
+        assert_eq!(trace.dropped(), 0, "{}: trace too small", workload.name());
+        (summary, trace.events().cloned().collect::<Vec<_>>())
+    };
+    let first: Vec<_> = workloads().map(run).collect();
+    assert!(first.iter().all(|(summary, _)| summary.squashed_chunks > 0));
+    for round in 1..10 {
+        for (workload, expected) in workloads().zip(&first) {
+            let name = workload.name();
+            assert!(
+                run(workload) == *expected,
+                "{name}: run {round} differs from run 0"
+            );
+        }
     }
 }
 

@@ -98,7 +98,7 @@ fn transformation_structurally_sound() {
         assert!(verify_program(&p).is_ok());
         assert_eq!(spice.layout.threads, threads);
         // One sva row per worker, sized by the speculated live-ins.
-        assert_eq!(spice.layout.spec_width, spice.speculated.len());
+        assert_eq!(spice.layout.spec_width, analysis.cursors.len());
     }
 }
 

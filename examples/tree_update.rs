@@ -1,8 +1,10 @@
 //! The 181.mcf scenario: `refresh_potential` walking a spanning tree and
 //! storing a new potential into every node. On the simulator the speculative
-//! workers buffer stores in the modeled hardware; on the native backend they
-//! buffer in `SpecView`s committed by the main thread — the same protocol,
-//! selected by value through the shared `ExecutionBackend` layer.
+//! workers buffer stores in the modeled hardware; on the native backend every
+//! chunk, the main thread's included, buffers in a `SpecView` over the one
+//! frozen memory image, and the main thread applies the validated buffers
+//! after the last join — the same protocol, selected by value through the
+//! shared `ExecutionBackend` layer.
 //!
 //! Run with: `cargo run --example tree_update`
 
