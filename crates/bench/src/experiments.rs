@@ -1839,6 +1839,39 @@ mod tests {
         );
     }
 
+    /// The committed artifact's geomean lines are recomputed bit-for-bit
+    /// from its own cycle counts: the geomean is host-independent, so CI
+    /// diffs the whole file.
+    #[test]
+    fn committed_fig7_geomean_lines_recompute_exactly() {
+        use crate::json::Value;
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fig7.json");
+        let doc = std::fs::read_to_string(path).expect("committed BENCH_fig7.json");
+        let parsed = crate::json::parse(&doc).expect("valid JSON");
+        let rows: Vec<Fig7Row> = parsed
+            .get("rows")
+            .and_then(Value::as_array)
+            .expect("rows")
+            .iter()
+            .map(|row| {
+                let int = |key| row.get(key).and_then(Value::as_i64).expect(key);
+                let name = row.get("benchmark").and_then(Value::as_str);
+                Fig7Row {
+                    benchmark: name.expect("benchmark").to_string(),
+                    threads: int("threads") as usize,
+                    sequential_cycles: int("sequential_cycles") as u64,
+                    spice_cycles: int("spice_cycles") as u64,
+                    speedup: int("sequential_cycles") as f64 / int("spice_cycles") as f64,
+                    misspeculation_rate: 0.0,
+                    load_imbalance: 0.0,
+                    dependence_violations: 0,
+                }
+            })
+            .collect();
+        let footer = Fig7Row::footer(&rows);
+        assert!(doc.ends_with(&footer), "{footer}");
+    }
+
     /// The emitted Figure 7 artifact parses back: adversarial workload
     /// names are escaped and non-finite metrics (NaN speedup from an empty
     /// run, infinite imbalance) become `null`, never bare tokens.

@@ -20,17 +20,10 @@
 //! artifacts byte-identical to serially produced ones. A preparation of
 //! either kind instantiates through
 //! [`SimBackend::from_prepared`](crate::backend::SimBackend::from_prepared).
-//!
-//! Preparation wall-time is recorded in
-//! [`build_nanos`](PreparedProgram::build_nanos), so harness-performance
-//! reporting can split one-time decode/transform cost from per-cycle
-//! simulation dispatch cost.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use spice_ir::exec::{derive_loop_spec, BackendError, LoadOptions};
-use spice_ir::lint::lint_spice;
 use spice_ir::{DecodedProgram, FuncId, Program};
 use spice_sim::{Machine, MachineConfig};
 
@@ -57,7 +50,6 @@ pub struct PreparedProgram {
     decoded: Arc<DecodedProgram>,
     config: MachineConfig,
     kind: PreparedKind,
-    build_nanos: u128,
 }
 
 impl PreparedProgram {
@@ -65,14 +57,12 @@ impl PreparedProgram {
     /// decode, no transformation.
     #[must_use]
     pub fn sequential(config: MachineConfig, program: Program, kernel: FuncId) -> Self {
-        let started = Instant::now();
         let decoded = Arc::new(DecodedProgram::new(&program));
         PreparedProgram {
             program: Arc::new(program),
             decoded,
             config,
             kind: PreparedKind::Sequential(kernel),
-            build_nanos: started.elapsed().as_nanos(),
         }
     }
 
@@ -96,7 +86,6 @@ impl PreparedProgram {
         kernel: FuncId,
         options: LoadOptions,
     ) -> Result<Self, BackendError> {
-        let started = Instant::now();
         let analysis = derive_loop_spec(&program, kernel, options.loop_header)?;
         let mut predictor = predictor;
         if predictor.initial_work_estimate.is_none() {
@@ -120,36 +109,13 @@ impl PreparedProgram {
         // independence (the checks are not emitted either).
         config.conflict_detection = options.conflict_policy.detects();
         config.conflict_granularity_log2 = options.conflict_granularity_log2;
-        // Redundant with the gate inside `SpiceTransform::apply`, but it
-        // re-checks the program *here*, immediately before decode — so any
-        // future post-transform rewrite that corrupts the protocol is caught
-        // at preparation time in debug builds.
-        if cfg!(debug_assertions) {
-            if let Err(errs) = lint_spice(&program, &spice.protocol()) {
-                let rendered: Vec<String> = errs.iter().map(|e| e.render(&program)).collect();
-                panic!(
-                    "PreparedProgram::spice produced a program that fails \
-                     speculation-safety lints:\n{}",
-                    rendered.join("\n")
-                );
-            }
-        }
         let decoded = Arc::new(DecodedProgram::new(&program));
         Ok(PreparedProgram {
             program: Arc::new(program),
             decoded,
             config,
             kind: PreparedKind::Spice(Box::new(spice)),
-            build_nanos: started.elapsed().as_nanos(),
         })
-    }
-
-    /// Wall-clock nanoseconds the preparation took (analysis + transform +
-    /// decode). This is the one-time cost a sweep amortizes and a
-    /// harness-performance report must not charge to simulation.
-    #[must_use]
-    pub fn build_nanos(&self) -> u128 {
-        self.build_nanos
     }
 
     /// The machine configuration instantiations run under.
@@ -314,7 +280,6 @@ mod tests {
         .unwrap();
         assert!(prepared.is_spice());
         assert_eq!(prepared.threads(), 2);
-        assert!(prepared.build_nanos() > 0);
 
         for weights in [vec![1i64, 2, 3, 4], vec![5i64; 8]] {
             let expected: i64 = weights.iter().sum();

@@ -10,9 +10,8 @@
 //! one message instead of rebuilding per job.
 //!
 //! The cache also answers the accounting question the engine cannot: how
-//! much wall-time went into one-time builds ([`PreparedCache::build_nanos`])
-//! versus simulation, and how often sharing actually happened
-//! ([`PreparedCache::stats`]).
+//! much wall-time went into one-time builds versus simulation, and how often
+//! sharing actually happened ([`PreparedCache::stats`]).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -96,36 +95,17 @@ impl<T> PreparedCache<T> {
         built
     }
 
-    /// Infallible convenience over [`PreparedCache::try_get_or_build`].
-    pub fn get_or_build(&self, key: &str, build: impl FnOnce() -> T) -> Arc<T> {
-        self.try_get_or_build(key, || Ok(build()))
-            .expect("infallible build")
-    }
-
-    /// Total wall nanoseconds spent building entries so far.
-    #[must_use]
-    pub fn build_nanos(&self) -> u128 {
-        let map = self.entries.lock().expect("cache map poisoned");
-        map.values()
-            .map(|e| u128::from(e.build_nanos.load(Ordering::Relaxed)))
-            .sum()
-    }
-
-    /// Build nanoseconds of one key, if it has been built.
-    #[must_use]
-    pub fn build_nanos_of(&self, key: &str) -> Option<u128> {
-        let map = self.entries.lock().expect("cache map poisoned");
-        map.get(key)
-            .map(|e| u128::from(e.build_nanos.load(Ordering::Relaxed)))
-    }
-
     /// Hit/miss/build-time counters.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
+        let map = self.entries.lock().expect("cache map poisoned");
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            build_nanos: self.build_nanos(),
+            build_nanos: map
+                .values()
+                .map(|e| u128::from(e.build_nanos.load(Ordering::Relaxed)))
+                .sum(),
         }
     }
 }
@@ -137,13 +117,11 @@ mod tests {
     #[test]
     fn builds_once_and_shares() {
         let cache: PreparedCache<Vec<u8>> = PreparedCache::new();
-        let a = cache.get_or_build("k", || vec![1, 2, 3]);
-        let b = cache.get_or_build("k", || panic!("must not rebuild"));
-        assert!(Arc::ptr_eq(&a, &b));
+        let a = cache.try_get_or_build("k", || Ok(vec![1, 2, 3]));
+        let b = cache.try_get_or_build("k", || panic!("must not rebuild"));
+        assert!(Arc::ptr_eq(&a.unwrap(), &b.unwrap()));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
-        assert!(cache.build_nanos_of("k").is_some());
-        assert!(cache.build_nanos_of("absent").is_none());
     }
 
     #[test]
@@ -167,12 +145,12 @@ mod tests {
                 let cache = Arc::clone(&cache);
                 let builds = Arc::clone(&builds);
                 s.spawn(move || {
-                    let v = cache.get_or_build("shared", || {
+                    let v = cache.try_get_or_build("shared", || {
                         builds.fetch_add(1, Ordering::Relaxed);
                         std::thread::sleep(std::time::Duration::from_millis(2));
-                        7usize
+                        Ok(7usize)
                     });
-                    assert_eq!(*v, 7);
+                    assert_eq!(v.as_deref(), Ok(&7));
                 });
             }
         });

@@ -1,8 +1,6 @@
 //! Control-flow graph queries: successors, predecessors, reverse post-order
 //! and reachability.
 
-use std::collections::HashSet;
-
 use crate::function::Function;
 use crate::types::BlockId;
 
@@ -104,28 +102,6 @@ impl Cfg {
     pub fn block_count(&self) -> usize {
         self.succs.len()
     }
-
-    /// Set of blocks reachable from `from` without passing through `without`.
-    ///
-    /// Used by natural-loop construction and by the transformation to find
-    /// the blocks belonging to a loop body.
-    #[must_use]
-    pub fn reachable_from_without(&self, from: BlockId, without: BlockId) -> HashSet<BlockId> {
-        let mut seen: HashSet<BlockId> = HashSet::new();
-        if from == without {
-            return seen;
-        }
-        let mut stack = vec![from];
-        seen.insert(from);
-        while let Some(b) = stack.pop() {
-            for &s in self.succs(b) {
-                if s != without && seen.insert(s) {
-                    stack.push(s);
-                }
-            }
-        }
-        seen
-    }
 }
 
 #[cfg(test)]
@@ -187,29 +163,5 @@ mod tests {
         assert!(cfg.is_reachable(BlockId(0)));
         assert!(!cfg.is_reachable(dead));
         assert_eq!(cfg.rpo().len(), 1);
-    }
-
-    #[test]
-    fn reachable_without_excludes_paths_through_header() {
-        // entry -> header -> body -> header (loop), header -> exit
-        let mut b = FunctionBuilder::new("loop");
-        let header = b.new_block();
-        let body = b.new_block();
-        let exit = b.new_block();
-        b.br(header);
-        b.switch_to(header);
-        let c = b.copy(1i64);
-        b.cond_br(c, body, exit);
-        b.switch_to(body);
-        b.br(header);
-        b.switch_to(exit);
-        b.ret(None);
-        let f = b.finish();
-        let cfg = Cfg::new(&f);
-        // From body, not passing through header: just body itself.
-        let r = cfg.reachable_from_without(body, header);
-        assert!(r.contains(&body));
-        assert!(!r.contains(&header));
-        assert!(!r.contains(&exit));
     }
 }

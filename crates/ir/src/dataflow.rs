@@ -1,8 +1,7 @@
 //! A reusable forward/backward dataflow framework over [`Cfg`], plus the
-//! standard instances the speculation-safety tooling is built from:
-//! reaching definitions, available memory-base expressions, loop-carried
-//! definition chains, and the static dependence pre-screen that classifies a
-//! loop's store/load pairs.
+//! instance the speculation-safety tooling is built from — available
+//! memory-base expressions — and the static dependence pre-screen that
+//! classifies a loop's store/load pairs with it.
 //!
 //! The framework is deliberately small: facts are per-block values joined at
 //! control-flow merges by a caller-supplied `join`, propagated by a
@@ -12,7 +11,7 @@
 //! plain hash maps rather than bit vectors — clarity wins over constant
 //! factors at this scale.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use crate::cfg::Cfg;
 use crate::function::Function;
@@ -131,17 +130,8 @@ pub fn solve<A: Analysis>(analysis: &A, func: &Function, cfg: &Cfg) -> Solution<
 }
 
 // ---------------------------------------------------------------------------
-// Reaching definitions.
+// Available memory-base expressions.
 // ---------------------------------------------------------------------------
-
-/// A definition of a register: either a function parameter or an instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Def {
-    /// The `i`-th function parameter, defined at entry.
-    Param(usize),
-    /// The instruction at `site`.
-    Inst(DefSite),
-}
 
 /// The position of an instruction inside a function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -151,110 +141,6 @@ pub struct DefSite {
     /// Index of the instruction inside the block.
     pub ip: usize,
 }
-
-/// The reaching-definitions fact: for each register, the set of definitions
-/// that may reach this program point.
-pub type DefMap = BTreeMap<Reg, BTreeSet<Def>>;
-
-struct ReachingAnalysis;
-
-impl Analysis for ReachingAnalysis {
-    type Fact = DefMap;
-
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
-
-    fn boundary_fact(&self, func: &Function) -> DefMap {
-        func.params
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (*r, BTreeSet::from([Def::Param(i)])))
-            .collect()
-    }
-
-    fn empty_fact(&self) -> DefMap {
-        DefMap::new()
-    }
-
-    fn join(&self, into: &mut DefMap, from: &DefMap) -> bool {
-        let mut changed = false;
-        for (reg, defs) in from {
-            let entry = into.entry(*reg).or_default();
-            for d in defs {
-                changed |= entry.insert(*d);
-            }
-        }
-        changed
-    }
-
-    fn transfer(&self, func: &Function, block: BlockId, mut fact: DefMap) -> DefMap {
-        for (ip, inst) in func.block(block).insts.iter().enumerate() {
-            if let Some(dst) = inst.def() {
-                fact.insert(dst, BTreeSet::from([Def::Inst(DefSite { block, ip })]));
-            }
-        }
-        fact
-    }
-}
-
-/// Reaching definitions for one function.
-#[derive(Debug, Clone)]
-pub struct ReachingDefs {
-    solution: Solution<DefMap>,
-}
-
-impl ReachingDefs {
-    /// Computes reaching definitions over `func`.
-    #[must_use]
-    pub fn compute(func: &Function, cfg: &Cfg) -> Self {
-        ReachingDefs {
-            solution: solve(&ReachingAnalysis, func, cfg),
-        }
-    }
-
-    /// The definitions reaching the start of `block`.
-    #[must_use]
-    pub fn reaching_in(&self, block: BlockId) -> &DefMap {
-        &self.solution.block_in[block.index()]
-    }
-
-    /// The definitions reaching the end of `block`.
-    #[must_use]
-    pub fn reaching_out(&self, block: BlockId) -> &DefMap {
-        &self.solution.block_out[block.index()]
-    }
-}
-
-/// For each register defined inside the loop, the in-loop definition sites
-/// that reach the loop header along a back edge — the loop-carried definition
-/// chains. Registers whose in-loop definitions never reach a latch exit (or
-/// that are not redefined in the loop at all) are absent.
-#[must_use]
-pub fn loop_carried_defs(
-    rd: &ReachingDefs,
-    loop_blocks: &[BlockId],
-    latches: &[BlockId],
-) -> BTreeMap<Reg, BTreeSet<DefSite>> {
-    let in_loop: BTreeSet<BlockId> = loop_blocks.iter().copied().collect();
-    let mut carried: BTreeMap<Reg, BTreeSet<DefSite>> = BTreeMap::new();
-    for &latch in latches {
-        for (reg, defs) in rd.reaching_out(latch) {
-            for d in defs {
-                if let Def::Inst(site) = d {
-                    if in_loop.contains(&site.block) {
-                        carried.entry(*reg).or_default().insert(*site);
-                    }
-                }
-            }
-        }
-    }
-    carried
-}
-
-// ---------------------------------------------------------------------------
-// Available memory-base expressions.
-// ---------------------------------------------------------------------------
 
 /// The symbolic base of an address expression.
 ///
@@ -622,7 +508,7 @@ mod tests {
     use crate::builder::FunctionBuilder;
 
     /// `for (c = head; c != 0; c = c->next) sum += c->val;` — read-only body.
-    fn list_sum() -> (Function, Cfg, Vec<BlockId>, BlockId, Vec<BlockId>) {
+    fn list_sum() -> (Function, Cfg, Vec<BlockId>) {
         let mut b = FunctionBuilder::new("list_sum");
         let head = b.param();
         let header = b.new_labeled_block("header");
@@ -645,31 +531,12 @@ mod tests {
         b.ret(Some(Operand::Reg(sum)));
         let f = b.finish();
         let cfg = Cfg::new(&f);
-        (f, cfg, vec![header, body], header, vec![body])
-    }
-
-    #[test]
-    fn reaching_defs_sees_params_and_loop_redefinitions() {
-        let (f, cfg, blocks, header, latches) = list_sum();
-        let rd = ReachingDefs::compute(&f, &cfg);
-        // At the header, `c` has both the entry copy and the in-body
-        // redefinition reaching it.
-        let c = f.params[0];
-        let defs_of_c: Vec<&BTreeSet<Def>> = rd
-            .reaching_in(header)
-            .iter()
-            .filter(|(r, _)| **r != c)
-            .map(|(_, d)| d)
-            .collect();
-        assert!(defs_of_c.iter().any(|d| d.len() >= 2));
-        let carried = loop_carried_defs(&rd, &blocks, &latches);
-        // Both the cursor and the accumulator are loop-carried.
-        assert!(carried.len() >= 2, "carried: {carried:?}");
+        (f, cfg, vec![header, body])
     }
 
     #[test]
     fn read_only_loop_is_provably_disjoint() {
-        let (f, cfg, blocks, _, _) = list_sum();
+        let (f, cfg, blocks) = list_sum();
         let dep = classify_loop_dependences(&f, &cfg, &blocks);
         assert_eq!(dep.stores, 0);
         assert_eq!(dep.class, DependenceClass::ProvablyDisjoint);

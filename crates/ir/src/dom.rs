@@ -94,20 +94,6 @@ impl DomTree {
             }
         }
     }
-
-    /// Returns the blocks on the dominator-tree path from the entry to `b`,
-    /// inclusive.
-    #[must_use]
-    pub fn dominators_of(&self, b: BlockId) -> Vec<BlockId> {
-        let mut out = vec![b];
-        let mut cur = b;
-        while let Some(next) = self.idom(cur) {
-            out.push(next);
-            cur = next;
-        }
-        out.reverse();
-        out
-    }
 }
 
 #[cfg(test)]
@@ -160,15 +146,6 @@ mod tests {
         assert!(dom.dominates(BlockId(2), BlockId(2)));
         assert!(!dom.dominates(BlockId(2), BlockId(4)));
         assert!(!dom.dominates(BlockId(3), BlockId(1)));
-    }
-
-    #[test]
-    fn dominator_chain_is_rooted_at_entry() {
-        let f = diamond_with_loop();
-        let cfg = Cfg::new(&f);
-        let dom = DomTree::new(&cfg);
-        let chain = dom.dominators_of(BlockId(3));
-        assert_eq!(chain, vec![BlockId(0), BlockId(1), BlockId(2), BlockId(3)]);
     }
 
     #[test]

@@ -315,12 +315,6 @@ impl Program {
         self.next_channel += 1;
         c
     }
-
-    /// Number of channels allocated so far.
-    #[must_use]
-    pub fn channel_count(&self) -> i64 {
-        self.next_channel
-    }
 }
 
 impl Default for Program {
@@ -377,7 +371,6 @@ mod tests {
         let mut p = Program::new();
         assert_eq!(p.fresh_channel(), 0);
         assert_eq!(p.fresh_channel(), 1);
-        assert_eq!(p.channel_count(), 2);
     }
 
     #[test]

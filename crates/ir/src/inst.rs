@@ -217,15 +217,6 @@ impl Inst {
         v
     }
 
-    /// Returns `true` if this instruction may access memory.
-    #[must_use]
-    pub fn touches_memory(&self) -> bool {
-        matches!(
-            self,
-            Inst::Load { .. } | Inst::Store { .. } | Inst::Alloc { .. }
-        )
-    }
-
     /// Rewrites every register mentioned by this instruction through `map`.
     ///
     /// Used when the Spice transformation clones a loop body into a new
@@ -678,21 +669,5 @@ mod tests {
         );
         assert_eq!(Inst::SpecBegin.class(), InstClass::Spec);
         assert_eq!(Inst::Nop.class(), InstClass::Other);
-    }
-
-    #[test]
-    fn memory_touch_classification() {
-        assert!(Inst::Load {
-            dst: Reg(0),
-            addr: Operand::Imm(0),
-            offset: 0
-        }
-        .touches_memory());
-        assert!(!sample_binary().touches_memory());
-        assert!(!Inst::Send {
-            chan: Operand::Imm(0),
-            value: Operand::Imm(0)
-        }
-        .touches_memory());
     }
 }

@@ -952,27 +952,11 @@ impl ThreadState {
     }
 }
 
-/// Dynamic instruction counts per class, stored densely by
-/// [`InstClass::index`].
+/// Dynamic instruction statistics of a run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecStats {
-    counts: [u64; InstClass::COUNT],
     /// Total retired instructions.
     pub total: u64,
-}
-
-impl ExecStats {
-    /// Records one retired instruction.
-    pub fn record(&mut self, class: InstClass) {
-        self.counts[class.index()] += 1;
-        self.total += 1;
-    }
-
-    /// Count for one class.
-    #[must_use]
-    pub fn count(&self, class: InstClass) -> u64 {
-        self.counts[class.index()]
-    }
 }
 
 /// Result of a completed single-threaded run.
@@ -1071,7 +1055,7 @@ pub fn run_decoded_with(
             }
         }
         match thread.step(decoded, mem, sys)? {
-            StepEvent::Executed(info) => stats.record(info.class()),
+            StepEvent::Executed(_) => stats.total += 1,
             StepEvent::Blocked => {
                 // Single-threaded: nobody will ever fill the channel.
                 return Err(TrapKind::UnsupportedIntrinsic);
@@ -1115,7 +1099,6 @@ mod tests {
         let mut mem = FlatMemory::new(2048);
         let out = run_function(&p, f, &[2, 40], &mut mem).unwrap();
         assert_eq!(out.return_value, Some(42));
-        assert_eq!(out.stats.count(InstClass::IntAlu), 1);
         // The outermost `ret` is reported as `Finished`, not as a retired
         // branch, so only the ALU op is counted.
         assert_eq!(out.stats.total, 1);

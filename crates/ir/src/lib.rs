@@ -36,8 +36,8 @@
 //! * [`fixtures`] — the small list-walking programs several crates' tests
 //!   share.
 //! * [`dataflow`] — a reusable forward/backward dataflow framework over
-//!   [`cfg::Cfg`] (reaching definitions, available memory-base expressions,
-//!   loop-carried definition chains) and the static dependence pre-screen.
+//!   [`cfg::Cfg`] (liveness and available memory-base expressions run on
+//!   it) and the static dependence pre-screen.
 //! * [`lint`] — speculation-safety lints checking every transformed program
 //!   against the Spice protocol contract it was generated under.
 //!

@@ -12,7 +12,7 @@
 //! * **live-outs** — registers defined in the loop that are consumed after
 //!   it; the worker threads send these back at the end of an invocation.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use crate::cfg::Cfg;
 use crate::dataflow::{solve, Analysis, Direction};
@@ -149,21 +149,6 @@ pub fn loop_live_ins(func: &Function, cfg: &Cfg, liveness: &Liveness, l: &Loop) 
     }
 }
 
-/// Returns, for every register, the number of definitions inside the loop —
-/// used by reduction detection to require a unique update site.
-#[must_use]
-pub fn defs_in_loop(func: &Function, l: &Loop) -> HashMap<Reg, usize> {
-    let mut map: HashMap<Reg, usize> = HashMap::new();
-    for &b in &l.blocks {
-        for inst in &func.block(b).insts {
-            if let Some(d) = inst.def() {
-                *map.entry(d).or_insert(0) += 1;
-            }
-        }
-    }
-    map
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,17 +279,6 @@ mod tests {
         assert!(lli.carried.contains(&sum));
         assert!(lli.carried.contains(&i));
         assert_eq!(lli.live_outs, vec![sum]);
-    }
-
-    #[test]
-    fn defs_in_loop_counts_multiple_definitions() {
-        let (f, c, _, _) = otter_like();
-        let forest = LoopForest::of(&f);
-        let (_, l) = forest.iter().next().unwrap();
-        let defs = defs_in_loop(&f, l);
-        assert_eq!(defs.get(&c), Some(&1));
-        // Temporaries defined once.
-        assert!(defs.values().all(|&count| count >= 1));
     }
 
     /// The backward solve on a loop whose body returns mid-function: both

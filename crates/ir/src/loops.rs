@@ -209,15 +209,6 @@ impl LoopForest {
         }
     }
 
-    /// Returns the innermost loop containing block `b`, if any.
-    #[must_use]
-    pub fn innermost_containing(&self, b: BlockId) -> Option<LoopId> {
-        self.iter()
-            .filter(|(_, l)| l.contains(b))
-            .max_by_key(|(_, l)| l.depth)
-            .map(|(id, _)| id)
-    }
-
     /// Outermost loops (depth 1).
     #[must_use]
     pub fn top_level(&self) -> Vec<LoopId> {
@@ -357,10 +348,10 @@ mod tests {
         assert_eq!(forest.get(outer).depth, 1);
         assert_eq!(forest.get(inner).depth, 2);
         assert_eq!(forest.top_level(), vec![outer]);
-        // The inner body belongs to both loops; innermost query returns inner.
-        assert_eq!(forest.innermost_containing(BlockId(4)), Some(inner));
-        // The outer latch only belongs to the outer loop.
-        assert_eq!(forest.innermost_containing(BlockId(5)), Some(outer));
+        // The inner body belongs to both loops; the outer latch only to the
+        // outer one.
+        assert!(forest.get(inner).contains(BlockId(4)) && forest.get(outer).contains(BlockId(4)));
+        assert!(!forest.get(inner).contains(BlockId(5)) && forest.get(outer).contains(BlockId(5)));
     }
 
     #[test]

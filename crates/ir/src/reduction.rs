@@ -76,12 +76,6 @@ impl ReductionSet {
         }
         s
     }
-
-    /// Looks up the reduction whose accumulator is `reg`.
-    #[must_use]
-    pub fn for_reg(&self, reg: Reg) -> Option<&Reduction> {
-        self.reductions.iter().find(|r| r.reg == reg)
-    }
 }
 
 /// Detects reduction candidates among the carried live-ins of `l`.
@@ -312,12 +306,16 @@ mod tests {
         b.ret(Some(Operand::Reg(sum)));
         let f = b.finish();
         let (reds, _) = analyze(&f);
-        let red = reds.for_reg(sum).expect("sum should be a reduction");
-        assert_eq!(red.kind, ReductionKind::Binop(BinOp::Add));
-        assert!(red.payloads.is_empty());
         // `i` is NOT reported: it is read by the exit condition as well as by
         // its own increment, so rewriting it as a reduction would be unsound.
-        assert!(reds.for_reg(i).is_none());
+        assert_eq!(
+            reds.reductions,
+            [Reduction {
+                reg: sum,
+                kind: ReductionKind::Binop(BinOp::Add),
+                payloads: vec![],
+            }]
+        );
     }
 
     /// The paper's Figure 1(a): wm/cm must be recognised as MIN with payload.
@@ -351,12 +349,16 @@ mod tests {
         let f = b.finish();
 
         let (reds, lli) = analyze(&f);
-        let red = reds.for_reg(wm).expect("wm should be a MIN reduction");
-        assert_eq!(red.kind, ReductionKind::Min);
-        assert_eq!(red.payloads, vec![cm]);
         // The pointer c is carried but NOT a reduction — it is exactly the
         // register Spice must value-speculate.
-        assert!(reds.for_reg(c).is_none());
+        assert_eq!(
+            reds.reductions,
+            [Reduction {
+                reg: wm,
+                kind: ReductionKind::Min,
+                payloads: vec![cm],
+            }]
+        );
         let speculated: Vec<Reg> = lli
             .carried
             .iter()
@@ -393,7 +395,7 @@ mod tests {
         b.ret(Some(Operand::Reg(sum)));
         let f = b.finish();
         let (reds, _) = analyze(&f);
-        assert!(reds.for_reg(sum).is_none());
+        assert!(reds.reductions.is_empty());
     }
 
     #[test]
@@ -424,7 +426,9 @@ mod tests {
         b.ret(Some(Operand::Reg(best)));
         let f = b.finish();
         let (reds, _) = analyze(&f);
-        assert_eq!(reds.for_reg(best).map(|r| r.kind), Some(ReductionKind::Max));
+        let found: Vec<(Reg, ReductionKind)> =
+            reds.reductions.iter().map(|r| (r.reg, r.kind)).collect();
+        assert_eq!(found, [(best, ReductionKind::Max)]);
     }
 
     #[test]

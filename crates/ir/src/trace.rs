@@ -302,12 +302,6 @@ impl TraceRecorder {
         self.watches.contains(&addr)
     }
 
-    /// Whether any address is watched (the emitter's fast gate).
-    #[must_use]
-    pub fn has_watches(&self) -> bool {
-        !self.watches.is_empty()
-    }
-
     /// The events currently held, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
         self.events.iter()
@@ -415,13 +409,11 @@ mod tests {
     #[test]
     fn watches_deduplicate() {
         let mut r = TraceRecorder::new(4);
-        assert!(!r.has_watches());
         r.watch(100);
         r.watch(100);
         r.watch(200);
         assert!(r.is_watched(100) && r.is_watched(200) && !r.is_watched(300));
         assert_eq!(r.events().count(), 0);
-        assert!(r.has_watches());
     }
 
     #[test]

@@ -100,26 +100,6 @@ pub enum Operand {
     Imm(i64),
 }
 
-impl Operand {
-    /// Returns the register if this operand reads one.
-    #[must_use]
-    pub fn as_reg(self) -> Option<Reg> {
-        match self {
-            Operand::Reg(r) => Some(r),
-            Operand::Imm(_) => None,
-        }
-    }
-
-    /// Returns the immediate if this operand is a constant.
-    #[must_use]
-    pub fn as_imm(self) -> Option<i64> {
-        match self {
-            Operand::Reg(_) => None,
-            Operand::Imm(v) => Some(v),
-        }
-    }
-}
-
 impl From<Reg> for Operand {
     fn from(r: Reg) -> Self {
         Operand::Reg(r)
@@ -333,14 +313,6 @@ mod tests {
         assert_eq!(Operand::Reg(Reg(1)).to_string(), "r1");
         assert_eq!(Operand::Imm(-4).to_string(), "-4");
         assert_eq!(BinOp::Add.to_string(), "add");
-    }
-
-    #[test]
-    fn operand_accessors() {
-        assert_eq!(Operand::Reg(Reg(2)).as_reg(), Some(Reg(2)));
-        assert_eq!(Operand::Reg(Reg(2)).as_imm(), None);
-        assert_eq!(Operand::Imm(5).as_imm(), Some(5));
-        assert_eq!(Operand::Imm(5).as_reg(), None);
     }
 
     #[test]

@@ -33,13 +33,10 @@ pub struct Cache {
     /// no per-set vector indirection on the access path.
     tags: Vec<i64>,
     /// The line of the previous [`Cache::access`], or [`EMPTY_TAG`] once
-    /// that line has been invalidated or flushed. An access leaves its line
-    /// MRU of its set and nothing but another access reorders a set, so
-    /// while this is a line it is resident and already where a hit would
-    /// move it.
+    /// that line has been invalidated. An access leaves its line MRU of its
+    /// set and nothing but another access reorders a set, so while this is
+    /// a line it is resident and already where a hit would move it.
     last_line: i64,
-    hits: u64,
-    misses: u64,
 }
 
 /// Sentinel marking an unoccupied way. No reachable word address maps to
@@ -61,8 +58,6 @@ impl Cache {
             set_mask: (sets > 0 && sets.count_ones() == 1).then_some(sets as i64 - 1),
             tags: vec![EMPTY_TAG; sets * config.assoc],
             last_line: EMPTY_TAG,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -94,7 +89,6 @@ impl Cache {
         // Hits that move nothing: the previous access's line, else the last
         // way of a full set, is already MRU.
         if line == self.last_line {
-            self.hits += 1;
             return true;
         }
         self.last_line = line;
@@ -102,7 +96,6 @@ impl Cache {
         let ways = &mut self.tags[set * self.assoc..(set + 1) * self.assoc];
         let last = ways.len() - 1;
         if ways[last] == line {
-            self.hits += 1;
             return true;
         }
         // One pass over the occupied prefix: find the line or the first free
@@ -111,12 +104,10 @@ impl Cache {
             // Full set: evict LRU (front), shift, fill at the MRU end.
             ways.copy_within(1.., 0);
             ways[last] = line;
-            self.misses += 1;
             return false;
         };
         if ways[k] == EMPTY_TAG {
             ways[k] = line;
-            self.misses += 1;
             return false;
         }
         // Hit below MRU: close the gap and put the line at the end of the
@@ -127,7 +118,6 @@ impl Cache {
             j += 1;
         }
         ways[j] = line;
-        self.hits += 1;
         true
     }
 
@@ -153,25 +143,6 @@ impl Cache {
                 self.last_line = EMPTY_TAG;
             }
         }
-    }
-
-    /// Drops every line (used when a machine is reset between runs while the
-    /// caller wants cold caches).
-    pub fn flush(&mut self) {
-        self.tags.fill(EMPTY_TAG);
-        self.last_line = EMPTY_TAG;
-    }
-
-    /// Number of hits recorded so far.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Number of misses recorded so far.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses
     }
 }
 
@@ -300,22 +271,11 @@ impl MemoryHierarchy {
     pub fn stats(&self, core: usize) -> MemAccessStats {
         self.cores[core].stats
     }
-
-    /// Clears cache contents but keeps statistics (used between invocations
-    /// if cold caches are wanted).
-    pub fn flush(&mut self) {
-        for levels in &mut self.cores {
-            levels.l1.flush();
-            levels.l2.flush();
-        }
-        self.l3.flush();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::WritePolicy;
 
     fn small_cache(assoc: usize, lines: usize) -> Cache {
         Cache::new(&CacheConfig {
@@ -323,7 +283,6 @@ mod tests {
             assoc,
             line_bytes: 64,
             hit_latency: 1,
-            write_policy: WritePolicy::WriteBack,
         })
     }
 
@@ -333,8 +292,6 @@ mod tests {
         assert!(!c.access(100));
         assert!(c.access(100));
         assert!(c.access(101)); // same 8-word line
-        assert_eq!(c.hits(), 2);
-        assert_eq!(c.misses(), 1);
     }
 
     #[test]
@@ -402,15 +359,5 @@ mod tests {
         assert_eq!(h.stats(0).l1_hits, 1);
         assert_eq!(h.stats(1).stores, 1);
         assert_eq!(h.stats(1).loads, 0);
-    }
-
-    #[test]
-    fn flush_empties_all_levels() {
-        let cfg = MachineConfig::test_tiny(1);
-        let mut h = MemoryHierarchy::new(&cfg);
-        let _ = h.load(0, 2000);
-        h.flush();
-        let (_, level) = h.load(0, 2000);
-        assert_eq!(level, HitLevel::Memory);
     }
 }

@@ -15,10 +15,17 @@
 //!   check behind `spec.check` — the paper's §3 architectural support for
 //!   speculative state,
 //! * the remote `resteer` mechanism used to squash mis-speculated threads,
-//! * per-core statistics (stall breakdowns, cache hit levels, retired
-//!   instruction mixes), and one optional observer — event tracing with
-//!   squash forensics, and per-block cycle attribution — that never changes
+//! * per-core statistics (retired instructions, stall breakdowns, cache hit
+//!   levels), and one optional observer — event tracing with squash
+//!   forensics, and per-block cycle attribution — that never changes
 //!   simulated time.
+//!
+//! The Figure 7 summary statistic is [`geomean`] ([`stats`]), host-
+//! independent to the bit. The crate root re-exports the configuration
+//! ([`MachineConfig`], [`CacheConfig`], [`CoreConfig`]), the machine and its
+//! reports ([`Machine`], [`RunSummary`], [`CoreReport`], [`SimError`],
+//! [`MachineSnapshot`], [`CycleAttribution`]), [`SpecBuffer`] and
+//! [`SequentialSimBackend`].
 //!
 //! The machine is five files: [`machine`] (cores, memory and system ports,
 //! the issue group, the event loop and its cycle-stepped oracle),
@@ -74,7 +81,7 @@ pub mod specbuf;
 pub mod stats;
 
 pub use backend::SequentialSimBackend;
-pub use config::{CacheConfig, CoreConfig, MachineConfig, WritePolicy};
+pub use config::{CacheConfig, CoreConfig, MachineConfig};
 pub use machine::{CoreReport, CycleAttribution, Machine, MachineSnapshot, RunSummary, SimError};
 pub use specbuf::SpecBuffer;
-pub use stats::{geomean, speedup};
+pub use stats::geomean;

@@ -102,8 +102,6 @@ pub struct CoreReport {
     pub spec_conflict_addr: Option<i64>,
     /// Loads/stores classified by the level that served them.
     pub mem: MemAccessStats,
-    /// Retired-instruction counts by class.
-    pub retired_by_class: Vec<(String, u64)>,
 }
 
 /// Outcome of [`Machine::run`].
@@ -346,8 +344,6 @@ pub(crate) struct CoreState {
     /// since credited. Never later than the core's next step.
     accounted: u64,
     report: CoreReport,
-    /// Retired-instruction counts, dense by [`InstClass::index`].
-    class_counts: [u64; InstClass::COUNT],
     done: bool,
 }
 
@@ -362,7 +358,6 @@ impl CoreState {
             waiting_chan: None,
             accounted: 0,
             report: CoreReport::default(),
-            class_counts: [0; InstClass::COUNT],
             done: false,
         }
     }
@@ -520,7 +515,6 @@ impl Shared {
                     let class = info.class();
                     core.report.retired += 1;
                     group_retired += 1;
-                    core.class_counts[class.index()] += 1;
                     let co_issuable = matches!(class, InstClass::IntAlu | InstClass::Other)
                         && mem_port.latency == 0;
                     if co_issuable {
@@ -770,7 +764,6 @@ impl Machine {
         state.blocked = false;
         state.waiting_chan = None;
         state.report = CoreReport::default();
-        state.class_counts = [0; InstClass::COUNT];
         Ok(())
     }
 
@@ -794,7 +787,7 @@ impl Machine {
     pub fn clear_threads(&mut self) {
         for c in &mut self.cores {
             c.thread = None;
-            c.spec.reset();
+            c.spec.abort();
             c.busy_until = self.cycle;
             c.done = false;
             c.blocked = false;
@@ -1004,13 +997,6 @@ impl Machine {
                     ThreadStatus::Trapped(k) => Some(k),
                     _ => None,
                 });
-                let mut classes: Vec<(String, u64)> = InstClass::ALL
-                    .iter()
-                    .map(|k| (format!("{k:?}"), c.class_counts[k.index()]))
-                    .filter(|&(_, v)| v > 0)
-                    .collect();
-                classes.sort();
-                report.retired_by_class = classes;
                 report
             })
             .collect();

@@ -21,7 +21,6 @@ use spice_ir::exec::DenseMap;
 pub struct SpecBuffer {
     active: bool,
     writes: DenseMap<i64>,
-    stores_buffered: u64,
 }
 
 impl SpecBuffer {
@@ -52,7 +51,6 @@ impl SpecBuffer {
             return false;
         }
         self.writes.insert(addr, value);
-        self.stores_buffered += 1;
         true
     }
 
@@ -74,33 +72,16 @@ impl SpecBuffer {
     /// write order so the caller can apply them to shared memory.
     pub fn take_commit(&mut self) -> Vec<(i64, i64)> {
         let out: Vec<(i64, i64)> = self.writes.entries().to_vec();
-        self.clear();
+        self.abort();
         out
     }
 
-    /// Leaves speculative execution, discarding all buffered state.
+    /// Leaves speculative execution, discarding all buffered state while
+    /// keeping the allocated storage for reuse (a squash, and the reset of
+    /// a fresh loop invocation).
     pub fn abort(&mut self) {
-        self.clear();
-    }
-
-    /// Fully resets the buffer for a fresh loop invocation — like
-    /// [`SpecBuffer::abort`], but also zeroing the lifetime statistics —
-    /// while keeping the allocated storage for reuse.
-    pub fn reset(&mut self) {
-        self.clear();
-        self.stores_buffered = 0;
-    }
-
-    fn clear(&mut self) {
         self.active = false;
         self.writes.clear();
-    }
-
-    /// Number of stores buffered over the lifetime of the buffer (not reset
-    /// by commit/abort; used for statistics).
-    #[must_use]
-    pub fn stores_buffered(&self) -> u64 {
-        self.stores_buffered
     }
 }
 
@@ -150,11 +131,6 @@ mod tests {
         b.abort();
         assert!(!b.is_active());
         assert!(b.take_commit().is_empty());
-        // Statistics survive for reporting.
-        assert_eq!(b.stores_buffered(), 1);
-        // A full invocation reset zeroes them too, reusing the buffers.
-        b.reset();
-        assert_eq!(b.stores_buffered(), 0);
     }
 
     #[test]

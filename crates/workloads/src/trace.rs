@@ -389,12 +389,6 @@ impl TraceReplayWorkload {
         &self.trace
     }
 
-    /// Number of distinct arena slots the replay uses.
-    #[must_use]
-    pub fn slot_count(&self) -> usize {
-        self.slot_values.len()
-    }
-
     fn arena(&self) -> &RecordArena {
         self.arena.as_ref().expect("build() must be called first")
     }
@@ -707,7 +701,7 @@ mod tests {
         // invocation — that is what preserves measured predictability.
         let t = synthetic_trace("stable", 4, 10, 1.0, 9);
         let wl = TraceReplayWorkload::new(t).unwrap();
-        assert_eq!(wl.slot_count(), 10);
+        assert_eq!(wl.slot_values.len(), 10);
         for inv in 1..wl.slot_orders.len() {
             assert_eq!(wl.slot_orders[0], wl.slot_orders[inv]);
         }
