@@ -17,7 +17,7 @@
 //! | [`predictor`] | §4, Algorithm 2 | the speculated-values array layout, the reference planner, and read-only host mirrors of what the on-core centralized step wrote |
 //! | [`valuepred`] | §2.2, §7 | the stride predictor and the Spice memoization criterion, for accuracy comparisons |
 //! | [`baseline`] | §2 | the `t1`/`t2`/`t3` analytic model of TLS with and without value prediction, and schedule rendering for Figures 2/3/5 |
-//! | [`pipeline`] | §5 | invocation-by-invocation execution of a transformed loop on the `spice-sim` machine |
+//! | [`pipeline`] | §3, §5 | invocation-by-invocation execution of a transformed loop on the `spice-sim` machine; reports name their squash causes by the one commit rule, [`spice_ir::exec::CommitChain`], which the generated merge chain implements |
 //! | [`backend`] | — | the simulator [`spice_ir::exec::ExecutionBackend`] and by-value backend selection (sim vs. native threads) |
 //!
 //! ## Quick example

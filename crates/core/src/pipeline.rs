@@ -11,7 +11,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use spice_ir::exec::{ExecutionCost, ExecutionReport, MisspeculationCause, WorkerReport};
+use spice_ir::exec::{ChunkEnd, CommitChain, ExecutionCost, ExecutionReport, WorkerReport};
 use spice_ir::{FuncId, TraceEvent, TrapKind};
 use spice_sim::machine::RunSummary;
 use spice_sim::{Machine, SimError};
@@ -59,8 +59,6 @@ pub struct InvocationReport {
     pub cycles: u64,
     /// Return value of the main thread's function.
     pub return_value: Option<i64>,
-    /// Whether any speculative thread was squashed.
-    pub misspeculated: bool,
     /// Number of speculative threads whose chunk was committed.
     pub valid_workers: u64,
     /// Per-thread work counters reported by the distributed predictor.
@@ -73,47 +71,43 @@ impl InvocationReport {
     /// Converts this simulator-specific report into the backend-neutral
     /// [`ExecutionReport`] of the shared execution layer. `worker_cores`
     /// maps worker index to simulated core (from
-    /// [`SpiceParallelLoop::workers`]), used to attribute trap causes.
+    /// [`SpiceParallelLoop::workers`]), whose `spec.check` verdicts are the
+    /// RAW witnesses. Causes come from the commit rule, [`CommitChain`]: the
+    /// merge chain validates a start exactly when it commits or checks the
+    /// chunk, and never sees a validated chunk fault (it would hang).
     #[must_use]
     pub fn to_execution_report(&self, worker_cores: &[usize]) -> ExecutionReport {
-        let committed = usize::try_from(self.valid_workers).unwrap_or(usize::MAX);
-        let workers: Vec<WorkerReport> = worker_cores
-            .iter()
-            .enumerate()
-            .map(|(i, &core)| {
-                let commit = i < committed;
-                let conflict = self
-                    .summary
-                    .cores
-                    .get(core)
-                    .and_then(|c| c.spec_conflict_addr);
-                let cause = if commit {
-                    None
-                } else if let Some(trap) = self.summary.cores.get(core).and_then(|c| c.trapped) {
-                    Some(MisspeculationCause::Fault(trap))
-                } else if let Some(addr) = conflict {
-                    // The merge chain's spec.check found this chunk's read
-                    // set overlapping an earlier chunk's committed writes.
-                    Some(MisspeculationCause::DependenceViolation { addr })
-                } else if i > committed {
-                    Some(MisspeculationCause::SquashCascade)
-                } else {
-                    Some(MisspeculationCause::StalePrediction)
-                };
+        let valid_workers = usize::try_from(self.valid_workers).unwrap_or(usize::MAX);
+        let witness = |i: usize| {
+            let core = *worker_cores.get(i)?;
+            self.summary.cores.get(core)?.spec_conflict_addr
+        };
+        // How the chunk before worker `i` (the main chunk for 0) ended.
+        let end_before = |i: usize| {
+            if i < valid_workers || witness(i).is_some() {
+                ChunkEnd::Handoff
+            } else {
+                ChunkEnd::Exit
+            }
+        };
+        let mut chain = CommitChain::new(end_before(0));
+        let workers: Vec<WorkerReport> = (0..worker_cores.len())
+            .map(|i| {
+                let cause = chain.judge(end_before(i + 1), witness(i));
                 WorkerReport {
-                    committed: commit,
                     cause,
                     work: self.work.get(i + 1).copied().unwrap_or(0),
                 }
             })
             .collect();
+        let committed = workers.iter().filter(|w| w.cause.is_none()).count();
         ExecutionReport {
             backend: "sim",
             cost: ExecutionCost::Cycles(self.cycles),
             return_value: self.return_value,
-            misspeculated: self.misspeculated,
-            committed_chunks: committed.min(worker_cores.len()),
-            squashed_chunks: worker_cores.len().saturating_sub(committed),
+            misspeculated: committed < workers.len(),
+            committed_chunks: committed,
+            squashed_chunks: workers.len() - committed,
             workers,
             work_per_thread: self.work.clone(),
         }
@@ -255,7 +249,6 @@ impl SpiceRunner {
         Ok(InvocationReport {
             cycles: summary.cycles,
             return_value: machine.return_value(0),
-            misspeculated: feedback.misspeculated,
             valid_workers: feedback.valid_workers,
             work: feedback.work,
             summary,
@@ -357,7 +350,7 @@ mod tests {
                 .run_invocation(&mut machine, &[head, out_global])
                 .unwrap();
             assert_eq!(report.return_value, Some(sequential_min(&weights)));
-            misspeculated.push(report.misspeculated);
+            misspeculated.push(report.valid_workers < 1);
         }
         assert!(
             misspeculated.contains(&false),
@@ -459,7 +452,7 @@ mod tests {
         let report = runner
             .run_invocation(&mut machine, &[head, out_global])
             .unwrap();
-        assert!(report.misspeculated);
+        assert_eq!(report.valid_workers, 0, "the worker was squashed");
         // The main thread still produced the right answer because it executed
         // every iteration itself (weight at base+2 was clobbered to -77,
         // which IS on the list as node 1's weight).

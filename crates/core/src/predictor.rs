@@ -244,8 +244,6 @@ pub struct InvocationFeedback {
     pub work: Vec<u64>,
     /// Number of speculative threads whose chunk was valid (committed).
     pub valid_workers: u64,
-    /// `true` if at least one speculative thread was squashed.
-    pub misspeculated: bool,
 }
 
 /// The centralized step's placement computation (Algorithm 2) in
@@ -331,11 +329,9 @@ pub fn read_feedback(
         work.push(mem.read(layout.work_addr(tid))?.max(0) as u64);
     }
     let valid_workers = mem.read(layout.status_base)?.max(0) as u64;
-    let misspeculated = valid_workers < (layout.threads as u64 - 1);
     Ok(InvocationFeedback {
         work,
         valid_workers,
-        misspeculated,
     })
 }
 
@@ -469,9 +465,8 @@ mod tests {
         let fb = read_feedback(&l, &mem).unwrap();
         assert_eq!(fb.work, vec![60, 0, 15, 0]);
         assert_eq!(fb.valid_workers, 3);
-        assert!(!fb.misspeculated);
         mem.write(l.status_base, 1).unwrap();
-        assert!(read_feedback(&l, &mem).unwrap().misspeculated);
+        assert_eq!(read_feedback(&l, &mem).unwrap().valid_workers, 1);
     }
 
     #[test]

@@ -69,7 +69,7 @@ impl PreparedProgram {
     /// Prepares `program` for Spice execution: loop analysis, the Spice
     /// transformation with `threads` threads and `predictor`, and the
     /// machine configuration adjustments [`SimBackend::load`] performs
-    /// (cores, heap reservation, conflict detection and granularity).
+    /// (cores, heap reservation, conflict granularity).
     ///
     /// [`SimBackend::load`]: crate::backend::SimBackend
     ///
@@ -104,10 +104,8 @@ impl PreparedProgram {
         // and a workload cannot fit on one substrate but not the other.
         let mut config = base_config.with_cores(threads);
         config.heap_words = config.heap_words.max(options.heap_words);
-        // The machine's conflict detection backs the generated `spec.check`
-        // instructions; skip the tracking entirely when the policy asserts
-        // independence (the checks are not emitted either).
-        config.conflict_detection = options.conflict_policy.detects();
+        // Conflict tracking follows the program: the transform emits a
+        // `spec.check` per worker exactly under `ConflictPolicy::Detect`.
         config.conflict_granularity_log2 = options.conflict_granularity_log2;
         let decoded = Arc::new(DecodedProgram::new(&program));
         Ok(PreparedProgram {

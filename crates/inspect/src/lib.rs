@@ -329,6 +329,18 @@ mod tests {
             .filter(|l| l.ends_with("dependence violation"))
             .count();
         assert_eq!(explained, run.summary.dependence_violations, "{report}");
+        // The trace names the report's causes: each invocation's violation
+        // squashes its later chunks in cascade, and no start goes stale.
+        let labelled = |label: &str| {
+            let suffix = format!(": {label}");
+            report.lines().filter(|l| l.ends_with(&suffix)).count()
+        };
+        assert_eq!(labelled("stale_prediction"), 0, "{report}");
+        assert_eq!(
+            labelled("squash_cascade"),
+            run.summary.squashed_chunks - run.summary.dependence_violations,
+            "{report}"
+        );
 
         // The reported pair identifies a real chunk: every dependence
         // squash names a victim chunk that a ChunkBegin introduced.

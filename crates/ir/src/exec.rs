@@ -17,6 +17,9 @@
 //!   either simulated cycles or wall time, the return value, committed and
 //!   squashed chunk counts, per-worker mis-speculation causes and per-thread
 //!   work counters;
+//! * [`CommitChain`] — the one ordered-commit rule: fed each chunk's end and
+//!   RAW witness in thread order, it names commit or the squash cause, for
+//!   the native commit loop and the simulator's report and trace alike;
 //! * [`SpiceLoopSpec`] / [`derive_loop_spec`] — the backend-neutral summary
 //!   of the target loop (header, speculated cursor registers, recognised
 //!   reductions, live-out fold contract) every backend chunks it by,
@@ -69,24 +72,26 @@ impl ExecutionCost {
     }
 }
 
-/// Why a speculative chunk was squashed.
+/// Why a speculative chunk was squashed, as [`CommitChain::judge`] names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MisspeculationCause {
-    /// The chunk's starting prediction no longer appeared in the traversal
-    /// (boundary mismatch — the paper's primary squash reason).
+    /// The first chunk whose start neither the main chunk nor its committed
+    /// predecessor handed off: the prediction no longer appeared in the
+    /// traversal (the paper's primary squash reason), or the loop ended first.
     StalePrediction,
-    /// The chunk trapped while executing (e.g. chased a dangling pointer).
+    /// The chunk's start was validated, then it trapped (e.g. chased a
+    /// dangling pointer).
     Fault(TrapKind),
-    /// An earlier chunk failed, so this chunk's starting point was never
-    /// validated and it was squashed in the cascade.
+    /// An earlier chunk was squashed, so this one was squashed in the
+    /// cascade.
     SquashCascade,
     /// The chunk never ran (no prediction was available yet — e.g. the
     /// first invocation, before anything was memoized).
     NoPrediction,
-    /// The chunk read a word that a logically earlier, not-yet-committed
-    /// chunk wrote — a cross-chunk memory flow (RAW) dependence violated by
-    /// the speculation ([`ConflictPolicy::Detect`]). `addr` is the smallest
-    /// conflicting word address, as a diagnosis witness.
+    /// The chunk's start was validated, but it read a word that a logically
+    /// earlier chunk wrote — a cross-chunk memory flow (RAW) dependence
+    /// violated by the speculation ([`ConflictPolicy::Detect`]). `addr` is
+    /// the smallest conflicting word address, as a diagnosis witness.
     DependenceViolation {
         /// Smallest word address present in both the chunk's read set and an
         /// earlier chunk's write set.
@@ -94,12 +99,71 @@ pub enum MisspeculationCause {
     },
 }
 
+/// How a speculative chunk stopped, as the ordered commit sees it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChunkEnd {
+    /// The chunk never ran: nothing predicted its start.
+    NeverRan,
+    /// At its successor's predicted start: the hand-off.
+    Handoff,
+    /// At the loop's exit.
+    Exit,
+    /// Anywhere else: a trap, an exhausted budget, a return from the loop.
+    Fault(TrapKind),
+}
+
+/// The paper's §3 ordered-commit rule, stepped over one invocation's chunks
+/// in thread order: a chunk commits iff its start was validated, it stopped
+/// where it should (its successor's start or the loop's exit) and its reads
+/// miss every earlier committed write; everything after the first failure is
+/// squashed. The state is what the chain says about the *next* start.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CommitChain {
+    /// Handed off by the main chunk or the last committed chunk: the only
+    /// state in which the chunk's own end and RAW witness decide anything.
+    Validated,
+    /// Not handed off by the main chunk or the last committed chunk.
+    Unvalidated,
+    /// A chunk was squashed: every later chunk is squashed in cascade.
+    Broken,
+}
+
+impl CommitChain {
+    /// The chain after the main chunk stopped with `main`.
+    #[must_use]
+    pub fn new(main: ChunkEnd) -> Self {
+        if main == ChunkEnd::Handoff {
+            CommitChain::Validated
+        } else {
+            CommitChain::Unvalidated
+        }
+    }
+
+    /// Judges the next chunk from how it `end`ed and its RAW `witness` (a
+    /// word it read that an earlier committed chunk wrote): `None` commits
+    /// it, otherwise the squash cause.
+    pub fn judge(&mut self, end: ChunkEnd, witness: Option<i64>) -> Option<MisspeculationCause> {
+        use MisspeculationCause as Cause;
+        let cause = match (*self, end, witness) {
+            (_, ChunkEnd::NeverRan, _) => Some(Cause::NoPrediction),
+            (CommitChain::Broken, ..) => Some(Cause::SquashCascade),
+            (CommitChain::Unvalidated, ..) => Some(Cause::StalePrediction),
+            (CommitChain::Validated, ChunkEnd::Fault(trap), _) => Some(Cause::Fault(trap)),
+            (CommitChain::Validated, _, Some(addr)) => Some(Cause::DependenceViolation { addr }),
+            (CommitChain::Validated, _, None) => None,
+        };
+        *self = match cause {
+            Some(_) => CommitChain::Broken,
+            None => CommitChain::new(end),
+        };
+        cause
+    }
+}
+
 /// Per-worker slice of an [`ExecutionReport`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkerReport {
-    /// Whether the chunk was validated and committed.
-    pub committed: bool,
-    /// Squash cause for uncommitted chunks.
+    /// Why the chunk was squashed; `None` if it committed.
     pub cause: Option<MisspeculationCause>,
     /// Iterations (or retired instructions, for timing backends) executed.
     pub work: u64,
@@ -453,6 +517,64 @@ mod tests {
         );
     }
 
+    /// The commit rule's whole vocabulary: each chain below is the main
+    /// chunk's end, then the workers' `(end, witness)` in thread order.
+    #[test]
+    fn commit_chain_names_every_cause() {
+        use ChunkEnd::{Exit, Fault, Handoff, NeverRan};
+        use MisspeculationCause as C;
+        let trap = TrapKind::DivideByZero;
+        let judge = |main: ChunkEnd, chunks: &[(ChunkEnd, Option<i64>)]| {
+            let mut chain = CommitChain::new(main);
+            let verdicts: Vec<_> = chunks.iter().map(|&(e, w)| chain.judge(e, w)).collect();
+            verdicts
+        };
+        // Every start handed off, the last chunk at the exit: all commit.
+        assert_eq!(
+            judge(Handoff, &[(Handoff, None), (Exit, None)]),
+            [None, None]
+        );
+        // A validated start, then a fault or a RAW witness; the cascade.
+        assert_eq!(
+            judge(Handoff, &[(Fault(trap), Some(4)), (Exit, None)]),
+            [Some(C::Fault(trap)), Some(C::SquashCascade)]
+        );
+        assert_eq!(
+            judge(Handoff, &[(Handoff, None), (Exit, Some(8)), (Exit, None)]),
+            [
+                None,
+                Some(C::DependenceViolation { addr: 8 }),
+                Some(C::SquashCascade)
+            ]
+        );
+        // A start nobody handed off: the main chunk or a committed
+        // predecessor reached the exit first. No witness is read there.
+        assert_eq!(
+            judge(Exit, &[(Handoff, None), (Exit, None)]),
+            [Some(C::StalePrediction), Some(C::SquashCascade)]
+        );
+        assert_eq!(
+            judge(Handoff, &[(Exit, None), (Handoff, Some(3))]),
+            [None, Some(C::StalePrediction)]
+        );
+        // A chunk that never ran, before and after a squash.
+        assert_eq!(
+            judge(Handoff, &[(NeverRan, None), (Exit, None), (NeverRan, None)]),
+            [
+                Some(C::NoPrediction),
+                Some(C::SquashCascade),
+                Some(C::NoPrediction)
+            ]
+        );
+
+        // What the chain says about the next start.
+        let mut chain = CommitChain::new(Handoff);
+        chain.judge(Exit, None);
+        assert_eq!(chain, CommitChain::Unvalidated);
+        chain.judge(Handoff, None);
+        assert_eq!(chain, CommitChain::Broken);
+    }
+
     /// Regression: an invocation where one worker starved entirely must read
     /// as *less* balanced than one where every thread worked — the old code
     /// filtered zero-work threads out before computing the CV, so a fully
@@ -528,12 +650,10 @@ mod tests {
             squashed_chunks: 1,
             workers: vec![
                 WorkerReport {
-                    committed: true,
                     cause: None,
                     work: 10,
                 },
                 WorkerReport {
-                    committed: false,
                     cause: Some(MisspeculationCause::StalePrediction),
                     work: 3,
                 },

@@ -31,7 +31,8 @@
 //!   inlined and branch targets resolved.
 //! * [`exec`] — the [`exec::ExecutionBackend`] abstraction: one API over
 //!   every way of running a Spice loop (timing simulator, native threads),
-//!   with the backend-neutral [`exec::ExecutionReport`].
+//!   with the backend-neutral [`exec::ExecutionReport`] and the one commit
+//!   rule, [`exec::CommitChain`], every backend's squash causes come from.
 //! * [`verify`] — structural verification, run after every transformation.
 //! * [`fixtures`] — the small list-walking programs several crates' tests
 //!   share.
@@ -102,8 +103,8 @@ pub mod verify;
 pub use dataflow::{classify_loop_dependences, DependenceClass, LoopDependence};
 pub use decoded::{DecodeError, DecodeErrorKind, DecodedFunction, DecodedProgram};
 pub use exec::{
-    derive_loop_spec, BackendError, ExecutionBackend, ExecutionCost, ExecutionReport, LoadOptions,
-    MisspeculationCause, SpecError, SpiceLoopSpec, WorkerReport,
+    derive_loop_spec, BackendError, ChunkEnd, CommitChain, ExecutionBackend, ExecutionCost,
+    ExecutionReport, LoadOptions, MisspeculationCause, SpecError, SpiceLoopSpec, WorkerReport,
 };
 pub use function::{Block, Function, Global, Program, GLOBAL_BASE};
 pub use inst::{Inst, InstClass, Successors, Terminator};

@@ -51,8 +51,10 @@
 //! frozen — the main chunk and every worker chunk read it through a
 //! [`SpecView`] and buffer their stores — and after the last join the main
 //! thread applies the main chunk's buffer and each committed worker's, in
-//! thread order. The commit loop therefore only *decides*; what it decided
-//! is applied, and narrated to the trace, afterwards.
+//! thread order. The commit loop therefore only *decides*, by the one
+//! ordered-commit rule ([`CommitChain::judge`], which the simulator's report
+//! and trace use too); its `Verdict` list is applied, reported and narrated
+//! to the trace afterwards.
 //!
 //! Chunk boundaries, squash recovery and the load balancer follow the
 //! paper's protocol: immediate hand-off when a chunk reaches its successor's
@@ -68,8 +70,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use spice_ir::exec::{
-    derive_loop_spec, AccessSet, BackendError, CombineKind, ExecutionBackend, ExecutionCost,
-    ExecutionReport, LoadOptions, MisspeculationCause, SpiceLoopSpec, WorkerReport,
+    derive_loop_spec, AccessSet, BackendError, ChunkEnd, CombineKind, CommitChain,
+    ExecutionBackend, ExecutionCost, ExecutionReport, LoadOptions, MisspeculationCause,
+    SpiceLoopSpec, WorkerReport,
 };
 use spice_ir::interp::{FlatMemory, MemPort, StepEvent, SysPort, ThreadState};
 use spice_ir::reduction::ReductionKind;
@@ -564,40 +567,35 @@ impl ExecutionBackend for NativeLoopBackend {
             return Err(engine_trap(trap));
         }
 
-        // Ordered validation (paper §3: the main thread is the only
-        // committer, one chunk at a time, in thread order). Under
+        // Ordered commit by the one commit rule (paper §3). Under
         // ConflictPolicy::Detect the union of the main chunk's and every
         // committed chunk's write addresses is carried along, and each
-        // chunk's load set is intersected against it before acceptance —
-        // the software form of the paper's hardware conflict detection.
-        // The loop only decides: a chunk's stores stay in its verdict.
+        // validated chunk's load set is intersected against it for its RAW
+        // witness — the software form of the paper's hardware conflict
+        // detection. The loop only decides: a chunk's stores stay in its
+        // verdict.
         let mut earlier_writes = AccessSet::with_granularity(granularity_log2);
         if detect {
             earlier_writes.extend(main_writes.iter().map(|&(addr, _)| addr));
         }
+        let mut chain = CommitChain::new(main_run.stop.end());
         let mut verdicts: Vec<Verdict> = Vec::with_capacity(workers);
-        let mut committed = 0usize;
-        let mut still_valid = main_run.stop == Stop::Boundary;
-        let mut end_reached = false;
-        let mut reports = Vec::with_capacity(workers);
-        let mut work = vec![main_run.iterations];
         let mut memos = main_run.memos;
 
         for wi in 0..workers {
             if !tasked[wi] {
-                reports.push(WorkerReport {
-                    committed: false,
-                    cause: Some(MisspeculationCause::NoPrediction),
-                    work: 0,
+                verdicts.push(Verdict {
+                    witness: None,
+                    cause: chain.judge(ChunkEnd::NeverRan, None),
+                    iterations: 0,
+                    writes: Vec::new(),
                 });
-                work.push(0);
-                still_valid = false;
                 continue;
             }
-            if !still_valid || end_reached {
-                // The chain is broken: flag every not-yet-joined worker at
-                // once, so they all stop at their next poll instead of
-                // winding down serially as the join loop reaches them.
+            if chain != CommitChain::Validated {
+                // Every later chunk is squashed: flag them all at once, so
+                // they stop at their next poll instead of winding down
+                // serially as the join loop reaches them.
                 for (later, worker) in pool.iter().enumerate().skip(wi) {
                     if tasked[later] {
                         worker.squash.store(true, Ordering::Release);
@@ -613,21 +611,13 @@ impl ExecutionBackend for NativeLoopBackend {
                 }
             };
             tasked[wi] = false;
-            // RAW check: did this chunk read a word an earlier chunk
-            // wrote? Only meaningful while the chain is intact — once a
-            // predecessor failed, the chunk is squashed regardless.
-            let conflict = if detect && still_valid && !end_reached {
+            // RAW check: only a validated start's reads decide anything.
+            let witness = if detect && chain == CommitChain::Validated {
                 result.reads.first_overlap(&earlier_writes)
             } else {
                 None
             };
-            let cause = if !still_valid || end_reached {
-                Some(MisspeculationCause::SquashCascade)
-            } else {
-                let violation =
-                    conflict.map(|addr| MisspeculationCause::DependenceViolation { addr });
-                result.run.stop.fault().or(violation)
-            };
+            let cause = chain.judge(result.run.stop.end(), witness);
             if cause.is_none() {
                 // Only a later tasked chunk is ever validated against these.
                 if detect && tasked[wi + 1..].contains(&true) {
@@ -635,22 +625,11 @@ impl ExecutionBackend for NativeLoopBackend {
                 }
                 fold_liveouts(spec, &mut main, &result.finals);
                 memos.extend(result.run.memos);
-                work.push(result.run.iterations);
-                committed += 1;
-                end_reached = result.run.stop == Stop::Exit;
-            } else {
-                still_valid = false;
-                work.push(0);
             }
-            reports.push(WorkerReport {
-                committed: cause.is_none(),
-                cause,
-                work: result.run.iterations,
-            });
             verdicts.push(Verdict {
-                core: (wi + 1) as u32,
-                conflict,
+                witness,
                 cause,
+                iterations: result.run.iterations,
                 writes: result.writes,
             });
         }
@@ -678,6 +657,7 @@ impl ExecutionBackend for NativeLoopBackend {
         // (which the last valid chunk reached itself, so it is a genuine
         // traversal point) — the commit fold left exactly that state in the
         // main thread's registers, reductions carrying the committed prefix.
+        let mut main_work = main_run.iterations;
         let return_value = match main_run.stop {
             Stop::Finished(value) => value,
             _ => {
@@ -685,15 +665,13 @@ impl ExecutionBackend for NativeLoopBackend {
                 loop {
                     let resume = ChunkLimits::default();
                     let run = run_chunk(&ctx, &mut main, &mut *mem, &mut steps, &resume);
-                    work[0] += run.iterations;
+                    main_work += run.iterations;
                     match run.stop {
                         Stop::Finished(value) => break value,
                         Stop::Trap(trap) => return Err(engine_trap(trap)),
                         // The exit code is the main thread's own to run.
                         Stop::Exit => {}
-                        Stop::Boundary | Stop::Squashed => {
-                            unreachable!("the resume has no boundary and no squash flag")
-                        }
+                        Stop::Boundary => unreachable!("the resume has no boundary"),
                     }
                 }
             }
@@ -706,9 +684,18 @@ impl ExecutionBackend for NativeLoopBackend {
                 loaded.predictions[row] = cursors;
             }
         }
+        // The main thread re-ran a squashed chunk's iterations.
+        let work: Vec<u64> = std::iter::once(main_work)
+            .chain(verdicts.iter().map(|v| v.cause.map_or(v.iterations, |_| 0)))
+            .collect();
         loaded.last_work = work.clone();
-        tracing.narrate(&verdicts, workers, granularity_log2);
+        tracing.narrate(&verdicts, granularity_log2);
 
+        let committed = verdicts.iter().filter(|v| v.cause.is_none()).count();
+        let reports = verdicts.iter().map(|v| WorkerReport {
+            cause: v.cause,
+            work: v.iterations,
+        });
         Ok(ExecutionReport {
             backend: "native",
             cost: ExecutionCost::WallNanos(elapsed.as_nanos()),
@@ -716,7 +703,7 @@ impl ExecutionBackend for NativeLoopBackend {
             misspeculated: committed < workers,
             committed_chunks: committed,
             squashed_chunks: workers - committed,
-            workers: reports,
+            workers: reports.collect(),
             work_per_thread: work,
         })
     }
@@ -730,15 +717,15 @@ fn exclusive(mem: &mut Arc<FlatMemory>) -> Result<&mut FlatMemory, BackendError>
         .ok_or_else(|| BackendError::Engine("a worker still holds the memory image".to_string()))
 }
 
-/// What the commit loop decided about one tasked worker's chunk: all the
-/// apply step and the narration need.
+/// What the commit rule decided about worker `i`'s chunk (core `i + 1`): the
+/// record the report, work counters, apply step and narration derive from.
 struct Verdict {
-    /// The core the chunk ran as: pool index + 1, the main thread being 0.
-    core: u32,
     /// The RAW witness, when the validation found one.
-    conflict: Option<i64>,
+    witness: Option<i64>,
     /// Why the chunk was squashed; `None` if it committed.
     cause: Option<MisspeculationCause>,
+    /// Iterations the chunk ran, committed or not.
+    iterations: u64,
     /// The chunk's buffered stores, first-write order.
     writes: Vec<(i64, i64)>,
 }
@@ -746,21 +733,23 @@ struct Verdict {
 impl NativeTracing {
     /// Narrates a completed invocation from its verdicts, which are in
     /// thread order: a `ChunkBegin` per tasked chunk and the
-    /// `PredictorPlan`, then each chunk's `ChunkValidate` and `ChunkCommit`
-    /// or `ChunkSquash`, then the `PredictorFeedback`.
-    fn narrate(&mut self, verdicts: &[Verdict], workers: usize, granularity_log2: u8) {
+    /// `PredictorPlan`, then each tasked chunk's `ChunkValidate` and
+    /// `ChunkCommit` or `ChunkSquash`, then the `PredictorFeedback`.
+    fn narrate(&mut self, verdicts: &[Verdict], granularity_log2: u8) {
         if !self.on() {
             return;
         }
+        // The rule names a chunk that was never tasked by one cause.
+        let ran = |(_, v): &(u32, &Verdict)| v.cause != Some(MisspeculationCause::NoPrediction);
+        let tasked: Vec<(u32, &Verdict)> = (1..).zip(verdicts).filter(ran).collect();
         let first_chunk = self.chunk_next;
-        self.chunk_next += verdicts.len() as u64;
-        for (v, chunk) in verdicts.iter().zip(first_chunk..) {
+        self.chunk_next += tasked.len() as u64;
+        for (&(core, _), chunk) in tasked.iter().zip(first_chunk..) {
             let at = self.next_at();
-            let core = v.core;
             self.emit(TraceEvent::ChunkBegin { at, core, chunk });
         }
         let at = self.next_at();
-        let chunks = verdicts.len() as u64;
+        let chunks = tasked.len() as u64;
         self.emit(TraceEvent::PredictorPlan { at, chunks });
 
         // Word-exact writer attribution for squash forensics: a violating
@@ -768,14 +757,14 @@ impl NativeTracing {
         // that no committed worker wrote is the main chunk's (core 0, no
         // speculative chunk id) — nothing else is in the earlier-write set.
         let mut writer_by_word: HashMap<i64, (u32, Option<u64>)> = HashMap::new();
-        for (v, chunk) in verdicts.iter().zip(first_chunk..) {
-            let (core, chunk) = (v.core, Some(chunk));
+        for (&(core, v), chunk) in tasked.iter().zip(first_chunk..) {
+            let chunk = Some(chunk);
             let at = self.next_at();
             self.emit(TraceEvent::ChunkValidate {
                 at,
                 core,
                 chunk,
-                conflict: v.conflict,
+                conflict: v.witness,
             });
             let at = self.next_at();
             let Some(cause) = v.cause else {
@@ -828,7 +817,7 @@ impl NativeTracing {
         self.emit(TraceEvent::PredictorFeedback {
             at,
             committed: committed as u64,
-            squashed: (workers - committed) as u64,
+            squashed: (verdicts.len() - committed) as u64,
         });
     }
 }
@@ -852,21 +841,20 @@ enum Stop {
     Exit,
     /// The kernel returned (or halted) without passing either.
     Finished(Option<i64>),
-    /// A trap, a blocking receive, or the step budget ran out.
+    /// A trap, a blocking receive, or the step budget ran out — which a
+    /// raised squash flag ends at once (`OutOfFuel`).
     Trap(TrapKind),
-    /// The squash flag was seen raised.
-    Squashed,
 }
 
 impl Stop {
-    /// Why a *speculative* chunk that stopped this way cannot be committed;
-    /// `None` for the two stops a valid chunk ends on.
-    fn fault(self) -> Option<MisspeculationCause> {
+    /// The stop as the commit rule reads it: a return from inside the loop
+    /// is no place for a chunk to end.
+    fn end(self) -> ChunkEnd {
         match self {
-            Stop::Boundary | Stop::Exit => None,
-            Stop::Finished(_) => Some(MisspeculationCause::Fault(TrapKind::UnsupportedIntrinsic)),
-            Stop::Trap(trap) => Some(MisspeculationCause::Fault(trap)),
-            Stop::Squashed => Some(MisspeculationCause::SquashCascade),
+            Stop::Boundary => ChunkEnd::Handoff,
+            Stop::Exit => ChunkEnd::Exit,
+            Stop::Finished(_) => ChunkEnd::Fault(TrapKind::UnsupportedIntrinsic),
+            Stop::Trap(trap) => ChunkEnd::Fault(trap),
         }
     }
 }
@@ -927,7 +915,7 @@ fn run_chunk<M: MemPort>(
             break Stop::Boundary;
         }
         if limits.squash.is_some_and(|s| s.load(Ordering::Acquire)) {
-            break Stop::Squashed;
+            break Stop::Trap(TrapKind::OutOfFuel);
         }
         if let Some(&(_, row)) = plan.next_if(|&&(threshold, _)| iterations >= threshold) {
             if is_prediction(&cursors) {
@@ -968,7 +956,7 @@ fn step_to_header<M: MemPort>(
         if steps.is_multiple_of(SQUASH_POLL_INTERVAL)
             && squash.is_some_and(|s| s.load(Ordering::Acquire))
         {
-            return Some(Stop::Squashed);
+            return Some(Stop::Trap(TrapKind::OutOfFuel));
         }
         match state.step(&ctx.program, port, &mut NopSys) {
             Ok(StepEvent::Executed(info)) => {
@@ -1835,7 +1823,10 @@ mod tests {
             ..ChunkLimits::default()
         };
         let (run, _) = chunk(&limits, 1000);
-        assert_eq!((run.stop, run.iterations), (Stop::Squashed, 0));
+        assert_eq!(
+            (run.stop, run.iterations),
+            (Stop::Trap(TrapKind::OutOfFuel), 0)
+        );
     }
 
     /// The chunks of an invocation partition the iteration space: however

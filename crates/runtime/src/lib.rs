@@ -13,7 +13,8 @@
 //! A squashed chunk must never have published anything, so while chunks run
 //! nobody writes memory at all: every chunk reads the frozen image and
 //! buffers its stores, and after the last join the main thread applies the
-//! validated buffers, in order. Reads and writes of the image never overlap
+//! buffers the one commit rule ([`spice_ir::exec::CommitChain`]) committed,
+//! in order. Reads and writes of the image never overlap
 //! in time, which the `Arc` that shares it enforces (see the [`heap`]
 //! module); the crate, like the whole workspace, contains no `unsafe`.
 

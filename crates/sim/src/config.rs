@@ -101,11 +101,6 @@ pub struct MachineConfig {
     pub heap_words: usize,
     /// Upper bound on simulated cycles before a run is declared hung.
     pub max_cycles: u64,
-    /// Whether the memory system tracks speculative read sets and committed
-    /// write sets for cross-chunk conflict detection (paper §3, "Conflict
-    /// Detection"). Answering a `spec.check` requires it; with it off the
-    /// machine behaves like the pre-subsystem model (no conflicts reported).
-    pub conflict_detection: bool,
     /// Conflict-detection granularity as a power-of-two word count per
     /// tracked grain: `0` is exact word detection, `3` models 64-byte-line
     /// hardware tag comparison (with its false conflicts between distinct
@@ -148,7 +143,6 @@ impl MachineConfig {
             inter_core_latency: 16,
             heap_words: 4 * 1024 * 1024,
             max_cycles: 2_000_000_000,
-            conflict_detection: true,
             conflict_granularity_log2: 0,
         }
     }
@@ -195,7 +189,6 @@ impl MachineConfig {
             inter_core_latency: 4,
             heap_words: 64 * 1024,
             max_cycles: 50_000_000,
-            conflict_detection: true,
             conflict_granularity_log2: 0,
         }
     }

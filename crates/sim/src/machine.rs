@@ -52,7 +52,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use spice_ir::interp::{FlatMemory, MemPort, StepEvent, SysPort, ThreadState, ThreadStatus};
-use spice_ir::{BlockId, DecodedProgram, FuncId, InstClass, Program, TrapKind};
+use spice_ir::{BlockId, DecodedProgram, FuncId, Inst, InstClass, Program, TrapKind};
 
 use crate::cache::{HitLevel, MemAccessStats, MemoryHierarchy};
 use crate::config::MachineConfig;
@@ -88,8 +88,6 @@ pub struct CoreReport {
     pub finished_at: Option<u64>,
     /// Return value of the thread's outermost function, if it returned one.
     pub return_value: Option<i64>,
-    /// Whether the thread ended in a trapped state.
-    pub trapped: Option<TrapKind>,
     /// Speculative commits executed.
     pub spec_commits: u64,
     /// Speculative aborts (squashes) executed.
@@ -658,11 +656,13 @@ impl Machine {
         let mem = FlatMemory::for_program(&program, config.heap_words);
         let hier = MemoryHierarchy::new(&config);
         let cores: Vec<CoreState> = (0..config.cores).map(|_| CoreState::new()).collect();
-        let conflicts = ConflictTracker::new(
-            config.cores,
-            config.conflict_detection,
-            config.conflict_granularity_log2,
-        );
+        // Conflicts are tracked to answer the program's `spec.check`s.
+        let blocks = program.funcs.iter().flat_map(|f| &f.blocks);
+        let detect = blocks
+            .flat_map(|b| &b.insts)
+            .any(|i| matches!(i, Inst::SpecCheck { .. }));
+        let conflicts =
+            ConflictTracker::new(config.cores, detect, config.conflict_granularity_log2);
         Machine {
             program,
             shared: Shared {
@@ -993,10 +993,6 @@ impl Machine {
                 report.mem = self.shared.hier.stats(i);
                 report.spec_conflict_addr = self.shared.conflicts.verdict(i);
                 report.spec_conflicts = u64::from(report.spec_conflict_addr.is_some());
-                report.trapped = c.thread.as_ref().and_then(|t| match t.status() {
-                    ThreadStatus::Trapped(k) => Some(k),
-                    _ => None,
-                });
                 report
             })
             .collect();
@@ -1268,19 +1264,6 @@ mod tests {
         let (p, g, verdict, rf, cf) = conflict_check_program();
         let mut m = Machine::new(tiny(2), p);
         m.set_conflict_exempt(g, g + 1);
-        m.spawn(0, cf, &[]).unwrap();
-        m.spawn(1, rf, &[]).unwrap();
-        let summary = m.run().unwrap();
-        assert_eq!(m.mem().read(verdict).unwrap(), 0);
-        assert_eq!(summary.cores[1].spec_conflicts, 0);
-    }
-
-    #[test]
-    fn spec_check_is_inert_when_detection_disabled() {
-        let (p, _, verdict, rf, cf) = conflict_check_program();
-        let mut cfg = tiny(2);
-        cfg.conflict_detection = false;
-        let mut m = Machine::new(cfg, p);
         m.spawn(0, cf, &[]).unwrap();
         m.spawn(1, rf, &[]).unwrap();
         let summary = m.run().unwrap();

@@ -11,6 +11,8 @@
 //! [`ConflictTracker`](crate::conflict::ConflictTracker) know nothing of
 //! who is watching: the ports record every step's accesses unconditionally,
 //! and the tracker only reports whether an access entered a detection set.
+//! A squash's cause comes from the one commit rule ([`CommitChain`]), so a
+//! Spice run's trace names the causes its report does.
 //!
 //! Each half is enabled on its own ([`Machine::enable_trace`],
 //! [`Machine::enable_cycle_attribution`]). A snapshot carries the tracing
@@ -22,7 +24,7 @@ use std::collections::HashMap;
 use serde::{Deserialize, Serialize};
 
 use spice_ir::{
-    BlockId, FuncId, MisspeculationCause, SquashForensics, TraceEvent, TraceRecorder, TraceSink,
+    BlockId, ChunkEnd, CommitChain, FuncId, SquashForensics, TraceEvent, TraceRecorder, TraceSink,
 };
 
 use crate::conflict::ConflictTracker;
@@ -84,6 +86,9 @@ struct Tracing {
     /// Per core: site of the first read of each word the tracker's read set
     /// took this chunk.
     read_sites: Vec<HashMap<i64, Site>>,
+    /// The epoch's commit chain as its squashes show it: unvalidated until
+    /// the first squash, broken after it.
+    chain: CommitChain,
 }
 
 impl Tracing {
@@ -95,6 +100,7 @@ impl Tracing {
             cur_chunk: vec![None; cores],
             writers: HashMap::new(),
             read_sites: vec![HashMap::new(); cores],
+            chain: CommitChain::Unvalidated,
         }
     }
 
@@ -332,10 +338,16 @@ impl Observer {
             Some(SpecAction::Abort) => {
                 let forensics = t.explain_squash(conflicts, i);
                 let chunk = t.end_chunk(i);
-                let cause = match conflicts.verdict(i) {
-                    Some(addr) => MisspeculationCause::DependenceViolation { addr },
-                    None => MisspeculationCause::StalePrediction,
-                };
+                // The merge chain squashes in thread order (it resteers and
+                // awaits one worker at a time) and `spec.check`s exactly the
+                // chunks whose start it validated.
+                let witness = conflicts.verdict(i);
+                if witness.is_some() && t.chain != CommitChain::Broken {
+                    t.chain = CommitChain::Validated;
+                }
+                // On that chain, where the chunk stopped decides nothing.
+                let cause = t.chain.judge(ChunkEnd::Exit, witness);
+                let cause = cause.expect("a witnessed or unvalidated chunk never commits");
                 t.recorder.emit(TraceEvent::ChunkSquash {
                     at,
                     core,
@@ -362,6 +374,7 @@ impl Observer {
             return;
         };
         t.writers.clear();
+        t.chain = CommitChain::Unvalidated;
         for core in 0..t.cur_chunk.len() {
             t.end_chunk(core);
         }

@@ -28,18 +28,111 @@ use rand::{Rng, SeedableRng};
 
 use spice_ir::builder::FunctionBuilder;
 use spice_ir::interp::FlatMemory;
-use spice_ir::{BinOp, Operand, Program};
+use spice_ir::{BinOp, BlockId, Operand, Program, Reg};
 
 use crate::arena::RecordArena;
 use crate::{BuiltKernel, SpiceWorkload};
 
-const POTENTIAL: i64 = 0;
-const COST: i64 = 1;
-const ORIENT: i64 = 2;
-const PRED: i64 = 3;
-const CHILD: i64 = 4;
-const SIBLING: i64 = 5;
-const RECORD_WORDS: i64 = 6;
+// The tree-node record, shared with `mcf_app`.
+pub(crate) const POTENTIAL: i64 = 0;
+pub(crate) const COST: i64 = 1;
+pub(crate) const ORIENT: i64 = 2;
+pub(crate) const PRED: i64 = 3;
+pub(crate) const CHILD: i64 = 4;
+pub(crate) const SIBLING: i64 = 5;
+pub(crate) const RECORD_WORDS: i64 = 6;
+
+/// Emits the `refresh_potential` walk into `b` from its current block and
+/// returns the loop header: ten blocks that walk the tree from `root`'s
+/// first child (first child, next sibling, climbing back through `PRED`),
+/// store every node's recomputed potential and return the checksum. A
+/// potential offsets the node's cost from `base`, the invocation-wide value,
+/// or without it from `node->pred->potential`, as the real
+/// `refresh_potential` does (a cross-chunk flow dependence). The checksum
+/// counts nodes, or with `sum_potentials` sums the new potentials.
+pub(crate) fn emit_refresh_walk(
+    b: &mut FunctionBuilder,
+    root: impl Into<Operand>,
+    base: Option<Reg>,
+    sum_potentials: bool,
+) -> BlockId {
+    let pre = b.new_labeled_block("preheader");
+    let header = b.new_labeled_block("header");
+    let body = b.new_labeled_block("body");
+    let descend = b.new_labeled_block("descend");
+    let climb = b.new_labeled_block("climb");
+    let climb_pred = b.new_labeled_block("climb_pred");
+    let take_sibling = b.new_labeled_block("take_sibling");
+    let at_root = b.new_labeled_block("at_root");
+    let latch = b.new_labeled_block("latch");
+    let exit = b.new_labeled_block("exit");
+
+    let node = b.copy(0i64);
+    let checksum = b.copy(0i64);
+    let first = b.load(root, CHILD);
+    b.copy_into(node, first);
+    b.br(pre);
+    b.switch_to(pre);
+    b.br(header);
+
+    b.switch_to(header);
+    let done = b.binop(BinOp::Eq, node, 0i64);
+    b.cond_br(done, exit, body);
+
+    // body: recompute this node's potential and step the checksum.
+    b.switch_to(body);
+    let cost = b.load(node, COST);
+    let orient = b.load(node, ORIENT);
+    let basis = base.unwrap_or_else(|| {
+        let pred_ptr = b.load(node, PRED);
+        b.load(pred_ptr, POTENTIAL)
+    });
+    let up = b.binop(BinOp::Add, basis, cost);
+    let down = b.binop(BinOp::Sub, basis, cost);
+    let pot = b.select(orient, up, down);
+    b.store(pot, node, POTENTIAL);
+    let step = if sum_potentials {
+        Operand::Reg(pot)
+    } else {
+        Operand::Imm(1)
+    };
+    let ck = b.binop(BinOp::Add, checksum, step);
+    b.copy_into(checksum, ck);
+    let child = b.load(node, CHILD);
+    let has_child = b.binop(BinOp::Ne, child, 0i64);
+    b.cond_br(has_child, descend, climb);
+
+    b.switch_to(descend);
+    b.copy_into(node, child);
+    b.br(latch);
+
+    // climb: walk up until a sibling exists or the root is reached.
+    b.switch_to(climb);
+    let sib = b.load(node, SIBLING);
+    let has_sib = b.binop(BinOp::Ne, sib, 0i64);
+    b.cond_br(has_sib, take_sibling, climb_pred);
+
+    b.switch_to(climb_pred);
+    let pred = b.load(node, PRED);
+    let at_top = b.binop(BinOp::Eq, pred, 0i64);
+    b.copy_into(node, pred);
+    b.cond_br(at_top, at_root, climb);
+
+    b.switch_to(take_sibling);
+    b.copy_into(node, sib);
+    b.br(latch);
+
+    b.switch_to(at_root);
+    b.copy_into(node, 0i64);
+    b.br(latch);
+
+    b.switch_to(latch);
+    b.br(header);
+
+    b.switch_to(exit);
+    b.ret(Some(Operand::Reg(checksum)));
+    header
+}
 
 /// Configuration of the mcf workload.
 #[derive(Debug, Clone)]
@@ -244,81 +337,7 @@ impl SpiceWorkload for McfWorkload {
         });
         let root = b.param();
         let base = b.param();
-        let pre = b.new_labeled_block("preheader");
-        let header = b.new_labeled_block("header");
-        let body = b.new_labeled_block("body");
-        let descend = b.new_labeled_block("descend");
-        let climb = b.new_labeled_block("climb");
-        let climb_pred = b.new_labeled_block("climb_pred");
-        let take_sibling = b.new_labeled_block("take_sibling");
-        let at_root = b.new_labeled_block("at_root");
-        let latch = b.new_labeled_block("latch");
-        let exit = b.new_labeled_block("exit");
-
-        let node = b.copy(0i64);
-        let checksum = b.copy(0i64);
-        let first = b.load(root, CHILD);
-        b.copy_into(node, first);
-        b.br(pre);
-        b.switch_to(pre);
-        b.br(header);
-
-        b.switch_to(header);
-        let done = b.binop(BinOp::Eq, node, 0i64);
-        b.cond_br(done, exit, body);
-
-        // body: recompute this node's potential and bump the checksum. The
-        // faithful kernel reads the predecessor's potential — the real
-        // `refresh_potential`'s cross-chunk flow dependence — while the
-        // control derives it from the invocation-wide base value.
-        b.switch_to(body);
-        let cost = b.load(node, COST);
-        let orient = b.load(node, ORIENT);
-        let basis = if self.faithful {
-            let pred_ptr = b.load(node, PRED);
-            b.load(pred_ptr, POTENTIAL)
-        } else {
-            base
-        };
-        let up = b.binop(BinOp::Add, basis, cost);
-        let down = b.binop(BinOp::Sub, basis, cost);
-        let pot = b.select(orient, up, down);
-        b.store(pot, node, POTENTIAL);
-        let ck = b.binop(BinOp::Add, checksum, 1i64);
-        b.copy_into(checksum, ck);
-        let child = b.load(node, CHILD);
-        let has_child = b.binop(BinOp::Ne, child, 0i64);
-        b.cond_br(has_child, descend, climb);
-
-        b.switch_to(descend);
-        b.copy_into(node, child);
-        b.br(latch);
-
-        // climb: walk up until a sibling exists or the root is reached.
-        b.switch_to(climb);
-        let sib = b.load(node, SIBLING);
-        let has_sib = b.binop(BinOp::Ne, sib, 0i64);
-        b.cond_br(has_sib, take_sibling, climb_pred);
-
-        b.switch_to(climb_pred);
-        let pred = b.load(node, PRED);
-        let at_top = b.binop(BinOp::Eq, pred, 0i64);
-        b.copy_into(node, pred);
-        b.cond_br(at_top, at_root, climb);
-
-        b.switch_to(take_sibling);
-        b.copy_into(node, sib);
-        b.br(latch);
-
-        b.switch_to(at_root);
-        b.copy_into(node, 0i64);
-        b.br(latch);
-
-        b.switch_to(latch);
-        b.br(header);
-
-        b.switch_to(exit);
-        b.ret(Some(Operand::Reg(checksum)));
+        emit_refresh_walk(&mut b, root, (!self.faithful).then_some(base), false);
         let kernel = program.add_func(b.finish());
 
         BuiltKernel {

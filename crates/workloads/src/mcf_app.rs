@@ -45,16 +45,8 @@ use spice_ir::interp::FlatMemory;
 use spice_ir::{BinOp, FuncId, Operand, Program};
 
 use crate::arena::RecordArena;
+use crate::mcf::{emit_refresh_walk, CHILD, COST, ORIENT, POTENTIAL, PRED, RECORD_WORDS, SIBLING};
 use crate::{BuiltKernel, SpiceWorkload};
-
-// Node record layout (same shape as `crate::mcf`).
-const POTENTIAL: i64 = 0;
-const COST: i64 = 1;
-const ORIENT: i64 = 2;
-const PRED: i64 = 3;
-const CHILD: i64 = 4;
-const SIBLING: i64 = 5;
-const RECORD_WORDS: i64 = 6;
 
 // Candidate-arc record layout.
 const AFROM: i64 = 0;
@@ -603,79 +595,14 @@ impl SpiceWorkload for McfAppWorkload {
         );
 
         // mcf_app() -> checksum: one pivot — the serial phases as calls,
-        // then the refresh walk inline (the Spice target loop).
+        // then the refresh walk inline (the Spice target loop): the faithful
+        // potential chain (pred->potential), and the checksum accumulates
+        // the potentials themselves so the scalar result is data-dependent
+        // on every store.
         let mut b = FunctionBuilder::new("mcf_app");
-        let pre = b.new_labeled_block("preheader");
-        let header = b.new_labeled_block("header");
-        let body = b.new_labeled_block("body");
-        let descend = b.new_labeled_block("descend");
-        let climb = b.new_labeled_block("climb");
-        let climb_pred = b.new_labeled_block("climb_pred");
-        let take_sibling = b.new_labeled_block("take_sibling");
-        let at_root = b.new_labeled_block("at_root");
-        let latch = b.new_labeled_block("latch");
-        let exit = b.new_labeled_block("exit");
-
         let idx = b.call(select, vec![]);
         let _applied = b.call(update, vec![Operand::Reg(idx)]);
-        let node = b.copy(0i64);
-        let checksum = b.copy(0i64);
-        let first = b.load(root, CHILD);
-        b.copy_into(node, first);
-        b.br(pre);
-        b.switch_to(pre);
-        b.br(header);
-
-        b.switch_to(header);
-        let done = b.binop(BinOp::Eq, node, 0i64);
-        b.cond_br(done, exit, body);
-
-        // body: the faithful potential chain (pred->potential), and the
-        // checksum accumulates the potentials themselves so the scalar
-        // result is data-dependent on every store.
-        b.switch_to(body);
-        let cost = b.load(node, COST);
-        let orient = b.load(node, ORIENT);
-        let pred_ptr = b.load(node, PRED);
-        let basis = b.load(pred_ptr, POTENTIAL);
-        let up = b.binop(BinOp::Add, basis, cost);
-        let down = b.binop(BinOp::Sub, basis, cost);
-        let pot = b.select(orient, up, down);
-        b.store(pot, node, POTENTIAL);
-        let ck = b.binop(BinOp::Add, checksum, pot);
-        b.copy_into(checksum, ck);
-        let child = b.load(node, CHILD);
-        let has_child = b.binop(BinOp::Ne, child, 0i64);
-        b.cond_br(has_child, descend, climb);
-
-        b.switch_to(descend);
-        b.copy_into(node, child);
-        b.br(latch);
-
-        b.switch_to(climb);
-        let sib = b.load(node, SIBLING);
-        let has_sib = b.binop(BinOp::Ne, sib, 0i64);
-        b.cond_br(has_sib, take_sibling, climb_pred);
-
-        b.switch_to(climb_pred);
-        let pred = b.load(node, PRED);
-        let at_top = b.binop(BinOp::Eq, pred, 0i64);
-        b.copy_into(node, pred);
-        b.cond_br(at_top, at_root, climb);
-
-        b.switch_to(take_sibling);
-        b.copy_into(node, sib);
-        b.br(latch);
-
-        b.switch_to(at_root);
-        b.copy_into(node, 0i64);
-        b.br(latch);
-
-        b.switch_to(latch);
-        b.br(header);
-
-        b.switch_to(exit);
-        b.ret(Some(Operand::Reg(checksum)));
+        let header = emit_refresh_walk(&mut b, root, None, true);
         let kernel = program.add_func(b.finish());
 
         BuiltKernel {

@@ -90,8 +90,8 @@ fn main() {
             .run_invocation(&mut machine, &[head])
             .expect("invocation");
         println!(
-            "invocation {inv}: {} cycles, mis-speculated = {}, return = {:?}",
-            report.cycles, report.misspeculated, report.return_value
+            "invocation {inv}: {} cycles, committed chunks = {}, return = {:?}",
+            report.cycles, report.valid_workers, report.return_value
         );
         assert_eq!(report.return_value, seq_value);
         last = Some(report);
