@@ -1536,7 +1536,7 @@ pub fn ablation_variants() -> Vec<(&'static str, PredictorOptions)> {
 pub fn ablation_variant_row(
     small: bool,
     name: &str,
-    mut opts: PredictorOptions,
+    opts: PredictorOptions,
 ) -> Result<AblationRow, String> {
     let mut wl = OtterWorkload::new(OtterConfig {
         initial_len: if small { 80 } else { 500 },
@@ -1544,7 +1544,6 @@ pub fn ablation_variant_row(
         invocations: if small { 10 } else { 200 },
         seed: 0xab1a,
     });
-    opts.initial_work_estimate = Some(wl.expected_iterations());
     let summary = run_workload_backend(&mut wl, BackendChoice::Sim, 4, opts)?;
     Ok(AblationRow {
         variant: name.to_string(),

@@ -107,7 +107,7 @@ impl SimBackend {
         }
     }
 
-    /// Overrides the predictor options (re-memoization, load balancing, …).
+    /// Overrides the predictor options (re-memoization, load balancing).
     #[must_use]
     pub fn with_predictor(mut self, predictor: PredictorOptions) -> Self {
         self.predictor = predictor;
@@ -307,8 +307,8 @@ pub fn make_backend(choice: BackendChoice, threads: usize) -> Box<dyn ExecutionB
 }
 
 /// Instantiates the chosen backend with explicit predictor options (the
-/// native backend's predictor is structural, so only the work estimate in
-/// [`LoadOptions`] applies to it).
+/// native backend's predictor is structural, so they apply to the simulator
+/// only; both take the first-invocation work estimate from [`LoadOptions`]).
 #[must_use]
 pub fn make_backend_with(
     choice: BackendChoice,

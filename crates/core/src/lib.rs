@@ -14,6 +14,7 @@
 //! |---|---|---|
 //! | [`analysis`] | §4, Algorithm 1 steps 2–4 | `spice_ir::analysis`, re-exported: the one loop front end ([`analysis::derive_loop_spec`]) the transformation generates code from and the native runtime interprets |
 //! | [`transform`] | §4, Algorithm 1 | the code-generating transformation: worker creation, live-in/out communication, detection, recovery, memoization |
+//! | [`lint`] | §3, §4 | speculation-safety lints checking a transformed program against the [`SpiceParallelLoop`] record the transformation returned |
 //! | [`predictor`] | §4, Algorithm 2 | the speculated-values array layout, the reference planner, and read-only host mirrors of what the on-core centralized step wrote |
 //! | [`valuepred`] | §2.2, §7 | the stride predictor and the Spice memoization criterion, for accuracy comparisons |
 //! | [`baseline`] | §2 | the `t1`/`t2`/`t3` analytic model of TLS with and without value prediction, and schedule rendering for Figures 2/3/5 |
@@ -83,6 +84,7 @@
 
 pub mod backend;
 pub mod baseline;
+pub mod lint;
 pub mod pipeline;
 pub mod predictor;
 pub mod prepared;

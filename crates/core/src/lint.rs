@@ -1,10 +1,10 @@
 //! Speculation-safety lints for Spice-transformed programs.
 //!
-//! The structural verifier ([`crate::verify`]) proves a program is a valid
-//! IR artifact; these lints prove a *transformed* program still implements
-//! the Spice protocol. They run on every transform output (and from the
-//! `spice-lint` binary) against a [`SpiceProtocol`] description that the
-//! transformation records about itself — channel roles, worker cores,
+//! The structural verifier ([`spice_ir::verify`]) proves a program is a
+//! valid IR artifact; these lints prove a *transformed* program still
+//! implements the Spice protocol. They run on every transform output (and
+//! from the `spice-lint` binary) against the [`SpiceParallelLoop`] record
+//! the transformation returns about itself — channel roles, worker cores,
 //! recovery blocks, the main function's protocol skeleton, and which blocks
 //! are original program code versus generated protocol code.
 //!
@@ -33,16 +33,16 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::cfg::Cfg;
-use crate::dataflow::BaseExprs;
-use crate::dom::DomTree;
-use crate::function::{Function, Program};
-use crate::inst::{Inst, Terminator};
-use crate::pretty;
-use crate::types::{BlockId, FuncId, Operand};
+use spice_ir::cfg::Cfg;
+use spice_ir::dataflow::BaseExprs;
+use spice_ir::dom::DomTree;
+use spice_ir::pretty;
+use spice_ir::{BlockId, FuncId, Function, Inst, Operand, Program, Terminator};
+
+use crate::transform::SpiceParallelLoop;
 
 /// The protocol skeleton blocks of the rewritten main function, in the shape
-/// documented on `rewrite_main` (`crates/core/src/transform.rs`).
+/// documented on `rewrite_main` in [`crate::transform`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MainShape {
     /// Centralized predictor step, entered from the preheader.
@@ -69,55 +69,6 @@ pub struct MainShape {
     pub resume: BlockId,
     /// Predictor feedback stores before the original post-loop code.
     pub finish: BlockId,
-}
-
-/// One worker's protocol description.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WorkerProtocol {
-    /// The worker's function.
-    pub func: FuncId,
-    /// Core the worker runs on (also its `spec.check`/`resteer` id).
-    pub core: i64,
-    /// Squash-recovery block, the target of remote resteers.
-    pub recovery_block: BlockId,
-    /// Main → worker: `new_invocation` token + invariant live-ins.
-    pub invariant: i64,
-    /// Worker → main: chunk status.
-    pub status: i64,
-    /// Main → worker: commit permission.
-    pub command: i64,
-    /// Worker → main: live-out values.
-    pub liveout: i64,
-    /// Worker → main: commit/recovery acknowledgement.
-    pub ack: i64,
-    /// Cloned program blocks occupy ids `1..=body_blocks` of the worker
-    /// function; everything else is generated protocol code.
-    pub body_blocks: usize,
-}
-
-/// Everything the transformation promises about a Spice parallel loop, in
-/// plain IR-level terms — the contract the lints check the program against.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SpiceProtocol {
-    /// The rewritten main function.
-    pub main: FuncId,
-    /// Blocks `0..main_program_blocks` of the main function are original
-    /// program code; blocks from `main_program_blocks` on were generated by
-    /// the transform.
-    pub main_program_blocks: usize,
-    /// The main function's protocol skeleton.
-    pub shape: MainShape,
-    /// Per-worker protocol descriptions, in thread order.
-    pub workers: Vec<WorkerProtocol>,
-    /// Invariant live-ins sent after the `new_invocation` token.
-    pub invariant_payload: usize,
-    /// Scalar values sent per worker on its live-out channel.
-    pub liveout_width: usize,
-    /// Whether the merge chain performs conflict detection.
-    pub detect: bool,
-    /// Predictor-array address range `[lo, hi)` exempt from conflict
-    /// detection.
-    pub exempt_range: (i64, i64),
 }
 
 /// A single speculation-safety lint failure.
@@ -259,7 +210,7 @@ pub enum LintError {
         target: BlockId,
     },
     /// The protocol metadata itself is inconsistent (colliding channel ids,
-    /// duplicate cores, an empty exempt range).
+    /// duplicate or main-thread worker cores).
     ProtocolMetadata {
         /// What is inconsistent.
         detail: String,
@@ -430,20 +381,20 @@ impl LintError {
     }
 }
 
-/// Checks the protocol *metadata* for internal consistency — no program
-/// needed, so runtime components holding only a protocol description (the
-/// pipeline runner) can assert it cheaply.
+/// Checks the loop record's protocol *metadata* for internal consistency —
+/// no program needed.
 ///
 /// # Errors
 ///
 /// Returns every inconsistency found: colliding channel ids, duplicate or
-/// main-thread worker cores, or an empty exempt range.
-pub fn check_protocol_metadata(protocol: &SpiceProtocol) -> Result<(), Vec<LintError>> {
+/// main-thread worker cores.
+pub fn check_protocol_metadata(spice: &SpiceParallelLoop) -> Result<(), Vec<LintError>> {
     let mut errs = Vec::new();
     let mut chans: Vec<i64> = Vec::new();
-    let mut cores: Vec<i64> = Vec::new();
-    for w in &protocol.workers {
-        chans.extend_from_slice(&[w.invariant, w.status, w.command, w.liveout, w.ack]);
+    let mut cores: Vec<usize> = Vec::new();
+    for w in &spice.workers {
+        let c = &w.channels;
+        chans.extend_from_slice(&[c.invariant, c.status, c.command, c.liveout, c.ack]);
         cores.push(w.core);
     }
     let total = chans.len();
@@ -465,14 +416,6 @@ pub fn check_protocol_metadata(protocol: &SpiceProtocol) -> Result<(), Vec<LintE
     if cores.contains(&0) {
         errs.push(LintError::ProtocolMetadata {
             detail: "a worker claims core 0, which belongs to the main thread".to_string(),
-        });
-    }
-    if protocol.exempt_range.0 >= protocol.exempt_range.1 {
-        errs.push(LintError::ProtocolMetadata {
-            detail: format!(
-                "conflict-exempt predictor range [{}, {}) is empty",
-                protocol.exempt_range.0, protocol.exempt_range.1
-            ),
         });
     }
     if errs.is_empty() {
@@ -571,19 +514,19 @@ impl<'a> FuncCtx<'a> {
 ///
 /// Returns every lint failure found, most fundamental first (metadata, then
 /// channel protocol, spec-check placement, exemption coverage, shape).
-pub fn lint_spice(program: &Program, protocol: &SpiceProtocol) -> Result<(), Vec<LintError>> {
+pub fn lint_spice(program: &Program, spice: &SpiceParallelLoop) -> Result<(), Vec<LintError>> {
     let mut errs = Vec::new();
-    if let Err(mut meta) = check_protocol_metadata(protocol) {
+    if let Err(mut meta) = check_protocol_metadata(spice) {
         errs.append(&mut meta);
     }
 
-    let main = program.func(protocol.main);
+    let main = program.func(spice.main);
     let main_ctx = FuncCtx::new(main);
 
-    lint_channel_protocol(program, protocol, &main_ctx, &mut errs);
-    lint_spec_check_placement(program, protocol, &main_ctx, &mut errs);
-    lint_exemption_coverage(program, protocol, &mut errs);
-    lint_boundary_shape(program, protocol, &main_ctx, &mut errs);
+    lint_channel_protocol(program, spice, &main_ctx, &mut errs);
+    lint_spec_check_placement(program, spice, &main_ctx, &mut errs);
+    lint_exemption_coverage(program, spice, &mut errs);
+    lint_boundary_shape(program, spice, &main_ctx, &mut errs);
 
     if errs.is_empty() {
         Ok(())
@@ -597,27 +540,28 @@ pub fn lint_spice(program: &Program, protocol: &SpiceProtocol) -> Result<(), Vec
 /// receives, and channel ownership.
 fn lint_channel_protocol(
     program: &Program,
-    protocol: &SpiceProtocol,
+    spice: &SpiceParallelLoop,
     main_ctx: &FuncCtx<'_>,
     errs: &mut Vec<LintError>,
 ) {
     let main_name = &main_ctx.func.name;
-    for w in &protocol.workers {
+    for w in &spice.workers {
         let worker = program.func(w.func);
         let wctx = FuncCtx::new(worker);
-        let invariant_sends = 1 + protocol.invariant_payload;
+        let c = &w.channels;
+        let invariant_sends = 1 + spice.invariants_sent.len();
 
         // Main side.
         let main_counts: &[(i64, bool, &'static str, usize)] = &[
-            (w.invariant, true, "new_invocation send", invariant_sends),
-            (w.status, false, "status receive", 1),
-            (w.command, true, "commit-command send", 1),
-            (w.liveout, false, "live-out receive", protocol.liveout_width),
+            (c.invariant, true, "new_invocation send", invariant_sends),
+            (c.status, false, "status receive", 1),
+            (c.command, true, "commit-command send", 1),
+            (c.liveout, false, "live-out receive", spice.liveout_width()),
             (
-                w.ack,
+                c.ack,
                 false,
                 "ack receive",
-                if protocol.detect { 3 } else { 2 },
+                if spice.conflict_detection { 3 } else { 2 },
             ),
         ];
         for &(chan, is_send, role, expected) in main_counts {
@@ -634,19 +578,19 @@ fn lint_channel_protocol(
         }
         // Invariant sends run exactly once per invocation: all in the
         // dispatch block, which must sit outside every CFG cycle.
-        for op in main_ctx.ops(w.invariant, true) {
-            if op.block != protocol.shape.dispatch {
+        for op in main_ctx.ops(c.invariant, true) {
+            if op.block != spice.shape.dispatch {
                 errs.push(LintError::ChannelOutsideBlock {
                     func: main_name.clone(),
-                    chan: w.invariant,
+                    chan: c.invariant,
                     role: "new_invocation send",
                     block: op.block,
-                    expected_block: protocol.shape.dispatch,
+                    expected_block: spice.shape.dispatch,
                 });
             } else if in_cycle(&main_ctx.cfg, op.block) {
                 errs.push(LintError::ChannelInCycle {
                     func: main_name.clone(),
-                    chan: w.invariant,
+                    chan: c.invariant,
                     role: "new_invocation send",
                     block: op.block,
                 });
@@ -656,15 +600,15 @@ fn lint_channel_protocol(
         // Worker side.
         let worker_counts: &[(i64, bool, &'static str, usize)] = &[
             (
-                w.invariant,
+                c.invariant,
                 false,
                 "new_invocation receive",
                 invariant_sends,
             ),
-            (w.status, true, "status send", 1),
-            (w.command, false, "commit-command receive", 1),
-            (w.liveout, true, "live-out send", protocol.liveout_width),
-            (w.ack, true, "ack send", 2),
+            (c.status, true, "status send", 1),
+            (c.command, false, "commit-command receive", 1),
+            (c.liveout, true, "live-out send", spice.liveout_width()),
+            (c.ack, true, "ack send", 2),
         ];
         for &(chan, is_send, role, expected) in worker_counts {
             let found = wctx.count(chan, is_send);
@@ -679,11 +623,11 @@ fn lint_channel_protocol(
             }
         }
         let worker_entry = wctx.cfg.entry();
-        for op in wctx.ops(w.invariant, false) {
+        for op in wctx.ops(c.invariant, false) {
             if op.block != worker_entry {
                 errs.push(LintError::ChannelOutsideBlock {
                     func: worker.name.clone(),
-                    chan: w.invariant,
+                    chan: c.invariant,
                     role: "new_invocation receive",
                     block: op.block,
                     expected_block: worker_entry,
@@ -691,7 +635,7 @@ fn lint_channel_protocol(
             } else if in_cycle(&wctx.cfg, op.block) {
                 errs.push(LintError::ChannelInCycle {
                     func: worker.name.clone(),
-                    chan: w.invariant,
+                    chan: c.invariant,
                     role: "new_invocation receive",
                     block: op.block,
                 });
@@ -701,17 +645,18 @@ fn lint_channel_protocol(
 
     // Channel ownership: a protocol channel may appear only in the main
     // function and in its own worker.
-    let owner: HashMap<i64, FuncId> = protocol
+    let owner: HashMap<i64, FuncId> = spice
         .workers
         .iter()
         .flat_map(|w| {
-            [w.invariant, w.status, w.command, w.liveout, w.ack]
+            let c = &w.channels;
+            [c.invariant, c.status, c.command, c.liveout, c.ack]
                 .into_iter()
                 .map(move |c| (c, w.func))
         })
         .collect();
     for fid in program.func_ids() {
-        if fid == protocol.main {
+        if fid == spice.main {
             continue;
         }
         let func = program.func(fid);
@@ -737,7 +682,7 @@ fn lint_channel_protocol(
 /// dominating that worker's commit point.
 fn lint_spec_check_placement(
     program: &Program,
-    protocol: &SpiceProtocol,
+    spice: &SpiceParallelLoop,
     main_ctx: &FuncCtx<'_>,
     errs: &mut Vec<LintError>,
 ) {
@@ -750,15 +695,15 @@ fn lint_spec_check_placement(
                 let Inst::SpecCheck { core, .. } = inst else {
                     continue;
                 };
-                let in_main = fid == protocol.main;
+                let in_main = fid == spice.main;
                 let core_id = match core {
                     Operand::Imm(c) => Some(*c),
                     Operand::Reg(_) => None,
                 };
                 let known = core_id
-                    .map(|c| protocol.workers.iter().any(|w| w.core == c))
+                    .map(|c| spice.workers.iter().any(|w| w.core as i64 == c))
                     .unwrap_or(false);
-                if in_main && known && protocol.detect {
+                if in_main && known && spice.conflict_detection {
                     main_checks
                         .entry(core_id.unwrap())
                         .or_default()
@@ -773,33 +718,31 @@ fn lint_spec_check_placement(
             }
         }
     }
-    if !protocol.detect {
+    if !spice.conflict_detection {
         return;
     }
 
     let dom = DomTree::new(&main_ctx.cfg);
-    for w in &protocol.workers {
-        let checks = main_checks.remove(&w.core).unwrap_or_default();
+    for w in &spice.workers {
+        let core = w.core as i64;
+        let checks = main_checks.remove(&core).unwrap_or_default();
         match checks.len() {
             0 => {
-                errs.push(LintError::MissingSpecCheck { core: w.core });
+                errs.push(LintError::MissingSpecCheck { core });
                 continue;
             }
             1 => {}
             n => {
-                errs.push(LintError::DuplicateSpecCheck {
-                    core: w.core,
-                    found: n,
-                });
+                errs.push(LintError::DuplicateSpecCheck { core, found: n });
                 continue;
             }
         }
         let (check_block, _) = checks[0];
         // The commit point is the send on this worker's command channel.
-        for op in main_ctx.ops(w.command, true) {
+        for op in main_ctx.ops(w.channels.command, true) {
             if !dom.dominates(check_block, op.block) {
                 errs.push(LintError::SpecCheckNotDominatingCommit {
-                    core: w.core,
+                    core,
                     check_block,
                     commit_block: op.block,
                 });
@@ -811,8 +754,12 @@ fn lint_spec_check_placement(
 /// Conflict-exemption coverage: constant-resolvable accesses into the
 /// exempt predictor range must come from generated protocol blocks, never
 /// from original program code.
-fn lint_exemption_coverage(program: &Program, protocol: &SpiceProtocol, errs: &mut Vec<LintError>) {
-    let (lo, hi) = protocol.exempt_range;
+fn lint_exemption_coverage(
+    program: &Program,
+    spice: &SpiceParallelLoop,
+    errs: &mut Vec<LintError>,
+) {
+    let (lo, hi) = spice.layout.address_range();
     let mut check_func = |fid: FuncId, is_program_block: &dyn Fn(BlockId) -> bool| {
         let func = program.func(fid);
         let cfg = Cfg::new(func);
@@ -832,10 +779,10 @@ fn lint_exemption_coverage(program: &Program, protocol: &SpiceProtocol, errs: &m
         }
     };
 
-    let program_limit = protocol.main_program_blocks;
-    check_func(protocol.main, &|b: BlockId| b.index() < program_limit);
-    for w in &protocol.workers {
-        let body = w.body_blocks;
+    let program_limit = spice.main_program_blocks;
+    check_func(spice.main, &|b: BlockId| b.index() < program_limit);
+    let body = spice.worker_body_blocks;
+    for w in &spice.workers {
         check_func(w.func, &|b: BlockId| b.index() >= 1 && b.index() <= body);
     }
 }
@@ -884,12 +831,12 @@ fn expect_cond_br(
 /// targets, and resteers point at them.
 fn lint_boundary_shape(
     program: &Program,
-    protocol: &SpiceProtocol,
+    spice: &SpiceParallelLoop,
     main_ctx: &FuncCtx<'_>,
     errs: &mut Vec<LintError>,
 ) {
     let main = main_ctx.func;
-    let s = &protocol.shape;
+    let s = &spice.shape;
 
     expect_br(
         main,
@@ -955,7 +902,7 @@ fn lint_boundary_shape(
 
     // Worker recovery blocks: abort, acknowledge, halt, return — and no
     // in-function predecessors (they are entered only by remote resteer).
-    for w in &protocol.workers {
+    for w in &spice.workers {
         let worker = program.func(w.func);
         let cfg = Cfg::new(worker);
         let block = worker.block(w.recovery_block);
@@ -963,7 +910,7 @@ fn lint_boundary_shape(
         let has_ack = block
             .insts
             .iter()
-            .any(|i| matches!(i, Inst::Send { chan: Operand::Imm(c), .. } if *c == w.ack));
+            .any(|i| matches!(i, Inst::Send { chan: Operand::Imm(c), .. } if *c == w.channels.ack));
         let has_halt = block.insts.iter().any(|i| matches!(i, Inst::Halt));
         let mut details = Vec::new();
         if !has_abort {
@@ -1003,9 +950,8 @@ fn lint_boundary_shape(
                     Operand::Imm(c) => *c,
                     Operand::Reg(_) => i64::MIN,
                 };
-                let worker = protocol.workers.iter().find(|w| w.core == core_id);
-                let ok =
-                    fid == protocol.main && worker.is_some_and(|w| w.recovery_block == *target);
+                let worker = spice.workers.iter().find(|w| w.core as i64 == core_id);
+                let ok = fid == spice.main && worker.is_some_and(|w| w.recovery_block == *target);
                 if !ok {
                     errs.push(LintError::ResteerTarget {
                         func: func.name.clone(),

@@ -100,17 +100,13 @@ impl InvocationReport {
                 }
             })
             .collect();
-        let committed = workers.iter().filter(|w| w.cause.is_none()).count();
-        ExecutionReport {
-            backend: "sim",
-            cost: ExecutionCost::Cycles(self.cycles),
-            return_value: self.return_value,
-            misspeculated: committed < workers.len(),
-            committed_chunks: committed,
-            squashed_chunks: workers.len() - committed,
+        ExecutionReport::new(
+            "sim",
+            ExecutionCost::Cycles(self.cycles),
+            self.return_value,
             workers,
-            work_per_thread: self.work.clone(),
-        }
+            self.work.clone(),
+        )
     }
 }
 
@@ -130,20 +126,6 @@ impl SpiceRunner {
     /// fixed at transform time via [`crate::transform::SpiceOptions`].
     #[must_use]
     pub fn new(spice: SpiceParallelLoop) -> Self {
-        // The runner never sees the transformed `Program` (it lives in the
-        // machine), so it cannot re-run the full lint stack — but the
-        // program-free protocol-metadata checks (channel collisions,
-        // duplicate worker cores) still guard against a corrupted or
-        // hand-built loop description.
-        if cfg!(debug_assertions) {
-            if let Err(errs) = spice_ir::lint::check_protocol_metadata(&spice.protocol()) {
-                let msgs: Vec<String> = errs.iter().map(ToString::to_string).collect();
-                panic!(
-                    "SpiceRunner::new given an inconsistent loop description: {}",
-                    msgs.join("; ")
-                );
-            }
-        }
         SpiceRunner {
             spice,
             last_plan: Vec::new(),

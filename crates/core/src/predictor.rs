@@ -209,10 +209,6 @@ pub struct PredictorOptions {
     /// boundaries (dynamic load balancing). When `false`, every boundary is
     /// assigned to the main thread assuming it will execute all iterations.
     pub load_balance: bool,
-    /// Optional estimate of the total work of the first invocation, used to
-    /// seed thread 0's work counter before any feedback exists. Without it
-    /// the first two invocations run effectively sequentially.
-    pub initial_work_estimate: Option<u64>,
 }
 
 impl Default for PredictorOptions {
@@ -220,7 +216,6 @@ impl Default for PredictorOptions {
         PredictorOptions {
             rememoize: true,
             load_balance: true,
-            initial_work_estimate: None,
         }
     }
 }

@@ -87,13 +87,10 @@ impl PreparedProgram {
         options: LoadOptions,
     ) -> Result<Self, BackendError> {
         let analysis = derive_loop_spec(&program, kernel, options.loop_header)?;
-        let mut predictor = predictor;
-        if predictor.initial_work_estimate.is_none() {
-            predictor.initial_work_estimate = options.work_estimate;
-        }
         let spice = SpiceTransform::new(SpiceOptions {
             threads,
             predictor,
+            work_estimate: options.work_estimate,
             conflict_policy: options.conflict_policy,
         })
         .apply(&mut program, &analysis)
@@ -139,7 +136,7 @@ impl PreparedProgram {
     pub fn threads(&self) -> usize {
         match &self.kind {
             PreparedKind::Sequential(_) => 1,
-            PreparedKind::Spice(spice) => spice.threads,
+            PreparedKind::Spice(spice) => spice.threads(),
         }
     }
 

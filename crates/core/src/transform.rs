@@ -29,11 +29,11 @@ use serde::{Deserialize, Serialize};
 use spice_ir::analysis::{CombineKind, LiveOutGroup, SpiceLoopSpec};
 use spice_ir::builder::FunctionBuilder;
 use spice_ir::exec::ConflictPolicy;
-use spice_ir::lint::{lint_spice, LintError, MainShape, SpiceProtocol, WorkerProtocol};
 use spice_ir::reduction::ReductionKind;
 use spice_ir::verify::{verify_program, VerifyError};
 use spice_ir::{BinOp, BlockId, FuncId, Inst, Operand, Program, Reg};
 
+use crate::lint::{lint_spice, LintError, MainShape};
 use crate::predictor::{PredictorLayout, PredictorOptions, NEVER};
 
 /// Options controlling the transformation.
@@ -41,11 +41,15 @@ use crate::predictor::{PredictorLayout, PredictorOptions, NEVER};
 pub struct SpiceOptions {
     /// Total number of threads (main + speculative workers). Must be ≥ 2.
     pub threads: usize,
-    /// Predictor behaviour (re-memoization, load balancing, initial
-    /// estimate) — baked into the generated centralized-step code on core 0
-    /// and into the seeded work counter, so a single options value
-    /// configures a whole run at transform time.
+    /// Predictor behaviour (re-memoization, load balancing) — baked into
+    /// the generated centralized-step code on core 0, so a single options
+    /// value configures a whole run at transform time.
     pub predictor: PredictorOptions,
+    /// Optional estimate of the total work of the first invocation, seeded
+    /// into thread 0's work counter so the very first centralized step has a
+    /// work model to plan from. Without it the first two invocations run
+    /// effectively sequentially.
+    pub work_estimate: Option<u64>,
     /// How cross-chunk memory dependences are treated. Under the default
     /// [`ConflictPolicy::Detect`], the main thread's merge chain emits a
     /// `spec.check` per worker and, on a violation, squashes from that
@@ -60,6 +64,7 @@ impl SpiceOptions {
         SpiceOptions {
             threads,
             predictor: PredictorOptions::default(),
+            work_estimate: None,
             conflict_policy: ConflictPolicy::default(),
         }
     }
@@ -70,12 +75,8 @@ impl SpiceOptions {
     #[must_use]
     pub fn with_threads_and_estimate(threads: usize, iterations: u64) -> Self {
         SpiceOptions {
-            threads,
-            predictor: PredictorOptions {
-                initial_work_estimate: Some(iterations),
-                ..PredictorOptions::default()
-            },
-            conflict_policy: ConflictPolicy::default(),
+            work_estimate: Some(iterations),
+            ..SpiceOptions::with_threads(threads)
         }
     }
 }
@@ -148,9 +149,8 @@ pub struct WorkerChannels {
 pub struct WorkerInfo {
     /// The worker's function.
     pub func: FuncId,
-    /// Thread id (main thread is 0, workers are 1..).
-    pub tid: usize,
-    /// Core the worker is expected to run on (equal to `tid`).
+    /// The worker's thread id and the core it runs on (the main thread is
+    /// 0, workers are 1..); also its `spec.check` / `resteer` core operand.
     pub core: usize,
     /// Entry block of the worker's recovery code — the target of the remote
     /// resteer issued on a squash.
@@ -169,8 +169,6 @@ pub struct SpiceParallelLoop {
     pub workers: Vec<WorkerInfo>,
     /// Shared-memory layout of the value predictor.
     pub layout: PredictorLayout,
-    /// Total thread count.
-    pub threads: usize,
     /// Invariant live-ins actually read inside the loop, in the order they
     /// are sent to each worker.
     pub invariants_sent: Vec<Reg>,
@@ -196,34 +194,10 @@ impl SpiceParallelLoop {
         self.liveouts.iter().map(|g| g.regs.len()).sum()
     }
 
-    /// The protocol contract this transformed loop was generated under, in
-    /// the IR-level terms [`spice_ir::lint::lint_spice`] checks.
+    /// Total thread count: the main thread plus every worker.
     #[must_use]
-    pub fn protocol(&self) -> SpiceProtocol {
-        SpiceProtocol {
-            main: self.main,
-            main_program_blocks: self.main_program_blocks,
-            shape: self.shape,
-            workers: self
-                .workers
-                .iter()
-                .map(|w| WorkerProtocol {
-                    func: w.func,
-                    core: w.core as i64,
-                    recovery_block: w.recovery_block,
-                    invariant: w.channels.invariant,
-                    status: w.channels.status,
-                    command: w.channels.command,
-                    liveout: w.channels.liveout,
-                    ack: w.channels.ack,
-                    body_blocks: self.worker_body_blocks,
-                })
-                .collect(),
-            invariant_payload: self.invariants_sent.len(),
-            liveout_width: self.liveout_width(),
-            detect: self.conflict_detection,
-            exempt_range: self.layout.address_range(),
-        }
+    pub fn threads(&self) -> usize {
+        self.workers.len() + 1
     }
 }
 
@@ -246,8 +220,9 @@ impl SpiceTransform {
     /// # Errors
     ///
     /// Returns [`TransformError::TooFewThreads`] when fewer than two threads
-    /// are requested and [`TransformError::Verification`] if the generated
-    /// program is structurally broken (a transformation bug).
+    /// are requested, [`TransformError::Verification`] if the generated
+    /// program is structurally broken, and [`TransformError::Lint`] if it
+    /// breaks the Spice protocol (both transformation bugs).
     pub fn apply(
         &self,
         program: &mut Program,
@@ -262,7 +237,7 @@ impl SpiceTransform {
             program,
             t,
             analysis.cursors.len(),
-            self.options.predictor.initial_work_estimate,
+            self.options.work_estimate,
         );
 
         // Registers the loop body actually mentions (used to filter invariant
@@ -314,7 +289,6 @@ impl SpiceTransform {
             );
             workers.push(WorkerInfo {
                 func,
-                tid: wi + 1,
                 core: wi + 1,
                 recovery_block,
                 channels: channels[wi],
@@ -342,7 +316,6 @@ impl SpiceTransform {
             main: analysis.func,
             workers,
             layout,
-            threads: t,
             invariants_sent,
             liveouts: analysis.liveouts.clone(),
             shape,
@@ -353,7 +326,7 @@ impl SpiceTransform {
 
         // Every transform output must honor the protocol contract it was
         // generated under; a lint failure here is a transformation bug.
-        if let Err(errs) = lint_spice(program, &spice.protocol()) {
+        if let Err(errs) = lint_spice(program, &spice) {
             return Err(TransformError::Lint(errs));
         }
 
@@ -856,10 +829,10 @@ fn rewrite_main(
     b.br(next_dispatch);
     for (i, w) in workers.iter().enumerate() {
         let dispatch = next_dispatch;
-        let valid_bb = b.new_labeled_block(format!("spice.w{}.valid", w.tid));
-        let squash_bb = b.new_labeled_block(format!("spice.w{}.squash", w.tid));
+        let valid_bb = b.new_labeled_block(format!("spice.w{}.valid", w.core));
+        let squash_bb = b.new_labeled_block(format!("spice.w{}.squash", w.core));
         next_dispatch = if i + 1 < workers.len() {
-            b.new_labeled_block(format!("spice.w{}.dispatch", w.tid + 1))
+            b.new_labeled_block(format!("spice.w{}.dispatch", w.core + 1))
         } else {
             tail_bb
         };
@@ -876,8 +849,8 @@ fn rewrite_main(
         b.switch_to(valid_bb);
         let status = b.recv(w.channels.status);
         if conflict_policy.detects() {
-            let conflict_bb = b.new_labeled_block(format!("spice.w{}.conflict", w.tid));
-            let commit_bb = b.new_labeled_block(format!("spice.w{}.commit", w.tid));
+            let conflict_bb = b.new_labeled_block(format!("spice.w{}.conflict", w.core));
+            let commit_bb = b.new_labeled_block(format!("spice.w{}.commit", w.core));
             let conflict = b.spec_check(w.core as i64);
             b.cond_br(conflict, conflict_bb, commit_bb);
 
@@ -1017,7 +990,7 @@ mod tests {
             .apply(&mut p, &analysis)
             .unwrap();
         assert_eq!(spice.workers.len(), 1);
-        assert_eq!(spice.threads, 2);
+        assert_eq!(spice.threads(), 2);
         assert!(verify_program(&p).is_ok());
         // The worker function exists and is distinct from main.
         assert_ne!(spice.workers[0].func, spice.main);
@@ -1033,9 +1006,9 @@ mod tests {
             .unwrap();
         assert_eq!(spice.workers.len(), 3);
         assert!(verify_program(&p).is_ok());
-        // Thread ids and cores are 1..=3.
-        let tids: Vec<usize> = spice.workers.iter().map(|w| w.tid).collect();
-        assert_eq!(tids, vec![1, 2, 3]);
+        // Worker thread ids (their cores) are 1..=3.
+        let cores: Vec<usize> = spice.workers.iter().map(|w| w.core).collect();
+        assert_eq!(cores, vec![1, 2, 3]);
         // The sva has (t-1) rows of one word (only `c` is speculated).
         assert_eq!(spice.layout.spec_width, 1);
         assert_eq!(analysis.cursors.len(), 1);

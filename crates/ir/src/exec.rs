@@ -193,6 +193,31 @@ pub struct ExecutionReport {
 }
 
 impl ExecutionReport {
+    /// A report whose `misspeculated`, `committed_chunks` and
+    /// `squashed_chunks` derive from `workers`: a chunk committed iff its
+    /// [`WorkerReport::cause`] is `None`.
+    #[must_use]
+    pub fn new(
+        backend: &'static str,
+        cost: ExecutionCost,
+        return_value: Option<i64>,
+        workers: Vec<WorkerReport>,
+        work_per_thread: Vec<u64>,
+    ) -> Self {
+        let committed_chunks = workers.iter().filter(|w| w.cause.is_none()).count();
+        let squashed_chunks = workers.len() - committed_chunks;
+        ExecutionReport {
+            backend,
+            cost,
+            return_value,
+            misspeculated: squashed_chunks > 0,
+            committed_chunks,
+            squashed_chunks,
+            workers,
+            work_per_thread,
+        }
+    }
+
     /// Convenience: the per-worker squash causes of this invocation.
     #[must_use]
     pub fn misspeculation_causes(&self) -> Vec<MisspeculationCause> {
@@ -476,16 +501,13 @@ impl ExecutionBackend for InterpBackend {
         .map_err(|t| BackendError::Engine(t.to_string()))?;
         let elapsed = started.elapsed();
         self.ports.push(sys);
-        Ok(ExecutionReport {
-            backend: "interp",
-            cost: ExecutionCost::WallNanos(elapsed.as_nanos()),
-            return_value: out.return_value,
-            misspeculated: false,
-            committed_chunks: 0,
-            squashed_chunks: 0,
-            workers: Vec::new(),
-            work_per_thread: vec![out.stats.total],
-        })
+        Ok(ExecutionReport::new(
+            "interp",
+            ExecutionCost::WallNanos(elapsed.as_nanos()),
+            out.return_value,
+            Vec::new(),
+            vec![out.stats.total],
+        ))
     }
 }
 
@@ -641,14 +663,11 @@ mod tests {
 
     #[test]
     fn report_helpers() {
-        let report = ExecutionReport {
-            backend: "test",
-            cost: ExecutionCost::Cycles(100),
-            return_value: Some(7),
-            misspeculated: true,
-            committed_chunks: 1,
-            squashed_chunks: 1,
-            workers: vec![
+        let report = ExecutionReport::new(
+            "test",
+            ExecutionCost::Cycles(100),
+            Some(7),
+            vec![
                 WorkerReport {
                     cause: None,
                     work: 10,
@@ -658,8 +677,10 @@ mod tests {
                     work: 3,
                 },
             ],
-            work_per_thread: vec![10, 10, 0],
-        };
+            vec![10, 10, 0],
+        );
+        assert!(report.misspeculated);
+        assert_eq!((report.committed_chunks, report.squashed_chunks), (1, 1));
         assert_eq!(report.cost.magnitude(), 100);
         assert_eq!(
             report.misspeculation_causes(),

@@ -33,14 +33,13 @@
 //!   every way of running a Spice loop (timing simulator, native threads),
 //!   with the backend-neutral [`exec::ExecutionReport`] and the one commit
 //!   rule, [`exec::CommitChain`], every backend's squash causes come from.
-//! * [`verify`] — structural verification, run after every transformation.
+//! * [`verify`] — structural verification, run after every transformation
+//!   (the Spice protocol lints on top of it live in `spice_core::lint`).
 //! * [`fixtures`] — the small list-walking programs several crates' tests
 //!   share.
 //! * [`dataflow`] — a reusable forward/backward dataflow framework over
 //!   [`cfg::Cfg`] (liveness and available memory-base expressions run on
 //!   it) and the static dependence pre-screen.
-//! * [`lint`] — speculation-safety lints checking every transformed program
-//!   against the Spice protocol contract it was generated under.
 //!
 //! ## Quick example
 //!
@@ -91,7 +90,6 @@ pub mod fixtures;
 mod function;
 mod inst;
 pub mod interp;
-pub mod lint;
 pub mod liveness;
 pub mod loops;
 pub mod pretty;
@@ -108,7 +106,6 @@ pub use exec::{
 };
 pub use function::{Block, Function, Global, Program, GLOBAL_BASE};
 pub use inst::{Inst, InstClass, Successors, Terminator};
-pub use lint::{lint_spice, LintError, SpiceProtocol};
 pub use trace::{SquashForensics, TraceEvent, TraceRecorder, TraceSink};
 pub use types::{BinOp, BlockId, FuncId, Operand, Reg, TrapKind};
 

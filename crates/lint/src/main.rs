@@ -15,7 +15,6 @@
 //! fails, 2 on a usage error.
 
 use spice_bench::experiments::all_workload_factories;
-use spice_core::predictor::PredictorOptions;
 use spice_core::transform::{SpiceOptions, SpiceTransform, TransformError};
 use spice_ir::exec::{derive_loop_spec, ConflictPolicy};
 use spice_ir::verify::verify_program;
@@ -87,12 +86,9 @@ fn lint_workload(
 
     let mut program = built.program.clone();
     let spice = SpiceTransform::new(SpiceOptions {
-        threads,
-        predictor: PredictorOptions {
-            initial_work_estimate: options.work_estimate,
-            ..PredictorOptions::default()
-        },
+        work_estimate: options.work_estimate,
         conflict_policy: options.conflict_policy,
+        ..SpiceOptions::with_threads(threads)
     })
     .apply(&mut program, &analysis);
     let spice = match spice {

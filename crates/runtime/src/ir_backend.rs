@@ -691,21 +691,17 @@ impl ExecutionBackend for NativeLoopBackend {
         loaded.last_work = work.clone();
         tracing.narrate(&verdicts, granularity_log2);
 
-        let committed = verdicts.iter().filter(|v| v.cause.is_none()).count();
         let reports = verdicts.iter().map(|v| WorkerReport {
             cause: v.cause,
             work: v.iterations,
         });
-        Ok(ExecutionReport {
-            backend: "native",
-            cost: ExecutionCost::WallNanos(elapsed.as_nanos()),
+        Ok(ExecutionReport::new(
+            "native",
+            ExecutionCost::WallNanos(elapsed.as_nanos()),
             return_value,
-            misspeculated: committed < workers,
-            committed_chunks: committed,
-            squashed_chunks: workers - committed,
-            workers: reports.collect(),
-            work_per_thread: work,
-        })
+            reports.collect(),
+            work,
+        ))
     }
 }
 

@@ -100,16 +100,13 @@ impl ExecutionBackend for SequentialSimBackend {
         let summary = machine
             .run_sequential(*kernel, args)
             .map_err(|e| BackendError::Engine(e.to_string()))?;
-        Ok(ExecutionReport {
-            backend: "sim-sequential",
-            cost: ExecutionCost::Cycles(summary.cycles),
-            return_value: machine.return_value(0),
-            misspeculated: false,
-            committed_chunks: 0,
-            squashed_chunks: 0,
-            workers: Vec::new(),
-            work_per_thread: vec![summary.total_retired()],
-        })
+        Ok(ExecutionReport::new(
+            "sim-sequential",
+            ExecutionCost::Cycles(summary.cycles),
+            machine.return_value(0),
+            Vec::new(),
+            vec![summary.total_retired()],
+        ))
     }
 
     fn enable_trace(&mut self, capacity: usize) {

@@ -8,11 +8,10 @@
 //! production miscompile.
 
 use spice_core::analysis::derive_loop_spec;
-use spice_core::predictor::PredictorOptions;
+use spice_core::lint::{check_protocol_metadata, lint_spice, LintError};
 use spice_core::transform::{SpiceOptions, SpiceParallelLoop, SpiceTransform};
 use spice_ir::builder::FunctionBuilder;
 use spice_ir::exec::ConflictPolicy;
-use spice_ir::lint::{check_protocol_metadata, lint_spice, LintError, SpiceProtocol};
 use spice_ir::verify::{verify_program, VerifyError};
 use spice_ir::{BinOp, BlockId, DecodedProgram, FuncId, Inst, Operand, Program, Terminator};
 
@@ -49,30 +48,25 @@ fn list_sum_program() -> (Program, FuncId) {
 }
 
 /// Transforms the fixture under `policy`, returning the (lint-clean)
-/// transformed program, the loop description, and its protocol.
-fn transformed(policy: ConflictPolicy) -> (Program, SpiceParallelLoop, SpiceProtocol) {
+/// transformed program and the transform's record of the loop.
+fn transformed(policy: ConflictPolicy) -> (Program, SpiceParallelLoop) {
     let (mut program, f) = list_sum_program();
     let analysis = derive_loop_spec(&program, f, None).unwrap();
     let spice = SpiceTransform::new(SpiceOptions {
-        threads: 3,
-        predictor: PredictorOptions {
-            initial_work_estimate: Some(16),
-            ..PredictorOptions::default()
-        },
         conflict_policy: policy,
+        ..SpiceOptions::with_threads_and_estimate(3, 16)
     })
     .apply(&mut program, &analysis)
     .expect("fixture transforms cleanly");
-    let protocol = spice.protocol();
     assert!(
-        lint_spice(&program, &protocol).is_ok(),
+        lint_spice(&program, &spice).is_ok(),
         "fixture must start lint-clean"
     );
-    (program, spice, protocol)
+    (program, spice)
 }
 
-fn lint_errors(program: &Program, protocol: &SpiceProtocol) -> Vec<LintError> {
-    lint_spice(program, protocol).expect_err("corruption must be caught")
+fn lint_errors(program: &Program, spice: &SpiceParallelLoop) -> Vec<LintError> {
+    lint_spice(program, spice).expect_err("corruption must be caught")
 }
 
 /// Finds `(block, ip)` of the first instruction of `func` matching `pred`.
@@ -96,22 +90,22 @@ fn find_inst(program: &Program, func: FuncId, pred: impl Fn(&Inst) -> bool) -> (
 /// worker would consume the second value as a later invocation's token.
 #[test]
 fn double_send_on_invariant_channel_fires_channel_count() {
-    let (mut program, _, protocol) = transformed(ConflictPolicy::Detect);
-    let w = protocol.workers[0];
+    let (mut program, spice) = transformed(ConflictPolicy::Detect);
+    let w = &spice.workers[0];
     program
-        .func_mut(protocol.main)
-        .block_mut(protocol.shape.dispatch)
+        .func_mut(spice.main)
+        .block_mut(spice.shape.dispatch)
         .insts
         .push(Inst::Send {
-            chan: Operand::Imm(w.invariant),
+            chan: Operand::Imm(w.channels.invariant),
             value: Operand::Imm(0),
         });
-    let errs = lint_errors(&program, &protocol);
+    let errs = lint_errors(&program, &spice);
     assert!(
         errs.iter().any(|e| matches!(
             e,
             LintError::ChannelCount { chan, role: "new_invocation send", found, .. }
-                if *chan == w.invariant && *found == 2 + protocol.invariant_payload
+                if *chan == w.channels.invariant && *found == 2 + spice.invariants_sent.len()
         )),
         "got {errs:?}"
     );
@@ -121,23 +115,23 @@ fn double_send_on_invariant_channel_fires_channel_count() {
 /// different schedule than the worker's matching receive.
 #[test]
 fn invariant_send_outside_dispatch_fires_outside_block() {
-    let (mut program, _, protocol) = transformed(ConflictPolicy::Detect);
-    let w = protocol.workers[0];
+    let (mut program, spice) = transformed(ConflictPolicy::Detect);
+    let w = &spice.workers[0];
     program
-        .func_mut(protocol.main)
-        .block_mut(protocol.shape.bump)
+        .func_mut(spice.main)
+        .block_mut(spice.shape.bump)
         .insts
         .push(Inst::Send {
-            chan: Operand::Imm(w.invariant),
+            chan: Operand::Imm(w.channels.invariant),
             value: Operand::Imm(0),
         });
-    let errs = lint_errors(&program, &protocol);
-    let bump = protocol.shape.bump;
+    let errs = lint_errors(&program, &spice);
+    let bump = spice.shape.bump;
     assert!(
         errs.iter().any(|e| matches!(
             e,
             LintError::ChannelOutsideBlock { chan, block, .. }
-                if *chan == w.invariant && *block == bump
+                if *chan == w.channels.invariant && *block == bump
         )),
         "got {errs:?}"
     );
@@ -147,13 +141,13 @@ fn invariant_send_outside_dispatch_fires_outside_block() {
 /// inside a CFG cycle without moving a single instruction.
 #[test]
 fn dispatch_inside_cycle_fires_channel_in_cycle() {
-    let (mut program, _, protocol) = transformed(ConflictPolicy::Detect);
-    let dispatch = protocol.shape.dispatch;
+    let (mut program, spice) = transformed(ConflictPolicy::Detect);
+    let dispatch = spice.shape.dispatch;
     program
-        .func_mut(protocol.main)
-        .block_mut(protocol.shape.finish)
+        .func_mut(spice.main)
+        .block_mut(spice.shape.finish)
         .terminator = Terminator::Br(dispatch);
-    let errs = lint_errors(&program, &protocol);
+    let errs = lint_errors(&program, &spice);
     assert!(
         errs.iter().any(|e| matches!(
             e,
@@ -167,9 +161,9 @@ fn dispatch_inside_cycle_fires_channel_in_cycle() {
 /// ownership.
 #[test]
 fn cross_worker_channel_op_fires_foreign_channel_op() {
-    let (mut program, _, protocol) = transformed(ConflictPolicy::Detect);
-    let w0 = protocol.workers[0];
-    let w1 = protocol.workers[1];
+    let (mut program, spice) = transformed(ConflictPolicy::Detect);
+    let w0 = &spice.workers[0];
+    let w1 = &spice.workers[1];
     assert_ne!(w0.func, w1.func);
     let entry = program.func(w1.func).entry;
     program
@@ -177,14 +171,14 @@ fn cross_worker_channel_op_fires_foreign_channel_op() {
         .block_mut(entry)
         .insts
         .push(Inst::Send {
-            chan: Operand::Imm(w0.status),
+            chan: Operand::Imm(w0.channels.status),
             value: Operand::Imm(0),
         });
-    let errs = lint_errors(&program, &protocol);
+    let errs = lint_errors(&program, &spice);
     assert!(
         errs.iter().any(|e| matches!(
             e,
-            LintError::ForeignChannelOp { chan, .. } if *chan == w0.status
+            LintError::ForeignChannelOp { chan, .. } if *chan == w0.channels.status
         )),
         "got {errs:?}"
     );
@@ -198,42 +192,38 @@ fn cross_worker_channel_op_fires_foreign_channel_op() {
 /// commit without ever consulting the conflict detector.
 #[test]
 fn deleted_spec_check_fires_missing_spec_check() {
-    let (mut program, _, protocol) = transformed(ConflictPolicy::Detect);
-    let w = protocol.workers[0];
+    let (mut program, spice) = transformed(ConflictPolicy::Detect);
+    let w = &spice.workers[0];
     let (b, ip) = find_inst(
         &program,
-        protocol.main,
-        |i| matches!(i, Inst::SpecCheck { core: Operand::Imm(c), .. } if *c == w.core),
+        spice.main,
+        |i| matches!(i, Inst::SpecCheck { core: Operand::Imm(c), .. } if *c == w.core as i64),
     );
-    program.func_mut(protocol.main).block_mut(b).insts[ip] = Inst::Nop;
-    let errs = lint_errors(&program, &protocol);
+    program.func_mut(spice.main).block_mut(b).insts[ip] = Inst::Nop;
+    let errs = lint_errors(&program, &spice);
     assert!(
         errs.iter()
-            .any(|e| matches!(e, LintError::MissingSpecCheck { core } if *core == w.core)),
+            .any(|e| matches!(e, LintError::MissingSpecCheck { core } if *core == w.core as i64)),
         "got {errs:?}"
     );
 }
 
 #[test]
 fn duplicated_spec_check_fires_duplicate_spec_check() {
-    let (mut program, _, protocol) = transformed(ConflictPolicy::Detect);
-    let w = protocol.workers[0];
+    let (mut program, spice) = transformed(ConflictPolicy::Detect);
+    let w = &spice.workers[0];
     let (b, ip) = find_inst(
         &program,
-        protocol.main,
-        |i| matches!(i, Inst::SpecCheck { core: Operand::Imm(c), .. } if *c == w.core),
+        spice.main,
+        |i| matches!(i, Inst::SpecCheck { core: Operand::Imm(c), .. } if *c == w.core as i64),
     );
-    let copy = program.func(protocol.main).block(b).insts[ip].clone();
-    program
-        .func_mut(protocol.main)
-        .block_mut(b)
-        .insts
-        .push(copy);
-    let errs = lint_errors(&program, &protocol);
+    let copy = program.func(spice.main).block(b).insts[ip].clone();
+    program.func_mut(spice.main).block_mut(b).insts.push(copy);
+    let errs = lint_errors(&program, &spice);
     assert!(
         errs.iter().any(|e| matches!(
             e,
-            LintError::DuplicateSpecCheck { core, found: 2 } if *core == w.core
+            LintError::DuplicateSpecCheck { core, found: 2 } if *core == w.core as i64
         )),
         "got {errs:?}"
     );
@@ -244,19 +234,19 @@ fn duplicated_spec_check_fires_duplicate_spec_check() {
 /// whether read/write sets exist.
 #[test]
 fn spec_check_under_assume_independent_is_unexpected() {
-    let (mut program, _, protocol) = transformed(ConflictPolicy::AssumeIndependent);
-    assert!(!protocol.detect);
-    let w = protocol.workers[0];
-    let main = program.func_mut(protocol.main);
+    let (mut program, spice) = transformed(ConflictPolicy::AssumeIndependent);
+    assert!(!spice.conflict_detection);
+    let w = &spice.workers[0];
+    let main = program.func_mut(spice.main);
     let dst = main.fresh_reg();
-    main.block_mut(protocol.shape.tail).insts.insert(
+    main.block_mut(spice.shape.tail).insts.insert(
         0,
         Inst::SpecCheck {
             dst,
-            core: Operand::Imm(w.core),
+            core: Operand::Imm(w.core as i64),
         },
     );
-    let errs = lint_errors(&program, &protocol);
+    let errs = lint_errors(&program, &spice);
     assert!(
         errs.iter()
             .any(|e| matches!(e, LintError::UnexpectedSpecCheck { .. })),
@@ -268,21 +258,21 @@ fn spec_check_under_assume_independent_is_unexpected() {
 /// never pass through it.
 #[test]
 fn spec_check_moved_off_commit_path_fires_dominance_lint() {
-    let (mut program, _, protocol) = transformed(ConflictPolicy::Detect);
-    let w = protocol.workers[0];
+    let (mut program, spice) = transformed(ConflictPolicy::Detect);
+    let w = &spice.workers[0];
     let (b, ip) = find_inst(
         &program,
-        protocol.main,
-        |i| matches!(i, Inst::SpecCheck { core: Operand::Imm(c), .. } if *c == w.core),
+        spice.main,
+        |i| matches!(i, Inst::SpecCheck { core: Operand::Imm(c), .. } if *c == w.core as i64),
     );
-    let main = program.func_mut(protocol.main);
+    let main = program.func_mut(spice.main);
     let check = std::mem::replace(&mut main.block_mut(b).insts[ip], Inst::Nop);
-    main.block_mut(protocol.shape.resume).insts.push(check);
-    let errs = lint_errors(&program, &protocol);
+    main.block_mut(spice.shape.resume).insts.push(check);
+    let errs = lint_errors(&program, &spice);
     assert!(
         errs.iter().any(|e| matches!(
             e,
-            LintError::SpecCheckNotDominatingCommit { core, .. } if *core == w.core
+            LintError::SpecCheckNotDominatingCommit { core, .. } if *core == w.core as i64
         )),
         "got {errs:?}"
     );
@@ -297,18 +287,18 @@ fn spec_check_moved_off_commit_path_fires_dominance_lint() {
 /// closes.
 #[test]
 fn program_code_touching_predictor_range_fires_exemption_lint() {
-    let (mut program, _, protocol) = transformed(ConflictPolicy::Detect);
-    let (lo, _) = protocol.exempt_range;
-    let main = program.func_mut(protocol.main);
+    let (mut program, spice) = transformed(ConflictPolicy::Detect);
+    let (lo, _) = spice.layout.address_range();
+    let main = program.func_mut(spice.main);
     let entry = main.entry;
-    assert!(entry.index() < protocol.main_program_blocks);
+    assert!(entry.index() < spice.main_program_blocks);
     let dst = main.fresh_reg();
     main.block_mut(entry).insts.push(Inst::Load {
         dst,
         addr: Operand::Imm(lo),
         offset: 0,
     });
-    let errs = lint_errors(&program, &protocol);
+    let errs = lint_errors(&program, &spice);
     assert!(
         errs.iter().any(|e| matches!(
             e,
@@ -324,11 +314,10 @@ fn program_code_touching_predictor_range_fires_exemption_lint() {
 
 #[test]
 fn rewired_tail_terminator_fires_shape_edge() {
-    let (mut program, _, protocol) = transformed(ConflictPolicy::Detect);
-    let tail = protocol.shape.tail;
-    program.func_mut(protocol.main).block_mut(tail).terminator =
-        Terminator::Br(protocol.shape.finish);
-    let errs = lint_errors(&program, &protocol);
+    let (mut program, spice) = transformed(ConflictPolicy::Detect);
+    let tail = spice.shape.tail;
+    program.func_mut(spice.main).block_mut(tail).terminator = Terminator::Br(spice.shape.finish);
+    let errs = lint_errors(&program, &spice);
     assert!(
         errs.iter()
             .any(|e| matches!(e, LintError::ShapeEdge { block, .. } if *block == tail)),
@@ -340,11 +329,10 @@ fn rewired_tail_terminator_fires_shape_edge() {
 /// nesting: the loop could "resume" from a squash that never happened.
 #[test]
 fn extra_resume_predecessor_fires_resume_entry() {
-    let (mut program, _, protocol) = transformed(ConflictPolicy::Detect);
-    let hit = protocol.shape.hit;
-    program.func_mut(protocol.main).block_mut(hit).terminator =
-        Terminator::Br(protocol.shape.resume);
-    let errs = lint_errors(&program, &protocol);
+    let (mut program, spice) = transformed(ConflictPolicy::Detect);
+    let hit = spice.shape.hit;
+    program.func_mut(spice.main).block_mut(hit).terminator = Terminator::Br(spice.shape.resume);
+    let errs = lint_errors(&program, &spice);
     assert!(
         errs.iter()
             .any(|e| matches!(e, LintError::ResumeEntry { pred, .. } if *pred == hit)),
@@ -354,12 +342,12 @@ fn extra_resume_predecessor_fires_resume_entry() {
 
 #[test]
 fn recovery_block_without_abort_fires_recovery_shape() {
-    let (mut program, _, protocol) = transformed(ConflictPolicy::Detect);
-    let w = protocol.workers[0];
+    let (mut program, spice) = transformed(ConflictPolicy::Detect);
+    let w = &spice.workers[0];
     let (b, ip) = find_inst(&program, w.func, |i| matches!(i, Inst::SpecAbort));
     assert_eq!(b, w.recovery_block);
     program.func_mut(w.func).block_mut(b).insts[ip] = Inst::Nop;
-    let errs = lint_errors(&program, &protocol);
+    let errs = lint_errors(&program, &spice);
     assert!(
         errs.iter().any(|e| matches!(
             e,
@@ -374,24 +362,22 @@ fn recovery_block_without_abort_fires_recovery_shape() {
 /// squashed thread in the middle of a stale chunk.
 #[test]
 fn retargeted_resteer_fires_resteer_target() {
-    let (mut program, _, protocol) = transformed(ConflictPolicy::Detect);
-    let w0 = protocol.workers[0];
+    let (mut program, spice) = transformed(ConflictPolicy::Detect);
+    let w0 = &spice.workers[0];
     let (b, ip) = find_inst(
         &program,
-        protocol.main,
-        |i| matches!(i, Inst::Resteer { core: Operand::Imm(c), .. } if *c == w0.core),
+        spice.main,
+        |i| matches!(i, Inst::Resteer { core: Operand::Imm(c), .. } if *c == w0.core as i64),
     );
-    if let Inst::Resteer { target, .. } =
-        &mut program.func_mut(protocol.main).block_mut(b).insts[ip]
-    {
+    if let Inst::Resteer { target, .. } = &mut program.func_mut(spice.main).block_mut(b).insts[ip] {
         *target = BlockId(0);
     }
-    let errs = lint_errors(&program, &protocol);
+    let errs = lint_errors(&program, &spice);
     assert!(
         errs.iter().any(|e| matches!(
             e,
             LintError::ResteerTarget { core, target, .. }
-                if *core == w0.core && *target == BlockId(0)
+                if *core == w0.core as i64 && *target == BlockId(0)
         )),
         "got {errs:?}"
     );
@@ -401,17 +387,29 @@ fn retargeted_resteer_fires_resteer_target() {
 // Protocol metadata.
 // ---------------------------------------------------------------------------
 
+/// Three inconsistent records — colliding worker cores, two workers sharing
+/// a channel, a worker on the main thread's core — each caught by the
+/// program-free check and by the full stack.
 #[test]
 fn colliding_worker_cores_fire_protocol_metadata() {
-    let (program, _, mut protocol) = transformed(ConflictPolicy::Detect);
-    protocol.workers[1].core = protocol.workers[0].core;
-    assert!(check_protocol_metadata(&protocol).is_err());
-    let errs = lint_errors(&program, &protocol);
-    assert!(
-        errs.iter()
-            .any(|e| matches!(e, LintError::ProtocolMetadata { .. })),
-        "got {errs:?}"
-    );
+    let (program, spice) = transformed(ConflictPolicy::Detect);
+    let mut shared_core = spice.clone();
+    shared_core.workers[1].core = shared_core.workers[0].core;
+    let mut shared_channel = spice.clone();
+    shared_channel.workers[1].channels.ack = shared_channel.workers[0].channels.ack;
+    let mut main_core = spice.clone();
+    main_core.workers[0].core = 0;
+    for (what, bad) in [
+        ("worker cores collide", shared_core),
+        ("channel ids collide", shared_channel),
+        ("core 0", main_core),
+    ] {
+        let is_metadata = |e: &LintError| matches!(e, LintError::ProtocolMetadata { detail } if detail.contains(what));
+        let errs = check_protocol_metadata(&bad).expect_err(what);
+        assert!(errs.iter().any(is_metadata), "{what}: got {errs:?}");
+        let errs = lint_errors(&program, &bad);
+        assert!(errs.iter().any(is_metadata), "{what}: got {errs:?}");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -423,10 +421,10 @@ fn colliding_worker_cores_fire_protocol_metadata() {
 /// errors instead of a panic.
 #[test]
 fn dangling_target_in_merge_chain_is_caught_by_verify_and_decode() {
-    let (mut program, _, protocol) = transformed(ConflictPolicy::Detect);
-    let chain = protocol.shape.chain;
+    let (mut program, spice) = transformed(ConflictPolicy::Detect);
+    let chain = spice.shape.chain;
     let missing = BlockId(9999);
-    program.func_mut(protocol.main).block_mut(chain).terminator = Terminator::Br(missing);
+    program.func_mut(spice.main).block_mut(chain).terminator = Terminator::Br(missing);
 
     let errs = verify_program(&program).expect_err("verifier must catch it");
     let dangling = errs
@@ -444,7 +442,7 @@ fn dangling_target_in_merge_chain_is_caught_by_verify_and_decode() {
     assert!(rendered.contains(&format!("{chain}")), "got: {rendered}");
 
     let decode_err = DecodedProgram::try_new(&program).expect_err("decode must fail typed");
-    assert_eq!(decode_err.func_id, protocol.main);
+    assert_eq!(decode_err.func_id, spice.main);
     assert_eq!(decode_err.block, chain);
 }
 
@@ -452,10 +450,10 @@ fn dangling_target_in_merge_chain_is_caught_by_verify_and_decode() {
 /// the chunk boundary (the merge chain).
 #[test]
 fn use_before_def_across_boundary_is_caught_by_verify() {
-    let (mut program, _, protocol) = transformed(ConflictPolicy::Detect);
-    let main = program.func_mut(protocol.main);
+    let (mut program, spice) = transformed(ConflictPolicy::Detect);
+    let main = program.func_mut(spice.main);
     let undef = main.fresh_reg();
-    main.block_mut(protocol.shape.merge).insts.insert(
+    main.block_mut(spice.shape.merge).insts.insert(
         0,
         Inst::Store {
             src: Operand::Reg(undef),
@@ -475,15 +473,15 @@ fn use_before_def_across_boundary_is_caught_by_verify() {
 /// Lint diagnostics point at the offending function/block/instruction.
 #[test]
 fn lint_render_quotes_the_offending_block() {
-    let (mut program, _, protocol) = transformed(ConflictPolicy::Detect);
-    let w = protocol.workers[0];
+    let (mut program, spice) = transformed(ConflictPolicy::Detect);
+    let w = &spice.workers[0];
     let (b, ip) = find_inst(
         &program,
-        protocol.main,
-        |i| matches!(i, Inst::SpecCheck { core: Operand::Imm(c), .. } if *c == w.core),
+        spice.main,
+        |i| matches!(i, Inst::SpecCheck { core: Operand::Imm(c), .. } if *c == w.core as i64),
     );
-    program.func_mut(protocol.main).block_mut(b).insts[ip] = Inst::Nop;
-    let errs = lint_errors(&program, &protocol);
+    program.func_mut(spice.main).block_mut(b).insts[ip] = Inst::Nop;
+    let errs = lint_errors(&program, &spice);
     let missing = errs
         .iter()
         .find(|e| matches!(e, LintError::MissingSpecCheck { .. }))
@@ -493,12 +491,12 @@ fn lint_render_quotes_the_offending_block() {
     // MissingSpecCheck has no block context; a block-bearing error renders
     // the listing with the instruction marker.
     let foreign_program = {
-        let (mut p, _, proto) = transformed(ConflictPolicy::Detect);
-        let w0 = proto.workers[0];
-        let w1 = proto.workers[1];
+        let (mut p, proto) = transformed(ConflictPolicy::Detect);
+        let w0 = &proto.workers[0];
+        let w1 = &proto.workers[1];
         let entry = p.func(w1.func).entry;
         p.func_mut(w1.func).block_mut(entry).insts.push(Inst::Send {
-            chan: Operand::Imm(w0.status),
+            chan: Operand::Imm(w0.channels.status),
             value: Operand::Imm(0),
         });
         let errs = lint_errors(&p, &proto);

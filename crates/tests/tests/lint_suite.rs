@@ -12,9 +12,9 @@
 
 use spice_bench::experiments::{all_workload_factories, LINE_GRANULARITY_LOG2};
 use spice_core::backend::SimBackend;
+use spice_core::lint::lint_spice;
 use spice_core::transform::{SpiceOptions, SpiceTransform};
 use spice_ir::exec::{derive_loop_spec, ConflictPolicy};
-use spice_ir::lint::lint_spice;
 use spice_ir::verify::verify_program;
 use spice_ir::DependenceClass;
 use spice_workloads::{run_workload_on_with, workload_load_options};
@@ -50,7 +50,7 @@ fn every_workload_passes_verify_and_lints_across_the_farm_matrix() {
                 if let Err(errs) = verify_program(&program) {
                     panic!("{name}: post-transform verify failed: {errs:?}");
                 }
-                if let Err(errs) = lint_spice(&program, &spice.protocol()) {
+                if let Err(errs) = lint_spice(&program, &spice) {
                     let rendered: Vec<String> = errs.iter().map(|e| e.render(&program)).collect();
                     panic!(
                         "{name}: speculation-safety lints failed at {threads} threads, \
