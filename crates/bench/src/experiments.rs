@@ -230,9 +230,9 @@ pub struct SweepPrep {
 
 /// Builds the preparation for one `(benchmark, mode)` cell. `tiny` selects
 /// the reduced test machine instead of the Table 1 machine; the farm passes
-/// its manifest's `small` here for every cell — sweep and Table 2 probes
-/// alike — so a `--small` run shrinks the inputs *and* simulates the tiny
-/// machine, and only a full-size run simulates Table 1.
+/// its manifest's `small` here for every cell, so a `--small` run shrinks
+/// the inputs *and* simulates the tiny machine, and only a full-size run
+/// simulates Table 1.
 /// `granularity_log2` coarsens the conflict sets (0 = exact words) and is
 /// only meaningful for Spice modes.
 ///
@@ -283,11 +283,10 @@ pub fn prepare_sweep(
     })
 }
 
-/// The cache key under which a preparation is shared: two jobs whose keys
-/// are equal build identical [`SweepPrep`]s, so the first builds and the
-/// rest reuse. Notably the Table 2 word-granularity conflict probe of a
-/// full-size run keys the same as the Figure 7 four-thread run — same
-/// machine, same transform — so the probe rides on the sweep's decode.
+/// The cache key of a preparation: two cells whose keys are equal build
+/// identical [`SweepPrep`]s — same benchmark, mode, machine and conflict
+/// granularity — so they are one simulation cell, and the farm runs it
+/// once.
 #[must_use]
 pub fn sweep_prep_key(
     benchmark: &str,
@@ -1048,10 +1047,9 @@ pub const LINE_GRANULARITY_LOG2: u8 = 3;
 /// The profiling portion of one Table 2 row: loop-instruction counts plus
 /// whole-program cycle attribution, with the conflict-probe columns left
 /// `None`. The farm runs this as one job per benchmark and fills the probe
-/// columns from separate probe jobs (4-thread Spice runs at word and at
-/// [`LINE_GRANULARITY_LOG2`] conflict granularity; at full size the
-/// word-granular probe's preparation is the Figure 7 four-thread run's, so
-/// the two share one decode). `paper_hotness` quotes the paper for
+/// columns from the benchmark's 4-thread Spice cells at word granularity
+/// (the Figure 7 four-thread run itself) and at [`LINE_GRANULARITY_LOG2`]
+/// conflict granularity. `paper_hotness` quotes the paper for
 /// comparison; `measured_hotness` comes from
 /// [`spice_profiler::measure_cycle_hotness`] on a one-core machine — the
 /// reduced test machine for `small`, the Table 1 machine otherwise.

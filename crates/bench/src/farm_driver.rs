@@ -5,21 +5,25 @@
 //! `farm` binary the one CLI over it). It turns a [`Manifest`] (which
 //! figures, which size, how many workers) into a deterministic job list:
 //!
-//! * one **sweep job** per `(benchmark, mode)` cell of the Figure 7 /
-//!   harness matrix — sequential, 2-thread and 4-thread Spice. Figure 7 and
-//!   the harness report both derive from this one job set, so requesting
-//!   both costs no extra simulation;
-//! * one **hotness job** plus (for conflict-detecting workloads) two
-//!   **conflict-probe jobs** per benchmark for Table 2;
+//! * one **cell job** per distinct simulation cell `(benchmark, mode,
+//!   conflict granularity)` that any requested figure reads, run once and
+//!   routed to every figure reading it. Figure 7 and the harness read the
+//!   sequential, 2-thread and 4-thread Spice cells at word granularity;
+//!   Table 2 reads a conflict-detecting benchmark's 4-thread cell at word
+//!   granularity (Figure 7's own 4-thread run) and at line granularity.
+//!   Requesting several of these figures costs no extra simulation;
+//! * one **hotness job** per benchmark for Table 2, after that benchmark's
+//!   cells — its attributed sequential run carries observer cost, so it
+//!   stays apart from the sequential cell whose host time the harness
+//!   reports;
 //! * one job per **ablation variant**, per **cross-check** workload, per
 //!   **Figure 8** corpus benchmark and per **fuzz** seed.
 //!
-//! Each preparation (IR build → analysis → transform → decode → image) is
-//! built once in a [`PreparedCache`] keyed by
-//! [`sweep_prep_key`](crate::experiments::sweep_prep_key) and shared by
-//! `Arc` across every job that needs it; at full size the Table 2
-//! word-granularity probe keys identically to the Figure 7 four-thread run
-//! and reuses its decode.
+//! Each cell's preparation (IR build → analysis → transform → decode →
+//! image) is built in a [`PreparedCache`] keyed by
+//! [`sweep_prep_key`](crate::experiments::sweep_prep_key); since no two
+//! jobs simulate the same cell, the cache misses once per cell and never
+//! hits, and its accounting is the farm's preparation cost.
 //!
 //! Artifacts stream: each JSON row is appended to the output file the
 //! moment its job retires, and because the engine delivers results in job
@@ -236,10 +240,10 @@ pub struct FarmReport {
     /// Present rows always agree — a divergence fails its job after
     /// persisting the offending trace.
     pub fuzz_rows: Vec<FuzzRow>,
-    /// Per-sweep-job backend summaries `(job label, summary)`, sequential
-    /// cells included — the determinism test compares these across worker
+    /// Per-cell backend summaries `(job label, summary)`, sequential cells
+    /// included — the determinism test compares these across worker
     /// counts.
-    pub sweep_summaries: Vec<(String, BackendRunSummary)>,
+    pub cell_summaries: Vec<(String, BackendRunSummary)>,
     /// Engine accounting: job count, workers, wall time, per-job compute.
     pub stats: FarmStats,
     /// Preparation-cache accounting: hits, misses, build time.
@@ -250,9 +254,10 @@ pub struct FarmReport {
     pub requested_jobs: usize,
     /// Whether this was a reduced-size run.
     pub small: bool,
-    /// Simulated cycles summed over sweep jobs.
+    /// Simulated cycles summed over the Figure 7 / harness cells.
     pub simulated_cycles: u64,
-    /// Simulate-only host nanoseconds summed over sweep jobs.
+    /// Simulate-only host nanoseconds summed over the Figure 7 / harness
+    /// cells.
     pub sim_nanos: u128,
 }
 
@@ -296,9 +301,9 @@ impl FarmReport {
         self.serial_equivalent_seconds() / self.farm_wall_seconds()
     }
 
-    /// Host nanoseconds per simulated cycle over the sweep jobs (dispatch
-    /// only — preparation time is cached and excluded): the size-independent
-    /// rate `BENCH_farm.json` records.
+    /// Host nanoseconds per simulated cycle over the Figure 7 / harness
+    /// cells (dispatch only — preparation time is cached and excluded):
+    /// the size-independent rate `BENCH_farm.json` records.
     #[must_use]
     pub fn ns_per_simulated_cycle(&self) -> f64 {
         if self.simulated_cycles == 0 {
@@ -362,19 +367,18 @@ pub fn farm_json(report: &FarmReport) -> String {
 
 /// What one farm job computed.
 enum Payload {
-    Sweep {
+    Cell {
         bench: String,
         mode: SweepMode,
+        granularity_log2: u8,
+        /// Table 2 reads this cell's dependence violations.
+        probed: bool,
         build_nanos: u128,
         run: Box<SweepRun>,
         /// Recorded trace events (empty unless `--trace-out` was requested).
         trace: Vec<TraceEvent>,
     },
     Hotness(Box<Table2Row>),
-    Probe {
-        granularity_log2: u8,
-        violations: usize,
-    },
     Ablation(Box<AblationRow>),
     Crosscheck(Box<CrosscheckRow>),
     Fig8(Box<Fig8Bar>),
@@ -426,10 +430,10 @@ fn persist_failure(
     }
 }
 
-/// One cell of the sweep matrix as a job body: the preparation comes from
-/// the shared cache, a failed run leaves a traced, snapshotted
-/// deterministic re-run behind as a retryable artifact. The Figure 7 /
-/// harness sweep jobs and the Table 2 conflict probes are both this.
+/// One simulation cell as a job body: the preparation comes from the
+/// cache, a failed run leaves a traced, snapshotted deterministic re-run
+/// behind as a retryable artifact. Every simulated figure row — Figure 7,
+/// harness, Table 2's violation columns — is read off one of these.
 struct Cell {
     factory: Arc<WorkloadFactory>,
     cache: Arc<PreparedCache<SweepPrep>>,
@@ -563,6 +567,27 @@ impl<R: FigureRows> RowSink<R> {
     }
 }
 
+/// The mode of the run Table 2's conflict-precision columns count
+/// dependence violations in.
+const PROBE_MODE: SweepMode = SweepMode::Spice { threads: 4 };
+
+/// The simulation cells `(mode, conflict granularity)` of one benchmark
+/// that the requested figures read, each once, in job order: the `sweep`
+/// (Figure 7 and harness) reads every mode at word granularity, and Table
+/// 2 reads a `probed` (conflict-detecting) benchmark's [`PROBE_MODE`] run
+/// at word and at line granularity — the word-granular one is the sweep's.
+fn cells_read(sweep: bool, probed: bool) -> Vec<(SweepMode, u8)> {
+    let mut cells: Vec<(SweepMode, u8)> = SweepMode::ALL
+        .into_iter()
+        .filter(|&mode| sweep || (probed && mode == PROBE_MODE))
+        .map(|mode| (mode, 0))
+        .collect();
+    if probed {
+        cells.push((PROBE_MODE, LINE_GRANULARITY_LOG2));
+    }
+    cells
+}
+
 /// Runs the manifest's figures as one parallel sweep, streaming the
 /// requested artifacts row-by-row, and returns the assembled rows plus the
 /// engine accounting.
@@ -586,77 +611,62 @@ pub fn run_manifest(manifest: &Manifest, outs: &OutPaths) -> Result<FarmReport, 
     let cache: Arc<PreparedCache<SweepPrep>> = Arc::new(PreparedCache::new());
 
     // --- Deterministic job enumeration -----------------------------------
-    // Ids fix the artifact row order: sweep jobs benchmark-major with modes
-    // in `SweepMode::ALL` order, then Table 2 parts benchmark-major with the
-    // hotness job before its probes, then ablation variants. The sink
-    // relies on this: a benchmark's sequential result always precedes its
-    // Spice results, a hotness row always precedes its probes.
+    // Ids fix the artifact row order: benchmark-major, each benchmark's
+    // cells in `cells_read` order and then its Table 2 hotness job; then
+    // ablation variants. The sink relies on this: a benchmark's sequential
+    // cell precedes its Spice cells, and its cells precede its hotness row.
     let sweep_wanted = manifest.wants(Figure::Fig7) || manifest.wants(Figure::Harness);
-    let tracing = outs.trace.is_some();
+    let table2_wanted = manifest.wants(Figure::Table2);
+    // Only the Figure 7 / harness cells are traced: they are the rows of
+    // the trace artifact.
+    let tracing = outs.trace.is_some() && sweep_wanted;
     let mut jobs: Vec<Job<Payload>> = Vec::new();
-    let make_cell =
-        |bench: &str, factory: &Arc<WorkloadFactory>, mode, granularity_log2, label| Cell {
-            factory: Arc::clone(factory),
-            cache: Arc::clone(&cache),
-            bench: bench.to_string(),
-            mode,
-            small,
-            granularity_log2,
-            label,
-            failures_dir: outs.failures_dir.clone(),
-        };
 
-    if sweep_wanted {
-        for (bench, factory) in &factories {
-            for mode in SweepMode::ALL {
-                let label = format!("sweep/{bench}/{}", mode.label());
-                let cell = make_cell(bench, factory, mode, 0, label.clone());
-                jobs.push(Job::new(jobs.len() as u64, label, move || {
-                    let (prep, run, trace) = cell.run(tracing)?;
-                    Ok(Payload::Sweep {
-                        bench: cell.bench,
-                        mode,
-                        build_nanos: prep.build_nanos,
-                        run: Box::new(run),
-                        trace,
-                    })
-                }));
-            }
+    for (bench, factory) in &factories {
+        let probed = table2_wanted && factory().conflict_policy().detects();
+        for (mode, granularity_log2) in cells_read(sweep_wanted, probed) {
+            // A word-granular cell is a cell of the Figure 7 / harness
+            // sweep matrix, whichever figures read it; only Table 2 reads
+            // the line-granular one.
+            let label = if granularity_log2 == 0 {
+                format!("sweep/{bench}/{}", mode.label())
+            } else {
+                format!("table2/{bench}/probe-g{granularity_log2}")
+            };
+            let cell = Cell {
+                factory: Arc::clone(factory),
+                cache: Arc::clone(&cache),
+                bench: bench.to_string(),
+                mode,
+                small,
+                granularity_log2,
+                label: label.clone(),
+                failures_dir: outs.failures_dir.clone(),
+            };
+            jobs.push(Job::new(jobs.len() as u64, label, move || {
+                let (prep, run, trace) = cell.run(tracing && granularity_log2 == 0)?;
+                Ok(Payload::Cell {
+                    bench: cell.bench,
+                    mode,
+                    granularity_log2,
+                    probed: probed && mode == PROBE_MODE,
+                    build_nanos: prep.build_nanos,
+                    run: Box::new(run),
+                    trace,
+                })
+            }));
         }
-    }
-
-    if manifest.wants(Figure::Table2) {
-        for (bench, factory) in &factories {
-            {
-                let factory = Arc::clone(factory);
-                jobs.push(Job::new(
-                    jobs.len() as u64,
-                    format!("table2/{bench}/hotness"),
-                    move || {
-                        Ok(Payload::Hotness(Box::new(table2_hotness_row(
-                            &factory, small,
-                        )?)))
-                    },
-                ));
-            }
-            // The conflict-precision probes: the same loop under 4-thread
-            // Spice at word vs 64-byte-line conflict granularity. At full
-            // size the word-granular probe keys the same preparation as the
-            // Figure 7 four-thread run and reuses its decode.
-            if factory().conflict_policy().detects() {
-                for granularity_log2 in [0u8, LINE_GRANULARITY_LOG2] {
-                    let label = format!("table2/{bench}/probe-g{granularity_log2}");
-                    let mode = SweepMode::Spice { threads: 4 };
-                    let cell = make_cell(bench, factory, mode, granularity_log2, label.clone());
-                    jobs.push(Job::new(jobs.len() as u64, label, move || {
-                        let (_, run, _) = cell.run(false)?;
-                        Ok(Payload::Probe {
-                            granularity_log2,
-                            violations: run.summary.map_or(0, |s| s.dependence_violations),
-                        })
-                    }));
-                }
-            }
+        if table2_wanted {
+            let factory = Arc::clone(factory);
+            jobs.push(Job::new(
+                jobs.len() as u64,
+                format!("table2/{bench}/hotness"),
+                move || {
+                    Ok(Payload::Hotness(Box::new(table2_hotness_row(
+                        &factory, small,
+                    )?)))
+                },
+            ));
         }
     }
 
@@ -779,27 +789,27 @@ pub fn run_manifest(manifest: &Manifest, outs: &OutPaths) -> Result<FarmReport, 
     let mut table2 = RowSink::<Table2Row>::open(manifest, outs.table2.as_deref())?;
     let mut crosscheck = RowSink::<CrosscheckRow>::open(manifest, outs.crosscheck.as_deref())?;
     let mut fig8 = RowSink::<Fig8Bar>::open(manifest, outs.fig8.as_deref())?;
-    // Only sweep jobs contribute trace rows: the simulator is
-    // single-threaded and deterministic, so the artifact byte-diffs across
-    // `--jobs` widths. Native (cross-check) traces are deterministic in
+    // Only the Figure 7 / harness cells contribute trace rows: the
+    // simulator is single-threaded and deterministic, so the artifact
+    // byte-diffs across `--jobs` widths. Native (cross-check) traces are deterministic in
     // validate/commit order but not in content for racy workloads, so they
     // stay out of this artifact and are only persisted by failure capture.
     // Trace rows are streamed and dropped, never kept: they are the bulk of
     // a run's output.
-    let mut trace_stream = match (&outs.trace, sweep_wanted) {
-        (Some(path), true) => Some(RowStream::create(path, &trace_json_header(small))?),
+    let mut trace_stream = match &outs.trace {
+        Some(path) if tracing => Some(RowStream::create(path, &trace_json_header(small))?),
         _ => None,
     };
 
     let mut ablation_rows: Vec<AblationRow> = Vec::new();
     let mut fuzz_rows: Vec<FuzzRow> = Vec::new();
-    let mut sweep_summaries: Vec<(String, BackendRunSummary)> = Vec::new();
+    let mut cell_summaries: Vec<(String, BackendRunSummary)> = Vec::new();
     let mut job_observability: HashMap<u64, (u64, u64)> = HashMap::new();
-    // Results arrive strictly in id order, so "the benchmark whose Spice
-    // cells / probes are arriving" is simply the latest sequential cell /
-    // hotness row.
+    // Results arrive strictly in id order, so the latest sequential cycles
+    // and `(word, line)` violation counts are those of the benchmark whose
+    // Spice cells / hotness row are arriving.
     let mut sequential_cycles = 0u64;
-    let mut pending_table2: Option<Table2Row> = None;
+    let mut probe_violations: (Option<usize>, Option<usize>) = (None, None);
     let mut simulated_cycles = 0u64;
     let mut sim_nanos = 0u128;
     let mut first_error: Option<String> = None;
@@ -820,22 +830,37 @@ pub fn run_manifest(manifest: &Manifest, outs: &OutPaths) -> Result<FarmReport, 
         };
         let sunk: Result<(), String> = (|| {
             match payload {
-                Payload::Sweep {
+                Payload::Cell {
                     bench,
                     mode,
+                    granularity_log2,
+                    probed,
                     build_nanos,
                     run,
                     trace,
                 } => {
+                    let summary = run.summary.as_ref();
+                    let squashes = summary.map_or(0, |s| s.squashed_chunks as u64);
+                    job_observability.insert(result.id, (trace.len() as u64, squashes));
+                    if let Some(summary) = summary {
+                        cell_summaries.push((result.label.clone(), summary.clone()));
+                    }
+                    if probed {
+                        let violations = Some(summary.map_or(0, |s| s.dependence_violations));
+                        if granularity_log2 == 0 {
+                            probe_violations.0 = violations;
+                        } else {
+                            probe_violations.1 = violations;
+                        }
+                    }
+                    // The rest is for the Figure 7 / harness cells only.
+                    if !sweep_wanted || granularity_log2 != 0 {
+                        return Ok(());
+                    }
                     simulated_cycles = simulated_cycles.saturating_add(run.cycles);
                     sim_nanos += run.sim_nanos;
-                    let squashes = run.summary.as_ref().map_or(0, |s| s.squashed_chunks as u64);
-                    job_observability.insert(result.id, (trace.len() as u64, squashes));
                     if let Some(s) = &mut trace_stream {
                         s.push_row(&trace_job_json(&result.label, &trace))?;
-                    }
-                    if let Some(summary) = &run.summary {
-                        sweep_summaries.push((result.label.clone(), summary.clone()));
                     }
                     if harness_wanted {
                         harness.push(harness_row_from_sweep(&bench, mode, build_nanos, &run))?;
@@ -854,25 +879,15 @@ pub fn run_manifest(manifest: &Manifest, outs: &OutPaths) -> Result<FarmReport, 
                         }
                     }
                 }
-                // A Table 2 row is complete once the next one starts (or
-                // the run ends): its probes, if any, have filled it in.
+                // A benchmark's cells precede its hotness row, so the row
+                // is complete the moment it arrives.
                 Payload::Hotness(row) => {
-                    if let Some(complete) = pending_table2.replace(*row) {
-                        table2.push(complete)?;
-                    }
-                }
-                Payload::Probe {
-                    granularity_log2,
-                    violations,
-                } => {
-                    let row = pending_table2
-                        .as_mut()
-                        .expect("hotness job precedes its probes in id order");
-                    if granularity_log2 == 0 {
-                        row.word_violations = Some(violations);
-                    } else {
-                        row.line_violations = Some(violations);
-                    }
+                    let (word_violations, line_violations) = std::mem::take(&mut probe_violations);
+                    table2.push(Table2Row {
+                        word_violations,
+                        line_violations,
+                        ..*row
+                    })?;
                 }
                 Payload::Ablation(row) => ablation_rows.push(*row),
                 Payload::Crosscheck(row) => {
@@ -901,9 +916,6 @@ pub fn run_manifest(manifest: &Manifest, outs: &OutPaths) -> Result<FarmReport, 
     if let Some(e) = first_error {
         return Err(e);
     }
-    if let Some(complete) = pending_table2 {
-        table2.push(complete)?;
-    }
     let fig7_rows = fig7.finish()?;
     let harness_rows = harness.finish()?;
     let table2_rows = table2.finish()?;
@@ -921,7 +933,7 @@ pub fn run_manifest(manifest: &Manifest, outs: &OutPaths) -> Result<FarmReport, 
         crosscheck_rows,
         fig8_bars,
         fuzz_rows,
-        sweep_summaries,
+        cell_summaries,
         stats,
         cache: cache.stats(),
         host_cores: spice_farm::resolve_workers(0),
@@ -987,7 +999,7 @@ mod tests {
             crosscheck_rows: Vec::new(),
             fig8_bars: Vec::new(),
             fuzz_rows: Vec::new(),
-            sweep_summaries: Vec::new(),
+            cell_summaries: Vec::new(),
             stats: FarmStats {
                 jobs: 21,
                 workers: 4,

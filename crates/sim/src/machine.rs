@@ -98,7 +98,11 @@ pub struct CoreReport {
     pub spec_conflicts: u64,
     /// Smallest conflicting word address behind `spec_conflicts`, if any.
     pub spec_conflict_addr: Option<i64>,
-    /// Loads/stores classified by the level that served them.
+    /// Loads/stores classified by the level that served them, cumulative
+    /// since the machine was built — not per run: [`Machine::summary`]
+    /// copies the memory hierarchy's per-core counters, which
+    /// [`Machine::spawn`] never resets (unlike `retired` and the stall
+    /// counters).
     pub mem: MemAccessStats,
 }
 

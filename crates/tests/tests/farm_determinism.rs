@@ -4,6 +4,9 @@
 //! byte-identical streamed artifacts and identical per-job simulation
 //! summaries — conflict-carrying (squash-and-recover) workloads included.
 
+use std::collections::HashSet;
+
+use spice_bench::experiments::{all_workload_factories, table2_json};
 use spice_bench::farm_driver::{run_manifest, Figure, Manifest, OutPaths};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -93,7 +96,7 @@ fn farm_artifacts_are_byte_identical_across_worker_counts() {
                 .map(|r| (r.benchmark.clone(), r.mode.clone(), r.simulated_cycles))
                 .collect(),
         );
-        summaries.push(report.sweep_summaries);
+        summaries.push(report.cell_summaries);
         fuzz_rows.push(report.fuzz_rows);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -218,4 +221,106 @@ fn serial_emitters_and_streamed_artifacts_agree() {
         crosscheck_json(&report.crosscheck_rows)
     );
     assert_eq!(streamed_fig8, fig8_json(&report.fig8_bars, true));
+}
+
+/// The `(benchmark, mode, conflict granularity)` cell a farm job simulates,
+/// read off its label: `sweep/<bench>/<mode>` is a word-granular cell,
+/// `table2/<bench>/probe-g<g>` the 4-thread cell at granularity `g`.
+fn simulated_cell(label: &str) -> Option<(String, String, u8)> {
+    match label.split('/').collect::<Vec<_>>().as_slice() {
+        ["sweep", bench, mode] => Some((bench.to_string(), mode.to_string(), 0)),
+        ["table2", bench, part] => {
+            let granularity = part.strip_prefix("probe-g")?.parse().ok()?;
+            Some((bench.to_string(), "spice4".to_string(), granularity))
+        }
+        _ => None,
+    }
+}
+
+#[test]
+fn each_simulation_cell_runs_once() {
+    let manifest = Manifest {
+        figures: Figure::ALL.to_vec(),
+        small: true,
+        jobs: 2,
+        fuzz_seeds: 0..1,
+    };
+    let report = run_manifest(&manifest, &OutPaths::default()).expect("farm run");
+
+    let cells: Vec<(String, String, u8)> = report
+        .stats
+        .details
+        .iter()
+        .filter_map(|job| simulated_cell(&job.label))
+        .collect();
+    let distinct: HashSet<&(String, String, u8)> = cells.iter().collect();
+    assert_eq!(
+        distinct.len(),
+        cells.len(),
+        "a cell simulated twice: {cells:?}"
+    );
+
+    // Every cell builds its preparation once and nothing else asks for it:
+    // 7 benchmarks × 3 modes, plus the line-granular 4-thread cell of each
+    // conflict-detecting benchmark.
+    let detecting: Vec<&str> = all_workload_factories(true)
+        .into_iter()
+        .filter(|(_, factory)| factory().conflict_policy().detects())
+        .map(|(name, _)| name)
+        .collect();
+    assert!(!detecting.is_empty());
+    assert_eq!(cells.len(), 7 * 3 + detecting.len());
+    assert_eq!(report.cache.hits, 0, "{:?}", report.cache);
+    assert_eq!(report.cache.misses, distinct.len(), "{:?}", report.cache);
+
+    // Table 2's word-granular column is Figure 7's 4-thread run.
+    for row in &report.table2_rows {
+        if !detecting.contains(&row.benchmark.as_str()) {
+            assert_eq!(row.word_violations, None, "{}", row.benchmark);
+            assert_eq!(row.line_violations, None, "{}", row.benchmark);
+            continue;
+        }
+        let spice4 = report
+            .fig7_rows
+            .iter()
+            .find(|r| r.benchmark == row.benchmark && r.threads == 4)
+            .unwrap_or_else(|| panic!("no fig7 spice4 row for {}", row.benchmark));
+        assert_eq!(
+            row.word_violations,
+            Some(spice4.dependence_violations),
+            "{}",
+            row.benchmark
+        );
+        assert!(row.line_violations.is_some(), "{}", row.benchmark);
+    }
+    assert_eq!(report.table2_rows.len(), 7);
+}
+
+#[test]
+fn table2_alone_matches_table2_beside_fig7() {
+    let run = |figures: Vec<Figure>, tag: &str| {
+        let dir = temp_dir(tag);
+        let outs = OutPaths {
+            table2: Some(dir.join("BENCH_table2.json")),
+            ..OutPaths::default()
+        };
+        let manifest = Manifest {
+            figures,
+            small: true,
+            jobs: 2,
+            ..Manifest::default()
+        };
+        let report = run_manifest(&manifest, &outs).expect("farm run");
+        let doc = std::fs::read_to_string(dir.join("BENCH_table2.json")).expect("table2");
+        std::fs::remove_dir_all(&dir).ok();
+        (doc, report)
+    };
+    let (alone, report) = run(vec![Figure::Table2], "table2-alone");
+    let (beside, _) = run(vec![Figure::Fig7, Figure::Table2], "table2-beside-fig7");
+    assert!(report.fig7_rows.is_empty() && report.harness_rows.is_empty());
+    assert_eq!(
+        alone, beside,
+        "BENCH_table2.json depends on whether fig7 ran"
+    );
+    assert_eq!(alone, table2_json(&report.table2_rows, true));
 }
