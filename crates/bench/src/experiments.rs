@@ -1,8 +1,10 @@
 //! Implementations of every table and figure of the paper's evaluation.
 //!
-//! This module holds what a figure *is*: the workload set, the per-cell job
-//! bodies, the row types and — through [`FigureRows`] — how each row type
-//! becomes its JSON artifact and its text table. What it does not hold is a
+//! This module holds what a figure *is*: the per-cell job bodies, the row
+//! types and — through [`FigureRows`] — how each row type becomes its JSON
+//! artifact and its text table. The workload set is not declared here: it
+//! is `spice-workloads`' suite table, re-exported as
+//! [`all_workload_factories`]. What this module does not hold either is a
 //! second way to run a figure: the jobs are enumerated in exactly one place,
 //! [`crate::farm_driver::run_manifest`], and `farm --figures <name>` is the
 //! one CLI over it. Reduced-size variants (`small = true`) run the same code
@@ -25,128 +27,14 @@ use spice_profiler::{
 use spice_sim::{Machine, MachineConfig, SequentialSimBackend};
 use spice_workloads::trace::{FuzzConfig, TraceReplayWorkload, WorkloadTrace};
 use spice_workloads::{
-    drive_loaded_workload, run_workload_on, workload_load_options, BackendRunSummary, KsConfig,
-    KsWorkload, McfConfig, McfWorkload, OtterConfig, OtterWorkload, SjengConfig, SjengWorkload,
-    SpiceWorkload, Suite, SuiteBenchmark, DEFAULT_WORKLOAD_HEAP_WORDS,
+    drive_loaded_workload, run_workload_on, workload_load_options, BackendRunSummary, OtterConfig,
+    OtterWorkload, SpiceWorkload, Suite, SuiteBenchmark, DEFAULT_WORKLOAD_HEAP_WORDS,
 };
 
 use crate::farm_driver::Figure;
 
-/// Factory for a fresh instance of one of the paper's four benchmark loops.
-/// `Send + Sync` so a sweep engine can construct workloads from any host
-/// thread.
-pub type WorkloadFactory = Box<dyn Fn() -> Box<dyn SpiceWorkload> + Send + Sync>;
-
-/// Returns `(name, factory)` pairs for the Table 2 / Figure 7 benchmarks.
-///
-/// The full-size configurations are chosen so the traversed data structures
-/// do not fit in the private caches of the Table 1 machine — the regime the
-/// paper's loops run in, where the pointer-chasing load dominates each
-/// iteration — while the `small` configurations keep unit tests fast.
-fn paper_workload_factories(small: bool) -> Vec<(&'static str, WorkloadFactory)> {
-    // Working-set sizes (full): ks 6000×3 words ≈ 144 KB, otter 8000×2 ≈
-    // 128 KB, mcf 6000×6 ≈ 288 KB — all at or past the 256 KB L2.
-    let (ks_modules, otter_len, mcf_nodes, sjeng_pieces) = if small {
-        (150usize, 130usize, 160usize, 24usize)
-    } else {
-        (6_000, 8_000, 6_000, 64)
-    };
-    let invocations = if small { 10 } else { 14 };
-    let sjeng_invocations = if small { 20 } else { 60 };
-    vec![
-        (
-            "ks",
-            Box::new(move || {
-                Box::new(KsWorkload::new(KsConfig {
-                    modules: ks_modules,
-                    invocations,
-                    d_updates_per_invocation: 8,
-                    seed: 0x6b73,
-                })) as Box<dyn SpiceWorkload>
-            }) as WorkloadFactory,
-        ),
-        (
-            "otter",
-            Box::new(move || {
-                Box::new(OtterWorkload::new(OtterConfig {
-                    initial_len: otter_len,
-                    inserts_per_invocation: 3,
-                    invocations,
-                    seed: 0x07734,
-                })) as Box<dyn SpiceWorkload>
-            }) as WorkloadFactory,
-        ),
-        (
-            "181.mcf",
-            Box::new(move || {
-                Box::new(McfWorkload::new(McfConfig {
-                    nodes: mcf_nodes,
-                    invocations,
-                    cost_updates_per_invocation: 12,
-                    reparents_per_invocation: 2,
-                    seed: 0x6d6366,
-                })) as Box<dyn SpiceWorkload>
-            }) as WorkloadFactory,
-        ),
-        (
-            "458.sjeng",
-            Box::new(move || {
-                Box::new(SjengWorkload::new(SjengConfig {
-                    pieces: sjeng_pieces,
-                    invocations: sjeng_invocations,
-                    mutate_probability: if small { 0.30 } else { 0.12 },
-                    seed: 0x736a,
-                })) as Box<dyn SpiceWorkload>
-            }) as WorkloadFactory,
-        ),
-    ]
-}
-
-/// `(name, factory)` pairs for one suite registry of `spice-workloads`: the
-/// instances come straight from the registry so the bench harness and every
-/// other consumer measure one canonical configuration.
-fn registry_factories(
-    registry: fn() -> Vec<Box<dyn SpiceWorkload>>,
-) -> Vec<(&'static str, WorkloadFactory)> {
-    registry()
-        .into_iter()
-        .enumerate()
-        .map(|(i, wl)| {
-            let factory: WorkloadFactory = Box::new(move || registry().swap_remove(i));
-            (wl.name(), factory)
-        })
-        .collect()
-}
-
-/// The set every table, figure and cross-check covers: the paper's four
-/// loops; the conflict-carrying pair the memory-dependence speculation
-/// subsystem unlocks (the faithful `mcf_refresh_potential_true` kernel and
-/// the adversarial `list_splice` loop); and the miniature applications,
-/// whole programs whose serial pivot phases execute as measured IR around
-/// the Spice target loop, so Table 2's hotness for them is
-/// profiler-measured. The conflict pair and the applications run through
-/// the same tables and cross-checks as the paper loops; their value is
-/// correctness under squash-and-recover, not speedup — their fig7 rows
-/// document recovery cost (the faithful refresh chain violates nearly every
-/// chunk boundary, and the applications' serial phases add write traffic).
-#[must_use]
-pub fn all_workload_factories(small: bool) -> Vec<(&'static str, WorkloadFactory)> {
-    let mut v = paper_workload_factories(small);
-    let (conflict, app): (fn() -> _, fn() -> _) = if small {
-        (
-            spice_workloads::conflict_benchmarks_small,
-            spice_workloads::app_benchmarks_small,
-        )
-    } else {
-        (
-            spice_workloads::conflict_benchmarks,
-            spice_workloads::app_benchmarks,
-        )
-    };
-    v.extend(registry_factories(conflict));
-    v.extend(registry_factories(app));
-    v
-}
+/// The suite every figure runs, declared once in `spice-workloads`.
+pub use spice_workloads::{all_workload_factories, WorkloadFactory};
 
 /// Total sequential cycles over all invocations of a workload on one core
 /// of the Table 1 machine.

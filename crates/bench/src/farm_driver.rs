@@ -43,16 +43,15 @@ use spice_ir::exec::ExecutionBackend;
 use spice_ir::trace::DEFAULT_TRACE_CAPACITY;
 use spice_ir::TraceEvent;
 use spice_workloads::trace::{fuzz_trace, WorkloadTrace};
-use spice_workloads::{fig8_corpus, BackendRunSummary};
+use spice_workloads::{all_workload_factories, fig8_corpus, BackendRunSummary, WorkloadFactory};
 
 use crate::experiments::{
-    ablation_variant_row, ablation_variants, all_workload_factories, capture_crosscheck_divergence,
-    capture_sweep_failure, crosscheck_workload, drive_prepared_sweep, failure_capture_json,
-    fig7_row_from_sweep, fig8_bar, format_ablation, fuzz_config_for_seed, fuzz_differential,
-    harness_row_from_sweep, prepare_sweep, record_driver_trace, recorded_events, sweep_prep_key,
-    table2_hotness_row, AblationRow, CrosscheckRow, Fig7Row, Fig8Bar, FigureRows, FuzzRow,
-    HarnessPerfRow, SweepMode, SweepPrep, SweepRun, Table2Row, WorkloadFactory, CROSSCHECK_THREADS,
-    LINE_GRANULARITY_LOG2, REPLAY_THREADS,
+    ablation_variant_row, ablation_variants, capture_crosscheck_divergence, capture_sweep_failure,
+    crosscheck_workload, drive_prepared_sweep, failure_capture_json, fig7_row_from_sweep, fig8_bar,
+    format_ablation, fuzz_config_for_seed, fuzz_differential, harness_row_from_sweep,
+    prepare_sweep, record_driver_trace, recorded_events, sweep_prep_key, table2_hotness_row,
+    AblationRow, CrosscheckRow, Fig7Row, Fig8Bar, FigureRows, FuzzRow, HarnessPerfRow, SweepMode,
+    SweepPrep, SweepRun, Table2Row, CROSSCHECK_THREADS, LINE_GRANULARITY_LOG2, REPLAY_THREADS,
 };
 use crate::trace_json::{trace_job_json, trace_json_footer, trace_json_header};
 use crate::tracefile::trace_to_json;

@@ -21,15 +21,14 @@
 #![warn(rust_2018_idioms)]
 
 use spice_bench::experiments::{
-    all_workload_factories, drive_prepared_sweep, prepare_sweep, recorded_events, SweepMode,
-    SweepPrep, WorkloadFactory,
+    drive_prepared_sweep, prepare_sweep, recorded_events, SweepMode, SweepPrep,
 };
 use spice_bench::trace_json::{cause_label, trace_event_json};
 use spice_ir::exec::ExecutionBackend;
 use spice_ir::trace::DEFAULT_TRACE_CAPACITY;
 use spice_ir::{MisspeculationCause, TraceEvent};
 use spice_sim::{Machine, MachineSnapshot};
-use spice_workloads::BackendRunSummary;
+use spice_workloads::{all_workload_factories, BackendRunSummary, WorkloadFactory};
 
 /// What a session observes before running a command.
 #[derive(Debug, Clone, Copy)]

@@ -106,7 +106,7 @@ pub use exec::{
 };
 pub use function::{Block, Function, Global, Program, GLOBAL_BASE};
 pub use inst::{Inst, InstClass, Successors, Terminator};
-pub use trace::{SquashForensics, TraceEvent, TraceRecorder, TraceSink};
+pub use trace::{SquashForensics, TraceEvent, TraceRecorder};
 pub use types::{BinOp, BlockId, FuncId, Operand, Reg, TrapKind};
 
 #[cfg(test)]

@@ -4,12 +4,12 @@
 //! retiring, a scalar crossing a channel, a speculative chunk beginning,
 //! validating, committing or squashing, the predictor planning or absorbing
 //! feedback, a memory access missing to main memory, a watched address being
-//! touched. Backends *emit* events into a [`TraceSink`]; the concrete
-//! [`TraceRecorder`] keeps them in a bounded ring buffer so tracing an
-//! arbitrarily long run costs bounded memory.
+//! touched. Backends *emit* events into a [`TraceRecorder`], which keeps
+//! them in a bounded ring buffer so tracing an arbitrarily long run costs
+//! bounded memory.
 //!
 //! The hard rule, shared with the simulator's `CycleAttribution`: **tracing
-//! is observational.** An enabled sink must never change simulated cycles,
+//! is observational.** An enabled recorder must never change simulated cycles,
 //! conflict verdicts, commit order, or any other architectural or
 //! micro-architectural outcome — a traced run and an untraced run of the
 //! same program are bit-identical in everything but the trace. The
@@ -239,18 +239,10 @@ impl TraceEvent {
     }
 }
 
-/// A consumer of trace events. Implementations must be purely
-/// observational: emitting into a sink may never change the emitting
-/// backend's behaviour.
-pub trait TraceSink {
-    /// Consumes one event.
-    fn emit(&mut self, event: TraceEvent);
-}
-
 /// Default ring capacity of a [`TraceRecorder`].
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
 
-/// The standard [`TraceSink`]: a bounded ring buffer of events plus
+/// The one trace sink: a bounded ring buffer of events plus
 /// lifetime counters that survive eviction. Cloneable so a machine
 /// snapshot can carry the recorder's exact state and a resumed run
 /// continues the identical trace.
@@ -347,10 +339,11 @@ impl TraceRecorder {
     pub fn clear(&mut self) {
         self.events.clear();
     }
-}
 
-impl TraceSink for TraceRecorder {
-    fn emit(&mut self, event: TraceEvent) {
+    /// Records one event, evicting the oldest held event when the ring is
+    /// full. Purely observational: emitting may never change the emitting
+    /// backend's behaviour.
+    pub fn emit(&mut self, event: TraceEvent) {
         self.total += 1;
         if matches!(event, TraceEvent::ChunkSquash { .. }) {
             self.squashes += 1;

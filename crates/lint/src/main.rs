@@ -14,11 +14,10 @@
 //! Exit status: 0 when everything is clean, 1 when any verification or lint
 //! fails, 2 on a usage error.
 
-use spice_bench::experiments::all_workload_factories;
 use spice_core::transform::{SpiceOptions, SpiceTransform, TransformError};
 use spice_ir::exec::{derive_loop_spec, ConflictPolicy};
 use spice_ir::verify::verify_program;
-use spice_workloads::workload_load_options;
+use spice_workloads::{all_workload_factories, workload_load_options};
 
 const USAGE: &str = "usage: spice-lint [--small] [--threads N,N] [bench ...]
   lints every workload (or just the named ones) pre- and post-transform

@@ -78,7 +78,7 @@ use spice_ir::interp::{FlatMemory, MemPort, StepEvent, SysPort, ThreadState};
 use spice_ir::reduction::ReductionKind;
 use spice_ir::{
     BlockId, DecodedProgram, FuncId, InstClass, Program, SquashForensics, TraceEvent,
-    TraceRecorder, TraceSink, TrapKind,
+    TraceRecorder, TrapKind,
 };
 
 use crate::heap::SpecView;

@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use serde::{Deserialize, Serialize};
 
 use spice_ir::{
-    BlockId, ChunkEnd, CommitChain, FuncId, SquashForensics, TraceEvent, TraceRecorder, TraceSink,
+    BlockId, ChunkEnd, CommitChain, FuncId, SquashForensics, TraceEvent, TraceRecorder,
 };
 
 use crate::conflict::ConflictTracker;

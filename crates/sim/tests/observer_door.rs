@@ -8,16 +8,18 @@
 use spice_core::SimBackend;
 use spice_ir::exec::ExecutionBackend;
 use spice_sim::Machine;
-use spice_workloads::suite::conflict_benchmarks_small;
-use spice_workloads::{drive_loaded_workload, workload_load_options, BackendRunSummary};
+use spice_workloads::{
+    all_workload_factories, drive_loaded_workload, workload_load_options, BackendRunSummary,
+};
 
 #[test]
 fn list_splice_at_four_threads_is_observed_identically() {
     let run = |trace: bool, attribution: bool| {
-        let mut wl = conflict_benchmarks_small()
+        let (_, factory) = all_workload_factories(true)
             .into_iter()
-            .find(|w| w.name() == "list_splice")
-            .expect("list_splice is a small conflict benchmark");
+            .find(|(name, _)| *name == "list_splice")
+            .expect("list_splice is in the suite");
+        let mut wl = factory();
         let built = wl.build();
         let options = workload_load_options(wl.as_ref(), &built);
         let mut backend = SimBackend::tiny(4);

@@ -19,13 +19,13 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use spice_bench::experiments::all_workload_factories;
 use spice_core::backend::{make_backend, BackendChoice};
 use spice_ir::exec::{ExecutionBackend, InterpBackend};
 use spice_ir::fixtures::assert_extent_rule;
 use spice_sim::{MachineConfig, SequentialSimBackend};
 use spice_workloads::{
-    run_workload_on, McfConfig, McfWorkload, OtterConfig, OtterWorkload, SpiceWorkload,
+    all_workload_factories, run_workload_on, McfConfig, McfWorkload, OtterConfig, OtterWorkload,
+    SpiceWorkload,
 };
 
 /// Every way of executing a loop: Spice on the reduced simulator and on

@@ -24,9 +24,7 @@ use spice_ir::exec::{
 };
 use spice_ir::interp::FlatMemory;
 use spice_ir::{FuncId, Program, TraceEvent, TrapKind};
-use spice_workloads::{
-    app_benchmarks_small, conflict_benchmarks_small, paper_benchmarks_small, run_workload_on,
-};
+use spice_workloads::{all_workload_factories, run_workload_on};
 
 /// Ring capacity: above the events of the longest small-suite invocation
 /// (about 20k cycles on four cores), so none is evicted before it is read.
@@ -186,19 +184,14 @@ fn check_invocation(at: &str, workers: &[(u32, i64)], run: &Invocation) {
 fn merge_chain_commits_what_the_commit_rule_judges() {
     let mut causes = Vec::new();
     for threads in [2, 4] {
-        let suite = paper_benchmarks_small()
-            .into_iter()
-            .chain(conflict_benchmarks_small())
-            .chain(app_benchmarks_small());
-        for mut workload in suite {
+        for (name, factory) in all_workload_factories(true) {
             let mut sim = SimBackend::tiny(threads);
             sim.enable_trace(TRACE_CAPACITY);
             let mut recorder = Recorder {
                 sim,
                 invocations: Vec::new(),
             };
-            let name = workload.name();
-            run_workload_on(workload.as_mut(), &mut recorder).unwrap_or_else(|e| panic!("{e}"));
+            run_workload_on(factory().as_mut(), &mut recorder).unwrap_or_else(|e| panic!("{e}"));
             let runner = recorder.sim.runner().expect("a Spice run");
             let workers: Vec<(u32, i64)> = runner
                 .spice()

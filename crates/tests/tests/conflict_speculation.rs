@@ -21,8 +21,8 @@ use spice_ir::interp::{run_function_with, FlatMemory, LocalSys, MemPort};
 use spice_ir::TrapKind;
 use spice_sim::{MachineConfig, SequentialSimBackend};
 use spice_workloads::{
-    app_benchmarks_small, conflict_benchmarks_small, run_workload_on, workload_load_options,
-    BackendRunSummary, ConflictConfig, ConflictListWorkload, McfConfig, McfWorkload, SpiceWorkload,
+    all_workload_factories, run_workload_on, workload_load_options, BackendRunSummary,
+    ConflictConfig, ConflictListWorkload, McfConfig, McfWorkload, SpiceWorkload,
 };
 
 /// Runs one workload instance on `backend` and returns the summary plus the
@@ -177,9 +177,10 @@ fn dependence_free_mcf_control_reports_no_violations() {
 #[test]
 fn native_runs_are_reproducible_across_schedules() {
     let workloads = || {
-        conflict_benchmarks_small()
+        all_workload_factories(true)
             .into_iter()
-            .chain(app_benchmarks_small())
+            .filter(|(name, _)| ["mcf_true", "list_splice", "mcf_app"].contains(name))
+            .map(|(_, factory)| factory())
     };
     let run = |mut workload: Box<dyn SpiceWorkload>| {
         let mut backend = make_backend(BackendChoice::Native, 4);
@@ -240,7 +241,10 @@ impl MemPort for BodyWriteLog<'_> {
 #[test]
 fn native_violations_on_mcf_app_name_only_words_the_loop_body_wrote() {
     const THREADS: usize = 4;
-    let workload = || app_benchmarks_small().remove(0);
+    let (_, workload) = all_workload_factories(true)
+        .into_iter()
+        .find(|(name, _)| *name == "mcf_app")
+        .expect("mcf_app is in the suite");
 
     // Drives one backend by hand (the reports are needed one by one),
     // calling `before` with the pre-invocation image and the arguments.

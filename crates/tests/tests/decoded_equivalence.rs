@@ -301,7 +301,7 @@ fn lockstep_run(
 /// invocation.
 #[test]
 fn decoded_execution_matches_reference_walker_on_full_suite() {
-    for (name, factory) in spice_bench::experiments::all_workload_factories(true) {
+    for (name, factory) in spice_workloads::all_workload_factories(true) {
         let mut wl = factory();
         let built = wl.build();
         let decoded = DecodedProgram::new(&built.program);

@@ -3,122 +3,72 @@
 //! sequential execution, across thread counts and in the presence of
 //! mis-speculation.
 
-use spice_core::analysis::derive_loop_spec;
-use spice_core::pipeline::SpiceRunner;
-use spice_core::transform::{SpiceOptions, SpiceTransform};
 use spice_core::SimBackend;
-use spice_sim::{Machine, MachineConfig, SequentialSimBackend};
-use spice_workloads::{paper_benchmarks_small, run_workload_on, SpiceWorkload};
+use spice_sim::{MachineConfig, SequentialSimBackend};
+use spice_workloads::{all_workload_factories, run_workload_on, WorkloadFactory};
 
-/// Drives a workload under Spice with `threads` threads, checking every
-/// invocation's return value against the host-computed expectation and
-/// against a sequential run of an identical workload instance.
-fn check_workload(mut make: impl FnMut() -> Box<dyn SpiceWorkload>, threads: usize) {
-    // Sequential reference: the same loop on the one-core backend.
+/// The small suite's factory for `name`.
+fn small(name: &str) -> WorkloadFactory {
+    all_workload_factories(true)
+        .into_iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, factory)| factory)
+        .unwrap_or_else(|| panic!("{name} is not in the suite"))
+}
+
+/// Drives the small `name` under Spice with `threads` threads through the
+/// one invocation loop, which checks every return value against the
+/// host-computed expectation, and compares each invocation with a
+/// sequential run of an identical workload instance.
+fn check_workload(name: &str, threads: usize) {
+    let make = small(name);
     let mut one_core = SequentialSimBackend::new(MachineConfig::test_tiny(1));
     let seq_results = run_workload_on(make().as_mut(), &mut one_core)
         .expect("seq run")
         .return_values;
-
-    // Spice run.
-    let mut wl = make();
-    let built = wl.build();
-    let mut program = built.program;
-    let analysis = derive_loop_spec(&program, built.kernel, None).expect("loop analyzable");
-    let estimate = wl.expected_iterations();
-    let spice = SpiceTransform::new(SpiceOptions::with_threads_and_estimate(threads, estimate))
-        .apply(&mut program, &analysis)
-        .expect("transformation applies");
-    let mut machine = Machine::new(MachineConfig::test_tiny(threads), program);
-    let mut args = wl.init(machine.mem_mut());
-    let mut runner = SpiceRunner::new(spice);
-    let mut inv = 0usize;
-    loop {
-        let expected_host = wl.expected_result(machine.mem());
-        let report = runner
-            .run_invocation(&mut machine, &args)
-            .unwrap_or_else(|e| panic!("{} with {threads} threads: {e}", wl.name()));
+    let spice_results = run_workload_on(make().as_mut(), &mut SimBackend::tiny(threads))
+        .unwrap_or_else(|e| panic!("{name} with {threads} threads: {e}"))
+        .return_values;
+    assert_eq!(spice_results.len(), seq_results.len());
+    for (inv, (spice, seq)) in spice_results.iter().zip(&seq_results).enumerate() {
         assert_eq!(
-            report.return_value,
-            seq_results[inv],
-            "{} invocation {inv} with {threads} threads diverged from sequential",
-            wl.name()
+            spice, seq,
+            "{name} invocation {inv} with {threads} threads diverged from sequential"
         );
-        if let Some(e) = expected_host {
-            assert_eq!(report.return_value, Some(e));
-        }
-        match wl.next_invocation(machine.mem_mut(), inv) {
-            Some(a) => {
-                args = a;
-                inv += 1;
-            }
-            None => break,
-        }
     }
-    assert_eq!(inv + 1, seq_results.len());
 }
 
 #[test]
 fn otter_matches_sequential_with_2_and_4_threads() {
     for threads in [2, 4] {
-        check_workload(
-            || {
-                let mut v = paper_benchmarks_small();
-                v.remove(1)
-            },
-            threads,
-        );
+        check_workload("otter", threads);
     }
 }
 
 #[test]
 fn ks_matches_sequential_with_2_and_4_threads() {
     for threads in [2, 4] {
-        check_workload(
-            || {
-                let mut v = paper_benchmarks_small();
-                v.remove(0)
-            },
-            threads,
-        );
+        check_workload("ks", threads);
     }
 }
 
 #[test]
 fn mcf_matches_sequential_with_2_and_4_threads() {
     for threads in [2, 4] {
-        check_workload(
-            || {
-                let mut v = paper_benchmarks_small();
-                v.remove(2)
-            },
-            threads,
-        );
+        check_workload("181.mcf", threads);
     }
 }
 
 #[test]
 fn sjeng_matches_sequential_with_2_and_4_threads() {
     for threads in [2, 4] {
-        check_workload(
-            || {
-                let mut v = paper_benchmarks_small();
-                v.remove(3)
-            },
-            threads,
-        );
+        check_workload("458.sjeng", threads);
     }
 }
 
 #[test]
 fn eight_threads_also_work_on_otter() {
-    check_workload(
-        || {
-            let mut v = paper_benchmarks_small();
-            v.remove(1)
-        },
-        8,
-    );
+    check_workload("otter", 8);
 }
 
 #[test]
@@ -126,11 +76,7 @@ fn sjeng_actually_misspeculates_sometimes() {
     // The paper reports ~25% of sjeng invocations mis-speculating; with the
     // reproduction's board-mutation probability the rate must be clearly
     // non-zero while correctness is preserved (covered by the test above).
-    let mut wl = {
-        let mut v = paper_benchmarks_small();
-        v.remove(3)
-    };
-    let rate = run_workload_on(wl.as_mut(), &mut SimBackend::tiny(4))
+    let rate = run_workload_on(small("458.sjeng")().as_mut(), &mut SimBackend::tiny(4))
         .unwrap()
         .misspeculation_rate();
     assert!(

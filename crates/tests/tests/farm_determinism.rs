@@ -6,8 +6,9 @@
 
 use std::collections::HashSet;
 
-use spice_bench::experiments::{all_workload_factories, table2_json};
+use spice_bench::experiments::table2_json;
 use spice_bench::farm_driver::{run_manifest, Figure, Manifest, OutPaths};
+use spice_workloads::all_workload_factories;
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(

@@ -22,12 +22,11 @@
 //! `BENCH_fig7.json` alongside.
 
 use spice_bench::experiments::{
-    all_workload_factories, fig7_row_from_sweep, prepare_sweep, run_prepared_sweep, Fig7Row,
-    SweepMode,
+    fig7_row_from_sweep, prepare_sweep, run_prepared_sweep, Fig7Row, SweepMode,
 };
 use spice_bench::farm_driver::{run_manifest, Figure, Manifest, OutPaths};
 use spice_sim::{MachineConfig, SequentialSimBackend};
-use spice_workloads::run_workload_on;
+use spice_workloads::{all_workload_factories, run_workload_on};
 
 /// `(benchmark, threads, sequential_cycles, spice_cycles)` of the small
 /// suite on the Table 1 machine.

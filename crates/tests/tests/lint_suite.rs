@@ -10,14 +10,14 @@
 //!    is never classified provably-disjoint, and every workload declares
 //!    exactly the policy the pre-screen recommends.
 
-use spice_bench::experiments::{all_workload_factories, LINE_GRANULARITY_LOG2};
+use spice_bench::experiments::LINE_GRANULARITY_LOG2;
 use spice_core::backend::SimBackend;
 use spice_core::lint::lint_spice;
 use spice_core::transform::{SpiceOptions, SpiceTransform};
 use spice_ir::exec::{derive_loop_spec, ConflictPolicy};
 use spice_ir::verify::verify_program;
 use spice_ir::DependenceClass;
-use spice_workloads::{run_workload_on_with, workload_load_options};
+use spice_workloads::{all_workload_factories, run_workload_on_with, workload_load_options};
 
 /// Thread counts the farm manifest sweeps (`SweepMode::ALL`).
 const FARM_THREADS: [usize; 2] = [2, 4];

@@ -4,13 +4,12 @@
 //! loops are chunkable — same `BackendError` for the same malformed loop —
 //! and on what a committed chunk hands back and how it folds.
 
-use spice_bench::experiments::all_workload_factories;
 use spice_core::backend::SimBackend;
 use spice_ir::builder::FunctionBuilder;
 use spice_ir::exec::{derive_loop_spec, BackendError, ExecutionBackend, LoadOptions, SpecError};
 use spice_ir::{BinOp, FuncId, Operand, Program};
 use spice_runtime::NativeLoopBackend;
-use spice_workloads::workload_load_options;
+use spice_workloads::{all_workload_factories, workload_load_options};
 
 fn program_of(b: FunctionBuilder) -> (Program, FuncId) {
     let mut program = Program::new();

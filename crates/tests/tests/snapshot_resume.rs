@@ -7,13 +7,13 @@
 //! 4-thread Spice configuration (fine-grained interleaving), where a pause
 //! at an arbitrary cycle must also leave exactly settled counters behind.
 
-use spice_bench::experiments::{all_workload_factories, prepare_sweep, SweepMode};
+use spice_bench::experiments::{prepare_sweep, SweepMode};
 use spice_core::{run_sequential, SimBackend};
 use spice_ir::exec::ExecutionBackend;
 use spice_ir::fixtures::assert_extent_rule;
 use spice_ir::TraceEvent;
 use spice_sim::Machine;
-use spice_workloads::drive_loaded_workload;
+use spice_workloads::{all_workload_factories, drive_loaded_workload};
 
 /// Large enough that no suite member evicts events (the prefix comparison
 /// below needs the complete stream).

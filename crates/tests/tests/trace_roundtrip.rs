@@ -2,10 +2,11 @@
 //! record → serialize → parse → replay reproduces the recording exactly,
 //! and corrupted documents fail with typed errors instead of panicking.
 
-use spice_bench::experiments::{all_workload_factories, replay_on_backend};
+use spice_bench::experiments::replay_on_backend;
 use spice_bench::tracefile::{trace_from_json, trace_to_json, TraceFileError};
 use spice_ir::exec::InterpBackend;
 use spice_profiler::record_workload_trace;
+use spice_workloads::all_workload_factories;
 use spice_workloads::trace::{fuzz_trace, FuzzConfig, TraceError};
 
 #[test]

@@ -30,10 +30,80 @@ use spice_ir::{BinOp, Operand, Program};
 use crate::arena::RecordArena;
 use crate::{BuiltKernel, SpiceWorkload};
 
-const VALUE: i64 = 0;
-const NEXT: i64 = 1;
-const TARGET: i64 = 2;
+/// Word offsets of a splice-walk node `(value, next, target)`, shared with
+/// the trace replay's walk.
+pub(crate) const VALUE: i64 = 0;
+pub(crate) const NEXT: i64 = 1;
+pub(crate) const TARGET: i64 = 2;
 const RECORD_WORDS: i64 = 3;
+
+/// Builds the splice walk: a program holding a `global` arena of `capacity`
+/// nodes and the kernel `func(head)`, which sums the values as visited and
+/// stores each node's value through its target when the target is
+/// non-null. Returns the kernel and the arena over the global.
+pub(crate) fn splice_walk(global: &str, func: &str, capacity: usize) -> (BuiltKernel, RecordArena) {
+    let mut program = Program::new();
+    let base = program.add_global(global, RecordArena::words_needed(RECORD_WORDS, capacity));
+
+    let mut b = FunctionBuilder::new(func);
+    let head = b.param();
+    let pre = b.new_labeled_block("preheader");
+    let header = b.new_labeled_block("header");
+    let body = b.new_labeled_block("body");
+    let poke = b.new_labeled_block("poke");
+    let advance = b.new_labeled_block("advance");
+    let exit = b.new_labeled_block("exit");
+    let c = b.copy(head);
+    let sum = b.copy(0i64);
+    b.br(pre);
+    b.switch_to(pre);
+    b.br(header);
+    b.switch_to(header);
+    let done = b.binop(BinOp::Eq, c, 0i64);
+    b.cond_br(done, exit, body);
+    b.switch_to(body);
+    let v = b.load(c, VALUE);
+    let s = b.binop(BinOp::Add, sum, v);
+    b.copy_into(sum, s);
+    let t = b.load(c, TARGET);
+    let has_target = b.binop(BinOp::Ne, t, 0i64);
+    b.cond_br(has_target, poke, advance);
+    b.switch_to(poke);
+    // The splice: overwrite a later node's value with this one's.
+    b.store(v, t, 0);
+    b.br(advance);
+    b.switch_to(advance);
+    let nx = b.load(c, NEXT);
+    b.copy_into(c, nx);
+    b.br(header);
+    b.switch_to(exit);
+    b.ret(Some(Operand::Reg(sum)));
+    let kernel = program.add_func(b.finish());
+    let built = BuiltKernel {
+        program,
+        kernel,
+        loop_header_hint: None,
+    };
+    (built, RecordArena::new(base, RECORD_WORDS, capacity))
+}
+
+/// Host mirror of the splice walk over `values` in walk order: the sum as
+/// visited, where the node at position `i` first overwrites the value at
+/// its forward target `targets[i]` (a later position) with its own.
+pub(crate) fn forward_overwrite_sum(
+    mut values: Vec<i64>,
+    targets: impl IntoIterator<Item = Option<usize>>,
+) -> i64 {
+    let mut sum = 0i64;
+    for (i, target) in targets.into_iter().enumerate() {
+        let v = values[i];
+        sum += v;
+        if let Some(j) = target {
+            values[j] = v;
+        }
+    }
+    sum
+}
 
 /// Configuration of the splice workload.
 #[derive(Debug, Clone)]
@@ -141,63 +211,13 @@ impl SpiceWorkload for ConflictListWorkload {
     }
 
     fn build(&mut self) -> BuiltKernel {
-        let mut program = Program::new();
-        let base = program.add_global(
-            "splice.nodes",
-            RecordArena::words_needed(RECORD_WORDS, self.config.len),
-        );
-        self.arena = Some(RecordArena::new(base, RECORD_WORDS, self.config.len));
-
-        // splice_walk(head) -> sum of values as visited.
-        let mut b = FunctionBuilder::new("splice_walk");
-        let head = b.param();
-        let pre = b.new_labeled_block("preheader");
-        let header = b.new_labeled_block("header");
-        let body = b.new_labeled_block("body");
-        let poke = b.new_labeled_block("poke");
-        let advance = b.new_labeled_block("advance");
-        let exit = b.new_labeled_block("exit");
-        let c = b.copy(head);
-        let sum = b.copy(0i64);
-        b.br(pre);
-        b.switch_to(pre);
-        b.br(header);
-        b.switch_to(header);
-        let done = b.binop(BinOp::Eq, c, 0i64);
-        b.cond_br(done, exit, body);
-        b.switch_to(body);
-        let v = b.load(c, VALUE);
-        let s = b.binop(BinOp::Add, sum, v);
-        b.copy_into(sum, s);
-        let t = b.load(c, TARGET);
-        let has_target = b.binop(BinOp::Ne, t, 0i64);
-        b.cond_br(has_target, poke, advance);
-        b.switch_to(poke);
-        // The splice: overwrite a later node's value with this one's.
-        b.store(v, t, 0);
-        b.br(advance);
-        b.switch_to(advance);
-        let nx = b.load(c, NEXT);
-        b.copy_into(c, nx);
-        b.br(header);
-        b.switch_to(exit);
-        b.ret(Some(Operand::Reg(sum)));
-        let kernel = program.add_func(b.finish());
-        BuiltKernel {
-            program,
-            kernel,
-            loop_header_hint: None,
-        }
+        let (built, arena) = splice_walk("splice.nodes", "splice_walk", self.config.len);
+        self.arena = Some(arena);
+        built
     }
 
     fn init(&mut self, mem: &mut FlatMemory) -> Vec<i64> {
         let n = self.config.len;
-        {
-            let arena = self.arena.as_mut().expect("built");
-            for _ in 0..n {
-                let _ = arena.alloc();
-            }
-        }
         let arena = self.arena();
         for i in 0..n {
             let next = if i + 1 < n { arena.addr(i + 1) } else { 0 };
@@ -219,18 +239,10 @@ impl SpiceWorkload for ConflictListWorkload {
     /// node contributes is whatever the *latest earlier splice* left there.
     fn expected_result(&self, mem: &FlatMemory) -> Option<i64> {
         let arena = self.arena();
-        let mut values: Vec<i64> = (0..self.config.len)
+        let values = (0..self.config.len)
             .map(|i| arena.read(mem, i, VALUE).expect("in bounds"))
             .collect();
-        let mut sum = 0i64;
-        for i in 0..self.config.len {
-            let v = values[i];
-            sum += v;
-            if let Some(j) = self.targets[i] {
-                values[j] = v;
-            }
-        }
-        Some(sum)
+        Some(forward_overwrite_sum(values, self.targets.iter().copied()))
     }
 
     fn expected_iterations(&self) -> u64 {

@@ -9,6 +9,11 @@
 //! and a synthetic corpus standing in for the SPEC/Mediabench programs of the
 //! paper's Figure 8 value-predictability study.
 //!
+//! The suite every table, figure, cross-check and integration test runs is
+//! declared once, at both sizes, in [`suite`]: those four loops, the
+//! conflict-carrying `mcf_true` and `list_splice`, and the `mcf_app`
+//! miniature application, handed out by [`all_workload_factories`].
+//!
 //! Every workload implements [`SpiceWorkload`]: it builds an IR program with
 //! the target loop, initializes the data structures in simulated memory, and
 //! mutates them between invocations, exposing a host-computed expected result
@@ -40,8 +45,7 @@ pub use mcf_app::{HostMcfApp, McfAppConfig, McfAppInstance, McfAppWorkload};
 pub use otter::{OtterConfig, OtterWorkload};
 pub use sjeng::{SjengConfig, SjengWorkload};
 pub use suite::{
-    app_benchmarks, app_benchmarks_small, conflict_benchmarks, conflict_benchmarks_small,
-    fig8_corpus, ChurnListWorkload, Suite, SuiteBenchmark,
+    all_workload_factories, fig8_corpus, ChurnListWorkload, Suite, SuiteBenchmark, WorkloadFactory,
 };
 pub use trace::{
     fuzz_trace, synthetic_trace, FuzzConfig, TraceError, TraceInvocation, TraceIteration,
@@ -311,39 +315,6 @@ pub(crate) fn run_on_interpreter(workload: &mut dyn SpiceWorkload) -> BackendRun
         .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// The paper's four evaluation loops (Table 2 / Figure 7) in small
-/// configurations, for quick test runs.
-#[must_use]
-pub fn paper_benchmarks_small() -> Vec<Box<dyn SpiceWorkload>> {
-    vec![
-        Box::new(KsWorkload::new(KsConfig {
-            modules: 120,
-            invocations: 12,
-            d_updates_per_invocation: 3,
-            seed: 1,
-        })),
-        Box::new(OtterWorkload::new(OtterConfig {
-            initial_len: 120,
-            inserts_per_invocation: 2,
-            invocations: 12,
-            seed: 2,
-        })),
-        Box::new(McfWorkload::new(McfConfig {
-            nodes: 150,
-            invocations: 12,
-            cost_updates_per_invocation: 4,
-            reparents_per_invocation: 1,
-            seed: 3,
-        })),
-        Box::new(SjengWorkload::new(SjengConfig {
-            pieces: 40,
-            invocations: 16,
-            mutate_probability: 0.3,
-            seed: 4,
-        })),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -396,15 +367,10 @@ mod tests {
     /// whose requirement differed from the global default.
     #[test]
     fn conflict_policy_reaches_load_options_for_every_workload() {
-        let registries: Vec<Box<dyn SpiceWorkload>> = paper_benchmarks_small()
-            .into_iter()
-            .chain(conflict_benchmarks_small())
-            .chain(app_benchmarks_small())
-            .collect();
         let mut seen_detect = false;
         let mut seen_independent = false;
-        for mut w in registries {
-            let name = w.name();
+        for (name, factory) in all_workload_factories(true) {
+            let mut w = factory();
             let declared = w.conflict_policy();
             let mut backend = RecordingBackend::default();
             run_workload_on(w.as_mut(), &mut backend)
@@ -424,34 +390,62 @@ mod tests {
         assert!(seen_detect && seen_independent);
     }
 
+    /// The paper's four loops, in Table 2's order.
+    const PAPER: [&str; 4] = ["ks", "otter", "181.mcf", "458.sjeng"];
+
+    /// The suite at one size, built; each factory must build the workload
+    /// its key names.
+    fn build_suite(small: bool) -> Vec<Box<dyn SpiceWorkload>> {
+        all_workload_factories(small)
+            .into_iter()
+            .map(|(name, factory)| {
+                let w = factory();
+                assert_eq!(w.name(), name, "small = {small}");
+                w
+            })
+            .collect()
+    }
+
+    /// At both sizes the suite is the seven benchmarks in artifact row
+    /// order, led by the paper's four, which carry Table 2's columns.
     #[test]
     fn paper_benchmark_set_matches_table2() {
-        let names: Vec<&str> = paper_benchmarks_small().iter().map(|w| w.name()).collect();
-        assert_eq!(names, vec!["ks", "otter", "181.mcf", "458.sjeng"]);
-        for w in paper_benchmarks_small() {
-            assert!(w.paper_hotness() > 0.0 && w.paper_hotness() <= 1.0);
-            assert!(!w.description().is_empty());
-            assert!(!w.loop_name().is_empty());
-            assert!(w.invocations() > 1);
+        for small in [true, false] {
+            let suite = build_suite(small);
+            let names: Vec<&str> = suite.iter().map(|w| w.name()).collect();
+            assert_eq!(
+                names,
+                [&PAPER[..], &["mcf_true", "list_splice", "mcf_app"]].concat(),
+                "small = {small}"
+            );
+            for w in &suite {
+                assert!(!w.description().is_empty() && !w.loop_name().is_empty());
+                assert!(w.invocations() > 1, "{}", w.name());
+                if PAPER.contains(&w.name()) {
+                    assert!(w.paper_hotness() > 0.0 && w.paper_hotness() <= 1.0);
+                }
+            }
         }
     }
 
-    fn verify_and_run_sequentially(registry: Vec<Box<dyn SpiceWorkload>>) {
-        for mut w in registry {
+    /// Verifies and runs on the interpreter every small workload `keep`
+    /// selects by name.
+    fn verify_and_run_sequentially(keep: impl Fn(&str) -> bool) {
+        for mut w in build_suite(true).into_iter().filter(|w| keep(w.name())) {
             let summary = run_on_interpreter(w.as_mut());
             assert_eq!(summary.invocations, w.invocations(), "{}", w.name());
         }
     }
 
+    /// The benchmarks beyond the paper's four: the conflict-carrying pair
+    /// and `mcf_app`.
     #[test]
     fn conflict_benchmarks_build_and_run_sequentially() {
-        let names: Vec<&str> = conflict_benchmarks().iter().map(|w| w.name()).collect();
-        assert_eq!(names, vec!["mcf_true", "list_splice"]);
-        verify_and_run_sequentially(conflict_benchmarks_small());
+        verify_and_run_sequentially(|name| !PAPER.contains(&name));
     }
 
     #[test]
     fn every_paper_benchmark_builds_and_runs_sequentially() {
-        verify_and_run_sequentially(paper_benchmarks_small());
+        verify_and_run_sequentially(|name| PAPER.contains(&name));
     }
 }

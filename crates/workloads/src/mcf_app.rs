@@ -70,8 +70,8 @@ pub struct McfAppConfig {
 
 impl Default for McfAppConfig {
     fn default() -> Self {
-        // Matches `suite::app_benchmarks`: ~0.6 candidate arcs per node
-        // keeps the measured whole-program profile in the real
+        // Matches the suite's full-size `mcf_app`: ~0.6 candidate arcs per
+        // node keeps the measured whole-program profile in the real
         // application's regime (see DESIGN.md §3.5).
         McfAppConfig {
             nodes: 2_500,

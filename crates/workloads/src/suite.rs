@@ -1,14 +1,19 @@
-//! The synthetic whole-application corpus behind Figure 8.
+//! The benchmark suite every table and figure runs, and the synthetic
+//! whole-application corpus behind Figure 8.
 //!
-//! The paper profiles the SPEC integer and Mediabench suites (plus a few
-//! pointer-intensive programs) for loop live-in predictability across
-//! invocations and bins each loop by the percentage of its invocations that
-//! are predictable. Those program suites cannot be redistributed here, so the
-//! corpus is synthetic: every named benchmark is modelled as a small set of
-//! pointer-chasing loops whose *invocation predictability* is controlled
-//! directly (see `DESIGN.md`, substitutions). The profiler machinery that
-//! measures them is identical to the paper's (signatures, sampling,
-//! thresholding); only the programs are stand-ins.
+//! The suite is one ordered table of seven benchmarks, each declared once
+//! at both sizes ([`all_workload_factories`]): the paper's four loops, the
+//! two conflict-carrying loops and the `mcf_app` miniature application.
+//!
+//! For Figure 8 the paper profiles the SPEC integer and Mediabench suites
+//! (plus a few pointer-intensive programs) for loop live-in predictability
+//! across invocations and bins each loop by the percentage of its
+//! invocations that are predictable. Those program suites cannot be
+//! redistributed here, so the corpus is synthetic: every named benchmark is
+//! modelled as a small set of pointer-chasing loops whose *invocation
+//! predictability* is controlled directly (see `DESIGN.md`, substitutions).
+//! The profiler machinery that measures them is identical to the paper's
+//! (signatures, sampling, thresholding); only the programs are stand-ins.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -19,9 +24,120 @@ use spice_ir::{BinOp, Operand, Program};
 
 use crate::arena::{ListMirror, RecordArena};
 use crate::conflict::{ConflictConfig, ConflictListWorkload};
+use crate::ks::{KsConfig, KsWorkload};
 use crate::mcf::{McfConfig, McfWorkload};
 use crate::mcf_app::{McfAppConfig, McfAppWorkload};
+use crate::otter::{OtterConfig, OtterWorkload};
+use crate::sjeng::{SjengConfig, SjengWorkload};
 use crate::{BuiltKernel, SpiceWorkload};
+
+/// Factory for a fresh instance of one suite benchmark. `Send + Sync` so a
+/// sweep engine can construct workloads from any host thread.
+pub type WorkloadFactory = Box<dyn Fn() -> Box<dyn SpiceWorkload> + Send + Sync>;
+
+/// Builds one suite benchmark: its reduced configuration when passed
+/// `small = true`, its full-size one otherwise.
+type Build = fn(bool) -> Box<dyn SpiceWorkload>;
+
+/// The suite, in artifact row order: each benchmark's name and builder.
+///
+/// The full sizes put each paper loop's traversed structure at or past the
+/// 256 KB L2 of the Table 1 machine — ks 6000×3 words ≈ 144 KB, otter
+/// 8000×2 ≈ 128 KB, mcf 6000×6 ≈ 288 KB — the regime the paper's loops run
+/// in, where the pointer-chasing load dominates each iteration. The small
+/// sizes keep tests fast.
+const BENCHMARKS: [(&str, Build); 7] = [
+    ("ks", |small| {
+        Box::new(KsWorkload::new(KsConfig {
+            modules: if small { 150 } else { 6_000 },
+            invocations: if small { 10 } else { 14 },
+            d_updates_per_invocation: 8,
+            seed: 0x6b73,
+        }))
+    }),
+    ("otter", |small| {
+        Box::new(OtterWorkload::new(OtterConfig {
+            initial_len: if small { 130 } else { 8_000 },
+            inserts_per_invocation: 3,
+            invocations: if small { 10 } else { 14 },
+            seed: 0x07734,
+        }))
+    }),
+    ("181.mcf", |small| {
+        Box::new(McfWorkload::new(McfConfig {
+            nodes: if small { 160 } else { 6_000 },
+            invocations: if small { 10 } else { 14 },
+            cost_updates_per_invocation: 12,
+            reparents_per_invocation: 2,
+            seed: 0x6d6366,
+        }))
+    }),
+    ("458.sjeng", |small| {
+        Box::new(SjengWorkload::new(SjengConfig {
+            pieces: if small { 24 } else { 64 },
+            invocations: if small { 20 } else { 60 },
+            mutate_probability: if small { 0.30 } else { 0.12 },
+            seed: 0x736a,
+        }))
+    }),
+    // The faithful `refresh_potential_true` kernel: every node's potential
+    // chained through `pred->potential`.
+    ("mcf_true", |small| {
+        Box::new(McfWorkload::new_faithful(McfConfig {
+            nodes: if small { 140 } else { 2_000 },
+            invocations: if small { 8 } else { 10 },
+            cost_updates_per_invocation: if small { 4 } else { 8 },
+            reparents_per_invocation: 1,
+            seed: 0x6d63_6601,
+        }))
+    }),
+    // Writers hit successors' read regions at `conflict_rate`.
+    ("list_splice", |small| {
+        Box::new(ConflictListWorkload::new(ConflictConfig {
+            len: if small { 150 } else { 3_000 },
+            invocations: if small { 10 } else { 12 },
+            conflict_rate: 0.1,
+            seed: 0x59_11CE,
+        }))
+    }),
+    // ~0.6 candidate arcs per node at full size, calibrated so the measured
+    // whole-program profile sits in the real application's regime (refresh
+    // loop ≈ a quarter of all cycles; the remainder is arc pricing and the
+    // full-tree relink — DESIGN.md §3.5 puts the measured value next to the
+    // paper's 30%).
+    ("mcf_app", |small| {
+        Box::new(McfAppWorkload::new(McfAppConfig {
+            nodes: if small { 120 } else { 2_500 },
+            arcs: if small { 150 } else { 1_500 },
+            pivots: if small { 8 } else { 10 },
+            seed: 0x6d63_6661,
+        }))
+    }),
+];
+
+/// `(name, factory)` pairs for the suite at one size, in artifact row
+/// order. Each factory builds only its own benchmark.
+///
+/// The set is the paper's four loops (Table 2 / Figure 7); the
+/// conflict-carrying pair the memory-dependence speculation subsystem
+/// unlocks (`mcf_true` and the adversarial `list_splice`), which *require*
+/// `ConflictPolicy::Detect` to stay bit-identical to sequential execution;
+/// and the `mcf_app` miniature application, a whole program whose serial
+/// pivot phases execute as measured IR around the Spice target loop, so
+/// Table 2's hotness for it is profiler-measured. The last three run
+/// through the same tables and cross-checks as the paper loops; their value
+/// is correctness under squash-and-recover, not speedup — their fig7 rows
+/// document recovery cost.
+#[must_use]
+pub fn all_workload_factories(small: bool) -> Vec<(&'static str, WorkloadFactory)> {
+    BENCHMARKS
+        .iter()
+        .map(|&(name, build)| {
+            let factory: WorkloadFactory = Box::new(move || build(small));
+            (name, factory)
+        })
+        .collect()
+}
 
 const VALUE: i64 = 0;
 const NEXT: i64 = 1;
@@ -244,84 +360,6 @@ impl SuiteBenchmark {
             })
             .collect()
     }
-}
-
-/// The conflict-carrying workloads unlocked by the memory-dependence
-/// speculation subsystem: the faithful `mcf_refresh_potential_true` kernel
-/// (every node's potential chained through `pred->potential`) and the
-/// adversarial `list_splice` loop whose writers hit successors' read regions
-/// at a controlled rate. Both *require* `ConflictPolicy::Detect` for
-/// speculative executions to stay bit-identical to sequential ones — the
-/// workload class DESIGN.md §3.4 previously had to rewrite away.
-#[must_use]
-pub fn conflict_benchmarks() -> Vec<Box<dyn SpiceWorkload>> {
-    vec![
-        Box::new(McfWorkload::new_faithful(McfConfig {
-            nodes: 2_000,
-            invocations: 10,
-            cost_updates_per_invocation: 8,
-            reparents_per_invocation: 1,
-            seed: 0x6d63_6601,
-        })),
-        Box::new(ConflictListWorkload::new(ConflictConfig {
-            len: 3_000,
-            invocations: 12,
-            conflict_rate: 0.1,
-            seed: 0x59_11CE,
-        })),
-    ]
-}
-
-/// Smaller configurations of the conflict workloads, for quick test runs.
-#[must_use]
-pub fn conflict_benchmarks_small() -> Vec<Box<dyn SpiceWorkload>> {
-    vec![
-        Box::new(McfWorkload::new_faithful(McfConfig {
-            nodes: 140,
-            invocations: 8,
-            cost_updates_per_invocation: 4,
-            reparents_per_invocation: 1,
-            seed: 0x6d63_6601,
-        })),
-        Box::new(ConflictListWorkload::new(ConflictConfig {
-            len: 150,
-            invocations: 10,
-            conflict_rate: 0.1,
-            seed: 0x59_11CE,
-        })),
-    ]
-}
-
-/// The miniature-application workloads: drivers that grew into whole
-/// programs whose non-loop phases execute as measured serial IR, so Table 2
-/// hotness is *measured* by profiler cycle attribution instead of quoted
-/// from the paper. Currently the `mcf_app` network simplex (one pivot per
-/// invocation: entering-arc selection, basis exchange + relink, then the
-/// faithful `refresh_potential_true` walk as the Spice target loop).
-#[must_use]
-pub fn app_benchmarks() -> Vec<Box<dyn SpiceWorkload>> {
-    // Instance shape: ~0.6 candidate arcs per node, calibrated so the
-    // measured whole-program profile sits in the real application's regime
-    // (refresh loop ≈ a quarter of all cycles; the remainder is arc pricing
-    // and the full-tree relink — see DESIGN.md §3.5 for the measured value
-    // next to the paper's 30%).
-    vec![Box::new(McfAppWorkload::new(McfAppConfig {
-        nodes: 2_500,
-        arcs: 1_500,
-        pivots: 10,
-        seed: 0x6d63_6661,
-    }))]
-}
-
-/// Smaller configuration of the application workloads, for quick test runs.
-#[must_use]
-pub fn app_benchmarks_small() -> Vec<Box<dyn SpiceWorkload>> {
-    vec![Box::new(McfAppWorkload::new(McfAppConfig {
-        nodes: 120,
-        arcs: 150,
-        pivots: 8,
-        seed: 0x6d63_6661,
-    }))]
 }
 
 /// The Figure 8 corpus. Loop predictability targets are chosen so the binned

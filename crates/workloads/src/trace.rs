@@ -36,17 +36,11 @@ use std::collections::HashMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use spice_ir::builder::FunctionBuilder;
 use spice_ir::interp::FlatMemory;
-use spice_ir::{BinOp, Operand, Program};
 
 use crate::arena::RecordArena;
+use crate::conflict::{forward_overwrite_sum, splice_walk, NEXT, TARGET, VALUE};
 use crate::{BuiltKernel, SpiceWorkload};
-
-const VALUE: i64 = 0;
-const NEXT: i64 = 1;
-const TARGET: i64 = 2;
-const RECORD_WORDS: i64 = 3;
 
 /// One recorded loop iteration: the live-in tuple the profile hook saw, and
 /// (for fuzzed traces) an optional forward store.
@@ -458,61 +452,12 @@ impl SpiceWorkload for TraceReplayWorkload {
     }
 
     fn build(&mut self) -> BuiltKernel {
-        let mut program = Program::new();
-        let base = program.add_global(
-            "replay.nodes",
-            RecordArena::words_needed(RECORD_WORDS, self.capacity),
-        );
-        self.arena = Some(RecordArena::new(base, RECORD_WORDS, self.capacity));
-
-        // replay_walk(head) -> sum of values as visited (splices included).
-        let mut b = FunctionBuilder::new("replay_walk");
-        let head = b.param();
-        let pre = b.new_labeled_block("preheader");
-        let header = b.new_labeled_block("header");
-        let body = b.new_labeled_block("body");
-        let poke = b.new_labeled_block("poke");
-        let advance = b.new_labeled_block("advance");
-        let exit = b.new_labeled_block("exit");
-        let c = b.copy(head);
-        let sum = b.copy(0i64);
-        b.br(pre);
-        b.switch_to(pre);
-        b.br(header);
-        b.switch_to(header);
-        let done = b.binop(BinOp::Eq, c, 0i64);
-        b.cond_br(done, exit, body);
-        b.switch_to(body);
-        let v = b.load(c, VALUE);
-        let s = b.binop(BinOp::Add, sum, v);
-        b.copy_into(sum, s);
-        let t = b.load(c, TARGET);
-        let has_target = b.binop(BinOp::Ne, t, 0i64);
-        b.cond_br(has_target, poke, advance);
-        b.switch_to(poke);
-        b.store(v, t, 0);
-        b.br(advance);
-        b.switch_to(advance);
-        let nx = b.load(c, NEXT);
-        b.copy_into(c, nx);
-        b.br(header);
-        b.switch_to(exit);
-        b.ret(Some(Operand::Reg(sum)));
-        let kernel = program.add_func(b.finish());
-        BuiltKernel {
-            program,
-            kernel,
-            loop_header_hint: None,
-        }
+        let (built, arena) = splice_walk("replay.nodes", "replay_walk", self.capacity);
+        self.arena = Some(arena);
+        built
     }
 
     fn init(&mut self, mem: &mut FlatMemory) -> Vec<i64> {
-        {
-            let arena = self.arena.as_mut().expect("built");
-            for _ in 0..self.capacity {
-                let _ = arena.alloc();
-            }
-        }
         self.stage(mem, 0);
         self.args()
     }
@@ -531,19 +476,15 @@ impl SpiceWorkload for TraceReplayWorkload {
         let arena = self.arena();
         let order = &self.slot_orders[self.staged];
         let iterations = &self.trace.invocations[self.staged].iterations;
-        let mut values: Vec<i64> = order
+        let values = order
             .iter()
             .map(|&slot| arena.read(mem, slot, VALUE).expect("in bounds"))
             .collect();
-        let mut sum = 0i64;
-        for j in 0..order.len() {
-            let v = values[j];
-            sum += v;
-            if let Some(w) = iterations[j].write {
-                values[j + w as usize] = v;
-            }
-        }
-        Some(sum)
+        let targets = iterations
+            .iter()
+            .enumerate()
+            .map(|(j, it)| it.write.map(|w| j + w as usize));
+        Some(forward_overwrite_sum(values, targets))
     }
 
     fn expected_iterations(&self) -> u64 {
