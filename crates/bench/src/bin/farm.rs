@@ -1,7 +1,7 @@
 //! The simulation farm: runs the whole evaluation (or a chosen subset of
 //! figures) as one parallel sweep on a pool of workers claiming jobs in id
-//! order from one queue, with every program decoded once and shared, and
-//! artifacts streamed row-by-row in that same deterministic order —
+//! order from one queue, each simulation cell decoded once in its own job,
+//! and artifacts streamed row-by-row in that same deterministic order —
 //! byte-identical at any `--jobs`.
 //!
 //! This is the one CLI over the figures: `farm --figures fig7` is what a
@@ -189,7 +189,7 @@ fn run(cli: &Cli) -> Result<(), String> {
     }
     println!(
         "farm: {} jobs on {} workers ({} cores): {:.3} s serial-equivalent in {:.3} s wall \
-         ({:.2}x), prepare {:.3} s ({} builds, {} shared)",
+         ({:.2}x), prepare {:.3} s ({} builds)",
         report.stats.jobs,
         report.stats.workers,
         report.host_cores,
@@ -198,7 +198,6 @@ fn run(cli: &Cli) -> Result<(), String> {
         report.parallel_speedup(),
         report.cache.build_nanos as f64 / 1e9,
         report.cache.misses,
-        report.cache.hits,
     );
 
     let farm_path = cli.out_dir.join("BENCH_farm.json");

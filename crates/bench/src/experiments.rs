@@ -99,16 +99,16 @@ impl SweepMode {
     }
 }
 
-/// A shareable preparation of one benchmark in one sweep mode: the
+/// The preparation of one benchmark in one sweep mode: the
 /// [`PreparedProgram`] (decoded IR, initial image, transform), the kernel
 /// id, and the wall time the whole preparation took — workload
 /// construction, IR build, loop analysis, Spice transform, decode and
-/// image. The farm shares one `SweepPrep` across jobs through
-/// `spice_farm::PreparedCache`; a direct caller builds it inline. Either
-/// way [`run_prepared_sweep`] produces the same simulated numbers.
+/// image. A farm cell job builds its own and drops it when the job
+/// retires; the farm's preparation accounting is the sum of these
+/// `build_nanos`.
 #[derive(Debug, Clone)]
 pub struct SweepPrep {
-    /// The shared immutable program state.
+    /// The immutable program state.
     pub prepared: PreparedProgram,
     /// Kernel function of the workload's built program.
     pub kernel: FuncId,
@@ -171,24 +171,6 @@ pub fn prepare_sweep(
     })
 }
 
-/// The cache key of a preparation: two cells whose keys are equal build
-/// identical [`SweepPrep`]s — same benchmark, mode, machine and conflict
-/// granularity — so they are one simulation cell, and the farm runs it
-/// once.
-#[must_use]
-pub fn sweep_prep_key(
-    benchmark: &str,
-    mode: SweepMode,
-    tiny: bool,
-    granularity_log2: u8,
-) -> String {
-    format!(
-        "{benchmark}|{}|{}|g{granularity_log2}",
-        mode.label(),
-        if tiny { "tiny" } else { "it2" }
-    )
-}
-
 /// Result of one sweep job: the simulated outcome plus the simulate-only
 /// host time. Preparation time lives in [`SweepPrep::build_nanos`] — the
 /// split the harness-perf report uses so ns-per-simulated-cycle measures
@@ -217,7 +199,7 @@ pub fn drive_prepared_sweep(
 ) -> (SimBackend, Result<SweepRun, String>) {
     let mut wl = factory();
     // Workloads stash driver-side state (arenas, layouts) during `build`;
-    // the program it returns is discarded — `prep` already holds the shared
+    // the program it returns is discarded — `prep` already holds the
     // decoded copy, which an identical factory built deterministically.
     let _ = wl.build();
     let started = std::time::Instant::now();
@@ -240,7 +222,7 @@ pub fn recorded_events(backend: &dyn ExecutionBackend) -> Vec<TraceEvent> {
         .unwrap_or_default()
 }
 
-/// Runs one sweep job over a shared preparation
+/// Runs one sweep job over a preparation
 /// ([`drive_prepared_sweep`] with no observers).
 ///
 /// # Errors
@@ -1601,23 +1583,8 @@ pub fn fuzz_differential(
     })
 }
 
-/// The base traces the fuzz sweep mutates: recordings of the real drivers
-/// (the paper's four kernels plus the `mcf_app` miniature application) on
-/// their small configurations — small because a fuzz sweep replays hundreds
-/// of mutants and the scenarios, not the scale, are the point.
-///
-/// # Errors
-///
-/// Returns the first recording failure.
-pub fn fuzz_base_traces() -> Result<Vec<WorkloadTrace>, String> {
-    all_workload_factories(true)
-        .into_iter()
-        .map(|(name, factory)| record_driver_trace(&factory).map_err(|e| format!("{name}: {e}")))
-        .collect()
-}
-
-/// Records and validates one driver's hot-loop trace — the farm's fuzz jobs
-/// build their shared base traces through this.
+/// Records and validates one driver's hot-loop trace — the base a farm fuzz
+/// job mutates.
 ///
 /// # Errors
 ///
@@ -1806,11 +1773,13 @@ mod tests {
             assert!(r.ns_per_cycle().is_finite());
         }
         let doc = harnessperf_json(rows, true);
-        crate::json::validate(&doc).unwrap_or_else(|e| panic!("invalid JSON: {e}\n{doc}"));
-        let total = crate::json::extract_number(&doc, "ns_per_simulated_cycle");
+        let parsed =
+            crate::json::parse(&doc).unwrap_or_else(|e| panic!("invalid JSON: {e}\n{doc}"));
         assert_eq!(
-            total,
-            Some((harness_ns_per_cycle(rows) * 1e6).round() / 1e6)
+            parsed.get("ns_per_simulated_cycle"),
+            Some(&crate::json::Value::Float(
+                (harness_ns_per_cycle(rows) * 1e6).round() / 1e6
+            ))
         );
         let txt = HarnessPerfRow::table(rows);
         assert!(txt.contains("TOTAL") && txt.contains("pre-PR"));

@@ -19,11 +19,11 @@
 //! * one job per **ablation variant**, per **cross-check** workload, per
 //!   **Figure 8** corpus benchmark and per **fuzz** seed.
 //!
-//! Each cell's preparation (IR build → analysis → transform → decode →
-//! image) is built in a [`PreparedCache`] keyed by
-//! [`sweep_prep_key`](crate::experiments::sweep_prep_key); since no two
-//! jobs simulate the same cell, the cache misses once per cell and never
-//! hits, and its accounting is the farm's preparation cost.
+//! Each cell job builds its own preparation (IR build → analysis →
+//! transform → decode → image) and drops it when it retires: no two jobs
+//! simulate the same cell, so nothing is shared. The cells' own
+//! [`build_nanos`](crate::experiments::SweepPrep::build_nanos) summed are
+//! the farm's preparation cost ([`PrepStats`]).
 //!
 //! Artifacts stream: each JSON row is appended to the output file the
 //! moment its job retires, and because the engine delivers results in job
@@ -38,20 +38,20 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use spice_farm::{CacheStats, FarmStats, Job, PreparedCache};
+use spice_farm::{FarmStats, Job};
 use spice_ir::exec::ExecutionBackend;
 use spice_ir::trace::DEFAULT_TRACE_CAPACITY;
 use spice_ir::TraceEvent;
-use spice_workloads::trace::{fuzz_trace, WorkloadTrace};
+use spice_workloads::trace::fuzz_trace;
 use spice_workloads::{all_workload_factories, fig8_corpus, BackendRunSummary, WorkloadFactory};
 
 use crate::experiments::{
     ablation_variant_row, ablation_variants, capture_crosscheck_divergence, capture_sweep_failure,
     crosscheck_workload, drive_prepared_sweep, failure_capture_json, fig7_row_from_sweep, fig8_bar,
     format_ablation, fuzz_config_for_seed, fuzz_differential, harness_row_from_sweep,
-    prepare_sweep, record_driver_trace, recorded_events, sweep_prep_key, table2_hotness_row,
-    AblationRow, CrosscheckRow, Fig7Row, Fig8Bar, FigureRows, FuzzRow, HarnessPerfRow, SweepMode,
-    SweepPrep, SweepRun, Table2Row, CROSSCHECK_THREADS, LINE_GRANULARITY_LOG2, REPLAY_THREADS,
+    prepare_sweep, record_driver_trace, recorded_events, table2_hotness_row, AblationRow,
+    CrosscheckRow, Fig7Row, Fig8Bar, FigureRows, FuzzRow, HarnessPerfRow, SweepMode, SweepRun,
+    Table2Row, CROSSCHECK_THREADS, LINE_GRANULARITY_LOG2, REPLAY_THREADS,
 };
 use crate::trace_json::{trace_job_json, trace_json_footer, trace_json_header};
 use crate::tracefile::trace_to_json;
@@ -218,6 +218,21 @@ impl OutPaths {
     }
 }
 
+/// The farm's preparation accounting, summed from the cells' own
+/// [`build_nanos`](crate::experiments::SweepPrep::build_nanos) as they
+/// retire. The counters are named for `BENCH_farm.json`'s `cache_hits` /
+/// `cache_misses` fields.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PrepStats {
+    /// Preparations a job reused from another: 0, since every cell
+    /// prepares in its own job.
+    pub hits: usize,
+    /// Preparations built: one per simulation cell.
+    pub misses: usize,
+    /// Total wall nanoseconds the cells spent preparing.
+    pub build_nanos: u128,
+}
+
 /// Everything a farm run produced: the per-figure rows plus the engine's
 /// accounting.
 #[derive(Debug)]
@@ -245,8 +260,8 @@ pub struct FarmReport {
     pub cell_summaries: Vec<(String, BackendRunSummary)>,
     /// Engine accounting: job count, workers, wall time, per-job compute.
     pub stats: FarmStats,
-    /// Preparation-cache accounting: hits, misses, build time.
-    pub cache: CacheStats,
+    /// Preparation accounting: cells prepared and their build time.
+    pub cache: PrepStats,
     /// Host hardware parallelism at run time.
     pub host_cores: usize,
     /// The `jobs` the manifest requested (0 = host).
@@ -301,7 +316,7 @@ impl FarmReport {
     }
 
     /// Host nanoseconds per simulated cycle over the Figure 7 / harness
-    /// cells (dispatch only — preparation time is cached and excluded):
+    /// cells (dispatch only — preparation time is excluded):
     /// the size-independent rate `BENCH_farm.json` records.
     #[must_use]
     pub fn ns_per_simulated_cycle(&self) -> f64 {
@@ -314,8 +329,8 @@ impl FarmReport {
 }
 
 /// Renders the farm's own artifact (`BENCH_farm.json`): serial vs farm
-/// seconds, job and worker counts, host cores, cache accounting, and the
-/// overall dispatch rate.
+/// seconds, job and worker counts, host cores, preparation accounting, and
+/// the overall dispatch rate.
 #[must_use]
 pub fn farm_json(report: &FarmReport) -> String {
     let metric_rows: Vec<String> = report
@@ -429,33 +444,32 @@ fn persist_failure(
     }
 }
 
-/// One simulation cell as a job body: the preparation comes from the
-/// cache, a failed run leaves a traced, snapshotted deterministic re-run
-/// behind as a retryable artifact. Every simulated figure row — Figure 7,
-/// harness, Table 2's violation columns — is read off one of these.
+/// One simulation cell as a job body: it prepares its own program, and a
+/// failed run leaves a traced, snapshotted deterministic re-run behind as
+/// a retryable artifact. Every simulated figure row — Figure 7, harness,
+/// Table 2's violation columns — is read off one of these.
 struct Cell {
     factory: Arc<WorkloadFactory>,
-    cache: Arc<PreparedCache<SweepPrep>>,
     bench: String,
     mode: SweepMode,
     small: bool,
     granularity_log2: u8,
+    /// Table 2 reads this cell's dependence violations.
+    probed: bool,
+    tracing: bool,
     label: String,
     failures_dir: Option<PathBuf>,
 }
 
 impl Cell {
-    /// Runs the cell. Tracing is observational (the run's numbers are those
-    /// of an untraced run) and the simulator single-threaded, so the
-    /// recorded events are deterministic.
-    fn run(&self, tracing: bool) -> Result<(Arc<SweepPrep>, SweepRun, Vec<TraceEvent>), String> {
-        let (mode, small, granularity_log2) = (self.mode, self.small, self.granularity_log2);
-        let key = sweep_prep_key(&self.bench, mode, small, granularity_log2);
-        let prep = self.cache.try_get_or_build(&key, || {
-            prepare_sweep(&self.factory, mode, small, granularity_log2)
-        })?;
+    /// Prepares and runs the cell; the preparation is dropped when the job
+    /// retires. Tracing is observational (the run's numbers are those of an
+    /// untraced run) and the simulator single-threaded, so the recorded
+    /// events are deterministic.
+    fn run(self) -> Result<Payload, String> {
+        let prep = prepare_sweep(&self.factory, self.mode, self.small, self.granularity_log2)?;
         let (backend, run) = drive_prepared_sweep(&self.factory, &prep, |b| {
-            if tracing {
+            if self.tracing {
                 b.enable_trace(DEFAULT_TRACE_CAPACITY);
             }
         });
@@ -475,17 +489,26 @@ impl Cell {
                 },
             )
         })?;
-        Ok((prep, run, recorded_events(&backend)))
+        Ok(Payload::Cell {
+            bench: self.bench,
+            mode: self.mode,
+            granularity_log2: self.granularity_log2,
+            probed: self.probed,
+            build_nanos: prep.build_nanos,
+            run: Box::new(run),
+            trace: recorded_events(&backend),
+        })
     }
 }
 
-/// A JSON artifact written row-by-row as jobs retire. The file on disk and
-/// the in-memory mirror are appended in lockstep; `finish` validates the
-/// mirror so a malformed document fails loudly instead of shipping.
+/// A JSON artifact written row-by-row as jobs retire, never held in memory
+/// whole. Each row is validated before it is written and `finish` validates
+/// the header and footer around an empty rows array — together the whole
+/// document — so a malformed artifact fails loudly instead of shipping.
 struct RowStream {
     path: PathBuf,
     file: std::fs::File,
-    mirror: String,
+    header: String,
     rows: usize,
 }
 
@@ -498,30 +521,32 @@ impl RowStream {
         Ok(RowStream {
             path: path.to_path_buf(),
             file,
-            mirror: header.to_string(),
+            header: header.to_string(),
             rows: 0,
         })
     }
 
     fn push_row(&mut self, row: &str) -> Result<(), String> {
+        crate::json::validate(row).map_err(|e| {
+            let path = self.path.display();
+            format!("{path}: row {} is invalid JSON: {e}", self.rows)
+        })?;
         let mut chunk = String::new();
         crate::json::push_row(&mut chunk, self.rows, row);
         self.rows += 1;
-        self.mirror.push_str(&chunk);
         self.file
             .write_all(chunk.as_bytes())
             .map_err(|e| format!("write {}: {e}", self.path.display()))
     }
 
     fn finish(mut self, footer: &str) -> Result<(), String> {
-        self.mirror.push_str(footer);
         self.file
             .write_all(footer.as_bytes())
             .map_err(|e| format!("write {}: {e}", self.path.display()))?;
         self.file
             .flush()
             .map_err(|e| format!("flush {}: {e}", self.path.display()))?;
-        crate::json::validate(&self.mirror)
+        crate::json::validate(&(self.header + footer))
             .map_err(|e| format!("{}: emitted invalid JSON: {e}", self.path.display()))?;
         eprintln!("wrote {}", self.path.display());
         Ok(())
@@ -607,7 +632,6 @@ pub fn run_manifest(manifest: &Manifest, outs: &OutPaths) -> Result<FarmReport, 
             .collect()
     };
     let factories = shared(small);
-    let cache: Arc<PreparedCache<SweepPrep>> = Arc::new(PreparedCache::new());
 
     // --- Deterministic job enumeration -----------------------------------
     // Ids fix the artifact row order: benchmark-major, each benchmark's
@@ -634,26 +658,16 @@ pub fn run_manifest(manifest: &Manifest, outs: &OutPaths) -> Result<FarmReport, 
             };
             let cell = Cell {
                 factory: Arc::clone(factory),
-                cache: Arc::clone(&cache),
                 bench: bench.to_string(),
                 mode,
                 small,
                 granularity_log2,
+                probed: probed && mode == PROBE_MODE,
+                tracing: tracing && granularity_log2 == 0,
                 label: label.clone(),
                 failures_dir: outs.failures_dir.clone(),
             };
-            jobs.push(Job::new(jobs.len() as u64, label, move || {
-                let (prep, run, trace) = cell.run(tracing && granularity_log2 == 0)?;
-                Ok(Payload::Cell {
-                    bench: cell.bench,
-                    mode,
-                    granularity_log2,
-                    probed: probed && mode == PROBE_MODE,
-                    build_nanos: prep.build_nanos,
-                    run: Box::new(run),
-                    trace,
-                })
-            }));
+            jobs.push(Job::new(jobs.len() as u64, label, move || cell.run()));
         }
         if table2_wanted {
             let factory = Arc::clone(factory);
@@ -732,24 +746,20 @@ pub fn run_manifest(manifest: &Manifest, outs: &OutPaths) -> Result<FarmReport, 
 
     if manifest.wants(Figure::Fuzz) {
         // One job per mutation seed; seeds round-robin over the real
-        // drivers. Each driver's base trace is recorded once (small
-        // configurations, like the cross-check) and shared through the
-        // prepared cache; the mutant is derived in-job, replayed on sim,
-        // native and sequential substrates, and any divergence persists the
-        // offending trace file before failing the job.
+        // drivers. Each job records its own base trace (small
+        // configurations, like the cross-check), derives the mutant,
+        // replays it on sim, native and sequential substrates, and on any
+        // divergence persists the offending trace file before failing.
         let fuzz_factories = shared(true);
-        let trace_cache: Arc<PreparedCache<WorkloadTrace>> = Arc::new(PreparedCache::new());
         for seed in manifest.fuzz_seeds.clone() {
             let (base_name, factory) = &fuzz_factories[seed as usize % fuzz_factories.len()];
             let base_name = *base_name;
             let factory = Arc::clone(factory);
-            let trace_cache = Arc::clone(&trace_cache);
             let label = format!("fuzz/{base_name}/{seed}");
             let failures_dir = outs.failures_dir.clone();
             jobs.push(Job::new(jobs.len() as u64, label.clone(), move || {
-                let base = trace_cache.try_get_or_build(&format!("trace/{base_name}"), || {
-                    record_driver_trace(&factory).map_err(|e| format!("{base_name}: {e}"))
-                })?;
+                let base =
+                    record_driver_trace(&factory).map_err(|e| format!("{base_name}: {e}"))?;
                 let mutant = fuzz_trace(&base, &fuzz_config_for_seed(seed));
                 let row = fuzz_differential(&label, seed, base_name, &mutant, REPLAY_THREADS)?;
                 if row.agree {
@@ -811,6 +821,7 @@ pub fn run_manifest(manifest: &Manifest, outs: &OutPaths) -> Result<FarmReport, 
     let mut probe_violations: (Option<usize>, Option<usize>) = (None, None);
     let mut simulated_cycles = 0u64;
     let mut sim_nanos = 0u128;
+    let mut prep = PrepStats::default();
     let mut first_error: Option<String> = None;
 
     let fig7_wanted = manifest.wants(Figure::Fig7);
@@ -838,6 +849,8 @@ pub fn run_manifest(manifest: &Manifest, outs: &OutPaths) -> Result<FarmReport, 
                     run,
                     trace,
                 } => {
+                    prep.misses += 1;
+                    prep.build_nanos += build_nanos;
                     let summary = run.summary.as_ref();
                     let squashes = summary.map_or(0, |s| s.squashed_chunks as u64);
                     job_observability.insert(result.id, (trace.len() as u64, squashes));
@@ -934,7 +947,7 @@ pub fn run_manifest(manifest: &Manifest, outs: &OutPaths) -> Result<FarmReport, 
         fuzz_rows,
         cell_summaries,
         stats,
-        cache: cache.stats(),
+        cache: prep,
         host_cores: spice_farm::resolve_workers(0),
         requested_jobs: manifest.jobs,
         small,
@@ -946,6 +959,7 @@ pub fn run_manifest(manifest: &Manifest, outs: &OutPaths) -> Result<FarmReport, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Value;
 
     #[test]
     fn figure_list_parses_and_rejects() {
@@ -1014,7 +1028,7 @@ mod tests {
                     squashes: 3,
                 }],
             },
-            cache: CacheStats {
+            cache: PrepStats {
                 hits: 3,
                 misses: 21,
                 build_nanos: 500_000_000,
@@ -1026,21 +1040,46 @@ mod tests {
             sim_nanos: 50_000_000,
         };
         let doc = farm_json(&report);
-        crate::json::validate(&doc).unwrap_or_else(|e| panic!("invalid: {e}\n{doc}"));
+        let parsed = crate::json::parse(&doc).unwrap_or_else(|e| panic!("invalid: {e}\n{doc}"));
+        assert_eq!(parsed.get("parallel_speedup"), Some(&Value::Float(4.0)));
+        assert_eq!(parsed.get("cache_hits"), Some(&Value::Int(3)));
         assert_eq!(
-            crate::json::extract_number(&doc, "parallel_speedup"),
-            Some(4.0)
-        );
-        assert_eq!(crate::json::extract_number(&doc, "cache_hits"), Some(3.0));
-        assert_eq!(
-            crate::json::extract_number(&doc, "ns_per_simulated_cycle"),
-            Some(50.0)
+            parsed.get("ns_per_simulated_cycle"),
+            Some(&Value::Float(50.0))
         );
         assert!(doc.contains("\"job_metrics\": [\n"), "{doc}");
         assert!(
             doc.contains("{\"label\": \"sweep/ks/spice4\", \"host_nanos\": 1000000, \"ok\": true, \"events\": 42, \"squashes\": 3}"),
             "{doc}"
         );
+    }
+
+    /// A streamed artifact checks each row as it arrives, naming the file
+    /// on a bad one, and a valid stream writes exactly the composed
+    /// document.
+    #[test]
+    fn row_streams_validate_rows_and_write_the_composed_document() {
+        let dir = std::env::temp_dir().join(format!("spice-row-stream-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (header, footer) = ("{\n  \"rows\": [\n", "\n  ]\n}\n");
+        let rows = ["    {\"a\": 1}", "    {\"b\": [true, null]}"];
+
+        let bad = dir.join("bad.json");
+        let mut stream = RowStream::create(&bad, header).unwrap();
+        stream.push_row(rows[0]).unwrap();
+        let error = stream.push_row("    {\"a\": }").unwrap_err();
+        assert!(error.contains(&bad.display().to_string()), "{error}");
+
+        let good = dir.join("good.json");
+        let mut stream = RowStream::create(&good, header).unwrap();
+        for row in rows {
+            stream.push_row(row).unwrap();
+        }
+        stream.finish(footer).unwrap();
+        let written = std::fs::read_to_string(&good).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        let composed = crate::json::rows_document(header, rows.map(String::from), footer);
+        assert_eq!(written, composed);
     }
 
     #[test]

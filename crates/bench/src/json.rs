@@ -82,25 +82,10 @@ pub fn rows_document(header: &str, rows: impl IntoIterator<Item = String>, foote
     doc
 }
 
-/// Extracts the numeric value of the first top-level-ish occurrence of
-/// `"key": <number>` in a JSON document emitted by this module. This is the
-/// minimal reader the perf-smoke check needs to compare a fresh measurement
-/// against a committed artifact without a serialization dependency; it is
-/// not a general JSON parser (use [`validate`] for well-formedness).
-#[must_use]
-pub fn extract_number(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = doc[at..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// A parsed JSON value — the reading half of this module, added for the
-/// trace-file format. Object member order is preserved (emitted artifacts
-/// are deterministic, so parse → re-emit stays deterministic too).
+/// A parsed JSON value — the reading half of this module: the trace-file
+/// format and `farm --check` read through it. Object member order is
+/// preserved (emitted artifacts are deterministic, so parse → re-emit stays
+/// deterministic too).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// `null`.
@@ -430,16 +415,6 @@ mod tests {
         assert_eq!(float(f64::NEG_INFINITY), "null");
         validate(&float(f64::NAN)).unwrap();
         validate(&float(2.0 / 3.0)).unwrap();
-    }
-
-    #[test]
-    fn extract_number_reads_committed_metrics() {
-        let doc = "{\n  \"small\": false,\n  \"ns_per_simulated_cycle\": 42.125,\n  \
-                   \"total\": 7\n}";
-        assert_eq!(extract_number(doc, "ns_per_simulated_cycle"), Some(42.125));
-        assert_eq!(extract_number(doc, "total"), Some(7.0));
-        assert_eq!(extract_number(doc, "missing"), None);
-        assert_eq!(extract_number("{\"k\": null}", "k"), None);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! benchmark artifact cannot lose: **output is a pure function of the job
 //! list, never of completion order**.
 //!
-//! Three pieces provide that:
+//! Two pieces provide that:
 //!
 //! * [`Job`] / [`JobResult`] — every job carries a caller-assigned
 //!   deterministic id. Results are delivered to the caller's sink strictly
@@ -19,18 +19,10 @@
 //!   started: load balances itself, and jobs *start* in the order the sink
 //!   delivers them, so no result waits on a job that has not begun (at one
 //!   worker, on no job at all). No external crates.
-//! * [`PreparedCache`] — a build-once, string-keyed cache so expensive
-//!   immutable state (decoded programs, initial memory images) is built
-//!   exactly once and shared by `Arc` across all jobs, with build time
-//!   accounted separately from simulate time.
 //!
 //! The engine is deliberately generic: it does not know what a simulation
 //! is. `spice-bench` supplies the domain model (job specs, manifests,
 //! artifact writers) on top.
-
-mod cache;
-
-pub use cache::{CacheStats, PreparedCache};
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};

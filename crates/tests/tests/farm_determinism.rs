@@ -297,6 +297,25 @@ fn each_simulation_cell_runs_once() {
     assert_eq!(report.table2_rows.len(), 7);
 }
 
+/// The farm's preparation cost is read off one clock, the cells' own: one
+/// build per cell, timed by the cell's `build_nanos` and nothing else.
+#[test]
+fn preparation_accounting_sums_the_cells_own_build_times() {
+    let manifest = Manifest {
+        figures: vec![Figure::Fig7, Figure::Harness],
+        small: true,
+        jobs: 2,
+        ..Manifest::default()
+    };
+    let report = run_manifest(&manifest, &OutPaths::default()).expect("farm run");
+    let rows = &report.harness_rows;
+    assert_eq!(report.cache.misses, rows.len());
+    assert_eq!(
+        report.cache.build_nanos,
+        rows.iter().map(|r| r.build_nanos).sum::<u128>()
+    );
+}
+
 #[test]
 fn table2_alone_matches_table2_beside_fig7() {
     let run = |figures: Vec<Figure>, tag: &str| {

@@ -5,76 +5,48 @@
 //! splice writes that cross chunk boundaries and squash) are part of the
 //! population, not excluded from it.
 //!
-//! A diverging mutant is persisted as `FAILED_<label>.json` (the full
-//! trace-file document) before the test fails, so the exact scenario
-//! replays offline without a recording step.
+//! The seeds run as the farm's `fuzz` figure, so the farm is the one
+//! enumerator: a diverging mutant fails its job and is persisted as
+//! `FAILED_<label>.json` (the full trace-file document) under the failures
+//! directory, so the exact scenario replays offline without a recording
+//! step.
 
-use spice_bench::experiments::{
-    fuzz_base_traces, fuzz_config_for_seed, fuzz_differential, REPLAY_THREADS,
-};
-use spice_bench::tracefile::trace_to_json;
-use spice_workloads::trace::{fuzz_trace, WorkloadTrace};
+use spice_bench::farm_driver::{run_manifest, Figure, Manifest, OutPaths};
 
 /// Seeds swept by the differential — comfortably past the 100-mutant bar.
 const SEEDS: u64 = 120;
 
-fn persist_failure(label: &str, error: &str, trace: &WorkloadTrace) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("spice-fuzz-failures-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create failure dir");
-    let safe: String = label
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect();
-    let path = dir.join(format!("FAILED_{safe}.json"));
-    let doc = format!(
-        "{{\n  \"label\": {:?},\n  \"error\": {:?},\n  \"trace\": {}}}\n",
-        label,
-        error,
-        trace_to_json(trace).trim_end()
-    );
-    std::fs::write(&path, doc).expect("write failure artifact");
-    path
-}
-
 #[test]
 fn a_hundred_plus_fuzzed_mutants_replay_bit_identically_everywhere() {
-    let bases = fuzz_base_traces().expect("record base traces");
-    assert_eq!(bases.len(), 7, "one base per real driver");
+    let failures = std::env::temp_dir().join(format!("spice-fuzz-failures-{}", std::process::id()));
+    let manifest = Manifest {
+        figures: vec![Figure::Fuzz],
+        small: true,
+        jobs: 0,
+        fuzz_seeds: 0..SEEDS,
+    };
+    let outs = OutPaths {
+        failures_dir: Some(failures.clone()),
+        ..OutPaths::default()
+    };
+    let report = run_manifest(&manifest, &outs).unwrap_or_else(|e| panic!("{e}"));
+    std::fs::remove_dir_all(&failures).ok();
 
-    let mut with_writes = 0usize;
-    let mut with_violations = 0usize;
-    for seed in 0..SEEDS {
-        let base = &bases[seed as usize % bases.len()];
-        let mutant = fuzz_trace(base, &fuzz_config_for_seed(seed));
-        let label = format!("fuzz/{}/{seed}", base.name);
-        let row = match fuzz_differential(&label, seed, &base.name, &mutant, REPLAY_THREADS) {
-            Ok(row) => row,
-            Err(e) => {
-                let path = persist_failure(&label, &e, &mutant);
-                panic!("{label}: replay failed: {e} (trace: {})", path.display());
-            }
-        };
-        if !row.agree {
-            let error = format!(
-                "divergence: seq {:#x}, sim {:#x}, native {:#x}",
-                row.checksum, row.sim_checksum, row.native_checksum
-            );
-            let path = persist_failure(&label, &error, &mutant);
-            panic!("{label}: {error} (trace: {})", path.display());
-        }
-        with_writes += usize::from(row.has_writes);
-        with_violations += usize::from(row.sim_violations > 0 || row.native_violations > 0);
-    }
+    let rows = &report.fuzz_rows;
+    assert_eq!(rows.len(), SEEDS as usize);
+    assert!(rows.iter().all(|r| r.agree), "a divergence fails its job");
 
     // The sweep must actually exercise the dangerous population: mutants
     // carrying forward splice writes, and among them mutants whose writes
     // crossed chunk boundaries and forced squash-and-recover.
+    let with_writes = rows.iter().filter(|r| r.has_writes).count();
     assert!(
         with_writes >= SEEDS as usize / 4,
         "only {with_writes}/{SEEDS} mutants carried dependence-inducing writes"
     );
     assert!(
-        with_violations > 0,
+        rows.iter()
+            .any(|r| r.sim_violations > 0 || r.native_violations > 0),
         "no mutant triggered a dependence violation — the sweep never \
          exercised squash-and-recover"
     );
