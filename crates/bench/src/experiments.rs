@@ -136,6 +136,7 @@ pub fn prepare_sweep(
     let started = std::time::Instant::now();
     let mut wl = factory();
     let built = wl.build();
+    let options = workload_load_options(wl.as_ref(), &built);
     let prepared = match mode {
         SweepMode::Sequential => {
             let config = if tiny {
@@ -143,7 +144,7 @@ pub fn prepare_sweep(
             } else {
                 MachineConfig::itanium2_cmp().with_cores(1)
             };
-            PreparedProgram::sequential(config, built.program, built.kernel)
+            PreparedProgram::sequential(config, built.program, built.kernel, options.heap_words)
         }
         SweepMode::Spice { threads } => {
             let config = if tiny {
@@ -151,8 +152,7 @@ pub fn prepare_sweep(
             } else {
                 MachineConfig::itanium2_cmp()
             };
-            let options = workload_load_options(wl.as_ref(), &built)
-                .with_conflict_granularity_log2(granularity_log2);
+            let options = options.with_conflict_granularity_log2(granularity_log2);
             PreparedProgram::spice(
                 config,
                 threads,
@@ -1395,8 +1395,19 @@ pub fn ablation_variants() -> Vec<(&'static str, PredictorOptions)> {
     ]
 }
 
+/// The otter loop every ablation variant runs.
+fn ablation_workload(small: bool) -> OtterWorkload {
+    OtterWorkload::new(OtterConfig {
+        initial_len: if small { 80 } else { 500 },
+        inserts_per_invocation: 5,
+        invocations: if small { 10 } else { 200 },
+        seed: 0xab1a,
+    })
+}
+
 /// One ablation variant (an entry of [`ablation_variants`]) as a standalone
-/// unit of work — the granularity the farm dispatches.
+/// unit of work — the granularity the farm dispatches. Like every farm
+/// cell, `small` also selects the reduced test machine.
 ///
 /// # Errors
 ///
@@ -1406,13 +1417,12 @@ pub fn ablation_variant_row(
     name: &str,
     opts: PredictorOptions,
 ) -> Result<AblationRow, String> {
-    let mut wl = OtterWorkload::new(OtterConfig {
-        initial_len: if small { 80 } else { 500 },
-        inserts_per_invocation: 5,
-        invocations: if small { 10 } else { 200 },
-        seed: 0xab1a,
-    });
-    let summary = run_workload_backend(&mut wl, BackendChoice::Sim, 4, opts)?;
+    let backend = if small {
+        BackendChoice::SimTiny
+    } else {
+        BackendChoice::Sim
+    };
+    let summary = run_workload_backend(&mut ablation_workload(small), backend, 4, opts)?;
     Ok(AblationRow {
         variant: name.to_string(),
         cycles: total_cycles(&summary),
@@ -1854,11 +1864,36 @@ mod tests {
         assert_eq!(cmp.schedules.len(), 3);
     }
 
+    /// Every mode of a cell reserves the same words past the globals: the
+    /// workload's request, raised to the machine's own reservation. The
+    /// tiny machine's own is smaller than the workload's request.
+    #[test]
+    fn sweep_modes_reserve_the_workload_request() {
+        assert!(MachineConfig::test_tiny(1).heap_words < DEFAULT_WORKLOAD_HEAP_WORDS);
+        let (name, factory) = all_workload_factories(true).swap_remove(0);
+        for mode in [SweepMode::Sequential, SweepMode::Spice { threads: 4 }] {
+            let prep = prepare_sweep(&factory, mode, true, 0).unwrap();
+            let machine = prep.prepared.machine();
+            let reserved = machine.mem().size() - machine.program().data_end() as usize;
+            assert_eq!(reserved, DEFAULT_WORKLOAD_HEAP_WORDS, "{name} {mode:?}");
+        }
+    }
+
     #[test]
     fn ablation_small_runs_all_variants() {
         let rows = &small_report().ablation_rows;
         assert_eq!(rows.len(), 3);
         assert!(rows.iter().all(|r| r.cycles > 0));
+        // `--small` simulates the reduced test machine, as every cell does.
+        let tiny = run_workload_backend(
+            &mut ablation_workload(true),
+            BackendChoice::SimTiny,
+            4,
+            PredictorOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(rows[0].variant, ablation_variants()[0].0);
+        assert_eq!(rows[0].cycles, total_cycles(&tiny));
     }
 
     #[test]

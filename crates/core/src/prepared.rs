@@ -54,9 +54,17 @@ pub struct PreparedProgram {
 
 impl PreparedProgram {
     /// Prepares `program` for sequential execution of `kernel` on `config`:
-    /// decode, no transformation.
+    /// decode, no transformation. The reservation past the globals follows
+    /// the Spice preparation's rule: the larger of `config.heap_words` and
+    /// the caller's `heap_words`.
     #[must_use]
-    pub fn sequential(config: MachineConfig, program: Program, kernel: FuncId) -> Self {
+    pub fn sequential(
+        mut config: MachineConfig,
+        program: Program,
+        kernel: FuncId,
+        heap_words: usize,
+    ) -> Self {
+        config.heap_words = config.heap_words.max(heap_words);
         let decoded = Arc::new(DecodedProgram::new(&program));
         PreparedProgram {
             program: Arc::new(program),
@@ -199,7 +207,7 @@ mod tests {
     #[test]
     fn instantiations_share_decode_but_not_memory() {
         let (program, f, nodes) = list_sum_program(64);
-        let prepared = PreparedProgram::sequential(MachineConfig::test_tiny(1), program, f);
+        let prepared = PreparedProgram::sequential(MachineConfig::test_tiny(1), program, f, 0);
         assert!(!prepared.is_spice());
         assert_eq!(prepared.threads(), 1);
 
@@ -233,7 +241,7 @@ mod tests {
     fn instantiation_touches_no_heap_word() {
         let config = MachineConfig::itanium2_cmp();
         let (program, f, _) = list_sum_program(64);
-        let sequential = PreparedProgram::sequential(config.clone(), program, f);
+        let sequential = PreparedProgram::sequential(config.clone(), program, f, 0);
         let (program, f, _) = list_sum_program(64);
         let spice = PreparedProgram::spice(
             config,

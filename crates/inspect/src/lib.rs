@@ -28,7 +28,7 @@ use spice_ir::exec::ExecutionBackend;
 use spice_ir::trace::DEFAULT_TRACE_CAPACITY;
 use spice_ir::{MisspeculationCause, TraceEvent};
 use spice_sim::{Machine, MachineSnapshot};
-use spice_workloads::{all_workload_factories, BackendRunSummary, WorkloadFactory};
+use spice_workloads::{workload_factory, BackendRunSummary, WorkloadFactory};
 
 /// What a session observes before running a command.
 #[derive(Debug, Clone, Copy)]
@@ -58,20 +58,7 @@ pub struct InspectRun {
 /// Returns a message naming the benchmark if unknown, or any
 /// analysis/transformation failure.
 pub fn prepare(bench: &str, threads: usize) -> Result<(WorkloadFactory, SweepPrep), String> {
-    let factory = all_workload_factories(true)
-        .into_iter()
-        .find(|(name, _)| *name == bench)
-        .map(|(_, f)| f)
-        .ok_or_else(|| {
-            let names: Vec<&str> = all_workload_factories(true)
-                .iter()
-                .map(|(name, _)| *name)
-                .collect();
-            format!(
-                "unknown benchmark {bench:?} (expected one of {})",
-                names.join(", ")
-            )
-        })?;
+    let factory = workload_factory(bench, true)?;
     let prep = prepare_sweep(&factory, SweepMode::Spice { threads }, true, 0)?;
     Ok((factory, prep))
 }

@@ -187,17 +187,6 @@ impl FunctionBuilder {
         self.push(inst);
     }
 
-    /// Emits a heap allocation of `words` words.
-    pub fn alloc(&mut self, words: impl Into<Operand>) -> Reg {
-        let dst = self.func.fresh_reg();
-        let inst = Inst::Alloc {
-            dst,
-            words: words.into(),
-        };
-        self.push(inst);
-        dst
-    }
-
     /// Emits a call whose return value is captured in a fresh register.
     pub fn call(&mut self, func: FuncId, args: Vec<Operand>) -> Reg {
         let dst = self.func.fresh_reg();

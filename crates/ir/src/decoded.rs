@@ -142,8 +142,6 @@ pub(crate) enum DInst {
     Load { dst: u32, addr: u32, offset: i64 },
     /// `mem[addr + offset] = src`.
     Store { src: u32, addr: u32, offset: i64 },
-    /// Bump allocation.
-    Alloc { dst: u32, words: u32 },
     /// Function call; argument slots are decoded into a boxed slice once,
     /// so the step loop never rebuilds them.
     Call {
@@ -352,10 +350,6 @@ impl DecodedFunction {
                 src: slots.operand(*src)?,
                 addr: slots.operand(*addr)?,
                 offset: *offset,
-            },
-            Inst::Alloc { dst, words } => DInst::Alloc {
-                dst: slots.reg(*dst)?,
-                words: slots.operand(*words)?,
             },
             Inst::Call { dst, func, args } => DInst::Call {
                 dst: dst.map(|d| slots.reg(d)).transpose()?,
@@ -673,7 +667,6 @@ mod tests {
             | DInst::Copy { dst, .. }
             | DInst::Select { dst, .. }
             | DInst::Load { dst, .. }
-            | DInst::Alloc { dst, .. }
             | DInst::Recv { dst, .. }
             | DInst::SpecCheck { dst, .. } => Some(*dst),
             DInst::Call { dst, .. } => *dst,
@@ -776,7 +769,7 @@ mod tests {
         let mut cb = FunctionBuilder::new("callee");
         let x = cb.param();
         let v = cb.load(x, 1);
-        let w = cb.alloc(4i64);
+        let w = cb.select(v, 4i64, x);
         let q = cb.recv(3i64);
         let k = cb.spec_check(1i64);
         cb.profile_hook(0, vec![v, w, q, k]);

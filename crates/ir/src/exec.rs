@@ -141,15 +141,17 @@ impl CommitChain {
 
     /// Judges the next chunk from how it `end`ed and its RAW `witness` (a
     /// word it read that an earlier committed chunk wrote): `None` commits
-    /// it, otherwise the squash cause.
+    /// it, otherwise the squash cause. A validated chunk with a witness is a
+    /// dependence violation even if it then faulted: the stale read came
+    /// first, and may be what made it fault.
     pub fn judge(&mut self, end: ChunkEnd, witness: Option<i64>) -> Option<MisspeculationCause> {
         use MisspeculationCause as Cause;
         let cause = match (*self, end, witness) {
             (_, ChunkEnd::NeverRan, _) => Some(Cause::NoPrediction),
             (CommitChain::Broken, ..) => Some(Cause::SquashCascade),
             (CommitChain::Unvalidated, ..) => Some(Cause::StalePrediction),
-            (CommitChain::Validated, ChunkEnd::Fault(trap), _) => Some(Cause::Fault(trap)),
             (CommitChain::Validated, _, Some(addr)) => Some(Cause::DependenceViolation { addr }),
+            (CommitChain::Validated, ChunkEnd::Fault(trap), None) => Some(Cause::Fault(trap)),
             (CommitChain::Validated, _, None) => None,
         };
         *self = match cause {
@@ -300,7 +302,7 @@ impl From<TrapKind> for BackendError {
 /// Options for [`ExecutionBackend::load`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LoadOptions {
-    /// Heap words to reserve past the program's globals.
+    /// Zeroed words to reserve past the program's globals.
     pub heap_words: usize,
     /// Header of the target loop; `None` selects the function's largest
     /// top-level loop.
@@ -323,7 +325,8 @@ pub struct LoadOptions {
 }
 
 impl LoadOptions {
-    /// Options with a heap reservation and a first-invocation estimate.
+    /// Options with a reservation past the globals and a first-invocation
+    /// estimate.
     #[must_use]
     pub fn new(heap_words: usize, work_estimate: Option<u64>) -> Self {
         LoadOptions {
@@ -556,10 +559,18 @@ mod tests {
             judge(Handoff, &[(Handoff, None), (Exit, None)]),
             [None, None]
         );
-        // A validated start, then a fault or a RAW witness; the cascade.
+        // A validated start, then a fault or a RAW witness; the cascade. A
+        // witness outranks the fault it may have caused.
+        assert_eq!(
+            judge(Handoff, &[(Fault(trap), None), (Exit, None)]),
+            [Some(C::Fault(trap)), Some(C::SquashCascade)]
+        );
         assert_eq!(
             judge(Handoff, &[(Fault(trap), Some(4)), (Exit, None)]),
-            [Some(C::Fault(trap)), Some(C::SquashCascade)]
+            [
+                Some(C::DependenceViolation { addr: 4 }),
+                Some(C::SquashCascade)
+            ]
         );
         assert_eq!(
             judge(Handoff, &[(Handoff, None), (Exit, Some(8)), (Exit, None)]),

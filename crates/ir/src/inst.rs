@@ -60,14 +60,6 @@ pub enum Inst {
         /// Constant word offset added to the base.
         offset: i64,
     },
-    /// Bump-allocate `words` words from the heap; `dst` receives the base
-    /// address of the new object.
-    Alloc {
-        /// Destination register for the allocated base address.
-        dst: Reg,
-        /// Number of words to allocate.
-        words: Operand,
-    },
     /// Call a function with arguments, optionally receiving its return value.
     Call {
         /// Register receiving the return value, if any.
@@ -147,7 +139,6 @@ impl Inst {
             | Inst::Copy { dst, .. }
             | Inst::Select { dst, .. }
             | Inst::Load { dst, .. }
-            | Inst::Alloc { dst, .. }
             | Inst::Recv { dst, .. }
             | Inst::SpecCheck { dst, .. } => Some(*dst),
             Inst::Call { dst, .. } => *dst,
@@ -191,7 +182,6 @@ impl Inst {
                 push(src);
                 push(addr);
             }
-            Inst::Alloc { words, .. } => push(words),
             Inst::Call { args, .. } => {
                 for a in args {
                     push(a);
@@ -255,10 +245,6 @@ impl Inst {
             Inst::Store { src, addr, .. } => {
                 map_op(src, &mut map);
                 map_op(addr, &mut map);
-            }
-            Inst::Alloc { dst, words } => {
-                map_op(words, &mut map);
-                *dst = map(*dst);
             }
             Inst::Call { dst, args, .. } => {
                 for a in args.iter_mut() {
@@ -462,8 +448,6 @@ pub enum InstClass {
     Load,
     /// Memory store.
     Store,
-    /// Heap allocation.
-    Alloc,
     /// Control transfer (branch, call, return).
     Branch,
     /// Inter-core send.
@@ -481,7 +465,7 @@ pub enum InstClass {
 impl InstClass {
     /// Number of distinct classes — the length of a dense per-class counter
     /// array indexed by [`InstClass::index`].
-    pub const COUNT: usize = 12;
+    pub const COUNT: usize = 11;
 
     /// Every class, in [`InstClass::index`] order.
     pub const ALL: [InstClass; InstClass::COUNT] = [
@@ -490,7 +474,6 @@ impl InstClass {
         InstClass::IntDiv,
         InstClass::Load,
         InstClass::Store,
-        InstClass::Alloc,
         InstClass::Branch,
         InstClass::Send,
         InstClass::Recv,
@@ -519,7 +502,6 @@ impl Inst {
             Inst::Copy { .. } | Inst::Select { .. } => InstClass::IntAlu,
             Inst::Load { .. } => InstClass::Load,
             Inst::Store { .. } => InstClass::Store,
-            Inst::Alloc { .. } => InstClass::Alloc,
             Inst::Call { .. } => InstClass::Branch,
             Inst::Send { .. } => InstClass::Send,
             Inst::Recv { .. } => InstClass::Recv,

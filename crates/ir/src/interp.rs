@@ -43,13 +43,6 @@ pub trait MemPort {
     ///
     /// Returns a trap if the address is invalid for this memory.
     fn store(&mut self, addr: i64, value: i64) -> Result<(), TrapKind>;
-
-    /// Allocates `words` contiguous words and returns the base address.
-    ///
-    /// # Errors
-    ///
-    /// Returns a trap if the allocation cannot be satisfied.
-    fn alloc(&mut self, words: i64) -> Result<i64, TrapKind>;
 }
 
 /// System back-end used by [`ThreadState::step`] for inter-thread and
@@ -91,8 +84,10 @@ pub trait SysPort {
 /// Simple flat word-addressable memory.
 ///
 /// Word addresses run from 0 to `size - 1`. Globals of a [`Program`] are
-/// materialized by [`FlatMemory::for_program`]; the bump-allocator used by
-/// `alloc` starts right after the globals.
+/// materialized by [`FlatMemory::for_program`], followed by a zeroed
+/// reservation of the requested size. Nothing hands the reservation out:
+/// programs keep their data in globals, and a wild load that lands past them
+/// reads zero instead of trapping.
 ///
 /// # The extent rule
 ///
@@ -106,13 +101,12 @@ pub trait SysPort {
 /// was reserved: the pages past the extent are never read or written by the
 /// harness and stay unbacked.
 ///
-/// The extent is bookkeeping, not content: two memories with equal words and
-/// equal allocation cursors are `==` whatever their write histories, and a
-/// clone may carry a different (never smaller than necessary) extent.
+/// The extent is bookkeeping, not content: two memories with equal words are
+/// `==` whatever their write histories, and a clone may carry a different
+/// (never smaller than necessary) extent.
 #[derive(Debug)]
 pub struct FlatMemory {
     words: Vec<i64>,
-    heap_next: i64,
     /// Every word at or past this index is zero (see the type's doc).
     extent: usize,
 }
@@ -124,48 +118,40 @@ impl Clone for FlatMemory {
         words[..self.extent].copy_from_slice(&self.words[..self.extent]);
         FlatMemory {
             words,
-            heap_next: self.heap_next,
             extent: self.extent,
         }
     }
 }
 
 impl PartialEq for FlatMemory {
-    /// Equal size, contents and allocation cursor. The extents are not
-    /// compared, only used: past the larger one both sides are zero.
+    /// Equal size and contents. The extents are not compared, only used:
+    /// past the larger one both sides are zero.
     fn eq(&self, other: &Self) -> bool {
         let n = self.extent.max(other.extent);
-        self.words.len() == other.words.len()
-            && self.heap_next == other.heap_next
-            && self.words[..n] == other.words[..n]
+        self.words.len() == other.words.len() && self.words[..n] == other.words[..n]
     }
 }
 
 impl Eq for FlatMemory {}
 
 impl FlatMemory {
-    /// Creates a zeroed memory of `size` words with the heap starting at
-    /// word 1024 (past the reserved null page).
+    /// Creates a zeroed memory of `size` words.
     #[must_use]
     pub fn new(size: usize) -> Self {
         FlatMemory {
             words: vec![0; size],
-            heap_next: 1024,
             extent: 0,
         }
     }
 
-    /// Creates a memory sized `program.data_end() + heap_words`, copies every
-    /// global initializer into place and points the allocator at the first
-    /// word past the globals. Touches nothing past the last initializer.
+    /// Creates a memory sized `program.data_end() + heap_words` — the
+    /// globals plus a zeroed reservation of `heap_words` past them — and
+    /// copies every global initializer into place. Touches nothing past the
+    /// last initializer.
     #[must_use]
     pub fn for_program(program: &Program, heap_words: usize) -> Self {
         let size = program.data_end() as usize + heap_words;
-        let mut mem = FlatMemory {
-            words: vec![0; size],
-            heap_next: program.data_end(),
-            extent: 0,
-        };
+        let mut mem = FlatMemory::new(size);
         for g in program.globals.iter().filter(|g| !g.init.is_empty()) {
             let base = g.base as usize;
             mem.prefix_mut(base + g.init.len())[base..].copy_from_slice(&g.init);
@@ -184,28 +170,6 @@ impl FlatMemory {
     #[must_use]
     pub fn extent(&self) -> usize {
         self.extent
-    }
-
-    /// Address that the next `alloc` will return.
-    #[must_use]
-    pub fn heap_next(&self) -> i64 {
-        self.heap_next
-    }
-
-    /// Moves the allocation cursor — used by backends that hand out
-    /// allocations elsewhere (a restored snapshot, the native runtime's main
-    /// chunk, which allocates while the image is frozen), so the cursor stays
-    /// consistent across invocations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` would move the cursor backwards or out of memory.
-    pub fn set_heap_next(&mut self, addr: i64) {
-        assert!(
-            addr >= self.heap_next && addr as usize <= self.words.len(),
-            "allocation cursor must move forward within memory"
-        );
-        self.heap_next = addr;
     }
 
     /// Reads a word without going through the [`MemPort`] trait.
@@ -264,19 +228,6 @@ impl MemPort for FlatMemory {
 
     fn store(&mut self, addr: i64, value: i64) -> Result<(), TrapKind> {
         self.write(addr, value)
-    }
-
-    fn alloc(&mut self, words: i64) -> Result<i64, TrapKind> {
-        if words < 0 {
-            return Err(TrapKind::OutOfMemory);
-        }
-        let base = self.heap_next;
-        let end = base.checked_add(words).ok_or(TrapKind::OutOfMemory)?;
-        if end as usize > self.words.len() {
-            return Err(TrapKind::OutOfMemory);
-        }
-        self.heap_next = end;
-        Ok(base)
     }
 }
 
@@ -795,16 +746,6 @@ impl ThreadState {
                 self.retired += 1;
                 Ok(StepEvent::Executed(ExecInfo::mem(InstClass::Store, a)))
             }
-            DInst::Alloc { dst, words } => {
-                let base = match mem.alloc(self.operand(*words)) {
-                    Ok(b) => b,
-                    Err(t) => return self.trap(t),
-                };
-                self.regs[*dst as usize] = base;
-                self.pc = pc + 1;
-                self.retired += 1;
-                Ok(StepEvent::Executed(ExecInfo::plain(InstClass::Alloc)))
-            }
             DInst::Call { dst, func, args } => {
                 if self.frames.len() >= MAX_CALL_DEPTH {
                     return self.trap(TrapKind::StackOverflow);
@@ -1214,34 +1155,6 @@ mod tests {
     }
 
     #[test]
-    fn alloc_bumps_heap() {
-        let mut b = FunctionBuilder::new("alloc");
-        let a = b.alloc(4i64);
-        let c = b.alloc(4i64);
-        let diff = b.binop(BinOp::Sub, c, a);
-        b.ret(Some(Operand::Reg(diff)));
-        let mut p = Program::new();
-        let f = p.add_func(b.finish());
-        let mut mem = FlatMemory::new(4096);
-        let out = run_function(&p, f, &[], &mut mem).unwrap();
-        assert_eq!(out.return_value, Some(4));
-    }
-
-    #[test]
-    fn alloc_failure_traps() {
-        let mut b = FunctionBuilder::new("big");
-        let a = b.alloc(1_000_000i64);
-        b.ret(Some(Operand::Reg(a)));
-        let mut p = Program::new();
-        let f = p.add_func(b.finish());
-        let mut mem = FlatMemory::new(2048);
-        assert_eq!(
-            run_function(&p, f, &[], &mut mem).unwrap_err(),
-            TrapKind::OutOfMemory
-        );
-    }
-
-    #[test]
     fn infinite_loop_runs_out_of_fuel() {
         let mut b = FunctionBuilder::new("spin");
         let header = b.new_block();
@@ -1363,7 +1276,7 @@ mod tests {
         assert_eq!(mem.read(base).unwrap(), 9);
         assert_eq!(mem.read(base + 1).unwrap(), 8);
         assert_eq!(mem.read(base + 2).unwrap(), 0);
-        assert_eq!(mem.heap_next(), p.data_end());
+        assert_eq!(mem.size(), p.data_end() as usize + 128, "the reservation");
         assert_eq!(mem.extent(), base as usize + 2, "just past the initializer");
     }
 
@@ -1408,17 +1321,10 @@ mod tests {
         assert_eq!(a.extent(), 3500, "a shorter prefix does not lower it");
         assert_extent_rule(&a, "after prefix_mut");
 
-        let mut d = FlatMemory::new(4096);
-        d.set_heap_next(2000);
-        assert_ne!(
-            d,
-            FlatMemory::new(4096),
-            "the allocation cursor is compared"
-        );
         assert_ne!(
             FlatMemory::new(64),
             FlatMemory::new(65),
-            "and so is the size"
+            "the size is compared"
         );
     }
 

@@ -33,7 +33,6 @@ impl fmt::Display for Inst {
             } => write!(f, "{dst} = select {cond}, {if_true}, {if_false}"),
             Inst::Load { dst, addr, offset } => write!(f, "{dst} = load [{addr} + {offset}]"),
             Inst::Store { src, addr, offset } => write!(f, "store {src}, [{addr} + {offset}]"),
-            Inst::Alloc { dst, words } => write!(f, "{dst} = alloc {words}"),
             Inst::Call { dst, func, args } => {
                 if let Some(d) = dst {
                     write!(f, "{d} = call {func}(")?;

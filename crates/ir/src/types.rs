@@ -277,8 +277,6 @@ pub enum TrapKind {
     UnsupportedIntrinsic,
     /// A call referenced an unknown function.
     UnknownFunction,
-    /// `alloc` could not be satisfied.
-    OutOfMemory,
 }
 
 impl fmt::Display for TrapKind {
@@ -294,7 +292,6 @@ impl fmt::Display for TrapKind {
                 f.write_str("intrinsic not supported by this execution context")
             }
             TrapKind::UnknownFunction => f.write_str("call to unknown function"),
-            TrapKind::OutOfMemory => f.write_str("heap allocation failed"),
         }
     }
 }

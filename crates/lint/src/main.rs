@@ -17,7 +17,7 @@
 use spice_core::transform::{SpiceOptions, SpiceTransform, TransformError};
 use spice_ir::exec::{derive_loop_spec, ConflictPolicy};
 use spice_ir::verify::verify_program;
-use spice_workloads::{all_workload_factories, workload_load_options};
+use spice_workloads::{all_workload_factories, workload_factory, workload_load_options};
 
 const USAGE: &str = "usage: spice-lint [--small] [--threads N,N] [bench ...]
   lints every workload (or just the named ones) pre- and post-transform
@@ -151,22 +151,14 @@ fn main() {
         fail(&format!("unknown flag {flag:?}"));
     }
 
-    let factories = all_workload_factories(small);
-    let selected: Vec<_> = if args.is_empty() {
-        factories
+    let selected: Vec<(&str, _)> = if args.is_empty() {
+        all_workload_factories(small)
     } else {
-        for want in &args {
-            if !factories.iter().any(|(n, _)| n == want) {
-                let names: Vec<&str> = factories.iter().map(|(n, _)| *n).collect();
-                fail(&format!(
-                    "unknown benchmark {want:?} (have: {})",
-                    names.join(", ")
-                ));
-            }
-        }
-        factories
-            .into_iter()
-            .filter(|(n, _)| args.iter().any(|w| w == n))
+        args.iter()
+            .map(|want| {
+                let factory = workload_factory(want, small).unwrap_or_else(|e| fail(&e));
+                (want.as_str(), factory)
+            })
             .collect()
     };
 

@@ -57,15 +57,13 @@ pub struct SpecView<'m> {
     writes: DenseMap<i64>,
     reads: AccessSet,
     track_reads: bool,
-    /// The allocation cursor of the main chunk's view. A worker's view has
-    /// none: speculative allocation is unsupported.
-    alloc_next: Option<i64>,
 }
 
 impl<'m> SpecView<'m> {
-    /// Creates an empty view for a speculative worker chunk, recording the
-    /// load set when `track` is set (the
-    /// [`spice_ir::exec::ConflictPolicy::Detect`] mode).
+    /// Creates an empty view, recording the load set when `track` is set: a
+    /// speculative worker's view under the
+    /// [`spice_ir::exec::ConflictPolicy::Detect`] mode. The non-speculative
+    /// main chunk passes `false` — nothing is logically earlier.
     #[must_use]
     pub fn with_read_tracking(image: &'m FlatMemory, track: bool) -> Self {
         SpecView {
@@ -73,19 +71,6 @@ impl<'m> SpecView<'m> {
             writes: DenseMap::new(),
             reads: AccessSet::new(),
             track_reads: track,
-            alloc_next: None,
-        }
-    }
-
-    /// Creates an empty view for the non-speculative main chunk: nothing is
-    /// logically earlier, so its loads are not tracked, and it allocates from
-    /// the image's cursor ([`SpecView::alloc_next`] is where the cursor ends
-    /// up).
-    #[must_use]
-    pub fn for_main_chunk(image: &'m FlatMemory) -> Self {
-        SpecView {
-            alloc_next: Some(image.heap_next()),
-            ..SpecView::with_read_tracking(image, false)
         }
     }
 
@@ -98,12 +83,6 @@ impl<'m> SpecView<'m> {
         debug_assert!(self.reads.is_empty(), "set the granularity before reads");
         self.reads = AccessSet::with_granularity(granularity_log2);
         self
-    }
-
-    /// The main chunk's allocation cursor; `None` for a worker's view.
-    #[must_use]
-    pub fn alloc_next(&self) -> Option<i64> {
-        self.alloc_next
     }
 
     /// Consumes the view and returns the buffered writes (first-write order)
@@ -132,16 +111,6 @@ impl MemPort for SpecView<'_> {
         self.writes.insert(addr, value);
         Ok(())
     }
-
-    fn alloc(&mut self, words: i64) -> Result<i64, TrapKind> {
-        // Without a cursor the chunk is speculative, and squashes.
-        let next = self.alloc_next.as_mut().ok_or(TrapKind::OutOfMemory)?;
-        let end = next
-            .checked_add(words)
-            .filter(|&end| words >= 0 && end as usize <= self.image.size())
-            .ok_or(TrapKind::OutOfMemory)?;
-        Ok(std::mem::replace(next, end))
-    }
 }
 
 #[cfg(test)]
@@ -162,40 +131,12 @@ mod tests {
             Err(TrapKind::OutOfBoundsAccess { addr: 32 }),
             "a store the commit could not apply faults when it is buffered"
         );
-        assert_eq!(v.alloc(1), Err(TrapKind::OutOfMemory));
-        assert_eq!(v.alloc_next(), None);
         let (writes, _) = v.into_parts();
         assert_eq!(writes, vec![(5, 44), (6, 43)]);
         for (a, val) in writes {
             image.write(a, val).unwrap();
         }
         assert_eq!(image.read(5), Ok(44));
-    }
-
-    /// The main chunk's view is a view like any other — buffered,
-    /// bounds-checked stores — plus the image's allocator.
-    #[test]
-    fn main_chunk_view_allocates_from_the_image_cursor() {
-        let mut image = FlatMemory::new(2048);
-        image.set_heap_next(2000);
-        let mut v = SpecView::for_main_chunk(&image);
-        assert_eq!(v.alloc(40), Ok(2000));
-        assert_eq!(v.alloc(0), Ok(2040));
-        assert_eq!(v.alloc(-1), Err(TrapKind::OutOfMemory));
-        assert_eq!(v.alloc(9), Err(TrapKind::OutOfMemory), "past the end");
-        assert_eq!(v.alloc(i64::MAX), Err(TrapKind::OutOfMemory));
-        assert_eq!(v.alloc(8), Ok(2040), "a refused alloc moves nothing");
-        assert_eq!(v.alloc_next(), Some(2048));
-        assert_eq!(image.heap_next(), 2000, "the image's cursor is frozen too");
-
-        v.store(2047, 7).unwrap();
-        for addr in [-1, 2048] {
-            assert_eq!(v.store(addr, 1), Err(TrapKind::OutOfBoundsAccess { addr }));
-            assert_eq!(v.load(addr), Err(TrapKind::OutOfBoundsAccess { addr }));
-        }
-        let (writes, reads) = v.into_parts();
-        assert_eq!(writes, vec![(2047, 7)]);
-        assert!(reads.is_empty(), "the main chunk's loads are not tracked");
     }
 
     #[test]

@@ -543,7 +543,7 @@ impl ExecutionBackend for NativeLoopBackend {
         // header to the first worker's predicted boundary — like a worker's,
         // through a view: the workers are reading the image, so its stores
         // wait in the view's buffer for the apply step.
-        let mut view = SpecView::for_main_chunk(&loaded.mem);
+        let mut view = SpecView::with_read_tracking(&loaded.mem, false);
         let main_run = match early {
             Some(stop) => ChunkRun::stopped(stop),
             None => {
@@ -558,7 +558,6 @@ impl ExecutionBackend for NativeLoopBackend {
                 run_chunk(&ctx, &mut main, &mut view, &mut steps, &limits)
             }
         };
-        let alloc_next = view.alloc_next();
         let (main_writes, _) = view.into_parts();
         // A trap in the entry code finds `tasked` all false: nothing to
         // squash, nothing to drain.
@@ -646,9 +645,6 @@ impl ExecutionBackend for NativeLoopBackend {
         {
             mem.write(addr, value)
                 .expect("SpecView bounds-checks every buffered store");
-        }
-        if let Some(next) = alloc_next {
-            mem.set_heap_next(next);
         }
 
         // Resume the main thread to the end of the kernel, straight on the
@@ -1414,11 +1410,10 @@ mod tests {
     }
 
     /// `kernel(head, scale, slot)`: the entry code publishes `scale` in the
-    /// word at `slot` — a fresh `alloc` with `allocate_slot`, else the
-    /// caller's address — and every iteration of the list walk loads it
-    /// back: Σ weight × scale. Returns `(program, kernel, nodes, g)`, `g`
-    /// being a global word to pass as `slot`.
-    fn scaled_sum_program(capacity: i64, allocate_slot: bool) -> (Program, FuncId, i64, i64) {
+    /// word at `slot` and every iteration of the list walk loads it back:
+    /// Σ weight × scale. Returns `(program, kernel, nodes, g)`, `g` being a
+    /// global word to pass as `slot`.
+    fn scaled_sum_program(capacity: i64) -> (Program, FuncId, i64, i64) {
         let mut program = Program::new();
         let nodes = program.add_global("nodes", capacity * 2);
         let g = program.add_global("g", 1);
@@ -1428,10 +1423,6 @@ mod tests {
         let header = b.new_block();
         let body = b.new_block();
         let exit = b.new_block();
-        if allocate_slot {
-            let fresh = b.alloc(1i64);
-            b.copy_into(slot, fresh);
-        }
         b.store(scale, slot, 0);
         let c = b.copy(head);
         let sum = b.copy(0i64);
@@ -1460,9 +1451,9 @@ mod tests {
 
     /// Loads [`scaled_sum_program`] on four threads over the list 1..=160.
     /// Returns the backend, the list head and `g`.
-    fn scaled_sum_backend(allocate_slot: bool) -> (NativeLoopBackend, i64, i64) {
+    fn scaled_sum_backend() -> (NativeLoopBackend, i64, i64) {
         let n = SCALED_SUM_NODES;
-        let (program, f, nodes, g) = scaled_sum_program(n + 4, allocate_slot);
+        let (program, f, nodes, g) = scaled_sum_program(n + 4);
         let mut backend = NativeLoopBackend::new(4);
         backend
             .load(program, f, LoadOptions::new(4096, Some(n as u64)))
@@ -1487,20 +1478,9 @@ mod tests {
     /// workers do read this invocation's value, not the previous one's.
     #[test]
     fn entry_code_store_read_by_the_body_squashes_nothing() {
-        let (mut backend, head, g) = scaled_sum_backend(false);
+        let (mut backend, head, g) = scaled_sum_backend();
         for inv in 0..5 {
             let committed = scaled_sum_invocation(&mut backend, [head, 3 + inv, g]);
-            assert_eq!(committed, if inv == 0 { 0 } else { 3 }, "invocation {inv}");
-        }
-    }
-
-    /// A kernel whose entry code allocates: only the main thread runs it,
-    /// and the workers find the allocation's address in the header frame.
-    #[test]
-    fn entry_code_alloc_does_not_fault_the_workers() {
-        let (mut backend, head, _) = scaled_sum_backend(true);
-        for inv in 0..5 {
-            let committed = scaled_sum_invocation(&mut backend, [head, 3 + inv, 0]);
             assert_eq!(committed, if inv == 0 { 0 } else { 3 }, "invocation {inv}");
         }
     }
@@ -1513,7 +1493,7 @@ mod tests {
     /// image a failed invocation leaves behind is a well-formed one.
     #[test]
     fn failed_invocations_leave_no_stale_worker_result() {
-        let (mut backend, head, g) = scaled_sum_backend(false);
+        let (mut backend, head, g) = scaled_sum_backend();
         scaled_sum_invocation(&mut backend, [head, 2, g]);
         assert_eq!(scaled_sum_invocation(&mut backend, [head, 3, g]), 3);
         let ids = backend.worker_thread_ids();

@@ -59,8 +59,8 @@ pub struct CoreConfig {
 
 impl CoreConfig {
     /// Base functional-unit latency of an instruction class, before memory
-    /// hierarchy latency (loads/stores/allocs report 0 here; the hierarchy
-    /// walk is charged separately).
+    /// hierarchy latency (loads and stores report 0 here; the hierarchy walk
+    /// is charged separately).
     #[must_use]
     pub fn latency_of(&self, class: spice_ir::InstClass) -> u64 {
         use spice_ir::InstClass;
@@ -69,7 +69,7 @@ impl CoreConfig {
             InstClass::IntMul => self.mul_latency,
             InstClass::IntDiv => self.div_latency,
             InstClass::Branch => self.branch_latency,
-            InstClass::Load | InstClass::Store | InstClass::Alloc => 0,
+            InstClass::Load | InstClass::Store => 0,
             InstClass::Send | InstClass::Recv => 1,
             InstClass::Spec => self.spec_op_latency,
             InstClass::Resteer => 1,
@@ -96,8 +96,8 @@ pub struct MachineConfig {
     /// to a receive on another core. The paper's cores communicate through
     /// the shared, snooped L3 bus; the default approximates an L3 round trip.
     pub inter_core_latency: u64,
-    /// Number of words the simulated heap provides beyond the program's
-    /// static data.
+    /// Number of zeroed words the simulated memory reserves past the
+    /// program's globals (see `FlatMemory::for_program`).
     pub heap_words: usize,
     /// Upper bound on simulated cycles before a run is declared hung.
     pub max_cycles: u64,

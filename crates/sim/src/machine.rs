@@ -257,11 +257,6 @@ impl MemPort for CoreMemPort<'_> {
             self.mem.write(addr, value)
         }
     }
-
-    #[inline]
-    fn alloc(&mut self, words: i64) -> Result<i64, TrapKind> {
-        self.mem.alloc(words)
-    }
 }
 
 struct CoreSysPort<'a> {

@@ -54,7 +54,6 @@ pub struct MachineSnapshot {
     baseline: Arc<FlatMemory>,
     /// `(word index, value)` for every word differing from the baseline.
     delta: Vec<(usize, i64)>,
-    heap_next: i64,
 }
 
 impl MachineSnapshot {
@@ -115,7 +114,6 @@ impl Machine {
             observer: self.shared.observer.as_ref().and_then(|o| o.resumable()),
             baseline,
             delta,
-            heap_next: mem.heap_next(),
         }
     }
 
@@ -136,7 +134,6 @@ impl Machine {
             mem.write(i as i64, v)
                 .expect("a delta index is a word of the baseline-sized image");
         }
-        mem.set_heap_next(snapshot.heap_next);
         Machine {
             program: Arc::clone(&snapshot.program),
             shared: Shared {

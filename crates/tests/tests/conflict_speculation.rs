@@ -16,9 +16,12 @@ use std::cell::Cell;
 use std::collections::BTreeSet;
 
 use spice_core::backend::{make_backend, BackendChoice};
-use spice_ir::exec::{ExecutionBackend, ExecutionReport, InterpBackend, MisspeculationCause};
+use spice_ir::builder::FunctionBuilder;
+use spice_ir::exec::{
+    ExecutionBackend, ExecutionReport, InterpBackend, LoadOptions, MisspeculationCause,
+};
 use spice_ir::interp::{run_function_with, FlatMemory, LocalSys, MemPort};
-use spice_ir::TrapKind;
+use spice_ir::{BinOp, FuncId, Operand, Program, TrapKind};
 use spice_sim::{MachineConfig, SequentialSimBackend};
 use spice_workloads::{
     all_workload_factories, run_workload_on, workload_load_options, BackendRunSummary,
@@ -224,10 +227,6 @@ impl MemPort for BodyWriteLog<'_> {
         }
         self.mem.store(addr, value)
     }
-
-    fn alloc(&mut self, words: i64) -> Result<i64, TrapKind> {
-        self.mem.alloc(words)
-    }
 }
 
 /// The write-log boundary, against the simulator: on `mcf_app` — whose entry
@@ -329,4 +328,111 @@ fn native_violations_on_mcf_app_name_only_words_the_loop_body_wrote() {
         violations > 0,
         "no native dependence violation to attribute{side_by_side}"
     );
+}
+
+/// Nodes of the forward-divisor list.
+const DIVISOR_NODES: i64 = 400;
+
+/// `walk(head)`: Σ `value / divisor` over a list of four-word nodes
+/// `[value, divisor, next, target]`, each iteration also storing 7 to the
+/// word at `target`. Returns `(program, kernel, nodes, sink)`.
+fn forward_divisor_program() -> (Program, FuncId, i64, i64) {
+    let mut program = Program::new();
+    let nodes = program.add_global("nodes", DIVISOR_NODES * 4);
+    let sink = program.add_global("sink", 1);
+    let mut b = FunctionBuilder::new("forward_divisor");
+    let head = b.param();
+    let header = b.new_block();
+    let body = b.new_block();
+    let exit = b.new_block();
+    let c = b.copy(head);
+    let sum = b.copy(0i64);
+    b.br(header);
+    b.switch_to(header);
+    let done = b.binop(BinOp::Eq, c, 0i64);
+    b.cond_br(done, exit, body);
+    b.switch_to(body);
+    let value = b.load(c, 0);
+    let divisor = b.load(c, 1);
+    let q = b.binop(BinOp::Div, value, divisor);
+    let s = b.binop(BinOp::Add, sum, q);
+    b.copy_into(sum, s);
+    let target = b.load(c, 3);
+    b.store(7i64, target, 0);
+    let next = b.load(c, 2);
+    b.copy_into(c, next);
+    b.br(header);
+    b.switch_to(exit);
+    b.ret(Some(Operand::Reg(sum)));
+    let kernel = program.add_func(b.finish());
+    (program, kernel, nodes, sink)
+}
+
+/// Lays out invocation `inv`'s list, headed at `nodes`: every tenth node
+/// stores 7 into the divisor of the node 50 places later, which starts at
+/// zero; every other node stores to `sink`. In list order no division sees
+/// a zero.
+fn write_forward_divisor_list(mem: &mut FlatMemory, nodes: i64, sink: i64, inv: i64) {
+    let n = DIVISOR_NODES;
+    for i in 0..n {
+        let addr = nodes + 4 * i;
+        let divisor = if i >= 50 && i % 10 == 0 { 0 } else { 1 + i % 5 };
+        let next = if i + 1 < n { addr + 4 } else { 0 };
+        let target = if i % 10 == 0 && i + 50 < n {
+            addr + 4 * 50 + 1
+        } else {
+            sink
+        };
+        let node = [1000 + 37 * i + inv, divisor, next, target];
+        for (k, word) in (0..).zip(node) {
+            mem.write(addr + k, word).unwrap();
+        }
+    }
+}
+
+/// Six invocations of the forward-divisor walk on `backend`: the returns,
+/// every squash cause and the final data region.
+fn forward_divisor_run(
+    backend: &mut dyn ExecutionBackend,
+) -> (Vec<Option<i64>>, Vec<MisspeculationCause>, Vec<i64>) {
+    let (program, kernel, nodes, sink) = forward_divisor_program();
+    let data_end = program.data_end() as usize;
+    let options = LoadOptions::new(4096, Some(DIVISOR_NODES as u64));
+    backend.load(program, kernel, options).unwrap();
+    let (mut returns, mut causes) = (Vec::new(), Vec::new());
+    for inv in 0..6 {
+        write_forward_divisor_list(backend.mem_mut(), nodes, sink, inv);
+        let report = backend
+            .run_invocation(&[nodes])
+            .unwrap_or_else(|e| panic!("{}: invocation {inv}: {e}", backend.name()));
+        returns.push(report.return_value);
+        causes.extend(report.misspeculation_causes());
+    }
+    (returns, causes, backend.mem().words()[..data_end].to_vec())
+}
+
+/// One precedence: a validated chunk that read a stale zero divisor — a
+/// word an earlier chunk wrote, so the read has a RAW witness — and then
+/// divided by it squashes as a `DependenceViolation`, not as a `Fault`.
+/// Natively every such chunk is recovered and the walk returns the
+/// interpreter's sums. The fixture does not run on `SimTiny`: the simulator
+/// does not yet defer a trap in a speculative chunk, so the trapped core is
+/// never recovered and the run ends in `UnrecoveredTrap` — the second
+/// substrate difference of DESIGN.md §2.
+#[test]
+fn a_fault_after_a_stale_read_squashes_as_a_dependence_violation() {
+    use MisspeculationCause::{DependenceViolation, Fault};
+    let (returns, _, mem) = forward_divisor_run(&mut InterpBackend::new());
+    assert!(returns.iter().all(Option::is_some));
+    for threads in [2usize, 4] {
+        let (native_returns, causes, native_mem) =
+            forward_divisor_run(make_backend(BackendChoice::Native, threads).as_mut());
+        assert_eq!(native_returns, returns, "{threads} threads");
+        assert_eq!(native_mem, mem, "{threads} threads: live-out memory");
+        let violation = causes
+            .iter()
+            .any(|c| matches!(c, DependenceViolation { .. }));
+        let fault = causes.iter().any(|c| matches!(c, Fault(_)));
+        assert!(violation && !fault, "{threads} threads: {causes:?}");
+    }
 }

@@ -132,14 +132,6 @@ impl RefThread {
                     }
                     StepEvent::Executed(ExecInfo::mem(class, a))
                 }
-                Inst::Alloc { dst, words } => {
-                    let base = match mem.alloc(self.operand(*words)) {
-                        Ok(b) => b,
-                        Err(t) => return self.trap(t),
-                    };
-                    self.regs[dst.index()] = base;
-                    StepEvent::Executed(plain(class))
-                }
                 Inst::Call { dst, func, args } => {
                     if self.frames.len() >= MAX_CALL_DEPTH {
                         return self.trap(TrapKind::StackOverflow);

@@ -45,7 +45,8 @@ pub use mcf_app::{HostMcfApp, McfAppConfig, McfAppInstance, McfAppWorkload};
 pub use otter::{OtterConfig, OtterWorkload};
 pub use sjeng::{SjengConfig, SjengWorkload};
 pub use suite::{
-    all_workload_factories, fig8_corpus, ChurnListWorkload, Suite, SuiteBenchmark, WorkloadFactory,
+    all_workload_factories, fig8_corpus, workload_factory, ChurnListWorkload, Suite,
+    SuiteBenchmark, WorkloadFactory,
 };
 pub use trace::{
     fuzz_trace, synthetic_trace, FuzzConfig, TraceError, TraceInvocation, TraceIteration,
@@ -128,13 +129,14 @@ pub trait SpiceWorkload: Send {
     fn invocations(&self) -> usize;
 }
 
-/// Default heap words reserved past a workload program's globals when
-/// loading it into a backend — the one heap size of every workload run
-/// ([`workload_load_options`]). Every shipped workload, the fig8 corpus and
-/// the full-size suite included, keeps its data structures in globals
-/// (host-side arenas over global arrays) and never executes `alloc`, so the
-/// heap only has to exist; the simulator backends raise it to their
-/// machine's own reservation.
+/// Default reservation past a workload program's globals, in zeroed words,
+/// when loading it into a backend — the one reservation of every workload
+/// run ([`workload_load_options`]). Every shipped workload, the fig8 corpus
+/// and the full-size suite included, keeps its data structures in globals
+/// (host-side arenas over global arrays); nothing hands the reservation
+/// out, but its size decides what a squashed worker's wild load reads (zero
+/// rather than a trap). The simulator backends raise it to their machine's
+/// own reservation.
 pub const DEFAULT_WORKLOAD_HEAP_WORDS: usize = 256 * 1024;
 
 /// Aggregate result of driving one workload over one backend.
@@ -222,7 +224,7 @@ pub fn run_workload_on_with(
     drive_loaded_workload(workload, backend)
 }
 
-/// The [`LoadOptions`] a workload asks for: the default heap reservation,
+/// The [`LoadOptions`] a workload asks for: the default reservation,
 /// its expected first-invocation iteration count, its declared conflict
 /// policy and its loop-header hint.
 #[must_use]

@@ -139,6 +139,23 @@ pub fn all_workload_factories(small: bool) -> Vec<(&'static str, WorkloadFactory
         .collect()
 }
 
+/// The factory of the suite benchmark `name` at one size.
+///
+/// # Errors
+///
+/// Returns a message listing the suite's names when `name` is not one of
+/// them.
+pub fn workload_factory(name: &str, small: bool) -> Result<WorkloadFactory, String> {
+    let Some(&(_, build)) = BENCHMARKS.iter().find(|(n, _)| *n == name) else {
+        let names: Vec<&str> = BENCHMARKS.iter().map(|(n, _)| *n).collect();
+        return Err(format!(
+            "unknown benchmark {name:?} (expected one of {})",
+            names.join(", ")
+        ));
+    };
+    Ok(Box::new(move || build(small)))
+}
+
 const VALUE: i64 = 0;
 const NEXT: i64 = 1;
 const RECORD_WORDS: i64 = 2;
