@@ -1,17 +1,29 @@
-//! A reusable forward/backward dataflow framework over [`Cfg`], plus the
-//! instance the speculation-safety tooling is built from — available
-//! memory-base expressions — and the static dependence pre-screen that
-//! classifies a loop's store/load pairs with it.
+//! A reusable forward/backward dataflow framework over [`Cfg`], the dense
+//! register-indexed fact forms its clients share, the instance the
+//! speculation-safety tooling is built from — available memory-base
+//! expressions — and the static dependence pre-screen that classifies a
+//! loop's store/load pairs with it.
 //!
 //! The framework is deliberately small: facts are per-block values joined at
 //! control-flow merges by a caller-supplied `join`, propagated by a
 //! caller-supplied block `transfer`, and iterated to a fixpoint on a
-//! worklist seeded in (reverse) post order. Programs in this repository are
-//! generated kernels of at most a few hundred instructions, so facts are
-//! plain hash maps rather than bit vectors — clarity wins over constant
-//! factors at this scale.
-
-use std::collections::HashMap;
+//! worklist seeded in (reverse) post order. [`solve`] is the one solver in
+//! the crate; three analyses run on it:
+//!
+//! * liveness ([`crate::liveness::Liveness`], backward, union),
+//! * definite assignment ([`crate::verify::verify_function`], forward,
+//!   intersection),
+//! * available base expressions ([`BaseExprs`], forward).
+//!
+//! Every register-keyed fact is dense: indexed by [`Reg::index`] and sized
+//! by [`Function::reg_count`] — a [`RegSet`] bitset for the two set-valued
+//! analyses, a `Vec<Option<AddrExpr>>` for base expressions (the bit-vector
+//! form of Kildall, "A Unified Approach to Global Program Optimization",
+//! POPL 1973). Hash maps were used here until measurement showed the
+//! speculation-safety lints' base-expression solve was about half of a Spice
+//! preparation, spent in hashing and cloning maps of a few hundred entries.
+//! A register at or past `reg_count` (malformed IR, which the verifier
+//! reports) reads as absent and is never stored.
 
 use crate::cfg::Cfg;
 use crate::function::Function;
@@ -49,9 +61,10 @@ pub trait Analysis {
     /// Joins `from` into `into`; returns `true` if `into` changed.
     fn join(&self, into: &mut Self::Fact, from: &Self::Fact) -> bool;
 
-    /// Applies one whole block to `fact` (instructions in execution order
-    /// for forward analyses, reverse order for backward ones).
-    fn transfer(&self, func: &Function, block: BlockId, fact: Self::Fact) -> Self::Fact;
+    /// Applies one whole block to `fact` in place (instructions in
+    /// execution order for forward analyses, reverse order for backward
+    /// ones).
+    fn transfer(&self, func: &Function, block: BlockId, fact: &mut Self::Fact);
 }
 
 /// The fixpoint of a dataflow analysis: one input and one output fact per
@@ -101,22 +114,24 @@ pub fn solve<A: Analysis>(analysis: &A, func: &Function, cfg: &Cfg) -> Solution<
         on_list[b.index()] = true;
     }
 
+    // One scratch fact carries every transfer: it swaps with the block's
+    // old output when the output changes, so the solve allocates no fact
+    // per visit.
+    let mut scratch = analysis.empty_fact();
     while let Some(b) = worklist.pop_front() {
         on_list[b.index()] = false;
-        let out = analysis.transfer(func, b, block_in[b.index()].clone());
-        if out == block_out[b.index()] {
+        scratch.clone_from(&block_in[b.index()]);
+        analysis.transfer(func, b, &mut scratch);
+        if scratch == block_out[b.index()] {
             continue;
         }
-        block_out[b.index()] = out;
+        std::mem::swap(&mut block_out[b.index()], &mut scratch);
         let next: &[BlockId] = if forward { cfg.succs(b) } else { cfg.preds(b) };
         // Unreachable blocks (only a backward edge can name one) keep the
         // empty fact, as they do in the forward direction.
         for &s in next.iter().filter(|&&s| cfg.is_reachable(s)) {
-            let changed = {
-                let from = block_out[b.index()].clone();
-                analysis.join(&mut block_in[s.index()], &from)
-            };
-            if changed && !on_list[s.index()] {
+            if analysis.join(&mut block_in[s.index()], &block_out[b.index()]) && !on_list[s.index()]
+            {
                 on_list[s.index()] = true;
                 worklist.push_back(s);
             }
@@ -126,6 +141,128 @@ pub fn solve<A: Analysis>(analysis: &A, func: &Function, cfg: &Cfg) -> Solution<
     Solution {
         block_in,
         block_out,
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Dense register sets.
+// ---------------------------------------------------------------------------
+
+/// A set of registers as a bitset indexed by [`Reg::index`], holding the
+/// registers below a fixed capacity (a function's [`Function::reg_count`]).
+/// A register at or past the capacity is never a member: inserting one is
+/// a no-op.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct RegSet {
+    words: Vec<u64>,
+    capacity: usize,
+}
+
+impl RegSet {
+    /// The empty set of registers below `capacity`.
+    #[must_use]
+    pub fn empty(capacity: usize) -> Self {
+        RegSet {
+            words: vec![0; capacity.div_ceil(64)],
+            capacity,
+        }
+    }
+
+    /// The set of every register below `capacity`.
+    #[must_use]
+    pub fn full(capacity: usize) -> Self {
+        let mut words = vec![u64::MAX; capacity.div_ceil(64)];
+        if let Some(last) = words.last_mut() {
+            let tail = capacity % 64;
+            if tail != 0 {
+                *last = (1 << tail) - 1;
+            }
+        }
+        RegSet { words, capacity }
+    }
+
+    /// The set of `regs` below `capacity`.
+    #[must_use]
+    pub fn from_regs(capacity: usize, regs: impl IntoIterator<Item = Reg>) -> Self {
+        let mut set = RegSet::empty(capacity);
+        for r in regs {
+            set.insert(r);
+        }
+        set
+    }
+
+    /// Whether `r` is a member.
+    #[must_use]
+    pub fn contains(&self, r: Reg) -> bool {
+        let i = r.index();
+        i < self.capacity && self.words[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    /// Adds `r`; returns `true` if it was not a member. A register at or
+    /// past the capacity is dropped (and reported as not inserted).
+    pub fn insert(&mut self, r: Reg) -> bool {
+        let i = r.index();
+        if i >= self.capacity {
+            return false;
+        }
+        let (word, bit) = (&mut self.words[i / 64], 1 << (i % 64));
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
+    }
+
+    /// Removes `r` if it is a member.
+    pub fn remove(&mut self, r: Reg) {
+        let i = r.index();
+        if i < self.capacity {
+            self.words[i / 64] &= !(1 << (i % 64));
+        }
+    }
+
+    /// Removes every member.
+    pub fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
+    /// Adds every member of `other`; returns `true` if `self` grew.
+    pub fn union_with(&mut self, other: &RegSet) -> bool {
+        let mut changed = false;
+        for (w, &o) in self.words.iter_mut().zip(&other.words) {
+            changed |= o & !*w != 0;
+            *w |= o;
+        }
+        changed
+    }
+
+    /// Keeps only the members of `other`; returns `true` if `self` shrank.
+    pub fn intersect_with(&mut self, other: &RegSet) -> bool {
+        let mut changed = false;
+        for (w, &o) in self.words.iter_mut().zip(&other.words) {
+            changed |= *w & !o != 0;
+            *w &= o;
+        }
+        changed
+    }
+
+    /// Whether the set has no members.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// The members in ascending register order.
+    pub fn iter(&self) -> impl Iterator<Item = Reg> + '_ {
+        self.words.iter().enumerate().flat_map(|(i, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                if rest == 0 {
+                    return None;
+                }
+                let bit = rest.trailing_zeros();
+                rest &= rest - 1;
+                Some(Reg(i as u32 * 64 + bit))
+            })
+        })
     }
 }
 
@@ -217,26 +354,34 @@ impl AddrExpr {
     }
 }
 
-type ExprMap = HashMap<Reg, AddrExpr>;
+/// The base-expression fact: one slot per register, `None` while no path
+/// to the point defines the register.
+type ExprFact = Vec<Option<AddrExpr>>;
 
-struct BaseExprAnalysis;
+struct BaseExprAnalysis {
+    regs: usize,
+}
 
-fn eval_operand(map: &ExprMap, op: &Operand) -> AddrExpr {
+fn eval_operand(fact: &ExprFact, op: &Operand) -> AddrExpr {
     match op {
         Operand::Imm(v) => AddrExpr::constant(*v),
-        Operand::Reg(r) => map.get(r).copied().unwrap_or_else(AddrExpr::unknown),
+        Operand::Reg(r) => fact
+            .get(r.index())
+            .copied()
+            .flatten()
+            .unwrap_or_else(AddrExpr::unknown),
     }
 }
 
-fn transfer_inst(map: &mut ExprMap, block: BlockId, ip: usize, inst: &Inst) {
+fn transfer_inst(fact: &mut ExprFact, block: BlockId, ip: usize, inst: &Inst) {
     let Some(dst) = inst.def() else {
         return;
     };
     let value = match inst {
-        Inst::Copy { src, .. } => eval_operand(map, src),
+        Inst::Copy { src, .. } => eval_operand(fact, src),
         Inst::Binary { op, lhs, rhs, .. } => {
-            let a = eval_operand(map, lhs);
-            let b = eval_operand(map, rhs);
+            let a = eval_operand(fact, lhs);
+            let b = eval_operand(fact, rhs);
             match (op, a.as_const(), b.as_const()) {
                 (BinOp::Add, Some(ka), Some(kb)) => AddrExpr::constant(ka.wrapping_add(kb)),
                 (BinOp::Sub, Some(ka), Some(kb)) => AddrExpr::constant(ka.wrapping_sub(kb)),
@@ -253,52 +398,52 @@ fn transfer_inst(map: &mut ExprMap, block: BlockId, ip: usize, inst: &Inst) {
         },
         _ => AddrExpr::unknown(),
     };
-    map.insert(dst, value);
+    if let Some(slot) = fact.get_mut(dst.index()) {
+        *slot = Some(value);
+    }
 }
 
 impl Analysis for BaseExprAnalysis {
-    type Fact = ExprMap;
+    type Fact = ExprFact;
 
     fn direction(&self) -> Direction {
         Direction::Forward
     }
 
-    fn boundary_fact(&self, func: &Function) -> ExprMap {
-        func.params
-            .iter()
-            .enumerate()
-            .map(|(i, r)| {
-                (
-                    *r,
-                    AddrExpr {
-                        base: Base::Param(i),
-                        offset: 0,
-                    },
-                )
-            })
-            .collect()
+    fn boundary_fact(&self, func: &Function) -> ExprFact {
+        let mut fact = self.empty_fact();
+        for (i, r) in func.params.iter().enumerate() {
+            if let Some(slot) = fact.get_mut(r.index()) {
+                *slot = Some(AddrExpr {
+                    base: Base::Param(i),
+                    offset: 0,
+                });
+            }
+        }
+        fact
     }
 
-    fn empty_fact(&self) -> ExprMap {
-        ExprMap::new()
+    fn empty_fact(&self) -> ExprFact {
+        vec![None; self.regs]
     }
 
-    fn join(&self, into: &mut ExprMap, from: &ExprMap) -> bool {
+    fn join(&self, into: &mut ExprFact, from: &ExprFact) -> bool {
         let mut changed = false;
         // A register absent from one side was never defined on that path;
         // the verifier's definite-assignment pass guarantees such a value is
         // never used, so keeping the defined side's expression is sound.
-        for (reg, expr) in from {
-            match into.get_mut(reg) {
+        for (have, expr) in into.iter_mut().zip(from) {
+            let Some(expr) = expr else {
+                continue;
+            };
+            match have {
                 None => {
-                    into.insert(*reg, *expr);
+                    *have = Some(*expr);
                     changed = true;
                 }
-                Some(have) if have != expr => {
-                    if have.base != Base::Unknown {
-                        *have = AddrExpr::unknown();
-                        changed = true;
-                    }
+                Some(have) if have != expr && have.base != Base::Unknown => {
+                    *have = AddrExpr::unknown();
+                    changed = true;
                 }
                 Some(_) => {}
             }
@@ -306,11 +451,10 @@ impl Analysis for BaseExprAnalysis {
         changed
     }
 
-    fn transfer(&self, func: &Function, block: BlockId, mut fact: ExprMap) -> ExprMap {
+    fn transfer(&self, func: &Function, block: BlockId, fact: &mut ExprFact) {
         for (ip, inst) in func.block(block).insts.iter().enumerate() {
-            transfer_inst(&mut fact, block, ip, inst);
+            transfer_inst(fact, block, ip, inst);
         }
-        fact
     }
 }
 
@@ -319,7 +463,7 @@ impl Analysis for BaseExprAnalysis {
 /// addresses.
 #[derive(Debug, Clone)]
 pub struct BaseExprs {
-    solution: Solution<ExprMap>,
+    solution: Solution<ExprFact>,
 }
 
 /// One memory access (load or store) with its resolved symbolic address.
@@ -337,8 +481,11 @@ impl BaseExprs {
     /// Computes available base expressions over `func`.
     #[must_use]
     pub fn compute(func: &Function, cfg: &Cfg) -> Self {
+        let analysis = BaseExprAnalysis {
+            regs: func.reg_count(),
+        };
         BaseExprs {
-            solution: solve(&BaseExprAnalysis, func, cfg),
+            solution: solve(&analysis, func, cfg),
         }
     }
 
@@ -347,23 +494,24 @@ impl BaseExprs {
     #[must_use]
     pub fn accesses(&self, func: &Function, blocks: &[BlockId]) -> Vec<MemAccess> {
         let mut out = Vec::new();
+        let mut fact = ExprFact::new();
         for &b in blocks {
-            let mut map = self.solution.block_in[b.index()].clone();
+            fact.clone_from(&self.solution.block_in[b.index()]);
             for (ip, inst) in func.block(b).insts.iter().enumerate() {
                 match inst {
                     Inst::Load { addr, offset, .. } => out.push(MemAccess {
                         site: DefSite { block: b, ip },
                         is_store: false,
-                        expr: eval_operand(&map, addr).add_const(*offset),
+                        expr: eval_operand(&fact, addr).add_const(*offset),
                     }),
                     Inst::Store { addr, offset, .. } => out.push(MemAccess {
                         site: DefSite { block: b, ip },
                         is_store: true,
-                        expr: eval_operand(&map, addr).add_const(*offset),
+                        expr: eval_operand(&fact, addr).add_const(*offset),
                     }),
                     _ => {}
                 }
-                transfer_inst(&mut map, b, ip, inst);
+                transfer_inst(&mut fact, b, ip, inst);
             }
         }
         out
@@ -532,6 +680,87 @@ mod tests {
         let f = b.finish();
         let cfg = Cfg::new(&f);
         (f, cfg, vec![header, body])
+    }
+
+    #[test]
+    fn reg_set_holds_registers_below_its_capacity() {
+        let mut set = RegSet::empty(70);
+        assert!(set.is_empty());
+        assert!(set.insert(Reg(69)) && set.insert(Reg(3)) && set.insert(Reg(64)));
+        assert!(!set.insert(Reg(3)), "already a member");
+        assert!(
+            !set.insert(Reg(70)) && !set.contains(Reg(70)),
+            "past capacity"
+        );
+        assert_eq!(set.iter().collect::<Vec<_>>(), [Reg(3), Reg(64), Reg(69)]);
+        set.remove(Reg(64));
+        set.remove(Reg(500));
+        assert_eq!(set.iter().count(), 2);
+
+        let full = RegSet::full(70);
+        assert_eq!(full.iter().count(), 70);
+        assert_eq!(full.iter().last(), Some(Reg(69)));
+        let mut meet = full.clone();
+        assert!(meet.intersect_with(&set));
+        assert_eq!(meet, set);
+        assert!(!meet.union_with(&set));
+        assert!(meet.union_with(&full) && meet == full);
+    }
+
+    /// A register at or past `reg_count` is malformed IR: the dense facts
+    /// read it as absent and drop writes to it instead of indexing out of
+    /// bounds, and the verifier still names it.
+    #[test]
+    fn out_of_range_registers_are_absent_not_a_panic() {
+        let mut f = Function::new("malformed");
+        let p = f.fresh_reg();
+        f.params.push(p);
+        let body = f.add_block();
+        let entry = f.block_mut(BlockId(0));
+        entry.insts.push(Inst::Copy {
+            dst: Reg(40),
+            src: Operand::Reg(p),
+        });
+        entry.insts.push(Inst::Load {
+            dst: Reg(41),
+            addr: Operand::Reg(Reg(40)),
+            offset: 2,
+        });
+        entry.insts.push(Inst::Store {
+            src: Operand::Reg(Reg(41)),
+            addr: Operand::Reg(p),
+            offset: 1,
+        });
+        entry.terminator = crate::inst::Terminator::Br(body);
+        f.block_mut(body).terminator = crate::inst::Terminator::Ret {
+            value: Some(Operand::Reg(Reg(41))),
+        };
+        let cfg = Cfg::new(&f);
+
+        let accesses = BaseExprs::compute(&f, &cfg).accesses(&f, &f.block_ids());
+        assert_eq!(accesses.len(), 2);
+        assert_eq!(accesses[0].expr, AddrExpr::unknown(), "r40 reads as absent");
+        assert_eq!(accesses[1].expr.base, Base::Param(0));
+        assert_eq!(accesses[1].expr.offset, 1);
+
+        let live = crate::liveness::Liveness::new(&f, &cfg);
+        assert_eq!(live.live_in(BlockId(0)).iter().collect::<Vec<_>>(), [p]);
+        assert!(live.live_in(body).is_empty());
+
+        let errs = crate::verify::verify_function(&f).unwrap_err();
+        let out_of_range: Vec<Reg> = errs
+            .iter()
+            .filter_map(|e| match e {
+                crate::verify::VerifyError::RegisterOutOfRange { reg, .. } => Some(*reg),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(out_of_range, [Reg(40), Reg(40), Reg(41), Reg(41), Reg(41)]);
+        assert_eq!(
+            errs.len(),
+            5,
+            "no use-before-def for a register that does not exist"
+        );
     }
 
     #[test]

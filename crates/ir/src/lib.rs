@@ -38,8 +38,10 @@
 //! * [`fixtures`] — the small list-walking programs several crates' tests
 //!   share.
 //! * [`dataflow`] — a reusable forward/backward dataflow framework over
-//!   [`cfg::Cfg`] (liveness and available memory-base expressions run on
-//!   it) and the static dependence pre-screen.
+//!   [`cfg::Cfg`] with dense register-indexed facts ([`dataflow::RegSet`]);
+//!   liveness, the verifier's definite assignment and available
+//!   memory-base expressions run on it, and so does the static dependence
+//!   pre-screen.
 //!
 //! ## Quick example
 //!

@@ -12,57 +12,61 @@
 //! * **live-outs** — registers defined in the loop that are consumed after
 //!   it; the worker threads send these back at the end of an invocation.
 
-use std::collections::HashSet;
-
 use crate::cfg::Cfg;
-use crate::dataflow::{solve, Analysis, Direction};
+use crate::dataflow::{solve, Analysis, Direction, RegSet};
 use crate::function::Function;
 use crate::loops::Loop;
 use crate::types::{BlockId, Reg};
 
 /// Per-block liveness sets: the backward instance of the [`dataflow`]
-/// framework (fact = the live register set).
+/// framework (fact = the live register set, a [`RegSet`]).
 ///
 /// [`dataflow`]: crate::dataflow
 #[derive(Debug, Clone)]
 pub struct Liveness {
-    live_in: Vec<HashSet<Reg>>,
-    live_out: Vec<HashSet<Reg>>,
+    live_in: Vec<RegSet>,
+    live_out: Vec<RegSet>,
 }
 
-struct LiveRegs;
+struct LiveRegs {
+    regs: usize,
+}
 
 impl Analysis for LiveRegs {
-    type Fact = HashSet<Reg>;
+    type Fact = RegSet;
 
     fn direction(&self) -> Direction {
         Direction::Backward
     }
 
-    fn boundary_fact(&self, _func: &Function) -> HashSet<Reg> {
-        HashSet::new()
+    fn boundary_fact(&self, _func: &Function) -> RegSet {
+        self.empty_fact()
     }
 
-    fn empty_fact(&self) -> HashSet<Reg> {
-        HashSet::new()
+    fn empty_fact(&self) -> RegSet {
+        RegSet::empty(self.regs)
     }
 
-    fn join(&self, into: &mut HashSet<Reg>, from: &HashSet<Reg>) -> bool {
-        let before = into.len();
-        into.extend(from);
-        into.len() != before
+    fn join(&self, into: &mut RegSet, from: &RegSet) -> bool {
+        into.union_with(from)
     }
 
-    fn transfer(&self, func: &Function, block: BlockId, mut live: HashSet<Reg>) -> HashSet<Reg> {
+    fn transfer(&self, func: &Function, block: BlockId, live: &mut RegSet) {
         let block = func.block(block);
-        live.extend(block.terminator.uses());
+        for r in block.terminator.uses() {
+            live.insert(r);
+        }
+        let mut uses = Vec::new();
         for inst in block.insts.iter().rev() {
             if let Some(def) = inst.def() {
-                live.remove(&def);
+                live.remove(def);
             }
-            live.extend(inst.uses());
+            uses.clear();
+            inst.uses_into(&mut uses);
+            for &r in &uses {
+                live.insert(r);
+            }
         }
-        live
     }
 }
 
@@ -71,7 +75,10 @@ impl Liveness {
     #[must_use]
     pub fn new(func: &Function, cfg: &Cfg) -> Self {
         // Backward: a block's "input" is the fact at its end.
-        let solution = solve(&LiveRegs, func, cfg);
+        let analysis = LiveRegs {
+            regs: func.reg_count(),
+        };
+        let solution = solve(&analysis, func, cfg);
         Liveness {
             live_in: solution.block_out,
             live_out: solution.block_in,
@@ -80,13 +87,13 @@ impl Liveness {
 
     /// Registers live on entry to `b`.
     #[must_use]
-    pub fn live_in(&self, b: BlockId) -> &HashSet<Reg> {
+    pub fn live_in(&self, b: BlockId) -> &RegSet {
         &self.live_in[b.index()]
     }
 
     /// Registers live on exit from `b`.
     #[must_use]
-    pub fn live_out(&self, b: BlockId) -> &HashSet<Reg> {
+    pub fn live_out(&self, b: BlockId) -> &RegSet {
         &self.live_out[b.index()]
     }
 }
@@ -106,7 +113,7 @@ pub struct LoopLiveIns {
 /// Computes the loop live-in classification for `l`.
 #[must_use]
 pub fn loop_live_ins(func: &Function, cfg: &Cfg, liveness: &Liveness, l: &Loop) -> LoopLiveIns {
-    let mut defined_in_loop: HashSet<Reg> = HashSet::new();
+    let mut defined_in_loop = RegSet::empty(func.reg_count());
     for &b in &l.blocks {
         for inst in &func.block(b).insts {
             if let Some(d) = inst.def() {
@@ -114,38 +121,24 @@ pub fn loop_live_ins(func: &Function, cfg: &Cfg, liveness: &Liveness, l: &Loop) 
             }
         }
     }
-    let header_live: &HashSet<Reg> = liveness.live_in(l.header);
+    let header_live = liveness.live_in(l.header);
 
-    let mut carried: Vec<Reg> = header_live
+    // `RegSet::iter` ascends, so every list below comes out sorted.
+    let (carried, invariant): (Vec<Reg>, Vec<Reg>) = header_live
         .iter()
-        .copied()
-        .filter(|r| defined_in_loop.contains(r))
-        .collect();
-    let mut invariant: Vec<Reg> = header_live
-        .iter()
-        .copied()
-        .filter(|r| !defined_in_loop.contains(r))
-        .collect();
+        .partition(|&r| defined_in_loop.contains(r));
 
     // Live-outs: defined in the loop and live on entry to some exit target.
-    let mut out_set: HashSet<Reg> = HashSet::new();
+    let mut out_set = RegSet::empty(func.reg_count());
     for &(_, target) in &l.exits {
-        for r in liveness.live_in(target) {
-            if defined_in_loop.contains(r) {
-                out_set.insert(*r);
-            }
-        }
+        out_set.union_with(liveness.live_in(target));
     }
+    out_set.intersect_with(&defined_in_loop);
     let _ = cfg;
-    let mut live_outs: Vec<Reg> = out_set.into_iter().collect();
-
-    carried.sort();
-    invariant.sort();
-    live_outs.sort();
     LoopLiveIns {
         carried,
         invariant,
-        live_outs,
+        live_outs: out_set.iter().collect(),
     }
 }
 
@@ -207,11 +200,11 @@ mod tests {
         let cfg = Cfg::new(&f);
         let live = Liveness::new(&f, &cfg);
         let header = BlockId(1);
-        assert!(live.live_in(header).contains(&c));
-        assert!(live.live_in(header).contains(&wm));
-        assert!(live.live_in(header).contains(&cm));
+        assert!(live.live_in(header).contains(c));
+        assert!(live.live_in(header).contains(wm));
+        assert!(live.live_in(header).contains(cm));
         // The body keeps all three alive as well.
-        assert!(live.live_out(BlockId(2)).contains(&c));
+        assert!(live.live_out(BlockId(2)).contains(c));
     }
 
     #[test]
@@ -315,24 +308,24 @@ mod tests {
         let cfg = Cfg::new(&f);
         let live = Liveness::new(&f, &cfg);
 
-        let set = |regs: &[Reg]| regs.iter().copied().collect::<HashSet<Reg>>();
+        let set = |regs: &[Reg]| RegSet::from_regs(f.reg_count(), regs.iter().copied());
         assert_eq!(live.live_in(header), &set(&[c, key, miss]));
         assert_eq!(live.live_in(found), &set(&[c]), "the early ret's use");
         assert_eq!(live.live_in(exit), &set(&[miss]));
         assert_eq!(live.live_out(latch), &set(&[c, key, miss]));
         assert!(live.live_out(found).is_empty() && live.live_out(exit).is_empty());
         for (id, _) in f.iter_blocks() {
-            let out: HashSet<Reg> = cfg
-                .succs(id)
-                .iter()
-                .flat_map(|&s| live.live_in(s).iter().copied())
-                .collect();
-            assert_eq!(live.live_out(id), &out, "live_out({id:?})");
-            assert_eq!(
-                live.live_in(id),
-                &LiveRegs.transfer(&f, id, out),
-                "live_in({id:?})"
+            let out = RegSet::from_regs(
+                f.reg_count(),
+                cfg.succs(id).iter().flat_map(|&s| live.live_in(s).iter()),
             );
+            assert_eq!(live.live_out(id), &out, "live_out({id:?})");
+            let mut live_in = out;
+            let analysis = LiveRegs {
+                regs: f.reg_count(),
+            };
+            analysis.transfer(&f, id, &mut live_in);
+            assert_eq!(live.live_in(id), &live_in, "live_in({id:?})");
         }
     }
 
@@ -345,7 +338,7 @@ mod tests {
         let f = b.finish();
         let cfg = Cfg::new(&f);
         let live = Liveness::new(&f, &cfg);
-        assert!(live.live_in(f.entry).contains(&x));
-        assert_eq!(live.live_out(f.entry).len(), 0);
+        assert!(live.live_in(f.entry).contains(x));
+        assert!(live.live_out(f.entry).is_empty());
     }
 }

@@ -5,10 +5,10 @@
 //! used before any definition, unfinished (unreachable) terminators on
 //! reachable blocks, and calls with the wrong arity.
 
-use std::collections::HashSet;
 use std::fmt;
 
 use crate::cfg::Cfg;
+use crate::dataflow::{solve, Analysis, Direction, RegSet};
 use crate::function::{Function, Program};
 use crate::inst::{Inst, Terminator};
 use crate::types::{BlockId, FuncId, Reg};
@@ -159,6 +159,40 @@ impl VerifyError {
     }
 }
 
+/// Definite assignment, the forward instance of the [`crate::dataflow`]
+/// framework: the registers written on every path to a point. Parameters
+/// are assigned on entry; the join is intersection, so a block no path has
+/// reached yet holds every register.
+struct DefinitelyAssigned {
+    regs: usize,
+}
+
+impl Analysis for DefinitelyAssigned {
+    type Fact = RegSet;
+
+    fn direction(&self) -> Direction {
+        Direction::Forward
+    }
+
+    fn boundary_fact(&self, func: &Function) -> RegSet {
+        RegSet::from_regs(self.regs, func.params.iter().copied())
+    }
+
+    fn empty_fact(&self) -> RegSet {
+        RegSet::full(self.regs)
+    }
+
+    fn join(&self, into: &mut RegSet, from: &RegSet) -> bool {
+        into.intersect_with(from)
+    }
+
+    fn transfer(&self, func: &Function, block: BlockId, fact: &mut RegSet) {
+        for d in func.block(block).insts.iter().filter_map(Inst::def) {
+            fact.insert(d);
+        }
+    }
+}
+
 /// Verifies a single function (ignoring inter-function properties).
 ///
 /// # Errors
@@ -221,63 +255,46 @@ pub fn verify_function(func: &Function) -> Result<(), Vec<VerifyError>> {
         }
     }
 
-    // Conservative use-before-def: a forward dataflow of "definitely
-    // assigned" registers. Parameters start assigned. Reads of registers not
-    // definitely assigned at that point are flagged. To keep the check useful
-    // for code produced by the builder (which often assigns in the entry
-    // block), the analysis is flow-sensitive over blocks but flow-insensitive
-    // within a block after the first def.
-    let mut assigned_in: Vec<Option<HashSet<Reg>>> = vec![None; nblocks];
-    let params: HashSet<Reg> = func.params.iter().copied().collect();
-    assigned_in[func.entry.index()] = Some(params);
-    let mut worklist = vec![func.entry];
-    let mut reported: HashSet<(Reg, BlockId)> = HashSet::new();
-    while let Some(b) = worklist.pop() {
-        let mut assigned = assigned_in[b.index()].clone().unwrap_or_default();
-        let block = func.block(b);
-        for inst in &block.insts {
-            for r in inst.uses() {
-                if r.0 < nregs && !assigned.contains(&r) && reported.insert((r, b)) {
+    // Conservative use-before-def: a read of a register that is not
+    // definitely assigned — written on every path from the entry, with
+    // parameters assigned on entry — is flagged once per block, in block
+    // order and, within a block, at its first questionable read.
+    let assigned = solve(
+        &DefinitelyAssigned {
+            regs: nregs as usize,
+        },
+        func,
+        &cfg,
+    );
+    let mut have = RegSet::default();
+    let mut reported = RegSet::empty(nregs as usize);
+    let mut uses = Vec::new();
+    for (id, block) in func.iter_blocks() {
+        if !cfg.is_reachable(id) {
+            continue;
+        }
+        have.clone_from(&assigned.block_in[id.index()]);
+        reported.clear();
+        let mut check = |uses: &[Reg], have: &RegSet, errors: &mut Vec<VerifyError>| {
+            for &r in uses {
+                if r.0 < nregs && !have.contains(r) && reported.insert(r) {
                     errors.push(VerifyError::UseBeforeDef {
                         func: func.name.clone(),
                         reg: r,
-                        block: b,
+                        block: id,
                     });
                 }
             }
+        };
+        for inst in &block.insts {
+            uses.clear();
+            inst.uses_into(&mut uses);
+            check(&uses, &have, &mut errors);
             if let Some(d) = inst.def() {
-                assigned.insert(d);
+                have.insert(d);
             }
         }
-        for r in block.terminator.uses() {
-            if r.0 < nregs && !assigned.contains(&r) && reported.insert((r, b)) {
-                errors.push(VerifyError::UseBeforeDef {
-                    func: func.name.clone(),
-                    reg: r,
-                    block: b,
-                });
-            }
-        }
-        for s in block.terminator.successors() {
-            if s.index() >= nblocks {
-                continue;
-            }
-            let entry = &mut assigned_in[s.index()];
-            match entry {
-                None => {
-                    *entry = Some(assigned.clone());
-                    worklist.push(s);
-                }
-                Some(prev) => {
-                    // Meet = intersection (must be assigned on all paths).
-                    let inter: HashSet<Reg> = prev.intersection(&assigned).copied().collect();
-                    if inter.len() != prev.len() {
-                        *prev = inter;
-                        worklist.push(s);
-                    }
-                }
-            }
-        }
+        check(&block.terminator.uses(), &have, &mut errors);
     }
 
     if errors.is_empty() {

@@ -95,8 +95,13 @@ impl<'m> SpecView<'m> {
 
 impl MemPort for SpecView<'_> {
     fn load(&mut self, addr: i64) -> Result<i64, TrapKind> {
-        if let Some(v) = self.writes.get(addr) {
-            return Ok(v);
+        // Most chunk loads run before the chunk's first store: with nothing
+        // buffered there is nothing to probe for (the simulator's
+        // `SpecBuffer::load` takes the same shortcut).
+        if !self.writes.is_empty() {
+            if let Some(v) = self.writes.get(addr) {
+                return Ok(v);
+            }
         }
         // Recorded even when out of bounds: the chunk faults, but the set
         // must not lie about what it tried to read.
