@@ -28,7 +28,7 @@ use spice_sim::{Machine, MachineConfig, SequentialSimBackend};
 use spice_workloads::trace::{FuzzConfig, TraceReplayWorkload, WorkloadTrace};
 use spice_workloads::{
     drive_loaded_workload, run_workload_on, workload_load_options, BackendRunSummary, OtterConfig,
-    OtterWorkload, SpiceWorkload, Suite, SuiteBenchmark, DEFAULT_WORKLOAD_HEAP_WORDS,
+    OtterWorkload, SpiceWorkload, Suite, SuiteBenchmark,
 };
 
 use crate::farm_driver::Figure;
@@ -144,7 +144,7 @@ pub fn prepare_sweep(
             } else {
                 MachineConfig::itanium2_cmp().with_cores(1)
             };
-            PreparedProgram::sequential(config, built.program, built.kernel, options.heap_words)
+            PreparedProgram::sequential(config, built.program, built.kernel)
         }
         SweepMode::Spice { threads } => {
             let config = if tiny {
@@ -930,7 +930,7 @@ pub const LINE_GRANULARITY_LOG2: u8 = 3;
 pub fn table2_hotness_row(factory: &WorkloadFactory, small: bool) -> Result<Table2Row, String> {
     let mut wl = factory();
     let built = wl.build();
-    let mut mem = FlatMemory::for_program(&built.program, DEFAULT_WORKLOAD_HEAP_WORDS);
+    let mut mem = FlatMemory::for_program(&built.program, 0);
     let args = wl.init(&mut mem);
     let mut sys = LocalSys::new();
     let report = measure_hotness(
@@ -1864,18 +1864,16 @@ mod tests {
         assert_eq!(cmp.schedules.len(), 3);
     }
 
-    /// Every mode of a cell reserves the same words past the globals: the
-    /// workload's request, raised to the machine's own reservation. The
-    /// tiny machine's own is smaller than the workload's request.
+    /// Every mode of a cell sizes its memory to the (transformed) program's
+    /// globals, with nothing reserved past them.
     #[test]
-    fn sweep_modes_reserve_the_workload_request() {
-        assert!(MachineConfig::test_tiny(1).heap_words < DEFAULT_WORKLOAD_HEAP_WORDS);
+    fn sweep_modes_size_memory_to_the_globals() {
         let (name, factory) = all_workload_factories(true).swap_remove(0);
         for mode in [SweepMode::Sequential, SweepMode::Spice { threads: 4 }] {
             let prep = prepare_sweep(&factory, mode, true, 0).unwrap();
             let machine = prep.prepared.machine();
-            let reserved = machine.mem().size() - machine.program().data_end() as usize;
-            assert_eq!(reserved, DEFAULT_WORKLOAD_HEAP_WORDS, "{name} {mode:?}");
+            let data_end = machine.program().data_end() as usize;
+            assert_eq!(machine.mem().size(), data_end, "{name} {mode:?}");
         }
     }
 

@@ -339,11 +339,7 @@ mod tests {
             let (program, f, nodes, _) = list_min_program(weights.len() as i64 + 4);
             let mut backend = make_backend(choice, 4);
             backend
-                .load(
-                    program,
-                    f,
-                    LoadOptions::new(4096, Some(weights.len() as u64)),
-                )
+                .load(program, f, LoadOptions::new(Some(weights.len() as u64)))
                 .unwrap();
             let head = write_list(backend.mem_mut(), nodes, &weights);
             for inv in 0..3 {
@@ -363,11 +359,7 @@ mod tests {
         let (program, f, nodes, _) = list_min_program(weights.len() as i64 + 4);
         let mut backend = SimBackend::tiny(2);
         backend
-            .load(
-                program,
-                f,
-                LoadOptions::new(4096, Some(weights.len() as u64)),
-            )
+            .load(program, f, LoadOptions::new(Some(weights.len() as u64)))
             .unwrap();
         let head = write_list(backend.mem_mut(), nodes, &weights);
         let report = backend.run_invocation(&[head]).unwrap();
@@ -398,7 +390,7 @@ mod tests {
         backend.enable_trace(1 << 10);
         assert!(backend.trace().is_none(), "no machine to record on yet");
         backend
-            .load(program, f, LoadOptions::new(4096, Some(60)))
+            .load(program, f, LoadOptions::new(Some(60)))
             .unwrap();
         let head = write_list(backend.mem_mut(), nodes, &weights);
         backend.run_invocation(&[head]).unwrap();
@@ -415,7 +407,7 @@ mod tests {
             let (program, f, nodes) = chained_increment_program(n + 4);
             let mut backend = make_backend(choice, 3);
             backend
-                .load(program, f, LoadOptions::new(4096, Some(n as u64)))
+                .load(program, f, LoadOptions::new(Some(n as u64)))
                 .unwrap();
             let mut values = vec![0; n as usize];
             values[0] = v0;

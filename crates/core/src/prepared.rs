@@ -1,17 +1,14 @@
-//! Decode-once program preparation for simulation sweeps.
+//! Decode-once program preparation for simulated runs.
 //!
-//! A parallel sweep (the `spice-farm` engine) runs the same workload program
-//! under many jobs — sequential and Spice, different thread counts,
-//! different seeds. Everything immutable about such a run can be built
-//! exactly once and shared: the (possibly transformed) [`Program`] and its
-//! [`DecodedProgram`] execution form. [`PreparedProgram`] is that bundle,
-//! with both behind [`Arc`] so instantiating a machine for one more job is
-//! two reference-count bumps plus a fresh [`FlatMemory::for_program`]
-//! ([`Machine::from_shared`]) — a lazily-zeroed allocation and a copy of the
-//! global initializers, no re-decode and (the extent rule in
-//! [`FlatMemory`]'s doc) no work proportional to the heap reservation.
+//! Everything immutable about a simulated run is built once: the (possibly
+//! transformed) [`Program`] and its [`DecodedProgram`] execution form.
+//! [`PreparedProgram`] is that bundle, with both behind [`Arc`], so
+//! instantiating one more machine over it is two reference-count bumps plus
+//! a fresh [`FlatMemory::for_program`] ([`Machine::from_shared`]) — a copy
+//! of the program's globals, no re-decode. Each farm job prepares its own
+//! cell; the repo benchmark's repeated instantiation and the farm's failure
+//! capture (a traced re-run of a failed job) are what reuse a preparation.
 //!
-//! [`FlatMemory`]: spice_ir::interp::FlatMemory
 //! [`FlatMemory::for_program`]: spice_ir::interp::FlatMemory::for_program
 //!
 //! [`SimBackend::load`](crate::backend::SimBackend) is itself implemented
@@ -54,17 +51,9 @@ pub struct PreparedProgram {
 
 impl PreparedProgram {
     /// Prepares `program` for sequential execution of `kernel` on `config`:
-    /// decode, no transformation. The reservation past the globals follows
-    /// the Spice preparation's rule: the larger of `config.heap_words` and
-    /// the caller's `heap_words`.
+    /// decode, no transformation.
     #[must_use]
-    pub fn sequential(
-        mut config: MachineConfig,
-        program: Program,
-        kernel: FuncId,
-        heap_words: usize,
-    ) -> Self {
-        config.heap_words = config.heap_words.max(heap_words);
+    pub fn sequential(config: MachineConfig, program: Program, kernel: FuncId) -> Self {
         let decoded = Arc::new(DecodedProgram::new(&program));
         PreparedProgram {
             program: Arc::new(program),
@@ -77,7 +66,7 @@ impl PreparedProgram {
     /// Prepares `program` for Spice execution: loop analysis, the Spice
     /// transformation with `threads` threads and `predictor`, and the
     /// machine configuration adjustments [`SimBackend::load`] performs
-    /// (cores, heap reservation, conflict granularity).
+    /// (cores, conflict granularity).
     ///
     /// [`SimBackend::load`]: crate::backend::SimBackend
     ///
@@ -103,12 +92,7 @@ impl PreparedProgram {
         })
         .apply(&mut program, &analysis)
         .map_err(|e| BackendError::Analysis(e.to_string()))?;
-        // The machine's memory is sized by the program's globals plus the
-        // larger of the machine's own heap reservation and the one the
-        // caller requested — so both backends honor `LoadOptions::heap_words`
-        // and a workload cannot fit on one substrate but not the other.
         let mut config = base_config.with_cores(threads);
-        config.heap_words = config.heap_words.max(options.heap_words);
         // Conflict tracking follows the program: the transform emits a
         // `spec.check` per worker exactly under `ConflictPolicy::Detect`.
         config.conflict_granularity_log2 = options.conflict_granularity_log2;
@@ -207,7 +191,7 @@ mod tests {
     #[test]
     fn instantiations_share_decode_but_not_memory() {
         let (program, f, nodes) = list_sum_program(64);
-        let prepared = PreparedProgram::sequential(MachineConfig::test_tiny(1), program, f, 0);
+        let prepared = PreparedProgram::sequential(MachineConfig::test_tiny(1), program, f);
         assert!(!prepared.is_spice());
         assert_eq!(prepared.threads(), 1);
 
@@ -233,15 +217,14 @@ mod tests {
         assert_eq!(report.backend, "sim-sequential");
     }
 
-    /// Instantiating a job touches no heap word, however large the machine's
-    /// reservation (4 Mi words on the Table 1 machine): a fresh machine's
-    /// memory extent stops at the program's globals. The timing-free pin of
-    /// "no O(image) work per job".
+    /// An instantiation's memory is exactly the (transformed) program's
+    /// globals, on the Table 1 machine as on any other: nothing is reserved
+    /// past them.
     #[test]
-    fn instantiation_touches_no_heap_word() {
+    fn instantiation_sizes_memory_to_the_globals() {
         let config = MachineConfig::itanium2_cmp();
         let (program, f, _) = list_sum_program(64);
-        let sequential = PreparedProgram::sequential(config.clone(), program, f, 0);
+        let sequential = PreparedProgram::sequential(config.clone(), program, f);
         let (program, f, _) = list_sum_program(64);
         let spice = PreparedProgram::spice(
             config,
@@ -249,21 +232,14 @@ mod tests {
             PredictorOptions::default(),
             program,
             f,
-            LoadOptions::new(4096, Some(16)),
+            LoadOptions::new(Some(16)),
         )
         .unwrap();
         for prepared in [&sequential, &spice] {
             let machine = prepared.machine();
             let data_end = machine.program().data_end() as usize;
-            let mem = machine.mem();
-            assert!(mem.size() >= data_end + prepared.config().heap_words);
-            assert!(
-                mem.extent() <= data_end,
-                "extent {} past the globals ({data_end})",
-                mem.extent()
-            );
-            let backend = SimBackend::from_prepared(prepared);
-            assert!(backend.mem().extent() <= data_end);
+            assert_eq!(machine.mem().size(), data_end);
+            assert_eq!(SimBackend::from_prepared(prepared).mem().size(), data_end);
         }
     }
 
@@ -278,7 +254,7 @@ mod tests {
             PredictorOptions::default(),
             program,
             f,
-            LoadOptions::new(4096, Some(16)),
+            LoadOptions::new(Some(16)),
         )
         .unwrap();
         assert!(prepared.is_spice());

@@ -302,8 +302,6 @@ impl From<TrapKind> for BackendError {
 /// Options for [`ExecutionBackend::load`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LoadOptions {
-    /// Zeroed words to reserve past the program's globals.
-    pub heap_words: usize,
     /// Header of the target loop; `None` selects the function's largest
     /// top-level loop.
     pub loop_header: Option<BlockId>,
@@ -325,12 +323,10 @@ pub struct LoadOptions {
 }
 
 impl LoadOptions {
-    /// Options with a reservation past the globals and a first-invocation
-    /// estimate.
+    /// Options with a first-invocation estimate.
     #[must_use]
-    pub fn new(heap_words: usize, work_estimate: Option<u64>) -> Self {
+    pub fn new(work_estimate: Option<u64>) -> Self {
         LoadOptions {
-            heap_words,
             loop_header: None,
             work_estimate,
             conflict_policy: ConflictPolicy::default(),
@@ -465,9 +461,9 @@ impl ExecutionBackend for InterpBackend {
         &mut self,
         program: Program,
         kernel: FuncId,
-        options: LoadOptions,
+        _options: LoadOptions,
     ) -> Result<(), BackendError> {
-        let mem = FlatMemory::for_program(&program, options.heap_words);
+        let mem = FlatMemory::for_program(&program, 0);
         let decoded = DecodedProgram::new(&program);
         self.loaded = Some((program, decoded, kernel, mem));
         self.ports.clear();
@@ -652,7 +648,7 @@ mod tests {
             backend.run_invocation(&[cell]),
             Err(BackendError::NotLoaded)
         ));
-        backend.load(p, f, LoadOptions::new(16, None)).unwrap();
+        backend.load(p, f, LoadOptions::new(None)).unwrap();
         for value in [41, 42] {
             backend.mem_mut().write(cell, value).unwrap();
             let report = backend.run_invocation(&[cell]).unwrap();

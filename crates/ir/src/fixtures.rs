@@ -1,8 +1,7 @@
 //! Small IR programs the test suites of several crates share: linked-list
-//! loops over `(weight, next)` node pairs in a `nodes` global, the helper
-//! that lays such a list out in memory, and the check of [`FlatMemory`]'s
-//! extent rule. Public and ungated so unit tests, integration tests and
-//! downstream crates all build the *same* program.
+//! loops over `(weight, next)` node pairs in a `nodes` global and the helper
+//! that lays such a list out in memory. Public and ungated so unit tests,
+//! integration tests and downstream crates all build the *same* program.
 
 use crate::builder::FunctionBuilder;
 use crate::interp::FlatMemory;
@@ -113,27 +112,4 @@ pub fn write_list(mem: &mut FlatMemory, base: i64, weights: &[i64]) -> i64 {
     } else {
         base
     }
-}
-
-/// Checks [`FlatMemory`]'s extent rule on `mem` the slow way — every word at
-/// or past the extent is zero — and that a clone (which copies only the
-/// prefix the extent names) equals the original word for word.
-///
-/// # Panics
-///
-/// Panics, naming `what`, if either fails.
-pub fn assert_extent_rule(mem: &FlatMemory, what: &str) {
-    let extent = mem.extent();
-    if let Some(i) = mem.words()[extent..].iter().position(|&w| w != 0) {
-        panic!(
-            "{what}: word {} is non-zero past the extent {extent}",
-            extent + i
-        );
-    }
-    let clone = mem.clone();
-    assert!(clone == *mem, "{what}: clone differs from the original");
-    assert!(
-        clone.words() == mem.words(),
-        "{what}: clone differs from the original past the extent"
-    );
 }

@@ -302,8 +302,8 @@ impl Program {
         self.globals.iter().find(|g| g.name == name)
     }
 
-    /// First word address past all globals; a memory's reservation (see
-    /// [`crate::interp::FlatMemory::for_program`]) starts here.
+    /// First word address past all globals: the size of the program's memory
+    /// (see [`crate::interp::FlatMemory::for_program`]).
     #[must_use]
     pub fn data_end(&self) -> i64 {
         self.next_global_base

@@ -83,56 +83,16 @@ pub trait SysPort {
 
 /// Simple flat word-addressable memory.
 ///
-/// Word addresses run from 0 to `size - 1`. Globals of a [`Program`] are
-/// materialized by [`FlatMemory::for_program`], followed by a zeroed
-/// reservation of the requested size. Nothing hands the reservation out:
-/// programs keep their data in globals, and a wild load that lands past them
-/// reads zero instead of trapping.
-///
-/// # The extent rule
-///
-/// Besides its words the memory keeps one more word of state, the *extent*:
-/// **every word at or past [`FlatMemory::extent`] is zero.** A new memory is
-/// one lazily-zeroed allocation with the extent just past the last global
-/// initializer; [`FlatMemory::write`] — the only way to change a word —
-/// raises it, nothing lowers it, and it is never a setting. Whatever has to
-/// visit "the whole image" (`clone`, `==`, the simulator's snapshot diff)
-/// visits `[..extent]` instead, so a memory costs what was touched, not what
-/// was reserved: the pages past the extent are never read or written by the
-/// harness and stay unbacked.
-///
-/// The extent is bookkeeping, not content: two memories with equal words are
-/// `==` whatever their write histories, and a clone may carry a different
-/// (never smaller than necessary) extent.
-#[derive(Debug)]
+/// Word addresses run from 0 to `size - 1`. A program's memory is exactly its
+/// globals: [`FlatMemory::for_program`] sizes it `program.data_end()` words
+/// and copies every global initializer into place. Nothing lies past the
+/// globals, so a wild load there — a stale speculative chunk walking a
+/// pointer it should not have followed — traps, and the squash that follows
+/// discards it.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlatMemory {
     words: Vec<i64>,
-    /// Every word at or past this index is zero (see the type's doc).
-    extent: usize,
 }
-
-impl Clone for FlatMemory {
-    /// A fresh zeroed allocation plus a copy of `[..extent]`.
-    fn clone(&self) -> Self {
-        let mut words = vec![0; self.words.len()];
-        words[..self.extent].copy_from_slice(&self.words[..self.extent]);
-        FlatMemory {
-            words,
-            extent: self.extent,
-        }
-    }
-}
-
-impl PartialEq for FlatMemory {
-    /// Equal size and contents. The extents are not compared, only used:
-    /// past the larger one both sides are zero.
-    fn eq(&self, other: &Self) -> bool {
-        let n = self.extent.max(other.extent);
-        self.words.len() == other.words.len() && self.words[..n] == other.words[..n]
-    }
-}
-
-impl Eq for FlatMemory {}
 
 impl FlatMemory {
     /// Creates a zeroed memory of `size` words.
@@ -140,21 +100,18 @@ impl FlatMemory {
     pub fn new(size: usize) -> Self {
         FlatMemory {
             words: vec![0; size],
-            extent: 0,
         }
     }
 
-    /// Creates a memory sized `program.data_end() + heap_words` — the
-    /// globals plus a zeroed reservation of `heap_words` past them — and
-    /// copies every global initializer into place. Touches nothing past the
-    /// last initializer.
+    /// Creates a memory of `program.data_end() + extra_words` words — the
+    /// globals plus `extra_words` zeroed words past them — and copies every
+    /// global initializer into place. Every backend passes 0.
     #[must_use]
-    pub fn for_program(program: &Program, heap_words: usize) -> Self {
-        let size = program.data_end() as usize + heap_words;
-        let mut mem = FlatMemory::new(size);
-        for g in program.globals.iter().filter(|g| !g.init.is_empty()) {
+    pub fn for_program(program: &Program, extra_words: usize) -> Self {
+        let mut mem = FlatMemory::new(program.data_end() as usize + extra_words);
+        for g in &program.globals {
             let base = g.base as usize;
-            mem.prefix_mut(base + g.init.len())[base..].copy_from_slice(&g.init);
+            mem.words[base..base + g.init.len()].copy_from_slice(&g.init);
         }
         mem
     }
@@ -163,13 +120,6 @@ impl FlatMemory {
     #[must_use]
     pub fn size(&self) -> usize {
         self.words.len()
-    }
-
-    /// The bound of the extent rule (see the type's doc): every word at or
-    /// past this index is zero.
-    #[must_use]
-    pub fn extent(&self) -> usize {
-        self.extent
     }
 
     /// Reads a word without going through the [`MemPort`] trait.
@@ -192,32 +142,18 @@ impl FlatMemory {
     /// Returns [`TrapKind::OutOfBoundsAccess`] for addresses outside memory.
     #[inline]
     pub fn write(&mut self, addr: i64, value: i64) -> Result<(), TrapKind> {
-        let idx = usize::try_from(addr).map_err(|_| TrapKind::OutOfBoundsAccess { addr })?;
-        match self.words.get_mut(idx) {
-            Some(slot) => {
-                *slot = value;
-                if idx >= self.extent {
-                    self.extent = idx + 1;
-                }
-                Ok(())
-            }
-            None => Err(TrapKind::OutOfBoundsAccess { addr }),
-        }
+        let slot = usize::try_from(addr)
+            .ok()
+            .and_then(|idx| self.words.get_mut(idx))
+            .ok_or(TrapKind::OutOfBoundsAccess { addr })?;
+        *slot = value;
+        Ok(())
     }
 
-    /// All words, the untouched tail past the extent included (used by
-    /// equivalence tests).
+    /// All words (used by equivalence tests).
     #[must_use]
     pub fn words(&self) -> &[i64] {
         &self.words
-    }
-
-    /// Mutable view of the first `len` words, raising the extent to cover
-    /// them.
-    fn prefix_mut(&mut self, len: usize) -> &mut [i64] {
-        let prefix = &mut self.words[..len];
-        self.extent = self.extent.max(len);
-        prefix
     }
 }
 
@@ -1272,60 +1208,16 @@ mod tests {
     fn globals_are_materialized_by_for_program() {
         let mut p = Program::new();
         let base = p.add_global_init("table", 4, vec![9, 8]);
-        let mem = FlatMemory::for_program(&p, 128);
+        let mem = FlatMemory::for_program(&p, 0);
         assert_eq!(mem.read(base).unwrap(), 9);
         assert_eq!(mem.read(base + 1).unwrap(), 8);
-        assert_eq!(mem.read(base + 2).unwrap(), 0);
-        assert_eq!(mem.size(), p.data_end() as usize + 128, "the reservation");
-        assert_eq!(mem.extent(), base as usize + 2, "just past the initializer");
-    }
-
-    /// The extent rule: writes raise the extent, nothing lowers it, a clone
-    /// copies exactly the touched prefix, and equality is about contents —
-    /// two memories that reached the same words by different write histories
-    /// (so with different extents) are equal.
-    #[test]
-    fn extent_bounds_the_nonzero_words_and_stays_out_of_equality() {
-        use crate::fixtures::assert_extent_rule;
-        let mut a = FlatMemory::new(4096);
-        assert_eq!(a.extent(), 0);
-        a.write(10, 7).unwrap();
-        assert_eq!(a.extent(), 11);
-        a.write(3000, 5).unwrap();
-        a.write(3000, 0).unwrap();
-        assert_eq!(a.extent(), 3001, "zeroing a word does not lower the extent");
-        assert!(a.write(4096, 1).is_err());
-        assert_eq!(a.extent(), 3001, "a faulting write changes nothing");
-        assert_extent_rule(&a, "after writes");
-
-        let mut b = FlatMemory::new(4096);
-        b.write(10, 7).unwrap();
-        assert_eq!(b.extent(), 11);
-        assert_eq!(a, b, "same contents, different write histories");
-        assert_eq!(b, a);
-        b.write(20, 1).unwrap();
-        assert_ne!(a, b);
-        assert_ne!(b, a);
-
-        let c = a.clone();
-        assert_eq!(c, a);
-        assert_eq!(c.words(), a.words());
-        assert_extent_rule(&c, "a clone");
-
-        a.prefix_mut(3500)[3499] = 4;
-        assert_eq!(a.extent(), 3500);
-        assert_eq!(a.read(3499), Ok(4));
-        assert_ne!(a, c, "a difference past the other side's extent is seen");
-        assert_ne!(c, a);
-        assert_eq!(a.prefix_mut(8).len(), 8);
-        assert_eq!(a.extent(), 3500, "a shorter prefix does not lower it");
-        assert_extent_rule(&a, "after prefix_mut");
-
-        assert_ne!(
-            FlatMemory::new(64),
-            FlatMemory::new(65),
-            "the size is compared"
+        assert_eq!(mem.read(base + 3).unwrap(), 0);
+        assert_eq!(
+            mem.size(),
+            p.data_end() as usize,
+            "the globals, nothing past"
         );
+        assert!(mem.read(p.data_end()).is_err());
     }
 
     #[test]

@@ -441,7 +441,7 @@ impl ExecutionBackend for NativeLoopBackend {
         options: LoadOptions,
     ) -> Result<(), BackendError> {
         let spec = derive_loop_spec(&program, kernel, options.loop_header)?;
-        let mem = FlatMemory::for_program(&program, options.heap_words.max(1024));
+        let mem = FlatMemory::for_program(&program, 0);
         let width = spec.cursors.len();
         let mut last_work = Vec::new();
         if let Some(estimate) = options.work_estimate {
@@ -1092,9 +1092,7 @@ fn fold_liveouts(spec: &SpiceLoopSpec, main: &mut ThreadState, mut finals: &[i64
 mod tests {
     use super::*;
     use spice_ir::builder::FunctionBuilder;
-    use spice_ir::fixtures::{
-        assert_extent_rule, chained_increment_program, list_min_program, write_list,
-    };
+    use spice_ir::fixtures::{chained_increment_program, list_min_program, write_list};
     use spice_ir::{BinOp, Operand};
 
     /// Both hand-off paths, whichever of them this host's core count would
@@ -1114,11 +1112,7 @@ mod tests {
         let (program, f, nodes, out) = list_min_program(weights.len() as i64 + 4);
         let mut backend = NativeLoopBackend::new(4);
         backend
-            .load(
-                program,
-                f,
-                LoadOptions::new(4096, Some(weights.len() as u64)),
-            )
+            .load(program, f, LoadOptions::new(Some(weights.len() as u64)))
             .unwrap();
         let head = write_list(backend.mem_mut(), nodes, &weights);
         let expected = *weights.iter().min().unwrap();
@@ -1147,11 +1141,7 @@ mod tests {
         let (program, f, nodes, _) = list_min_program(weights.len() as i64 + 4);
         let mut backend = NativeLoopBackend::new(3);
         backend
-            .load(
-                program,
-                f,
-                LoadOptions::new(4096, Some(weights.len() as u64)),
-            )
+            .load(program, f, LoadOptions::new(Some(weights.len() as u64)))
             .unwrap();
         let head = write_list(backend.mem_mut(), nodes, &weights);
         backend.run_invocation(&[head]).unwrap();
@@ -1162,7 +1152,7 @@ mod tests {
         let shorter: Vec<i64> = weights.iter().copied().step_by(2).collect();
         let head2 = {
             let mem = backend.mem_mut();
-            for addr in 0..mem.extent() as i64 {
+            for addr in 0..mem.size() as i64 {
                 mem.write(addr, 0).unwrap();
             }
             for (i, w) in shorter.iter().enumerate() {
@@ -1192,7 +1182,7 @@ mod tests {
         let v0: i64 = 50;
         let (program, f, nodes) = chained_increment_program(n + 4);
         backend
-            .load(program, f, LoadOptions::new(4096, Some(n as u64)))
+            .load(program, f, LoadOptions::new(Some(n as u64)))
             .unwrap();
         let mut values = vec![0; n as usize];
         values[0] = v0;
@@ -1239,7 +1229,7 @@ mod tests {
         let (program, kernel, nodes) = chained_increment_program(n + 4);
         let mut backend = NativeLoopBackend::new(4);
         backend
-            .load(program, kernel, LoadOptions::new(4096, Some(n as u64)))
+            .load(program, kernel, LoadOptions::new(Some(n as u64)))
             .unwrap();
         {
             let mem = backend.mem_mut();
@@ -1387,7 +1377,7 @@ mod tests {
 
         let mut backend = NativeLoopBackend::new(4);
         backend
-            .load(program, f, LoadOptions::new(4096, Some(n as u64)))
+            .load(program, f, LoadOptions::new(Some(n as u64)))
             .unwrap();
         {
             let mem = backend.mem_mut();
@@ -1456,7 +1446,7 @@ mod tests {
         let (program, f, nodes, g) = scaled_sum_program(n + 4);
         let mut backend = NativeLoopBackend::new(4);
         backend
-            .load(program, f, LoadOptions::new(4096, Some(n as u64)))
+            .load(program, f, LoadOptions::new(Some(n as u64)))
             .unwrap();
         let weights: Vec<i64> = (1..=n).collect();
         let head = write_list(backend.mem_mut(), nodes, &weights);
@@ -1489,8 +1479,7 @@ mod tests {
     /// channel: a trap in the entry code returns before any task exists, a
     /// trap in the main chunk squashes and drains the tasked workers. The
     /// invocation after each is an exact repeat of the one before it — a
-    /// stale result would carry the failed invocation's `scale` — and the
-    /// image a failed invocation leaves behind is a well-formed one.
+    /// stale result would carry the failed invocation's `scale`.
     #[test]
     fn failed_invocations_leave_no_stale_worker_result() {
         let (mut backend, head, g) = scaled_sum_backend();
@@ -1500,7 +1489,6 @@ mod tests {
 
         // The entry code's store faults.
         assert!(backend.run_invocation(&[head, 4, -1]).is_err());
-        assert_extent_rule(backend.mem(), "after a trap in the entry code");
         assert_eq!(scaled_sum_invocation(&mut backend, [head, 5, g]), 3);
 
         // The main chunk walks into a dangling `next`; all three workers
@@ -1509,7 +1497,6 @@ mod tests {
         let next = backend.mem().read(link).unwrap();
         backend.mem_mut().write(link, -7).unwrap();
         assert!(backend.run_invocation(&[head, 6, g]).is_err());
-        assert_extent_rule(backend.mem(), "after a trap in the main chunk");
         backend.mem_mut().write(link, next).unwrap();
         assert_eq!(scaled_sum_invocation(&mut backend, [head, 7, g]), 3);
         assert_eq!(backend.worker_thread_ids(), ids);
@@ -1523,7 +1510,7 @@ mod tests {
         let n: i64 = 120;
         let (program, f, nodes) = chained_increment_program(n + 4);
         let mut backend = NativeLoopBackend::new(3);
-        let options = LoadOptions::new(4096, Some(n as u64))
+        let options = LoadOptions::new(Some(n as u64))
             .with_conflict_policy(spice_ir::exec::ConflictPolicy::AssumeIndependent);
         backend.load(program, f, options).unwrap();
         write_list(backend.mem_mut(), nodes, &vec![1; n as usize]);
@@ -1569,11 +1556,7 @@ mod tests {
         let weights: Vec<i64> = (0..200).map(|i| ((i * 31) % 509) + 1).collect();
         let (program, f, nodes, _) = list_min_program(weights.len() as i64 + 4);
         backend
-            .load(
-                program,
-                f,
-                LoadOptions::new(4096, Some(weights.len() as u64)),
-            )
+            .load(program, f, LoadOptions::new(Some(weights.len() as u64)))
             .unwrap();
         let head = write_list(backend.mem_mut(), nodes, &weights);
         let expected = *weights.iter().min().unwrap();
@@ -1607,11 +1590,7 @@ mod tests {
                 let (program, f, nodes, _) = list_min_program(weights.len() as i64 + 4);
                 let mut backend = backend_on_path(2, true);
                 backend
-                    .load(
-                        program,
-                        f,
-                        LoadOptions::new(4096, Some(weights.len() as u64)),
-                    )
+                    .load(program, f, LoadOptions::new(Some(weights.len() as u64)))
                     .unwrap();
                 let head = write_list(backend.mem_mut(), nodes, &weights);
                 backend.run_invocation(&[head]).unwrap();
@@ -1627,28 +1606,26 @@ mod tests {
     }
 
     /// What a driver does to the image between invocations — zeroing a
-    /// word far above everything it ever wrote, or swapping in a fresh image
-    /// (of the same size, or a smaller one) — is what the next invocation
-    /// sees: there is no second copy for invocation *k*'s value to survive
-    /// in, and none whose size could disagree.
+    /// word it never wrote, or swapping in a fresh image (of the same size,
+    /// or a smaller one) — is what the next invocation sees: there is no
+    /// second copy for invocation *k*'s value to survive in, and none whose
+    /// size could disagree.
     #[test]
     fn driver_zeroing_or_image_swap_is_what_the_next_invocation_sees() {
-        let (program, f, nodes) = chained_increment_program(8);
-        let fresh = FlatMemory::for_program(&program, 1 << 16);
-        let smaller = FlatMemory::for_program(&program, 1 << 10);
+        let (program, f, nodes) = chained_increment_program(32);
+        // The last node of the globals.
+        let high = program.data_end() - 2;
+        let fresh = FlatMemory::for_program(&program, 0);
+        let smaller = FlatMemory::new(high as usize);
         let mut backend = NativeLoopBackend::new(2);
-        backend
-            .load(program, f, LoadOptions::new(1 << 16, Some(2)))
-            .unwrap();
-        let high = backend.mem().size() as i64 - 64;
-        // Node A (in the globals) links to node B at `high`, which the
-        // driver never writes: visiting A stores A's value + 1 into B.
+        backend.load(program, f, LoadOptions::new(Some(2))).unwrap();
+        // Node A links to node B at `high`, which the driver never writes:
+        // visiting A stores A's value + 1 into B.
         let link = |mem: &mut FlatMemory| {
             mem.write(nodes, 5).unwrap();
             mem.write(nodes + 1, high).unwrap();
         };
         link(backend.mem_mut());
-        assert!(backend.mem().extent() < high as usize);
         let report = backend.run_invocation(&[nodes]).unwrap();
         assert_eq!(report.return_value, Some(5 + 6));
         assert_eq!(backend.mem().read(high), Ok(6), "committed to the image");
@@ -1658,12 +1635,11 @@ mod tests {
         let report = backend.run_invocation(&[high]).unwrap();
         assert_eq!(report.return_value, Some(0));
 
-        // Same through a fresh image, whose extent is below `high`.
+        // Same through a fresh image.
         link(backend.mem_mut());
         backend.run_invocation(&[nodes]).unwrap();
         assert_eq!(backend.mem().read(high), Ok(6));
         *backend.mem_mut() = fresh;
-        assert!(backend.mem().extent() < high as usize);
         let report = backend.run_invocation(&[high]).unwrap();
         assert_eq!(report.return_value, Some(0), "stale word survived");
         assert_eq!(backend.mem().read(high), Ok(0));
@@ -1672,7 +1648,11 @@ mod tests {
         // its end, is a typed out-of-bounds error — for the entry walk and
         // for a chunk that follows a link there — never a panic.
         *backend.mem_mut() = smaller;
-        assert!((backend.mem().size() as i64) < high);
+        assert_eq!(
+            backend.mem().size() as i64,
+            high,
+            "`high` is just past its end"
+        );
         let head = write_list(backend.mem_mut(), nodes, &[3, 0]);
         let report = backend.run_invocation(&[head]).unwrap();
         assert_eq!(report.return_value, Some(3 + 4));
@@ -1686,23 +1666,21 @@ mod tests {
         }
     }
 
-    /// The reverse: the driver writes a word far above anything an
-    /// invocation has touched, at the top of the reservation.
+    /// The reverse: the driver writes the last node of the globals, which no
+    /// invocation has touched.
     #[test]
-    fn driver_write_at_the_top_of_the_reservation_is_seen() {
+    fn driver_write_at_the_end_of_the_globals_is_seen() {
         let (program, f, nodes) = chained_increment_program(8);
         let mut backend = NativeLoopBackend::new(2);
-        backend
-            .load(program, f, LoadOptions::new(1 << 16, Some(2)))
-            .unwrap();
+        backend.load(program, f, LoadOptions::new(Some(2))).unwrap();
         let head = write_list(backend.mem_mut(), nodes, &[1, 2]);
         assert_eq!(
             backend.run_invocation(&[head]).unwrap().return_value,
             Some(1 + 2)
         );
-        // A one-node list at the top of the reservation, written between
+        // A one-node list in the last node of the globals, written between
         // invocations.
-        let high = backend.mem().size() as i64 - 64;
+        let high = backend.mem().size() as i64 - 2;
         backend.mem_mut().write(high, 9).unwrap();
         let report = backend.run_invocation(&[high]).unwrap();
         assert_eq!(report.return_value, Some(9));
@@ -1717,7 +1695,7 @@ mod tests {
         let (program, f, nodes) = chained_increment_program(n + 4);
         let mut backend = NativeLoopBackend::new(4);
         backend
-            .load(program, f, LoadOptions::new(4096, Some(n as u64)))
+            .load(program, f, LoadOptions::new(Some(n as u64)))
             .unwrap();
         let image = backend.mem().words().as_ptr();
         let mut squashed = 0;
@@ -1741,9 +1719,7 @@ mod tests {
     fn chunk_loop_reports_every_stop_reason() {
         let (program, f, nodes, _) = list_min_program(16);
         let mut backend = NativeLoopBackend::new(2);
-        backend
-            .load(program, f, LoadOptions::new(4096, None))
-            .unwrap();
+        backend.load(program, f, LoadOptions::new(None)).unwrap();
         let weights: Vec<i64> = (0..10).map(|i| 50 - i).collect();
         let head = write_list(backend.mem_mut(), nodes, &weights);
         let loaded = backend.loaded.unwrap();
@@ -1819,11 +1795,7 @@ mod tests {
         let weights: Vec<i64> = (0..400).map(|i| ((i * 37) % 211) + 5).collect();
         let (program, f, nodes, _) = list_min_program(weights.len() as i64 + 4);
         backend
-            .load(
-                program,
-                f,
-                LoadOptions::new(4096, Some(weights.len() as u64)),
-            )
+            .load(program, f, LoadOptions::new(Some(weights.len() as u64)))
             .unwrap();
         let head = write_list(backend.mem_mut(), nodes, &weights);
         let mut clean_runs = 0;

@@ -73,13 +73,9 @@ impl ExecutionBackend for SequentialSimBackend {
         &mut self,
         program: Program,
         kernel: FuncId,
-        options: LoadOptions,
+        _options: LoadOptions,
     ) -> Result<(), BackendError> {
-        // Same heap rule as the Spice preparation: the larger of the
-        // machine's own reservation and the caller's request.
-        let mut config = self.config.clone();
-        config.heap_words = config.heap_words.max(options.heap_words);
-        let mut machine = Machine::new(config, program);
+        let mut machine = Machine::new(self.config.clone(), program);
         if let Some(capacity) = self.trace_capacity {
             machine.enable_trace(capacity);
         }
@@ -156,10 +152,9 @@ mod tests {
             backend.run_invocation(&[cell]),
             Err(BackendError::NotLoaded)
         ));
-        backend.load(p, f, LoadOptions::new(1 << 20, None)).unwrap();
+        backend.load(p, f, LoadOptions::new(None)).unwrap();
         let machine = backend.machine().unwrap();
         assert_eq!(machine.config().cores, 1);
-        assert!(machine.mem().size() > 1 << 20, "requested heap honoured");
         backend.mem_mut().write(cell, 9).unwrap();
         for expected in [cold, warm] {
             let report = backend.run_invocation(&[cell]).unwrap();

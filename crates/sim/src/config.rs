@@ -96,9 +96,6 @@ pub struct MachineConfig {
     /// to a receive on another core. The paper's cores communicate through
     /// the shared, snooped L3 bus; the default approximates an L3 round trip.
     pub inter_core_latency: u64,
-    /// Number of zeroed words the simulated memory reserves past the
-    /// program's globals (see `FlatMemory::for_program`).
-    pub heap_words: usize,
     /// Upper bound on simulated cycles before a run is declared hung.
     pub max_cycles: u64,
     /// Conflict-detection granularity as a power-of-two word count per
@@ -141,7 +138,6 @@ impl MachineConfig {
             },
             memory_latency: 141,
             inter_core_latency: 16,
-            heap_words: 4 * 1024 * 1024,
             max_cycles: 2_000_000_000,
             conflict_granularity_log2: 0,
         }
@@ -187,7 +183,6 @@ impl MachineConfig {
             },
             memory_latency: 10,
             inter_core_latency: 4,
-            heap_words: 64 * 1024,
             max_cycles: 50_000_000,
             conflict_granularity_log2: 0,
         }

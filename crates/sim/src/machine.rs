@@ -643,16 +643,15 @@ impl Machine {
     /// Creates a machine from already-shared immutable state: the program
     /// and its decoded form. This is the decode-once path a parallel sweep
     /// uses — N machines over one `Arc<DecodedProgram>` instead of N
-    /// decodes. Only the memory is built per machine, and that costs the
-    /// global initializers, not `config.heap_words` (the extent rule in
-    /// [`FlatMemory`]'s doc).
+    /// decodes. Only the memory is built per machine: the program's globals
+    /// (see [`FlatMemory`]).
     #[must_use]
     pub fn from_shared(
         config: MachineConfig,
         program: Arc<Program>,
         decoded: Arc<DecodedProgram>,
     ) -> Self {
-        let mem = FlatMemory::for_program(&program, config.heap_words);
+        let mem = FlatMemory::for_program(&program, 0);
         let hier = MemoryHierarchy::new(&config);
         let cores: Vec<CoreState> = (0..config.cores).map(|_| CoreState::new()).collect();
         // Conflicts are tracked to answer the program's `spec.check`s.
@@ -1036,12 +1035,13 @@ mod tests {
     #[test]
     fn memory_latency_is_charged() {
         // Two loads of the same address: first misses everywhere, second hits L1.
+        let mut p = Program::new();
+        let cell = p.add_global("cell", 1);
         let mut b = FunctionBuilder::new("loads");
-        let a = b.load(2000i64, 0);
-        let c = b.load(2000i64, 0);
+        let a = b.load(cell, 0);
+        let c = b.load(cell, 0);
         let s = b.binop(BinOp::Add, a, c);
         b.ret(Some(Operand::Reg(s)));
-        let mut p = Program::new();
         let f = p.add_func(b.finish());
         let cfg = tiny(1);
         let expected_min =

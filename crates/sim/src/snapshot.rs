@@ -32,8 +32,7 @@ pub(crate) struct SnapshotRecorder {
 /// A complete machine checkpoint: every piece of mutable simulation state —
 /// cores (threads, spec buffers, reports), channels, resteer queue, conflict
 /// tracker, cache hierarchy, cycle — plus the memory image as a delta
-/// against a shared baseline (taken, diffed and restored over the touched
-/// prefix only: the extent rule in [`FlatMemory`]'s doc).
+/// against a shared baseline.
 /// [`Machine::resume_from`] reconstructs a machine whose continuation is
 /// bit-identical to the run the snapshot was taken from: same future
 /// [`RunSummary`]s, same memory, same trace tail.
@@ -88,11 +87,10 @@ impl Machine {
         let (baseline, delta) = match self.snapshots.as_ref() {
             Some(s) => {
                 debug_assert_eq!(s.baseline.size(), mem.size());
-                // Past the larger extent both images are zero: nothing to diff.
-                let touched = mem.extent().max(s.baseline.extent());
-                let words = mem.words()[..touched].iter();
-                let delta = words
-                    .zip(&s.baseline.words()[..touched])
+                let delta = mem
+                    .words()
+                    .iter()
+                    .zip(s.baseline.words())
                     .enumerate()
                     .filter(|(_, (cur, base))| cur != base)
                     .map(|(i, (cur, _))| (i, *cur))

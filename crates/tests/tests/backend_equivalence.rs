@@ -12,16 +12,12 @@
 //!   between backends, and
 //! * the workload's global data region (node payloads, live-out stores like
 //!   mcf's potentials and otter's argmin cell) is bit-identical afterwards.
-//!
-//! Every backend's memory must also come out of the run with `FlatMemory`'s
-//! extent rule intact (all zero past the extent, a clone equal to it).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use spice_core::backend::{make_backend, BackendChoice};
 use spice_ir::exec::{ExecutionBackend, InterpBackend};
-use spice_ir::fixtures::assert_extent_rule;
 use spice_sim::{MachineConfig, SequentialSimBackend};
 use spice_workloads::{
     all_workload_factories, run_workload_on, McfConfig, McfWorkload, OtterConfig, OtterWorkload,
@@ -57,7 +53,6 @@ fn assert_backends_equivalent(
         let mut workload = make_workload();
         let summary = run_workload_on(workload.as_mut(), backend.as_mut())
             .unwrap_or_else(|e| panic!("{label} on {}: {e}", backend.name()));
-        assert_extent_rule(backend.mem(), &format!("{label} on {}", backend.name()));
         let data: Vec<i64> = backend.mem().words()[..data_end].to_vec();
         match &reference {
             None => reference = Some((summary.return_values, data)),
@@ -153,17 +148,11 @@ fn predictor_plans_identical_across_backends() {
         let mut nat = NativeLoopBackend::new(threads);
 
         let built = sim_wl.build();
-        let mut options = LoadOptions::new(
-            spice_workloads::DEFAULT_WORKLOAD_HEAP_WORDS,
-            Some(sim_wl.expected_iterations()),
-        );
+        let mut options = LoadOptions::new(Some(sim_wl.expected_iterations()));
         options.loop_header = built.loop_header_hint;
         sim.load(built.program, built.kernel, options).unwrap();
         let built = nat_wl.build();
-        let mut nat_options = LoadOptions::new(
-            spice_workloads::DEFAULT_WORKLOAD_HEAP_WORDS,
-            Some(nat_wl.expected_iterations()),
-        );
+        let mut nat_options = LoadOptions::new(Some(nat_wl.expected_iterations()));
         nat_options.loop_header = built.loop_header_hint;
         nat.load(built.program, built.kernel, nat_options).unwrap();
 

@@ -20,6 +20,7 @@ use spice_ir::builder::FunctionBuilder;
 use spice_ir::exec::{
     ExecutionBackend, ExecutionReport, InterpBackend, LoadOptions, MisspeculationCause,
 };
+use spice_ir::fixtures::{list_min_program, write_list};
 use spice_ir::interp::{run_function_with, FlatMemory, LocalSys, MemPort};
 use spice_ir::{BinOp, FuncId, Operand, Program, TrapKind};
 use spice_sim::{MachineConfig, SequentialSimBackend};
@@ -397,7 +398,7 @@ fn forward_divisor_run(
 ) -> (Vec<Option<i64>>, Vec<MisspeculationCause>, Vec<i64>) {
     let (program, kernel, nodes, sink) = forward_divisor_program();
     let data_end = program.data_end() as usize;
-    let options = LoadOptions::new(4096, Some(DIVISOR_NODES as u64));
+    let options = LoadOptions::new(Some(DIVISOR_NODES as u64));
     backend.load(program, kernel, options).unwrap();
     let (mut returns, mut causes) = (Vec::new(), Vec::new());
     for inv in 0..6 {
@@ -409,6 +410,84 @@ fn forward_divisor_run(
         causes.extend(report.misspeculation_causes());
     }
     (returns, causes, backend.mem().words()[..data_end].to_vec())
+}
+
+/// Nodes of the walk-off list.
+const WALK_OFF_NODES: i64 = 256;
+
+/// A word address past every backend's image. (On the simulator the
+/// transformed program's predictor globals lie past the list's, so the
+/// untransformed program's `data_end` would still be inside the image.)
+const PAST_THE_IMAGE: i64 = 1 << 30;
+
+/// Four invocations of the list-minimum walk on `backend`: two over the
+/// whole list, so the predictor memoizes chunk start nodes in its middle;
+/// then the driver unlinks the middle three quarters, pointing every
+/// unlinked node's `next` at [`PAST_THE_IMAGE`], so a chunk
+/// started at a stale memoized node walks off the memory image; then one
+/// more over the shortened list. Returns the returns, the squash causes of
+/// the stale invocation and the final data region.
+fn walk_off_run(
+    backend: &mut dyn ExecutionBackend,
+) -> (Vec<Option<i64>>, Vec<MisspeculationCause>, Vec<i64>) {
+    let n = WALK_OFF_NODES;
+    let (program, kernel, nodes, _) = list_min_program(n);
+    let data_end = program.data_end();
+    backend
+        .load(program, kernel, LoadOptions::new(Some(n as u64)))
+        .unwrap();
+    // The minimum is in the middle, so unlinking it changes the result.
+    let weights: Vec<i64> = (0..n).map(|i| 1000 + (i - n / 2).abs()).collect();
+    let head = write_list(backend.mem_mut(), nodes, &weights);
+    let (mut returns, mut causes) = (Vec::new(), Vec::new());
+    for inv in 0..4 {
+        if inv == 2 {
+            let (first, last) = (n / 8, 7 * n / 8);
+            let mem = backend.mem_mut();
+            mem.write(nodes + 2 * (first - 1) + 1, nodes + 2 * last)
+                .unwrap();
+            for i in first..last {
+                mem.write(nodes + 2 * i + 1, PAST_THE_IMAGE).unwrap();
+            }
+        }
+        let report = backend
+            .run_invocation(&[head])
+            .unwrap_or_else(|e| panic!("{}: invocation {inv}: {e}", backend.name()));
+        if inv == 2 {
+            causes = report.misspeculation_causes();
+        }
+        returns.push(report.return_value);
+    }
+    let data = backend.mem().words()[..data_end as usize].to_vec();
+    (returns, causes, data)
+}
+
+/// A stale chunk that walks off the memory image: its load past the globals
+/// traps on every substrate, and the squash that the main thread's walk
+/// decides discards it — the trapped simulated worker is resteered, not
+/// reported as an `UnrecoveredTrap`. Results and live-out memory equal the
+/// interpreter's. A `StalePrediction` squash names a chunk whose start is
+/// no longer in the list: an unlinked node, so a chunk that walked off.
+#[test]
+fn a_stale_chunk_that_walks_off_the_image_is_squashed() {
+    let (returns, _, mem) = walk_off_run(&mut InterpBackend::new());
+    assert!(returns.iter().all(Option::is_some));
+    for choice in [BackendChoice::Native, BackendChoice::SimTiny] {
+        for threads in [2usize, 4] {
+            let mut backend = make_backend(choice, threads);
+            let (spice_returns, causes, spice_mem) = walk_off_run(backend.as_mut());
+            let name = backend.name();
+            assert_eq!(spice_returns, returns, "{name} at {threads} threads");
+            assert_eq!(
+                spice_mem, mem,
+                "{name} at {threads} threads: live-out memory"
+            );
+            assert!(
+                causes.contains(&MisspeculationCause::StalePrediction),
+                "{name} at {threads} threads: {causes:?}"
+            );
+        }
+    }
 }
 
 /// One precedence: a validated chunk that read a stale zero divisor — a

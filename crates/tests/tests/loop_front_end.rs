@@ -108,7 +108,7 @@ fn both_backends_reject_the_same_loops_with_the_same_error() {
         (reduction_only(), SpecError::NothingToSpeculate),
     ];
     for ((program, f), expected) in shapes {
-        let options = LoadOptions::new(64, None);
+        let options = LoadOptions::new(None);
         let sim = SimBackend::tiny(2)
             .load(program.clone(), f, options)
             .unwrap_err();

@@ -129,15 +129,9 @@ pub trait SpiceWorkload: Send {
     fn invocations(&self) -> usize;
 }
 
-/// Default reservation past a workload program's globals, in zeroed words,
-/// when loading it into a backend — the one reservation of every workload
-/// run ([`workload_load_options`]). Every shipped workload, the fig8 corpus
-/// and the full-size suite included, keeps its data structures in globals
-/// (host-side arenas over global arrays); nothing hands the reservation
-/// out, but its size decides what a squashed worker's wild load reads (zero
-/// rather than a trap). The simulator backends raise it to their machine's
-/// own reservation.
-pub const DEFAULT_WORKLOAD_HEAP_WORDS: usize = 256 * 1024;
+/// Zeroed words past a workload program's globals: none, as on every
+/// backend. Only the repo benchmark reads it.
+pub const DEFAULT_WORKLOAD_HEAP_WORDS: usize = 0;
 
 /// Aggregate result of driving one workload over one backend.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -224,16 +218,12 @@ pub fn run_workload_on_with(
     drive_loaded_workload(workload, backend)
 }
 
-/// The [`LoadOptions`] a workload asks for: the default reservation,
-/// its expected first-invocation iteration count, its declared conflict
-/// policy and its loop-header hint.
+/// The [`LoadOptions`] a workload asks for: its expected first-invocation
+/// iteration count, its declared conflict policy and its loop-header hint.
 #[must_use]
 pub fn workload_load_options(workload: &dyn SpiceWorkload, built: &BuiltKernel) -> LoadOptions {
-    let mut options = LoadOptions::new(
-        DEFAULT_WORKLOAD_HEAP_WORDS,
-        Some(workload.expected_iterations()),
-    )
-    .with_conflict_policy(workload.conflict_policy());
+    let mut options = LoadOptions::new(Some(workload.expected_iterations()))
+        .with_conflict_policy(workload.conflict_policy());
     options.loop_header = built.loop_header_hint;
     options
 }
