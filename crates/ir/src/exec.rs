@@ -85,8 +85,8 @@ pub enum MisspeculationCause {
     /// An earlier chunk was squashed, so this one was squashed in the
     /// cascade.
     SquashCascade,
-    /// The chunk never ran (no prediction was available yet — e.g. the
-    /// first invocation, before anything was memoized).
+    /// The chunk never ran: the kernel returned before its loop header. Not a
+    /// wrong prediction — rows start zeroed, and a zero row is a prediction.
     NoPrediction,
     /// The chunk's start was validated, but it read a word that a logically
     /// earlier chunk wrote — a cross-chunk memory flow (RAW) dependence
@@ -102,7 +102,7 @@ pub enum MisspeculationCause {
 /// How a speculative chunk stopped, as the ordered commit sees it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChunkEnd {
-    /// The chunk never ran: nothing predicted its start.
+    /// The chunk never ran: the kernel returned before its loop header.
     NeverRan,
     /// At its successor's predicted start: the hand-off.
     Handoff,

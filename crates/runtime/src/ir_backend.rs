@@ -6,16 +6,16 @@
 //! realizes the same execution model interpretively: every thread steps a
 //! [`ThreadState`] over the **original** kernel function. The main thread
 //! runs the kernel's entry code to its first arrival at the loop header and
-//! hands every predicted worker a copy of its state there; the worker sets
-//! the cursor registers to the live-in values memoized during the previous
-//! invocation and the reductions to their identity, and iterates; the main
-//! thread validates and commits the workers' buffered stores in thread order
-//! — the paper's Figures 4/5 with the interpreter standing in for hardware.
+//! hands every worker a copy of its state there; the worker sets the cursor
+//! registers to its prediction row (zeroed until memoized, like `spice.sva`)
+//! and the reductions to their identity, and iterates; the main thread
+//! validates and commits the workers' buffered stores in thread order — the
+//! paper's Figures 4/5 with the interpreter standing in for hardware.
 //!
 //! The execution model matches the paper's pre-spawned runtime: the worker
 //! threads are spawned **once**, at the first invocation, and persist across
 //! the whole run, waiting on their task channels between invocations. Each
-//! invocation sends every predicted worker a `new_invocation` token — a
+//! invocation reaching the header sends every worker a `new_invocation` token — a
 //! [`WorkerTask`] carrying what the paper's token carries: the live-ins (the
 //! main thread's header frame), the start/successor predictions and the
 //! memoization plan; everything that is invariant across a `load` rides
@@ -370,7 +370,7 @@ impl NativeLoopBackend {
     }
 
     /// Current chunk-boundary predictions (one row per worker), for tests
-    /// and diagnostics.
+    /// and diagnostics. Rows start zeroed, like the generated `spice.sva`.
     #[must_use]
     pub fn predictions(&self) -> Option<&[Vec<i64>]> {
         self.loaded.as_ref().map(|l| l.predictions.as_slice())
@@ -509,24 +509,19 @@ impl ExecutionBackend for NativeLoopBackend {
         let mut steps = DEFAULT_STEP_BUDGET;
         let (mut main, early) = enter_loop(&ctx, args, exclusive(&mut loaded.mem)?, &mut steps);
 
-        // new_invocation: hand every predicted worker its task token — the
-        // main thread's header frame, the image (frozen from here to the
-        // last join) and this invocation's predictions. A kernel that never
-        // reached the header (`early`) tasks nobody.
+        // new_invocation: hand every worker its task token — the main
+        // thread's header frame, the image (frozen from here to the last
+        // join) and this invocation's predictions, a zero row included. A
+        // kernel that never reached the header (`early`) tasks nobody.
         let mut tasked = vec![false; workers];
-        for wi in 0..workers {
-            if early.is_some() || !is_prediction(&predictions[wi]) {
-                continue;
-            }
+        let tasks = if early.is_none() { workers } else { 0 };
+        for wi in 0..tasks {
             let task = WorkerTask {
                 ctx: Arc::clone(&ctx),
                 mem: Arc::clone(&loaded.mem),
                 state: main.clone(),
                 start: predictions[wi].clone(),
-                successor: predictions
-                    .get(wi + 1)
-                    .filter(|s| is_prediction(s))
-                    .cloned(),
+                successor: predictions.get(wi + 1).cloned(),
                 plan: memo_plan[wi + 1].clone(),
             };
             if let Err(e) = pool[wi].send(task) {
@@ -548,10 +543,7 @@ impl ExecutionBackend for NativeLoopBackend {
             Some(stop) => ChunkRun::stopped(stop),
             None => {
                 let limits = ChunkLimits {
-                    boundary: predictions
-                        .first()
-                        .filter(|b| is_prediction(b))
-                        .map(Vec::as_slice),
+                    boundary: Some(predictions[0].as_slice()),
                     plan: &memo_plan[0],
                     squash: None,
                 };
@@ -579,6 +571,11 @@ impl ExecutionBackend for NativeLoopBackend {
         }
         let mut chain = CommitChain::new(main_run.stop.end());
         let mut verdicts: Vec<Verdict> = Vec::with_capacity(workers);
+        // The main chunk memoized at every plan entry it consumed.
+        let resume_plan: Vec<(u64, usize)> = memo_plan[0][main_run.memos.len()..]
+            .iter()
+            .map(|&(threshold, row)| (threshold.saturating_sub(main_run.iterations), row))
+            .collect();
         let mut memos = main_run.memos;
 
         for wi in 0..workers {
@@ -653,15 +650,27 @@ impl ExecutionBackend for NativeLoopBackend {
         // (which the last valid chunk reached itself, so it is a genuine
         // traversal point) — the commit fold left exactly that state in the
         // main thread's registers, reductions carrying the committed prefix.
+        // Re-executing after a validated start's squash, it memoizes like the
+        // generated main thread, carrying on the main chunk's work and plan.
+        let reexecutes = matches!(
+            verdicts.iter().find_map(|v| v.cause),
+            Some(MisspeculationCause::DependenceViolation { .. } | MisspeculationCause::Fault(_))
+        );
         let mut main_work = main_run.iterations;
         let return_value = match main_run.stop {
             Stop::Finished(value) => value,
             _ => {
                 let mut steps = DEFAULT_STEP_BUDGET;
+                let mut resume = ChunkLimits {
+                    plan: if reexecutes { &resume_plan } else { &[] },
+                    ..ChunkLimits::default()
+                };
                 loop {
-                    let resume = ChunkLimits::default();
                     let run = run_chunk(&ctx, &mut main, &mut *mem, &mut steps, &resume);
                     main_work += run.iterations;
+                    memos.extend(run.memos);
+                    // Past the loop's exit nothing is memoized.
+                    resume.plan = &[];
                     match run.stop {
                         Stop::Finished(value) => break value,
                         Stop::Trap(trap) => return Err(engine_trap(trap)),
@@ -814,14 +823,6 @@ impl NativeTracing {
     }
 }
 
-/// An all-zero cursor row is the no-prediction marker, and also what the
-/// cursors hold once the loop is done — a chunk cannot start from "done".
-/// So such a row is never a chunk start, never a boundary, and never
-/// memoized (the row keeps its previous value instead).
-fn is_prediction(row: &[i64]) -> bool {
-    row.iter().any(|&v| v != 0)
-}
-
 /// Why a chunk stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Stop {
@@ -910,9 +911,7 @@ fn run_chunk<M: MemPort>(
             break Stop::Trap(TrapKind::OutOfFuel);
         }
         if let Some(&(_, row)) = plan.next_if(|&&(threshold, _)| iterations >= threshold) {
-            if is_prediction(&cursors) {
-                memos.push((row, cursors.clone()));
-            }
+            memos.push((row, cursors.clone()));
         }
         match step_to_header(ctx, state, port, steps, limits.squash) {
             None => iterations += 1,
@@ -1125,12 +1124,16 @@ mod tests {
             // The exit-block store, made by the resume straight on the image.
             let argmin = backend.mem().read(out).unwrap();
             assert_eq!(backend.mem().read(argmin).unwrap(), expected);
-            if report.committed_chunks == 3 {
-                saw_parallel = true;
-                assert!(!report.misspeculated);
-                let active = report.work_per_thread.iter().filter(|&&w| w > 0).count();
-                assert!(active >= 3, "work: {:?}", report.work_per_thread);
+            // Every invocation commits all three chunks: the first one's
+            // workers start from the zeroed rows, past the list's end, and
+            // leave all the work to the main thread.
+            assert_eq!(report.committed_chunks, 3, "invocation {inv}");
+            assert!(!report.misspeculated);
+            if inv == 0 {
+                assert_eq!(report.work_per_thread, [400, 0, 0, 0]);
             }
+            let active = report.work_per_thread.iter().filter(|&&w| w > 0).count();
+            saw_parallel |= active >= 3;
         }
         assert!(saw_parallel, "chunk predictions never converged");
     }
@@ -1465,14 +1468,82 @@ mod tests {
     /// An entry-code store to a word the loop body reads happens-before
     /// every worker read (the task is sent after the entry code ran), so it
     /// is not in the main chunk's write set and squashes nothing — and the
-    /// workers do read this invocation's value, not the previous one's.
+    /// workers do read this invocation's value, not the previous one's. The
+    /// first invocation's workers start from the zeroed rows and commit
+    /// empty chunks.
     #[test]
     fn entry_code_store_read_by_the_body_squashes_nothing() {
         let (mut backend, head, g) = scaled_sum_backend();
         for inv in 0..5 {
             let committed = scaled_sum_invocation(&mut backend, [head, 3 + inv, g]);
-            assert_eq!(committed, if inv == 0 { 0 } else { 3 }, "invocation {inv}");
+            assert_eq!(committed, 3, "invocation {inv}");
         }
+    }
+
+    /// `kernel(head, skip)`: Σ weight over the list, or -1 straight from the
+    /// entry block when `skip` is set. Returns `(program, kernel, nodes)`.
+    fn skippable_sum_program(capacity: i64) -> (Program, FuncId, i64) {
+        let mut program = Program::new();
+        let nodes = program.add_global("nodes", capacity * 2);
+        let mut b = FunctionBuilder::new("skippable_sum");
+        let (head, skip) = (b.param(), b.param());
+        let skipped = b.new_block();
+        let pre = b.new_block();
+        let header = b.new_block();
+        let body = b.new_block();
+        let exit = b.new_block();
+        let c = b.copy(head);
+        let sum = b.copy(0i64);
+        b.cond_br(skip, skipped, pre);
+        b.switch_to(skipped);
+        b.ret(Some(Operand::Imm(-1)));
+        b.switch_to(pre);
+        b.br(header);
+        b.switch_to(header);
+        let done = b.binop(BinOp::Eq, c, 0i64);
+        b.cond_br(done, exit, body);
+        b.switch_to(body);
+        let v = b.load(c, 0);
+        let s = b.binop(BinOp::Add, sum, v);
+        b.copy_into(sum, s);
+        let nx = b.load(c, 1);
+        b.copy_into(c, nx);
+        b.br(header);
+        b.switch_to(exit);
+        b.ret(Some(Operand::Reg(sum)));
+        let f = program.add_func(b.finish());
+        (program, f, nodes)
+    }
+
+    /// A kernel that returns before reaching its loop header tasks nobody:
+    /// every worker is `NoPrediction`, the only way a chunk never runs. The
+    /// next invocation runs from the rows the one before the skip memoized.
+    #[test]
+    fn an_early_return_tasks_nobody() {
+        let n: i64 = 120;
+        let (program, f, nodes) = skippable_sum_program(n + 4);
+        let mut backend = NativeLoopBackend::new(3);
+        backend
+            .load(program, f, LoadOptions::new(Some(n as u64)))
+            .unwrap();
+        let weights: Vec<i64> = (1..=n).collect();
+        let head = write_list(backend.mem_mut(), nodes, &weights);
+        let sum = Some(n * (n + 1) / 2);
+
+        let first = backend.run_invocation(&[head, 0]).unwrap();
+        assert_eq!(first.return_value, sum);
+        let skipped = backend.run_invocation(&[head, 1]).unwrap();
+        assert_eq!(skipped.return_value, Some(-1));
+        assert_eq!(
+            skipped.misspeculation_causes(),
+            [MisspeculationCause::NoPrediction; 2]
+        );
+        assert_eq!(skipped.work_per_thread, [0, 0, 0]);
+
+        let next = backend.run_invocation(&[head, 0]).unwrap();
+        assert_eq!(next.return_value, sum);
+        assert_eq!(next.committed_chunks, 2);
+        assert!(next.work_per_thread.iter().all(|&w| w > 0), "{next:?}");
     }
 
     /// Neither kind of failed invocation leaves a `WorkerChunk` behind in a
@@ -1748,14 +1819,15 @@ mod tests {
 
         // Exit: ten iterations — the header evaluation that takes the exit
         // edge is not an eleventh — and the all-zero cursor row the tenth
-        // arrival holds is not memoized.
+        // arrival holds is memoized like any other, as the generated exit
+        // pass memoizes it.
         let limits = ChunkLimits {
             plan: &[(3, 1), (10, 0)],
             ..ChunkLimits::default()
         };
         let (run, mut state) = chunk(&limits, 1000);
         assert_eq!((run.stop, run.iterations), (Stop::Exit, 10));
-        assert_eq!(run.memos, vec![(1, vec![node(3)])]);
+        assert_eq!(run.memos, vec![(1, vec![node(3)]), (0, vec![0])]);
 
         // Finished: the resume call, here from the exit block.
         let resume = ChunkLimits::default();

@@ -17,11 +17,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use spice_core::backend::{make_backend, BackendChoice};
-use spice_ir::exec::{ExecutionBackend, InterpBackend};
+use spice_ir::exec::{ExecutionBackend, ExecutionReport, InterpBackend};
 use spice_sim::{MachineConfig, SequentialSimBackend};
 use spice_workloads::{
-    all_workload_factories, run_workload_on, McfConfig, McfWorkload, OtterConfig, OtterWorkload,
-    SpiceWorkload,
+    all_workload_factories, run_workload_on, workload_load_options, McfConfig, McfWorkload,
+    OtterConfig, OtterWorkload, SpiceWorkload,
 };
 
 /// Every way of executing a loop: Spice on the reduced simulator and on
@@ -121,20 +121,25 @@ fn every_small_workload_equivalent_across_backends() {
     }
 }
 
-/// Property: the *predictor plans* — not just the results — are identical
-/// across backends. The centralized half of Algorithm 2 now runs on the
-/// measured substrate in both implementations (generated IR on core 0 in
-/// the simulator, the pool's dedicated thread in the native runtime), so
-/// nothing host-side keeps them honest anymore: this test pins them to one
-/// another, assignment for assignment, across every invocation of a skewed
-/// workload (the first invocation's work vector is the fully starved
-/// `[N, 0, …, 0]`, later ones spread out as predictions converge).
+/// Property: the *predictor* — not just the results — is identical across
+/// backends. The centralized half of Algorithm 2 runs on the measured
+/// substrate in both implementations (generated IR on core 0 in the
+/// simulator, the main thread in the native runtime), and both follow one
+/// set of rules: rows start zeroed, a thread memoizes when its work counter
+/// crosses a threshold, the main thread keeps memoizing while it
+/// re-executes after a squash. So on every invocation the two agree on the
+/// return value, the work counters, the plan, the memoized rows and each
+/// worker's squash cause — on the seven small suite workloads and a skewed
+/// otter loop (the first invocation's work vector is the fully starved
+/// `[N, 0, …, 0]`, later ones spread out as predictions converge), at 2, 3
+/// and 4 threads.
 #[test]
 fn predictor_plans_identical_across_backends() {
-    use spice_core::backend::SimBackend;
-    use spice_ir::exec::{ExecutionBackend, LoadOptions};
-    use spice_runtime::NativeLoopBackend;
-
+    for threads in 2..=4 {
+        for (name, factory) in all_workload_factories(true) {
+            assert_predictors_in_lockstep(name, threads, &factory);
+        }
+    }
     for (case, threads) in [(0u64, 2usize), (1, 3), (2, 4)] {
         let config = OtterConfig {
             initial_len: 90 + case as usize * 40,
@@ -142,70 +147,92 @@ fn predictor_plans_identical_across_backends() {
             invocations: 6,
             seed: 0x9_1a7 ^ case,
         };
-        let mut sim_wl: Box<dyn SpiceWorkload> = Box::new(OtterWorkload::new(config.clone()));
-        let mut nat_wl: Box<dyn SpiceWorkload> = Box::new(OtterWorkload::new(config.clone()));
-        let mut sim = SimBackend::tiny(threads);
-        let mut nat = NativeLoopBackend::new(threads);
-
-        let built = sim_wl.build();
-        let mut options = LoadOptions::new(Some(sim_wl.expected_iterations()));
-        options.loop_header = built.loop_header_hint;
-        sim.load(built.program, built.kernel, options).unwrap();
-        let built = nat_wl.build();
-        let mut nat_options = LoadOptions::new(Some(nat_wl.expected_iterations()));
-        nat_options.loop_header = built.loop_header_hint;
-        nat.load(built.program, built.kernel, nat_options).unwrap();
-
-        let mut sim_args = sim_wl.init(sim.mem_mut());
-        let mut nat_args = nat_wl.init(nat.mem_mut());
-        assert_eq!(sim_args, nat_args, "drivers must start identically");
-
-        let mut inv = 0usize;
-        loop {
-            let rs = sim.run_invocation(&sim_args).unwrap();
-            let rn = nat.run_invocation(&nat_args).unwrap();
-            assert_eq!(
-                rs.return_value, rn.return_value,
-                "case {case}: results diverged at invocation {inv}"
-            );
-            // The plans are deterministic functions of the work vectors, so
-            // pin those first for a sharper failure message.
-            assert_eq!(
-                rs.work_per_thread, rn.work_per_thread,
-                "case {case}: work counters diverged at invocation {inv}"
-            );
-            let sim_plan: Vec<(usize, i64, usize)> = sim
-                .last_plan()
-                .expect("loaded")
-                .iter()
-                .map(|a| (a.tid, a.threshold, a.row))
-                .collect();
-            let nat_plan: Vec<(usize, i64, usize)> = nat
-                .last_plan()
-                .expect("loaded")
-                .into_iter()
-                .map(|(tid, threshold, row)| (tid, threshold as i64, row))
-                .collect();
-            assert_eq!(
-                sim_plan, nat_plan,
-                "case {case}: Assignment sequences diverged at invocation {inv}"
-            );
-            match (
-                sim_wl.next_invocation(sim.mem_mut(), inv),
-                nat_wl.next_invocation(nat.mem_mut(), inv),
-            ) {
-                (Some(a), Some(b)) => {
-                    assert_eq!(a, b, "drivers must mutate identically");
-                    sim_args = a;
-                    nat_args = b;
-                }
-                (None, None) => break,
-                _ => panic!("case {case}: drivers ended at different invocations"),
-            }
-            inv += 1;
-        }
-        assert!(inv >= 4, "case {case}: too few invocations exercised");
+        assert_predictors_in_lockstep("otter", threads, || {
+            Box::new(OtterWorkload::new(config.clone()))
+        });
     }
+}
+
+/// Drives two instances of one workload, one on the reduced simulator and
+/// one on native threads, invocation by invocation, and asserts that their
+/// predictors agree after each.
+fn assert_predictors_in_lockstep(
+    label: &str,
+    threads: usize,
+    make_workload: impl Fn() -> Box<dyn SpiceWorkload>,
+) {
+    use spice_core::backend::SimBackend;
+    use spice_runtime::NativeLoopBackend;
+
+    let (mut sim_wl, mut nat_wl) = (make_workload(), make_workload());
+    let mut sim = SimBackend::tiny(threads);
+    let mut nat = NativeLoopBackend::new(threads);
+    let built = sim_wl.build();
+    let options = workload_load_options(sim_wl.as_ref(), &built);
+    sim.load(built.program, built.kernel, options).unwrap();
+    let built = nat_wl.build();
+    let options = workload_load_options(nat_wl.as_ref(), &built);
+    nat.load(built.program, built.kernel, options).unwrap();
+
+    let mut sim_args = sim_wl.init(sim.mem_mut());
+    let mut nat_args = nat_wl.init(nat.mem_mut());
+    assert_eq!(sim_args, nat_args, "drivers must start identically");
+
+    let mut inv = 0usize;
+    loop {
+        let at = format!("{label} at {threads} threads, invocation {inv}");
+        let rs = sim.run_invocation(&sim_args).unwrap();
+        let rn = nat.run_invocation(&nat_args).unwrap();
+        assert_eq!(rs.return_value, rn.return_value, "{at}: results diverged");
+        // The plans are deterministic functions of the work vectors, so pin
+        // those first for a sharper failure message.
+        assert_eq!(
+            rs.work_per_thread, rn.work_per_thread,
+            "{at}: work counters diverged"
+        );
+        let sim_plan: Vec<(usize, i64, usize)> = sim
+            .last_plan()
+            .expect("loaded")
+            .iter()
+            .map(|a| (a.tid, a.threshold, a.row))
+            .collect();
+        let nat_plan: Vec<(usize, i64, usize)> = nat
+            .last_plan()
+            .expect("loaded")
+            .into_iter()
+            .map(|(tid, threshold, row)| (tid, threshold as i64, row))
+            .collect();
+        assert_eq!(sim_plan, nat_plan, "{at}: Assignment sequences diverged");
+        let layout = sim.runner().expect("loaded").spice().layout;
+        let sim_rows: Vec<Vec<i64>> = (0..threads - 1)
+            .map(|row| {
+                (0..layout.spec_width)
+                    .map(|j| sim.mem().read(layout.sva_addr(row, j)).unwrap())
+                    .collect()
+            })
+            .collect();
+        assert_eq!(
+            sim_rows,
+            nat.predictions().expect("loaded"),
+            "{at}: memoized rows diverged"
+        );
+        let causes = |r: &ExecutionReport| r.workers.iter().map(|w| w.cause).collect::<Vec<_>>();
+        assert_eq!(causes(&rs), causes(&rn), "{at}: verdicts diverged");
+        match (
+            sim_wl.next_invocation(sim.mem_mut(), inv),
+            nat_wl.next_invocation(nat.mem_mut(), inv),
+        ) {
+            (Some(a), Some(b)) => {
+                assert_eq!(a, b, "{at}: drivers must mutate identically");
+                sim_args = a;
+                nat_args = b;
+            }
+            (None, None) => break,
+            _ => panic!("{at}: drivers ended at different invocations"),
+        }
+        inv += 1;
+    }
+    assert!(inv >= 4, "{label}: too few invocations exercised");
 }
 
 /// Eight threads also agree (more chunks, more boundaries, more commits).
