@@ -34,7 +34,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use spice_ir::cfg::Cfg;
-use spice_ir::dataflow::BaseExprs;
+use spice_ir::dataflow::accesses;
 use spice_ir::dom::DomTree;
 use spice_ir::pretty;
 use spice_ir::{BlockId, FuncId, Function, Inst, Operand, Program, Terminator};
@@ -475,6 +475,7 @@ fn in_cycle(cfg: &Cfg, block: BlockId) -> bool {
     false
 }
 
+/// What the lint passes read of one function, built once per lint run.
 struct FuncCtx<'a> {
     func: &'a Function,
     cfg: Cfg,
@@ -520,13 +521,14 @@ pub fn lint_spice(program: &Program, spice: &SpiceParallelLoop) -> Result<(), Ve
         errs.append(&mut meta);
     }
 
-    let main = program.func(spice.main);
-    let main_ctx = FuncCtx::new(main);
+    // One context per function, indexed by `FuncId`, shared by every pass.
+    let ctxs: Vec<FuncCtx<'_>> = program.funcs.iter().map(FuncCtx::new).collect();
+    let main_ctx = &ctxs[spice.main.index()];
 
-    lint_channel_protocol(program, spice, &main_ctx, &mut errs);
-    lint_spec_check_placement(program, spice, &main_ctx, &mut errs);
-    lint_exemption_coverage(program, spice, &mut errs);
-    lint_boundary_shape(program, spice, &main_ctx, &mut errs);
+    lint_channel_protocol(program, spice, &ctxs, &mut errs);
+    lint_spec_check_placement(program, spice, main_ctx, &mut errs);
+    lint_exemption_coverage(spice, &ctxs, &mut errs);
+    lint_boundary_shape(program, spice, &ctxs, &mut errs);
 
     if errs.is_empty() {
         Ok(())
@@ -541,13 +543,14 @@ pub fn lint_spice(program: &Program, spice: &SpiceParallelLoop) -> Result<(), Ve
 fn lint_channel_protocol(
     program: &Program,
     spice: &SpiceParallelLoop,
-    main_ctx: &FuncCtx<'_>,
+    ctxs: &[FuncCtx<'_>],
     errs: &mut Vec<LintError>,
 ) {
+    let main_ctx = &ctxs[spice.main.index()];
     let main_name = &main_ctx.func.name;
     for w in &spice.workers {
-        let worker = program.func(w.func);
-        let wctx = FuncCtx::new(worker);
+        let wctx = &ctxs[w.func.index()];
+        let worker = wctx.func;
         let c = &w.channels;
         let invariant_sends = 1 + spice.invariants_sent.len();
 
@@ -659,15 +662,15 @@ fn lint_channel_protocol(
         if fid == spice.main {
             continue;
         }
-        let func = program.func(fid);
-        for (chan, ops) in scan_channels(func) {
+        let ctx = &ctxs[fid.index()];
+        for (&chan, ops) in &ctx.chans {
             let Some(owning_worker) = owner.get(&chan) else {
                 continue;
             };
             if *owning_worker != fid {
                 for op in ops {
                     errs.push(LintError::ForeignChannelOp {
-                        func: func.name.clone(),
+                        func: ctx.func.name.clone(),
                         chan,
                         block: op.block,
                         ip: op.ip,
@@ -755,22 +758,26 @@ fn lint_spec_check_placement(
 /// exempt predictor range must come from generated protocol blocks, never
 /// from original program code.
 fn lint_exemption_coverage(
-    program: &Program,
     spice: &SpiceParallelLoop,
+    ctxs: &[FuncCtx<'_>],
     errs: &mut Vec<LintError>,
 ) {
     let (lo, hi) = spice.layout.address_range();
     let mut check_func = |fid: FuncId, is_program_block: &dyn Fn(BlockId) -> bool| {
-        let func = program.func(fid);
-        let cfg = Cfg::new(func);
-        let exprs = BaseExprs::compute(func, &cfg);
-        for access in exprs.accesses(func, &func.block_ids()) {
+        let ctx = &ctxs[fid.index()];
+        let program_blocks: Vec<BlockId> = ctx
+            .func
+            .block_ids()
+            .into_iter()
+            .filter(|&b| is_program_block(b))
+            .collect();
+        for access in accesses(ctx.func, &ctx.cfg, &program_blocks) {
             let Some(addr) = access.expr.as_const() else {
                 continue;
             };
-            if addr >= lo && addr < hi && is_program_block(access.site.block) {
+            if addr >= lo && addr < hi {
                 errs.push(LintError::ExemptRangeAccess {
-                    func: func.name.clone(),
+                    func: ctx.func.name.clone(),
                     block: access.site.block,
                     ip: access.site.ip,
                     addr,
@@ -832,9 +839,10 @@ fn expect_cond_br(
 fn lint_boundary_shape(
     program: &Program,
     spice: &SpiceParallelLoop,
-    main_ctx: &FuncCtx<'_>,
+    ctxs: &[FuncCtx<'_>],
     errs: &mut Vec<LintError>,
 ) {
+    let main_ctx = &ctxs[spice.main.index()];
     let main = main_ctx.func;
     let s = &spice.shape;
 
@@ -903,8 +911,8 @@ fn lint_boundary_shape(
     // Worker recovery blocks: abort, acknowledge, halt, return — and no
     // in-function predecessors (they are entered only by remote resteer).
     for w in &spice.workers {
-        let worker = program.func(w.func);
-        let cfg = Cfg::new(worker);
+        let wctx = &ctxs[w.func.index()];
+        let worker = wctx.func;
         let block = worker.block(w.recovery_block);
         let has_abort = block.insts.iter().any(|i| matches!(i, Inst::SpecAbort));
         let has_ack = block
@@ -925,7 +933,7 @@ fn lint_boundary_shape(
         if !matches!(block.terminator, Terminator::Ret { .. }) {
             details.push("does not return");
         }
-        if !cfg.preds(w.recovery_block).is_empty() {
+        if !wctx.cfg.preds(w.recovery_block).is_empty() {
             details.push("has in-function predecessors");
         }
         if !details.is_empty() {

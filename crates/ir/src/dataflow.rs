@@ -13,17 +13,34 @@
 //! * liveness ([`crate::liveness::Liveness`], backward, union),
 //! * definite assignment ([`crate::verify::verify_function`], forward,
 //!   intersection),
-//! * available base expressions ([`BaseExprs`], forward).
+//! * available base expressions ([`accesses`], forward).
 //!
 //! Every register-keyed fact is dense: indexed by [`Reg::index`] and sized
 //! by [`Function::reg_count`] — a [`RegSet`] bitset for the two set-valued
-//! analyses, a `Vec<Option<AddrExpr>>` for base expressions (the bit-vector
-//! form of Kildall, "A Unified Approach to Global Program Optimization",
-//! POPL 1973). Hash maps were used here until measurement showed the
-//! speculation-safety lints' base-expression solve was about half of a Spice
-//! preparation, spent in hashing and cloning maps of a few hundred entries.
-//! A register at or past `reg_count` (malformed IR, which the verifier
-//! reports) reads as absent and is never stored.
+//! analyses (the bit-vector form of Kildall, "A Unified Approach to Global
+//! Program Optimization", POPL 1973). Hash maps were used here until
+//! measurement showed the speculation-safety lints' base-expression solve
+//! was about half of a Spice preparation, spent in hashing and cloning maps
+//! of a few hundred entries. A register at or past `reg_count` (malformed
+//! IR, which the verifier reports) reads as absent and is never stored.
+//!
+//! Base expressions are asked about a few blocks' addresses, so they are
+//! solved over the *address slice* of those blocks only (a backward program
+//! slice, Weiser, "Program Slicing", ICSE 1981): the register address
+//! operands of the blocks' loads and stores, closed under the operands of
+//! every `Copy` and `Add`/`Sub`/`Mul` that defines a slice register, in any
+//! block. The fact is a `Vec<Option<AddrExpr>>` with one slot per slice
+//! register. The slice is exact, not an approximation: a `Load` defines
+//! `Base::Load` and every other definition `Unknown` whatever its operands
+//! hold, so a slice register's transfer reads only slice registers, while
+//! the join and the boundary act on each register alone: the slice's
+//! equations form a closed subsystem, and solving it gives every slice
+//! register the expression a solve over all registers gives
+//! (`dataflow_equivalence.rs` checks this against a full-width oracle on
+//! every suite function). The speculation-safety lint asks about a
+//! transformed main function's program blocks: across the workload suite
+//! at 4 threads, that slice holds 6–10 of the function's 174–271
+//! registers.
 
 use crate::cfg::Cfg;
 use crate::function::Function;
@@ -354,56 +371,125 @@ impl AddrExpr {
     }
 }
 
-/// The base-expression fact: one slot per register, `None` while no path
-/// to the point defines the register.
+/// The base-expression fact: one slot per address-slice register (see
+/// [`accesses`]), `None` while no path to the point defines the register.
 type ExprFact = Vec<Option<AddrExpr>>;
 
-struct BaseExprAnalysis {
-    regs: usize,
+/// Available base expressions over one address slice: the registers whose
+/// values the queried blocks' addresses are computed from.
+struct BaseExprs {
+    /// The fact slot of each register below [`Function::reg_count`], `None`
+    /// for a register outside the slice.
+    slots: Vec<Option<usize>>,
+    /// Slice registers, i.e. slots per fact.
+    width: usize,
 }
 
-fn eval_operand(fact: &ExprFact, op: &Operand) -> AddrExpr {
-    match op {
-        Operand::Imm(v) => AddrExpr::constant(*v),
-        Operand::Reg(r) => fact
-            .get(r.index())
-            .copied()
-            .flatten()
-            .unwrap_or_else(AddrExpr::unknown),
-    }
-}
-
-fn transfer_inst(fact: &mut ExprFact, block: BlockId, ip: usize, inst: &Inst) {
-    let Some(dst) = inst.def() else {
-        return;
-    };
-    let value = match inst {
-        Inst::Copy { src, .. } => eval_operand(fact, src),
-        Inst::Binary { op, lhs, rhs, .. } => {
-            let a = eval_operand(fact, lhs);
-            let b = eval_operand(fact, rhs);
-            match (op, a.as_const(), b.as_const()) {
-                (BinOp::Add, Some(ka), Some(kb)) => AddrExpr::constant(ka.wrapping_add(kb)),
-                (BinOp::Sub, Some(ka), Some(kb)) => AddrExpr::constant(ka.wrapping_sub(kb)),
-                (BinOp::Mul, Some(ka), Some(kb)) => AddrExpr::constant(ka.wrapping_mul(kb)),
-                (BinOp::Add, Some(ka), None) => b.add_const(ka),
-                (BinOp::Add, None, Some(kb)) => a.add_const(kb),
-                (BinOp::Sub, None, Some(kb)) => a.add_const(kb.wrapping_neg()),
-                _ => AddrExpr::unknown(),
+impl BaseExprs {
+    /// The address slice of `blocks`: the register address operands of
+    /// their loads and stores, closed under the operands of every `Copy`
+    /// and `Add`/`Sub`/`Mul` defining a slice register anywhere in `func` —
+    /// the only definitions whose expression reads another register's.
+    fn address_slice(func: &Function, blocks: &[BlockId]) -> Self {
+        let regs = func.reg_count();
+        let mut slice = RegSet::empty(regs);
+        for &b in blocks {
+            for inst in &func.block(b).insts {
+                if let Inst::Load {
+                    addr: Operand::Reg(r),
+                    ..
+                }
+                | Inst::Store {
+                    addr: Operand::Reg(r),
+                    ..
+                } = inst
+                {
+                    slice.insert(*r);
+                }
             }
         }
-        Inst::Load { .. } => AddrExpr {
-            base: Base::Load(DefSite { block, ip }),
-            offset: 0,
-        },
-        _ => AddrExpr::unknown(),
-    };
-    if let Some(slot) = fact.get_mut(dst.index()) {
-        *slot = Some(value);
+        // A definition's operands are usually defined before it, so a
+        // backward sweep closes most chains in one pass.
+        loop {
+            let mut grew = false;
+            for block in func.blocks.iter().rev() {
+                for inst in block.insts.iter().rev() {
+                    let (dst, operands) = match inst {
+                        Inst::Copy { dst, src } => (dst, [src, src]),
+                        Inst::Binary {
+                            op: BinOp::Add | BinOp::Sub | BinOp::Mul,
+                            dst,
+                            lhs,
+                            rhs,
+                        } => (dst, [lhs, rhs]),
+                        _ => continue,
+                    };
+                    if slice.contains(*dst) {
+                        for op in operands {
+                            if let Operand::Reg(r) = op {
+                                grew |= slice.insert(*r);
+                            }
+                        }
+                    }
+                }
+            }
+            if !grew {
+                break;
+            }
+        }
+        let mut slots = vec![None; regs];
+        let mut width = 0;
+        for r in slice.iter() {
+            slots[r.index()] = Some(width);
+            width += 1;
+        }
+        BaseExprs { slots, width }
+    }
+
+    fn slot(&self, r: Reg) -> Option<usize> {
+        self.slots.get(r.index()).copied().flatten()
+    }
+
+    fn eval_operand(&self, fact: &ExprFact, op: &Operand) -> AddrExpr {
+        match op {
+            Operand::Imm(v) => AddrExpr::constant(*v),
+            Operand::Reg(r) => self
+                .slot(*r)
+                .and_then(|k| fact[k])
+                .unwrap_or_else(AddrExpr::unknown),
+        }
+    }
+
+    fn transfer_inst(&self, fact: &mut ExprFact, block: BlockId, ip: usize, inst: &Inst) {
+        let Some(slot) = inst.def().and_then(|dst| self.slot(dst)) else {
+            return;
+        };
+        let value = match inst {
+            Inst::Copy { src, .. } => self.eval_operand(fact, src),
+            Inst::Binary { op, lhs, rhs, .. } => {
+                let a = self.eval_operand(fact, lhs);
+                let b = self.eval_operand(fact, rhs);
+                match (op, a.as_const(), b.as_const()) {
+                    (BinOp::Add, Some(ka), Some(kb)) => AddrExpr::constant(ka.wrapping_add(kb)),
+                    (BinOp::Sub, Some(ka), Some(kb)) => AddrExpr::constant(ka.wrapping_sub(kb)),
+                    (BinOp::Mul, Some(ka), Some(kb)) => AddrExpr::constant(ka.wrapping_mul(kb)),
+                    (BinOp::Add, Some(ka), None) => b.add_const(ka),
+                    (BinOp::Add, None, Some(kb)) => a.add_const(kb),
+                    (BinOp::Sub, None, Some(kb)) => a.add_const(kb.wrapping_neg()),
+                    _ => AddrExpr::unknown(),
+                }
+            }
+            Inst::Load { .. } => AddrExpr {
+                base: Base::Load(DefSite { block, ip }),
+                offset: 0,
+            },
+            _ => AddrExpr::unknown(),
+        };
+        fact[slot] = Some(value);
     }
 }
 
-impl Analysis for BaseExprAnalysis {
+impl Analysis for BaseExprs {
     type Fact = ExprFact;
 
     fn direction(&self) -> Direction {
@@ -412,9 +498,9 @@ impl Analysis for BaseExprAnalysis {
 
     fn boundary_fact(&self, func: &Function) -> ExprFact {
         let mut fact = self.empty_fact();
-        for (i, r) in func.params.iter().enumerate() {
-            if let Some(slot) = fact.get_mut(r.index()) {
-                *slot = Some(AddrExpr {
+        for (i, &r) in func.params.iter().enumerate() {
+            if let Some(slot) = self.slot(r) {
+                fact[slot] = Some(AddrExpr {
                     base: Base::Param(i),
                     offset: 0,
                 });
@@ -424,7 +510,7 @@ impl Analysis for BaseExprAnalysis {
     }
 
     fn empty_fact(&self) -> ExprFact {
-        vec![None; self.regs]
+        vec![None; self.width]
     }
 
     fn join(&self, into: &mut ExprFact, from: &ExprFact) -> bool {
@@ -453,17 +539,9 @@ impl Analysis for BaseExprAnalysis {
 
     fn transfer(&self, func: &Function, block: BlockId, fact: &mut ExprFact) {
         for (ip, inst) in func.block(block).insts.iter().enumerate() {
-            transfer_inst(fact, block, ip, inst);
+            self.transfer_inst(fact, block, ip, inst);
         }
     }
-}
-
-/// Available memory-base expressions: for every program point, the symbolic
-/// `base + offset` value of each register, suitable for resolving load/store
-/// addresses.
-#[derive(Debug, Clone)]
-pub struct BaseExprs {
-    solution: Solution<ExprFact>,
 }
 
 /// One memory access (load or store) with its resolved symbolic address.
@@ -477,45 +555,36 @@ pub struct MemAccess {
     pub expr: AddrExpr,
 }
 
-impl BaseExprs {
-    /// Computes available base expressions over `func`.
-    #[must_use]
-    pub fn compute(func: &Function, cfg: &Cfg) -> Self {
-        let analysis = BaseExprAnalysis {
-            regs: func.reg_count(),
-        };
-        BaseExprs {
-            solution: solve(&analysis, func, cfg),
-        }
-    }
-
-    /// Every load and store in `blocks` with its resolved address
-    /// expression, in block order.
-    #[must_use]
-    pub fn accesses(&self, func: &Function, blocks: &[BlockId]) -> Vec<MemAccess> {
-        let mut out = Vec::new();
-        let mut fact = ExprFact::new();
-        for &b in blocks {
-            fact.clone_from(&self.solution.block_in[b.index()]);
-            for (ip, inst) in func.block(b).insts.iter().enumerate() {
-                match inst {
-                    Inst::Load { addr, offset, .. } => out.push(MemAccess {
-                        site: DefSite { block: b, ip },
-                        is_store: false,
-                        expr: eval_operand(&fact, addr).add_const(*offset),
-                    }),
-                    Inst::Store { addr, offset, .. } => out.push(MemAccess {
-                        site: DefSite { block: b, ip },
-                        is_store: true,
-                        expr: eval_operand(&fact, addr).add_const(*offset),
-                    }),
-                    _ => {}
-                }
-                transfer_inst(&mut fact, b, ip, inst);
+/// Every load and store in `blocks` with its address resolved to an
+/// available base expression, in the order of `blocks`.
+///
+/// Only the address slice of `blocks` is solved (see the module docs), and
+/// every answer is the one a solve over all of `func`'s registers gives.
+#[must_use]
+pub fn accesses(func: &Function, cfg: &Cfg, blocks: &[BlockId]) -> Vec<MemAccess> {
+    let exprs = BaseExprs::address_slice(func, blocks);
+    let solution = solve(&exprs, func, cfg);
+    let mut out = Vec::new();
+    let mut fact = ExprFact::new();
+    for &b in blocks {
+        fact.clone_from(&solution.block_in[b.index()]);
+        for (ip, inst) in func.block(b).insts.iter().enumerate() {
+            let access = match inst {
+                Inst::Load { addr, offset, .. } => Some((false, addr, offset)),
+                Inst::Store { addr, offset, .. } => Some((true, addr, offset)),
+                _ => None,
+            };
+            if let Some((is_store, addr, offset)) = access {
+                out.push(MemAccess {
+                    site: DefSite { block: b, ip },
+                    is_store,
+                    expr: exprs.eval_operand(&fact, addr).add_const(*offset),
+                });
             }
+            exprs.transfer_inst(&mut fact, b, ip, inst);
         }
-        out
     }
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -603,8 +672,7 @@ fn classify_pair(store: &AddrExpr, load: &AddrExpr) -> DependenceClass {
 /// chunk wrote is the dependence violation the conflict detector hunts.
 #[must_use]
 pub fn classify_loop_dependences(func: &Function, cfg: &Cfg, blocks: &[BlockId]) -> LoopDependence {
-    let exprs = BaseExprs::compute(func, cfg);
-    let accesses = exprs.accesses(func, blocks);
+    let accesses = accesses(func, cfg, blocks);
     let has_calls = blocks.iter().any(|&b| {
         func.block(b)
             .insts
@@ -737,7 +805,7 @@ mod tests {
         };
         let cfg = Cfg::new(&f);
 
-        let accesses = BaseExprs::compute(&f, &cfg).accesses(&f, &f.block_ids());
+        let accesses = accesses(&f, &cfg, &f.block_ids());
         assert_eq!(accesses.len(), 2);
         assert_eq!(accesses[0].expr, AddrExpr::unknown(), "r40 reads as absent");
         assert_eq!(accesses[1].expr.base, Base::Param(0));
@@ -760,6 +828,41 @@ mod tests {
             errs.len(),
             5,
             "no use-before-def for a register that does not exist"
+        );
+    }
+
+    /// The body's addresses go through the cursor `c`, defined by a copy
+    /// of the parameter and a copy of a load: the slice is those three
+    /// registers, not the sum, the loaded value or the exit test.
+    #[test]
+    fn address_slice_holds_only_what_addresses_are_computed_from() {
+        let (f, cfg, blocks) = list_sum();
+        let exprs = BaseExprs::address_slice(&f, &blocks[1..]);
+        let slice: Vec<Reg> = (0..f.reg_count() as u32)
+            .map(Reg)
+            .filter(|&r| exprs.slot(r).is_some())
+            .collect();
+        let head = f.params[0];
+        let next = f.block(blocks[1]).insts[3].def().unwrap();
+        let Some(Inst::Load {
+            addr: Operand::Reg(c),
+            ..
+        }) = f.block(blocks[1]).insts.first()
+        else {
+            panic!("the body starts with a load through the cursor");
+        };
+        let mut want = vec![head, *c, next];
+        want.sort();
+        assert_eq!(slice, want);
+        assert_eq!(exprs.width, 3);
+        assert_eq!(f.reg_count(), 7);
+        assert_eq!(
+            accesses(&f, &cfg, &blocks[1..])
+                .iter()
+                .map(|a| a.expr.base)
+                .collect::<Vec<_>>(),
+            [Base::Unknown, Base::Unknown],
+            "the cursor joins a parameter with a pointer chase"
         );
     }
 
@@ -885,8 +988,7 @@ mod tests {
         assert_eq!(dep.class, DependenceClass::ProvablyDisjoint);
 
         // Base-expression resolution sees through an add chain.
-        let exprs = BaseExprs::compute(&f, &cfg);
-        let accesses = exprs.accesses(&f, &[body]);
+        let accesses = accesses(&f, &cfg, &[body]);
         assert_eq!(accesses.len(), 2);
         assert_eq!(accesses[0].expr.as_const(), Some(2000));
         assert_eq!(accesses[1].expr.as_const(), Some(3000));

@@ -9,21 +9,44 @@
 //! program: both sizes, before the Spice transform and after it at 2, 3
 //! and 4 threads. The verifier is also compared on use-before-def mutants
 //! of every such function.
+//!
+//! Base expressions are solved over the address slice of the blocks asked
+//! about, so they are compared, per function, for every block set a caller
+//! asks about or could: all blocks, the target loop's blocks, the
+//! speculation-safety lint's program blocks of the main function and of
+//! each worker, and every single block. The map-based oracle solves all
+//! registers and is restricted to the same blocks afterwards. Each function
+//! is also compared as a mutant that reads every address through a copy
+//! made where the address register is defined, so that a cross-block
+//! `Copy` chain feeds every address the suite can resolve.
 
 use std::collections::{HashMap, HashSet};
 
-use spice_core::transform::{SpiceOptions, SpiceTransform};
+use spice_core::transform::{SpiceOptions, SpiceParallelLoop, SpiceTransform};
 use spice_ir::cfg::Cfg;
-use spice_ir::dataflow::{AddrExpr, Base, BaseExprs, DefSite, MemAccess, RegSet};
+use spice_ir::dataflow::{accesses, AddrExpr, Base, DefSite, MemAccess, RegSet};
 use spice_ir::exec::derive_loop_spec;
 use spice_ir::liveness::Liveness;
 use spice_ir::verify::{verify_function, VerifyError};
-use spice_ir::{BinOp, BlockId, Function, Inst, Operand, Program, Reg};
+use spice_ir::{BinOp, BlockId, FuncId, Function, Inst, Operand, Program, Reg};
 use spice_workloads::{all_workload_factories, workload_load_options};
 
+/// One suite program, labelled for failure messages.
+struct SuiteProgram {
+    label: String,
+    program: Program,
+    /// The function holding the target loop; the transform keeps the loop's
+    /// blocks in place in it.
+    loop_func: FuncId,
+    /// The target loop's blocks.
+    loop_blocks: Vec<BlockId>,
+    /// The transform's record of the loop, when the program is transformed.
+    spice: Option<SpiceParallelLoop>,
+}
+
 /// Every suite program at both sizes, untransformed and transformed at 2,
-/// 3 and 4 threads, labelled for failure messages.
-fn suite_programs() -> Vec<(String, Program)> {
+/// 3 and 4 threads.
+fn suite_programs() -> Vec<SuiteProgram> {
     let mut out = Vec::new();
     for small in [true, false] {
         for (name, factory) in all_workload_factories(small) {
@@ -32,19 +55,31 @@ fn suite_programs() -> Vec<(String, Program)> {
             let options = workload_load_options(wl.as_ref(), &built);
             let analysis = derive_loop_spec(&built.program, built.kernel, options.loop_header)
                 .unwrap_or_else(|e| panic!("{name}: analysis failed: {e}"));
-            out.push((
+            let suite_program = |label: String, program: Program, spice| SuiteProgram {
+                label,
+                program,
+                loop_func: analysis.func,
+                loop_blocks: analysis.blocks.clone(),
+                spice,
+            };
+            out.push(suite_program(
                 format!("{name} small={small} untransformed"),
                 built.program.clone(),
+                None,
             ));
             for threads in [2, 3, 4] {
                 let mut program = built.program.clone();
-                SpiceTransform::new(SpiceOptions {
+                let spice = SpiceTransform::new(SpiceOptions {
                     conflict_policy: options.conflict_policy,
                     ..SpiceOptions::with_threads_and_estimate(threads, wl.expected_iterations())
                 })
                 .apply(&mut program, &analysis)
                 .unwrap_or_else(|e| panic!("{name}: transform failed at {threads} threads: {e}"));
-                out.push((format!("{name} small={small} threads={threads}"), program));
+                out.push(suite_program(
+                    format!("{name} small={small} threads={threads}"),
+                    program,
+                    Some(spice),
+                ));
             }
         }
     }
@@ -55,7 +90,7 @@ fn suite_programs() -> Vec<(String, Program)> {
 /// program it appears in.
 fn suite_functions() -> Vec<(String, Function)> {
     let mut out: Vec<(String, Function)> = Vec::new();
-    for (label, program) in suite_programs() {
+    for SuiteProgram { label, program, .. } in suite_programs() {
         for func in program.funcs {
             if !out.iter().any(|(_, f)| *f == func) {
                 out.push((format!("{label}: {}", func.name), func));
@@ -176,6 +211,8 @@ fn oracle_block_in(func: &Function, cfg: &Cfg) -> Vec<ExprMap> {
     }
 }
 
+/// Every load and store of `func` in block order, resolved over all of its
+/// registers.
 fn oracle_accesses(func: &Function, cfg: &Cfg) -> Vec<MemAccess> {
     let block_in = oracle_block_in(func, cfg);
     let mut out = Vec::new();
@@ -330,15 +367,150 @@ fn with_undefined_use(func: &Function, block: BlockId) -> Function {
     f
 }
 
+/// The block sets base expressions are checked on for function `fid` of
+/// `p`, each named for failure messages.
+fn block_sets(p: &SuiteProgram, fid: FuncId) -> Vec<(String, Vec<BlockId>)> {
+    let func = p.program.func(fid);
+    let mut sets = vec![("all blocks".to_string(), func.block_ids())];
+    if fid == p.loop_func {
+        sets.push(("the target loop".to_string(), p.loop_blocks.clone()));
+    }
+    if let Some(spice) = &p.spice {
+        // The lint's program blocks: main below `main_program_blocks`,
+        // each worker's cloned body `1..=worker_body_blocks`.
+        let ids = |range: std::ops::Range<usize>| range.map(|i| BlockId(i as u32)).collect();
+        if fid == spice.main {
+            sets.push((
+                "main's program blocks".to_string(),
+                ids(0..spice.main_program_blocks),
+            ));
+        }
+        if spice.workers.iter().any(|w| w.func == fid) {
+            sets.push((
+                "the worker's program blocks".to_string(),
+                ids(1..spice.worker_body_blocks + 1),
+            ));
+        }
+    }
+    sets.extend(
+        func.block_ids()
+            .into_iter()
+            .map(|b| (format!("{b}"), vec![b])),
+    );
+    sets
+}
+
+/// `func` reading every load and store address through a copy: each
+/// definition of an address register `r` (the entry, for a parameter) is
+/// followed by `r' = copy r`, and every access reads `r'` in place of `r`.
+/// The copy mirrors `r` on every path, so every address resolves as before
+/// (at shifted instruction indices), now through a `Copy` that may sit in
+/// another block.
+fn with_copied_addresses(func: &Function) -> Function {
+    let mut f = func.clone();
+    let mut copy_of: HashMap<Reg, Reg> = HashMap::new();
+    for block in &func.blocks {
+        for inst in &block.insts {
+            if let Inst::Load {
+                addr: Operand::Reg(r),
+                ..
+            }
+            | Inst::Store {
+                addr: Operand::Reg(r),
+                ..
+            } = inst
+            {
+                copy_of.entry(*r).or_insert_with(|| f.fresh_reg());
+            }
+        }
+    }
+    let copy = |r: Reg| {
+        copy_of.get(&r).map(|&dst| Inst::Copy {
+            dst,
+            src: Operand::Reg(r),
+        })
+    };
+    for block in &mut f.blocks {
+        for mut inst in std::mem::take(&mut block.insts) {
+            if let Inst::Load {
+                addr: Operand::Reg(r),
+                ..
+            }
+            | Inst::Store {
+                addr: Operand::Reg(r),
+                ..
+            } = &mut inst
+            {
+                *r = copy_of[r];
+            }
+            let def = inst.def();
+            block.insts.push(inst);
+            block.insts.extend(def.and_then(copy));
+        }
+    }
+    let entry = f.entry;
+    let param_copies: Vec<Inst> = f.params.iter().filter_map(|&p| copy(p)).collect();
+    f.block_mut(entry).insts.splice(0..0, param_copies);
+    f
+}
+
 #[test]
 fn base_exprs_match_the_map_based_oracle() {
-    let functions = suite_functions();
-    assert!(functions.len() > 50, "only {} functions", functions.len());
-    for (label, func) in &functions {
-        let cfg = Cfg::new(func);
-        let got = BaseExprs::compute(func, &cfg).accesses(func, &func.block_ids());
-        assert_eq!(got, oracle_accesses(func, &cfg), "{label}");
+    let programs = suite_programs();
+    let mut functions = 0;
+    let mut loop_sets = 0;
+    let mut lint_sets = 0;
+    let mut resolved = 0;
+    for p in &programs {
+        for fid in p.program.func_ids() {
+            let original = p.program.func(fid);
+            let sets = block_sets(p, fid);
+            for func in [original.clone(), with_copied_addresses(original)] {
+                let cfg = Cfg::new(&func);
+                let full = oracle_accesses(&func, &cfg);
+                // A `Param` or `Load` base is reached through a register.
+                resolved += full
+                    .iter()
+                    .filter(|a| matches!(a.expr.base, Base::Param(_) | Base::Load(_)))
+                    .count();
+                for (what, blocks) in &sets {
+                    let expected: Vec<MemAccess> = blocks
+                        .iter()
+                        .flat_map(|&b| full.iter().filter(move |a| a.site.block == b))
+                        .copied()
+                        .collect();
+                    assert_eq!(
+                        accesses(&func, &cfg, blocks),
+                        expected,
+                        "{}: {}: {what}",
+                        p.label,
+                        func.name
+                    );
+                }
+            }
+            functions += 1;
+            loop_sets += sets
+                .iter()
+                .filter(|(what, _)| what == "the target loop")
+                .count();
+            lint_sets += sets
+                .iter()
+                .filter(|(what, _)| what.ends_with("program blocks"))
+                .count();
+        }
     }
+    assert!(functions > 50, "only {functions} functions");
+    assert!(
+        resolved > 500,
+        "only {resolved} addresses resolved through a register"
+    );
+    assert_eq!(loop_sets, programs.len(), "one target loop per program");
+    let transformed = programs.iter().filter_map(|p| p.spice.as_ref());
+    assert_eq!(
+        lint_sets,
+        transformed.map(|s| s.threads()).sum::<usize>(),
+        "main and every worker of each transformed program"
+    );
 }
 
 #[test]
