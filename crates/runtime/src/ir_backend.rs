@@ -26,9 +26,9 @@
 //! entry-code store precedes) and its result send (which precedes every
 //! write of the apply step). The main chunk's write set starts at the header
 //! for the same reason — a store that precedes every speculative read cannot
-//! be the earlier half of a RAW violation, which is the simulator's
-//! `ConflictTracker::active_chunks` rule, so the two backends squash for the
-//! same reasons.
+//! be the earlier half of a RAW violation. The simulator's conflict epoch
+//! opens at the same point, the main thread's release of the workers, so
+//! the two backends squash for the same reasons on every machine.
 //!
 //! A hand-off in either direction (a worker waiting for its task, the main
 //! thread waiting for a [`WorkerChunk`]) polls its channel for

@@ -10,7 +10,9 @@ use spice_ir::exec::AccessSet;
 /// The memory system's cross-chunk conflict detection: per-core speculative
 /// read sets kept as [`AccessSet`]s, plus the union of every write committed
 /// during the current loop invocation ("epoch") — the main thread's direct
-/// stores and the buffers of committed speculative chunks. A `spec.check`
+/// stores and the buffers of committed speculative chunks. The epoch opens
+/// at the invocation's first channel send, which releases the workers, and
+/// closes at [`ConflictTracker::clear_epoch`]. A `spec.check`
 /// instruction asks whether a core's read set intersects the epoch's
 /// committed writes; a positive verdict is sticky for the epoch so it can be
 /// attributed in the per-core report. Interior mutability because the query
@@ -30,17 +32,17 @@ pub(crate) struct ConflictTracker {
     /// on core 0 at the start of every invocation, and without the exemption
     /// each worker's in-loop threshold loads would read as RAW violations.
     exempt: Option<(i64, i64)>,
-    /// Number of cores currently inside a speculative chunk (between
-    /// `spec.begin` and its commit/abort). While this is zero, architectural
-    /// writes are *not* recorded into the epoch's committed-write set: a
-    /// write that precedes every active (and therefore every future)
-    /// speculative read of the epoch cannot be the earlier half of a RAW
-    /// violation — the reader observes the post-write value. This is what
-    /// lets a miniature application's serial phases (e.g. `mcf_app`'s arc
-    /// scan and tree relink, which store to the very links the speculative
-    /// walk later traverses) run before the workers are released without
-    /// poisoning every chunk.
-    active_chunks: Cell<usize>,
+    /// Whether the epoch is open: some core has sent on a channel since
+    /// [`ConflictTracker::clear_epoch`]. In a Spice loop the first send is
+    /// core 0's first `new_invocation` token in `spice.dispatch`, which every
+    /// worker blocks on, and between it and the loop header the main thread
+    /// stores only into the exempt predictor arrays. So the entry code's
+    /// stores (e.g. `mcf_app`'s tree relink, into the links the speculative
+    /// walk later reads) are in no write set, and every main-chunk store is,
+    /// even one that lands before a worker reads the word: conservative on
+    /// purpose, like the native main chunk's write set, so that a verdict
+    /// does not depend on the machine's latencies.
+    open: Cell<bool>,
     epoch_writes: RefCell<AccessSet>,
     read_sets: RefCell<Vec<AccessSet>>,
     /// First conflicting word address found per core this epoch, if any.
@@ -52,7 +54,7 @@ impl ConflictTracker {
         ConflictTracker {
             enabled,
             exempt: None,
-            active_chunks: Cell::new(0),
+            open: Cell::new(false),
             epoch_writes: RefCell::new(AccessSet::with_granularity(granularity_log2)),
             read_sets: RefCell::new(vec![AccessSet::with_granularity(granularity_log2); cores]),
             verdicts: RefCell::new(vec![None; cores]),
@@ -79,23 +81,20 @@ impl ConflictTracker {
     }
 
     /// Records a write that became architectural (a non-speculative store or
-    /// one address of a committed speculative buffer). Skipped while no core
-    /// is speculating — see [`ConflictTracker::active_chunks`]; the skip is
-    /// exact, not merely safe. Returns whether the address entered the
+    /// one address of a committed speculative buffer), once the epoch is
+    /// open — see the `open` field. Returns whether the address entered the
     /// epoch's committed-write set.
     pub(crate) fn record_write(&self, addr: i64) -> bool {
-        let tracked = self.enabled && self.active_chunks.get() > 0 && !self.is_exempt(addr);
+        let tracked = self.enabled && self.open.get() && !self.is_exempt(addr);
         if tracked {
             self.epoch_writes.borrow_mut().insert(addr);
         }
         tracked
     }
 
-    /// Starts a core's speculative chunk (`spec.begin` retired).
-    pub(crate) fn start_chunk(&self) {
-        if self.enabled {
-            self.active_chunks.set(self.active_chunks.get() + 1);
-        }
+    /// Opens the epoch (a channel send retired).
+    pub(crate) fn open_epoch(&self) {
+        self.open.set(true);
     }
 
     /// Ends a core's speculative chunk (commit or abort): its read set is
@@ -103,8 +102,6 @@ impl ConflictTracker {
     pub(crate) fn end_chunk(&self, core: usize) {
         if self.enabled {
             self.read_sets.borrow_mut()[core].clear();
-            self.active_chunks
-                .set(self.active_chunks.get().saturating_sub(1));
         }
     }
 
@@ -147,7 +144,7 @@ impl ConflictTracker {
 
     /// Starts a new epoch (loop invocation): all sets and verdicts reset.
     pub(crate) fn clear_epoch(&self) {
-        self.active_chunks.set(0);
+        self.open.set(false);
         self.epoch_writes.borrow_mut().clear();
         for s in self.read_sets.borrow_mut().iter_mut() {
             s.clear();

@@ -281,6 +281,7 @@ impl SysPort for CoreSysPort<'_> {
     #[inline]
     fn send(&mut self, chan: i64, value: i64) {
         self.op = Some(SysOp::Sent { chan, value });
+        self.conflicts.open_epoch();
         self.channels.send(chan, value, self.arrival);
     }
 
@@ -538,10 +539,7 @@ impl Shared {
                     let action = sys_port.spec_action.take();
                     let (mut drained, mut writes) = (0, Vec::new());
                     match action {
-                        Some(SpecAction::Begin) => {
-                            mem_port.spec.begin();
-                            conflicts.start_chunk();
-                        }
+                        Some(SpecAction::Begin) => mem_port.spec.begin(),
                         Some(SpecAction::Commit) => {
                             writes = mem_port.spec.take_commit();
                             core.report.spec_commits += 1;

@@ -24,6 +24,9 @@ use spice_workloads::{
     OtterConfig, OtterWorkload, SpiceWorkload,
 };
 
+mod machines;
+use machines::verdict_machines;
+
 /// Every way of executing a loop: Spice on the reduced simulator and on
 /// native threads, sequential on one simulated core and on the interpreter.
 fn every_backend(threads: usize) -> Vec<Box<dyn ExecutionBackend>> {
@@ -127,17 +130,22 @@ fn every_small_workload_equivalent_across_backends() {
 /// simulator, the main thread in the native runtime), and both follow one
 /// set of rules: rows start zeroed, a thread memoizes when its work counter
 /// crosses a threshold, the main thread keeps memoizing while it
-/// re-executes after a squash. So on every invocation the two agree on the
+/// re-executes after a squash. Both open the conflict epoch where the main
+/// thread releases the workers. So on every invocation the two agree on the
 /// return value, the work counters, the plan, the memoized rows and each
 /// worker's squash cause — on the seven small suite workloads and a skewed
 /// otter loop (the first invocation's work vector is the fully starved
 /// `[N, 0, …, 0]`, later ones spread out as predictions converge), at 2, 3
-/// and 4 threads.
+/// and 4 threads, on every machine of `verdict_machines`: a verdict is a
+/// function of the program and its plan, not of the machine's latencies.
 #[test]
 fn predictor_plans_identical_across_backends() {
     for threads in 2..=4 {
-        for (name, factory) in all_workload_factories(true) {
-            assert_predictors_in_lockstep(name, threads, &factory);
+        for (machine, config) in verdict_machines(threads) {
+            for (name, factory) in all_workload_factories(true) {
+                let label = format!("{name} on {machine}");
+                assert_predictors_in_lockstep(&label, threads, config.clone(), &factory);
+            }
         }
     }
     for (case, threads) in [(0u64, 2usize), (1, 3), (2, 4)] {
@@ -147,25 +155,31 @@ fn predictor_plans_identical_across_backends() {
             invocations: 6,
             seed: 0x9_1a7 ^ case,
         };
-        assert_predictors_in_lockstep("otter", threads, || {
-            Box::new(OtterWorkload::new(config.clone()))
-        });
+        for (machine, machine_config) in verdict_machines(threads) {
+            assert_predictors_in_lockstep(
+                &format!("otter on {machine}"),
+                threads,
+                machine_config,
+                || Box::new(OtterWorkload::new(config.clone())),
+            );
+        }
     }
 }
 
-/// Drives two instances of one workload, one on the reduced simulator and
+/// Drives two instances of one workload, one on the simulated `machine` and
 /// one on native threads, invocation by invocation, and asserts that their
 /// predictors agree after each.
 fn assert_predictors_in_lockstep(
     label: &str,
     threads: usize,
+    machine: MachineConfig,
     make_workload: impl Fn() -> Box<dyn SpiceWorkload>,
 ) {
     use spice_core::backend::SimBackend;
     use spice_runtime::NativeLoopBackend;
 
     let (mut sim_wl, mut nat_wl) = (make_workload(), make_workload());
-    let mut sim = SimBackend::tiny(threads);
+    let mut sim = SimBackend::with_config(machine, threads);
     let mut nat = NativeLoopBackend::new(threads);
     let built = sim_wl.build();
     let options = workload_load_options(sim_wl.as_ref(), &built);

@@ -2,8 +2,8 @@
 //!
 //! The simulator backend runs a generated merge chain (`spice.w<k>.*`
 //! blocks), not [`CommitChain`]. On every small-suite workload at two and
-//! four threads, each invocation is checked against the rule fed facts read
-//! off that run's own trace:
+//! four threads, on each machine of `verdict_machines`, each invocation is
+//! checked against the rule fed facts read off that run's own trace:
 //!
 //! * the main chunk handed off iff core 0 received worker 1's status — the
 //!   merge chain waits on the status of a validated worker only;
@@ -24,10 +24,14 @@ use spice_ir::exec::{
 };
 use spice_ir::interp::FlatMemory;
 use spice_ir::{FuncId, Program, TraceEvent, TrapKind};
-use spice_workloads::{all_workload_factories, run_workload_on};
+use spice_workloads::{all_workload_factories, run_workload_on, SpiceWorkload};
 
-/// Ring capacity: above the events of the longest small-suite invocation
-/// (about 20k cycles on four cores), so none is evicted before it is read.
+mod machines;
+use machines::verdict_machines;
+
+/// Ring capacity: above the events of the longest small-suite invocation on
+/// any of the machines (about 20k cycles on four cores of the reduced one),
+/// so none is evicted before it is read.
 const TRACE_CAPACITY: usize = 1 << 17;
 
 /// A worker the merge chain resteered before it reported a status stopped
@@ -40,7 +44,7 @@ struct Invocation {
     events: Vec<TraceEvent>,
 }
 
-/// The tiny-machine simulator backend, keeping every invocation's report
+/// A simulator backend, keeping every invocation's report
 /// and trace slice.
 struct Recorder {
     sim: SimBackend,
@@ -180,29 +184,43 @@ fn check_invocation(at: &str, workers: &[(u32, i64)], run: &Invocation) {
     }
 }
 
+/// Runs `workload` on `sim` with tracing on and checks every invocation;
+/// returns the squash causes of the run.
+fn check_run(
+    at: &str,
+    mut sim: SimBackend,
+    workload: &mut dyn SpiceWorkload,
+) -> Vec<MisspeculationCause> {
+    sim.enable_trace(TRACE_CAPACITY);
+    let mut recorder = Recorder {
+        sim,
+        invocations: Vec::new(),
+    };
+    run_workload_on(workload, &mut recorder).unwrap_or_else(|e| panic!("{at}: {e}"));
+    let runner = recorder.sim.runner().expect("a Spice run");
+    let workers: Vec<(u32, i64)> = runner
+        .spice()
+        .workers
+        .iter()
+        .map(|w| (u32::try_from(w.core).unwrap(), w.channels.status))
+        .collect();
+    let mut causes = Vec::new();
+    for (inv, run) in recorder.invocations.iter().enumerate() {
+        check_invocation(&format!("{at}, invocation {inv}"), &workers, run);
+        causes.extend(run.report.misspeculation_causes());
+    }
+    causes
+}
+
 #[test]
 fn merge_chain_commits_what_the_commit_rule_judges() {
     let mut causes = Vec::new();
     for threads in [2, 4] {
-        for (name, factory) in all_workload_factories(true) {
-            let mut sim = SimBackend::tiny(threads);
-            sim.enable_trace(TRACE_CAPACITY);
-            let mut recorder = Recorder {
-                sim,
-                invocations: Vec::new(),
-            };
-            run_workload_on(factory().as_mut(), &mut recorder).unwrap_or_else(|e| panic!("{e}"));
-            let runner = recorder.sim.runner().expect("a Spice run");
-            let workers: Vec<(u32, i64)> = runner
-                .spice()
-                .workers
-                .iter()
-                .map(|w| (u32::try_from(w.core).unwrap(), w.channels.status))
-                .collect();
-            for (inv, run) in recorder.invocations.iter().enumerate() {
-                let at = format!("{name} at {threads} threads, invocation {inv}");
-                check_invocation(&at, &workers, run);
-                causes.extend(run.report.misspeculation_causes());
+        for (machine, config) in verdict_machines(threads) {
+            for (name, factory) in all_workload_factories(true) {
+                let at = format!("{name} on {machine} at {threads} threads");
+                let sim = SimBackend::with_config(config.clone(), threads);
+                causes.extend(check_run(&at, sim, factory().as_mut()));
             }
         }
     }

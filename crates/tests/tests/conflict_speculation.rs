@@ -230,14 +230,14 @@ impl MemPort for BodyWriteLog<'_> {
     }
 }
 
-/// The write-log boundary, against the simulator: on `mcf_app` — whose entry
-/// code relinks the very tree the speculative walk traverses — every address
-/// the native backend names in a `DependenceViolation` is a word the loop
-/// body wrote in that invocation, none a word only the entry-phase relink
-/// touched. That is the simulator's rule (`ConflictTracker::active_chunks`:
-/// a store that precedes every speculative read is not recorded), so at
-/// equal thread count the two backends squash for the same reasons; their
-/// per-invocation chunk counts go side by side into the failure message.
+/// The write-log boundary: on `mcf_app` — whose entry code relinks the very
+/// tree the speculative walk traverses — every address the native backend
+/// names in a `DependenceViolation` is a word the loop body wrote in that
+/// invocation, none a word only the entry-phase relink touched. The
+/// simulator's conflict epoch opens at the same point (the release of the
+/// workers), so at equal thread count the two backends squash for the same
+/// reasons; their per-invocation chunk counts go side by side into the
+/// failure message.
 #[test]
 fn native_violations_on_mcf_app_name_only_words_the_loop_body_wrote() {
     const THREADS: usize = 4;
@@ -496,7 +496,7 @@ fn a_stale_chunk_that_walks_off_the_image_is_squashed() {
 /// Natively every such chunk is recovered and the walk returns the
 /// interpreter's sums. The fixture does not run on `SimTiny`: the simulator
 /// does not yet defer a trap in a speculative chunk, so the trapped core is
-/// never recovered and the run ends in `UnrecoveredTrap` — the second
+/// never recovered and the run ends in `UnrecoveredTrap` — the first
 /// substrate difference of DESIGN.md §2.
 #[test]
 fn a_fault_after_a_stale_read_squashes_as_a_dependence_violation() {
@@ -513,5 +513,129 @@ fn a_fault_after_a_stale_read_squashes_as_a_dependence_violation() {
             .any(|c| matches!(c, DependenceViolation { .. }));
         let fault = causes.iter().any(|c| matches!(c, Fault(_)));
         assert!(violation && !fault, "{threads} threads: {causes:?}");
+    }
+}
+
+/// Nodes of the epoch-boundary list.
+const EPOCH_NODES: i64 = 200;
+
+/// `walk(head, a)`: the entry code stores `a` into word A; then, over a list
+/// of two-word nodes `[value, next]`, every iteration adds `value + A + B`
+/// to the sum, and the head node's iteration first stores its value into
+/// word B. Returns `(program, kernel, nodes, B)`; A's address is below
+/// B's, so a witness is B only if A is in no write set.
+fn epoch_boundary_program() -> (Program, FuncId, i64, i64) {
+    let mut program = Program::new();
+    let nodes = program.add_global("nodes", EPOCH_NODES * 2);
+    let word_a = program.add_global("a", 1);
+    let word_b = program.add_global("b", 1);
+    let mut b = FunctionBuilder::new("epoch_boundary");
+    let head = b.param();
+    let a = b.param();
+    let header = b.new_block();
+    let body = b.new_block();
+    let store_b = b.new_block();
+    let sum_up = b.new_block();
+    let exit = b.new_block();
+    b.store(a, word_a, 0);
+    let c = b.copy(head);
+    let sum = b.copy(0i64);
+    b.br(header);
+    b.switch_to(header);
+    let done = b.binop(BinOp::Eq, c, 0i64);
+    b.cond_br(done, exit, body);
+    b.switch_to(body);
+    let first = b.binop(BinOp::Eq, c, head);
+    b.cond_br(first, store_b, sum_up);
+    b.switch_to(store_b);
+    let head_value = b.load(c, 0);
+    b.store(head_value, word_b, 0);
+    b.br(sum_up);
+    b.switch_to(sum_up);
+    let value = b.load(c, 0);
+    let x = b.load(word_a, 0);
+    let y = b.load(word_b, 0);
+    let t = b.binop(BinOp::Add, value, x);
+    let t = b.binop(BinOp::Add, t, y);
+    let s = b.binop(BinOp::Add, sum, t);
+    b.copy_into(sum, s);
+    let next = b.load(c, 1);
+    b.copy_into(c, next);
+    b.br(header);
+    b.switch_to(exit);
+    b.ret(Some(Operand::Reg(sum)));
+    let kernel = program.add_func(b.finish());
+    (program, kernel, nodes, word_b)
+}
+
+/// Four invocations of the epoch-boundary walk on `backend`, each over the
+/// same list with new values and a new `a`: the reports and the final data
+/// region.
+fn epoch_boundary_run(backend: &mut dyn ExecutionBackend) -> (Vec<ExecutionReport>, Vec<i64>) {
+    let (program, kernel, nodes, _) = epoch_boundary_program();
+    let data_end = program.data_end() as usize;
+    let options = LoadOptions::new(Some(EPOCH_NODES as u64));
+    backend.load(program, kernel, options).unwrap();
+    let mut reports = Vec::new();
+    for inv in 0..4 {
+        let mem = backend.mem_mut();
+        for i in 0..EPOCH_NODES {
+            let addr = nodes + 2 * i;
+            let next = if i + 1 < EPOCH_NODES { addr + 2 } else { 0 };
+            mem.write(addr, 1000 + 37 * i + inv).unwrap();
+            mem.write(addr + 1, next).unwrap();
+        }
+        let report = backend
+            .run_invocation(&[nodes, 100 + inv])
+            .unwrap_or_else(|e| panic!("{}: invocation {inv}: {e}", backend.name()));
+        reports.push(report);
+    }
+    (reports, backend.mem().words()[..data_end].to_vec())
+}
+
+/// Both sides of the conflict epoch's opening, on every substrate: the
+/// entry code's store to A precedes the release of the workers and is in no
+/// write set, while the main chunk's first iteration's store to B is in its
+/// write set even on a machine where it lands before any worker reads B.
+/// So from invocation 1 on (invocation 0's workers start from zeroed rows)
+/// worker 1 is a `DependenceViolation` at B, never at A, and every later
+/// worker a `SquashCascade`, on native threads, on the reduced machine and
+/// on the Table 1 machine alike; every result equals the interpreter's. (On
+/// the Table 1 machine the store to B lands before any worker begins its
+/// chunk, so a rule that recorded writes only while some chunk speculates
+/// would commit every worker there.)
+#[test]
+fn the_epoch_opens_where_the_workers_are_released() {
+    use spice_core::backend::SimBackend;
+    use MisspeculationCause::{DependenceViolation, SquashCascade};
+    let returns = |reports: &[ExecutionReport]| -> Vec<Option<i64>> {
+        reports.iter().map(|r| r.return_value).collect()
+    };
+    let (reports, mem) = epoch_boundary_run(&mut InterpBackend::new());
+    let word_b = epoch_boundary_program().3;
+    for threads in [2usize, 4] {
+        let backends: [Box<dyn ExecutionBackend>; 3] = [
+            make_backend(BackendChoice::Native, threads),
+            make_backend(BackendChoice::SimTiny, threads),
+            Box::new(SimBackend::with_config(
+                MachineConfig::itanium2_cmp(),
+                threads,
+            )),
+        ];
+        for (machine, mut backend) in ["native", "test_tiny", "itanium2_cmp"]
+            .into_iter()
+            .zip(backends)
+        {
+            let at = format!("{machine} at {threads} threads");
+            let (spice_reports, spice_mem) = epoch_boundary_run(backend.as_mut());
+            assert_eq!(returns(&spice_reports), returns(&reports), "{at}");
+            assert_eq!(spice_mem, mem, "{at}: live-out memory");
+            let mut expected = vec![Some(SquashCascade); threads - 1];
+            expected[0] = Some(DependenceViolation { addr: word_b });
+            for (inv, report) in spice_reports.iter().enumerate().skip(1) {
+                let causes: Vec<_> = report.workers.iter().map(|w| w.cause).collect();
+                assert_eq!(causes, expected, "{at}, invocation {inv}");
+            }
+        }
     }
 }
