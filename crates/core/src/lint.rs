@@ -12,10 +12,13 @@
 //!
 //! * **channel-protocol** — the channel state machine balances: every
 //!   `new_invocation` send has a matching worker receive, the invariant
-//!   channel is written exactly once per invocation (all sends in the
-//!   dispatch block, which sits outside every CFG cycle), live-out and
-//!   acknowledgement framing counts agree on both sides, and no protocol
-//!   channel is touched by a foreign function.
+//!   channel carries exactly one release message per invocation — the
+//!   worker's start row of `sva`, its successor's row (all but the last
+//!   worker), then the invariant live-ins, so `rows × spec_width +
+//!   invariants` words, all sent in the dispatch block (which sits outside
+//!   every CFG cycle) and received in the worker's entry block — live-out
+//!   and acknowledgement framing counts agree on both sides, and no
+//!   protocol channel is touched by a foreign function.
 //! * **spec-check placement** — under conflict detection, exactly one
 //!   `spec.check` per worker core sits in the main function's merge chain
 //!   and dominates that worker's commit point (the `command` send).
@@ -47,7 +50,9 @@ use crate::transform::SpiceParallelLoop;
 pub struct MainShape {
     /// Centralized predictor step, entered from the preheader.
     pub central: BlockId,
-    /// Worker release: `new_invocation` tokens + invariant live-ins.
+    /// Worker release: each worker's `new_invocation` message — its start
+    /// row, its successor's row (all but the last worker), the invariant
+    /// live-ins — after the main thread's own row 0 is loaded.
     pub dispatch: BlockId,
     /// Boundary detection entry.
     pub check: BlockId,
@@ -548,11 +553,14 @@ fn lint_channel_protocol(
 ) {
     let main_ctx = &ctxs[spice.main.index()];
     let main_name = &main_ctx.func.name;
-    for w in &spice.workers {
+    for (wi, w) in spice.workers.iter().enumerate() {
         let wctx = &ctxs[w.func.index()];
         let worker = wctx.func;
         let c = &w.channels;
-        let invariant_sends = 1 + spice.invariants_sent.len();
+        // The release message: the worker's start row, its successor's row
+        // (all but the last worker), then the invariant live-ins.
+        let rows = if wi + 1 < spice.workers.len() { 2 } else { 1 };
+        let invariant_sends = rows * spice.layout.spec_width + spice.invariants_sent.len();
 
         // Main side.
         let main_counts: &[(i64, bool, &'static str, usize)] = &[

@@ -3,7 +3,7 @@
 //!
 //! Everything Algorithm 2 does now runs as simulated code: the centralized
 //! step is generated IR executing on core 0 at the start of every invocation
-//! (its cycles and the `new_invocation` token traffic appear in the per-core
+//! (its cycles and the `new_invocation` message traffic appear in the per-core
 //! reports), and the distributed memoization runs inside every thread. The
 //! host side of this runner only *reads* shared memory after an invocation —
 //! to reconstruct the plan and the per-thread feedback for reports — and
@@ -151,7 +151,7 @@ impl SpiceRunner {
     /// Runs a single loop invocation: spawns the main thread (with `args`)
     /// and every worker, and simulates to completion. The main thread's
     /// entry code runs the centralized predictor step and releases the
-    /// workers with their `new_invocation` tokens; afterwards the host
+    /// workers with their `new_invocation` messages; afterwards the host
     /// *reads* the shared arrays to report the plan and the feedback.
     ///
     /// # Errors
@@ -185,7 +185,7 @@ impl SpiceRunner {
         machine.clear_threads();
         machine.reset_cycle_counter();
         // The predictor arrays are runtime metadata ordered by the
-        // new_invocation token protocol; the centralized step rewrites them
+        // new_invocation release protocol; the centralized step rewrites them
         // on core 0 every invocation, so they must not feed the
         // program-data conflict detector (idempotent, cheap).
         let (lo, hi) = self.spice.layout.address_range();

@@ -10,7 +10,7 @@
 //!   next threshold in its `svat` list, writing to the `sva` row named by its
 //!   `svai` list;
 //! * a **centralized** half — run on core 0 at the start of every loop
-//!   invocation, before the `new_invocation` token releases the workers: it
+//!   invocation, before the `new_invocation` message releases the workers: it
 //!   reads the per-thread work counters of the previous invocation, resets
 //!   the shared arrays, and writes the threshold/row lists that balance the
 //!   next invocation's chunks.

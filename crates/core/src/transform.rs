@@ -6,7 +6,10 @@
 //!
 //! 1. communication of invariant live-ins and live-outs over scalar channels,
 //! 2. initialization of the workers' speculated live-ins from the speculated
-//!    values array (`sva`),
+//!    values array (`sva`): the main thread reads each boundary row once, at
+//!    release, and sends it to both chunks that meet there — as the start
+//!    row of one worker and the successor row the previous worker checks
+//!    against — so no worker reads `sva` before `spec.begin`,
 //! 3. per-iteration mis-speculation detection (thread `i` compares its
 //!    current live-ins against thread `i+1`'s predicted starting live-ins),
 //! 4. **both halves** of the value predictor (Algorithm 2): the distributed
@@ -16,7 +19,7 @@
 //!    every invocation the main thread reads the previous invocation's work
 //!    counters, resets the shared arrays and writes the balanced
 //!    threshold/row lists, then releases the workers with a
-//!    `new_invocation` token on their invariant channels. Its cycles and
+//!    `new_invocation` message on their invariant channels. Its cycles and
 //!    channel traffic land in the simulator's per-core reports; no host code
 //!    ever writes the predictor arrays,
 //! 5. recovery code in every worker (speculative-state abort + acknowledge),
@@ -389,7 +392,7 @@ fn emit_work_bump(b: &mut FunctionBuilder, bump_bb: BlockId, my_work: Reg, check
 
 /// Emits the centralized half of Algorithm 2 as IR, entered from the main
 /// function's preheader at the start of every invocation — *before* the
-/// `new_invocation` token releases the workers, so its reads and writes of
+/// `new_invocation` message releases the workers, so its reads and writes of
 /// the shared arrays are ordered against everything else by construction.
 ///
 /// The generated code mirrors [`crate::predictor::plan`] exactly:
@@ -573,12 +576,32 @@ fn build_worker(
         b.func_mut().block_mut(nb).terminator = term;
     }
 
-    // Preamble (entry block). The first receive is the `new_invocation`
-    // token: this pre-spawned worker blocks here until the main thread's
-    // centralized step has rewritten the predictor arrays for the new
-    // invocation, so every later read of `sva`/`svat`/`svai` is ordered
-    // after those writes (the paper's pre-spawned-worker handshake).
-    let _token = b.recv(chans.invariant);
+    // Preamble (entry block). The receives take the `new_invocation`
+    // message: this pre-spawned worker blocks on its first word until the
+    // main thread's centralized step has rewritten the predictor arrays for
+    // the new invocation (the paper's pre-spawned-worker handshake). The
+    // message carries the worker's start row of `sva`, its successor's row
+    // (all but the last worker) and the invariant live-ins, so the worker
+    // reads no row the main thread may be memoizing into: each boundary is
+    // read once, at release, and handed to both chunks that meet there.
+    let spec_locals: Vec<Reg> = analysis
+        .cursors
+        .iter()
+        .map(|r| local(*r).expect("speculated live-ins are used in the loop"))
+        .collect();
+    for lr in &spec_locals {
+        b.recv_into(*lr, chans.invariant);
+    }
+    // Successor's predicted live-ins (for all but the last worker).
+    let pred_regs: Vec<Reg> = if is_last {
+        Vec::new()
+    } else {
+        analysis
+            .cursors
+            .iter()
+            .map(|_| b.recv(chans.invariant))
+            .collect()
+    };
     for r in invariants_sent {
         if let Some(lr) = local(*r) {
             b.recv_into(lr, chans.invariant);
@@ -587,10 +610,6 @@ fn build_worker(
             // never mentions the register.
             let _ = b.recv(chans.invariant);
         }
-    }
-    for (j, r) in analysis.cursors.iter().enumerate() {
-        let lr = local(*r).expect("speculated live-ins are used in the loop");
-        b.load_into(lr, layout.sva_addr(wi, j), 0);
     }
     for red in &analysis.reductions {
         if let Some(acc) = local(red.reg) {
@@ -605,22 +624,10 @@ fn build_worker(
     let status = b.copy(0i64);
     let my_work = b.copy(0i64);
     let memo_idx = b.copy(0i64);
-    // Successor's predicted live-ins (for all but the last worker).
-    let mut pred_regs = Vec::new();
-    if !is_last {
-        for (j, _) in analysis.cursors.iter().enumerate() {
-            pred_regs.push(b.load(layout.sva_addr(wi + 1, j), 0));
-        }
-    }
     b.push(Inst::SpecBegin);
     b.br(check_bb);
 
     // Detection (check) block.
-    let spec_locals: Vec<Reg> = analysis
-        .cursors
-        .iter()
-        .map(|r| local(*r).expect("speculated live-ins are used in the loop"))
-        .collect();
     b.switch_to(check_bb);
     if is_last {
         b.br(memo_bb);
@@ -693,7 +700,8 @@ fn build_worker(
 /// ```text
 /// preheader ─▶ central: read work, reset arrays ──▶ central.plan ─▶ dispatch
 ///                                  └──(no work / memoize-once)──▶ dispatch
-/// dispatch: new_invocation tokens + invariants ─▶ check
+/// dispatch: load row 0; per worker: load successor row,
+///           new_invocation: start row, successor row, invariants ─▶ check
 /// check ──resumed──▶ memo ─▶ header ─▶ body … latch ─▶ bump(work+=1) ─▶ check
 ///   └─▶ compare ──hit──▶ merge ──resumed──▶ finish
 ///           └─▶ memo        └─▶ chain ─▶ w1.dispatch …
@@ -708,9 +716,12 @@ fn build_worker(
 /// ```
 ///
 /// `central` is the centralized half of Algorithm 2 running on core 0 (see
-/// [`emit_centralized`]); the workers block on the `new_invocation` token
-/// until `dispatch` releases them, so the centralized step is ordered before
-/// every worker access to the predictor arrays.
+/// [`emit_centralized`]); the workers block on the first word of their
+/// `new_invocation` message until `dispatch` releases them, so the
+/// centralized step is ordered before every worker access to the predictor
+/// arrays. The message carries the worker's boundary rows, so a worker reads
+/// only its own `svat`/`svai` lists, which the centralized step wrote before
+/// the release.
 #[allow(clippy::too_many_arguments)]
 fn rewrite_main(
     program: &mut Program,
@@ -767,15 +778,32 @@ fn rewrite_main(
     // entered from the preheader at the start of every invocation.
     emit_centralized(&mut b, layout, predictor, central_bb, dispatch_bb);
 
-    // --- Dispatch: release every pre-spawned worker with its
-    // `new_invocation` token, send the invariant live-ins, load this
-    // invocation's boundary prediction and initialize the loop state.
+    // --- Dispatch: load this invocation's boundary prediction (row 0), then
+    // release every pre-spawned worker in order with its `new_invocation`
+    // message — its start row, its successor's row (all but the last
+    // worker), the invariant live-ins — and initialize the loop state. Each
+    // row is loaded once, just before the first send that carries it.
     b.switch_to(dispatch_bb);
-    for w in workers {
-        b.send(w.channels.invariant, 1i64);
-        for r in invariants_sent {
+    for (j, p) in pred_regs.iter().enumerate() {
+        b.load_into(*p, layout.sva_addr(0, j), 0);
+    }
+    let mut start_row = pred_regs.clone();
+    for (wi, w) in workers.iter().enumerate() {
+        let successor_row: Vec<Reg> = if wi + 1 < workers.len() {
+            (0..layout.spec_width)
+                .map(|j| b.load(layout.sva_addr(wi + 1, j), 0))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        for r in start_row
+            .iter()
+            .chain(&successor_row)
+            .chain(invariants_sent)
+        {
             b.send(w.channels.invariant, *r);
         }
+        start_row = successor_row;
     }
     b.copy_into(success, 0i64);
     b.copy_into(my_work, 0i64);
@@ -783,9 +811,6 @@ fn rewrite_main(
     b.copy_into(valid_count, 0i64);
     b.copy_into(need_resume, 0i64);
     b.copy_into(resumed, 0i64);
-    for (j, p) in pred_regs.iter().enumerate() {
-        b.load_into(*p, layout.sva_addr(0, j), 0);
-    }
     b.br(check_bb);
 
     // --- Latch-side work bump: one predictor work unit per completed
@@ -1039,6 +1064,33 @@ mod tests {
             .apply(&mut p, &analysis)
             .unwrap_err();
         assert_eq!(err, TransformError::TooFewThreads);
+    }
+
+    /// A worker learns its boundaries from its release message alone: its
+    /// entry block, everything before `spec.begin`, loads nothing.
+    #[test]
+    fn no_worker_entry_block_loads() {
+        for threads in 2..=4 {
+            let (mut p, f, ..) = list_min_program(8);
+            let analysis = derive_loop_spec(&p, f, None).unwrap();
+            let spice = SpiceTransform::new(SpiceOptions::with_threads(threads))
+                .apply(&mut p, &analysis)
+                .unwrap();
+            for w in &spice.workers {
+                let func = p.func(w.func);
+                let entry = func.block(func.entry);
+                assert!(
+                    entry.insts.iter().any(|i| matches!(i, Inst::SpecBegin)),
+                    "{}: the entry block begins the chunk",
+                    func.name
+                );
+                assert!(
+                    !entry.insts.iter().any(|i| matches!(i, Inst::Load { .. })),
+                    "{}: the entry block loads",
+                    func.name
+                );
+            }
+        }
     }
 
     #[test]

@@ -222,7 +222,7 @@ impl LoopForest {
     /// that lies outside the loop and whose only successor is the header.
     ///
     /// The Spice transformation requires a preheader to place the
-    /// `new_invocation` token sends and the value-predictor setup; workloads
+    /// `new_invocation` release and the value-predictor setup; workloads
     /// built with [`crate::builder::FunctionBuilder`] naturally have one.
     #[must_use]
     pub fn preheader(&self, id: LoopId, func: &Function, cfg: &Cfg) -> Option<BlockId> {

@@ -266,10 +266,16 @@ impl MemoryHierarchy {
         )
     }
 
-    /// Per-core access statistics.
+    /// Per-core access statistics since the core's last reset (the machine
+    /// resets them when it spawns a thread on the core).
     #[must_use]
     pub fn stats(&self, core: usize) -> MemAccessStats {
         self.cores[core].stats
+    }
+
+    /// Zeroes `core`'s access statistics; its cache contents stay.
+    pub(crate) fn reset_stats(&mut self, core: usize) {
+        self.cores[core].stats = MemAccessStats::default();
     }
 }
 

@@ -28,15 +28,19 @@ pub(crate) struct ConflictTracker {
     /// Half-open address range `[lo, hi)` excluded from tracking: the value
     /// predictor's shared arrays (`sva`/`svat`/`svai`/`work`/…). They are
     /// runtime metadata whose accesses are ordered by the `new_invocation`
-    /// token protocol, not program data — the centralized step rewrites them
-    /// on core 0 at the start of every invocation, and without the exemption
-    /// each worker's in-loop threshold loads would read as RAW violations.
+    /// release protocol, not program data — the centralized step rewrites
+    /// them on core 0 before the release, which carries each worker's
+    /// boundary rows; a worker then reads only its own threshold/row lists,
+    /// but at a coarse granularity those share a grain with words written
+    /// during the epoch, and without the exemption the reads would count as
+    /// RAW violations.
     exempt: Option<(i64, i64)>,
     /// Whether the epoch is open: some core has sent on a channel since
     /// [`ConflictTracker::clear_epoch`]. In a Spice loop the first send is
-    /// core 0's first `new_invocation` token in `spice.dispatch`, which every
-    /// worker blocks on, and between it and the loop header the main thread
-    /// stores only into the exempt predictor arrays. So the entry code's
+    /// core 0's first row send in `spice.dispatch` — the first word of
+    /// worker 1's `new_invocation` message, which it blocks on — and between
+    /// it and the loop header the main thread stores nothing (it loads the
+    /// exempt predictor rows and sends). So the entry code's
     /// stores (e.g. `mcf_app`'s tree relink, into the links the speculative
     /// walk later reads) are in no write set, and every main-chunk store is,
     /// even one that lands before a worker reads the word: conservative on

@@ -98,11 +98,10 @@ pub struct CoreReport {
     pub spec_conflicts: u64,
     /// Smallest conflicting word address behind `spec_conflicts`, if any.
     pub spec_conflict_addr: Option<i64>,
-    /// Loads/stores classified by the level that served them, cumulative
-    /// since the machine was built — not per run: [`Machine::summary`]
-    /// copies the memory hierarchy's per-core counters, which
-    /// [`Machine::spawn`] never resets (unlike `retired` and the stall
-    /// counters).
+    /// Loads/stores classified by the level that served them, since the
+    /// core's thread was spawned: [`Machine::spawn`] resets the memory
+    /// hierarchy's counters for the core, as it does `retired` and the
+    /// stall counters (the caches keep their contents).
     pub mem: MemAccessStats,
 }
 
@@ -709,7 +708,7 @@ impl Machine {
 
     /// Excludes the half-open address range `[lo, hi)` from conflict
     /// detection. Used for the value predictor's shared arrays: their
-    /// accesses are ordered by the `new_invocation` token protocol, so a
+    /// accesses are ordered by the `new_invocation` release protocol, so a
     /// conflict on them is a false positive by construction (the paper's
     /// hardware watches program data, not the software predictor's state).
     pub fn set_conflict_exempt(&mut self, lo: i64, hi: i64) {
@@ -760,6 +759,7 @@ impl Machine {
         state.blocked = false;
         state.waiting_chan = None;
         state.report = CoreReport::default();
+        self.shared.hier.reset_stats(core);
         Ok(())
     }
 
@@ -1050,6 +1050,29 @@ mod tests {
         assert!(summary.cycles > expected_min);
         assert_eq!(summary.cores[0].mem.loads, 2);
         assert_eq!(summary.cores[0].mem.l1_hits, 1);
+    }
+
+    #[test]
+    fn memory_counters_count_one_run() {
+        // Two runs of one load: the second summary counts only its own load,
+        // which hits the line the first run brought into L1.
+        let mut p = Program::new();
+        let cell = p.add_global("cell", 1);
+        let mut b = FunctionBuilder::new("load");
+        let a = b.load(cell, 0);
+        b.ret(Some(Operand::Reg(a)));
+        let f = p.add_func(b.finish());
+        let mut m = Machine::new(tiny(1), p);
+        m.spawn(0, f, &[]).unwrap();
+        let first = m.run().unwrap();
+        assert_eq!(first.cores[0].mem.loads, 1);
+        assert_eq!(first.cores[0].mem.l1_hits, 0);
+        m.clear_threads();
+        m.spawn(0, f, &[]).unwrap();
+        let second = m.run().unwrap();
+        assert_eq!(second.cores[0].mem.loads, 1);
+        assert_eq!(second.cores[0].mem.l1_hits, 1);
+        assert_eq!(second.cores[0].mem.memory_accesses, 0);
     }
 
     #[test]

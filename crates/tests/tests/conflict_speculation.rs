@@ -29,6 +29,9 @@ use spice_workloads::{
     ConflictConfig, ConflictListWorkload, McfConfig, McfWorkload, SpiceWorkload,
 };
 
+mod machines;
+use machines::verdict_machines;
+
 /// Runs one workload instance on `backend` and returns the summary plus the
 /// final data-region memory (the sim backend appends predictor globals past
 /// the workload's own, so only that region is comparable).
@@ -599,8 +602,8 @@ fn epoch_boundary_run(backend: &mut dyn ExecutionBackend) -> (Vec<ExecutionRepor
 /// write set even on a machine where it lands before any worker reads B.
 /// So from invocation 1 on (invocation 0's workers start from zeroed rows)
 /// worker 1 is a `DependenceViolation` at B, never at A, and every later
-/// worker a `SquashCascade`, on native threads, on the reduced machine and
-/// on the Table 1 machine alike; every result equals the interpreter's. (On
+/// worker a `SquashCascade`, on native threads and on every machine of
+/// `verdict_machines` alike; every result equals the interpreter's. (On
 /// the Table 1 machine the store to B lands before any worker begins its
 /// chunk, so a rule that recorded writes only while some chunk speculates
 /// would commit every worker there.)
@@ -614,18 +617,12 @@ fn the_epoch_opens_where_the_workers_are_released() {
     let (reports, mem) = epoch_boundary_run(&mut InterpBackend::new());
     let word_b = epoch_boundary_program().3;
     for threads in [2usize, 4] {
-        let backends: [Box<dyn ExecutionBackend>; 3] = [
-            make_backend(BackendChoice::Native, threads),
-            make_backend(BackendChoice::SimTiny, threads),
-            Box::new(SimBackend::with_config(
-                MachineConfig::itanium2_cmp(),
-                threads,
-            )),
-        ];
-        for (machine, mut backend) in ["native", "test_tiny", "itanium2_cmp"]
-            .into_iter()
-            .zip(backends)
-        {
+        let mut backends: Vec<(&str, Box<dyn ExecutionBackend>)> =
+            vec![("native", make_backend(BackendChoice::Native, threads))];
+        for (machine, config) in verdict_machines(threads) {
+            backends.push((machine, Box::new(SimBackend::with_config(config, threads))));
+        }
+        for (machine, mut backend) in backends {
             let at = format!("{machine} at {threads} threads");
             let (spice_reports, spice_mem) = epoch_boundary_run(backend.as_mut());
             assert_eq!(returns(&spice_reports), returns(&reports), "{at}");
@@ -637,5 +634,86 @@ fn the_epoch_opens_where_the_workers_are_released() {
                 assert_eq!(causes, expected, "{at}, invocation {inv}");
             }
         }
+    }
+}
+
+/// Nodes of the late-release list.
+const LATE_RELEASE_NODES: i64 = 150;
+
+/// `sum(head)`: Σ `value` over a list of two-word nodes `[value, next]`.
+/// Returns `(program, kernel, nodes)`.
+fn list_sum_program() -> (Program, FuncId, i64) {
+    let mut program = Program::new();
+    let nodes = program.add_global("nodes", LATE_RELEASE_NODES * 2);
+    let mut b = FunctionBuilder::new("list_sum");
+    let head = b.param();
+    let header = b.new_block();
+    let body = b.new_block();
+    let exit = b.new_block();
+    let c = b.copy(head);
+    let sum = b.copy(0i64);
+    b.br(header);
+    b.switch_to(header);
+    let done = b.binop(BinOp::Eq, c, 0i64);
+    b.cond_br(done, exit, body);
+    b.switch_to(body);
+    let value = b.load(c, 0);
+    let s = b.binop(BinOp::Add, sum, value);
+    b.copy_into(sum, s);
+    let next = b.load(c, 1);
+    b.copy_into(c, next);
+    b.br(header);
+    b.switch_to(exit);
+    b.ret(Some(Operand::Reg(sum)));
+    let kernel = program.add_func(b.finish());
+    (program, kernel, nodes)
+}
+
+/// Four invocations of the list sum over values `1..=150` on `backend`,
+/// with a work estimate of 150: every `(return, work per thread)`.
+fn late_release_run(backend: &mut dyn ExecutionBackend) -> Vec<(Option<i64>, Vec<u64>)> {
+    let (program, kernel, nodes) = list_sum_program();
+    let options = LoadOptions::new(Some(LATE_RELEASE_NODES as u64));
+    backend.load(program, kernel, options).unwrap();
+    let values: Vec<i64> = (1..=LATE_RELEASE_NODES).collect();
+    let head = write_list(backend.mem_mut(), nodes, &values);
+    (0..4)
+        .map(|inv| {
+            let report = backend
+                .run_invocation(&[head])
+                .unwrap_or_else(|e| panic!("{}: invocation {inv}: {e}", backend.name()));
+            (report.return_value, report.work_per_thread)
+        })
+        .collect()
+}
+
+/// A worker learns both of its boundaries from its release message, never
+/// from the predictor rows the main thread is memoizing into meanwhile. On
+/// the reduced machine with an inter-core latency long enough that a
+/// released worker begins after the main chunk has memoized this
+/// invocation's boundaries, a worker that loaded its rows after its release
+/// would start from the new boundary and check against a stale one, and
+/// its chunk would be committed on top of the main chunk's whole walk.
+/// Here every invocation returns the sum, with native's work vectors: the
+/// main chunk's whole walk first (the workers were handed zeroed rows), then
+/// four balanced chunks.
+#[test]
+fn a_late_worker_starts_from_the_rows_it_was_released_with() {
+    use spice_core::backend::SimBackend;
+    const THREADS: usize = 4;
+    let sum = LATE_RELEASE_NODES * (LATE_RELEASE_NODES + 1) / 2;
+    let expected: Vec<(Option<i64>, Vec<u64>)> = std::iter::once(vec![150, 0, 0, 0])
+        .chain(std::iter::repeat_n(vec![37, 38, 37, 38], 3))
+        .map(|work| (Some(sum), work))
+        .collect();
+    let native = late_release_run(make_backend(BackendChoice::Native, THREADS).as_mut());
+    assert_eq!(native, expected, "native");
+    for inter_core_latency in [1, 16, 64, 256, 1024] {
+        let config = MachineConfig {
+            inter_core_latency,
+            ..MachineConfig::test_tiny(THREADS)
+        };
+        let sim = late_release_run(&mut SimBackend::with_config(config, THREADS));
+        assert_eq!(sim, expected, "test_tiny at latency {inter_core_latency}");
     }
 }

@@ -87,11 +87,15 @@ fn find_inst(program: &Program, func: FuncId, pred: impl Fn(&Inst) -> bool) -> (
 // ---------------------------------------------------------------------------
 
 /// Named corruption: a double-send on a worker's invariant channel — the
-/// worker would consume the second value as a later invocation's token.
+/// worker would consume the extra value as the first word of a later
+/// invocation's release message.
 #[test]
 fn double_send_on_invariant_channel_fires_channel_count() {
     let (mut program, spice) = transformed(ConflictPolicy::Detect);
+    // Worker 1 of three threads is not the last: its release message holds
+    // its start row and its successor's row, then the invariants.
     let w = &spice.workers[0];
+    let release = 2 * spice.layout.spec_width + spice.invariants_sent.len();
     program
         .func_mut(spice.main)
         .block_mut(spice.shape.dispatch)
@@ -105,7 +109,7 @@ fn double_send_on_invariant_channel_fires_channel_count() {
         errs.iter().any(|e| matches!(
             e,
             LintError::ChannelCount { chan, role: "new_invocation send", found, .. }
-                if *chan == w.channels.invariant && *found == 2 + spice.invariants_sent.len()
+                if *chan == w.channels.invariant && *found == release + 1
         )),
         "got {errs:?}"
     );
