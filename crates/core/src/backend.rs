@@ -17,7 +17,7 @@ use spice_ir::{FuncId, Program};
 use spice_runtime::NativeLoopBackend;
 use spice_sim::{Machine, MachineConfig, SequentialSimBackend};
 
-use crate::pipeline::{PipelineError, SpiceRunner};
+use crate::pipeline::SpiceRunner;
 use crate::predictor::PredictorOptions;
 use crate::prepared::{PreparedKind, PreparedProgram};
 
@@ -241,10 +241,7 @@ impl ExecutionBackend for SimBackend {
             SimLoaded::Spice { machine, runner } => (machine, runner),
             SimLoaded::Sequential(b) => return b.run_invocation(args),
         };
-        let report = runner.run_invocation(machine, args).map_err(|e| match e {
-            PipelineError::Sim(s) => BackendError::Engine(s.to_string()),
-            PipelineError::Memory(t) => BackendError::Memory(t),
-        })?;
+        let report = runner.run_invocation(machine, args)?;
 
         let worker_cores: Vec<usize> = runner.spice().workers.iter().map(|w| w.core).collect();
         Ok(report.to_execution_report(&worker_cores))

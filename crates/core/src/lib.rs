@@ -92,7 +92,7 @@ pub mod transform;
 pub mod valuepred;
 
 pub use backend::{make_backend, make_backend_with, BackendChoice, SimBackend};
-pub use pipeline::{run_sequential, InvocationReport, PipelineError, SpiceRunner};
+pub use pipeline::{InvocationReport, SpiceRunner};
 pub use predictor::{Assignment, PredictorLayout, PredictorOptions};
 pub use prepared::PreparedProgram;
 pub use spice_ir::analysis;

@@ -16,8 +16,8 @@
 //!   worker's start row of `sva`, its successor's row (all but the last
 //!   worker), then the invariant live-ins, so `rows × spec_width +
 //!   invariants` words, all sent in the dispatch block (which sits outside
-//!   every CFG cycle) and received in the worker's entry block — live-out
-//!   and acknowledgement framing counts agree on both sides, and no
+//!   every CFG cycle) and received in the worker's entry block — status,
+//!   commit-command and live-out framing counts agree on both sides, and no
 //!   protocol channel is touched by a foreign function.
 //! * **spec-check placement** — under conflict detection, exactly one
 //!   `spec.check` per worker core sits in the main function's merge chain
@@ -29,7 +29,8 @@
 //! * **boundary/resume shape** — the `need_resume`/`resumed` control flow is
 //!   well nested: the recorded skeleton blocks are wired exactly as the
 //!   transform documents, the resume block is entered only from the tail,
-//!   and every remote resteer targets its worker's recovery block.
+//!   every recovery block aborts and halts, and every remote resteer
+//!   targets its worker's recovery block.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -72,7 +73,8 @@ pub struct MainShape {
     pub tail: BlockId,
     /// Squash-resume re-entry into the loop.
     pub resume: BlockId,
-    /// Predictor feedback stores before the original post-loop code.
+    /// The main thread's work-counter store before the original post-loop
+    /// code.
     pub finish: BlockId,
 }
 
@@ -193,7 +195,7 @@ pub enum LintError {
         /// The resume block.
         resume: BlockId,
     },
-    /// A worker's recovery block is malformed (missing abort/ack/halt, has
+    /// A worker's recovery block is malformed (missing abort or halt, has
     /// in-function predecessors, or does not return).
     RecoveryShape {
         /// The worker function.
@@ -399,7 +401,7 @@ pub fn check_protocol_metadata(spice: &SpiceParallelLoop) -> Result<(), Vec<Lint
     let mut cores: Vec<usize> = Vec::new();
     for w in &spice.workers {
         let c = &w.channels;
-        chans.extend_from_slice(&[c.invariant, c.status, c.command, c.liveout, c.ack]);
+        chans.extend_from_slice(&[c.invariant, c.status, c.command, c.liveout]);
         cores.push(w.core);
     }
     let total = chans.len();
@@ -568,12 +570,6 @@ fn lint_channel_protocol(
             (c.status, false, "status receive", 1),
             (c.command, true, "commit-command send", 1),
             (c.liveout, false, "live-out receive", spice.liveout_width()),
-            (
-                c.ack,
-                false,
-                "ack receive",
-                if spice.conflict_detection { 3 } else { 2 },
-            ),
         ];
         for &(chan, is_send, role, expected) in main_counts {
             let found = main_ctx.count(chan, is_send);
@@ -619,7 +615,6 @@ fn lint_channel_protocol(
             (c.status, true, "status send", 1),
             (c.command, false, "commit-command receive", 1),
             (c.liveout, true, "live-out send", spice.liveout_width()),
-            (c.ack, true, "ack send", 2),
         ];
         for &(chan, is_send, role, expected) in worker_counts {
             let found = wctx.count(chan, is_send);
@@ -661,7 +656,7 @@ fn lint_channel_protocol(
         .iter()
         .flat_map(|w| {
             let c = &w.channels;
-            [c.invariant, c.status, c.command, c.liveout, c.ack]
+            [c.invariant, c.status, c.command, c.liveout]
                 .into_iter()
                 .map(move |c| (c, w.func))
         })
@@ -916,24 +911,19 @@ fn lint_boundary_shape(
         }
     }
 
-    // Worker recovery blocks: abort, acknowledge, halt, return — and no
-    // in-function predecessors (they are entered only by remote resteer).
+    // Worker recovery blocks: abort, halt, return — and no in-function
+    // predecessors (they are entered only by remote resteer). The main
+    // thread does not wait for a recovery: the machine delivers each
+    // resteer a fixed latency after it issues, in the merge chain's order.
     for w in &spice.workers {
         let wctx = &ctxs[w.func.index()];
         let worker = wctx.func;
         let block = worker.block(w.recovery_block);
         let has_abort = block.insts.iter().any(|i| matches!(i, Inst::SpecAbort));
-        let has_ack = block
-            .insts
-            .iter()
-            .any(|i| matches!(i, Inst::Send { chan: Operand::Imm(c), .. } if *c == w.channels.ack));
         let has_halt = block.insts.iter().any(|i| matches!(i, Inst::Halt));
         let mut details = Vec::new();
         if !has_abort {
             details.push("no spec.abort");
-        }
-        if !has_ack {
-            details.push("no ack send");
         }
         if !has_halt {
             details.push("no halt");

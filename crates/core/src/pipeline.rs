@@ -6,50 +6,25 @@
 //! (its cycles and the `new_invocation` message traffic appear in the per-core
 //! reports), and the distributed memoization runs inside every thread. The
 //! host side of this runner only *reads* shared memory after an invocation —
-//! to reconstruct the plan and the per-thread feedback for reports — and
-//! never writes the predictor arrays.
+//! to reconstruct the plan and the per-thread work counters for reports —
+//! and never writes the predictor arrays.
 
 use serde::{Deserialize, Serialize};
 
-use spice_ir::exec::{ChunkEnd, CommitChain, ExecutionCost, ExecutionReport, WorkerReport};
-use spice_ir::{FuncId, TraceEvent, TrapKind};
+use spice_ir::exec::{
+    BackendError, ChunkEnd, CommitChain, ExecutionCost, ExecutionReport, WorkerReport,
+};
+use spice_ir::TraceEvent;
 use spice_sim::machine::RunSummary;
 use spice_sim::{Machine, SimError};
 
-use crate::predictor::{read_feedback, read_plan, Assignment};
+use crate::predictor::{read_plan, read_work, Assignment};
 use crate::transform::SpiceParallelLoop;
 
-/// Errors surfaced while running a transformed loop.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PipelineError {
-    /// The simulator reported an error (deadlock, cycle budget, unrecovered
-    /// trap).
-    Sim(SimError),
-    /// A host-side memory access failed (corrupted predictor layout).
-    Memory(TrapKind),
-}
-
-impl std::fmt::Display for PipelineError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PipelineError::Sim(e) => write!(f, "simulation error: {e}"),
-            PipelineError::Memory(t) => write!(f, "host memory access failed: {t}"),
-        }
-    }
-}
-
-impl std::error::Error for PipelineError {}
-
-impl From<SimError> for PipelineError {
-    fn from(e: SimError) -> Self {
-        PipelineError::Sim(e)
-    }
-}
-
-impl From<TrapKind> for PipelineError {
-    fn from(t: TrapKind) -> Self {
-        PipelineError::Memory(t)
-    }
+/// A simulator failure (deadlock, cycle budget, unrecovered trap) as the
+/// shared execution layer reports it.
+fn engine(e: SimError) -> BackendError {
+    BackendError::Engine(e.to_string())
 }
 
 /// Result of one parallel loop invocation.
@@ -152,17 +127,17 @@ impl SpiceRunner {
     /// and every worker, and simulates to completion. The main thread's
     /// entry code runs the centralized predictor step and releases the
     /// workers with their `new_invocation` messages; afterwards the host
-    /// *reads* the shared arrays to report the plan and the feedback.
+    /// *reads* the shared arrays to report the plan and the work counters.
     ///
     /// # Errors
     ///
-    /// Returns a [`PipelineError`] if the simulation fails or the predictor
-    /// arrays cannot be read back.
+    /// Returns [`BackendError::Engine`] if the simulation fails and
+    /// [`BackendError::Memory`] if the predictor arrays cannot be read back.
     pub fn run_invocation(
         &mut self,
         machine: &mut Machine,
         args: &[i64],
-    ) -> Result<InvocationReport, PipelineError> {
+    ) -> Result<InvocationReport, BackendError> {
         self.start_invocation(machine, args)?;
         self.finish_invocation(machine)
     }
@@ -176,12 +151,12 @@ impl SpiceRunner {
     ///
     /// # Errors
     ///
-    /// Returns a [`PipelineError`] if a thread cannot be spawned.
+    /// Returns [`BackendError::Engine`] if a thread cannot be spawned.
     pub fn start_invocation(
         &mut self,
         machine: &mut Machine,
         args: &[i64],
-    ) -> Result<(), PipelineError> {
+    ) -> Result<(), BackendError> {
         machine.clear_threads();
         machine.reset_cycle_counter();
         // The predictor arrays are runtime metadata ordered by the
@@ -195,28 +170,33 @@ impl SpiceRunner {
         });
         self.invocations += 1;
 
-        machine.spawn(0, self.spice.main, args)?;
+        machine.spawn(0, self.spice.main, args).map_err(engine)?;
         for w in &self.spice.workers {
-            machine.spawn(w.core, w.func, &[])?;
+            machine.spawn(w.core, w.func, &[]).map_err(engine)?;
         }
         Ok(())
     }
 
     /// Second half of [`SpiceRunner::run_invocation`]: simulates the spawned
-    /// threads to completion and reads the plan/feedback back. May be called
-    /// on a machine resumed from a snapshot of the started invocation.
+    /// threads to completion and reads the plan and work counters back. May
+    /// be called on a machine resumed from a snapshot of the started
+    /// invocation.
+    ///
+    /// Committed workers are counted from the cores' reports: only a
+    /// worker's commit path runs `spec.commit`, once per invocation.
     ///
     /// # Errors
     ///
-    /// Returns a [`PipelineError`] if the simulation fails or the predictor
-    /// arrays cannot be read back.
+    /// Returns [`BackendError::Engine`] if the simulation fails and
+    /// [`BackendError::Memory`] if the predictor arrays cannot be read back.
     pub fn finish_invocation(
         &mut self,
         machine: &mut Machine,
-    ) -> Result<InvocationReport, PipelineError> {
-        let summary = machine.run()?;
+    ) -> Result<InvocationReport, BackendError> {
+        let summary = machine.run().map_err(engine)?;
         self.last_plan = read_plan(&self.spice.layout, machine.mem())?;
-        let feedback = read_feedback(&self.spice.layout, machine.mem())?;
+        let work = read_work(&self.spice.layout, machine.mem())?;
+        let valid_workers: u64 = summary.cores.iter().map(|c| c.spec_commits).sum();
         let workers = self.spice.workers.len() as u64;
         machine.trace_emit(TraceEvent::PredictorPlan {
             at: summary.cycles,
@@ -224,34 +204,18 @@ impl SpiceRunner {
         });
         machine.trace_emit(TraceEvent::PredictorFeedback {
             at: summary.cycles,
-            committed: feedback.valid_workers.min(workers),
-            squashed: workers.saturating_sub(feedback.valid_workers),
+            committed: valid_workers,
+            squashed: workers - valid_workers,
         });
 
         Ok(InvocationReport {
             cycles: summary.cycles,
             return_value: machine.return_value(0),
-            valid_workers: feedback.valid_workers,
-            work: feedback.work,
+            valid_workers,
+            work,
             summary,
         })
     }
-}
-
-/// Runs an untransformed function on core 0 of `machine` for one invocation
-/// and reports `(cycles, return value)`. This is the single-threaded baseline
-/// every speedup in the paper is measured against.
-///
-/// # Errors
-///
-/// Returns a [`PipelineError`] if the simulation fails.
-pub fn run_sequential(
-    machine: &mut Machine,
-    func: FuncId,
-    args: &[i64],
-) -> Result<(u64, Option<i64>), PipelineError> {
-    let summary = machine.run_sequential(func, args)?;
-    Ok((summary.cycles, machine.return_value(0)))
 }
 
 #[cfg(test)]
@@ -261,7 +225,7 @@ mod tests {
     use spice_ir::analysis::derive_loop_spec;
     use spice_ir::builder::FunctionBuilder;
     use spice_ir::fixtures::write_list;
-    use spice_ir::{BinOp, Operand, Program};
+    use spice_ir::{BinOp, FuncId, Operand, Program};
     use spice_sim::MachineConfig;
 
     /// Builds the otter-style loop and returns (program, func, list layout
@@ -360,9 +324,11 @@ mod tests {
         // Sequential baseline.
         let mut m_seq = Machine::new(MachineConfig::test_tiny(1), p_seq);
         let head_seq = write_list(m_seq.mem_mut(), base_seq, &weights);
-        let (seq_cycles, seq_val) =
-            run_sequential(&mut m_seq, f_seq, &[head_seq, out_seq]).unwrap();
-        assert_eq!(seq_val, Some(sequential_min(&weights)));
+        let seq_cycles = m_seq
+            .run_sequential(f_seq, &[head_seq, out_seq])
+            .unwrap()
+            .cycles;
+        assert_eq!(m_seq.return_value(0), Some(sequential_min(&weights)));
 
         // Spice with 4 threads.
         let analysis = derive_loop_spec(&p, f, None).unwrap();

@@ -17,8 +17,10 @@
 //!
 //! Both halves are generated by [`crate::transform::SpiceTransform`]; their
 //! cycles and channel traffic appear in the simulator's per-core reports.
-//! The shared-memory arrays (`sva`, `svat`, `svai`, `work`, `status` and the
-//! centralized step's scratch) are only ever touched by simulated code.
+//! The shared-memory arrays (`sva`, `svat`, `svai`, `work` and the
+//! centralized step's scratch) are only ever touched by simulated code, and
+//! each word some thread stores is one some thread loads: the host reads
+//! them for reports, but no word exists only for the host.
 //!
 //! What remains here is pure bookkeeping the host may do without writing:
 //!
@@ -29,9 +31,9 @@
 //!   [`chunk_memo_plan`](spice_runtime::chunk_memo_plan), which the emitted
 //!   IR must agree with assignment-for-assignment; the backend-equivalence
 //!   property tests enforce this;
-//! * [`read_plan`] / [`read_feedback`] — reconstruct, from shared memory,
-//!   the plan the simulated centralized step wrote and the per-thread
-//!   feedback the distributed half stored, for reports and cross-checks.
+//! * [`read_plan`] / [`read_work`] — reconstruct, from shared memory, the
+//!   plan the simulated centralized step wrote and the per-thread work
+//!   counters the distributed half stored, for reports and cross-checks.
 
 use serde::{Deserialize, Serialize};
 
@@ -63,9 +65,6 @@ pub struct PredictorLayout {
     pub svai_base: i64,
     /// Base address of the per-thread work counters (`threads` words).
     pub work_base: i64,
-    /// Address of the status word the main thread writes at the end of an
-    /// invocation: the number of speculative threads whose work was valid.
-    pub status_base: i64,
     /// Base address of the centralized step's per-thread list-write cursors
     /// (`threads` words of scratch, reset every invocation by core 0).
     pub cidx_base: i64,
@@ -117,7 +116,6 @@ impl PredictorLayout {
             work_init[0] = i64::try_from(est).unwrap_or(i64::MAX);
         }
         let work_base = program.add_global_init("spice.work", threads as i64, work_init);
-        let status_base = program.add_global("spice.status", 1);
         let cidx_base = program.add_global("spice.cidx", threads as i64);
         let flag_base = program.add_global("spice.memoflag", 1);
         PredictorLayout {
@@ -128,7 +126,6 @@ impl PredictorLayout {
             svat_base,
             svai_base,
             work_base,
-            status_base,
             cidx_base,
             flag_base,
         }
@@ -174,7 +171,6 @@ impl PredictorLayout {
             self.svat_base + (self.threads * self.max_entries) as i64,
             self.svai_base + (self.threads * self.max_entries) as i64,
             self.work_base + self.threads as i64,
-            self.status_base + 1,
             self.cidx_base + self.threads as i64,
             self.flag_base + 1,
         ];
@@ -183,7 +179,6 @@ impl PredictorLayout {
             self.svat_base,
             self.svai_base,
             self.work_base,
-            self.status_base,
             self.cidx_base,
             self.flag_base,
         ]
@@ -230,15 +225,6 @@ pub struct Assignment {
     pub threshold: i64,
     /// Destination `sva` row.
     pub row: usize,
-}
-
-/// Feedback read back from shared memory after an invocation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct InvocationFeedback {
-    /// Work counter of every thread.
-    pub work: Vec<u64>,
-    /// Number of speculative threads whose chunk was valid (committed).
-    pub valid_workers: u64,
 }
 
 /// The centralized step's placement computation (Algorithm 2) in
@@ -309,25 +295,16 @@ pub fn read_plan(layout: &PredictorLayout, mem: &FlatMemory) -> Result<Vec<Assig
     Ok(out)
 }
 
-/// Reads back the work counters and status word after an invocation — the
+/// Reads back every thread's work counter after an invocation — the
 /// feedback the next centralized step will consume, surfaced for reports.
 ///
 /// # Errors
 ///
 /// Propagates memory faults (which indicate a corrupted layout).
-pub fn read_feedback(
-    layout: &PredictorLayout,
-    mem: &FlatMemory,
-) -> Result<InvocationFeedback, TrapKind> {
-    let mut work = Vec::with_capacity(layout.threads);
-    for tid in 0..layout.threads {
-        work.push(mem.read(layout.work_addr(tid))?.max(0) as u64);
-    }
-    let valid_workers = mem.read(layout.status_base)?.max(0) as u64;
-    Ok(InvocationFeedback {
-        work,
-        valid_workers,
-    })
+pub fn read_work(layout: &PredictorLayout, mem: &FlatMemory) -> Result<Vec<u64>, TrapKind> {
+    (0..layout.threads)
+        .map(|tid| Ok(mem.read(layout.work_addr(tid))?.max(0) as u64))
+        .collect()
 }
 
 #[cfg(test)]
@@ -350,7 +327,7 @@ mod tests {
         assert!(l.svai_base >= l.svat_base + 16);
         assert!(l.work_base >= l.svai_base + 16);
         assert_eq!(l.work_addr(3), l.work_base + 3);
-        assert!(l.cidx_base > l.status_base);
+        assert!(l.cidx_base >= l.work_base + 4);
         assert!(l.flag_base >= l.cidx_base + 4);
         let (lo, hi) = l.address_range();
         assert_eq!(lo, l.sva_base);
@@ -451,17 +428,12 @@ mod tests {
     }
 
     #[test]
-    fn read_feedback_reports_work_and_validity() {
+    fn read_work_reports_every_counter() {
         let (program, l) = layout(4, 1);
         let mut mem = FlatMemory::for_program(&program, 1024);
         mem.write(l.work_addr(0), 60).unwrap();
         mem.write(l.work_addr(2), 15).unwrap();
-        mem.write(l.status_base, 3).unwrap();
-        let fb = read_feedback(&l, &mem).unwrap();
-        assert_eq!(fb.work, vec![60, 0, 15, 0]);
-        assert_eq!(fb.valid_workers, 3);
-        mem.write(l.status_base, 1).unwrap();
-        assert_eq!(read_feedback(&l, &mem).unwrap().valid_workers, 1);
+        assert_eq!(read_work(&l, &mem).unwrap(), vec![60, 0, 15, 0]);
     }
 
     #[test]

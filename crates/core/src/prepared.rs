@@ -150,7 +150,6 @@ impl PreparedProgram {
 mod tests {
     use super::*;
     use crate::backend::SimBackend;
-    use crate::pipeline::run_sequential;
     use spice_ir::builder::FunctionBuilder;
     use spice_ir::exec::ExecutionBackend;
     use spice_ir::fixtures::write_list;
@@ -201,10 +200,14 @@ mod tests {
 
         write_list(a.mem_mut(), nodes, &[5, 6, 7]);
         write_list(b.mem_mut(), nodes, &[10, 20, 30]);
-        let (_, ra) = run_sequential(&mut a, f, &[nodes]).unwrap();
-        let (_, rb) = run_sequential(&mut b, f, &[nodes]).unwrap();
-        assert_eq!(ra, Some(18));
-        assert_eq!(rb, Some(60), "b unaffected by a's memory writes");
+        a.run_sequential(f, &[nodes]).unwrap();
+        b.run_sequential(f, &[nodes]).unwrap();
+        assert_eq!(a.return_value(0), Some(18));
+        assert_eq!(
+            b.return_value(0),
+            Some(60),
+            "b unaffected by a's memory writes"
+        );
 
         // The same preparation instantiates as a backend — the one-core
         // baseline, with no runner to split off.

@@ -22,8 +22,11 @@
 //!    `new_invocation` message on their invariant channels. Its cycles and
 //!    channel traffic land in the simulator's per-core reports; no host code
 //!    ever writes the predictor arrays,
-//! 5. recovery code in every worker (speculative-state abort + acknowledge),
-//!    reached through the remote `resteer` issued by the main thread,
+//! 5. recovery code in every worker (speculative-state abort, then halt),
+//!    reached through the remote `resteer` issued by the main thread, which
+//!    does not wait for it: the machine delivers each resteer a fixed
+//!    inter-core latency after it issues, so squashed chunks abort in the
+//!    order the merge chain resteers them,
 //! 6. the post-loop merge in the main thread that commits valid workers in
 //!    order, combines reductions and live-outs, and squashes the rest.
 
@@ -141,10 +144,10 @@ pub struct WorkerChannels {
     /// Main → worker: permission to commit.
     pub command: i64,
     /// Worker → main: live-out values, in [`SpiceParallelLoop::liveouts`]
-    /// order.
+    /// order, sent after the worker's `spec.commit` — so the main thread's
+    /// last live-out receive is what orders that commit before the next
+    /// worker's `spec.check`.
     pub liveout: i64,
-    /// Worker → main: acknowledgement that commit or recovery completed.
-    pub ack: i64,
 }
 
 /// One generated speculative worker.
@@ -272,7 +275,6 @@ impl SpiceTransform {
                 status: program.fresh_channel(),
                 command: program.fresh_channel(),
                 liveout: program.fresh_channel(),
-                ack: program.fresh_channel(),
             });
         }
 
@@ -398,7 +400,7 @@ fn emit_work_bump(b: &mut FunctionBuilder, bump_bb: BlockId, my_work: Reg, check
 /// The generated code mirrors [`crate::predictor::plan`] exactly:
 ///
 /// 1. read the per-thread work counters of the previous invocation, sum
-///    them, and reset the counters and the status word;
+///    them, and reset the counters;
 /// 2. unless memoize-once already produced a plan, and provided any work
 ///    was observed, place the `t - 1` chunk boundaries: boundary `k` sits at
 ///    global work `⌊k·total/t⌋`, belongs to the first thread whose work
@@ -436,7 +438,6 @@ fn emit_centralized(
     for tid in 0..t {
         b.store(0i64, layout.work_addr(tid), 0);
     }
-    b.store(0i64, layout.status_base, 0);
 
     // 2. Gate: memoize-once short-circuits to the clear path once a plan
     // was produced; so does an empty work model.
@@ -668,14 +669,12 @@ fn build_worker(
             }
         }
     }
-    b.send(chans.ack, 1i64);
     b.push(Inst::Halt);
     b.ret(None);
 
     // Recovery block: squash target of the remote resteer.
     b.switch_to(recovery_bb);
     b.push(Inst::SpecAbort);
-    b.send(chans.ack, 1i64);
     b.push(Inst::Halt);
     b.ret(None);
 
@@ -706,12 +705,12 @@ fn build_worker(
 ///   └─▶ compare ──hit──▶ merge ──resumed──▶ finish
 ///           └─▶ memo        └─▶ chain ─▶ w1.dispatch …
 /// w(k).dispatch ─valid──▶ w(k).valid: recv status; spec.check core k
-///                │          ├─conflict─▶ w(k).conflict: resteer, ack,
+///                │          ├─conflict─▶ w(k).conflict: resteer,
 ///                │          │            still_valid=0, need_resume=1
-///                │          └─▶ w(k).commit: command, live-outs, ack
-///                └─▶ w(k).squash: resteer, ack
+///                │          └─▶ w(k).commit: command, live-outs
+///                └─▶ w(k).squash: resteer
 /// tail ──need_resume──▶ resume: resumed=1 ─▶ check   (main re-executes
-///   └─▶ finish: publish predictor feedback ─▶ exit    from the violated
+///   └─▶ finish: store main's work counter ─▶ exit     from the violated
 ///                                                     boundary itself)
 /// ```
 ///
@@ -722,6 +721,14 @@ fn build_worker(
 /// arrays. The message carries the worker's boundary rows, so a worker reads
 /// only its own `svat`/`svai` lists, which the centralized step wrote before
 /// the release.
+///
+/// The merge chain waits only for what it reads: a worker's status and its
+/// live-outs. A committed worker sends its live-outs after `spec.commit`, so
+/// the last live-out receive orders that commit before the next
+/// `spec.check`; a resteer is not waited for, because the machine delivers
+/// each one a fixed inter-core latency after it issues, so squashed chunks
+/// abort in worker order. The host counts committed workers from the cores'
+/// `spec.commit` counts.
 #[allow(clippy::too_many_arguments)]
 fn rewrite_main(
     program: &mut Program,
@@ -749,7 +756,6 @@ fn rewrite_main(
     let success = b.fresh();
     let my_work = b.fresh();
     let memo_idx = b.fresh();
-    let valid_count = b.fresh();
     let still_valid = b.fresh();
     // Set when a conflict squash leaves un-executed iterations behind: the
     // main thread must re-enter the loop from the violated boundary. A
@@ -808,7 +814,6 @@ fn rewrite_main(
     b.copy_into(success, 0i64);
     b.copy_into(my_work, 0i64);
     b.copy_into(memo_idx, 0i64);
-    b.copy_into(valid_count, 0i64);
     b.copy_into(need_resume, 0i64);
     b.copy_into(resumed, 0i64);
     b.br(check_bb);
@@ -844,7 +849,7 @@ fn rewrite_main(
     b.br(merge_bb);
 
     // --- Merge chain. The loop exit lands here; after a squash-resume the
-    // chain has already run, so fall through to the feedback stores.
+    // chain has already run, so fall through to the work-counter store.
     b.switch_to(merge_bb);
     b.cond_br(resumed, finish_bb, chain_bb);
 
@@ -889,7 +894,6 @@ fn rewrite_main(
                 core: Operand::Imm(w.core as i64),
                 target: w.recovery_block,
             });
-            let _ack = b.recv(w.channels.ack);
             b.copy_into(still_valid, 0i64);
             b.copy_into(need_resume, 1i64);
             b.br(next_dispatch);
@@ -932,26 +936,22 @@ fn rewrite_main(
                 }
             }
         }
-        let _ack = b.recv(w.channels.ack);
-        let vc = b.binop(BinOp::Add, valid_count, 1i64);
-        b.copy_into(valid_count, vc);
         b.copy_into(still_valid, status);
         b.br(next_dispatch);
 
-        // Invalid worker: squash it and wait for its recovery acknowledgement.
+        // Invalid worker: squash it.
         b.switch_to(squash_bb);
         b.push(Inst::Resteer {
             core: Operand::Imm(w.core as i64),
             target: w.recovery_block,
         });
-        let _ack = b.recv(w.channels.ack);
         b.br(next_dispatch);
     }
 
     // --- Tail: if a conflict squash left iterations unexecuted, re-enter
     // the loop from the violated boundary (the speculated registers hold it;
-    // reductions carry the committed prefix). Otherwise publish predictor
-    // feedback and fall through to the original post-loop code.
+    // reductions carry the committed prefix). Otherwise store the main
+    // thread's work counter and fall through to the original post-loop code.
     b.switch_to(tail_bb);
     b.cond_br(need_resume, resume_bb, finish_bb);
 
@@ -962,7 +962,6 @@ fn rewrite_main(
 
     b.switch_to(finish_bb);
     b.store(my_work, layout.work_addr(0), 0);
-    b.store(valid_count, layout.status_base, 0);
     b.br(exit_target);
 
     // --- Redirect control flow:
@@ -1107,7 +1106,6 @@ mod tests {
                 w.channels.status,
                 w.channels.command,
                 w.channels.liveout,
-                w.channels.ack,
             ]);
         }
         let n = all.len();

@@ -338,9 +338,11 @@ impl Observer {
             Some(SpecAction::Abort) => {
                 let forensics = t.explain_squash(conflicts, i);
                 let chunk = t.end_chunk(i);
-                // The merge chain squashes in thread order (it resteers and
-                // awaits one worker at a time) and `spec.check`s exactly the
-                // chunks whose start it validated.
+                // Squashes land in thread order: the merge chain resteers
+                // one worker per issue group, in worker order, and each
+                // resteer is delivered a fixed inter-core latency after it
+                // issues. The chain `spec.check`s exactly the chunks whose
+                // start it validated.
                 let witness = conflicts.verdict(i);
                 if witness.is_some() && t.chain != CommitChain::Broken {
                     t.chain = CommitChain::Validated;

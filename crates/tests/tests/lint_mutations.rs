@@ -560,7 +560,7 @@ fn colliding_worker_cores_fire_protocol_metadata() {
     let mut shared_core = spice.clone();
     shared_core.workers[1].core = shared_core.workers[0].core;
     let mut shared_channel = spice.clone();
-    shared_channel.workers[1].channels.ack = shared_channel.workers[0].channels.ack;
+    shared_channel.workers[1].channels.liveout = shared_channel.workers[0].channels.liveout;
     let mut main_core = spice.clone();
     main_core.workers[0].core = 0;
     for (what, bad) in [

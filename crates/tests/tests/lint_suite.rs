@@ -1,6 +1,6 @@
 //! Suite-wide positive lint coverage and the dependence cross-check.
 //!
-//! Two guarantees over *every* workload factory the farm dispatches:
+//! Three guarantees over *every* workload factory the farm dispatches:
 //!
 //! 1. Pre- and post-transform, each workload passes structural verification
 //!    and the full speculation-safety lint stack, at every thread count and
@@ -9,15 +9,21 @@
 //!    workload whose Spice run *measures* cross-chunk dependence violations
 //!    is never classified provably-disjoint, and every workload declares
 //!    exactly the policy the pre-screen recommends.
+//! 3. The generated protocol keeps only the predictor words it reads: every
+//!    predictor global some core stores into is one some core loads.
+
+use std::collections::BTreeSet;
 
 use spice_bench::experiments::LINE_GRANULARITY_LOG2;
 use spice_core::backend::SimBackend;
 use spice_core::lint::lint_spice;
 use spice_core::transform::{SpiceOptions, SpiceTransform};
-use spice_ir::exec::{derive_loop_spec, ConflictPolicy};
+use spice_ir::exec::{derive_loop_spec, ConflictPolicy, ExecutionBackend};
 use spice_ir::verify::verify_program;
-use spice_ir::DependenceClass;
-use spice_workloads::{all_workload_factories, run_workload_on_with, workload_load_options};
+use spice_ir::{DependenceClass, TraceEvent};
+use spice_workloads::{
+    all_workload_factories, drive_loaded_workload, run_workload_on_with, workload_load_options,
+};
 
 /// Thread counts the farm manifest sweeps (`SweepMode::ALL`).
 const FARM_THREADS: [usize; 2] = [2, 4];
@@ -121,5 +127,64 @@ fn declared_independence_is_always_provable() {
             "{name}: the declared policy is not the one the pre-screen recommends ({:?})",
             analysis.dependence(&built.program)
         );
+    }
+}
+
+/// A word the simulated code stores and no core ever loads exists only for
+/// the host, and costs the measured program a store (and whatever ordering
+/// it needs) for nothing. Every word of the predictor range is watched
+/// through whole small-suite runs at 2 and 4 threads, and each global some
+/// core stores into must be one some core loads.
+#[test]
+fn every_predictor_word_a_core_stores_is_one_a_core_loads() {
+    for (name, factory) in all_workload_factories(true) {
+        for threads in FARM_THREADS {
+            let label = format!("{name} at {threads} threads");
+            let mut wl = factory();
+            let built = wl.build();
+            let options = workload_load_options(wl.as_ref(), &built);
+            let mut backend = SimBackend::tiny(threads);
+            backend.enable_trace(1 << 20);
+            backend
+                .load(built.program, built.kernel, options)
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
+            let (lo, hi) = backend
+                .runner()
+                .expect("loaded")
+                .spice()
+                .layout
+                .address_range();
+            let machine = backend.machine_mut().expect("loaded");
+            for addr in lo..hi {
+                machine.watch_address(addr);
+            }
+            drive_loaded_workload(wl.as_mut(), &mut backend)
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
+
+            let machine = backend.machine().expect("loaded");
+            let trace = machine.trace().expect("tracing is on");
+            assert_eq!(trace.dropped(), 0, "{label}: the trace ring overflowed");
+            let global_of = |addr: i64| {
+                let globals = &machine.program().globals;
+                let g = globals
+                    .iter()
+                    .find(|g| g.base <= addr && addr < g.base + g.words)
+                    .unwrap_or_else(|| panic!("{label}: no global holds word {addr}"));
+                g.name.clone()
+            };
+            let (mut stored, mut loaded) = (BTreeSet::new(), BTreeSet::new());
+            for event in trace.events() {
+                if let TraceEvent::Watch { addr, is_store, .. } = *event {
+                    let set = if is_store { &mut stored } else { &mut loaded };
+                    set.insert(global_of(addr));
+                }
+            }
+            assert!(!stored.is_empty(), "{label}: no predictor word was stored");
+            let host_only: Vec<&String> = stored.difference(&loaded).collect();
+            assert!(
+                host_only.is_empty(),
+                "{label}: stored but never loaded by any core: {host_only:?}"
+            );
+        }
     }
 }

@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use spice_core::analysis::derive_loop_spec;
-use spice_core::pipeline::{run_sequential, SpiceRunner};
+use spice_core::pipeline::SpiceRunner;
 use spice_core::transform::{SpiceOptions, SpiceTransform};
 use spice_ir::fixtures::list_min_program;
 use spice_ir::verify::verify_program;
@@ -61,8 +61,8 @@ fn spice_equals_sequential_on_random_lists() {
         let mut seq_results = Vec::new();
         for ord in &orders {
             let head = write_list(&mut seq_m, seq_nodes, ord, &weights);
-            let (_, ret) = run_sequential(&mut seq_m, seq_f, &[head]).unwrap();
-            seq_results.push(ret);
+            seq_m.run_sequential(seq_f, &[head]).unwrap();
+            seq_results.push(seq_m.return_value(0));
         }
 
         // Spice over the same sequence of lists.

@@ -8,7 +8,7 @@
 //! at an arbitrary cycle must also leave exactly settled counters behind.
 
 use spice_bench::experiments::{prepare_sweep, SweepMode};
-use spice_core::{run_sequential, SimBackend};
+use spice_core::SimBackend;
 use spice_ir::exec::ExecutionBackend;
 use spice_ir::TraceEvent;
 use spice_sim::Machine;
@@ -29,8 +29,11 @@ fn sequential_snapshots_resume_bit_identically() {
         let mut full = prep.prepared.machine();
         full.enable_trace(TRACE_CAP);
         let args = wl.init(full.mem_mut());
-        let (full_cycles, full_ret) = run_sequential(&mut full, prep.kernel, &args)
-            .unwrap_or_else(|e| panic!("{bench}: {e:?}"));
+        let full_cycles = full
+            .run_sequential(prep.kernel, &args)
+            .unwrap_or_else(|e| panic!("{bench}: {e:?}"))
+            .cycles;
+        let full_ret = full.return_value(0);
 
         // Same invocation with the periodic recorder on: the observers must
         // not change the outcome, and every checkpoint must resume to the
@@ -42,9 +45,15 @@ fn sequential_snapshots_resume_bit_identically() {
         observed.enable_snapshots((full_cycles / 5).max(1));
         let args2 = wl2.init(observed.mem_mut());
         assert_eq!(args, args2, "{bench}: workload init must be deterministic");
-        let (cycles, ret) = run_sequential(&mut observed, prep.kernel, &args2)
-            .unwrap_or_else(|e| panic!("{bench}: {e:?}"));
-        assert_eq!((cycles, ret), (full_cycles, full_ret), "{bench}");
+        let cycles = observed
+            .run_sequential(prep.kernel, &args2)
+            .unwrap_or_else(|e| panic!("{bench}: {e:?}"))
+            .cycles;
+        assert_eq!(
+            (cycles, observed.return_value(0)),
+            (full_cycles, full_ret),
+            "{bench}"
+        );
         assert_eq!(observed.trace(), full.trace(), "{bench}: trace diverged");
 
         let snaps = observed.snapshots_taken();

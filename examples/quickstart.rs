@@ -4,7 +4,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use spice_core::analysis::derive_loop_spec;
-use spice_core::pipeline::{run_sequential, SpiceRunner};
+use spice_core::pipeline::SpiceRunner;
 use spice_core::transform::{SpiceOptions, SpiceTransform};
 use spice_ir::builder::FunctionBuilder;
 use spice_ir::{BinOp, FuncId, Operand, Program};
@@ -61,8 +61,11 @@ fn main() {
     let (seq_program, seq_func, seq_nodes) = build_program(n + 4);
     let mut seq_machine = Machine::new(MachineConfig::itanium2_cmp().with_cores(1), seq_program);
     let head = write_list(&mut seq_machine, seq_nodes, &weights);
-    let (seq_cycles, seq_value) =
-        run_sequential(&mut seq_machine, seq_func, &[head]).expect("sequential run");
+    let seq_cycles = seq_machine
+        .run_sequential(seq_func, &[head])
+        .expect("sequential run")
+        .cycles;
+    let seq_value = seq_machine.return_value(0);
 
     // Spice with two threads on the same loop.
     let (mut program, func, nodes) = build_program(n + 4);
