@@ -29,8 +29,8 @@
 //! * **boundary/resume shape** — the `need_resume`/`resumed` control flow is
 //!   well nested: the recorded skeleton blocks are wired exactly as the
 //!   transform documents, the resume block is entered only from the tail,
-//!   every recovery block aborts and halts, and every remote resteer
-//!   targets its worker's recovery block.
+//!   every recovery block aborts and returns (ending the worker's thread),
+//!   and every remote resteer targets its worker's recovery block.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -195,8 +195,9 @@ pub enum LintError {
         /// The resume block.
         resume: BlockId,
     },
-    /// A worker's recovery block is malformed (missing abort or halt, has
-    /// in-function predecessors, or does not return).
+    /// A worker's recovery block is malformed: it has no abort, has
+    /// in-function predecessors, or does not return — the return is what
+    /// ends the squashed worker's thread.
     RecoveryShape {
         /// The worker function.
         func: String,
@@ -911,22 +912,19 @@ fn lint_boundary_shape(
         }
     }
 
-    // Worker recovery blocks: abort, halt, return — and no in-function
-    // predecessors (they are entered only by remote resteer). The main
-    // thread does not wait for a recovery: the machine delivers each
-    // resteer a fixed latency after it issues, in the merge chain's order.
+    // Worker recovery blocks: abort, then return, which ends the thread —
+    // and no in-function predecessors (they are entered only by remote
+    // resteer). The main thread does not wait for a recovery: the machine
+    // delivers each resteer a fixed latency after it issues, in the merge
+    // chain's order.
     for w in &spice.workers {
         let wctx = &ctxs[w.func.index()];
         let worker = wctx.func;
         let block = worker.block(w.recovery_block);
         let has_abort = block.insts.iter().any(|i| matches!(i, Inst::SpecAbort));
-        let has_halt = block.insts.iter().any(|i| matches!(i, Inst::Halt));
         let mut details = Vec::new();
         if !has_abort {
             details.push("no spec.abort");
-        }
-        if !has_halt {
-            details.push("no halt");
         }
         if !matches!(block.terminator, Terminator::Ret { .. }) {
             details.push("does not return");

@@ -74,19 +74,10 @@ pub struct PredictorLayout {
 }
 
 impl PredictorLayout {
-    /// Allocates the predictor arrays as globals of `program`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads < 2` or `spec_width == 0`.
-    #[must_use]
-    pub fn allocate(program: &mut Program, threads: usize, spec_width: usize) -> Self {
-        Self::allocate_seeded(program, threads, spec_width, None)
-    }
-
-    /// Allocates the predictor arrays, seeding thread 0's work counter with
-    /// `initial_work` so the very first centralized step already has a work
-    /// model to plan from (the paper's first-invocation estimate).
+    /// Allocates the predictor arrays as globals of `program`, seeding
+    /// thread 0's work counter with `initial_work` (when given) so the very
+    /// first centralized step already has a work model to plan from (the
+    /// paper's first-invocation estimate).
     ///
     /// # Panics
     ///
@@ -313,7 +304,7 @@ mod tests {
 
     fn layout(threads: usize, width: usize) -> (Program, PredictorLayout) {
         let mut p = Program::new();
-        let l = PredictorLayout::allocate(&mut p, threads, width);
+        let l = PredictorLayout::allocate_seeded(&mut p, threads, width, None);
         (p, l)
     }
 
@@ -440,6 +431,6 @@ mod tests {
     #[should_panic(expected = "at least two threads")]
     fn single_thread_layout_rejected() {
         let mut p = Program::new();
-        let _ = PredictorLayout::allocate(&mut p, 1, 1);
+        let _ = PredictorLayout::allocate_seeded(&mut p, 1, 1, None);
     }
 }

@@ -22,7 +22,7 @@
 //!    `new_invocation` message on their invariant channels. Its cycles and
 //!    channel traffic land in the simulator's per-core reports; no host code
 //!    ever writes the predictor arrays,
-//! 5. recovery code in every worker (speculative-state abort, then halt),
+//! 5. recovery code in every worker (speculative-state abort, then return),
 //!    reached through the remote `resteer` issued by the main thread, which
 //!    does not wait for it: the machine delivers each resteer a fixed
 //!    inter-core latency after it issues, so squashed chunks abort in the
@@ -669,13 +669,11 @@ fn build_worker(
             }
         }
     }
-    b.push(Inst::Halt);
     b.ret(None);
 
     // Recovery block: squash target of the remote resteer.
     b.switch_to(recovery_bb);
     b.push(Inst::SpecAbort);
-    b.push(Inst::Halt);
     b.ret(None);
 
     // Redirect back edges of the cloned loop through the work bump and the

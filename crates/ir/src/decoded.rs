@@ -163,8 +163,6 @@ pub(crate) enum DInst {
     SpecCheck { dst: u32, core: u32 },
     /// Remote resteer.
     Resteer { core: u32, target: BlockId },
-    /// Stop the thread.
-    Halt,
     /// No-op.
     Nop,
     /// Profiling hook.
@@ -378,7 +376,6 @@ impl DecodedFunction {
                 core: slots.operand(*core)?,
                 target: *target,
             },
-            Inst::Halt => DInst::Halt,
             Inst::Nop => DInst::Nop,
             Inst::ProfileHook { site, regs } => DInst::ProfileHook {
                 site: *site,

@@ -115,8 +115,6 @@ pub enum Inst {
         /// execution resumes.
         target: BlockId,
     },
-    /// Stop this thread permanently.
-    Halt,
     /// No operation. Used by instrumentation passes as an anchor.
     Nop,
     /// Profiling hook: reports the values of `regs` to the attached profiler
@@ -148,7 +146,6 @@ impl Inst {
             | Inst::SpecCommit
             | Inst::SpecAbort
             | Inst::Resteer { .. }
-            | Inst::Halt
             | Inst::Nop
             | Inst::ProfileHook { .. } => None,
         }
@@ -195,7 +192,7 @@ impl Inst {
             Inst::Resteer { core, .. } => push(core),
             Inst::SpecCheck { core, .. } => push(core),
             Inst::ProfileHook { regs, .. } => out.extend(regs.iter().copied()),
-            Inst::SpecBegin | Inst::SpecCommit | Inst::SpecAbort | Inst::Halt | Inst::Nop => {}
+            Inst::SpecBegin | Inst::SpecCommit | Inst::SpecAbort | Inst::Nop => {}
         }
     }
 
@@ -272,7 +269,7 @@ impl Inst {
                     *r = map(*r);
                 }
             }
-            Inst::SpecBegin | Inst::SpecCommit | Inst::SpecAbort | Inst::Halt | Inst::Nop => {}
+            Inst::SpecBegin | Inst::SpecCommit | Inst::SpecAbort | Inst::Nop => {}
         }
     }
 }
@@ -458,7 +455,7 @@ pub enum InstClass {
     Spec,
     /// Remote resteer.
     Resteer,
-    /// Everything else (nop, halt, profile hooks).
+    /// Everything else (nop, profile hooks).
     Other,
 }
 
@@ -509,7 +506,7 @@ impl Inst {
                 InstClass::Spec
             }
             Inst::Resteer { .. } => InstClass::Resteer,
-            Inst::Halt | Inst::Nop | Inst::ProfileHook { .. } => InstClass::Other,
+            Inst::Nop | Inst::ProfileHook { .. } => InstClass::Other,
         }
     }
 }

@@ -322,8 +322,6 @@ pub enum StepEvent {
     /// The thread is blocked on a `Recv` whose channel is empty; nothing
     /// retired this step.
     Blocked,
-    /// The thread executed `Halt` (now permanently stopped).
-    Halted,
     /// The outermost function returned with the given value.
     Finished(Option<i64>),
 }
@@ -417,8 +415,6 @@ impl std::fmt::Debug for ExecInfo {
 pub enum ThreadStatus {
     /// The thread can be stepped.
     Runnable,
-    /// The thread executed `Halt`.
-    Halted,
     /// The thread's outermost function returned.
     Finished,
     /// The thread trapped.
@@ -574,7 +570,6 @@ impl ThreadState {
     fn step_stopped(&self) -> Result<StepEvent, TrapKind> {
         match self.status {
             ThreadStatus::Runnable => unreachable!("a runnable thread steps"),
-            ThreadStatus::Halted => Ok(StepEvent::Halted),
             ThreadStatus::Finished => Ok(StepEvent::Finished(None)),
             ThreadStatus::Trapped(k) => Err(k),
         }
@@ -755,11 +750,6 @@ impl ThreadState {
                 self.retired += 1;
                 Ok(StepEvent::Executed(ExecInfo::plain(InstClass::Resteer)))
             }
-            DInst::Halt => {
-                self.status = ThreadStatus::Halted;
-                self.retired += 1;
-                Ok(StepEvent::Halted)
-            }
             DInst::Nop => {
                 self.pc = pc + 1;
                 self.retired += 1;
@@ -937,12 +927,6 @@ pub fn run_decoded_with(
                 // Single-threaded: nobody will ever fill the channel.
                 return Err(TrapKind::UnsupportedIntrinsic);
             }
-            StepEvent::Halted => {
-                return Ok(RunOutcome {
-                    return_value: None,
-                    stats,
-                })
-            }
             StepEvent::Finished(v) => {
                 return Ok(RunOutcome {
                     return_value: v,
@@ -1104,18 +1088,6 @@ mod tests {
         let err =
             run_function_with(&p, f, &[], &mut mem, &mut sys, 1000, |_, _, _| {}).unwrap_err();
         assert_eq!(err, TrapKind::OutOfFuel);
-    }
-
-    #[test]
-    fn halt_stops_thread() {
-        let mut b = FunctionBuilder::new("halts");
-        b.push(Inst::Halt);
-        b.ret(None);
-        let mut p = Program::new();
-        let f = p.add_func(b.finish());
-        let mut mem = FlatMemory::new(64);
-        let out = run_function(&p, f, &[], &mut mem).unwrap();
-        assert_eq!(out.return_value, None);
     }
 
     #[test]

@@ -54,7 +54,6 @@ impl fmt::Display for Inst {
             Inst::SpecAbort => f.write_str("spec.abort"),
             Inst::SpecCheck { dst, core } => write!(f, "{dst} = spec.check core {core}"),
             Inst::Resteer { core, target } => write!(f, "resteer core {core}, {target}"),
-            Inst::Halt => f.write_str("halt"),
             Inst::Nop => f.write_str("nop"),
             Inst::ProfileHook { site, regs } => {
                 write!(f, "profile.hook site={site} [")?;

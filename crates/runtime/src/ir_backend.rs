@@ -832,7 +832,7 @@ enum Stop {
     /// Control arrived at the loop's exit block: the loop genuinely ended
     /// inside this chunk (the exit code itself is the main thread's to run).
     Exit,
-    /// The kernel returned (or halted) without passing either.
+    /// The kernel returned without passing either.
     Finished(Option<i64>),
     /// A trap, a blocking receive, or the step budget ran out — which a
     /// raised squash flag ends at once (`OutOfFuel`).
@@ -961,7 +961,6 @@ fn step_to_header<M: MemPort>(
                 }
             }
             Ok(StepEvent::Finished(value)) => return Some(Stop::Finished(value)),
-            Ok(StepEvent::Halted) => return Some(Stop::Finished(None)),
             // Untransformed kernels have no channels: a `Recv` would block
             // forever.
             Ok(StepEvent::Blocked) => return Some(Stop::Trap(TrapKind::UnsupportedIntrinsic)),

@@ -84,7 +84,7 @@ pub struct CoreReport {
     pub recv_stall_cycles: u64,
     /// Cycles with no thread or a finished thread.
     pub idle_cycles: u64,
-    /// Cycle at which the thread finished or halted (if it did).
+    /// Cycle at which the thread finished (if it did).
     pub finished_at: Option<u64>,
     /// Return value of the thread's outermost function, if it returned one.
     pub return_value: Option<i64>,
@@ -184,12 +184,9 @@ enum CoreCycleEnd {
     /// As [`CoreCycleEnd::Ran`], and the group ended in a send or a resteer:
     /// the one way a step changes when *another* core can next do something.
     Signalled,
-    /// The core blocked on an empty channel.
-    Blocked,
-    /// The thread finished or halted.
-    Done,
-    /// The thread trapped.
-    Trapped,
+    /// The core blocked on an empty channel, or its thread finished or
+    /// trapped: its next step depends on state [`CoreState::wake`] reads.
+    Stopped,
 }
 
 struct CoreMemPort<'a> {
@@ -332,16 +329,15 @@ pub(crate) struct CoreState {
     spec: SpecBuffer,
     busy_until: u64,
     stall: StallKind,
-    blocked: bool,
-    /// The channel the thread's pending `Recv` found empty, while `blocked`:
-    /// the core's wake-up event is the next arrival on this channel.
+    /// The channel the thread's pending `Recv` found empty — set exactly
+    /// while the core is blocked: its wake-up event is the next arrival on
+    /// this channel.
     waiting_chan: Option<i64>,
     /// First cycle whose stall / idle tick is not yet in `report`: one past
     /// the core's last own step, or as far as [`CoreState::settle`] has
     /// since credited. Never later than the core's next step.
     accounted: u64,
     report: CoreReport,
-    done: bool,
 }
 
 impl CoreState {
@@ -351,12 +347,22 @@ impl CoreState {
             spec: SpecBuffer::new(),
             busy_until: 0,
             stall: StallKind::None,
-            blocked: false,
             waiting_chan: None,
             accounted: 0,
             report: CoreReport::default(),
-            done: false,
         }
+    }
+
+    /// The core's thread's status, `None` without a thread: steppable only
+    /// when runnable.
+    fn status(&self) -> Option<ThreadStatus> {
+        self.thread.as_ref().map(ThreadState::status)
+    }
+
+    /// No thread, or a finished one: the core idles until a spawn or a
+    /// resteer gives it work.
+    fn idle(&self) -> bool {
+        matches!(self.status(), None | Some(ThreadStatus::Finished))
     }
 
     /// Credits the cycles `[accounted, upto)` to the report. The core did
@@ -373,7 +379,7 @@ impl CoreState {
             return;
         }
         self.accounted = upto;
-        if self.thread.is_none() || self.done {
+        if self.idle() {
             self.report.idle_cycles += dt;
         } else {
             match self.stall {
@@ -390,14 +396,10 @@ impl CoreState {
     /// true wake-up is only a failed retry the settlement already counts).
     /// [`NEVER`] when only another core's event can rouse it.
     fn wake(&self, channels: &ChannelNet) -> u64 {
-        let live = self
-            .thread
-            .as_ref()
-            .is_some_and(|t| !self.done && !matches!(t.status(), ThreadStatus::Trapped(_)));
-        let ready = if !live {
+        let ready = if self.status() != Some(ThreadStatus::Runnable) {
             None
-        } else if self.blocked {
-            self.waiting_chan.and_then(|ch| channels.earliest_on(ch))
+        } else if let Some(ch) = self.waiting_chan {
+            channels.earliest_on(ch)
         } else {
             Some(self.busy_until)
         };
@@ -533,7 +535,6 @@ impl Shared {
                     } else {
                         StallKind::None
                     };
-                    core.blocked = false;
                     core.waiting_chan = None;
                     let action = sys_port.spec_action.take();
                     let (mut drained, mut writes) = (0, Vec::new());
@@ -580,19 +581,15 @@ impl Shared {
                 Ok(StepEvent::Blocked) => {
                     core.busy_until = now + 1;
                     core.stall = StallKind::Recv;
-                    core.blocked = true;
                     core.waiting_chan = sys_port.recv_failed_chan;
                     core.report.recv_stall_cycles += 1;
-                    return CoreCycleEnd::Blocked;
+                    return CoreCycleEnd::Stopped;
                 }
-                Ok(StepEvent::Halted) | Ok(StepEvent::Finished(_)) => {
-                    core.done = true;
-                    core.blocked = false;
+                Ok(StepEvent::Finished(v)) => {
+                    core.waiting_chan = None;
                     core.report.finished_at = Some(now);
-                    if let Ok(StepEvent::Finished(v)) = result {
-                        core.report.return_value = v;
-                    }
-                    return CoreCycleEnd::Done;
+                    core.report.return_value = v;
+                    return CoreCycleEnd::Stopped;
                 }
                 Err(_trap) => {
                     // The thread stays trapped until (possibly) resteered by
@@ -600,8 +597,8 @@ impl Shared {
                     // settles to nothing.
                     core.busy_until = now + 1;
                     core.stall = StallKind::None;
-                    core.blocked = false;
-                    return CoreCycleEnd::Trapped;
+                    core.waiting_chan = None;
+                    return CoreCycleEnd::Stopped;
                 }
             }
         }
@@ -723,13 +720,13 @@ impl Machine {
         for (i, c) in self.cores.iter().enumerate() {
             let status = match &c.thread {
                 None => "idle (no thread)".to_string(),
-                Some(t) => match t.status() {
-                    ThreadStatus::Trapped(k) => format!("trapped: {k}"),
-                    _ if c.done => "done".to_string(),
-                    _ if c.blocked => {
-                        format!("blocked on chan {:?}", c.waiting_chan)
+                Some(t) => match (t.status(), c.waiting_chan) {
+                    (ThreadStatus::Trapped(k), _) => format!("trapped: {k}"),
+                    (ThreadStatus::Finished, _) => "done".to_string(),
+                    (ThreadStatus::Runnable, Some(chan)) => format!("blocked on chan {chan}"),
+                    (ThreadStatus::Runnable, None) => {
+                        format!("runnable at {:?}:{:?}", t.current_func(), t.current_block())
                     }
-                    _ => format!("runnable at {:?}:{:?}", t.current_func(), t.current_block()),
                 },
             };
             out.push_str(&format!(
@@ -755,8 +752,6 @@ impl Machine {
         state.thread = Some(ThreadState::new(&self.shared.decoded, func, args));
         state.busy_until = self.cycle;
         state.accounted = self.cycle;
-        state.done = false;
-        state.blocked = false;
         state.waiting_chan = None;
         state.report = CoreReport::default();
         self.shared.hier.reset_stats(core);
@@ -785,8 +780,6 @@ impl Machine {
             c.thread = None;
             c.spec.abort();
             c.busy_until = self.cycle;
-            c.done = false;
-            c.blocked = false;
             c.waiting_chan = None;
         }
         self.shared.channels.clear();
@@ -822,7 +815,7 @@ impl Machine {
     pub fn step_cycle(&mut self) {
         let now = self.cycle;
         for (i, c) in self.cores.iter_mut().enumerate() {
-            if c.thread.is_some() && !c.done && c.busy_until <= now {
+            if c.status() == Some(ThreadStatus::Runnable) && c.busy_until <= now {
                 let _ = self.shared.issue_group(c, i, now);
             } else {
                 c.settle(now + 1);
@@ -846,8 +839,6 @@ impl Machine {
             c.settle(self.cycle + 1);
             if let Some(t) = c.thread.as_mut() {
                 t.resteer_to(target);
-                c.done = false;
-                c.blocked = false;
                 c.waiting_chan = None;
                 c.busy_until = ready;
             }
@@ -873,29 +864,29 @@ impl Machine {
     fn quiesce(&mut self, limit: u64) -> Option<Result<(), SimError>> {
         let last = self.cores.iter().map(|c| c.accounted).max();
         self.cycle = self.cycle.max(last.unwrap_or(0));
-        if self.cores.iter().all(|c| c.thread.is_none() || c.done) {
+        if self.cores.iter().all(CoreState::idle) {
             return Some(Ok(()));
         }
         if self.cycle >= limit || self.shared.channels.pending() > 0 {
             return None;
         }
-        let trapped =
-            self.cores
-                .iter()
-                .enumerate()
-                .find_map(|(core, c)| match c.thread.as_ref()?.status() {
-                    ThreadStatus::Trapped(trap) if !c.done => Some((core, trap)),
-                    _ => None,
-                });
+        let trapped = self
+            .cores
+            .iter()
+            .enumerate()
+            .find_map(|(core, c)| match c.status()? {
+                ThreadStatus::Trapped(trap) => Some((core, trap)),
+                _ => None,
+            });
         Some(Err(match trapped {
             Some((core, trap)) => SimError::UnrecoveredTrap { core, trap },
             None => SimError::Deadlock { cycle: self.cycle },
         }))
     }
 
-    /// Runs until every spawned thread has finished or halted, processing
-    /// core steps in `(wake cycle, core index)` order (see the module
-    /// documentation; the result is bit-identical to stepping every cycle).
+    /// Runs until every spawned thread has finished, processing core steps
+    /// in `(wake cycle, core index)` order (see the module documentation;
+    /// the result is bit-identical to stepping every cycle).
     ///
     /// # Errors
     ///
@@ -957,13 +948,13 @@ impl Machine {
             self.cycle = now;
             keys[i] = match end {
                 CoreCycleEnd::Ran | CoreCycleEnd::Signalled => core.busy_until,
-                _ => core.wake(&self.shared.channels),
+                CoreCycleEnd::Stopped => core.wake(&self.shared.channels),
             };
             if end == CoreCycleEnd::Signalled {
                 // A send may have given a parked receive its arrival. Cores
                 // below `i` already retried (and failed) this cycle.
                 for (j, c) in self.cores.iter_mut().enumerate() {
-                    if keys[j] == NEVER && c.blocked {
+                    if keys[j] == NEVER && c.waiting_chan.is_some() {
                         c.settle(now + u64::from(j < i));
                         keys[j] = c.wake(&self.shared.channels);
                     }
@@ -1351,6 +1342,51 @@ mod tests {
         }
     }
 
+    /// `state_dump` (the `inspect break` view and the farm's failure
+    /// captures) names each core's state from its thread's status and the
+    /// channel its receive waits on.
+    #[test]
+    fn state_dump_names_every_core_state() {
+        let mut p = Program::new();
+        let mut b = FunctionBuilder::new("spin");
+        let spin_bb = b.new_block();
+        b.br(spin_bb);
+        b.switch_to(spin_bb);
+        b.br(spin_bb);
+        let spin = p.add_func(b.finish());
+        let mut b = FunctionBuilder::new("wait");
+        let v = b.recv(7i64);
+        b.ret(Some(Operand::Reg(v)));
+        let wait = p.add_func(b.finish());
+        let mut b = FunctionBuilder::new("finish");
+        b.ret(None);
+        let finish = p.add_func(b.finish());
+        let mut b = FunctionBuilder::new("wild");
+        let v = b.load(-5i64, 0);
+        b.ret(Some(Operand::Reg(v)));
+        let wild = p.add_func(b.finish());
+
+        let mut m = Machine::new(tiny(5), p);
+        for (core, f) in [(1, spin), (2, wait), (3, finish), (4, wild)] {
+            m.spawn(core, f, &[]).unwrap();
+        }
+        assert_eq!(m.run_until(100), Ok(None));
+        let dump = m.state_dump();
+        let lines: Vec<&str> = dump.lines().collect();
+        assert_eq!(lines.len(), 6, "{dump}");
+        assert_eq!(lines[0], "cycle 100");
+        let status = |core: usize| {
+            let line = lines[core + 1].strip_prefix(&format!("core {core}: "));
+            line.and_then(|l| l.split_once(';')).map_or("", |(s, _)| s)
+        };
+        assert_eq!(status(0), "idle (no thread)");
+        assert_eq!(status(1), format!("runnable at {spin:?}:{spin_bb:?}"));
+        assert_eq!(status(2), "blocked on chan 7");
+        assert_eq!(status(3), "done");
+        let trap = TrapKind::OutOfBoundsAccess { addr: -5 };
+        assert_eq!(status(4), format!("trapped: {trap}"));
+    }
+
     #[test]
     fn spawn_on_missing_core_fails() {
         let p = Program::new();
@@ -1397,7 +1433,7 @@ mod tests {
     /// Drives `m` with the cycle-stepped oracle until every thread is done.
     fn tick_to_completion(m: &mut Machine) {
         let mut guard = 0;
-        while !m.cores.iter().all(|c| c.thread.is_none() || c.done) {
+        while !m.cores.iter().all(CoreState::idle) {
             m.step_cycle();
             guard += 1;
             assert!(guard < 100_000, "tick twin diverged");
@@ -1459,7 +1495,7 @@ mod tests {
     /// parked (blocked) core, must not cost that core its stall credit for
     /// the interval — the cycle-stepped machine ticks the blocked core every
     /// cycle up to and including the delivery cycle, so the target must be
-    /// settled before delivery clears the blocked flag.
+    /// settled before delivery clears the channel it waits on.
     #[test]
     fn resteer_from_single_active_loop_matches_cycle_stepping() {
         let build = || {

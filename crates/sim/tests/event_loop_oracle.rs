@@ -212,9 +212,10 @@ fn build(plan: &Plan, targets: &[Option<BlockId>]) -> (Program, Vec<FuncId>, Vec
             }
         }
         if rng.chance(15) {
-            b.push(Inst::Halt);
+            b.ret(None);
+        } else {
+            b.ret(Some(Operand::Reg(acc)));
         }
-        b.ret(Some(Operand::Reg(acc)));
         funcs.push(p.add_func(b.finish()));
     }
     (p, funcs, learned)

@@ -78,7 +78,6 @@ impl RefThread {
     ) -> Result<StepEvent, TrapKind> {
         match self.status {
             ThreadStatus::Runnable => {}
-            ThreadStatus::Halted => return Ok(StepEvent::Halted),
             ThreadStatus::Finished => return Ok(StepEvent::Finished(None)),
             ThreadStatus::Trapped(k) => return Err(k),
         }
@@ -191,10 +190,6 @@ impl RefThread {
                     sys.resteer(self.operand(*core), *target);
                     StepEvent::Executed(plain(class))
                 }
-                Inst::Halt => {
-                    self.status = ThreadStatus::Halted;
-                    return Ok(StepEvent::Halted);
-                }
                 Inst::Nop => StepEvent::Executed(plain(class)),
                 Inst::ProfileHook { site, regs } => {
                     let values: Vec<i64> = regs.iter().map(|r| self.regs[r.index()]).collect();
@@ -273,7 +268,7 @@ fn lockstep_run(
             "{label}: cursor divergence at step {step}"
         );
         match a {
-            Ok(StepEvent::Finished(_)) | Ok(StepEvent::Halted) | Err(_) => {
+            Ok(StepEvent::Finished(_)) | Err(_) => {
                 assert_eq!(
                     mem_a.words(),
                     mem_b.words(),

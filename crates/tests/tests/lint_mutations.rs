@@ -522,6 +522,53 @@ fn recovery_block_without_abort_fires_recovery_shape() {
     );
 }
 
+/// The worker's exit block: the one that runs `spec.commit`.
+fn worker_exit_block(program: &Program, func: FuncId) -> BlockId {
+    find_inst(program, func, |i| matches!(i, Inst::SpecCommit)).0
+}
+
+/// The recovery block's `ret` is the only thing that ends a squashed
+/// worker's thread; branching on into the exit block would commit the
+/// squashed chunk.
+#[test]
+fn recovery_block_without_return_fires_recovery_shape() {
+    let (mut program, spice) = transformed(ConflictPolicy::Detect);
+    let w = &spice.workers[0];
+    let exit = worker_exit_block(&program, w.func);
+    program
+        .func_mut(w.func)
+        .block_mut(w.recovery_block)
+        .terminator = Terminator::Br(exit);
+    let errs = lint_errors(&program, &spice);
+    assert!(
+        errs.iter().any(|e| matches!(
+            e,
+            LintError::RecoveryShape { block, detail, .. }
+                if *block == w.recovery_block && detail.contains("does not return")
+        )),
+        "got {errs:?}"
+    );
+}
+
+/// Recovery code is entered only by the remote resteer: a worker that falls
+/// into it would abort a chunk nobody squashed.
+#[test]
+fn branch_into_recovery_block_fires_recovery_shape() {
+    let (mut program, spice) = transformed(ConflictPolicy::Detect);
+    let w = &spice.workers[0];
+    let exit = worker_exit_block(&program, w.func);
+    program.func_mut(w.func).block_mut(exit).terminator = Terminator::Br(w.recovery_block);
+    let errs = lint_errors(&program, &spice);
+    assert!(
+        errs.iter().any(|e| matches!(
+            e,
+            LintError::RecoveryShape { block, detail, .. }
+                if *block == w.recovery_block && detail.contains("has in-function predecessors")
+        )),
+        "got {errs:?}"
+    );
+}
+
 /// A resteer pointed anywhere but the worker's recovery block would strand a
 /// squashed thread in the middle of a stale chunk.
 #[test]
