@@ -10,18 +10,18 @@
 //!
 //! The lint catalog:
 //!
-//! * **channel-protocol** — the channel state machine balances: every
-//!   `new_invocation` send has a matching worker receive, the invariant
-//!   channel carries exactly one release message per invocation — the
-//!   worker's start row of `sva`, its successor's row (all but the last
-//!   worker), then the invariant live-ins, so `rows × spec_width +
-//!   invariants` words, all sent in the dispatch block (which sits outside
-//!   every CFG cycle) and received in the worker's entry block — status,
-//!   commit-command and live-out framing counts agree on both sides, and no
-//!   protocol channel is touched by a foreign function.
-//! * **spec-check placement** — under conflict detection, exactly one
-//!   `spec.check` per worker core sits in the main function's merge chain
-//!   and dominates that worker's commit point (the `command` send).
+//! * **protocol contract** — the conversation between the main thread and
+//!   each worker is written down once, as words over protocol events
+//!   (`contract`): the release message (the worker's start row of `sva`,
+//!   its successor's row for all but the last worker, the invariant
+//!   live-ins), the status, the commit or squash, the live-outs. Every path
+//!   follows a word: main's CFG, walked once per worker and projected onto
+//!   that worker's events, and each worker from its entry and from its
+//!   recovery block. Every protocol instruction must be a legal next event
+//!   and every `ret` must end a whole word; an instruction no word holds (a
+//!   `spec.check` under `AssumeIndependent` or naming no worker, a
+//!   speculation op outside the workers) is an error, and no protocol
+//!   channel is touched by a foreign function.
 //! * **conflict-exemption coverage** — the predictor-array address range is
 //!   exempt from conflict detection, so every access into it that resolves
 //!   to a constant must come from generated protocol code, never from the
@@ -29,17 +29,15 @@
 //! * **boundary/resume shape** — the `need_resume`/`resumed` control flow is
 //!   well nested: the recorded skeleton blocks are wired exactly as the
 //!   transform documents, the resume block is entered only from the tail,
-//!   every recovery block aborts and returns (ending the worker's thread),
-//!   and every remote resteer targets its worker's recovery block.
+//!   a recovery block is entered only by a resteer, and every remote
+//!   resteer targets its worker's recovery block.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
 use spice_ir::cfg::Cfg;
 use spice_ir::dataflow::accesses;
-use spice_ir::dom::DomTree;
 use spice_ir::pretty;
 use spice_ir::{BlockId, FuncId, Function, Inst, Operand, Program, Terminator};
 
@@ -81,43 +79,23 @@ pub struct MainShape {
 /// A single speculation-safety lint failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LintError {
-    /// A channel's send/receive count does not match the protocol framing.
-    ChannelCount {
-        /// Function holding the mismatched ops.
+    /// A path breaks the protocol contract: the event at `block[ip]` (the
+    /// block's terminator when `ip` is its instruction count) does not
+    /// extend worker `core`'s word, or no word holds it.
+    Protocol {
+        /// Function holding the event.
         func: String,
-        /// The channel id.
-        chan: i64,
-        /// The channel's protocol role (e.g. `"invariant send"`).
-        role: &'static str,
-        /// Ops the protocol requires.
-        expected: usize,
-        /// Ops actually found.
-        found: usize,
-    },
-    /// A once-per-invocation channel op sits outside its designated block.
-    ChannelOutsideBlock {
-        /// Function holding the op.
-        func: String,
-        /// The channel id.
-        chan: i64,
-        /// The channel's protocol role.
-        role: &'static str,
-        /// Block actually holding the op.
+        /// The worker whose word breaks; for an event no word holds, the
+        /// core a `spec.check` names, or -1.
+        core: i64,
+        /// Block holding the event.
         block: BlockId,
-        /// The block the protocol requires.
-        expected_block: BlockId,
-    },
-    /// A once-per-invocation channel op sits inside a CFG cycle, so it could
-    /// execute more than once.
-    ChannelInCycle {
-        /// Function holding the op.
-        func: String,
-        /// The channel id.
-        chan: i64,
-        /// The channel's protocol role.
-        role: &'static str,
-        /// The block inside a cycle.
-        block: BlockId,
+        /// Instruction index of the event.
+        ip: usize,
+        /// The events the contract allows there.
+        expected: String,
+        /// The event found.
+        found: String,
     },
     /// A protocol channel is touched by a function that is neither the main
     /// thread nor the channel's worker.
@@ -130,39 +108,6 @@ pub enum LintError {
         block: BlockId,
         /// Instruction index of the op.
         ip: usize,
-    },
-    /// Conflict detection is on but a worker has no `spec.check` in the
-    /// merge chain.
-    MissingSpecCheck {
-        /// The unchecked worker core.
-        core: i64,
-    },
-    /// More than one `spec.check` names the same worker core.
-    DuplicateSpecCheck {
-        /// The worker core.
-        core: i64,
-        /// Checks found.
-        found: usize,
-    },
-    /// A `spec.check` appears where the protocol has none (detection off, a
-    /// non-worker core, or outside the main function).
-    UnexpectedSpecCheck {
-        /// Function holding the check.
-        func: String,
-        /// Block holding the check.
-        block: BlockId,
-        /// Instruction index of the check.
-        ip: usize,
-    },
-    /// A worker's `spec.check` does not dominate its commit point, so a
-    /// commit could be granted without consulting the conflict detector.
-    SpecCheckNotDominatingCommit {
-        /// The worker core.
-        core: i64,
-        /// Block holding the check.
-        check_block: BlockId,
-        /// Block holding the `command` send it must dominate.
-        commit_block: BlockId,
     },
     /// Original program code accesses the conflict-exempt predictor range.
     ExemptRangeAccess {
@@ -195,16 +140,13 @@ pub enum LintError {
         /// The resume block.
         resume: BlockId,
     },
-    /// A worker's recovery block is malformed: it has no abort, has
-    /// in-function predecessors, or does not return — the return is what
-    /// ends the squashed worker's thread.
+    /// A worker's recovery block has in-function predecessors: only the
+    /// main thread's resteer may enter it.
     RecoveryShape {
         /// The worker function.
         func: String,
         /// The recovery block.
         block: BlockId,
-        /// What is wrong with it.
-        detail: String,
     },
     /// A remote resteer does not target its worker's recovery block.
     ResteerTarget {
@@ -228,34 +170,16 @@ pub enum LintError {
 impl fmt::Display for LintError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            LintError::ChannelCount {
+            LintError::Protocol {
                 func,
-                chan,
-                role,
+                core,
+                block,
+                ip,
                 expected,
                 found,
             } => write!(
                 f,
-                "channel-protocol: @{func}: {role} on ch{chan} appears {found} time(s), protocol requires {expected}"
-            ),
-            LintError::ChannelOutsideBlock {
-                func,
-                chan,
-                role,
-                block,
-                expected_block,
-            } => write!(
-                f,
-                "channel-protocol: @{func}: {role} on ch{chan} sits in {block}, protocol requires {expected_block}"
-            ),
-            LintError::ChannelInCycle {
-                func,
-                chan,
-                role,
-                block,
-            } => write!(
-                f,
-                "channel-protocol: @{func}: {role} on ch{chan} in {block} is inside a CFG cycle — could run more than once per invocation"
+                "protocol: @{func}: worker core {core}: {block}[{ip}] is `{found}`, the contract expects {expected}"
             ),
             LintError::ForeignChannelOp {
                 func,
@@ -265,26 +189,6 @@ impl fmt::Display for LintError {
             } => write!(
                 f,
                 "channel-protocol: @{func}: {block}[{ip}] touches protocol channel ch{chan} owned by another thread pair"
-            ),
-            LintError::MissingSpecCheck { core } => write!(
-                f,
-                "spec-check-placement: no spec.check for worker core {core} in the merge chain"
-            ),
-            LintError::DuplicateSpecCheck { core, found } => write!(
-                f,
-                "spec-check-placement: {found} spec.checks for worker core {core}, protocol requires exactly one"
-            ),
-            LintError::UnexpectedSpecCheck { func, block, ip } => write!(
-                f,
-                "spec-check-placement: @{func}: unexpected spec.check at {block}[{ip}]"
-            ),
-            LintError::SpecCheckNotDominatingCommit {
-                core,
-                check_block,
-                commit_block,
-            } => write!(
-                f,
-                "spec-check-placement: spec.check for core {core} in {check_block} does not dominate the commit point in {commit_block}"
             ),
             LintError::ExemptRangeAccess {
                 func,
@@ -307,9 +211,9 @@ impl fmt::Display for LintError {
                 f,
                 "boundary-shape: @{func}: resume block {resume} entered from {pred}, protocol allows only the merge-chain tail"
             ),
-            LintError::RecoveryShape { func, block, detail } => write!(
+            LintError::RecoveryShape { func, block } => write!(
                 f,
-                "boundary-shape: @{func}: recovery block {block} malformed: {detail}"
+                "boundary-shape: @{func}: recovery block {block} has in-function predecessors; only a resteer may enter it"
             ),
             LintError::ResteerTarget {
                 func,
@@ -332,11 +236,8 @@ impl LintError {
     #[must_use]
     pub fn func_name(&self) -> Option<&str> {
         match self {
-            LintError::ChannelCount { func, .. }
-            | LintError::ChannelOutsideBlock { func, .. }
-            | LintError::ChannelInCycle { func, .. }
+            LintError::Protocol { func, .. }
             | LintError::ForeignChannelOp { func, .. }
-            | LintError::UnexpectedSpecCheck { func, .. }
             | LintError::ExemptRangeAccess { func, .. }
             | LintError::ShapeEdge { func, .. }
             | LintError::ResumeEntry { func, .. }
@@ -350,15 +251,12 @@ impl LintError {
     #[must_use]
     pub fn block(&self) -> Option<BlockId> {
         match self {
-            LintError::ChannelOutsideBlock { block, .. }
-            | LintError::ChannelInCycle { block, .. }
+            LintError::Protocol { block, .. }
             | LintError::ForeignChannelOp { block, .. }
-            | LintError::UnexpectedSpecCheck { block, .. }
             | LintError::ExemptRangeAccess { block, .. }
             | LintError::ShapeEdge { block, .. }
             | LintError::RecoveryShape { block, .. }
             | LintError::ResteerTarget { block, .. } => Some(*block),
-            LintError::SpecCheckNotDominatingCommit { check_block, .. } => Some(*check_block),
             LintError::ResumeEntry { resume, .. } => Some(*resume),
             _ => None,
         }
@@ -368,8 +266,8 @@ impl LintError {
     #[must_use]
     pub fn ip(&self) -> Option<usize> {
         match self {
-            LintError::ForeignChannelOp { ip, .. }
-            | LintError::UnexpectedSpecCheck { ip, .. }
+            LintError::Protocol { ip, .. }
+            | LintError::ForeignChannelOp { ip, .. }
             | LintError::ExemptRangeAccess { ip, .. } => Some(*ip),
             _ => None,
         }
@@ -433,87 +331,229 @@ pub fn check_protocol_metadata(spice: &SpiceParallelLoop) -> Result<(), Vec<Lint
     }
 }
 
-/// One channel op found while scanning a function.
-#[derive(Debug, Clone, Copy)]
-struct ChanOp {
-    block: BlockId,
-    ip: usize,
-    is_send: bool,
+/// A message on one of a worker's four channels.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Msg {
+    Inv,
+    Status,
+    Command,
+    Live,
 }
 
-/// All channel ops of `func`, grouped by constant channel id. The transform
-/// only ever emits immediate channel operands, so register-indirect channel
-/// ops never belong to the protocol (and would be caught as a count
-/// mismatch on the channel they fail to appear on).
-fn scan_channels(func: &Function) -> HashMap<i64, Vec<ChanOp>> {
-    let mut map: HashMap<i64, Vec<ChanOp>> = HashMap::new();
+/// One letter of the protocol contract: what an instruction, or a worker's
+/// `ret`, says to or as one worker.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Ev {
+    Send(Msg),
+    Recv(Msg),
+    Check,
+    Resteer,
+    Begin,
+    Commit,
+    Abort,
+    Ret,
+}
+
+impl fmt::Display for Ev {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let msg = |m: &Msg| match m {
+            Msg::Inv => "inv",
+            Msg::Status => "status",
+            Msg::Command => "command",
+            Msg::Live => "live",
+        };
+        match self {
+            Ev::Send(m) => write!(f, "send {}", msg(m)),
+            Ev::Recv(m) => write!(f, "recv {}", msg(m)),
+            Ev::Check => f.write_str("spec.check"),
+            Ev::Resteer => f.write_str("resteer"),
+            Ev::Begin => f.write_str("spec.begin"),
+            Ev::Commit => f.write_str("spec.commit"),
+            Ev::Abort => f.write_str("spec.abort"),
+            Ev::Ret => f.write_str("ret"),
+        }
+    }
+}
+
+/// The protocol contract between the main thread and worker `wi`, written
+/// once: main's words, the worker's word from its entry, and its word from
+/// its recovery block. With `N = rows × spec_width + invariants` (two rows
+/// for every worker but the last) and `L = liveout_width()`:
+///
+/// * main: `send inv×N`, then `recv status, [spec.check], send command,
+///   recv live×L` (the check only under conflict detection), or `recv
+///   status, spec.check, resteer` (detection only), or `resteer`;
+/// * worker: `recv inv×N, spec.begin, send status, recv command,
+///   spec.commit, send live×L, ret`; from recovery, `spec.abort, ret`.
+///
+/// Main's words hold no `ret`: once every word is whole, the main thread
+/// runs on to its own return.
+fn contract(spice: &SpiceParallelLoop, wi: usize) -> [Vec<Vec<Ev>>; 3] {
+    use Msg::{Command, Inv, Live, Status};
+    let rows = if wi + 1 < spice.workers.len() { 2 } else { 1 };
+    let n = rows * spice.layout.spec_width + spice.invariants_sent.len();
+    let l = spice.liveout_width();
+    let check = usize::from(spice.conflict_detection);
+    let word = |letters: &[(Ev, usize)]| -> Vec<Ev> {
+        letters
+            .iter()
+            .flat_map(|&(ev, k)| std::iter::repeat_n(ev, k))
+            .collect()
+    };
+    // Without detection the second word is the third.
+    let main = vec![
+        word(&[
+            (Ev::Send(Inv), n),
+            (Ev::Recv(Status), 1),
+            (Ev::Check, check),
+            (Ev::Send(Command), 1),
+            (Ev::Recv(Live), l),
+        ]),
+        word(&[
+            (Ev::Send(Inv), n),
+            (Ev::Recv(Status), check),
+            (Ev::Check, check),
+            (Ev::Resteer, 1),
+        ]),
+        word(&[(Ev::Send(Inv), n), (Ev::Resteer, 1)]),
+    ];
+    let entry = word(&[
+        (Ev::Recv(Inv), n),
+        (Ev::Begin, 1),
+        (Ev::Send(Status), 1),
+        (Ev::Recv(Command), 1),
+        (Ev::Commit, 1),
+        (Ev::Send(Live), l),
+        (Ev::Ret, 1),
+    ]);
+    [main, vec![entry], vec![vec![Ev::Abort, Ev::Ret]]]
+}
+
+/// A protocol event in a function: the instruction at `ip` speaks `ev` to,
+/// or as, worker `worker` (an index into [`SpiceParallelLoop::workers`]).
+#[derive(Clone, Copy)]
+struct Event {
+    ip: usize,
+    worker: usize,
+    ev: Ev,
+}
+
+/// The protocol events of function `fid`, per block. The transform only
+/// ever emits immediate channel and core operands, so a register-indirect
+/// channel op never belongs to the protocol (and leaves a word unfinished
+/// on the path it sits on). Reports what no walk sees: an op on another
+/// pair's channel, and an instruction no word holds — a `spec.check`
+/// outside the main function or naming no worker, a `spec.begin`,
+/// `spec.commit` or `spec.abort` outside the workers. A resteer outside the
+/// main function or naming no worker is `lint_boundary_shape`'s.
+fn scan_events(
+    program: &Program,
+    fid: FuncId,
+    spice: &SpiceParallelLoop,
+    errs: &mut Vec<LintError>,
+) -> Vec<Vec<Event>> {
+    let func = program.func(fid);
+    let is_main = fid == spice.main;
+    let own = spice.workers.iter().position(|w| w.func == fid);
+    let named = |core: &Operand| match core {
+        Operand::Imm(c) => spice.workers.iter().position(|w| w.core as i64 == *c),
+        Operand::Reg(_) => None,
+    };
+    let channel = |id: i64| {
+        spice.workers.iter().enumerate().find_map(|(wi, w)| {
+            let c = &w.channels;
+            let roles = [
+                (c.invariant, Msg::Inv),
+                (c.status, Msg::Status),
+                (c.command, Msg::Command),
+                (c.liveout, Msg::Live),
+            ];
+            roles
+                .into_iter()
+                .find(|&(chan, _)| chan == id)
+                .map(|(_, m)| (wi, m))
+        })
+    };
+    let mut events = vec![Vec::new(); func.blocks.len()];
     for b in func.block_ids() {
         for (ip, inst) in func.block(b).insts.iter().enumerate() {
-            let (chan, is_send) = match inst {
-                Inst::Send { chan, .. } => (chan, true),
-                Inst::Recv { chan, .. } => (chan, false),
+            let (ev, worker) = match inst {
+                Inst::Send {
+                    chan: Operand::Imm(id),
+                    ..
+                }
+                | Inst::Recv {
+                    chan: Operand::Imm(id),
+                    ..
+                } => {
+                    let Some((wi, m)) = channel(*id) else {
+                        continue;
+                    };
+                    if !is_main && own != Some(wi) {
+                        errs.push(LintError::ForeignChannelOp {
+                            func: func.name.clone(),
+                            chan: *id,
+                            block: b,
+                            ip,
+                        });
+                        continue;
+                    }
+                    let send = matches!(inst, Inst::Send { .. });
+                    (if send { Ev::Send(m) } else { Ev::Recv(m) }, Some(wi))
+                }
+                Inst::SpecCheck { core, .. } => (Ev::Check, named(core).filter(|_| is_main)),
+                Inst::Resteer { core, .. } => match named(core) {
+                    Some(wi) if is_main => (Ev::Resteer, Some(wi)),
+                    _ => continue,
+                },
+                Inst::SpecBegin => (Ev::Begin, own),
+                Inst::SpecCommit => (Ev::Commit, own),
+                Inst::SpecAbort => (Ev::Abort, own),
                 _ => continue,
             };
-            if let Operand::Imm(id) = chan {
-                map.entry(*id).or_default().push(ChanOp {
+            match worker {
+                Some(worker) => events[b.index()].push(Event { ip, worker, ev }),
+                None => errs.push(LintError::Protocol {
+                    func: func.name.clone(),
+                    core: match inst {
+                        Inst::SpecCheck {
+                            core: Operand::Imm(c),
+                            ..
+                        } => *c,
+                        _ => -1,
+                    },
                     block: b,
                     ip,
-                    is_send,
-                });
+                    expected: "nothing: no word of the contract holds it".to_string(),
+                    found: ev.to_string(),
+                }),
             }
         }
     }
-    map
-}
-
-/// Whether `block` sits inside a CFG cycle (is reachable from one of its
-/// own successors).
-fn in_cycle(cfg: &Cfg, block: BlockId) -> bool {
-    let mut seen = vec![false; cfg.block_count()];
-    let mut stack: Vec<BlockId> = cfg.succs(block).to_vec();
-    while let Some(b) = stack.pop() {
-        if b == block {
-            return true;
-        }
-        if std::mem::replace(&mut seen[b.index()], true) {
-            continue;
-        }
-        stack.extend_from_slice(cfg.succs(b));
-    }
-    false
+    events
 }
 
 /// What the lint passes read of one function, built once per lint run.
 struct FuncCtx<'a> {
     func: &'a Function,
     cfg: Cfg,
-    chans: HashMap<i64, Vec<ChanOp>>,
+    events: Vec<Vec<Event>>,
 }
 
 impl<'a> FuncCtx<'a> {
-    fn new(func: &'a Function) -> Self {
-        let cfg = Cfg::new(func);
-        let chans = scan_channels(func);
-        FuncCtx { func, cfg, chans }
-    }
-
-    fn count(&self, chan: i64, is_send: bool) -> usize {
-        self.chans
-            .get(&chan)
-            .map(|ops| ops.iter().filter(|o| o.is_send == is_send).count())
-            .unwrap_or(0)
-    }
-
-    fn ops(&self, chan: i64, is_send: bool) -> Vec<ChanOp> {
-        self.chans
-            .get(&chan)
-            .map(|ops| {
-                ops.iter()
-                    .filter(|o| o.is_send == is_send)
-                    .copied()
-                    .collect()
-            })
-            .unwrap_or_default()
+    fn new(
+        program: &'a Program,
+        fid: FuncId,
+        spice: &SpiceParallelLoop,
+        errs: &mut Vec<LintError>,
+    ) -> Self {
+        let func = program.func(fid);
+        let events = scan_events(program, fid, spice, errs);
+        FuncCtx {
+            func,
+            cfg: Cfg::new(func),
+            events,
+        }
     }
 }
 
@@ -522,7 +562,7 @@ impl<'a> FuncCtx<'a> {
 /// # Errors
 ///
 /// Returns every lint failure found, most fundamental first (metadata, then
-/// channel protocol, spec-check placement, exemption coverage, shape).
+/// the protocol contract, exemption coverage, shape).
 pub fn lint_spice(program: &Program, spice: &SpiceParallelLoop) -> Result<(), Vec<LintError>> {
     let mut errs = Vec::new();
     if let Err(mut meta) = check_protocol_metadata(spice) {
@@ -530,11 +570,13 @@ pub fn lint_spice(program: &Program, spice: &SpiceParallelLoop) -> Result<(), Ve
     }
 
     // One context per function, indexed by `FuncId`, shared by every pass.
-    let ctxs: Vec<FuncCtx<'_>> = program.funcs.iter().map(FuncCtx::new).collect();
-    let main_ctx = &ctxs[spice.main.index()];
+    let ctxs: Vec<FuncCtx<'_>> = program
+        .func_ids()
+        .into_iter()
+        .map(|fid| FuncCtx::new(program, fid, spice, &mut errs))
+        .collect();
 
-    lint_channel_protocol(program, spice, &ctxs, &mut errs);
-    lint_spec_check_placement(program, spice, main_ctx, &mut errs);
+    lint_contract(spice, &ctxs, &mut errs);
     lint_exemption_coverage(spice, &ctxs, &mut errs);
     lint_boundary_shape(program, spice, &ctxs, &mut errs);
 
@@ -545,214 +587,121 @@ pub fn lint_spice(program: &Program, spice: &SpiceParallelLoop) -> Result<(), Ve
     }
 }
 
-/// Channel-protocol state machine: framing counts on both ends of every
-/// channel, once-per-invocation placement of the `new_invocation` sends and
-/// receives, and channel ownership.
-fn lint_channel_protocol(
-    program: &Program,
-    spice: &SpiceParallelLoop,
-    ctxs: &[FuncCtx<'_>],
-    errs: &mut Vec<LintError>,
-) {
-    let main_ctx = &ctxs[spice.main.index()];
-    let main_name = &main_ctx.func.name;
+/// The protocol contract ([`contract`]): main's CFG walked once per worker,
+/// and each worker from its entry and from its recovery block.
+fn lint_contract(spice: &SpiceParallelLoop, ctxs: &[FuncCtx<'_>], errs: &mut Vec<LintError>) {
+    let main = &ctxs[spice.main.index()];
     for (wi, w) in spice.workers.iter().enumerate() {
-        let wctx = &ctxs[w.func.index()];
-        let worker = wctx.func;
-        let c = &w.channels;
-        // The release message: the worker's start row, its successor's row
-        // (all but the last worker), then the invariant live-ins.
-        let rows = if wi + 1 < spice.workers.len() { 2 } else { 1 };
-        let invariant_sends = rows * spice.layout.spec_width + spice.invariants_sent.len();
-
-        // Main side.
-        let main_counts: &[(i64, bool, &'static str, usize)] = &[
-            (c.invariant, true, "new_invocation send", invariant_sends),
-            (c.status, false, "status receive", 1),
-            (c.command, true, "commit-command send", 1),
-            (c.liveout, false, "live-out receive", spice.liveout_width()),
-        ];
-        for &(chan, is_send, role, expected) in main_counts {
-            let found = main_ctx.count(chan, is_send);
-            if found != expected {
-                errs.push(LintError::ChannelCount {
-                    func: main_name.clone(),
-                    chan,
-                    role,
-                    expected,
-                    found,
-                });
-            }
-        }
-        // Invariant sends run exactly once per invocation: all in the
-        // dispatch block, which must sit outside every CFG cycle.
-        for op in main_ctx.ops(c.invariant, true) {
-            if op.block != spice.shape.dispatch {
-                errs.push(LintError::ChannelOutsideBlock {
-                    func: main_name.clone(),
-                    chan: c.invariant,
-                    role: "new_invocation send",
-                    block: op.block,
-                    expected_block: spice.shape.dispatch,
-                });
-            } else if in_cycle(&main_ctx.cfg, op.block) {
-                errs.push(LintError::ChannelInCycle {
-                    func: main_name.clone(),
-                    chan: c.invariant,
-                    role: "new_invocation send",
-                    block: op.block,
-                });
-            }
-        }
-
-        // Worker side.
-        let worker_counts: &[(i64, bool, &'static str, usize)] = &[
-            (
-                c.invariant,
-                false,
-                "new_invocation receive",
-                invariant_sends,
-            ),
-            (c.status, true, "status send", 1),
-            (c.command, false, "commit-command receive", 1),
-            (c.liveout, true, "live-out send", spice.liveout_width()),
-        ];
-        for &(chan, is_send, role, expected) in worker_counts {
-            let found = wctx.count(chan, is_send);
-            if found != expected {
-                errs.push(LintError::ChannelCount {
-                    func: worker.name.clone(),
-                    chan,
-                    role,
-                    expected,
-                    found,
-                });
-            }
-        }
-        let worker_entry = wctx.cfg.entry();
-        for op in wctx.ops(c.invariant, false) {
-            if op.block != worker_entry {
-                errs.push(LintError::ChannelOutsideBlock {
-                    func: worker.name.clone(),
-                    chan: c.invariant,
-                    role: "new_invocation receive",
-                    block: op.block,
-                    expected_block: worker_entry,
-                });
-            } else if in_cycle(&wctx.cfg, op.block) {
-                errs.push(LintError::ChannelInCycle {
-                    func: worker.name.clone(),
-                    chan: c.invariant,
-                    role: "new_invocation receive",
-                    block: op.block,
-                });
-            }
-        }
-    }
-
-    // Channel ownership: a protocol channel may appear only in the main
-    // function and in its own worker.
-    let owner: HashMap<i64, FuncId> = spice
-        .workers
-        .iter()
-        .flat_map(|w| {
-            let c = &w.channels;
-            [c.invariant, c.status, c.command, c.liveout]
-                .into_iter()
-                .map(move |c| (c, w.func))
-        })
-        .collect();
-    for fid in program.func_ids() {
-        if fid == spice.main {
-            continue;
-        }
-        let ctx = &ctxs[fid.index()];
-        for (&chan, ops) in &ctx.chans {
-            let Some(owning_worker) = owner.get(&chan) else {
-                continue;
-            };
-            if *owning_worker != fid {
-                for op in ops {
-                    errs.push(LintError::ForeignChannelOp {
-                        func: ctx.func.name.clone(),
-                        chan,
-                        block: op.block,
-                        ip: op.ip,
-                    });
-                }
-            }
-        }
+        let [main_words, entry, recovery] = contract(spice, wi);
+        let worker = &ctxs[w.func.index()];
+        let core = w.core as i64;
+        let shape = Some(&spice.shape);
+        walk(main, wi, core, main.cfg.entry(), &main_words, shape, errs);
+        walk(worker, wi, core, worker.cfg.entry(), &entry, None, errs);
+        walk(worker, wi, core, w.recovery_block, &recovery, None, errs);
     }
 }
 
-/// `spec.check` placement: one per worker core, in the main function,
-/// dominating that worker's commit point.
-fn lint_spec_check_placement(
-    program: &Program,
-    spice: &SpiceParallelLoop,
-    main_ctx: &FuncCtx<'_>,
+/// The index of a word that extends `words[w][..p]` with `ev`.
+fn step(words: &[Vec<Ev>], w: usize, p: usize, ev: Ev) -> Option<usize> {
+    let prefix = &words[w][..p];
+    words
+        .iter()
+        .position(|x| x.get(p) == Some(&ev) && x.starts_with(prefix))
+}
+
+/// The letters that may follow `words[w][..p]`, in word order.
+fn next_letters(words: &[Vec<Ev>], w: usize, p: usize) -> Vec<Ev> {
+    let mut next: Vec<Ev> = Vec::new();
+    for x in words.iter().filter(|x| x.starts_with(&words[w][..p])) {
+        if let Some(&ev) = x.get(p) {
+            if !next.contains(&ev) {
+                next.push(ev);
+            }
+        }
+    }
+    next
+}
+
+/// Walks `ctx` from `start` along every path, projected onto worker `wi`'s
+/// events, against `words`, with an explicit worklist over `(block, word
+/// position)`. A position is a word prefix, kept as `(word, length)`. Every
+/// event must extend the prefix and every `ret` must end a whole word; once
+/// a worker's word has only its `ret` left, the block must return. In the
+/// main function a `resumed` bit, set on entering `shape.resume`, keeps
+/// `shape.merge` to its one live edge: `finish` after a resume, `chain`
+/// before it (`lint_boundary_shape` pins both). A path stops at its first
+/// error, and each `(block, ip)` is reported once.
+fn walk(
+    ctx: &FuncCtx<'_>,
+    wi: usize,
+    core: i64,
+    start: BlockId,
+    words: &[Vec<Ev>],
+    shape: Option<&MainShape>,
     errs: &mut Vec<LintError>,
 ) {
-    // Collect every spec.check in the program, by function.
-    let mut main_checks: HashMap<i64, Vec<(BlockId, usize)>> = HashMap::new();
-    for fid in program.func_ids() {
-        let func = program.func(fid);
-        for b in func.block_ids() {
-            for (ip, inst) in func.block(b).insts.iter().enumerate() {
-                let Inst::SpecCheck { core, .. } = inst else {
-                    continue;
-                };
-                let in_main = fid == spice.main;
-                let core_id = match core {
-                    Operand::Imm(c) => Some(*c),
-                    Operand::Reg(_) => None,
-                };
-                let known = core_id
-                    .map(|c| spice.workers.iter().any(|w| w.core as i64 == c))
-                    .unwrap_or(false);
-                if in_main && known && spice.conflict_detection {
-                    main_checks
-                        .entry(core_id.unwrap())
-                        .or_default()
-                        .push((b, ip));
-                } else {
-                    errs.push(LintError::UnexpectedSpecCheck {
-                        func: func.name.clone(),
-                        block: b,
-                        ip,
-                    });
+    let width = words.iter().map(Vec::len).max().unwrap_or(0) + 1;
+    let states = words.len() * width * 2;
+    let mut seen = vec![false; ctx.cfg.block_count() * states];
+    let mut flagged: Vec<(BlockId, usize)> = Vec::new();
+    let mut stack = vec![(start, 0, 0, false)];
+    while let Some((b, mut w, mut p, mut resumed)) = stack.pop() {
+        resumed |= shape.is_some_and(|s| b == s.resume);
+        let state = (w * width + p) * 2 + usize::from(resumed);
+        if std::mem::replace(&mut seen[b.index() * states + state], true) {
+            continue;
+        }
+        let mut broken = None;
+        for e in ctx.events[b.index()].iter().filter(|e| e.worker == wi) {
+            match step(words, w, p, e.ev) {
+                // No word is a proper prefix of another, so nothing may
+                // follow any whole word and one state stands for them all.
+                Some(next) if words[next].len() == p + 1 => (w, p) = (0, words[0].len()),
+                Some(next) => (w, p) = (next, p + 1),
+                None => {
+                    broken = Some((e.ip, e.ev.to_string()));
+                    break;
                 }
             }
         }
-    }
-    if !spice.conflict_detection {
-        return;
-    }
-
-    let dom = DomTree::new(&main_ctx.cfg);
-    for w in &spice.workers {
-        let core = w.core as i64;
-        let checks = main_checks.remove(&core).unwrap_or_default();
-        match checks.len() {
-            0 => {
-                errs.push(LintError::MissingSpecCheck { core });
-                continue;
+        let block = ctx.func.block(b);
+        let end = block.insts.len();
+        let broken = broken.or_else(|| match &block.terminator {
+            Terminator::Ret { .. } => {
+                let whole = words.iter().any(|x| x[..] == words[w][..p]);
+                (!whole && step(words, w, p, Ev::Ret).is_none()).then(|| (end, Ev::Ret.to_string()))
             }
-            1 => {}
-            n => {
-                errs.push(LintError::DuplicateSpecCheck { core, found: n });
-                continue;
-            }
-        }
-        let (check_block, _) = checks[0];
-        // The commit point is the send on this worker's command channel.
-        for op in main_ctx.ops(w.channels.command, true) {
-            if !dom.dominates(check_block, op.block) {
-                errs.push(LintError::SpecCheckNotDominatingCommit {
+            term => (words[w].get(p) == Some(&Ev::Ret) && next_letters(words, w, p) == [Ev::Ret])
+                .then(|| (end, term.to_string())),
+        });
+        if let Some((ip, found)) = broken {
+            if !flagged.contains(&(b, ip)) {
+                flagged.push((b, ip));
+                let next: Vec<String> = next_letters(words, w, p)
+                    .iter()
+                    .map(Ev::to_string)
+                    .collect();
+                errs.push(LintError::Protocol {
+                    func: ctx.func.name.clone(),
                     core,
-                    check_block,
-                    commit_block: op.block,
+                    block: b,
+                    ip,
+                    expected: if next.is_empty() {
+                        "no further event: the word is whole".to_string()
+                    } else {
+                        next.join(" or ")
+                    },
+                    found,
                 });
+            }
+            continue;
+        }
+        // At `shape.merge` only the edge the `resumed` bit picks is live.
+        let live = |sh: &MainShape| if resumed { sh.finish } else { sh.chain };
+        for &s in ctx.cfg.succs(b) {
+            if !shape.is_some_and(|sh| b == sh.merge && s != live(sh)) {
+                stack.push((s, w, p, resumed));
             }
         }
     }
@@ -912,31 +861,16 @@ fn lint_boundary_shape(
         }
     }
 
-    // Worker recovery blocks: abort, then return, which ends the thread —
-    // and no in-function predecessors (they are entered only by remote
-    // resteer). The main thread does not wait for a recovery: the machine
-    // delivers each resteer a fixed latency after it issues, in the merge
-    // chain's order.
+    // Worker recovery blocks are entered only by remote resteer (the
+    // contract walks each from there: `spec.abort, ret`). The main thread
+    // does not wait for a recovery: the machine delivers each resteer a
+    // fixed latency after it issues, in the merge chain's order.
     for w in &spice.workers {
         let wctx = &ctxs[w.func.index()];
-        let worker = wctx.func;
-        let block = worker.block(w.recovery_block);
-        let has_abort = block.insts.iter().any(|i| matches!(i, Inst::SpecAbort));
-        let mut details = Vec::new();
-        if !has_abort {
-            details.push("no spec.abort");
-        }
-        if !matches!(block.terminator, Terminator::Ret { .. }) {
-            details.push("does not return");
-        }
         if !wctx.cfg.preds(w.recovery_block).is_empty() {
-            details.push("has in-function predecessors");
-        }
-        if !details.is_empty() {
             errs.push(LintError::RecoveryShape {
-                func: worker.name.clone(),
+                func: wctx.func.name.clone(),
                 block: w.recovery_block,
-                detail: details.join(", "),
             });
         }
     }

@@ -103,8 +103,13 @@ pub enum TransformError {
     /// transformation, reported rather than silently mis-executed.
     Verification(Vec<VerifyError>),
     /// The transformed program verified but broke the Spice protocol
-    /// contract (channel framing, spec.check placement, exemption coverage
-    /// or boundary shape) — likewise a transformation bug.
+    /// contract, exemption coverage or boundary shape — likewise a
+    /// transformation bug. The contract's two words, per worker, with `N`
+    /// release words and `L` live-outs: the main thread's `send inv×N`,
+    /// then `recv status, [spec.check], send command, recv live×L` or
+    /// `[recv status, spec.check,] resteer`; the worker's `recv inv×N,
+    /// spec.begin, send status, recv command, spec.commit, send live×L,
+    /// ret`, or `spec.abort, ret` from its recovery block.
     Lint(Vec<LintError>),
 }
 

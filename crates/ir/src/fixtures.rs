@@ -93,6 +93,43 @@ pub fn chained_increment_program(capacity: i64) -> (Program, FuncId, i64) {
     (program, f, nodes)
 }
 
+/// `kernel(head, skip)`: Σ weight over the list, or -1 straight from the
+/// entry block when `skip` is set — a path from the entry to a `ret` that
+/// never reaches the loop. Returns `(program, kernel, nodes)`.
+#[must_use]
+pub fn skippable_sum_program(capacity: i64) -> (Program, FuncId, i64) {
+    let mut program = Program::new();
+    let nodes = program.add_global("nodes", capacity * 2);
+    let mut b = FunctionBuilder::new("skippable_sum");
+    let (head, skip) = (b.param(), b.param());
+    let skipped = b.new_block();
+    let pre = b.new_block();
+    let header = b.new_block();
+    let body = b.new_block();
+    let exit = b.new_block();
+    let c = b.copy(head);
+    let sum = b.copy(0i64);
+    b.cond_br(skip, skipped, pre);
+    b.switch_to(skipped);
+    b.ret(Some(Operand::Imm(-1)));
+    b.switch_to(pre);
+    b.br(header);
+    b.switch_to(header);
+    let done = b.binop(BinOp::Eq, c, 0i64);
+    b.cond_br(done, exit, body);
+    b.switch_to(body);
+    let v = b.load(c, 0);
+    let s = b.binop(BinOp::Add, sum, v);
+    b.copy_into(sum, s);
+    let nx = b.load(c, 1);
+    b.copy_into(c, nx);
+    b.br(header);
+    b.switch_to(exit);
+    b.ret(Some(Operand::Reg(sum)));
+    let f = program.add_func(b.finish());
+    (program, f, nodes)
+}
+
 /// Lays `weights` out as a singly linked list of consecutive `(weight,
 /// next)` pairs starting at `base`, and returns the head address (0 — the
 /// null pointer — for an empty list).

@@ -1090,7 +1090,9 @@ fn fold_liveouts(spec: &SpiceLoopSpec, main: &mut ThreadState, mut finals: &[i64
 mod tests {
     use super::*;
     use spice_ir::builder::FunctionBuilder;
-    use spice_ir::fixtures::{chained_increment_program, list_min_program, write_list};
+    use spice_ir::fixtures::{
+        chained_increment_program, list_min_program, skippable_sum_program, write_list,
+    };
     use spice_ir::{BinOp, Operand};
 
     /// Both hand-off paths, whichever of them this host's core count would
@@ -1477,41 +1479,6 @@ mod tests {
             let committed = scaled_sum_invocation(&mut backend, [head, 3 + inv, g]);
             assert_eq!(committed, 3, "invocation {inv}");
         }
-    }
-
-    /// `kernel(head, skip)`: Σ weight over the list, or -1 straight from the
-    /// entry block when `skip` is set. Returns `(program, kernel, nodes)`.
-    fn skippable_sum_program(capacity: i64) -> (Program, FuncId, i64) {
-        let mut program = Program::new();
-        let nodes = program.add_global("nodes", capacity * 2);
-        let mut b = FunctionBuilder::new("skippable_sum");
-        let (head, skip) = (b.param(), b.param());
-        let skipped = b.new_block();
-        let pre = b.new_block();
-        let header = b.new_block();
-        let body = b.new_block();
-        let exit = b.new_block();
-        let c = b.copy(head);
-        let sum = b.copy(0i64);
-        b.cond_br(skip, skipped, pre);
-        b.switch_to(skipped);
-        b.ret(Some(Operand::Imm(-1)));
-        b.switch_to(pre);
-        b.br(header);
-        b.switch_to(header);
-        let done = b.binop(BinOp::Eq, c, 0i64);
-        b.cond_br(done, exit, body);
-        b.switch_to(body);
-        let v = b.load(c, 0);
-        let s = b.binop(BinOp::Add, sum, v);
-        b.copy_into(sum, s);
-        let nx = b.load(c, 1);
-        b.copy_into(c, nx);
-        b.br(header);
-        b.switch_to(exit);
-        b.ret(Some(Operand::Reg(sum)));
-        let f = program.add_func(b.finish());
-        (program, f, nodes)
     }
 
     /// A kernel that returns before reaching its loop header tasks nobody:

@@ -8,10 +8,12 @@
 //! production miscompile.
 
 use spice_core::analysis::derive_loop_spec;
+use spice_core::backend::{make_backend, BackendChoice};
 use spice_core::lint::{check_protocol_metadata, lint_spice, LintError};
-use spice_core::transform::{SpiceOptions, SpiceParallelLoop, SpiceTransform};
+use spice_core::transform::{SpiceOptions, SpiceParallelLoop, SpiceTransform, TransformError};
 use spice_ir::builder::FunctionBuilder;
-use spice_ir::exec::ConflictPolicy;
+use spice_ir::exec::{BackendError, ConflictPolicy, LoadOptions};
+use spice_ir::fixtures::skippable_sum_program;
 use spice_ir::verify::{verify_program, VerifyError};
 use spice_ir::{BinOp, BlockId, DecodedProgram, FuncId, Inst, Operand, Program, Reg, Terminator};
 
@@ -83,19 +85,32 @@ fn find_inst(program: &Program, func: FuncId, pred: impl Fn(&Inst) -> bool) -> (
 }
 
 // ---------------------------------------------------------------------------
-// Channel-protocol lints.
+// The protocol contract.
 // ---------------------------------------------------------------------------
+
+/// Whether `errs` holds a contract error at `block` of `func` for worker
+/// `core`.
+fn breaks_contract(
+    errs: &[LintError],
+    program: &Program,
+    func: FuncId,
+    core: usize,
+    block: Option<BlockId>,
+) -> bool {
+    let name = &program.func(func).name;
+    errs.iter().any(|e| {
+        matches!(e, LintError::Protocol { func: f, core: c, block: b, .. }
+            if f == name && *c == core as i64 && block.is_none_or(|want| *b == want))
+    })
+}
 
 /// Named corruption: a double-send on a worker's invariant channel — the
 /// worker would consume the extra value as the first word of a later
 /// invocation's release message.
 #[test]
-fn double_send_on_invariant_channel_fires_channel_count() {
+fn double_send_on_invariant_channel_breaks_the_contract() {
     let (mut program, spice) = transformed(ConflictPolicy::Detect);
-    // Worker 1 of three threads is not the last: its release message holds
-    // its start row and its successor's row, then the invariants.
     let w = &spice.workers[0];
-    let release = 2 * spice.layout.spec_width + spice.invariants_sent.len();
     program
         .func_mut(spice.main)
         .block_mut(spice.shape.dispatch)
@@ -105,12 +120,9 @@ fn double_send_on_invariant_channel_fires_channel_count() {
             value: Operand::Imm(0),
         });
     let errs = lint_errors(&program, &spice);
+    let dispatch = Some(spice.shape.dispatch);
     assert!(
-        errs.iter().any(|e| matches!(
-            e,
-            LintError::ChannelCount { chan, role: "new_invocation send", found, .. }
-                if *chan == w.channels.invariant && *found == release + 1
-        )),
+        breaks_contract(&errs, &program, spice.main, w.core, dispatch),
         "got {errs:?}"
     );
 }
@@ -118,7 +130,7 @@ fn double_send_on_invariant_channel_fires_channel_count() {
 /// An invariant send smuggled outside the dispatch block would run on a
 /// different schedule than the worker's matching receive.
 #[test]
-fn invariant_send_outside_dispatch_fires_outside_block() {
+fn invariant_send_outside_dispatch_breaks_the_contract() {
     let (mut program, spice) = transformed(ConflictPolicy::Detect);
     let w = &spice.workers[0];
     program
@@ -130,21 +142,17 @@ fn invariant_send_outside_dispatch_fires_outside_block() {
             value: Operand::Imm(0),
         });
     let errs = lint_errors(&program, &spice);
-    let bump = spice.shape.bump;
+    let bump = Some(spice.shape.bump);
     assert!(
-        errs.iter().any(|e| matches!(
-            e,
-            LintError::ChannelOutsideBlock { chan, block, .. }
-                if *chan == w.channels.invariant && *block == bump
-        )),
+        breaks_contract(&errs, &program, spice.main, w.core, bump),
         "got {errs:?}"
     );
 }
 
-/// Rewiring `finish` back to `dispatch` puts the once-per-invocation sends
-/// inside a CFG cycle without moving a single instruction.
+/// Rewiring `finish` back to `dispatch` sends a second release after the
+/// merge chain without moving a single instruction.
 #[test]
-fn dispatch_inside_cycle_fires_channel_in_cycle() {
+fn dispatch_inside_cycle_breaks_the_contract() {
     let (mut program, spice) = transformed(ConflictPolicy::Detect);
     let dispatch = spice.shape.dispatch;
     program
@@ -152,13 +160,13 @@ fn dispatch_inside_cycle_fires_channel_in_cycle() {
         .block_mut(spice.shape.finish)
         .terminator = Terminator::Br(dispatch);
     let errs = lint_errors(&program, &spice);
-    assert!(
-        errs.iter().any(|e| matches!(
-            e,
-            LintError::ChannelInCycle { block, .. } if *block == dispatch
-        )),
-        "got {errs:?}"
-    );
+    for w in &spice.workers {
+        assert!(
+            breaks_contract(&errs, &program, spice.main, w.core, Some(dispatch)),
+            "core {}: got {errs:?}",
+            w.core
+        );
+    }
 }
 
 /// One worker touching another worker's channel breaks pairwise channel
@@ -188,32 +196,36 @@ fn cross_worker_channel_op_fires_foreign_channel_op() {
     );
 }
 
-// ---------------------------------------------------------------------------
-// spec.check placement lints.
-// ---------------------------------------------------------------------------
+/// Replaces the merge chain's `spec.check` of worker `core` with a `nop`,
+/// returning it.
+fn delete_spec_check(program: &mut Program, spice: &SpiceParallelLoop, core: usize) -> Inst {
+    let (b, ip) = find_inst(
+        program,
+        spice.main,
+        |i| matches!(i, Inst::SpecCheck { core: Operand::Imm(c), .. } if *c == core as i64),
+    );
+    std::mem::replace(
+        &mut program.func_mut(spice.main).block_mut(b).insts[ip],
+        Inst::Nop,
+    )
+}
 
 /// Named corruption: deleting a worker's `spec.check` — its chunk would
 /// commit without ever consulting the conflict detector.
 #[test]
-fn deleted_spec_check_fires_missing_spec_check() {
+fn deleted_spec_check_breaks_the_contract() {
     let (mut program, spice) = transformed(ConflictPolicy::Detect);
     let w = &spice.workers[0];
-    let (b, ip) = find_inst(
-        &program,
-        spice.main,
-        |i| matches!(i, Inst::SpecCheck { core: Operand::Imm(c), .. } if *c == w.core as i64),
-    );
-    program.func_mut(spice.main).block_mut(b).insts[ip] = Inst::Nop;
+    delete_spec_check(&mut program, &spice, w.core);
     let errs = lint_errors(&program, &spice);
     assert!(
-        errs.iter()
-            .any(|e| matches!(e, LintError::MissingSpecCheck { core } if *core == w.core as i64)),
+        breaks_contract(&errs, &program, spice.main, w.core, None),
         "got {errs:?}"
     );
 }
 
 #[test]
-fn duplicated_spec_check_fires_duplicate_spec_check() {
+fn duplicated_spec_check_breaks_the_contract() {
     let (mut program, spice) = transformed(ConflictPolicy::Detect);
     let w = &spice.workers[0];
     let (b, ip) = find_inst(
@@ -225,10 +237,7 @@ fn duplicated_spec_check_fires_duplicate_spec_check() {
     program.func_mut(spice.main).block_mut(b).insts.push(copy);
     let errs = lint_errors(&program, &spice);
     assert!(
-        errs.iter().any(|e| matches!(
-            e,
-            LintError::DuplicateSpecCheck { core, found: 2 } if *core == w.core as i64
-        )),
+        breaks_contract(&errs, &program, spice.main, w.core, None),
         "got {errs:?}"
     );
 }
@@ -237,7 +246,7 @@ fn duplicated_spec_check_fires_duplicate_spec_check() {
 /// policy violation — the transform and the machine would disagree about
 /// whether read/write sets exist.
 #[test]
-fn spec_check_under_assume_independent_is_unexpected() {
+fn spec_check_under_assume_independent_breaks_the_contract() {
     let (mut program, spice) = transformed(ConflictPolicy::AssumeIndependent);
     assert!(!spice.conflict_detection);
     let w = &spice.workers[0];
@@ -251,34 +260,152 @@ fn spec_check_under_assume_independent_is_unexpected() {
         },
     );
     let errs = lint_errors(&program, &spice);
+    let tail = Some(spice.shape.tail);
     assert!(
-        errs.iter()
-            .any(|e| matches!(e, LintError::UnexpectedSpecCheck { .. })),
+        breaks_contract(&errs, &program, spice.main, w.core, tail),
         "got {errs:?}"
     );
+}
+
+/// A protocol instruction no word holds: a `spec.check` naming a core no
+/// worker runs on, and a `spec.begin` in the main thread.
+#[test]
+fn an_instruction_no_word_holds_breaks_the_contract() {
+    let (mut program, spice) = transformed(ConflictPolicy::Detect);
+    let main = program.func_mut(spice.main);
+    let dst = main.fresh_reg();
+    let insts = &mut main.block_mut(spice.shape.tail).insts;
+    insts.insert(
+        0,
+        Inst::SpecCheck {
+            dst,
+            core: Operand::Imm(99),
+        },
+    );
+    insts.insert(1, Inst::SpecBegin);
+    let errs = lint_errors(&program, &spice);
+    let name = &program.func(spice.main).name;
+    for (core, ip) in [(99, 0), (-1, 1)] {
+        assert!(
+            errs.iter().any(
+                |e| matches!(e, LintError::Protocol { func, core: c, block, ip: i, .. }
+                if func == name && *c == core && *block == spice.shape.tail && *i == ip)
+            ),
+            "core {core}: got {errs:?}"
+        );
+    }
 }
 
 /// Moving a `spec.check` into the resume block leaves commit paths that
 /// never pass through it.
 #[test]
-fn spec_check_moved_off_commit_path_fires_dominance_lint() {
+fn spec_check_moved_off_commit_path_breaks_the_contract() {
     let (mut program, spice) = transformed(ConflictPolicy::Detect);
     let w = &spice.workers[0];
-    let (b, ip) = find_inst(
-        &program,
-        spice.main,
-        |i| matches!(i, Inst::SpecCheck { core: Operand::Imm(c), .. } if *c == w.core as i64),
-    );
+    let check = delete_spec_check(&mut program, &spice, w.core);
     let main = program.func_mut(spice.main);
-    let check = std::mem::replace(&mut main.block_mut(b).insts[ip], Inst::Nop);
     main.block_mut(spice.shape.resume).insts.push(check);
     let errs = lint_errors(&program, &spice);
+    let resume = Some(spice.shape.resume);
     assert!(
-        errs.iter().any(|e| matches!(
-            e,
-            LintError::SpecCheckNotDominatingCommit { core, .. } if *core == w.core as i64
-        )),
+        breaks_contract(&errs, &program, spice.main, w.core, resume),
         "got {errs:?}"
+    );
+}
+
+/// The worker's exit block: the one that runs `spec.commit`.
+fn worker_exit_block(program: &Program, func: FuncId) -> BlockId {
+    find_inst(program, func, |i| matches!(i, Inst::SpecCommit)).0
+}
+
+/// The worker's `send status` moved from its exit block into its hit block:
+/// a chunk that runs to the loop exit never reports, and the merge chain
+/// would wait for it forever. The per-function channel counts of earlier
+/// versions of the lint accepted this program: it still holds one status
+/// send.
+#[test]
+fn status_send_moved_into_the_hit_block_breaks_the_contract() {
+    let (mut program, spice) = transformed(ConflictPolicy::Detect);
+    // Worker 1 of three threads is not the last, so it has a hit block.
+    let w = &spice.workers[0];
+    let (exit, ip) = find_inst(
+        &program,
+        w.func,
+        |i| matches!(i, Inst::Send { chan: Operand::Imm(c), .. } if *c == w.channels.status),
+    );
+    let worker = program.func_mut(w.func);
+    let send = worker.block_mut(exit).insts.remove(ip);
+    let hit = worker
+        .block_ids()
+        .into_iter()
+        .find(|&b| worker.block(b).label.as_deref() == Some("spice.hit"))
+        .expect("a worker that is not the last has a hit block");
+    worker.block_mut(hit).insts.push(send);
+    let errs = lint_errors(&program, &spice);
+    assert!(
+        breaks_contract(&errs, &program, w.func, w.core, Some(exit)),
+        "got {errs:?}"
+    );
+}
+
+/// The worker's `spec.commit` moved after its live-out sends: the main
+/// thread's last live-out receive would no longer order the commit before
+/// the next worker's `spec.check`. The per-function channel counts of
+/// earlier versions of the lint accepted this program: no op count changes.
+#[test]
+fn commit_after_the_live_outs_breaks_the_contract() {
+    let (mut program, spice) = transformed(ConflictPolicy::Detect);
+    let w = &spice.workers[0];
+    assert!(spice.liveout_width() > 0);
+    let exit = worker_exit_block(&program, w.func);
+    let insts = &mut program.func_mut(w.func).block_mut(exit).insts;
+    let at = insts
+        .iter()
+        .position(|i| matches!(i, Inst::SpecCommit))
+        .unwrap();
+    let commit = insts.remove(at);
+    insts.push(commit);
+    let errs = lint_errors(&program, &spice);
+    assert!(
+        breaks_contract(&errs, &program, w.func, w.core, Some(exit)),
+        "got {errs:?}"
+    );
+}
+
+/// Probe 3: a kernel whose entry block can return before the loop. That
+/// path never releases the workers, which would wait for a `new_invocation`
+/// message forever, so the transform refuses the program and no backend
+/// that runs the generated code loads it.
+#[test]
+fn an_early_return_that_skips_the_release_breaks_the_contract() {
+    let (mut program, f, _) = skippable_sum_program(64);
+    let analysis = derive_loop_spec(&program, f, None).unwrap();
+    let early = program
+        .func(f)
+        .block_ids()
+        .into_iter()
+        .find(|&b| {
+            let block = program.func(f).block(b);
+            block.insts.is_empty() && matches!(block.terminator, Terminator::Ret { .. })
+        })
+        .expect("the fixture returns from its own block");
+    let err = SpiceTransform::new(SpiceOptions::with_threads_and_estimate(3, 64))
+        .apply(&mut program, &analysis)
+        .expect_err("the early return must be refused");
+    let TransformError::Lint(errs) = err else {
+        panic!("expected a lint failure, got {err}");
+    };
+    for core in 1..3 {
+        assert!(
+            breaks_contract(&errs, &program, f, core, Some(early)),
+            "core {core}: got {errs:?}"
+        );
+    }
+    let (program, f, _) = skippable_sum_program(64);
+    let loaded = make_backend(BackendChoice::SimTiny, 3).load(program, f, LoadOptions::new(None));
+    assert!(
+        matches!(&loaded, Err(BackendError::Analysis(m)) if m.contains("speculation-safety lints")),
+        "got {loaded:?}"
     );
 }
 
@@ -505,7 +632,7 @@ fn extra_resume_predecessor_fires_resume_entry() {
 }
 
 #[test]
-fn recovery_block_without_abort_fires_recovery_shape() {
+fn recovery_block_without_abort_breaks_the_contract() {
     let (mut program, spice) = transformed(ConflictPolicy::Detect);
     let w = &spice.workers[0];
     let (b, ip) = find_inst(&program, w.func, |i| matches!(i, Inst::SpecAbort));
@@ -513,25 +640,16 @@ fn recovery_block_without_abort_fires_recovery_shape() {
     program.func_mut(w.func).block_mut(b).insts[ip] = Inst::Nop;
     let errs = lint_errors(&program, &spice);
     assert!(
-        errs.iter().any(|e| matches!(
-            e,
-            LintError::RecoveryShape { block, detail, .. }
-                if *block == w.recovery_block && detail.contains("no spec.abort")
-        )),
+        breaks_contract(&errs, &program, w.func, w.core, Some(w.recovery_block)),
         "got {errs:?}"
     );
-}
-
-/// The worker's exit block: the one that runs `spec.commit`.
-fn worker_exit_block(program: &Program, func: FuncId) -> BlockId {
-    find_inst(program, func, |i| matches!(i, Inst::SpecCommit)).0
 }
 
 /// The recovery block's `ret` is the only thing that ends a squashed
 /// worker's thread; branching on into the exit block would commit the
 /// squashed chunk.
 #[test]
-fn recovery_block_without_return_fires_recovery_shape() {
+fn recovery_block_without_return_breaks_the_contract() {
     let (mut program, spice) = transformed(ConflictPolicy::Detect);
     let w = &spice.workers[0];
     let exit = worker_exit_block(&program, w.func);
@@ -541,11 +659,7 @@ fn recovery_block_without_return_fires_recovery_shape() {
         .terminator = Terminator::Br(exit);
     let errs = lint_errors(&program, &spice);
     assert!(
-        errs.iter().any(|e| matches!(
-            e,
-            LintError::RecoveryShape { block, detail, .. }
-                if *block == w.recovery_block && detail.contains("does not return")
-        )),
+        breaks_contract(&errs, &program, w.func, w.core, Some(w.recovery_block)),
         "got {errs:?}"
     );
 }
@@ -562,8 +676,7 @@ fn branch_into_recovery_block_fires_recovery_shape() {
     assert!(
         errs.iter().any(|e| matches!(
             e,
-            LintError::RecoveryShape { block, detail, .. }
-                if *block == w.recovery_block && detail.contains("has in-function predecessors")
+            LintError::RecoveryShape { block, .. } if *block == w.recovery_block
         )),
         "got {errs:?}"
     );
@@ -685,22 +798,18 @@ fn use_before_def_across_boundary_is_caught_by_verify() {
 #[test]
 fn lint_render_quotes_the_offending_block() {
     let (mut program, spice) = transformed(ConflictPolicy::Detect);
-    let w = &spice.workers[0];
-    let (b, ip) = find_inst(
-        &program,
-        spice.main,
-        |i| matches!(i, Inst::SpecCheck { core: Operand::Imm(c), .. } if *c == w.core as i64),
-    );
-    program.func_mut(spice.main).block_mut(b).insts[ip] = Inst::Nop;
+    delete_spec_check(&mut program, &spice, spice.workers[0].core);
     let errs = lint_errors(&program, &spice);
     let missing = errs
         .iter()
-        .find(|e| matches!(e, LintError::MissingSpecCheck { .. }))
+        .find(|e| matches!(e, LintError::Protocol { .. }))
         .unwrap();
     let rendered = missing.render(&program);
     assert!(rendered.contains("error[lint]"), "got: {rendered}");
-    // MissingSpecCheck has no block context; a block-bearing error renders
-    // the listing with the instruction marker.
+    // A contract error names its block and instruction: the listing and
+    // the instruction marker.
+    assert!(rendered.contains("-->"), "got: {rendered}");
+    assert!(rendered.contains("--->"), "got: {rendered}");
     let foreign_program = {
         let (mut p, proto) = transformed(ConflictPolicy::Detect);
         let w0 = &proto.workers[0];
@@ -729,8 +838,9 @@ fn lint_render_quotes_the_offending_block() {
 /// variant with a readable message.
 #[test]
 fn transform_lint_error_displays_as_lint_failure() {
-    let err =
-        spice_core::transform::TransformError::Lint(vec![LintError::MissingSpecCheck { core: 1 }]);
+    let err = TransformError::Lint(vec![LintError::ProtocolMetadata {
+        detail: "worker cores collide".to_string(),
+    }]);
     let msg = err.to_string();
     assert!(msg.contains("speculation-safety lints"), "got: {msg}");
 }
