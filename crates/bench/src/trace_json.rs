@@ -25,7 +25,6 @@ pub fn cause_label(cause: &MisspeculationCause) -> &'static str {
         MisspeculationCause::StalePrediction => "stale_prediction",
         MisspeculationCause::Fault(_) => "fault",
         MisspeculationCause::SquashCascade => "squash_cascade",
-        MisspeculationCause::NoPrediction => "no_prediction",
         MisspeculationCause::DependenceViolation { .. } => "dependence_violation",
     }
 }

@@ -117,22 +117,22 @@ impl std::fmt::Display for TransformError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TransformError::TooFewThreads => f.write_str("at least two threads are required"),
-            TransformError::Verification(errs) => {
-                write!(
-                    f,
-                    "transformed program failed verification: {} errors",
-                    errs.len()
-                )
-            }
-            TransformError::Lint(errs) => {
-                write!(
-                    f,
-                    "transformed program failed speculation-safety lints: {} errors",
-                    errs.len()
-                )
-            }
+            TransformError::Verification(errs) => write_failed(f, "verification", errs),
+            TransformError::Lint(errs) => write_failed(f, "speculation-safety lints", errs),
         }
     }
+}
+
+/// Names the check a transformed program failed, then every error, one a
+/// line.
+fn write_failed<E: std::fmt::Display>(
+    f: &mut std::fmt::Formatter<'_>,
+    check: &str,
+    errs: &[E],
+) -> std::fmt::Result {
+    let n = errs.len();
+    write!(f, "transformed program failed {check}: {n} errors")?;
+    errs.iter().try_for_each(|e| write!(f, "\n  {e}"))
 }
 
 impl std::error::Error for TransformError {}

@@ -20,6 +20,7 @@ use crate::dataflow::{classify_loop_dependences, DependenceClass, LoopDependence
 use crate::dom::DomTree;
 use crate::exec::ConflictPolicy;
 use crate::function::{Function, Program};
+use crate::inst::Terminator;
 use crate::liveness::{loop_live_ins, Liveness, LoopLiveIns};
 use crate::loops::{Loop, LoopForest};
 use crate::reduction::{detect_reductions, Reduction, ReductionKind};
@@ -117,6 +118,13 @@ pub enum SpecError {
     NoPreheader,
     /// The loop exits through more than one edge.
     MultipleExits,
+    /// The loop may run other than once per call, but the protocol's
+    /// release sits in the preheader and its merge chain at the exit.
+    NotOncePerCall {
+        /// A `ret` or the exit block the preheader does not dominate, or a
+        /// block reachable from the exit that branches to the preheader.
+        block: BlockId,
+    },
     /// Every loop-carried live-in is a reduction, so there is nothing to
     /// value-speculate — the loop should be parallelized as DOALL /
     /// reduction instead.
@@ -129,6 +137,9 @@ impl std::fmt::Display for SpecError {
             SpecError::NoSuchLoop => "no loop with the requested header",
             SpecError::NoPreheader => "loop has no unique preheader",
             SpecError::MultipleExits => "loop has more than one exit edge",
+            SpecError::NotOncePerCall { block } => {
+                return write!(f, "loop does not run exactly once per call: see {block}");
+            }
             SpecError::NothingToSpeculate => {
                 "all loop-carried live-ins are reductions; nothing to speculate"
             }
@@ -183,6 +194,27 @@ pub fn derive_loop_spec(
     let &[exit_edge] = l.exits.as_slice() else {
         return Err(SpecError::MultipleExits);
     };
+    // The loop runs exactly once per call: the preheader dominates every
+    // `ret` and the exit, and no path from the exit leads back to it. The
+    // exiting block starts that walk, so an exit straight into the
+    // preheader is seen too.
+    let skips_loop = |b: BlockId| {
+        (b == exit_edge.1 || matches!(f.block(b).terminator, Terminator::Ret { .. }))
+            && !dom.dominates(preheader, b)
+    };
+    if let Some(&block) = cfg.rpo().iter().find(|&&b| skips_loop(b)) {
+        return Err(SpecError::NotOncePerCall { block });
+    }
+    let mut seen = vec![false; cfg.block_count()];
+    let mut walk = vec![exit_edge.0];
+    while let Some(b) = walk.pop() {
+        if cfg.succs(b).contains(&preheader) {
+            return Err(SpecError::NotOncePerCall { block: b });
+        }
+        if !std::mem::replace(&mut seen[b.index()], true) {
+            walk.extend(cfg.succs(b));
+        }
+    }
 
     let (live, reductions, cursors) = speculated_set(f, &cfg, &Liveness::new(f, &cfg), l);
     if cursors.is_empty() {
@@ -393,11 +425,50 @@ mod tests {
     }
 
     #[test]
+    fn loop_exit_reached_without_the_loop_or_leading_back_is_rejected() {
+        // `entry` can branch straight to the list loop's exit block, which
+        // spins without returning; the loop's exit edge leads straight back
+        // into its preheader, which heads an outer loop.
+        let mut b = FunctionBuilder::new("not_once");
+        let (c, x) = (b.param(), b.param());
+        let pre = b.new_block();
+        let header = b.new_block();
+        let exit = b.new_block();
+        b.cond_br(x, exit, pre);
+        b.switch_to(pre);
+        b.br(header);
+        b.switch_to(header);
+        let next = b.load(c, 1);
+        b.copy_into(c, next);
+        b.cond_br(c, header, exit);
+        b.switch_to(exit);
+        b.br(exit);
+        let mut p = Program::new();
+        let f = p.add_func(b.finish());
+        assert_eq!(
+            derive_loop_spec(&p, f, Some(header)).unwrap_err(),
+            SpecError::NotOncePerCall { block: exit }
+        );
+        let func = p.func_mut(f);
+        func.block_mut(func.entry).terminator = Terminator::Br(pre);
+        func.block_mut(header).terminator = Terminator::CondBr {
+            cond: Operand::Reg(c),
+            then_bb: header,
+            else_bb: pre,
+        };
+        assert_eq!(
+            derive_loop_spec(&p, f, Some(header)).unwrap_err(),
+            SpecError::NotOncePerCall { block: header }
+        );
+    }
+
+    #[test]
     fn applicability_messages_are_nonempty() {
         for e in [
             SpecError::NoSuchLoop,
             SpecError::NoPreheader,
             SpecError::MultipleExits,
+            SpecError::NotOncePerCall { block: BlockId(1) },
             SpecError::NothingToSpeculate,
         ] {
             assert!(!e.to_string().is_empty());

@@ -23,7 +23,8 @@
 //! * [`SpiceLoopSpec`] / [`derive_loop_spec`] — the backend-neutral summary
 //!   of the target loop (header, speculated cursor registers, recognised
 //!   reductions, live-out fold contract) every backend chunks it by,
-//!   re-exported from [`crate::analysis`].
+//!   re-exported from [`crate::analysis`]. It admits only a loop that runs
+//!   exactly once per call, so every worker of an invocation runs a chunk.
 //!
 //! Consumers hold a `&mut dyn ExecutionBackend` and never mention a machine
 //! or a thread pool: `spice_workloads::drive_loaded_workload` is the one
@@ -85,9 +86,6 @@ pub enum MisspeculationCause {
     /// An earlier chunk was squashed, so this one was squashed in the
     /// cascade.
     SquashCascade,
-    /// The chunk never ran: the kernel returned before its loop header. Not a
-    /// wrong prediction — rows start zeroed, and a zero row is a prediction.
-    NoPrediction,
     /// The chunk's start was validated, but it read a word that a logically
     /// earlier chunk wrote — a cross-chunk memory flow (RAW) dependence
     /// violated by the speculation ([`ConflictPolicy::Detect`]). `addr` is
@@ -102,13 +100,11 @@ pub enum MisspeculationCause {
 /// How a speculative chunk stopped, as the ordered commit sees it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChunkEnd {
-    /// The chunk never ran: the kernel returned before its loop header.
-    NeverRan,
     /// At its successor's predicted start: the hand-off.
     Handoff,
     /// At the loop's exit.
     Exit,
-    /// Anywhere else: a trap, an exhausted budget, a return from the loop.
+    /// Anywhere else: a trap or an exhausted budget.
     Fault(TrapKind),
 }
 
@@ -147,7 +143,6 @@ impl CommitChain {
     pub fn judge(&mut self, end: ChunkEnd, witness: Option<i64>) -> Option<MisspeculationCause> {
         use MisspeculationCause as Cause;
         let cause = match (*self, end, witness) {
-            (_, ChunkEnd::NeverRan, _) => Some(Cause::NoPrediction),
             (CommitChain::Broken, ..) => Some(Cause::SquashCascade),
             (CommitChain::Unvalidated, ..) => Some(Cause::StalePrediction),
             (CommitChain::Validated, _, Some(addr)) => Some(Cause::DependenceViolation { addr }),
@@ -542,7 +537,7 @@ mod tests {
     /// chunk's end, then the workers' `(end, witness)` in thread order.
     #[test]
     fn commit_chain_names_every_cause() {
-        use ChunkEnd::{Exit, Fault, Handoff, NeverRan};
+        use ChunkEnd::{Exit, Fault, Handoff};
         use MisspeculationCause as C;
         let trap = TrapKind::DivideByZero;
         let judge = |main: ChunkEnd, chunks: &[(ChunkEnd, Option<i64>)]| {
@@ -585,15 +580,6 @@ mod tests {
         assert_eq!(
             judge(Handoff, &[(Exit, None), (Handoff, Some(3))]),
             [None, Some(C::StalePrediction)]
-        );
-        // A chunk that never ran, before and after a squash.
-        assert_eq!(
-            judge(Handoff, &[(NeverRan, None), (Exit, None), (NeverRan, None)]),
-            [
-                Some(C::NoPrediction),
-                Some(C::SquashCascade),
-                Some(C::NoPrediction)
-            ]
         );
 
         // What the chain says about the next start.

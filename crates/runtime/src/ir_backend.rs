@@ -14,21 +14,23 @@
 //!
 //! The execution model matches the paper's pre-spawned runtime: the worker
 //! threads are spawned **once**, at the first invocation, and persist across
-//! the whole run, waiting on their task channels between invocations. Each
-//! invocation reaching the header sends every worker a `new_invocation` token — a
-//! [`WorkerTask`] carrying what the paper's token carries: the live-ins (the
-//! main thread's header frame), the start/successor predictions and the
-//! memoization plan; everything that is invariant across a `load` rides
-//! along as one shared [`LoopContext`]. A worker therefore never executes
-//! entry code: its registers are the main thread's at the header, every
-//! memory access it makes is an access of the loop, and the only
-//! happens-before edges it takes part in are the task send (which every
-//! entry-code store precedes) and its result send (which precedes every
-//! write of the apply step). The main chunk's write set starts at the header
-//! for the same reason — a store that precedes every speculative read cannot
-//! be the earlier half of a RAW violation. The simulator's conflict epoch
-//! opens at the same point, the main thread's release of the workers, so
-//! the two backends squash for the same reasons on every machine.
+//! the whole run, waiting on their task channels between invocations. The
+//! loop front end admits only a loop that runs exactly once per call, so
+//! every invocation that does not trap reaches the header once and sends
+//! every worker a `new_invocation` token there — a [`WorkerTask`] carrying
+//! what the paper's token carries: the live-ins (the main thread's header
+//! frame), the start/successor predictions and the memoization plan;
+//! everything that is invariant across a `load` rides along as one shared
+//! [`LoopContext`]. A worker therefore never executes entry code: its
+//! registers are the main thread's at the header, every memory access it
+//! makes is an access of the loop, and the only happens-before edges it
+//! takes part in are the task send (which every entry-code store precedes)
+//! and its result send (which precedes every write of the apply step). The
+//! main chunk's write set starts at the header for the same reason — a
+//! store that precedes every speculative read cannot be the earlier half of
+//! a RAW violation. The simulator's conflict epoch opens at the same point,
+//! the main thread's release of the workers, so the two backends squash for
+//! the same reasons on every machine.
 //!
 //! A hand-off in either direction (a worker waiting for its task, the main
 //! thread waiting for a [`WorkerChunk`]) polls its channel for
@@ -299,14 +301,13 @@ impl Drop for PoolWorker {
     }
 }
 
-/// Error-path cleanup: squash and drain every worker still marked
-/// outstanding in `tasked`, so a failed invocation leaves no stale results
-/// in the channels.
-fn abort_pool(pool: &[PoolWorker], tasked: &[bool]) {
-    for (worker, _) in pool.iter().zip(tasked).filter(|(_, t)| **t) {
+/// Error-path cleanup: squash and drain the `outstanding` workers, so a
+/// failed invocation leaves no stale results in the channels.
+fn abort_pool(outstanding: &[PoolWorker]) {
+    for worker in outstanding {
         worker.squash.store(true, Ordering::Release);
     }
-    for (worker, _) in pool.iter().zip(tasked).filter(|(_, t)| **t) {
+    for worker in outstanding {
         let _ = worker.recv();
     }
 }
@@ -507,15 +508,13 @@ impl ExecutionBackend for NativeLoopBackend {
         // worker read through the task sends below, so none of them can be
         // the earlier half of a RAW violation.
         let mut steps = DEFAULT_STEP_BUDGET;
-        let (mut main, early) = enter_loop(&ctx, args, exclusive(&mut loaded.mem)?, &mut steps);
+        let mut main =
+            enter_loop(&ctx, args, exclusive(&mut loaded.mem)?, &mut steps).map_err(engine_trap)?;
 
         // new_invocation: hand every worker its task token — the main
         // thread's header frame, the image (frozen from here to the last
-        // join) and this invocation's predictions, a zero row included. A
-        // kernel that never reached the header (`early`) tasks nobody.
-        let mut tasked = vec![false; workers];
-        let tasks = if early.is_none() { workers } else { 0 };
-        for wi in 0..tasks {
+        // join) and this invocation's predictions, a zero row included.
+        for (wi, worker) in pool.iter().enumerate() {
             let task = WorkerTask {
                 ctx: Arc::clone(&ctx),
                 mem: Arc::clone(&loaded.mem),
@@ -524,14 +523,13 @@ impl ExecutionBackend for NativeLoopBackend {
                 successor: predictions.get(wi + 1).cloned(),
                 plan: memo_plan[wi + 1].clone(),
             };
-            if let Err(e) = pool[wi].send(task) {
+            if let Err(e) = worker.send(task) {
                 // A worker already tasked this invocation must be squashed
                 // and drained, or its stale result would desynchronize the
                 // next invocation's commit loop.
-                abort_pool(pool, &tasked);
+                abort_pool(&pool[..wi]);
                 return Err(e);
             }
-            tasked[wi] = true;
         }
 
         // Main (non-speculative) chunk on the calling thread, from the
@@ -539,22 +537,15 @@ impl ExecutionBackend for NativeLoopBackend {
         // through a view: the workers are reading the image, so its stores
         // wait in the view's buffer for the apply step.
         let mut view = SpecView::with_read_tracking(&loaded.mem, false);
-        let main_run = match early {
-            Some(stop) => ChunkRun::stopped(stop),
-            None => {
-                let limits = ChunkLimits {
-                    boundary: Some(predictions[0].as_slice()),
-                    plan: &memo_plan[0],
-                    squash: None,
-                };
-                run_chunk(&ctx, &mut main, &mut view, &mut steps, &limits)
-            }
+        let limits = ChunkLimits {
+            boundary: Some(predictions[0].as_slice()),
+            plan: &memo_plan[0],
+            squash: None,
         };
+        let main_run = run_chunk(&ctx, &mut main, &mut view, &mut steps, &limits);
         let (main_writes, _) = view.into_parts();
-        // A trap in the entry code finds `tasked` all false: nothing to
-        // squash, nothing to drain.
         if let Stop::Trap(trap) = main_run.stop {
-            abort_pool(pool, &tasked);
+            abort_pool(pool);
             return Err(engine_trap(trap));
         }
 
@@ -578,35 +569,22 @@ impl ExecutionBackend for NativeLoopBackend {
             .collect();
         let mut memos = main_run.memos;
 
-        for wi in 0..workers {
-            if !tasked[wi] {
-                verdicts.push(Verdict {
-                    witness: None,
-                    cause: chain.judge(ChunkEnd::NeverRan, None),
-                    iterations: 0,
-                    writes: Vec::new(),
-                });
-                continue;
-            }
+        for (wi, worker) in pool.iter().enumerate() {
             if chain != CommitChain::Validated {
                 // Every later chunk is squashed: flag them all at once, so
                 // they stop at their next poll instead of winding down
                 // serially as the join loop reaches them.
-                for (later, worker) in pool.iter().enumerate().skip(wi) {
-                    if tasked[later] {
-                        worker.squash.store(true, Ordering::Release);
-                    }
+                for later in &pool[wi..] {
+                    later.squash.store(true, Ordering::Release);
                 }
             }
-            let result = match pool[wi].recv() {
+            let result = match worker.recv() {
                 Ok(r) => r,
                 Err(e) => {
-                    tasked[wi] = false;
-                    abort_pool(pool, &tasked);
+                    abort_pool(&pool[wi + 1..]);
                     return Err(e);
                 }
             };
-            tasked[wi] = false;
             // RAW check: only a validated start's reads decide anything.
             let witness = if detect && chain == CommitChain::Validated {
                 result.reads.first_overlap(&earlier_writes)
@@ -615,8 +593,8 @@ impl ExecutionBackend for NativeLoopBackend {
             };
             let cause = chain.judge(result.run.stop.end(), witness);
             if cause.is_none() {
-                // Only a later tasked chunk is ever validated against these.
-                if detect && tasked[wi + 1..].contains(&true) {
+                // Only a later chunk is ever validated against these.
+                if detect && wi + 1 < workers {
                     earlier_writes.extend(result.writes.iter().map(|&(addr, _)| addr));
                 }
                 fold_liveouts(spec, &mut main, &result.finals);
@@ -630,7 +608,7 @@ impl ExecutionBackend for NativeLoopBackend {
             });
         }
 
-        // Apply: every tasked worker has reported, and dropped its clone of
+        // Apply: every worker has reported, and dropped its clone of
         // the image before it did, so the image is the main thread's alone
         // again. The main chunk's stores land first, then each committed
         // chunk's, in thread order; a squashed chunk's are dropped.
@@ -657,28 +635,23 @@ impl ExecutionBackend for NativeLoopBackend {
             Some(MisspeculationCause::DependenceViolation { .. } | MisspeculationCause::Fault(_))
         );
         let mut main_work = main_run.iterations;
-        let return_value = match main_run.stop {
-            Stop::Finished(value) => value,
-            _ => {
-                let mut steps = DEFAULT_STEP_BUDGET;
-                let mut resume = ChunkLimits {
-                    plan: if reexecutes { &resume_plan } else { &[] },
-                    ..ChunkLimits::default()
-                };
-                loop {
-                    let run = run_chunk(&ctx, &mut main, &mut *mem, &mut steps, &resume);
-                    main_work += run.iterations;
-                    memos.extend(run.memos);
-                    // Past the loop's exit nothing is memoized.
-                    resume.plan = &[];
-                    match run.stop {
-                        Stop::Finished(value) => break value,
-                        Stop::Trap(trap) => return Err(engine_trap(trap)),
-                        // The exit code is the main thread's own to run.
-                        Stop::Exit => {}
-                        Stop::Boundary => unreachable!("the resume has no boundary"),
-                    }
-                }
+        let mut steps = DEFAULT_STEP_BUDGET;
+        let mut resume = ChunkLimits {
+            plan: if reexecutes { &resume_plan } else { &[] },
+            ..ChunkLimits::default()
+        };
+        let return_value = loop {
+            let run = run_chunk(&ctx, &mut main, &mut *mem, &mut steps, &resume);
+            main_work += run.iterations;
+            memos.extend(run.memos);
+            // Past the loop's exit nothing is memoized.
+            resume.plan = &[];
+            match run.stop {
+                Stop::Finished(value) => break value,
+                Stop::Trap(trap) => return Err(engine_trap(trap)),
+                // The exit code is the main thread's own to run.
+                Stop::Exit => {}
+                Stop::Boundary => unreachable!("the resume has no boundary"),
             }
         };
         let elapsed = started.elapsed();
@@ -733,24 +706,21 @@ struct Verdict {
 
 impl NativeTracing {
     /// Narrates a completed invocation from its verdicts, which are in
-    /// thread order: a `ChunkBegin` per tasked chunk and the
-    /// `PredictorPlan`, then each tasked chunk's `ChunkValidate` and
-    /// `ChunkCommit` or `ChunkSquash`, then the `PredictorFeedback`.
+    /// thread order: a `ChunkBegin` per chunk and the `PredictorPlan`, then
+    /// each chunk's `ChunkValidate` and `ChunkCommit` or `ChunkSquash`, then
+    /// the `PredictorFeedback`.
     fn narrate(&mut self, verdicts: &[Verdict], granularity_log2: u8) {
         if !self.on() {
             return;
         }
-        // The rule names a chunk that was never tasked by one cause.
-        let ran = |(_, v): &(u32, &Verdict)| v.cause != Some(MisspeculationCause::NoPrediction);
-        let tasked: Vec<(u32, &Verdict)> = (1..).zip(verdicts).filter(ran).collect();
         let first_chunk = self.chunk_next;
-        self.chunk_next += tasked.len() as u64;
-        for (&(core, _), chunk) in tasked.iter().zip(first_chunk..) {
+        let chunks = verdicts.len() as u64;
+        self.chunk_next += chunks;
+        for (core, chunk) in (1..).zip(first_chunk..first_chunk + chunks) {
             let at = self.next_at();
             self.emit(TraceEvent::ChunkBegin { at, core, chunk });
         }
         let at = self.next_at();
-        let chunks = tasked.len() as u64;
         self.emit(TraceEvent::PredictorPlan { at, chunks });
 
         // Word-exact writer attribution for squash forensics: a violating
@@ -758,7 +728,7 @@ impl NativeTracing {
         // that no committed worker wrote is the main chunk's (core 0, no
         // speculative chunk id) — nothing else is in the earlier-write set.
         let mut writer_by_word: HashMap<i64, (u32, Option<u64>)> = HashMap::new();
-        for (&(core, v), chunk) in tasked.iter().zip(first_chunk..) {
+        for ((core, v), chunk) in (1..).zip(verdicts).zip(first_chunk..) {
             let chunk = Some(chunk);
             let at = self.next_at();
             self.emit(TraceEvent::ChunkValidate {
@@ -832,7 +802,8 @@ enum Stop {
     /// Control arrived at the loop's exit block: the loop genuinely ended
     /// inside this chunk (the exit code itself is the main thread's to run).
     Exit,
-    /// The kernel returned without passing either.
+    /// The kernel returned: only the resume, which runs past the exit, stops
+    /// here.
     Finished(Option<i64>),
     /// A trap, a blocking receive, or the step budget ran out — which a
     /// raised squash flag ends at once (`OutOfFuel`).
@@ -840,13 +811,12 @@ enum Stop {
 }
 
 impl Stop {
-    /// The stop as the commit rule reads it: a return from inside the loop
-    /// is no place for a chunk to end.
+    /// The stop as the commit rule reads it.
     fn end(self) -> ChunkEnd {
         match self {
             Stop::Boundary => ChunkEnd::Handoff,
             Stop::Exit => ChunkEnd::Exit,
-            Stop::Finished(_) => ChunkEnd::Fault(TrapKind::UnsupportedIntrinsic),
+            Stop::Finished(_) => unreachable!("a chunk stops at the loop's exit before any return"),
             Stop::Trap(trap) => ChunkEnd::Fault(trap),
         }
     }
@@ -870,17 +840,6 @@ struct ChunkRun {
     /// latch-side work bump makes the same call; the counters must agree).
     iterations: u64,
     memos: Vec<(usize, Vec<i64>)>,
-}
-
-impl ChunkRun {
-    /// A chunk that stopped before its first header arrival.
-    fn stopped(stop: Stop) -> Self {
-        ChunkRun {
-            stop,
-            iterations: 0,
-            memos: Vec::new(),
-        }
-    }
 }
 
 /// The one chunk loop. Steps `state`, paused on a header arrival, through
@@ -970,17 +929,21 @@ fn step_to_header<M: MemPort>(
 }
 
 /// Starts the main thread on the kernel and runs the function's own entry
-/// code up to the first header arrival (binding the invariant live-ins). The
-/// stop is `None` when the thread is paused there.
+/// code up to the first header arrival (binding the invariant live-ins), or
+/// to its trap: the front end refuses a kernel whose entry code can reach a
+/// `ret` or the loop's exit without the loop.
 fn enter_loop<M: MemPort>(
     ctx: &LoopContext,
     args: &[i64],
     port: &mut M,
     steps: &mut u64,
-) -> (ThreadState, Option<Stop>) {
+) -> Result<ThreadState, TrapKind> {
     let mut state = ThreadState::new(&ctx.program, ctx.spec.func, args);
-    let early = step_to_header(ctx, &mut state, port, steps, None);
-    (state, early)
+    match step_to_header(ctx, &mut state, port, steps, None) {
+        None => Ok(state),
+        Some(Stop::Trap(trap)) => Err(trap),
+        Some(stop) => unreachable!("the entry code reached {stop:?} before the loop header"),
+    }
 }
 
 /// A worker's view of its chunk after it stopped.
@@ -1090,9 +1053,7 @@ fn fold_liveouts(spec: &SpiceLoopSpec, main: &mut ThreadState, mut finals: &[i64
 mod tests {
     use super::*;
     use spice_ir::builder::FunctionBuilder;
-    use spice_ir::fixtures::{
-        chained_increment_program, list_min_program, skippable_sum_program, write_list,
-    };
+    use spice_ir::fixtures::{chained_increment_program, list_min_program, write_list};
     use spice_ir::{BinOp, Operand};
 
     /// Both hand-off paths, whichever of them this host's core count would
@@ -1481,37 +1442,6 @@ mod tests {
         }
     }
 
-    /// A kernel that returns before reaching its loop header tasks nobody:
-    /// every worker is `NoPrediction`, the only way a chunk never runs. The
-    /// next invocation runs from the rows the one before the skip memoized.
-    #[test]
-    fn an_early_return_tasks_nobody() {
-        let n: i64 = 120;
-        let (program, f, nodes) = skippable_sum_program(n + 4);
-        let mut backend = NativeLoopBackend::new(3);
-        backend
-            .load(program, f, LoadOptions::new(Some(n as u64)))
-            .unwrap();
-        let weights: Vec<i64> = (1..=n).collect();
-        let head = write_list(backend.mem_mut(), nodes, &weights);
-        let sum = Some(n * (n + 1) / 2);
-
-        let first = backend.run_invocation(&[head, 0]).unwrap();
-        assert_eq!(first.return_value, sum);
-        let skipped = backend.run_invocation(&[head, 1]).unwrap();
-        assert_eq!(skipped.return_value, Some(-1));
-        assert_eq!(
-            skipped.misspeculation_causes(),
-            [MisspeculationCause::NoPrediction; 2]
-        );
-        assert_eq!(skipped.work_per_thread, [0, 0, 0]);
-
-        let next = backend.run_invocation(&[head, 0]).unwrap();
-        assert_eq!(next.return_value, sum);
-        assert_eq!(next.committed_chunks, 2);
-        assert!(next.work_per_thread.iter().all(|&w| w > 0), "{next:?}");
-    }
-
     /// Neither kind of failed invocation leaves a `WorkerChunk` behind in a
     /// channel: a trap in the entry code returns before any task exists, a
     /// trap in the main chunk squashes and drains the tasked workers. The
@@ -1765,8 +1695,8 @@ mod tests {
         let direct = || FlatMemory::clone(&loaded.mem);
         let chunk = |limits: &ChunkLimits<'_>, budget: u64| {
             let (mut port, mut steps) = (direct(), budget);
-            let (mut state, early) = enter_loop(ctx, &[head], &mut port, &mut steps);
-            assert_eq!(early, None, "the entry code reaches the header");
+            let mut state = enter_loop(ctx, &[head], &mut port, &mut steps)
+                .expect("the entry code reaches the header");
             let run = run_chunk(ctx, &mut state, &mut port, &mut steps, limits);
             (run, state)
         };

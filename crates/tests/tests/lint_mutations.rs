@@ -8,12 +8,10 @@
 //! production miscompile.
 
 use spice_core::analysis::derive_loop_spec;
-use spice_core::backend::{make_backend, BackendChoice};
 use spice_core::lint::{check_protocol_metadata, lint_spice, LintError};
 use spice_core::transform::{SpiceOptions, SpiceParallelLoop, SpiceTransform, TransformError};
 use spice_ir::builder::FunctionBuilder;
-use spice_ir::exec::{BackendError, ConflictPolicy, LoadOptions};
-use spice_ir::fixtures::skippable_sum_program;
+use spice_ir::exec::ConflictPolicy;
 use spice_ir::verify::{verify_program, VerifyError};
 use spice_ir::{BinOp, BlockId, DecodedProgram, FuncId, Inst, Operand, Program, Reg, Terminator};
 
@@ -372,41 +370,35 @@ fn commit_after_the_live_outs_breaks_the_contract() {
     );
 }
 
-/// Probe 3: a kernel whose entry block can return before the loop. That
-/// path never releases the workers, which would wait for a `new_invocation`
-/// message forever, so the transform refuses the program and no backend
-/// that runs the generated code loads it.
+/// Probe 3: a transformed main whose entry block can return before the
+/// workers' release, which they would wait for forever. The front end
+/// refuses a kernel of that shape, so only a transform bug could emit it.
 #[test]
 fn an_early_return_that_skips_the_release_breaks_the_contract() {
-    let (mut program, f, _) = skippable_sum_program(64);
-    let analysis = derive_loop_spec(&program, f, None).unwrap();
-    let early = program
-        .func(f)
-        .block_ids()
-        .into_iter()
-        .find(|&b| {
-            let block = program.func(f).block(b);
-            block.insts.is_empty() && matches!(block.terminator, Terminator::Ret { .. })
-        })
-        .expect("the fixture returns from its own block");
-    let err = SpiceTransform::new(SpiceOptions::with_threads_and_estimate(3, 64))
-        .apply(&mut program, &analysis)
-        .expect_err("the early return must be refused");
-    let TransformError::Lint(errs) = err else {
-        panic!("expected a lint failure, got {err}");
+    let (mut program, spice) = transformed(ConflictPolicy::Detect);
+    let main = program.func_mut(spice.main);
+    let (entry, guard) = (main.entry, main.params[0]);
+    let early = main.add_block();
+    main.block_mut(early).terminator = Terminator::Ret {
+        value: Some(Operand::Imm(-1)),
     };
+    let rest = main.add_block();
+    let tail = std::mem::replace(
+        &mut main.block_mut(entry).terminator,
+        Terminator::CondBr {
+            cond: Operand::Reg(guard),
+            then_bb: early,
+            else_bb: rest,
+        },
+    );
+    main.block_mut(rest).terminator = tail;
+    let errs = lint_errors(&program, &spice);
     for core in 1..3 {
         assert!(
-            breaks_contract(&errs, &program, f, core, Some(early)),
+            breaks_contract(&errs, &program, spice.main, core, Some(early)),
             "core {core}: got {errs:?}"
         );
     }
-    let (program, f, _) = skippable_sum_program(64);
-    let loaded = make_backend(BackendChoice::SimTiny, 3).load(program, f, LoadOptions::new(None));
-    assert!(
-        matches!(&loaded, Err(BackendError::Analysis(m)) if m.contains("speculation-safety lints")),
-        "got {loaded:?}"
-    );
 }
 
 // ---------------------------------------------------------------------------
@@ -835,12 +827,27 @@ fn lint_render_quotes_the_offending_block() {
 }
 
 /// The transform's own gate reports lint failures through a dedicated error
-/// variant with a readable message.
+/// variant whose message names every error: where the contract broke and
+/// what it expected there.
 #[test]
 fn transform_lint_error_displays_as_lint_failure() {
-    let err = TransformError::Lint(vec![LintError::ProtocolMetadata {
-        detail: "worker cores collide".to_string(),
-    }]);
+    let err = TransformError::Lint(vec![
+        LintError::ProtocolMetadata {
+            detail: "worker cores collide".to_string(),
+        },
+        LintError::Protocol {
+            func: "list_sum".to_string(),
+            core: 2,
+            block: BlockId(7),
+            ip: 1,
+            expected: "`send inv`".to_string(),
+            found: "ret".to_string(),
+        },
+    ]);
     let msg = err.to_string();
     assert!(msg.contains("speculation-safety lints"), "got: {msg}");
+    assert!(msg.contains("worker cores collide"), "got: {msg}");
+    for part in ["@list_sum", "bb7", "`send inv`"] {
+        assert!(msg.contains(part), "{part} missing from: {msg}");
+    }
 }

@@ -7,7 +7,8 @@
 use spice_core::backend::SimBackend;
 use spice_ir::builder::FunctionBuilder;
 use spice_ir::exec::{derive_loop_spec, BackendError, ExecutionBackend, LoadOptions, SpecError};
-use spice_ir::{BinOp, FuncId, Operand, Program};
+use spice_ir::fixtures::skippable_sum_program;
+use spice_ir::{BinOp, BlockId, FuncId, Operand, Program, Terminator};
 use spice_runtime::NativeLoopBackend;
 use spice_workloads::{all_workload_factories, workload_load_options};
 
@@ -99,24 +100,101 @@ fn reduction_only() -> (Program, FuncId) {
     program_of(b)
 }
 
+/// `kernel(head, skip)`'s early return: a path from the entry to a `ret`
+/// that never reaches the loop.
+fn early_return() -> ((Program, FuncId), SpecError) {
+    let (program, f, _) = skippable_sum_program(64);
+    let kernel = program.func(f);
+    let block = kernel
+        .block_ids()
+        .into_iter()
+        .find(|&b| {
+            let block = kernel.block(b);
+            block.insts.is_empty() && matches!(block.terminator, Terminator::Ret { .. })
+        })
+        .expect("the fixture returns from its own block");
+    ((program, f), SpecError::NotOncePerCall { block })
+}
+
+/// `kernel(head, rounds)`: a list sum run `rounds` times (at least once) in
+/// one call — the outer loop re-enters the hinted list loop from its exit
+/// block. Returns the program, the kernel, the list loop's header and that
+/// exit block.
+fn reentered_loop() -> (Program, FuncId, BlockId, BlockId) {
+    let mut b = FunctionBuilder::new("reentered_sum");
+    let (head, rounds) = (b.param(), b.param());
+    let pre = b.new_block();
+    let header = b.new_block();
+    let body = b.new_block();
+    let exit = b.new_block();
+    let out = b.new_block();
+    let total = b.copy(0i64);
+    let c = b.copy(head);
+    let sum = b.copy(0i64);
+    b.br(pre);
+    b.switch_to(pre);
+    b.copy_into(c, head);
+    b.copy_into(sum, 0i64);
+    b.br(header);
+    b.switch_to(header);
+    let done = b.binop(BinOp::Eq, c, 0i64);
+    b.cond_br(done, exit, body);
+    b.switch_to(body);
+    let w = b.load(c, 0);
+    let s = b.binop(BinOp::Add, sum, w);
+    b.copy_into(sum, s);
+    let next = b.load(c, 1);
+    b.copy_into(c, next);
+    b.br(header);
+    b.switch_to(exit);
+    let t = b.binop(BinOp::Add, total, sum);
+    b.copy_into(total, t);
+    let r = b.binop(BinOp::Sub, rounds, 1i64);
+    b.copy_into(rounds, r);
+    b.cond_br(rounds, pre, out);
+    b.switch_to(out);
+    b.ret(Some(Operand::Reg(total)));
+    let (program, f) = program_of(b);
+    (program, f, header, exit)
+}
+
 #[test]
 fn both_backends_reject_the_same_loops_with_the_same_error() {
+    let (skippable, skipped) = early_return();
+    let (reentered, f, header, exit) = reentered_loop();
     let shapes = [
-        (no_loop(), SpecError::NoSuchLoop),
-        (no_unique_preheader(), SpecError::NoPreheader),
-        (two_exit_edges(), SpecError::MultipleExits),
-        (reduction_only(), SpecError::NothingToSpeculate),
+        (no_loop(), None, SpecError::NoSuchLoop),
+        (no_unique_preheader(), None, SpecError::NoPreheader),
+        (two_exit_edges(), None, SpecError::MultipleExits),
+        (reduction_only(), None, SpecError::NothingToSpeculate),
+        (
+            (reentered, f),
+            Some(header),
+            SpecError::NotOncePerCall { block: exit },
+        ),
+        (skippable, None, skipped),
     ];
-    for ((program, f), expected) in shapes {
-        let options = LoadOptions::new(None);
-        let sim = SimBackend::tiny(2)
-            .load(program.clone(), f, options)
-            .unwrap_err();
-        let native = NativeLoopBackend::new(2)
-            .load(program, f, options)
-            .unwrap_err();
-        assert_eq!(sim, native, "{expected:?}: the backends disagree");
-        assert_eq!(sim, BackendError::Spec(expected));
+    for ((program, f), header, expected) in shapes {
+        let options = LoadOptions {
+            loop_header: header,
+            ..LoadOptions::default()
+        };
+        for threads in [2, 4] {
+            let backends: [Box<dyn ExecutionBackend>; 3] = [
+                Box::new(NativeLoopBackend::new(threads)),
+                Box::new(SimBackend::tiny(threads)),
+                Box::new(SimBackend::new(threads)),
+            ];
+            for mut backend in backends {
+                let err = backend.load(program.clone(), f, options).unwrap_err();
+                assert_eq!(
+                    err,
+                    BackendError::Spec(expected.clone()),
+                    "{} at {threads} threads",
+                    backend.name()
+                );
+            }
+        }
     }
 }
 
