@@ -17,7 +17,7 @@ use spice_core::predictor::PredictorOptions;
 use spice_core::prepared::PreparedProgram;
 use spice_core::valuepred::{evaluate_predictor, SpiceMemoPredictor, StridePredictor};
 use spice_ir::exec::{ExecutionBackend, InterpBackend};
-use spice_ir::interp::{FlatMemory, LocalSys};
+use spice_ir::interp::FlatMemory;
 use spice_ir::trace::DEFAULT_TRACE_CAPACITY;
 use spice_ir::{FuncId, TraceEvent};
 use spice_profiler::{
@@ -932,16 +932,13 @@ pub fn table2_hotness_row(factory: &WorkloadFactory, small: bool) -> Result<Tabl
     let built = wl.build();
     let mut mem = FlatMemory::for_program(&built.program, 0);
     let args = wl.init(&mut mem);
-    let mut sys = LocalSys::new();
     let report = measure_hotness(
         &built.program,
         built.kernel,
         built.loop_header_hint,
         &args,
         &mut mem,
-        &mut sys,
-    )
-    .map_err(|e| e.to_string())?;
+    )?;
     let config = if small {
         MachineConfig::test_tiny(1)
     } else {
@@ -1287,6 +1284,7 @@ fn schedules_otter(small: bool, invocations: Option<usize>) -> OtterWorkload {
 /// loop-exit observation) dropped.
 fn otter_livein_traces(small: bool) -> Result<Vec<Vec<Vec<i64>>>, String> {
     Ok(run_instrumented(&mut schedules_otter(small, None))?
+        .0
         .profile_events()
         .map(|events| {
             events

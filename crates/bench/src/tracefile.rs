@@ -8,7 +8,7 @@
 //!   "version": 1,
 //!   "name": <string>,            // originating workload
 //!   "loop": <string>,            // recorded loop
-//!   "site": <int ≥ 0>,           // profile-hook site id
+//!   "site": <int ≥ 0>,           // profiler site id
 //!   "checksum": <int>,           // content checksum (u64 as decimal)
 //!   "invocations": [             // one array per invocation
 //!     [ {"key": [<int>...], "write": <int>|null}, ... ],

@@ -245,11 +245,6 @@ impl FunctionBuilder {
         dst
     }
 
-    /// Emits a profiling hook.
-    pub fn profile_hook(&mut self, site: u32, regs: Vec<Reg>) {
-        self.push(Inst::ProfileHook { site, regs });
-    }
-
     /// Terminates the current block with an unconditional branch.
     pub fn br(&mut self, target: BlockId) {
         self.cur().terminator = Terminator::Br(target);

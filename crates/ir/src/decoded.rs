@@ -165,8 +165,6 @@ pub(crate) enum DInst {
     Resteer { core: u32, target: BlockId },
     /// No-op.
     Nop,
-    /// Profiling hook.
-    ProfileHook { site: u32, regs: Box<[u32]> },
     /// Unconditional branch, target resolved to an instruction index.
     Br { pc: u32, block: BlockId },
     /// Conditional branch, both targets resolved.
@@ -377,13 +375,6 @@ impl DecodedFunction {
                 target: *target,
             },
             Inst::Nop => DInst::Nop,
-            Inst::ProfileHook { site, regs } => DInst::ProfileHook {
-                site: *site,
-                regs: regs
-                    .iter()
-                    .map(|r| slots.reg(*r))
-                    .collect::<Result<_, _>>()?,
-            },
         })
     }
 
@@ -766,10 +757,9 @@ mod tests {
         let mut cb = FunctionBuilder::new("callee");
         let x = cb.param();
         let v = cb.load(x, 1);
-        let w = cb.select(v, 4i64, x);
-        let q = cb.recv(3i64);
-        let k = cb.spec_check(1i64);
-        cb.profile_hook(0, vec![v, w, q, k]);
+        cb.select(v, 4i64, x);
+        cb.recv(3i64);
+        cb.spec_check(1i64);
         cb.ret(Some(Operand::Reg(v)));
         let callee = calls.add_func(cb.finish());
         let mut mb = FunctionBuilder::new("main");
@@ -802,8 +792,7 @@ mod tests {
             })
         };
         let as_operand = |b: &mut FunctionBuilder| b.store(wild, 1500i64, 0);
-        let as_hook = |b: &mut FunctionBuilder| b.profile_hook(0, vec![wild]);
-        let cases: [&dyn Fn(&mut FunctionBuilder); 3] = [&as_dst, &as_operand, &as_hook];
+        let cases: [&dyn Fn(&mut FunctionBuilder); 2] = [&as_dst, &as_operand];
         for case in cases {
             let mut b = FunctionBuilder::new("wild");
             b.copy(7i64);

@@ -48,7 +48,7 @@ pub use conflict::{AccessSet, ConflictPolicy};
 pub use dense::DenseMap;
 
 use crate::interp::{run_decoded_with, FlatMemory, LocalSys, DEFAULT_FUEL};
-use crate::types::{BlockId, FuncId, TrapKind};
+use crate::types::{BlockId, FuncId, Reg, TrapKind};
 use crate::{DecodedProgram, Program};
 
 /// What one invocation cost, in the backend's native unit.
@@ -418,28 +418,62 @@ pub trait ExecutionBackend {
 /// bit-for-bit, and the substrate the §6 value profiler records from.
 ///
 /// Every invocation runs on a fresh [`LocalSys`], exactly as
-/// [`run_function`](crate::interp::run_function) would; the ports are kept,
-/// so the `profile` hook events of an instrumented program can be read off
-/// the backend after the run ([`InterpBackend::profile_events`]).
+/// [`run_function`](crate::interp::run_function) would. A backend made by
+/// [`InterpBackend::watching`] also watches loop headers: each time the
+/// thread arrives at a watched header's first instruction it reads the
+/// header's registers, without adding an instruction to the program or a
+/// step to the run. The `(site, values)` events of each invocation are read
+/// off the backend after the run ([`InterpBackend::profile_events`]).
 #[derive(Debug, Default)]
 pub struct InterpBackend {
-    /// The program with its decoded form (built once per `load`), the
-    /// kernel, and the memory image.
-    loaded: Option<(Program, DecodedProgram, FuncId, FlatMemory)>,
-    ports: Vec<LocalSys>,
+    /// The decoded program (built once per `load`), the kernel, and the
+    /// memory image.
+    loaded: Option<(DecodedProgram, FuncId, FlatMemory)>,
+    /// The watched headers: `(function, header, registers)`, site = index.
+    watches: Vec<(FuncId, BlockId, Vec<Reg>)>,
+    /// `site_at[pc]`: the site whose header starts at `pc` (resolved by
+    /// `load`; empty when nothing is watched).
+    site_at: Vec<Option<u32>>,
+    /// Every event's values, back to back.
+    values: Vec<i64>,
+    /// Per invocation since `load`: `(site, start in values)` per event.
+    events: Vec<Vec<(u32, usize)>>,
 }
 
 impl InterpBackend {
-    /// Creates an unloaded interpreter backend.
+    /// Creates an unloaded interpreter backend that watches nothing.
     #[must_use]
     pub fn new() -> Self {
         InterpBackend::default()
     }
 
-    /// The `(site, values)` profile-hook events of every invocation run
+    /// Creates an unloaded interpreter backend that records, at every
+    /// arrival at each `(function, header)` block, the values of its
+    /// registers; the event's site is the header's index in `headers`.
+    ///
+    /// # Panics
+    ///
+    /// `load` panics if the loaded program has no such function or block.
+    #[must_use]
+    pub fn watching(headers: Vec<(FuncId, BlockId, Vec<Reg>)>) -> Self {
+        InterpBackend {
+            watches: headers,
+            ..InterpBackend::default()
+        }
+    }
+
+    /// The `(site, values)` header-arrival events of every invocation run
     /// since `load`, one list per invocation, in order.
     pub fn profile_events(&self) -> impl Iterator<Item = Vec<(u32, &[i64])>> {
-        self.ports.iter().map(LocalSys::profile_events)
+        self.events.iter().map(|events| {
+            events
+                .iter()
+                .map(|&(site, at)| {
+                    let len = self.watches[site as usize].2.len();
+                    (site, &self.values[at..at + len])
+                })
+                .collect()
+        })
     }
 }
 
@@ -460,23 +494,33 @@ impl ExecutionBackend for InterpBackend {
     ) -> Result<(), BackendError> {
         let mem = FlatMemory::for_program(&program, 0);
         let decoded = DecodedProgram::new(&program);
-        self.loaded = Some((program, decoded, kernel, mem));
-        self.ports.clear();
+        let pcs: Vec<usize> = self
+            .watches
+            .iter()
+            .map(|&(func, header, _)| decoded.func(func).block_entry(header))
+            .collect();
+        self.site_at = vec![None; pcs.iter().max().map_or(0, |pc| pc + 1)];
+        for (site, pc) in pcs.into_iter().enumerate() {
+            self.site_at[pc] = Some(site as u32);
+        }
+        self.loaded = Some((decoded, kernel, mem));
+        self.values.clear();
+        self.events.clear();
         Ok(())
     }
 
     fn mem(&self) -> &FlatMemory {
-        &self.loaded.as_ref().expect("load() first").3
+        &self.loaded.as_ref().expect("load() first").2
     }
 
     fn mem_mut(&mut self) -> &mut FlatMemory {
-        &mut self.loaded.as_mut().expect("load() first").3
+        &mut self.loaded.as_mut().expect("load() first").2
     }
 
     fn run_invocation(&mut self, args: &[i64]) -> Result<ExecutionReport, BackendError> {
-        let (program, decoded, kernel, mem) =
-            self.loaded.as_mut().ok_or(BackendError::NotLoaded)?;
-        let mut sys = LocalSys::new();
+        let (decoded, kernel, mem) = self.loaded.as_mut().ok_or(BackendError::NotLoaded)?;
+        let (watches, site_at, values) = (&self.watches, &self.site_at, &mut self.values);
+        let mut events = Vec::new();
         let started = std::time::Instant::now();
         // One fuel for every interpreted run. The largest invocation of the
         // full-size suite (`mcf_app`) retires 1.6e5 instructions and a fig8
@@ -484,17 +528,22 @@ impl ExecutionBackend for InterpBackend {
         // leaves three orders of magnitude of headroom while still turning
         // a runaway loop into `OutOfFuel` within seconds.
         let out = run_decoded_with(
-            (program, decoded),
+            decoded,
             *kernel,
             args,
             mem,
-            &mut sys,
+            &mut LocalSys::new(),
             DEFAULT_FUEL,
-            |_, _, _| {},
+            |thread| {
+                if let Some(&Some(site)) = thread.pc().and_then(|pc| site_at.get(pc)) {
+                    events.push((site, values.len()));
+                    values.extend(watches[site as usize].2.iter().map(|&r| thread.reg(r)));
+                }
+            },
         )
         .map_err(|t| BackendError::Engine(t.to_string()))?;
         let elapsed = started.elapsed();
-        self.ports.push(sys);
+        self.events.push(events);
         Ok(ExecutionReport::new(
             "interp",
             ExecutionCost::WallNanos(elapsed.as_nanos()),
@@ -617,19 +666,21 @@ mod tests {
 
     /// The interpreter backend runs invocation by invocation over its own
     /// memory, reports retired instructions as the thread's work, and keeps
-    /// each invocation's profile-hook events separately.
+    /// each invocation's header-arrival events separately.
     #[test]
     fn interp_backend_runs_invocations_and_keeps_their_profile_events() {
         let mut b = FunctionBuilder::new("load_and_report");
         let addr = b.param();
         let v = b.load(addr, 0);
-        b.profile_hook(7, vec![addr, v]);
+        let report = b.new_block();
+        b.br(report);
+        b.switch_to(report);
         b.ret(Some(Operand::Reg(v)));
         let mut p = Program::new();
         let cell = p.add_global("cell", 1);
         let f = p.add_func(b.finish());
 
-        let mut backend = InterpBackend::new();
+        let mut backend = InterpBackend::watching(vec![(f, report, vec![addr, v])]);
         assert!(matches!(
             backend.run_invocation(&[cell]),
             Err(BackendError::NotLoaded)
@@ -640,12 +691,14 @@ mod tests {
             let report = backend.run_invocation(&[cell]).unwrap();
             assert_eq!(report.return_value, Some(value));
             assert_eq!(report.work_per_thread.len(), 1);
-            assert!(report.work_per_thread[0] >= 2 && !report.misspeculated);
+            // The load and the branch; watching adds nothing.
+            assert_eq!(report.work_per_thread, [2]);
+            assert!(!report.misspeculated);
         }
         let events: Vec<_> = backend.profile_events().collect();
         assert_eq!(
             events,
-            vec![vec![(7, &[cell, 41][..])], vec![(7, &[cell, 42][..])]]
+            vec![vec![(0, &[cell, 41][..])], vec![(0, &[cell, 42][..])]]
         );
         // An out-of-range access is a typed engine error, not a panic.
         assert!(matches!(

@@ -117,15 +117,6 @@ pub enum Inst {
     },
     /// No operation. Used by instrumentation passes as an anchor.
     Nop,
-    /// Profiling hook: reports the values of `regs` to the attached profiler
-    /// with an opaque site identifier. Costs nothing in the timing model and
-    /// behaves as a no-op without a profiler.
-    ProfileHook {
-        /// Profiling site identifier.
-        site: u32,
-        /// Registers whose values are reported.
-        regs: Vec<Reg>,
-    },
 }
 
 impl Inst {
@@ -146,8 +137,7 @@ impl Inst {
             | Inst::SpecCommit
             | Inst::SpecAbort
             | Inst::Resteer { .. }
-            | Inst::Nop
-            | Inst::ProfileHook { .. } => None,
+            | Inst::Nop => None,
         }
     }
 
@@ -191,7 +181,6 @@ impl Inst {
             Inst::Recv { chan, .. } => push(chan),
             Inst::Resteer { core, .. } => push(core),
             Inst::SpecCheck { core, .. } => push(core),
-            Inst::ProfileHook { regs, .. } => out.extend(regs.iter().copied()),
             Inst::SpecBegin | Inst::SpecCommit | Inst::SpecAbort | Inst::Nop => {}
         }
     }
@@ -263,11 +252,6 @@ impl Inst {
             Inst::SpecCheck { dst, core } => {
                 map_op(core, &mut map);
                 *dst = map(*dst);
-            }
-            Inst::ProfileHook { regs, .. } => {
-                for r in regs.iter_mut() {
-                    *r = map(*r);
-                }
             }
             Inst::SpecBegin | Inst::SpecCommit | Inst::SpecAbort | Inst::Nop => {}
         }
@@ -455,7 +439,7 @@ pub enum InstClass {
     Spec,
     /// Remote resteer.
     Resteer,
-    /// Everything else (nop, profile hooks).
+    /// Everything else (nop).
     Other,
 }
 
@@ -506,7 +490,7 @@ impl Inst {
                 InstClass::Spec
             }
             Inst::Resteer { .. } => InstClass::Resteer,
-            Inst::Nop | Inst::ProfileHook { .. } => InstClass::Other,
+            Inst::Nop => InstClass::Other,
         }
     }
 }

@@ -7,25 +7,27 @@
 //!   ([`SysPort`]) back-ends. The multi-core timing simulator in `spice-sim`
 //!   drives one `ThreadState` per core and supplies ports that model caches,
 //!   speculative store buffers and inter-core channels.
-//! * [`run_function`] / convenience single-threaded execution used by tests,
-//!   the value profiler and the whole-program hotness measurements (paper
-//!   Table 2).
+//! * [`run_function`] / [`run_decoded_with`]: single-threaded execution
+//!   used by tests, the plain-interpreter backend and the whole-program
+//!   hotness measurement (paper Table 2). One observer, called with the
+//!   thread before every step, is how the value profiler and the hotness
+//!   count watch a run without changing it.
 //!
 //! Execution runs over the pre-decoded form ([`DecodedProgram`], see
 //! [`crate::decoded`]): the structured IR is flattened once into one dense
 //! program-wide instruction array whose operands are frame slots, and the
 //! per-step hot loop is a single array index with no function lookup, no
-//! register-or-immediate match, no terminator clones, no per-call argument
-//! `Vec`s and no per-event profile-value `Vec`s. The decode is semantically
-//! invisible — the retired [`ExecInfo`] stream is identical to what a
-//! structured walker produces (the cross-representation equivalence tests
-//! in `crates/tests` step both forms in lockstep).
+//! register-or-immediate match, no terminator clones and no per-call
+//! argument `Vec`s. The decode is semantically invisible — the retired
+//! [`ExecInfo`] stream is identical to what a structured walker produces
+//! (the cross-representation equivalence tests in `crates/tests` step both
+//! forms in lockstep).
 
 use std::collections::VecDeque;
 
 use crate::decoded::{DInst, DecodedProgram};
 use crate::function::Program;
-use crate::inst::{Inst, InstClass};
+use crate::inst::InstClass;
 use crate::types::{BlockId, FuncId, Reg, TrapKind};
 
 /// Memory back-end used by [`ThreadState::step`].
@@ -65,10 +67,10 @@ pub trait SysPort {
     /// Discards buffered speculative state.
     fn spec_abort(&mut self) {}
 
-    /// Answers a [`Inst::SpecCheck`]: 1 if the speculative read set of the
-    /// thread on `core` conflicts with the writes committed so far in this
-    /// loop invocation, 0 otherwise. Back-ends without conflict detection
-    /// (single-threaded runs, profilers) report no conflicts.
+    /// Answers a [`crate::Inst::SpecCheck`]: 1 if the speculative read set
+    /// of the thread on `core` conflicts with the writes committed so far in
+    /// this loop invocation, 0 otherwise. Back-ends without conflict
+    /// detection (single-threaded runs, profilers) report no conflicts.
     fn spec_conflict(&mut self, _core: i64) -> i64 {
         0
     }
@@ -76,9 +78,6 @@ pub trait SysPort {
     /// Requests that the thread on `core` be redirected to `target` in its
     /// current function.
     fn resteer(&mut self, core: i64, target: BlockId);
-
-    /// Receives the values reported by a [`Inst::ProfileHook`].
-    fn profile(&mut self, _site: u32, _values: &[i64]) {}
 }
 
 /// Simple flat word-addressable memory.
@@ -257,18 +256,11 @@ impl<T> ChannelTable<T> {
 }
 
 /// In-process channel set usable when a single thread sends to itself or when
-/// a test wants deterministic channel behaviour without a full machine.
-///
-/// Profile-hook observations land in a flat arena (one growing value buffer
-/// plus per-event index entries) instead of one `Vec` per event.
+/// a test wants deterministic channel behaviour without a full machine. A
+/// resteer has no other thread to reach, so it does nothing.
 #[derive(Debug, Default, Clone)]
 pub struct LocalSys {
     channels: ChannelTable<i64>,
-    /// Resteer requests observed (target core, target block); single-threaded
-    /// execution has nowhere to deliver them, so they are just recorded.
-    pub resteers: Vec<(i64, BlockId)>,
-    profile_values: Vec<i64>,
-    profile_index: Vec<(u32, usize, usize)>,
 }
 
 impl LocalSys {
@@ -276,16 +268,6 @@ impl LocalSys {
     #[must_use]
     pub fn new() -> Self {
         LocalSys::default()
-    }
-
-    /// The profile-hook observations recorded so far, in order:
-    /// `(site, values)`.
-    #[must_use]
-    pub fn profile_events(&self) -> Vec<(u32, &[i64])> {
-        self.profile_index
-            .iter()
-            .map(|&(site, start, len)| (site, &self.profile_values[start..start + len]))
-            .collect()
     }
 }
 
@@ -300,15 +282,7 @@ impl SysPort for LocalSys {
             .and_then(VecDeque::pop_front)
     }
 
-    fn resteer(&mut self, core: i64, target: BlockId) {
-        self.resteers.push((core, target));
-    }
-
-    fn profile(&mut self, site: u32, values: &[i64]) {
-        let start = self.profile_values.len();
-        self.profile_values.extend_from_slice(values);
-        self.profile_index.push((site, start, values.len()));
-    }
+    fn resteer(&mut self, _core: i64, _target: BlockId) {}
 }
 
 /// Maximum call depth of a [`ThreadState`].
@@ -460,9 +434,6 @@ pub struct ThreadState {
     frames: Vec<Frame>,
     status: ThreadStatus,
     retired: u64,
-    /// Reusable buffer for profile-hook value snapshots, so a hook costs no
-    /// allocation per event on any port.
-    profile_scratch: Vec<i64>,
 }
 
 impl ThreadState {
@@ -490,7 +461,6 @@ impl ThreadState {
             frames: Vec::new(),
             status: ThreadStatus::Runnable,
             retired: 0,
-            profile_scratch: Vec::new(),
         }
     }
 
@@ -755,16 +725,6 @@ impl ThreadState {
                 self.retired += 1;
                 Ok(StepEvent::Executed(ExecInfo::plain(InstClass::Other)))
             }
-            DInst::ProfileHook { site, regs } => {
-                let mut scratch = std::mem::take(&mut self.profile_scratch);
-                scratch.clear();
-                scratch.extend(regs.iter().map(|r| self.operand(*r)));
-                sys.profile(*site, &scratch);
-                self.profile_scratch = scratch;
-                self.pc = pc + 1;
-                self.retired += 1;
-                Ok(StepEvent::Executed(ExecInfo::plain(InstClass::Other)))
-            }
             // Terminators. Every terminator execution counts as retired,
             // exactly like the structured walker did — including a trapping
             // `Unreachable` and the outermost `Ret`.
@@ -838,7 +798,9 @@ pub struct RunOutcome {
 /// Default instruction budget for convenience runs.
 pub const DEFAULT_FUEL: u64 = 500_000_000;
 
-/// Runs `func` to completion on `mem` with a [`LocalSys`].
+/// Runs `func` to completion on `mem` with a [`LocalSys`], decoding the
+/// program first (a caller running many invocations of one program decodes
+/// once itself and calls [`run_decoded_with`]).
 ///
 /// # Errors
 ///
@@ -850,60 +812,37 @@ pub fn run_function(
     args: &[i64],
     mem: &mut FlatMemory,
 ) -> Result<RunOutcome, TrapKind> {
-    let mut sys = LocalSys::new();
-    run_function_with(
-        program,
+    let decoded = DecodedProgram::new(program);
+    run_decoded_with(
+        &decoded,
         func,
         args,
         mem,
-        &mut sys,
+        &mut LocalSys::new(),
         DEFAULT_FUEL,
-        |_, _, _| {},
+        |_| {},
     )
 }
 
-/// Runs `func` to completion with full control over the system port, fuel
-/// budget and a per-instruction observer. The program is decoded once at
-/// entry (a caller running many invocations of one program decodes once
-/// itself and calls [`run_decoded_with`]); the per-step cost is the decoded
-/// dispatch.
-///
-/// The observer is called before each instruction (not terminators) with the
-/// current function, block and instruction; the value profiler and the
-/// hotness measurement are built on it.
+/// Runs `func` of a decoded program to completion with full control over
+/// the ports and the fuel budget. `observer` is called with the thread
+/// before every step, terminators included: its pc, function, block and
+/// registers are those of the instruction about to execute. Observing
+/// changes nothing about the run.
 ///
 /// # Errors
 ///
 /// Returns any trap raised during execution, [`TrapKind::OutOfFuel`] if the
 /// fuel budget is exhausted, or [`TrapKind::UnsupportedIntrinsic`] if the
 /// thread blocks forever on an empty channel.
-pub fn run_function_with(
-    program: &Program,
-    func: FuncId,
-    args: &[i64],
-    mem: &mut impl MemPort,
-    sys: &mut impl SysPort,
-    fuel: u64,
-    observer: impl FnMut(FuncId, BlockId, &Inst),
-) -> Result<RunOutcome, TrapKind> {
-    let decoded = DecodedProgram::new(program);
-    run_decoded_with((program, &decoded), func, args, mem, sys, fuel, observer)
-}
-
-/// [`run_function_with`] over a program and its already built decoded form
-/// (`decoded` must be `DecodedProgram::new(program)`).
-///
-/// # Errors
-///
-/// As [`run_function_with`].
 pub fn run_decoded_with(
-    (program, decoded): (&Program, &DecodedProgram),
+    decoded: &DecodedProgram,
     func: FuncId,
     args: &[i64],
     mem: &mut impl MemPort,
     sys: &mut impl SysPort,
     fuel: u64,
-    mut observer: impl FnMut(FuncId, BlockId, &Inst),
+    mut observer: impl FnMut(&ThreadState),
 ) -> Result<RunOutcome, TrapKind> {
     let mut thread = ThreadState::new(decoded, func, args);
     let mut stats = ExecStats::default();
@@ -913,14 +852,7 @@ pub fn run_decoded_with(
             return Err(TrapKind::OutOfFuel);
         }
         steps += 1;
-        // Observe the instruction about to execute.
-        if let Some(pc) = thread.pc() {
-            let (block, ip) = decoded.func(thread.func).source_of(pc);
-            let blk = program.func(thread.func).block(block);
-            if ip < blk.insts.len() {
-                observer(thread.func, block, &blk.insts[ip]);
-            }
-        }
+        observer(&thread);
         match thread.step(decoded, mem, sys)? {
             StepEvent::Executed(_) => stats.total += 1,
             StepEvent::Blocked => {
@@ -1083,10 +1015,10 @@ mod tests {
         b.br(header);
         let mut p = Program::new();
         let f = p.add_func(b.finish());
+        let dp = DecodedProgram::new(&p);
         let mut mem = FlatMemory::new(64);
-        let mut sys = LocalSys::new();
-        let err =
-            run_function_with(&p, f, &[], &mut mem, &mut sys, 1000, |_, _, _| {}).unwrap_err();
+        let err = run_decoded_with(&dp, f, &[], &mut mem, &mut LocalSys::new(), 1000, |_| {})
+            .unwrap_err();
         assert_eq!(err, TrapKind::OutOfFuel);
     }
 
@@ -1141,20 +1073,6 @@ mod tests {
     }
 
     #[test]
-    fn profile_hook_reports_registers() {
-        let mut b = FunctionBuilder::new("prof");
-        let r = b.copy(17i64);
-        b.profile_hook(3, vec![r]);
-        b.ret(None);
-        let mut p = Program::new();
-        let f = p.add_func(b.finish());
-        let mut mem = FlatMemory::new(64);
-        let mut sys = LocalSys::new();
-        run_function_with(&p, f, &[], &mut mem, &mut sys, 1000, |_, _, _| {}).unwrap();
-        assert_eq!(sys.profile_events(), vec![(3, &[17i64][..])]);
-    }
-
-    #[test]
     fn resteer_recovers_trapped_thread() {
         let mut b = FunctionBuilder::new("fault");
         let recover = b.new_labeled_block("recover");
@@ -1192,13 +1110,21 @@ mod tests {
         assert!(mem.read(p.data_end()).is_err());
     }
 
+    /// The observer sees the thread before every step, the terminator's
+    /// included, with the registers as the instruction about to run reads
+    /// them.
     #[test]
     fn observer_sees_instructions() {
         let (p, f) = simple_add_program();
+        let dp = DecodedProgram::new(&p);
+        let entry = dp.func(f).entry_pc();
         let mut mem = FlatMemory::new(64);
-        let mut sys = LocalSys::new();
-        let mut seen = 0;
-        run_function_with(&p, f, &[1, 2], &mut mem, &mut sys, 100, |_, _, _| seen += 1).unwrap();
-        assert_eq!(seen, 1); // one non-terminator instruction
+        let mut seen = Vec::new();
+        run_decoded_with(&dp, f, &[1, 2], &mut mem, &mut LocalSys::new(), 100, |t| {
+            seen.push((t.pc(), t.reg(Reg(2))));
+        })
+        .unwrap();
+        // The add, then the `ret` reading its result.
+        assert_eq!(seen, [(Some(entry), 0), (Some(entry + 1), 3)]);
     }
 }

@@ -55,16 +55,6 @@ impl fmt::Display for Inst {
             Inst::SpecCheck { dst, core } => write!(f, "{dst} = spec.check core {core}"),
             Inst::Resteer { core, target } => write!(f, "resteer core {core}, {target}"),
             Inst::Nop => f.write_str("nop"),
-            Inst::ProfileHook { site, regs } => {
-                write!(f, "profile.hook site={site} [")?;
-                for (i, r) in regs.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{r}")?;
-                }
-                write!(f, "]")
-            }
         }
     }
 }

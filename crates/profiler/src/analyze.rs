@@ -96,7 +96,7 @@ struct SiteState {
 /// Per-loop profiling verdict.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LoopVerdict {
-    /// Profile-hook site identifier.
+    /// Profiler site identifier.
     pub site: u32,
     /// Invocations that were sampled.
     pub sampled_invocations: u64,
@@ -110,8 +110,9 @@ pub struct LoopVerdict {
     pub bin: PredictabilityBin,
 }
 
-/// The analyzer: collects per-iteration live-in signatures (via the
-/// [`spice_ir::interp::SysPort`] profile hook) and produces per-loop verdicts.
+/// The analyzer: collects per-iteration live-in signatures (the events of a
+/// recording run, [`crate::run_instrumented`]) and produces per-loop
+/// verdicts.
 #[derive(Debug)]
 pub struct Analyzer {
     config: AnalyzerConfig,

@@ -1,10 +1,11 @@
 //! The profiler's instrumenter (paper §6.1).
 //!
 //! Given a program, the instrumenter finds the loops worth profiling,
-//! computes their loop-carried live-ins, removes the live-ins a reduction
-//! transformation would handle, and inserts a [`spice_ir::Inst::ProfileHook`]
-//! at the top of every candidate loop's header so that each iteration
-//! reports the current live-in tuple to the attached analyzer.
+//! computes their loop-carried live-ins and removes the live-ins a reduction
+//! transformation would handle. It leaves the program as it is: its site
+//! table is the watch list of the recording run
+//! ([`spice_ir::exec::InterpBackend::watching`]), which reads each
+//! candidate's live-in tuple every time the thread arrives at its header.
 
 use serde::{Deserialize, Serialize};
 
@@ -13,17 +14,16 @@ use spice_ir::cfg::Cfg;
 use spice_ir::dom::DomTree;
 use spice_ir::liveness::Liveness;
 use spice_ir::loops::LoopForest;
-use spice_ir::{BlockId, FuncId, Inst, Program, Reg};
+use spice_ir::{BlockId, FuncId, Program, Reg};
 
-/// One instrumented loop.
+/// One profiled loop.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ProfiledLoop {
-    /// Profile-hook site identifier carried by the emitted hook.
+    /// Site identifier its recorded events carry.
     pub site: u32,
     /// Function containing the loop.
     pub func: FuncId,
-    /// Loop header block (in the *uninstrumented* numbering, which the
-    /// instrumenter preserves).
+    /// Loop header block.
     pub header: BlockId,
     /// Nesting depth of the loop (1 = outermost).
     pub depth: usize,
@@ -36,7 +36,7 @@ pub struct ProfiledLoop {
 /// Result of instrumenting a program.
 #[derive(Debug, Clone, Default)]
 pub struct Instrumentation {
-    /// The instrumented loops, indexed by site id.
+    /// The profiled loops, indexed by site id.
     pub loops: Vec<ProfiledLoop>,
 }
 
@@ -46,54 +46,43 @@ impl Instrumentation {
     pub fn site(&self, site: u32) -> Option<&ProfiledLoop> {
         self.loops.iter().find(|l| l.site == site)
     }
+
+    /// The recording run's watch list: each site's `(function, header,
+    /// recorded registers)`, in site order.
+    #[must_use]
+    pub fn watch_list(&self) -> Vec<(FuncId, BlockId, Vec<Reg>)> {
+        self.loops
+            .iter()
+            .map(|l| (l.func, l.header, l.recorded.clone()))
+            .collect()
+    }
 }
 
-/// Instruments every candidate loop of every function of `program` in place
-/// and returns the site table.
+/// Finds every candidate loop of every function of `program` and returns
+/// the site table, sites numbered in function order, then loop order.
 ///
 /// Candidate loops are those with at least one loop-carried live-in left
 /// after reduction removal — loops without one are DOALL-able (or reducible)
 /// and need no value speculation, so the paper's profiler skips them.
 #[must_use]
-pub fn instrument_program(program: &mut Program) -> Instrumentation {
+pub fn instrument_program(program: &Program) -> Instrumentation {
     let mut out = Instrumentation::default();
-    let mut next_site: u32 = 0;
-    for fid in 0..program.funcs.len() {
-        let func_id = FuncId(fid as u32);
-        // Analyse on an immutable snapshot, then mutate.
-        let plan: Vec<(BlockId, usize, Vec<Reg>)> = {
-            let f = program.func(func_id);
-            let cfg = Cfg::new(f);
-            let dom = DomTree::new(&cfg);
-            let forest = LoopForest::new(f, &cfg, &dom);
-            let live = Liveness::new(f, &cfg);
-            let mut plan = Vec::new();
-            for (_, l) in forest.iter() {
-                let (_, _, recorded) = speculated_set(f, &cfg, &live, l);
-                if !recorded.is_empty() {
-                    plan.push((l.header, l.depth, recorded));
-                }
+    for (fid, f) in program.funcs.iter().enumerate() {
+        let cfg = Cfg::new(f);
+        let dom = DomTree::new(&cfg);
+        let forest = LoopForest::new(f, &cfg, &dom);
+        let live = Liveness::new(f, &cfg);
+        for (_, l) in forest.iter() {
+            let (_, _, recorded) = speculated_set(f, &cfg, &live, l);
+            if !recorded.is_empty() {
+                out.loops.push(ProfiledLoop {
+                    site: out.loops.len() as u32,
+                    func: FuncId(fid as u32),
+                    header: l.header,
+                    depth: l.depth,
+                    recorded,
+                });
             }
-            plan
-        };
-        for (header, depth, recorded) in plan {
-            let site = next_site;
-            next_site += 1;
-            let f = program.func_mut(func_id);
-            f.block_mut(header).insts.insert(
-                0,
-                Inst::ProfileHook {
-                    site,
-                    regs: recorded.clone(),
-                },
-            );
-            out.loops.push(ProfiledLoop {
-                site,
-                func: func_id,
-                header,
-                depth,
-                recorded,
-            });
         }
     }
     out
@@ -103,8 +92,18 @@ pub fn instrument_program(program: &mut Program) -> Instrumentation {
 mod tests {
     use super::*;
     use spice_ir::builder::FunctionBuilder;
-    use spice_ir::interp::{run_function_with, FlatMemory, LocalSys};
-    use spice_ir::{BinOp, Operand};
+    use spice_ir::exec::{ExecutionBackend, InterpBackend, LoadOptions};
+    use spice_ir::{BinOp, Operand, GLOBAL_BASE};
+
+    /// Runs `f(args)` once on an interpreter backend watching every site of
+    /// `p`, and returns the invocation's `(site, values)` events.
+    fn record(p: Program, f: FuncId, args: &[i64]) -> Vec<(u32, Vec<i64>)> {
+        let mut backend = InterpBackend::watching(instrument_program(&p).watch_list());
+        backend.load(p, f, LoadOptions::new(None)).unwrap();
+        backend.run_invocation(args).unwrap();
+        let events = backend.profile_events().next().unwrap();
+        events.into_iter().map(|(s, v)| (s, v.to_vec())).collect()
+    }
 
     fn list_walk_program() -> (Program, FuncId) {
         let mut b = FunctionBuilder::new("walk");
@@ -132,10 +131,42 @@ mod tests {
         (p, f)
     }
 
+    /// `count(i)`: a loop counting `i` down to 0. `header` gets the builder
+    /// in the entry block and the counter; it returns the loop header and
+    /// leaves the builder in it, before the header's closing `cond_br`.
+    fn counting_program(
+        header: impl FnOnce(&mut FunctionBuilder, Reg) -> BlockId,
+    ) -> (Program, FuncId) {
+        let mut b = FunctionBuilder::new("count");
+        let i = b.param();
+        let header = header(&mut b, i);
+        let body = b.new_block();
+        let exit = b.new_block();
+        b.cond_br(i, body, exit);
+        b.switch_to(body);
+        let next = b.binop(BinOp::Sub, i, 1i64);
+        b.copy_into(i, next);
+        b.br(header);
+        b.switch_to(exit);
+        b.ret(Some(Operand::Reg(i)));
+        let mut p = Program::new();
+        let f = p.add_func(b.finish());
+        (p, f)
+    }
+
+    /// Branches from the entry block to a new header and moves there.
+    fn new_header(b: &mut FunctionBuilder) -> BlockId {
+        let header = b.new_block();
+        b.br(header);
+        b.switch_to(header);
+        header
+    }
+
     #[test]
     fn instrumenter_records_only_non_reduction_live_ins() {
-        let (mut p, f) = list_walk_program();
-        let inst = instrument_program(&mut p);
+        let (p, f) = list_walk_program();
+        let before = format!("{p}");
+        let inst = instrument_program(&p);
         assert_eq!(inst.loops.len(), 1);
         let site = &inst.loops[0];
         assert_eq!(site.func, f);
@@ -143,31 +174,63 @@ mod tests {
         assert_eq!(site.recorded.len(), 1);
         assert!(inst.site(0).is_some());
         assert!(inst.site(9).is_none());
-        // The hook landed at the top of the header block.
-        let hdr = p.func(f).block(site.header);
-        assert!(matches!(hdr.insts[0], Inst::ProfileHook { .. }));
+        assert_eq!(format!("{p}"), before, "the program is left as it is");
     }
 
     #[test]
     fn instrumented_program_reports_one_tuple_per_iteration() {
         let (mut p, f) = list_walk_program();
-        let _inst = instrument_program(&mut p);
-        let mut mem = FlatMemory::new(8 * 1024);
         // Three-node list at 2000.
-        for (i, v) in [5i64, 6, 7].iter().enumerate() {
-            let a = 2000 + 2 * i as i64;
-            mem.write(a, *v).unwrap();
-            mem.write(a + 1, if i < 2 { a + 2 } else { 0 }).unwrap();
-        }
-        let mut sys = LocalSys::new();
-        run_function_with(&p, f, &[2000], &mut mem, &mut sys, 100_000, |_, _, _| {}).unwrap();
-        // The hook fires once per header entry: 3 iterations + the final
-        // (exiting) header visit.
-        let events = sys.profile_events();
-        assert_eq!(events.len(), 4);
-        assert_eq!(events[0].1, [2000]);
-        assert_eq!(events[1].1, [2002]);
-        assert_eq!(events[3].1, [0]);
+        p.add_global("below", 2000 - GLOBAL_BASE);
+        let list = p.add_global_init("list", 6, vec![5, 2002, 6, 2004, 7, 0]);
+        assert_eq!(list, 2000);
+        // One event per header arrival: 3 iterations + the final (exiting)
+        // header visit.
+        let events = record(p, f, &[2000]);
+        let values: Vec<_> = events.iter().map(|(_, v)| v.clone()).collect();
+        assert_eq!(values, [[2000], [2002], [2004], [0]]);
+    }
+
+    /// A header holding only its terminator: the arrival is at the branch.
+    #[test]
+    fn a_header_without_instructions_is_watched_at_its_terminator() {
+        let (p, f) = counting_program(|b, _| new_header(b));
+        assert_eq!(
+            record(p, f, &[3]),
+            [(0, vec![3]), (0, vec![2]), (0, vec![1]), (0, vec![0])]
+        );
+    }
+
+    /// A `call` in the header: its return lands inside the header, which is
+    /// not an arrival.
+    #[test]
+    fn a_return_into_the_header_is_not_an_arrival() {
+        let (mut p, f) = counting_program(|b, i| {
+            let header = new_header(b);
+            b.call_void(FuncId(1), vec![Operand::Reg(i)]);
+            header
+        });
+        let mut callee = FunctionBuilder::new("twice");
+        let x = callee.param();
+        let y = callee.binop(BinOp::Add, x, x);
+        callee.ret(Some(Operand::Reg(y)));
+        assert_eq!(p.add_func(callee.finish()), FuncId(1));
+        assert_eq!(
+            record(p, f, &[2]),
+            [(0, vec![2]), (0, vec![1]), (0, vec![0])]
+        );
+    }
+
+    /// A loop headed by the entry block: the thread starts there, and that
+    /// start is the first arrival.
+    #[test]
+    fn an_entry_block_header_is_arrived_at_when_the_run_starts() {
+        let (p, f) = counting_program(|b, _| b.entry());
+        assert_eq!(instrument_program(&p).loops[0].header, p.func(f).entry);
+        assert_eq!(
+            record(p, f, &[2]),
+            [(0, vec![2]), (0, vec![1]), (0, vec![0])]
+        );
     }
 
     #[test]
@@ -178,6 +241,6 @@ mod tests {
         b.ret(Some(Operand::Reg(y)));
         let mut p = Program::new();
         p.add_func(b.finish());
-        assert!(instrument_program(&mut p).loops.is_empty());
+        assert!(instrument_program(&p).loops.is_empty());
     }
 }

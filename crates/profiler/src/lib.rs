@@ -6,8 +6,9 @@
 //! two components, both reproduced here:
 //!
 //! * an **instrumenter** ([`instrument::instrument_program`]) that finds
-//!   candidate loops, strips reduction live-ins and inserts per-iteration
-//!   recording hooks, and
+//!   candidate loops and strips reduction live-ins; the recording run
+//!   ([`run_instrumented`]) leaves the program as built and reads each
+//!   candidate's live-ins at every arrival at its header, and
 //! * an **analyzer** ([`analyze::Analyzer`]) that turns the recorded live-in
 //!   signatures into per-loop predictability verdicts, sampled per
 //!   invocation and binned as in Figure 8.
@@ -32,36 +33,40 @@ pub mod instrument;
 use std::collections::{HashMap, HashSet};
 
 use spice_ir::exec::{ExecutionBackend, InterpBackend};
-use spice_ir::interp::{run_function_with, MemPort, SysPort, DEFAULT_FUEL};
+use spice_ir::interp::{run_decoded_with, LocalSys, MemPort, DEFAULT_FUEL};
 use spice_ir::loops::LoopForest;
-use spice_ir::{BlockId, FuncId, Function, Program, TrapKind};
+use spice_ir::{BlockId, DecodedProgram, FuncId, Function, Program};
 use spice_sim::SequentialSimBackend;
 use spice_workloads::trace::{TraceInvocation, TraceIteration, WorkloadTrace};
-use spice_workloads::{drive_loaded_workload, workload_load_options, SpiceWorkload};
+use spice_workloads::{
+    drive_loaded_workload, workload_load_options, BackendRunSummary, SpiceWorkload,
+};
 
 pub use analyze::{Analyzer, AnalyzerConfig, LoopVerdict, PredictabilityBin};
 pub use instrument::{instrument_program, Instrumentation, ProfiledLoop};
 
-/// The shared recording pass: builds `workload`'s program, instruments every
-/// candidate loop and drives every invocation on the plain interpreter
-/// through the one invocation loop (result checks included). The returned
-/// backend holds each invocation's `(site, live-in values)` events
-/// ([`InterpBackend::profile_events`]).
+/// The shared recording pass: builds `workload`'s program, finds every
+/// candidate loop and drives every invocation of the program, as built, on
+/// the plain interpreter through the one invocation loop (result checks
+/// included), watching each candidate's header. The returned backend holds
+/// each invocation's `(site, live-in values)` events
+/// ([`InterpBackend::profile_events`]); the summary is the run's, the same
+/// as an unwatched run's.
 ///
 /// # Errors
 ///
-/// Returns the first trap or result mismatch of the instrumented run.
-pub fn run_instrumented(workload: &mut dyn SpiceWorkload) -> Result<InterpBackend, String> {
+/// Returns the first trap or result mismatch of the run.
+pub fn run_instrumented(
+    workload: &mut dyn SpiceWorkload,
+) -> Result<(InterpBackend, BackendRunSummary), String> {
     let built = workload.build();
     let options = workload_load_options(workload, &built);
-    let mut program = built.program;
-    let _sites = instrument_program(&mut program);
-    let mut backend = InterpBackend::new();
+    let mut backend = InterpBackend::watching(instrument_program(&built.program).watch_list());
     backend
-        .load(program, built.kernel, options)
+        .load(built.program, built.kernel, options)
         .map_err(|e| format!("{}: load failed: {e}", workload.name()))?;
-    drive_loaded_workload(workload, &mut backend)?;
-    Ok(backend)
+    let summary = drive_loaded_workload(workload, &mut backend)?;
+    Ok((backend, summary))
 }
 
 /// Profiles a workload: records its profile events ([`run_instrumented`])
@@ -76,7 +81,7 @@ pub fn profile_workload(
     config: AnalyzerConfig,
     max_invocations: Option<usize>,
 ) -> Result<Vec<LoopVerdict>, String> {
-    let backend = run_instrumented(workload)?;
+    let (backend, _) = run_instrumented(workload)?;
     let mut analyzer = Analyzer::new(config);
     for events in backend
         .profile_events()
@@ -94,7 +99,7 @@ pub fn profile_workload(
 /// Records a workload's behaviour trace: the raw per-iteration live-in
 /// tuples ([`run_instrumented`]) of the **hottest profile site** (the one
 /// with the most recorded events over the first `max_invocations`
-/// invocations — multi-loop programs like `mcf_app` carry several hooks).
+/// invocations — multi-loop programs like `mcf_app` have several sites).
 ///
 /// The result is the §6 profiler's input signal made portable: replaying or
 /// re-analyzing the trace offline reproduces the predictability the live
@@ -107,7 +112,7 @@ pub fn record_workload_trace(
     workload: &mut dyn SpiceWorkload,
     max_invocations: Option<usize>,
 ) -> Result<WorkloadTrace, String> {
-    let backend = run_instrumented(workload)?;
+    let (backend, _) = run_instrumented(workload)?;
     let recorded: Vec<_> = backend
         .profile_events()
         .take(max_invocations.unwrap_or(usize::MAX))
@@ -204,40 +209,52 @@ fn target_loop_blocks(f: &Function, header: Option<BlockId>) -> HashSet<BlockId>
 
 /// Measures the dynamic instruction counts of one run of `func`, attributing
 /// instructions to the loop whose header is `header` (or to the function's
-/// largest top-level loop when `header` is `None`).
+/// largest top-level loop when `header` is `None`). Terminators are not
+/// counted.
 ///
 /// # Errors
 ///
-/// Propagates traps raised by the run.
+/// Returns `"<kernel>: kernel has no target loop"` when there is no such
+/// loop, or the trap the run raised.
 pub fn measure_hotness(
     program: &Program,
     func: FuncId,
     header: Option<BlockId>,
     args: &[i64],
     mem: &mut impl MemPort,
-    sys: &mut impl SysPort,
-) -> Result<HotnessReport, TrapKind> {
-    let loop_blocks = target_loop_blocks(program.func(func), header);
-    let mut loop_insts: u64 = 0;
-    let mut total: u64 = 0;
-    run_function_with(
-        program,
+) -> Result<HotnessReport, String> {
+    let kernel = program.func(func);
+    let loop_blocks = target_loop_blocks(kernel, header);
+    if loop_blocks.is_empty() {
+        return Err(format!("{}: kernel has no target loop", kernel.name));
+    }
+    let decoded = DecodedProgram::new(program);
+    let mut report = HotnessReport {
+        loop_instructions: 0,
+        total_instructions: 0,
+    };
+    run_decoded_with(
+        &decoded,
         func,
         args,
         mem,
-        sys,
+        &mut LocalSys::new(),
         DEFAULT_FUEL,
-        |fid, block, _| {
-            total += 1;
-            if fid == func && loop_blocks.contains(&block) {
-                loop_insts += 1;
+        |thread| {
+            let (Some(pc), f) = (thread.pc(), thread.current_func()) else {
+                return;
+            };
+            let (block, ip) = decoded.func(f).source_of(pc);
+            if ip < program.func(f).block(block).insts.len() {
+                report.total_instructions += 1;
+                if f == func && loop_blocks.contains(&block) {
+                    report.loop_instructions += 1;
+                }
             }
         },
-    )?;
-    Ok(HotnessReport {
-        loop_instructions: loop_insts,
-        total_instructions: total,
-    })
+    )
+    .map_err(|t| t.to_string())?;
+    Ok(report)
 }
 
 /// Whole-program hotness of a loop, in *simulated cycles* (the measured
@@ -325,8 +342,12 @@ pub fn measure_cycle_hotness(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spice_ir::interp::{FlatMemory, LocalSys};
-    use spice_workloads::{ChurnListWorkload, OtterConfig, OtterWorkload};
+    use spice_ir::builder::FunctionBuilder;
+    use spice_ir::interp::FlatMemory;
+    use spice_ir::Operand;
+    use spice_workloads::{
+        all_workload_factories, run_workload_on, ChurnListWorkload, OtterConfig, OtterWorkload,
+    };
 
     #[test]
     fn stable_workload_profiles_as_highly_predictable() {
@@ -373,22 +394,44 @@ mod tests {
         let built = wl.build();
         let mut mem = FlatMemory::for_program(&built.program, 1 << 20);
         let args = wl.init(&mut mem);
-        let mut sys = LocalSys::new();
-        let report = measure_hotness(
-            &built.program,
-            built.kernel,
-            None,
-            &args,
-            &mut mem,
-            &mut sys,
-        )
-        .unwrap();
+        let report = measure_hotness(&built.program, built.kernel, None, &args, &mut mem).unwrap();
         assert!(
             report.fraction() > 0.9,
             "fraction was {}",
             report.fraction()
         );
         assert!(report.total_instructions > report.loop_instructions);
+    }
+
+    /// A kernel without a loop has no hotness to measure: it is refused, as
+    /// `measure_cycle_hotness` refuses it, rather than reported as 0.
+    #[test]
+    fn hotness_of_a_loop_free_kernel_is_an_error() {
+        let mut b = FunctionBuilder::new("straight");
+        let x = b.param();
+        let y = b.binop(spice_ir::BinOp::Add, x, 1i64);
+        b.ret(Some(Operand::Reg(y)));
+        let mut p = Program::new();
+        let f = p.add_func(b.finish());
+        let mut mem = FlatMemory::for_program(&p, 0);
+        assert_eq!(
+            measure_hotness(&p, f, None, &[1], &mut mem),
+            Err("straight: kernel has no target loop".to_string())
+        );
+    }
+
+    /// Watching headers changes nothing about the run: on every small suite
+    /// workload the recording pass retires, invocation by invocation, what a
+    /// plain interpreter run retires, and returns the same values.
+    #[test]
+    fn recording_does_not_perturb_the_run() {
+        for (name, factory) in all_workload_factories(true) {
+            let (backend, recorded) = run_instrumented(factory().as_mut()).unwrap();
+            let plain = run_workload_on(factory().as_mut(), &mut InterpBackend::new()).unwrap();
+            assert!(backend.profile_events().flatten().count() > 0, "{name}");
+            assert_eq!(recorded.work_per_thread, plain.work_per_thread, "{name}");
+            assert_eq!(recorded.return_values, plain.return_values, "{name}");
+        }
     }
 
     #[test]

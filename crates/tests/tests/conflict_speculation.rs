@@ -21,8 +21,8 @@ use spice_ir::exec::{
     ExecutionBackend, ExecutionReport, InterpBackend, LoadOptions, MisspeculationCause,
 };
 use spice_ir::fixtures::{list_min_program, write_list};
-use spice_ir::interp::{run_function_with, FlatMemory, LocalSys, MemPort};
-use spice_ir::{BinOp, FuncId, Operand, Program, TrapKind};
+use spice_ir::interp::{run_decoded_with, FlatMemory, LocalSys, MemPort};
+use spice_ir::{BinOp, DecodedProgram, FuncId, Operand, Program, TrapKind};
 use spice_sim::{MachineConfig, SequentialSimBackend};
 use spice_workloads::{
     all_workload_factories, run_workload_on, workload_load_options, BackendRunSummary,
@@ -276,6 +276,7 @@ fn native_violations_on_mcf_app_name_only_words_the_loop_body_wrote() {
     // image stores to after its first arrival in the loop header.
     let built = workload().build();
     let header = built.loop_header_hint.expect("mcf_app names its loop");
+    let decoded = DecodedProgram::new(&built.program);
     let mut body_writes: Vec<BTreeSet<i64>> = Vec::new();
     let mut native = make_backend(BackendChoice::Native, THREADS);
     let native_reports = drive(native.as_mut(), &mut |mem, args| {
@@ -285,15 +286,15 @@ fn native_violations_on_mcf_app_name_only_words_the_loop_body_wrote() {
             in_loop: &in_loop,
             writes: BTreeSet::new(),
         };
-        run_function_with(
-            &built.program,
+        run_decoded_with(
+            &decoded,
             built.kernel,
             args,
             &mut port,
             &mut LocalSys::new(),
             u64::MAX,
-            |func, block, _| {
-                if func == built.kernel && block == header {
+            |thread| {
+                if thread.current_func() == built.kernel && thread.current_block() == header {
                     in_loop.set(true);
                 }
             },

@@ -191,11 +191,6 @@ impl RefThread {
                     StepEvent::Executed(plain(class))
                 }
                 Inst::Nop => StepEvent::Executed(plain(class)),
-                Inst::ProfileHook { site, regs } => {
-                    let values: Vec<i64> = regs.iter().map(|r| self.regs[r.index()]).collect();
-                    sys.profile(*site, &values);
-                    StepEvent::Executed(plain(class))
-                }
             };
             self.ip += 1;
             Ok(event)

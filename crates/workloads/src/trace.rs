@@ -1,12 +1,12 @@
 //! Recorded-behaviour traces and their replay as first-class workloads.
 //!
 //! A [`WorkloadTrace`] is the portable record of what a loop *did*: per
-//! invocation, the ordered sequence of live-in tuples its profile hook
-//! observed (the paper's §6 signal), plus optional fuzzer-injected forward
+//! invocation, the ordered sequence of live-in tuples read at its header
+//! (the paper's §6 signal), plus optional fuzzer-injected forward
 //! stores. Three consumers share the type:
 //!
 //! * the **recorder** (`spice-profiler::record_workload_trace`) fills one
-//!   from an instrumented sequential run of a real driver;
+//!   from a sequential run of a real driver that watches its loop headers;
 //! * the **replay workload** ([`TraceReplayWorkload`]) turns any trace back
 //!   into a runnable [`SpiceWorkload`] — a linked-list walk whose node
 //!   addresses reproduce the recorded cross-invocation live-in overlap, so
@@ -42,7 +42,7 @@ use crate::arena::RecordArena;
 use crate::conflict::{forward_overwrite_sum, splice_walk, NEXT, TARGET, VALUE};
 use crate::{BuiltKernel, SpiceWorkload};
 
-/// One recorded loop iteration: the live-in tuple the profile hook saw, and
+/// One recorded loop iteration: the live-in tuple read at the header, and
 /// (for fuzzed traces) an optional forward store.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TraceIteration {
@@ -68,7 +68,7 @@ pub struct WorkloadTrace {
     pub name: String,
     /// Name of the recorded loop.
     pub loop_name: String,
-    /// Profile-hook site id the keys were recorded from.
+    /// Profiler site id the keys were recorded from.
     pub site: u32,
     /// The recorded invocations.
     pub invocations: Vec<TraceInvocation>,
