@@ -141,8 +141,6 @@ impl SimBackend {
         }
         self.threads = prepared.threads();
         self.loaded = Some(match prepared.kind() {
-            // The runner exempts the predictor-array range from conflict
-            // detection on every invocation (`SpiceRunner::start_invocation`).
             PreparedKind::Spice(spice) => SimLoaded::Spice {
                 machine,
                 runner: SpiceRunner::new((**spice).clone()),

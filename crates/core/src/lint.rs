@@ -5,8 +5,7 @@
 //! implements the Spice protocol. They run on every transform output (and
 //! from the `spice-lint` binary) against the [`SpiceParallelLoop`] record
 //! the transformation returns about itself — channel roles, worker cores,
-//! recovery blocks, the main function's protocol skeleton, and which blocks
-//! are original program code versus generated protocol code.
+//! recovery blocks and the main function's protocol skeleton.
 //!
 //! The lint catalog:
 //!
@@ -22,10 +21,6 @@
 //!   `spec.check` under `AssumeIndependent` or naming no worker, a
 //!   speculation op outside the workers) is an error, and no protocol
 //!   channel is touched by a foreign function.
-//! * **conflict-exemption coverage** — the predictor-array address range is
-//!   exempt from conflict detection, so every access into it that resolves
-//!   to a constant must come from generated protocol code, never from the
-//!   original program blocks.
 //! * **boundary/resume shape** — the `need_resume`/`resumed` control flow is
 //!   well nested: the recorded skeleton blocks are wired exactly as the
 //!   transform documents, the resume block is entered only from the tail,
@@ -37,7 +32,6 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use spice_ir::cfg::Cfg;
-use spice_ir::dataflow::accesses;
 use spice_ir::pretty;
 use spice_ir::{BlockId, FuncId, Function, Inst, Operand, Program, Terminator};
 
@@ -109,17 +103,6 @@ pub enum LintError {
         /// Instruction index of the op.
         ip: usize,
     },
-    /// Original program code accesses the conflict-exempt predictor range.
-    ExemptRangeAccess {
-        /// Function holding the access.
-        func: String,
-        /// Block holding the access.
-        block: BlockId,
-        /// Instruction index of the access.
-        ip: usize,
-        /// The resolved absolute address.
-        addr: i64,
-    },
     /// A protocol skeleton block is not wired the way the transform
     /// documents.
     ShapeEdge {
@@ -190,15 +173,6 @@ impl fmt::Display for LintError {
                 f,
                 "channel-protocol: @{func}: {block}[{ip}] touches protocol channel ch{chan} owned by another thread pair"
             ),
-            LintError::ExemptRangeAccess {
-                func,
-                block,
-                ip,
-                addr,
-            } => write!(
-                f,
-                "conflict-exemption: @{func}: program code at {block}[{ip}] accesses address {addr} inside the conflict-exempt predictor range"
-            ),
             LintError::ShapeEdge {
                 func,
                 block,
@@ -238,7 +212,6 @@ impl LintError {
         match self {
             LintError::Protocol { func, .. }
             | LintError::ForeignChannelOp { func, .. }
-            | LintError::ExemptRangeAccess { func, .. }
             | LintError::ShapeEdge { func, .. }
             | LintError::ResumeEntry { func, .. }
             | LintError::RecoveryShape { func, .. }
@@ -253,7 +226,6 @@ impl LintError {
         match self {
             LintError::Protocol { block, .. }
             | LintError::ForeignChannelOp { block, .. }
-            | LintError::ExemptRangeAccess { block, .. }
             | LintError::ShapeEdge { block, .. }
             | LintError::RecoveryShape { block, .. }
             | LintError::ResteerTarget { block, .. } => Some(*block),
@@ -266,9 +238,7 @@ impl LintError {
     #[must_use]
     pub fn ip(&self) -> Option<usize> {
         match self {
-            LintError::Protocol { ip, .. }
-            | LintError::ForeignChannelOp { ip, .. }
-            | LintError::ExemptRangeAccess { ip, .. } => Some(*ip),
+            LintError::Protocol { ip, .. } | LintError::ForeignChannelOp { ip, .. } => Some(*ip),
             _ => None,
         }
     }
@@ -562,7 +532,7 @@ impl<'a> FuncCtx<'a> {
 /// # Errors
 ///
 /// Returns every lint failure found, most fundamental first (metadata, then
-/// the protocol contract, exemption coverage, shape).
+/// the protocol contract, shape).
 pub fn lint_spice(program: &Program, spice: &SpiceParallelLoop) -> Result<(), Vec<LintError>> {
     let mut errs = Vec::new();
     if let Err(mut meta) = check_protocol_metadata(spice) {
@@ -577,7 +547,6 @@ pub fn lint_spice(program: &Program, spice: &SpiceParallelLoop) -> Result<(), Ve
         .collect();
 
     lint_contract(spice, &ctxs, &mut errs);
-    lint_exemption_coverage(spice, &ctxs, &mut errs);
     lint_boundary_shape(program, spice, &ctxs, &mut errs);
 
     if errs.is_empty() {
@@ -704,46 +673,6 @@ fn walk(
                 stack.push((s, w, p, resumed));
             }
         }
-    }
-}
-
-/// Conflict-exemption coverage: constant-resolvable accesses into the
-/// exempt predictor range must come from generated protocol blocks, never
-/// from original program code.
-fn lint_exemption_coverage(
-    spice: &SpiceParallelLoop,
-    ctxs: &[FuncCtx<'_>],
-    errs: &mut Vec<LintError>,
-) {
-    let (lo, hi) = spice.layout.address_range();
-    let mut check_func = |fid: FuncId, is_program_block: &dyn Fn(BlockId) -> bool| {
-        let ctx = &ctxs[fid.index()];
-        let program_blocks: Vec<BlockId> = ctx
-            .func
-            .block_ids()
-            .into_iter()
-            .filter(|&b| is_program_block(b))
-            .collect();
-        for access in accesses(ctx.func, &ctx.cfg, &program_blocks) {
-            let Some(addr) = access.expr.as_const() else {
-                continue;
-            };
-            if addr >= lo && addr < hi {
-                errs.push(LintError::ExemptRangeAccess {
-                    func: ctx.func.name.clone(),
-                    block: access.site.block,
-                    ip: access.site.ip,
-                    addr,
-                });
-            }
-        }
-    };
-
-    let program_limit = spice.main_program_blocks;
-    check_func(spice.main, &|b: BlockId| b.index() < program_limit);
-    let body = spice.worker_body_blocks;
-    for w in &spice.workers {
-        check_func(w.func, &|b: BlockId| b.index() >= 1 && b.index() <= body);
     }
 }
 

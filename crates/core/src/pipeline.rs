@@ -143,11 +143,10 @@ impl SpiceRunner {
     }
 
     /// First half of [`SpiceRunner::run_invocation`]: clears threads, resets
-    /// the clock, exempts the predictor arrays from conflict detection, and
-    /// spawns the main thread and every worker — but does not simulate.
-    /// Time-travel drivers use this with [`Machine::run_until`] to pause an
-    /// invocation mid-flight, snapshot it, and finish it (possibly on a
-    /// resumed machine) with [`SpiceRunner::finish_invocation`].
+    /// the clock, and spawns the main thread and every worker — but does not
+    /// simulate. Time-travel drivers use this with [`Machine::run_until`] to
+    /// pause an invocation mid-flight, snapshot it, and finish it (possibly
+    /// on a resumed machine) with [`SpiceRunner::finish_invocation`].
     ///
     /// # Errors
     ///
@@ -159,12 +158,6 @@ impl SpiceRunner {
     ) -> Result<(), BackendError> {
         machine.clear_threads();
         machine.reset_cycle_counter();
-        // The predictor arrays are runtime metadata ordered by the
-        // new_invocation release protocol; the centralized step rewrites them
-        // on core 0 every invocation, so they must not feed the
-        // program-data conflict detector (idempotent, cheap).
-        let (lo, hi) = self.spice.layout.address_range();
-        machine.set_conflict_exempt(lo, hi);
         machine.trace_emit(TraceEvent::InvocationBegin {
             index: self.invocations,
         });

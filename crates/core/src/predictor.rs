@@ -79,6 +79,16 @@ impl PredictorLayout {
     /// first centralized step already has a work model to plan from (the
     /// paper's first-invocation estimate).
     ///
+    /// Conflict detection watches these words like any other, so the
+    /// arrays sit in two slabs that share no detection grain with program
+    /// data or with each other, up to 64-word grains (`SLAB_WORDS`): the
+    /// *epoch-read* slab (`svat`, `svai`: core 0 writes them before the
+    /// release, workers read them during the epoch) and the
+    /// *epoch-written* slab (`sva`, `work`, `cidx`, the flag). Each slab
+    /// starts on a multiple of 64 words, and padding takes the last
+    /// one's end to the next multiple (false sharing removed by layout, as
+    /// in Torrellas, Lam and Hennessy, IEEE TC 1994).
+    ///
     /// # Panics
     ///
     /// Panics if `threads < 2` or `spec_width == 0`.
@@ -95,13 +105,15 @@ impl PredictorLayout {
             "at least one speculated live-in is required"
         );
         let max_entries = threads; // at most threads-1 boundaries, +1 for the sentinel
-        let sva_base = program.add_global("spice.sva", ((threads - 1) * spec_width) as i64);
+        pad_to_slab(program);
         let svat_base = program.add_global_init(
             "spice.svat",
             (threads * max_entries) as i64,
             vec![NEVER; threads * max_entries],
         );
         let svai_base = program.add_global("spice.svai", (threads * max_entries) as i64);
+        pad_to_slab(program);
+        let sva_base = program.add_global("spice.sva", ((threads - 1) * spec_width) as i64);
         let mut work_init = vec![0i64; threads];
         if let Some(est) = initial_work {
             work_init[0] = i64::try_from(est).unwrap_or(i64::MAX);
@@ -109,6 +121,7 @@ impl PredictorLayout {
         let work_base = program.add_global_init("spice.work", threads as i64, work_init);
         let cidx_base = program.add_global("spice.cidx", threads as i64);
         let flag_base = program.add_global("spice.memoflag", 1);
+        pad_to_slab(program);
         PredictorLayout {
             threads,
             spec_width,
@@ -152,32 +165,30 @@ impl PredictorLayout {
         self.cidx_base + tid as i64
     }
 
-    /// The half-open address range `[lo, hi)` spanned by every predictor
-    /// array (used to exempt them from memory-dependence conflict tracking:
-    /// their accesses are ordered by the `new_invocation` token protocol).
+    /// The half-open address range `[lo, hi)` of both slabs, padding
+    /// included; `lo` and `hi` are multiples of 64 words. Only tests read
+    /// it, to watch the predictor's words.
     #[must_use]
     pub fn address_range(&self) -> (i64, i64) {
-        let ends = [
-            self.sva_base + ((self.threads - 1) * self.spec_width) as i64,
-            self.svat_base + (self.threads * self.max_entries) as i64,
-            self.svai_base + (self.threads * self.max_entries) as i64,
-            self.work_base + self.threads as i64,
-            self.cidx_base + self.threads as i64,
-            self.flag_base + 1,
-        ];
-        let lo = [
-            self.sva_base,
-            self.svat_base,
-            self.svai_base,
-            self.work_base,
-            self.cidx_base,
-            self.flag_base,
-        ]
-        .into_iter()
-        .min()
-        .expect("non-empty");
-        let hi = ends.into_iter().max().expect("non-empty");
-        (lo, hi)
+        (self.svat_base, align_up(self.flag_base + 1))
+    }
+}
+
+/// Words in the coarsest conflict-detection grain any configuration sweeps
+/// (`2^6`). A layout constant, not an option, so the transform does not
+/// depend on the granularity.
+const SLAB_WORDS: i64 = 64;
+
+/// `addr` rounded up to a multiple of [`SLAB_WORDS`].
+fn align_up(addr: i64) -> i64 {
+    addr + (-addr).rem_euclid(SLAB_WORDS)
+}
+
+/// Pads `program`'s globals so the next one starts on a slab boundary.
+fn pad_to_slab(program: &mut Program) {
+    let end = program.data_end();
+    if align_up(end) > end {
+        program.add_global("spice.pad", align_up(end) - end);
     }
 }
 
@@ -300,6 +311,8 @@ pub fn read_work(layout: &PredictorLayout, mem: &FlatMemory) -> Result<Vec<u64>,
 
 #[cfg(test)]
 mod tests {
+    use std::collections::{BTreeMap, BTreeSet};
+
     use super::*;
 
     fn layout(threads: usize, width: usize) -> (Program, PredictorLayout) {
@@ -308,21 +321,56 @@ mod tests {
         (p, l)
     }
 
+    /// Every word of the two slabs, each tagged with whether it is
+    /// epoch-read (`svat`, `svai`).
+    fn slab_words(l: &PredictorLayout) -> Vec<(i64, bool)> {
+        let lists = (0..l.threads).flat_map(|t| (0..l.max_entries).map(move |i| (t, i)));
+        let read = lists.flat_map(|(t, i)| [l.svat_addr(t, i), l.svai_addr(t, i)]);
+        let rows = (0..l.threads - 1).flat_map(|r| (0..l.spec_width).map(move |j| (r, j)));
+        let written = rows
+            .map(|(r, j)| l.sva_addr(r, j))
+            .chain((0..l.threads).flat_map(|t| [l.work_addr(t), l.cidx_addr(t)]))
+            .chain([l.flag_base]);
+        read.map(|a| (a, true))
+            .chain(written.map(|a| (a, false)))
+            .collect()
+    }
+
     #[test]
     fn layout_addresses_do_not_overlap() {
-        let (_, l) = layout(4, 3);
-        assert_eq!(l.sva_addr(0, 0), l.sva_base);
-        assert_eq!(l.sva_addr(1, 0), l.sva_base + 3);
-        assert_eq!(l.sva_addr(2, 2), l.sva_base + 8);
-        assert!(l.svat_base >= l.sva_base + 9);
-        assert!(l.svai_base >= l.svat_base + 16);
-        assert!(l.work_base >= l.svai_base + 16);
-        assert_eq!(l.work_addr(3), l.work_base + 3);
-        assert!(l.cidx_base >= l.work_base + 4);
-        assert!(l.flag_base >= l.cidx_base + 4);
-        let (lo, hi) = l.address_range();
-        assert_eq!(lo, l.sva_base);
-        assert_eq!(hi, l.flag_base + 1);
+        for threads in 2..=8 {
+            for width in 1..=3 {
+                let mut p = Program::new();
+                p.add_global("data", 37);
+                assert_ne!(p.data_end() % SLAB_WORDS, 0);
+                let l = PredictorLayout::allocate_seeded(&mut p, threads, width, None);
+                let label = format!("{threads} threads, width {width}");
+                let (lo, hi) = l.address_range();
+                for edge in [l.svat_base, l.sva_base, hi] {
+                    assert_eq!(edge % SLAB_WORDS, 0, "{label}: {edge} is not aligned");
+                }
+                assert_eq!(hi, p.data_end(), "{label}");
+                let words = slab_words(&l);
+                let distinct: BTreeSet<i64> = words.iter().map(|&(a, _)| a).collect();
+                assert_eq!(distinct.len(), words.len(), "{label}: words overlap");
+                let mut grains: BTreeMap<i64, BTreeSet<bool>> = BTreeMap::new();
+                for &(addr, read) in &words {
+                    assert!(lo <= addr && addr < hi, "{label}: {addr} outside the range");
+                    grains.entry(addr / SLAB_WORDS).or_default().insert(read);
+                }
+                assert!(
+                    grains.values().all(|kinds| kinds.len() == 1),
+                    "{label}: a grain holds epoch-read and epoch-written words"
+                );
+                assert!(
+                    p.globals
+                        .iter()
+                        .filter(|g| !g.name.starts_with("spice."))
+                        .all(|g| g.base + g.words <= lo),
+                    "{label}: a program word shares a grain with the range"
+                );
+            }
+        }
     }
 
     #[test]

@@ -103,10 +103,10 @@ pub enum TransformError {
     /// transformation, reported rather than silently mis-executed.
     Verification(Vec<VerifyError>),
     /// The transformed program verified but broke the Spice protocol
-    /// contract, exemption coverage or boundary shape — likewise a
-    /// transformation bug. The contract's two words, per worker, with `N`
-    /// release words and `L` live-outs: the main thread's `send inv×N`,
-    /// then `recv status, [spec.check], send command, recv live×L` or
+    /// contract or boundary shape — likewise a transformation bug. The
+    /// contract's two words, per worker, with `N` release words and `L`
+    /// live-outs: the main thread's `send inv×N`, then
+    /// `recv status, [spec.check], send command, recv live×L` or
     /// `[recv status, spec.check,] resteer`; the worker's `recv inv×N,
     /// spec.begin, send status, recv command, spec.commit, send live×L,
     /// ret`, or `spec.abort, ret` from its recovery block.
@@ -189,11 +189,6 @@ pub struct SpiceParallelLoop {
     /// time so the speculation-safety lints check structure instead of
     /// guessing from labels.
     pub shape: MainShape,
-    /// Blocks `0..main_program_blocks` of the main function are original
-    /// program code; everything from there on was generated.
-    pub main_program_blocks: usize,
-    /// Cloned loop-body blocks per worker (ids `1..=worker_body_blocks`).
-    pub worker_body_blocks: usize,
     /// Whether the merge chain was generated with conflict detection.
     pub conflict_detection: bool,
 }
@@ -305,9 +300,7 @@ impl SpiceTransform {
             });
         }
 
-        // Rewrite the main function in place. Blocks below the pre-rewrite
-        // count stay original program code; the rewrite only appends.
-        let main_program_blocks = src.blocks.len();
+        // Rewrite the main function in place; the rewrite only appends blocks.
         let shape = rewrite_main(
             program,
             analysis,
@@ -329,8 +322,6 @@ impl SpiceTransform {
             invariants_sent,
             liveouts: analysis.liveouts.clone(),
             shape,
-            main_program_blocks,
-            worker_body_blocks: analysis.blocks.len(),
             conflict_detection: self.options.conflict_policy.detects(),
         };
 

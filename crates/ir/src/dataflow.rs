@@ -37,10 +37,8 @@
 //! equations form a closed subsystem, and solving it gives every slice
 //! register the expression a solve over all registers gives
 //! (`dataflow_equivalence.rs` checks this against a full-width oracle on
-//! every suite function). The speculation-safety lint asks about a
-//! transformed main function's program blocks: across the workload suite
-//! at 4 threads, that slice holds 6–10 of the function's 174–271
-//! registers.
+//! every suite function). The dependence pre-screen asks about the target
+//! loop's blocks only.
 
 use crate::cfg::Cfg;
 use crate::function::Function;

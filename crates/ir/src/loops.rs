@@ -30,8 +30,6 @@ pub struct Loop {
     pub exits: Vec<(BlockId, BlockId)>,
     /// Parent loop in the nest, if any.
     pub parent: Option<LoopId>,
-    /// Nesting depth (outermost loops have depth 1).
-    pub depth: usize,
 }
 
 impl Loop {
@@ -77,7 +75,6 @@ impl LoopForest {
                         latches: Vec::new(),
                         exits: Vec::new(),
                         parent: None,
-                        depth: 1,
                     });
                     entry.latches.push(n);
                     // Collect the loop body with a backward walk from the latch.
@@ -134,17 +131,6 @@ impl LoopForest {
                 }
             }
             loops[i].parent = best.map(|(j, _)| LoopId(j));
-        }
-        // Depths.
-        let parents: Vec<Option<LoopId>> = loops.iter().map(|l| l.parent).collect();
-        for i in 0..loops.len() {
-            let mut depth = 1;
-            let mut cur = parents[i];
-            while let Some(LoopId(p)) = cur {
-                depth += 1;
-                cur = parents[p];
-            }
-            loops[i].depth = depth;
         }
         LoopForest { loops }
     }
@@ -209,7 +195,7 @@ impl LoopForest {
         }
     }
 
-    /// Outermost loops (depth 1).
+    /// Outermost loops (no parent).
     #[must_use]
     pub fn top_level(&self) -> Vec<LoopId> {
         self.iter()
@@ -323,7 +309,6 @@ mod tests {
         assert!(!l.contains(BlockId(1)));
         assert_eq!(l.latches, vec![BlockId(4)]);
         assert_eq!(l.exits, vec![(BlockId(2), BlockId(5))]);
-        assert_eq!(l.depth, 1);
     }
 
     #[test]
@@ -345,8 +330,6 @@ mod tests {
         let inner = forest.loop_with_header(BlockId(3)).unwrap();
         assert_eq!(forest.get(inner).parent, Some(outer));
         assert_eq!(forest.get(outer).parent, None);
-        assert_eq!(forest.get(outer).depth, 1);
-        assert_eq!(forest.get(inner).depth, 2);
         assert_eq!(forest.top_level(), vec![outer]);
         // The inner body belongs to both loops; the outer latch only to the
         // outer one.

@@ -25,8 +25,6 @@ pub struct ProfiledLoop {
     pub func: FuncId,
     /// Loop header block.
     pub header: BlockId,
-    /// Nesting depth of the loop (1 = outermost).
-    pub depth: usize,
     /// The live-in registers recorded at each iteration (loop-carried,
     /// reductions removed) — the values whose cross-invocation
     /// predictability the analyzer measures.
@@ -41,12 +39,6 @@ pub struct Instrumentation {
 }
 
 impl Instrumentation {
-    /// Looks up a profiled loop by site id.
-    #[must_use]
-    pub fn site(&self, site: u32) -> Option<&ProfiledLoop> {
-        self.loops.iter().find(|l| l.site == site)
-    }
-
     /// The recording run's watch list: each site's `(function, header,
     /// recorded registers)`, in site order.
     #[must_use]
@@ -79,7 +71,6 @@ pub fn instrument_program(program: &Program) -> Instrumentation {
                     site: out.loops.len() as u32,
                     func: FuncId(fid as u32),
                     header: l.header,
-                    depth: l.depth,
                     recorded,
                 });
             }
@@ -172,8 +163,6 @@ mod tests {
         assert_eq!(site.func, f);
         // Only the pointer is recorded; `sum` is a reduction.
         assert_eq!(site.recorded.len(), 1);
-        assert!(inst.site(0).is_some());
-        assert!(inst.site(9).is_none());
         assert_eq!(format!("{p}"), before, "the program is left as it is");
     }
 

@@ -25,24 +25,14 @@ use spice_ir::exec::AccessSet;
 #[derive(Debug, Clone)]
 pub(crate) struct ConflictTracker {
     enabled: bool,
-    /// Half-open address range `[lo, hi)` excluded from tracking: the value
-    /// predictor's shared arrays (`sva`/`svat`/`svai`/`work`/…). They are
-    /// runtime metadata whose accesses are ordered by the `new_invocation`
-    /// release protocol, not program data — the centralized step rewrites
-    /// them on core 0 before the release, which carries each worker's
-    /// boundary rows; a worker then reads only its own threshold/row lists,
-    /// but at a coarse granularity those share a grain with words written
-    /// during the epoch, and without the exemption the reads would count as
-    /// RAW violations.
-    exempt: Option<(i64, i64)>,
     /// Whether the epoch is open: some core has sent on a channel since
     /// [`ConflictTracker::clear_epoch`]. In a Spice loop the first send is
     /// core 0's first row send in `spice.dispatch` — the first word of
     /// worker 1's `new_invocation` message, which it blocks on — and between
     /// it and the loop header the main thread stores nothing (it loads the
-    /// exempt predictor rows and sends). So the entry code's
-    /// stores (e.g. `mcf_app`'s tree relink, into the links the speculative
-    /// walk later reads) are in no write set, and every main-chunk store is,
+    /// predictor rows and sends). So the entry code's stores (e.g.
+    /// `mcf_app`'s tree relink, into the links the speculative walk later
+    /// reads) are in no write set, and every main-chunk store is,
     /// even one that lands before a worker reads the word: conservative on
     /// purpose, like the native main chunk's write set, so that a verdict
     /// does not depend on the machine's latencies.
@@ -57,7 +47,6 @@ impl ConflictTracker {
     pub(crate) fn new(cores: usize, enabled: bool, granularity_log2: u8) -> Self {
         ConflictTracker {
             enabled,
-            exempt: None,
             open: Cell::new(false),
             epoch_writes: RefCell::new(AccessSet::with_granularity(granularity_log2)),
             read_sets: RefCell::new(vec![AccessSet::with_granularity(granularity_log2); cores]),
@@ -65,23 +54,13 @@ impl ConflictTracker {
         }
     }
 
-    /// Excludes `[lo, hi)` from tracking (see the `exempt` field).
-    pub(crate) fn set_exempt(&mut self, lo: i64, hi: i64) {
-        self.exempt = Some((lo, hi));
-    }
-
-    fn is_exempt(&self, addr: i64) -> bool {
-        self.exempt.is_some_and(|(lo, hi)| addr >= lo && addr < hi)
-    }
-
     /// Records a speculative load that missed the core's own store buffer.
     /// Returns whether the address entered the core's read set.
     pub(crate) fn record_read(&self, core: usize, addr: i64) -> bool {
-        let tracked = self.enabled && !self.is_exempt(addr);
-        if tracked {
+        if self.enabled {
             self.read_sets.borrow_mut()[core].insert(addr);
         }
-        tracked
+        self.enabled
     }
 
     /// Records a write that became architectural (a non-speculative store or
@@ -89,7 +68,7 @@ impl ConflictTracker {
     /// open — see the `open` field. Returns whether the address entered the
     /// epoch's committed-write set.
     pub(crate) fn record_write(&self, addr: i64) -> bool {
-        let tracked = self.enabled && self.open.get() && !self.is_exempt(addr);
+        let tracked = self.enabled && self.open.get();
         if tracked {
             self.epoch_writes.borrow_mut().insert(addr);
         }

@@ -703,15 +703,6 @@ impl Machine {
         self.cycle
     }
 
-    /// Excludes the half-open address range `[lo, hi)` from conflict
-    /// detection. Used for the value predictor's shared arrays: their
-    /// accesses are ordered by the `new_invocation` release protocol, so a
-    /// conflict on them is a false positive by construction (the paper's
-    /// hardware watches program data, not the software predictor's state).
-    pub fn set_conflict_exempt(&mut self, lo: i64, hi: i64) {
-        self.shared.conflicts.set_exempt(lo, hi);
-    }
-
     /// Human-readable dump of per-core scheduler state at the current cycle
     /// (the `inspect` CLI's `break` view).
     #[must_use]
@@ -1266,20 +1257,6 @@ mod tests {
             assert_eq!(summary.cores[1].spec_conflicts, conflict as u64);
             assert_eq!(m.mem().read(g).unwrap(), 7, "aborted store discarded");
         }
-    }
-
-    #[test]
-    fn exempt_range_is_invisible_to_conflict_detection() {
-        // Same RAW pattern as above, but `g` sits inside the exempt range —
-        // the predictor-array case: ordered by protocol, never a conflict.
-        let (p, g, verdict, rf, cf) = conflict_check_program();
-        let mut m = Machine::new(tiny(2), p);
-        m.set_conflict_exempt(g, g + 1);
-        m.spawn(0, cf, &[]).unwrap();
-        m.spawn(1, rf, &[]).unwrap();
-        let summary = m.run().unwrap();
-        assert_eq!(m.mem().read(verdict).unwrap(), 0);
-        assert_eq!(summary.cores[1].spec_conflicts, 0);
     }
 
     #[test]

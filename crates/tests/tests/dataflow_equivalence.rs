@@ -12,17 +12,17 @@
 //!
 //! Base expressions are solved over the address slice of the blocks asked
 //! about, so they are compared, per function, for every block set a caller
-//! asks about or could: all blocks, the target loop's blocks, the
-//! speculation-safety lint's program blocks of the main function and of
-//! each worker, and every single block. The map-based oracle solves all
-//! registers and is restricted to the same blocks afterwards. Each function
-//! is also compared as a mutant that reads every address through a copy
-//! made where the address register is defined, so that a cross-block
-//! `Copy` chain feeds every address the suite can resolve.
+//! asks about or could: all blocks, the target loop's blocks (the
+//! dependence pre-screen's query), and every single block. The map-based
+//! oracle solves all registers and is restricted to the same blocks
+//! afterwards. Each function is also compared as a mutant that reads every
+//! address through a copy made where the address register is defined, so
+//! that a cross-block `Copy` chain feeds every address the suite can
+//! resolve.
 
 use std::collections::{HashMap, HashSet};
 
-use spice_core::transform::{SpiceOptions, SpiceParallelLoop, SpiceTransform};
+use spice_core::transform::{SpiceOptions, SpiceTransform};
 use spice_ir::cfg::Cfg;
 use spice_ir::dataflow::{accesses, AddrExpr, Base, DefSite, MemAccess, RegSet};
 use spice_ir::exec::derive_loop_spec;
@@ -40,8 +40,6 @@ struct SuiteProgram {
     loop_func: FuncId,
     /// The target loop's blocks.
     loop_blocks: Vec<BlockId>,
-    /// The transform's record of the loop, when the program is transformed.
-    spice: Option<SpiceParallelLoop>,
 }
 
 /// Every suite program at both sizes, untransformed and transformed at 2,
@@ -55,21 +53,19 @@ fn suite_programs() -> Vec<SuiteProgram> {
             let options = workload_load_options(wl.as_ref(), &built);
             let analysis = derive_loop_spec(&built.program, built.kernel, options.loop_header)
                 .unwrap_or_else(|e| panic!("{name}: analysis failed: {e}"));
-            let suite_program = |label: String, program: Program, spice| SuiteProgram {
+            let suite_program = |label: String, program: Program| SuiteProgram {
                 label,
                 program,
                 loop_func: analysis.func,
                 loop_blocks: analysis.blocks.clone(),
-                spice,
             };
             out.push(suite_program(
                 format!("{name} small={small} untransformed"),
                 built.program.clone(),
-                None,
             ));
             for threads in [2, 3, 4] {
                 let mut program = built.program.clone();
-                let spice = SpiceTransform::new(SpiceOptions {
+                SpiceTransform::new(SpiceOptions {
                     conflict_policy: options.conflict_policy,
                     ..SpiceOptions::with_threads_and_estimate(threads, wl.expected_iterations())
                 })
@@ -78,7 +74,6 @@ fn suite_programs() -> Vec<SuiteProgram> {
                 out.push(suite_program(
                     format!("{name} small={small} threads={threads}"),
                     program,
-                    Some(spice),
                 ));
             }
         }
@@ -375,23 +370,6 @@ fn block_sets(p: &SuiteProgram, fid: FuncId) -> Vec<(String, Vec<BlockId>)> {
     if fid == p.loop_func {
         sets.push(("the target loop".to_string(), p.loop_blocks.clone()));
     }
-    if let Some(spice) = &p.spice {
-        // The lint's program blocks: main below `main_program_blocks`,
-        // each worker's cloned body `1..=worker_body_blocks`.
-        let ids = |range: std::ops::Range<usize>| range.map(|i| BlockId(i as u32)).collect();
-        if fid == spice.main {
-            sets.push((
-                "main's program blocks".to_string(),
-                ids(0..spice.main_program_blocks),
-            ));
-        }
-        if spice.workers.iter().any(|w| w.func == fid) {
-            sets.push((
-                "the worker's program blocks".to_string(),
-                ids(1..spice.worker_body_blocks + 1),
-            ));
-        }
-    }
     sets.extend(
         func.block_ids()
             .into_iter()
@@ -459,7 +437,6 @@ fn base_exprs_match_the_map_based_oracle() {
     let programs = suite_programs();
     let mut functions = 0;
     let mut loop_sets = 0;
-    let mut lint_sets = 0;
     let mut resolved = 0;
     for p in &programs {
         for fid in p.program.func_ids() {
@@ -493,10 +470,6 @@ fn base_exprs_match_the_map_based_oracle() {
                 .iter()
                 .filter(|(what, _)| what == "the target loop")
                 .count();
-            lint_sets += sets
-                .iter()
-                .filter(|(what, _)| what.ends_with("program blocks"))
-                .count();
         }
     }
     assert!(functions > 50, "only {functions} functions");
@@ -505,12 +478,6 @@ fn base_exprs_match_the_map_based_oracle() {
         "only {resolved} addresses resolved through a register"
     );
     assert_eq!(loop_sets, programs.len(), "one target loop per program");
-    let transformed = programs.iter().filter_map(|p| p.spice.as_ref());
-    assert_eq!(
-        lint_sets,
-        transformed.map(|s| s.threads()).sum::<usize>(),
-        "main and every worker of each transformed program"
-    );
 }
 
 #[test]

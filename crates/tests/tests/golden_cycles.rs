@@ -47,41 +47,46 @@ use spice_workloads::{all_workload_factories, run_workload_on};
 /// `new_invocation` release message, so a worker loads no predictor row
 /// after it is released. Then every Spice cell of both tables fell, and no
 /// sequential cell moved: the main thread stopped waiting for a per-worker
-/// `ack` message and stopped storing a status word no core loads.
+/// `ack` message and stopped storing a status word no core loads. Then the
+/// predictor arrays moved into two 64-word-aligned slabs (conflict detection
+/// no longer exempts them). That changes only where they fall in the
+/// caches: no sequential cell moved, and Spice cells moved by at most
+/// 2.25 % here (otter at 2 threads, 14998 → 15335) and 1.15 % on the test
+/// machine (458.sjeng at 4 threads, 24170 → 24448).
 const GOLDEN: &[(&str, usize, u64, u64)] = &[
-    ("ks", 2, 22363, 25655),
-    ("ks", 4, 22363, 25111),
-    ("otter", 2, 12067, 14998),
-    ("otter", 4, 12067, 14394),
-    ("181.mcf", 2, 36342, 40237),
-    ("181.mcf", 4, 36342, 35176),
+    ("ks", 2, 22363, 25859),
+    ("ks", 4, 22363, 24856),
+    ("otter", 2, 12067, 15335),
+    ("otter", 4, 12067, 14168),
+    ("181.mcf", 2, 36342, 40339),
+    ("181.mcf", 4, 36342, 34810),
     ("458.sjeng", 2, 19648, 18211),
-    ("458.sjeng", 4, 19648, 20925),
-    ("mcf_true", 2, 31820, 52615),
-    ("mcf_true", 4, 31820, 54034),
-    ("list_splice", 2, 18811, 30357),
-    ("list_splice", 4, 18811, 30787),
-    ("mcf_app", 2, 105869, 125694),
+    ("458.sjeng", 4, 19648, 20924),
+    ("mcf_true", 2, 31820, 52833),
+    ("mcf_true", 4, 31820, 54106),
+    ("list_splice", 2, 18811, 30689),
+    ("list_splice", 4, 18811, 30940),
+    ("mcf_app", 2, 105869, 125847),
     ("mcf_app", 4, 105869, 126882),
 ];
 
 /// The same suite as `farm --small --figures fig7` runs it: reduced-size
 /// inputs on the reduced test machine (`MachineConfig::test_tiny`).
 const GOLDEN_SMALL_FARM: &[(&str, usize, u64, u64)] = &[
-    ("ks", 2, 29864, 33449),
-    ("ks", 4, 29864, 28785),
-    ("otter", 2, 20878, 21332),
-    ("otter", 4, 20878, 15621),
-    ("181.mcf", 2, 55300, 42945),
-    ("181.mcf", 4, 55300, 30014),
-    ("458.sjeng", 2, 23626, 23988),
-    ("458.sjeng", 4, 23626, 24170),
-    ("mcf_true", 2, 42542, 55469),
-    ("mcf_true", 4, 42542, 57068),
-    ("list_splice", 2, 23547, 40048),
-    ("list_splice", 4, 23547, 39626),
-    ("mcf_app", 2, 129067, 141794),
-    ("mcf_app", 4, 129067, 144283),
+    ("ks", 2, 29864, 33557),
+    ("ks", 4, 29864, 28916),
+    ("otter", 2, 20878, 21394),
+    ("otter", 4, 20878, 15504),
+    ("181.mcf", 2, 55300, 42975),
+    ("181.mcf", 4, 55300, 29942),
+    ("458.sjeng", 2, 23626, 24090),
+    ("458.sjeng", 4, 23626, 24448),
+    ("mcf_true", 2, 42542, 55853),
+    ("mcf_true", 4, 42542, 57626),
+    ("list_splice", 2, 23547, 40206),
+    ("list_splice", 4, 23547, 40017),
+    ("mcf_app", 2, 129067, 142082),
+    ("mcf_app", 4, 129067, 144409),
 ];
 
 /// The small suite's Figure 7 cells on the Table 1 machine: the calls the

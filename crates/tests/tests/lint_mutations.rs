@@ -13,7 +13,7 @@ use spice_core::transform::{SpiceOptions, SpiceParallelLoop, SpiceTransform, Tra
 use spice_ir::builder::FunctionBuilder;
 use spice_ir::exec::ConflictPolicy;
 use spice_ir::verify::{verify_program, VerifyError};
-use spice_ir::{BinOp, BlockId, DecodedProgram, FuncId, Inst, Operand, Program, Reg, Terminator};
+use spice_ir::{BinOp, BlockId, DecodedProgram, FuncId, Inst, Operand, Program, Terminator};
 
 /// The canonical pointer-chasing list-sum loop: one speculated live-in (the
 /// cursor), one sum reduction, loads only in the body.
@@ -399,196 +399,6 @@ fn an_early_return_that_skips_the_release_breaks_the_contract() {
             "core {core}: got {errs:?}"
         );
     }
-}
-
-// ---------------------------------------------------------------------------
-// Conflict-exemption coverage.
-// ---------------------------------------------------------------------------
-
-/// Original program code reading the predictor arrays would be invisibly
-/// exempt from conflict detection — exactly the hole the coverage lint
-/// closes.
-#[test]
-fn program_code_touching_predictor_range_fires_exemption_lint() {
-    let (mut program, spice) = transformed(ConflictPolicy::Detect);
-    let (lo, _) = spice.layout.address_range();
-    let main = program.func_mut(spice.main);
-    let entry = main.entry;
-    assert!(entry.index() < spice.main_program_blocks);
-    let dst = main.fresh_reg();
-    main.block_mut(entry).insts.push(Inst::Load {
-        dst,
-        addr: Operand::Imm(lo),
-        offset: 0,
-    });
-    let errs = lint_errors(&program, &spice);
-    assert!(
-        errs.iter().any(|e| matches!(
-            e,
-            LintError::ExemptRangeAccess { addr, .. } if *addr == lo
-        )),
-        "got {errs:?}"
-    );
-}
-
-/// `dst = op lhs, rhs`.
-fn binary(op: BinOp, dst: Reg, lhs: Operand, rhs: Operand) -> Inst {
-    Inst::Binary { op, dst, lhs, rhs }
-}
-
-/// `dst = copy src`.
-fn copy(dst: Reg, src: Operand) -> Inst {
-    Inst::Copy { dst, src }
-}
-
-/// Appends `chain` to generated block `setup` of `func` and puts `access`
-/// at the top of `block`; returns the lint's errors, or none.
-fn lint_with_chain(
-    program: &mut Program,
-    spice: &SpiceParallelLoop,
-    func: FuncId,
-    (setup, chain): (BlockId, Vec<Inst>),
-    (block, access): (BlockId, Inst),
-) -> Vec<LintError> {
-    let f = program.func_mut(func);
-    f.block_mut(setup).insts.extend(chain);
-    f.block_mut(block).insts.insert(0, access);
-    lint_spice(program, spice).err().unwrap_or_default()
-}
-
-/// The exemption lint follows registers across blocks: a main-thread
-/// program block (the loop header) loading through a register that a
-/// generated block (`dispatch`) set to the range's first word — by a copy,
-/// by an add of constants, or by a constant multiply — is caught at that
-/// very load.
-#[test]
-fn program_load_through_a_generated_register_chain_fires_exemption_lint() {
-    let (base, spice) = transformed(ConflictPolicy::Detect);
-    let (lo, _) = spice.layout.address_range();
-    // The transform keeps the loop's blocks in place in the main function.
-    let (fixture, kernel) = list_sum_program();
-    let header = derive_loop_spec(&fixture, kernel, None).unwrap().header;
-    assert!(header.index() < spice.main_program_blocks);
-    assert!(spice.shape.dispatch.index() >= spice.main_program_blocks);
-    // `k = copy start`, then `r` from `k`: by a copy, or by `op k, rhs`.
-    let chains = [
-        ("copy", lo, None),
-        ("add", lo - 5, Some((BinOp::Add, 5))),
-        ("mul", -lo, Some((BinOp::Mul, -1))),
-    ];
-    for (what, start, step) in chains {
-        let mut program = base.clone();
-        let main = program.func_mut(spice.main);
-        let (k, r, dst) = (main.fresh_reg(), main.fresh_reg(), main.fresh_reg());
-        let chain = vec![
-            copy(k, Operand::Imm(start)),
-            match step {
-                None => copy(r, Operand::Reg(k)),
-                Some((op, rhs)) => binary(op, r, Operand::Reg(k), Operand::Imm(rhs)),
-            },
-        ];
-        let load = Inst::Load {
-            dst,
-            addr: Operand::Reg(r),
-            offset: 0,
-        };
-        let errs = lint_with_chain(
-            &mut program,
-            &spice,
-            spice.main,
-            (spice.shape.dispatch, chain),
-            (header, load),
-        );
-        assert_eq!(
-            errs,
-            [LintError::ExemptRangeAccess {
-                func: base.func(spice.main).name.clone(),
-                block: header,
-                ip: 0,
-                addr: lo,
-            }],
-            "{what}"
-        );
-    }
-}
-
-/// A worker's cloned body storing into the range through a register chain
-/// its generated entry block built is caught at that store.
-#[test]
-fn worker_body_store_through_a_register_chain_fires_exemption_lint() {
-    let (mut program, spice) = transformed(ConflictPolicy::Detect);
-    let (lo, _) = spice.layout.address_range();
-    let w = &spice.workers[1];
-    let worker = program.func_mut(w.func);
-    let entry = worker.entry;
-    let body = BlockId(1);
-    assert!(entry != body && spice.worker_body_blocks >= 1);
-    let (k, r) = (worker.fresh_reg(), worker.fresh_reg());
-    let chain = vec![
-        copy(k, Operand::Imm(lo - 3)),
-        binary(BinOp::Add, r, Operand::Reg(k), Operand::Imm(2)),
-    ];
-    let store = Inst::Store {
-        src: Operand::Imm(0),
-        addr: Operand::Reg(r),
-        offset: 1,
-    };
-    let errs = lint_with_chain(&mut program, &spice, w.func, (entry, chain), (body, store));
-    assert_eq!(
-        errs,
-        [LintError::ExemptRangeAccess {
-            func: program.func(w.func).name.clone(),
-            block: body,
-            ip: 0,
-            addr: lo,
-        }]
-    );
-}
-
-/// Negative control: generated protocol code reaching the range through a
-/// register, in the main function and in a worker, is what the exemption
-/// is for — the lint stays quiet.
-#[test]
-fn generated_block_accessing_predictor_range_stays_clean() {
-    let (mut program, spice) = transformed(ConflictPolicy::Detect);
-    let (lo, _) = spice.layout.address_range();
-    let main = program.func_mut(spice.main);
-    let (r, dst) = (main.fresh_reg(), main.fresh_reg());
-    let load = Inst::Load {
-        dst,
-        addr: Operand::Reg(r),
-        offset: 0,
-    };
-    let dispatch = spice.shape.dispatch;
-    let chain = vec![copy(r, Operand::Imm(lo))];
-    let errs = lint_with_chain(
-        &mut program,
-        &spice,
-        spice.main,
-        (spice.shape.central, chain),
-        (dispatch, load),
-    );
-    assert_eq!(errs, [], "main");
-
-    let w = &spice.workers[0];
-    let worker = program.func_mut(w.func);
-    let r = worker.fresh_reg();
-    let store = Inst::Store {
-        src: Operand::Imm(0),
-        addr: Operand::Reg(r),
-        offset: 0,
-    };
-    let (entry, recovery) = (worker.entry, w.recovery_block);
-    assert!(recovery.index() > spice.worker_body_blocks);
-    let chain = vec![copy(r, Operand::Imm(lo))];
-    let errs = lint_with_chain(
-        &mut program,
-        &spice,
-        w.func,
-        (entry, chain),
-        (recovery, store),
-    );
-    assert_eq!(errs, [], "worker");
 }
 
 // ---------------------------------------------------------------------------

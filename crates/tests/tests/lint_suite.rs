@@ -10,7 +10,9 @@
 //!    is never classified provably-disjoint, and every workload declares
 //!    exactly the policy the pre-screen recommends.
 //! 3. The generated protocol keeps only the predictor words it reads: every
-//!    predictor global some core stores into is one some core loads.
+//!    predictor global some core stores into is one some core loads; and no
+//!    squash is witnessed by a detection grain that meets the predictor
+//!    range.
 
 use std::collections::BTreeSet;
 
@@ -133,58 +135,78 @@ fn declared_independence_is_always_provable() {
 /// A word the simulated code stores and no core ever loads exists only for
 /// the host, and costs the measured program a store (and whatever ordering
 /// it needs) for nothing. Every word of the predictor range is watched
-/// through whole small-suite runs at 2 and 4 threads, and each global some
-/// core stores into must be one some core loads.
+/// through whole small-suite runs at 2, 3 and 4 threads, and each global
+/// some core stores into must be one some core loads.
+///
+/// The same runs sweep 1-, 8- and 64-word detection grains. Conflict
+/// detection watches the predictor words like any others, and the layout
+/// keeps them out of every grain that could witness a squash: no
+/// dependence-violation squash may name a grain `[addr, addr + 2^g)` that
+/// meets the range.
 #[test]
 fn every_predictor_word_a_core_stores_is_one_a_core_loads() {
     for (name, factory) in all_workload_factories(true) {
-        for threads in FARM_THREADS {
-            let label = format!("{name} at {threads} threads");
-            let mut wl = factory();
-            let built = wl.build();
-            let options = workload_load_options(wl.as_ref(), &built);
-            let mut backend = SimBackend::tiny(threads);
-            backend.enable_trace(1 << 20);
-            backend
-                .load(built.program, built.kernel, options)
-                .unwrap_or_else(|e| panic!("{label}: {e}"));
-            let (lo, hi) = backend
-                .runner()
-                .expect("loaded")
-                .spice()
-                .layout
-                .address_range();
-            let machine = backend.machine_mut().expect("loaded");
-            for addr in lo..hi {
-                machine.watch_address(addr);
-            }
-            drive_loaded_workload(wl.as_mut(), &mut backend)
-                .unwrap_or_else(|e| panic!("{label}: {e}"));
-
-            let machine = backend.machine().expect("loaded");
-            let trace = machine.trace().expect("tracing is on");
-            assert_eq!(trace.dropped(), 0, "{label}: the trace ring overflowed");
-            let global_of = |addr: i64| {
-                let globals = &machine.program().globals;
-                let g = globals
-                    .iter()
-                    .find(|g| g.base <= addr && addr < g.base + g.words)
-                    .unwrap_or_else(|| panic!("{label}: no global holds word {addr}"));
-                g.name.clone()
-            };
-            let (mut stored, mut loaded) = (BTreeSet::new(), BTreeSet::new());
-            for event in trace.events() {
-                if let TraceEvent::Watch { addr, is_store, .. } = *event {
-                    let set = if is_store { &mut stored } else { &mut loaded };
-                    set.insert(global_of(addr));
+        for threads in [2, 3, 4] {
+            for granularity in [0u8, 3, 6] {
+                let label = format!("{name} at {threads} threads, grain 2^{granularity}");
+                let mut wl = factory();
+                let built = wl.build();
+                let options = workload_load_options(wl.as_ref(), &built)
+                    .with_conflict_granularity_log2(granularity);
+                let mut backend = SimBackend::tiny(threads);
+                backend.enable_trace(1 << 20);
+                backend
+                    .load(built.program, built.kernel, options)
+                    .unwrap_or_else(|e| panic!("{label}: {e}"));
+                let (lo, hi) = backend
+                    .runner()
+                    .expect("loaded")
+                    .spice()
+                    .layout
+                    .address_range();
+                let machine = backend.machine_mut().expect("loaded");
+                for addr in lo..hi {
+                    machine.watch_address(addr);
                 }
+                drive_loaded_workload(wl.as_mut(), &mut backend)
+                    .unwrap_or_else(|e| panic!("{label}: {e}"));
+
+                let machine = backend.machine().expect("loaded");
+                let trace = machine.trace().expect("tracing is on");
+                assert_eq!(trace.dropped(), 0, "{label}: the trace ring overflowed");
+                let global_of = |addr: i64| {
+                    let globals = &machine.program().globals;
+                    let g = globals
+                        .iter()
+                        .find(|g| g.base <= addr && addr < g.base + g.words)
+                        .unwrap_or_else(|| panic!("{label}: no global holds word {addr}"));
+                    g.name.clone()
+                };
+                let (mut stored, mut loaded) = (BTreeSet::new(), BTreeSet::new());
+                for event in trace.events() {
+                    match *event {
+                        TraceEvent::Watch { addr, is_store, .. } => {
+                            let set = if is_store { &mut stored } else { &mut loaded };
+                            set.insert(global_of(addr));
+                        }
+                        TraceEvent::ChunkSquash {
+                            forensics: Some(f), ..
+                        } => assert!(
+                            f.addr + (1 << granularity) <= lo || hi <= f.addr,
+                            "{label}: a squash is witnessed by grain {} of the \
+                             predictor range [{lo}, {hi})",
+                            f.addr
+                        ),
+                        _ => {}
+                    }
+                }
+                assert!(!stored.is_empty(), "{label}: no predictor word was stored");
+                let host_only: Vec<&String> = stored.difference(&loaded).collect();
+                assert!(
+                    host_only.is_empty(),
+                    "{label}: stored but never loaded by any core: {host_only:?}"
+                );
             }
-            assert!(!stored.is_empty(), "{label}: no predictor word was stored");
-            let host_only: Vec<&String> = stored.difference(&loaded).collect();
-            assert!(
-                host_only.is_empty(),
-                "{label}: stored but never loaded by any core: {host_only:?}"
-            );
         }
     }
 }
