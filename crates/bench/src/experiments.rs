@@ -360,6 +360,7 @@ pub fn fig7_row_from_sweep(
         misspeculation_rate: summary.map_or(0.0, BackendRunSummary::misspeculation_rate),
         load_imbalance: summary.map_or(0.0, BackendRunSummary::load_imbalance),
         dependence_violations: summary.map_or(0, |s| s.dependence_violations),
+        throttled_invocations: summary.map_or(0, |s| s.throttled_invocations),
     }
 }
 
@@ -581,6 +582,8 @@ pub struct Fig7Row {
     /// Dependence-violation squashes taken and recovered (nonzero only for
     /// the conflict-carrying workloads).
     pub dependence_violations: usize,
+    /// Invocations the dependence-violation throttle ran without workers.
+    pub throttled_invocations: usize,
 }
 
 /// The four benchmarks of the paper's Figure 7 (the conflict-carrying extras
@@ -611,7 +614,8 @@ impl FigureRows for Fig7Row {
         format!(
             "    {{\"benchmark\": {}, \"threads\": {}, \"sequential_cycles\": {}, \
              \"spice_cycles\": {}, \"speedup\": {}, \"misspeculation_rate\": {}, \
-             \"load_imbalance\": {}, \"dependence_violations\": {}}}",
+             \"load_imbalance\": {}, \"dependence_violations\": {}, \
+             \"throttled_invocations\": {}}}",
             crate::json::string(&self.benchmark),
             self.threads,
             self.sequential_cycles,
@@ -619,7 +623,8 @@ impl FigureRows for Fig7Row {
             crate::json::float(self.speedup),
             crate::json::float(self.misspeculation_rate),
             crate::json::float(self.load_imbalance),
-            self.dependence_violations
+            self.dependence_violations,
+            self.throttled_invocations
         )
     }
 
@@ -635,11 +640,11 @@ impl FigureRows for Fig7Row {
         let mut s = String::new();
         s.push_str("Figure 7 — loop speedup over single-threaded execution\n");
         s.push_str(
-            "benchmark    threads  seq cycles     spice cycles   speedup  misspec  imbalance  raw-squash\n",
+            "benchmark    threads  seq cycles     spice cycles   speedup  misspec  imbalance  raw-squash  throttled\n",
         );
         for r in rows {
             s.push_str(&format!(
-                "{:<12} {:>7}  {:>12}  {:>13}  {:>6.2}x  {:>6.1}%  {:>8.3}  {:>9}\n",
+                "{:<12} {:>7}  {:>12}  {:>13}  {:>6.2}x  {:>6.1}%  {:>8.3}  {:>9}  {:>9}\n",
                 r.benchmark,
                 r.threads,
                 r.sequential_cycles,
@@ -647,7 +652,8 @@ impl FigureRows for Fig7Row {
                 r.speedup,
                 r.misspeculation_rate * 100.0,
                 r.load_imbalance,
-                r.dependence_violations
+                r.dependence_violations,
+                r.throttled_invocations
             ));
         }
         s.push_str(&format!(
@@ -1725,6 +1731,7 @@ mod tests {
                     misspeculation_rate: 0.0,
                     load_imbalance: 0.0,
                     dependence_violations: 0,
+                    throttled_invocations: 0,
                 }
             })
             .collect();
@@ -1747,6 +1754,7 @@ mod tests {
                 misspeculation_rate: 0.1,
                 load_imbalance: 0.3,
                 dependence_violations: 0,
+                throttled_invocations: 0,
             },
             Fig7Row {
                 // A hostile name: quotes, backslash, newline.
@@ -1758,6 +1766,7 @@ mod tests {
                 misspeculation_rate: f64::INFINITY,
                 load_imbalance: f64::NEG_INFINITY,
                 dependence_violations: 3,
+                throttled_invocations: 5,
             },
         ];
         let doc = fig7_json(&rows, true);

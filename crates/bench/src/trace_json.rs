@@ -132,6 +132,9 @@ pub fn trace_event_json(e: &TraceEvent) -> String {
         TraceEvent::PredictorPlan { at, chunks } => {
             format!("{{\"kind\": {kind}, \"at\": {at}, \"chunks\": {chunks}}}")
         }
+        TraceEvent::Throttled { at, streak, skip } => {
+            format!("{{\"kind\": {kind}, \"at\": {at}, \"streak\": {streak}, \"skip\": {skip}}}")
+        }
         TraceEvent::PredictorFeedback {
             at,
             committed,

@@ -43,6 +43,10 @@ use crate::transform::SpiceParallelLoop;
 pub struct MainShape {
     /// Centralized predictor step, entered from the preheader.
     pub central: BlockId,
+    /// The throttled invocation's entry (conflict detection only): every
+    /// worker resteered with no task, then the loop run alone, past the
+    /// merge chain.
+    pub throttle: Option<BlockId>,
     /// Worker release: each worker's `new_invocation` message — its start
     /// row, its successor's row (all but the last worker), the invariant
     /// live-ins — after the main thread's own row 0 is loaded.
@@ -352,7 +356,10 @@ impl fmt::Display for Ev {
 ///
 /// * main: `send inv×N`, then `recv status, [spec.check], send command,
 ///   recv live×L` (the check only under conflict detection), or `recv
-///   status, spec.check, resteer` (detection only), or `resteer`;
+///   status, spec.check, resteer` (detection only), or `resteer`; or,
+///   on a throttled invocation (detection only), `resteer` alone: the
+///   worker is released with no task before anything is sent to it, and
+///   nothing is received from it;
 /// * worker: `recv inv×N, spec.begin, send status, recv command,
 ///   spec.commit, send live×L, ret`; from recovery, `spec.abort, ret`.
 ///
@@ -371,7 +378,7 @@ fn contract(spice: &SpiceParallelLoop, wi: usize) -> [Vec<Vec<Ev>>; 3] {
             .collect()
     };
     // Without detection the second word is the third.
-    let main = vec![
+    let mut main = vec![
         word(&[
             (Ev::Send(Inv), n),
             (Ev::Recv(Status), 1),
@@ -387,6 +394,9 @@ fn contract(spice: &SpiceParallelLoop, wi: usize) -> [Vec<Vec<Ev>>; 3] {
         ]),
         word(&[(Ev::Send(Inv), n), (Ev::Resteer, 1)]),
     ];
+    if spice.conflict_detection {
+        main.push(vec![Ev::Resteer]);
+    }
     let entry = word(&[
         (Ev::Recv(Inv), n),
         (Ev::Begin, 1),
@@ -597,10 +607,12 @@ fn next_letters(words: &[Vec<Ev>], w: usize, p: usize) -> Vec<Ev> {
 /// position)`. A position is a word prefix, kept as `(word, length)`. Every
 /// event must extend the prefix and every `ret` must end a whole word; once
 /// a worker's word has only its `ret` left, the block must return. In the
-/// main function a `resumed` bit, set on entering `shape.resume`, keeps
-/// `shape.merge` to its one live edge: `finish` after a resume, `chain`
-/// before it (`lint_boundary_shape` pins both). A path stops at its first
-/// error, and each `(block, ip)` is reported once.
+/// main function a `resumed` bit, set on entering `shape.resume` or
+/// `shape.throttle`, keeps `shape.merge` to its one live edge: `finish`
+/// after either, `chain` before (`lint_boundary_shape` pins both). Since
+/// the merge chain is then behind the main thread, the word must be whole
+/// where either block ends. A path stops at its first error, and each
+/// `(block, ip)` is reported once.
 fn walk(
     ctx: &FuncCtx<'_>,
     wi: usize,
@@ -616,7 +628,8 @@ fn walk(
     let mut flagged: Vec<(BlockId, usize)> = Vec::new();
     let mut stack = vec![(start, 0, 0, false)];
     while let Some((b, mut w, mut p, mut resumed)) = stack.pop() {
-        resumed |= shape.is_some_and(|s| b == s.resume);
+        let resumes = shape.is_some_and(|s| b == s.resume || Some(b) == s.throttle);
+        resumed |= resumes;
         let state = (w * width + p) * 2 + usize::from(resumed);
         if std::mem::replace(&mut seen[b.index() * states + state], true) {
             continue;
@@ -636,11 +649,12 @@ fn walk(
         }
         let block = ctx.func.block(b);
         let end = block.insts.len();
+        let whole = words.iter().any(|x| x[..] == words[w][..p]);
         let broken = broken.or_else(|| match &block.terminator {
             Terminator::Ret { .. } => {
-                let whole = words.iter().any(|x| x[..] == words[w][..p]);
                 (!whole && step(words, w, p, Ev::Ret).is_none()).then(|| (end, Ev::Ret.to_string()))
             }
+            term if resumes && !whole => Some((end, term.to_string())),
             term => (words[w].get(p) == Some(&Ev::Ret) && next_letters(words, w, p) == [Ev::Ret])
                 .then(|| (end, term.to_string())),
         });
@@ -770,6 +784,15 @@ fn lint_boundary_shape(
         errs,
     );
     expect_br(main, s.resume, s.check, "resume re-enters detection", errs);
+    if let Some(throttle) = s.throttle {
+        if !matches!(func_terminator(main, throttle), Terminator::Br(_)) {
+            errs.push(LintError::ShapeEdge {
+                func: main.name.clone(),
+                block: throttle,
+                expected: "br <the throttled loop>".to_string(),
+            });
+        }
+    }
     match func_terminator(main, s.finish) {
         Terminator::Br(_) => {}
         _ => errs.push(LintError::ShapeEdge {

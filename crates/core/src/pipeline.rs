@@ -12,13 +12,13 @@
 use serde::{Deserialize, Serialize};
 
 use spice_ir::exec::{
-    BackendError, ChunkEnd, CommitChain, ExecutionCost, ExecutionReport, WorkerReport,
+    BackendError, ChunkEnd, CommitChain, ExecutionCost, ExecutionReport, Throttle, WorkerReport,
 };
 use spice_ir::TraceEvent;
 use spice_sim::machine::RunSummary;
 use spice_sim::{Machine, SimError};
 
-use crate::predictor::{read_plan, read_work, Assignment};
+use crate::predictor::{read_plan, read_throttle, read_work, Assignment};
 use crate::transform::SpiceParallelLoop;
 
 /// A simulator failure (deadlock, cycle budget, unrecovered trap) as the
@@ -36,6 +36,9 @@ pub struct InvocationReport {
     pub return_value: Option<i64>,
     /// Number of speculative threads whose chunk was committed.
     pub valid_workers: u64,
+    /// Whether the dependence-violation throttle ran the invocation without
+    /// workers: its `skip` word was nonzero when the invocation started.
+    pub throttled: bool,
     /// Per-thread work counters reported by the distributed predictor.
     pub work: Vec<u64>,
     /// Full per-core simulator report.
@@ -49,9 +52,14 @@ impl InvocationReport {
     /// [`SpiceParallelLoop::workers`]), whose `spec.check` verdicts are the
     /// RAW witnesses. Causes come from the commit rule, [`CommitChain`]: the
     /// merge chain validates a start exactly when it commits or checks the
-    /// chunk, and never sees a validated chunk fault (it would hang).
+    /// chunk, and never sees a validated chunk fault (it would hang). A
+    /// throttled invocation tasked no chunk.
     #[must_use]
     pub fn to_execution_report(&self, worker_cores: &[usize]) -> ExecutionReport {
+        let cost = ExecutionCost::Cycles(self.cycles);
+        if self.throttled {
+            return ExecutionReport::throttled("sim", cost, self.return_value, self.work.clone());
+        }
         let valid_workers = usize::try_from(self.valid_workers).unwrap_or(usize::MAX);
         let witness = |i: usize| {
             let core = *worker_cores.get(i)?;
@@ -75,13 +83,7 @@ impl InvocationReport {
                 }
             })
             .collect();
-        ExecutionReport::new(
-            "sim",
-            ExecutionCost::Cycles(self.cycles),
-            self.return_value,
-            workers,
-            self.work.clone(),
-        )
+        ExecutionReport::new("sim", cost, self.return_value, workers, self.work.clone())
     }
 }
 
@@ -93,6 +95,8 @@ pub struct SpiceRunner {
     spice: SpiceParallelLoop,
     last_plan: Vec<Assignment>,
     invocations: u64,
+    /// Whether the invocation in flight is throttled (read at its start).
+    throttled: bool,
 }
 
 impl SpiceRunner {
@@ -105,6 +109,7 @@ impl SpiceRunner {
             spice,
             last_plan: Vec::new(),
             invocations: 0,
+            throttled: false,
         }
     }
 
@@ -148,14 +153,20 @@ impl SpiceRunner {
     /// pause an invocation mid-flight, snapshot it, and finish it (possibly
     /// on a resumed machine) with [`SpiceRunner::finish_invocation`].
     ///
+    /// The host reads the throttle's `skip` word first: core 0's
+    /// centralized step will throttle this invocation iff it is nonzero.
+    ///
     /// # Errors
     ///
-    /// Returns [`BackendError::Engine`] if a thread cannot be spawned.
+    /// Returns [`BackendError::Engine`] if a thread cannot be spawned and
+    /// [`BackendError::Memory`] if the throttle's words cannot be read.
     pub fn start_invocation(
         &mut self,
         machine: &mut Machine,
         args: &[i64],
     ) -> Result<(), BackendError> {
+        self.throttled = self.spice.conflict_detection
+            && read_throttle(&self.spice.layout, machine.mem())?.skip > 0;
         machine.clear_threads();
         machine.reset_cycle_counter();
         machine.trace_emit(TraceEvent::InvocationBegin {
@@ -190,21 +201,29 @@ impl SpiceRunner {
         self.last_plan = read_plan(&self.spice.layout, machine.mem())?;
         let work = read_work(&self.spice.layout, machine.mem())?;
         let valid_workers: u64 = summary.cores.iter().map(|c| c.spec_commits).sum();
-        let workers = self.spice.workers.len() as u64;
-        machine.trace_emit(TraceEvent::PredictorPlan {
-            at: summary.cycles,
-            chunks: self.last_plan.len() as u64,
-        });
+        let at = summary.cycles;
+        let tasked = if self.throttled {
+            let Throttle { streak, skip } = read_throttle(&self.spice.layout, machine.mem())?;
+            machine.trace_emit(TraceEvent::Throttled { at, streak, skip });
+            0
+        } else {
+            machine.trace_emit(TraceEvent::PredictorPlan {
+                at,
+                chunks: self.last_plan.len() as u64,
+            });
+            self.spice.workers.len() as u64
+        };
         machine.trace_emit(TraceEvent::PredictorFeedback {
-            at: summary.cycles,
+            at,
             committed: valid_workers,
-            squashed: workers - valid_workers,
+            squashed: tasked - valid_workers,
         });
 
         Ok(InvocationReport {
             cycles: summary.cycles,
             return_value: machine.return_value(0),
             valid_workers,
+            throttled: self.throttled,
             work,
             summary,
         })

@@ -37,6 +37,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use spice_ir::exec::{Throttle, MAX_CONFLICT_GRANULARITY_LOG2};
 use spice_ir::interp::FlatMemory;
 use spice_ir::{Program, TrapKind};
 
@@ -71,6 +72,10 @@ pub struct PredictorLayout {
     /// Address of the memoize-once flag (set by the centralized step after
     /// its first produced plan when re-memoization is disabled).
     pub flag_base: i64,
+    /// Address of the dependence-violation throttle's two words
+    /// ([`spice_ir::exec::Throttle`]): `streak`, then `skip`. Only core 0
+    /// touches them, and only in a loop generated with conflict detection.
+    pub throttle_base: i64,
 }
 
 impl PredictorLayout {
@@ -84,7 +89,8 @@ impl PredictorLayout {
     /// data or with each other, up to 64-word grains (`SLAB_WORDS`): the
     /// *epoch-read* slab (`svat`, `svai`: core 0 writes them before the
     /// release, workers read them during the epoch) and the
-    /// *epoch-written* slab (`sva`, `work`, `cidx`, the flag). Each slab
+    /// *epoch-written* slab (`sva`, `work`, `cidx`, the flag, the
+    /// throttle's `streak` and `skip`). Each slab
     /// starts on a multiple of 64 words, and padding takes the last
     /// one's end to the next multiple (false sharing removed by layout, as
     /// in Torrellas, Lam and Hennessy, IEEE TC 1994).
@@ -121,6 +127,7 @@ impl PredictorLayout {
         let work_base = program.add_global_init("spice.work", threads as i64, work_init);
         let cidx_base = program.add_global("spice.cidx", threads as i64);
         let flag_base = program.add_global("spice.memoflag", 1);
+        let throttle_base = program.add_global("spice.throttle", 2);
         pad_to_slab(program);
         PredictorLayout {
             threads,
@@ -132,6 +139,7 @@ impl PredictorLayout {
             work_base,
             cidx_base,
             flag_base,
+            throttle_base,
         }
     }
 
@@ -165,19 +173,31 @@ impl PredictorLayout {
         self.cidx_base + tid as i64
     }
 
+    /// Address of the throttle's `streak` word.
+    #[must_use]
+    pub fn streak_addr(&self) -> i64 {
+        self.throttle_base
+    }
+
+    /// Address of the throttle's `skip` word.
+    #[must_use]
+    pub fn skip_addr(&self) -> i64 {
+        self.throttle_base + 1
+    }
+
     /// The half-open address range `[lo, hi)` of both slabs, padding
     /// included; `lo` and `hi` are multiples of 64 words. Only tests read
     /// it, to watch the predictor's words.
     #[must_use]
     pub fn address_range(&self) -> (i64, i64) {
-        (self.svat_base, align_up(self.flag_base + 1))
+        (self.svat_base, align_up(self.skip_addr() + 1))
     }
 }
 
-/// Words in the coarsest conflict-detection grain any configuration sweeps
-/// (`2^6`). A layout constant, not an option, so the transform does not
-/// depend on the granularity.
-const SLAB_WORDS: i64 = 64;
+/// Words in the coarsest conflict-detection grain a backend accepts
+/// ([`MAX_CONFLICT_GRANULARITY_LOG2`]). A layout constant, not an option, so
+/// the transform does not depend on the granularity.
+const SLAB_WORDS: i64 = 1 << MAX_CONFLICT_GRANULARITY_LOG2;
 
 /// `addr` rounded up to a multiple of [`SLAB_WORDS`].
 fn align_up(addr: i64) -> i64 {
@@ -309,6 +329,20 @@ pub fn read_work(layout: &PredictorLayout, mem: &FlatMemory) -> Result<Vec<u64>,
         .collect()
 }
 
+/// Reads back the throttle's two words — what the next invocation's
+/// centralized step will consult, surfaced for reports and cross-checks.
+///
+/// # Errors
+///
+/// Propagates memory faults (which indicate a corrupted layout).
+pub fn read_throttle(layout: &PredictorLayout, mem: &FlatMemory) -> Result<Throttle, TrapKind> {
+    let word = |addr| Ok::<u64, TrapKind>(mem.read(addr)?.max(0) as u64);
+    Ok(Throttle {
+        streak: word(layout.streak_addr())?,
+        skip: word(layout.skip_addr())?,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use std::collections::{BTreeMap, BTreeSet};
@@ -330,7 +364,7 @@ mod tests {
         let written = rows
             .map(|(r, j)| l.sva_addr(r, j))
             .chain((0..l.threads).flat_map(|t| [l.work_addr(t), l.cidx_addr(t)]))
-            .chain([l.flag_base]);
+            .chain([l.flag_base, l.streak_addr(), l.skip_addr()]);
         read.map(|a| (a, true))
             .chain(written.map(|a| (a, false)))
             .collect()
@@ -383,6 +417,7 @@ mod tests {
         assert_eq!(mem.read(l.svat_addr(0, 0)).unwrap(), NEVER);
         assert_eq!(mem.read(l.svat_addr(2, 2)).unwrap(), NEVER);
         assert_eq!(mem.read(l.flag_base).unwrap(), 0);
+        assert_eq!(read_throttle(&l, &mem).unwrap(), Throttle::default());
     }
 
     #[test]

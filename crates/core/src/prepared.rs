@@ -72,9 +72,11 @@ impl PreparedProgram {
     ///
     /// # Errors
     ///
-    /// Returns [`BackendError::Spec`] if the loop is not Spice-parallelizable
-    /// (the same error `NativeLoopBackend::load` returns for it) and
-    /// [`BackendError::Analysis`] if the transformation fails.
+    /// Returns [`BackendError::Granularity`] for a conflict-detection grain
+    /// coarser than the predictor's slabs and [`BackendError::Spec`] if the
+    /// loop is not Spice-parallelizable (the errors `NativeLoopBackend::load`
+    /// returns for them), and [`BackendError::Analysis`] if the
+    /// transformation fails.
     pub fn spice(
         base_config: MachineConfig,
         threads: usize,
@@ -83,6 +85,7 @@ impl PreparedProgram {
         kernel: FuncId,
         options: LoadOptions,
     ) -> Result<Self, BackendError> {
+        options.validate()?;
         let analysis = derive_loop_spec(&program, kernel, options.loop_header)?;
         let spice = SpiceTransform::new(SpiceOptions {
             threads,

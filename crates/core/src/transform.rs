@@ -28,16 +28,21 @@
 //!    inter-core latency after it issues, so squashed chunks abort in the
 //!    order the merge chain resteers them,
 //! 6. the post-loop merge in the main thread that commits valid workers in
-//!    order, combines reductions and live-outs, and squashes the rest.
+//!    order, combines reductions and live-outs, and squashes the rest,
+//! 7. under [`ConflictPolicy::Detect`], the dependence-violation throttle
+//!    ([`Throttle`]): worker 1's conflict and commit blocks in the merge
+//!    chain keep its `streak` and `skip` words, and the centralized step
+//!    runs an invocation with `skip > 0` without workers — every worker
+//!    resteered with no task, the loop run alone on core 0.
 
 use serde::{Deserialize, Serialize};
 
 use spice_ir::analysis::{CombineKind, LiveOutGroup, SpiceLoopSpec};
 use spice_ir::builder::FunctionBuilder;
-use spice_ir::exec::ConflictPolicy;
+use spice_ir::exec::{ConflictPolicy, Throttle};
 use spice_ir::reduction::ReductionKind;
 use spice_ir::verify::{verify_program, VerifyError};
-use spice_ir::{BinOp, BlockId, FuncId, Inst, Operand, Program, Reg};
+use spice_ir::{BinOp, BlockId, FuncId, Inst, Operand, Program, Reg, Terminator};
 
 use crate::lint::{lint_spice, LintError, MainShape};
 use crate::predictor::{PredictorLayout, PredictorOptions, NEVER};
@@ -107,9 +112,10 @@ pub enum TransformError {
     /// contract's two words, per worker, with `N` release words and `L`
     /// live-outs: the main thread's `send inv×N`, then
     /// `recv status, [spec.check], send command, recv live×L` or
-    /// `[recv status, spec.check,] resteer`; the worker's `recv inv×N,
-    /// spec.begin, send status, recv command, spec.commit, send live×L,
-    /// ret`, or `spec.abort, ret` from its recovery block.
+    /// `[recv status, spec.check,] resteer`, or `resteer` alone on a
+    /// throttled invocation; the worker's `recv inv×N, spec.begin, send
+    /// status, recv command, spec.commit, send live×L, ret`, or `spec.abort,
+    /// ret` from its recovery block.
     Lint(Vec<LintError>),
 }
 
@@ -266,6 +272,7 @@ impl SpiceTransform {
             .copied()
             .filter(|r| loop_regs.contains(r))
             .collect();
+        let loop_regs: Vec<Reg> = loop_regs.into_iter().collect();
 
         // Per-worker channels.
         let mut channels = Vec::new();
@@ -309,6 +316,7 @@ impl SpiceTransform {
             &workers,
             self.options.conflict_policy,
             &self.options.predictor,
+            (&src, &loop_regs),
         );
 
         if let Err(errs) = verify_program(program) {
@@ -416,15 +424,26 @@ fn emit_work_bump(b: &mut FunctionBuilder, bump_bb: BlockId, my_work: Reg, check
 /// exactly the cost the paper attributes to the centralized step — now paid
 /// in simulated cycles (and cache/coherence traffic) on core 0 instead of
 /// invisibly on the host.
+///
+/// With a `throttle` block (conflict detection only), the step also loads
+/// the throttle's `skip` word and ends in `skip ? throttle : done`; the
+/// block and the `skip` register are returned for the throttle block to
+/// consume.
 fn emit_centralized(
     b: &mut FunctionBuilder,
     layout: &PredictorLayout,
     options: &PredictorOptions,
     entry_bb: BlockId,
     done_bb: BlockId,
-) {
+    throttle: Option<BlockId>,
+) -> Option<(BlockId, Reg)> {
     let t = layout.threads;
     b.switch_to(entry_bb);
+    let gate = throttle.map(|throttle_bb| (throttle_bb, b.load(layout.skip_addr(), 0)));
+    let done = |b: &mut FunctionBuilder| match gate {
+        Some((throttle_bb, skip)) => b.cond_br(skip, throttle_bb, done_bb),
+        None => b.br(done_bb),
+    };
     // 1. Read the previous invocation's counters, then reset them.
     let work: Vec<Reg> = (0..t).map(|tid| b.load(layout.work_addr(tid), 0)).collect();
     let mut total = work[0];
@@ -453,7 +472,7 @@ fn emit_centralized(
     for tid in 0..t {
         b.store(NEVER, layout.svat_addr(tid, 0), 0);
     }
-    b.br(done_bb);
+    done(b);
 
     b.switch_to(plan_bb);
     if options.load_balance {
@@ -515,7 +534,91 @@ fn emit_centralized(
     if !options.rememoize {
         b.store(1i64, layout.flag_base, 0);
     }
-    b.br(done_bb);
+    done(b);
+    gate
+}
+
+/// Emits the loop a throttled invocation runs on core 0: a copy of the
+/// pristine loop blocks over the same registers, entered at the copied
+/// header with `my_work` and `memo_idx` zero and `thresh` holding thread
+/// 0's first threshold. Each back edge counts the completed iteration and
+/// tests the threshold in the latch's own issue group (`my_work += 1;
+/// my_work >= thresh ? memo : header`); the memo block stores the cursors
+/// into the `svai`-named row and loads the next threshold — the same
+/// memoization as `emit_memoization`, one per header arrival, without a
+/// load and two branches per iteration. The first arrival needs no test: a
+/// threshold is at least one. The loop's exit goes to `finish_bb`.
+fn emit_throttled_loop(
+    b: &mut FunctionBuilder,
+    (src, loop_regs): (&spice_ir::Function, &[Reg]),
+    analysis: &SpiceLoopSpec,
+    layout: &PredictorLayout,
+    (my_work, memo_idx, thresh): (Reg, Reg, Reg),
+    finish_bb: BlockId,
+) -> BlockId {
+    let (bmap, _) = b.func_mut().import_blocks(src, &analysis.blocks, loop_regs);
+    let header = bmap[&analysis.header];
+    let memo_bb = b.new_labeled_block("spice.throttle.memo");
+    for &sb in &analysis.blocks {
+        let nb = bmap[&sb];
+        let term = &mut b.func_mut().block_mut(nb).terminator;
+        term.remap_blocks(|t| {
+            if t == analysis.exit_edge.1 {
+                finish_bb
+            } else {
+                t
+            }
+        });
+        let latch = match term {
+            Terminator::Br(t) if *t == header => nb,
+            // A conditional back edge goes through a block of its own.
+            _ if term.successors().as_slice().contains(&header) => {
+                let bump = b.new_labeled_block("spice.throttle.bump");
+                let term = &mut b.func_mut().block_mut(nb).terminator;
+                term.remap_blocks(|t| if t == header { bump } else { t });
+                bump
+            }
+            _ => continue,
+        };
+        b.switch_to(latch);
+        let done = b.binop(BinOp::Add, my_work, 1i64);
+        b.copy_into(my_work, done);
+        let fire = b.binop(BinOp::Ge, my_work, thresh);
+        b.cond_br(fire, memo_bb, header);
+    }
+
+    b.switch_to(memo_bb);
+    let row_idx = b.binop(BinOp::Add, memo_idx, layout.svai_addr(0, 0));
+    let row = b.load(row_idx, 0);
+    let row_off = b.binop(BinOp::Mul, row, layout.spec_width as i64);
+    let row_addr = b.binop(BinOp::Add, row_off, layout.sva_base);
+    for (j, r) in analysis.cursors.iter().enumerate() {
+        b.store(*r, row_addr, j as i64);
+    }
+    let next = b.binop(BinOp::Add, memo_idx, 1i64);
+    b.copy_into(memo_idx, next);
+    let thresh_idx = b.binop(BinOp::Add, memo_idx, layout.svat_addr(0, 0));
+    b.load_into(thresh, thresh_idx, 0);
+    b.br(header);
+    header
+}
+
+/// Emits worker 1's dependence violation into the throttle's words
+/// ([`Throttle::observe`]): `streak += 1`, then, once `streak ≥ K`,
+/// `skip = min(2^(streak − K), CAP)`. The invocation was speculated, so
+/// `skip` is zero until then.
+fn emit_throttle_violation(b: &mut FunctionBuilder, layout: &PredictorLayout) {
+    let streak = b.load(layout.streak_addr(), 0);
+    let streak = b.binop(BinOp::Add, streak, 1i64);
+    b.store(streak, layout.streak_addr(), 0);
+    let past = b.binop(BinOp::Sub, streak, Throttle::K as i64);
+    // Below `K` the shift is garbage, and the select drops it.
+    let doubling = b.binop(BinOp::Min, past, 62i64);
+    let backoff = b.binop(BinOp::Shl, 1i64, doubling);
+    let backoff = b.binop(BinOp::Min, backoff, Throttle::CAP as i64);
+    let engaged = b.binop(BinOp::Ge, streak, Throttle::K as i64);
+    let skip = b.select(engaged, backoff, 0i64);
+    b.store(skip, layout.skip_addr(), 0);
 }
 
 /// Emits the live-in comparison of the detection code: `all_eq = (r0 == p0)
@@ -685,14 +788,19 @@ fn build_worker(
     (func, recovery_bb)
 }
 
-/// Rewrites the main function in place.
+/// Rewrites the main function in place. `pristine` is the function before
+/// the rewrite and the registers its loop mentions, which the throttled
+/// invocation's loop copy is made from.
 ///
 /// Control-flow shape of the rewritten function (conflict handling under
 /// [`ConflictPolicy::Detect`]):
 ///
 /// ```text
 /// preheader ─▶ central: read work, reset arrays ──▶ central.plan ─▶ dispatch
-///                                  └──(no work / memoize-once)──▶ dispatch
+///                 [load skip]      └──(no work / memoize-once)──▶ dispatch
+///                                    [either: skip > 0 ─▶ throttle instead]
+/// throttle: resteer every worker, skip −= 1 ─▶ lean loop copy, memoizing
+///           on the back edges ─▶ finish              (detection only)
 /// dispatch: load row 0; per worker: load successor row,
 ///           new_invocation: start row, successor row, invariants ─▶ check
 /// check ──resumed──▶ memo ─▶ header ─▶ body … latch ─▶ bump(work+=1) ─▶ check
@@ -701,7 +809,9 @@ fn build_worker(
 /// w(k).dispatch ─valid──▶ w(k).valid: recv status; spec.check core k
 ///                │          ├─conflict─▶ w(k).conflict: resteer,
 ///                │          │            still_valid=0, need_resume=1
-///                │          └─▶ w(k).commit: command, live-outs
+///                │          │            (w1: streak += 1, set skip)
+///                │          └─▶ w(k).commit: command, (w1: streak = 0),
+///                │                           live-outs
 ///                └─▶ w(k).squash: resteer
 /// tail ──need_resume──▶ resume: resumed=1 ─▶ check   (main re-executes
 ///   └─▶ finish: store main's work counter ─▶ exit     from the violated
@@ -715,6 +825,15 @@ fn build_worker(
 /// arrays. The message carries the worker's boundary rows, so a worker reads
 /// only its own `svat`/`svai` lists, which the centralized step wrote before
 /// the release.
+///
+/// Under conflict detection the centralized step also loads the throttle's
+/// `skip` word; a nonzero one sends core 0 to `throttle` instead of
+/// `dispatch`: no `new_invocation` message is sent, every worker is
+/// resteered to its recovery block (its "no task" release: `spec.abort`
+/// outside speculation aborts nothing), and core 0 runs the loop alone on a
+/// lean copy that memoizes per thread 0's plan ([`emit_throttled_loop`])
+/// and exits to `finish`, past the merge chain. The next probe plans from
+/// the work counters that invocation left: all on core 0.
 ///
 /// The merge chain waits only for what it reads: a worker's status and its
 /// live-outs. A committed worker sends its live-outs after `spec.commit`, so
@@ -732,6 +851,7 @@ fn rewrite_main(
     workers: &[WorkerInfo],
     conflict_policy: ConflictPolicy,
     predictor: &PredictorOptions,
+    pristine: (&spice_ir::Function, &[Reg]),
 ) -> MainShape {
     let func = analysis.func;
     let exit_from = analysis.exit_edge.0;
@@ -774,9 +894,54 @@ fn rewrite_main(
     let resume_bb = b.new_labeled_block("spice.resume");
     let finish_bb = b.new_labeled_block("spice.finish");
 
+    // Under conflict detection, an invocation the dependence-violation
+    // throttle skips runs from here without workers.
+    let throttle_bb = conflict_policy
+        .detects()
+        .then(|| b.new_labeled_block("spice.throttle"));
+
     // --- Centralized predictor step (Algorithm 2's second half), on core 0,
     // entered from the preheader at the start of every invocation.
-    emit_centralized(&mut b, layout, predictor, central_bb, dispatch_bb);
+    let gate = emit_centralized(
+        &mut b,
+        layout,
+        predictor,
+        central_bb,
+        dispatch_bb,
+        throttle_bb,
+    );
+
+    // --- Throttled invocation: consume one skip, release every worker with
+    // no task (a resteer to its recovery block, before anything is sent to
+    // it), and run the whole loop on core 0 — no detection, memoization on,
+    // the exit past the merge chain — so the next probe starts from fresh
+    // rows. The loop is a lean copy (see `emit_throttled_loop`): the
+    // resumed path of the instrumented loop would cost three more issue
+    // groups per iteration.
+    if let Some((throttle_bb, skip)) = gate {
+        let thresh = b.fresh();
+        let loop_bb = emit_throttled_loop(
+            &mut b,
+            pristine,
+            analysis,
+            layout,
+            (my_work, memo_idx, thresh),
+            finish_bb,
+        );
+        b.switch_to(throttle_bb);
+        for w in workers {
+            b.push(Inst::Resteer {
+                core: Operand::Imm(w.core as i64),
+                target: w.recovery_block,
+            });
+        }
+        let left = b.binop(BinOp::Sub, skip, 1i64);
+        b.store(left, layout.skip_addr(), 0);
+        b.copy_into(my_work, 0i64);
+        b.copy_into(memo_idx, 0i64);
+        b.load_into(thresh, layout.svat_addr(0, 0), 0);
+        b.br(loop_bb);
+    }
 
     // --- Dispatch: load this invocation's boundary prediction (row 0), then
     // release every pre-spawned worker in order with its `new_invocation`
@@ -890,11 +1055,18 @@ fn rewrite_main(
             });
             b.copy_into(still_valid, 0i64);
             b.copy_into(need_resume, 1i64);
+            if i == 0 {
+                emit_throttle_violation(&mut b, layout);
+            }
             b.br(next_dispatch);
 
             b.switch_to(commit_bb);
         }
         b.send(w.channels.command, 1i64);
+        if i == 0 && conflict_policy.detects() {
+            // Worker 1 committed: the violation streak is over.
+            b.store(0i64, layout.streak_addr(), 0);
+        }
         for group in &analysis.liveouts {
             let tmps: Vec<Reg> = group
                 .regs
@@ -980,6 +1152,7 @@ fn rewrite_main(
 
     MainShape {
         central: central_bb,
+        throttle: throttle_bb,
         dispatch: dispatch_bb,
         check: check_bb,
         bump: bump_bb,

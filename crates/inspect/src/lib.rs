@@ -15,7 +15,9 @@
 //! * `watch <addr>` — record every load/store of an address;
 //! * `why-squash [chunk]` — reconstruct the RAW chain behind a
 //!   dependence-violation squash: violating address, writer chunk/core and
-//!   store site, reader site, conflict granularity.
+//!   store site, reader site, conflict granularity; without a chunk, also
+//!   one line per invocation the violation throttle ran without workers
+//!   (its index, the violation streak, the skips left).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -201,7 +203,9 @@ pub fn cmd_break(bench: &str, threads: usize, cycle: u64) -> Result<String, Stri
 /// `why-squash [chunk]`: reconstructs the read-after-write chain behind
 /// each dependence-violation squash (optionally only for one chunk id):
 /// the violating address, the writer chunk/core and its store site, the
-/// squashed reader's site, and the conflict granularity. Ends with the
+/// squashed reader's site, and the conflict granularity. Without a chunk
+/// id it also names each invocation the dependence-violation throttle ran
+/// without workers, with the throttle's streak and skips left. Ends with the
 /// backend's own violation counter so the reconstruction can be checked
 /// against the run's accounting.
 #[must_use]
@@ -209,7 +213,17 @@ pub fn cmd_why_squash(run: &InspectRun, chunk: Option<u64>) -> String {
     let mut out = String::new();
     let mut squashes = 0usize;
     let mut violations = 0usize;
+    let mut invocation = 0;
     for e in &run.events {
+        match *e {
+            TraceEvent::InvocationBegin { index } => invocation = index,
+            TraceEvent::Throttled { streak, skip, .. } if chunk.is_none() => {
+                out.push_str(&format!(
+                    "invocation {invocation} throttled: streak {streak}, skip {skip}\n"
+                ));
+            }
+            _ => {}
+        }
         let TraceEvent::ChunkSquash {
             at,
             core,
@@ -322,6 +336,12 @@ mod tests {
             report.lines().filter(|l| l.ends_with(&suffix)).count()
         };
         assert_eq!(labelled("stale_prediction"), 0, "{report}");
+        // Repeated violations throttle later invocations, one line each.
+        let throttled = report
+            .lines()
+            .filter(|l| l.contains(" throttled: streak "))
+            .count();
+        assert!(throttled > 0, "{report}");
         assert_eq!(
             labelled("squash_cascade"),
             run.summary.squashed_chunks - run.summary.dependence_violations,

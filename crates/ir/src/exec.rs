@@ -20,6 +20,10 @@
 //! * [`CommitChain`] — the one ordered-commit rule: fed each chunk's end and
 //!   RAW witness in thread order, it names commit or the squash cause, for
 //!   the native commit loop and the simulator's report and trace alike;
+//! * [`Throttle`] — the one dependence-violation throttle: after repeated
+//!   violations by worker 1 it runs invocations without workers, re-probing
+//!   with exponential back-off; the native backend steps it, and the
+//!   simulator's generated merge chain implements it;
 //! * [`SpiceLoopSpec`] / [`derive_loop_spec`] — the backend-neutral summary
 //!   of the target loop (header, speculated cursor registers, recognised
 //!   reductions, live-out fold contract) every backend chunks it by,
@@ -157,6 +161,65 @@ impl CommitChain {
     }
 }
 
+/// The dependence-violation throttle (in the spirit of Cintra and
+/// Torrellas, HPCA 2002: learn from cross-thread violations instead of
+/// squashing again): after [`Throttle::K`] invocations in a row whose first
+/// worker was squashed for a [`MisspeculationCause::DependenceViolation`],
+/// the next invocations run without workers — the main thread runs the loop
+/// alone, memoizing for the next probe — and the number it skips doubles
+/// with every further violating probe, up to [`Throttle::CAP`]. A probe
+/// whose first worker commits ends the streak, so a loop whose conflicts
+/// stop goes back to speculating.
+///
+/// The state is two counters. Only speculated invocations update them, and
+/// only worker 1's verdict counts: a violation extends the streak, a commit
+/// resets it, any other cause (a stale prediction, a fault) leaves it. Once
+/// `streak ≥ K`, `skip = min(2^(streak − K), CAP)`. Before each invocation,
+/// `skip > 0` throttles it and consumes one skip.
+///
+/// The native backend steps this value; the simulator keeps the same two
+/// words in its predictor slab, written by the merge chain's worker-1
+/// blocks and read by core 0's centralized step, and its report is pinned
+/// to this rule invocation by invocation.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Throttle {
+    /// Consecutive speculated invocations whose worker 1 violated.
+    pub streak: u64,
+    /// Invocations still to run without workers.
+    pub skip: u64,
+}
+
+impl Throttle {
+    /// Violating invocations in a row before the throttle engages.
+    pub const K: u64 = 2;
+    /// The longest run of throttled invocations between two probes.
+    pub const CAP: u64 = 16;
+
+    /// Before an invocation: whether it runs without workers (consuming one
+    /// skip if so).
+    pub fn throttles(&mut self) -> bool {
+        let throttled = self.skip > 0;
+        self.skip -= u64::from(throttled);
+        throttled
+    }
+
+    /// After a speculated invocation: absorbs worker 1's verdict (`None`
+    /// when it committed).
+    pub fn observe(&mut self, worker1: Option<MisspeculationCause>) {
+        match worker1 {
+            None => self.streak = 0,
+            Some(MisspeculationCause::DependenceViolation { .. }) => {
+                self.streak += 1;
+                if self.streak >= Self::K {
+                    let doubling = u32::try_from(self.streak - Self::K).unwrap_or(u32::MAX);
+                    self.skip = 2u64.saturating_pow(doubling).min(Self::CAP);
+                }
+            }
+            Some(_) => {}
+        }
+    }
+}
+
 /// Per-worker slice of an [`ExecutionReport`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkerReport {
@@ -178,6 +241,9 @@ pub struct ExecutionReport {
     pub return_value: Option<i64>,
     /// Whether any speculative chunk was squashed.
     pub misspeculated: bool,
+    /// Whether the [`Throttle`] ran the invocation without workers: then
+    /// no chunk was tasked, so none committed or was squashed.
+    pub throttled: bool,
     /// Number of speculative chunks validated and committed.
     pub committed_chunks: usize,
     /// Number of speculative chunks squashed.
@@ -208,10 +274,26 @@ impl ExecutionReport {
             cost,
             return_value,
             misspeculated: squashed_chunks > 0,
+            throttled: false,
             committed_chunks,
             squashed_chunks,
             workers,
             work_per_thread,
+        }
+    }
+
+    /// The report of an invocation the [`Throttle`] ran without workers:
+    /// no chunk was tasked, and every thread but the main one did no work.
+    #[must_use]
+    pub fn throttled(
+        backend: &'static str,
+        cost: ExecutionCost,
+        return_value: Option<i64>,
+        work_per_thread: Vec<u64>,
+    ) -> Self {
+        ExecutionReport {
+            throttled: true,
+            ..ExecutionReport::new(backend, cost, return_value, Vec::new(), work_per_thread)
         }
     }
 
@@ -252,6 +334,13 @@ pub fn work_imbalance(work_per_invocation: &[Vec<u64>]) -> f64 {
     }
 }
 
+/// The coarsest conflict-detection grain a backend accepts, as a
+/// power-of-two word count: the simulator keeps its predictor words apart
+/// from program data and from each other in slabs of `2^6` words, so a
+/// coarser grain would put them back into one grain and report violations
+/// the program does not have.
+pub const MAX_CONFLICT_GRANULARITY_LOG2: u8 = 6;
+
 /// Errors surfaced by an execution backend.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BackendError {
@@ -266,6 +355,9 @@ pub enum BackendError {
     Engine(String),
     /// A non-speculative memory access trapped.
     Memory(TrapKind),
+    /// [`LoadOptions::conflict_granularity_log2`] is coarser than
+    /// [`MAX_CONFLICT_GRANULARITY_LOG2`].
+    Granularity(u8),
 }
 
 impl std::fmt::Display for BackendError {
@@ -276,6 +368,11 @@ impl std::fmt::Display for BackendError {
             BackendError::Analysis(m) => write!(f, "transformation failed: {m}"),
             BackendError::Engine(m) => write!(f, "execution failed: {m}"),
             BackendError::Memory(t) => write!(f, "non-speculative memory access failed: {t}"),
+            BackendError::Granularity(g) => write!(
+                f,
+                "conflict-detection grain 2^{g} words is coarser than the \
+                 2^{MAX_CONFLICT_GRANULARITY_LOG2} a backend accepts"
+            ),
         }
     }
 }
@@ -337,11 +434,25 @@ impl LoadOptions {
     }
 
     /// The same options with a conflict-detection granularity (power-of-two
-    /// words per grain; `0` = exact words, `3` = 64-byte lines).
+    /// words per grain; `0` = exact words, `3` = 64-byte lines). A grain
+    /// coarser than [`MAX_CONFLICT_GRANULARITY_LOG2`] is refused by `load`.
     #[must_use]
     pub fn with_conflict_granularity_log2(mut self, granularity_log2: u8) -> Self {
         self.conflict_granularity_log2 = granularity_log2;
         self
+    }
+
+    /// Checks what every backend's `load` checks before anything else.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BackendError::Granularity`] for a grain coarser than
+    /// [`MAX_CONFLICT_GRANULARITY_LOG2`].
+    pub fn validate(&self) -> Result<(), BackendError> {
+        match self.conflict_granularity_log2 {
+            g if g > MAX_CONFLICT_GRANULARITY_LOG2 => Err(BackendError::Granularity(g)),
+            _ => Ok(()),
+        }
     }
 }
 
@@ -368,7 +479,8 @@ pub trait ExecutionBackend {
     /// # Errors
     ///
     /// Returns a [`BackendError`] if the loop cannot be analysed, chunked,
-    /// or transformed by this backend.
+    /// or transformed by this backend, or if `options` fail
+    /// [`LoadOptions::validate`].
     fn load(
         &mut self,
         program: Program,
@@ -639,6 +751,88 @@ mod tests {
         assert_eq!(chain, CommitChain::Broken);
     }
 
+    /// The throttle's rule over a violating run: the streak grows with every
+    /// violating probe, the skips double from the `K`-th one, and every
+    /// throttled invocation consumes one — the `C V V T V T T V T T …`
+    /// sequence of a loop whose first worker always violates.
+    #[test]
+    fn throttle_backs_off_exponentially_on_a_violating_run() {
+        let violation = Some(MisspeculationCause::DependenceViolation { addr: 7 });
+        let mut throttle = Throttle::default();
+        let mut seen = String::new();
+        let mut states = Vec::new();
+        for inv in 0..12 {
+            if throttle.throttles() {
+                seen.push('T');
+            } else {
+                let committed = inv == 0;
+                seen.push(if committed { 'C' } else { 'V' });
+                throttle.observe(if committed { None } else { violation });
+            }
+            states.push((throttle.streak, throttle.skip));
+        }
+        assert_eq!(seen, "CVVTVTTVTTTT");
+        assert_eq!(
+            states[..8],
+            [
+                (0, 0),
+                (1, 0),
+                (2, 1),
+                (2, 0),
+                (3, 2),
+                (3, 1),
+                (3, 0),
+                (4, 4)
+            ]
+        );
+    }
+
+    /// A worker-1 commit ends the streak (the skips already granted run
+    /// out), and causes other than a violation leave the state alone.
+    #[test]
+    fn throttle_resets_on_a_commit_and_ignores_other_causes() {
+        let violation = Some(MisspeculationCause::DependenceViolation { addr: 1 });
+        let mut throttle = Throttle::default();
+        throttle.observe(violation);
+        for other in [
+            MisspeculationCause::StalePrediction,
+            MisspeculationCause::Fault(TrapKind::OutOfFuel),
+        ] {
+            throttle.observe(Some(other));
+            assert_eq!(throttle, Throttle { streak: 1, skip: 0 });
+        }
+        throttle.observe(violation);
+        assert_eq!(throttle, Throttle { streak: 2, skip: 1 });
+        throttle.observe(None);
+        assert_eq!(throttle, Throttle { streak: 0, skip: 1 });
+        assert!(throttle.throttles());
+        assert!(!throttle.throttles());
+        // A fresh streak must reach `K` again before anything is throttled.
+        throttle.observe(violation);
+        assert_eq!(throttle, Throttle { streak: 1, skip: 0 });
+    }
+
+    /// The skips stop doubling at the cap, however long the streak.
+    #[test]
+    fn throttle_skips_are_capped() {
+        let violation = Some(MisspeculationCause::DependenceViolation { addr: 1 });
+        let mut throttle = Throttle::default();
+        let mut skips = Vec::new();
+        for _ in 0..70 {
+            throttle.observe(violation);
+            skips.push(throttle.skip);
+        }
+        assert_eq!(skips[..8], [0, 1, 2, 4, 8, 16, 16, 16]);
+        assert!(skips.iter().all(|&s| s <= Throttle::CAP));
+        assert_eq!(
+            throttle,
+            Throttle {
+                streak: 70,
+                skip: Throttle::CAP
+            }
+        );
+    }
+
     /// Regression: an invocation where one worker starved entirely must read
     /// as *less* balanced than one where every thread worked — the old code
     /// filtered zero-work threads out before computing the CV, so a fully
@@ -726,6 +920,7 @@ mod tests {
             vec![10, 10, 0],
         );
         assert!(report.misspeculated);
+        assert!(!report.throttled);
         assert_eq!((report.committed_chunks, report.squashed_chunks), (1, 1));
         assert_eq!(report.cost.magnitude(), 100);
         assert_eq!(
@@ -733,5 +928,21 @@ mod tests {
             vec![MisspeculationCause::StalePrediction]
         );
         assert_eq!(ExecutionCost::WallNanos(5).magnitude(), 5);
+
+        let throttled =
+            ExecutionReport::throttled("test", ExecutionCost::Cycles(100), Some(7), vec![10, 0, 0]);
+        assert!(throttled.throttled && !throttled.misspeculated);
+        assert_eq!(
+            (throttled.committed_chunks, throttled.squashed_chunks),
+            (0, 0)
+        );
+        assert!(throttled.workers.is_empty());
+    }
+
+    #[test]
+    fn load_options_refuse_grains_coarser_than_the_slab() {
+        let at = |g| LoadOptions::new(None).with_conflict_granularity_log2(g);
+        assert_eq!(at(MAX_CONFLICT_GRANULARITY_LOG2).validate(), Ok(()));
+        assert_eq!(at(7).validate(), Err(BackendError::Granularity(7)));
     }
 }

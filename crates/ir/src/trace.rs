@@ -158,6 +158,17 @@ pub enum TraceEvent {
         /// Chunks the plan tasked.
         chunks: u64,
     },
+    /// The dependence-violation throttle ([`crate::exec::Throttle`]) kept
+    /// the workers idle: the main thread ran the invocation alone, and the
+    /// predictor tasked no chunk.
+    Throttled {
+        /// Simulated cycle (or native sequence number).
+        at: u64,
+        /// Consecutive violating invocations so far.
+        streak: u64,
+        /// Invocations still to throttle after this one.
+        skip: u64,
+    },
     /// The predictor absorbed an invocation's feedback.
     PredictorFeedback {
         /// Simulated cycle (or native sequence number).
@@ -212,6 +223,7 @@ impl TraceEvent {
             TraceEvent::ChunkCommit { .. } => "chunk_commit",
             TraceEvent::ChunkSquash { .. } => "chunk_squash",
             TraceEvent::PredictorPlan { .. } => "predictor_plan",
+            TraceEvent::Throttled { .. } => "throttled",
             TraceEvent::PredictorFeedback { .. } => "predictor_feedback",
             TraceEvent::CacheMiss { .. } => "cache_miss",
             TraceEvent::Watch { .. } => "watch",
@@ -232,6 +244,7 @@ impl TraceEvent {
             | TraceEvent::ChunkCommit { at, .. }
             | TraceEvent::ChunkSquash { at, .. }
             | TraceEvent::PredictorPlan { at, .. }
+            | TraceEvent::Throttled { at, .. }
             | TraceEvent::PredictorFeedback { at, .. }
             | TraceEvent::CacheMiss { at, .. }
             | TraceEvent::Watch { at, .. } => at,

@@ -46,6 +46,14 @@
 //! after the commit chain ends — is one call of [`run_chunk`], the only
 //! place that knows what a header arrival, an iteration and a stop are.
 //!
+//! Under conflict detection the main thread also steps the one
+//! dependence-violation throttle ([`Throttle`]), as the simulator's
+//! generated merge chain does: worker 1's verdict feeds it after every
+//! speculated invocation, and an invocation it throttles sends no
+//! [`WorkerTask`] — the main thread runs the loop straight on the image, as
+//! the resume does ([`run_to_return`]), memoizing per its plan, and reports
+//! and narrates the invocation as tasking no chunk.
+//!
 //! Memory follows the `spice-runtime` speculation contract (the
 //! [`crate::heap`] module): there is one memory, the [`FlatMemory`] image the
 //! driver reads and writes between invocations. The entry code and the
@@ -74,7 +82,7 @@ use std::time::{Duration, Instant};
 use spice_ir::exec::{
     derive_loop_spec, AccessSet, BackendError, ChunkEnd, CombineKind, CommitChain,
     ExecutionBackend, ExecutionCost, ExecutionReport, LoadOptions, MisspeculationCause,
-    SpiceLoopSpec, WorkerReport,
+    SpiceLoopSpec, Throttle, WorkerReport,
 };
 use spice_ir::interp::{FlatMemory, MemPort, StepEvent, SysPort, ThreadState};
 use spice_ir::reduction::ReductionKind;
@@ -188,6 +196,8 @@ struct Loaded {
     /// The memoization plan of the most recent invocation (the centralized
     /// step's output), per thread.
     last_plan: Vec<Vec<(u64, usize)>>,
+    /// The dependence-violation throttle, stepped once per invocation.
+    throttle: Throttle,
 }
 
 /// One `new_invocation` token: what a pre-spawned worker needs, beyond the
@@ -441,6 +451,7 @@ impl ExecutionBackend for NativeLoopBackend {
         kernel: FuncId,
         options: LoadOptions,
     ) -> Result<(), BackendError> {
+        options.validate()?;
         let spec = derive_loop_spec(&program, kernel, options.loop_header)?;
         let mem = FlatMemory::for_program(&program, 0);
         let width = spec.cursors.len();
@@ -461,6 +472,7 @@ impl ExecutionBackend for NativeLoopBackend {
             predictions: vec![vec![0; width]; self.threads - 1],
             last_work,
             last_plan: Vec::new(),
+            throttle: Throttle::default(),
         });
         Ok(())
     }
@@ -510,6 +522,31 @@ impl ExecutionBackend for NativeLoopBackend {
         let mut steps = DEFAULT_STEP_BUDGET;
         let mut main =
             enter_loop(&ctx, args, exclusive(&mut loaded.mem)?, &mut steps).map_err(engine_trap)?;
+
+        // A throttled invocation tasks no worker: the main thread runs the
+        // loop straight on the image, as the resume step does, memoizing
+        // per the plan so the next probe starts from fresh rows.
+        if detect && loaded.throttle.throttles() {
+            let mem = exclusive(&mut loaded.mem)?;
+            let finished = run_to_return(&ctx, &mut main, mem, &memo_plan[0])?;
+            let elapsed = started.elapsed();
+            let mut work = vec![0; threads];
+            work[0] = finished.iterations;
+            loaded.last_work.clone_from(&work);
+            for (row, cursors) in finished.memos {
+                if row < loaded.predictions.len() {
+                    loaded.predictions[row] = cursors;
+                }
+            }
+            let Throttle { streak, skip } = loaded.throttle;
+            tracing.narrate_throttled(streak, skip);
+            return Ok(ExecutionReport::throttled(
+                "native",
+                ExecutionCost::WallNanos(elapsed.as_nanos()),
+                finished.value,
+                work,
+            ));
+        }
 
         // new_invocation: hand every worker its task token — the main
         // thread's header frame, the image (frozen from here to the last
@@ -634,26 +671,11 @@ impl ExecutionBackend for NativeLoopBackend {
             verdicts.iter().find_map(|v| v.cause),
             Some(MisspeculationCause::DependenceViolation { .. } | MisspeculationCause::Fault(_))
         );
-        let mut main_work = main_run.iterations;
-        let mut steps = DEFAULT_STEP_BUDGET;
-        let mut resume = ChunkLimits {
-            plan: if reexecutes { &resume_plan } else { &[] },
-            ..ChunkLimits::default()
-        };
-        let return_value = loop {
-            let run = run_chunk(&ctx, &mut main, &mut *mem, &mut steps, &resume);
-            main_work += run.iterations;
-            memos.extend(run.memos);
-            // Past the loop's exit nothing is memoized.
-            resume.plan = &[];
-            match run.stop {
-                Stop::Finished(value) => break value,
-                Stop::Trap(trap) => return Err(engine_trap(trap)),
-                // The exit code is the main thread's own to run.
-                Stop::Exit => {}
-                Stop::Boundary => unreachable!("the resume has no boundary"),
-            }
-        };
+        let plan = if reexecutes { &resume_plan[..] } else { &[] };
+        let resumed = run_to_return(&ctx, &mut main, mem, plan)?;
+        let main_work = main_run.iterations + resumed.iterations;
+        memos.extend(resumed.memos);
+        let return_value = resumed.value;
         let elapsed = started.elapsed();
 
         // Predictor feedback for the next invocation.
@@ -667,6 +689,11 @@ impl ExecutionBackend for NativeLoopBackend {
             .chain(verdicts.iter().map(|v| v.cause.map_or(v.iterations, |_| 0)))
             .collect();
         loaded.last_work = work.clone();
+        if detect {
+            loaded
+                .throttle
+                .observe(verdicts.first().and_then(|v| v.cause));
+        }
         tracing.narrate(&verdicts, granularity_log2);
 
         let reports = verdicts.iter().map(|v| WorkerReport {
@@ -705,6 +732,22 @@ struct Verdict {
 }
 
 impl NativeTracing {
+    /// Narrates an invocation the throttle ran without workers: the
+    /// throttle's state, then a `PredictorFeedback` with no chunk.
+    fn narrate_throttled(&mut self, streak: u64, skip: u64) {
+        if !self.on() {
+            return;
+        }
+        let at = self.next_at();
+        self.emit(TraceEvent::Throttled { at, streak, skip });
+        let at = self.next_at();
+        self.emit(TraceEvent::PredictorFeedback {
+            at,
+            committed: 0,
+            squashed: 0,
+        });
+    }
+
     /// Narrates a completed invocation from its verdicts, which are in
     /// thread order: a `ChunkBegin` per chunk and the `PredictorPlan`, then
     /// each chunk's `ChunkValidate` and `ChunkCommit` or `ChunkSquash`, then
@@ -924,6 +967,52 @@ fn step_to_header<M: MemPort>(
             // forever.
             Ok(StepEvent::Blocked) => return Some(Stop::Trap(TrapKind::UnsupportedIntrinsic)),
             Err(trap) => return Some(Stop::Trap(trap)),
+        }
+    }
+}
+
+/// What the main thread did from a header arrival to the kernel's return.
+struct Finished {
+    value: Option<i64>,
+    /// Completed iterations, as [`ChunkRun::iterations`] counts them.
+    iterations: u64,
+    memos: Vec<(usize, Vec<i64>)>,
+}
+
+/// Runs the main thread, paused on a header arrival, straight on the image
+/// to the kernel's return — the resume after the commit chain, and the
+/// whole loop of a throttled invocation — memoizing per `plan` until the
+/// loop exits.
+fn run_to_return(
+    ctx: &LoopContext,
+    main: &mut ThreadState,
+    mem: &mut FlatMemory,
+    plan: &[(u64, usize)],
+) -> Result<Finished, BackendError> {
+    let mut steps = DEFAULT_STEP_BUDGET;
+    let mut limits = ChunkLimits {
+        plan,
+        ..ChunkLimits::default()
+    };
+    let (mut iterations, mut memos) = (0, Vec::new());
+    loop {
+        let run = run_chunk(ctx, main, &mut *mem, &mut steps, &limits);
+        iterations += run.iterations;
+        memos.extend(run.memos);
+        // Past the loop's exit nothing is memoized.
+        limits.plan = &[];
+        match run.stop {
+            Stop::Finished(value) => {
+                return Ok(Finished {
+                    value,
+                    iterations,
+                    memos,
+                })
+            }
+            Stop::Trap(trap) => return Err(engine_trap(trap)),
+            // The exit code is the main thread's own to run.
+            Stop::Exit => {}
+            Stop::Boundary => unreachable!("the main thread runs to its return unbounded"),
         }
     }
 }
@@ -1259,17 +1348,12 @@ mod tests {
             .count();
         assert_eq!(validated, begun.len());
 
-        // One plan and one feedback marker per invocation.
-        let plans = events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::PredictorPlan { .. }))
-            .count();
-        let feedbacks = events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::PredictorFeedback { .. }))
-            .count();
-        assert_eq!(plans, 5);
-        assert_eq!(feedbacks, 5);
+        // One plan (or, after two violating invocations, one throttle
+        // marker: `C V V T V`) and one feedback marker per invocation.
+        let count = |kind: &str| events.iter().filter(|e| e.kind() == kind).count();
+        assert_eq!(count("predictor_plan"), 4);
+        assert_eq!(count("throttled"), 1);
+        assert_eq!(count("predictor_feedback"), 5);
 
         // The workload's genuine RAW violation is mirrored with forensics:
         // the violating address lies in the node array, and at the default

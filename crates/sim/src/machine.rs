@@ -536,7 +536,13 @@ impl Shared {
                         StallKind::None
                     };
                     core.waiting_chan = None;
-                    let action = sys_port.spec_action.take();
+                    // An abort outside speculation squashes nothing: a
+                    // worker released with no task runs its recovery code
+                    // before any chunk began.
+                    let action = sys_port
+                        .spec_action
+                        .take()
+                        .filter(|&a| a != SpecAction::Abort || mem_port.spec.is_active());
                     let (mut drained, mut writes) = (0, Vec::new());
                     match action {
                         Some(SpecAction::Begin) => mem_port.spec.begin(),
@@ -1287,6 +1293,44 @@ mod tests {
         let summary = m.run().unwrap();
         assert_eq!(m.return_value(1), Some(123));
         assert!(summary.cycles < 1000);
+    }
+
+    /// A worker released with no task: resteered while it waits for its
+    /// first message, it runs `spec.abort` before any `spec.begin`. That
+    /// aborts nothing — no squash is counted or traced — and the worker
+    /// finishes.
+    #[test]
+    fn an_abort_outside_speculation_squashes_nothing() {
+        let mut p = Program::new();
+        let mut worker = FunctionBuilder::new("worker");
+        let recovery = worker.new_block();
+        let _ = worker.recv(5i64);
+        worker.push(Inst::SpecBegin);
+        worker.ret(None);
+        worker.switch_to(recovery);
+        worker.push(Inst::SpecAbort);
+        worker.ret(None);
+        let worker_f = p.add_func(worker.finish());
+
+        let mut boss = FunctionBuilder::new("boss");
+        boss.push(Inst::Resteer {
+            core: Operand::Imm(1),
+            target: recovery,
+        });
+        boss.ret(None);
+        let boss_f = p.add_func(boss.finish());
+
+        let mut m = Machine::new(tiny(2), p);
+        m.enable_trace(64);
+        m.spawn(0, boss_f, &[]).unwrap();
+        m.spawn(1, worker_f, &[]).unwrap();
+        let summary = m.run().unwrap();
+        assert!(summary.cores[1].finished_at.is_some());
+        assert_eq!(summary.cores[1].spec_aborts, 0);
+        let trace = m.trace().unwrap();
+        assert!(!trace
+            .events()
+            .any(|e| matches!(e, TraceEvent::ChunkSquash { .. })));
     }
 
     #[test]

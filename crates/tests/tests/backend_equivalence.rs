@@ -20,8 +20,9 @@ use spice_core::backend::{make_backend, BackendChoice};
 use spice_ir::exec::{ExecutionBackend, ExecutionReport, InterpBackend};
 use spice_sim::{MachineConfig, SequentialSimBackend};
 use spice_workloads::{
-    all_workload_factories, run_workload_on, workload_load_options, McfConfig, McfWorkload,
-    OtterConfig, OtterWorkload, SpiceWorkload,
+    all_workload_factories, run_workload_on, workload_load_options, ConflictConfig,
+    ConflictListWorkload, McfConfig, McfWorkload, OtterConfig, OtterWorkload, SpiceWorkload,
+    WorkloadFactory,
 };
 
 mod machines;
@@ -133,18 +134,48 @@ fn every_small_workload_equivalent_across_backends() {
 /// re-executes after a squash. Both open the conflict epoch where the main
 /// thread releases the workers. So on every invocation the two agree on the
 /// return value, the work counters, the plan, the memoized rows and each
-/// worker's squash cause — on the seven small suite workloads and a skewed
-/// otter loop (the first invocation's work vector is the fully starved
-/// `[N, 0, …, 0]`, later ones spread out as predictions converge), at 2, 3
-/// and 4 threads, on every machine of `verdict_machines`: a verdict is a
-/// function of the program and its plan, not of the machine's latencies.
+/// worker's squash cause, and whether the dependence-violation throttle
+/// ran the invocation without workers — on the seven small suite workloads,
+/// list_splice at conflict rate 0 and a skewed otter loop (the first
+/// invocation's work vector is the fully starved `[N, 0, …, 0]`, later ones
+/// spread out as predictions converge), at 2, 3 and 4 threads, on every
+/// machine of `verdict_machines`: a verdict is a function of the program and
+/// its plan, not of the machine's latencies. The throttle engages on a
+/// conflict loop, and never on a loop with no violation to learn from.
 #[test]
 fn predictor_plans_identical_across_backends() {
+    let splice_at_rate_0: WorkloadFactory = Box::new(|| {
+        Box::new(ConflictListWorkload::new(ConflictConfig {
+            len: 150,
+            invocations: 10,
+            conflict_rate: 0.0,
+            seed: 0x59_11CE,
+        }))
+    });
+    let mut workloads = all_workload_factories(true);
+    workloads.push(("list_splice at rate 0", splice_at_rate_0));
     for threads in 2..=4 {
         for (machine, config) in verdict_machines(threads) {
-            for (name, factory) in all_workload_factories(true) {
+            for (name, factory) in &workloads {
                 let label = format!("{name} on {machine}");
-                assert_predictors_in_lockstep(&label, threads, config.clone(), &factory);
+                let throttled =
+                    assert_predictors_in_lockstep(&label, threads, config.clone(), factory);
+                let never = [
+                    "ks",
+                    "otter",
+                    "181.mcf",
+                    "458.sjeng",
+                    "list_splice at rate 0",
+                ];
+                if never.contains(name) {
+                    assert_eq!(throttled, 0, "{label} at {threads} threads: throttled");
+                }
+                if *name == "mcf_true" {
+                    assert!(
+                        throttled > 0,
+                        "{label} at {threads} threads: never throttled"
+                    );
+                }
             }
         }
     }
@@ -168,13 +199,14 @@ fn predictor_plans_identical_across_backends() {
 
 /// Drives two instances of one workload, one on the simulated `machine` and
 /// one on native threads, invocation by invocation, and asserts that their
-/// predictors agree after each.
+/// predictors agree after each. Returns how many invocations both
+/// throttled.
 fn assert_predictors_in_lockstep(
     label: &str,
     threads: usize,
     machine: MachineConfig,
     make_workload: impl Fn() -> Box<dyn SpiceWorkload>,
-) {
+) -> usize {
     use spice_core::backend::SimBackend;
     use spice_runtime::NativeLoopBackend;
 
@@ -192,12 +224,17 @@ fn assert_predictors_in_lockstep(
     let mut nat_args = nat_wl.init(nat.mem_mut());
     assert_eq!(sim_args, nat_args, "drivers must start identically");
 
-    let mut inv = 0usize;
+    let (mut inv, mut throttled) = (0usize, 0usize);
     loop {
         let at = format!("{label} at {threads} threads, invocation {inv}");
         let rs = sim.run_invocation(&sim_args).unwrap();
         let rn = nat.run_invocation(&nat_args).unwrap();
         assert_eq!(rs.return_value, rn.return_value, "{at}: results diverged");
+        assert_eq!(
+            rs.throttled, rn.throttled,
+            "{at}: throttle decisions diverged"
+        );
+        throttled += usize::from(rs.throttled);
         // The plans are deterministic functions of the work vectors, so pin
         // those first for a sharper failure message.
         assert_eq!(
@@ -247,6 +284,7 @@ fn assert_predictors_in_lockstep(
         inv += 1;
     }
     assert!(inv >= 4, "{label}: too few invocations exercised");
+    throttled
 }
 
 /// Eight threads also agree (more chunks, more boundaries, more commits).

@@ -16,11 +16,19 @@
 //! squash causes the report's. The rule's shape is checked apart from the
 //! rule itself, so a stepper that mixed up its causes fails here too: an
 //! invocation's squashes after its first are all cascades.
+//!
+//! The dependence-violation throttle is pinned the same way: a host
+//! [`Throttle`] is stepped over the reports, and after every invocation the
+//! generated `streak` and `skip` words, read back from simulated memory,
+//! must be its state; the report says an invocation was throttled exactly
+//! when the host rule throttles it, and a throttled invocation traces no
+//! chunk and no squash.
 
+use spice_core::predictor::read_throttle;
 use spice_core::SimBackend;
 use spice_ir::exec::{
     BackendError, ChunkEnd, CommitChain, ExecutionBackend, ExecutionReport, LoadOptions,
-    MisspeculationCause,
+    MisspeculationCause, Throttle,
 };
 use spice_ir::interp::FlatMemory;
 use spice_ir::{FuncId, Program, TraceEvent, TrapKind};
@@ -38,10 +46,12 @@ const TRACE_CAPACITY: usize = 1 << 17;
 /// neither at a hand-off nor at the exit.
 const CUT_SHORT: ChunkEnd = ChunkEnd::Fault(TrapKind::OutOfFuel);
 
-/// One invocation: its report and the events it traced.
+/// One invocation: its report, the events it traced and the throttle's
+/// words after it.
 struct Invocation {
     report: ExecutionReport,
     events: Vec<TraceEvent>,
+    throttle: Throttle,
 }
 
 /// A simulator backend, keeping every invocation's report
@@ -88,9 +98,12 @@ impl ExecutionBackend for Recorder {
             .skip(trace.len() - emitted)
             .cloned()
             .collect();
+        let layout = &self.sim.runner().expect("a Spice run").spice().layout;
+        let throttle = read_throttle(layout, self.sim.mem())?;
         self.invocations.push(Invocation {
             report: report.clone(),
             events,
+            throttle,
         });
         Ok(report)
     }
@@ -184,13 +197,41 @@ fn check_invocation(at: &str, workers: &[(u32, i64)], run: &Invocation) {
     }
 }
 
+/// Steps the host throttle over one invocation and checks the report and
+/// the generated words against it. Returns whether it throttled.
+fn check_throttle(at: &str, host: &mut Throttle, run: &Invocation) -> bool {
+    let throttled = host.throttles();
+    assert_eq!(run.report.throttled, throttled, "{at}: throttle decision");
+    if throttled {
+        assert!(
+            run.report.workers.is_empty(),
+            "{at}: a throttled invocation tasked chunks"
+        );
+        let chunks = run.events.iter().filter(|e| {
+            matches!(
+                e,
+                TraceEvent::ChunkBegin { .. } | TraceEvent::ChunkSquash { .. }
+            )
+        });
+        assert_eq!(
+            chunks.count(),
+            0,
+            "{at}: a throttled invocation traced a chunk"
+        );
+    } else {
+        host.observe(run.report.workers.first().and_then(|w| w.cause));
+    }
+    assert_eq!(run.throttle, *host, "{at}: the generated streak/skip words");
+    throttled
+}
+
 /// Runs `workload` on `sim` with tracing on and checks every invocation;
-/// returns the squash causes of the run.
+/// returns the squash causes of the run and how many it throttled.
 fn check_run(
     at: &str,
     mut sim: SimBackend,
     workload: &mut dyn SpiceWorkload,
-) -> Vec<MisspeculationCause> {
+) -> (Vec<MisspeculationCause>, usize) {
     sim.enable_trace(TRACE_CAPACITY);
     let mut recorder = Recorder {
         sim,
@@ -205,25 +246,31 @@ fn check_run(
         .map(|w| (u32::try_from(w.core).unwrap(), w.channels.status))
         .collect();
     let mut causes = Vec::new();
+    let (mut host, mut throttled) = (Throttle::default(), 0);
     for (inv, run) in recorder.invocations.iter().enumerate() {
-        check_invocation(&format!("{at}, invocation {inv}"), &workers, run);
+        let at = format!("{at}, invocation {inv}");
+        check_invocation(&at, &workers, run);
+        throttled += usize::from(check_throttle(&at, &mut host, run));
         causes.extend(run.report.misspeculation_causes());
     }
-    causes
+    (causes, throttled)
 }
 
 #[test]
 fn merge_chain_commits_what_the_commit_rule_judges() {
-    let mut causes = Vec::new();
+    let (mut causes, mut throttled) = (Vec::new(), 0);
     for threads in [2, 4] {
         for (machine, config) in verdict_machines(threads) {
             for (name, factory) in all_workload_factories(true) {
                 let at = format!("{name} on {machine} at {threads} threads");
                 let sim = SimBackend::with_config(config.clone(), threads);
-                causes.extend(check_run(&at, sim, factory().as_mut()));
+                let (run_causes, run_throttled) = check_run(&at, sim, factory().as_mut());
+                causes.extend(run_causes);
+                throttled += run_throttled;
             }
         }
     }
+    assert!(throttled > 0, "the suite never throttled an invocation");
     // The suite exercises every cause the simulator can name.
     for needed in [
         MisspeculationCause::StalePrediction,

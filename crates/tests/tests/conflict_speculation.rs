@@ -601,9 +601,10 @@ fn epoch_boundary_run(backend: &mut dyn ExecutionBackend) -> (Vec<ExecutionRepor
 /// entry code's store to A precedes the release of the workers and is in no
 /// write set, while the main chunk's first iteration's store to B is in its
 /// write set even on a machine where it lands before any worker reads B.
-/// So from invocation 1 on (invocation 0's workers start from zeroed rows)
-/// worker 1 is a `DependenceViolation` at B, never at A, and every later
-/// worker a `SquashCascade`, on native threads and on every machine of
+/// So on invocations 1 and 2 (invocation 0's workers start from zeroed
+/// rows) worker 1 is a `DependenceViolation` at B, never at A, and every
+/// later worker a `SquashCascade` — and those two violations throttle
+/// invocation 3 — on native threads and on every machine of
 /// `verdict_machines` alike; every result equals the interpreter's. (On
 /// the Table 1 machine the store to B lands before any worker begins its
 /// chunk, so a rule that recorded writes only while some chunk speculates
@@ -632,7 +633,10 @@ fn the_epoch_opens_where_the_workers_are_released() {
             expected[0] = Some(DependenceViolation { addr: word_b });
             for (inv, report) in spice_reports.iter().enumerate().skip(1) {
                 let causes: Vec<_> = report.workers.iter().map(|w| w.cause).collect();
+                let throttled = inv == 3;
+                let expected = if throttled { &[][..] } else { &expected };
                 assert_eq!(causes, expected, "{at}, invocation {inv}");
+                assert_eq!(report.throttled, throttled, "{at}, invocation {inv}");
             }
         }
     }
@@ -716,5 +720,87 @@ fn a_late_worker_starts_from_the_rows_it_was_released_with() {
         };
         let sim = late_release_run(&mut SimBackend::with_config(config, THREADS));
         assert_eq!(sim, expected, "test_tiny at latency {inter_core_latency}");
+    }
+}
+
+/// A conflict-detection grain coarser than the simulator's 64-word
+/// predictor slabs would put predictor words back into one grain and
+/// report violations the program does not have, so every Spice backend
+/// refuses grain 2^7 at `load` with the same typed error, and accepts
+/// 2^6, the coarsest grain the slabs keep apart.
+#[test]
+fn every_backend_refuses_a_grain_coarser_than_the_predictor_slab() {
+    use spice_core::backend::SimBackend;
+    use spice_ir::exec::{BackendError, MAX_CONFLICT_GRANULARITY_LOG2};
+    type Make = fn() -> Box<dyn ExecutionBackend>;
+    let backends: [(&str, Make); 3] = [
+        ("native", || make_backend(BackendChoice::Native, 2)),
+        ("SimBackend::tiny", || Box::new(SimBackend::tiny(2))),
+        ("SimBackend::new", || Box::new(SimBackend::new(2))),
+    ];
+    for (name, make) in backends {
+        let load = |granularity_log2: u8| {
+            let (program, kernel, ..) = list_min_program(8);
+            let options =
+                LoadOptions::new(Some(8)).with_conflict_granularity_log2(granularity_log2);
+            make().load(program, kernel, options)
+        };
+        assert_eq!(load(7), Err(BackendError::Granularity(7)), "{name}");
+        assert_eq!(load(MAX_CONFLICT_GRANULARITY_LOG2), Ok(()), "{name}");
+    }
+}
+
+/// A throttled invocation is narrated alike on both backends: the
+/// throttle's state and a feedback with no chunk, and no chunk event —
+/// every event but the simulator's machine-level ones (retires, channel
+/// traffic, cache misses), compared without its time coordinate.
+#[test]
+fn throttled_invocations_are_narrated_alike_on_both_backends() {
+    use spice_ir::TraceEvent;
+    let narrations = |choice: BackendChoice| {
+        let mut backend = make_backend(choice, 4);
+        backend.enable_trace(1 << 20);
+        let factory = spice_workloads::workload_factory("mcf_true", true).unwrap();
+        let summary = run_workload_on(factory().as_mut(), backend.as_mut()).unwrap();
+        assert!(
+            summary.throttled_invocations > 0,
+            "{choice}: nothing throttled"
+        );
+        let trace = backend.trace().expect("tracing on");
+        let mut invocations: Vec<Vec<String>> = Vec::new();
+        for event in trace.events() {
+            match event {
+                TraceEvent::InvocationBegin { .. } => invocations.push(Vec::new()),
+                TraceEvent::Throttled { streak, skip, .. } => {
+                    invocations
+                        .last_mut()
+                        .unwrap()
+                        .push(format!("throttled {streak} {skip}"));
+                }
+                TraceEvent::PredictorFeedback {
+                    committed,
+                    squashed,
+                    ..
+                } => invocations
+                    .last_mut()
+                    .unwrap()
+                    .push(format!("feedback {committed} {squashed}")),
+                e if e.kind().starts_with("chunk") || e.kind() == "predictor_plan" => {
+                    invocations.last_mut().unwrap().push(e.kind().to_string());
+                }
+                _ => {}
+            }
+        }
+        let throttled = invocations
+            .into_iter()
+            .enumerate()
+            .filter(|(_, events)| events.first().is_some_and(|e| e.starts_with("throttled")));
+        throttled.collect::<Vec<_>>()
+    };
+    let sim = narrations(BackendChoice::SimTiny);
+    assert_eq!(sim, narrations(BackendChoice::Native));
+    for (inv, events) in &sim {
+        assert_eq!(events.len(), 2, "invocation {inv}: {events:?}");
+        assert_eq!(events[1], "feedback 0 0", "invocation {inv}");
     }
 }

@@ -311,6 +311,72 @@ fn spec_check_moved_off_commit_path_breaks_the_contract() {
     );
 }
 
+/// The throttled path of a detecting loop: its entry block, where every
+/// worker is resteered with no task.
+fn throttle_block(spice: &SpiceParallelLoop) -> BlockId {
+    spice
+        .shape
+        .throttle
+        .expect("a detecting loop has a throttled path")
+}
+
+/// A throttled invocation that still waits for worker 1's status would wait
+/// forever: the worker was released with no task and sends nothing.
+#[test]
+fn throttled_path_receiving_a_status_breaks_the_contract() {
+    let (mut program, spice) = transformed(ConflictPolicy::Detect);
+    let w = &spice.workers[0];
+    let throttle = throttle_block(&spice);
+    let main = program.func_mut(spice.main);
+    let dst = main.fresh_reg();
+    main.block_mut(throttle).insts.push(Inst::Recv {
+        dst,
+        chan: Operand::Imm(w.channels.status),
+    });
+    let errs = lint_errors(&program, &spice);
+    assert!(
+        breaks_contract(&errs, &program, spice.main, w.core, Some(throttle)),
+        "got {errs:?}"
+    );
+}
+
+/// A throttled invocation that releases worker 1 with a task instead of
+/// resteering it, then runs the loop past the merge chain: the worker's
+/// chunk would be neither committed nor squashed.
+#[test]
+fn throttled_path_releasing_a_worker_breaks_the_contract() {
+    let (mut program, spice) = transformed(ConflictPolicy::Detect);
+    let w = &spice.workers[0];
+    let throttle = throttle_block(&spice);
+    let release: Vec<Inst> = program
+        .func(spice.main)
+        .block(spice.shape.dispatch)
+        .insts
+        .iter()
+        .filter(
+            |i| matches!(i, Inst::Send { chan: Operand::Imm(c), .. } if *c == w.channels.invariant),
+        )
+        .cloned()
+        .collect();
+    assert!(!release.is_empty());
+    let (b, ip) = find_inst(
+        &program,
+        spice.main,
+        |i| matches!(i, Inst::Resteer { core: Operand::Imm(c), .. } if *c == w.core as i64),
+    );
+    assert_eq!(b, throttle, "the throttled path resteers first");
+    program
+        .func_mut(spice.main)
+        .block_mut(throttle)
+        .insts
+        .splice(ip..=ip, release);
+    let errs = lint_errors(&program, &spice);
+    assert!(
+        breaks_contract(&errs, &program, spice.main, w.core, Some(throttle)),
+        "got {errs:?}"
+    );
+}
+
 /// The worker's exit block: the one that runs `spec.commit`.
 fn worker_exit_block(program: &Program, func: FuncId) -> BlockId {
     find_inst(program, func, |i| matches!(i, Inst::SpecCommit)).0

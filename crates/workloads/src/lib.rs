@@ -147,6 +147,9 @@ pub struct BackendRunSummary {
     pub return_values: Vec<Option<i64>>,
     /// Number of invocations with at least one squashed chunk.
     pub misspeculated_invocations: usize,
+    /// Number of invocations the dependence-violation throttle ran without
+    /// workers ([`spice_ir::exec::Throttle`]).
+    pub throttled_invocations: usize,
     /// Total speculative chunks committed across all invocations.
     pub committed_chunks: usize,
     /// Total speculative chunks squashed across all invocations.
@@ -249,6 +252,7 @@ pub fn drive_loaded_workload(
         total_cost: 0,
         return_values: Vec::new(),
         misspeculated_invocations: 0,
+        throttled_invocations: 0,
         committed_chunks: 0,
         squashed_chunks: 0,
         dependence_violations: 0,
@@ -276,6 +280,7 @@ pub fn drive_loaded_workload(
         if report.misspeculated {
             summary.misspeculated_invocations += 1;
         }
+        summary.throttled_invocations += usize::from(report.throttled);
         summary.committed_chunks += report.committed_chunks;
         summary.squashed_chunks += report.squashed_chunks;
         summary.dependence_violations += report
