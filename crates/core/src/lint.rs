@@ -21,11 +21,11 @@
 //!   `spec.check` under `AssumeIndependent` or naming no worker, a
 //!   speculation op outside the workers) is an error, and no protocol
 //!   channel is touched by a foreign function.
-//! * **boundary/resume shape** — the `need_resume`/`resumed` control flow is
-//!   well nested: the recorded skeleton blocks are wired exactly as the
-//!   transform documents, the resume block is entered only from the tail,
-//!   a recovery block is entered only by a resteer, and every remote
-//!   resteer targets its worker's recovery block.
+//! * **boundary shape** — the recorded skeleton blocks are wired exactly
+//!   as the transform documents (under detection, the throttle and the
+//!   resume after a violation both enter the lean loop), a recovery block is
+//!   entered only by a resteer, and every remote resteer targets its
+//!   worker's recovery block.
 
 use std::fmt;
 
@@ -43,35 +43,46 @@ use crate::transform::SpiceParallelLoop;
 pub struct MainShape {
     /// Centralized predictor step, entered from the preheader.
     pub central: BlockId,
-    /// The throttled invocation's entry (conflict detection only): every
-    /// worker resteered with no task, then the loop run alone, past the
-    /// merge chain.
-    pub throttle: Option<BlockId>,
     /// Worker release: each worker's `new_invocation` message — its start
     /// row, its successor's row (all but the last worker), the invariant
     /// live-ins — after the main thread's own row 0 is loaded.
     pub dispatch: BlockId,
-    /// Boundary detection entry.
+    /// Boundary detection: the live-in comparison against the predicted
+    /// boundary.
     pub check: BlockId,
     /// Latch-side work bump.
     pub bump: BlockId,
-    /// Live-in comparison against the predicted boundary.
-    pub compare: BlockId,
     /// Memoization entry.
     pub memo: BlockId,
     /// Boundary hit (successor speculated correctly).
     pub hit: BlockId,
-    /// Merge-chain entry; the loop exit lands here.
-    pub merge: BlockId,
-    /// First block of the per-worker commit chain.
+    /// First block of the per-worker commit chain; the loop exit lands here.
     pub chain: BlockId,
-    /// End of the merge chain.
-    pub tail: BlockId,
-    /// Squash-resume re-entry into the loop.
-    pub resume: BlockId,
     /// The main thread's work-counter store before the original post-loop
     /// code.
     pub finish: BlockId,
+    /// The paths on which the main thread runs the loop alone (conflict
+    /// detection only).
+    pub serial: Option<SerialShape>,
+}
+
+/// The blocks through which a detecting loop's main thread runs the loop
+/// alone, on the lean copy, whose exit goes to [`MainShape::finish`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct SerialShape {
+    /// The throttled invocation's entry: every worker resteered with no
+    /// task, then the lean loop.
+    pub throttle: BlockId,
+    /// End of the merge chain: resume after a dependence violation, or
+    /// finish.
+    pub tail: BlockId,
+    /// The resume after a dependence violation: the first arrival's memo
+    /// test, into the lean loop.
+    pub resume: BlockId,
+    /// The lean loop's header.
+    pub lean: BlockId,
+    /// The lean loop's memoization block.
+    pub lean_memo: BlockId,
 }
 
 /// A single speculation-safety lint failure.
@@ -116,16 +127,6 @@ pub enum LintError {
         block: BlockId,
         /// What the protocol expects of it.
         expected: String,
-    },
-    /// The squash-resume block is entered from somewhere other than the
-    /// merge-chain tail, breaking `need_resume`/`resumed` nesting.
-    ResumeEntry {
-        /// Function holding the resume block.
-        func: String,
-        /// The offending predecessor.
-        pred: BlockId,
-        /// The resume block.
-        resume: BlockId,
     },
     /// A worker's recovery block has in-function predecessors: only the
     /// main thread's resteer may enter it.
@@ -185,10 +186,6 @@ impl fmt::Display for LintError {
                 f,
                 "boundary-shape: @{func}: {block} is mis-wired — expected {expected}"
             ),
-            LintError::ResumeEntry { func, pred, resume } => write!(
-                f,
-                "boundary-shape: @{func}: resume block {resume} entered from {pred}, protocol allows only the merge-chain tail"
-            ),
             LintError::RecoveryShape { func, block } => write!(
                 f,
                 "boundary-shape: @{func}: recovery block {block} has in-function predecessors; only a resteer may enter it"
@@ -217,7 +214,6 @@ impl LintError {
             LintError::Protocol { func, .. }
             | LintError::ForeignChannelOp { func, .. }
             | LintError::ShapeEdge { func, .. }
-            | LintError::ResumeEntry { func, .. }
             | LintError::RecoveryShape { func, .. }
             | LintError::ResteerTarget { func, .. } => Some(func),
             _ => None,
@@ -233,7 +229,6 @@ impl LintError {
             | LintError::ShapeEdge { block, .. }
             | LintError::RecoveryShape { block, .. }
             | LintError::ResteerTarget { block, .. } => Some(*block),
-            LintError::ResumeEntry { resume, .. } => Some(*resume),
             _ => None,
         }
     }
@@ -570,14 +565,19 @@ pub fn lint_spice(program: &Program, spice: &SpiceParallelLoop) -> Result<(), Ve
 /// and each worker from its entry and from its recovery block.
 fn lint_contract(spice: &SpiceParallelLoop, ctxs: &[FuncCtx<'_>], errs: &mut Vec<LintError>) {
     let main = &ctxs[spice.main.index()];
+    let lean: Vec<BlockId> = spice
+        .shape
+        .serial
+        .iter()
+        .flat_map(|s| [s.lean, s.lean_memo])
+        .collect();
     for (wi, w) in spice.workers.iter().enumerate() {
         let [main_words, entry, recovery] = contract(spice, wi);
         let worker = &ctxs[w.func.index()];
         let core = w.core as i64;
-        let shape = Some(&spice.shape);
-        walk(main, wi, core, main.cfg.entry(), &main_words, shape, errs);
-        walk(worker, wi, core, worker.cfg.entry(), &entry, None, errs);
-        walk(worker, wi, core, w.recovery_block, &recovery, None, errs);
+        walk(main, wi, core, main.cfg.entry(), &main_words, &lean, errs);
+        walk(worker, wi, core, worker.cfg.entry(), &entry, &[], errs);
+        walk(worker, wi, core, w.recovery_block, &recovery, &[], errs);
     }
 }
 
@@ -606,32 +606,27 @@ fn next_letters(words: &[Vec<Ev>], w: usize, p: usize) -> Vec<Ev> {
 /// events, against `words`, with an explicit worklist over `(block, word
 /// position)`. A position is a word prefix, kept as `(word, length)`. Every
 /// event must extend the prefix and every `ret` must end a whole word; once
-/// a worker's word has only its `ret` left, the block must return. In the
-/// main function a `resumed` bit, set on entering `shape.resume` or
-/// `shape.throttle`, keeps `shape.merge` to its one live edge: `finish`
-/// after either, `chain` before (`lint_boundary_shape` pins both). Since
-/// the merge chain is then behind the main thread, the word must be whole
-/// where either block ends. A path stops at its first error, and each
-/// `(block, ip)` is reported once.
+/// a worker's word has only its `ret` left, the block must return. The
+/// merge chain is behind the main thread in the lean loop, so the word must
+/// be whole at the end of every block with an edge into one of `lean`'s
+/// entries. A path stops at its first error, and each `(block, ip)` is
+/// reported once.
 fn walk(
     ctx: &FuncCtx<'_>,
     wi: usize,
     core: i64,
     start: BlockId,
     words: &[Vec<Ev>],
-    shape: Option<&MainShape>,
+    lean: &[BlockId],
     errs: &mut Vec<LintError>,
 ) {
     let width = words.iter().map(Vec::len).max().unwrap_or(0) + 1;
-    let states = words.len() * width * 2;
+    let states = words.len() * width;
     let mut seen = vec![false; ctx.cfg.block_count() * states];
     let mut flagged: Vec<(BlockId, usize)> = Vec::new();
-    let mut stack = vec![(start, 0, 0, false)];
-    while let Some((b, mut w, mut p, mut resumed)) = stack.pop() {
-        let resumes = shape.is_some_and(|s| b == s.resume || Some(b) == s.throttle);
-        resumed |= resumes;
-        let state = (w * width + p) * 2 + usize::from(resumed);
-        if std::mem::replace(&mut seen[b.index() * states + state], true) {
+    let mut stack = vec![(start, 0, 0)];
+    while let Some((b, mut w, mut p)) = stack.pop() {
+        if std::mem::replace(&mut seen[b.index() * states + w * width + p], true) {
             continue;
         }
         let mut broken = None;
@@ -650,11 +645,12 @@ fn walk(
         let block = ctx.func.block(b);
         let end = block.insts.len();
         let whole = words.iter().any(|x| x[..] == words[w][..p]);
+        let enters_lean = || ctx.cfg.succs(b).iter().any(|s| lean.contains(s));
         let broken = broken.or_else(|| match &block.terminator {
             Terminator::Ret { .. } => {
                 (!whole && step(words, w, p, Ev::Ret).is_none()).then(|| (end, Ev::Ret.to_string()))
             }
-            term if resumes && !whole => Some((end, term.to_string())),
+            term if !whole && enters_lean() => Some((end, term.to_string())),
             term => (words[w].get(p) == Some(&Ev::Ret) && next_letters(words, w, p) == [Ev::Ret])
                 .then(|| (end, term.to_string())),
         });
@@ -680,12 +676,8 @@ fn walk(
             }
             continue;
         }
-        // At `shape.merge` only the edge the `resumed` bit picks is live.
-        let live = |sh: &MainShape| if resumed { sh.finish } else { sh.chain };
         for &s in ctx.cfg.succs(b) {
-            if !shape.is_some_and(|sh| b == sh.merge && s != live(sh)) {
-                stack.push((s, w, p, resumed));
-            }
+            stack.push((s, w, p));
         }
     }
 }
@@ -729,17 +721,15 @@ fn expect_cond_br(
     }
 }
 
-/// Boundary/resume CFG shape: the recorded skeleton is wired as documented,
-/// the resume edge is well nested, recovery blocks are sound squash
-/// targets, and resteers point at them.
+/// Boundary CFG shape: the recorded skeleton is wired as documented,
+/// recovery blocks are sound squash targets, and resteers point at them.
 fn lint_boundary_shape(
     program: &Program,
     spice: &SpiceParallelLoop,
     ctxs: &[FuncCtx<'_>],
     errs: &mut Vec<LintError>,
 ) {
-    let main_ctx = &ctxs[spice.main.index()];
-    let main = main_ctx.func;
+    let main = ctxs[spice.main.index()].func;
     let s = &spice.shape;
 
     expect_br(
@@ -753,45 +743,36 @@ fn lint_boundary_shape(
     expect_cond_br(
         main,
         s.check,
-        s.memo,
-        s.compare,
-        "resumed skips comparison",
-        errs,
-    );
-    expect_cond_br(
-        main,
-        s.compare,
         s.hit,
         s.memo,
         "boundary hit or memoize",
         errs,
     );
-    expect_br(main, s.hit, s.merge, "hit enters the merge chain", errs);
-    expect_cond_br(
-        main,
-        s.merge,
-        s.finish,
-        s.chain,
-        "resumed bypasses the chain",
-        errs,
-    );
-    expect_cond_br(
-        main,
-        s.tail,
-        s.resume,
-        s.finish,
-        "need_resume re-enters the loop",
-        errs,
-    );
-    expect_br(main, s.resume, s.check, "resume re-enters detection", errs);
-    if let Some(throttle) = s.throttle {
-        if !matches!(func_terminator(main, throttle), Terminator::Br(_)) {
-            errs.push(LintError::ShapeEdge {
-                func: main.name.clone(),
-                block: throttle,
-                expected: "br <the throttled loop>".to_string(),
-            });
-        }
+    expect_br(main, s.hit, s.chain, "hit enters the merge chain", errs);
+    if let Some(serial) = &s.serial {
+        expect_cond_br(
+            main,
+            serial.tail,
+            serial.resume,
+            s.finish,
+            "need_resume runs the rest of the loop alone",
+            errs,
+        );
+        expect_cond_br(
+            main,
+            serial.resume,
+            serial.lean_memo,
+            serial.lean,
+            "resume enters the lean loop",
+            errs,
+        );
+        expect_br(
+            main,
+            serial.throttle,
+            serial.lean,
+            "throttle enters the lean loop",
+            errs,
+        );
     }
     match func_terminator(main, s.finish) {
         Terminator::Br(_) => {}
@@ -800,17 +781,6 @@ fn lint_boundary_shape(
             block: s.finish,
             expected: "br <post-loop code>".to_string(),
         }),
-    }
-
-    // Well-nestedness: the resume block is entered only from the tail.
-    for &pred in main_ctx.cfg.preds(s.resume) {
-        if pred != s.tail {
-            errs.push(LintError::ResumeEntry {
-                func: main.name.clone(),
-                pred,
-                resume: s.resume,
-            });
-        }
     }
 
     // Worker recovery blocks are entered only by remote resteer (the

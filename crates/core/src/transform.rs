@@ -29,11 +29,14 @@
 //!    order the merge chain resteers them,
 //! 6. the post-loop merge in the main thread that commits valid workers in
 //!    order, combines reductions and live-outs, and squashes the rest,
-//! 7. under [`ConflictPolicy::Detect`], the dependence-violation throttle
-//!    ([`Throttle`]): worker 1's conflict and commit blocks in the merge
-//!    chain keep its `streak` and `skip` words, and the centralized step
-//!    runs an invocation with `skip > 0` without workers — every worker
-//!    resteered with no task, the loop run alone on core 0.
+//! 7. under [`ConflictPolicy::Detect`], one serial loop on core 0, the lean
+//!    loop, for the two times the main thread runs the loop alone: the rest
+//!    of an invocation after a dependence violation, from the violated
+//!    boundary, and an invocation the dependence-violation throttle
+//!    ([`Throttle`]) skips — worker 1's conflict and commit blocks in the
+//!    merge chain keep its `streak` and `skip` words, and the centralized
+//!    step runs an invocation with `skip > 0` without workers, every worker
+//!    resteered with no task.
 
 use serde::{Deserialize, Serialize};
 
@@ -44,7 +47,7 @@ use spice_ir::reduction::ReductionKind;
 use spice_ir::verify::{verify_program, VerifyError};
 use spice_ir::{BinOp, BlockId, FuncId, Inst, Operand, Program, Reg, Terminator};
 
-use crate::lint::{lint_spice, LintError, MainShape};
+use crate::lint::{lint_spice, LintError, MainShape, SerialShape};
 use crate::predictor::{PredictorLayout, PredictorOptions, NEVER};
 
 /// Options controlling the transformation.
@@ -538,27 +541,42 @@ fn emit_centralized(
     gate
 }
 
-/// Emits the loop a throttled invocation runs on core 0: a copy of the
-/// pristine loop blocks over the same registers, entered at the copied
-/// header with `my_work` and `memo_idx` zero and `thresh` holding thread
-/// 0's first threshold. Each back edge counts the completed iteration and
-/// tests the threshold in the latch's own issue group (`my_work += 1;
-/// my_work >= thresh ? memo : header`); the memo block stores the cursors
-/// into the `svai`-named row and loads the next threshold — the same
-/// memoization as `emit_memoization`, one per header arrival, without a
-/// load and two branches per iteration. The first arrival needs no test: a
-/// threshold is at least one. The loop's exit goes to `finish_bb`.
-fn emit_throttled_loop(
+/// Emits the lean loop, the one loop a detecting loop's main thread runs
+/// alone, and its two entries. Its exit goes to `finish_bb`, past the merge
+/// chain, so every worker's word is whole at both entries. The loop is a
+/// copy of the pristine loop blocks over the same registers; each back edge
+/// counts the completed iteration and tests the threshold in the latch's own
+/// issue group (`my_work += 1; my_work >= thresh ? memo : header`, `thresh`
+/// holding `svat[0][memo_idx]`), and the memo block stores the cursors into
+/// the `svai`-named row and loads the next threshold — the memoization of
+/// `emit_memoization` without a load and two branches per iteration.
+///
+/// * `throttle` (the centralized step's `skip > 0` exit): consume one skip,
+///   release every worker with no task (a resteer to its recovery block,
+///   before anything is sent to it), and run the whole loop from thread 0's
+///   first threshold. The first arrival needs no memo test: a threshold is
+///   at least one, and `my_work` is zero.
+/// * `tail` → `resume` (the merge chain's end): when a dependence violation
+///   left iterations unexecuted (`need_resume`), run on from the violated
+///   boundary. The cursor registers hold it, reductions carry the committed
+///   prefix, and `my_work`/`memo_idx` carry the main chunk's count and its
+///   place in thread 0's plan. The main chunk stopped at a boundary hit,
+///   before that arrival's memo test, so `resume` runs it.
+#[allow(clippy::too_many_arguments)]
+fn emit_serial_paths(
     b: &mut FunctionBuilder,
     (src, loop_regs): (&spice_ir::Function, &[Reg]),
     analysis: &SpiceLoopSpec,
     layout: &PredictorLayout,
-    (my_work, memo_idx, thresh): (Reg, Reg, Reg),
+    workers: &[WorkerInfo],
+    (throttle, skip): (BlockId, Reg),
+    (my_work, memo_idx, need_resume): (Reg, Reg, Reg),
     finish_bb: BlockId,
-) -> BlockId {
+) -> SerialShape {
+    let thresh = b.fresh();
     let (bmap, _) = b.func_mut().import_blocks(src, &analysis.blocks, loop_regs);
-    let header = bmap[&analysis.header];
-    let memo_bb = b.new_labeled_block("spice.throttle.memo");
+    let lean = bmap[&analysis.header];
+    let lean_memo = b.new_labeled_block("spice.lean.memo");
     for &sb in &analysis.blocks {
         let nb = bmap[&sb];
         let term = &mut b.func_mut().block_mut(nb).terminator;
@@ -570,12 +588,12 @@ fn emit_throttled_loop(
             }
         });
         let latch = match term {
-            Terminator::Br(t) if *t == header => nb,
+            Terminator::Br(t) if *t == lean => nb,
             // A conditional back edge goes through a block of its own.
-            _ if term.successors().as_slice().contains(&header) => {
-                let bump = b.new_labeled_block("spice.throttle.bump");
+            _ if term.successors().as_slice().contains(&lean) => {
+                let bump = b.new_labeled_block("spice.lean.bump");
                 let term = &mut b.func_mut().block_mut(nb).terminator;
-                term.remap_blocks(|t| if t == header { bump } else { t });
+                term.remap_blocks(|t| if t == lean { bump } else { t });
                 bump
             }
             _ => continue,
@@ -584,10 +602,10 @@ fn emit_throttled_loop(
         let done = b.binop(BinOp::Add, my_work, 1i64);
         b.copy_into(my_work, done);
         let fire = b.binop(BinOp::Ge, my_work, thresh);
-        b.cond_br(fire, memo_bb, header);
+        b.cond_br(fire, lean_memo, lean);
     }
 
-    b.switch_to(memo_bb);
+    b.switch_to(lean_memo);
     let row_idx = b.binop(BinOp::Add, memo_idx, layout.svai_addr(0, 0));
     let row = b.load(row_idx, 0);
     let row_off = b.binop(BinOp::Mul, row, layout.spec_width as i64);
@@ -599,8 +617,40 @@ fn emit_throttled_loop(
     b.copy_into(memo_idx, next);
     let thresh_idx = b.binop(BinOp::Add, memo_idx, layout.svat_addr(0, 0));
     b.load_into(thresh, thresh_idx, 0);
-    b.br(header);
-    header
+    b.br(lean);
+
+    b.switch_to(throttle);
+    for w in workers {
+        b.push(Inst::Resteer {
+            core: Operand::Imm(w.core as i64),
+            target: w.recovery_block,
+        });
+    }
+    let left = b.binop(BinOp::Sub, skip, 1i64);
+    b.store(left, layout.skip_addr(), 0);
+    b.copy_into(my_work, 0i64);
+    b.copy_into(memo_idx, 0i64);
+    b.load_into(thresh, layout.svat_addr(0, 0), 0);
+    b.br(lean);
+
+    let tail = b.new_labeled_block("spice.tail");
+    let resume = b.new_labeled_block("spice.resume");
+    b.switch_to(tail);
+    b.cond_br(need_resume, resume, finish_bb);
+
+    b.switch_to(resume);
+    let thresh_idx = b.binop(BinOp::Add, memo_idx, layout.svat_addr(0, 0));
+    b.load_into(thresh, thresh_idx, 0);
+    let fire = b.binop(BinOp::Ge, my_work, thresh);
+    b.cond_br(fire, lean_memo, lean);
+
+    SerialShape {
+        throttle,
+        tail,
+        resume,
+        lean,
+        lean_memo,
+    }
 }
 
 /// Emits worker 1's dependence violation into the throttle's words
@@ -789,23 +839,21 @@ fn build_worker(
 }
 
 /// Rewrites the main function in place. `pristine` is the function before
-/// the rewrite and the registers its loop mentions, which the throttled
-/// invocation's loop copy is made from.
+/// the rewrite and the registers its loop mentions, which the lean loop is
+/// made from.
 ///
-/// Control-flow shape of the rewritten function (conflict handling under
-/// [`ConflictPolicy::Detect`]):
+/// Control-flow shape of the rewritten function (the lines marked
+/// "detection only" under [`ConflictPolicy::Detect`]):
 ///
 /// ```text
 /// preheader ─▶ central: read work, reset arrays ──▶ central.plan ─▶ dispatch
 ///                 [load skip]      └──(no work / memoize-once)──▶ dispatch
 ///                                    [either: skip > 0 ─▶ throttle instead]
-/// throttle: resteer every worker, skip −= 1 ─▶ lean loop copy, memoizing
-///           on the back edges ─▶ finish              (detection only)
 /// dispatch: load row 0; per worker: load successor row,
 ///           new_invocation: start row, successor row, invariants ─▶ check
-/// check ──resumed──▶ memo ─▶ header ─▶ body … latch ─▶ bump(work+=1) ─▶ check
-///   └─▶ compare ──hit──▶ merge ──resumed──▶ finish
-///           └─▶ memo        └─▶ chain ─▶ w1.dispatch …
+/// check ──hit──▶ hit ─▶ chain ─▶ w1.dispatch …
+///   └─▶ memo ─▶ header ─▶ body … latch ─▶ bump(work+=1) ─▶ check
+///                           exit ─▶ chain
 /// w(k).dispatch ─valid──▶ w(k).valid: recv status; spec.check core k
 ///                │          ├─conflict─▶ w(k).conflict: resteer,
 ///                │          │            still_valid=0, need_resume=1
@@ -813,9 +861,13 @@ fn build_worker(
 ///                │          └─▶ w(k).commit: command, (w1: streak = 0),
 ///                │                           live-outs
 ///                └─▶ w(k).squash: resteer
-/// tail ──need_resume──▶ resume: resumed=1 ─▶ check   (main re-executes
-///   └─▶ finish: store main's work counter ─▶ exit     from the violated
-///                                                     boundary itself)
+/// last worker ─▶ finish: store main's work counter ─▶ exit
+///
+/// detection only — the chain ends in tail, and the loop runs alone on the
+/// lean copy, memoizing on its back edges, its exit going to finish:
+/// tail ──need_resume──▶ resume: my_work ≥ svat[0][memo_idx] ? lean.memo
+///   └─▶ finish                                             : lean
+/// throttle: resteer every worker, skip −= 1 ─▶ lean
 /// ```
 ///
 /// `central` is the centralized half of Algorithm 2 running on core 0 (see
@@ -828,12 +880,10 @@ fn build_worker(
 ///
 /// Under conflict detection the centralized step also loads the throttle's
 /// `skip` word; a nonzero one sends core 0 to `throttle` instead of
-/// `dispatch`: no `new_invocation` message is sent, every worker is
-/// resteered to its recovery block (its "no task" release: `spec.abort`
-/// outside speculation aborts nothing), and core 0 runs the loop alone on a
-/// lean copy that memoizes per thread 0's plan ([`emit_throttled_loop`])
-/// and exits to `finish`, past the merge chain. The next probe plans from
-/// the work counters that invocation left: all on core 0.
+/// `dispatch`, and a dependence violation in the merge chain sends it from
+/// `tail` to `resume`. Both run the rest of the loop alone on one lean copy
+/// ([`emit_serial_paths`]); the next probe plans from the work counters that
+/// invocation left.
 ///
 /// The merge chain waits only for what it reads: a worker's status and its
 /// live-outs. A committed worker sends its live-outs after `spec.commit`, so
@@ -872,26 +922,18 @@ fn rewrite_main(
     let memo_idx = b.fresh();
     let still_valid = b.fresh();
     // Set when a conflict squash leaves un-executed iterations behind: the
-    // main thread must re-enter the loop from the violated boundary. A
-    // status-0 chain break needs no resume (that worker ran to the exit).
-    let need_resume = b.fresh();
-    // Set while the main thread is re-executing after a squash: boundary
-    // detection is off (the old boundaries are behind it) and the loop exit
-    // bypasses the already-run merge chain.
-    let resumed = b.fresh();
+    // main thread must run on from the violated boundary. A status-0 chain
+    // break needs no resume (that worker ran to the exit).
+    let need_resume = conflict_policy.detects().then(|| b.fresh());
     let pred_regs: Vec<Reg> = analysis.cursors.iter().map(|_| b.fresh()).collect();
 
     let central_bb = b.new_labeled_block("spice.central");
     let dispatch_bb = b.new_labeled_block("spice.dispatch");
     let check_bb = b.new_labeled_block("spice.check");
     let bump_bb = b.new_labeled_block("spice.bump");
-    let compare_bb = b.new_labeled_block("spice.compare");
     let memo_bb = b.new_labeled_block("spice.memo");
     let hit_bb = b.new_labeled_block("spice.hit");
-    let merge_bb = b.new_labeled_block("spice.merge");
     let chain_bb = b.new_labeled_block("spice.chain");
-    let tail_bb = b.new_labeled_block("spice.tail");
-    let resume_bb = b.new_labeled_block("spice.resume");
     let finish_bb = b.new_labeled_block("spice.finish");
 
     // Under conflict detection, an invocation the dependence-violation
@@ -911,37 +953,20 @@ fn rewrite_main(
         throttle_bb,
     );
 
-    // --- Throttled invocation: consume one skip, release every worker with
-    // no task (a resteer to its recovery block, before anything is sent to
-    // it), and run the whole loop on core 0 — no detection, memoization on,
-    // the exit past the merge chain — so the next probe starts from fresh
-    // rows. The loop is a lean copy (see `emit_throttled_loop`): the
-    // resumed path of the instrumented loop would cost three more issue
-    // groups per iteration.
-    if let Some((throttle_bb, skip)) = gate {
-        let thresh = b.fresh();
-        let loop_bb = emit_throttled_loop(
+    // --- The throttled invocation and the resume after a dependence
+    // violation: the loop alone on core 0, past the merge chain.
+    let serial = gate.zip(need_resume).map(|(gate, need_resume)| {
+        emit_serial_paths(
             &mut b,
             pristine,
             analysis,
             layout,
-            (my_work, memo_idx, thresh),
+            workers,
+            gate,
+            (my_work, memo_idx, need_resume),
             finish_bb,
-        );
-        b.switch_to(throttle_bb);
-        for w in workers {
-            b.push(Inst::Resteer {
-                core: Operand::Imm(w.core as i64),
-                target: w.recovery_block,
-            });
-        }
-        let left = b.binop(BinOp::Sub, skip, 1i64);
-        b.store(left, layout.skip_addr(), 0);
-        b.copy_into(my_work, 0i64);
-        b.copy_into(memo_idx, 0i64);
-        b.load_into(thresh, layout.svat_addr(0, 0), 0);
-        b.br(loop_bb);
-    }
+        )
+    });
 
     // --- Dispatch: load this invocation's boundary prediction (row 0), then
     // release every pre-spawned worker in order with its `new_invocation`
@@ -973,20 +998,18 @@ fn rewrite_main(
     b.copy_into(success, 0i64);
     b.copy_into(my_work, 0i64);
     b.copy_into(memo_idx, 0i64);
-    b.copy_into(need_resume, 0i64);
-    b.copy_into(resumed, 0i64);
+    if let Some(need_resume) = need_resume {
+        b.copy_into(need_resume, 0i64);
+    }
     b.br(check_bb);
 
     // --- Latch-side work bump: one predictor work unit per completed
     // iteration.
     emit_work_bump(&mut b, bump_bb, my_work, check_bb);
 
-    // --- Detection block: after a squash-resume, the memoized boundaries
-    // are behind the main thread, so the comparison is skipped.
+    // --- Detection block: compare the live-ins against the predicted
+    // boundary.
     b.switch_to(check_bb);
-    b.cond_br(resumed, memo_bb, compare_bb);
-
-    b.switch_to(compare_bb);
     let all_eq = emit_compare_all(&mut b, &analysis.cursors, &pred_regs);
     b.cond_br(all_eq, hit_bb, memo_bb);
 
@@ -1005,13 +1028,9 @@ fn rewrite_main(
     // --- Hit block.
     b.switch_to(hit_bb);
     b.copy_into(success, 1i64);
-    b.br(merge_bb);
+    b.br(chain_bb);
 
-    // --- Merge chain. The loop exit lands here; after a squash-resume the
-    // chain has already run, so fall through to the work-counter store.
-    b.switch_to(merge_bb);
-    b.cond_br(resumed, finish_bb, chain_bb);
-
+    // --- Merge chain, entered from the hit and from the loop exit.
     b.switch_to(chain_bb);
     b.copy_into(still_valid, success);
     let mut next_dispatch = b.new_labeled_block("spice.w1.dispatch");
@@ -1023,7 +1042,7 @@ fn rewrite_main(
         next_dispatch = if i + 1 < workers.len() {
             b.new_labeled_block(format!("spice.w{}.dispatch", w.core + 1))
         } else {
-            tail_bb
+            serial.map_or(finish_bb, |s| s.tail)
         };
 
         b.switch_to(dispatch);
@@ -1037,7 +1056,7 @@ fn rewrite_main(
         // placed exactly at the in-order commit point.
         b.switch_to(valid_bb);
         let status = b.recv(w.channels.status);
-        if conflict_policy.detects() {
+        if let Some(need_resume) = need_resume {
             let conflict_bb = b.new_labeled_block(format!("spice.w{}.conflict", w.core));
             let commit_bb = b.new_labeled_block(format!("spice.w{}.commit", w.core));
             let conflict = b.spec_check(w.core as i64);
@@ -1114,18 +1133,8 @@ fn rewrite_main(
         b.br(next_dispatch);
     }
 
-    // --- Tail: if a conflict squash left iterations unexecuted, re-enter
-    // the loop from the violated boundary (the speculated registers hold it;
-    // reductions carry the committed prefix). Otherwise store the main
-    // thread's work counter and fall through to the original post-loop code.
-    b.switch_to(tail_bb);
-    b.cond_br(need_resume, resume_bb, finish_bb);
-
-    b.switch_to(resume_bb);
-    b.copy_into(resumed, 1i64);
-    b.copy_into(need_resume, 0i64);
-    b.br(check_bb);
-
+    // --- Finish: store the main thread's work counter and fall through to
+    // the original post-loop code.
     b.switch_to(finish_bb);
     b.store(my_work, layout.work_addr(0), 0);
     b.br(exit_target);
@@ -1145,25 +1154,21 @@ fn rewrite_main(
     }
     {
         let term = &mut b.func_mut().block_mut(exit_from).terminator;
-        term.remap_blocks(|t| if t == exit_target { merge_bb } else { t });
+        term.remap_blocks(|t| if t == exit_target { chain_bb } else { t });
     }
 
     *program.func_mut(func) = b.finish();
 
     MainShape {
         central: central_bb,
-        throttle: throttle_bb,
         dispatch: dispatch_bb,
         check: check_bb,
         bump: bump_bb,
-        compare: compare_bb,
         memo: memo_bb,
         hit: hit_bb,
-        merge: merge_bb,
         chain: chain_bb,
-        tail: tail_bb,
-        resume: resume_bb,
         finish: finish_bb,
+        serial,
     }
 }
 
@@ -1256,6 +1261,42 @@ mod tests {
                     func.name
                 );
             }
+        }
+    }
+
+    /// The main loop has one detection block and no merge block, and only a
+    /// detecting loop runs the loop alone: the throttle, the chain's tail,
+    /// the resume and the lean loop exist under `Detect` only.
+    #[test]
+    fn only_a_detecting_loop_has_serial_paths() {
+        for policy in [ConflictPolicy::Detect, ConflictPolicy::AssumeIndependent] {
+            let (mut p, f, ..) = list_min_program(8);
+            let analysis = derive_loop_spec(&p, f, None).unwrap();
+            let spice = SpiceTransform::new(SpiceOptions {
+                conflict_policy: policy,
+                ..SpiceOptions::with_threads(3)
+            })
+            .apply(&mut p, &analysis)
+            .unwrap();
+            let main = p.func(spice.main);
+            let labels: Vec<&str> = main
+                .block_ids()
+                .into_iter()
+                .filter_map(|b| main.block(b).label.as_deref())
+                .collect();
+            for gone in ["spice.merge", "spice.compare"] {
+                assert!(!labels.contains(&gone), "{gone} under {policy:?}");
+            }
+            for serial in [
+                "spice.throttle",
+                "spice.tail",
+                "spice.resume",
+                "spice.lean.memo",
+            ] {
+                let present = labels.contains(&serial);
+                assert_eq!(present, policy.detects(), "{serial} under {policy:?}");
+            }
+            assert_eq!(spice.shape.serial.is_some(), policy.detects());
         }
     }
 

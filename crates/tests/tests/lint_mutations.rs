@@ -8,7 +8,7 @@
 //! production miscompile.
 
 use spice_core::analysis::derive_loop_spec;
-use spice_core::lint::{check_protocol_metadata, lint_spice, LintError};
+use spice_core::lint::{check_protocol_metadata, lint_spice, LintError, SerialShape};
 use spice_core::transform::{SpiceOptions, SpiceParallelLoop, SpiceTransform, TransformError};
 use spice_ir::builder::FunctionBuilder;
 use spice_ir::exec::ConflictPolicy;
@@ -100,6 +100,15 @@ fn breaks_contract(
         matches!(e, LintError::Protocol { func: f, core: c, block: b, .. }
             if f == name && *c == core as i64 && block.is_none_or(|want| *b == want))
     })
+}
+
+/// The serial paths of a detecting loop: the throttled invocation, the
+/// merge chain's tail and the resume after a violation.
+fn serial(spice: &SpiceParallelLoop) -> SerialShape {
+    spice
+        .shape
+        .serial
+        .expect("a detecting loop runs the loop alone on its serial paths")
 }
 
 /// Named corruption: a double-send on a worker's invariant channel — the
@@ -250,7 +259,7 @@ fn spec_check_under_assume_independent_breaks_the_contract() {
     let w = &spice.workers[0];
     let main = program.func_mut(spice.main);
     let dst = main.fresh_reg();
-    main.block_mut(spice.shape.tail).insts.insert(
+    main.block_mut(spice.shape.chain).insts.insert(
         0,
         Inst::SpecCheck {
             dst,
@@ -258,9 +267,9 @@ fn spec_check_under_assume_independent_breaks_the_contract() {
         },
     );
     let errs = lint_errors(&program, &spice);
-    let tail = Some(spice.shape.tail);
+    let chain = Some(spice.shape.chain);
     assert!(
-        breaks_contract(&errs, &program, spice.main, w.core, tail),
+        breaks_contract(&errs, &program, spice.main, w.core, chain),
         "got {errs:?}"
     );
 }
@@ -270,9 +279,10 @@ fn spec_check_under_assume_independent_breaks_the_contract() {
 #[test]
 fn an_instruction_no_word_holds_breaks_the_contract() {
     let (mut program, spice) = transformed(ConflictPolicy::Detect);
+    let tail = serial(&spice).tail;
     let main = program.func_mut(spice.main);
     let dst = main.fresh_reg();
-    let insts = &mut main.block_mut(spice.shape.tail).insts;
+    let insts = &mut main.block_mut(tail).insts;
     insts.insert(
         0,
         Inst::SpecCheck {
@@ -287,7 +297,7 @@ fn an_instruction_no_word_holds_breaks_the_contract() {
         assert!(
             errs.iter().any(
                 |e| matches!(e, LintError::Protocol { func, core: c, block, ip: i, .. }
-                if func == name && *c == core && *block == spice.shape.tail && *i == ip)
+                if func == name && *c == core && *block == tail && *i == ip)
             ),
             "core {core}: got {errs:?}"
         );
@@ -301,23 +311,14 @@ fn spec_check_moved_off_commit_path_breaks_the_contract() {
     let (mut program, spice) = transformed(ConflictPolicy::Detect);
     let w = &spice.workers[0];
     let check = delete_spec_check(&mut program, &spice, w.core);
+    let resume = serial(&spice).resume;
     let main = program.func_mut(spice.main);
-    main.block_mut(spice.shape.resume).insts.push(check);
+    main.block_mut(resume).insts.push(check);
     let errs = lint_errors(&program, &spice);
-    let resume = Some(spice.shape.resume);
     assert!(
-        breaks_contract(&errs, &program, spice.main, w.core, resume),
+        breaks_contract(&errs, &program, spice.main, w.core, Some(resume)),
         "got {errs:?}"
     );
-}
-
-/// The throttled path of a detecting loop: its entry block, where every
-/// worker is resteered with no task.
-fn throttle_block(spice: &SpiceParallelLoop) -> BlockId {
-    spice
-        .shape
-        .throttle
-        .expect("a detecting loop has a throttled path")
 }
 
 /// A throttled invocation that still waits for worker 1's status would wait
@@ -326,7 +327,7 @@ fn throttle_block(spice: &SpiceParallelLoop) -> BlockId {
 fn throttled_path_receiving_a_status_breaks_the_contract() {
     let (mut program, spice) = transformed(ConflictPolicy::Detect);
     let w = &spice.workers[0];
-    let throttle = throttle_block(&spice);
+    let throttle = serial(&spice).throttle;
     let main = program.func_mut(spice.main);
     let dst = main.fresh_reg();
     main.block_mut(throttle).insts.push(Inst::Recv {
@@ -347,7 +348,7 @@ fn throttled_path_receiving_a_status_breaks_the_contract() {
 fn throttled_path_releasing_a_worker_breaks_the_contract() {
     let (mut program, spice) = transformed(ConflictPolicy::Detect);
     let w = &spice.workers[0];
-    let throttle = throttle_block(&spice);
+    let throttle = serial(&spice).throttle;
     let release: Vec<Inst> = program
         .func(spice.main)
         .block(spice.shape.dispatch)
@@ -468,13 +469,13 @@ fn an_early_return_that_skips_the_release_breaks_the_contract() {
 }
 
 // ---------------------------------------------------------------------------
-// Boundary/resume shape lints.
+// Boundary shape lints.
 // ---------------------------------------------------------------------------
 
 #[test]
 fn rewired_tail_terminator_fires_shape_edge() {
     let (mut program, spice) = transformed(ConflictPolicy::Detect);
-    let tail = spice.shape.tail;
+    let tail = serial(&spice).tail;
     program.func_mut(spice.main).block_mut(tail).terminator = Terminator::Br(spice.shape.finish);
     let errs = lint_errors(&program, &spice);
     assert!(
@@ -484,19 +485,41 @@ fn rewired_tail_terminator_fires_shape_edge() {
     );
 }
 
-/// A second edge into the resume block breaks `need_resume`/`resumed`
-/// nesting: the loop could "resume" from a squash that never happened.
+/// A second edge into the resume block runs the rest of the loop alone
+/// after a squash that never happened: at the boundary hit, every worker's
+/// word still waits for its status, so the lean loop is entered with the
+/// words unfinished.
 #[test]
-fn extra_resume_predecessor_fires_resume_entry() {
+fn extra_resume_predecessor_breaks_the_contract() {
     let (mut program, spice) = transformed(ConflictPolicy::Detect);
     let hit = spice.shape.hit;
-    program.func_mut(spice.main).block_mut(hit).terminator = Terminator::Br(spice.shape.resume);
+    let resume = serial(&spice).resume;
+    program.func_mut(spice.main).block_mut(hit).terminator = Terminator::Br(resume);
     let errs = lint_errors(&program, &spice);
-    assert!(
-        errs.iter()
-            .any(|e| matches!(e, LintError::ResumeEntry { pred, .. } if *pred == hit)),
-        "got {errs:?}"
-    );
+    for w in &spice.workers {
+        assert!(
+            breaks_contract(&errs, &program, spice.main, w.core, Some(resume)),
+            "core {}: got {errs:?}",
+            w.core
+        );
+    }
+}
+
+/// The resume wired into the instrumented loop: its exit would walk the
+/// merge chain a second time, receiving a status no worker sends.
+#[test]
+fn resume_wired_into_the_instrumented_loop_breaks_the_contract() {
+    let (mut program, spice) = transformed(ConflictPolicy::Detect);
+    let resume = serial(&spice).resume;
+    program.func_mut(spice.main).block_mut(resume).terminator = Terminator::Br(spice.shape.check);
+    let errs = lint_errors(&program, &spice);
+    for w in &spice.workers {
+        assert!(
+            breaks_contract(&errs, &program, spice.main, w.core, None),
+            "core {}: got {errs:?}",
+            w.core
+        );
+    }
 }
 
 #[test]
@@ -645,7 +668,7 @@ fn use_before_def_across_boundary_is_caught_by_verify() {
     let (mut program, spice) = transformed(ConflictPolicy::Detect);
     let main = program.func_mut(spice.main);
     let undef = main.fresh_reg();
-    main.block_mut(spice.shape.merge).insts.insert(
+    main.block_mut(spice.shape.chain).insts.insert(
         0,
         Inst::Store {
             src: Operand::Reg(undef),

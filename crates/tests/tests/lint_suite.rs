@@ -10,7 +10,7 @@
 //!    is never classified provably-disjoint, and every workload declares
 //!    exactly the policy the pre-screen recommends.
 //! 3. The generated protocol keeps only the predictor words it reads: every
-//!    predictor global some core stores into is one some core loads; and no
+//!    predictor word some core stores into is one some core loads; and no
 //!    squash is witnessed by a detection grain that meets the predictor
 //!    range.
 
@@ -19,6 +19,7 @@ use std::collections::BTreeSet;
 use spice_bench::experiments::LINE_GRANULARITY_LOG2;
 use spice_core::backend::SimBackend;
 use spice_core::lint::lint_spice;
+use spice_core::predictor::NEVER;
 use spice_core::transform::{SpiceOptions, SpiceTransform};
 use spice_ir::exec::{derive_loop_spec, ConflictPolicy, ExecutionBackend};
 use spice_ir::verify::verify_program;
@@ -135,8 +136,18 @@ fn declared_independence_is_always_provable() {
 /// A word the simulated code stores and no core ever loads exists only for
 /// the host, and costs the measured program a store (and whatever ordering
 /// it needs) for nothing. Every word of the predictor range is watched
-/// through whole small-suite runs at 2, 3 and 4 threads, and each global
-/// some core stores into must be one some core loads.
+/// through whole small-suite runs at 2, 3 and 4 threads, and each word some
+/// core stores into — keyed by its global and its offset there — must be one
+/// some core loads. The sets are the union over the suite at each thread
+/// count and grain, so a word only a violating workload loads (the
+/// throttle's `streak`) still counts.
+///
+/// A threshold list's terminator (`NEVER` stored into `spice.svat`) is the
+/// one store held only to its global: a thread loads it only once it has
+/// passed every threshold before it, which a worker whose last threshold is
+/// its own chunk's end does only when its successor's prediction misses.
+/// (At 4 threads the suite never loads thread 2's third slot, which otter
+/// and 181.mcf store as a terminator.)
 ///
 /// The same runs sweep 1-, 8- and 64-word detection grains. Conflict
 /// detection watches the predictor words like any others, and the layout
@@ -145,9 +156,11 @@ fn declared_independence_is_always_provable() {
 /// meets the range.
 #[test]
 fn every_predictor_word_a_core_stores_is_one_a_core_loads() {
-    for (name, factory) in all_workload_factories(true) {
-        for threads in [2, 3, 4] {
-            for granularity in [0u8, 3, 6] {
+    for threads in [2, 3, 4] {
+        for granularity in [0u8, 3, 6] {
+            let (mut stored, mut loaded) = (BTreeSet::new(), BTreeSet::new());
+            let mut terminated = BTreeSet::new();
+            for (name, factory) in all_workload_factories(true) {
                 let label = format!("{name} at {threads} threads, grain 2^{granularity}");
                 let mut wl = factory();
                 let built = wl.build();
@@ -174,20 +187,32 @@ fn every_predictor_word_a_core_stores_is_one_a_core_loads() {
                 let machine = backend.machine().expect("loaded");
                 let trace = machine.trace().expect("tracing is on");
                 assert_eq!(trace.dropped(), 0, "{label}: the trace ring overflowed");
-                let global_of = |addr: i64| {
+                let word_of = |addr: i64| {
                     let globals = &machine.program().globals;
                     let g = globals
                         .iter()
                         .find(|g| g.base <= addr && addr < g.base + g.words)
                         .unwrap_or_else(|| panic!("{label}: no global holds word {addr}"));
-                    g.name.clone()
+                    (g.name.clone(), addr - g.base)
                 };
-                let (mut stored, mut loaded) = (BTreeSet::new(), BTreeSet::new());
+                let mut stores = 0;
                 for event in trace.events() {
                     match *event {
-                        TraceEvent::Watch { addr, is_store, .. } => {
-                            let set = if is_store { &mut stored } else { &mut loaded };
-                            set.insert(global_of(addr));
+                        TraceEvent::Watch {
+                            addr,
+                            value,
+                            is_store,
+                            ..
+                        } => {
+                            stores += usize::from(is_store);
+                            let (global, offset) = word_of(addr);
+                            if !is_store {
+                                loaded.insert((global, offset));
+                            } else if value == NEVER && global == "spice.svat" {
+                                terminated.insert(global);
+                            } else {
+                                stored.insert((global, offset));
+                            }
                         }
                         TraceEvent::ChunkSquash {
                             forensics: Some(f), ..
@@ -200,11 +225,18 @@ fn every_predictor_word_a_core_stores_is_one_a_core_loads() {
                         _ => {}
                     }
                 }
-                assert!(!stored.is_empty(), "{label}: no predictor word was stored");
-                let host_only: Vec<&String> = stored.difference(&loaded).collect();
+                assert!(stores > 0, "{label}: no predictor word was stored");
+            }
+            let label = format!("{threads} threads, grain 2^{granularity}");
+            let host_only: Vec<&(String, i64)> = stored.difference(&loaded).collect();
+            assert!(
+                host_only.is_empty(),
+                "{label}: stored but never loaded by any core on the suite: {host_only:?}"
+            );
+            for global in &terminated {
                 assert!(
-                    host_only.is_empty(),
-                    "{label}: stored but never loaded by any core: {host_only:?}"
+                    loaded.iter().any(|(g, _)| g == global),
+                    "{label}: {global} is terminated but never loaded"
                 );
             }
         }
