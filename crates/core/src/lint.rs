@@ -22,8 +22,9 @@
 //!   speculation op outside the workers) is an error, and no protocol
 //!   channel is touched by a foreign function.
 //! * **boundary shape** — the recorded skeleton blocks are wired exactly
-//!   as the transform documents (under detection, the throttle and the
-//!   resume after a violation both enter the lean loop), a recovery block is
+//!   as the transform documents (every back edge of the instrumented loop
+//!   is its latch test; under detection, the throttle and the resume after
+//!   a violation both enter the lean loop), a recovery block is
 //!   entered only by a resteer, and every remote resteer targets its
 //!   worker's recovery block.
 
@@ -32,6 +33,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use spice_ir::cfg::Cfg;
+use spice_ir::dom::DomTree;
 use spice_ir::pretty;
 use spice_ir::{BlockId, FuncId, Function, Inst, Operand, Program, Terminator};
 
@@ -48,10 +50,11 @@ pub struct MainShape {
     /// live-ins — after the main thread's own row 0 is loaded.
     pub dispatch: BlockId,
     /// Boundary detection: the live-in comparison against the predicted
-    /// boundary.
+    /// boundary, the latch test's slow path.
     pub check: BlockId,
-    /// Latch-side work bump.
-    pub bump: BlockId,
+    /// The instrumented loop's header: every edge into it from inside the
+    /// loop is a latch test, `condbr _, check, header`.
+    pub header: BlockId,
     /// Memoization entry.
     pub memo: BlockId,
     /// Boundary hit (successor speculated correctly).
@@ -729,7 +732,8 @@ fn lint_boundary_shape(
     ctxs: &[FuncCtx<'_>],
     errs: &mut Vec<LintError>,
 ) {
-    let main = ctxs[spice.main.index()].func;
+    let ctx = &ctxs[spice.main.index()];
+    let main = ctx.func;
     let s = &spice.shape;
 
     expect_br(
@@ -739,7 +743,6 @@ fn lint_boundary_shape(
         "dispatch falls into detection",
         errs,
     );
-    expect_br(main, s.bump, s.check, "work bump re-enters detection", errs);
     expect_cond_br(
         main,
         s.check,
@@ -749,6 +752,25 @@ fn lint_boundary_shape(
         errs,
     );
     expect_br(main, s.hit, s.chain, "hit enters the merge chain", errs);
+    // The latch test: a block inside the instrumented loop (one its header
+    // dominates) that branches to the header or to detection is `condbr
+    // slow, check, header`, so no back edge skips the work count or the
+    // detection it guards.
+    let dom = DomTree::new(&ctx.cfg);
+    for b in main.block_ids() {
+        let succs = ctx.cfg.succs(b);
+        let latch = succs.contains(&s.header) || succs.contains(&s.check);
+        if latch && dom.dominates(s.header, b) {
+            expect_cond_br(
+                main,
+                b,
+                s.check,
+                s.header,
+                "latch test: detection or the next iteration",
+                errs,
+            );
+        }
+    }
     if let Some(serial) = &s.serial {
         expect_cond_br(
             main,

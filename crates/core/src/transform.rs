@@ -346,23 +346,37 @@ impl SpiceTransform {
     }
 }
 
-/// Emits the Algorithm 2 memoization blocks into `b`. The caller must have
-/// positioned `header_target` as the block to continue with.
+/// `x × k`, with no instruction when `k` is one.
+fn emit_scaled(b: &mut FunctionBuilder, x: Reg, k: usize) -> Reg {
+    if k == 1 {
+        x
+    } else {
+        b.binop(BinOp::Mul, x, k as i64)
+    }
+}
+
+/// Emits the Algorithm 2 memoization blocks of thread `tid` into `b`: the
+/// slow path's threshold test in `memo_bb`, which continues to
+/// `header_target`.
+///
+/// `memo_bb` is entered on the first arrival and from every latch test that
+/// failed, and it loads `thresh = svat[tid][memo_idx]` before testing
+/// `my_work >= thresh`; the memoization reloads it after `memo_idx += 1`. So
+/// `thresh` holds the next threshold on every later back edge, and the
+/// latch test ([`emit_latch_test`]) compares against it without a load.
 ///
 /// `my_work` is *not* incremented here: the work counter counts completed
-/// iterations and is bumped on the latch path (see the `spice.bump` blocks),
-/// so the final pass through detection on loop exit does not inflate it.
-/// Firing on `my_work >= threshold` therefore memoizes the live-ins after
-/// exactly `threshold` completed iterations — the same point at which the
-/// native runtime memoizes (`iterations >= threshold` at its loop top),
-/// keeping the two backends' predictor states in lockstep.
-#[allow(clippy::too_many_arguments)]
+/// iterations and is bumped by the latch test, so the final pass through
+/// detection on loop exit does not inflate it. Firing on `my_work >=
+/// threshold` therefore memoizes the live-ins after exactly `threshold`
+/// completed iterations — the same point at which the native runtime
+/// memoizes (`iterations >= threshold` at its loop top), keeping the two
+/// backends' predictor states in lockstep.
 fn emit_memoization(
     b: &mut FunctionBuilder,
     layout: &PredictorLayout,
     tid: usize,
-    my_work: Reg,
-    memo_idx: Reg,
+    (my_work, memo_idx, thresh): (Reg, Reg, Reg),
     spec_values: &[Reg],
     memo_bb: BlockId,
     header_target: BlockId,
@@ -370,33 +384,83 @@ fn emit_memoization(
     let do_memo = b.new_labeled_block("spice.do_memo");
     b.switch_to(memo_bb);
     let svat_addr = b.binop(BinOp::Add, memo_idx, layout.svat_addr(tid, 0));
-    let thresh = b.load(svat_addr, 0);
+    b.load_into(thresh, svat_addr, 0);
     let fire = b.binop(BinOp::Ge, my_work, thresh);
     b.cond_br(fire, do_memo, header_target);
 
     b.switch_to(do_memo);
+    emit_memo_row(b, layout, tid, (memo_idx, thresh), spec_values);
+    b.br(header_target);
+}
+
+/// Emits one memoization into the current block: store `spec_values` into
+/// the `sva` row `svai[tid][memo_idx]` names, advance `memo_idx` and load
+/// its threshold into `thresh`.
+fn emit_memo_row(
+    b: &mut FunctionBuilder,
+    layout: &PredictorLayout,
+    tid: usize,
+    (memo_idx, thresh): (Reg, Reg),
+    spec_values: &[Reg],
+) {
     let svai_addr = b.binop(BinOp::Add, memo_idx, layout.svai_addr(tid, 0));
     let row = b.load(svai_addr, 0);
-    let row_off = b.binop(BinOp::Mul, row, layout.spec_width as i64);
+    let row_off = emit_scaled(b, row, layout.spec_width);
     let row_addr = b.binop(BinOp::Add, row_off, layout.sva_base);
     for (j, r) in spec_values.iter().enumerate() {
         b.store(*r, row_addr, j as i64);
     }
-    let idx2 = b.binop(BinOp::Add, memo_idx, 1i64);
-    b.copy_into(memo_idx, idx2);
-    b.br(header_target);
+    b.binop_into(BinOp::Add, memo_idx, memo_idx, 1i64);
+    let svat_addr = b.binop(BinOp::Add, memo_idx, layout.svat_addr(tid, 0));
+    b.load_into(thresh, svat_addr, 0);
 }
 
-/// Emits the latch-side work bump block: each completed iteration (back-edge
-/// traversal) counts one unit of predictor work before re-entering
-/// detection. The entry pass and the final exit pass do not count, so the
-/// work counters equal completed iterations on every thread — the same
-/// definition the native runtime uses.
-fn emit_work_bump(b: &mut FunctionBuilder, bump_bb: BlockId, my_work: Reg, check_bb: BlockId) {
-    b.switch_to(bump_bb);
-    let w2 = b.binop(BinOp::Add, my_work, 1i64);
-    b.copy_into(my_work, w2);
-    b.br(check_bb);
+/// Emits the latch test on every back edge of one loop copy whose latches
+/// are `latches` and whose header is `header`. A back edge that is `br
+/// header` gets the test appended in place, so it issues in the latch's own
+/// group; a conditional back edge gets a block of its own, labelled
+/// `label`. The test counts the completed iteration and leaves for
+/// `slow_bb` only when the work reaches the next threshold or, with a
+/// `boundary` (`current` live-ins against the successor's `predicted`
+/// start), when the chunk reaches its end:
+///
+/// ```text
+/// my_work = add my_work, 1
+/// slow = ge my_work, thresh
+/// [slow = or slow, (current == predicted)]
+/// condbr slow, slow_bb, header
+/// ```
+///
+/// The entry pass and the final exit pass do not count, so the work
+/// counters equal completed iterations on every thread — the same
+/// definition the native runtime uses. `thresh` must hold the threshold at
+/// `memo_idx` ([`emit_memoization`]), so a fast-path iteration is exactly
+/// one whose slow path would have done nothing.
+fn emit_latch_test(
+    b: &mut FunctionBuilder,
+    (latches, header, label): (&[BlockId], BlockId, &str),
+    slow_bb: BlockId,
+    (my_work, thresh): (Reg, Reg),
+    boundary: Option<(&[Reg], &[Reg])>,
+) {
+    for &nb in latches {
+        let latch = if b.func_mut().block(nb).terminator == Terminator::Br(header) {
+            nb
+        } else {
+            let latch = b.new_labeled_block(label);
+            let term = &mut b.func_mut().block_mut(nb).terminator;
+            term.remap_blocks(|t| if t == header { latch } else { t });
+            latch
+        };
+        b.switch_to(latch);
+        b.binop_into(BinOp::Add, my_work, my_work, 1i64);
+        let mut slow = b.binop(BinOp::Ge, my_work, thresh);
+        if let Some((current, predicted)) = boundary {
+            let at_boundary = emit_compare_all(b, current, predicted);
+            slow = b.binop(BinOp::Or, slow, at_boundary);
+        }
+        b.cond_br(slow, slow_bb, header);
+    }
 }
 
 /// Emits the centralized half of Algorithm 2 as IR, entered from the main
@@ -489,7 +553,7 @@ fn emit_centralized(
             prefix.push(p);
         }
         for k in 1..t {
-            let scaled = b.binop(BinOp::Mul, total, k as i64);
+            let scaled = emit_scaled(b, total, k);
             let g = b.binop(BinOp::Div, scaled, t as i64);
             let mut tid = b.copy((t - 1) as i64);
             let mut tid_prefix = b.copy(prefix[t - 1]);
@@ -523,7 +587,7 @@ fn emit_centralized(
         // Without load balancing every boundary belongs to thread 0 and the
         // local threshold equals the global one; terminators are static.
         for k in 1..t {
-            let scaled = b.binop(BinOp::Mul, total, k as i64);
+            let scaled = emit_scaled(b, total, k);
             let g = b.binop(BinOp::Div, scaled, t as i64);
             let threshold = b.binop(BinOp::Max, g, 1i64);
             b.store(threshold, layout.svat_addr(0, k - 1), 0);
@@ -544,12 +608,12 @@ fn emit_centralized(
 /// Emits the lean loop, the one loop a detecting loop's main thread runs
 /// alone, and its two entries. Its exit goes to `finish_bb`, past the merge
 /// chain, so every worker's word is whole at both entries. The loop is a
-/// copy of the pristine loop blocks over the same registers; each back edge
-/// counts the completed iteration and tests the threshold in the latch's own
-/// issue group (`my_work += 1; my_work >= thresh ? memo : header`, `thresh`
-/// holding `svat[0][memo_idx]`), and the memo block stores the cursors into
-/// the `svai`-named row and loads the next threshold — the memoization of
-/// `emit_memoization` without a load and two branches per iteration.
+/// copy of the pristine loop blocks over the same registers, where main's
+/// `thresh` register holds `svat[0][memo_idx]` as it does in the
+/// instrumented loop. Each back edge carries the latch test without a
+/// boundary ([`emit_latch_test`]: `my_work += 1; my_work >= thresh ?
+/// lean.memo : header`), and the memo block is `spice.do_memo`'s
+/// memoization.
 ///
 /// * `throttle` (the centralized step's `skip > 0` exit): consume one skip,
 ///   release every worker with no task (a resteer to its recovery block,
@@ -570,16 +634,14 @@ fn emit_serial_paths(
     layout: &PredictorLayout,
     workers: &[WorkerInfo],
     (throttle, skip): (BlockId, Reg),
-    (my_work, memo_idx, need_resume): (Reg, Reg, Reg),
+    (my_work, memo_idx, thresh, need_resume): (Reg, Reg, Reg, Reg),
     finish_bb: BlockId,
 ) -> SerialShape {
-    let thresh = b.fresh();
     let (bmap, _) = b.func_mut().import_blocks(src, &analysis.blocks, loop_regs);
     let lean = bmap[&analysis.header];
     let lean_memo = b.new_labeled_block("spice.lean.memo");
-    for &sb in &analysis.blocks {
-        let nb = bmap[&sb];
-        let term = &mut b.func_mut().block_mut(nb).terminator;
+    for sb in &analysis.blocks {
+        let term = &mut b.func_mut().block_mut(bmap[sb]).terminator;
         term.remap_blocks(|t| {
             if t == analysis.exit_edge.1 {
                 finish_bb
@@ -587,36 +649,18 @@ fn emit_serial_paths(
                 t
             }
         });
-        let latch = match term {
-            Terminator::Br(t) if *t == lean => nb,
-            // A conditional back edge goes through a block of its own.
-            _ if term.successors().as_slice().contains(&lean) => {
-                let bump = b.new_labeled_block("spice.lean.bump");
-                let term = &mut b.func_mut().block_mut(nb).terminator;
-                term.remap_blocks(|t| if t == lean { bump } else { t });
-                bump
-            }
-            _ => continue,
-        };
-        b.switch_to(latch);
-        let done = b.binop(BinOp::Add, my_work, 1i64);
-        b.copy_into(my_work, done);
-        let fire = b.binop(BinOp::Ge, my_work, thresh);
-        b.cond_br(fire, lean_memo, lean);
     }
+    let latches: Vec<BlockId> = analysis.latches.iter().map(|l| bmap[l]).collect();
+    emit_latch_test(
+        b,
+        (&latches, lean, "spice.lean.latch"),
+        lean_memo,
+        (my_work, thresh),
+        None,
+    );
 
     b.switch_to(lean_memo);
-    let row_idx = b.binop(BinOp::Add, memo_idx, layout.svai_addr(0, 0));
-    let row = b.load(row_idx, 0);
-    let row_off = b.binop(BinOp::Mul, row, layout.spec_width as i64);
-    let row_addr = b.binop(BinOp::Add, row_off, layout.sva_base);
-    for (j, r) in analysis.cursors.iter().enumerate() {
-        b.store(*r, row_addr, j as i64);
-    }
-    let next = b.binop(BinOp::Add, memo_idx, 1i64);
-    b.copy_into(memo_idx, next);
-    let thresh_idx = b.binop(BinOp::Add, memo_idx, layout.svat_addr(0, 0));
-    b.load_into(thresh, thresh_idx, 0);
+    emit_memo_row(b, layout, 0, (memo_idx, thresh), &analysis.cursors);
     b.br(lean);
 
     b.switch_to(throttle);
@@ -708,7 +752,6 @@ fn build_worker(
 
     // Auxiliary blocks.
     let check_bb = b.new_labeled_block("spice.check");
-    let bump_bb = b.new_labeled_block("spice.bump");
     let memo_bb = b.new_labeled_block("spice.memo");
     let hit_bb = b.new_labeled_block("spice.hit");
     let exit_bb = b.new_labeled_block("spice.exit");
@@ -774,6 +817,7 @@ fn build_worker(
     let status = b.copy(0i64);
     let my_work = b.copy(0i64);
     let memo_idx = b.copy(0i64);
+    let thresh = b.fresh();
     b.push(Inst::SpecBegin);
     b.br(check_bb);
 
@@ -786,18 +830,16 @@ fn build_worker(
         b.cond_br(all_eq, hit_bb, memo_bb);
     }
 
-    // Memoization blocks, plus the latch-side work bump.
+    // Memoization blocks.
     emit_memoization(
         &mut b,
         layout,
         tid,
-        my_work,
-        memo_idx,
+        (my_work, memo_idx, thresh),
         &spec_locals,
         memo_bb,
         cloned_header,
     );
-    emit_work_bump(&mut b, bump_bb, my_work, check_bb);
 
     // Hit block (successor speculated correctly).
     b.switch_to(hit_bb);
@@ -825,14 +867,16 @@ fn build_worker(
     b.push(Inst::SpecAbort);
     b.ret(None);
 
-    // Redirect back edges of the cloned loop through the work bump and the
-    // check block: every cloned predecessor of the cloned header now counts
-    // the completed iteration, then runs detection.
-    let cloned_blocks: Vec<BlockId> = analysis.blocks.iter().map(|sb| bmap[sb]).collect();
-    for nb in &cloned_blocks {
-        let term = &mut b.func_mut().block_mut(*nb).terminator;
-        term.remap_blocks(|t| if t == cloned_header { bump_bb } else { t });
-    }
+    // Every back edge of the cloned loop counts the completed iteration and
+    // runs detection only at a threshold or at the successor's start.
+    let latches: Vec<BlockId> = analysis.latches.iter().map(|l| bmap[l]).collect();
+    emit_latch_test(
+        &mut b,
+        (&latches, cloned_header, "spice.latch"),
+        check_bb,
+        (my_work, thresh),
+        (!is_last).then_some((&spec_locals[..], &pred_regs[..])),
+    );
 
     let func = program.add_func(b.finish());
     (func, recovery_bb)
@@ -852,8 +896,11 @@ fn build_worker(
 /// dispatch: load row 0; per worker: load successor row,
 ///           new_invocation: start row, successor row, invariants ─▶ check
 /// check ──hit──▶ hit ─▶ chain ─▶ w1.dispatch …
-///   └─▶ memo ─▶ header ─▶ body … latch ─▶ bump(work+=1) ─▶ check
-///                           exit ─▶ chain
+///   └─▶ memo: thresh = svat[0][memo_idx]; my_work ≥ thresh ? do_memo : header
+///       do_memo: store row, memo_idx += 1, reload thresh ─▶ header
+/// header ─▶ body … latch: …; my_work += 1;
+///                  my_work ≥ thresh || live-ins == row 0 ? check : header
+///                  exit ─▶ chain
 /// w(k).dispatch ─valid──▶ w(k).valid: recv status; spec.check core k
 ///                │          ├─conflict─▶ w(k).conflict: resteer,
 ///                │          │            still_valid=0, need_resume=1
@@ -920,6 +967,7 @@ fn rewrite_main(
     let success = b.fresh();
     let my_work = b.fresh();
     let memo_idx = b.fresh();
+    let thresh = b.fresh();
     let still_valid = b.fresh();
     // Set when a conflict squash leaves un-executed iterations behind: the
     // main thread must run on from the violated boundary. A status-0 chain
@@ -930,7 +978,6 @@ fn rewrite_main(
     let central_bb = b.new_labeled_block("spice.central");
     let dispatch_bb = b.new_labeled_block("spice.dispatch");
     let check_bb = b.new_labeled_block("spice.check");
-    let bump_bb = b.new_labeled_block("spice.bump");
     let memo_bb = b.new_labeled_block("spice.memo");
     let hit_bb = b.new_labeled_block("spice.hit");
     let chain_bb = b.new_labeled_block("spice.chain");
@@ -963,7 +1010,7 @@ fn rewrite_main(
             layout,
             workers,
             gate,
-            (my_work, memo_idx, need_resume),
+            (my_work, memo_idx, thresh, need_resume),
             finish_bb,
         )
     });
@@ -1003,10 +1050,6 @@ fn rewrite_main(
     }
     b.br(check_bb);
 
-    // --- Latch-side work bump: one predictor work unit per completed
-    // iteration.
-    emit_work_bump(&mut b, bump_bb, my_work, check_bb);
-
     // --- Detection block: compare the live-ins against the predicted
     // boundary.
     b.switch_to(check_bb);
@@ -1018,8 +1061,7 @@ fn rewrite_main(
         &mut b,
         layout,
         0,
-        my_work,
-        memo_idx,
+        (my_work, memo_idx, thresh),
         &analysis.cursors,
         memo_bb,
         header,
@@ -1142,16 +1184,20 @@ fn rewrite_main(
     // --- Redirect control flow:
     //  * the preheader enters through the centralized predictor step (which
     //    dispatches the workers and falls into the check block),
-    //  * every back edge bumps the work counter, then runs detection,
+    //  * every back edge carries the latch test, which runs detection only
+    //    at a threshold or at the next worker's predicted start,
     //  * the loop exit edge goes to the merge chain.
     {
         let term = &mut b.func_mut().block_mut(analysis.preheader).terminator;
         term.remap_blocks(|t| if t == header { central_bb } else { t });
     }
-    for p in analysis.latches.iter().copied() {
-        let term = &mut b.func_mut().block_mut(p).terminator;
-        term.remap_blocks(|t| if t == header { bump_bb } else { t });
-    }
+    emit_latch_test(
+        &mut b,
+        (&analysis.latches, header, "spice.latch"),
+        check_bb,
+        (my_work, thresh),
+        Some((&analysis.cursors, &pred_regs)),
+    );
     {
         let term = &mut b.func_mut().block_mut(exit_from).terminator;
         term.remap_blocks(|t| if t == exit_target { chain_bb } else { t });
@@ -1163,7 +1209,7 @@ fn rewrite_main(
         central: central_bb,
         dispatch: dispatch_bb,
         check: check_bb,
-        bump: bump_bb,
+        header,
         memo: memo_bb,
         hit: hit_bb,
         chain: chain_bb,

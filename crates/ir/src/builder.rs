@@ -107,6 +107,18 @@ impl FunctionBuilder {
     /// Emits `dst = op(lhs, rhs)` into a fresh register.
     pub fn binop(&mut self, op: BinOp, lhs: impl Into<Operand>, rhs: impl Into<Operand>) -> Reg {
         let dst = self.func.fresh_reg();
+        self.binop_into(op, dst, lhs, rhs);
+        dst
+    }
+
+    /// Emits `dst = op(lhs, rhs)` into an existing register.
+    pub fn binop_into(
+        &mut self,
+        op: BinOp,
+        dst: Reg,
+        lhs: impl Into<Operand>,
+        rhs: impl Into<Operand>,
+    ) {
         let inst = Inst::Binary {
             op,
             dst,
@@ -114,7 +126,6 @@ impl FunctionBuilder {
             rhs: rhs.into(),
         };
         self.push(inst);
-        dst
     }
 
     /// Emits a copy into a fresh register.

@@ -880,7 +880,7 @@ struct ChunkRun {
     stop: Stop,
     /// Completed iterations: header re-arrivals. The final header
     /// evaluation that takes the exit edge is not one (the sim backend's
-    /// latch-side work bump makes the same call; the counters must agree).
+    /// latch test makes the same call; the counters must agree).
     iterations: u64,
     memos: Vec<(usize, Vec<i64>)>,
 }

@@ -470,6 +470,9 @@ impl Shared {
         } = self;
         let (conflicts, decoded): (&ConflictTracker, &DecodedProgram) = (conflicts, decoded);
         let mut observer = observer.as_deref_mut();
+        // Only tracing hears about single steps; attribution alone waits for
+        // the group's end.
+        let tracing = observer.as_ref().is_some_and(|o| o.traces());
         let issue_width = config.core.issue_width.max(1);
         let thread = core.thread.as_mut().expect("core has a runnable thread");
         let mut mem_port = CoreMemPort {
@@ -503,7 +506,7 @@ impl Shared {
                 src = (thread.current_func(), thread.current_block());
             }
             let result = thread.step(decoded, &mut mem_port, &mut sys_port);
-            if let Some(o) = observer.as_deref_mut() {
+            if let Some(o) = observer.as_deref_mut().filter(|_| tracing) {
                 let seen = (sys_port.op.take(), mem_port.accessed.take());
                 let retired = matches!(result, Ok(StepEvent::Executed(_)));
                 o.step(conflicts, (now, i, src), seen, retired);

@@ -4,10 +4,10 @@
 //! Observers never change simulated time. `Shared::issue_group` keeps that
 //! easy to see by consulting a single `Option<Box<Observer>>` at three
 //! points — before a step (to capture the retiring instruction's site),
-//! after it ([`Observer::step`]: what the ports saw, handed over by value)
-//! and at the end of the group ([`Observer::group_end`]: chunk begin /
-//! commit / squash, attribution, retire) — and nothing in this module
-//! writes machine state. The ports and the
+//! after it while tracing ([`Observer::step`]: what the ports saw, handed
+//! over by value) and at the end of the group ([`Observer::group_end`]:
+//! chunk begin / commit / squash, attribution, retire) — and nothing in
+//! this module writes machine state. The ports and the
 //! [`ConflictTracker`](crate::conflict::ConflictTracker) know nothing of
 //! who is watching: the ports record every step's accesses unconditionally,
 //! and the tracker only reports whether an access entered a detection set.
@@ -219,6 +219,12 @@ pub(crate) struct Observer {
 }
 
 impl Observer {
+    /// Whether tracing is on: [`Observer::step`] does nothing otherwise, so
+    /// the issue group calls it only then.
+    pub(crate) fn traces(&self) -> bool {
+        self.tracing.is_some()
+    }
+
     /// After any step: what its ports saw, at most one of the two (an
     /// instruction makes one port call). `retired` is whether the step
     /// executed an instruction; only those become events. Out of line, like

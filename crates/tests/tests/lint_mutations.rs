@@ -134,24 +134,42 @@ fn double_send_on_invariant_channel_breaks_the_contract() {
     );
 }
 
-/// An invariant send smuggled outside the dispatch block would run on a
-/// different schedule than the worker's matching receive.
+/// The instrumented loop's one latch: the block whose terminator is the
+/// latch test, `condbr _, check, header`.
+fn main_latch(program: &Program, spice: &SpiceParallelLoop) -> BlockId {
+    let main = program.func(spice.main);
+    let (check, header) = (spice.shape.check, spice.shape.header);
+    let latches: Vec<BlockId> = main
+        .block_ids()
+        .into_iter()
+        .filter(|&b| {
+            matches!(main.block(b).terminator,
+                Terminator::CondBr { then_bb, else_bb, .. } if then_bb == check && else_bb == header)
+        })
+        .collect();
+    assert_eq!(latches.len(), 1, "the fixture has one back edge");
+    latches[0]
+}
+
+/// An invariant send smuggled outside the dispatch block, into the latch
+/// every iteration runs, would run on a different schedule than the
+/// worker's matching receive.
 #[test]
 fn invariant_send_outside_dispatch_breaks_the_contract() {
     let (mut program, spice) = transformed(ConflictPolicy::Detect);
     let w = &spice.workers[0];
+    let latch = main_latch(&program, &spice);
     program
         .func_mut(spice.main)
-        .block_mut(spice.shape.bump)
+        .block_mut(latch)
         .insts
         .push(Inst::Send {
             chan: Operand::Imm(w.channels.invariant),
             value: Operand::Imm(0),
         });
     let errs = lint_errors(&program, &spice);
-    let bump = Some(spice.shape.bump);
     assert!(
-        breaks_contract(&errs, &program, spice.main, w.core, bump),
+        breaks_contract(&errs, &program, spice.main, w.core, Some(latch)),
         "got {errs:?}"
     );
 }
@@ -483,6 +501,45 @@ fn rewired_tail_terminator_fires_shape_edge() {
             .any(|e| matches!(e, LintError::ShapeEdge { block, .. } if *block == tail)),
         "got {errs:?}"
     );
+}
+
+/// Rewires main's latch test to `condbr _, then, else` as `rewire` picks
+/// them from the loop record and the latch, and returns the lint errors at
+/// the latch.
+fn rewired_latch_test(
+    rewire: impl Fn(&SpiceParallelLoop, BlockId) -> (BlockId, BlockId),
+) -> Vec<LintError> {
+    let (mut program, spice) = transformed(ConflictPolicy::Detect);
+    let latch = main_latch(&program, &spice);
+    let (then_to, else_to) = rewire(&spice, latch);
+    let term = &mut program.func_mut(spice.main).block_mut(latch).terminator;
+    let Terminator::CondBr {
+        then_bb, else_bb, ..
+    } = term
+    else {
+        unreachable!("the latch test is a conditional branch");
+    };
+    (*then_bb, *else_bb) = (then_to, else_to);
+    let errs = lint_errors(&program, &spice);
+    errs.into_iter()
+        .filter(|e| matches!(e, LintError::ShapeEdge { block, .. } if *block == latch))
+        .collect()
+}
+
+/// A latch test whose else-edge skips the header runs the next iteration
+/// from the middle of the body (here the latch itself).
+#[test]
+fn latch_test_skipping_the_header_fires_shape_edge() {
+    let errs = rewired_latch_test(|spice, latch| (spice.shape.check, latch));
+    assert_eq!(errs.len(), 1, "got {errs:?}");
+}
+
+/// A latch test whose then-edge skips detection memoizes past the boundary
+/// hit: the main chunk would run on into the next worker's chunk.
+#[test]
+fn latch_test_skipping_detection_fires_shape_edge() {
+    let errs = rewired_latch_test(|spice, _| (spice.shape.memo, spice.shape.header));
+    assert_eq!(errs.len(), 1, "got {errs:?}");
 }
 
 /// A second edge into the resume block runs the rest of the loop alone

@@ -13,6 +13,9 @@
 //!    predictor word some core stores into is one some core loads; and no
 //!    squash is witnessed by a detection grain that meets the predictor
 //!    range.
+//! 4. Every loop copy — main's instrumented loop, each worker's clone and
+//!    the lean loop — reaches its header over every back edge through one
+//!    latch test that neither loads nor stores.
 
 use std::collections::BTreeSet;
 
@@ -21,9 +24,13 @@ use spice_core::backend::SimBackend;
 use spice_core::lint::lint_spice;
 use spice_core::predictor::NEVER;
 use spice_core::transform::{SpiceOptions, SpiceTransform};
+use spice_ir::cfg::Cfg;
+use spice_ir::dom::DomTree;
 use spice_ir::exec::{derive_loop_spec, ConflictPolicy, ExecutionBackend};
 use spice_ir::verify::verify_program;
-use spice_ir::{DependenceClass, TraceEvent};
+use spice_ir::{
+    BinOp, BlockId, DependenceClass, Function, Inst, Operand, Reg, Terminator, TraceEvent,
+};
 use spice_workloads::{
     all_workload_factories, drive_loaded_workload, run_workload_on_with, workload_load_options,
 };
@@ -238,6 +245,140 @@ fn every_predictor_word_a_core_stores_is_one_a_core_loads() {
                     loaded.iter().any(|(g, _)| g == global),
                     "{label}: {global} is terminated but never loaded"
                 );
+            }
+        }
+    }
+}
+
+/// The `(label, block)` of `func`'s first block labelled `label`.
+fn labelled(func: &Function, label: &str) -> BlockId {
+    func.block_ids()
+        .into_iter()
+        .find(|&b| func.block(b).label.as_deref() == Some(label))
+        .unwrap_or_else(|| panic!("{}: no {label} block", func.name))
+}
+
+/// Checks one loop copy of `func`, with header `header`, whose latch tests
+/// leave for `slow`: every back edge (an edge into the header from a block
+/// the header dominates) leaves a block that ends in the latch test — one
+/// in-place `my_work += 1`, then only arithmetic (no load, no store, no
+/// copy), then `condbr slow, slow_bb, header` on the last result — and
+/// that block is entered from no other latch test. Returns the number of
+/// back edges.
+fn assert_latch_tests(func: &Function, header: BlockId, slow: BlockId, what: &str) -> usize {
+    let cfg = Cfg::new(func);
+    let dom = DomTree::new(&cfg);
+    // The in-place `+= 1`s of block `b`, as `(ip, register)`.
+    let bumps = |b: BlockId| -> Vec<(usize, Reg)> {
+        let insts = func.block(b).insts.iter().enumerate();
+        insts
+            .filter_map(|(ip, i)| match i {
+                Inst::Binary {
+                    op: BinOp::Add,
+                    dst,
+                    lhs: Operand::Reg(l),
+                    rhs: Operand::Imm(1),
+                } if dst == l => Some((ip, *dst)),
+                _ => None,
+            })
+            .collect()
+    };
+    let mut work = None;
+    let mut back_edges = 0;
+    for b in func.block_ids() {
+        if !cfg.succs(b).contains(&header) || !dom.dominates(header, b) {
+            continue;
+        }
+        back_edges += 1;
+        let block = func.block(b);
+        let Terminator::CondBr {
+            cond: Operand::Reg(slow_reg),
+            then_bb,
+            else_bb,
+        } = block.terminator
+        else {
+            panic!(
+                "{what}: back edge {b} -> {header} is `{}`",
+                block.terminator
+            );
+        };
+        assert_eq!((then_bb, else_bb), (slow, header), "{what}: latch test {b}");
+        let &(ip, counter) = bumps(b)
+            .last()
+            .unwrap_or_else(|| panic!("{what}: latch test {b} counts no iteration"));
+        assert_eq!(
+            *work.get_or_insert(counter),
+            counter,
+            "{what}: one work counter"
+        );
+        let test = &block.insts[ip..];
+        assert!(
+            test.iter().all(|i| matches!(i, Inst::Binary { .. })),
+            "{what}: latch test {b} holds more than arithmetic: {test:?}"
+        );
+        assert_eq!(
+            test.last().and_then(Inst::def),
+            Some(slow_reg),
+            "{what}: {b}"
+        );
+        let counts = |p: BlockId| bumps(p).iter().filter(|&&(_, r)| r == counter).count();
+        assert_eq!(counts(b), 1, "{what}: {b} counts the iteration once");
+        for &p in cfg.preds(b).iter().filter(|&&p| p != b) {
+            assert_eq!(counts(p), 0, "{what}: {p} counts before latch test {b}");
+        }
+    }
+    back_edges
+}
+
+/// Every loop copy's back edges carry the latch test, on every workload of
+/// the suite at 2, 3 and 4 threads, under both conflict policies (the lean
+/// loop exists only under detection): main's instrumented loop leaves for
+/// `spice.check`, each worker's clone for its `spice.check`, the lean loop
+/// for `spice.lean.memo`. No copy loads on its back edges: the threshold
+/// is a register the slow path loads (and a worker's entry block loads
+/// nothing, `transform::tests::no_worker_entry_block_loads`).
+#[test]
+fn every_back_edge_carries_one_latch_test() {
+    for (name, factory) in all_workload_factories(true) {
+        for threads in [2, 3, 4] {
+            for policy in [ConflictPolicy::Detect, ConflictPolicy::AssumeIndependent] {
+                let label = format!("{name} at {threads} threads under {policy:?}");
+                let mut wl = factory();
+                let built = wl.build();
+                let options = workload_load_options(wl.as_ref(), &built);
+                let analysis = derive_loop_spec(&built.program, built.kernel, options.loop_header)
+                    .unwrap_or_else(|e| panic!("{label}: analysis failed: {e}"));
+                let mut program = built.program;
+                let spice = SpiceTransform::new(SpiceOptions {
+                    conflict_policy: policy,
+                    ..SpiceOptions::with_threads_and_estimate(threads, wl.expected_iterations())
+                })
+                .apply(&mut program, &analysis)
+                .unwrap_or_else(|e| panic!("{label}: transform failed: {e}"));
+                let main = program.func(spice.main);
+                let shape = &spice.shape;
+                let n = assert_latch_tests(main, shape.header, shape.check, &label);
+                assert_eq!(n, analysis.latches.len(), "{label}: main's back edges");
+                if let Some(serial) = &shape.serial {
+                    let lean = format!("{label}, lean loop");
+                    let n = assert_latch_tests(main, serial.lean, serial.lean_memo, &lean);
+                    assert_eq!(n, analysis.latches.len(), "{lean}: back edges");
+                }
+                assert_eq!(shape.serial.is_some(), policy.detects(), "{label}");
+                for w in &spice.workers {
+                    let worker = program.func(w.func);
+                    let what = format!("{label}, {}", worker.name);
+                    let memo = labelled(worker, "spice.memo");
+                    let Terminator::CondBr {
+                        else_bb: header, ..
+                    } = worker.block(memo).terminator
+                    else {
+                        panic!("{what}: spice.memo is not a threshold test");
+                    };
+                    let check = labelled(worker, "spice.check");
+                    let n = assert_latch_tests(worker, header, check, &what);
+                    assert_eq!(n, analysis.latches.len(), "{what}: back edges");
+                }
             }
         }
     }
