@@ -559,6 +559,86 @@ impl ThreadState {
         Err(kind)
     }
 
+    /// Executes `inst` if it only reads and writes registers — `Binary`,
+    /// `Copy`, `Select`, `Nop` — and returns its class, or the trap its
+    /// evaluation raises, having written nothing. With `co_issued_only`, a
+    /// `Binary` of a class that does not co-issue (a multiply, a divide) is
+    /// left alone like every other instruction: `None`, thread untouched.
+    /// These instructions' one definition, shared by [`ThreadState::step`]
+    /// and [`ThreadState::retire_alu_run`].
+    #[inline(always)]
+    fn exec_register_op(
+        &mut self,
+        inst: &DInst,
+        co_issued_only: bool,
+    ) -> Option<Result<InstClass, TrapKind>> {
+        let class = match inst {
+            DInst::Binary {
+                op,
+                class,
+                dst,
+                lhs,
+                rhs,
+            } => {
+                if co_issued_only && !matches!(class, InstClass::IntAlu | InstClass::Other) {
+                    return None;
+                }
+                match op.eval(self.operand(*lhs), self.operand(*rhs)) {
+                    Ok(v) => self.regs[*dst as usize] = v,
+                    Err(t) => return Some(Err(t)),
+                }
+                *class
+            }
+            DInst::Copy { dst, src } => {
+                self.regs[*dst as usize] = self.operand(*src);
+                InstClass::IntAlu
+            }
+            DInst::Select {
+                dst,
+                cond,
+                if_true,
+                if_false,
+            } => {
+                self.regs[*dst as usize] = if self.operand(*cond) != 0 {
+                    self.operand(*if_true)
+                } else {
+                    self.operand(*if_false)
+                };
+                InstClass::IntAlu
+            }
+            DInst::Nop => InstClass::Other,
+            _ => return None,
+        };
+        Some(Ok(class))
+    }
+
+    /// Retires up to `k` consecutive co-issuable ALU instructions —
+    /// `Binary` of class `IntAlu` or `Other`, `Copy`, `Select`, `Nop` — in
+    /// one call and returns how many: exactly what that many
+    /// [`ThreadState::step`]s would have done, each reporting a plain
+    /// `IntAlu`/`Other` event. Stops before any other instruction and
+    /// before an operation whose evaluation traps (the next step raises
+    /// it), and retires nothing on a thread that is not runnable or whose
+    /// resteer target the next step has yet to resolve.
+    #[inline]
+    pub fn retire_alu_run(&mut self, program: &DecodedProgram, k: u64) -> u64 {
+        if self.status != ThreadStatus::Runnable {
+            return 0;
+        }
+        let mut n = 0;
+        while n < k {
+            match program.insts.get(self.pc) {
+                Some(inst) if matches!(self.exec_register_op(inst, true), Some(Ok(_))) => {
+                    self.pc += 1;
+                    n += 1;
+                }
+                _ => break,
+            }
+        }
+        self.retired += n;
+        n
+    }
+
     /// Executes at most one instruction.
     ///
     /// Generic over the ports (instead of taking `&mut dyn`) so every
@@ -588,44 +668,19 @@ impl ThreadState {
                 &program.insts[pc]
             }
         };
+        if let Some(done) = self.exec_register_op(inst, false) {
+            return match done {
+                Ok(class) => {
+                    self.pc = pc + 1;
+                    self.retired += 1;
+                    Ok(StepEvent::Executed(ExecInfo::plain(class)))
+                }
+                Err(t) => self.trap(t),
+            };
+        }
         match inst {
-            DInst::Binary {
-                op,
-                class,
-                dst,
-                lhs,
-                rhs,
-            } => {
-                let v = match op.eval(self.operand(*lhs), self.operand(*rhs)) {
-                    Ok(v) => v,
-                    Err(t) => return self.trap(t),
-                };
-                self.regs[*dst as usize] = v;
-                self.pc = pc + 1;
-                self.retired += 1;
-                Ok(StepEvent::Executed(ExecInfo::plain(*class)))
-            }
-            DInst::Copy { dst, src } => {
-                self.regs[*dst as usize] = self.operand(*src);
-                self.pc = pc + 1;
-                self.retired += 1;
-                Ok(StepEvent::Executed(ExecInfo::plain(InstClass::IntAlu)))
-            }
-            DInst::Select {
-                dst,
-                cond,
-                if_true,
-                if_false,
-            } => {
-                let v = if self.operand(*cond) != 0 {
-                    self.operand(*if_true)
-                } else {
-                    self.operand(*if_false)
-                };
-                self.regs[*dst as usize] = v;
-                self.pc = pc + 1;
-                self.retired += 1;
-                Ok(StepEvent::Executed(ExecInfo::plain(InstClass::IntAlu)))
+            DInst::Binary { .. } | DInst::Copy { .. } | DInst::Select { .. } | DInst::Nop => {
+                unreachable!("register-only instructions execute above")
             }
             DInst::Load { dst, addr, offset } => {
                 let a = self.operand(*addr) + offset;
@@ -719,11 +774,6 @@ impl ThreadState {
                 self.pc = pc + 1;
                 self.retired += 1;
                 Ok(StepEvent::Executed(ExecInfo::plain(InstClass::Resteer)))
-            }
-            DInst::Nop => {
-                self.pc = pc + 1;
-                self.retired += 1;
-                Ok(StepEvent::Executed(ExecInfo::plain(InstClass::Other)))
             }
             // Terminators. Every terminator execution counts as retired,
             // exactly like the structured walker did — including a trapping

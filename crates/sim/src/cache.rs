@@ -181,6 +181,9 @@ pub struct MemAccessStats {
 #[derive(Debug, Clone)]
 pub struct MemoryHierarchy {
     cores: Vec<PrivateLevels>,
+    /// The snoop filter a store consults; `None` on a one-core machine,
+    /// which has no other core to invalidate.
+    sharers: Option<SharerMask>,
     l3: Cache,
     l1_latency: u64,
     l2_latency: u64,
@@ -198,9 +201,11 @@ struct PrivateLevels {
 }
 
 impl MemoryHierarchy {
-    /// Builds the hierarchy for `config.cores` cores.
+    /// Builds the hierarchy for `config.cores` cores over a memory of
+    /// `memory_words` words (the extent the snoop filter tracks block by
+    /// block; addresses outside it share one conservative entry).
     #[must_use]
-    pub fn new(config: &MachineConfig) -> Self {
+    pub fn new(config: &MachineConfig, memory_words: usize) -> Self {
         MemoryHierarchy {
             cores: (0..config.cores)
                 .map(|_| PrivateLevels {
@@ -209,6 +214,7 @@ impl MemoryHierarchy {
                     stats: MemAccessStats::default(),
                 })
                 .collect(),
+            sharers: (config.cores > 1).then(|| SharerMask::new(config, memory_words)),
             l3: Cache::new(&config.l3),
             l1_latency: config.l1d.hit_latency,
             l2_latency: config.l2.hit_latency,
@@ -226,17 +232,31 @@ impl MemoryHierarchy {
     }
 
     /// Simulates a store by `core` to `word_addr`; returns the latency in
-    /// cycles charged to the core. Stores invalidate the line in every other
-    /// core's private caches (write-invalidate coherence).
+    /// cycles charged to the core. Stores invalidate the line in the private
+    /// caches of every other core the snoop filter names
+    /// (write-invalidate coherence); a core it does not name holds no copy.
     #[inline]
     pub fn store(&mut self, core: usize, word_addr: i64) -> (u64, HitLevel) {
         self.cores[core].stats.stores += 1;
         let result = self.access(core, word_addr);
-        for (other, levels) in self.cores.iter_mut().enumerate() {
-            if other != core {
-                levels.l1.invalidate(word_addr);
-                levels.l2.invalidate(word_addr);
+        if let Some(sharers) = &mut self.sharers {
+            let slot = sharers.slot(word_addr);
+            let named = sharers.bits[slot];
+            let mut pending = named;
+            while pending != 0 {
+                let bit = pending.trailing_zeros() as usize;
+                pending &= pending - 1;
+                for other in (bit..self.cores.len()).step_by(SHARER_BITS) {
+                    if other != core {
+                        let levels = &mut self.cores[other];
+                        levels.l1.invalidate(word_addr);
+                        levels.l2.invalidate(word_addr);
+                    }
+                }
             }
+            // Every core a cleared bit stands for was just probed; the
+            // storer's own bit stays, as the storer holds the line.
+            sharers.clear(slot, named & !sharer_bit(core));
         }
         result
     }
@@ -248,7 +268,14 @@ impl MemoryHierarchy {
             stats.l1_hits += 1;
             return (self.l1_latency, HitLevel::L1);
         }
-        if l2.access(word_addr) {
+        let l2_hit = l2.access(word_addr);
+        if let Some(sharers) = &mut self.sharers {
+            sharers.mark(core, word_addr, sharers.l1_blocks);
+            if !l2_hit {
+                sharers.mark(core, word_addr, sharers.l2_blocks);
+            }
+        }
+        if l2_hit {
             stats.l2_hits += 1;
             return (self.l1_latency + self.l2_latency, HitLevel::L2);
         }
@@ -276,6 +303,108 @@ impl MemoryHierarchy {
     /// Zeroes `core`'s access statistics; its cache contents stay.
     pub(crate) fn reset_stats(&mut self, core: usize) {
         self.cores[core].stats = MemAccessStats::default();
+    }
+}
+
+/// Cores per sharer byte. Core `c` answers to bit `c % SHARER_BITS`, so on
+/// a machine of more cores one bit stands for several, and a store probes
+/// each of them.
+const SHARER_BITS: usize = u8::BITS as usize;
+
+#[inline]
+fn sharer_bit(core: usize) -> u8 {
+    1 << (core % SHARER_BITS)
+}
+
+/// A snoop filter (Moshovos et al., JETTY, HPCA 2001): for each block of
+/// memory, which cores may hold a copy of it in their private levels. A block
+/// is the largest run of words that lies inside one L1 line and one L2 line
+/// (the smaller line on Table 1), so a probe that invalidates the line of a
+/// word in both levels leaves the core no copy of any word of its block.
+///
+/// The rule that keeps it exact: a fill sets the core's bit on every block
+/// its line covers, and a store clears a bit only on its own block and only
+/// after probing every core the bit stands for. A clear bit therefore means
+/// the core holds nothing of the block; an eviction leaves a stale set bit,
+/// which costs one probe that finds nothing.
+#[derive(Debug, Clone)]
+struct SharerMask {
+    /// One byte per block of memory, then one overflow entry that every
+    /// address outside memory shares (wild speculative accesses reach the
+    /// hierarchy before the bounds check): set on fill, never cleared.
+    bits: Vec<u8>,
+    block_words: i64,
+    /// `log2(block_words)` when it is a power of two.
+    block_shift: Option<u32>,
+    /// Blocks an L1 line covers.
+    l1_blocks: i64,
+    /// Blocks an L2 line covers.
+    l2_blocks: i64,
+}
+
+impl SharerMask {
+    fn new(config: &MachineConfig, memory_words: usize) -> Self {
+        let line_words = |c: &CacheConfig| (c.line_bytes as i64 / WORD_BYTES).max(1);
+        let (l1_words, l2_words) = (line_words(&config.l1d), line_words(&config.l2));
+        let block_words = gcd(l1_words, l2_words);
+        SharerMask {
+            bits: vec![0; memory_words.div_ceil(block_words as usize) + 1],
+            block_words,
+            block_shift: (block_words.count_ones() == 1).then(|| block_words.trailing_zeros()),
+            l1_blocks: l1_words / block_words,
+            l2_blocks: l2_words / block_words,
+        }
+    }
+
+    #[inline]
+    fn block_of(&self, word_addr: i64) -> i64 {
+        match self.block_shift {
+            Some(s) => word_addr >> s,
+            None => word_addr.div_euclid(self.block_words),
+        }
+    }
+
+    #[inline]
+    fn slot_of_block(&self, block: i64) -> usize {
+        let overflow = self.bits.len() - 1;
+        usize::try_from(block).map_or(overflow, |b| b.min(overflow))
+    }
+
+    /// The entry that answers for `word_addr`.
+    #[inline]
+    fn slot(&self, word_addr: i64) -> usize {
+        self.slot_of_block(self.block_of(word_addr))
+    }
+
+    /// Names `core` on every block of the `line_blocks`-block line holding
+    /// `word_addr`: that core just filled the line.
+    #[inline]
+    fn mark(&mut self, core: usize, word_addr: i64, line_blocks: i64) {
+        let block = self.block_of(word_addr);
+        let first = match line_blocks {
+            1 => block,
+            n => block - block.rem_euclid(n),
+        };
+        for b in first..first + line_blocks {
+            let slot = self.slot_of_block(b);
+            self.bits[slot] |= sharer_bit(core);
+        }
+    }
+
+    /// Drops `bits` from the entry `slot`; the overflow entry keeps them.
+    #[inline]
+    fn clear(&mut self, slot: usize, bits: u8) {
+        if slot + 1 < self.bits.len() {
+            self.bits[slot] &= !bits;
+        }
+    }
+}
+
+fn gcd(a: i64, b: i64) -> i64 {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
     }
 }
 
@@ -325,7 +454,7 @@ mod tests {
     #[test]
     fn hierarchy_latencies_increase_with_level() {
         let cfg = MachineConfig::itanium2_cmp();
-        let mut h = MemoryHierarchy::new(&cfg);
+        let mut h = MemoryHierarchy::new(&cfg, 1 << 16);
         let (lat_miss, level) = h.load(0, 50_000);
         assert_eq!(level, HitLevel::Memory);
         assert_eq!(
@@ -341,7 +470,7 @@ mod tests {
     #[test]
     fn store_invalidates_other_cores() {
         let cfg = MachineConfig::itanium2_cmp();
-        let mut h = MemoryHierarchy::new(&cfg);
+        let mut h = MemoryHierarchy::new(&cfg, 1 << 16);
         // Core 1 warms the line.
         let _ = h.load(1, 8_000);
         let (lat, _) = h.load(1, 8_000);
@@ -357,7 +486,7 @@ mod tests {
     #[test]
     fn stats_accumulate_per_core() {
         let cfg = MachineConfig::test_tiny(2);
-        let mut h = MemoryHierarchy::new(&cfg);
+        let mut h = MemoryHierarchy::new(&cfg, 1 << 16);
         let _ = h.load(0, 2000);
         let _ = h.load(0, 2000);
         let _ = h.store(1, 3000);

@@ -521,6 +521,17 @@ impl Shared {
                         && mem_port.latency == 0;
                     if co_issuable {
                         issued_this_cycle += 1;
+                        if issued_this_cycle < issue_width && !tracing {
+                            // The ALU operations that follow retire in one
+                            // call, up to the width; the next step takes
+                            // what ends the run. (Tracing hears of every
+                            // instruction, so it steps them one by one.)
+                            let ran =
+                                thread.retire_alu_run(decoded, issue_width - issued_this_cycle);
+                            core.report.retired += ran;
+                            group_retired += ran as u32;
+                            issued_this_cycle += ran;
+                        }
                         if issued_this_cycle < issue_width {
                             // Keep filling this cycle's issue group. (ALU
                             // operations never carry a spec action, so the
@@ -655,7 +666,7 @@ impl Machine {
         decoded: Arc<DecodedProgram>,
     ) -> Self {
         let mem = FlatMemory::for_program(&program, 0);
-        let hier = MemoryHierarchy::new(&config);
+        let hier = MemoryHierarchy::new(&config, mem.size());
         let cores: Vec<CoreState> = (0..config.cores).map(|_| CoreState::new()).collect();
         // Conflicts are tracked to answer the program's `spec.check`s.
         let blocks = program.funcs.iter().flat_map(|f| &f.blocks);

@@ -257,56 +257,94 @@ impl RefHierarchy {
     }
 }
 
-/// Four cores interleave loads and stores over a handful of shared lines, so
-/// a store keeps invalidating the line another core's L1 or L2 remembers as
-/// its last access; every access's latency and level, and every core's
-/// counters, must match the reference.
+/// Cores interleave loads and stores over a handful of shared lines, so a
+/// store keeps invalidating the line another core's L1 or L2 remembers as
+/// its last access. The reference invalidates in every other core; the
+/// hierarchy probes only the cores its snoop filter names. Every access's
+/// latency and level, and every core's counters, must match — on one core
+/// (no filter) up to ten (two cores per sharer bit), with the L1 line equal
+/// to, smaller and larger than the L2 line, with lines that are not a power
+/// of two words (an L1 line straddles two L2 lines), and with wild accesses
+/// below zero, just past memory and far out of it.
 #[test]
 fn hierarchy_matches_the_reference_under_shared_line_invalidation() {
-    let mut small = MachineConfig::itanium2_cmp();
-    small.l1d = geometry(4, 2, 64);
-    small.l2 = geometry(2, 4, 128);
-    small.l3 = geometry(3, 4, 128);
-    for (name, config) in [("small", small), ("table 1", MachineConfig::itanium2_cmp())] {
-        for seed in 0..8u64 {
-            let mut rng = Rng(seed ^ 0x41e7);
-            let mut hier = MemoryHierarchy::new(&config);
-            let mut reference = RefHierarchy::new(&config);
-            // Shared lines: a few hot words every core returns to, plus a
-            // wider window that forces evictions at every level.
-            let hot: Vec<i64> = (0..6).map(|_| rng.below(1 << 12)).collect();
-            let mut last = [0i64; 4];
-            for step in 0..6_000 {
-                let context = format!("{name}, seed {seed}, step {step}");
-                let core = rng.below(4) as usize;
-                let addr = match rng.below(10) {
-                    0..=4 => hot[rng.below(hot.len() as u64) as usize] + rng.below(4),
-                    // Back to the line this core touched last: the
-                    // remembered-line path, unless a store took it away.
-                    5..=6 => last[core] ^ rng.below(2),
-                    _ => rng.below(1 << 14),
-                };
-                last[core] = addr;
-                if rng.below(3) == 0 {
+    const MEMORY_WORDS: i64 = 1 << 13;
+    let table1 = MachineConfig::itanium2_cmp();
+    let with_lines = |l1: CacheConfig, l2: CacheConfig| {
+        let mut config = table1.clone();
+        config.l1d = l1;
+        config.l2 = l2;
+        config.l3 = geometry(3, 4, 128);
+        config
+    };
+    let geometries = [
+        ("table 1", table1.clone()),
+        (
+            "small, l1 line shorter",
+            with_lines(geometry(4, 2, 64), geometry(2, 4, 128)),
+        ),
+        (
+            "equal lines",
+            with_lines(geometry(4, 2, 64), geometry(4, 4, 64)),
+        ),
+        (
+            "l1 line longer",
+            with_lines(geometry(2, 2, 128), geometry(4, 4, 64)),
+        ),
+        (
+            "six- and eight-word lines",
+            with_lines(geometry(4, 2, 48), geometry(4, 4, 64)),
+        ),
+        (
+            "three- and five-word lines",
+            with_lines(geometry(5, 2, 24), geometry(3, 4, 40)),
+        ),
+    ];
+    let wild = [-1, -(1 << 40), MEMORY_WORDS - 2, 1 << 40];
+    for (name, base) in &geometries {
+        for cores in [1, 2, 3, 4, 8, 10] {
+            let config = base.clone().with_cores(cores);
+            for seed in 0..4u64 {
+                let mut rng = Rng(seed ^ 0x41e7);
+                let mut hier = MemoryHierarchy::new(&config, MEMORY_WORDS as usize);
+                let mut reference = RefHierarchy::new(&config);
+                // Shared lines: a few hot words every core returns to, plus a
+                // wider window that forces evictions at every level.
+                let hot: Vec<i64> = (0..6).map(|_| rng.below(1 << 12)).collect();
+                let mut last = vec![0i64; cores];
+                for step in 0..3_000 {
+                    let context = format!("{name}, {cores} cores, seed {seed}, step {step}");
+                    let core = rng.below(cores as u64) as usize;
+                    let addr = match rng.below(20) {
+                        0..=9 => hot[rng.below(hot.len() as u64) as usize] + rng.below(4),
+                        // Back to the line this core touched last: the
+                        // remembered-line path, unless a store took it away.
+                        10..=13 => last[core] ^ rng.below(2),
+                        14..=17 => rng.below(MEMORY_WORDS as u64),
+                        _ => wild[rng.below(wild.len() as u64) as usize] + rng.below(24),
+                    };
+                    last[core] = addr;
+                    if rng.below(3) == 0 {
+                        assert_eq!(
+                            hier.store(core, addr),
+                            reference.store(core, addr),
+                            "{context}"
+                        );
+                    } else {
+                        assert_eq!(
+                            hier.load(core, addr),
+                            reference.load(core, addr),
+                            "{context}"
+                        );
+                    }
+                }
+                for core in 0..cores {
                     assert_eq!(
-                        hier.store(core, addr),
-                        reference.store(core, addr),
-                        "{context}"
-                    );
-                } else {
-                    assert_eq!(
-                        hier.load(core, addr),
-                        reference.load(core, addr),
-                        "{context}"
+                        hier.stats(core),
+                        reference.stats[core],
+                        "{name}, {cores} cores, seed {seed}"
                     );
                 }
-            }
-            for core in 0..4 {
-                assert_eq!(
-                    hier.stats(core),
-                    reference.stats[core],
-                    "{name}, seed {seed}"
-                );
             }
         }
     }

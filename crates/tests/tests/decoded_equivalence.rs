@@ -238,6 +238,12 @@ impl RefThread {
 
 /// Steps the decoded and the reference executor in lockstep over one run of
 /// `func`, asserting identical events, and returns the shared step count.
+/// With `alu_run > 0` the decoded thread first retires up to that many
+/// co-issuable ALU instructions in one [`ThreadState::retire_alu_run`] call
+/// before each step, and the reference steps as many times: each of its
+/// steps must be a plain `IntAlu`/`Other` event, the registers must agree
+/// after the run, and a run that stops short must stop before an
+/// instruction it could not take.
 #[allow(clippy::too_many_arguments)]
 fn lockstep_run(
     label: &str,
@@ -248,20 +254,47 @@ fn lockstep_run(
     mem_a: &mut FlatMemory,
     mem_b: &mut FlatMemory,
     fuel: u64,
+    alu_run: u64,
 ) -> u64 {
     let mut sys_a = LocalSys::new();
     let mut sys_b = LocalSys::new();
     let mut dec = ThreadState::new(decoded, func, args);
     let mut refr = RefThread::new(program, func, args);
-    for step in 0..fuel {
+    let co_issued = |e: &Result<StepEvent, TrapKind>| {
+        [InstClass::IntAlu, InstClass::Other]
+            .iter()
+            .any(|&c| *e == Ok(StepEvent::Executed(ExecInfo::plain(c))))
+    };
+    let mut step = 0;
+    while step < fuel {
+        let mut stopped_short = false;
+        if alu_run > 0 {
+            let ran = dec.retire_alu_run(decoded, alu_run);
+            for _ in 0..ran {
+                let b = refr.step(program, mem_b, &mut sys_b);
+                assert!(co_issued(&b), "{label}: run took {b:?} at step {step}");
+                step += 1;
+            }
+            assert_eq!(dec.retired(), step, "{label}: retired after a run");
+            assert_eq!(dec.current_block(), refr.block, "{label}: run cursor");
+            for (r, v) in refr.regs.iter().enumerate() {
+                assert_eq!(dec.reg(Reg(r as u32)), *v, "{label}: r{r} after a run");
+            }
+            stopped_short = ran < alu_run;
+        }
         let a = dec.step(decoded, mem_a, &mut sys_a);
         let b = refr.step(program, mem_b, &mut sys_b);
         assert_eq!(a, b, "{label}: divergence at step {step}");
+        assert!(
+            !(stopped_short && co_issued(&a)),
+            "{label}: a run stopped before step {step}, which it could take"
+        );
         assert_eq!(
             dec.current_block(),
             refr.block,
             "{label}: cursor divergence at step {step}"
         );
+        step += 1;
         match a {
             Ok(StepEvent::Finished(_)) | Err(_) => {
                 assert_eq!(
@@ -269,7 +302,7 @@ fn lockstep_run(
                     mem_b.words(),
                     "{label}: memory divergence at end"
                 );
-                return step + 1;
+                return step;
             }
             Ok(StepEvent::Blocked) => panic!("{label}: single-threaded run blocked"),
             Ok(StepEvent::Executed(_)) => {}
@@ -280,9 +313,16 @@ fn lockstep_run(
 
 /// Decoded and reference execution retire identical `ExecInfo` streams over
 /// every workload of the full (small-configuration) suite, across every
-/// invocation.
+/// invocation: one step at a time, and with co-issuable ALU runs of up to
+/// 1, 3 and 6 instructions (6 is Table 1's issue width) retired in one call.
 #[test]
 fn decoded_execution_matches_reference_walker_on_full_suite() {
+    for alu_run in [0, 1, 3, 6] {
+        lockstep_suite(alu_run);
+    }
+}
+
+fn lockstep_suite(alu_run: u64) {
     for (name, factory) in spice_workloads::all_workload_factories(true) {
         let mut wl = factory();
         let built = wl.build();
@@ -311,6 +351,7 @@ fn decoded_execution_matches_reference_walker_on_full_suite() {
                 &mut mem_a,
                 &mut mem_b,
                 200_000_000,
+                alu_run,
             );
             match wl.next_invocation(&mut mem_a, inv) {
                 Some(a) => {
@@ -343,17 +384,11 @@ fn decoded_execution_matches_reference_walker_on_traps() {
     let decoded = DecodedProgram::new(&p);
     let mut mem_a = FlatMemory::new(2048);
     let mut mem_b = FlatMemory::new(2048);
-    lockstep_run("div_ok", &p, &decoded, f, &[4], &mut mem_a, &mut mem_b, 100);
-    lockstep_run(
-        "div_trap",
-        &p,
-        &decoded,
-        f,
-        &[0],
-        &mut mem_a,
-        &mut mem_b,
-        100,
-    );
+    for alu_run in [0, 6] {
+        let (a, b) = (&mut mem_a, &mut mem_b);
+        lockstep_run("div_ok", &p, &decoded, f, &[4], a, b, 100, alu_run);
+        lockstep_run("div_trap", &p, &decoded, f, &[0], a, b, 100, alu_run);
+    }
 
     // Out-of-bounds store.
     let mut b = FunctionBuilder::new("oob");
@@ -362,7 +397,7 @@ fn decoded_execution_matches_reference_walker_on_traps() {
     let mut p = Program::new();
     let f = p.add_func(b.finish());
     let decoded = DecodedProgram::new(&p);
-    lockstep_run("oob", &p, &decoded, f, &[], &mut mem_a, &mut mem_b, 100);
+    lockstep_run("oob", &p, &decoded, f, &[], &mut mem_a, &mut mem_b, 100, 0);
 }
 
 /// Program-wide pcs across calls, returns, traps and resteers: a
